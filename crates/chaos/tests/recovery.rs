@@ -248,6 +248,37 @@ fn all_snapshots_corrupt_is_a_clean_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A frame written by the previous format version (ports without `base`,
+/// dead cells included) is intact by its own checksum — it must be refused
+/// by version, never decoded under the current layout.
+#[test]
+fn previous_format_version_is_refused_not_misdecoded() {
+    let workloads = bundled_workloads();
+    let w = &workloads[0];
+    let cfg = cfg_with(PurgeCadence::Eager, false);
+    let dir = temp_ckpt_dir("old-version");
+    let n = w.feed.elements().len();
+    {
+        let _ = crash_and_recover_seq(w, &w.feed, cfg, &dir, 61, n / 2);
+    }
+    let previous = cjq_stream::checkpoint::VERSION - 1;
+    for (_, path) in list_snapshots(&dir) {
+        let mut frame = std::fs::read(&path).expect("snapshot exists");
+        frame[4..8].copy_from_slice(&previous.to_le_bytes());
+        std::fs::write(&path, frame).expect("rewrite applies");
+    }
+    let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
+    let err =
+        cjq_stream::exec::Executor::try_resume(&dir, &w.query, &w.schemes, &plan, cfg, &w.feed, 61)
+            .expect_err("an old-format snapshot must not restore");
+    let msg = err.to_string();
+    assert!(
+        msg.starts_with("C001") && msg.contains(&format!("unsupported version {previous}")),
+        "expected C001 naming the version, got: {msg}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn restore_rejects_mismatched_config() {
     let workloads = bundled_workloads();

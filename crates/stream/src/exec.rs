@@ -578,15 +578,21 @@ impl Executor {
     /// and must be discarded.
     pub fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
         let start = Instant::now();
+        self.push_untimed(element)?;
+        self.metrics.elapsed_ns += start.elapsed().as_nanos();
+        Ok(())
+    }
+
+    /// [`Executor::try_push`] without the two clock reads: drivers that push
+    /// a whole feed add their loop's time to `Metrics::elapsed_ns` once.
+    fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
         self.clock += 1;
         self.since_purge += 1;
         match element {
             StreamElement::Tuple(t) => self.try_push_tuple(t)?,
             StreamElement::Punctuation(p) => self.try_push_punctuation(p)?,
         }
-        self.post_element()?;
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
+        self.post_element()
     }
 
     /// Per-element bookkeeping shared by the per-element and batched paths:
@@ -631,7 +637,7 @@ impl Executor {
         };
         let mut flat = 0usize;
         for (oi, op) in self.ops.iter().enumerate() {
-            for (pi, live) in op.port_live().into_iter().enumerate() {
+            for (pi, live) in op.port_live_iter().enumerate() {
                 self.metrics.track_port_peak(flat, live);
                 if let Some(bound) = bounds[flat] {
                     if live as u64 > bound {
@@ -1191,7 +1197,7 @@ impl Executor {
         self.metrics.sample(p);
         let mut flat = 0usize;
         for op in &self.ops {
-            for live in op.port_live() {
+            for live in op.port_live_iter() {
                 self.metrics.track_port_peak(flat, live);
                 flat += 1;
             }
@@ -1209,9 +1215,11 @@ impl Executor {
     /// Fallible [`Executor::run`] (see [`Executor::try_push`] for the error
     /// contract).
     pub fn try_run(mut self, feed: &Feed) -> ExecResult<RunResult> {
+        let start = Instant::now();
         for e in feed {
-            self.try_push(e)?;
+            self.push_untimed(e)?;
         }
+        self.metrics.elapsed_ns += start.elapsed().as_nanos();
         Ok(self.finish())
     }
 
@@ -1557,16 +1565,31 @@ impl Executor {
         store: &mut CheckpointStore,
         cursor: &mut InputCursor,
     ) -> ExecResult<()> {
-        self.try_push(element)?;
-        let stream = match element {
-            StreamElement::Tuple(t) => t.stream,
-            StreamElement::Punctuation(p) => p.stream,
-        };
-        cursor.advance(stream);
-        store.note_element();
-        if store.due(matches!(element, StreamElement::Punctuation(_))) {
-            self.commit_checkpoint(store, cursor)?;
+        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
+    }
+
+    /// [`Executor::push_checkpointed`] over a run of elements, reading the
+    /// clock once per call and per commit instead of twice per element:
+    /// `Metrics::elapsed_ns` is brought up to date before every snapshot
+    /// (which serializes it) and excludes the commits, as it always has.
+    fn push_all_checkpointed(
+        &mut self,
+        elements: &[StreamElement],
+        store: &mut CheckpointStore,
+        cursor: &mut InputCursor,
+    ) -> ExecResult<()> {
+        let mut start = Instant::now();
+        for e in elements {
+            self.push_untimed(e)?;
+            cursor.advance(e.stream());
+            store.note_element();
+            if store.due(e.is_punctuation()) {
+                self.metrics.elapsed_ns += start.elapsed().as_nanos();
+                self.commit_checkpoint(store, cursor)?;
+                start = Instant::now();
+            }
         }
+        self.metrics.elapsed_ns += start.elapsed().as_nanos();
         Ok(())
     }
 
@@ -1603,9 +1626,7 @@ impl Executor {
                 detail: e.to_string(),
             })?;
         let mut cursor = InputCursor::zero(self.query.n_streams());
-        for e in feed {
-            self.push_checkpointed(e, &mut store, &mut cursor)?;
-        }
+        self.push_all_checkpointed(feed.elements(), &mut store, &mut cursor)?;
         Ok(self.finish())
     }
 
@@ -1687,9 +1708,8 @@ impl Executor {
         }
         let (mut exec, mut store, mut cursor) = Executor::restore(dir, query, schemes, plan, cfg)?;
         let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
-        for e in feed.elements().iter().skip(done) {
-            exec.push_checkpointed(e, &mut store, &mut cursor)?;
-        }
+        let rest = feed.elements().get(done..).unwrap_or(&[]);
+        exec.push_all_checkpointed(rest, &mut store, &mut cursor)?;
         Ok(exec.finish())
     }
 }
@@ -1768,6 +1788,7 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::PortState;
     use cjq_core::fixtures;
     use cjq_core::schema::AttrId;
 
@@ -1830,6 +1851,43 @@ mod tests {
         // After the final purge everything is dead.
         assert_eq!(res.metrics.last().unwrap().join_state, 0);
         assert_eq!(res.metrics.last().unwrap().groups, 0);
+    }
+
+    /// Operator ports and mirrors hold what is live (plus at most as much
+    /// again awaiting the next amortized reclaim), however long the feed ran.
+    #[test]
+    fn resident_slots_follow_live_state_not_feed_length() {
+        let (q, r) = fixtures::auction();
+        for n_items in [2_000i64, 8_000, 32_000] {
+            let mut exec =
+                Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default()).unwrap();
+            let (mut peak_join, mut peak_mirror) = (0, 0);
+            // Waves of 16 concurrent auctions, two bids each.
+            for wave in (0..n_items).step_by(16) {
+                let items = wave..(wave + 16).min(n_items);
+                let posts = items.clone().flat_map(|i| [item(i), item_unique(i)]);
+                let bids = items.clone().map(|i| bid(i, 1));
+                let closes = items.clone().flat_map(|i| [bid(i, 2), bid_close(i)]);
+                for e in posts.chain(bids).chain(closes) {
+                    exec.push(&e);
+                    peak_join = peak_join.max(exec.join_state_live());
+                    peak_mirror = peak_mirror.max(exec.engine.mirror_live());
+                }
+            }
+            let states = || {
+                let ports = exec.ops.iter().flat_map(|op| &op.ports);
+                ports.chain(q.stream_ids().map(|s| exec.engine.mirror_state(s)))
+            };
+            assert_eq!(
+                states().map(PortState::slots).sum::<usize>() as i64,
+                6 * n_items
+            );
+            let resident: usize = states().map(PortState::resident_slots).sum();
+            assert!(
+                resident <= 2 * (peak_join + peak_mirror) + 64 * states().count(),
+                "{n_items} items: {resident} resident slots for peaks {peak_join} + {peak_mirror}"
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@ use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
 use crate::purge::{
-    self, Candidates, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy,
-    PurgeTracker, PurgeWork, StepSpec,
+    self, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy, PurgeTracker,
+    PurgeWork, StepSpec,
 };
 use crate::segment::StepSummary;
 use crate::sink::OutputBuffer;
@@ -293,7 +293,13 @@ impl JoinOperator {
     /// Live stored tuples per port.
     #[must_use]
     pub fn port_live(&self) -> Vec<usize> {
-        self.ports.iter().map(PortState::live).collect()
+        self.port_live_iter().collect()
+    }
+
+    /// [`JoinOperator::port_live`] without the `Vec` — the per-element
+    /// bound-certificate and sampling paths read it once per operator.
+    pub(crate) fn port_live_iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ports.iter().map(PortState::live)
     }
 
     /// Live slot ids per port, in slot order (used by the sharded executor to
@@ -327,18 +333,10 @@ impl JoinOperator {
         }
     }
 
-    /// Load-shedding eviction: like [`JoinOperator::evict_window`] but
-    /// counted separately by the caller (`Metrics::rows_shed`, not
-    /// `purged` — shed rows were *not* proven dead). Returns rows evicted.
-    pub fn shed_older_than(&mut self, cutoff: u64) -> usize {
-        self.ports
-            .iter_mut()
-            .map(|p| p.evict_older_than(cutoff))
-            .sum()
-    }
-
-    /// Audited load shedding: like [`JoinOperator::shed_older_than`] but
-    /// reports each shed row to `on_shed(port, row)` *before* eviction and
+    /// Audited load shedding: like [`JoinOperator::evict_window`] but
+    /// counted separately by the caller (`Metrics::rows_shed`, not `purged` —
+    /// shed rows were *not* proven dead). Reports each shed row to
+    /// `on_shed(port, row)` *before* eviction and
     /// returns the per-port shed counts, so lost results are attributable
     /// (`Metrics::rows_shed_by_port`) and auditable via the dead-letter sink
     /// instead of vanishing silently.
@@ -478,8 +476,9 @@ impl JoinOperator {
             };
             let state = &mut self.ports[port];
             let group_cols: Vec<usize> = tier.group_cols().to_vec();
-            let mut victims: Vec<(Vec<Value>, u64, usize)> = (0..state.slots())
-                .filter(|&s| state.get(s).is_some() && state.touched_of(s) < cutoff)
+            let mut victims: Vec<(Vec<Value>, u64, usize)> = state
+                .live_from(0)
+                .filter(|&s| state.touched_of(s) < cutoff)
                 .map(|s| {
                     let row = state.get(s).expect("live victim");
                     let key: Vec<Value> = group_cols.iter().map(|&c| row[c]).collect();
@@ -876,13 +875,10 @@ impl JoinOperator {
             };
             let candidates: Option<Vec<usize>> = match strategy {
                 PurgeStrategy::FullScan => None,
-                PurgeStrategy::Indexed => {
-                    let tracker = self.trackers[port].as_mut().expect("tracker per recipe");
-                    match tracker.collect_against(recipe, &self.ports[port], engine) {
-                        Candidates::All => None,
-                        Candidates::Slots(slots) => Some(slots),
-                    }
-                }
+                PurgeStrategy::Indexed => self.trackers[port]
+                    .as_mut()
+                    .expect("tracker per recipe")
+                    .collect_against(recipe, &self.ports[port], engine),
             };
             // Two-phase to satisfy the borrow checker without cloning every
             // candidate row: decide on borrowed slices, then purge by slot.
@@ -903,6 +899,11 @@ impl JoinOperator {
             work.examined += sweep.examined as u64;
             pass_kept += (sweep.examined - sweep.slots.len()) as u64;
             work.purged += self.ports[port].purge_slots(&sweep.slots) as u64;
+        }
+        // The pass is over and no slot id outlives it except through the
+        // trackers' (clamped) fresh-slot watermarks: free the dead prefixes.
+        for state in &mut self.ports {
+            state.reclaim();
         }
         // Cold tier: segments whose key summaries the recipes now fully
         // cover are provably all-dead — drop them without reading the file.

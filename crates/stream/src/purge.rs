@@ -25,8 +25,9 @@
 //! walking the steps in dependency order, each step's required value
 //! combinations (drawn from the chain's joinable sets, starting at `T`'s own
 //! values) must all be covered by stored punctuations of the step's scheme;
-//! the step then computes the next joinable set `T_t[Υ_target]` by
-//! semi-joining the mirror state against the chain (paper §3.2.1, Step i).
+//! every step but the last then computes the next joinable set
+//! `T_t[Υ_target]` by semi-joining the mirror state against the chain (paper
+//! §3.2.1, Step i) — the set exists only to form the next step's requirement.
 //!
 //! The raw mirror is needed because an operator's stored *composites*
 //! under-approximate `Υ_S`: a raw tuple that has not joined anything yet is
@@ -218,15 +219,6 @@ pub(crate) fn root_step_specs(
     Some(specs)
 }
 
-/// Candidate set produced by [`PurgeTracker::collect`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Candidates {
-    /// A delta could not be localized: re-check every live row this cycle.
-    All,
-    /// Only these slots can have flipped to purgeable (sorted, deduped).
-    Slots(Vec<usize>),
-}
-
 /// Incremental purge bookkeeping for one (state, recipe) pair.
 ///
 /// The tracker registers a purge index on the tracked [`PortState`] for every
@@ -360,15 +352,17 @@ impl PurgeTracker {
         }
     }
 
-    /// Collects the candidate slots for one purge pass, advancing the delta
-    /// cursors, shrink counters, and fresh-slot watermark.
+    /// Collects the candidate slots for one purge pass — the only slots that
+    /// can have flipped to purgeable (sorted, deduped), or `None` when a delta
+    /// could not be localized and every live row must be re-checked —
+    /// advancing the delta cursors, shrink counters, and fresh-slot watermark.
     pub(crate) fn collect(
         &mut self,
         recipe: &CompiledRecipe,
         state: &PortState,
         puncts: &[PunctStore],
         mirrors: &[PortState],
-    ) -> Candidates {
+    ) -> Option<Vec<usize>> {
         let mut full = false;
         let mut slots: Vec<usize> = Vec::new();
         let mut key: Vec<Value> = Vec::new();
@@ -430,12 +424,12 @@ impl PurgeTracker {
         }
         let fresh_from = std::mem::replace(&mut self.fresh_from, state.slots());
         if full {
-            return Candidates::All;
+            return None;
         }
-        slots.extend((fresh_from..state.slots()).filter(|&slot| state.get(slot).is_some()));
+        slots.extend(state.live_from(fresh_from));
         slots.sort_unstable();
         slots.dedup();
-        Candidates::Slots(slots)
+        Some(slots)
     }
 
     /// Serializes the tracker's cursor positions. Index registrations and
@@ -488,7 +482,7 @@ impl PurgeTracker {
         recipe: &CompiledRecipe,
         state: &PortState,
         engine: &PurgeEngine,
-    ) -> Candidates {
+    ) -> Option<Vec<usize>> {
         self.collect(recipe, state, &engine.puncts, &engine.states)
     }
 }
@@ -712,27 +706,7 @@ impl PurgeEngine {
     /// Panics if the two paths disagree on any verdict — they are documented
     /// to be decision-equivalent.
     pub fn verify_mirror_against_oracle(&self, sample: usize) -> u64 {
-        let mut checked = 0u64;
-        let mut scratch = CheckScratch::default();
-        for (idx, state) in self.states.iter().enumerate() {
-            let stream = StreamId(idx);
-            let Some(recipe) = self.mirror_recipes[idx].as_ref() else {
-                continue;
-            };
-            for (slot, row) in state.iter_live().take(sample) {
-                let fast = self.check_roots_with(recipe, &[(stream, row)], &mut scratch);
-                let mut roots = HashMap::new();
-                roots.insert(stream, row.to_vec());
-                let oracle = self.explain(recipe, &roots).is_purgeable();
-                assert_eq!(
-                    fast, oracle,
-                    "certificate violation: fast purge check says {fast} but the \
-                     oracle says {oracle} for mirror row {slot} of stream {stream:?}"
-                );
-                checked += 1;
-            }
-        }
-        checked
+        self.verify_mirror_meet_against_oracle(&[&self.mirror_recipes], sample)
     }
 
     /// Finds a live mirror row that the purge checker proves dead, if any —
@@ -740,19 +714,7 @@ impl PurgeEngine {
     /// [`PurgeEngine::purge_mirror`]) there must be none.
     #[must_use]
     pub fn find_purgeable_mirror_row(&self) -> Option<(StreamId, usize)> {
-        let mut scratch = CheckScratch::default();
-        for (idx, state) in self.states.iter().enumerate() {
-            let stream = StreamId(idx);
-            let Some(recipe) = self.mirror_recipes[idx].as_ref() else {
-                continue;
-            };
-            for (slot, row) in state.iter_live() {
-                if self.check_roots_with(recipe, &[(stream, row)], &mut scratch) {
-                    return Some((stream, slot));
-                }
-            }
-        }
-        None
+        self.find_meet_purgeable_mirror_row(&[&self.mirror_recipes])
     }
 
     /// Total live raw tuples across the mirror.
@@ -806,7 +768,7 @@ impl PurgeEngine {
         for (i, &(s, _)) in roots.iter().enumerate() {
             scratch.chain[s.0] = ChainSet::Root(i);
         }
-        for step in &recipe.steps {
+        for (step_idx, step) in recipe.steps.iter().enumerate() {
             // Required combinations: cartesian product of the per-binding
             // distinct value sets drawn from the chain.
             if scratch.sets.len() < step.bindings.len() {
@@ -869,6 +831,11 @@ impl PurgeEngine {
                         }
                     }
                 }
+            }
+            // `T_t[Υ_target]` only forms the *next* step's requirement set:
+            // after the final coverage test nobody reads it.
+            if step_idx + 1 == recipe.steps.len() {
+                break;
             }
             // Next chain set: mirror tuples of `target` that semi-join the
             // chain on every in-span predicate towards reached streams.
@@ -1045,6 +1012,11 @@ impl PurgeEngine {
                     };
                 }
             }
+            // Last step: no later requirement set to form (kept in lockstep
+            // with `check_roots_with`).
+            if step_idx + 1 == recipe.steps.len() {
+                break;
+            }
             // Next chain set: mirror tuples of `target` that semi-join the
             // chain on every in-span predicate towards reached streams.
             let filter_sets: Vec<(usize, FxHashSet<Value>)> = step
@@ -1114,15 +1086,10 @@ impl PurgeEngine {
             };
             let candidates: Option<Vec<usize>> = match strategy {
                 PurgeStrategy::FullScan => None,
-                PurgeStrategy::Indexed => {
-                    let tracker = self.mirror_trackers[s]
-                        .as_mut()
-                        .expect("tracker per recipe");
-                    match tracker.collect(recipe, &self.states[s], &self.puncts, &self.states) {
-                        Candidates::All => None,
-                        Candidates::Slots(slots) => Some(slots),
-                    }
-                }
+                PurgeStrategy::Indexed => self.mirror_trackers[s]
+                    .as_mut()
+                    .expect("tracker per recipe")
+                    .collect(recipe, &self.states[s], &self.puncts, &self.states),
             };
             let stream = StreamId(s);
             // Decide on borrowed rows (the check reads other mirror states,
@@ -1182,9 +1149,9 @@ impl PurgeEngine {
         work
     }
 
-    /// Meet-rule analogue of [`PurgeEngine::find_purgeable_mirror_row`]: a
-    /// live mirror row every registered query proves dead, if any. At a
-    /// registry purge fixpoint there must be none.
+    /// Meet-rule form of [`PurgeEngine::find_purgeable_mirror_row`] (which is
+    /// the one-query case): a live mirror row every registered query proves
+    /// dead, if any. At a registry purge fixpoint there must be none.
     #[must_use]
     pub(crate) fn find_meet_purgeable_mirror_row(
         &self,
@@ -1215,8 +1182,8 @@ impl PurgeEngine {
         None
     }
 
-    /// Meet-rule analogue of [`PurgeEngine::verify_mirror_against_oracle`]:
-    /// re-checks up to `sample` live mirror rows per stream per registered
+    /// Meet-rule form of [`PurgeEngine::verify_mirror_against_oracle`] (which
+    /// is the one-query case): re-checks up to `sample` live mirror rows per stream per registered
     /// query with both the fast path and the explaining oracle. Returns the
     /// number of (row, query) verdicts checked.
     ///
@@ -1242,9 +1209,8 @@ impl PurgeEngine {
                     let oracle = self.explain(recipe, &roots).is_purgeable();
                     assert_eq!(
                         fast, oracle,
-                        "certificate violation under sharing: fast purge check says \
-                         {fast} but the oracle says {oracle} for mirror row {slot} of \
-                         stream {stream:?}"
+                        "certificate violation: fast purge check says {fast} but the \
+                         oracle says {oracle} for mirror row {slot} of stream {stream:?}"
                     );
                     checked += 1;
                 }
@@ -1501,6 +1467,50 @@ mod tests {
         assert!(!e.check(&recipe, &roots), "one joinable c still uncovered");
         e.observe_punctuation(&punct(2, 2, &[(0, 20)]), 2);
         assert!(e.check(&recipe, &roots), "all chained requirements covered");
+
+        // Two steps (guard S2, then S3): the walk builds T_t[Υ_S2] — the two
+        // joinable S2 tuples — to form step 2's requirement, and nothing
+        // after its last step. The explaining oracle agrees on the verdict.
+        assert_eq!(recipe.steps.len(), 2);
+        let mut scratch = CheckScratch::default();
+        let t = [Value::Int(1), Value::Int(1)];
+        assert!(e.check_roots_with(&recipe, &[(StreamId(0), &t)], &mut scratch));
+        assert!(matches!(scratch.chain[1], ChainSet::Slots { len: 2, .. }));
+        assert!(matches!(scratch.chain[2], ChainSet::Unset));
+        assert!(e.explain(&recipe, &roots).is_purgeable());
+    }
+
+    #[test]
+    fn one_step_recipe_builds_no_chain_set() {
+        let (_, _, mut e) = engine(fixtures::auction);
+        let recipe = e
+            .mirror_recipe(StreamId(0))
+            .expect("items purgeable")
+            .clone();
+        assert_eq!(
+            recipe.steps.len(),
+            1,
+            "an item waits on its bid-side close only"
+        );
+        e.observe_tuple(&Tuple::of(1, [Value::Int(3), Value::Int(1), Value::Int(5)]));
+        let item = [
+            Value::Int(7),
+            Value::Int(1),
+            Value::from("tv"),
+            Value::Int(9),
+        ];
+        let roots = HashMap::from([(StreamId(0), item.to_vec())]);
+        let mut scratch = CheckScratch::default();
+        for covered in [false, true] {
+            if covered {
+                e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0);
+            }
+            let fast = e.check_roots_with(&recipe, &[(StreamId(0), &item)], &mut scratch);
+            assert_eq!(fast, covered);
+            assert_eq!(e.explain(&recipe, &roots).is_purgeable(), covered);
+            assert!(matches!(scratch.chain[1], ChainSet::Unset));
+            assert!(scratch.slots.is_empty(), "the live bid was never gathered");
+        }
     }
 
     #[test]

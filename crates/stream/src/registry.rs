@@ -524,6 +524,14 @@ impl QueryRegistry {
     /// Admission refusals under [`AdmissionPolicy::Strict`].
     pub fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
         let start = Instant::now();
+        self.push_untimed(element)?;
+        self.metrics.elapsed_ns += start.elapsed().as_nanos();
+        Ok(())
+    }
+
+    /// [`QueryRegistry::try_push`] without the two clock reads (see
+    /// the executor's twin).
+    fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
         match element {
             StreamElement::Tuple(t) => {
                 let mut row = std::mem::take(&mut self.scratch_row);
@@ -532,17 +540,14 @@ impl QueryRegistry {
                 let res = self.try_push_run(t.stream, row.len().max(1), &row, 1);
                 self.scratch_row = row;
                 res?;
-                self.post_element()?;
             }
             StreamElement::Punctuation(p) => {
                 self.clock += 1;
                 self.since_purge += 1;
                 self.try_push_punctuation(p)?;
-                self.post_element()?;
             }
         }
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
+        self.post_element()
     }
 
     /// Pushes a gathered micro-batch, panicking on error.
@@ -1268,16 +1273,29 @@ impl QueryRegistry {
         store: &mut CheckpointStore,
         cursor: &mut InputCursor,
     ) -> ExecResult<()> {
-        self.try_push(element)?;
-        let stream = match element {
-            StreamElement::Tuple(t) => t.stream,
-            StreamElement::Punctuation(p) => p.stream,
-        };
-        cursor.advance(stream);
-        store.note_element();
-        if store.due(matches!(element, StreamElement::Punctuation(_))) {
-            self.commit_checkpoint(store, cursor)?;
+        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
+    }
+
+    /// [`QueryRegistry::push_checkpointed`] over a run of elements, timed
+    /// once per call and per commit (see the executor's twin).
+    fn push_all_checkpointed(
+        &mut self,
+        elements: &[StreamElement],
+        store: &mut CheckpointStore,
+        cursor: &mut InputCursor,
+    ) -> ExecResult<()> {
+        let mut start = Instant::now();
+        for e in elements {
+            self.push_untimed(e)?;
+            cursor.advance(e.stream());
+            store.note_element();
+            if store.due(e.is_punctuation()) {
+                self.metrics.elapsed_ns += start.elapsed().as_nanos();
+                self.commit_checkpoint(store, cursor)?;
+                start = Instant::now();
+            }
         }
+        self.metrics.elapsed_ns += start.elapsed().as_nanos();
         Ok(())
     }
 
@@ -1323,9 +1341,7 @@ impl QueryRegistry {
             .ok_or_else(|| corrupt("no queries admitted: nothing to checkpoint".into()))?;
         let mut store = CheckpointStore::open(dir, every).map_err(|e| corrupt(e.to_string()))?;
         let mut cursor = InputCursor::zero(n_streams);
-        for e in feed.elements() {
-            self.push_checkpointed(e, &mut store, &mut cursor)?;
-        }
+        self.push_all_checkpointed(feed.elements(), &mut store, &mut cursor)?;
         Ok(self.finish())
     }
 
@@ -1410,9 +1426,8 @@ impl QueryRegistry {
         }
         let (mut reg, mut store, mut cursor) = Self::restore(dir, schemes, cfg, specs)?;
         let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
-        for e in feed.elements().iter().skip(done) {
-            reg.push_checkpointed(e, &mut store, &mut cursor)?;
-        }
+        let rest = feed.elements().get(done..).unwrap_or(&[]);
+        reg.push_all_checkpointed(rest, &mut store, &mut cursor)?;
         Ok(reg.finish())
     }
 }

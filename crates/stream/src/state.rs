@@ -35,6 +35,41 @@ struct PurgeIndex {
     keys: PurgeKeys,
 }
 
+impl PurgeIndex {
+    fn insert(&mut self, row: &[Value], slot: usize) {
+        match &mut self.keys {
+            PurgeKeys::Hash(m) => m
+                .entry(self.cols.iter().map(|&c| row[c]).collect())
+                .or_default()
+                .push(slot),
+            PurgeKeys::Range(m) => m.entry(row[self.cols[0]]).or_default().push(slot),
+        }
+    }
+
+    fn remove(&mut self, row: &[Value], slot: usize) {
+        let unlink = |bucket: &mut Vec<usize>| {
+            if let Some(pos) = bucket.iter().position(|&i| i == slot) {
+                bucket.swap_remove(pos);
+            }
+            bucket.is_empty()
+        };
+        match &mut self.keys {
+            PurgeKeys::Hash(m) => {
+                let key: Vec<Value> = self.cols.iter().map(|&c| row[c]).collect();
+                if m.get_mut(&key).is_some_and(unlink) {
+                    m.remove(&key);
+                }
+            }
+            PurgeKeys::Range(m) => {
+                let key = &row[self.cols[0]];
+                if m.get_mut(key).is_some_and(unlink) {
+                    m.remove(key);
+                }
+            }
+        }
+    }
+}
+
 /// Outcome of [`PortState::collect_matching`]: the matched slots plus how
 /// many live candidate rows were examined to find them.
 #[derive(Debug, Clone, Default)]
@@ -51,10 +86,15 @@ pub struct PortState {
     layout: SpanLayout,
     /// Fixed row stride (cached `layout.width()`).
     stride: usize,
-    /// Stride-packed rows; row `i` occupies `arena[i*stride .. (i+1)*stride]`.
-    /// Purged rows keep their cells (interned/`Copy` values hold no heap).
+    /// Absolute id of the first *resident* slot (a multiple of 64). Slot ids
+    /// are absolute and monotone; the five per-slot vectors below hold only
+    /// `base..slots()`, indexed by `slot - base` — everything older is dead
+    /// and was dropped by [`PortState::reclaim`].
+    base: usize,
+    /// Stride-packed resident rows. Purged rows keep their cells until
+    /// reclaimed (interned/`Copy` values hold no heap).
     arena: Vec<Value>,
-    /// Tombstone bitmap: bit `i` set iff slot `i` is live.
+    /// Tombstone bitmap: bit `i - base` set iff slot `i` is live.
     live_bits: Vec<u64>,
     /// Arrival time of each slot (monotone, since slots are append-only) —
     /// used by sliding-window eviction.
@@ -83,8 +123,8 @@ pub struct PortState {
     purge_indexes: Vec<PurgeIndex>,
     /// When enabled, slot ids of purged rows, oldest first — the retraction
     /// log purge trackers consume to find rows whose chained requirement
-    /// sets shrank. Values stay readable via [`PortState::raw_row`] (the
-    /// arena is append-only).
+    /// sets shrank. Values stay readable via [`PortState::raw_row`] (a
+    /// retained retraction pins its slot against [`PortState::reclaim`]).
     retired: Vec<usize>,
     /// Absolute sequence number of `retired[0]` (grows on trim so consumer
     /// cursors keep their meaning).
@@ -106,6 +146,7 @@ impl PortState {
         PortState {
             layout,
             stride,
+            base: 0,
             arena: Vec::new(),
             live_bits: Vec::new(),
             arrivals: Vec::new(),
@@ -146,20 +187,58 @@ impl PortState {
     }
 
     /// Drops retractions below absolute sequence number `upto` (call once
-    /// every consumer's cursor has passed it).
+    /// every consumer's cursor has passed it), then reclaims the dead prefix
+    /// the dropped retractions were pinning.
     pub(crate) fn trim_retired_to(&mut self, upto: u64) {
         let k = (upto.saturating_sub(self.retired_base) as usize).min(self.retired.len());
         self.retired.drain(..k);
         self.retired_base += k as u64;
+        self.reclaim();
     }
 
-    /// The values stored in `slot` regardless of liveness — purged rows keep
-    /// their arena cells, which is what lets the retraction log carry slot
-    /// ids instead of cloned rows.
+    /// Drops the dead prefix: every resident slot below both the oldest live
+    /// slot and the oldest retained retraction (whose cells
+    /// [`PortState::raw_row`] must still serve). Whole bitmap words only, and
+    /// only once the prefix is at least half the resident range, so the shift
+    /// is paid for by the slots it frees and the resident range stays within
+    /// 2× of the span from the oldest pinned slot to the head. Holes *behind*
+    /// a pinned slot stay; the live iterator skips them a word at a time.
+    pub(crate) fn reclaim(&mut self) {
+        let floor = self
+            .retired
+            .iter()
+            .copied()
+            .chain(self.live_from(0).next())
+            .min()
+            .unwrap_or(self.slots());
+        let words = (floor - self.base) / 64;
+        if words == 0 || words * 2 < self.live_bits.len() {
+            return;
+        }
+        let n = words * 64;
+        self.arena.drain(..n * self.stride);
+        self.live_bits.drain(..words);
+        self.arrivals.drain(..n);
+        self.seqs.drain(..n);
+        self.touched.drain(..n);
+        self.base += n;
+    }
+
+    /// Slots held in memory (live + dead-but-unreclaimed), as opposed to
+    /// [`PortState::slots`] ever allocated.
+    #[must_use]
+    pub fn resident_slots(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// The values stored in resident `slot` regardless of liveness — purged
+    /// rows keep their arena cells until reclaimed, which is what lets the
+    /// retraction log carry slot ids instead of cloned rows.
     #[inline]
     #[must_use]
     pub(crate) fn raw_row(&self, slot: usize) -> &[Value] {
-        &self.arena[slot * self.stride..(slot + 1) * self.stride]
+        let i = slot - self.base;
+        &self.arena[i * self.stride..(i + 1) * self.stride]
     }
 
     /// Registers a purge index over `cols` (flat positions), backfilling it
@@ -183,24 +262,19 @@ impl PortState {
         {
             return i;
         }
-        let mut keys = if ordered {
+        let keys = if ordered {
             PurgeKeys::Range(BTreeMap::new())
         } else {
             PurgeKeys::Hash(FxHashMap::default())
         };
-        for (slot, row) in self.iter_live() {
-            match &mut keys {
-                PurgeKeys::Hash(m) => m
-                    .entry(cols.iter().map(|&c| row[c]).collect())
-                    .or_default()
-                    .push(slot),
-                PurgeKeys::Range(m) => m.entry(row[cols[0]]).or_default().push(slot),
-            }
-        }
-        self.purge_indexes.push(PurgeIndex {
+        let mut index = PurgeIndex {
             cols: cols.to_vec(),
             keys,
-        });
+        };
+        for (slot, row) in self.iter_live() {
+            index.insert(row, slot);
+        }
+        self.purge_indexes.push(index);
         self.purge_indexes.len() - 1
     }
 
@@ -244,18 +318,40 @@ impl PortState {
         &self.layout
     }
 
-    /// Number of slots ever allocated (live + tombstoned).
+    /// Number of slots ever allocated (live + tombstoned + reclaimed): one
+    /// past the newest slot id.
     #[inline]
     #[must_use]
     pub fn slots(&self) -> usize {
-        self.arrivals.len()
+        self.base + self.arrivals.len()
     }
 
     #[inline]
     fn is_live(&self, slot: usize) -> bool {
+        // A reclaimed slot wraps to an index past any bitmap: dead, no branch.
+        let i = slot.wrapping_sub(self.base);
         self.live_bits
-            .get(slot / 64)
-            .is_some_and(|w| w & (1 << (slot % 64)) != 0)
+            .get(i / 64)
+            .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    /// Live slot ids `>= from`, ascending — the one bitmap walk every
+    /// live-row scan goes through. All-dead words cost one compare, so a scan
+    /// is bounded by resident words + live rows, never by slots ever allocated.
+    pub(crate) fn live_from(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        let rel = from.saturating_sub(self.base);
+        let mut words = self.live_bits.get(rel / 64..).unwrap_or(&[]).iter();
+        let mut word = words.next().map_or(0, |w| w & (!0u64 << (rel % 64)));
+        let mut word_base = self.base + rel / 64 * 64;
+        std::iter::from_fn(move || {
+            while word == 0 {
+                word = *words.next()?;
+                word_base += 64;
+            }
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            Some(word_base + bit)
+        })
     }
 
     /// Stores a composite tuple, returning its slot index.
@@ -275,37 +371,14 @@ impl PortState {
     /// so storing one is a flat copy with no per-row allocation.
     #[inline]
     pub fn insert_slice_at(&mut self, values: &[Value], now: u64) -> usize {
-        debug_assert_eq!(values.len(), self.stride);
-        debug_assert!(
-            self.arrivals.last().is_none_or(|&t| t <= now),
-            "arrival timestamps must be monotone"
-        );
-        let idx = self.arrivals.len();
-        self.arrivals.push(now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.seqs.push(seq);
-        self.touched.push(now);
+        let idx = self.push_slot(values, now, seq);
         // Sequences are assigned monotonically here, so appending keeps every
         // probe bucket sorted by sequence (the invariant fault-back relies on).
         for (&col, index) in &mut self.indexes {
             index.entry(values[col]).or_default().push(idx);
         }
-        for PurgeIndex { cols, keys } in &mut self.purge_indexes {
-            match keys {
-                PurgeKeys::Hash(m) => m
-                    .entry(cols.iter().map(|&c| values[c]).collect())
-                    .or_default()
-                    .push(idx),
-                PurgeKeys::Range(m) => m.entry(values[cols[0]]).or_default().push(idx),
-            }
-        }
-        self.arena.extend_from_slice(values);
-        if idx.is_multiple_of(64) {
-            self.live_bits.push(0);
-        }
-        self.live_bits[idx / 64] |= 1 << (idx % 64);
-        self.live += 1;
         self.inserted += 1;
         idx
     }
@@ -317,36 +390,38 @@ impl PortState {
     /// enumeration position it held before demotion. Not counted in
     /// [`PortState::inserted`] — it is a re-admission, not a new tuple.
     pub(crate) fn insert_spilled_at(&mut self, values: &[Value], now: u64, seq: u64) -> usize {
+        debug_assert!(seq < self.next_seq, "spilled row must predate the head");
+        let idx = self.push_slot(values, now, seq);
+        let (seqs, base) = (&self.seqs, self.base);
+        for (&col, index) in &mut self.indexes {
+            let bucket = index.entry(values[col]).or_default();
+            let pos = bucket.partition_point(|&s| seqs[s - base] < seq);
+            bucket.insert(pos, idx);
+        }
+        idx
+    }
+
+    /// Appends one live resident slot — cells, stamps, live bit and
+    /// purge-index entries; the caller places it in the probe buckets.
+    fn push_slot(&mut self, values: &[Value], now: u64, seq: u64) -> usize {
         debug_assert_eq!(values.len(), self.stride);
         debug_assert!(
             self.arrivals.last().is_none_or(|&t| t <= now),
             "arrival timestamps must be monotone"
         );
-        debug_assert!(seq < self.next_seq, "spilled row must predate the head");
-        let idx = self.arrivals.len();
+        let idx = self.slots();
+        if self.arrivals.len().is_multiple_of(64) {
+            self.live_bits.push(0);
+        }
         self.arrivals.push(now);
         self.seqs.push(seq);
         self.touched.push(now);
-        let seqs = &self.seqs;
-        for (&col, index) in &mut self.indexes {
-            let bucket = index.entry(values[col]).or_default();
-            let pos = bucket.partition_point(|&s| seqs[s] < seq);
-            bucket.insert(pos, idx);
-        }
-        for PurgeIndex { cols, keys } in &mut self.purge_indexes {
-            match keys {
-                PurgeKeys::Hash(m) => m
-                    .entry(cols.iter().map(|&c| values[c]).collect())
-                    .or_default()
-                    .push(idx),
-                PurgeKeys::Range(m) => m.entry(values[cols[0]]).or_default().push(idx),
-            }
-        }
         self.arena.extend_from_slice(values);
-        if idx.is_multiple_of(64) {
-            self.live_bits.push(0);
+        // `base` is word-aligned, so the absolute id gives the bit position.
+        *self.live_bits.last_mut().expect("word pushed above") |= 1 << (idx % 64);
+        for index in &mut self.purge_indexes {
+            index.insert(values, idx);
         }
-        self.live_bits[idx / 64] |= 1 << (idx % 64);
         self.live += 1;
         idx
     }
@@ -355,11 +430,7 @@ impl PortState {
     #[inline]
     #[must_use]
     pub fn get(&self, slot: usize) -> Option<&[Value]> {
-        if self.is_live(slot) {
-            Some(&self.arena[slot * self.stride..(slot + 1) * self.stride])
-        } else {
-            None
-        }
+        self.is_live(slot).then(|| self.raw_row(slot))
     }
 
     /// Whether the given flat column has a hash index.
@@ -411,8 +482,9 @@ impl PortState {
         if !self.is_live(slot) {
             return false;
         }
-        self.live_bits[slot / 64] &= !(1 << (slot % 64));
-        let row = &self.arena[slot * self.stride..(slot + 1) * self.stride];
+        let i = slot - self.base;
+        self.live_bits[i / 64] &= !(1 << (i % 64));
+        let row = &self.arena[i * self.stride..(i + 1) * self.stride];
         for (&col, index) in &mut self.indexes {
             if let Some(bucket) = index.get_mut(&row[col]) {
                 if let Some(pos) = bucket.iter().position(|&i| i == slot) {
@@ -429,31 +501,8 @@ impl PortState {
                 }
             }
         }
-        for PurgeIndex { cols, keys } in &mut self.purge_indexes {
-            match keys {
-                PurgeKeys::Hash(m) => {
-                    let key: Vec<Value> = cols.iter().map(|&c| row[c]).collect();
-                    if let Some(bucket) = m.get_mut(&key) {
-                        if let Some(pos) = bucket.iter().position(|&i| i == slot) {
-                            bucket.swap_remove(pos);
-                        }
-                        if bucket.is_empty() {
-                            m.remove(&key);
-                        }
-                    }
-                }
-                PurgeKeys::Range(m) => {
-                    let key = &row[cols[0]];
-                    if let Some(bucket) = m.get_mut(key) {
-                        if let Some(pos) = bucket.iter().position(|&i| i == slot) {
-                            bucket.swap_remove(pos);
-                        }
-                        if bucket.is_empty() {
-                            m.remove(key);
-                        }
-                    }
-                }
-            }
+        for index in &mut self.purge_indexes {
+            index.remove(row, slot);
         }
         self.live -= 1;
         true
@@ -484,35 +533,30 @@ impl PortState {
         self.demoted
     }
 
-    /// The global insertion sequence of `slot` (valid for live and detached
-    /// slots alike — sequences are append-only like the arena).
+    /// The global insertion sequence of resident `slot` (live or detached).
     #[inline]
     #[must_use]
     pub(crate) fn seq_of(&self, slot: usize) -> u64 {
-        self.seqs[slot]
+        self.seqs[slot - self.base]
     }
 
     /// Stamps `slot` as probed at `now` (cold-tier recency signal).
     #[inline]
     pub(crate) fn note_touched(&mut self, slot: usize, now: u64) {
-        self.touched[slot] = now;
+        self.touched[slot - self.base] = now;
     }
 
     /// Last-probed time of `slot`.
     #[inline]
     #[must_use]
     pub(crate) fn touched_of(&self, slot: usize) -> u64 {
-        self.touched[slot]
+        self.touched[slot - self.base]
     }
 
     /// Appends the last-probed times of all live tuples to `out` (demotion's
     /// cutoff-selection input, mirroring [`PortState::live_arrivals`]).
     pub(crate) fn live_touched(&self, out: &mut Vec<u64>) {
-        out.extend(
-            (0..self.slots())
-                .filter(|&i| self.is_live(i))
-                .map(|i| self.touched[i]),
-        );
+        out.extend(self.live_from(0).map(|s| self.touched_of(s)));
     }
 
     /// The flat columns carrying a probe hash index, in ascending order.
@@ -525,26 +569,19 @@ impl PortState {
 
     /// Iterates live tuples as `(slot, values)` in slot order.
     pub fn iter_live(&self) -> impl Iterator<Item = (usize, &[Value])> {
-        self.arena
-            .chunks_exact(self.stride)
-            .enumerate()
-            .filter(|(i, _)| self.is_live(*i))
+        self.live_from(0).map(|s| (s, self.raw_row(s)))
     }
 
     /// Slot ids of all live tuples, in slot order.
     #[must_use]
     pub fn live_slots(&self) -> Vec<usize> {
-        (0..self.slots()).filter(|&i| self.is_live(i)).collect()
+        self.live_from(0).collect()
     }
 
     /// Appends the arrival times of all live tuples to `out` (the
     /// bounded-state watchdog's shed-cutoff selection input).
     pub fn live_arrivals(&self, out: &mut Vec<u64>) {
-        out.extend(
-            (0..self.slots())
-                .filter(|&i| self.is_live(i))
-                .map(|i| self.arrivals[i]),
-        );
+        out.extend(self.live_from(0).map(|s| self.arrivals[s - self.base]));
     }
 
     /// Live slots that arrived strictly before `cutoff` — what
@@ -552,8 +589,9 @@ impl PortState {
     /// audited shedding path reads the rows for dead-letter records first.
     #[must_use]
     pub(crate) fn live_older_than(&self, cutoff: u64) -> Vec<usize> {
-        (0..self.slots())
-            .filter(|&i| self.is_live(i) && self.arrivals[i] < cutoff)
+        // Arrivals are monotone in slot order: stop at the first young row.
+        self.live_from(0)
+            .take_while(|&s| self.arrivals[s - self.base] < cutoff)
             .collect()
     }
 
@@ -602,7 +640,10 @@ impl PortState {
     /// number evicted.
     pub fn evict_older_than(&mut self, cutoff: u64) -> usize {
         let mut evicted = 0;
-        while self.evict_front < self.arrivals.len() && self.arrivals[self.evict_front] < cutoff {
+        self.evict_front = self.evict_front.max(self.base);
+        while self.evict_front < self.slots()
+            && self.arrivals[self.evict_front - self.base] < cutoff
+        {
             if self.purge(self.evict_front) {
                 evicted += 1;
             }
@@ -611,15 +652,16 @@ impl PortState {
         evicted
     }
 
-    /// Serializes the port's raw state into a checkpoint payload. The
-    /// layout, probe-index registrations, and purge-index definitions are
-    /// *not* written — they are deterministic compile-time artifacts that
-    /// the restore path recreates by compiling the plan again;
-    /// [`PortState::read_state`] only overlays raw rows and refills the
-    /// registered buckets.
+    /// Serializes the port's raw state (`base` plus the resident range only)
+    /// into a checkpoint payload. The layout, probe-index registrations, and
+    /// purge-index definitions are *not* written — they are deterministic
+    /// compile-time artifacts that the restore path recreates by compiling
+    /// the plan again; [`PortState::read_state`] only overlays raw rows and
+    /// refills the registered buckets.
     pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
         e.usize(self.stride);
-        e.usize(self.slots());
+        e.usize(self.base);
+        e.usize(self.resident_slots());
         for v in &self.arena {
             e.value(v);
         }
@@ -659,7 +701,11 @@ impl PortState {
                 self.stride
             )));
         }
+        self.base = d.usize()?;
         let rows = d.usize()?;
+        if !self.base.is_multiple_of(64) || self.base.checked_add(rows).is_none() {
+            return Err(SnapshotError("port base is not word-aligned".into()));
+        }
         let mut arena = Vec::with_capacity(rows * stride);
         for _ in 0..rows * stride {
             arena.push(d.value()?);
@@ -674,6 +720,7 @@ impl PortState {
             || self.seqs.len() != rows
             || self.touched.len() != rows
             || self.live_bits.len() != rows.div_ceil(64)
+            || (rows % 64 != 0 && self.live_bits[rows / 64] >> (rows % 64) != 0)
         {
             return Err(SnapshotError(format!(
                 "port vector lengths disagree with {rows} slots"
@@ -688,6 +735,15 @@ impl PortState {
         self.retired = (0..n)
             .map(|_| d.usize())
             .collect::<crate::checkpoint::SnapshotResult<_>>()?;
+        if let Some(&r) = self
+            .retired
+            .iter()
+            .find(|&&r| !(self.base..self.slots()).contains(&r))
+        {
+            return Err(SnapshotError(format!(
+                "retraction log names slot {r}, outside the resident range"
+            )));
+        }
         self.retired_base = d.u64()?;
         self.log_retired = d.bool()?;
         // Rebuild the registered index buckets from live rows, seq-ordered.
@@ -700,7 +756,7 @@ impl PortState {
                 PurgeKeys::Range(m) => m.clear(),
             }
         }
-        let mut live_slots: Vec<usize> = (0..rows).filter(|&i| self.is_live(i)).collect();
+        let mut live_slots: Vec<usize> = self.live_from(0).collect();
         if live_slots.len() != self.live {
             return Err(SnapshotError(format!(
                 "live bitmap says {} live rows, counter says {}",
@@ -708,38 +764,17 @@ impl PortState {
                 self.live
             )));
         }
-        live_slots.sort_unstable_by_key(|&s| self.seqs[s]);
+        live_slots.sort_unstable_by_key(|&s| self.seq_of(s));
         for slot in live_slots {
             let row: Vec<Value> = self.raw_row(slot).to_vec();
             for (&col, index) in &mut self.indexes {
                 index.entry(row[col]).or_default().push(slot);
             }
-            for PurgeIndex { cols, keys } in &mut self.purge_indexes {
-                match keys {
-                    PurgeKeys::Hash(m) => m
-                        .entry(cols.iter().map(|&c| row[c]).collect())
-                        .or_default()
-                        .push(slot),
-                    PurgeKeys::Range(m) => m.entry(row[cols[0]]).or_default().push(slot),
-                }
+            for index in &mut self.purge_indexes {
+                index.insert(&row, slot);
             }
         }
         Ok(())
-    }
-
-    /// Distinct live values of a flat column. Order is unspecified: with an
-    /// index on `col` this is just the index's key set (no sort, no extra
-    /// dedup pass); without one it is a single hashing scan.
-    #[must_use]
-    pub fn distinct(&self, col: usize) -> Vec<&Value> {
-        if let Some(index) = self.indexes.get(&col) {
-            return index.keys().collect();
-        }
-        let mut seen = cjq_core::fxhash::FxHashSet::default();
-        self.iter_live()
-            .map(|(_, v)| &v[col])
-            .filter(|v| seen.insert(**v))
-            .collect()
     }
 }
 
@@ -789,23 +824,6 @@ mod tests {
         let live: Vec<usize> = s.iter_live().map(|(i, _)| i).collect();
         assert_eq!(live, vec![0, 2]);
         assert_eq!(s.live_slots(), vec![0, 2]);
-    }
-
-    #[test]
-    fn distinct_uses_index_or_scan() {
-        let mut s = state();
-        s.insert(row(1, 10));
-        s.insert(row(1, 11));
-        s.insert(row(2, 10));
-        // Indexed column 0 (order unspecified — sort to compare).
-        let mut d0 = s.distinct(0);
-        d0.sort_unstable();
-        assert_eq!(d0, vec![&Value::Int(1), &Value::Int(2)]);
-        // Unindexed column 1 falls back to a scan.
-        assert!(!s.has_index(1));
-        let mut d1 = s.distinct(1);
-        d1.sort_unstable();
-        assert_eq!(d1, vec![&Value::Int(10), &Value::Int(11)]);
     }
 
     #[test]
@@ -949,6 +967,148 @@ mod tests {
         s.live_touched(&mut touched);
         assert_eq!(touched, vec![42, 3, 9]);
         assert_eq!(s.indexed_cols(), vec![0]);
+    }
+
+    /// Every live-row scan against a model of the live set, over random
+    /// insert / purge / demote / fault-back / reclaim interleavings that
+    /// cross several bitmap words (xorshift: deterministic, no wall clock).
+    #[test]
+    fn word_walking_iterator_equals_naive_filter() {
+        let mut s = state();
+        let mut model: Vec<(usize, u64)> = Vec::new(); // (slot, arrival), slot order
+        let mut cold: Vec<(u64, Vec<Value>)> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rnd = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        for now in 0..1500u64 {
+            match rnd(10) {
+                0..=3 => model.push((s.insert_at(row(rnd(7) as i64, now as i64), now), now)),
+                4..=6 if !model.is_empty() => {
+                    // Mostly the oldest rows, so dead prefixes form.
+                    let k = rnd(model.len().min(3));
+                    assert!(s.purge(model.remove(k).0));
+                }
+                7 if !model.is_empty() => {
+                    let (slot, _) = model.remove(rnd(model.len()));
+                    cold.push((s.seq_of(slot), s.get(slot).unwrap().to_vec()));
+                    assert!(s.demote(slot));
+                }
+                8 if !cold.is_empty() => {
+                    let (seq, r) = cold.swap_remove(rnd(cold.len()));
+                    model.push((s.insert_spilled_at(&r, now, seq), now));
+                }
+                _ => s.reclaim(),
+            }
+            let want: Vec<usize> = model.iter().map(|&(slot, _)| slot).collect();
+            assert_eq!(s.live_slots(), want);
+            assert_eq!(s.live(), want.len());
+            let from = rnd(s.slots() + 2);
+            let tail: Vec<usize> = want.iter().copied().filter(|&i| i >= from).collect();
+            assert_eq!(s.live_from(from).collect::<Vec<_>>(), tail, "from {from}");
+            let rows: Vec<(usize, &[Value])> = s.iter_live().collect();
+            assert!(rows.iter().all(|&(i, r)| s.get(i) == Some(r)));
+            assert_eq!(rows.len(), want.len());
+            let (mut arrivals, mut touched) = (Vec::new(), Vec::new());
+            s.live_arrivals(&mut arrivals);
+            s.live_touched(&mut touched);
+            let stamps: Vec<u64> = model.iter().map(|&(_, at)| at).collect();
+            assert_eq!(arrivals, stamps);
+            assert_eq!(touched, stamps, "never probed: touched == arrival");
+            let cutoff = now.saturating_sub(rnd(40) as u64);
+            let older: Vec<usize> = model
+                .iter()
+                .filter(|&&(_, at)| at < cutoff)
+                .map(|&(slot, _)| slot)
+                .collect();
+            assert_eq!(s.live_older_than(cutoff), older);
+        }
+        assert!(s.slots() > 4 * 64, "the walk crossed several bitmap words");
+        assert!(s.resident_slots() < s.slots(), "and a prefix was reclaimed");
+    }
+
+    #[test]
+    fn prefix_reclaim_keeps_every_slot_consumer_correct() {
+        let mut s = state();
+        s.enable_retirement_log();
+        let id = s.add_purge_index(&[0], false);
+        let slots: Vec<usize> = (0..400)
+            .map(|i| s.insert_at(row(i % 4, i), i as u64))
+            .collect();
+        // Rows 0..300 die; the last 20 retractions are still retained.
+        for &slot in &slots[..300] {
+            assert!(s.purge(slot));
+        }
+        s.trim_retired_to(280);
+        assert_eq!(s.slots(), 400, "slot ids stay absolute");
+        assert_eq!(s.resident_slots(), 400 - 256, "whole words below slot 280");
+        assert_eq!(s.retired_since(0), &slots[280..300]);
+        assert_eq!(s.raw_row(280), &row(0, 280)[..], "retained retraction");
+        assert!(s.get(10).is_none() && s.get(299).is_none());
+        assert_eq!(s.get(300).unwrap(), &row(0, 300)[..]);
+        assert!(!s.purge(10), "a reclaimed slot is simply dead");
+        // Probe and purge-index buckets still name absolute slots, in order.
+        let bucket: Vec<usize> = (300..400).filter(|i| i % 4 == 1).collect();
+        assert_eq!(s.probe(0, &Value::Int(1)), &bucket[..]);
+        let mut indexed = s.purge_index_eq(id, &[Value::Int(1)]).to_vec();
+        indexed.sort_unstable();
+        assert_eq!(indexed, bucket);
+        // Demote + fault-back after the reclaim: the bucket stays seq-sorted.
+        let seq = s.seq_of(305);
+        assert!(s.demote(305));
+        let back = s.insert_spilled_at(&row(1, 305), 400, seq);
+        assert_eq!(back, 400);
+        let mut want = bucket.clone();
+        want[1] = back;
+        assert_eq!(s.probe(0, &Value::Int(1)), &want[..]);
+        // The snapshot carries only the resident range and restores onto it.
+        let mut e = crate::checkpoint::Enc::new();
+        s.write_state(&mut e);
+        let mut fresh = state();
+        fresh.add_purge_index(&[0], false);
+        fresh
+            .read_state(&mut crate::checkpoint::Dec::new(&e.buf))
+            .unwrap();
+        assert_eq!(fresh.slots(), s.slots());
+        assert_eq!(fresh.resident_slots(), s.resident_slots());
+        assert_eq!(fresh.live_slots(), s.live_slots());
+        assert_eq!(fresh.probe(0, &Value::Int(1)), &want[..]);
+        assert_eq!(fresh.raw_row(280), s.raw_row(280));
+        // The window frontier (still 0) steps over the reclaimed prefix.
+        assert_eq!(
+            s.evict_older_than(310),
+            9,
+            "slots 300..310 minus demoted 305"
+        );
+        assert_eq!(s.live_slots()[0], 310);
+        s.trim_retired_to(s.retire_end());
+        assert_eq!(s.resident_slots(), 401 - 256, "below half: shift deferred");
+        assert_eq!(s.evict_older_than(401), 91);
+        s.trim_retired_to(s.retire_end());
+        assert_eq!((s.live(), s.resident_slots(), s.slots()), (0, 17, 401));
+    }
+
+    #[test]
+    fn a_row_pinned_at_slot_zero_blocks_reclaim_harmlessly() {
+        let mut s = state();
+        let hub = s.insert(row(9, 9));
+        for i in 0..1000 {
+            let slot = s.insert(row(i % 3, i));
+            assert!(s.purge(slot));
+            s.reclaim();
+        }
+        assert_eq!(s.resident_slots(), 1001, "holes behind a live row stay");
+        assert_eq!(s.live_slots(), vec![hub]);
+        assert_eq!(s.iter_live().count(), 1);
+        assert_eq!(s.probe(0, &Value::Int(9)), &[hub]);
+        assert!(s.purge(hub));
+        s.reclaim();
+        assert_eq!(s.resident_slots(), 1001 % 64, "unpinned: whole words go");
+        assert_eq!(s.slots(), 1001);
+        assert_eq!(s.insert(row(1, 1)), 1001);
     }
 
     #[test]

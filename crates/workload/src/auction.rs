@@ -212,6 +212,63 @@ mod tests {
         assert_eq!(res.metrics.last().unwrap().join_state, 250);
     }
 
+    /// Bounded state means bounded *process* state: what the mirrors hold
+    /// and what a snapshot costs must not follow the feed's length. (§5.1
+    /// punctuation purging on, sampling off: the punctuation store and the
+    /// sample series are the two things that legitimately grow otherwise.)
+    #[test]
+    fn resident_state_and_snapshots_do_not_grow_with_the_feed() {
+        use cjq_stream::checkpoint::{list_snapshots, CheckpointStore, InputCursor};
+        let (q, r) = auction_query();
+        let cfg = ExecConfig {
+            purge_punctuations: true,
+            sample_every: usize::MAX,
+            record_outputs: false,
+            ..ExecConfig::default()
+        };
+        let mut snapshot_bytes = Vec::new();
+        for n_items in [2_000, 8_000, 32_000] {
+            let feed = generate(&AuctionConfig {
+                n_items,
+                bids_per_item: 3,
+                concurrent: 16,
+                ..AuctionConfig::default()
+            });
+            let dir = std::env::temp_dir().join(format!(
+                "cjq-auction-resident-{}-{n_items}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            // Due once, at the feed's last element — a bid-close punctuation.
+            let mut store = CheckpointStore::open(&dir, feed.len() as u64).unwrap();
+            let mut cursor = InputCursor::zero(2);
+            let mut exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
+            let mut peak_mirror = 0;
+            for e in &feed {
+                exec.push_checkpointed(e, &mut store, &mut cursor).unwrap();
+                peak_mirror = peak_mirror.max(exec.engine().mirror_live());
+            }
+            let resident: usize = [ITEM, BID]
+                .iter()
+                .map(|&s| exec.engine().mirror_state(s).resident_slots())
+                .sum();
+            assert!(
+                resident <= 2 * peak_mirror + 2 * 64,
+                "{n_items} items: {resident} resident mirror slots, peak {peak_mirror} live"
+            );
+            exec.finish();
+            let snaps = list_snapshots(&dir);
+            assert_eq!(snaps.len(), 1);
+            snapshot_bytes.push(std::fs::metadata(&snaps[0].1).unwrap().len());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let smallest = *snapshot_bytes.iter().min().unwrap();
+        assert!(
+            snapshot_bytes.iter().all(|&b| b <= 2 * smallest),
+            "snapshot bytes follow the feed length: {snapshot_bytes:?}"
+        );
+    }
+
     #[test]
     fn deterministic_under_seed() {
         let cfg = AuctionConfig::default();

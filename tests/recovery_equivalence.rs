@@ -150,6 +150,15 @@ fn auction_crash_point_sweep_is_byte_identical() {
         golden.metrics.checkpoints_written > 0,
         "feed too short to exercise checkpointing"
     );
+    // The sweep below crashes between a dead-prefix reclaim and the next
+    // commit only if this feed is long enough to reclaim at all.
+    let mut probe = Executor::compile(&query, &schemes, &plan, cfg).expect("compile probe");
+    feed.elements().iter().for_each(|e| probe.push(e));
+    let bids = probe.engine().mirror_state(auction::BID);
+    assert!(
+        bids.resident_slots() < bids.slots(),
+        "feed too short to exercise prefix reclaim"
+    );
     let n = feed.elements().len();
     // Every checkpoint boundary plus a spread of mid-batch points.
     let mut points: Vec<usize> = (1..)
