@@ -18,8 +18,8 @@ use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
 use crate::purge::{
-    self, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy, PurgeTracker,
-    PurgeWork, StepSpec,
+    self, Candidates, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy,
+    PurgeTracker, PurgeWork, StepSpec,
 };
 use crate::segment::StepSummary;
 use crate::sink::OutputBuffer;
@@ -333,10 +333,18 @@ impl JoinOperator {
         }
     }
 
-    /// Audited load shedding: like [`JoinOperator::evict_window`] but
-    /// counted separately by the caller (`Metrics::rows_shed`, not `purged` —
-    /// shed rows were *not* proven dead). Reports each shed row to
-    /// `on_shed(port, row)` *before* eviction and
+    /// Load-shedding eviction: like [`JoinOperator::evict_window`] but
+    /// counted separately by the caller (`Metrics::rows_shed`, not
+    /// `purged` — shed rows were *not* proven dead). Returns rows evicted.
+    pub fn shed_older_than(&mut self, cutoff: u64) -> usize {
+        self.ports
+            .iter_mut()
+            .map(|p| p.evict_older_than(cutoff))
+            .sum()
+    }
+
+    /// Audited load shedding: like [`JoinOperator::shed_older_than`] but
+    /// reports each shed row to `on_shed(port, row)` *before* eviction and
     /// returns the per-port shed counts, so lost results are attributable
     /// (`Metrics::rows_shed_by_port`) and auditable via the dead-letter sink
     /// instead of vanishing silently.
@@ -875,10 +883,13 @@ impl JoinOperator {
             };
             let candidates: Option<Vec<usize>> = match strategy {
                 PurgeStrategy::FullScan => None,
-                PurgeStrategy::Indexed => self.trackers[port]
-                    .as_mut()
-                    .expect("tracker per recipe")
-                    .collect_against(recipe, &self.ports[port], engine),
+                PurgeStrategy::Indexed => {
+                    let tracker = self.trackers[port].as_mut().expect("tracker per recipe");
+                    match tracker.collect_against(recipe, &self.ports[port], engine) {
+                        Candidates::All => None,
+                        Candidates::Slots(slots) => Some(slots),
+                    }
+                }
             };
             // Two-phase to satisfy the borrow checker without cloning every
             // candidate row: decide on borrowed slices, then purge by slot.

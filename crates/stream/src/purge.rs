@@ -219,6 +219,15 @@ pub(crate) fn root_step_specs(
     Some(specs)
 }
 
+/// Candidate set produced by [`PurgeTracker::collect`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Candidates {
+    /// A delta could not be localized: re-check every live row this cycle.
+    All,
+    /// Only these slots can have flipped to purgeable (sorted, deduped).
+    Slots(Vec<usize>),
+}
+
 /// Incremental purge bookkeeping for one (state, recipe) pair.
 ///
 /// The tracker registers a purge index on the tracked [`PortState`] for every
@@ -352,17 +361,15 @@ impl PurgeTracker {
         }
     }
 
-    /// Collects the candidate slots for one purge pass — the only slots that
-    /// can have flipped to purgeable (sorted, deduped), or `None` when a delta
-    /// could not be localized and every live row must be re-checked —
-    /// advancing the delta cursors, shrink counters, and fresh-slot watermark.
+    /// Collects the candidate slots for one purge pass, advancing the delta
+    /// cursors, shrink counters, and fresh-slot watermark.
     pub(crate) fn collect(
         &mut self,
         recipe: &CompiledRecipe,
         state: &PortState,
         puncts: &[PunctStore],
         mirrors: &[PortState],
-    ) -> Option<Vec<usize>> {
+    ) -> Candidates {
         let mut full = false;
         let mut slots: Vec<usize> = Vec::new();
         let mut key: Vec<Value> = Vec::new();
@@ -424,12 +431,12 @@ impl PurgeTracker {
         }
         let fresh_from = std::mem::replace(&mut self.fresh_from, state.slots());
         if full {
-            return None;
+            return Candidates::All;
         }
         slots.extend(state.live_from(fresh_from));
         slots.sort_unstable();
         slots.dedup();
-        Some(slots)
+        Candidates::Slots(slots)
     }
 
     /// Serializes the tracker's cursor positions. Index registrations and
@@ -482,7 +489,7 @@ impl PurgeTracker {
         recipe: &CompiledRecipe,
         state: &PortState,
         engine: &PurgeEngine,
-    ) -> Option<Vec<usize>> {
+    ) -> Candidates {
         self.collect(recipe, state, &engine.puncts, &engine.states)
     }
 }
@@ -706,7 +713,27 @@ impl PurgeEngine {
     /// Panics if the two paths disagree on any verdict — they are documented
     /// to be decision-equivalent.
     pub fn verify_mirror_against_oracle(&self, sample: usize) -> u64 {
-        self.verify_mirror_meet_against_oracle(&[&self.mirror_recipes], sample)
+        let mut checked = 0u64;
+        let mut scratch = CheckScratch::default();
+        for (idx, state) in self.states.iter().enumerate() {
+            let stream = StreamId(idx);
+            let Some(recipe) = self.mirror_recipes[idx].as_ref() else {
+                continue;
+            };
+            for (slot, row) in state.iter_live().take(sample) {
+                let fast = self.check_roots_with(recipe, &[(stream, row)], &mut scratch);
+                let mut roots = HashMap::new();
+                roots.insert(stream, row.to_vec());
+                let oracle = self.explain(recipe, &roots).is_purgeable();
+                assert_eq!(
+                    fast, oracle,
+                    "certificate violation: fast purge check says {fast} but the \
+                     oracle says {oracle} for mirror row {slot} of stream {stream:?}"
+                );
+                checked += 1;
+            }
+        }
+        checked
     }
 
     /// Finds a live mirror row that the purge checker proves dead, if any —
@@ -714,7 +741,19 @@ impl PurgeEngine {
     /// [`PurgeEngine::purge_mirror`]) there must be none.
     #[must_use]
     pub fn find_purgeable_mirror_row(&self) -> Option<(StreamId, usize)> {
-        self.find_meet_purgeable_mirror_row(&[&self.mirror_recipes])
+        let mut scratch = CheckScratch::default();
+        for (idx, state) in self.states.iter().enumerate() {
+            let stream = StreamId(idx);
+            let Some(recipe) = self.mirror_recipes[idx].as_ref() else {
+                continue;
+            };
+            for (slot, row) in state.iter_live() {
+                if self.check_roots_with(recipe, &[(stream, row)], &mut scratch) {
+                    return Some((stream, slot));
+                }
+            }
+        }
+        None
     }
 
     /// Total live raw tuples across the mirror.
@@ -1086,10 +1125,15 @@ impl PurgeEngine {
             };
             let candidates: Option<Vec<usize>> = match strategy {
                 PurgeStrategy::FullScan => None,
-                PurgeStrategy::Indexed => self.mirror_trackers[s]
-                    .as_mut()
-                    .expect("tracker per recipe")
-                    .collect(recipe, &self.states[s], &self.puncts, &self.states),
+                PurgeStrategy::Indexed => {
+                    let tracker = self.mirror_trackers[s]
+                        .as_mut()
+                        .expect("tracker per recipe");
+                    match tracker.collect(recipe, &self.states[s], &self.puncts, &self.states) {
+                        Candidates::All => None,
+                        Candidates::Slots(slots) => Some(slots),
+                    }
+                }
             };
             let stream = StreamId(s);
             // Decide on borrowed rows (the check reads other mirror states,
@@ -1149,9 +1193,9 @@ impl PurgeEngine {
         work
     }
 
-    /// Meet-rule form of [`PurgeEngine::find_purgeable_mirror_row`] (which is
-    /// the one-query case): a live mirror row every registered query proves
-    /// dead, if any. At a registry purge fixpoint there must be none.
+    /// Meet-rule analogue of [`PurgeEngine::find_purgeable_mirror_row`]: a
+    /// live mirror row every registered query proves dead, if any. At a
+    /// registry purge fixpoint there must be none.
     #[must_use]
     pub(crate) fn find_meet_purgeable_mirror_row(
         &self,
@@ -1182,8 +1226,8 @@ impl PurgeEngine {
         None
     }
 
-    /// Meet-rule form of [`PurgeEngine::verify_mirror_against_oracle`] (which
-    /// is the one-query case): re-checks up to `sample` live mirror rows per stream per registered
+    /// Meet-rule analogue of [`PurgeEngine::verify_mirror_against_oracle`]:
+    /// re-checks up to `sample` live mirror rows per stream per registered
     /// query with both the fast path and the explaining oracle. Returns the
     /// number of (row, query) verdicts checked.
     ///
@@ -1209,8 +1253,9 @@ impl PurgeEngine {
                     let oracle = self.explain(recipe, &roots).is_purgeable();
                     assert_eq!(
                         fast, oracle,
-                        "certificate violation: fast purge check says {fast} but the \
-                         oracle says {oracle} for mirror row {slot} of stream {stream:?}"
+                        "certificate violation under sharing: fast purge check says \
+                         {fast} but the oracle says {oracle} for mirror row {slot} of \
+                         stream {stream:?}"
                     );
                     checked += 1;
                 }

@@ -204,17 +204,21 @@ impl PortState {
     /// 2× of the span from the oldest pinned slot to the head. Holes *behind*
     /// a pinned slot stay; the live iterator skips them a word at a time.
     pub(crate) fn reclaim(&mut self) {
-        let floor = self
-            .retired
-            .iter()
-            .copied()
-            .chain(self.live_from(0).next())
-            .min()
-            .unwrap_or(self.slots());
-        let words = (floor - self.base) / 64;
-        if words == 0 || words * 2 < self.live_bits.len() {
+        // The oldest live slot alone bounds the floor from above: the
+        // retraction log is only walked on the cycles that bound would free.
+        let (base, resident_words) = (self.base, self.live_bits.len());
+        let freeable = |floor: usize| {
+            let words = (floor - base) / 64;
+            (words > 0 && words * 2 >= resident_words).then_some(words)
+        };
+        let first_live = self.live_from(0).next().unwrap_or(self.slots());
+        if freeable(first_live).is_none() {
             return;
         }
+        let floor = self.retired.iter().copied().fold(first_live, usize::min);
+        let Some(words) = freeable(floor) else {
+            return;
+        };
         let n = words * 64;
         self.arena.drain(..n * self.stride);
         self.live_bits.drain(..words);
@@ -701,51 +705,71 @@ impl PortState {
                 self.stride
             )));
         }
-        self.base = d.usize()?;
+        // Decode and validate into locals: a refused snapshot leaves the port
+        // exactly as it was.
+        let base = d.usize()?;
         let rows = d.usize()?;
-        if !self.base.is_multiple_of(64) || self.base.checked_add(rows).is_none() {
+        let Some(end) = base.checked_add(rows).filter(|_| base.is_multiple_of(64)) else {
             return Err(SnapshotError("port base is not word-aligned".into()));
-        }
+        };
         let mut arena = Vec::with_capacity(rows * stride);
         for _ in 0..rows * stride {
             arena.push(d.value()?);
         }
-        self.arena = arena;
-        self.live_bits = d.u64s()?;
-        self.arrivals = d.u64s()?;
-        self.seqs = d.u64s()?;
-        self.next_seq = d.u64()?;
-        self.touched = d.u64s()?;
-        if self.arrivals.len() != rows
-            || self.seqs.len() != rows
-            || self.touched.len() != rows
-            || self.live_bits.len() != rows.div_ceil(64)
-            || (rows % 64 != 0 && self.live_bits[rows / 64] >> (rows % 64) != 0)
+        let live_bits = d.u64s()?;
+        let arrivals = d.u64s()?;
+        let seqs = d.u64s()?;
+        let next_seq = d.u64()?;
+        let touched = d.u64s()?;
+        if arrivals.len() != rows
+            || seqs.len() != rows
+            || touched.len() != rows
+            || live_bits.len() != rows.div_ceil(64)
+            || (rows % 64 != 0 && live_bits[rows / 64] >> (rows % 64) != 0)
         {
             return Err(SnapshotError(format!(
                 "port vector lengths disagree with {rows} slots"
             )));
         }
-        self.evict_front = d.usize()?;
-        self.live = d.usize()?;
-        self.inserted = d.u64()?;
-        self.purged = d.u64()?;
-        self.demoted = d.u64()?;
+        if !arrivals.is_sorted() {
+            return Err(SnapshotError("port arrival stamps are not monotone".into()));
+        }
+        let evict_front = d.usize()?;
+        let live = d.usize()?;
+        let counted: usize = live_bits.iter().map(|w| w.count_ones() as usize).sum();
+        if counted != live {
+            return Err(SnapshotError(format!(
+                "live bitmap says {counted} live rows, counter says {live}"
+            )));
+        }
+        // Everything below the window frontier is dead.
+        let first_live = live_bits.iter().position(|&w| w != 0).map_or(end, |i| {
+            base + i * 64 + live_bits[i].trailing_zeros() as usize
+        });
+        if evict_front > first_live {
+            return Err(SnapshotError(format!(
+                "eviction frontier {evict_front} is past live slot {first_live}"
+            )));
+        }
+        let inserted = d.u64()?;
+        let purged = d.u64()?;
+        let demoted = d.u64()?;
         let n = d.usize()?;
-        self.retired = (0..n)
+        let retired = (0..n)
             .map(|_| d.usize())
-            .collect::<crate::checkpoint::SnapshotResult<_>>()?;
-        if let Some(&r) = self
-            .retired
-            .iter()
-            .find(|&&r| !(self.base..self.slots()).contains(&r))
-        {
+            .collect::<crate::checkpoint::SnapshotResult<Vec<usize>>>()?;
+        if let Some(&r) = retired.iter().find(|&&r| !(base..end).contains(&r)) {
             return Err(SnapshotError(format!(
                 "retraction log names slot {r}, outside the resident range"
             )));
         }
-        self.retired_base = d.u64()?;
-        self.log_retired = d.bool()?;
+        let retired_base = d.u64()?;
+        let log_retired = d.bool()?;
+        (self.base, self.arena, self.live_bits) = (base, arena, live_bits);
+        (self.arrivals, self.seqs, self.touched) = (arrivals, seqs, touched);
+        (self.next_seq, self.evict_front, self.live) = (next_seq, evict_front, live);
+        (self.inserted, self.purged, self.demoted) = (inserted, purged, demoted);
+        (self.retired, self.retired_base, self.log_retired) = (retired, retired_base, log_retired);
         // Rebuild the registered index buckets from live rows, seq-ordered.
         for index in self.indexes.values_mut() {
             index.clear();
@@ -757,13 +781,6 @@ impl PortState {
             }
         }
         let mut live_slots: Vec<usize> = self.live_from(0).collect();
-        if live_slots.len() != self.live {
-            return Err(SnapshotError(format!(
-                "live bitmap says {} live rows, counter says {}",
-                live_slots.len(),
-                self.live
-            )));
-        }
         live_slots.sort_unstable_by_key(|&s| self.seq_of(s));
         for slot in live_slots {
             let row: Vec<Value> = self.raw_row(slot).to_vec();
@@ -775,6 +792,21 @@ impl PortState {
             }
         }
         Ok(())
+    }
+
+    /// Distinct live values of a flat column. Order is unspecified: with an
+    /// index on `col` this is just the index's key set (no sort, no extra
+    /// dedup pass); without one it is a single hashing scan.
+    #[must_use]
+    pub fn distinct(&self, col: usize) -> Vec<&Value> {
+        if let Some(index) = self.indexes.get(&col) {
+            return index.keys().collect();
+        }
+        let mut seen = cjq_core::fxhash::FxHashSet::default();
+        self.iter_live()
+            .map(|(_, v)| &v[col])
+            .filter(|v| seen.insert(**v))
+            .collect()
     }
 }
 
@@ -824,6 +856,23 @@ mod tests {
         let live: Vec<usize> = s.iter_live().map(|(i, _)| i).collect();
         assert_eq!(live, vec![0, 2]);
         assert_eq!(s.live_slots(), vec![0, 2]);
+    }
+
+    #[test]
+    fn distinct_uses_index_or_scan() {
+        let mut s = state();
+        s.insert(row(1, 10));
+        s.insert(row(1, 11));
+        s.insert(row(2, 10));
+        // Indexed column 0 (order unspecified — sort to compare).
+        let mut d0 = s.distinct(0);
+        d0.sort_unstable();
+        assert_eq!(d0, vec![&Value::Int(1), &Value::Int(2)]);
+        // Unindexed column 1 falls back to a scan.
+        assert!(!s.has_index(1));
+        let mut d1 = s.distinct(1);
+        d1.sort_unstable();
+        assert_eq!(d1, vec![&Value::Int(10), &Value::Int(11)]);
     }
 
     #[test]
@@ -1089,6 +1138,43 @@ mod tests {
         assert_eq!(s.evict_older_than(401), 91);
         s.trim_retired_to(s.retire_end());
         assert_eq!((s.live(), s.resident_slots(), s.slots()), (0, 17, 401));
+    }
+
+    #[test]
+    fn refused_snapshot_leaves_the_port_untouched() {
+        let mut good = state();
+        good.enable_retirement_log();
+        for i in 0..200 {
+            good.insert_at(row(i % 4, i), i as u64);
+        }
+        assert_eq!(good.evict_older_than(130), 130);
+        good.trim_retired_to(128);
+        assert_eq!((good.base, good.evict_front), (128, 130));
+        let tampered: [fn(&mut PortState); 5] = [
+            |s| s.base = 100,
+            |s| s.arrivals.swap(3, 40),
+            |s| s.evict_front = 131,
+            |s| s.retired.push(127),
+            |s| s.live += 1,
+        ];
+        for (case, tamper) in tampered.iter().enumerate() {
+            let mut bad = good.clone();
+            tamper(&mut bad);
+            let mut e = crate::checkpoint::Enc::new();
+            bad.write_state(&mut e);
+            let mut port = state();
+            port.insert(row(7, 7));
+            let err = port.read_state(&mut crate::checkpoint::Dec::new(&e.buf));
+            assert!(err.is_err(), "case {case} must be refused");
+            assert_eq!((port.slots(), port.live_slots()), (1, vec![0]));
+            assert_eq!(port.probe(0, &Value::Int(7)), &[0]);
+        }
+        let mut e = crate::checkpoint::Enc::new();
+        good.write_state(&mut e);
+        let mut port = state();
+        port.read_state(&mut crate::checkpoint::Dec::new(&e.buf))
+            .unwrap();
+        assert_eq!(port.live_slots(), good.live_slots());
     }
 
     #[test]
