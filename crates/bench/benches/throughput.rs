@@ -61,7 +61,6 @@ struct WorkloadReport {
     name: &'static str,
     elements: usize,
     sequential_eps: f64,
-    batched_eps: f64,
     /// `(requested, effective, eps)` per requested shard count.
     sharded: Vec<(usize, usize, f64)>,
 }
@@ -88,17 +87,6 @@ fn run_workload(
         black_box(exec.run(feed).metrics.outputs);
     });
 
-    group.bench_function("batched", |b| {
-        b.iter(|| {
-            let exec = Executor::compile(query, schemes, &plan, cfg).unwrap();
-            black_box(exec.run_batched(feed).metrics.outputs)
-        });
-    });
-    let batched_eps = median_eps(feed.len(), || {
-        let exec = Executor::compile(query, schemes, &plan, cfg).unwrap();
-        black_box(exec.run_batched(feed).metrics.outputs);
-    });
-
     // Requested counts that clamp to the same effective P reuse the first
     // measurement: they compile to the identical configuration.
     let mut sharded: Vec<(usize, usize, f64)> = Vec::new();
@@ -122,7 +110,6 @@ fn run_workload(
         name,
         elements: feed.len(),
         sequential_eps,
-        batched_eps,
         sharded,
     }
 }
@@ -137,11 +124,9 @@ fn write_report(reports: &[WorkloadReport]) {
     json.push_str(
         "  \"note\": \"single-core container: sharded gains come from targeted punctuation \
          routing (each purge cycle runs in one shard), not parallel hardware; margins are \
-         modest under the default indexed purge strategy. batched_eps is the vectorized \
-         micro-batch path (run_batched: ElementBatch gather + per-run probe dedup + columnar \
-         OutputBuffer into a CountSink); sharded P=1 takes a same-thread fast path over the \
-         batched plane. requested shard counts are clamped by auto_shards to the available \
-         parallelism: oversharding a small machine used to make requested P=4 measurably \
+         modest under the default indexed purge strategy. sharded P=1 takes a same-thread fast \
+         path over the batched plane. requested shard counts are clamped by auto_shards to the \
+         available parallelism: oversharding a small machine used to make requested P=4 measurably \
          slower than P=2 (extra workers time-slicing one core), so clamped requests now \
          collapse to, and reuse, the effective configuration's measurement\",\n",
     );
@@ -153,11 +138,6 @@ fn write_report(reports: &[WorkloadReport]) {
         json.push_str(&format!(
             "      \"sequential_eps\": {:.1},\n",
             r.sequential_eps
-        ));
-        json.push_str(&format!("      \"batched_eps\": {:.1},\n", r.batched_eps));
-        json.push_str(&format!(
-            "      \"batched_speedup\": {:.2},\n",
-            r.batched_eps / r.sequential_eps
         ));
         json.push_str("      \"sharded\": [\n");
         for (j, (requested, effective, eps)) in r.sharded.iter().enumerate() {

@@ -1,11 +1,10 @@
 //! Throughput smoke check for CI.
 //!
-//! Runs the auction and sensor workloads through the legacy sequential
-//! executor, the vectorized batched path, and the sharded executor at
-//! P ∈ {1, 2}, prints elements/second for each, and exits nonzero if any
-//! path disagrees on the result count. `--quick` shrinks the workloads so
-//! the whole check stays well under a second — the CI mode; without it the
-//! full `BENCH_throughput.json` workload sizes are used.
+//! Runs the auction and sensor workloads through the sequential executor and
+//! the sharded executor at P ∈ {1, 2}, prints elements/second for each, and
+//! exits nonzero if any path disagrees on the result count. `--quick` shrinks
+//! the workloads so the whole check stays well under a second — the CI mode;
+//! without it the full `BENCH_throughput.json` workload sizes are used.
 
 use std::time::Instant;
 
@@ -34,18 +33,13 @@ fn timed(elements: usize, f: impl FnOnce() -> u64) -> (u64, f64) {
 /// Runs one workload through every data path; returns `false` on mismatch.
 fn smoke(name: &str, query: &Cjq, schemes: &SchemeSet, feed: &Feed) -> bool {
     let plan = Plan::mjoin_all(query);
-    let compile = || Executor::compile(query, schemes, &plan, cfg()).expect("compile");
+    let exec = Executor::compile(query, schemes, &plan, cfg()).expect("compile");
 
-    let (seq_out, seq_eps) = timed(feed.len(), || compile().run(feed).metrics.outputs);
-    let (bat_out, bat_eps) = timed(feed.len(), || compile().run_batched(feed).metrics.outputs);
+    let (seq_out, seq_eps) = timed(feed.len(), || exec.run(feed).metrics.outputs);
     println!("{name}: {} elements", feed.len());
     println!("  sequential  {seq_eps:>12.0} eps  ({seq_out} results)");
-    println!(
-        "  batched     {bat_eps:>12.0} eps  ({bat_out} results, {:.2}x)",
-        bat_eps / seq_eps
-    );
 
-    let mut ok = bat_out == seq_out;
+    let mut ok = true;
     for p in [1usize, 2] {
         let exec = ShardedExecutor::compile(query, schemes, &plan, cfg(), p).expect("compile");
         let (out, eps) = timed(feed.len(), || exec.run(feed).metrics.outputs);

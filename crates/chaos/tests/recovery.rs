@@ -248,11 +248,13 @@ fn all_snapshots_corrupt_is_a_clean_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A frame written by the previous format version (ports without `base`,
-/// dead cells included) is intact by its own checksum — it must be refused
-/// by version, never decoded under the current layout.
+/// A frame written by any earlier format version (1: ports without `base`,
+/// dead cells included; 2: a fingerprint that still hashed
+/// `ExecConfig::batch_size`) is intact by its own checksum — it must be
+/// refused by version (`C001`), never decoded under the current layout nor
+/// reported as a config mismatch (`C002`).
 #[test]
-fn previous_format_version_is_refused_not_misdecoded() {
+fn earlier_format_versions_are_refused_not_misdecoded() {
     let workloads = bundled_workloads();
     let w = &workloads[0];
     let cfg = cfg_with(PurgeCadence::Eager, false);
@@ -261,21 +263,25 @@ fn previous_format_version_is_refused_not_misdecoded() {
     {
         let _ = crash_and_recover_seq(w, &w.feed, cfg, &dir, 61, n / 2);
     }
-    let previous = cjq_stream::checkpoint::VERSION - 1;
-    for (_, path) in list_snapshots(&dir) {
-        let mut frame = std::fs::read(&path).expect("snapshot exists");
-        frame[4..8].copy_from_slice(&previous.to_le_bytes());
-        std::fs::write(&path, frame).expect("rewrite applies");
-    }
     let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
-    let err =
-        cjq_stream::exec::Executor::try_resume(&dir, &w.query, &w.schemes, &plan, cfg, &w.feed, 61)
-            .expect_err("an old-format snapshot must not restore");
-    let msg = err.to_string();
-    assert!(
-        msg.starts_with("C001") && msg.contains(&format!("unsupported version {previous}")),
-        "expected C001 naming the version, got: {msg}"
-    );
+    let earlier = 1..cjq_stream::checkpoint::VERSION;
+    assert!(earlier.contains(&2), "version 2 frames are earlier frames");
+    for previous in earlier {
+        for (_, path) in list_snapshots(&dir) {
+            let mut frame = std::fs::read(&path).expect("snapshot exists");
+            frame[4..8].copy_from_slice(&previous.to_le_bytes());
+            std::fs::write(&path, frame).expect("rewrite applies");
+        }
+        let err = cjq_stream::exec::Executor::try_resume(
+            &dir, &w.query, &w.schemes, &plan, cfg, &w.feed, 61,
+        )
+        .expect_err("an old-format snapshot must not restore");
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("C001") && msg.contains(&format!("unsupported version {previous}")),
+            "expected C001 naming the version, got: {msg}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

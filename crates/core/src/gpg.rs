@@ -183,7 +183,11 @@ impl GeneralizedPunctuationGraph {
         }
         let mut reached: HashSet<StreamId> = origins.iter().copied().collect();
         let mut trace: Vec<ReachStep> = Vec::new();
-        let mut frontier: Vec<StreamId> = reached.iter().copied().collect();
+        // Seed the frontier in `origins` order, not the hash set's: the trace
+        // (hence every compiled purge recipe) must be a function of the
+        // inputs alone, or two compiles of one plan disagree on composite
+        // ports and a snapshot no longer overlays onto a fresh compile.
+        let mut frontier: Vec<StreamId> = origins.to_vec();
 
         loop {
             // Close under plain edges first (Definition 9's initial step and

@@ -34,7 +34,6 @@ use crate::purge::{PurgeEngine, PurgeScope, PurgeStrategy};
 use crate::sink::{CollectSink, CountSink, OutputBuffer, ResultSink};
 use crate::source::{BatchItem, ElementBatch, Feed};
 use crate::tier::{SpillStore, TierConfig, TierStats};
-use crate::tuple::Tuple;
 
 /// When purge cycles run (Plan Parameter II of §5.2, after \[6\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,13 +127,6 @@ pub struct ExecConfig {
     pub coverage_limit: usize,
     /// Keep result tuples in memory (disable for large benches).
     pub record_outputs: bool,
-    /// Elements per micro-batch on the batched data path
-    /// ([`Executor::run_with_sink`] and friends). Larger batches amortize
-    /// dispatch and widen probe-key deduplication windows; purge cadence,
-    /// sampling, and window eviction still happen at exactly the same element
-    /// positions as the per-element path (runs are capped at those
-    /// boundaries), so results and metrics are batch-size independent.
-    pub batch_size: usize,
     /// Runtime certificate verification (see [`crate::certify`]): assert at
     /// compile time that compiled purge recipes match the static
     /// purgeability certificates, re-check a sample of purge verdicts
@@ -188,7 +180,6 @@ impl Default for ExecConfig {
             sample_every: 64,
             coverage_limit: 100_000,
             record_outputs: true,
-            batch_size: 256,
             verify_certificates: cfg!(feature = "verify-certificates"),
             admission: AdmissionPolicy::default(),
             state_budget: None,
@@ -238,7 +229,6 @@ impl ExecConfig {
         fp.word(self.sample_every as u64);
         fp.word(self.coverage_limit as u64);
         fp.word(u64::from(self.record_outputs));
-        fp.word(self.batch_size as u64);
         fp.word(u64::from(self.verify_certificates));
         fp.word(match self.admission {
             AdmissionPolicy::Strict => 0,
@@ -330,8 +320,8 @@ pub struct Executor {
     outputs: Vec<Vec<Value>>,
     aggregates: Vec<Vec<Value>>,
     metrics: Metrics,
-    /// Reusable columnar buffers ping-ponged through the operator cascade by
-    /// the batched path (current level's output / next level's output).
+    /// Reusable columnar buffers ping-ponged through the operator cascade
+    /// (current level's output / next level's output).
     batch_bufs: (OutputBuffer, OutputBuffer),
     /// Reusable per-run scratch: indices of tuples that survived the
     /// punctuation-violation check.
@@ -489,8 +479,8 @@ impl Executor {
     /// Arms per-port bound certificates: `bounds[flat_port]` (op-major,
     /// bottom-up operator order — the order `cjq_core::bounds::
     /// plan_operator_ports` reports) caps the port's live rows; `None`
-    /// leaves a port unchecked. Checked on every element, so the batched
-    /// path degrades to per-element stepping like the other state monitors.
+    /// leaves a port unchecked. Checked on every element, so runs are capped
+    /// at one row like under the other state monitors.
     ///
     /// # Panics
     /// Panics if `bounds.len()` differs from the number of flat ports.
@@ -584,22 +574,46 @@ impl Executor {
     }
 
     /// [`Executor::try_push`] without the two clock reads: drivers that push
-    /// a whole feed add their loop's time to `Metrics::elapsed_ns` once.
+    /// a whole feed add their loop's time to `Metrics::elapsed_ns` once. A
+    /// tuple is a run of one through [`Executor::try_push_run`].
     fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
-        self.clock += 1;
-        self.since_purge += 1;
         match element {
-            StreamElement::Tuple(t) => self.try_push_tuple(t)?,
-            StreamElement::Punctuation(p) => self.try_push_punctuation(p)?,
+            StreamElement::Tuple(t) => self.with_own_sink(|exec, sink| {
+                exec.try_push_run(t.stream, t.values.len(), &t.values, 1, sink)
+            })?,
+            StreamElement::Punctuation(p) => {
+                self.clock += 1;
+                self.since_purge += 1;
+                self.try_push_punctuation(p)?;
+            }
         }
         self.post_element()
     }
 
-    /// Per-element bookkeeping shared by the per-element and batched paths:
-    /// cadence-driven purge cycles, window eviction, watchdog enforcement,
-    /// stall detection, state sampling. The batched path calls this once per
-    /// capped sub-run — [`Executor::run_cap`] guarantees the clock positions
-    /// where anything fires are identical to the per-element path.
+    /// Runs `f` with the executor's own sink, the stand-in wherever the
+    /// caller supplies none: root results are recorded into
+    /// `RunResult::outputs` under [`ExecConfig::record_outputs`] and merely
+    /// counted (`Metrics::outputs`) otherwise.
+    fn with_own_sink<R>(&mut self, f: impl FnOnce(&mut Self, &mut dyn ResultSink) -> R) -> R {
+        let mut record = CollectSink {
+            rows: std::mem::take(&mut self.outputs),
+        };
+        let mut count = CountSink::new();
+        let sink: &mut dyn ResultSink = if self.cfg.record_outputs {
+            &mut record
+        } else {
+            &mut count
+        };
+        let res = f(self, sink);
+        self.outputs = record.rows;
+        res
+    }
+
+    /// Per-element bookkeeping: cadence-driven purge cycles, window eviction,
+    /// watchdog enforcement, stall detection, state sampling. Called once per
+    /// punctuation and once per capped sub-run — [`Executor::run_cap`] ends a
+    /// run at every clock position where anything here fires, so a run of
+    /// `n` and `n` runs of one are indistinguishable.
     fn post_element(&mut self) -> ExecResult<()> {
         match self.cfg.cadence {
             PurgeCadence::Lazy { batch } if self.since_purge >= batch => self.purge_cycle(),
@@ -897,7 +911,8 @@ impl Executor {
         }
         // Observe phase. Punctuation stores only change on punctuation
         // arrival — impossible mid-run — so per-row checks against the
-        // frozen stores match the per-element path exactly.
+        // frozen stores are the same for one run of `take` and `take` runs
+        // of one.
         let mut survivors = std::mem::take(&mut self.scratch_survivors);
         survivors.clear();
         for i in 0..take {
@@ -962,65 +977,6 @@ impl Executor {
             self.batch_bufs = (cur, nxt);
         }
         self.scratch_survivors = survivors;
-        Ok(())
-    }
-
-    /// Refuses one tuple per the admission policy: `Strict` errors,
-    /// `Quarantine`/`Repair` count it and route it to the dead letter
-    /// (violating tuples have no sound repair).
-    fn refuse_tuple(
-        &mut self,
-        fault: AdmissionFault,
-        stream: StreamId,
-        row: &[Value],
-    ) -> ExecResult<()> {
-        if self.guard.policy() == AdmissionPolicy::Strict {
-            return Err(ExecError::Admission {
-                clock: self.clock,
-                fault,
-            });
-        }
-        self.metrics.count_quarantine_row(fault.code(), stream.0);
-        self.dead_letter.emit_tuple(&fault, stream, row, self.clock);
-        Ok(())
-    }
-
-    fn try_push_tuple(&mut self, t: &Tuple) -> ExecResult<()> {
-        if let Some(fault) = self.guard.check_tuple_shape(t.stream, t.values.len()) {
-            return self.refuse_tuple(fault, t.stream, &t.values);
-        }
-        if !self.engine.observe_tuple_at(t, self.clock) {
-            self.metrics.count_violation(t.stream.0);
-            let fault = AdmissionFault::PunctuationViolation { stream: t.stream };
-            return self.refuse_tuple(fault, t.stream, &t.values);
-        }
-        self.metrics.tuples_in += 1;
-        let Some(&(op, port)) = self.leaf_route.get(&t.stream) else {
-            return Err(ExecError::UnroutableStream(t.stream));
-        };
-        let mut frontier = vec![(op, port, t.values.clone())];
-        while let Some((op, port, values)) = frontier.pop() {
-            let outs = self.ops[op].process_tuple_at(port, values, self.clock);
-            match self.parent[op] {
-                Some((pop, pport)) => {
-                    self.metrics.intermediate_rows += outs.len() as u64;
-                    for o in outs {
-                        frontier.push((pop, pport, o));
-                    }
-                }
-                None => {
-                    for o in outs {
-                        self.metrics.outputs += 1;
-                        if let Some(g) = &mut self.groupby {
-                            g.process_tuple(&o);
-                        }
-                        if self.cfg.record_outputs {
-                            self.outputs.push(o);
-                        }
-                    }
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1204,7 +1160,10 @@ impl Executor {
         }
     }
 
-    /// Runs a whole feed and finishes (final purge cycle + sample).
+    /// Runs a whole feed and finishes (final purge cycle + sample), with the
+    /// executor's own sink: results are collected into `RunResult::outputs`
+    /// when [`ExecConfig::record_outputs`] is set, and merely counted
+    /// otherwise.
     ///
     /// # Panics
     /// Panics where [`Executor::try_run`] would return an error.
@@ -1215,79 +1174,38 @@ impl Executor {
     /// Fallible [`Executor::run`] (see [`Executor::try_push`] for the error
     /// contract).
     pub fn try_run(mut self, feed: &Feed) -> ExecResult<RunResult> {
-        let start = Instant::now();
-        for e in feed {
-            self.push_untimed(e)?;
-        }
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
+        self.with_own_sink(|exec, sink| exec.try_feed(feed, sink))?;
         Ok(self.finish())
     }
 
-    /// Runs a whole feed through the batched data path, streaming root
-    /// results into `sink` (`RunResult::outputs` stays empty — the sink owns
-    /// the results). One [`ElementBatch`] of [`ExecConfig::batch_size`]
-    /// elements is reused across the run, so the steady state allocates
-    /// nothing per element.
+    /// Runs a whole feed, streaming root results into `sink`
+    /// (`RunResult::outputs` stays empty — the sink owns the results).
     pub fn run_with_sink(self, feed: &Feed, sink: &mut dyn ResultSink) -> RunResult {
-        self.run_with_sink_detailed(feed, sink).0
+        self.try_run_with_sink(feed, sink)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Executor::run_with_sink`].
     pub fn try_run_with_sink(
-        self,
-        feed: &Feed,
-        sink: &mut dyn ResultSink,
-    ) -> ExecResult<RunResult> {
-        Ok(self.try_run_with_sink_detailed(feed, sink)?.0)
-    }
-
-    /// Like [`Executor::run_with_sink`], additionally returning the live-slot
-    /// snapshot (see [`Executor::finish_detailed`]).
-    pub fn run_with_sink_detailed(
-        self,
-        feed: &Feed,
-        sink: &mut dyn ResultSink,
-    ) -> (RunResult, LiveStateSnapshot) {
-        self.try_run_with_sink_detailed(feed, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Executor::run_with_sink_detailed`] (see
-    /// [`Executor::try_push`] for the error contract).
-    pub fn try_run_with_sink_detailed(
         mut self,
         feed: &Feed,
         sink: &mut dyn ResultSink,
-    ) -> ExecResult<(RunResult, LiveStateSnapshot)> {
-        let size = self.cfg.batch_size.max(1);
+    ) -> ExecResult<RunResult> {
+        self.try_feed(feed, sink)?;
+        Ok(self.finish())
+    }
+
+    /// The one feed driver: gathers [`FEED_CHUNK`]-element chunks into one
+    /// reused [`ElementBatch`] (the steady state allocates nothing per
+    /// element) and pushes each through [`Executor::try_push_batch`].
+    pub(crate) fn try_feed(&mut self, feed: &Feed, sink: &mut dyn ResultSink) -> ExecResult<()> {
         let mut batch = ElementBatch::new();
-        for chunk in feed.elements().chunks(size) {
+        for chunk in feed.elements().chunks(FEED_CHUNK) {
             batch.gather(chunk);
             self.try_push_batch(&batch, sink)?;
         }
         sink.finish();
-        Ok(self.finish_detailed())
-    }
-
-    /// Runs a whole feed through the batched data path with the default
-    /// sinks: results are collected into `RunResult::outputs` when
-    /// [`ExecConfig::record_outputs`] is set, and merely counted otherwise —
-    /// a drop-in, faster replacement for [`Executor::run`].
-    pub fn run_batched(self, feed: &Feed) -> RunResult {
-        self.try_run_batched(feed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Executor::run_batched`].
-    pub fn try_run_batched(self, feed: &Feed) -> ExecResult<RunResult> {
-        if self.cfg.record_outputs {
-            let mut sink = CollectSink::new();
-            let (mut result, _) = self.try_run_with_sink_detailed(feed, &mut sink)?;
-            result.outputs = sink.rows;
-            Ok(result)
-        } else {
-            let mut sink = CountSink::new();
-            self.try_run_with_sink(feed, &mut sink)
-        }
+        Ok(())
     }
 
     /// Final purge cycle + sample, returning the accumulated results.
@@ -1714,6 +1632,12 @@ impl Executor {
     }
 }
 
+/// Elements gathered per [`ElementBatch`] by the whole-feed drivers
+/// ([`Executor::run`] and friends, `QueryRegistry::try_feed`). Not a knob:
+/// runs are capped at every purge/sample/watchdog boundary, so the chunk size
+/// changes no output, metric or sampled point (`tests/batch_equivalence.rs`).
+pub(crate) const FEED_CHUNK: usize = 256;
+
 /// Cadence/sample portion of the run-cap rule, shared by
 /// [`Executor::run_cap`] and the registry's batch router so both chunk a
 /// same-stream run at identical purge and sample boundaries — the
@@ -1789,6 +1713,7 @@ fn build(
 mod tests {
     use super::*;
     use crate::state::PortState;
+    use crate::tuple::Tuple;
     use cjq_core::fixtures;
     use cjq_core::schema::AttrId;
 

@@ -18,8 +18,8 @@ use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
 use crate::purge::{
-    self, Candidates, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy,
-    PurgeTracker, PurgeWork, StepSpec,
+    self, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy, PurgeTracker,
+    PurgeWork, StepSpec,
 };
 use crate::segment::StepSummary;
 use crate::sink::OutputBuffer;
@@ -333,19 +333,11 @@ impl JoinOperator {
         }
     }
 
-    /// Load-shedding eviction: like [`JoinOperator::evict_window`] but
-    /// counted separately by the caller (`Metrics::rows_shed`, not
-    /// `purged` — shed rows were *not* proven dead). Returns rows evicted.
-    pub fn shed_older_than(&mut self, cutoff: u64) -> usize {
-        self.ports
-            .iter_mut()
-            .map(|p| p.evict_older_than(cutoff))
-            .sum()
-    }
-
-    /// Audited load shedding: like [`JoinOperator::shed_older_than`] but
-    /// reports each shed row to `on_shed(port, row)` *before* eviction and
-    /// returns the per-port shed counts, so lost results are attributable
+    /// Audited load shedding: like [`JoinOperator::evict_window`] but counted
+    /// separately by the caller (`Metrics::rows_shed`, not `purged` — shed
+    /// rows were *not* proven dead). Reports each shed row to
+    /// `on_shed(port, row)` *before* eviction and returns the per-port shed
+    /// counts, so lost results are attributable
     /// (`Metrics::rows_shed_by_port`) and auditable via the dead-letter sink
     /// instead of vanishing silently.
     pub fn shed_older_than_with(
@@ -648,111 +640,11 @@ impl JoinOperator {
         Ok(())
     }
 
-    /// Processes a tuple arriving on `port`: probes the other ports for
-    /// result combinations, then stores the tuple. Returns the emitted
-    /// result tuples in the operator's output layout.
-    pub fn process_tuple(&mut self, port: usize, values: Vec<Value>) -> Vec<Vec<Value>> {
-        self.process_tuple_at(port, values, 0)
-    }
-
-    /// Like [`JoinOperator::process_tuple`], stamping the stored tuple with an
-    /// arrival time (for sliding-window eviction).
-    pub fn process_tuple_at(
-        &mut self,
-        port: usize,
-        values: Vec<Value>,
-        now: u64,
-    ) -> Vec<Vec<Value>> {
-        if self.wcoj.is_some() {
-            return self.wcoj_process_tuple_at(port, values, now);
-        }
-        self.stats.tuples_in += 1;
-        if self.has_cold() {
-            self.fault_sweep(port, std::iter::once(&values[..]), now);
-        }
-        let mut outputs = Vec::new();
-        // DFS over the precomputed probe plan with per-port candidate
-        // filtering; the probe loop itself is allocation-free (candidates are
-        // iterated straight out of the hash index, rows are borrowed slices).
-        let plan = &self.probe_plans[port];
-        let mut assignment: Vec<Option<&[Value]>> = vec![None; self.ports.len()];
-        assignment[port] = Some(&values);
-
-        fn extend<'s>(
-            ports: &'s [PortState],
-            plan: &[ProbeStep],
-            depth: usize,
-            assignment: &mut Vec<Option<&'s [Value]>>,
-            out_layout: &SpanLayout,
-            port_layout_spans: &[Vec<StreamId>],
-            outputs: &mut Vec<Vec<Value>>,
-        ) {
-            if depth == plan.len() {
-                let mut row = vec![Value::Null; out_layout.width()];
-                for (pi, vals) in assignment.iter().enumerate() {
-                    let vals = vals.expect("full assignment");
-                    for &s in &port_layout_spans[pi] {
-                        out_layout.copy_stream(&mut row, s, ports[pi].layout(), vals);
-                    }
-                }
-                outputs.push(row);
-                return;
-            }
-            let (j, relevant) = &plan[depth];
-            let j = *j;
-            // Use the first predicate's hash index, filter with the rest.
-            let (jcol, bport, bcol) = relevant[0];
-            let key = &assignment[bport].expect("bound")[bcol];
-            for &slot in ports[j].probe(jcol, key) {
-                let Some(cand) = ports[j].get(slot) else {
-                    continue;
-                };
-                let ok = relevant[1..]
-                    .iter()
-                    .all(|&(jc, bp, bc)| cand[jc] == assignment[bp].expect("bound")[bc]);
-                if ok {
-                    assignment[j] = Some(cand);
-                    extend(
-                        ports,
-                        plan,
-                        depth + 1,
-                        assignment,
-                        out_layout,
-                        port_layout_spans,
-                        outputs,
-                    );
-                    assignment[j] = None;
-                }
-            }
-        }
-
-        extend(
-            &self.ports,
-            plan,
-            0,
-            &mut assignment,
-            &self.out_layout,
-            &self.port_spans,
-            &mut outputs,
-        );
-        drop(assignment);
-        if self.tiering_enabled() {
-            if let Some((j, relevant)) = plan.first() {
-                let (jcol, bport, bcol) = relevant[0];
-                debug_assert_eq!(bport, port, "depth 0 binds to the origin");
-                let hits: Vec<usize> = self.ports[*j].probe(jcol, &values[bcol]).to_vec();
-                for slot in hits {
-                    self.ports[*j].note_touched(slot, now);
-                }
-            }
-        }
-        self.ports[port].insert_at(values, now);
-        self.stats.outputs += outputs.len() as u64;
-        outputs
-    }
-
-    /// Processes a run of same-port tuples arriving on `port`, appending the
-    /// emitted result rows to `out` (in input-row order) without per-row
+    /// The operator step — the only one: a run of same-port tuples (one or
+    /// many) arrives on `port`, probes the other ports' states for result
+    /// combinations, and is stored. Emitted result rows are appended to `out`
+    /// in input-row order, each row's combinations in DFS order over the
+    /// probe plan (probe buckets are insertion-ordered), without per-row
     /// allocations.
     ///
     /// Within a run the probed ports' states are immutable — probes only hit
@@ -885,10 +777,7 @@ impl JoinOperator {
                 PurgeStrategy::FullScan => None,
                 PurgeStrategy::Indexed => {
                     let tracker = self.trackers[port].as_mut().expect("tracker per recipe");
-                    match tracker.collect_against(recipe, &self.ports[port], engine) {
-                        Candidates::All => None,
-                        Candidates::Slots(slots) => Some(slots),
-                    }
+                    tracker.collect_against(recipe, &self.ports[port], engine)
                 }
             };
             // Two-phase to satisfy the borrow checker without cloning every
@@ -1005,9 +894,8 @@ fn step_covered(engine: &PurgeEngine, spec: &StepSpec, summary: &StepSummary) ->
 }
 
 /// DFS over `plan[depth..]` emitting every completed assignment as one row of
-/// `out` — the batched counterpart of the nested `extend` in
-/// [`JoinOperator::process_tuple_at`], writing into the columnar buffer
-/// instead of pushing owned `Vec<Value>` rows.
+/// `out`. Candidates are iterated straight out of the hash index and rows are
+/// borrowed slices, so the probe loop allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn extend_into<'s>(
     ports: &'s [PortState],
@@ -1069,6 +957,22 @@ mod tests {
         Value::Int(v)
     }
 
+    impl JoinOperator {
+        /// One tuple through [`JoinOperator::process_batch`] as a run of one,
+        /// returning the emitted rows owned — the unit tests' (here and in
+        /// `wcoj`) view of a single arrival.
+        pub(crate) fn process_one(
+            &mut self,
+            port: usize,
+            values: &[Value],
+            now: u64,
+        ) -> Vec<Vec<Value>> {
+            let mut out = OutputBuffer::new(self.out_layout.width());
+            self.process_batch(port, std::iter::once((values, now)), &mut out);
+            out.rows().map(<[Value]>::to_vec).collect()
+        }
+    }
+
     fn setup_auction() -> (Cjq, SchemeSet, PurgeEngine, JoinOperator) {
         let (q, r) = fixtures::auction();
         let engine = PurgeEngine::new(&q, &r, None, 10_000);
@@ -1086,17 +990,17 @@ mod tests {
     fn binary_symmetric_join_emits_each_combo_once() {
         let (_, _, _, mut op) = setup_auction();
         // item(seller, itemid, name, price); bid(bidder, itemid, incr).
-        let out = op.process_tuple(0, vec![ival(7), ival(1), "tv".into(), ival(100)]);
+        let out = op.process_one(0, &[ival(7), ival(1), "tv".into(), ival(100)], 0);
         assert!(out.is_empty(), "no bids yet");
-        let out = op.process_tuple(1, vec![ival(3), ival(1), ival(5)]);
+        let out = op.process_one(1, &[ival(3), ival(1), ival(5)], 0);
         assert_eq!(out.len(), 1);
         // Output layout: item columns then bid columns.
         assert_eq!(out[0].len(), 7);
         assert_eq!(out[0][1], ival(1)); // item.itemid
         assert_eq!(out[0][5], ival(1)); // bid.itemid
-        let out = op.process_tuple(1, vec![ival(4), ival(2), ival(9)]);
+        let out = op.process_one(1, &[ival(4), ival(2), ival(9)], 0);
         assert!(out.is_empty(), "no item 2 yet");
-        let out = op.process_tuple(0, vec![ival(8), ival(2), "pc".into(), ival(50)]);
+        let out = op.process_one(0, &[ival(8), ival(2), "pc".into(), ival(50)], 0);
         assert_eq!(out.len(), 1, "late item joins the stored bid exactly once");
         assert_eq!(op.stats.outputs, 2);
         assert_eq!(op.live(), 4);
@@ -1110,8 +1014,8 @@ mod tests {
             let bid1 = Tuple::of(1, vec![ival(3), ival(1), ival(5)]);
             engine.observe_tuple(&item1);
             engine.observe_tuple(&bid1);
-            op.process_tuple(0, item1.values.clone());
-            op.process_tuple(1, bid1.values.clone());
+            op.process_one(0, &item1.values, 0);
+            op.process_one(1, &bid1.values, 0);
             assert_eq!(op.purge_pass(&engine, strategy).purged, 0);
             assert_eq!(op.stats.kept, 2, "both tuples survive the first pass");
 
@@ -1144,10 +1048,10 @@ mod tests {
             &engine,
         );
         // S1(A,B), S2(B,C), S3(C,A): S1.B=S2.B, S2.C=S3.C.
-        assert!(op.process_tuple(0, vec![ival(100), ival(1)]).is_empty());
-        assert!(op.process_tuple(2, vec![ival(10), ival(200)]).is_empty());
+        assert!(op.process_one(0, &[ival(100), ival(1)], 0).is_empty());
+        assert!(op.process_one(2, &[ival(10), ival(200)], 0).is_empty());
         // The middle tuple completes the combination.
-        let out = op.process_tuple(1, vec![ival(1), ival(10)]);
+        let out = op.process_one(1, &[ival(1), ival(10)], 0);
         assert_eq!(out.len(), 1);
         let row = &out[0];
         // Layout: S1(A,B) S2(B,C) S3(C,A).
@@ -1156,7 +1060,7 @@ mod tests {
             &[ival(100), ival(1), ival(1), ival(10), ival(10), ival(200)]
         );
         // A second S1 tuple with the same B joins the stored pair.
-        let out = op.process_tuple(0, vec![ival(101), ival(1)]);
+        let out = op.process_one(0, &[ival(101), ival(1)], 0);
         assert_eq!(out.len(), 1);
         assert_eq!(op.stats.outputs, 2);
     }
@@ -1204,9 +1108,9 @@ mod tests {
         );
         // Composite (S1 ⋈ S2) arrives: [a, b, b, c] = [100, 1, 1, 10].
         assert!(upper
-            .process_tuple(0, vec![ival(100), ival(1), ival(1), ival(10)])
+            .process_one(0, &[ival(100), ival(1), ival(1), ival(10)], 0)
             .is_empty());
-        let out = upper.process_tuple(1, vec![ival(10), ival(200)]);
+        let out = upper.process_one(1, &[ival(10), ival(200)], 0);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 6);
         assert_eq!(out[0][3], ival(10)); // S2.C

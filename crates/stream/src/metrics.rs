@@ -79,8 +79,8 @@ pub struct Metrics {
     /// `Indexed` it shrinks to the punctuation-delta-proportional candidate
     /// count — the purge engine's asymptotic win, compared against `purged`.
     pub purge_candidates_examined: u64,
-    /// Micro-batches pushed through the batched data plane (one per
-    /// `Executor::push_batch` call; 0 on the legacy per-element path).
+    /// Micro-batches pushed (one per `Executor::push_batch` call; one-element
+    /// `Executor::push` calls are not counted).
     pub batches_processed: u64,
     /// Join-index probe lookups saved by within-run probe-key deduplication:
     /// for every run of consecutive same-port tuples, the probed index is hit

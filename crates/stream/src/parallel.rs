@@ -395,8 +395,9 @@ impl ShardedExecutor {
     /// supervision.
     ///
     /// With `P = 1` the router and channels are bypassed entirely: the one
-    /// shard is a plain sequential [`Executor`] fed the whole feed through
-    /// the batched data path, so single-shard runs cost the same as
+    /// shard is a plain sequential [`Executor`] fed the whole feed by the same
+    /// gather → `try_push_batch` → `finish_detailed` loop the `P >= 2` workers
+    /// run, so single-shard runs cost the same as
     /// [`Executor::run_with_sink`]. With `P >= 2` the router walks the feed
     /// once, sending element *indices* in batches over bounded channels;
     /// workers borrow the feed directly and gather their routed subsequences
@@ -435,14 +436,13 @@ impl ShardedExecutor {
             // Single shard: everything routes to it, in feed order. Skip the
             // router, the channels, and the worker thread.
             let mut sink = make_sink(0);
-            let (result, snapshot) = execs
-                .pop()
-                .expect("one shard")
-                .try_run_with_sink_detailed(feed, &mut sink)
+            let mut exec = execs.pop().expect("one shard");
+            exec.try_feed(feed, &mut sink)
                 .map_err(|e| ExecError::Shard {
                     shard: 0,
                     source: Box::new(e),
                 })?;
+            let (result, snapshot) = exec.finish_detailed();
             let router_tuples = result.metrics.tuples_in
                 + result.metrics.violations
                 + result.metrics.shape_refused_rows();

@@ -219,15 +219,6 @@ pub(crate) fn root_step_specs(
     Some(specs)
 }
 
-/// Candidate set produced by [`PurgeTracker::collect`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Candidates {
-    /// A delta could not be localized: re-check every live row this cycle.
-    All,
-    /// Only these slots can have flipped to purgeable (sorted, deduped).
-    Slots(Vec<usize>),
-}
-
 /// Incremental purge bookkeeping for one (state, recipe) pair.
 ///
 /// The tracker registers a purge index on the tracked [`PortState`] for every
@@ -362,14 +353,17 @@ impl PurgeTracker {
     }
 
     /// Collects the candidate slots for one purge pass, advancing the delta
-    /// cursors, shrink counters, and fresh-slot watermark.
+    /// cursors, shrink counters, and fresh-slot watermark: `Some(slots)` when
+    /// only those slots (sorted, deduped) can have flipped to purgeable,
+    /// `None` when a delta could not be localized and every live row must be
+    /// re-checked this cycle.
     pub(crate) fn collect(
         &mut self,
         recipe: &CompiledRecipe,
         state: &PortState,
         puncts: &[PunctStore],
         mirrors: &[PortState],
-    ) -> Candidates {
+    ) -> Option<Vec<usize>> {
         let mut full = false;
         let mut slots: Vec<usize> = Vec::new();
         let mut key: Vec<Value> = Vec::new();
@@ -431,12 +425,12 @@ impl PurgeTracker {
         }
         let fresh_from = std::mem::replace(&mut self.fresh_from, state.slots());
         if full {
-            return Candidates::All;
+            return None;
         }
         slots.extend(state.live_from(fresh_from));
         slots.sort_unstable();
         slots.dedup();
-        Candidates::Slots(slots)
+        Some(slots)
     }
 
     /// Serializes the tracker's cursor positions. Index registrations and
@@ -489,7 +483,7 @@ impl PurgeTracker {
         recipe: &CompiledRecipe,
         state: &PortState,
         engine: &PurgeEngine,
-    ) -> Candidates {
+    ) -> Option<Vec<usize>> {
         self.collect(recipe, state, &engine.puncts, &engine.states)
     }
 }
@@ -649,17 +643,12 @@ impl PurgeEngine {
     /// Records a raw tuple arrival in the mirror. Returns `false` (and skips
     /// the insert) if the tuple violates a stored punctuation — a feed bug.
     pub fn observe_tuple(&mut self, t: &Tuple) -> bool {
-        self.observe_tuple_at(t, 0)
+        self.observe_row_at(t.stream, &t.values, 0)
     }
 
-    /// Like [`PurgeEngine::observe_tuple`], stamping the mirror entry with an
-    /// arrival time (for sliding-window eviction).
-    pub fn observe_tuple_at(&mut self, t: &Tuple, now: u64) -> bool {
-        self.observe_row_at(t.stream, &t.values, now)
-    }
-
-    /// Like [`PurgeEngine::observe_tuple_at`] from a borrowed row — the
-    /// batched data plane's entry point (no clone on the mirror insert).
+    /// Like [`PurgeEngine::observe_tuple`] from a borrowed row — the data
+    /// plane's entry point (no clone on the mirror insert) — stamping the
+    /// mirror entry with an arrival time (for sliding-window eviction).
     pub fn observe_row_at(&mut self, stream: StreamId, row: &[Value], now: u64) -> bool {
         let s = stream.0;
         if self.puncts[s].matches_tuple(row) {
@@ -713,27 +702,7 @@ impl PurgeEngine {
     /// Panics if the two paths disagree on any verdict — they are documented
     /// to be decision-equivalent.
     pub fn verify_mirror_against_oracle(&self, sample: usize) -> u64 {
-        let mut checked = 0u64;
-        let mut scratch = CheckScratch::default();
-        for (idx, state) in self.states.iter().enumerate() {
-            let stream = StreamId(idx);
-            let Some(recipe) = self.mirror_recipes[idx].as_ref() else {
-                continue;
-            };
-            for (slot, row) in state.iter_live().take(sample) {
-                let fast = self.check_roots_with(recipe, &[(stream, row)], &mut scratch);
-                let mut roots = HashMap::new();
-                roots.insert(stream, row.to_vec());
-                let oracle = self.explain(recipe, &roots).is_purgeable();
-                assert_eq!(
-                    fast, oracle,
-                    "certificate violation: fast purge check says {fast} but the \
-                     oracle says {oracle} for mirror row {slot} of stream {stream:?}"
-                );
-                checked += 1;
-            }
-        }
-        checked
+        self.verify_mirror_meet_against_oracle(&[&self.mirror_recipes], sample)
     }
 
     /// Finds a live mirror row that the purge checker proves dead, if any —
@@ -741,19 +710,7 @@ impl PurgeEngine {
     /// [`PurgeEngine::purge_mirror`]) there must be none.
     #[must_use]
     pub fn find_purgeable_mirror_row(&self) -> Option<(StreamId, usize)> {
-        let mut scratch = CheckScratch::default();
-        for (idx, state) in self.states.iter().enumerate() {
-            let stream = StreamId(idx);
-            let Some(recipe) = self.mirror_recipes[idx].as_ref() else {
-                continue;
-            };
-            for (slot, row) in state.iter_live() {
-                if self.check_roots_with(recipe, &[(stream, row)], &mut scratch) {
-                    return Some((stream, slot));
-                }
-            }
-        }
-        None
+        self.find_meet_purgeable_mirror_row(&[&self.mirror_recipes])
     }
 
     /// Total live raw tuples across the mirror.
@@ -1129,10 +1086,7 @@ impl PurgeEngine {
                     let tracker = self.mirror_trackers[s]
                         .as_mut()
                         .expect("tracker per recipe");
-                    match tracker.collect(recipe, &self.states[s], &self.puncts, &self.states) {
-                        Candidates::All => None,
-                        Candidates::Slots(slots) => Some(slots),
-                    }
+                    tracker.collect(recipe, &self.states[s], &self.puncts, &self.states)
                 }
             };
             let stream = StreamId(s);
@@ -1193,9 +1147,10 @@ impl PurgeEngine {
         work
     }
 
-    /// Meet-rule analogue of [`PurgeEngine::find_purgeable_mirror_row`]: a
-    /// live mirror row every registered query proves dead, if any. At a
-    /// registry purge fixpoint there must be none.
+    /// [`PurgeEngine::find_purgeable_mirror_row`] under the meet rule: a live
+    /// mirror row every query of `queries` proves dead, if any (the engine's
+    /// own recipes are the one-query case). At a registry purge fixpoint
+    /// there must be none.
     #[must_use]
     pub(crate) fn find_meet_purgeable_mirror_row(
         &self,
@@ -1226,10 +1181,11 @@ impl PurgeEngine {
         None
     }
 
-    /// Meet-rule analogue of [`PurgeEngine::verify_mirror_against_oracle`]:
-    /// re-checks up to `sample` live mirror rows per stream per registered
-    /// query with both the fast path and the explaining oracle. Returns the
-    /// number of (row, query) verdicts checked.
+    /// [`PurgeEngine::verify_mirror_against_oracle`] over several queries'
+    /// recipes (the engine's own are the one-query case): re-checks up to
+    /// `sample` live mirror rows per stream per query with both the fast
+    /// path and the explaining oracle. Returns the number of (row, query)
+    /// verdicts checked.
     ///
     /// # Panics
     /// Panics if the two paths disagree on any per-query verdict.
@@ -1253,9 +1209,8 @@ impl PurgeEngine {
                     let oracle = self.explain(recipe, &roots).is_purgeable();
                     assert_eq!(
                         fast, oracle,
-                        "certificate violation under sharing: fast purge check says \
-                         {fast} but the oracle says {oracle} for mirror row {slot} of \
-                         stream {stream:?}"
+                        "certificate violation: fast purge check says {fast} but the \
+                         oracle says {oracle} for mirror row {slot} of stream {stream:?}"
                     );
                     checked += 1;
                 }

@@ -61,7 +61,7 @@ use crate::checkpoint::{
 };
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
-use crate::exec::{cadence_run_cap, BudgetPolicy, ExecConfig, PurgeCadence};
+use crate::exec::{cadence_run_cap, BudgetPolicy, ExecConfig, PurgeCadence, FEED_CHUNK};
 use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
@@ -208,7 +208,6 @@ pub struct QueryRegistry {
     adaptive_batch: usize,
     metrics: Metrics,
     scratch_survivors: Vec<u32>,
-    scratch_row: Vec<Value>,
     /// Cold-tier spill directory owner, present iff `cfg.tiering` is set.
     spill: Option<SpillStore>,
     /// Reusable demotion scratch: live-row recency stamps.
@@ -270,7 +269,6 @@ impl QueryRegistry {
             },
             metrics: Metrics::default(),
             scratch_survivors: Vec::new(),
-            scratch_row: Vec::new(),
         }
     }
 
@@ -534,12 +532,7 @@ impl QueryRegistry {
     fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
         match element {
             StreamElement::Tuple(t) => {
-                let mut row = std::mem::take(&mut self.scratch_row);
-                row.clear();
-                row.extend_from_slice(&t.values);
-                let res = self.try_push_run(t.stream, row.len().max(1), &row, 1);
-                self.scratch_row = row;
-                res?;
+                self.try_push_run(t.stream, t.values.len(), &t.values, 1)?;
             }
             StreamElement::Punctuation(p) => {
                 self.clock += 1;
@@ -622,9 +615,8 @@ impl QueryRegistry {
     /// # Errors
     /// See [`QueryRegistry::try_push`].
     pub fn try_feed(&mut self, feed: &Feed) -> ExecResult<()> {
-        let size = self.cfg.batch_size.max(1);
         let mut batch = ElementBatch::new();
-        for chunk in feed.elements().chunks(size) {
+        for chunk in feed.elements().chunks(FEED_CHUNK) {
             batch.gather(chunk);
             self.try_push_batch(&batch)?;
         }
@@ -1827,7 +1819,7 @@ mod tests {
         let feed = tiny_feed();
         let solo = Executor::compile(&query, &schemes, &plan, cfg())
             .unwrap()
-            .run_batched(&feed);
+            .run(&feed);
         let mut reg = QueryRegistry::new(schemes, cfg());
         let a = reg.admit(&query, &plan);
         let b = reg.admit(&query, &plan);
@@ -1840,6 +1832,71 @@ mod tests {
         // Shared node: the probe work happened once, not twice.
         assert_eq!(done.metrics.tuples_in, solo.metrics.tuples_in);
         assert_eq!(done.metrics.purged, solo.metrics.purged);
+    }
+
+    /// A zero-value tuple — what `Fault::TruncateTuples` leaves of an arity-1
+    /// tuple — is an `ArityMismatch { got: 0 }` on every entry point. The
+    /// registry's one-element push used to hand it on as width 1: it passed
+    /// the shape check and sliced the empty row out of bounds.
+    #[test]
+    fn zero_value_tuple_on_an_arity_one_stream_is_refused_never_a_panic() {
+        let mut catalog = Catalog::new();
+        catalog.add_stream(StreamSchema::new("a", ["k"]).unwrap());
+        catalog.add_stream(StreamSchema::new("b", ["k", "v"]).unwrap());
+        let query = Cjq::new(
+            catalog,
+            vec![JoinPredicate::new(AttrRef::new(0, 0), AttrRef::new(1, 0)).unwrap()],
+        )
+        .unwrap();
+        let mut schemes = SchemeSet::new();
+        schemes.add(PunctuationScheme::on(0, &[0]).unwrap());
+        schemes.add(PunctuationScheme::on(1, &[0]).unwrap());
+        let plan = Plan::mjoin_all(&query);
+        let elements = [StreamElement::Tuple(Tuple::new(StreamId(0), Vec::new()))];
+        let mut batch = ElementBatch::new();
+        batch.gather(&elements);
+
+        let fault = AdmissionFault::ArityMismatch {
+            stream: StreamId(0),
+            expected: 1,
+            got: 0,
+        };
+
+        for admission in [AdmissionPolicy::Quarantine, AdmissionPolicy::Strict] {
+            let cfg = ExecConfig { admission, ..cfg() };
+            let registry = || {
+                let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+                reg.admit(&query, &plan);
+                reg
+            };
+            let executor = || Executor::compile(&query, &schemes, &plan, cfg).unwrap();
+            let (mut reg_one, mut reg_batch) = (registry(), registry());
+            let (mut exec_one, mut exec_batch) = (executor(), executor());
+            let results = [
+                reg_one.try_push(&elements[0]),
+                reg_batch.try_push_batch(&batch),
+                exec_one.try_push(&elements[0]),
+                exec_batch.try_push_batch(&batch, &mut crate::sink::CountSink::new()),
+            ];
+            let metrics = [
+                reg_one.finish().metrics,
+                reg_batch.finish().metrics,
+                exec_one.finish().metrics,
+                exec_batch.finish().metrics,
+            ];
+            for (res, m) in results.into_iter().zip(metrics) {
+                if admission == AdmissionPolicy::Strict {
+                    assert!(
+                        matches!(res, Err(ExecError::Admission { clock: 1, fault: f }) if f == fault),
+                        "strict refuses with got: 0"
+                    );
+                } else {
+                    res.expect("quarantine counts the tuple and carries on");
+                    assert_eq!((m.quarantined, m.tuples_in), (1, 0));
+                    assert_eq!(m.quarantined_by_reason[fault.code()], 1);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1944,7 +2001,7 @@ mod tests {
         }
         let solo = Executor::compile(&query, &schemes, &plan, cfg())
             .unwrap()
-            .run_batched(&feed);
+            .run(&feed);
         let mut reg = QueryRegistry::new(schemes, cfg());
         let id = reg.admit(&query, &plan);
         let done = reg.run(&feed);

@@ -1,12 +1,10 @@
 //! Columnar output buffers and streaming result sinks.
 //!
-//! The legacy data plane materializes every join result as a fresh
-//! `Vec<Value>` and accumulates them in a `Vec<Vec<Value>>` — one allocation
-//! per result row plus unbounded result memory. The batched data plane
-//! replaces both: operators write result rows into a reusable fixed-row-width
-//! [`OutputBuffer`] (one flat `Vec<Value>` arena, `Value` is `Copy`), and the
-//! executor drains each root buffer into a [`ResultSink`] chosen by the
-//! caller, so results never *have* to be materialized whole.
+//! Operators write result rows into a reusable fixed-row-width
+//! [`OutputBuffer`] (one flat `Vec<Value>` arena, `Value` is `Copy` — no
+//! allocation per result row), and the executor drains each root buffer into
+//! a [`ResultSink`] chosen by the caller, so results never *have* to be
+//! materialized whole.
 
 use cjq_core::value::Value;
 
@@ -114,8 +112,8 @@ pub trait ResultSink {
     fn finish(&mut self) {}
 }
 
-/// Collects every result row into owned `Vec<Value>`s — the compatibility
-/// sink reproducing the legacy `RunResult::outputs` contents.
+/// Collects every result row into owned `Vec<Value>`s — what the executor
+/// records into `RunResult::outputs` when the caller supplies no sink.
 #[derive(Debug, Clone, Default)]
 pub struct CollectSink {
     /// The collected rows, in emission order.

@@ -370,8 +370,8 @@ impl PortState {
         self.insert_slice_at(&values, now)
     }
 
-    /// Like [`PortState::insert_at`] from a borrowed row — the batched data
-    /// plane's entry point: rows live in a batch arena (`Value` is `Copy`),
+    /// Like [`PortState::insert_at`] from a borrowed row — the data plane's
+    /// entry point: rows live in a batch arena (`Value` is `Copy`),
     /// so storing one is a flat copy with no per-row allocation.
     #[inline]
     pub fn insert_slice_at(&mut self, values: &[Value], now: u64) -> usize {
@@ -793,21 +793,6 @@ impl PortState {
         }
         Ok(())
     }
-
-    /// Distinct live values of a flat column. Order is unspecified: with an
-    /// index on `col` this is just the index's key set (no sort, no extra
-    /// dedup pass); without one it is a single hashing scan.
-    #[must_use]
-    pub fn distinct(&self, col: usize) -> Vec<&Value> {
-        if let Some(index) = self.indexes.get(&col) {
-            return index.keys().collect();
-        }
-        let mut seen = cjq_core::fxhash::FxHashSet::default();
-        self.iter_live()
-            .map(|(_, v)| &v[col])
-            .filter(|v| seen.insert(**v))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -856,23 +841,6 @@ mod tests {
         let live: Vec<usize> = s.iter_live().map(|(i, _)| i).collect();
         assert_eq!(live, vec![0, 2]);
         assert_eq!(s.live_slots(), vec![0, 2]);
-    }
-
-    #[test]
-    fn distinct_uses_index_or_scan() {
-        let mut s = state();
-        s.insert(row(1, 10));
-        s.insert(row(1, 11));
-        s.insert(row(2, 10));
-        // Indexed column 0 (order unspecified — sort to compare).
-        let mut d0 = s.distinct(0);
-        d0.sort_unstable();
-        assert_eq!(d0, vec![&Value::Int(1), &Value::Int(2)]);
-        // Unindexed column 1 falls back to a scan.
-        assert!(!s.has_index(1));
-        let mut d1 = s.distinct(1);
-        d1.sort_unstable();
-        assert_eq!(d1, vec![&Value::Int(10), &Value::Int(11)]);
     }
 
     #[test]

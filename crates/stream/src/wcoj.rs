@@ -165,44 +165,12 @@ impl JoinOperator {
         WcojPlan { classes, programs }
     }
 
-    /// Worst-case-optimal counterpart of
-    /// [`JoinOperator::process_tuple_at`]: identical outputs in identical
-    /// order, reached by prefix extension instead of port-by-port DFS.
-    pub(crate) fn wcoj_process_tuple_at(
-        &mut self,
-        port: usize,
-        values: Vec<Value>,
-        now: u64,
-    ) -> Vec<Vec<Value>> {
-        self.stats.tuples_in += 1;
-        let plan = self.wcoj.as_ref().expect("wcoj enabled");
-        let combos = probe_combos(plan, &self.ports, port, &values);
-        let mut outputs = Vec::with_capacity(combos.len());
-        let emit_ports = &plan.programs[port].emit_ports;
-        for (_, combo) in &combos {
-            let mut row = vec![Value::Null; self.out_layout.width()];
-            materialize(
-                &self.ports,
-                self.port_spans(),
-                &self.out_layout,
-                port,
-                &values,
-                emit_ports,
-                combo,
-                &mut row,
-            );
-            outputs.push(row);
-        }
-        self.ports[port].insert_at(values, now);
-        self.stats.outputs += outputs.len() as u64;
-        outputs
-    }
-
     /// Worst-case-optimal counterpart of [`JoinOperator::process_batch`]:
-    /// same-port runs with deferred inserts (the origin port is never probed
-    /// during extension — its classes are all bound at depth 0 — so
-    /// deferring is exactly equivalent, as on the MJoin path). Returns 0:
-    /// this path has no depth-0 key cache to dedup.
+    /// identical outputs in identical order, reached by prefix extension
+    /// instead of port-by-port DFS. Same-port runs with deferred inserts (the
+    /// origin port is never probed during extension — its classes are all
+    /// bound at depth 0 — so deferring is exactly equivalent, as on the MJoin
+    /// path). Returns 0: this path has no depth-0 key cache to dedup.
     pub(crate) fn wcoj_process_batch<'a, I>(
         &mut self,
         port: usize,
@@ -548,8 +516,8 @@ mod tests {
             (1, vec![ival(10), ival(100)]), // duplicate: closes two more
         ];
         for (port, vals) in feed {
-            let a = mjoin.process_tuple_at(port, vals.clone(), 0);
-            let b = wcoj.process_tuple_at(port, vals, 0);
+            let a = mjoin.process_one(port, &vals, 0);
+            let b = wcoj.process_one(port, &vals, 0);
             assert_eq!(a, b, "same outputs in the same order");
         }
         assert!(mjoin.stats.outputs >= 4, "workload closes triangles");
@@ -557,15 +525,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_matches_the_tuple_path() {
+    fn a_run_matches_the_mjoin_run() {
         let (mut mjoin, mut wcoj) = triangle_ops();
         // Preload state, then push one same-port run through both paths.
         for op in [&mut mjoin, &mut wcoj] {
             for b in 0..6i64 {
-                op.process_tuple_at(1, vec![ival(b % 3), ival(b)], 1);
+                op.process_one(1, &[ival(b % 3), ival(b)], 1);
             }
             for c in 0..6i64 {
-                op.process_tuple_at(2, vec![ival(c % 2), ival(c)], 2);
+                op.process_one(2, &[ival(c % 2), ival(c)], 2);
             }
         }
         let run: Vec<Vec<Value>> = (0..8i64).map(|a| vec![ival(a % 2), ival(a % 3)]).collect();
@@ -603,7 +571,7 @@ mod tests {
         }
         for op in [&mut mjoin, &mut wcoj] {
             for (port, t) in tuples.iter().enumerate() {
-                op.process_tuple_at(port, t.values.clone(), 0);
+                op.process_one(port, &t.values, 0);
             }
         }
         // Fig. 5 schemes punctuate S1.B, S2.C, S3.A: close the triangle.

@@ -119,7 +119,7 @@ fn feed_engine(
             let values: Vec<Value> = (0..2)
                 .map(|k| Value::Int(((seed >> (16 + 8 * k)) % domain) as i64))
                 .collect();
-            engine.observe_tuple_at(&Tuple::new(stream, values), now);
+            engine.observe_row_at(stream, &values, now);
         }
     }
 }

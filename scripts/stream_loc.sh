@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# Non-test line count of the stream crate: per file and in total, the lines of
+# crates/stream/src/*.rs that precede the first `#[cfg(test)]`. Exits non-zero
+# above CEILING, so "net-negative line count" (ROADMAP aim 2) is a checked
+# number. Lower the ceiling whenever a PR lands below it; raise it only with a
+# reason in CHANGES.md.
+set -euo pipefail
+
+CEILING=12870
+
+cd "$(dirname "$0")/.."
+total=0
+for f in crates/stream/src/*.rs; do
+    n=$(awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f")
+    printf '%6d  %s\n' "$n" "$f"
+    total=$((total + n))
+done
+printf '%6d  total (ceiling %d)\n' "$total" "$CEILING"
+if [ "$total" -gt "$CEILING" ]; then
+    echo "crates/stream/src grew past its non-test line ceiling" >&2
+    exit 1
+fi

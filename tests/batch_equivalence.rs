@@ -1,32 +1,41 @@
-//! Batched/legacy equivalence: the vectorized micro-batch data path
-//! ([`Executor::run_batched`] / [`Executor::run_with_sink`], and the sharded
-//! executor's batched workers) must be observationally identical to the
-//! legacy per-element path ([`Executor::push`]):
+//! Run-length equivalence. There is one tuple data path — a run of same-stream
+//! rows through `process_batch` — and how a feed is cut into runs must be
+//! unobservable. The reference is a loop of one-element [`Executor::push`]
+//! calls (runs of one: no probe-key cache hit, no deferred insert, no run
+//! capping); [`Executor::push_batch`] over gathered chunks of 1/7/256 elements
+//! and the whole-feed driver [`Executor::run`] (and the sharded executor's
+//! workers) must produce:
 //!
-//! * the same output multiset (and, per sink contract, the same rows reach
-//!   every [`ResultSink`]);
+//! * the same output **sequence**, row for row (and, per sink contract, the
+//!   same rows reach every [`ResultSink`]);
 //! * the same logical counters (tuples in, punctuations, violations,
 //!   outputs, aggregates);
 //! * the same purge behavior — cycle count, purge totals, and the *entire
 //!   state-size sample series*, point for point. Runs are capped at purge /
-//!   sample / window boundaries, so batch size must be unobservable.
+//!   sample / window boundaries, which is why the driver's chunk size is a
+//!   constant and not a knob.
 
 use proptest::prelude::*;
 
 use punctuated_cjq::core::plan::Plan;
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::core::schema::AttrId;
-use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult};
+use punctuated_cjq::stream::certify;
+use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
 use punctuated_cjq::stream::groupby::Aggregate;
 use punctuated_cjq::stream::parallel::ShardedExecutor;
+use punctuated_cjq::stream::purge::PurgeScope;
 use punctuated_cjq::stream::sink::{CallbackSink, CollectSink, CountSink};
-use punctuated_cjq::stream::source::Feed;
+use punctuated_cjq::stream::source::{ElementBatch, Feed};
+use punctuated_cjq::stream::tier::TierConfig;
 use punctuated_cjq::stream::tuple::Tuple;
 use punctuated_cjq::workload::auction::{self, AuctionConfig};
+use punctuated_cjq::workload::graph::{self, GraphConfig};
 use punctuated_cjq::workload::keyed::{self, KeyedConfig};
 use punctuated_cjq::workload::network::{self, NetworkConfig};
 use punctuated_cjq::workload::random_query::{self, RandomQueryConfig, Topology};
 use punctuated_cjq::workload::sensor::{self, SensorConfig};
+use punctuated_cjq::workload::skewed::{self, SkewedConfig};
 use punctuated_cjq::workload::trades::{self, TradesConfig};
 
 fn sorted_outputs(outputs: &[Vec<Value>]) -> Vec<Vec<Value>> {
@@ -52,9 +61,9 @@ fn chaos_feed(feed: &Feed) -> Feed {
     }
 }
 
-/// Runs `feed` on the legacy per-element path and on the batched path at
-/// several batch sizes, asserting full observational equivalence. Returns
-/// the legacy result.
+/// Runs `feed` as a loop of one-element pushes (the reference), as gathered
+/// batches at several chunk sizes, and through `run`, asserting full
+/// observational equivalence. Returns the reference result.
 fn assert_batched_equivalent(
     query: &Cjq,
     schemes: &SchemeSet,
@@ -62,34 +71,58 @@ fn assert_batched_equivalent(
     cfg: ExecConfig,
     feed: &Feed,
 ) -> RunResult {
+    assert_equivalent_armed(query, schemes, plan, cfg, &chaos_feed(feed), &|exec| exec)
+}
+
+/// [`assert_batched_equivalent`] on `feed` as given (no fault injection),
+/// with every side passed through `arm` after compiling (a group-by stage,
+/// bound certificates).
+fn assert_equivalent_armed(
+    query: &Cjq,
+    schemes: &SchemeSet,
+    plan: &Plan,
+    cfg: ExecConfig,
+    feed: &Feed,
+    arm: &dyn Fn(Executor) -> Executor,
+) -> RunResult {
     // Exercise the runtime certificate verifier alongside the equivalence
     // checks (recipes vs. static certificates, fast verdicts vs. oracle).
     let cfg = ExecConfig {
         verify_certificates: true,
         ..cfg
     };
-    let feed = &chaos_feed(feed);
-    let legacy = Executor::compile(query, schemes, plan, cfg)
-        .expect("compile")
-        .run(feed);
-    let expected = sorted_outputs(&legacy.outputs);
-    for batch_size in [1usize, 7, 256] {
-        let bcfg = ExecConfig { batch_size, ..cfg };
-        let batched = Executor::compile(query, schemes, plan, bcfg)
-            .expect("compile batched")
-            .run_batched(feed);
-        let tag = format!("batch_size={batch_size}");
-        assert_eq!(
-            sorted_outputs(&batched.outputs),
-            expected,
-            "{tag}: output multiset"
-        );
+    let build = || arm(Executor::compile(query, schemes, plan, cfg).expect("compile"));
+    let mut exec = build();
+    for e in feed {
+        exec.push(e);
+    }
+    let reference = exec.finish();
+    assert_eq!(reference.metrics.batches_processed, 0);
+
+    let mut sides = Vec::new();
+    for chunk in [1usize, 7, 256] {
+        let mut exec = build();
+        let mut sink = CollectSink::new();
+        let mut batch = ElementBatch::new();
+        for elements in feed.elements().chunks(chunk) {
+            batch.gather(elements);
+            exec.push_batch(&batch, &mut sink);
+        }
+        let mut batched = exec.finish();
+        assert!(batched.outputs.is_empty(), "the sink owns the results");
+        batched.outputs = sink.rows;
+        sides.push((format!("push_batch, chunks of {chunk}"), batched));
+    }
+    sides.push(("run".to_string(), build().run(feed)));
+
+    for (tag, batched) in &sides {
+        assert_eq!(batched.outputs, reference.outputs, "{tag}: output sequence");
         assert_eq!(
             sorted_outputs(&batched.aggregates),
-            sorted_outputs(&legacy.aggregates),
+            sorted_outputs(&reference.aggregates),
             "{tag}: aggregates"
         );
-        let (b, l) = (&batched.metrics, &legacy.metrics);
+        let (b, l) = (&batched.metrics, &reference.metrics);
         assert_eq!(b.tuples_in, l.tuples_in, "{tag}: tuples_in");
         assert_eq!(b.puncts_in, l.puncts_in, "{tag}: puncts_in");
         assert_eq!(b.violations, l.violations, "{tag}: violations");
@@ -97,15 +130,24 @@ fn assert_batched_equivalent(
             b.violations_by_stream, l.violations_by_stream,
             "{tag}: violations_by_stream"
         );
+        assert_eq!(b.quarantined, l.quarantined, "{tag}: quarantined");
         assert_eq!(b.outputs, l.outputs, "{tag}: outputs");
         assert_eq!(b.aggregates_out, l.aggregates_out, "{tag}: aggregates_out");
+        assert_eq!(
+            b.intermediate_rows, l.intermediate_rows,
+            "{tag}: intermediates"
+        );
         assert_eq!(b.purged, l.purged, "{tag}: purged");
         assert_eq!(b.mirror_purged, l.mirror_purged, "{tag}: mirror_purged");
         assert_eq!(b.purge_cycles, l.purge_cycles, "{tag}: purge_cycles");
+        assert_eq!(b.rows_shed, l.rows_shed, "{tag}: rows_shed");
+        assert_eq!(b.rows_demoted, l.rows_demoted, "{tag}: rows_demoted");
+        assert_eq!(b.rows_faulted, l.rows_faulted, "{tag}: rows_faulted");
         assert_eq!(b.series, l.series, "{tag}: state-size sample series");
         assert_eq!(b.peak_join_state, l.peak_join_state, "{tag}: peak state");
         assert_eq!(b.peak_mirror, l.peak_mirror, "{tag}: peak mirror");
-        assert!(b.batches_processed > 0, "{tag}: batched path was used");
+        assert_eq!(b.peak_port_rows, l.peak_port_rows, "{tag}: per-port peaks");
+        assert!(b.batches_processed > 0, "{tag}: batches were pushed");
         // Per-operator stats agree too (inputs, outputs, purge totals).
         let strip = |r: &RunResult| {
             r.operators
@@ -113,9 +155,13 @@ fn assert_batched_equivalent(
                 .map(|o| (o.span.clone(), o.port_live.clone(), o.stats))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(strip(&batched), strip(&legacy), "{tag}: operator snapshots");
+        assert_eq!(
+            strip(batched),
+            strip(&reference),
+            "{tag}: operator snapshots"
+        );
     }
-    legacy
+    reference
 }
 
 #[test]
@@ -181,8 +227,8 @@ fn sensor_network_and_trades_equivalence() {
 
 #[test]
 fn window_semantics_equivalence() {
-    // Window eviction is per-element; the batched path must cap runs at 1
-    // and reproduce the same (lossy) results and eviction totals.
+    // Window eviction is per-element: runs are capped at one row, and every
+    // cut of the feed reproduces the same (lossy) results and eviction totals.
     let (query, schemes) = auction::auction_query();
     let plan = Plan::mjoin_all(&query);
     let feed = auction::generate(&AuctionConfig {
@@ -201,7 +247,7 @@ fn window_semantics_equivalence() {
 
 #[test]
 fn groupby_aggregates_equivalence() {
-    // Example 1's aggregation over the auction join, legacy vs batched.
+    // Example 1's aggregation over the auction join, under every cut.
     let (query, schemes) = punctuated_cjq::core::fixtures::auction();
     let plan = Plan::mjoin_all(&query);
     let group = AttrRef {
@@ -242,31 +288,15 @@ fn groupby_aggregates_equivalence() {
             &[(AttrId(1), Value::Int(i))],
         ));
     }
-    let run = |batched: bool| {
-        let exec = Executor::compile(&query, &schemes, &plan, ExecConfig::default())
-            .expect("compile")
-            .with_groupby(&[group], agg);
-        if batched {
-            exec.run_batched(&feed)
-        } else {
-            exec.run(&feed)
-        }
-    };
-    let legacy = run(false);
-    let batched = run(true);
-    assert_eq!(legacy.aggregates.len(), 40);
-    assert_eq!(
-        sorted_outputs(&batched.aggregates),
-        sorted_outputs(&legacy.aggregates)
+    let reference = assert_equivalent_armed(
+        &query,
+        &schemes,
+        &plan,
+        ExecConfig::default(),
+        &feed,
+        &|exec| exec.with_groupby(&[group], agg),
     );
-    assert_eq!(
-        batched.metrics.aggregates_out,
-        legacy.metrics.aggregates_out
-    );
-    assert_eq!(
-        sorted_outputs(&batched.outputs),
-        sorted_outputs(&legacy.outputs)
-    );
+    assert_eq!(reference.aggregates.len(), 40);
 }
 
 #[test]
@@ -279,16 +309,18 @@ fn sinks_see_exactly_the_result_rows() {
         concurrent: 6,
         ..AuctionConfig::default()
     });
-    let legacy = Executor::compile(&query, &schemes, &plan, ExecConfig::default())
-        .expect("compile")
-        .run(&feed);
-    let expected = sorted_outputs(&legacy.outputs);
+    let mut pushed =
+        Executor::compile(&query, &schemes, &plan, ExecConfig::default()).expect("compile");
+    for e in &feed {
+        pushed.push(e);
+    }
+    let expected = pushed.finish().outputs;
 
     let mut collect = CollectSink::new();
     let res = Executor::compile(&query, &schemes, &plan, ExecConfig::default())
         .expect("compile")
         .run_with_sink(&feed, &mut collect);
-    assert_eq!(sorted_outputs(&collect.rows), expected);
+    assert_eq!(collect.rows, expected);
     assert!(res.outputs.is_empty(), "the sink owns the results");
     assert_eq!(res.metrics.outputs as usize, collect.rows.len());
 
@@ -303,7 +335,7 @@ fn sinks_see_exactly_the_result_rows() {
     Executor::compile(&query, &schemes, &plan, ExecConfig::default())
         .expect("compile")
         .run_with_sink(&feed, &mut callback);
-    assert_eq!(sorted_outputs(&seen), expected);
+    assert_eq!(seen, expected);
 }
 
 #[test]
@@ -379,7 +411,6 @@ fn consecutive_same_key_runs_dedupe_probes() {
         ));
     }
     let cfg = ExecConfig {
-        batch_size: 128,
         // Keep the run unsplit: no purge or sample boundary inside it.
         cadence: PurgeCadence::Never,
         sample_every: 1024,
@@ -387,9 +418,149 @@ fn consecutive_same_key_runs_dedupe_probes() {
     };
     let res = Executor::compile(&query, &schemes, &plan, cfg)
         .expect("compile")
-        .run_batched(&feed);
+        .run(&feed);
     assert_eq!(res.metrics.outputs, 64);
     assert_eq!(res.metrics.probe_keys_deduped, 63);
+    // Runs of one have nothing to dedupe — and still agree on everything
+    // observable (the helper's reference side).
+    let reference = assert_batched_equivalent(&query, &schemes, &plan, cfg, &feed);
+    if std::env::var("CJQ_CHAOS").is_err() {
+        assert_eq!(reference.metrics.probe_keys_deduped, 0);
+    }
+}
+
+/// Tree plans: an arrival's composite rows climb the operator cascade as one
+/// run per level, so results come out in input-row order at every level —
+/// the same sequence however the feed is cut. (A per-tuple frontier used to
+/// pop them in reverse; only the multiset agreed.)
+#[test]
+fn tree_plans_emit_one_sequence() {
+    // Triangle on a left-deep tree: every closing edge emits several rows.
+    let (query, schemes) = graph::triangle_query();
+    let feed = graph::generate(&query, &schemes, &small_graph());
+    let order: Vec<_> = query.stream_ids().collect();
+    let cfg = ExecConfig {
+        // Query-level purging: plan-independent, so the tree plan's composite
+        // state is purgeable too.
+        scope: PurgeScope::Query,
+        ..ExecConfig::default()
+    };
+    for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 16 }] {
+        let cfg = ExecConfig { cadence, ..cfg };
+        let res = assert_batched_equivalent(&query, &schemes, &Plan::left_deep(&order), cfg, &feed);
+        assert!(
+            res.metrics.intermediate_rows > 0,
+            "the tree materializes 2-paths"
+        );
+        assert!(res.metrics.outputs > 0, "triangles must actually close");
+    }
+
+    // A bushy mixed plan: ((S1 ⋈ S2) ⋈ (S3 ⋈ S4) ⋈ S5 ⋈ S6) over a 6-cycle.
+    let (query, schemes) = random_query::generate_safe(&RandomQueryConfig {
+        n_streams: 6,
+        topology: Topology::Cycle,
+        seed: 6,
+        ..RandomQueryConfig::default()
+    });
+    let plan = Plan::join(vec![
+        Plan::join(vec![Plan::leaf(0), Plan::leaf(1)]),
+        Plan::join(vec![Plan::leaf(2), Plan::leaf(3)]),
+        Plan::leaf(4),
+        Plan::leaf(5),
+    ]);
+    let feed = keyed::generate(
+        &query,
+        &schemes,
+        &KeyedConfig {
+            rounds: 60,
+            lag: 3,
+            ..KeyedConfig::default()
+        },
+    );
+    let res = assert_batched_equivalent(&query, &schemes, &plan, ExecConfig::default(), &feed);
+    assert!(res.metrics.outputs > 0);
+}
+
+fn small_graph() -> GraphConfig {
+    GraphConfig {
+        edges: 600,
+        vertices: 60,
+        window: 16,
+        punct_lag: 40,
+        ..GraphConfig::default()
+    }
+}
+
+/// Every per-element monitor caps runs at one row, so tiering, load
+/// shedding and bound certificates see the same state at the same clock
+/// positions under every cut; worst-case-optimal probing is a probe-order
+/// change inside the one run path.
+#[test]
+fn tiering_budgets_certificates_and_wcoj_equivalence() {
+    let (query, schemes) = punctuated_cjq::core::fixtures::fig5();
+    let plan = Plan::mjoin_all(&query);
+    let feed = skewed::generate(
+        &query,
+        &schemes,
+        &SkewedConfig {
+            events: 600,
+            hot_keys: 8,
+            cold_keys: 120,
+            cold_window: 32,
+            punct_lag: 80,
+            ..SkewedConfig::default()
+        },
+    );
+    for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 16 }] {
+        let tiered = ExecConfig {
+            cadence,
+            state_budget: Some(StateBudget::shedding(48)),
+            tiering: Some(TierConfig::default()),
+            ..ExecConfig::default()
+        };
+        let res = assert_batched_equivalent(&query, &schemes, &plan, tiered, &feed);
+        assert!(res.metrics.rows_demoted > 0, "the cap must actually demote");
+        let shedding = ExecConfig {
+            tiering: None,
+            ..tiered
+        };
+        let res = assert_batched_equivalent(&query, &schemes, &plan, shedding, &feed);
+        assert!(res.metrics.rows_shed > 0, "the cap must actually shed");
+    }
+
+    // Bound certificates inferred from the feed itself, enforced per element
+    // (a violation is a hard error, i.e. a panic on every side).
+    let (query, schemes) = auction::auction_query();
+    let plan = Plan::mjoin_all(&query);
+    let feed = auction::generate(&AuctionConfig {
+        n_items: 60,
+        bids_per_item: 3,
+        concurrent: 8,
+        ..AuctionConfig::default()
+    });
+    for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 16 }] {
+        let cfg = ExecConfig {
+            cadence,
+            ..ExecConfig::default()
+        };
+        let contracts = certify::infer_contracts(&query, &schemes, &feed);
+        let bounds = certify::port_bound_certificate(
+            &query, &schemes, &contracts, &plan, cfg.scope, cadence,
+        );
+        assert_equivalent_armed(&query, &schemes, &plan, cfg, &feed, &|mut exec| {
+            exec.set_port_bounds(bounds.clone());
+            exec
+        });
+    }
+
+    let (query, schemes) = graph::triangle_query();
+    let feed = graph::generate(&query, &schemes, &small_graph());
+    let wcoj = ExecConfig {
+        wcoj: true,
+        ..ExecConfig::default()
+    };
+    let res = assert_batched_equivalent(&query, &schemes, &Plan::mjoin_all(&query), wcoj, &feed);
+    assert!(res.metrics.outputs > 0, "triangles must actually close");
 }
 
 #[test]
