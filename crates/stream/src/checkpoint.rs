@@ -200,6 +200,18 @@ impl Enc {
         }
     }
 
+    /// Appends length-prefixed value rows (recorded outputs): the row count,
+    /// then each row as its width and its values.
+    pub(crate) fn rows(&mut self, rows: &[Vec<Value>]) {
+        self.usize(rows.len());
+        for row in rows {
+            self.usize(row.len());
+            for v in row {
+                self.value(v);
+            }
+        }
+    }
+
     /// Appends one [`Punctuation`] (stream + tagged patterns).
     pub fn punct(&mut self, p: &Punctuation) {
         self.usize(p.stream.0);
@@ -235,7 +247,9 @@ impl<'a> Dec<'a> {
     }
 
     fn take(&mut self, n: usize) -> SnapshotResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        // Compared against what is left, never `pos + n`: `n` may be a forged
+        // length near `u64::MAX`.
+        if n > self.buf.len() - self.pos {
             return Err(SnapshotError(format!(
                 "truncated payload: need {n} bytes at offset {}, have {}",
                 self.pos,
@@ -278,6 +292,26 @@ impl<'a> Dec<'a> {
         usize::try_from(v).map_err(|_| SnapshotError(format!("usize overflow: {v}")))
     }
 
+    /// Refuses an element count the bytes left cannot hold (each element
+    /// takes at least `min_bytes`), so no decode site allocates for a forged
+    /// length before the truncation would surface.
+    pub(crate) fn fits(&self, n: usize, min_bytes: usize) -> SnapshotResult<usize> {
+        if n > (self.buf.len() - self.pos) / min_bytes.max(1) {
+            return Err(SnapshotError(format!(
+                "length {n} at offset {} exceeds the {} bytes left",
+                self.pos,
+                self.buf.len() - self.pos
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Reads a length prefix and checks it with [`Dec::fits`].
+    pub(crate) fn len_prefix(&mut self, min_bytes: usize) -> SnapshotResult<usize> {
+        let n = self.usize()?;
+        self.fits(n, min_bytes)
+    }
+
     /// Reads a bool byte (strictly 0 or 1).
     pub fn bool(&mut self) -> SnapshotResult<bool> {
         match self.u8()? {
@@ -316,14 +350,29 @@ impl<'a> Dec<'a> {
 
     /// Reads a length-prefixed `u64` vector.
     pub fn u64s(&mut self) -> SnapshotResult<Vec<u64>> {
-        let n = self.usize()?;
+        let n = self.len_prefix(8)?;
         (0..n).map(|_| self.u64()).collect()
+    }
+
+    /// Reads rows written by [`Enc::rows`].
+    pub(crate) fn rows(&mut self) -> SnapshotResult<Vec<Vec<Value>>> {
+        let n = self.len_prefix(8)?;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            let w = self.len_prefix(1)?;
+            let mut row = Vec::with_capacity(w);
+            for _ in 0..w {
+                row.push(self.value()?);
+            }
+            rows.push(row);
+        }
+        Ok(rows)
     }
 
     /// Reads one [`Punctuation`].
     pub fn punct(&mut self) -> SnapshotResult<Punctuation> {
         let stream = StreamId(self.usize()?);
-        let n = self.usize()?;
+        let n = self.len_prefix(1)?;
         let patterns = (0..n)
             .map(|_| match self.u8()? {
                 0 => Ok(Pattern::Wildcard),
@@ -624,9 +673,9 @@ fn read_frame(path: &Path) -> Result<Vec<u8>, String> {
     if version != VERSION {
         return Err(format!("unsupported version {version}"));
     }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8")) as usize;
+    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
     let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8"));
-    if bytes.len() != HEADER + len {
+    if (bytes.len() - HEADER) as u64 != len {
         return Err(format!(
             "payload length mismatch: header says {len}, file has {}",
             bytes.len() - HEADER

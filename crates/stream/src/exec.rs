@@ -8,7 +8,6 @@
 //! the Plan-Parameter-II knob of §5.2.
 
 use std::path::Path;
-use std::time::Instant;
 
 use cjq_core::fxhash::FxHashMap;
 
@@ -21,19 +20,19 @@ use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
 use crate::checkpoint::{
-    CheckpointStore, Dec, Enc, Fingerprint, InputCursor, Manifest, SnapshotKind, SnapshotResult,
+    CheckpointStore, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
 };
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
 use crate::groupby::{Aggregate, GroupBy};
-use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy, DeadLetter};
+use crate::guard::{AdmissionGuard, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
-use crate::punct_store::PunctClass;
-use crate::purge::{PurgeEngine, PurgeScope, PurgeStrategy};
+use crate::pipeline::{cutoff_for, Core, Pipeline, Run};
+use crate::purge::{PurgeEngine, PurgeScope, PurgeStrategy, PurgeWork};
 use crate::sink::{CollectSink, CountSink, OutputBuffer, ResultSink};
-use crate::source::{BatchItem, ElementBatch, Feed};
-use crate::tier::{SpillStore, TierConfig, TierStats};
+use crate::source::{ElementBatch, Feed};
+use crate::tier::TierConfig;
 
 /// When purge cycles run (Plan Parameter II of §5.2, after \[6\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -312,24 +311,16 @@ pub struct Executor {
     /// produce matching outputs (the punctuation-propagation condition of
     /// [12]/[6]); until then it is pending.
     pending_group_puncts: Vec<Punctuation>,
-    cfg: ExecConfig,
-    clock: u64,
-    since_purge: usize,
-    /// Current batch size under [`PurgeCadence::Adaptive`].
-    adaptive_batch: usize,
+    /// Config, clocks, metrics and scratch shared with every engine over the
+    /// one pipeline (see [`crate::pipeline`]).
+    core: Core,
     outputs: Vec<Vec<Value>>,
     aggregates: Vec<Vec<Value>>,
-    metrics: Metrics,
     /// Reusable columnar buffers ping-ponged through the operator cascade
     /// (current level's output / next level's output).
     batch_bufs: (OutputBuffer, OutputBuffer),
-    /// Reusable per-run scratch: indices of tuples that survived the
-    /// punctuation-violation check.
-    scratch_survivors: Vec<u32>,
     /// Schema-shape admission validator (see [`crate::guard`]).
     guard: AdmissionGuard,
-    /// Optional dead-letter routing for quarantined elements.
-    dead_letter: DeadLetter,
     /// Per stream: clock of the last admitted punctuation (stall detector).
     last_punct: Vec<u64>,
     /// Per stream: whether the stall detector currently flags it.
@@ -337,10 +328,6 @@ pub struct Executor {
     /// Per stream: whether any punctuation scheme is registered (streams
     /// without schemes are never expected to punctuate — not stall-checked).
     has_schemes: Vec<bool>,
-    /// Reusable watchdog scratch: live-row arrival times.
-    shed_scratch: Vec<u64>,
-    /// Cold-tier spill directory owner, present iff `cfg.tiering` is set.
-    spill: Option<SpillStore>,
     /// Static per-port bound certificates, flattened op-major in bottom-up
     /// operator order (`None` = port unchecked). When set, every element
     /// checks live rows per port against the certificate and a violation is
@@ -446,13 +433,10 @@ impl Executor {
             .map(|s| !engine.punct_store(s).schemes().is_empty())
             .collect();
         Ok(Executor {
-            spill: cfg.tiering.map(|t| SpillStore::new(t.shard_tag)),
             guard: AdmissionGuard::new(query, cfg.admission),
-            dead_letter: DeadLetter::none(),
             last_punct: vec![0; n_streams],
             stall_flagged: vec![false; n_streams],
             has_schemes,
-            shed_scratch: Vec::new(),
             query: query.clone(),
             engine,
             ops,
@@ -460,18 +444,10 @@ impl Executor {
             leaf_route,
             groupby: None,
             pending_group_puncts: Vec::new(),
-            adaptive_batch: match cfg.cadence {
-                PurgeCadence::Adaptive { initial } => initial.clamp(8, 4096),
-                _ => 0,
-            },
-            cfg,
-            clock: 0,
-            since_purge: 0,
+            core: Core::new(cfg),
             outputs: Vec::new(),
             aggregates: Vec::new(),
-            metrics: Metrics::default(),
             batch_bufs: (OutputBuffer::default(), OutputBuffer::default()),
-            scratch_survivors: Vec::new(),
             port_bounds: None,
         })
     }
@@ -525,7 +501,7 @@ impl Executor {
     /// dead-letter sink quarantined elements are only counted.
     #[must_use]
     pub fn with_dead_letter(mut self, sink: Box<dyn ResultSink + Send>) -> Self {
-        self.dead_letter = DeadLetter::to(sink);
+        self.core.dead_letter = DeadLetter::to(sink);
         self
     }
 
@@ -538,7 +514,7 @@ impl Executor {
     /// Total live join-state tuples across all operators.
     #[must_use]
     pub fn join_state_live(&self) -> usize {
-        self.ops.iter().map(JoinOperator::live).sum()
+        Pipeline::join_state_live(self)
     }
 
     /// The purge engine (mirror + punctuation stores).
@@ -565,257 +541,9 @@ impl Executor {
     /// [`AdmissionPolicy::Strict`], unroutable streams, and watchdog overruns
     /// under [`BudgetPolicy::HardError`] come back as [`ExecError`]s. After
     /// an error the executor is poisoned (the element was partially applied)
-    /// and must be discarded.
+    /// and must be discarded. Root results go to the executor's own sink.
     pub fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
-        let start = Instant::now();
-        self.push_untimed(element)?;
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
-    }
-
-    /// [`Executor::try_push`] without the two clock reads: drivers that push
-    /// a whole feed add their loop's time to `Metrics::elapsed_ns` once. A
-    /// tuple is a run of one through [`Executor::try_push_run`].
-    fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
-        match element {
-            StreamElement::Tuple(t) => self.with_own_sink(|exec, sink| {
-                exec.try_push_run(t.stream, t.values.len(), &t.values, 1, sink)
-            })?,
-            StreamElement::Punctuation(p) => {
-                self.clock += 1;
-                self.since_purge += 1;
-                self.try_push_punctuation(p)?;
-            }
-        }
-        self.post_element()
-    }
-
-    /// Runs `f` with the executor's own sink, the stand-in wherever the
-    /// caller supplies none: root results are recorded into
-    /// `RunResult::outputs` under [`ExecConfig::record_outputs`] and merely
-    /// counted (`Metrics::outputs`) otherwise.
-    fn with_own_sink<R>(&mut self, f: impl FnOnce(&mut Self, &mut dyn ResultSink) -> R) -> R {
-        let mut record = CollectSink {
-            rows: std::mem::take(&mut self.outputs),
-        };
-        let mut count = CountSink::new();
-        let sink: &mut dyn ResultSink = if self.cfg.record_outputs {
-            &mut record
-        } else {
-            &mut count
-        };
-        let res = f(self, sink);
-        self.outputs = record.rows;
-        res
-    }
-
-    /// Per-element bookkeeping: cadence-driven purge cycles, window eviction,
-    /// watchdog enforcement, stall detection, state sampling. Called once per
-    /// punctuation and once per capped sub-run — [`Executor::run_cap`] ends a
-    /// run at every clock position where anything here fires, so a run of
-    /// `n` and `n` runs of one are indistinguishable.
-    fn post_element(&mut self) -> ExecResult<()> {
-        match self.cfg.cadence {
-            PurgeCadence::Lazy { batch } if self.since_purge >= batch => self.purge_cycle(),
-            PurgeCadence::Adaptive { .. } if self.since_purge >= self.adaptive_batch => {
-                self.purge_cycle();
-            }
-            _ => {}
-        }
-        if let Some(window) = self.cfg.window {
-            let cutoff = self.clock.saturating_sub(window);
-            let mut evicted = 0;
-            for op in &mut self.ops {
-                evicted += op.evict_window(cutoff);
-            }
-            self.engine.evict_window(cutoff);
-            self.metrics.purged += evicted as u64;
-        }
-        // Budget before sampling, so sampled peaks respect the ceiling.
-        self.enforce_budget()?;
-        self.check_port_bounds()?;
-        self.detect_stalls();
-        if self.clock.is_multiple_of(self.cfg.sample_every as u64) {
-            self.sample();
-        }
-        Ok(())
-    }
-
-    /// Bound-certificate check: with [`Executor::set_port_bounds`] armed,
-    /// walk every operator port, record its live-row peak, and fail hard if
-    /// a certified port exceeds its static bound. Runs after purge/budget
-    /// enforcement so eager purges get credit before the comparison.
-    fn check_port_bounds(&mut self) -> ExecResult<()> {
-        let Some(bounds) = &self.port_bounds else {
-            return Ok(());
-        };
-        let mut flat = 0usize;
-        for (oi, op) in self.ops.iter().enumerate() {
-            for (pi, live) in op.port_live_iter().enumerate() {
-                self.metrics.track_port_peak(flat, live);
-                if let Some(bound) = bounds[flat] {
-                    if live as u64 > bound {
-                        return Err(ExecError::PortBoundExceeded {
-                            op: oi,
-                            port: pi,
-                            live,
-                            bound,
-                            clock: self.clock,
-                        });
-                    }
-                }
-                flat += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Bounded-state watchdog ladder: when live join state exceeds the
-    /// budget, try to purge (proving rows dead is always preferable), then —
-    /// with tiering enabled — demote cold rows to disk (lossless), and only
-    /// then apply the budget policy to whatever still doesn't fit.
-    fn enforce_budget(&mut self) -> ExecResult<()> {
-        let Some(budget) = self.cfg.state_budget else {
-            return Ok(());
-        };
-        if self.join_state_live() <= budget.max_rows {
-            return Ok(());
-        }
-        self.purge_cycle();
-        let mut live = self.join_state_live();
-        if live <= budget.max_rows {
-            return Ok(());
-        }
-        if let Some(tier_cfg) = self.cfg.tiering {
-            // The lossless step between purging and shedding: demote the
-            // least-recently-probed rows into cold segments, down to the low
-            // watermark so steady-state inserts don't re-trip the budget
-            // every element. Probes fault matches back on demand.
-            let target = budget.max_rows * usize::from(tier_cfg.low_watermark_pct.min(100)) / 100;
-            let excess = live.saturating_sub(target);
-            if excess > 0 {
-                let mut touched = std::mem::take(&mut self.shed_scratch);
-                touched.clear();
-                for op in &self.ops {
-                    op.live_touched(&mut touched);
-                }
-                let k = excess.min(touched.len()).saturating_sub(1);
-                let (_, nth, _) = touched.select_nth_unstable(k);
-                let cutoff = *nth + 1;
-                self.shed_scratch = touched;
-                let spill = self
-                    .spill
-                    .as_mut()
-                    .expect("spill store exists iff tiering is configured");
-                for (oi, op) in self.ops.iter_mut().enumerate() {
-                    op.demote_colder_than(cutoff, spill, oi, tier_cfg.segment_rows);
-                }
-            }
-            live = self.join_state_live();
-            if live <= budget.max_rows {
-                return Ok(());
-            }
-        }
-        match budget.policy {
-            BudgetPolicy::HardError => Err(ExecError::StateBudgetExceeded {
-                live,
-                budget: budget.max_rows,
-                clock: self.clock,
-            }),
-            BudgetPolicy::Shed => {
-                // Shed the oldest rows: pick the arrival-time cutoff whose
-                // eviction removes at least the excess (ties may shed more —
-                // the budget is a ceiling, not a target). Each shed row is
-                // attributed to its operator port and routed to the
-                // dead-letter sink: shed rows were *not* proven dead, so the
-                // potentially lost results stay auditable.
-                let excess = live - budget.max_rows;
-                let mut arrivals = std::mem::take(&mut self.shed_scratch);
-                arrivals.clear();
-                for op in &self.ops {
-                    op.live_arrivals(&mut arrivals);
-                }
-                let k = excess.min(arrivals.len()).saturating_sub(1);
-                let (_, nth, _) = arrivals.select_nth_unstable(k);
-                let cutoff = *nth + 1;
-                let mut shed = 0;
-                let mut flat_port = 0;
-                let clock = self.clock;
-                for op in &mut self.ops {
-                    let port_streams: Vec<StreamId> =
-                        op.port_spans().iter().map(|span| span[0]).collect();
-                    let dead_letter = &mut self.dead_letter;
-                    let by_port = op.shed_older_than_with(cutoff, &mut |port, row| {
-                        dead_letter.emit_shed(port_streams[port], row, clock);
-                    });
-                    for (port, &n) in by_port.iter().enumerate() {
-                        shed += n;
-                        if n > 0 {
-                            self.metrics.count_shed_rows(flat_port + port, n as u64);
-                        }
-                    }
-                    flat_port += by_port.len();
-                }
-                self.metrics.rows_shed += shed as u64;
-                self.metrics.shed_events += 1;
-                self.shed_scratch = arrivals;
-                Ok(())
-            }
-        }
-    }
-
-    /// Stall detector: flags punctuated streams whose punctuations stopped
-    /// arriving for more than the configured element budget. A later
-    /// punctuation clears the flag (so `Metrics::stalled_streams` reflects
-    /// streams still stalled at that point).
-    fn detect_stalls(&mut self) {
-        let Some(budget) = self.cfg.stall_budget else {
-            return;
-        };
-        for s in 0..self.last_punct.len() {
-            if self.has_schemes[s]
-                && !self.stall_flagged[s]
-                && self.clock.saturating_sub(self.last_punct[s]) > budget
-            {
-                self.stall_flagged[s] = true;
-                if let Err(pos) = self.metrics.stalled_streams.binary_search(&s) {
-                    self.metrics.stalled_streams.insert(pos, s);
-                }
-            }
-        }
-    }
-
-    /// Records punctuation progress on `stream` for the stall detector.
-    fn note_punct_progress(&mut self, stream: StreamId) {
-        if let Some(at) = self.last_punct.get_mut(stream.0) {
-            *at = self.clock;
-        }
-        if self.stall_flagged.get(stream.0) == Some(&true) {
-            self.stall_flagged[stream.0] = false;
-            self.metrics.stalled_streams.retain(|&s| s != stream.0);
-        }
-    }
-
-    /// How many more tuples may be processed as one uninterrupted run before
-    /// some per-element event (purge cycle, sample, window eviction, budget
-    /// or stall check) is due. Always at least 1.
-    fn run_cap(&self) -> usize {
-        if self.cfg.window.is_some()
-            || self.cfg.state_budget.is_some()
-            || self.cfg.stall_budget.is_some()
-            || self.port_bounds.is_some()
-        {
-            // Window eviction, watchdogs, and bound certificates are
-            // per-element: batching must not let state coast past a check.
-            return 1;
-        }
-        cadence_run_cap(
-            self.cfg.cadence,
-            self.adaptive_batch,
-            self.since_purge,
-            self.clock,
-            self.cfg.sample_every,
-        )
+        self.push_timed(element)
     }
 
     /// Pushes a gathered micro-batch through the pipeline, draining root
@@ -823,9 +551,8 @@ impl Executor {
     ///
     /// Equivalent to [`Executor::push`]-ing the batch's elements one at a
     /// time: runs of consecutive same-stream tuples flow through the operator
-    /// cascade as columnar buffers (capped at purge/sample boundaries by
-    /// `Executor::run_cap`), punctuations are processed individually in
-    /// order.
+    /// cascade as columnar buffers (capped at purge/sample boundaries),
+    /// punctuations are processed individually in order.
     pub fn push_batch(&mut self, batch: &ElementBatch<'_>, sink: &mut dyn ResultSink) {
         self.try_push_batch(batch, sink)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -838,201 +565,7 @@ impl Executor {
         batch: &ElementBatch<'_>,
         sink: &mut dyn ResultSink,
     ) -> ExecResult<()> {
-        let start = Instant::now();
-        for item in batch.items() {
-            match *item {
-                BatchItem::Punct(p) => {
-                    self.clock += 1;
-                    self.since_purge += 1;
-                    self.try_push_punctuation(p)?;
-                    self.post_element()?;
-                }
-                BatchItem::Run {
-                    stream,
-                    width,
-                    start: flat_start,
-                    rows,
-                } => {
-                    let mut off = 0;
-                    while off < rows {
-                        let take = (rows - off).min(self.run_cap());
-                        self.try_push_run(
-                            stream,
-                            width,
-                            &batch.arena()[flat_start + off * width..],
-                            take,
-                            sink,
-                        )?;
-                        self.post_element()?;
-                        off += take;
-                    }
-                }
-            }
-        }
-        self.metrics.batches_processed += 1;
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
-    }
-
-    /// Processes `take` same-stream rows (stride-packed at the front of
-    /// `arena`) as one uninterrupted run: per-row punctuation-violation
-    /// checks and mirror inserts, then one batched cascade through the
-    /// operator tree, then root delivery to `sink` and the group-by stage.
-    fn try_push_run(
-        &mut self,
-        stream: StreamId,
-        width: usize,
-        arena: &[Value],
-        take: usize,
-        sink: &mut dyn ResultSink,
-    ) -> ExecResult<()> {
-        let base = self.clock;
-        self.clock += take as u64;
-        self.since_purge += take;
-        // Admission shape check, once per run (the batch gatherer only
-        // coalesces width-homogeneous tuples into one run).
-        if let Some(fault) = self.guard.check_tuple_shape(stream, width) {
-            if self.guard.policy() == AdmissionPolicy::Strict {
-                return Err(ExecError::Admission {
-                    clock: base + 1,
-                    fault,
-                });
-            }
-            for i in 0..take {
-                self.metrics.count_quarantine_row(fault.code(), stream.0);
-                self.dead_letter.emit_tuple(
-                    &fault,
-                    stream,
-                    &arena[i * width..(i + 1) * width],
-                    base + i as u64 + 1,
-                );
-            }
-            return Ok(());
-        }
-        // Observe phase. Punctuation stores only change on punctuation
-        // arrival — impossible mid-run — so per-row checks against the
-        // frozen stores are the same for one run of `take` and `take` runs
-        // of one.
-        let mut survivors = std::mem::take(&mut self.scratch_survivors);
-        survivors.clear();
-        for i in 0..take {
-            let row = &arena[i * width..(i + 1) * width];
-            if self.engine.observe_row_at(stream, row, base + i as u64 + 1) {
-                self.metrics.tuples_in += 1;
-                survivors.push(i as u32);
-            } else {
-                self.metrics.count_violation(stream.0);
-                let fault = AdmissionFault::PunctuationViolation { stream };
-                if self.guard.policy() == AdmissionPolicy::Strict {
-                    self.scratch_survivors = survivors;
-                    return Err(ExecError::Admission {
-                        clock: base + i as u64 + 1,
-                        fault,
-                    });
-                }
-                self.metrics.count_quarantine_row(fault.code(), stream.0);
-                self.dead_letter
-                    .emit_tuple(&fault, stream, row, base + i as u64 + 1);
-            }
-        }
-        if !survivors.is_empty() {
-            let Some(&(op0, port0)) = self.leaf_route.get(&stream) else {
-                self.scratch_survivors = survivors;
-                return Err(ExecError::UnroutableStream(stream));
-            };
-            let (mut cur, mut nxt) = std::mem::take(&mut self.batch_bufs);
-            cur.reset(self.ops[op0].out_layout().width());
-            let saved = self.ops[op0].process_batch(
-                port0,
-                survivors.iter().map(|&i| {
-                    let i = i as usize;
-                    (&arena[i * width..(i + 1) * width], base + i as u64 + 1)
-                }),
-                &mut cur,
-            );
-            self.metrics.probe_keys_deduped += saved;
-            // Walk the cascade: every composite row a level emits enters the
-            // same parent port, so each level is itself one same-port run.
-            let mut cur_op = op0;
-            while let Some((pop, pport)) = self.parent[cur_op] {
-                if cur.is_empty() {
-                    break;
-                }
-                nxt.reset(self.ops[pop].out_layout().width());
-                self.metrics.intermediate_rows += cur.len() as u64;
-                let saved = self.ops[pop].process_batch(pport, cur.iter_with_now(), &mut nxt);
-                self.metrics.probe_keys_deduped += saved;
-                std::mem::swap(&mut cur, &mut nxt);
-                cur_op = pop;
-            }
-            if !cur.is_empty() {
-                self.metrics.outputs += cur.len() as u64;
-                if let Some(g) = &mut self.groupby {
-                    for row in cur.rows() {
-                        g.process_tuple(row);
-                    }
-                }
-                sink.accept(&cur);
-            }
-            self.batch_bufs = (cur, nxt);
-        }
-        self.scratch_survivors = survivors;
-        Ok(())
-    }
-
-    /// Refuses one punctuation per the admission policy.
-    fn refuse_punct(&mut self, fault: AdmissionFault, p: &Punctuation) -> ExecResult<()> {
-        if self.guard.policy() == AdmissionPolicy::Strict {
-            return Err(ExecError::Admission {
-                clock: self.clock,
-                fault,
-            });
-        }
-        self.metrics
-            .count_quarantine_punct(fault.code(), p.stream.0);
-        self.dead_letter.emit_punct(&fault, p, self.clock);
-        Ok(())
-    }
-
-    fn try_push_punctuation(&mut self, p: &Punctuation) -> ExecResult<()> {
-        self.metrics.puncts_in += 1;
-        if let Some(fault) = self.guard.check_punct_shape(p) {
-            return self.refuse_punct(fault, p);
-        }
-        // Scheme-invariant admission: classify against the store's current
-        // coverage before inserting.
-        match self.engine.punct_store(p.stream).classify(p) {
-            PunctClass::Regressive => {
-                if self.guard.policy() != AdmissionPolicy::Repair {
-                    let fault = AdmissionFault::RegressiveBound { stream: p.stream };
-                    return self.refuse_punct(fault, p);
-                }
-                // Repair = clamp: admitting it only refreshes the threshold's
-                // lifespan clock (the store never regresses) — coverage, and
-                // hence every purge decision, is unchanged.
-                self.metrics.repaired += 1;
-            }
-            PunctClass::Duplicate if self.guard.policy() == AdmissionPolicy::Repair => {
-                // Repair = dedup: dropping an exact duplicate changes no
-                // coverage; it only skips a lifespan refresh, which can delay
-                // purges but never cause a wrong one.
-                self.metrics.repaired += 1;
-                self.note_punct_progress(p.stream);
-                return Ok(());
-            }
-            _ => {}
-        }
-        self.note_punct_progress(p.stream);
-        self.engine.observe_punctuation(p, self.clock);
-        if self.groupby.is_some() {
-            self.pending_group_puncts.push(p.clone());
-        }
-        if self.cfg.cadence == PurgeCadence::Eager {
-            self.purge_cycle(); // retries pending deliveries at the end
-        } else {
-            self.deliver_group_punctuations();
-        }
-        Ok(())
+        self.push_batch_timed(batch, sink)
     }
 
     /// Delivers pending punctuations to the group-by stage once safe: a
@@ -1062,7 +595,7 @@ impl Executor {
             } else {
                 buf.clear();
                 let closed = g.process_punctuation_into(&p, &mut buf);
-                self.metrics.aggregates_out += closed as u64;
+                self.core.metrics.aggregates_out += closed as u64;
                 self.aggregates.extend(buf.rows().map(<[Value]>::to_vec));
             }
         }
@@ -1072,92 +605,14 @@ impl Executor {
     /// Runs one purge cycle: lifespan expiry, operator purge passes, mirror
     /// purge, and optional §5.1 punctuation purging.
     pub fn purge_cycle(&mut self) {
-        self.since_purge = 0;
-        self.metrics.purge_cycles += 1;
-        if self.cfg.punct_lifespan.is_some() {
-            self.engine.expire_punctuations(self.clock);
-        }
-        let live_before = self.join_state_live();
-        let strategy = self.cfg.purge_strategy;
-        // Retractions logged before this cycle are fully consumed by its end;
-        // ones logged *during* it feed operator trackers only next cycle.
-        let retire_marks = self.engine.retire_marks();
-        let mut work = crate::purge::PurgeWork::default();
-        for op in &mut self.ops {
-            work.add(op.purge_pass(&self.engine, strategy));
-        }
-        self.metrics.purged += work.purged;
-        let purged = work.purged as usize;
-        if matches!(self.cfg.cadence, PurgeCadence::Adaptive { .. }) && live_before > 0 {
-            // Yield-driven AIMD-style adjustment.
-            if purged * 2 >= live_before {
-                self.adaptive_batch = (self.adaptive_batch / 2).max(8);
-            } else if purged * 10 <= live_before {
-                self.adaptive_batch = (self.adaptive_batch * 2).min(4096);
-            }
-        }
-        work.add(self.engine.purge_mirror_with(strategy));
-        self.metrics.purge_candidates_examined += work.examined;
-        if self.cfg.purge_punctuations {
-            self.engine.purge_punctuations(&self.query);
-        }
-        // All trackers (operator ports and mirrors) have consumed the cycle's
-        // punctuation deltas; drop them so the log stays delta-sized.
-        self.engine.trim_punct_deltas();
-        self.engine.trim_retired(&retire_marks);
-        self.deliver_group_punctuations();
-        if self.cfg.verify_certificates {
-            // Per-cycle certificate check: the fast allocation-free verdict
-            // must agree with the explaining oracle on a sample of the rows
-            // that survived this cycle. (Completeness — "nothing provably
-            // dead is still live" — is only asserted at finish: a mirror
-            // purge within this cycle feeds operator trackers next cycle.)
-            let mut checked = 0u64;
-            for op in &self.ops {
-                checked += op.verify_against_oracle(&self.engine, crate::certify::ORACLE_SAMPLE);
-            }
-            checked += self
-                .engine
-                .verify_mirror_against_oracle(crate::certify::ORACLE_SAMPLE);
-            self.metrics.certificate_checks += checked;
-            // Cold-tier half of the invariant: a purge cycle must also have
-            // dropped every segment whose summaries a stored recipe covers —
-            // a covered segment surviving the cycle would be provably-dead
-            // rows outliving their certificate on disk.
-            for op in &self.ops {
-                assert!(
-                    !op.any_certified_cold_segment(&self.engine),
-                    "certificate violation: a punctuation-covered cold \
-                     segment survived a purge cycle"
-                );
-            }
-        }
+        self.run_purge_cycle();
     }
 
     /// Rows currently resident in the cold (spilled) tier across all
     /// operators (0 unless [`ExecConfig::tiering`] is set).
     #[must_use]
     pub fn cold_rows(&self) -> usize {
-        self.ops.iter().map(JoinOperator::cold_rows).sum()
-    }
-
-    fn sample(&mut self) {
-        let p = StatePoint {
-            at: self.clock,
-            join_state: self.join_state_live(),
-            mirror: self.engine.mirror_live(),
-            punct_entries: self.engine.punct_entries(),
-            groups: self.groupby.as_ref().map_or(0, GroupBy::open_groups),
-            cold: self.cold_rows(),
-        };
-        self.metrics.sample(p);
-        let mut flat = 0usize;
-        for op in &self.ops {
-            for live in op.port_live_iter() {
-                self.metrics.track_port_peak(flat, live);
-                flat += 1;
-            }
-        }
+        Pipeline::cold_rows(self)
     }
 
     /// Runs a whole feed and finishes (final purge cycle + sample), with the
@@ -1195,15 +650,9 @@ impl Executor {
         Ok(self.finish())
     }
 
-    /// The one feed driver: gathers [`FEED_CHUNK`]-element chunks into one
-    /// reused [`ElementBatch`] (the steady state allocates nothing per
-    /// element) and pushes each through [`Executor::try_push_batch`].
-    pub(crate) fn try_feed(&mut self, feed: &Feed, sink: &mut dyn ResultSink) -> ExecResult<()> {
-        let mut batch = ElementBatch::new();
-        for chunk in feed.elements().chunks(FEED_CHUNK) {
-            batch.gather(chunk);
-            self.try_push_batch(&batch, sink)?;
-        }
+    /// The batched feed driver ([`Pipeline::feed`]), then the sink's flush.
+    fn try_feed(&mut self, feed: &Feed, sink: &mut dyn ResultSink) -> ExecResult<()> {
+        self.feed(feed, sink)?;
         sink.finish();
         Ok(())
     }
@@ -1218,57 +667,7 @@ impl Executor {
     /// per-shard snapshots into one logical state count: partitioned state is
     /// disjoint across shards (sum), broadcast state is replicated (union).
     pub fn finish_detailed(mut self) -> (RunResult, LiveStateSnapshot) {
-        self.dead_letter.finish();
-        if self.cfg.tiering.is_some() {
-            // Rehydrate every cold row before the final purge cycle: the
-            // quiescent-point purge totals and the live snapshot then match
-            // a never-tiered run exactly (the tier-equivalence guarantee).
-            let clock = self.clock;
-            for op in &mut self.ops {
-                op.rehydrate_all(clock);
-            }
-        }
-        self.purge_cycle();
-        if self.cfg.verify_certificates {
-            // Completeness at the quiescent point: no live row may be
-            // provably dead. A dead row right after one cycle is not yet a
-            // violation — a mirror purge in cycle k shrinks chained
-            // requirements that operator purge passes only consume in cycle
-            // k+1 — so run further cycles while they still purge; a cycle
-            // that purges nothing yet leaves a dead row behind is genuine.
-            loop {
-                let dead_op = self.ops.iter().enumerate().find_map(|(oi, op)| {
-                    op.find_purgeable_live_row(&self.engine)
-                        .map(|(port, slot)| (oi, port, slot))
-                });
-                let dead_mirror = self.engine.find_purgeable_mirror_row();
-                if dead_op.is_none() && dead_mirror.is_none() {
-                    break;
-                }
-                let before = self.metrics.purged + self.engine.mirror_purged;
-                self.purge_cycle();
-                if self.metrics.purged + self.engine.mirror_purged == before {
-                    panic!(
-                        "certificate violation at finish: provably-dead rows are \
-                         still live after a purge fixpoint (operator {dead_op:?}, \
-                         mirror {dead_mirror:?})"
-                    );
-                }
-            }
-        }
-        self.sample();
-        self.metrics.mirror_purged = self.engine.mirror_purged;
-        self.metrics.punct_dropped = self.engine.punct_dropped;
-        if self.cfg.tiering.is_some() {
-            let mut ts = TierStats::default();
-            for op in &self.ops {
-                ts.add(&op.tier_stats());
-            }
-            self.metrics.rows_demoted = ts.rows_demoted;
-            self.metrics.rows_faulted = ts.rows_faulted;
-            self.metrics.segments_written = ts.segments_written;
-            self.metrics.segments_retired = ts.segments_retired;
-        }
+        self.finish_core();
         let operators = self
             .ops
             .iter()
@@ -1289,7 +688,7 @@ impl Executor {
         let result = RunResult {
             outputs: self.outputs,
             aggregates: self.aggregates,
-            metrics: self.metrics,
+            metrics: self.core.metrics,
             operators,
         };
         (result, snapshot)
@@ -1303,24 +702,8 @@ impl Executor {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::default();
-        fp.word(self.query.n_streams() as u64);
-        for p in self.query.predicates() {
-            fp.word(p.left.stream.0 as u64);
-            fp.word(p.left.attr.0 as u64);
-            fp.word(p.right.stream.0 as u64);
-            fp.word(p.right.attr.0 as u64);
-        }
-        for s in self.query.stream_ids() {
-            let store = self.engine.punct_store(s);
-            fp.word(store.schemes().len() as u64);
-            for scheme in store.schemes() {
-                fp.word(u64::from(scheme.is_ordered()));
-                fp.word(scheme.punctuatable().len() as u64);
-                for a in scheme.punctuatable() {
-                    fp.word(a.0 as u64);
-                }
-            }
-        }
+        fingerprint_query(&mut fp, &self.query);
+        fingerprint_schemes(&mut fp, &self.query, &self.engine);
         fp.word(self.ops.len() as u64);
         for (op, parent) in self.ops.iter().zip(&self.parent) {
             fp.word(op.port_spans().len() as u64);
@@ -1338,18 +721,232 @@ impl Executor {
                 None => fp.word(u64::MAX),
             }
         }
-        self.cfg.fingerprint_into(&mut fp);
+        self.core.cfg.fingerprint_into(&mut fp);
         fp.finish()
     }
 
-    /// Serializes every piece of state [`Executor::try_push`] mutates — the
-    /// snapshot a fresh compile of the same inputs can overlay to resume
-    /// byte-identically (used by [`ShardedExecutor`](crate::parallel::ShardedExecutor)
-    /// for its per-shard sub-snapshots).
-    pub(crate) fn write_snapshot(&self, e: &mut Enc) {
-        e.u64(self.clock);
-        e.usize(self.since_purge);
-        e.usize(self.adaptive_batch);
+    /// Pushes one element and checkpoints when due: every element advances
+    /// `cursor` and the store's element counter; once at least the store's
+    /// cadence has accumulated **and** the element is a punctuation (snapshots
+    /// are punctuation-aligned consistent cuts), the full state is committed
+    /// atomically to the store's directory.
+    pub fn push_checkpointed(
+        &mut self,
+        element: &StreamElement,
+        store: &mut CheckpointStore,
+        cursor: &mut InputCursor,
+    ) -> ExecResult<()> {
+        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
+    }
+
+    /// Commits one snapshot of the current state to `store` unconditionally.
+    /// Refuses executors with a group-by stage — its open-group state is not
+    /// serialized.
+    pub fn commit_checkpoint(
+        &mut self,
+        store: &mut CheckpointStore,
+        cursor: &InputCursor,
+    ) -> ExecResult<()> {
+        self.commit_snapshot(store, cursor)
+    }
+
+    /// Runs a whole feed with punctuation-aligned checkpointing every
+    /// `every` elements into `dir`, then finishes (see [`Executor::try_run`]).
+    pub fn try_run_checkpointed(
+        mut self,
+        feed: &Feed,
+        dir: &Path,
+        every: u64,
+    ) -> ExecResult<RunResult> {
+        self.run_checkpointed(feed, dir, every)?;
+        Ok(self.finish())
+    }
+
+    /// How restore and resume compile their executor, with the error text of
+    /// the phase they are in.
+    fn compiler<'a>(
+        query: &'a Cjq,
+        schemes: &'a SchemeSet,
+        plan: &'a Plan,
+        cfg: ExecConfig,
+    ) -> impl Fn(&str) -> Result<Self, String> + 'a {
+        move |phase| {
+            Executor::compile(query, schemes, plan, cfg)
+                .map_err(|e| format!("cannot compile executor for {phase}: {e}"))
+        }
+    }
+
+    /// Restores an executor from the newest valid snapshot in `dir`: compiles
+    /// a fresh executor from the same inputs, verifies the snapshot's
+    /// structural fingerprint against it ([`ExecError::RestoreMismatch`]),
+    /// and overlays the serialized state. A corrupt newest snapshot falls
+    /// back to the previous retained one (counted in
+    /// `Metrics::snapshot_fallbacks`); only when no retained snapshot
+    /// validates does this fail with [`ExecError::CheckpointCorrupt`].
+    ///
+    /// Returns the executor, a store that continues the snapshot sequence at
+    /// the recorded cadence, and the input cursor to resume the feed from.
+    pub fn restore(
+        dir: &Path,
+        query: &Cjq,
+        schemes: &SchemeSet,
+        plan: &Plan,
+        cfg: ExecConfig,
+    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
+        Self::restore_from(dir, Self::compiler(query, schemes, plan, cfg))
+    }
+
+    /// Restores from `dir` (see [`Executor::restore`]) and resumes `feed`
+    /// from the recorded input cursor — skipping exactly the elements the
+    /// snapshot already consumed — with checkpointing continuing at the
+    /// recorded cadence. When `dir` holds no snapshot at all (a crash before
+    /// the first commit), this cold-starts: the whole feed replays under
+    /// checkpointing at cadence `every` (ignored otherwise — the manifest's
+    /// recorded cadence wins). Either way the result is byte-identical to an
+    /// uninterrupted [`Executor::try_run_checkpointed`] over the same feed
+    /// (modulo wall time and the checkpoint counters themselves).
+    pub fn try_resume(
+        dir: &Path,
+        query: &Cjq,
+        schemes: &SchemeSet,
+        plan: &Plan,
+        cfg: ExecConfig,
+        feed: &Feed,
+        every: u64,
+    ) -> ExecResult<RunResult> {
+        let compiler = Self::compiler(query, schemes, plan, cfg);
+        Ok(Self::resume_from(dir, compiler, feed, every)?.finish())
+    }
+}
+
+/// What separates the executor from the shared pipeline: a tree cascade with
+/// one caller-supplied sink, one recipe set for the mirror, and the
+/// single-query monitors (window, port bounds, stall detector, shedding,
+/// group-by delivery).
+impl Pipeline for Executor {
+    type Sink<'s> = dyn ResultSink + 's;
+    const KIND: SnapshotKind = SnapshotKind::Exec;
+
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut Core {
+        &mut self.core
+    }
+
+    fn engine(&self) -> Option<&PurgeEngine> {
+        Some(&self.engine)
+    }
+
+    fn stage(&mut self) -> Option<(&mut Core, &mut PurgeEngine, &AdmissionGuard)> {
+        Some((&mut self.core, &mut self.engine, &self.guard))
+    }
+
+    fn op_slots(&self) -> usize {
+        self.ops.len()
+    }
+
+    fn op(&self, i: usize) -> Option<&JoinOperator> {
+        self.ops.get(i)
+    }
+
+    fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)> {
+        Some((self.ops.get_mut(i)?, &self.engine, &mut self.core))
+    }
+
+    /// The executor's own sink: root results are recorded into
+    /// `RunResult::outputs` under [`ExecConfig::record_outputs`] and merely
+    /// counted (`Metrics::outputs`) otherwise.
+    fn with_own_sink<R>(
+        &mut self,
+        f: impl for<'s> FnOnce(&mut Self, &mut Self::Sink<'s>) -> R,
+    ) -> R {
+        let mut record = CollectSink {
+            rows: std::mem::take(&mut self.outputs),
+        };
+        let mut count = CountSink::new();
+        let sink: &mut dyn ResultSink = if self.core.cfg.record_outputs {
+            &mut record
+        } else {
+            &mut count
+        };
+        let res = f(self, sink);
+        self.outputs = record.rows;
+        res
+    }
+
+    /// One batched cascade through the operator tree, then root delivery to
+    /// `sink` and the group-by stage.
+    fn route(
+        &mut self,
+        run: Run<'_>,
+        survivors: &[u32],
+        sink: &mut Self::Sink<'_>,
+    ) -> ExecResult<()> {
+        let Some(&(op0, port0)) = self.leaf_route.get(&run.stream) else {
+            return Err(ExecError::UnroutableStream(run.stream));
+        };
+        let metrics = &mut self.core.metrics;
+        let (mut cur, mut nxt) = std::mem::take(&mut self.batch_bufs);
+        cur.reset(self.ops[op0].out_layout().width());
+        metrics.probe_keys_deduped +=
+            self.ops[op0].process_batch(port0, run.rows(survivors), &mut cur);
+        // Walk the cascade: every composite row a level emits enters the
+        // same parent port, so each level is itself one same-port run.
+        let mut cur_op = op0;
+        while let Some((pop, pport)) = self.parent[cur_op] {
+            if cur.is_empty() {
+                break;
+            }
+            nxt.reset(self.ops[pop].out_layout().width());
+            metrics.intermediate_rows += cur.len() as u64;
+            metrics.probe_keys_deduped +=
+                self.ops[pop].process_batch(pport, cur.iter_with_now(), &mut nxt);
+            std::mem::swap(&mut cur, &mut nxt);
+            cur_op = pop;
+        }
+        if !cur.is_empty() {
+            metrics.outputs += cur.len() as u64;
+            if let Some(g) = &mut self.groupby {
+                for row in cur.rows() {
+                    g.process_tuple(row);
+                }
+            }
+            sink.accept(&cur);
+        }
+        self.batch_bufs = (cur, nxt);
+        Ok(())
+    }
+
+    /// The mirror purge by this query's recipes (delta-driven under
+    /// [`PurgeStrategy::Indexed`]), then optional §5.1 punctuation purging.
+    fn purge_mirror(&mut self) -> PurgeWork {
+        let work = self.engine.purge_mirror_with(self.core.cfg.purge_strategy);
+        if self.core.cfg.purge_punctuations {
+            self.engine.purge_punctuations(&self.query);
+        }
+        work
+    }
+
+    fn verify_mirror(&self, sample: usize) -> u64 {
+        self.engine.verify_mirror_against_oracle(sample)
+    }
+
+    fn dead_mirror_row(&self) -> Option<(StreamId, usize)> {
+        self.engine.find_purgeable_mirror_row()
+    }
+
+    fn fingerprint(&self) -> u64 {
+        Executor::fingerprint(self)
+    }
+
+    /// Serializes every piece of state a push mutates — the snapshot a fresh
+    /// compile of the same inputs can overlay to resume byte-identically
+    /// (also each shard's sub-snapshot in a
+    /// [`ShardedExecutor`](crate::parallel::ShardedExecutor) frame).
+    fn write_snapshot(&self, e: &mut Enc) {
+        self.core.write_pacing(e);
         e.u64s(&self.last_punct);
         e.usize(self.stall_flagged.len());
         for &b in &self.stall_flagged {
@@ -1371,27 +968,17 @@ impl Executor {
             }
             None => e.bool(false),
         }
-        e.usize(self.outputs.len());
-        for row in &self.outputs {
-            e.usize(row.len());
-            for v in row {
-                e.value(v);
-            }
-        }
-        self.metrics.write_state(e);
+        e.rows(&self.outputs);
+        self.core.metrics.write_state(e);
         self.engine.write_state(e);
         for op in &self.ops {
             op.write_state(e);
         }
     }
 
-    /// Overlays a serialized snapshot onto this freshly compiled executor
-    /// (the counterpart of [`Executor::write_snapshot`]).
-    pub(crate) fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
-        self.clock = d.u64()?;
-        self.since_purge = d.usize()?;
-        self.adaptive_batch = d.usize()?;
+        self.core.read_pacing(d)?;
         let last_punct = d.u64s()?;
         if last_punct.len() != self.last_punct.len() {
             return Err(SnapshotError("stream count disagrees with snapshot".into()));
@@ -1405,7 +992,7 @@ impl Executor {
             *f = d.bool()?;
         }
         self.port_bounds = if d.bool()? {
-            let n = d.usize()?;
+            let n = d.len_prefix(1)?;
             let mut bounds = Vec::with_capacity(n);
             for _ in 0..n {
                 bounds.push(if d.bool()? { Some(d.u64()?) } else { None });
@@ -1414,252 +1001,181 @@ impl Executor {
         } else {
             None
         };
-        let n = d.usize()?;
-        let mut outputs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let w = d.usize()?;
-            let mut row = Vec::with_capacity(w);
-            for _ in 0..w {
-                row.push(d.value()?);
-            }
-            outputs.push(row);
-        }
-        self.outputs = outputs;
-        self.metrics = Metrics::read_state(d)?;
+        self.outputs = d.rows()?;
+        self.core.metrics = Metrics::read_state(d)?;
         self.engine.read_state(d)?;
-        let spill = &mut self.spill;
+        let spill = &mut self.core.spill;
         for (i, op) in self.ops.iter_mut().enumerate() {
             op.read_state(d, spill, i)?;
         }
         Ok(())
     }
 
-    /// Builds the complete checkpoint payload: manifest (kind, fingerprint,
-    /// cadence, input cursor) followed by the executor snapshot. Refuses
-    /// executors with a group-by stage — its open-group state is not
-    /// serialized, and a silent partial snapshot would be worse than an
-    /// error.
-    fn snapshot_payload(&self, every: u64, cursor: &InputCursor) -> ExecResult<Vec<u8>> {
+    fn not_checkpointable(&self) -> Option<&'static str> {
+        self.groupby.as_ref().map(|_| {
+            "group-by stages are not checkpointable: open-group state is not \
+             serialized"
+        })
+    }
+
+    /// Stall detector: a punctuation on `stream` clears its flag (so
+    /// `Metrics::stalled_streams` reflects streams still stalled).
+    fn note_punct_progress(&mut self, stream: StreamId) {
+        if let Some(at) = self.last_punct.get_mut(stream.0) {
+            *at = self.core.clock;
+        }
+        if self.stall_flagged.get(stream.0) == Some(&true) {
+            self.stall_flagged[stream.0] = false;
+            self.core.metrics.stalled_streams.retain(|&s| s != stream.0);
+        }
+    }
+
+    /// A punctuation may only close groups once no *stored* tuple of its
+    /// stream can still produce matching outputs; until then it is pending.
+    fn punct_observed(&mut self, p: &Punctuation) {
         if self.groupby.is_some() {
-            return Err(ExecError::CheckpointCorrupt {
-                path: "<config>".into(),
-                detail: "group-by stages are not checkpointable: open-group state \
-                         is not serialized"
-                    .into(),
-            });
+            self.pending_group_puncts.push(p.clone());
         }
-        let mut e = Enc::new();
-        Manifest {
-            kind: SnapshotKind::Exec,
-            fingerprint: self.fingerprint(),
-            every,
-            cursor: cursor.clone(),
+    }
+
+    fn settle_pending(&mut self) {
+        self.deliver_group_punctuations();
+    }
+
+    fn evict_window(&mut self) {
+        let Some(window) = self.core.cfg.window else {
+            return;
+        };
+        let cutoff = self.core.clock.saturating_sub(window);
+        let mut evicted = 0;
+        for op in &mut self.ops {
+            evicted += op.evict_window(cutoff);
         }
-        .write(&mut e);
-        self.write_snapshot(&mut e);
-        Ok(e.buf)
+        self.engine.evict_window(cutoff);
+        self.core.metrics.purged += evicted as u64;
     }
 
-    /// Live rows a checkpoint of this executor covers: hot join state plus
-    /// the raw mirror plus cold-tier rows (reported as
-    /// `Metrics::checkpoint_rows`).
-    pub(crate) fn checkpointable_rows(&self) -> u64 {
-        (self.join_state_live() + self.engine.mirror_live() + self.cold_rows()) as u64
-    }
-
-    /// Whether this executor has a group-by stage (not checkpointable).
-    pub(crate) fn has_groupby(&self) -> bool {
-        self.groupby.is_some()
-    }
-
-    /// Pushes one element and checkpoints when due: every element advances
-    /// `cursor` and the store's element counter; once at least the store's
-    /// cadence has accumulated **and** the element is a punctuation (snapshots
-    /// are punctuation-aligned consistent cuts), the full state is committed
-    /// atomically to the store's directory.
-    pub fn push_checkpointed(
-        &mut self,
-        element: &StreamElement,
-        store: &mut CheckpointStore,
-        cursor: &mut InputCursor,
-    ) -> ExecResult<()> {
-        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
-    }
-
-    /// [`Executor::push_checkpointed`] over a run of elements, reading the
-    /// clock once per call and per commit instead of twice per element:
-    /// `Metrics::elapsed_ns` is brought up to date before every snapshot
-    /// (which serializes it) and excludes the commits, as it always has.
-    fn push_all_checkpointed(
-        &mut self,
-        elements: &[StreamElement],
-        store: &mut CheckpointStore,
-        cursor: &mut InputCursor,
-    ) -> ExecResult<()> {
-        let mut start = Instant::now();
-        for e in elements {
-            self.push_untimed(e)?;
-            cursor.advance(e.stream());
-            store.note_element();
-            if store.due(e.is_punctuation()) {
-                self.metrics.elapsed_ns += start.elapsed().as_nanos();
-                self.commit_checkpoint(store, cursor)?;
-                start = Instant::now();
+    /// Bound certificates, then the stall detector. With
+    /// [`Executor::set_port_bounds`] armed, every operator port's live-row
+    /// peak is recorded and a certified port over its static bound fails
+    /// hard — after purge/budget enforcement, so eager purges get credit
+    /// before the comparison. The stall detector flags punctuated streams
+    /// whose punctuations stopped arriving for more than the configured
+    /// element budget.
+    fn check_monitors(&mut self) -> ExecResult<()> {
+        let metrics = &mut self.core.metrics;
+        if let Some(bounds) = &self.port_bounds {
+            let mut flat = 0usize;
+            for (oi, op) in self.ops.iter().enumerate() {
+                for (pi, live) in op.port_live_iter().enumerate() {
+                    metrics.track_port_peak(flat, live);
+                    if let Some(bound) = bounds[flat] {
+                        if live as u64 > bound {
+                            return Err(ExecError::PortBoundExceeded {
+                                op: oi,
+                                port: pi,
+                                live,
+                                bound,
+                                clock: self.core.clock,
+                            });
+                        }
+                    }
+                    flat += 1;
+                }
             }
         }
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
-    }
-
-    /// Commits one snapshot of the current state to `store` unconditionally.
-    pub fn commit_checkpoint(
-        &mut self,
-        store: &mut CheckpointStore,
-        cursor: &InputCursor,
-    ) -> ExecResult<()> {
-        let payload = self.snapshot_payload(store.every(), cursor)?;
-        let rows = self.checkpointable_rows();
-        store
-            .commit(&payload, rows)
-            .map_err(|e| ExecError::CheckpointCorrupt {
-                path: store.dir().display().to_string(),
-                detail: e.to_string(),
-            })?;
-        self.metrics.checkpoints_written += 1;
-        self.metrics.checkpoint_rows += rows;
-        Ok(())
-    }
-
-    /// Runs a whole feed with punctuation-aligned checkpointing every
-    /// `every` elements into `dir`, then finishes (see [`Executor::try_run`]).
-    pub fn try_run_checkpointed(
-        mut self,
-        feed: &Feed,
-        dir: &Path,
-        every: u64,
-    ) -> ExecResult<RunResult> {
-        let mut store =
-            CheckpointStore::open(dir, every).map_err(|e| ExecError::CheckpointCorrupt {
-                path: dir.display().to_string(),
-                detail: e.to_string(),
-            })?;
-        let mut cursor = InputCursor::zero(self.query.n_streams());
-        self.push_all_checkpointed(feed.elements(), &mut store, &mut cursor)?;
-        Ok(self.finish())
-    }
-
-    /// Restores an executor from the newest valid snapshot in `dir`: compiles
-    /// a fresh executor from the same inputs, verifies the snapshot's
-    /// structural fingerprint against it ([`ExecError::RestoreMismatch`]),
-    /// and overlays the serialized state. A corrupt newest snapshot falls
-    /// back to the previous retained one (counted in
-    /// `Metrics::snapshot_fallbacks`); only when no retained snapshot
-    /// validates does this fail with [`ExecError::CheckpointCorrupt`].
-    ///
-    /// Returns the executor, a store that continues the snapshot sequence at
-    /// the recorded cadence, and the input cursor to resume the feed from.
-    pub fn restore(
-        dir: &Path,
-        query: &Cjq,
-        schemes: &SchemeSet,
-        plan: &Plan,
-        cfg: ExecConfig,
-    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
-        let corrupt = |detail: String| ExecError::CheckpointCorrupt {
-            path: dir.display().to_string(),
-            detail,
+        let Some(budget) = self.core.cfg.stall_budget else {
+            return Ok(());
         };
-        let (payload, fallbacks, path) = CheckpointStore::load_latest(dir).map_err(&corrupt)?;
-        let mut exec = Executor::compile(query, schemes, plan, cfg)
-            .map_err(|e| corrupt(format!("cannot compile executor for restore: {e}")))?;
-        let mut d = Dec::new(&payload);
-        let manifest = Manifest::read(&mut d).map_err(|e| corrupt(e.to_string()))?;
-        if manifest.kind != SnapshotKind::Exec {
-            return Err(corrupt(format!(
-                "snapshot at {} is not an executor snapshot",
-                path.display()
-            )));
+        for s in 0..self.last_punct.len() {
+            if self.has_schemes[s]
+                && !self.stall_flagged[s]
+                && self.core.clock.saturating_sub(self.last_punct[s]) > budget
+            {
+                self.stall_flagged[s] = true;
+                if let Err(pos) = metrics.stalled_streams.binary_search(&s) {
+                    metrics.stalled_streams.insert(pos, s);
+                }
+            }
         }
-        let expected = exec.fingerprint();
-        if manifest.fingerprint != expected {
-            return Err(ExecError::RestoreMismatch {
-                expected,
-                found: manifest.fingerprint,
-            });
-        }
-        exec.read_snapshot(&mut d)
-            .map_err(|e| corrupt(e.to_string()))?;
-        d.expect_end().map_err(|e| corrupt(e.to_string()))?;
-        exec.metrics.restores += 1;
-        exec.metrics.snapshot_fallbacks += fallbacks;
-        let store =
-            CheckpointStore::open(dir, manifest.every).map_err(|e| corrupt(e.to_string()))?;
-        Ok((exec, store, manifest.cursor))
+        Ok(())
     }
 
-    /// Restores from `dir` (see [`Executor::restore`]) and resumes `feed`
-    /// from the recorded input cursor — skipping exactly the elements the
-    /// snapshot already consumed — with checkpointing continuing at the
-    /// recorded cadence. When `dir` holds no snapshot at all (a crash before
-    /// the first commit), this cold-starts: the whole feed replays under
-    /// checkpointing at cadence `every` (ignored otherwise — the manifest's
-    /// recorded cadence wins). Either way the result is byte-identical to an
-    /// uninterrupted [`Executor::try_run_checkpointed`] over the same feed
-    /// (modulo wall time and the checkpoint counters themselves).
-    pub fn try_resume(
-        dir: &Path,
-        query: &Cjq,
-        schemes: &SchemeSet,
-        plan: &Plan,
-        cfg: ExecConfig,
-        feed: &Feed,
-        every: u64,
-    ) -> ExecResult<RunResult> {
-        if crate::checkpoint::list_snapshots(dir).is_empty() {
-            let exec = Executor::compile(query, schemes, plan, cfg).map_err(|e| {
-                ExecError::CheckpointCorrupt {
-                    path: dir.display().to_string(),
-                    detail: format!("cannot compile executor for cold start: {e}"),
-                }
-            })?;
-            return exec.try_run_checkpointed(feed, dir, every);
+    fn per_element_monitors(&self) -> bool {
+        self.port_bounds.is_some()
+    }
+
+    /// Sheds the oldest rows: the arrival-time cutoff whose eviction removes
+    /// at least the excess. Each shed row is attributed to its operator port
+    /// and routed to the dead-letter sink: shed rows were *not* proven dead,
+    /// so the potentially lost results stay auditable.
+    fn shed_oldest(&mut self, excess: usize) {
+        let core = &mut self.core;
+        let mut arrivals = std::mem::take(&mut core.stamp_scratch);
+        arrivals.clear();
+        for op in &self.ops {
+            op.live_arrivals(&mut arrivals);
         }
-        let (mut exec, mut store, mut cursor) = Executor::restore(dir, query, schemes, plan, cfg)?;
-        let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
-        let rest = feed.elements().get(done..).unwrap_or(&[]);
-        exec.push_all_checkpointed(rest, &mut store, &mut cursor)?;
-        Ok(exec.finish())
+        let cutoff = cutoff_for(&mut arrivals, excess);
+        core.stamp_scratch = arrivals;
+        let mut shed = 0;
+        let mut flat_port = 0;
+        let clock = core.clock;
+        for op in &mut self.ops {
+            let port_streams: Vec<StreamId> = op.port_spans().iter().map(|span| span[0]).collect();
+            let dead_letter = &mut core.dead_letter;
+            let by_port = op.shed_older_than_with(cutoff, &mut |port, row| {
+                dead_letter.emit_shed(port_streams[port], row, clock);
+            });
+            for (port, &n) in by_port.iter().enumerate() {
+                shed += n;
+                if n > 0 {
+                    core.metrics.count_shed_rows(flat_port + port, n as u64);
+                }
+            }
+            flat_port += by_port.len();
+        }
+        core.metrics.rows_shed += shed as u64;
+        core.metrics.shed_events += 1;
+    }
+
+    /// Open groups, and per-port live-row peaks.
+    fn on_sample(&mut self, point: &mut StatePoint) {
+        point.groups = self.groupby.as_ref().map_or(0, GroupBy::open_groups);
+        let mut flat = 0usize;
+        for op in &self.ops {
+            for live in op.port_live_iter() {
+                self.core.metrics.track_port_peak(flat, live);
+                flat += 1;
+            }
+        }
     }
 }
 
-/// Elements gathered per [`ElementBatch`] by the whole-feed drivers
-/// ([`Executor::run`] and friends, `QueryRegistry::try_feed`). Not a knob:
-/// runs are capped at every purge/sample/watchdog boundary, so the chunk size
-/// changes no output, metric or sampled point (`tests/batch_equivalence.rs`).
-pub(crate) const FEED_CHUNK: usize = 256;
-
-/// Cadence/sample portion of the run-cap rule, shared by
-/// [`Executor::run_cap`] and the registry's batch router so both chunk a
-/// same-stream run at identical purge and sample boundaries — the
-/// prerequisite for byte-identical registry-vs-standalone equivalence.
-/// Always at least 1.
-pub(crate) fn cadence_run_cap(
-    cadence: PurgeCadence,
-    adaptive_batch: usize,
-    since_purge: usize,
-    clock: u64,
-    sample_every: usize,
-) -> usize {
-    let mut cap = match cadence {
-        PurgeCadence::Lazy { batch } => batch.saturating_sub(since_purge),
-        PurgeCadence::Adaptive { .. } => adaptive_batch.saturating_sub(since_purge),
-        _ => usize::MAX,
-    };
-    let every = sample_every as u64;
-    if every > 0 {
-        cap = cap.min((every - clock % every) as usize);
+/// Folds a query's shape (stream count, equi-join predicates) into `fp`.
+pub(crate) fn fingerprint_query(fp: &mut Fingerprint, query: &Cjq) {
+    fp.word(query.n_streams() as u64);
+    for p in query.predicates() {
+        fp.word(p.left.stream.0 as u64);
+        fp.word(p.left.attr.0 as u64);
+        fp.word(p.right.stream.0 as u64);
+        fp.word(p.right.attr.0 as u64);
     }
-    cap.max(1)
+}
+
+/// Folds the punctuation schemes registered per stream of `query` into `fp`.
+pub(crate) fn fingerprint_schemes(fp: &mut Fingerprint, query: &Cjq, engine: &PurgeEngine) {
+    for s in query.stream_ids() {
+        let store = engine.punct_store(s);
+        fp.word(store.schemes().len() as u64);
+        for scheme in store.schemes() {
+            fp.word(u64::from(scheme.is_ordered()));
+            fp.word(scheme.punctuatable().len() as u64);
+            for a in scheme.punctuatable() {
+                fp.word(a.0 as u64);
+            }
+        }
+    }
 }
 
 /// Recursively builds operators bottom-up; returns each subtree's span.

@@ -14,6 +14,9 @@
 //! * an [`exec::Executor`] that compiles a [`cjq_core::plan::Plan`] into an
 //!   operator tree and reports state-size time series ([`metrics`]) — the
 //!   observable form of the paper's bounded-state safety guarantee;
+//! * a shared-state multi-query [`registry::QueryRegistry`]; it and the
+//!   executor are two routers over one private `pipeline` module (element
+//!   loop, admission, purge cycle, budget ladder, finish, checkpoint driver);
 //! * a hardened runtime layer for hostile inputs: an admission [`guard`]
 //!   with strict/quarantine/repair policies, typed [`error::ExecError`]s on
 //!   the `try_*` execution paths, deterministic [`fault`] injection for
@@ -50,6 +53,7 @@ pub mod join;
 pub mod layout;
 pub mod metrics;
 pub mod parallel;
+mod pipeline;
 pub mod punct_store;
 pub mod purge;
 pub mod registry;

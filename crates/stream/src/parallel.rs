@@ -50,13 +50,14 @@ use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
 use crate::checkpoint::{
-    CheckpointStore, Dec, Enc, Fingerprint, InputCursor, Manifest, SnapshotKind,
+    CheckpointStore, Enc, Fingerprint, InputCursor, Manifest, SnapshotError, SnapshotKind,
 };
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecConfig, Executor, LiveStateSnapshot, RunResult};
 use crate::guard::AdmissionFault;
 use crate::metrics::Metrics;
+use crate::pipeline::{corrupt_at, restore_with, Pipeline, FEED_CHUNK};
 use crate::sink::{CollectSink, CountSink, ResultSink};
 use crate::source::{ElementBatch, Feed};
 
@@ -78,7 +79,7 @@ pub fn auto_shards(requested: usize) -> usize {
 }
 
 /// Renders a caught panic payload for [`ExecError::ShardPanicked`].
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -86,6 +87,120 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// The one worker fan-out behind every sharded run: routes `elements` across
+/// one `step`-driven worker per shard and returns what each worker's `done`
+/// produced, in shard order — or the first failing shard's error, after the
+/// survivors drained. Routing, the single-shard bypass and shard supervision
+/// are described on [`ShardedExecutor::try_run_with_sinks`].
+///
+/// # Panics
+/// Panics if more than one shard is asked to route a feed longer than
+/// `u32::MAX` elements.
+pub(crate) fn fan_out<W: Send, R: Send>(
+    partitioning: &Partitioning,
+    elements: &[StreamElement],
+    mut workers: Vec<W>,
+    step: impl Fn(&mut W, &ElementBatch<'_>) -> ExecResult<()> + Sync,
+    done: impl Fn(W) -> R + Sync,
+) -> ExecResult<Vec<R>> {
+    let failed = |shard: usize| {
+        move |e: ExecError| ExecError::Shard {
+            shard,
+            source: Box::new(e),
+        }
+    };
+    let p = workers.len();
+    if p == 1 {
+        let mut worker = workers.pop().expect("one shard");
+        let mut batch = ElementBatch::new();
+        for chunk in elements.chunks(FEED_CHUNK) {
+            batch.gather(chunk);
+            step(&mut worker, &batch).map_err(failed(0))?;
+        }
+        return Ok(vec![done(worker)]);
+    }
+    assert!(
+        u32::try_from(elements.len()).is_ok(),
+        "feed too long to route"
+    );
+    let (step, done) = (&step, &done);
+    let finished: Vec<ExecResult<R>> = std::thread::scope(|scope| {
+        let mut senders = Vec::with_capacity(p);
+        let mut handles = Vec::with_capacity(p);
+        for (shard, worker) in workers.into_iter().enumerate() {
+            let (tx, rx) = mpsc::sync_channel::<Vec<u32>>(4);
+            senders.push(tx);
+            handles.push(scope.spawn(move || {
+                // Everything the worker touches is moved in and either
+                // returned or dropped on unwind — no state outlives a caught
+                // panic, so the unwind-safety assertion holds.
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                    let mut worker = worker;
+                    let mut batch = ElementBatch::new();
+                    while let Ok(idxs) = rx.recv() {
+                        batch.gather_indexed(elements, &idxs);
+                        step(&mut worker, &batch)?;
+                    }
+                    Ok(done(worker))
+                }));
+                match caught {
+                    Ok(res) => res.map_err(failed(shard)),
+                    Err(payload) => Err(ExecError::ShardPanicked {
+                        shard,
+                        message: panic_message(payload.as_ref()),
+                    }),
+                }
+            }));
+        }
+        let mut dead = vec![false; p];
+        let mut buffers: Vec<Vec<u32>> = vec![Vec::with_capacity(ROUTE_BATCH); p];
+        let mut send_to = |shard: usize, idx: u32| {
+            if dead[shard] {
+                return;
+            }
+            let buf = &mut buffers[shard];
+            buf.push(idx);
+            if buf.len() >= ROUTE_BATCH {
+                let full = std::mem::replace(buf, Vec::with_capacity(ROUTE_BATCH));
+                if senders[shard].send(full).is_err() {
+                    // The shard died and dropped its receiver. Stop feeding
+                    // it; the survivors keep running and the failure
+                    // surfaces from the join below.
+                    dead[shard] = true;
+                }
+            }
+        };
+        for (i, e) in elements.iter().enumerate() {
+            let idx = i as u32;
+            match partitioning.route(e) {
+                Some(shard) => send_to(shard, idx),
+                None => (0..p).for_each(|shard| send_to(shard, idx)),
+            }
+        }
+        for (shard, buf) in buffers.into_iter().enumerate() {
+            if !dead[shard] && !buf.is_empty() {
+                let _ = senders[shard].send(buf);
+            }
+        }
+        drop(senders); // close channels: workers drain, purge, and report
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(shard, h)| {
+                h.join().unwrap_or_else(|payload| {
+                    // The worker itself never unwinds (catch_unwind is its
+                    // whole body), but keep the join structured.
+                    Err(ExecError::ShardPanicked {
+                        shard,
+                        message: panic_message(payload.as_ref()),
+                    })
+                })
+            })
+            .collect()
+    });
+    finished.into_iter().collect()
 }
 
 /// How the feed's streams are split across shards.
@@ -428,144 +543,26 @@ impl ShardedExecutor {
         S: ResultSink + Send,
         F: Fn(usize) -> S,
     {
-        let p = self.partitioning.shards;
         let start = Instant::now();
-        let mut execs = self.compile_shards();
-
-        if p == 1 {
-            // Single shard: everything routes to it, in feed order. Skip the
-            // router, the channels, and the worker thread.
-            let mut sink = make_sink(0);
-            let mut exec = execs.pop().expect("one shard");
-            exec.try_feed(feed, &mut sink)
-                .map_err(|e| ExecError::Shard {
-                    shard: 0,
-                    source: Box::new(e),
-                })?;
-            let (result, snapshot) = exec.finish_detailed();
-            let router_tuples = result.metrics.tuples_in
-                + result.metrics.violations
-                + result.metrics.shape_refused_rows();
-            let router_puncts = result.metrics.puncts_in;
-            let merged = self.merge(
-                vec![(result, snapshot)],
-                router_tuples,
-                router_puncts,
-                start,
-            );
-            return Ok((merged, vec![sink]));
-        }
-
-        assert!(u32::try_from(feed.len()).is_ok(), "feed too long to route");
-        let mut router_tuples = 0u64;
-        let mut router_puncts = 0u64;
-        let finished: Vec<ExecResult<(RunResult, LiveStateSnapshot, S)>> =
-            std::thread::scope(|scope| {
-                let elements = feed.elements();
-                let mut senders = Vec::with_capacity(p);
-                let mut handles = Vec::with_capacity(p);
-                for (shard, exec) in execs.into_iter().enumerate() {
-                    let (tx, rx) = mpsc::sync_channel::<Vec<u32>>(4);
-                    senders.push(tx);
-                    let sink = make_sink(shard);
-                    handles.push(scope.spawn(move || {
-                        // Everything the worker touches is moved in and either
-                        // returned or dropped on unwind — no state outlives a
-                        // caught panic, so the unwind-safety assertion holds.
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            move || -> ExecResult<(RunResult, LiveStateSnapshot, S)> {
-                                let mut exec = exec;
-                                let mut sink = sink;
-                                let mut batch = ElementBatch::new();
-                                while let Ok(idxs) = rx.recv() {
-                                    batch.gather_indexed(elements, &idxs);
-                                    exec.try_push_batch(&batch, &mut sink)?;
-                                }
-                                sink.finish();
-                                let (result, snapshot) = exec.finish_detailed();
-                                Ok((result, snapshot, sink))
-                            },
-                        ));
-                        match caught {
-                            Ok(Ok(done)) => Ok(done),
-                            Ok(Err(e)) => Err(ExecError::Shard {
-                                shard,
-                                source: Box::new(e),
-                            }),
-                            Err(payload) => Err(ExecError::ShardPanicked {
-                                shard,
-                                message: panic_message(payload.as_ref()),
-                            }),
-                        }
-                    }));
-                }
-                let mut dead = vec![false; p];
-                let mut buffers: Vec<Vec<u32>> = vec![Vec::with_capacity(ROUTE_BATCH); p];
-                let mut send_to = |shard: usize, idx: u32| {
-                    if dead[shard] {
-                        return;
-                    }
-                    let buf = &mut buffers[shard];
-                    buf.push(idx);
-                    if buf.len() >= ROUTE_BATCH {
-                        let full = std::mem::replace(buf, Vec::with_capacity(ROUTE_BATCH));
-                        if senders[shard].send(full).is_err() {
-                            // The shard died and dropped its receiver. Stop
-                            // feeding it; the survivors keep running and the
-                            // failure surfaces from the join below.
-                            dead[shard] = true;
-                        }
-                    }
-                };
-                for (i, e) in elements.iter().enumerate() {
-                    if e.is_punctuation() {
-                        router_puncts += 1;
-                    } else {
-                        router_tuples += 1;
-                    }
-                    let idx = i as u32;
-                    match self.partitioning.route(e) {
-                        Some(shard) => send_to(shard, idx),
-                        None => (0..p).for_each(|shard| send_to(shard, idx)),
-                    }
-                }
-                for (shard, buf) in buffers.into_iter().enumerate() {
-                    if !dead[shard] && !buf.is_empty() {
-                        let _ = senders[shard].send(buf);
-                    }
-                }
-                drop(senders); // close channels: workers drain, purge, and report
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(shard, h)| {
-                        h.join().unwrap_or_else(|payload| {
-                            // The worker itself never unwinds (catch_unwind is
-                            // its whole body), but keep the join structured.
-                            Err(ExecError::ShardPanicked {
-                                shard,
-                                message: panic_message(payload.as_ref()),
-                            })
-                        })
-                    })
-                    .collect()
-            });
-
-        let mut shards_snaps = Vec::with_capacity(p);
-        let mut sinks = Vec::with_capacity(p);
-        let mut first_err: Option<ExecError> = None;
-        for res in finished {
-            match res {
-                Ok((result, snapshot, sink)) => {
-                    shards_snaps.push((result, snapshot));
-                    sinks.push(sink);
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        let workers = self
+            .compile_shards()
+            .into_iter()
+            .enumerate()
+            .map(|(shard, exec)| (exec, make_sink(shard)))
+            .collect();
+        let finished = fan_out(
+            &self.partitioning,
+            feed.elements(),
+            workers,
+            |(exec, sink): &mut (Executor, S), batch| exec.try_push_batch(batch, sink),
+            |(exec, mut sink)| {
+                sink.finish();
+                (exec.finish_detailed(), sink)
+            },
+        )?;
+        let (shards_snaps, sinks) = finished.into_iter().unzip();
+        let router_puncts = feed.punctuation_count() as u64;
+        let router_tuples = feed.len() as u64 - router_puncts;
         let merged = self.merge(shards_snaps, router_tuples, router_puncts, start);
         Ok((merged, sinks))
     }
@@ -774,12 +771,10 @@ impl ShardedExecutor {
         router_tuples: u64,
         router_puncts: u64,
     ) -> ExecResult<Vec<u8>> {
-        if execs.iter().any(Executor::has_groupby) {
+        if let Some(why) = execs.iter().find_map(Executor::not_checkpointable) {
             return Err(ExecError::CheckpointCorrupt {
                 path: "<config>".into(),
-                detail: "group-by stages are not checkpointable: open-group state \
-                         is not serialized"
-                    .into(),
+                detail: why.into(),
             });
         }
         let mut e = Enc::new();
@@ -817,10 +812,7 @@ impl ShardedExecutor {
         every: u64,
     ) -> ExecResult<ShardedRunResult> {
         let store =
-            CheckpointStore::open(dir, every).map_err(|e| ExecError::CheckpointCorrupt {
-                path: dir.display().to_string(),
-                detail: e.to_string(),
-            })?;
+            CheckpointStore::open(dir, every).map_err(|e| corrupt_at(dir, e.to_string()))?;
         let cursor = InputCursor::zero(self.query.n_streams());
         let execs = self.compile_shards();
         self.run_checkpointed_inner(feed, store, cursor, execs, 0, 0, 0, 0)
@@ -841,47 +833,30 @@ impl ShardedExecutor {
         if crate::checkpoint::list_snapshots(dir).is_empty() {
             return self.try_run_checkpointed(feed, dir, every);
         }
-        let corrupt = |detail: String| ExecError::CheckpointCorrupt {
-            path: dir.display().to_string(),
-            detail,
-        };
-        let (payload, fallbacks, path) = CheckpointStore::load_latest(dir).map_err(&corrupt)?;
-        let mut execs = self.compile_shards();
-        let mut d = Dec::new(&payload);
-        let manifest = Manifest::read(&mut d).map_err(|e| corrupt(e.to_string()))?;
-        if manifest.kind != SnapshotKind::Sharded {
-            return Err(corrupt(format!(
-                "snapshot at {} is not a sharded snapshot",
-                path.display()
-            )));
-        }
-        let expected = Self::combined_fingerprint(&execs);
-        if manifest.fingerprint != expected {
-            return Err(ExecError::RestoreMismatch {
-                expected,
-                found: manifest.fingerprint,
-            });
-        }
-        let router_tuples = d.u64().map_err(|e| corrupt(e.to_string()))?;
-        let router_puncts = d.u64().map_err(|e| corrupt(e.to_string()))?;
-        let p = d.usize().map_err(|e| corrupt(e.to_string()))?;
-        if p != execs.len() {
-            return Err(corrupt(format!(
-                "snapshot holds {p} shards but this executor has {}",
-                execs.len()
-            )));
-        }
-        for exec in &mut execs {
-            exec.read_snapshot(&mut d)
-                .map_err(|e| corrupt(e.to_string()))?;
-        }
-        d.expect_end().map_err(|e| corrupt(e.to_string()))?;
-        let store =
-            CheckpointStore::open(dir, manifest.every).map_err(|e| corrupt(e.to_string()))?;
+        // A fleet frame: router element counters, then every shard's
+        // snapshot in shard order.
+        let ((execs, router_tuples, router_puncts), store, cursor, fallbacks) = restore_with(
+            dir,
+            SnapshotKind::Sharded,
+            |_| Ok((self.compile_shards(), 0u64, 0u64)),
+            |(execs, ..)| Self::combined_fingerprint(execs),
+            |(execs, router_tuples, router_puncts), d| {
+                *router_tuples = d.u64()?;
+                *router_puncts = d.u64()?;
+                let p = d.usize()?;
+                if p != execs.len() {
+                    return Err(SnapshotError(format!(
+                        "snapshot holds {p} shards but this executor has {}",
+                        execs.len()
+                    )));
+                }
+                execs.iter_mut().try_for_each(|exec| exec.read_snapshot(d))
+            },
+        )?;
         self.run_checkpointed_inner(
             feed,
             store,
-            manifest.cursor,
+            cursor,
             execs,
             router_tuples,
             router_puncts,
@@ -946,10 +921,7 @@ impl ShardedExecutor {
                 let rows: u64 = execs.iter().map(Executor::checkpointable_rows).sum();
                 store
                     .commit(&payload, rows)
-                    .map_err(|e| ExecError::CheckpointCorrupt {
-                        path: store.dir().display().to_string(),
-                        detail: e.to_string(),
-                    })?;
+                    .map_err(|e| corrupt_at(store.dir(), e.to_string()))?;
             }
         }
         let mut shards_snaps = Vec::with_capacity(execs.len());

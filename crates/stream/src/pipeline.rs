@@ -1,0 +1,876 @@
+//! The one pipeline under [`Executor`](crate::exec::Executor) and
+//! [`QueryRegistry`](crate::registry::QueryRegistry).
+//!
+//! The paper's runtime is one algorithm: admit an element against the
+//! punctuation stores, probe/insert, and on a purge cycle run the chained
+//! purge recipe over every port. Sharing join state between queries changes
+//! *which operators a run is routed through and whose recipes must agree* —
+//! not that algorithm. So the algorithm lives here once, as the provided
+//! methods of [`Pipeline`] over the pacing state in [`Core`]: the element
+//! loop, run and punctuation admission, the per-element cadence step, the
+//! purge → demote rungs of the budget ladder, the purge-cycle and finish
+//! skeletons, and the checkpoint driver. An engine implements what really
+//! differs: routing survivors through its operators, reaching those
+//! operators, the mirror purge with its two verifiers, its snapshot body, and
+//! the single-query monitors as hooks whose default is a no-op. Everything is
+//! statically dispatched; shared code never asks which engine it serves.
+
+use std::path::Path;
+use std::time::Instant;
+
+use cjq_core::punctuation::Punctuation;
+use cjq_core::schema::StreamId;
+use cjq_core::value::Value;
+
+use crate::certify::ORACLE_SAMPLE;
+use crate::checkpoint::{
+    list_snapshots, CheckpointStore, Dec, Enc, InputCursor, Manifest, SnapshotKind, SnapshotResult,
+};
+use crate::element::StreamElement;
+use crate::error::{ExecError, ExecResult};
+use crate::exec::{BudgetPolicy, ExecConfig, PurgeCadence};
+use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy, DeadLetter};
+use crate::join::JoinOperator;
+use crate::metrics::{Metrics, StatePoint};
+use crate::punct_store::PunctClass;
+use crate::purge::{PurgeEngine, PurgeWork};
+use crate::source::{BatchItem, ElementBatch, Feed};
+use crate::tier::{SpillStore, TierStats};
+
+/// Elements gathered per [`ElementBatch`] by the whole-feed drivers. Not a
+/// knob: runs are capped at every purge/sample/watchdog boundary, so the
+/// chunk size changes no output, metric or sampled point
+/// (`tests/batch_equivalence.rs`).
+pub(crate) const FEED_CHUNK: usize = 256;
+
+/// The pacing state every engine carries, whatever it routes through.
+#[derive(Debug)]
+pub(crate) struct Core {
+    pub cfg: ExecConfig,
+    /// Element clock: every offered tuple and punctuation advances it by one.
+    pub clock: u64,
+    /// Elements since the last purge cycle.
+    pub since_purge: usize,
+    /// Current batch size under [`PurgeCadence::Adaptive`].
+    pub adaptive_batch: usize,
+    pub metrics: Metrics,
+    /// Reusable per-run scratch: indices of rows that survived the
+    /// punctuation-violation check.
+    pub scratch_survivors: Vec<u32>,
+    /// Cold-tier spill directory owner, present iff `cfg.tiering` is set.
+    pub spill: Option<SpillStore>,
+    /// Reusable budget-ladder scratch: live-row recency or arrival stamps.
+    pub stamp_scratch: Vec<u64>,
+    /// Optional dead-letter routing for refused elements and shed rows.
+    pub dead_letter: DeadLetter,
+}
+
+impl Core {
+    pub(crate) fn new(cfg: ExecConfig) -> Core {
+        Core {
+            spill: cfg.tiering.map(|t| SpillStore::new(t.shard_tag)),
+            adaptive_batch: match cfg.cadence {
+                PurgeCadence::Adaptive { initial } => initial.clamp(8, 4096),
+                _ => 0,
+            },
+            cfg,
+            clock: 0,
+            since_purge: 0,
+            metrics: Metrics::default(),
+            scratch_survivors: Vec::new(),
+            stamp_scratch: Vec::new(),
+            dead_letter: DeadLetter::none(),
+        }
+    }
+
+    /// The three pacing words every snapshot body starts with.
+    pub(crate) fn write_pacing(&self, e: &mut Enc) {
+        e.u64(self.clock);
+        e.usize(self.since_purge);
+        e.usize(self.adaptive_batch);
+    }
+
+    pub(crate) fn read_pacing(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+        self.clock = d.u64()?;
+        self.since_purge = d.usize()?;
+        self.adaptive_batch = d.usize()?;
+        Ok(())
+    }
+
+    /// Refuses one punctuation per the admission policy.
+    fn refuse_punct(
+        &mut self,
+        policy: AdmissionPolicy,
+        fault: AdmissionFault,
+        p: &Punctuation,
+    ) -> ExecResult<()> {
+        if policy == AdmissionPolicy::Strict {
+            return Err(ExecError::Admission {
+                clock: self.clock,
+                fault,
+            });
+        }
+        self.metrics
+            .count_quarantine_punct(fault.code(), p.stream.0);
+        self.dead_letter.emit_punct(&fault, p, self.clock);
+        Ok(())
+    }
+}
+
+/// One admitted same-stream run: stride-packed rows at the front of `arena`,
+/// row `i` stamped `base + i + 1`.
+#[derive(Clone, Copy)]
+pub(crate) struct Run<'a> {
+    pub stream: StreamId,
+    pub width: usize,
+    pub arena: &'a [Value],
+    pub base: u64,
+}
+
+impl<'a> Run<'a> {
+    fn row(&self, i: usize) -> &'a [Value] {
+        &self.arena[i * self.width..(i + 1) * self.width]
+    }
+
+    fn now(&self, i: usize) -> u64 {
+        self.base + i as u64 + 1
+    }
+
+    /// The surviving rows with their stamps, as `process_batch` takes them.
+    pub(crate) fn rows<'s>(
+        &'s self,
+        survivors: &'s [u32],
+    ) -> impl Iterator<Item = (&'a [Value], u64)> + Clone + 's {
+        survivors
+            .iter()
+            .map(|&i| (self.row(i as usize), self.now(i as usize)))
+    }
+}
+
+/// The stamp below which at least `excess` of `stamps` fall (ties may take
+/// more — a budget is a ceiling, not a target).
+pub(crate) fn cutoff_for(stamps: &mut [u64], excess: usize) -> u64 {
+    let k = excess.min(stamps.len()).saturating_sub(1);
+    let (_, nth, _) = stamps.select_nth_unstable(k);
+    *nth + 1
+}
+
+/// The restore prelude every snapshot kind shares: newest valid frame →
+/// manifest → kind → fingerprint of a freshly built target → overlay →
+/// nothing left over → reopened store. `build` is told which phase it serves
+/// for its error text. Returns the target, a store continuing the sequence at
+/// the recorded cadence, the input cursor, and the snapshots skipped.
+pub(crate) fn restore_with<T>(
+    dir: &Path,
+    kind: SnapshotKind,
+    build: impl FnOnce(&str) -> Result<T, String>,
+    fingerprint: impl FnOnce(&T) -> u64,
+    overlay: impl FnOnce(&mut T, &mut Dec<'_>) -> SnapshotResult<()>,
+) -> ExecResult<(T, CheckpointStore, InputCursor, u64)> {
+    let corrupt = |detail: String| corrupt_at(dir, detail);
+    let (payload, fallbacks, path) = CheckpointStore::load_latest(dir).map_err(corrupt)?;
+    let mut target = build("restore").map_err(corrupt)?;
+    let mut d = Dec::new(&payload);
+    let manifest = Manifest::read(&mut d).map_err(|e| corrupt(e.to_string()))?;
+    if manifest.kind != kind {
+        return Err(corrupt(format!(
+            "snapshot at {} holds {:?} state, not {kind:?}",
+            path.display(),
+            manifest.kind
+        )));
+    }
+    let expected = fingerprint(&target);
+    if manifest.fingerprint != expected {
+        return Err(ExecError::RestoreMismatch {
+            expected,
+            found: manifest.fingerprint,
+        });
+    }
+    overlay(&mut target, &mut d).map_err(|e| corrupt(e.to_string()))?;
+    d.expect_end().map_err(|e| corrupt(e.to_string()))?;
+    let store = CheckpointStore::open(dir, manifest.every).map_err(|e| corrupt(e.to_string()))?;
+    Ok((target, store, manifest.cursor, fallbacks))
+}
+
+/// [`ExecError::CheckpointCorrupt`] for the checkpoint directory `dir`.
+pub(crate) fn corrupt_at(dir: &Path, detail: String) -> ExecError {
+    ExecError::CheckpointCorrupt {
+        path: dir.display().to_string(),
+        detail,
+    }
+}
+
+/// An engine over the shared pipeline. Required methods say where the parts
+/// are and what differs; provided methods are the algorithm.
+pub(crate) trait Pipeline: Sized {
+    /// What the caller of a batch push hands over for root results: the
+    /// executor takes the sink, the registry's queries own theirs.
+    type Sink<'s>: ?Sized;
+    /// The snapshot kind this engine writes and accepts.
+    const KIND: SnapshotKind;
+
+    fn core(&self) -> &Core;
+    fn core_mut(&mut self) -> &mut Core;
+    /// The mirror and punctuation stores, once a query was admitted.
+    fn engine(&self) -> Option<&PurgeEngine>;
+    /// Disjoint borrows of what element admission and the purge cycle touch;
+    /// `None` until a query was admitted.
+    fn stage(&mut self) -> Option<(&mut Core, &mut PurgeEngine, &AdmissionGuard)>;
+
+    /// Operator slots, bottom-up; a slot may be empty (a retired node).
+    fn op_slots(&self) -> usize;
+    fn op(&self, i: usize) -> Option<&JoinOperator>;
+    /// Operator `i` beside the engine it purges against and the core.
+    fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)>;
+
+    /// Runs `f` with the sink that stands in where the caller supplies none.
+    fn with_own_sink<R>(
+        &mut self,
+        f: impl for<'s> FnOnce(&mut Self, &mut Self::Sink<'s>) -> R,
+    ) -> R;
+    /// Sends the run's surviving rows through the operators and delivers
+    /// root results.
+    fn route(
+        &mut self,
+        run: Run<'_>,
+        survivors: &[u32],
+        sink: &mut Self::Sink<'_>,
+    ) -> ExecResult<()>;
+
+    /// Purges the raw-input mirror: by the one query's recipes, or by the
+    /// meet of every live query's.
+    fn purge_mirror(&mut self) -> PurgeWork;
+    /// Re-checks up to `sample` surviving mirror rows against the explaining
+    /// oracle; returns how many were checked.
+    fn verify_mirror(&self, sample: usize) -> u64;
+    /// A live mirror row the recipes prove dead, if any.
+    fn dead_mirror_row(&self) -> Option<(StreamId, usize)>;
+
+    fn fingerprint(&self) -> u64;
+    fn write_snapshot(&self, e: &mut Enc);
+    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()>;
+    /// Why this engine's state cannot be snapshotted, if it cannot: a silent
+    /// partial snapshot would be worse than an error.
+    fn not_checkpointable(&self) -> Option<&'static str>;
+
+    // Single-query monitors and per-tenant bookkeeping: no-ops unless an
+    // engine has them.
+
+    /// A punctuation on `stream` passed admission (stall detector).
+    fn note_punct_progress(&mut self, _stream: StreamId) {}
+    /// `p` entered the punctuation store (group-by delivery queue).
+    fn punct_observed(&mut self, _p: &Punctuation) {}
+    /// Coverage or state changed: retry deliveries waiting on it.
+    fn settle_pending(&mut self) {}
+    /// Sliding-window eviction.
+    fn evict_window(&mut self) {}
+    /// Per-element checks after the budget ladder (port bounds, stalls).
+    fn check_monitors(&mut self) -> ExecResult<()> {
+        Ok(())
+    }
+    /// Whether a monitor outside `ExecConfig` caps runs at one row.
+    fn per_element_monitors(&self) -> bool {
+        false
+    }
+    /// The lossy last rung under [`BudgetPolicy::Shed`]: evict the oldest
+    /// rows until `excess` are gone. Engines that accept the policy override.
+    fn shed_oldest(&mut self, _excess: usize) {}
+    /// Operator `op` purged `purged` rows this cycle.
+    fn credit_purged(&mut self, _op: usize, _purged: u64) {}
+    /// A state sample is about to be recorded.
+    fn on_sample(&mut self, _point: &mut StatePoint) {}
+
+    /// The live operators, bottom-up.
+    fn ops(&self) -> impl Iterator<Item = &JoinOperator> {
+        (0..self.op_slots()).filter_map(|i| self.op(i))
+    }
+
+    /// Total live join-state rows across the operators.
+    fn join_state_live(&self) -> usize {
+        self.ops().map(JoinOperator::live).sum()
+    }
+
+    /// Rows resident in the cold tier across the operators.
+    fn cold_rows(&self) -> usize {
+        self.ops().map(JoinOperator::cold_rows).sum()
+    }
+
+    /// One element with the engine's own sink, timed: the public `try_push`.
+    fn push_timed(&mut self, element: &StreamElement) -> ExecResult<()> {
+        let start = Instant::now();
+        self.push_untimed(element)?;
+        self.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
+        Ok(())
+    }
+
+    /// One element without the two clock reads: drivers that push a whole
+    /// feed add their loop's time to `Metrics::elapsed_ns` once. A tuple is
+    /// a run of one.
+    fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
+        match element {
+            StreamElement::Tuple(t) => self.with_own_sink(|this, sink| {
+                this.push_run(t.stream, t.values.len(), &t.values, 1, sink)
+            })?,
+            StreamElement::Punctuation(p) => self.try_push_punctuation(p)?,
+        }
+        self.post_element()
+    }
+
+    /// A gathered micro-batch, equivalent to pushing its elements one at a
+    /// time: runs of consecutive same-stream tuples flow as columnar buffers
+    /// (capped by [`Pipeline::run_cap`]), punctuations one by one in order.
+    fn push_batch_timed(
+        &mut self,
+        batch: &ElementBatch<'_>,
+        sink: &mut Self::Sink<'_>,
+    ) -> ExecResult<()> {
+        let start = Instant::now();
+        for item in batch.items() {
+            match *item {
+                BatchItem::Punct(p) => {
+                    self.try_push_punctuation(p)?;
+                    self.post_element()?;
+                }
+                BatchItem::Run {
+                    stream,
+                    width,
+                    start: flat_start,
+                    rows,
+                } => {
+                    let mut off = 0;
+                    while off < rows {
+                        let take = (rows - off).min(self.run_cap());
+                        let arena = &batch.arena()[flat_start + off * width..];
+                        self.push_run(stream, width, arena, take, sink)?;
+                        self.post_element()?;
+                        off += take;
+                    }
+                }
+            }
+        }
+        let metrics = &mut self.core_mut().metrics;
+        metrics.batches_processed += 1;
+        metrics.elapsed_ns += start.elapsed().as_nanos();
+        Ok(())
+    }
+
+    /// The one feed driver: gathers [`FEED_CHUNK`]-element chunks into one
+    /// reused [`ElementBatch`] (the steady state allocates nothing per
+    /// element) and pushes each as a batch.
+    fn feed(&mut self, feed: &Feed, sink: &mut Self::Sink<'_>) -> ExecResult<()> {
+        let mut batch = ElementBatch::new();
+        for chunk in feed.elements().chunks(FEED_CHUNK) {
+            batch.gather(chunk);
+            self.push_batch_timed(&batch, sink)?;
+        }
+        Ok(())
+    }
+
+    /// How many more tuples may flow as one uninterrupted run before some
+    /// per-element event (purge cycle, sample, window eviction, budget, stall
+    /// or bound check) is due. Always at least 1.
+    fn run_cap(&self) -> usize {
+        let core = self.core();
+        let cfg = &core.cfg;
+        if cfg.window.is_some()
+            || cfg.state_budget.is_some()
+            || cfg.stall_budget.is_some()
+            || self.per_element_monitors()
+        {
+            // Window eviction, watchdogs and bound certificates are
+            // per-element: batching must not let state coast past a check.
+            return 1;
+        }
+        let mut cap = match cfg.cadence {
+            PurgeCadence::Lazy { batch } => batch.saturating_sub(core.since_purge),
+            PurgeCadence::Adaptive { .. } => core.adaptive_batch.saturating_sub(core.since_purge),
+            _ => usize::MAX,
+        };
+        let every = cfg.sample_every as u64;
+        if every > 0 {
+            cap = cap.min((every - core.clock % every) as usize);
+        }
+        cap.max(1)
+    }
+
+    /// Admits `take` same-stream rows as one uninterrupted run — one shape
+    /// check (the batch gatherer only coalesces width-homogeneous tuples),
+    /// then per row the punctuation-violation check and mirror insert — and
+    /// routes the survivors.
+    fn push_run(
+        &mut self,
+        stream: StreamId,
+        width: usize,
+        arena: &[Value],
+        take: usize,
+        sink: &mut Self::Sink<'_>,
+    ) -> ExecResult<()> {
+        let Some((core, engine, guard)) = self.stage() else {
+            return Err(ExecError::UnroutableStream(stream));
+        };
+        let run = Run {
+            stream,
+            width,
+            arena,
+            base: core.clock,
+        };
+        core.clock += take as u64;
+        core.since_purge += take;
+        let strict = guard.policy() == AdmissionPolicy::Strict;
+        if let Some(fault) = guard.check_tuple_shape(stream, width) {
+            if strict {
+                return Err(ExecError::Admission {
+                    clock: run.now(0),
+                    fault,
+                });
+            }
+            for i in 0..take {
+                core.metrics.count_quarantine_row(fault.code(), stream.0);
+                core.dead_letter
+                    .emit_tuple(&fault, stream, run.row(i), run.now(i));
+            }
+            return Ok(());
+        }
+        // Punctuation stores only change on punctuation arrival — impossible
+        // mid-run — so per-row checks against the frozen stores are the same
+        // for one run of `take` and `take` runs of one.
+        let mut survivors = std::mem::take(&mut core.scratch_survivors);
+        survivors.clear();
+        for i in 0..take {
+            if engine.observe_row_at(stream, run.row(i), run.now(i)) {
+                core.metrics.tuples_in += 1;
+                survivors.push(i as u32);
+                continue;
+            }
+            core.metrics.count_violation(stream.0);
+            let fault = AdmissionFault::PunctuationViolation { stream };
+            if strict {
+                core.scratch_survivors = survivors;
+                return Err(ExecError::Admission {
+                    clock: run.now(i),
+                    fault,
+                });
+            }
+            core.metrics.count_quarantine_row(fault.code(), stream.0);
+            core.dead_letter
+                .emit_tuple(&fault, stream, run.row(i), run.now(i));
+        }
+        let routed = if survivors.is_empty() {
+            Ok(())
+        } else {
+            self.route(run, &survivors, sink)
+        };
+        self.core_mut().scratch_survivors = survivors;
+        routed
+    }
+
+    /// Admits one punctuation: shape, then the scheme invariants against the
+    /// store's current coverage, then the store — and under
+    /// [`PurgeCadence::Eager`] the purge cycle it may enable.
+    fn try_push_punctuation(&mut self, p: &Punctuation) -> ExecResult<()> {
+        let Some((core, engine, guard)) = self.stage() else {
+            return Err(ExecError::UnroutableStream(p.stream));
+        };
+        core.clock += 1;
+        core.since_purge += 1;
+        core.metrics.puncts_in += 1;
+        let policy = guard.policy();
+        if let Some(fault) = guard.check_punct_shape(p) {
+            return core.refuse_punct(policy, fault, p);
+        }
+        match engine.punct_store(p.stream).classify(p) {
+            PunctClass::Regressive => {
+                if policy != AdmissionPolicy::Repair {
+                    let fault = AdmissionFault::RegressiveBound { stream: p.stream };
+                    return core.refuse_punct(policy, fault, p);
+                }
+                // Repair = clamp: admitting it only refreshes the threshold's
+                // lifespan clock (the store never regresses) — coverage, and
+                // hence every purge decision, is unchanged.
+                core.metrics.repaired += 1;
+            }
+            PunctClass::Duplicate if policy == AdmissionPolicy::Repair => {
+                // Repair = dedup: dropping an exact duplicate changes no
+                // coverage; it only skips a lifespan refresh, which can delay
+                // purges but never cause a wrong one.
+                core.metrics.repaired += 1;
+                self.note_punct_progress(p.stream);
+                return Ok(());
+            }
+            _ => {}
+        }
+        engine.observe_punctuation(p, core.clock);
+        self.note_punct_progress(p.stream);
+        self.punct_observed(p);
+        if self.core().cfg.cadence == PurgeCadence::Eager {
+            self.run_purge_cycle(); // settles pending deliveries at its end
+        } else {
+            self.settle_pending();
+        }
+        Ok(())
+    }
+
+    /// Per-element bookkeeping: cadence-driven purge cycles, window eviction,
+    /// the budget ladder, monitors, state sampling. Called once per
+    /// punctuation and once per capped sub-run — [`Pipeline::run_cap`] ends a
+    /// run at every clock position where anything here fires, so a run of
+    /// `n` and `n` runs of one are indistinguishable.
+    fn post_element(&mut self) -> ExecResult<()> {
+        let core = self.core();
+        let due = match core.cfg.cadence {
+            PurgeCadence::Lazy { batch } => core.since_purge >= batch,
+            PurgeCadence::Adaptive { .. } => core.since_purge >= core.adaptive_batch,
+            _ => false,
+        };
+        if due {
+            self.run_purge_cycle();
+        }
+        self.evict_window();
+        // Budget before sampling, so sampled peaks respect the ceiling.
+        self.enforce_budget()?;
+        self.check_monitors()?;
+        let core = self.core();
+        if core.clock.is_multiple_of(core.cfg.sample_every as u64) {
+            self.sample();
+        }
+        Ok(())
+    }
+
+    /// Bounded-state watchdog ladder: when live join state exceeds the
+    /// budget, try to purge (proving rows dead is always preferable), then —
+    /// with tiering enabled — demote cold rows to disk (lossless), and only
+    /// then apply the budget policy to whatever still doesn't fit.
+    fn enforce_budget(&mut self) -> ExecResult<()> {
+        let Some(budget) = self.core().cfg.state_budget else {
+            return Ok(());
+        };
+        if self.join_state_live() <= budget.max_rows {
+            return Ok(());
+        }
+        self.run_purge_cycle();
+        let mut live = self.join_state_live();
+        if live <= budget.max_rows {
+            return Ok(());
+        }
+        if let Some(tier_cfg) = self.core().cfg.tiering {
+            // Demote the least-recently-probed rows into cold segments, down
+            // to the low watermark so steady-state inserts don't re-trip the
+            // budget every element. Probes fault matches back on demand.
+            let target = budget.max_rows * usize::from(tier_cfg.low_watermark_pct.min(100)) / 100;
+            let excess = live.saturating_sub(target);
+            if excess > 0 {
+                let mut touched = std::mem::take(&mut self.core_mut().stamp_scratch);
+                touched.clear();
+                for op in self.ops() {
+                    op.live_touched(&mut touched);
+                }
+                let cutoff = cutoff_for(&mut touched, excess);
+                self.core_mut().stamp_scratch = touched;
+                for i in 0..self.op_slots() {
+                    if let Some((op, _, core)) = self.op_stage(i) {
+                        let spill = core
+                            .spill
+                            .as_mut()
+                            .expect("spill store exists iff tiering is configured");
+                        op.demote_colder_than(cutoff, spill, i, tier_cfg.segment_rows);
+                    }
+                }
+            }
+            live = self.join_state_live();
+            if live <= budget.max_rows {
+                return Ok(());
+            }
+        }
+        match budget.policy {
+            BudgetPolicy::HardError => Err(ExecError::StateBudgetExceeded {
+                live,
+                budget: budget.max_rows,
+                clock: self.core().clock,
+            }),
+            BudgetPolicy::Shed => {
+                self.shed_oldest(live - budget.max_rows);
+                Ok(())
+            }
+        }
+    }
+
+    /// One purge cycle: lifespan expiry, a purge pass per operator, the
+    /// mirror purge, log trims, pending deliveries, and — under
+    /// `verify_certificates` — the runtime certificate checks.
+    fn run_purge_cycle(&mut self) {
+        self.core_mut().since_purge = 0;
+        let Some((core, engine, _)) = self.stage() else {
+            return;
+        };
+        core.metrics.purge_cycles += 1;
+        if core.cfg.punct_lifespan.is_some() {
+            engine.expire_punctuations(core.clock);
+        }
+        let strategy = core.cfg.purge_strategy;
+        // Retractions logged before this cycle are fully consumed by its end;
+        // ones logged *during* it feed operator trackers only next cycle.
+        let retire_marks = engine.retire_marks();
+        let live_before = self.join_state_live();
+        let mut work = PurgeWork::default();
+        for i in 0..self.op_slots() {
+            let Some((op, engine, _)) = self.op_stage(i) else {
+                continue;
+            };
+            let w = op.purge_pass(engine, strategy);
+            if w.purged > 0 {
+                self.credit_purged(i, w.purged);
+            }
+            work.add(w);
+        }
+        let core = self.core_mut();
+        core.metrics.purged += work.purged;
+        let purged = work.purged as usize;
+        if matches!(core.cfg.cadence, PurgeCadence::Adaptive { .. }) && live_before > 0 {
+            // Yield-driven AIMD-style adjustment.
+            if purged * 2 >= live_before {
+                core.adaptive_batch = (core.adaptive_batch / 2).max(8);
+            } else if purged * 10 <= live_before {
+                core.adaptive_batch = (core.adaptive_batch * 2).min(4096);
+            }
+        }
+        work.add(self.purge_mirror());
+        if let Some((core, engine, _)) = self.stage() {
+            core.metrics.purge_candidates_examined += work.examined;
+            // All trackers (operator ports and mirrors) have consumed the
+            // cycle's punctuation deltas; drop them so the log stays
+            // delta-sized.
+            engine.trim_punct_deltas();
+            engine.trim_retired(&retire_marks);
+        }
+        self.settle_pending();
+        let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) else {
+            return;
+        };
+        // Per-cycle certificate check: the fast allocation-free verdict must
+        // agree with the explaining oracle on a sample of the rows that
+        // survived this cycle. (Completeness — "nothing provably dead is
+        // still live" — is only asserted at finish: a mirror purge within
+        // this cycle feeds operator trackers next cycle.)
+        let mut checked = self.verify_mirror(ORACLE_SAMPLE);
+        for op in self.ops() {
+            checked += op.verify_against_oracle(engine, ORACLE_SAMPLE);
+            // Cold-tier half of the invariant: a purge cycle must also have
+            // dropped every segment whose summaries a stored recipe covers —
+            // a covered segment surviving the cycle would be provably-dead
+            // rows outliving their certificate on disk.
+            assert!(
+                !op.any_certified_cold_segment(engine),
+                "certificate violation: a punctuation-covered cold segment \
+                 survived a purge cycle"
+            );
+        }
+        self.core_mut().metrics.certificate_checks += checked;
+    }
+
+    /// Records one state sample.
+    fn sample(&mut self) {
+        let engine = self.engine();
+        let mut point = StatePoint {
+            at: self.core().clock,
+            join_state: self.join_state_live(),
+            mirror: engine.map_or(0, PurgeEngine::mirror_live),
+            punct_entries: engine.map_or(0, PurgeEngine::punct_entries),
+            groups: 0,
+            cold: self.cold_rows(),
+        };
+        self.on_sample(&mut point);
+        self.core_mut().metrics.sample(point);
+    }
+
+    /// Everything `finish` does before an engine assembles its result:
+    /// rehydrate the cold tier, purge to a fixpoint (asserting completeness
+    /// under `verify_certificates`), the final sample, the engine and tier
+    /// counters.
+    fn finish_core(&mut self) {
+        self.core_mut().dead_letter.finish();
+        let tiered = self.core().cfg.tiering.is_some();
+        if tiered {
+            // Rehydrate every cold row before the final purge cycle: the
+            // quiescent-point purge totals and the live snapshot then match
+            // a never-tiered run exactly (the tier-equivalence guarantee).
+            for i in 0..self.op_slots() {
+                if let Some((op, _, core)) = self.op_stage(i) {
+                    op.rehydrate_all(core.clock);
+                }
+            }
+        }
+        self.run_purge_cycle();
+        let purged =
+            |this: &Self| this.core().metrics.purged + this.engine().map_or(0, |e| e.mirror_purged);
+        while let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) {
+            // Completeness at the quiescent point: no live row may be
+            // provably dead. A dead row right after one cycle is not yet a
+            // violation — a mirror purge in cycle k shrinks chained
+            // requirements that operator purge passes only consume in cycle
+            // k+1 — so run further cycles while they still purge; a cycle
+            // that purges nothing yet leaves a dead row behind is genuine.
+            let dead_op = (0..self.op_slots()).find_map(|i| {
+                let (port, slot) = self.op(i)?.find_purgeable_live_row(engine)?;
+                Some((i, port, slot))
+            });
+            let dead_mirror = self.dead_mirror_row();
+            if dead_op.is_none() && dead_mirror.is_none() {
+                break;
+            }
+            let before = purged(self);
+            self.run_purge_cycle();
+            assert!(
+                purged(self) != before,
+                "certificate violation at finish: provably-dead rows are still \
+                 live after a purge fixpoint (operator {dead_op:?}, mirror \
+                 {dead_mirror:?})"
+            );
+        }
+        self.sample();
+        if let Some(engine) = self.engine() {
+            let (mirror_purged, punct_dropped) = (engine.mirror_purged, engine.punct_dropped);
+            let metrics = &mut self.core_mut().metrics;
+            metrics.mirror_purged = mirror_purged;
+            metrics.punct_dropped = punct_dropped;
+        }
+        if tiered {
+            let mut ts = TierStats::default();
+            for op in self.ops() {
+                ts.add(&op.tier_stats());
+            }
+            let metrics = &mut self.core_mut().metrics;
+            metrics.rows_demoted = ts.rows_demoted;
+            metrics.rows_faulted = ts.rows_faulted;
+            metrics.segments_written = ts.segments_written;
+            metrics.segments_retired = ts.segments_retired;
+        }
+    }
+
+    /// Live rows a checkpoint covers: hot join state plus the raw mirror plus
+    /// cold-tier rows (reported as `Metrics::checkpoint_rows`).
+    fn checkpointable_rows(&self) -> u64 {
+        let mirror = self.engine().map_or(0, PurgeEngine::mirror_live);
+        (self.join_state_live() + mirror + self.cold_rows()) as u64
+    }
+
+    /// The complete checkpoint payload: manifest (kind, fingerprint, cadence,
+    /// input cursor) followed by the engine's snapshot body.
+    fn snapshot_payload(&self, every: u64, cursor: &InputCursor) -> ExecResult<Vec<u8>> {
+        if let Some(why) = self.not_checkpointable() {
+            return Err(ExecError::CheckpointCorrupt {
+                path: "<config>".into(),
+                detail: why.into(),
+            });
+        }
+        let mut e = Enc::new();
+        Manifest {
+            kind: Self::KIND,
+            fingerprint: self.fingerprint(),
+            every,
+            cursor: cursor.clone(),
+        }
+        .write(&mut e);
+        self.write_snapshot(&mut e);
+        Ok(e.buf)
+    }
+
+    /// Commits one snapshot of the current state to `store` unconditionally.
+    fn commit_snapshot(
+        &mut self,
+        store: &mut CheckpointStore,
+        cursor: &InputCursor,
+    ) -> ExecResult<()> {
+        let payload = self.snapshot_payload(store.every(), cursor)?;
+        let rows = self.checkpointable_rows();
+        store
+            .commit(&payload, rows)
+            .map_err(|e| corrupt_at(store.dir(), e.to_string()))?;
+        let metrics = &mut self.core_mut().metrics;
+        metrics.checkpoints_written += 1;
+        metrics.checkpoint_rows += rows;
+        Ok(())
+    }
+
+    /// Pushes `elements` and checkpoints when due: every element advances
+    /// `cursor` and the store's element counter; once the store's cadence
+    /// has accumulated **and** the element is a punctuation (snapshots are
+    /// punctuation-aligned consistent cuts), the full state is committed.
+    /// The clock is read once per call and per commit: `Metrics::elapsed_ns`
+    /// is brought up to date before every snapshot (which serializes it) and
+    /// excludes the commits.
+    fn push_all_checkpointed(
+        &mut self,
+        elements: &[StreamElement],
+        store: &mut CheckpointStore,
+        cursor: &mut InputCursor,
+    ) -> ExecResult<()> {
+        let mut start = Instant::now();
+        for e in elements {
+            self.push_untimed(e)?;
+            cursor.advance(e.stream());
+            store.note_element();
+            if store.due(e.is_punctuation()) {
+                self.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
+                self.commit_snapshot(store, cursor)?;
+                start = Instant::now();
+            }
+        }
+        self.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
+        Ok(())
+    }
+
+    /// Pushes a whole feed with punctuation-aligned checkpointing every
+    /// `every` elements into `dir`, from a zero cursor.
+    fn run_checkpointed(&mut self, feed: &Feed, dir: &Path, every: u64) -> ExecResult<()> {
+        let n_streams = self
+            .engine()
+            .map(PurgeEngine::n_streams)
+            .ok_or_else(|| corrupt_at(dir, "no queries admitted: nothing to checkpoint".into()))?;
+        let mut store =
+            CheckpointStore::open(dir, every).map_err(|e| corrupt_at(dir, e.to_string()))?;
+        let mut cursor = InputCursor::zero(n_streams);
+        self.push_all_checkpointed(feed.elements(), &mut store, &mut cursor)
+    }
+
+    /// Restores an engine from the newest valid snapshot in `dir` onto what
+    /// `build` compiles (see [`restore_with`]).
+    fn restore_from(
+        dir: &Path,
+        build: impl FnOnce(&str) -> Result<Self, String>,
+    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
+        let (mut this, store, cursor, fallbacks) = restore_with(
+            dir,
+            Self::KIND,
+            build,
+            Self::fingerprint,
+            Self::read_snapshot,
+        )?;
+        let metrics = &mut this.core_mut().metrics;
+        metrics.restores += 1;
+        metrics.snapshot_fallbacks += fallbacks;
+        Ok((this, store, cursor))
+    }
+
+    /// Restores from `dir` and pushes the rest of `feed` from the recorded
+    /// cursor — skipping exactly the elements the snapshot already consumed —
+    /// checkpointing at the recorded cadence. A directory with no snapshot (a
+    /// crash before the first commit) cold-starts the whole feed at cadence
+    /// `every`. The caller finishes the returned engine.
+    fn resume_from(
+        dir: &Path,
+        build: impl Fn(&str) -> Result<Self, String>,
+        feed: &Feed,
+        every: u64,
+    ) -> ExecResult<Self> {
+        if list_snapshots(dir).is_empty() {
+            let mut this = build("cold start").map_err(|e| corrupt_at(dir, e))?;
+            this.run_checkpointed(feed, dir, every)?;
+            return Ok(this);
+        }
+        let (mut this, mut store, mut cursor) = Self::restore_from(dir, build)?;
+        let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
+        let rest = feed.elements().get(done..).unwrap_or(&[]);
+        this.push_all_checkpointed(rest, &mut store, &mut cursor)?;
+        Ok(this)
+    }
+}

@@ -416,9 +416,9 @@ impl PunctStore {
         }
         for entries in &mut self.entries {
             entries.clear();
-            let n = d.usize()?;
+            let n = d.len_prefix(16)?;
             for _ in 0..n {
-                let arity = d.usize()?;
+                let arity = d.len_prefix(1)?;
                 let mut combo = Vec::with_capacity(arity);
                 for _ in 0..arity {
                     combo.push(d.value()?);
@@ -434,17 +434,17 @@ impl PunctStore {
                 None
             };
         }
-        let n = d.usize()?;
+        let n = d.len_prefix(16)?;
         self.unmatched = (0..n)
             .map(|_| d.punct())
             .collect::<crate::checkpoint::SnapshotResult<_>>()?;
-        let n = d.usize()?;
+        let n = d.len_prefix(1)?;
         let mut log = Vec::with_capacity(n);
         for _ in 0..n {
             log.push(match d.u8()? {
                 0 => {
                     let scheme_idx = d.usize()?;
-                    let arity = d.usize()?;
+                    let arity = d.len_prefix(1)?;
                     let mut combo = Vec::with_capacity(arity);
                     for _ in 0..arity {
                         combo.push(d.value()?);

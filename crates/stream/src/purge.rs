@@ -713,6 +713,11 @@ impl PurgeEngine {
         self.find_meet_purgeable_mirror_row(&[&self.mirror_recipes])
     }
 
+    /// How many streams the engine mirrors.
+    pub(crate) fn n_streams(&self) -> usize {
+        self.states.len()
+    }
+
     /// Total live raw tuples across the mirror.
     #[must_use]
     pub fn mirror_live(&self) -> usize {

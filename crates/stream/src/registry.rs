@@ -48,7 +48,6 @@ use std::time::Instant;
 
 use cjq_core::fxhash::FxHashMap;
 use cjq_core::plan::Plan;
-use cjq_core::punctuation::Punctuation;
 use cjq_core::query::{Cjq, JoinPredicate};
 use cjq_core::safety;
 use cjq_core::schema::StreamId;
@@ -57,20 +56,19 @@ use cjq_core::value::Value;
 
 use crate::certify;
 use crate::checkpoint::{
-    CheckpointStore, Dec, Enc, Fingerprint, InputCursor, Manifest, SnapshotKind, SnapshotResult,
+    CheckpointStore, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
 };
 use crate::element::StreamElement;
-use crate::error::{ExecError, ExecResult};
-use crate::exec::{cadence_run_cap, BudgetPolicy, ExecConfig, PurgeCadence, FEED_CHUNK};
-use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy};
+use crate::error::ExecResult;
+use crate::exec::{fingerprint_query, fingerprint_schemes, BudgetPolicy, ExecConfig};
+use crate::guard::AdmissionGuard;
 use crate::join::JoinOperator;
-use crate::metrics::{Metrics, StatePoint};
-use crate::parallel::{panic_message, Partitioning};
-use crate::punct_store::PunctClass;
+use crate::metrics::Metrics;
+use crate::parallel::{fan_out, Partitioning};
+use crate::pipeline::{Core, Pipeline, Run};
 use crate::purge::{CompiledRecipe, PurgeEngine, PurgeScope, PurgeWork};
 use crate::sink::{OutputBuffer, ResultSink};
-use crate::source::{BatchItem, ElementBatch, Feed};
-use crate::tier::{SpillStore, TierStats};
+use crate::source::{ElementBatch, Feed};
 
 /// Handle of an admitted query, stable for the registry's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -191,7 +189,9 @@ struct QuerySlot {
 /// configs that enable them.
 pub struct QueryRegistry {
     schemes: SchemeSet,
-    cfg: ExecConfig,
+    /// Config, clocks, metrics and scratch shared with every engine over the
+    /// one pipeline (see [`crate::pipeline`]).
+    core: Core,
     /// Shared raw-input mirror + punctuation stores, bootstrapped by the
     /// first admission (mirror indexes follow the first query's join
     /// attributes; later queries fall back to scan probes where unindexed).
@@ -203,15 +203,15 @@ pub struct QueryRegistry {
     nodes: Vec<Option<Node>>,
     node_index: FxHashMap<NodeKey, usize>,
     queries: Vec<QuerySlot>,
-    clock: u64,
-    since_purge: usize,
-    adaptive_batch: usize,
-    metrics: Metrics,
-    scratch_survivors: Vec<u32>,
-    /// Cold-tier spill directory owner, present iff `cfg.tiering` is set.
-    spill: Option<SpillStore>,
-    /// Reusable demotion scratch: live-row recency stamps.
-    touch_scratch: Vec<u64>,
+}
+
+/// Every live query's mirror recipes: the sets the meet ranges over.
+fn recipe_sets(queries: &[QuerySlot]) -> Vec<&[Option<CompiledRecipe>]> {
+    queries
+        .iter()
+        .filter(|q| q.live)
+        .map(|q| q.mirror_recipes.as_slice())
+        .collect()
 }
 
 impl QueryRegistry {
@@ -252,23 +252,13 @@ impl QueryRegistry {
              would starve co-tenants; disable it for registry runs"
         );
         QueryRegistry {
-            spill: cfg.tiering.map(|t| SpillStore::new(t.shard_tag)),
-            touch_scratch: Vec::new(),
             schemes,
-            cfg,
+            core: Core::new(cfg),
             engine: None,
             guard: None,
             nodes: Vec::new(),
             node_index: FxHashMap::default(),
             queries: Vec::new(),
-            clock: 0,
-            since_purge: 0,
-            adaptive_batch: match cfg.cadence {
-                PurgeCadence::Adaptive { initial } => initial.clamp(8, 4096),
-                _ => 0,
-            },
-            metrics: Metrics::default(),
-            scratch_survivors: Vec::new(),
         }
     }
 
@@ -347,16 +337,16 @@ impl QueryRegistry {
             self.engine = Some(PurgeEngine::new(
                 query,
                 &self.schemes,
-                self.cfg.punct_lifespan,
-                self.cfg.coverage_limit,
+                self.core.cfg.punct_lifespan,
+                self.core.cfg.coverage_limit,
             ));
-            self.guard = Some(AdmissionGuard::new(query, self.cfg.admission));
+            self.guard = Some(AdmissionGuard::new(query, self.core.cfg.admission));
         }
         let mut acc = Vec::new();
         let root_key = intern_plan(
             query,
             &self.schemes,
-            self.cfg.scope,
+            self.core.cfg.scope,
             self.engine.as_ref().expect("bootstrapped above"),
             &mut self.nodes,
             &mut self.node_index,
@@ -369,7 +359,7 @@ impl QueryRegistry {
         for &n in &acc {
             let node = self.nodes[n].as_mut().expect("freshly interned");
             node.subscribers += 1;
-            if self.cfg.tiering.is_some() {
+            if self.core.cfg.tiering.is_some() {
                 // Shared nodes demote under the budget ladder; the node's
                 // own recipes certify its segments (node identity pins the
                 // predicate set, so every subscriber shares them).
@@ -382,15 +372,17 @@ impl QueryRegistry {
             .iter()
             .map(|&s| engine.compile_port_recipe(query, &self.schemes, &all, &[s]))
             .collect();
-        if self.cfg.verify_certificates {
+        if self.core.cfg.verify_certificates {
             let ops = acc
                 .iter()
                 .map(|&i| &self.nodes[i].as_ref().expect("interned").op);
-            if let Some(mismatch) =
-                certify::static_certificates_with(query, &self.schemes, self.cfg.scope, ops, |s| {
-                    mirror_recipes[s.0].is_some()
-                })
-            {
+            if let Some(mismatch) = certify::static_certificates_with(
+                query,
+                &self.schemes,
+                self.core.cfg.scope,
+                ops,
+                |s| mirror_recipes[s.0].is_some(),
+            ) {
                 panic!("static certificate violation at admission: {mismatch}");
             }
         }
@@ -402,7 +394,7 @@ impl QueryRegistry {
             mirror_recipes,
             sink,
             stats: QueryStats {
-                admitted_at: self.clock,
+                admitted_at: self.core.clock,
                 ..QueryStats::default()
             },
             outputs: Vec::new(),
@@ -426,25 +418,14 @@ impl QueryRegistry {
             return false;
         }
         q.live = false;
-        q.stats.retired_at = Some(self.clock);
+        q.stats.retired_at = Some(self.core.clock);
         if let Some(sink) = q.sink.as_mut() {
             sink.finish();
         }
         let owned = q.nodes.clone();
-        for &n in owned.iter().rev() {
-            let gone = {
-                let node = self.nodes[n].as_mut().expect("live query's node");
-                node.subscribers -= 1;
-                node.subscribers == 0
-            };
-            if gone {
-                let node = self.nodes[n].take().expect("checked above");
-                self.node_index.remove(&node.key);
-            }
-        }
-        if self.engine.is_some() {
-            self.purge_cycle();
-        }
+        self.unsubscribe(&owned)
+            .expect("a live query's nodes are present");
+        self.purge_cycle();
         true
     }
 
@@ -475,19 +456,19 @@ impl QueryRegistry {
     /// Total live join-state rows across the shared arena.
     #[must_use]
     pub fn join_state_live(&self) -> usize {
-        self.nodes.iter().flatten().map(|n| n.op.live()).sum()
+        Pipeline::join_state_live(self)
     }
 
     /// The registry element clock.
     #[must_use]
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.core.clock
     }
 
     /// Engine-wide metrics accumulated so far.
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// A query's counters, if the id is known.
@@ -519,28 +500,11 @@ impl QueryRegistry {
     /// error the registry is poisoned and must be discarded).
     ///
     /// # Errors
-    /// Admission refusals under [`AdmissionPolicy::Strict`].
+    /// Admission refusals under `AdmissionPolicy::Strict`;
+    /// [`UnroutableStream`](crate::error::ExecError::UnroutableStream) while
+    /// no query was ever admitted.
     pub fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
-        let start = Instant::now();
-        self.push_untimed(element)?;
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
-    }
-
-    /// [`QueryRegistry::try_push`] without the two clock reads (see
-    /// the executor's twin).
-    fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
-        match element {
-            StreamElement::Tuple(t) => {
-                self.try_push_run(t.stream, t.values.len(), &t.values, 1)?;
-            }
-            StreamElement::Punctuation(p) => {
-                self.clock += 1;
-                self.since_purge += 1;
-                self.try_push_punctuation(p)?;
-            }
-        }
-        self.post_element()
+        self.push_timed(element)
     }
 
     /// Pushes a gathered micro-batch, panicking on error.
@@ -556,39 +520,7 @@ impl QueryRegistry {
     /// # Errors
     /// See [`QueryRegistry::try_push`].
     pub fn try_push_batch(&mut self, batch: &ElementBatch<'_>) -> ExecResult<()> {
-        let start = Instant::now();
-        for item in batch.items() {
-            match *item {
-                BatchItem::Punct(p) => {
-                    self.clock += 1;
-                    self.since_purge += 1;
-                    self.try_push_punctuation(p)?;
-                    self.post_element()?;
-                }
-                BatchItem::Run {
-                    stream,
-                    width,
-                    start: flat_start,
-                    rows,
-                } => {
-                    let mut off = 0;
-                    while off < rows {
-                        let take = (rows - off).min(self.run_cap());
-                        self.try_push_run(
-                            stream,
-                            width,
-                            &batch.arena()[flat_start + off * width..],
-                            take,
-                        )?;
-                        self.post_element()?;
-                        off += take;
-                    }
-                }
-            }
-        }
-        self.metrics.batches_processed += 1;
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
+        self.push_batch_timed(batch, &mut ())
     }
 
     /// Runs a whole feed through the batched path and finishes.
@@ -615,12 +547,7 @@ impl QueryRegistry {
     /// # Errors
     /// See [`QueryRegistry::try_push`].
     pub fn try_feed(&mut self, feed: &Feed) -> ExecResult<()> {
-        let mut batch = ElementBatch::new();
-        for chunk in feed.elements().chunks(FEED_CHUNK) {
-            batch.gather(chunk);
-            self.try_push_batch(&batch)?;
-        }
-        Ok(())
+        self.feed(feed, &mut ())
     }
 
     /// Final purge fixpoint + certificate check + sample, returning every
@@ -632,64 +559,7 @@ impl QueryRegistry {
     /// certificate must hold for every tenant even under sharing.
     #[must_use]
     pub fn finish(mut self) -> RegistryResult {
-        if self.cfg.tiering.is_some() {
-            // Rehydrate every cold row before the final purge fixpoint so
-            // per-query purge attribution and outputs match untiered runs.
-            let clock = self.clock;
-            for node in self.nodes.iter_mut().flatten() {
-                node.op.rehydrate_all(clock);
-            }
-        }
-        if self.engine.is_some() {
-            self.purge_cycle();
-            if self.cfg.verify_certificates {
-                loop {
-                    let engine = self.engine.as_ref().expect("checked above");
-                    let recipe_sets: Vec<&[Option<CompiledRecipe>]> = self
-                        .queries
-                        .iter()
-                        .filter(|q| q.live)
-                        .map(|q| q.mirror_recipes.as_slice())
-                        .collect();
-                    let dead_op = self.nodes.iter().enumerate().find_map(|(ni, slot)| {
-                        slot.as_ref().and_then(|node| {
-                            node.op
-                                .find_purgeable_live_row(engine)
-                                .map(|(port, slot)| (ni, port, slot))
-                        })
-                    });
-                    let dead_mirror = engine.find_meet_purgeable_mirror_row(&recipe_sets);
-                    if dead_op.is_none() && dead_mirror.is_none() {
-                        break;
-                    }
-                    let before = self.metrics.purged + engine.mirror_purged;
-                    self.purge_cycle();
-                    let engine = self.engine.as_ref().expect("checked above");
-                    if self.metrics.purged + engine.mirror_purged == before {
-                        panic!(
-                            "certificate violation at finish: provably-dead rows \
-                             are still live after a purge fixpoint under sharing \
-                             (operator {dead_op:?}, mirror {dead_mirror:?})"
-                        );
-                    }
-                }
-            }
-        }
-        self.sample();
-        if let Some(engine) = &self.engine {
-            self.metrics.mirror_purged = engine.mirror_purged;
-            self.metrics.punct_dropped = engine.punct_dropped;
-        }
-        if self.cfg.tiering.is_some() {
-            let mut ts = TierStats::default();
-            for node in self.nodes.iter().flatten() {
-                ts.add(&node.op.tier_stats());
-            }
-            self.metrics.rows_demoted = ts.rows_demoted;
-            self.metrics.rows_faulted = ts.rows_faulted;
-            self.metrics.segments_written = ts.segments_written;
-            self.metrics.segments_retired = ts.segments_retired;
-        }
+        self.finish_core();
         let queries = self
             .queries
             .into_iter()
@@ -707,345 +577,257 @@ impl QueryRegistry {
             .collect();
         RegistryResult {
             queries,
-            metrics: self.metrics,
+            metrics: self.core.metrics,
         }
-    }
-
-    /// How many more tuples may flow as one uninterrupted run before a
-    /// purge cycle or sample is due (same rule as the single-query
-    /// executor, the prerequisite for byte-identical equivalence).
-    fn run_cap(&self) -> usize {
-        if self.cfg.state_budget.is_some() {
-            return 1; // the watchdog ladder is per-element
-        }
-        cadence_run_cap(
-            self.cfg.cadence,
-            self.adaptive_batch,
-            self.since_purge,
-            self.clock,
-            self.cfg.sample_every,
-        )
-    }
-
-    /// Per-element bookkeeping: cadence-driven purges, the shared budget
-    /// ladder, and state samples.
-    fn post_element(&mut self) -> ExecResult<()> {
-        match self.cfg.cadence {
-            PurgeCadence::Lazy { batch } if self.since_purge >= batch => self.purge_cycle(),
-            PurgeCadence::Adaptive { .. } if self.since_purge >= self.adaptive_batch => {
-                self.purge_cycle();
-            }
-            _ => {}
-        }
-        self.enforce_budget()?;
-        if self.clock.is_multiple_of(self.cfg.sample_every as u64) {
-            self.sample();
-        }
-        Ok(())
-    }
-
-    /// Shared-state budget ladder: purge (prove rows dead), then demote the
-    /// least-recently-probed rows into cold segments (lossless). The
-    /// registry never load-sheds — whatever still doesn't fit is a hard
-    /// error, per the [`QueryRegistry::new`] contract.
-    fn enforce_budget(&mut self) -> ExecResult<()> {
-        let Some(budget) = self.cfg.state_budget else {
-            return Ok(());
-        };
-        if self.join_state_live() <= budget.max_rows {
-            return Ok(());
-        }
-        self.purge_cycle();
-        let mut live = self.join_state_live();
-        if live <= budget.max_rows {
-            return Ok(());
-        }
-        let tier_cfg = self.cfg.tiering.expect("registry budgets require tiering");
-        let target = budget.max_rows * usize::from(tier_cfg.low_watermark_pct.min(100)) / 100;
-        let excess = live.saturating_sub(target);
-        if excess > 0 {
-            let mut touched = std::mem::take(&mut self.touch_scratch);
-            touched.clear();
-            for node in self.nodes.iter().flatten() {
-                node.op.live_touched(&mut touched);
-            }
-            let k = excess.min(touched.len()).saturating_sub(1);
-            let (_, nth, _) = touched.select_nth_unstable(k);
-            let cutoff = *nth + 1;
-            self.touch_scratch = touched;
-            let spill = self
-                .spill
-                .as_mut()
-                .expect("spill store exists iff tiering is configured");
-            for (ni, slot) in self.nodes.iter_mut().enumerate() {
-                if let Some(node) = slot {
-                    node.op
-                        .demote_colder_than(cutoff, spill, ni, tier_cfg.segment_rows);
-                }
-            }
-        }
-        live = self.join_state_live();
-        if live > budget.max_rows {
-            return Err(ExecError::StateBudgetExceeded {
-                live,
-                budget: budget.max_rows,
-                clock: self.clock,
-            });
-        }
-        Ok(())
-    }
-
-    fn sample(&mut self) {
-        let p = StatePoint {
-            at: self.clock,
-            join_state: self.nodes.iter().flatten().map(|n| n.op.live()).sum(),
-            mirror: self.engine.as_ref().map_or(0, PurgeEngine::mirror_live),
-            punct_entries: self.engine.as_ref().map_or(0, PurgeEngine::punct_entries),
-            groups: 0,
-            cold: self.nodes.iter().flatten().map(|n| n.op.cold_rows()).sum(),
-        };
-        self.metrics.sample(p);
-    }
-
-    /// Processes `take` same-stream rows (stride-packed at the front of
-    /// `arena`) as one run: admission + mirror observation per row, then a
-    /// **single pass** over the node arena bottom-up — every node whose
-    /// span contains the stream probes once, from the raw run (leaf port)
-    /// or from its child's buffer — then root buffers fan out to every
-    /// live query.
-    fn try_push_run(
-        &mut self,
-        stream: StreamId,
-        width: usize,
-        arena: &[Value],
-        take: usize,
-    ) -> ExecResult<()> {
-        let base = self.clock;
-        self.clock += take as u64;
-        self.since_purge += take;
-        let Some(guard) = &self.guard else {
-            panic!("no query was ever admitted: the registry cannot route elements");
-        };
-        if let Some(fault) = guard.check_tuple_shape(stream, width) {
-            if guard.policy() == AdmissionPolicy::Strict {
-                return Err(ExecError::Admission {
-                    clock: base + 1,
-                    fault,
-                });
-            }
-            for _ in 0..take {
-                self.metrics.count_quarantine_row(fault.code(), stream.0);
-            }
-            return Ok(());
-        }
-        let strict = guard.policy() == AdmissionPolicy::Strict;
-        let engine = self.engine.as_mut().expect("bootstrapped with the guard");
-        let mut survivors = std::mem::take(&mut self.scratch_survivors);
-        survivors.clear();
-        for i in 0..take {
-            let row = &arena[i * width..(i + 1) * width];
-            if engine.observe_row_at(stream, row, base + i as u64 + 1) {
-                self.metrics.tuples_in += 1;
-                survivors.push(i as u32);
-            } else {
-                self.metrics.count_violation(stream.0);
-                let fault = AdmissionFault::PunctuationViolation { stream };
-                if strict {
-                    self.scratch_survivors = survivors;
-                    return Err(ExecError::Admission {
-                        clock: base + i as u64 + 1,
-                        fault,
-                    });
-                }
-                self.metrics.count_quarantine_row(fault.code(), stream.0);
-            }
-        }
-        if !survivors.is_empty() {
-            // Single-pass routing. Children sit at lower indices than their
-            // parents, so walking the arena in index order guarantees every
-            // inner input buffer is current before its parent reads it; a
-            // node whose span misses the stream is skipped, and no parent
-            // ever reads a skipped child's (stale) buffer because the
-            // parent routes through the port containing the stream.
-            for n in 0..self.nodes.len() {
-                let Some(port) = self.nodes[n]
-                    .as_ref()
-                    .and_then(|node| node.op.port_of(stream))
-                else {
-                    continue;
-                };
-                let child = self.nodes[n].as_ref().expect("checked above").children[port];
-                let (left, right) = self.nodes.split_at_mut(n);
-                let node = right[0].as_mut().expect("checked above");
-                node.out_buf.reset(node.op.out_layout().width());
-                let saved = match child {
-                    ChildKey::Leaf(_) => node.op.process_batch(
-                        port,
-                        survivors.iter().map(|&i| {
-                            let i = i as usize;
-                            (&arena[i * width..(i + 1) * width], base + i as u64 + 1)
-                        }),
-                        &mut node.out_buf,
-                    ),
-                    ChildKey::Inner(c) => {
-                        let cbuf = &left[c].as_ref().expect("children outlive parents").out_buf;
-                        if cbuf.is_empty() {
-                            0
-                        } else {
-                            node.op
-                                .process_batch(port, cbuf.iter_with_now(), &mut node.out_buf)
-                        }
-                    }
-                };
-                self.metrics.probe_keys_deduped += saved;
-            }
-            // Fan-out: each live query drains its root node's buffer.
-            let record = self.cfg.record_outputs;
-            for q in self.queries.iter_mut().filter(|q| q.live) {
-                let node = self.nodes[q.root].as_ref().expect("live query's root");
-                if node.out_buf.is_empty() {
-                    continue;
-                }
-                q.stats.outputs += node.out_buf.len() as u64;
-                self.metrics.outputs += node.out_buf.len() as u64;
-                if let Some(sink) = q.sink.as_mut() {
-                    sink.accept(&node.out_buf);
-                } else if record {
-                    q.outputs.extend(node.out_buf.rows().map(<[Value]>::to_vec));
-                }
-            }
-        }
-        self.scratch_survivors = survivors;
-        Ok(())
-    }
-
-    fn refuse_punct(&mut self, fault: AdmissionFault, p: &Punctuation) -> ExecResult<()> {
-        if self
-            .guard
-            .as_ref()
-            .is_some_and(|g| g.policy() == AdmissionPolicy::Strict)
-        {
-            return Err(ExecError::Admission {
-                clock: self.clock,
-                fault,
-            });
-        }
-        self.metrics
-            .count_quarantine_punct(fault.code(), p.stream.0);
-        Ok(())
-    }
-
-    fn try_push_punctuation(&mut self, p: &Punctuation) -> ExecResult<()> {
-        self.metrics.puncts_in += 1;
-        let Some(guard) = &self.guard else {
-            panic!("no query was ever admitted: the registry cannot route elements");
-        };
-        let policy = guard.policy();
-        if let Some(fault) = guard.check_punct_shape(p) {
-            return self.refuse_punct(fault, p);
-        }
-        let class = self
-            .engine
-            .as_ref()
-            .expect("bootstrapped with the guard")
-            .punct_store(p.stream)
-            .classify(p);
-        match class {
-            PunctClass::Regressive => {
-                if policy != AdmissionPolicy::Repair {
-                    let fault = AdmissionFault::RegressiveBound { stream: p.stream };
-                    return self.refuse_punct(fault, p);
-                }
-                self.metrics.repaired += 1;
-            }
-            PunctClass::Duplicate if policy == AdmissionPolicy::Repair => {
-                self.metrics.repaired += 1;
-                return Ok(());
-            }
-            _ => {}
-        }
-        self.engine
-            .as_mut()
-            .expect("bootstrapped with the guard")
-            .observe_punctuation(p, self.clock);
-        if self.cfg.cadence == PurgeCadence::Eager {
-            self.purge_cycle();
-        }
-        Ok(())
     }
 
     /// One shared purge cycle: lifespan expiry, a purge pass per live node
     /// (attributed to every subscriber), the **mirror meet purge**, and the
     /// runtime certificate verification — per query.
     pub fn purge_cycle(&mut self) {
-        self.since_purge = 0;
-        if self.engine.is_none() {
-            return;
+        self.run_purge_cycle();
+    }
+
+    /// Unsubscribes a retiring query from `owned` (its nodes, root last),
+    /// tombstoning nodes no subscriber is left on. `None` if a node is
+    /// already gone.
+    fn unsubscribe(&mut self, owned: &[usize]) -> Option<()> {
+        for &n in owned.iter().rev() {
+            let node = self.nodes[n].as_mut()?;
+            node.subscribers -= 1;
+            if node.subscribers == 0 {
+                let node = self.nodes[n].take()?;
+                self.node_index.remove(&node.key);
+            }
         }
-        self.metrics.purge_cycles += 1;
-        if self.cfg.punct_lifespan.is_some() {
-            let engine = self.engine.as_mut().expect("checked above");
-            engine.expire_punctuations(self.clock);
+        Some(())
+    }
+
+    /// Pushes one element and checkpoints when due (the registry analogue of
+    /// [`crate::exec::Executor::push_checkpointed`]: snapshots are
+    /// punctuation-aligned consistent cuts of the whole shared arena).
+    pub fn push_checkpointed(
+        &mut self,
+        element: &StreamElement,
+        store: &mut CheckpointStore,
+        cursor: &mut InputCursor,
+    ) -> ExecResult<()> {
+        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
+    }
+
+    /// Commits one snapshot of the whole registry to `store` unconditionally.
+    /// Queries streaming to an attached sink are not checkpointable.
+    pub fn commit_checkpoint(
+        &mut self,
+        store: &mut CheckpointStore,
+        cursor: &InputCursor,
+    ) -> ExecResult<()> {
+        self.commit_snapshot(store, cursor)
+    }
+
+    /// Runs a whole feed element-by-element with punctuation-aligned
+    /// checkpointing every `every` elements into `dir`, then finishes.
+    /// At least one query must have been admitted.
+    pub fn try_run_checkpointed(
+        mut self,
+        feed: &Feed,
+        dir: &Path,
+        every: u64,
+    ) -> ExecResult<RegistryResult> {
+        self.run_checkpointed(feed, dir, every)?;
+        Ok(self.finish())
+    }
+
+    /// How restore and resume re-admit `specs` into a fresh registry, with
+    /// the error text of the phase they are in.
+    fn readmitter<'a>(
+        schemes: &'a SchemeSet,
+        cfg: ExecConfig,
+        specs: &'a [(Cjq, Plan)],
+    ) -> impl Fn(&str) -> Result<Self, String> + 'a {
+        move |phase| {
+            let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+            for (q, p) in specs {
+                reg.try_admit(q, p, None)
+                    .map_err(|e| format!("cannot re-admit query for {phase}: {e}"))?;
+            }
+            Ok(reg)
         }
-        let live_before = self.join_state_live();
-        let strategy = self.cfg.purge_strategy;
-        let engine = self.engine.as_ref().expect("checked above");
-        let retire_marks = engine.retire_marks();
-        let mut work = PurgeWork::default();
+    }
+
+    /// Restores a registry from the newest valid snapshot in `dir`.
+    ///
+    /// `specs` must be **every** query admitted in the original run, in
+    /// admission order — including queries that were later retired (their
+    /// retired state is re-applied from the snapshot). Queries admitted
+    /// *after* the snapshot was taken are unknown to it and must be
+    /// re-admitted by the caller after this returns. Mismatched specs fail
+    /// with [`RestoreMismatch`](crate::error::ExecError::RestoreMismatch); a
+    /// corrupt newest snapshot falls back to the previous retained one.
+    ///
+    /// Returns the registry, a store continuing the snapshot sequence at the
+    /// recorded cadence, and the input cursor to resume the feed from.
+    pub fn restore(
+        dir: &Path,
+        schemes: &SchemeSet,
+        cfg: ExecConfig,
+        specs: &[(Cjq, Plan)],
+    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
+        Self::restore_from(dir, Self::readmitter(schemes, cfg, specs))
+    }
+
+    /// Restores from `dir` (see [`QueryRegistry::restore`]) and resumes the
+    /// feed from the recorded cursor, continuing to checkpoint at the
+    /// recorded cadence. An empty directory (crash before the first commit)
+    /// cold-starts the whole feed at cadence `every` (ignored otherwise —
+    /// the manifest's recorded cadence wins). Byte-identical to an
+    /// uninterrupted [`QueryRegistry::try_run_checkpointed`] over the same
+    /// feed (modulo wall time and the checkpoint counters themselves).
+    pub fn try_resume(
+        dir: &Path,
+        schemes: &SchemeSet,
+        cfg: ExecConfig,
+        specs: &[(Cjq, Plan)],
+        feed: &Feed,
+        every: u64,
+    ) -> ExecResult<RegistryResult> {
+        let readmitter = Self::readmitter(schemes, cfg, specs);
+        Ok(Self::resume_from(dir, readmitter, feed, every)?.finish())
+    }
+}
+
+/// What separates the registry from the shared pipeline: single-pass routing
+/// over the node arena with per-query fan-out (no caller sink), the mirror
+/// purge by the *meet* of every live query's recipes, and per-subscriber
+/// purge credit. No single-query monitor applies ([`QueryRegistry::new`]
+/// refuses their knobs).
+impl Pipeline for QueryRegistry {
+    type Sink<'s> = ();
+    const KIND: SnapshotKind = SnapshotKind::Registry;
+
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut Core {
+        &mut self.core
+    }
+
+    fn engine(&self) -> Option<&PurgeEngine> {
+        self.engine.as_ref()
+    }
+
+    fn stage(&mut self) -> Option<(&mut Core, &mut PurgeEngine, &AdmissionGuard)> {
+        Some((&mut self.core, self.engine.as_mut()?, self.guard.as_ref()?))
+    }
+
+    fn op_slots(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn op(&self, i: usize) -> Option<&JoinOperator> {
+        Some(&self.nodes.get(i)?.as_ref()?.op)
+    }
+
+    fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)> {
+        let node = self.nodes.get_mut(i)?.as_mut()?;
+        Some((&mut node.op, self.engine.as_ref()?, &mut self.core))
+    }
+
+    fn with_own_sink<R>(
+        &mut self,
+        f: impl for<'s> FnOnce(&mut Self, &mut Self::Sink<'s>) -> R,
+    ) -> R {
+        f(self, &mut ())
+    }
+
+    /// A **single pass** over the node arena bottom-up — every node whose
+    /// span contains the stream probes once, from the raw run (leaf port) or
+    /// from its child's buffer — then root buffers fan out to every live
+    /// query.
+    fn route(&mut self, run: Run<'_>, survivors: &[u32], _sink: &mut ()) -> ExecResult<()> {
+        // Children sit at lower indices than their parents, so walking the
+        // arena in index order guarantees every inner input buffer is
+        // current before its parent reads it; a node whose span misses the
+        // stream is skipped, and no parent ever reads a skipped child's
+        // (stale) buffer because the parent routes through the port
+        // containing the stream.
         for n in 0..self.nodes.len() {
-            let Some(node) = self.nodes[n].as_mut() else {
+            let Some(port) = self.nodes[n]
+                .as_ref()
+                .and_then(|node| node.op.port_of(run.stream))
+            else {
                 continue;
             };
-            let w = node.op.purge_pass(engine, strategy);
-            if w.purged > 0 {
-                for q in self
-                    .queries
-                    .iter_mut()
-                    .filter(|q| q.live && q.nodes.contains(&n))
-                {
-                    q.stats.purged += w.purged;
+            let child = self.nodes[n].as_ref().expect("checked above").children[port];
+            let (left, right) = self.nodes.split_at_mut(n);
+            let node = right[0].as_mut().expect("checked above");
+            node.out_buf.reset(node.op.out_layout().width());
+            let saved = match child {
+                ChildKey::Leaf(_) => {
+                    node.op
+                        .process_batch(port, run.rows(survivors), &mut node.out_buf)
                 }
-            }
-            work.add(w);
+                ChildKey::Inner(c) => {
+                    let cbuf = &left[c].as_ref().expect("children outlive parents").out_buf;
+                    if cbuf.is_empty() {
+                        0
+                    } else {
+                        node.op
+                            .process_batch(port, cbuf.iter_with_now(), &mut node.out_buf)
+                    }
+                }
+            };
+            self.core.metrics.probe_keys_deduped += saved;
         }
-        self.metrics.purged += work.purged;
-        let purged = work.purged as usize;
-        if matches!(self.cfg.cadence, PurgeCadence::Adaptive { .. }) && live_before > 0 {
-            if purged * 2 >= live_before {
-                self.adaptive_batch = (self.adaptive_batch / 2).max(8);
-            } else if purged * 10 <= live_before {
-                self.adaptive_batch = (self.adaptive_batch * 2).min(4096);
+        // Fan-out: each live query drains its root node's buffer.
+        let record = self.core.cfg.record_outputs;
+        for q in self.queries.iter_mut().filter(|q| q.live) {
+            let node = self.nodes[q.root].as_ref().expect("live query's root");
+            if node.out_buf.is_empty() {
+                continue;
+            }
+            q.stats.outputs += node.out_buf.len() as u64;
+            self.core.metrics.outputs += node.out_buf.len() as u64;
+            if let Some(sink) = q.sink.as_mut() {
+                sink.accept(&node.out_buf);
+            } else if record {
+                q.outputs.extend(node.out_buf.rows().map(<[Value]>::to_vec));
             }
         }
-        let recipe_sets: Vec<&[Option<CompiledRecipe>]> = self
+        Ok(())
+    }
+
+    /// The mirror is shared across queries with different predicates: a row
+    /// leaves only when *every* live query's recipe proves it dead. (No delta
+    /// tracker exists for the meet — it re-checks live rows each cycle.)
+    fn purge_mirror(&mut self) -> PurgeWork {
+        match self.engine.as_mut() {
+            Some(engine) => engine.purge_mirror_meet(&recipe_sets(&self.queries)),
+            None => PurgeWork::default(),
+        }
+    }
+
+    fn verify_mirror(&self, sample: usize) -> u64 {
+        self.engine.as_ref().map_or(0, |engine| {
+            engine.verify_mirror_meet_against_oracle(&recipe_sets(&self.queries), sample)
+        })
+    }
+
+    fn dead_mirror_row(&self) -> Option<(StreamId, usize)> {
+        self.engine
+            .as_ref()?
+            .find_meet_purgeable_mirror_row(&recipe_sets(&self.queries))
+    }
+
+    /// Rows leaving a shared node count once per subscriber.
+    fn credit_purged(&mut self, op: usize, purged: u64) {
+        for q in self
             .queries
-            .iter()
-            .filter(|q| q.live)
-            .map(|q| q.mirror_recipes.as_slice())
-            .collect();
-        let engine = self.engine.as_mut().expect("checked above");
-        work.add(engine.purge_mirror_meet(&recipe_sets));
-        self.metrics.purge_candidates_examined += work.examined;
-        engine.trim_punct_deltas();
-        engine.trim_retired(&retire_marks);
-        if self.cfg.verify_certificates {
-            let engine = self.engine.as_ref().expect("checked above");
-            let mut checked = 0u64;
-            for node in self.nodes.iter().flatten() {
-                checked += node
-                    .op
-                    .verify_against_oracle(engine, certify::ORACLE_SAMPLE);
-            }
-            checked +=
-                engine.verify_mirror_meet_against_oracle(&recipe_sets, certify::ORACLE_SAMPLE);
-            self.metrics.certificate_checks += checked;
-            for node in self.nodes.iter().flatten() {
-                assert!(
-                    !node.op.any_certified_cold_segment(engine),
-                    "certificate violation: a punctuation-covered cold \
-                     segment survived a shared purge cycle"
-                );
-            }
+            .iter_mut()
+            .filter(|q| q.live && q.nodes.contains(&op))
+        {
+            q.stats.purged += purged;
         }
     }
 
@@ -1058,16 +840,10 @@ impl QueryRegistry {
     /// the snapshot.
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::default();
-        self.cfg.fingerprint_into(&mut fp);
+        self.core.cfg.fingerprint_into(&mut fp);
         fp.word(self.queries.len() as u64);
         for q in &self.queries {
-            fp.word(q.query.n_streams() as u64);
-            for p in q.query.predicates() {
-                fp.word(p.left.stream.0 as u64);
-                fp.word(p.left.attr.0 as u64);
-                fp.word(p.right.stream.0 as u64);
-                fp.word(p.right.attr.0 as u64);
-            }
+            fingerprint_query(&mut fp, &q.query);
             fp.word(q.nodes.len() as u64);
             for &n in &q.nodes {
                 fp.word(n as u64);
@@ -1075,17 +851,7 @@ impl QueryRegistry {
             fp.word(q.root as u64);
         }
         if let (Some(engine), Some(first)) = (&self.engine, self.queries.first()) {
-            for s in first.query.stream_ids() {
-                let store = engine.punct_store(s);
-                fp.word(store.schemes().len() as u64);
-                for scheme in store.schemes() {
-                    fp.word(u64::from(scheme.is_ordered()));
-                    fp.word(scheme.punctuatable().len() as u64);
-                    for a in scheme.punctuatable() {
-                        fp.word(a.0 as u64);
-                    }
-                }
-            }
+            fingerprint_schemes(&mut fp, &first.query, engine);
         }
         fp.finish()
     }
@@ -1094,10 +860,8 @@ impl QueryRegistry {
     /// per-query membership/stats/outputs, the shared engine, and every
     /// live node's operator state.
     fn write_snapshot(&self, e: &mut Enc) {
-        e.u64(self.clock);
-        e.usize(self.since_purge);
-        e.usize(self.adaptive_batch);
-        self.metrics.write_state(e);
+        self.core.write_pacing(e);
+        self.core.metrics.write_state(e);
         e.usize(self.queries.len());
         for q in &self.queries {
             e.bool(q.live);
@@ -1111,13 +875,7 @@ impl QueryRegistry {
                 }
                 None => e.bool(false),
             }
-            e.usize(q.outputs.len());
-            for row in &q.outputs {
-                e.usize(row.len());
-                for v in row {
-                    e.value(v);
-                }
-            }
+            e.rows(&q.outputs);
         }
         match &self.engine {
             Some(engine) => {
@@ -1145,10 +903,8 @@ impl QueryRegistry {
     /// snapshot's.
     fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
-        self.clock = d.u64()?;
-        self.since_purge = d.usize()?;
-        self.adaptive_batch = d.usize()?;
-        self.metrics = Metrics::read_state(d)?;
+        self.core.read_pacing(d)?;
+        self.core.metrics = Metrics::read_state(d)?;
         let nq = d.usize()?;
         if nq != self.queries.len() {
             return Err(SnapshotError(format!(
@@ -1164,39 +920,15 @@ impl QueryRegistry {
                 admitted_at: d.u64()?,
                 retired_at: if d.bool()? { Some(d.u64()?) } else { None },
             };
-            let n = d.usize()?;
-            let mut outputs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let w = d.usize()?;
-                let mut row = Vec::with_capacity(w);
-                for _ in 0..w {
-                    row.push(d.value()?);
-                }
-                outputs.push(row);
-            }
-            let owned = {
-                let q = &mut self.queries[qi];
-                q.stats = stats;
-                q.outputs = outputs;
-                if !live && q.live {
-                    q.live = false;
-                    q.nodes.clone()
-                } else {
-                    Vec::new()
-                }
-            };
-            for &n in owned.iter().rev() {
-                let gone = {
-                    let node = self.nodes[n].as_mut().ok_or_else(|| {
-                        SnapshotError("retired query's node already tombstoned".into())
-                    })?;
-                    node.subscribers -= 1;
-                    node.subscribers == 0
-                };
-                if gone {
-                    let node = self.nodes[n].take().expect("checked above");
-                    self.node_index.remove(&node.key);
-                }
+            let q = &mut self.queries[qi];
+            q.stats = stats;
+            q.outputs = d.rows()?;
+            if !live && q.live {
+                q.live = false;
+                let owned = q.nodes.clone();
+                self.unsubscribe(&owned).ok_or_else(|| {
+                    SnapshotError("retired query's node already tombstoned".into())
+                })?;
             }
         }
         if d.bool()? {
@@ -1216,7 +948,7 @@ impl QueryRegistry {
                 self.nodes.len()
             )));
         }
-        let spill = &mut self.spill;
+        let spill = &mut self.core.spill;
         for ni in 0..nn {
             let present = d.bool()?;
             match (present, self.nodes[ni].as_mut()) {
@@ -1232,195 +964,16 @@ impl QueryRegistry {
         Ok(())
     }
 
-    /// Builds the registry checkpoint payload. Queries streaming to an
-    /// attached sink are not checkpointable — a sink cannot be serialized,
-    /// and a resumed run would silently drop its rows.
-    fn snapshot_payload(&self, every: u64, cursor: &InputCursor) -> ExecResult<Vec<u8>> {
-        if self.queries.iter().any(|q| q.live && q.sink.is_some()) {
-            return Err(ExecError::CheckpointCorrupt {
-                path: "<config>".into(),
-                detail: "queries with attached sinks are not checkpointable: \
-                         a sink cannot be serialized"
-                    .into(),
-            });
-        }
-        let mut e = Enc::new();
-        Manifest {
-            kind: SnapshotKind::Registry,
-            fingerprint: self.fingerprint(),
-            every,
-            cursor: cursor.clone(),
-        }
-        .write(&mut e);
-        self.write_snapshot(&mut e);
-        Ok(e.buf)
-    }
-
-    /// Pushes one element and checkpoints when due (the registry analogue of
-    /// [`crate::exec::Executor::push_checkpointed`]: snapshots are
-    /// punctuation-aligned consistent cuts of the whole shared arena).
-    pub fn push_checkpointed(
-        &mut self,
-        element: &StreamElement,
-        store: &mut CheckpointStore,
-        cursor: &mut InputCursor,
-    ) -> ExecResult<()> {
-        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
-    }
-
-    /// [`QueryRegistry::push_checkpointed`] over a run of elements, timed
-    /// once per call and per commit (see the executor's twin).
-    fn push_all_checkpointed(
-        &mut self,
-        elements: &[StreamElement],
-        store: &mut CheckpointStore,
-        cursor: &mut InputCursor,
-    ) -> ExecResult<()> {
-        let mut start = Instant::now();
-        for e in elements {
-            self.push_untimed(e)?;
-            cursor.advance(e.stream());
-            store.note_element();
-            if store.due(e.is_punctuation()) {
-                self.metrics.elapsed_ns += start.elapsed().as_nanos();
-                self.commit_checkpoint(store, cursor)?;
-                start = Instant::now();
-            }
-        }
-        self.metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
-    }
-
-    /// Commits one snapshot of the whole registry to `store` unconditionally.
-    pub fn commit_checkpoint(
-        &mut self,
-        store: &mut CheckpointStore,
-        cursor: &InputCursor,
-    ) -> ExecResult<()> {
-        let payload = self.snapshot_payload(store.every(), cursor)?;
-        let cold: usize = self.nodes.iter().flatten().map(|n| n.op.cold_rows()).sum();
-        let rows = (self.join_state_live()
-            + self.engine.as_ref().map_or(0, PurgeEngine::mirror_live)
-            + cold) as u64;
-        store
-            .commit(&payload, rows)
-            .map_err(|e| ExecError::CheckpointCorrupt {
-                path: store.dir().display().to_string(),
-                detail: e.to_string(),
-            })?;
-        self.metrics.checkpoints_written += 1;
-        self.metrics.checkpoint_rows += rows;
-        Ok(())
-    }
-
-    /// Runs a whole feed element-by-element with punctuation-aligned
-    /// checkpointing every `every` elements into `dir`, then finishes.
-    /// At least one query must have been admitted.
-    pub fn try_run_checkpointed(
-        mut self,
-        feed: &Feed,
-        dir: &Path,
-        every: u64,
-    ) -> ExecResult<RegistryResult> {
-        let corrupt = |detail: String| ExecError::CheckpointCorrupt {
-            path: dir.display().to_string(),
-            detail,
-        };
-        let n_streams = self
-            .queries
-            .first()
-            .map(|q| q.query.n_streams())
-            .ok_or_else(|| corrupt("no queries admitted: nothing to checkpoint".into()))?;
-        let mut store = CheckpointStore::open(dir, every).map_err(|e| corrupt(e.to_string()))?;
-        let mut cursor = InputCursor::zero(n_streams);
-        self.push_all_checkpointed(feed.elements(), &mut store, &mut cursor)?;
-        Ok(self.finish())
-    }
-
-    /// Restores a registry from the newest valid snapshot in `dir`.
-    ///
-    /// `specs` must be **every** query admitted in the original run, in
-    /// admission order — including queries that were later retired (their
-    /// retired state is re-applied from the snapshot). Queries admitted
-    /// *after* the snapshot was taken are unknown to it and must be
-    /// re-admitted by the caller after this returns. Mismatched specs fail
-    /// with [`ExecError::RestoreMismatch`]; a corrupt newest snapshot falls
-    /// back to the previous retained one.
-    ///
-    /// Returns the registry, a store continuing the snapshot sequence at the
-    /// recorded cadence, and the input cursor to resume the feed from.
-    pub fn restore(
-        dir: &Path,
-        schemes: &SchemeSet,
-        cfg: ExecConfig,
-        specs: &[(Cjq, Plan)],
-    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
-        let corrupt = |detail: String| ExecError::CheckpointCorrupt {
-            path: dir.display().to_string(),
-            detail,
-        };
-        let (payload, fallbacks, path) = CheckpointStore::load_latest(dir).map_err(&corrupt)?;
-        let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-        for (q, p) in specs {
-            reg.try_admit(q, p, None)
-                .map_err(|e| corrupt(format!("cannot re-admit query for restore: {e}")))?;
-        }
-        let mut d = Dec::new(&payload);
-        let manifest = Manifest::read(&mut d).map_err(|e| corrupt(e.to_string()))?;
-        if manifest.kind != SnapshotKind::Registry {
-            return Err(corrupt(format!(
-                "snapshot at {} is not a registry snapshot",
-                path.display()
-            )));
-        }
-        let expected = reg.fingerprint();
-        if manifest.fingerprint != expected {
-            return Err(ExecError::RestoreMismatch {
-                expected,
-                found: manifest.fingerprint,
-            });
-        }
-        reg.read_snapshot(&mut d)
-            .map_err(|e| corrupt(e.to_string()))?;
-        d.expect_end().map_err(|e| corrupt(e.to_string()))?;
-        reg.metrics.restores += 1;
-        reg.metrics.snapshot_fallbacks += fallbacks;
-        let store =
-            CheckpointStore::open(dir, manifest.every).map_err(|e| corrupt(e.to_string()))?;
-        Ok((reg, store, manifest.cursor))
-    }
-
-    /// Restores from `dir` (see [`QueryRegistry::restore`]) and resumes the
-    /// feed from the recorded cursor, continuing to checkpoint at the
-    /// recorded cadence. An empty directory (crash before the first commit)
-    /// cold-starts the whole feed at cadence `every` (ignored otherwise —
-    /// the manifest's recorded cadence wins). Byte-identical to an
-    /// uninterrupted [`QueryRegistry::try_run_checkpointed`] over the same
-    /// feed (modulo wall time and the checkpoint counters themselves).
-    pub fn try_resume(
-        dir: &Path,
-        schemes: &SchemeSet,
-        cfg: ExecConfig,
-        specs: &[(Cjq, Plan)],
-        feed: &Feed,
-        every: u64,
-    ) -> ExecResult<RegistryResult> {
-        if crate::checkpoint::list_snapshots(dir).is_empty() {
-            let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-            for (q, p) in specs {
-                reg.try_admit(q, p, None)
-                    .map_err(|e| ExecError::CheckpointCorrupt {
-                        path: dir.display().to_string(),
-                        detail: format!("cannot re-admit query for cold start: {e}"),
-                    })?;
-            }
-            return reg.try_run_checkpointed(feed, dir, every);
-        }
-        let (mut reg, mut store, mut cursor) = Self::restore(dir, schemes, cfg, specs)?;
-        let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
-        let rest = feed.elements().get(done..).unwrap_or(&[]);
-        reg.push_all_checkpointed(rest, &mut store, &mut cursor)?;
-        Ok(reg.finish())
+    /// A sink cannot be serialized, and a resumed run would silently drop
+    /// its rows.
+    fn not_checkpointable(&self) -> Option<&'static str> {
+        self.queries
+            .iter()
+            .any(|q| q.live && q.sink.is_some())
+            .then_some(
+                "queries with attached sinks are not checkpointable: a sink \
+                 cannot be serialized",
+            )
     }
 }
 
@@ -1606,120 +1159,32 @@ impl ShardedRegistry {
     }
 
     /// Fallible [`ShardedRegistry::run`]: shard panics and per-shard errors
-    /// surface as [`ExecError`]s, with the same supervision the sharded
-    /// executor gives (surviving shards drain before the error returns).
+    /// surface as [`ExecError`](crate::error::ExecError)s, with the same
+    /// supervision the sharded executor gives (surviving shards drain before
+    /// the error returns).
     ///
     /// # Errors
     /// The first failing shard's error, by shard index.
     pub fn try_run(&self, feed: &Feed) -> ExecResult<ShardedRegistryResult> {
-        let p = self.partitioning.shards;
         let start = Instant::now();
-        if p == 1 {
-            let mut reg = self.build_registry(0);
-            reg.try_feed(feed).map_err(|e| ExecError::Shard {
-                shard: 0,
-                source: Box::new(e),
-            })?;
-            let done = reg.finish();
-            let mut metrics = done.metrics;
-            metrics.elapsed_ns = start.elapsed().as_nanos();
-            return Ok(ShardedRegistryResult {
-                queries: done.queries,
-                metrics,
-                consensus: self.consensus,
-            });
-        }
-        assert!(u32::try_from(feed.len()).is_ok(), "feed too long to route");
-        const ROUTE_BATCH: usize = 256;
-        let finished: Vec<ExecResult<RegistryResult>> = std::thread::scope(|scope| {
-            let elements = feed.elements();
-            let mut senders = Vec::with_capacity(p);
-            let mut handles = Vec::with_capacity(p);
-            for shard in 0..p {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u32>>(4);
-                senders.push(tx);
-                let reg = self.build_registry(shard);
-                handles.push(scope.spawn(move || {
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        move || -> ExecResult<RegistryResult> {
-                            let mut reg = reg;
-                            let mut batch = ElementBatch::new();
-                            while let Ok(idxs) = rx.recv() {
-                                batch.gather_indexed(elements, &idxs);
-                                reg.try_push_batch(&batch)?;
-                            }
-                            Ok(reg.finish())
-                        },
-                    ));
-                    match caught {
-                        Ok(Ok(done)) => Ok(done),
-                        Ok(Err(e)) => Err(ExecError::Shard {
-                            shard,
-                            source: Box::new(e),
-                        }),
-                        Err(payload) => Err(ExecError::ShardPanicked {
-                            shard,
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    }
-                }));
-            }
-            let mut dead = vec![false; p];
-            let mut buffers: Vec<Vec<u32>> = vec![Vec::with_capacity(ROUTE_BATCH); p];
-            let mut send_to = |shard: usize, idx: u32| {
-                if dead[shard] {
-                    return;
-                }
-                let buf = &mut buffers[shard];
-                buf.push(idx);
-                if buf.len() >= ROUTE_BATCH {
-                    let full = std::mem::replace(buf, Vec::with_capacity(ROUTE_BATCH));
-                    if senders[shard].send(full).is_err() {
-                        dead[shard] = true;
-                    }
-                }
-            };
-            for (i, e) in elements.iter().enumerate() {
-                let idx = i as u32;
-                match self.partitioning.route(e) {
-                    Some(shard) => send_to(shard, idx),
-                    None => (0..p).for_each(|shard| send_to(shard, idx)),
-                }
-            }
-            for (shard, buf) in buffers.into_iter().enumerate() {
-                if !dead[shard] && !buf.is_empty() {
-                    let _ = senders[shard].send(buf);
-                }
-            }
-            drop(senders);
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(shard, h)| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(ExecError::ShardPanicked {
-                            shard,
-                            message: panic_message(payload.as_ref()),
-                        })
-                    })
-                })
-                .collect()
-        });
-
-        let mut shards = Vec::with_capacity(p);
-        let mut first_err: Option<ExecError> = None;
-        for res in finished {
-            match res {
-                Ok(done) => shards.push(done),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        let registries = (0..self.partitioning.shards)
+            .map(|shard| self.build_registry(shard))
+            .collect();
+        let mut shards = fan_out(
+            &self.partitioning,
+            feed.elements(),
+            registries,
+            QueryRegistry::try_push_batch,
+            QueryRegistry::finish,
+        )?;
         let mut metrics = Metrics::default();
-        for s in &shards {
-            metrics.merge_from(&s.metrics);
+        if let [only] = shards.as_mut_slice() {
+            // One shard is a plain registry: its sample series stands.
+            metrics = std::mem::take(&mut only.metrics);
+        } else {
+            for s in &shards {
+                metrics.merge_from(&s.metrics);
+            }
         }
         metrics.elapsed_ns = start.elapsed().as_nanos();
         let n_queries = self.specs.len();
@@ -1753,7 +1218,9 @@ impl ShardedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ExecError;
     use crate::exec::Executor;
+    use crate::guard::{AdmissionFault, AdmissionPolicy};
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
     use cjq_core::punctuation::Punctuation;
@@ -1832,6 +1299,46 @@ mod tests {
         // Shared node: the probe work happened once, not twice.
         assert_eq!(done.metrics.tuples_in, solo.metrics.tuples_in);
         assert_eq!(done.metrics.purged, solo.metrics.purged);
+    }
+
+    /// `try_*` report errors as values: before the first admission there is
+    /// no catalog to route against, which is `UnroutableStream` on every
+    /// entry point (these used to panic inside `try_push*`); the panicking
+    /// wrappers render the same error.
+    #[test]
+    fn pushing_before_any_admission_is_an_error_not_a_panic() {
+        let (_, schemes, _) = tiny();
+        let tuple: StreamElement = Tuple::of(0, [Value::Int(1), Value::Int(2)]).into();
+        let punctuation = StreamElement::Punctuation(punct(1, 0, 1));
+        let unroutable = |res: ExecResult<()>, stream: usize| {
+            assert!(
+                matches!(res, Err(ExecError::UnroutableStream(s)) if s == StreamId(stream)),
+                "{res:?}"
+            );
+        };
+        for (element, stream) in [(&tuple, 0), (&punctuation, 1)] {
+            let mut reg = QueryRegistry::new(schemes.clone(), cfg());
+            unroutable(reg.try_push(element), stream);
+            let mut batch = ElementBatch::new();
+            batch.gather(std::slice::from_ref(element));
+            let mut reg = QueryRegistry::new(schemes.clone(), cfg());
+            unroutable(reg.try_push_batch(&batch), stream);
+        }
+        let dir = std::env::temp_dir().join(format!("cjq-reg-unrouted-{}", std::process::id()));
+        let mut store = CheckpointStore::open(&dir, 1).unwrap();
+        let mut reg = QueryRegistry::new(schemes.clone(), cfg());
+        let mut cursor = InputCursor::zero(2);
+        unroutable(reg.push_checkpointed(&tuple, &mut store, &mut cursor), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+        let panicked = std::panic::catch_unwind(|| {
+            QueryRegistry::new(schemes, cfg()).push(&tuple);
+        })
+        .expect_err("push panics where try_push errs");
+        let message = panicked.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(
+            *message,
+            ExecError::UnroutableStream(StreamId(0)).to_string()
+        );
     }
 
     /// A zero-value tuple — what `Fault::TruncateTuples` leaves of an arity-1

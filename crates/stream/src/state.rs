@@ -712,8 +712,11 @@ impl PortState {
         let Some(end) = base.checked_add(rows).filter(|_| base.is_multiple_of(64)) else {
             return Err(SnapshotError("port base is not word-aligned".into()));
         };
-        let mut arena = Vec::with_capacity(rows * stride);
-        for _ in 0..rows * stride {
+        let cells = rows
+            .checked_mul(stride)
+            .ok_or_else(|| SnapshotError(format!("port of {rows} x {stride} cells overflows")))?;
+        let mut arena = Vec::with_capacity(d.fits(cells, 1)?);
+        for _ in 0..cells {
             arena.push(d.value()?);
         }
         let live_bits = d.u64s()?;
@@ -754,7 +757,7 @@ impl PortState {
         let inserted = d.u64()?;
         let purged = d.u64()?;
         let demoted = d.u64()?;
-        let n = d.usize()?;
+        let n = d.len_prefix(8)?;
         let retired = (0..n)
             .map(|_| d.usize())
             .collect::<crate::checkpoint::SnapshotResult<Vec<usize>>>()?;

@@ -316,10 +316,10 @@ impl ColdTier {
         stride: usize,
     ) -> crate::checkpoint::SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
-        let n = d.usize()?;
+        let n = d.len_prefix(8)?;
         self.segments.clear();
         for _ in 0..n {
-            let n_rows = d.usize()?;
+            let n_rows = d.len_prefix(8)?;
             if n_rows == 0 {
                 return Err(SnapshotError("empty cold segment in snapshot".into()));
             }

@@ -6,7 +6,7 @@
 # reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=12870
+CEILING=12760
 
 cd "$(dirname "$0")/.."
 total=0
@@ -20,3 +20,23 @@ if [ "$total" -gt "$CEILING" ]; then
     echo "crates/stream/src grew past its non-test line ceiling" >&2
     exit 1
 fi
+
+# No twins: the pipeline steps exist once (crates/stream/src/pipeline.rs). A
+# second file defining one of them is the Executor/QueryRegistry copy growing
+# back.
+status=0
+for name in post_element enforce_budget run_cap try_push_punctuation refuse_punct \
+    push_untimed push_all_checkpointed snapshot_payload; do
+    owners=""
+    for f in crates/stream/src/*.rs; do
+        if awk -v def="fn $name[(<]" \
+            '/^#\[cfg\(test\)\]/{exit} $0 ~ def {found=1; exit} END{exit !found}' "$f"; then
+            owners="$owners $f"
+        fi
+    done
+    if [ "$(echo $owners | wc -w)" -gt 1 ]; then
+        echo "fn $name is defined in more than one file:$owners" >&2
+        status=1
+    fi
+done
+exit $status

@@ -231,3 +231,121 @@ fn interval_offset_budget_interleavings_recover_exactly() {
         assert_equiv(&tag, &golden, &recovered);
     });
 }
+
+/// A frame can carry a valid checksum, the right kind and the right
+/// fingerprint and still lie about its lengths. Every restore entry point
+/// must refuse such a frame with `CheckpointCorrupt` — never panic on an
+/// overflowing offset, never abort allocating for a forged count.
+#[test]
+fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
+    use punctuated_cjq::stream::checkpoint::{CheckpointStore, Dec, Enc, InputCursor, Manifest};
+    use punctuated_cjq::stream::error::ExecError;
+    use punctuated_cjq::stream::parallel::ShardedExecutor;
+    use punctuated_cjq::stream::registry::QueryRegistry;
+
+    let (query, schemes) = auction::auction_query();
+    let plan = Plan::mjoin_all(&query);
+    let cfg = record_outputs(ExecConfig::default());
+    let specs = [(query.clone(), plan.clone())];
+    let sharded = ShardedExecutor::compile(&query, &schemes, &plan, cfg, 2).expect("compile");
+    let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+
+    // One genuine snapshot per kind. Its manifest carries the kind and the
+    // fingerprint (not reachable through the public API for the registry and
+    // the fleet); its body is where a single length gets forged.
+    let genuine = |kind: &str| -> Vec<u8> {
+        let dir = ckpt_dir(&format!("forge-genuine-{kind}"));
+        let mut store = CheckpointStore::open(&dir, 1).expect("open store");
+        let cursor = InputCursor::zero(query.n_streams());
+        match kind {
+            "exec" => Executor::compile(&query, &schemes, &plan, cfg)
+                .expect("compile")
+                .commit_checkpoint(&mut store, &cursor)
+                .expect("commit"),
+            "registry" => {
+                let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+                reg.admit(&query, &plan);
+                reg.commit_checkpoint(&mut store, &cursor).expect("commit");
+            }
+            _ => {
+                // The fleet only commits from a run: one punctuation is due.
+                let punct = auction::generate(&AuctionConfig::default())
+                    .elements()
+                    .iter()
+                    .find(|e| e.is_punctuation())
+                    .expect("auction feeds punctuate")
+                    .clone();
+                sharded
+                    .try_run_checkpointed(&Feed::from_elements(vec![punct]), &dir, 1)
+                    .expect("checkpointed fleet run");
+            }
+        }
+        let (payload, _, _) = CheckpointStore::load_latest(&dir).expect("genuine frame");
+        let _ = std::fs::remove_dir_all(&dir);
+        payload
+    };
+
+    // A fresh executor's body up to its recorded-output table: clock,
+    // since_purge, adaptive_batch, last_punct (2 streams), stall flags (2),
+    // no port bounds.
+    let exec_to_outputs = [words(&[0, 0, 0, 2, 0, 0, 2]), vec![0, 0, 0]].concat();
+    // The first mirror port of a fresh engine, after the engine's stream
+    // count: item's stride 4, base 0, 0 resident rows.
+    let first_port = words(&[2, 4, 0, 0]);
+
+    for kind in ["exec", "registry", "fleet"] {
+        let payload = genuine(kind);
+        let manifest = Manifest::read(&mut Dec::new(&payload)).expect("genuine manifest");
+        let mut head = Enc::new();
+        manifest.write(&mut head);
+        let head = head.buf;
+        let port_at = payload
+            .windows(first_port.len())
+            .position(|w| w == first_port.as_slice())
+            .expect("the first mirror port of a fresh engine");
+        // Everything genuine up to the first output table.
+        let to_outputs = match kind {
+            "exec" => [head, exec_to_outputs.clone()].concat(),
+            // Router counters and shard count, then shard 0's executor body.
+            "fleet" => [head, words(&[0, 0, 2]), exec_to_outputs.clone()].concat(),
+            // The one query's table (empty: a zero count) sits right before
+            // the engine-present byte and the engine block.
+            _ => {
+                let table_at = port_at - 1 - 8;
+                assert_eq!(payload[table_at..port_at - 1], words(&[0])[..]);
+                payload[..table_at].to_vec()
+            }
+        };
+        let string_len = [words(&[1, 1]), vec![3], words(&[u64::MAX])].concat();
+        let mut overflow = payload.clone();
+        let rows_at = port_at + 24;
+        overflow[rows_at..rows_at + 8].copy_from_slice(&(u64::MAX / 4 + 2).to_le_bytes());
+        let forged = [
+            // One output row of one value: a string of u64::MAX bytes.
+            (
+                "truncated payload",
+                [to_outputs.clone(), string_len].concat(),
+            ),
+            // 2^60 output rows.
+            ("exceeds the", [to_outputs, words(&[1 << 60])].concat()),
+            // rows x stride overflows usize in the first mirror port.
+            ("overflows", overflow),
+        ];
+        for (expect, bytes) in forged {
+            let dir = ckpt_dir(&format!("forge-{kind}"));
+            let mut store = CheckpointStore::open(&dir, 1).expect("open store");
+            store.commit(&bytes, 0).expect("commit forged frame");
+            let refused = match kind {
+                "exec" => Executor::restore(&dir, &query, &schemes, &plan, cfg).map(|_| ()),
+                "registry" => QueryRegistry::restore(&dir, &schemes, cfg, &specs).map(|_| ()),
+                _ => sharded.try_resume(&Feed::new(), &dir, 1).map(|_| ()),
+            };
+            assert!(
+                matches!(&refused, Err(ExecError::CheckpointCorrupt { detail, .. })
+                    if detail.contains(expect)),
+                "{kind}: expected a refusal mentioning `{expect}`, got {refused:?}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}

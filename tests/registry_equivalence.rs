@@ -241,6 +241,146 @@ fn seeded_fault_run_matches_standalones() {
     }
 }
 
+/// Admission is one shared step: a one-tenant registry and a dedicated
+/// executor fed the same malformed elements must refuse, repair and count
+/// them identically under every [`AdmissionPolicy`] — and under `Strict`
+/// fail with the identical error at the identical element.
+#[test]
+fn malformed_elements_are_admitted_identically_under_every_policy() {
+    use punctuated_cjq::core::punctuation::Punctuation;
+    use punctuated_cjq::stream::element::StreamElement;
+    use punctuated_cjq::stream::error::ExecError;
+    use punctuated_cjq::stream::guard::AdmissionPolicy;
+    use punctuated_cjq::stream::tuple::Tuple;
+    use punctuated_cjq::workload::trades::{self, QUOTE, TRADE};
+
+    let (query, schemes) = trades::trades_query();
+    let plan = Plan::mjoin_all(&query);
+    let row = |stream, ts: i64| -> StreamElement {
+        Tuple::new(stream, vec![Value::Int(ts), Value::Int(0), Value::Int(100)]).into()
+    };
+    let clean = [
+        row(QUOTE, 0),
+        row(TRADE, 0),
+        trades::heartbeat(TRADE, 0),
+        row(QUOTE, 1),
+        row(TRADE, 1),
+        trades::heartbeat(TRADE, 5),
+    ];
+    // (what, the element, whether `Strict` refuses it — an exact duplicate
+    // is only ever deduplicated, by `Repair`).
+    let malformed: [(&str, StreamElement, bool); 5] = [
+        (
+            "arity-mismatch tuple",
+            Tuple::new(TRADE, vec![Value::Int(7)]).into(),
+            true,
+        ),
+        ("punctuation-violating tuple", row(TRADE, 3), true),
+        ("regressive punctuation", trades::heartbeat(TRADE, 2), true),
+        (
+            "exact-duplicate punctuation",
+            trades::heartbeat(TRADE, 5),
+            false,
+        ),
+        (
+            "wrong-arity punctuation",
+            Punctuation::heartbeat(TRADE, 2, AttrId(0), Value::Int(9)).into(),
+            true,
+        ),
+    ];
+    let closing = [
+        row(QUOTE, 8),
+        row(TRADE, 8),
+        trades::heartbeat(QUOTE, 9),
+        trades::heartbeat(TRADE, 9),
+    ];
+
+    // Pushes `elements` into both engines one by one; every element must
+    // come back the same on both sides. Returns the last element's result.
+    let push_both = |exec: &mut Executor, reg: &mut QueryRegistry, elements: &[StreamElement]| {
+        let mut last = Ok(());
+        for (i, e) in elements.iter().enumerate() {
+            last = exec.try_push(e);
+            let shared = reg.try_push(e);
+            assert_eq!(
+                format!("{last:?}"),
+                format!("{shared:?}"),
+                "element {i} must be admitted identically"
+            );
+        }
+        last
+    };
+
+    for admission in [
+        AdmissionPolicy::Strict,
+        AdmissionPolicy::Quarantine,
+        AdmissionPolicy::Repair,
+    ] {
+        let cfg = ExecConfig {
+            admission,
+            ..base_cfg(PurgeCadence::Eager)
+        };
+        let engines = || {
+            let exec = Executor::compile(&query, &schemes, &plan, cfg).expect("safe query");
+            let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+            reg.admit(&query, &plan);
+            (exec, reg)
+        };
+        if admission == AdmissionPolicy::Strict {
+            // Strict poisons at the first fault: one run per fault.
+            for (label, bad, refused) in &malformed {
+                let (mut exec, mut reg) = engines();
+                let feed = [clean.as_slice(), std::slice::from_ref(bad)].concat();
+                let last = push_both(&mut exec, &mut reg, &feed);
+                assert_eq!(
+                    matches!(last, Err(ExecError::Admission { clock: 7, .. })),
+                    *refused,
+                    "{label} under Strict: {last:?}"
+                );
+            }
+            continue;
+        }
+        let (mut exec, mut reg) = engines();
+        let bad: Vec<StreamElement> = malformed.iter().map(|(_, e, _)| e.clone()).collect();
+        let feed = [clean.as_slice(), bad.as_slice(), closing.as_slice()].concat();
+        push_both(&mut exec, &mut reg, &feed).expect("nothing is fatal below Strict");
+        let solo = exec.finish();
+        let shared = reg.finish();
+        let (m, s) = (&shared.metrics, &solo.metrics);
+        let seen = match admission {
+            AdmissionPolicy::Repair => (3, 2), // the regressive bound and the duplicate
+            _ => (4, 0),
+        };
+        assert_eq!((s.quarantined, s.repaired), seen, "{admission:?}");
+        assert_eq!(m.tuples_in, s.tuples_in, "{admission:?}");
+        assert_eq!(m.puncts_in, s.puncts_in, "{admission:?}");
+        assert_eq!(
+            m.violations_by_stream, s.violations_by_stream,
+            "{admission:?}"
+        );
+        assert_eq!(m.quarantined, s.quarantined, "{admission:?}");
+        assert_eq!(
+            m.quarantined_by_reason, s.quarantined_by_reason,
+            "{admission:?}"
+        );
+        assert_eq!(
+            m.quarantined_by_stream, s.quarantined_by_stream,
+            "{admission:?}"
+        );
+        assert_eq!(m.quarantined_rows, s.quarantined_rows, "{admission:?}");
+        assert_eq!(m.repaired, s.repaired, "{admission:?}");
+        assert_eq!(shared.queries[0].outputs, solo.outputs, "{admission:?}");
+        assert_eq!(
+            solo.outputs.len(),
+            3,
+            "{admission:?}: the clean rows still join"
+        );
+        assert_eq!(m.purged, s.purged, "{admission:?}");
+        assert_eq!(m.mirror_purged, s.mirror_purged, "{admission:?}");
+        assert_eq!(shared.queries[0].stats.purged, s.purged, "{admission:?}");
+    }
+}
+
 /// The planner's static sub-plan fingerprints must predict the registry's
 /// physical sharing exactly: distinct fingerprints == interned nodes,
 /// total fingerprints == per-query subscriptions.
