@@ -39,9 +39,11 @@ fn mcfg(queries: usize, overlap: f64) -> MultiConfig {
         streams: 4,
         queries,
         overlap,
-        rounds: 40,
-        lag: 2,
-        tuples_per_round: 1,
+        // The perfbench `multi_tenant16` tenant set and feed (64k elements):
+        // long enough that a point is timed, not dominated by admission.
+        rounds: 4000,
+        lag: 4,
+        tuples_per_round: 2,
         seed: 7,
     }
 }

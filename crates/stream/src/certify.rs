@@ -37,7 +37,7 @@ use cjq_core::scheme::SchemeSet;
 use crate::element::StreamElement;
 use crate::exec::PurgeCadence;
 use crate::join::JoinOperator;
-use crate::purge::{CompiledRecipe, PurgeEngine, PurgeScope};
+use crate::purge::{PurgeEngine, PurgeScope};
 use crate::source::Feed;
 
 /// Rows per port on which each purge cycle re-checks the fast path against
@@ -62,10 +62,10 @@ pub fn static_certificates(
 
 /// [`static_certificates`] over an arbitrary operator set: the registry's
 /// per-admission form. A tenant's operators live scattered in the shared
-/// node arena (only some nodes belong to each query), and its mirror
-/// recipes are compiled per query at admission rather than held by the
-/// engine — so the operator set comes in as an iterator and the mirror side
-/// as a has-recipe predicate.
+/// node arena (only some nodes belong to each query), and the engine's meet
+/// holds every tenant's mirror recipes — so the operator set comes in as an
+/// iterator and the mirror side as a has-recipe predicate over the
+/// admission's own subscription.
 #[must_use]
 pub fn static_certificates_with<'a>(
     query: &Cjq,
@@ -102,20 +102,6 @@ pub fn static_certificates_with<'a>(
         }
     }
     None
-}
-
-/// Checks a tenant's per-stream mirror recipes against the Theorem 1/3
-/// certificates (the mirror half of [`static_certificates_with`], usable
-/// directly on an admission's compiled recipe vector).
-#[must_use]
-pub fn mirror_certificates(
-    query: &Cjq,
-    schemes: &SchemeSet,
-    mirror_recipes: &[Option<CompiledRecipe>],
-) -> Option<String> {
-    static_certificates_with(query, schemes, PurgeScope::Query, std::iter::empty(), |s| {
-        mirror_recipes[s.0].is_some()
-    })
 }
 
 /// Infers cadence/domain contracts that `feed` actually honors, for use as

@@ -29,7 +29,7 @@ use crate::guard::{AdmissionGuard, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
 use crate::pipeline::{cutoff_for, Core, Pipeline, Run};
-use crate::purge::{PurgeEngine, PurgeScope, PurgeStrategy, PurgeWork};
+use crate::purge::{PurgeEngine, PurgeScope, PurgeStrategy};
 use crate::sink::{CollectSink, CountSink, OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
 use crate::tier::TierConfig;
@@ -919,22 +919,10 @@ impl Pipeline for Executor {
         Ok(())
     }
 
-    /// The mirror purge by this query's recipes (delta-driven under
-    /// [`PurgeStrategy::Indexed`]), then optional §5.1 punctuation purging.
-    fn purge_mirror(&mut self) -> PurgeWork {
-        let work = self.engine.purge_mirror_with(self.core.cfg.purge_strategy);
+    fn purge_punctuations(&mut self) {
         if self.core.cfg.purge_punctuations {
             self.engine.purge_punctuations(&self.query);
         }
-        work
-    }
-
-    fn verify_mirror(&self, sample: usize) -> u64 {
-        self.engine.verify_mirror_against_oracle(sample)
-    }
-
-    fn dead_mirror_row(&self) -> Option<(StreamId, usize)> {
-        self.engine.find_purgeable_mirror_row()
     }
 
     fn fingerprint(&self) -> u64 {
@@ -1525,6 +1513,29 @@ mod tests {
         assert_eq!(res.metrics.last().unwrap().join_state, 0);
         // Lazy mode holds more state between cycles than eager mode would.
         assert!(res.metrics.peak_join_state >= 20);
+    }
+
+    /// An element refused exactly where a sample was due skips the sampling
+    /// step; the series must pick up again (and the run cap not underflow).
+    #[test]
+    fn sampling_survives_an_error_at_a_sample_position() {
+        let (q, r) = fixtures::auction();
+        let cfg = ExecConfig {
+            sample_every: 4,
+            admission: AdmissionPolicy::Strict,
+            ..ExecConfig::default()
+        };
+        let mut exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
+        for e in [item(1), bid(1, 1), bid_close(1)] {
+            exec.try_push(&e).unwrap();
+        }
+        // The fourth element breaks bid's promise: refused at clock 4.
+        assert!(exec.try_push(&bid(1, 2)).is_err());
+        for i in 2..6 {
+            exec.try_push(&item(i)).unwrap();
+        }
+        let sampled: Vec<u64> = exec.finish().metrics.series.iter().map(|p| p.at).collect();
+        assert!(sampled.contains(&5) && sampled.contains(&8), "{sampled:?}");
     }
 
     #[test]

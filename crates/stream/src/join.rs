@@ -18,8 +18,8 @@ use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
 use crate::purge::{
-    self, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy, PurgeTracker,
-    PurgeWork, StepSpec,
+    CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy, PurgeTracker, PurgeWork,
+    StepSpec,
 };
 use crate::segment::StepSummary;
 use crate::sink::OutputBuffer;
@@ -88,8 +88,10 @@ pub struct JoinOperator {
     scratch_keys: FxHashMap<Value, (usize, usize)>,
     /// Slot arena backing `scratch_keys` ranges.
     scratch_slots: Vec<usize>,
-    /// Reused purge-check buffers for [`JoinOperator::purge_pass`].
+    /// Reused purge-check and candidate-slot buffers for
+    /// [`JoinOperator::purge_pass`].
     scratch_check: CheckScratch,
+    scratch_candidates: Vec<usize>,
     /// Statistics.
     pub stats: OperatorStats,
 }
@@ -259,6 +261,7 @@ impl JoinOperator {
             scratch_keys: FxHashMap::default(),
             scratch_slots: Vec::new(),
             scratch_check: CheckScratch::default(),
+            scratch_candidates: Vec::new(),
             stats: OperatorStats::default(),
         }
     }
@@ -374,9 +377,10 @@ impl JoinOperator {
         }
         self.tiers = (0..self.ports.len())
             .map(|port| {
-                let specs = self.recipes[port]
+                let held = self.recipes[port]
                     .as_ref()
-                    .and_then(|r| purge::root_step_specs(r, self.ports[port].layout()));
+                    .zip(self.trackers[port].as_ref());
+                let specs = held.and_then(|(r, t)| t.root_step_specs(r, &self.ports[port]));
                 Some(ColdTier::new(specs, self.ports[port].indexed_cols()))
             })
             .collect();
@@ -763,9 +767,9 @@ impl JoinOperator {
     ///
     /// Under [`PurgeStrategy::FullScan`] every live tuple is a candidate;
     /// under [`PurgeStrategy::Indexed`] the port's `PurgeTracker` narrows
-    /// candidates to rows touched by punctuation deltas since the last pass
-    /// (falling back to a full scan when mirror shrinkage may have relaxed
-    /// chained requirements). Both strategies purge the exact same rows.
+    /// candidates to rows touched by punctuation deltas or mirror shrinkage
+    /// since the last pass (falling back to a full scan when one cannot be
+    /// mapped to rows). Both strategies purge the exact same rows.
     pub fn purge_pass(&mut self, engine: &PurgeEngine, strategy: PurgeStrategy) -> PurgeWork {
         let mut work = PurgeWork::default();
         let mut pass_kept = 0u64;
@@ -773,29 +777,21 @@ impl JoinOperator {
             let Some(recipe) = &self.recipes[port] else {
                 continue;
             };
-            let candidates: Option<Vec<usize>> = match strategy {
-                PurgeStrategy::FullScan => None,
-                PurgeStrategy::Indexed => {
-                    let tracker = self.trackers[port].as_mut().expect("tracker per recipe");
-                    tracker.collect_against(recipe, &self.ports[port], engine)
-                }
+            let candidates = &mut self.scratch_candidates;
+            candidates.clear();
+            let localized = strategy == PurgeStrategy::Indexed && {
+                let tracker = self.trackers[port].as_mut().expect("tracker per recipe");
+                tracker.collect(recipe, &self.ports[port], engine, candidates)
             };
+            candidates.sort_unstable();
+            candidates.dedup();
+            let candidates = localized.then_some(&candidates[..]);
             // Two-phase to satisfy the borrow checker without cloning every
             // candidate row: decide on borrowed slices, then purge by slot.
-            let sweep = {
-                let state = &self.ports[port];
-                let layout = state.layout();
-                let scratch = &mut self.scratch_check;
-                let mut roots_buf: Vec<(StreamId, &[Value])> =
-                    Vec::with_capacity(recipe.roots.len());
-                state.collect_matching(candidates.as_deref(), |_, row| {
-                    roots_buf.clear();
-                    for &s in &recipe.roots {
-                        roots_buf.push((s, layout.slice(row, s).expect("root in span")));
-                    }
-                    engine.check_roots_with(recipe, &roots_buf, scratch)
-                })
-            };
+            let state = &self.ports[port];
+            let dead =
+                engine.all_prove_dead(state, std::iter::once(recipe), &mut self.scratch_check);
+            let sweep = state.collect_matching(candidates, dead);
             work.examined += sweep.examined as u64;
             pass_kept += (sweep.examined - sweep.slots.len()) as u64;
             work.purged += self.ports[port].purge_slots(&sweep.slots) as u64;
@@ -822,35 +818,10 @@ impl JoinOperator {
     /// Panics if the two paths disagree on any verdict (see
     /// [`PurgeEngine::check_roots_with`]).
     pub fn verify_against_oracle(&self, engine: &PurgeEngine, sample: usize) -> u64 {
-        let mut checked = 0u64;
-        let mut scratch = CheckScratch::default();
-        let mut roots_buf: Vec<(StreamId, &[Value])> = Vec::new();
-        for (port, state) in self.ports.iter().enumerate() {
-            let Some(recipe) = &self.recipes[port] else {
-                continue;
-            };
-            let layout = state.layout();
-            for (slot, row) in state.iter_live().take(sample) {
-                roots_buf.clear();
-                for &s in &recipe.roots {
-                    roots_buf.push((s, layout.slice(row, s).expect("root in span")));
-                }
-                let fast = engine.check_roots_with(recipe, &roots_buf, &mut scratch);
-                let roots: std::collections::HashMap<StreamId, Vec<Value>> = roots_buf
-                    .iter()
-                    .map(|&(s, vals)| (s, vals.to_vec()))
-                    .collect();
-                let oracle = engine.explain(recipe, &roots).is_purgeable();
-                assert_eq!(
-                    fast, oracle,
-                    "certificate violation: fast purge check says {fast} but the \
-                     oracle says {oracle} for slot {slot} of port {port} (span {:?})",
-                    self.span
-                );
-                checked += 1;
-            }
-        }
-        checked
+        let held = self.ports.iter().zip(&self.recipes);
+        held.filter_map(|(state, recipe)| Some((state, recipe.as_ref()?)))
+            .map(|(state, recipe)| engine.verify_state(recipe, state, sample))
+            .sum()
     }
 
     /// Finds a live stored row that the purge checker proves dead, if any —
@@ -858,29 +829,18 @@ impl JoinOperator {
     #[must_use]
     pub fn find_purgeable_live_row(&self, engine: &PurgeEngine) -> Option<(usize, usize)> {
         let mut scratch = CheckScratch::default();
-        let mut roots_buf: Vec<(StreamId, &[Value])> = Vec::new();
-        for (port, state) in self.ports.iter().enumerate() {
-            let Some(recipe) = &self.recipes[port] else {
-                continue;
-            };
-            let layout = state.layout();
-            for (slot, row) in state.iter_live() {
-                roots_buf.clear();
-                for &s in &recipe.roots {
-                    roots_buf.push((s, layout.slice(row, s).expect("root in span")));
-                }
-                if engine.check_roots_with(recipe, &roots_buf, &mut scratch) {
-                    return Some((port, slot));
-                }
-            }
-        }
-        None
+        self.ports.iter().enumerate().find_map(|(port, state)| {
+            let recipe = self.recipes[port].as_ref()?;
+            let mut dead = engine.all_prove_dead(state, std::iter::once(recipe), &mut scratch);
+            let (slot, _) = state.iter_live().find(|&(slot, row)| dead(slot, row))?;
+            Some((port, slot))
+        })
     }
 }
 
 /// Whether stored punctuations of `spec.target` cover one segment step
 /// summary — the per-step certification primitive (see
-/// `purge::root_step_specs` for why covering every step's summary proves
+/// `PurgeTracker::root_step_specs` for why covering every step's summary proves
 /// every summarized row dead). Ordered thresholds are downward-closed, so
 /// covering the summary's max covers the whole segment; hash coverage needs
 /// every distinct key combination present.

@@ -11,9 +11,11 @@
 //! purge → demote rungs of the budget ladder, the purge-cycle and finish
 //! skeletons, and the checkpoint driver. An engine implements what really
 //! differs: routing survivors through its operators, reaching those
-//! operators, the mirror purge with its two verifiers, its snapshot body, and
-//! the single-query monitors as hooks whose default is a no-op. Everything is
-//! statically dispatched; shared code never asks which engine it serves.
+//! operators, its snapshot body, and the single-query monitors as hooks whose
+//! default is a no-op (the mirror purge is not among them: the
+//! [`PurgeEngine`] purges by the meet of the recipe sets subscribed to it,
+//! one or many). Everything is statically dispatched; shared code never asks
+//! which engine it serves.
 
 use std::path::Path;
 use std::time::Instant;
@@ -51,6 +53,9 @@ pub(crate) struct Core {
     pub clock: u64,
     /// Elements since the last purge cycle.
     pub since_purge: usize,
+    /// When the next state sample is due: the least multiple of
+    /// `cfg.sample_every` above `clock`, kept so per-run steps never divide.
+    next_sample: u64,
     /// Current batch size under [`PurgeCadence::Adaptive`].
     pub adaptive_batch: usize,
     pub metrics: Metrics,
@@ -73,6 +78,7 @@ impl Core {
                 PurgeCadence::Adaptive { initial } => initial.clamp(8, 4096),
                 _ => 0,
             },
+            next_sample: next_sample_after(0, cfg.sample_every),
             cfg,
             clock: 0,
             since_purge: 0,
@@ -94,6 +100,7 @@ impl Core {
         self.clock = d.u64()?;
         self.since_purge = d.usize()?;
         self.adaptive_batch = d.usize()?;
+        self.next_sample = next_sample_after(self.clock, self.cfg.sample_every);
         Ok(())
     }
 
@@ -114,6 +121,15 @@ impl Core {
             .count_quarantine_punct(fault.code(), p.stream.0);
         self.dead_letter.emit_punct(&fault, p, self.clock);
         Ok(())
+    }
+}
+
+/// The least multiple of `every` above `clock`; `u64::MAX` when `every` is 0
+/// (sampling off).
+fn next_sample_after(clock: u64, every: usize) -> u64 {
+    match every as u64 {
+        0 => u64::MAX,
+        every => (clock / every + 1) * every,
     }
 }
 
@@ -237,15 +253,6 @@ pub(crate) trait Pipeline: Sized {
         sink: &mut Self::Sink<'_>,
     ) -> ExecResult<()>;
 
-    /// Purges the raw-input mirror: by the one query's recipes, or by the
-    /// meet of every live query's.
-    fn purge_mirror(&mut self) -> PurgeWork;
-    /// Re-checks up to `sample` surviving mirror rows against the explaining
-    /// oracle; returns how many were checked.
-    fn verify_mirror(&self, sample: usize) -> u64;
-    /// A live mirror row the recipes prove dead, if any.
-    fn dead_mirror_row(&self) -> Option<(StreamId, usize)>;
-
     fn fingerprint(&self) -> u64;
     fn write_snapshot(&self, e: &mut Enc);
     fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()>;
@@ -262,6 +269,8 @@ pub(crate) trait Pipeline: Sized {
     fn punct_observed(&mut self, _p: &Punctuation) {}
     /// Coverage or state changed: retry deliveries waiting on it.
     fn settle_pending(&mut self) {}
+    /// §5.1 punctuation purging, after the mirror purge of a cycle.
+    fn purge_punctuations(&mut self) {}
     /// Sliding-window eviction.
     fn evict_window(&mut self) {}
     /// Per-element checks after the budget ladder (port bounds, stalls).
@@ -381,16 +390,14 @@ pub(crate) trait Pipeline: Sized {
             // per-element: batching must not let state coast past a check.
             return 1;
         }
-        let mut cap = match cfg.cadence {
+        let to_purge = match cfg.cadence {
             PurgeCadence::Lazy { batch } => batch.saturating_sub(core.since_purge),
             PurgeCadence::Adaptive { .. } => core.adaptive_batch.saturating_sub(core.since_purge),
             _ => usize::MAX,
         };
-        let every = cfg.sample_every as u64;
-        if every > 0 {
-            cap = cap.min((every - core.clock % every) as usize);
-        }
-        cap.max(1)
+        let to_sample = core.next_sample.saturating_sub(core.clock);
+        let to_sample = usize::try_from(to_sample).unwrap_or(usize::MAX);
+        to_purge.min(to_sample).max(1)
     }
 
     /// Admits `take` same-stream rows as one uninterrupted run — one shape
@@ -529,8 +536,11 @@ pub(crate) trait Pipeline: Sized {
         // Budget before sampling, so sampled peaks respect the ceiling.
         self.enforce_budget()?;
         self.check_monitors()?;
-        let core = self.core();
-        if core.clock.is_multiple_of(core.cfg.sample_every as u64) {
+        let core = self.core_mut();
+        // `>=`: an element refused with an error skips this step, and the
+        // position it would have sampled at must not stop the series.
+        if core.clock >= core.next_sample {
+            core.next_sample = next_sample_after(core.clock, core.cfg.sample_every);
             self.sample();
         }
         Ok(())
@@ -633,8 +643,8 @@ pub(crate) trait Pipeline: Sized {
                 core.adaptive_batch = (core.adaptive_batch * 2).min(4096);
             }
         }
-        work.add(self.purge_mirror());
         if let Some((core, engine, _)) = self.stage() {
+            work.add(engine.purge_mirror_with(strategy));
             core.metrics.purge_candidates_examined += work.examined;
             // All trackers (operator ports and mirrors) have consumed the
             // cycle's punctuation deltas; drop them so the log stays
@@ -642,6 +652,7 @@ pub(crate) trait Pipeline: Sized {
             engine.trim_punct_deltas();
             engine.trim_retired(&retire_marks);
         }
+        self.purge_punctuations();
         self.settle_pending();
         let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) else {
             return;
@@ -651,7 +662,7 @@ pub(crate) trait Pipeline: Sized {
         // survived this cycle. (Completeness — "nothing provably dead is
         // still live" — is only asserted at finish: a mirror purge within
         // this cycle feeds operator trackers next cycle.)
-        let mut checked = self.verify_mirror(ORACLE_SAMPLE);
+        let mut checked = engine.verify_mirror_against_oracle(ORACLE_SAMPLE);
         for op in self.ops() {
             checked += op.verify_against_oracle(engine, ORACLE_SAMPLE);
             // Cold-tier half of the invariant: a purge cycle must also have
@@ -713,7 +724,7 @@ pub(crate) trait Pipeline: Sized {
                 let (port, slot) = self.op(i)?.find_purgeable_live_row(engine)?;
                 Some((i, port, slot))
             });
-            let dead_mirror = self.dead_mirror_row();
+            let dead_mirror = engine.find_purgeable_mirror_row();
             if dead_op.is_none() && dead_mirror.is_none() {
                 break;
             }

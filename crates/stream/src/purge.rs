@@ -60,8 +60,8 @@ pub enum PurgeStrategy {
     /// indexed recipe-root values match a punctuation entry (or fall under a
     /// threshold range) newly recorded since the last cycle, plus rows
     /// inserted since then. Falls back to a full scan of a state only when a
-    /// coverage delta cannot be mapped to rows (non-root-resolvable step) or
-    /// a chain-source mirror shrank (requirement sets may have relaxed).
+    /// delta cannot be mapped to rows: a retraction or a coverage delta
+    /// passes through a chain step none of whose filters reaches a root.
     #[default]
     Indexed,
 }
@@ -134,15 +134,17 @@ pub enum PurgeScope {
     Query,
 }
 
-/// A compiled, runtime-executable purge recipe.
-#[derive(Debug, Clone)]
+/// A compiled, runtime-executable purge recipe. Equality is structural: two
+/// queries whose derivations agree on every step hold *the same* recipe,
+/// which is what lets the engine intern them.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CompiledRecipe {
     /// Root streams (the candidate tuple's span), sorted.
     pub roots: Vec<StreamId>,
     steps: Vec<CompiledStep>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct CompiledStep {
     target: StreamId,
     /// Index of the recipe's scheme within the target's punctuation store.
@@ -172,53 +174,6 @@ pub(crate) struct StepSpec {
     pub cols: Vec<usize>,
 }
 
-/// Resolves every step of `recipe` to key columns of a port with `layout`,
-/// or `None` if any step's bindings fail to resolve.
-///
-/// Same root-resolution walk as [`PurgeTracker::new`], with a stronger
-/// requirement: *all* steps must resolve. When they do, a row's entire
-/// purgeability check is determined by its own cells — each step's
-/// requirement set is at most the singleton key read from the row (chain
-/// sets can only pin it to that key or be empty, which weakens the
-/// requirement to vacuous). Punctuation coverage of every row's key at every
-/// step therefore implies [`PurgeEngine::check_roots_with`] would declare
-/// every row purgeable — the property that lets a recipe certify a whole
-/// cold segment dead from its per-step key summaries alone, without
-/// rehydrating a single row.
-pub(crate) fn root_step_specs(
-    recipe: &CompiledRecipe,
-    layout: &SpanLayout,
-) -> Option<Vec<StepSpec>> {
-    let mut resolved: FxHashMap<(StreamId, usize), usize> = FxHashMap::default();
-    for &root in &recipe.roots {
-        if let Some(range) = layout.stream_range(root) {
-            for (attr, flat) in range.enumerate() {
-                resolved.insert((root, attr), flat);
-            }
-        }
-    }
-    let mut specs = Vec::with_capacity(recipe.steps.len());
-    for step in &recipe.steps {
-        let cols: Option<Vec<usize>> = step
-            .bindings
-            .iter()
-            .map(|&(src, col)| resolved.get(&(src, col)).copied())
-            .collect();
-        specs.push(StepSpec {
-            target: step.target,
-            scheme_idx: step.scheme_idx,
-            ordered: step.ordered,
-            cols: cols?,
-        });
-        for &(tcol, src, scol) in &step.filters {
-            if let Some(&flat) = resolved.get(&(src, scol)) {
-                resolved.entry((step.target, tcol)).or_insert(flat);
-            }
-        }
-    }
-    Some(specs)
-}
-
 /// Incremental purge bookkeeping for one (state, recipe) pair.
 ///
 /// The tracker registers a purge index on the tracked [`PortState`] for every
@@ -238,8 +193,12 @@ pub(crate) fn root_step_specs(
 /// the mirror states' retraction logs: a purged chain row `r` can only
 /// relax rows whose chain set contained `r`, i.e. rows matching `r` on the
 /// step's (root-resolved) filter columns — found by probing a second purge
-/// index over those columns. Only when a step's filters are not fully
-/// root-resolvable does a retraction degrade that cycle to a full scan.
+/// index over those columns. The same probes localize (a) for a step bound
+/// to a chain column that is *not* pinned to a root (a *chain-bound* step):
+/// a newly covered value can only matter to rows whose chain set holds a
+/// mirror row carrying it, so those mirror rows are looked up and mapped
+/// back like retracted ones. Only a delta through a chain step none of whose
+/// filters reaches a root column degrades that cycle to a full scan.
 /// Rows inserted since the last collect have never been checked and are
 /// always candidates (`fresh_from` watermark). Coverage *loss* (lifespan
 /// expiry, §5.1 punctuation purging) and mirror *growth* only flip
@@ -247,37 +206,77 @@ pub(crate) fn root_step_specs(
 /// re-checked against the live stores before purging.
 #[derive(Debug, Clone)]
 pub(crate) struct PurgeTracker {
-    /// Per step: purge-index id in the tracked state, or `None` when the
-    /// step is not root-resolvable (its deltas force a full scan).
-    step_index: Vec<Option<usize>>,
+    /// Per step: how a coverage delta on it maps to tracked rows.
+    step_keys: Vec<StepKey>,
     /// Per step: delta-log cursor into the target's punctuation store.
     cursors: Vec<u64>,
-    /// Mirror streams whose shrinkage can relax this recipe's requirements
-    /// (targets of non-final steps).
-    shrink_sources: Vec<ShrinkSource>,
+    /// One probe per non-final step: its target's mirror rows form a chain
+    /// set, whose shrinkage can relax this recipe's requirements.
+    probes: Vec<ShrinkProbe>,
+    /// Per distinct probed mirror stream: its retraction-log cursor.
+    shrink_cursors: Vec<(StreamId, u64)>,
     /// Slots at or past this watermark have never been checked.
     fresh_from: usize,
 }
 
-/// One chain-source mirror stream a tracker watches for shrinkage.
-#[derive(Debug, Clone)]
-struct ShrinkSource {
-    stream: StreamId,
-    /// Retraction-log cursor into that mirror state.
-    cursor: u64,
-    /// One probe per recipe step chaining through this stream.
-    probes: Vec<ShrinkProbe>,
+/// Where a step's required values come from, as far as localizing its
+/// coverage deltas goes.
+#[derive(Debug, Clone, Copy)]
+enum StepKey {
+    /// Every binding is root-resolved: the purge-index id over those columns.
+    Rooted(usize),
+    /// The binding at `pos` reads column `col` of chain stream `src`, which
+    /// no filter pins to a root column. A value there matters to the tracked
+    /// rows whose chain set holds a live row of `src` carrying it: those rows
+    /// are looked up and mapped back by `probes[via]`, the probe of the step
+    /// that reached `src`.
+    Chained {
+        pos: usize,
+        src: StreamId,
+        col: usize,
+        via: usize,
+    },
+    /// Not localizable: a delta on this step forces a full scan.
+    Opaque,
 }
 
-/// Localizes one step's shrinkage: rows affected by a purged chain row `r`
-/// are exactly those matching `r[tcols]` on the tracked state's `index`.
+/// Localizes one chain step: the tracked rows that can hold a row `r` of the
+/// step's target `stream` in their chain set are those matching `r[tcols]`
+/// on the tracked state's `index`.
 #[derive(Debug, Clone)]
 struct ShrinkProbe {
-    /// Purge-index id over the step's root-resolved filter columns, or
-    /// `None` when the filters don't resolve (retraction → full scan).
+    stream: StreamId,
+    /// Purge-index id over the root columns the step's filters resolve to
+    /// (any that do: matching a subset of the filters is a superset of the
+    /// rows), or `None` when none does (retraction → full scan).
     index: Option<usize>,
-    /// For each filter, the chain row's column forming the probe key.
+    /// For each resolved filter, the chain row's column forming the key.
     tcols: Vec<usize>,
+}
+
+impl ShrinkProbe {
+    /// Appends to `out` the rows of `state` that chain through any of
+    /// `chain_rows` — resident slots, live or retired, of `mirror`; `false`
+    /// when there are some and this probe cannot say.
+    fn map_back(
+        &self,
+        state: &PortState,
+        mirror: &PortState,
+        chain_rows: &[usize],
+        out: &mut Vec<usize>,
+    ) -> bool {
+        let Some(index) = self.index else {
+            return chain_rows.is_empty();
+        };
+        let mut key = Vec::new();
+        for &slot in chain_rows {
+            let row = mirror.raw_row(slot);
+            key.clear();
+            key.extend(self.tcols.iter().map(|&c| row[c]));
+            out.extend_from_slice(state.purge_index_eq(index, &key));
+        }
+        true
+    }
 }
 
 impl PurgeTracker {
@@ -299,43 +298,51 @@ impl PurgeTracker {
                 }
             }
         }
-        let mut step_index = Vec::with_capacity(recipe.steps.len());
-        let mut shrink_sources: Vec<ShrinkSource> = Vec::new();
+        let mut step_keys = Vec::with_capacity(recipe.steps.len());
+        let mut probes: Vec<ShrinkProbe> = Vec::new();
+        let mut shrink_cursors: Vec<(StreamId, u64)> = Vec::new();
+        // Chain stream → the probe of the latest step that reached it (whose
+        // chain set later steps read).
+        let mut reached: FxHashMap<StreamId, usize> = FxHashMap::default();
         for (i, step) in recipe.steps.iter().enumerate() {
             let cols: Option<Vec<usize>> = step
                 .bindings
                 .iter()
-                .map(|&(src, col)| resolved.get(&(src, col)).copied())
+                .map(|b| resolved.get(b).copied())
                 .collect();
-            step_index.push(cols.map(|cols| state.add_purge_index(&cols, step.ordered)));
+            let chained = |(pos, &(src, col)): (usize, &(StreamId, usize))| {
+                let via = *reached.get(&src)?;
+                probes[via].index?;
+                let unpinned = !resolved.contains_key(&(src, col));
+                unpinned.then_some(StepKey::Chained { pos, src, col, via })
+            };
+            step_keys.push(match cols {
+                Some(cols) => StepKey::Rooted(state.add_purge_index(&cols, step.ordered)),
+                None => {
+                    let mut bindings = step.bindings.iter().enumerate();
+                    bindings.find_map(chained).unwrap_or(StepKey::Opaque)
+                }
+            });
             if i + 1 < recipe.steps.len() {
                 // Non-final step: its target's mirror rows form a chain set,
-                // so that mirror's shrinkage can relax this recipe. Localize
-                // it with an index over the root-resolved filter columns.
-                let filter_cols: Option<Vec<usize>> = step
+                // so that mirror's shrinkage can relax this recipe.
+                let (tcols, cols): (Vec<usize>, Vec<usize>) = step
                     .filters
                     .iter()
-                    .map(|&(_, src, scol)| resolved.get(&(src, scol)).copied())
-                    .collect();
-                let probe = match filter_cols {
-                    Some(cols) if !cols.is_empty() => ShrinkProbe {
-                        index: Some(state.add_purge_index(&cols, false)),
-                        tcols: step.filters.iter().map(|&(tcol, _, _)| tcol).collect(),
-                    },
-                    // Unresolvable (or unconstrained: every row chains
-                    // through): any retraction forces a full scan.
-                    _ => ShrinkProbe {
-                        index: None,
-                        tcols: Vec::new(),
-                    },
-                };
-                match shrink_sources.iter_mut().find(|s| s.stream == step.target) {
-                    Some(src) => src.probes.push(probe),
-                    None => shrink_sources.push(ShrinkSource {
-                        stream: step.target,
-                        cursor: 0,
-                        probes: vec![probe],
-                    }),
+                    .filter_map(|&(tcol, src, scol)| Some((tcol, *resolved.get(&(src, scol))?)))
+                    .unzip();
+                let stream = step.target;
+                // Unresolvable (or unconstrained: every row chains through):
+                // nothing maps back.
+                let index = (!cols.is_empty()).then(|| state.add_purge_index(&cols, false));
+                reached.insert(stream, probes.len());
+                probes.push(ShrinkProbe {
+                    stream,
+                    index,
+                    tcols,
+                });
+                if shrink_cursors.iter().all(|&(s, _)| s != stream) {
+                    shrink_cursors.push((stream, 0));
                 }
             }
             for &(tcol, src, scol) in &step.filters {
@@ -345,92 +352,115 @@ impl PurgeTracker {
             }
         }
         PurgeTracker {
-            step_index,
+            step_keys,
             cursors: vec![0; recipe.steps.len()],
-            shrink_sources,
+            probes,
+            shrink_cursors,
             fresh_from: 0,
         }
     }
 
-    /// Collects the candidate slots for one purge pass, advancing the delta
-    /// cursors, shrink counters, and fresh-slot watermark: `Some(slots)` when
-    /// only those slots (sorted, deduped) can have flipped to purgeable,
-    /// `None` when a delta could not be localized and every live row must be
-    /// re-checked this cycle.
+    /// Every step of `recipe` as key columns of the tracked `state`, or
+    /// `None` unless all of them are root-resolved.
+    ///
+    /// When they are, a row's entire purgeability check is determined by its
+    /// own cells — each step's requirement set is at most the singleton key
+    /// read from the row (chain sets can only pin it to that key or be empty,
+    /// which weakens the requirement to vacuous). Punctuation coverage of
+    /// every row's key at every step therefore implies
+    /// [`PurgeEngine::check_roots_with`] would declare every row purgeable —
+    /// the property that lets a recipe certify a whole cold segment dead from
+    /// its per-step key summaries alone, without rehydrating a single row.
+    pub(crate) fn root_step_specs(
+        &self,
+        recipe: &CompiledRecipe,
+        state: &PortState,
+    ) -> Option<Vec<StepSpec>> {
+        let spec = |(step, key): (&CompiledStep, &StepKey)| match *key {
+            StepKey::Rooted(index) => Some(StepSpec {
+                target: step.target,
+                scheme_idx: step.scheme_idx,
+                ordered: step.ordered,
+                cols: state.purge_index_cols(index).to_vec(),
+            }),
+            _ => None,
+        };
+        recipe.steps.iter().zip(&self.step_keys).map(spec).collect()
+    }
+
+    /// Appends to `out` the slots of `state` that can have flipped to
+    /// purgeable since the last collect, advancing the delta cursors, shrink
+    /// counters, and fresh-slot watermark. Returns `false` when a delta could
+    /// not be localized and every live row must be re-checked this cycle
+    /// (`out` is then incomplete). Several trackers over one state may
+    /// collect into one `out`: their union is what a meet of their recipes
+    /// must re-check.
     pub(crate) fn collect(
         &mut self,
         recipe: &CompiledRecipe,
         state: &PortState,
-        puncts: &[PunctStore],
-        mirrors: &[PortState],
-    ) -> Option<Vec<usize>> {
-        let mut full = false;
-        let mut slots: Vec<usize> = Vec::new();
-        let mut key: Vec<Value> = Vec::new();
-        for src in &mut self.shrink_sources {
-            let mirror = &mirrors[src.stream.0];
-            let retired = mirror.retired_since(src.cursor);
-            src.cursor = mirror.retire_end();
-            if retired.is_empty() {
-                continue;
-            }
-            for probe in &src.probes {
-                match probe.index {
-                    None => full = true,
-                    Some(idx) => {
-                        for &gone in retired {
-                            let row = mirror.raw_row(gone);
-                            key.clear();
-                            key.extend(probe.tcols.iter().map(|&c| row[c]));
-                            slots.extend_from_slice(state.purge_index_eq(idx, &key));
-                        }
-                    }
-                }
+        engine: &PurgeEngine,
+        out: &mut Vec<usize>,
+    ) -> bool {
+        let (puncts, mirrors) = (&engine.puncts, &engine.states);
+        let mut localized = true;
+        for (stream, cursor) in &mut self.shrink_cursors {
+            let mirror = &mirrors[stream.0];
+            let retired = mirror.retired_since(*cursor);
+            *cursor = mirror.retire_end();
+            for probe in self.probes.iter().filter(|p| p.stream == *stream) {
+                localized &= probe.map_back(state, mirror, retired, out);
             }
         }
         for (i, step) in recipe.steps.iter().enumerate() {
             let store = &puncts[step.target.0];
             let deltas = store.deltas_since(self.cursors[i]);
             self.cursors[i] = store.delta_end();
-            if deltas.is_empty() {
-                continue;
-            }
-            match self.step_index[i] {
-                None => {
-                    if deltas.iter().any(|d| d.scheme_idx() == step.scheme_idx) {
-                        full = true;
-                    }
-                }
-                Some(idx) if !full => {
+            let mut deltas = deltas.iter().filter(|d| d.scheme_idx() == step.scheme_idx);
+            match self.step_keys[i] {
+                _ if !localized => {}
+                StepKey::Opaque => localized = deltas.next().is_none(),
+                StepKey::Rooted(idx) => {
                     for d in deltas {
                         match d {
-                            PunctDelta::Entry { scheme_idx, combo }
-                                if *scheme_idx == step.scheme_idx =>
-                            {
-                                slots.extend_from_slice(state.purge_index_eq(idx, combo));
+                            PunctDelta::Entry { combo, .. } => {
+                                out.extend_from_slice(state.purge_index_eq(idx, combo));
                             }
-                            PunctDelta::Advance {
-                                scheme_idx,
-                                above,
-                                upto,
-                            } if *scheme_idx == step.scheme_idx => {
-                                state.purge_index_range(idx, above.as_ref(), upto, &mut slots);
+                            PunctDelta::Advance { above, upto, .. } => {
+                                state.purge_index_range(idx, above.as_ref(), upto, out);
                             }
-                            _ => {}
                         }
                     }
                 }
-                Some(_) => {}
+                StepKey::Chained { pos, src, col, via } => {
+                    // Only chain sets holding a live row that carries a newly
+                    // covered value changed their standing against this step.
+                    let mirror = &mirrors[src.0];
+                    let mut rows = Vec::new();
+                    for d in deltas {
+                        let newly = |v: &Value| match d {
+                            PunctDelta::Entry { combo, .. } => *v == combo[pos],
+                            PunctDelta::Advance { above, upto, .. } => {
+                                above.as_ref().is_none_or(|a| v > a) && v <= upto
+                            }
+                        };
+                        match d {
+                            PunctDelta::Entry { combo, .. } if mirror.has_index(col) => {
+                                rows.extend_from_slice(mirror.probe(col, &combo[pos]));
+                            }
+                            _ => {
+                                let live = mirror.iter_live().filter(|(_, row)| newly(&row[col]));
+                                rows.extend(live.map(|(slot, _)| slot));
+                            }
+                        }
+                    }
+                    self.probes[via].map_back(state, mirror, &rows, out);
+                }
             }
         }
         let fresh_from = std::mem::replace(&mut self.fresh_from, state.slots());
-        if full {
-            return None;
-        }
-        slots.extend(state.live_from(fresh_from));
-        slots.sort_unstable();
-        slots.dedup();
-        Some(slots)
+        out.extend(state.live_from(fresh_from));
+        localized
     }
 
     /// Serializes the tracker's cursor positions. Index registrations and
@@ -439,9 +469,9 @@ impl PurgeTracker {
     pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
         e.usize(self.fresh_from);
         e.u64s(&self.cursors);
-        e.usize(self.shrink_sources.len());
-        for s in &self.shrink_sources {
-            e.u64(s.cursor);
+        e.usize(self.shrink_cursors.len());
+        for &(_, cursor) in &self.shrink_cursors {
+            e.u64(cursor);
         }
     }
 
@@ -464,27 +494,16 @@ impl PurgeTracker {
         }
         self.cursors = cursors;
         let n = d.usize()?;
-        if n != self.shrink_sources.len() {
+        if n != self.shrink_cursors.len() {
             return Err(SnapshotError(format!(
                 "purge tracker has {} shrink sources, snapshot has {n}",
-                self.shrink_sources.len()
+                self.shrink_cursors.len()
             )));
         }
-        for s in &mut self.shrink_sources {
-            s.cursor = d.u64()?;
+        for (_, cursor) in &mut self.shrink_cursors {
+            *cursor = d.u64()?;
         }
         Ok(())
-    }
-
-    /// [`PurgeTracker::collect`] against an engine's punctuation stores and
-    /// mirror states (the operator-port entry point).
-    pub(crate) fn collect_against(
-        &mut self,
-        recipe: &CompiledRecipe,
-        state: &PortState,
-        engine: &PurgeEngine,
-    ) -> Option<Vec<usize>> {
-        self.collect(recipe, state, &engine.puncts, &engine.states)
     }
 }
 
@@ -524,7 +543,17 @@ impl CheckOutcome {
     }
 }
 
-/// The raw mirror + punctuation stores + compiled recipes.
+/// The raw mirror + punctuation stores + the subscribed mirror recipes.
+///
+/// A mirror row of stream `s` is dropped when **every** subscribed query
+/// certifies `s` mirror-purgeable (holds a query-scope recipe for it) **and**
+/// every such recipe proves the row dead — the *meet* of the subscribers'
+/// purge sets. It is the conservative intersection, so the retained mirror is
+/// a superset of what each query alone would retain and Theorem 3's
+/// soundness holds per query; one query is the meet of one. Subscribers
+/// whose derivations agree hold *one* interned recipe with one
+/// delta tracker, so a cycle costs per distinct recipe and per delta, not
+/// per subscriber and per live row.
 #[derive(Debug)]
 pub struct PurgeEngine {
     /// Per stream: live raw tuples (single-stream layout, indexed on join
@@ -532,10 +561,8 @@ pub struct PurgeEngine {
     states: Vec<PortState>,
     /// Per stream: punctuation store.
     puncts: Vec<PunctStore>,
-    /// Per stream: query-scope recipe for purging the mirror itself.
-    mirror_recipes: Vec<Option<CompiledRecipe>>,
-    /// Per stream: incremental bookkeeping for the indexed mirror purge.
-    mirror_trackers: Vec<Option<PurgeTracker>>,
+    /// Per stream: the subscribed query-scope recipes the mirror purges by.
+    meets: Vec<StreamMeet>,
     /// Upper bound on required-combination enumeration per step; checks whose
     /// requirement product exceeds it conservatively report "not purgeable".
     coverage_limit: usize,
@@ -546,14 +573,47 @@ pub struct PurgeEngine {
     pub punct_dropped: u64,
     /// Raw tuples purged from the mirror.
     pub mirror_purged: u64,
-    /// Reused check buffers for the mirror purge pass.
+    /// Reused check and candidate-slot buffers for the mirror purge pass.
     check_scratch: CheckScratch,
+    candidates: Vec<usize>,
 }
+
+/// One stream's subscribed mirror recipes, interned by structural equality.
+#[derive(Debug, Default)]
+struct StreamMeet {
+    /// The distinct recipes, sorted: the order (and with it the snapshot)
+    /// depends on which recipes are held, not on how admissions and
+    /// retirements interleaved to get there.
+    recipes: Vec<Interned>,
+    /// Subscribers holding no recipe for this stream: while there is one,
+    /// no row here is dead for everybody.
+    uncertified: usize,
+    /// The meet weakened (a recipe or an uncertified subscriber left): rows
+    /// only the leaver kept alive are found by one pass over everything.
+    reseed: bool,
+}
+
+#[derive(Debug)]
+struct Interned {
+    recipe: CompiledRecipe,
+    subscribers: usize,
+    tracker: PurgeTracker,
+}
+
+impl StreamMeet {
+    fn position(&self, recipe: &CompiledRecipe) -> Result<usize, usize> {
+        self.recipes.binary_search_by(|e| e.recipe.cmp(recipe))
+    }
+}
+
+/// One query's place in the engine's meet: per stream, the recipe it holds
+/// (`None` where the query certifies no mirror purge).
+pub(crate) type MirrorSubscription = Vec<Option<CompiledRecipe>>;
 
 impl PurgeEngine {
     /// Builds the engine for a query: mirror states with indexes on every
-    /// join attribute, punctuation stores from `ℜ`, and query-scope mirror
-    /// recipes. `lifespan` enables §5.1 punctuation expiry.
+    /// join attribute, punctuation stores from `ℜ`, and the query's mirror
+    /// recipes subscribed. `lifespan` enables §5.1 punctuation expiry.
     #[must_use]
     pub fn new(
         query: &Cjq,
@@ -575,6 +635,22 @@ impl PurgeEngine {
         coverage_limit: usize,
         weights: Option<Vec<f64>>,
     ) -> Self {
+        let mut engine = PurgeEngine::shared(query, schemes, lifespan, coverage_limit);
+        engine.weights = weights;
+        engine.subscribe(query, schemes);
+        engine
+    }
+
+    /// The mirror and stores over `query`'s catalog with **no** subscriber:
+    /// the registry's engine, which every tenant (the first included)
+    /// subscribes to at admission. Mirror indexes follow `query`'s join
+    /// attributes.
+    pub(crate) fn shared(
+        query: &Cjq,
+        schemes: &SchemeSet,
+        lifespan: Option<u64>,
+        coverage_limit: usize,
+    ) -> Self {
         let all: Vec<StreamId> = query.stream_ids().collect();
         let mut states: Vec<PortState> = all
             .iter()
@@ -588,34 +664,75 @@ impl PurgeEngine {
             .iter()
             .map(|&s| PunctStore::new(s, schemes, lifespan))
             .collect();
-        let derive = |roots: &[StreamId]| match &weights {
-            Some(w) => purge_plan::derive_port_recipe_weighted(query, schemes, &all, roots, w),
-            None => purge_plan::derive_port_recipe(query, schemes, &all, roots),
-        };
-        let mirror_recipes: Vec<Option<CompiledRecipe>> = all
-            .iter()
-            .map(|&s| derive(&[s]).map(|r| compile_recipe(query, &r, &all, &puncts)))
-            .collect();
         // Mirror states feed the purge trackers' shrinkage probes (theirs
         // and the operator ports'), so every mirror purge must be logged.
         for state in &mut states {
             state.enable_retirement_log();
         }
-        let mirror_trackers = mirror_recipes
-            .iter()
-            .zip(&mut states)
-            .map(|(recipe, state)| recipe.as_ref().map(|r| PurgeTracker::new(r, state)))
-            .collect();
         PurgeEngine {
+            meets: all.iter().map(|_| StreamMeet::default()).collect(),
             states,
             puncts,
-            mirror_recipes,
-            mirror_trackers,
             coverage_limit,
-            weights,
+            weights: None,
             punct_dropped: 0,
             mirror_purged: 0,
             check_scratch: CheckScratch::default(),
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Adds `query`'s per-stream query-scope recipes to the meet. A recipe
+    /// some subscriber already holds is shared — no new tracker, no new
+    /// purge index; a new one starts a tracker whose first collect offers
+    /// every live row. Subscribing only tightens the meet, so nothing needs
+    /// re-checking on its account.
+    pub(crate) fn subscribe(&mut self, query: &Cjq, schemes: &SchemeSet) -> MirrorSubscription {
+        let all: Vec<StreamId> = query.stream_ids().collect();
+        all.iter()
+            .map(|&s| {
+                let recipe = self.compile_port_recipe(query, schemes, &all, &[s]);
+                let meet = &mut self.meets[s.0];
+                let Some(recipe) = recipe else {
+                    meet.uncertified += 1;
+                    return None;
+                };
+                match meet.position(&recipe) {
+                    Ok(pos) => meet.recipes[pos].subscribers += 1,
+                    Err(pos) => {
+                        let tracker = PurgeTracker::new(&recipe, &mut self.states[s.0]);
+                        let (recipe, subscribers) = (recipe.clone(), 1);
+                        let held = Interned {
+                            recipe,
+                            subscribers,
+                            tracker,
+                        };
+                        meet.recipes.insert(pos, held);
+                    }
+                }
+                Some(recipe)
+            })
+            .collect()
+    }
+
+    /// Takes a subscription back out of the meet. Where that weakens it (a
+    /// recipe's last holder, or the last uncertified subscriber, left) the
+    /// stream's next purge pass re-checks every live row once. Panics if
+    /// `sub` is not a live subscription of this engine.
+    pub(crate) fn unsubscribe(&mut self, sub: &MirrorSubscription) {
+        for (meet, recipe) in self.meets.iter_mut().zip(sub) {
+            match recipe {
+                None => meet.uncertified -= 1,
+                Some(recipe) => {
+                    let pos = meet.position(recipe).expect("recipe is interned");
+                    meet.recipes[pos].subscribers -= 1;
+                    if meet.recipes[pos].subscribers > 0 {
+                        continue;
+                    }
+                    meet.recipes.remove(pos);
+                }
+            }
+            meet.reseed = true;
         }
     }
 
@@ -686,31 +803,94 @@ impl PurgeEngine {
         &self.states[stream.0]
     }
 
-    /// The compiled mirror purge recipe for `stream`: `Some` exactly when
-    /// recipe derivation certified the stream purgeable over the whole query.
+    /// The first subscriber's compiled mirror purge recipe for `stream` (a
+    /// one-query engine's only one): `Some` exactly when recipe derivation
+    /// certified the stream purgeable over the whole query.
     #[must_use]
     pub fn mirror_recipe(&self, stream: StreamId) -> Option<&CompiledRecipe> {
-        self.mirror_recipes[stream.0].as_ref()
+        let meet = &self.meets[stream.0];
+        let first = meet.recipes.first()?;
+        (meet.uncertified == 0).then_some(&first.recipe)
     }
 
-    /// Re-checks up to `sample` live mirror rows per stream with both the
-    /// allocation-free fast path ([`PurgeEngine::check_roots_with`]) and the
-    /// allocating explaining oracle ([`PurgeEngine::explain`]). Returns the
-    /// number of rows checked.
+    /// The row test of a purge pass over `state` — an operator port or a
+    /// mirror stream alike: whether every one of `recipes`, each rooted at
+    /// the state's whole span, proves the row dead.
+    pub(crate) fn all_prove_dead<'s>(
+        &'s self,
+        state: &'s PortState,
+        recipes: impl Iterator<Item = &'s CompiledRecipe> + Clone + 's,
+        scratch: &'s mut CheckScratch,
+    ) -> impl FnMut(usize, &'s [Value]) -> bool + 's {
+        let layout = state.layout();
+        let mut roots = Vec::new();
+        move |_, row| {
+            roots.clear();
+            let own = layout.streams().iter();
+            roots.extend(own.map(|&s| (s, layout.slice(row, s).expect("own stream"))));
+            let mut recipes = recipes.clone();
+            recipes.all(|recipe| self.check_roots_with(recipe, &roots, scratch))
+        }
+    }
+
+    /// Re-checks up to `sample` live rows of `state` under `recipe` with both
+    /// the allocation-free fast path ([`PurgeEngine::check_roots_with`]) and
+    /// the allocating explaining oracle ([`PurgeEngine::explain`]). Returns
+    /// the number of rows checked.
     ///
     /// # Panics
     /// Panics if the two paths disagree on any verdict — they are documented
     /// to be decision-equivalent.
-    pub fn verify_mirror_against_oracle(&self, sample: usize) -> u64 {
-        self.verify_mirror_meet_against_oracle(&[&self.mirror_recipes], sample)
+    pub(crate) fn verify_state(
+        &self,
+        recipe: &CompiledRecipe,
+        state: &PortState,
+        sample: usize,
+    ) -> u64 {
+        let (layout, mut scratch) = (state.layout(), CheckScratch::default());
+        let mut checked = 0;
+        for (slot, row) in state.iter_live().take(sample) {
+            let own = layout.streams().iter();
+            let roots: Vec<(StreamId, &[Value])> = own
+                .map(|&s| (s, layout.slice(row, s).expect("own stream")))
+                .collect();
+            let fast = self.check_roots_with(recipe, &roots, &mut scratch);
+            let oracle = self.check_impl(recipe, &roots, true).is_purgeable();
+            assert!(
+                fast == oracle,
+                "certificate violation: fast purge check says {fast} but the oracle \
+                 says {oracle} for slot {slot} of the state over {:?}",
+                layout.streams()
+            );
+            checked += 1;
+        }
+        checked
     }
 
-    /// Finds a live mirror row that the purge checker proves dead, if any —
+    /// Re-checks up to `sample` live mirror rows per stream and distinct
+    /// recipe, fast path against oracle (panicking on a disagreement).
+    pub fn verify_mirror_against_oracle(&self, sample: usize) -> u64 {
+        let per_stream = self.states.iter().zip(&self.meets);
+        per_stream
+            .flat_map(|(state, meet)| meet.recipes.iter().map(move |e| (state, &e.recipe)))
+            .map(|(state, recipe)| self.verify_state(recipe, state, sample))
+            .sum()
+    }
+
+    /// Finds a live mirror row that every subscriber proves dead, if any —
     /// at a purge fixpoint (no punctuation or tuple arrivals since the last
     /// [`PurgeEngine::purge_mirror`]) there must be none.
     #[must_use]
     pub fn find_purgeable_mirror_row(&self) -> Option<(StreamId, usize)> {
-        self.find_meet_purgeable_mirror_row(&[&self.mirror_recipes])
+        let mut scratch = CheckScratch::default();
+        (0..self.states.len()).find_map(|s| {
+            let (state, meet) = (&self.states[s], &self.meets[s]);
+            let recipes = meet.recipes.iter().map(|e| &e.recipe);
+            let mut dead = self.all_prove_dead(state, recipes, &mut scratch);
+            (meet.uncertified == 0).then_some(())?;
+            let (slot, _) = state.iter_live().find(|&(slot, row)| dead(slot, row))?;
+            Some((StreamId(s), slot))
+        })
     }
 
     /// How many streams the engine mirrors.
@@ -1068,160 +1248,59 @@ impl PurgeEngine {
     }
 
     /// One full-scan purge pass over the raw mirror: drops every raw tuple
-    /// whose query-scope recipe proves it dead. Returns the number purged.
+    /// the meet of the subscribed recipes proves dead. Returns the number
+    /// purged.
     pub fn purge_mirror(&mut self) -> usize {
         self.purge_mirror_with(PurgeStrategy::FullScan).purged as usize
     }
 
-    /// One purge pass over the raw mirror under the given strategy. Streams
-    /// are processed in id order with earlier purges visible to later checks
-    /// under both strategies: the indexed path re-reads each stream's
-    /// chain-source purge counters at collect time, so a stream purged
-    /// earlier in the same pass degrades its dependents to a full scan —
-    /// exactly what the full scan would re-examine.
+    /// One purge pass over the raw mirror under the given strategy: per
+    /// stream, the candidate rows are checked against every distinct
+    /// subscribed recipe and go when all agree. Under
+    /// [`PurgeStrategy::Indexed`] the candidates are the union of the
+    /// recipes' trackers' flip candidates — a row can only become dead for
+    /// everybody when it becomes dead for somebody. With no subscriber at
+    /// all the meet is vacuous and every row goes: nobody is left to join
+    /// it, and a later subscriber starts on fresh join state.
+    ///
+    /// Streams are processed in id order with earlier purges visible to
+    /// later checks under both strategies: the indexed path re-reads each
+    /// stream's chain-source retraction logs at collect time, so a stream
+    /// purged earlier in the same pass hands its dependents exactly the rows
+    /// the full scan would see relaxed.
     pub fn purge_mirror_with(&mut self, strategy: PurgeStrategy) -> PurgeWork {
         let mut work = PurgeWork::default();
-        for s in 0..self.states.len() {
-            let Some(recipe) = &self.mirror_recipes[s] else {
-                continue;
-            };
-            let candidates: Option<Vec<usize>> = match strategy {
-                PurgeStrategy::FullScan => None,
-                PurgeStrategy::Indexed => {
-                    let tracker = self.mirror_trackers[s]
-                        .as_mut()
-                        .expect("tracker per recipe");
-                    tracker.collect(recipe, &self.states[s], &self.puncts, &self.states)
+        // The pass reads the engine while the trackers and buffers move:
+        // take them out for its duration.
+        let mut meets = std::mem::take(&mut self.meets);
+        let mut scratch = std::mem::take(&mut self.check_scratch);
+        let mut candidates = std::mem::take(&mut self.candidates);
+        for (s, meet) in meets.iter_mut().enumerate() {
+            // Every tracker advances whether or not its answer is used, so a
+            // pass that looks at everything leaves the next one no backlog.
+            candidates.clear();
+            let mut localized = strategy == PurgeStrategy::Indexed;
+            if localized {
+                for e in &mut meet.recipes {
+                    let state = &self.states[s];
+                    localized &= e.tracker.collect(&e.recipe, state, self, &mut candidates);
                 }
-            };
-            let stream = StreamId(s);
-            // Decide on borrowed rows (the check reads other mirror states,
-            // never mutates), then purge by slot. The scratch is taken out
-            // for the pass so the shared engine borrow stays clean.
-            let mut scratch = std::mem::take(&mut self.check_scratch);
-            let sweep = self.states[s].collect_matching(candidates.as_deref(), |_, row| {
-                self.check_roots_with(recipe, &[(stream, row)], &mut scratch)
-            });
-            self.check_scratch = scratch;
+            }
+            if meet.uncertified > 0 {
+                continue;
+            }
+            localized &= !std::mem::take(&mut meet.reseed) && !meet.recipes.is_empty();
+            let (state, recipes) = (&self.states[s], meet.recipes.iter().map(|e| &e.recipe));
+            let dead = self.all_prove_dead(state, recipes, &mut scratch);
+            candidates.sort_unstable();
+            candidates.dedup();
+            let sweep = state.collect_matching(localized.then_some(&candidates[..]), dead);
             work.examined += sweep.examined as u64;
             work.purged += self.states[s].purge_slots(&sweep.slots) as u64;
         }
+        (self.meets, self.check_scratch, self.candidates) = (meets, scratch, candidates);
         self.mirror_purged += work.purged;
         work
-    }
-
-    /// One full-scan purge pass over the raw mirror under the registry's
-    /// *recipe-meet* rule: a row of stream `s` is dropped only when **every**
-    /// registered query certifies `s` mirror-purgeable (has a compiled
-    /// query-scope recipe for it) **and** every such recipe proves the row
-    /// dead. With zero registered queries nothing is purged — an empty meet
-    /// certifies nothing. This is the conservative intersection of the
-    /// per-query purge sets, so the retained mirror is a superset of each
-    /// standalone executor's mirror and Theorem 3's soundness holds per
-    /// query.
-    ///
-    /// `queries[q]` is query `q`'s per-stream compiled mirror recipes,
-    /// indexed by stream id (as produced at admission). Always a full scan:
-    /// the engine's own delta trackers are keyed to *its* bootstrap query's
-    /// recipes, which under sharing certify only one subscriber.
-    pub(crate) fn purge_mirror_meet(&mut self, queries: &[&[Option<CompiledRecipe>]]) -> PurgeWork {
-        let mut work = PurgeWork::default();
-        if queries.is_empty() {
-            return work;
-        }
-        for s in 0..self.states.len() {
-            let Some(recipes) = queries
-                .iter()
-                .map(|q| q[s].as_ref())
-                .collect::<Option<Vec<_>>>()
-            else {
-                continue;
-            };
-            let stream = StreamId(s);
-            let mut scratch = std::mem::take(&mut self.check_scratch);
-            let sweep = self.states[s].collect_matching(None, |_, row| {
-                recipes
-                    .iter()
-                    .all(|recipe| self.check_roots_with(recipe, &[(stream, row)], &mut scratch))
-            });
-            self.check_scratch = scratch;
-            work.examined += sweep.examined as u64;
-            work.purged += self.states[s].purge_slots(&sweep.slots) as u64;
-        }
-        self.mirror_purged += work.purged;
-        work
-    }
-
-    /// [`PurgeEngine::find_purgeable_mirror_row`] under the meet rule: a live
-    /// mirror row every query of `queries` proves dead, if any (the engine's
-    /// own recipes are the one-query case). At a registry purge fixpoint
-    /// there must be none.
-    #[must_use]
-    pub(crate) fn find_meet_purgeable_mirror_row(
-        &self,
-        queries: &[&[Option<CompiledRecipe>]],
-    ) -> Option<(StreamId, usize)> {
-        if queries.is_empty() {
-            return None;
-        }
-        let mut scratch = CheckScratch::default();
-        for (idx, state) in self.states.iter().enumerate() {
-            let stream = StreamId(idx);
-            let Some(recipes) = queries
-                .iter()
-                .map(|q| q[idx].as_ref())
-                .collect::<Option<Vec<_>>>()
-            else {
-                continue;
-            };
-            for (slot, row) in state.iter_live() {
-                if recipes
-                    .iter()
-                    .all(|recipe| self.check_roots_with(recipe, &[(stream, row)], &mut scratch))
-                {
-                    return Some((stream, slot));
-                }
-            }
-        }
-        None
-    }
-
-    /// [`PurgeEngine::verify_mirror_against_oracle`] over several queries'
-    /// recipes (the engine's own are the one-query case): re-checks up to
-    /// `sample` live mirror rows per stream per query with both the fast
-    /// path and the explaining oracle. Returns the number of (row, query)
-    /// verdicts checked.
-    ///
-    /// # Panics
-    /// Panics if the two paths disagree on any per-query verdict.
-    pub(crate) fn verify_mirror_meet_against_oracle(
-        &self,
-        queries: &[&[Option<CompiledRecipe>]],
-        sample: usize,
-    ) -> u64 {
-        let mut checked = 0u64;
-        let mut scratch = CheckScratch::default();
-        for (idx, state) in self.states.iter().enumerate() {
-            let stream = StreamId(idx);
-            for recipes in queries {
-                let Some(recipe) = recipes[idx].as_ref() else {
-                    continue;
-                };
-                for (slot, row) in state.iter_live().take(sample) {
-                    let fast = self.check_roots_with(recipe, &[(stream, row)], &mut scratch);
-                    let mut roots = HashMap::new();
-                    roots.insert(stream, row.to_vec());
-                    let oracle = self.explain(recipe, &roots).is_purgeable();
-                    assert_eq!(
-                        fast, oracle,
-                        "certificate violation: fast purge check says {fast} but the \
-                         oracle says {oracle} for mirror row {slot} of stream {stream:?}"
-                    );
-                    checked += 1;
-                }
-            }
-        }
-        checked
     }
 
     /// Drops every store's retained delta log. The executor calls this at
@@ -1314,9 +1393,9 @@ impl PurgeEngine {
     }
 
     /// Serializes the engine's runtime state — mirror tuples, punctuation
-    /// coverage, mirror-tracker cursors, and drop counters. Recipes, scheme
-    /// registrations, and index wiring are recreated by
-    /// [`PurgeEngine::new_weighted`] at restore time.
+    /// coverage, each interned recipe's tracker cursors in recipe order, and
+    /// drop counters. Recipes, scheme registrations, and index wiring
+    /// are recreated by re-subscribing the queries live at the snapshot.
     pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
         e.usize(self.states.len());
         for s in &self.states {
@@ -1325,13 +1404,11 @@ impl PurgeEngine {
         for p in &self.puncts {
             p.write_state(e);
         }
-        for t in &self.mirror_trackers {
-            match t {
-                Some(t) => {
-                    e.bool(true);
-                    t.write_state(e);
-                }
-                None => e.bool(false),
+        for meet in &self.meets {
+            e.bool(meet.reseed);
+            e.usize(meet.recipes.len());
+            for interned in &meet.recipes {
+                interned.tracker.write_state(e);
             }
         }
         e.u64(self.punct_dropped);
@@ -1339,8 +1416,9 @@ impl PurgeEngine {
     }
 
     /// Overlays serialized runtime state onto this freshly built engine. The
-    /// stream count and per-stream tracker presence must match the query the
-    /// snapshot was taken under.
+    /// stream count and the set of held recipes must match the subscriptions
+    /// live when the snapshot was taken; in what order they came and went
+    /// does not matter.
     pub(crate) fn read_state(
         &mut self,
         d: &mut crate::checkpoint::Dec<'_>,
@@ -1359,15 +1437,17 @@ impl PurgeEngine {
         for p in &mut self.puncts {
             p.read_state(d)?;
         }
-        for t in &mut self.mirror_trackers {
-            match (d.bool()?, t.as_mut()) {
-                (true, Some(t)) => t.read_state(d)?,
-                (false, None) => {}
-                _ => {
-                    return Err(SnapshotError(
-                        "mirror tracker presence disagrees with compiled engine".into(),
-                    ))
-                }
+        for meet in &mut self.meets {
+            meet.reseed = d.bool()?;
+            let n = d.usize()?;
+            if n != meet.recipes.len() {
+                return Err(SnapshotError(format!(
+                    "snapshot holds {n} mirror recipes of a stream, the engine {}",
+                    meet.recipes.len()
+                )));
+            }
+            for interned in &mut meet.recipes {
+                interned.tracker.read_state(d)?;
             }
         }
         self.punct_dropped = d.u64()?;
@@ -1420,6 +1500,17 @@ fn compile_recipe(
     CompiledRecipe {
         roots: recipe.roots.clone(),
         steps,
+    }
+}
+
+#[cfg(test)]
+impl PurgeEngine {
+    /// How many distinct mirror recipes and purge indexes the meet holds
+    /// across all streams.
+    pub(crate) fn interned(&self) -> (usize, usize) {
+        let recipes = self.meets.iter().map(|m| m.recipes.len()).sum();
+        let indexes = self.states.iter().map(PortState::purge_index_count).sum();
+        (recipes, indexes)
     }
 }
 
@@ -1629,6 +1720,117 @@ mod tests {
         let delta = indexed.purge_mirror_with(PurgeStrategy::Indexed);
         assert_eq!(delta.purged, 2);
         assert_eq!(delta.examined, 2, "only item 7's rows are candidates");
+    }
+
+    /// `t0.k = t1.k = t2.k`, `t2.w = t3.k`: a four-stream chain whose last
+    /// edge leaves `t2.w` unpinned from `t0`'s side and `t1.k`, `t2.k`
+    /// unpinned from `t3`'s. Every attribute is punctuatable.
+    fn unpinned_chain() -> (Cjq, SchemeSet) {
+        use cjq_core::query::JoinPredicate;
+        use cjq_core::schema::{Catalog, StreamSchema};
+        use cjq_core::scheme::PunctuationScheme;
+        let mut catalog = Catalog::new();
+        let mut schemes = SchemeSet::new();
+        for s in 0..4 {
+            catalog.add_stream(StreamSchema::new(format!("t{s}"), ["k", "w"]).unwrap());
+            schemes.add(PunctuationScheme::on(s, &[0]).unwrap());
+            schemes.add(PunctuationScheme::on(s, &[1]).unwrap());
+        }
+        let preds = [(0, 0, 1, 0), (1, 0, 2, 0), (2, 1, 3, 0)]
+            .map(|(l, la, r, ra)| JoinPredicate::between(l, la, r, ra).unwrap());
+        (Cjq::new(catalog, preds.to_vec()).unwrap(), schemes)
+    }
+
+    /// A coverage delta on a chain-bound step is localized, never a full
+    /// scan, through the chain stream's rows carrying the value and the probe
+    /// that reached that stream — as long as that probe has a root column to
+    /// match on.
+    #[test]
+    fn chain_bound_deltas_map_back_to_exactly_the_affected_rows() {
+        let (q, r) = unpinned_chain();
+        let mut e = PurgeEngine::new(&q, &r, None, 10_000);
+        for key in 1..=3i64 {
+            e.observe_tuple(&Tuple::of(0, [Value::Int(key), Value::Int(0)]));
+            e.observe_tuple(&Tuple::of(1, [Value::Int(key), Value::Int(0)]));
+            e.observe_tuple(&Tuple::of(2, [Value::Int(key), Value::Int(key * 10)]));
+            e.observe_tuple(&Tuple::of(3, [Value::Int(key * 10), Value::Int(0)]));
+        }
+        // Drain the fresh backlog: from here on only deltas make candidates.
+        assert_eq!(e.purge_mirror_with(PurgeStrategy::Indexed).purged, 0);
+        e.trim_punct_deltas();
+        let collect = |e: &mut PurgeEngine, stream: usize| {
+            let mut meets = std::mem::take(&mut e.meets);
+            let interned = &mut meets[stream].recipes[0];
+            let mut out = Vec::new();
+            let (recipe, state) = (&interned.recipe, &e.states[stream]);
+            let localized = interned.tracker.collect(recipe, state, e, &mut out);
+            let keys = interned.tracker.step_keys.clone();
+            e.meets = meets;
+            out.sort_unstable();
+            (localized, out, keys)
+        };
+
+        // t3 closes k = 20: of t0's rows only the one chaining through
+        // t2 (2, 20) can care.
+        e.observe_punctuation(&punct(3, 2, &[(0, 20)]), 0);
+        let (localized, slots, keys) = collect(&mut e, 0);
+        let [StepKey::Rooted(_), StepKey::Rooted(_), StepKey::Chained { .. }] = keys[..] else {
+            panic!("t0's steps: {keys:?}");
+        };
+        assert!(localized, "a chain-bound delta is localized");
+        assert_eq!(slots, [1]);
+
+        // From t3's side t1 is reached through t2 alone: its probe has no
+        // root column to match on, so a delta on t0 (bound to t1.k) is the
+        // one case left that re-checks everything.
+        e.trim_punct_deltas();
+        e.observe_punctuation(&punct(0, 2, &[(0, 3)]), 1);
+        let (localized, _, keys) = collect(&mut e, 3);
+        let [StepKey::Rooted(_), StepKey::Chained { .. }, StepKey::Opaque] = keys[..] else {
+            panic!("t3's steps: {keys:?}");
+        };
+        assert!(!localized, "nothing maps a t1 row back to t3");
+    }
+
+    /// Equal recipes are one recipe: a second subscriber adds no tracker and
+    /// no purge index; the meet holds a row until every distinct recipe
+    /// proves it dead, re-checks everything once when one leaves, and with
+    /// nobody subscribed lets every row go.
+    #[test]
+    fn subscriptions_intern_equal_recipes_and_meet_over_distinct_ones() {
+        let (q, r) = unpinned_chain();
+        let mut e = PurgeEngine::new(&q, &r, None, 10_000);
+        let before = e.interned();
+        assert_eq!(before.0, 4, "one recipe per stream");
+        let same = e.subscribe(&q, &r);
+        assert_eq!(e.interned(), before);
+        // A query that joins t0.w (not t0.k) to t1 guards t0 differently.
+        let preds: Vec<_> = q.predicates().to_vec();
+        let mut other = preds.clone();
+        other[0] = cjq_core::query::JoinPredicate::between(0, 1, 1, 0).unwrap();
+        let other = Cjq::new(q.catalog().clone(), other).unwrap();
+        let sub = e.subscribe(&other, &r);
+        assert!(e.interned().0 > before.0);
+
+        e.observe_tuple(&Tuple::of(0, [Value::Int(1), Value::Int(2)]));
+        e.observe_punctuation(&punct(1, 2, &[(0, 1)]), 0);
+        assert_eq!(
+            e.purge_mirror_with(PurgeStrategy::Indexed).purged,
+            0,
+            "t1 closed k = 1, but the other query joins on t0.w = 2"
+        );
+        e.trim_punct_deltas();
+        e.unsubscribe(&sub);
+        let work = e.purge_mirror_with(PurgeStrategy::Indexed);
+        assert_eq!((work.examined, work.purged), (1, 1), "re-seeded once");
+        assert_eq!(e.interned().0, before.0);
+
+        e.unsubscribe(&same);
+        e.observe_tuple(&Tuple::of(2, [Value::Int(5), Value::Int(5)]));
+        // `same` names the recipes the subscription `new` made holds.
+        e.unsubscribe(&same);
+        assert_eq!(e.purge_mirror_with(PurgeStrategy::Indexed).purged, 1);
+        assert_eq!(e.mirror_live(), 0, "the empty meet is vacuous");
     }
 
     #[test]

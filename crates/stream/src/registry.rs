@@ -28,8 +28,9 @@
 //! passes are unchanged. The raw-input *mirror* is shared across queries
 //! with different predicates, so its purge rule is the **meet** of the
 //! subscribers' recipes: a mirror row is dropped only when *every* live
-//! query proves it dead ([`PurgeEngine`]'s meet purge). Retiring a query
-//! tightens the meet, so retirement triggers a re-tightening purge pass.
+//! query proves it dead. Admissions subscribe their recipes to the
+//! [`PurgeEngine`]'s meet and retirements unsubscribe them; where that
+//! weakens the meet, the next purge pass re-checks the stream once.
 //! With [`ExecConfig::verify_certificates`] the static certificates are
 //! checked per admission (per query — sharing must not leak one tenant's
 //! purgeability onto another) and the runtime verifier cross-checks every
@@ -66,7 +67,7 @@ use crate::join::JoinOperator;
 use crate::metrics::Metrics;
 use crate::parallel::{fan_out, Partitioning};
 use crate::pipeline::{Core, Pipeline, Run};
-use crate::purge::{CompiledRecipe, PurgeEngine, PurgeScope, PurgeWork};
+use crate::purge::{MirrorSubscription, PurgeEngine, PurgeScope};
 use crate::sink::{OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
 
@@ -170,10 +171,9 @@ struct QuerySlot {
     nodes: Vec<usize>,
     /// Arena index of the root node (its span is the full stream set).
     root: usize,
-    /// Per-stream Theorem 1/3 mirror recipes for *this* query; the engine's
-    /// meet purge drops a mirror row only when every live tenant's recipe
-    /// proves it dead.
-    mirror_recipes: Vec<Option<CompiledRecipe>>,
+    /// This query's Theorem 1/3 mirror recipes, as interned in the engine's
+    /// meet; handed back at retirement.
+    mirror: MirrorSubscription,
     sink: Option<Box<dyn ResultSink + Send>>,
     stats: QueryStats,
     outputs: Vec<Vec<Value>>,
@@ -203,15 +203,6 @@ pub struct QueryRegistry {
     nodes: Vec<Option<Node>>,
     node_index: FxHashMap<NodeKey, usize>,
     queries: Vec<QuerySlot>,
-}
-
-/// Every live query's mirror recipes: the sets the meet ranges over.
-fn recipe_sets(queries: &[QuerySlot]) -> Vec<&[Option<CompiledRecipe>]> {
-    queries
-        .iter()
-        .filter(|q| q.live)
-        .map(|q| q.mirror_recipes.as_slice())
-        .collect()
 }
 
 impl QueryRegistry {
@@ -334,7 +325,7 @@ impl QueryRegistry {
             });
         }
         if self.engine.is_none() {
-            self.engine = Some(PurgeEngine::new(
+            self.engine = Some(PurgeEngine::shared(
                 query,
                 &self.schemes,
                 self.core.cfg.punct_lifespan,
@@ -366,12 +357,8 @@ impl QueryRegistry {
                 node.op.enable_tiering();
             }
         }
-        let all: Vec<StreamId> = query.stream_ids().collect();
-        let engine = self.engine.as_ref().expect("bootstrapped above");
-        let mirror_recipes: Vec<Option<CompiledRecipe>> = all
-            .iter()
-            .map(|&s| engine.compile_port_recipe(query, &self.schemes, &all, &[s]))
-            .collect();
+        let engine = self.engine.as_mut().expect("bootstrapped above");
+        let mirror = engine.subscribe(query, &self.schemes);
         if self.core.cfg.verify_certificates {
             let ops = acc
                 .iter()
@@ -381,7 +368,7 @@ impl QueryRegistry {
                 &self.schemes,
                 self.core.cfg.scope,
                 ops,
-                |s| mirror_recipes[s.0].is_some(),
+                |s| mirror[s.0].is_some(),
             ) {
                 panic!("static certificate violation at admission: {mismatch}");
             }
@@ -391,7 +378,7 @@ impl QueryRegistry {
             query: query.clone(),
             nodes: acc,
             root,
-            mirror_recipes,
+            mirror,
             sink,
             stats: QueryStats {
                 admitted_at: self.core.clock,
@@ -404,10 +391,10 @@ impl QueryRegistry {
     }
 
     /// Retires a query: unsubscribes it from its nodes (tombstoning nodes
-    /// with no subscribers left, dropping their join state), finishes its
-    /// sink, and runs a **re-tightening purge pass** — the mirror meet over
-    /// the remaining tenants is weakly stronger, so rows that were only
-    /// alive for the retiree leave immediately.
+    /// with no subscribers left, dropping their join state) and from the
+    /// mirror meet, finishes its sink, and runs a **re-tightening purge
+    /// pass** — the meet over the remaining tenants is weaker, so rows only
+    /// the retiree kept alive leave now (all of them, if no tenant is left).
     ///
     /// Returns `false` if the id is unknown or already retired.
     pub fn retire(&mut self, id: QueryId) -> bool {
@@ -422,8 +409,7 @@ impl QueryRegistry {
         if let Some(sink) = q.sink.as_mut() {
             sink.finish();
         }
-        let owned = q.nodes.clone();
-        self.unsubscribe(&owned)
+        self.unsubscribe(id.0)
             .expect("a live query's nodes are present");
         self.purge_cycle();
         true
@@ -588,11 +574,12 @@ impl QueryRegistry {
         self.run_purge_cycle();
     }
 
-    /// Unsubscribes a retiring query from `owned` (its nodes, root last),
-    /// tombstoning nodes no subscriber is left on. `None` if a node is
-    /// already gone.
-    fn unsubscribe(&mut self, owned: &[usize]) -> Option<()> {
-        for &n in owned.iter().rev() {
+    /// Unsubscribes retiring query `qi` from its nodes (root last),
+    /// tombstoning nodes no subscriber is left on, and from the mirror meet.
+    /// `None` if a node is already gone.
+    fn unsubscribe(&mut self, qi: usize) -> Option<()> {
+        let q = &self.queries[qi];
+        for &n in q.nodes.iter().rev() {
             let node = self.nodes[n].as_mut()?;
             node.subscribers -= 1;
             if node.subscribers == 0 {
@@ -600,6 +587,7 @@ impl QueryRegistry {
                 self.node_index.remove(&node.key);
             }
         }
+        self.engine.as_mut()?.unsubscribe(&q.mirror);
         Some(())
     }
 
@@ -697,9 +685,8 @@ impl QueryRegistry {
 }
 
 /// What separates the registry from the shared pipeline: single-pass routing
-/// over the node arena with per-query fan-out (no caller sink), the mirror
-/// purge by the *meet* of every live query's recipes, and per-subscriber
-/// purge credit. No single-query monitor applies ([`QueryRegistry::new`]
+/// over the node arena with per-query fan-out (no caller sink) and
+/// per-subscriber purge credit. No single-query monitor applies ([`QueryRegistry::new`]
 /// refuses their knobs).
 impl Pipeline for QueryRegistry {
     type Sink<'s> = ();
@@ -796,28 +783,6 @@ impl Pipeline for QueryRegistry {
             }
         }
         Ok(())
-    }
-
-    /// The mirror is shared across queries with different predicates: a row
-    /// leaves only when *every* live query's recipe proves it dead. (No delta
-    /// tracker exists for the meet — it re-checks live rows each cycle.)
-    fn purge_mirror(&mut self) -> PurgeWork {
-        match self.engine.as_mut() {
-            Some(engine) => engine.purge_mirror_meet(&recipe_sets(&self.queries)),
-            None => PurgeWork::default(),
-        }
-    }
-
-    fn verify_mirror(&self, sample: usize) -> u64 {
-        self.engine.as_ref().map_or(0, |engine| {
-            engine.verify_mirror_meet_against_oracle(&recipe_sets(&self.queries), sample)
-        })
-    }
-
-    fn dead_mirror_row(&self) -> Option<(StreamId, usize)> {
-        self.engine
-            .as_ref()?
-            .find_meet_purgeable_mirror_row(&recipe_sets(&self.queries))
     }
 
     /// Rows leaving a shared node count once per subscriber.
@@ -925,8 +890,7 @@ impl Pipeline for QueryRegistry {
             q.outputs = d.rows()?;
             if !live && q.live {
                 q.live = false;
-                let owned = q.nodes.clone();
-                self.unsubscribe(&owned).ok_or_else(|| {
+                self.unsubscribe(qi).ok_or_else(|| {
                     SnapshotError("retired query's node already tombstoned".into())
                 })?;
             }
@@ -1438,6 +1402,97 @@ mod tests {
         assert_eq!(reg.live_nodes(), 1, "node still subscribed by b");
         assert!(reg.retire(b));
         assert_eq!(reg.live_nodes(), 0, "last retirement drops the node");
+    }
+
+    /// With no live tenant the meet over zero subscribers is vacuous: every
+    /// mirror row goes at the next cycle instead of piling up forever, and a
+    /// tenant admitted afterwards — on fresh nodes, so it could not have
+    /// joined the dropped rows anyway — matches a standalone run over the
+    /// suffix.
+    #[test]
+    fn mirror_drains_when_the_last_tenant_retires() {
+        let (query, schemes, plan) = tiny();
+        let mut reg = QueryRegistry::new(schemes.clone(), cfg());
+        let first = reg.admit(&query, &plan);
+        assert!(reg.retire(first));
+        let round = |r: i64| -> [StreamElement; 4] {
+            [
+                Tuple::of(0, [Value::Int(r), Value::Int(r)]).into(),
+                Tuple::of(1, [Value::Int(r), Value::Int(r)]).into(),
+                StreamElement::Punctuation(punct(0, 0, r)),
+                StreamElement::Punctuation(punct(1, 0, r)),
+            ]
+        };
+        for r in 0..1_000 {
+            for e in &round(r) {
+                reg.push(e);
+            }
+            let mirror = reg.engine.as_ref().unwrap().mirror_live();
+            assert_eq!(mirror, 0, "round {r}: nobody is left to keep a row");
+        }
+        let late = reg.admit(&query, &plan);
+        let mut suffix = Feed::new();
+        for r in 1_000..1_006 {
+            for e in round(r) {
+                reg.push(&e);
+                suffix.push(e);
+            }
+        }
+        let solo = Executor::compile(&query, &schemes, &plan, cfg())
+            .unwrap()
+            .run(&suffix);
+        let done = reg.finish();
+        assert_eq!(done.queries[late.0].outputs, solo.outputs);
+        assert_eq!(done.queries[late.0].stats.purged, solo.metrics.purged);
+        assert_eq!(done.metrics.last().unwrap().mirror, 0);
+    }
+
+    /// Tenants with equal mirror recipes share one interned recipe, tracker
+    /// and purge-index set; retiring the only holder of a recipe weakens the
+    /// meet, which the next pass — and only that one — answers by
+    /// re-checking every live mirror row.
+    #[test]
+    fn equal_recipes_are_interned_and_a_lone_holders_retirement_reseeds_once() {
+        let (query, mut schemes, plan) = tiny();
+        schemes.add(PunctuationScheme::on(1, &[1]).unwrap());
+        // Same streams, but `a.k = b.v`: `a` rows wait on `b`'s `v` scheme.
+        let other = Cjq::new(
+            query.catalog().clone(),
+            vec![JoinPredicate::new(AttrRef::new(0, 0), AttrRef::new(1, 1)).unwrap()],
+        )
+        .unwrap();
+        let mut reg = QueryRegistry::new(schemes, cfg());
+        reg.admit(&query, &plan);
+        let lone = reg.admit(&other, &Plan::mjoin_all(&other));
+        let interned = |reg: &QueryRegistry| reg.engine.as_ref().unwrap().interned();
+        let before = interned(&reg);
+        assert_eq!(before.0, 4, "two distinct recipes on each of two streams");
+        reg.admit(&query, &plan);
+        assert_eq!(interned(&reg), before, "no new tracker, no new purge index");
+
+        // `b` closes k = 0..8, but never v: every `a` row is dead for the
+        // k-joiners and alive for the lone v-joiner.
+        for r in 0i64..8 {
+            reg.push(&Tuple::of(0, [Value::Int(r), Value::Int(100 + r)]).into());
+            reg.push(&StreamElement::Punctuation(punct(1, 0, r)));
+        }
+        let engine = |reg: &QueryRegistry| {
+            let engine = reg.engine.as_ref().unwrap();
+            (engine.mirror_live(), engine.find_purgeable_mirror_row())
+        };
+        assert_eq!(engine(&reg), (8, None));
+        let examined = reg.metrics().purge_candidates_examined;
+        assert!(reg.retire(lone));
+        assert_eq!(engine(&reg), (0, None), "the retirement pass found all 8");
+        assert_eq!(reg.metrics().purge_candidates_examined, examined + 8);
+        assert_eq!(interned(&reg).0, 2);
+        // Re-seeded once: an idle cycle over a live mirror examines nothing.
+        reg.push(&Tuple::of(0, [Value::Int(50), Value::Int(50)]).into());
+        reg.purge_cycle();
+        let examined = reg.metrics().purge_candidates_examined;
+        reg.purge_cycle();
+        assert_eq!(reg.metrics().purge_candidates_examined, examined);
+        assert_eq!(engine(&reg), (1, None));
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl ColSummary {
 }
 
 /// Key columns of one purge-recipe step, as seen from this port's rows
-/// (root-resolved flat columns — see `purge::root_step_specs`).
+/// (root-resolved flat columns — see `PurgeTracker::root_step_specs`).
 #[derive(Debug, Clone)]
 pub(crate) struct StepKey {
     /// Range-capable (ordered scheme, single column) vs. hash key.

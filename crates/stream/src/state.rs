@@ -282,6 +282,12 @@ impl PortState {
         self.purge_indexes.len() - 1
     }
 
+    /// The flat columns purge index `id` is keyed on.
+    #[must_use]
+    pub(crate) fn purge_index_cols(&self, id: usize) -> &[usize] {
+        &self.purge_indexes[id].cols
+    }
+
     /// Live slots whose purge-index key equals `key`.
     #[must_use]
     pub(crate) fn purge_index_eq(&self, id: usize, key: &[Value]) -> &[usize] {
@@ -795,6 +801,14 @@ impl PortState {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl PortState {
+    /// How many purge indexes are registered.
+    pub(crate) fn purge_index_count(&self) -> usize {
+        self.purge_indexes.len()
     }
 }
 

@@ -232,6 +232,143 @@ fn interval_offset_budget_interleavings_recover_exactly() {
     });
 }
 
+/// A registry whose tenants hold *different* mirror recipes (overlap 0.5),
+/// one of them retired before the crash and — in two of the three scenarios
+/// — another admitted after that: the snapshot carries each interned
+/// recipe's tracker cursors, and restoring re-admits every spec *before* it
+/// re-applies the retirement, so the recipes are interned in another order
+/// than the crashed run interned them. The resumed run must match the
+/// uninterrupted one down to `purge_candidates_examined` — a tracker
+/// restored onto the wrong recipe, or from zeroed cursors, would purge the
+/// same rows from more candidates.
+#[test]
+fn registry_with_a_retired_tenant_resumes_byte_identically() {
+    use punctuated_cjq::workload::multi::{self, MultiConfig};
+
+    let mcfg = MultiConfig {
+        queries: 3,
+        overlap: 0.5,
+        rounds: 40,
+        ..MultiConfig::default()
+    };
+    let tenant = multi::generate_queries(&mcfg);
+    let feed = chaos_feed(&multi::generate_feed(&mcfg));
+    let [t0, t1, t2] = &tenant.queries[..] else {
+        panic!("three tenants");
+    };
+    let streams: Vec<StreamId> = t0.0.stream_ids().collect();
+    let replanned = (t0.0.clone(), Plan::left_deep(&streams));
+    assert_ne!(replanned.1, t0.1, "a different plan: no node is shared");
+
+    registry_recovers("none", &tenant.schemes, &feed, &tenant.queries, 1, None);
+    // The retiree's recipes come back under another plan: the crashed run
+    // interned them anew, a restore finds them still held.
+    let initial = [t0.clone(), t1.clone()];
+    registry_recovers("same", &tenant.schemes, &feed, &initial, 0, Some(replanned));
+    // A late tenant with recipes of its own.
+    registry_recovers(
+        "distinct",
+        &tenant.schemes,
+        &feed,
+        &initial,
+        0,
+        Some(t2.clone()),
+    );
+}
+
+/// Admits `initial`, retires tenant `retiree` a third of the way into `feed`
+/// and admits `late` at half of it; crashes at several points after that and
+/// compares every resumed run with the uninterrupted one.
+fn registry_recovers(
+    tag: &str,
+    schemes: &SchemeSet,
+    feed: &Feed,
+    initial: &[(Cjq, Plan)],
+    retiree: usize,
+    late: Option<(Cjq, Plan)>,
+) {
+    use punctuated_cjq::stream::checkpoint::{CheckpointStore, InputCursor};
+    use punctuated_cjq::stream::registry::{QueryId, QueryRegistry, RegistryResult};
+
+    let cfg = record_outputs(ExecConfig::default());
+    let (n, every) = (feed.elements().len(), 23u64);
+    let (retire_at, admit_at) = (n / 3, n / 2);
+    let retiree = QueryId(retiree);
+    let specs: Vec<(Cjq, Plan)> = initial.iter().cloned().chain(late.clone()).collect();
+
+    // Pushes `feed[from..upto]`, retiring and admitting on the way past.
+    let drive = |reg: &mut QueryRegistry,
+                 store: &mut CheckpointStore,
+                 cursor: &mut InputCursor,
+                 from: usize,
+                 upto: usize| {
+        for (i, e) in feed.elements()[from..upto].iter().enumerate() {
+            if from + i == retire_at {
+                assert!(reg.retire(retiree));
+            }
+            if let Some((q, p)) = late.as_ref().filter(|_| from + i == admit_at) {
+                reg.try_admit(q, p, None).expect("admissible");
+            }
+            reg.push_checkpointed(e, store, cursor).expect("clean feed");
+        }
+    };
+    let run_to = |upto: usize, at: &str| -> (QueryRegistry, std::path::PathBuf) {
+        let dir = ckpt_dir(&format!("reg-{tag}-{at}"));
+        let mut store = CheckpointStore::open(&dir, every).expect("open store");
+        let mut cursor = InputCursor::zero(initial[0].0.n_streams());
+        let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+        for (q, p) in initial {
+            reg.try_admit(q, p, None).expect("admissible");
+        }
+        drive(&mut reg, &mut store, &mut cursor, 0, upto);
+        (reg, dir)
+    };
+    let same = |label: &str, golden: &RegistryResult, recovered: &RegistryResult| {
+        assert_eq!(recovered.queries.len(), golden.queries.len(), "{label}");
+        for (g, r) in golden.queries.iter().zip(&recovered.queries) {
+            assert_eq!(r.outputs, g.outputs, "{label}");
+            assert_eq!(r.stats, g.stats, "{label}");
+        }
+        assert_eq!(
+            recovered.metrics.purge_candidates_examined, golden.metrics.purge_candidates_examined,
+            "{label}: the restored trackers must offer the same candidates"
+        );
+        assert_eq!(
+            digest(&recovered.metrics),
+            digest(&golden.metrics),
+            "{label}"
+        );
+    };
+
+    let (golden, dir) = run_to(n, "golden");
+    let golden = golden.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(golden.queries[retiree.0].stats.retired_at.is_some());
+    if late.is_some() {
+        let late = golden.queries.last().expect("admitted");
+        assert!(late.stats.outputs > 0, "the late tenant joined the suffix");
+    }
+    for crash_after in [admit_at + 3 * every as usize, (n * 4) / 5, n - 1] {
+        let (crashed, dir) = run_to(crash_after, &crash_after.to_string());
+        drop(crashed);
+        let (mut reg, mut store, mut cursor) =
+            QueryRegistry::restore(&dir, schemes, cfg, &specs).expect("restore");
+        let from = cursor.elements as usize;
+        assert!(
+            (admit_at..=crash_after).contains(&from),
+            "the snapshot must postdate the retirement and the late admission"
+        );
+        assert!(!reg.is_live(retiree), "retirement is re-applied");
+        drive(&mut reg, &mut store, &mut cursor, from, n);
+        same(
+            &format!("{tag}: crash@{crash_after}"),
+            &golden,
+            &reg.finish(),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A frame can carry a valid checksum, the right kind and the right
 /// fingerprint and still lie about its lengths. Every restore entry point
 /// must refuse such a frame with `CheckpointCorrupt` — never panic on an

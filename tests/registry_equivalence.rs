@@ -22,7 +22,8 @@ use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::planner::fingerprint;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult};
 use punctuated_cjq::stream::fault::{Fault, FaultPlan};
-use punctuated_cjq::stream::registry::{QueryRegistry, ShardedRegistry};
+use punctuated_cjq::stream::purge::PurgeStrategy;
+use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult, ShardedRegistry};
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::workload::multi::{self, MultiConfig};
 
@@ -120,6 +121,64 @@ fn registry_matches_standalones_across_overlap_and_cadence() {
     }
 }
 
+/// The delta-tracked meet against the full-scan meet: the trackers only
+/// choose *which* mirror rows a cycle re-checks, so every purge — and with it
+/// every output, counter and sampled state size — must be the same, from
+/// fewer rows examined.
+#[test]
+fn tracked_meet_purges_exactly_what_the_full_scan_meet_does() {
+    for overlap in [0.0, 0.5, 1.0] {
+        for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }] {
+            let mcfg = MultiConfig {
+                queries: 4,
+                overlap,
+                rounds: 30,
+                ..MultiConfig::default()
+            };
+            let tenant = multi::generate_queries(&mcfg);
+            let feed = chaos_feed(&multi::generate_feed(&mcfg));
+            let run = |purge_strategy: PurgeStrategy| -> RegistryResult {
+                let cfg = ExecConfig {
+                    purge_strategy,
+                    sample_every: 8,
+                    ..base_cfg(cadence)
+                };
+                let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
+                for (q, p) in &tenant.queries {
+                    reg.try_admit(q, p, None).expect("admissible");
+                }
+                reg.try_feed(&feed).expect("clean feed");
+                reg.finish()
+            };
+            let (tracked, full) = (run(PurgeStrategy::Indexed), run(PurgeStrategy::FullScan));
+            let at = format!("overlap {overlap}, {cadence:?}");
+            for (t, f) in tracked.queries.iter().zip(&full.queries) {
+                assert_eq!(t.outputs, f.outputs, "{at}");
+                assert_eq!(t.stats.purged, f.stats.purged, "{at}");
+            }
+            let (t, f) = (&tracked.metrics, &full.metrics);
+            assert_eq!(t.purged, f.purged, "{at}");
+            assert_eq!(t.mirror_purged, f.mirror_purged, "{at}");
+            assert_eq!(t.purge_cycles, f.purge_cycles, "{at}");
+            let sizes = |m: &punctuated_cjq::stream::metrics::Metrics| -> Vec<(u64, usize, usize)> {
+                let point = |p: &punctuated_cjq::stream::metrics::StatePoint| {
+                    (p.at, p.join_state, p.mirror)
+                };
+                m.series.iter().map(point).collect()
+            };
+            assert_eq!(sizes(t), sizes(f), "{at}");
+            if overlap == 0.5 {
+                assert!(
+                    t.purge_candidates_examined < f.purge_candidates_examined,
+                    "{at}: tracked {} vs full scan {}",
+                    t.purge_candidates_examined,
+                    f.purge_candidates_examined
+                );
+            }
+        }
+    }
+}
+
 /// Sharded registry (P=4) vs standalone executors: output multisets match
 /// per query (shards interleave, so order is not preserved).
 #[test]
@@ -150,60 +209,69 @@ fn sharded_registry_matches_standalones() {
     }
 }
 
-/// Mid-stream admission and retirement. With full overlap every tenant
-/// shares one node, so:
+/// Mid-stream admission and retirement, at full overlap (every tenant shares
+/// one node and one set of mirror recipes) and at half (the retiree is the
+/// only holder of its mirror recipes, so its retirement weakens the meet and
+/// re-seeds the mirror purge):
 /// * a query retired halfway has exactly the outputs of a standalone run
 ///   over the feed prefix it saw;
-/// * a query admitted halfway has exactly the base query's outputs over the
-///   suffix (shared history included — its probe index predates it).
+/// * a query admitted halfway — identical to the base, so it shares the
+///   base's nodes and interned recipes — has exactly the base query's outputs
+///   over the suffix (shared history included: its probe index predates it);
+/// * the survivors are unchanged by the churn, and `finish` (certificates
+///   on) finds no provably dead row left behind.
 #[test]
 fn mid_stream_admission_and_retirement() {
-    let mcfg = MultiConfig {
-        queries: 2,
-        overlap: 1.0,
-        rounds: 30,
-        ..MultiConfig::default()
-    };
-    let tenant = multi::generate_queries(&mcfg);
-    let feed = multi::generate_feed(&mcfg);
-    let cfg = base_cfg(PurgeCadence::Eager);
-    let split = feed.elements().len() / 2;
+    for overlap in [1.0, 0.5] {
+        let mcfg = MultiConfig {
+            queries: 2,
+            overlap,
+            rounds: 30,
+            ..MultiConfig::default()
+        };
+        let tenant = multi::generate_queries(&mcfg);
+        let feed = multi::generate_feed(&mcfg);
+        let cfg = base_cfg(PurgeCadence::Eager);
+        let split = feed.elements().len() / 2;
 
-    let (q0, p0) = &tenant.queries[0];
-    let (q1, p1) = &tenant.queries[1];
-    let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
-    let id0 = reg.try_admit(q0, p0, None).unwrap();
-    let id1 = reg.try_admit(q1, p1, None).unwrap();
-    for e in &feed.elements()[..split] {
-        reg.try_push(e).expect("clean feed");
+        let (q0, p0) = &tenant.queries[0];
+        let (q1, p1) = &tenant.queries[1];
+        let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
+        let id0 = reg.try_admit(q0, p0, None).unwrap();
+        let id1 = reg.try_admit(q1, p1, None).unwrap();
+        for e in &feed.elements()[..split] {
+            reg.try_push(e).expect("clean feed");
+        }
+        let late_id = reg.try_admit(q0, p0, None).expect("re-admission is fine");
+        assert!(reg.retire(id1), "retiring a live query succeeds");
+        assert!(!reg.is_live(id1));
+        let prefix_outputs_q1 = reg.outputs(id1).unwrap().to_vec();
+        for e in &feed.elements()[split..] {
+            reg.try_push(e).expect("clean feed");
+        }
+        let result = reg.finish();
+
+        // Full-feed tenant: unchanged by its neighbors' churn.
+        let solo_full = standalone(q0, &tenant.schemes, p0, cfg, &feed);
+        assert_eq!(result.queries[id0.0].outputs, solo_full.outputs);
+        assert_eq!(result.queries[id0.0].stats.purged, solo_full.metrics.purged);
+        assert_eq!(result.metrics.last().unwrap().mirror, 0, "closed feed");
+
+        // Retired tenant == standalone over the prefix it processed.
+        let mut prefix_feed = Feed::new();
+        for e in &feed.elements()[..split] {
+            prefix_feed.push(e.clone());
+        }
+        let solo_prefix = standalone(q1, &tenant.schemes, p1, cfg, &prefix_feed);
+        assert_eq!(prefix_outputs_q1, solo_prefix.outputs);
+        assert_eq!(result.queries[id1.0].outputs, solo_prefix.outputs);
+
+        // Late tenant == the base tenant's post-admission suffix.
+        let late = &result.queries[late_id.0].outputs;
+        let full = &result.queries[id0.0].outputs;
+        assert!(late.len() <= full.len());
+        assert_eq!(late.as_slice(), &full[full.len() - late.len()..]);
     }
-    let late_id = reg.try_admit(q0, p0, None).expect("re-admission is fine");
-    assert!(reg.retire(id1), "retiring a live query succeeds");
-    assert!(!reg.is_live(id1));
-    let prefix_outputs_q1 = reg.outputs(id1).unwrap().to_vec();
-    for e in &feed.elements()[split..] {
-        reg.try_push(e).expect("clean feed");
-    }
-    let result = reg.finish();
-
-    // Full-feed tenant: unchanged by its neighbors' churn.
-    let solo_full = standalone(q0, &tenant.schemes, p0, cfg, &feed);
-    assert_eq!(result.queries[id0.0].outputs, solo_full.outputs);
-
-    // Retired tenant == standalone over the prefix it processed.
-    let mut prefix_feed = Feed::new();
-    for e in &feed.elements()[..split] {
-        prefix_feed.push(e.clone());
-    }
-    let solo_prefix = standalone(q1, &tenant.schemes, p1, cfg, &prefix_feed);
-    assert_eq!(prefix_outputs_q1, solo_prefix.outputs);
-    assert_eq!(result.queries[id1.0].outputs, solo_prefix.outputs);
-
-    // Late tenant == the base tenant's post-admission suffix.
-    let late = &result.queries[late_id.0].outputs;
-    let full = &result.queries[id0.0].outputs;
-    assert!(late.len() <= full.len());
-    assert_eq!(late.as_slice(), &full[full.len() - late.len()..]);
 }
 
 /// Unconditional seeded fault run (the `replay --faults` plan): truncated
