@@ -250,8 +250,9 @@ fn all_snapshots_corrupt_is_a_clean_error() {
 
 /// A frame written by any earlier format version (1: ports without `base`,
 /// dead cells included; 2: a fingerprint that still hashed
-/// `ExecConfig::batch_size`; 3: one mirror tracker per stream, unpositioned)
-/// is intact by its own checksum — it must be
+/// `ExecConfig::batch_size`; 3: one mirror tracker per stream, unpositioned;
+/// 4: mirror rows of every stream, also of those the executor no longer
+/// holds and would never purge) is intact by its own checksum — it must be
 /// refused by version (`C001`), never decoded under the current layout nor
 /// reported as a config mismatch (`C002`).
 #[test]
@@ -266,7 +267,7 @@ fn earlier_format_versions_are_refused_not_misdecoded() {
     }
     let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
     let earlier = 1..cjq_stream::checkpoint::VERSION;
-    assert!(earlier.contains(&3), "version 3 frames are earlier frames");
+    assert!(earlier.contains(&4), "version 4 frames are earlier frames");
     for previous in earlier {
         for (_, path) in list_snapshots(&dir) {
             let mut frame = std::fs::read(&path).expect("snapshot exists");

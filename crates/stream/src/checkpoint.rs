@@ -46,7 +46,7 @@ use cjq_core::value::Value;
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"CJQS";
 /// Snapshot format version.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 /// File-frame header length: magic + version + payload len + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8;
 
@@ -304,6 +304,17 @@ impl<'a> Dec<'a> {
             )));
         }
         Ok(n)
+    }
+
+    /// Reads a count the compile fixes and refuses a snapshot taken over a
+    /// different one: `ours` is how many `what` this engine has.
+    pub(crate) fn count_of(&mut self, what: &str, ours: usize) -> SnapshotResult<usize> {
+        match self.usize()? {
+            n if n == ours => Ok(n),
+            n => Err(SnapshotError(format!(
+                "{ours} {what} here, {n} in the snapshot"
+            ))),
+        }
     }
 
     /// Reads a length prefix and checks it with [`Dec::fits`].

@@ -385,7 +385,7 @@ impl Executor {
                     .into(),
             ));
         }
-        let engine = PurgeEngine::new_weighted(
+        let mut engine = PurgeEngine::new_weighted(
             query,
             schemes,
             cfg.punct_lifespan,
@@ -411,6 +411,11 @@ impl Executor {
             {
                 panic!("static certificate violation: {mismatch}");
             }
+        }
+        // Every recipe this executor will ever check now exists: mirror only
+        // what they read (§5.1 punctuation purging reads every mirror).
+        if !cfg.purge_punctuations {
+            engine.close_recipe_set(ops.iter().flat_map(JoinOperator::port_recipes));
         }
         if cfg.wcoj {
             if ops.len() != 1 {
@@ -493,6 +498,8 @@ impl Executor {
             .out_layout()
             .clone();
         self.groupby = Some(GroupBy::for_query(&self.query, layout, group_by, agg));
+        // The propagation condition probes the punctuated stream's mirror.
+        self.engine.hold_every_stream();
         self
     }
 
@@ -965,17 +972,12 @@ impl Pipeline for Executor {
     }
 
     fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
-        use crate::checkpoint::SnapshotError;
         self.core.read_pacing(d)?;
-        let last_punct = d.u64s()?;
-        if last_punct.len() != self.last_punct.len() {
-            return Err(SnapshotError("stream count disagrees with snapshot".into()));
+        d.count_of("streams", self.last_punct.len())?;
+        for at in &mut self.last_punct {
+            *at = d.u64()?;
         }
-        self.last_punct = last_punct;
-        let n = d.usize()?;
-        if n != self.stall_flagged.len() {
-            return Err(SnapshotError("stream count disagrees with snapshot".into()));
-        }
+        d.count_of("streams", self.stall_flagged.len())?;
         for f in &mut self.stall_flagged {
             *f = d.bool()?;
         }
@@ -1282,39 +1284,87 @@ mod tests {
         assert_eq!(res.metrics.last().unwrap().groups, 0);
     }
 
-    /// Operator ports and mirrors hold what is live (plus at most as much
-    /// again awaiting the next amortized reclaim), however long the feed ran.
+    /// Group-by's propagation test and §5.1 punctuation purging read mirrors
+    /// no recipe accounts for, so both hold every stream; the plain executor
+    /// over the same binary join holds none, and emits the same results.
+    #[test]
+    fn groupby_and_punctuation_purging_hold_every_stream() {
+        let (q, r) = fixtures::auction();
+        let cfg = ExecConfig {
+            record_outputs: true,
+            ..ExecConfig::default()
+        };
+        let purging = ExecConfig {
+            purge_punctuations: true,
+            ..cfg
+        };
+        let compile = |cfg| Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
+        let by_item = AttrRef {
+            stream: StreamId(1),
+            attr: AttrId(1),
+        };
+        let engines = [
+            compile(cfg),
+            compile(cfg).with_groupby(&[by_item], Aggregate::Count),
+            compile(purging),
+        ];
+        let open = [item(1), bid(1, 5), item(2), bid(2, 9)];
+        let close = [item_unique(1), bid_close(1), item_unique(2), bid_close(2)];
+        let (mut mirrored, mut outputs) = (Vec::new(), Vec::new());
+        for mut exec in engines {
+            open.iter().for_each(|e| exec.push(e));
+            mirrored.push(exec.engine.mirror_live());
+            close.iter().for_each(|e| exec.push(e));
+            outputs.push(exec.finish().outputs);
+        }
+        assert_eq!(mirrored, [0, 4, 4]);
+        assert_eq!(outputs[0].len(), 2);
+        assert!(outputs.iter().all(|o| *o == outputs[0]));
+    }
+
+    /// Operator ports and held mirrors hold what is live (plus at most as
+    /// much again awaiting the next amortized reclaim), however long the feed
+    /// ran. Fig. 5: every recipe chains through a partner, so all three
+    /// mirrors are held (a binary join would hold none).
     #[test]
     fn resident_slots_follow_live_state_not_feed_length() {
-        let (q, r) = fixtures::auction();
-        for n_items in [2_000i64, 8_000, 32_000] {
+        let (q, r) = fixtures::fig5();
+        // S1(A,B), S2(B,C), S3(A,C) close key `i` on B, C and A.
+        let closes = [(0, 1), (1, 1), (2, 0)];
+        for n_keys in [1_000i64, 4_000, 16_000] {
             let mut exec =
                 Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default()).unwrap();
             let (mut peak_join, mut peak_mirror) = (0, 0);
-            // Waves of 16 concurrent auctions, two bids each.
-            for wave in (0..n_items).step_by(16) {
-                let items = wave..(wave + 16).min(n_items);
-                let posts = items.clone().flat_map(|i| [item(i), item_unique(i)]);
-                let bids = items.clone().map(|i| bid(i, 1));
-                let closes = items.clone().flat_map(|i| [bid(i, 2), bid_close(i)]);
-                for e in posts.chain(bids).chain(closes) {
+            // Waves of 16 concurrent keys, one fully joining triple each.
+            for wave in (0..n_keys).step_by(16) {
+                let keys = wave..(wave + 16).min(n_keys);
+                let triples = keys.clone().flat_map(|i| {
+                    (0..3).map(move |s| StreamElement::from(Tuple::of(s, vec![ival(i), ival(i)])))
+                });
+                let closing = keys.flat_map(|i| {
+                    closes.map(|(s, a)| {
+                        Punctuation::with_constants(StreamId(s), 2, &[(AttrId(a), ival(i))]).into()
+                    })
+                });
+                for e in triples.chain(closing) {
                     exec.push(&e);
                     peak_join = peak_join.max(exec.join_state_live());
                     peak_mirror = peak_mirror.max(exec.engine.mirror_live());
                 }
             }
+            assert!(peak_mirror >= 16, "the mirrors are held: {peak_mirror}");
             let states = || {
                 let ports = exec.ops.iter().flat_map(|op| &op.ports);
                 ports.chain(q.stream_ids().map(|s| exec.engine.mirror_state(s)))
             };
             assert_eq!(
                 states().map(PortState::slots).sum::<usize>() as i64,
-                6 * n_items
+                6 * n_keys
             );
             let resident: usize = states().map(PortState::resident_slots).sum();
             assert!(
                 resident <= 2 * (peak_join + peak_mirror) + 64 * states().count(),
-                "{n_items} items: {resident} resident slots for peaks {peak_join} + {peak_mirror}"
+                "{n_keys} keys: {resident} resident slots for peaks {peak_join} + {peak_mirror}"
             );
         }
     }

@@ -293,6 +293,12 @@ impl JoinOperator {
         self.port_spans.iter().position(|ps| ps.contains(&stream))
     }
 
+    /// The stored state of `port`.
+    #[must_use]
+    pub fn port_state(&self, port: usize) -> &PortState {
+        &self.ports[port]
+    }
+
     /// Live stored tuples per port.
     #[must_use]
     pub fn port_live(&self) -> Vec<usize> {
@@ -551,6 +557,11 @@ impl JoinOperator {
         n
     }
 
+    /// The compiled purge recipes of the ports that have one.
+    pub(crate) fn port_recipes(&self) -> impl Iterator<Item = &CompiledRecipe> {
+        self.recipes.iter().flatten()
+    }
+
     /// Whether the port has a purge recipe under the configured scope.
     #[must_use]
     pub fn port_purgeable(&self, port: usize) -> bool {
@@ -596,13 +607,7 @@ impl JoinOperator {
         op_idx: usize,
     ) -> crate::checkpoint::SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
-        let n = d.usize()?;
-        if n != self.ports.len() {
-            return Err(SnapshotError(format!(
-                "operator {op_idx} has {} ports, snapshot has {n}",
-                self.ports.len()
-            )));
-        }
+        d.count_of("ports of an operator", self.ports.len())?;
         for p in &mut self.ports {
             p.read_state(d)?;
         }
@@ -781,7 +786,8 @@ impl JoinOperator {
             candidates.clear();
             let localized = strategy == PurgeStrategy::Indexed && {
                 let tracker = self.trackers[port].as_mut().expect("tracker per recipe");
-                tracker.collect(recipe, &self.ports[port], engine, candidates)
+                let scratch = &mut self.scratch_check;
+                tracker.collect(recipe, &self.ports[port], engine, scratch, candidates)
             };
             candidates.sort_unstable();
             candidates.dedup();

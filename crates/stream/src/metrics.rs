@@ -11,7 +11,7 @@ pub struct StatePoint {
     pub at: u64,
     /// Total live tuples across all operator join states (the paper's `Υ`).
     pub join_state: usize,
-    /// Live raw tuples in the purge engine's mirror.
+    /// Live raw tuples the purge engine's mirror holds (0 where none is read).
     pub mirror: usize,
     /// Punctuation-store entries.
     pub punct_entries: usize,
@@ -47,7 +47,7 @@ pub struct Metrics {
     /// bound on the logical per-port peak and observed ≤ static-bound
     /// certificates remain sound after merging.
     pub peak_port_rows: Vec<usize>,
-    /// Peak mirror size.
+    /// Peak held-mirror size.
     pub peak_mirror: usize,
     /// Peak punctuation-store size.
     pub peak_punct_entries: usize,
@@ -68,7 +68,7 @@ pub struct Metrics {
     pub aggregates_out: u64,
     /// Join-state tuples purged across all operators.
     pub purged: u64,
-    /// Raw mirror tuples purged.
+    /// Held raw mirror tuples purged.
     pub mirror_purged: u64,
     /// Punctuation-store entries dropped (lifespans + §5.1 purging).
     pub punct_dropped: u64,
@@ -259,8 +259,8 @@ impl Metrics {
     }
 
     /// Renders the sample series as CSV
-    /// (`at,join_state,mirror,punct_entries,groups,cold`) for plotting state
-    /// curves.
+    /// (`at,join_state,mirror,punct_entries,groups,cold`; `mirror` counts held
+    /// rows) for plotting state curves.
     #[must_use]
     pub fn series_csv(&self) -> String {
         let mut out = String::from("at,join_state,mirror,punct_entries,groups,cold\n");

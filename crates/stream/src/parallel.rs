@@ -49,9 +49,7 @@ use cjq_core::schema::{AttrId, AttrRef, StreamId};
 use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
-use crate::checkpoint::{
-    CheckpointStore, Enc, Fingerprint, InputCursor, Manifest, SnapshotError, SnapshotKind,
-};
+use crate::checkpoint::{CheckpointStore, Enc, Fingerprint, InputCursor, Manifest, SnapshotKind};
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecConfig, Executor, LiveStateSnapshot, RunResult};
@@ -843,13 +841,7 @@ impl ShardedExecutor {
             |(execs, router_tuples, router_puncts), d| {
                 *router_tuples = d.u64()?;
                 *router_puncts = d.u64()?;
-                let p = d.usize()?;
-                if p != execs.len() {
-                    return Err(SnapshotError(format!(
-                        "snapshot holds {p} shards but this executor has {}",
-                        execs.len()
-                    )));
-                }
+                d.count_of("shards", execs.len())?;
                 execs.iter_mut().try_for_each(|exec| exec.read_snapshot(d))
             },
         )?;

@@ -406,14 +406,7 @@ impl PunctStore {
         d: &mut crate::checkpoint::Dec<'_>,
     ) -> crate::checkpoint::SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
-        let n_schemes = d.usize()?;
-        if n_schemes != self.schemes.len() {
-            return Err(SnapshotError(format!(
-                "punct store for {} has {} schemes, snapshot has {n_schemes}",
-                self.stream,
-                self.schemes.len()
-            )));
-        }
+        d.count_of("schemes of a punctuation store", self.schemes.len())?;
         for entries in &mut self.entries {
             entries.clear();
             let n = d.len_prefix(16)?;

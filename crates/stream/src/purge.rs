@@ -25,15 +25,24 @@
 //! walking the steps in dependency order, each step's required value
 //! combinations (drawn from the chain's joinable sets, starting at `T`'s own
 //! values) must all be covered by stored punctuations of the step's scheme;
-//! every step but the last then computes the next joinable set
-//! `T_t[Υ_target]` by semi-joining the mirror state against the chain (paper
-//! §3.2.1, Step i) — the set exists only to form the next step's requirement.
+//! a step whose joinable set `T_t[Υ_target]` a later step draws on then
+//! computes it by semi-joining the mirror state against the chain (paper
+//! §3.2.1, Step i) — the set exists only to form later requirements.
 //!
 //! The raw mirror is needed because an operator's stored *composites*
 //! under-approximate `Υ_S`: a raw tuple that has not joined anything yet is
 //! invisible in composite state but can still join future data. Chain sets
 //! must be computed against the raw arrival history (minus query-level-dead
 //! tuples, which can never contribute again).
+//!
+//! A recipe therefore *reads* the mirror of a stream exactly where a step
+//! binds or filters from a chain set that is not a root, and a stream no
+//! recipe reads needs no mirror (a binary join's one-step recipes read
+//! none). An `Executor` knows its whole recipe set once compiled and closes
+//! it (`PurgeEngine::close_recipe_set`): only read streams stay mirrored.
+//! A hand-built engine and the registry's shared one stay open and mirror
+//! everything — a recipe compiled or admitted later may chain through
+//! history that cannot be backfilled.
 
 use std::collections::HashMap;
 
@@ -158,6 +167,9 @@ struct CompiledStep {
     /// stream, chain column)` for every predicate between the target and an
     /// already-reached stream within the recipe's span.
     filters: Vec<(usize, StreamId, usize)>,
+    /// Whether a later step binds or filters from this step's chain set: only
+    /// then is `T_t[Υ_target]` built — and the target's mirror read — at all.
+    feeds: bool,
 }
 
 /// Root-resolved key columns of one recipe step — the cold tier's
@@ -210,11 +222,9 @@ pub(crate) struct PurgeTracker {
     step_keys: Vec<StepKey>,
     /// Per step: delta-log cursor into the target's punctuation store.
     cursors: Vec<u64>,
-    /// One probe per non-final step: its target's mirror rows form a chain
-    /// set, whose shrinkage can relax this recipe's requirements.
+    /// One probe per step whose chain set a later step draws on: shrinkage
+    /// of its target's mirror can relax this recipe's requirements.
     probes: Vec<ShrinkProbe>,
-    /// Per distinct probed mirror stream: its retraction-log cursor.
-    shrink_cursors: Vec<(StreamId, u64)>,
     /// Slots at or past this watermark have never been checked.
     fresh_from: usize,
 }
@@ -252,28 +262,30 @@ struct ShrinkProbe {
     index: Option<usize>,
     /// For each resolved filter, the chain row's column forming the key.
     tcols: Vec<usize>,
+    /// Retraction-log cursor into `stream`'s mirror.
+    cursor: u64,
 }
 
 impl ShrinkProbe {
     /// Appends to `out` the rows of `state` that chain through any of
     /// `chain_rows` — resident slots, live or retired, of `mirror`; `false`
-    /// when there are some and this probe cannot say.
+    /// when there are some and this probe cannot say. `key` is scratch.
     fn map_back(
         &self,
         state: &PortState,
         mirror: &PortState,
         chain_rows: &[usize],
+        key: &mut Vec<Value>,
         out: &mut Vec<usize>,
     ) -> bool {
         let Some(index) = self.index else {
             return chain_rows.is_empty();
         };
-        let mut key = Vec::new();
         for &slot in chain_rows {
             let row = mirror.raw_row(slot);
             key.clear();
             key.extend(self.tcols.iter().map(|&c| row[c]));
-            out.extend_from_slice(state.purge_index_eq(index, &key));
+            out.extend_from_slice(state.purge_index_eq(index, key));
         }
         true
     }
@@ -300,11 +312,10 @@ impl PurgeTracker {
         }
         let mut step_keys = Vec::with_capacity(recipe.steps.len());
         let mut probes: Vec<ShrinkProbe> = Vec::new();
-        let mut shrink_cursors: Vec<(StreamId, u64)> = Vec::new();
         // Chain stream → the probe of the latest step that reached it (whose
         // chain set later steps read).
         let mut reached: FxHashMap<StreamId, usize> = FxHashMap::default();
-        for (i, step) in recipe.steps.iter().enumerate() {
+        for step in &recipe.steps {
             let cols: Option<Vec<usize>> = step
                 .bindings
                 .iter()
@@ -323,9 +334,9 @@ impl PurgeTracker {
                     bindings.find_map(chained).unwrap_or(StepKey::Opaque)
                 }
             });
-            if i + 1 < recipe.steps.len() {
-                // Non-final step: its target's mirror rows form a chain set,
-                // so that mirror's shrinkage can relax this recipe.
+            if step.feeds {
+                // Its target's mirror rows form a chain set a later step
+                // draws on, so that mirror's shrinkage can relax this recipe.
                 let (tcols, cols): (Vec<usize>, Vec<usize>) = step
                     .filters
                     .iter()
@@ -340,10 +351,8 @@ impl PurgeTracker {
                     stream,
                     index,
                     tcols,
+                    cursor: 0,
                 });
-                if shrink_cursors.iter().all(|&(s, _)| s != stream) {
-                    shrink_cursors.push((stream, 0));
-                }
             }
             for &(tcol, src, scol) in &step.filters {
                 if let Some(&flat) = resolved.get(&(src, scol)) {
@@ -355,7 +364,6 @@ impl PurgeTracker {
             step_keys,
             cursors: vec![0; recipe.steps.len()],
             probes,
-            shrink_cursors,
             fresh_from: 0,
         }
     }
@@ -394,23 +402,23 @@ impl PurgeTracker {
     /// not be localized and every live row must be re-checked this cycle
     /// (`out` is then incomplete). Several trackers over one state may
     /// collect into one `out`: their union is what a meet of their recipes
-    /// must re-check.
+    /// must re-check. `scratch` lends the chain-row and key buffers.
     pub(crate) fn collect(
         &mut self,
         recipe: &CompiledRecipe,
         state: &PortState,
         engine: &PurgeEngine,
+        scratch: &mut CheckScratch,
         out: &mut Vec<usize>,
     ) -> bool {
         let (puncts, mirrors) = (&engine.puncts, &engine.states);
+        let (rows, key) = (&mut scratch.probe_tmp, &mut scratch.values);
         let mut localized = true;
-        for (stream, cursor) in &mut self.shrink_cursors {
-            let mirror = &mirrors[stream.0];
-            let retired = mirror.retired_since(*cursor);
-            *cursor = mirror.retire_end();
-            for probe in self.probes.iter().filter(|p| p.stream == *stream) {
-                localized &= probe.map_back(state, mirror, retired, out);
-            }
+        for probe in &mut self.probes {
+            let mirror = &mirrors[probe.stream.0];
+            let retired = mirror.retired_since(probe.cursor);
+            probe.cursor = mirror.retire_end();
+            localized &= probe.map_back(state, mirror, retired, key, out);
         }
         for (i, step) in recipe.steps.iter().enumerate() {
             let store = &puncts[step.target.0];
@@ -436,7 +444,7 @@ impl PurgeTracker {
                     // Only chain sets holding a live row that carries a newly
                     // covered value changed their standing against this step.
                     let mirror = &mirrors[src.0];
-                    let mut rows = Vec::new();
+                    rows.clear();
                     for d in deltas {
                         let newly = |v: &Value| match d {
                             PunctDelta::Entry { combo, .. } => *v == combo[pos],
@@ -454,7 +462,7 @@ impl PurgeTracker {
                             }
                         }
                     }
-                    self.probes[via].map_back(state, mirror, &rows, out);
+                    self.probes[via].map_back(state, mirror, rows, key, out);
                 }
             }
         }
@@ -469,39 +477,27 @@ impl PurgeTracker {
     pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
         e.usize(self.fresh_from);
         e.u64s(&self.cursors);
-        e.usize(self.shrink_cursors.len());
-        for &(_, cursor) in &self.shrink_cursors {
-            e.u64(cursor);
+        e.usize(self.probes.len());
+        for probe in &self.probes {
+            e.u64(probe.cursor);
         }
     }
 
     /// Overlays serialized cursor positions onto this freshly built tracker.
-    /// The step and shrink-source counts must match the recipe the snapshot
+    /// The step and shrink-probe counts must match the recipe the snapshot
     /// was taken under.
     pub(crate) fn read_state(
         &mut self,
         d: &mut crate::checkpoint::Dec<'_>,
     ) -> crate::checkpoint::SnapshotResult<()> {
-        use crate::checkpoint::SnapshotError;
         self.fresh_from = d.usize()?;
-        let cursors = d.u64s()?;
-        if cursors.len() != self.cursors.len() {
-            return Err(SnapshotError(format!(
-                "purge tracker has {} steps, snapshot has {}",
-                self.cursors.len(),
-                cursors.len()
-            )));
-        }
-        self.cursors = cursors;
-        let n = d.usize()?;
-        if n != self.shrink_cursors.len() {
-            return Err(SnapshotError(format!(
-                "purge tracker has {} shrink sources, snapshot has {n}",
-                self.shrink_cursors.len()
-            )));
-        }
-        for (_, cursor) in &mut self.shrink_cursors {
+        d.count_of("steps of a purge tracker", self.cursors.len())?;
+        for cursor in &mut self.cursors {
             *cursor = d.u64()?;
+        }
+        d.count_of("shrink probes of a purge tracker", self.probes.len())?;
+        for probe in &mut self.probes {
+            probe.cursor = d.u64()?;
         }
         Ok(())
     }
@@ -563,6 +559,9 @@ pub struct PurgeEngine {
     puncts: Vec<PunctStore>,
     /// Per stream: the subscribed query-scope recipes the mirror purges by.
     meets: Vec<StreamMeet>,
+    /// Per stream: whether arriving rows are mirrored — always, until
+    /// [`PurgeEngine::close_recipe_set`] keeps only what some recipe reads.
+    held: Vec<bool>,
     /// Upper bound on required-combination enumeration per step; checks whose
     /// requirement product exceeds it conservatively report "not purgeable".
     coverage_limit: usize,
@@ -671,6 +670,7 @@ impl PurgeEngine {
         }
         PurgeEngine {
             meets: all.iter().map(|_| StreamMeet::default()).collect(),
+            held: vec![true; all.len()],
             states,
             puncts,
             coverage_limit,
@@ -736,6 +736,30 @@ impl PurgeEngine {
         }
     }
 
+    /// Closes the recipe set: the subscribed mirror recipes and `ports` —
+    /// every operator port recipe compiled against this engine — are all
+    /// that will ever be checked, so only the streams one of them reads (see
+    /// the module docs) stay held. The others get no mirror insert and no
+    /// purge pass from here on: their trackers, indexes and retirement logs
+    /// stay empty. Call before the first element.
+    pub(crate) fn close_recipe_set<'r>(&mut self, ports: impl Iterator<Item = &'r CompiledRecipe>) {
+        let held = &mut self.held;
+        held.fill(false);
+        let mut mark = |recipe: &CompiledRecipe| {
+            let feeding = recipe.steps.iter().filter(|step| step.feeds);
+            feeding.for_each(|step| held[step.target.0] = true);
+        };
+        let mirror = self.meets.iter().flat_map(|m| &m.recipes);
+        mirror.for_each(|e| mark(&e.recipe));
+        ports.for_each(mark);
+    }
+
+    /// Holds every stream again, for a reader no recipe accounts for (the
+    /// group-by's propagation test). Call before the first element.
+    pub(crate) fn hold_every_stream(&mut self) {
+        self.held.fill(true);
+    }
+
     /// Compiles a purge recipe for a port: roots are the port's span, and the
     /// recipe is derived over `scope_span` (the operator's span under
     /// [`PurgeScope::Operator`], all streams under [`PurgeScope::Query`]).
@@ -757,8 +781,9 @@ impl PurgeEngine {
         Some(compile_recipe(query, &recipe, scope_span, &self.puncts))
     }
 
-    /// Records a raw tuple arrival in the mirror. Returns `false` (and skips
-    /// the insert) if the tuple violates a stored punctuation — a feed bug.
+    /// Records a raw tuple arrival in the mirror (where its stream is held).
+    /// Returns `false` (and skips the insert) if the tuple violates a stored
+    /// punctuation — a feed bug.
     pub fn observe_tuple(&mut self, t: &Tuple) -> bool {
         self.observe_row_at(t.stream, &t.values, 0)
     }
@@ -771,7 +796,9 @@ impl PurgeEngine {
         if self.puncts[s].matches_tuple(row) {
             return false;
         }
-        self.states[s].insert_slice_at(row, now);
+        if self.held[s] {
+            self.states[s].insert_slice_at(row, now);
+        }
         true
     }
 
@@ -797,7 +824,8 @@ impl PurgeEngine {
         &self.puncts[stream.0]
     }
 
-    /// The mirror state of `stream`.
+    /// The mirror state of `stream` (always empty where the stream is not
+    /// held).
     #[must_use]
     pub fn mirror_state(&self, stream: StreamId) -> &PortState {
         &self.states[stream.0]
@@ -898,7 +926,7 @@ impl PurgeEngine {
         self.states.len()
     }
 
-    /// Total live raw tuples across the mirror.
+    /// Total live raw tuples across the held mirror.
     #[must_use]
     pub fn mirror_live(&self) -> usize {
         self.states.iter().map(PortState::live).sum()
@@ -949,7 +977,7 @@ impl PurgeEngine {
         for (i, &(s, _)) in roots.iter().enumerate() {
             scratch.chain[s.0] = ChainSet::Root(i);
         }
-        for (step_idx, step) in recipe.steps.iter().enumerate() {
+        for step in &recipe.steps {
             // Required combinations: cartesian product of the per-binding
             // distinct value sets drawn from the chain.
             if scratch.sets.len() < step.bindings.len() {
@@ -1013,10 +1041,10 @@ impl PurgeEngine {
                     }
                 }
             }
-            // `T_t[Υ_target]` only forms the *next* step's requirement set:
-            // after the final coverage test nobody reads it.
-            if step_idx + 1 == recipe.steps.len() {
-                break;
+            // `T_t[Υ_target]` only forms later steps' requirement sets:
+            // where none draws on it, it is not built.
+            if !step.feeds {
+                continue;
             }
             // Next chain set: mirror tuples of `target` that semi-join the
             // chain on every in-span predicate towards reached streams.
@@ -1060,38 +1088,28 @@ impl PurgeEngine {
                 .min_by_key(|&(fi, _)| scratch.filters[fi].len())
                 .map(|(fi, _)| fi);
             let start = scratch.slots.len();
+            let (sets, slots, tmp) = (&scratch.filters, &mut scratch.slots, &mut scratch.probe_tmp);
+            let joins = |row: &[Value]| {
+                let mut filters = step.filters.iter().zip(sets);
+                filters.all(|(&(tcol, _, _), set)| set.contains(&row[tcol]))
+            };
             match probe_with {
                 Some(fi) => {
                     let (tcol, _, _) = step.filters[fi];
-                    scratch.probe_tmp.clear();
-                    for v in &scratch.filters[fi] {
-                        scratch.probe_tmp.extend_from_slice(state.probe(tcol, v));
+                    tmp.clear();
+                    for v in &sets[fi] {
+                        tmp.extend_from_slice(state.probe(tcol, v));
                     }
-                    scratch.probe_tmp.sort_unstable();
-                    scratch.probe_tmp.dedup();
-                    for &slot in &scratch.probe_tmp {
-                        if let Some(row) = state.get(slot) {
-                            let ok =
-                                step.filters.iter().enumerate().all(|(fj, &(tc, _, _))| {
-                                    scratch.filters[fj].contains(&row[tc])
-                                });
-                            if ok {
-                                scratch.slots.push(slot);
-                            }
-                        }
-                    }
+                    tmp.sort_unstable();
+                    tmp.dedup();
+                    slots.extend(
+                        tmp.iter()
+                            .filter(|&&slot| state.get(slot).is_some_and(joins)),
+                    );
                 }
                 None => {
-                    for (slot, row) in state.iter_live() {
-                        let ok = step
-                            .filters
-                            .iter()
-                            .enumerate()
-                            .all(|(fj, &(tc, _, _))| scratch.filters[fj].contains(&row[tc]));
-                        if ok {
-                            scratch.slots.push(slot);
-                        }
-                    }
+                    let live = state.iter_live().filter(|&(_, row)| joins(row));
+                    slots.extend(live.map(|(slot, _)| slot));
                 }
             }
             scratch.chain[step.target.0] = ChainSet::Slots {
@@ -1193,10 +1211,10 @@ impl PurgeEngine {
                     };
                 }
             }
-            // Last step: no later requirement set to form (kept in lockstep
-            // with `check_roots_with`).
-            if step_idx + 1 == recipe.steps.len() {
-                break;
+            // No later requirement set draws on this chain set (kept in
+            // lockstep with `check_roots_with`).
+            if !step.feeds {
+                continue;
             }
             // Next chain set: mirror tuples of `target` that semi-join the
             // chain on every in-span predicate towards reached streams.
@@ -1218,6 +1236,10 @@ impl PurgeEngine {
                 .filter(|(_, (tcol, set))| state.has_index(*tcol) && set.len() * 4 < state.live())
                 .min_by_key(|(_, (_, set))| set.len())
                 .map(|(i, _)| i);
+            let joins = |row: &&[Value]| {
+                let mut sets = filter_sets.iter();
+                sets.all(|(tcol, set)| set.contains(&row[*tcol]))
+            };
             let rows: Vec<&'a [Value]> = if let Some(fi) = probe_with {
                 let (tcol, values) = &filter_sets[fi];
                 let mut slots: Vec<usize> = values
@@ -1226,20 +1248,13 @@ impl PurgeEngine {
                     .collect();
                 slots.sort_unstable();
                 slots.dedup();
-                slots
-                    .into_iter()
-                    .filter_map(|slot| state.get(slot))
-                    .filter(|row| filter_sets.iter().all(|(tc, set)| set.contains(&row[*tc])))
-                    .collect()
+                let live = slots.into_iter().filter_map(|slot| state.get(slot));
+                live.filter(joins).collect()
             } else {
                 state
                     .iter_live()
-                    .filter(|(_, row)| {
-                        filter_sets
-                            .iter()
-                            .all(|(tcol, set)| set.contains(&row[*tcol]))
-                    })
                     .map(|(_, row)| row)
+                    .filter(joins)
                     .collect()
             };
             chain.insert(step.target, rows);
@@ -1275,15 +1290,15 @@ impl PurgeEngine {
         let mut meets = std::mem::take(&mut self.meets);
         let mut scratch = std::mem::take(&mut self.check_scratch);
         let mut candidates = std::mem::take(&mut self.candidates);
-        for (s, meet) in meets.iter_mut().enumerate() {
+        for (s, meet) in meets.iter_mut().enumerate().filter(|(s, _)| self.held[*s]) {
             // Every tracker advances whether or not its answer is used, so a
             // pass that looks at everything leaves the next one no backlog.
             candidates.clear();
             let mut localized = strategy == PurgeStrategy::Indexed;
             if localized {
+                let (state, out) = (&self.states[s], &mut candidates);
                 for e in &mut meet.recipes {
-                    let state = &self.states[s];
-                    localized &= e.tracker.collect(&e.recipe, state, self, &mut candidates);
+                    localized &= e.tracker.collect(&e.recipe, state, self, &mut scratch, out);
                 }
             }
             if meet.uncertified > 0 {
@@ -1423,14 +1438,7 @@ impl PurgeEngine {
         &mut self,
         d: &mut crate::checkpoint::Dec<'_>,
     ) -> crate::checkpoint::SnapshotResult<()> {
-        use crate::checkpoint::SnapshotError;
-        let n = d.usize()?;
-        if n != self.states.len() {
-            return Err(SnapshotError(format!(
-                "purge engine mirrors {} streams, snapshot has {n}",
-                self.states.len()
-            )));
-        }
+        d.count_of("streams in the purge engine", self.states.len())?;
         for s in &mut self.states {
             s.read_state(d)?;
         }
@@ -1439,13 +1447,7 @@ impl PurgeEngine {
         }
         for meet in &mut self.meets {
             meet.reseed = d.bool()?;
-            let n = d.usize()?;
-            if n != meet.recipes.len() {
-                return Err(SnapshotError(format!(
-                    "snapshot holds {n} mirror recipes of a stream, the engine {}",
-                    meet.recipes.len()
-                )));
-            }
+            d.count_of("mirror recipes of a stream", meet.recipes.len())?;
             for interned in &mut meet.recipes {
                 interned.tracker.read_state(d)?;
             }
@@ -1465,7 +1467,7 @@ fn compile_recipe(
 ) -> CompiledRecipe {
     let mut reached: Vec<StreamId> = recipe.roots.clone();
     let in_span: FxHashSet<StreamId> = span.iter().copied().collect();
-    let steps = recipe
+    let mut steps: Vec<CompiledStep> = recipe
         .steps
         .iter()
         .map(|step| {
@@ -1494,9 +1496,19 @@ fn compile_recipe(
                 ordered,
                 bindings,
                 filters,
+                feeds: false,
             }
         })
         .collect();
+    for i in 0..steps.len() {
+        let (step, later) = steps[i..].split_first_mut().expect("i is in range");
+        step.feeds = later.iter().any(|l| {
+            let sources = l.bindings.iter().map(|b| b.0);
+            sources
+                .chain(l.filters.iter().map(|f| f.1))
+                .any(|s| s == step.target)
+        });
+    }
     CompiledRecipe {
         roots: recipe.roots.clone(),
         steps,
@@ -1763,7 +1775,10 @@ mod tests {
             let interned = &mut meets[stream].recipes[0];
             let mut out = Vec::new();
             let (recipe, state) = (&interned.recipe, &e.states[stream]);
-            let localized = interned.tracker.collect(recipe, state, e, &mut out);
+            let scratch = &mut CheckScratch::default();
+            let localized = interned
+                .tracker
+                .collect(recipe, state, e, scratch, &mut out);
             let keys = interned.tracker.step_keys.clone();
             e.meets = meets;
             out.sort_unstable();
@@ -1835,12 +1850,95 @@ mod tests {
 
     #[test]
     fn observe_tuple_rejects_punctuation_violations() {
-        let (_, _, mut e) = engine(fixtures::auction);
-        e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0);
-        // A later bid for item 1 violates the punctuation.
-        assert!(!e.observe_tuple(&Tuple::of(1, [Value::Int(3), Value::Int(1), Value::Int(5)])));
-        assert!(e.observe_tuple(&Tuple::of(1, [Value::Int(3), Value::Int(2), Value::Int(5)])));
-        assert_eq!(e.mirror_live(), 1);
+        // On an open engine and on a closed one, which holds neither stream
+        // of a binary join: the violation test needs no mirror.
+        for closed in [false, true] {
+            let (_, _, mut e) = engine(fixtures::auction);
+            if closed {
+                e.close_recipe_set(std::iter::empty());
+            }
+            e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0);
+            // A later bid for item 1 violates the punctuation.
+            assert!(!e.observe_tuple(&Tuple::of(1, [Value::Int(3), Value::Int(1), Value::Int(5)])));
+            assert!(e.observe_tuple(&Tuple::of(1, [Value::Int(3), Value::Int(2), Value::Int(5)])));
+            assert_eq!(e.mirror_live(), usize::from(!closed));
+        }
+    }
+
+    /// A recipe reads the streams its chain sets are built over: the binding
+    /// and filter sources that are not its roots.
+    #[test]
+    fn a_recipe_reads_its_non_root_binding_and_filter_sources() {
+        // What an engine holding nothing but the recipe rooted at `root` holds.
+        let reads = |(q, r): (Cjq, SchemeSet), root: usize| {
+            let mut e = PurgeEngine::shared(&q, &r, None, 10_000);
+            let all: Vec<StreamId> = q.stream_ids().collect();
+            let recipe = e.compile_port_recipe(&q, &r, &all, &[StreamId(root)]);
+            e.close_recipe_set(recipe.iter());
+            (0..all.len()).filter(|&s| e.held[s]).collect::<Vec<_>>()
+        };
+        // t0 - t1 - t2 - t3 from either end: the far end is only ever a
+        // step's target, the two in between feed the next step.
+        assert_eq!(reads(unpinned_chain(), 0), [1, 2]);
+        assert_eq!(reads(unpinned_chain(), 3), [1, 2]);
+        // From t1, t0 is a leaf and t2 leads on to t3.
+        assert_eq!(reads(unpinned_chain(), 1), [2]);
+        // A star from its centre binds every step from the root row.
+        let star = || {
+            use cjq_core::query::JoinPredicate;
+            use cjq_core::schema::{Catalog, StreamSchema};
+            use cjq_core::scheme::PunctuationScheme;
+            let mut catalog = Catalog::new();
+            let mut schemes = SchemeSet::new();
+            for s in 0..4 {
+                catalog.add_stream(StreamSchema::new(format!("s{s}"), ["k", "w"]).unwrap());
+                schemes.add(PunctuationScheme::on(s, &[0]).unwrap());
+            }
+            let preds = [1, 2, 3].map(|leaf| JoinPredicate::between(0, 0, leaf, 0).unwrap());
+            (Cjq::new(catalog, preds.to_vec()).unwrap(), schemes)
+        };
+        assert_eq!(reads(star(), 0), [0usize; 0]);
+        // From a leaf the centre is the way to the other leaves.
+        assert_eq!(reads(star(), 1), [0]);
+        // Fig. 5's triangle guards S2 by the C values of the joinable S3 rows.
+        assert_eq!(reads(fixtures::fig5(), 0), [2]);
+    }
+
+    /// Closing keeps the streams some recipe reads — mirror recipes and the
+    /// port recipes handed in alike — and only those.
+    #[test]
+    fn closing_holds_exactly_the_streams_some_recipe_reads() {
+        let (q, r) = unpinned_chain();
+        let mut e = PurgeEngine::new(&q, &r, None, 10_000);
+        assert_eq!(e.held, [true; 4], "an open set may yet chain anywhere");
+        e.close_recipe_set(std::iter::empty());
+        assert_eq!(e.held, [false, true, true, false]);
+        e.hold_every_stream();
+        assert_eq!(e.held, [true; 4]);
+        e.close_recipe_set(std::iter::empty());
+        for s in 0..4 {
+            e.observe_tuple(&Tuple::of(s, [Value::Int(1), Value::Int(1)]));
+        }
+        assert_eq!(e.mirror_live(), 2);
+        // A pass over the held streams only: t1 and t2 go when their keys
+        // close, whatever the unheld ends did not keep.
+        for s in 0..4 {
+            e.observe_punctuation(&punct(s, 2, &[(0, 1)]), 0);
+            e.observe_punctuation(&punct(s, 2, &[(1, 1)]), 0);
+        }
+        assert_eq!(e.purge_mirror_with(PurgeStrategy::Indexed).purged, 2);
+
+        // Port recipes count like mirror recipes: with nobody subscribed,
+        // they alone decide.
+        let (q, r) = fixtures::fig3();
+        let all: Vec<StreamId> = q.stream_ids().collect();
+        let mut e = PurgeEngine::shared(&q, &r, None, 10_000);
+        let port = e.compile_port_recipe(&q, &r, &all, &[StreamId(0)]).unwrap();
+        let mut alone = PurgeEngine::shared(&q, &r, None, 10_000);
+        alone.close_recipe_set(std::iter::empty());
+        assert_eq!(alone.held, [false; 3]);
+        e.close_recipe_set(std::iter::once(&port));
+        assert_eq!(e.held, [false, true, false]);
     }
 
     #[test]

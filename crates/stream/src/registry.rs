@@ -870,13 +870,7 @@ impl Pipeline for QueryRegistry {
         use crate::checkpoint::SnapshotError;
         self.core.read_pacing(d)?;
         self.core.metrics = Metrics::read_state(d)?;
-        let nq = d.usize()?;
-        if nq != self.queries.len() {
-            return Err(SnapshotError(format!(
-                "snapshot holds {nq} queries but {} were re-admitted",
-                self.queries.len()
-            )));
-        }
+        let nq = d.count_of("re-admitted queries", self.queries.len())?;
         for qi in 0..nq {
             let live = d.bool()?;
             let stats = QueryStats {
@@ -905,13 +899,7 @@ impl Pipeline for QueryRegistry {
                 "snapshot has no engine state but queries were re-admitted".into(),
             ));
         }
-        let nn = d.usize()?;
-        if nn != self.nodes.len() {
-            return Err(SnapshotError(format!(
-                "snapshot holds {nn} arena nodes but re-admission produced {}",
-                self.nodes.len()
-            )));
-        }
+        let nn = d.count_of("arena nodes after re-admission", self.nodes.len())?;
         let spill = &mut self.core.spill;
         for ni in 0..nn {
             let present = d.bool()?;

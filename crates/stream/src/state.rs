@@ -704,13 +704,7 @@ impl PortState {
         d: &mut crate::checkpoint::Dec<'_>,
     ) -> crate::checkpoint::SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
-        let stride = d.usize()?;
-        if stride != self.stride {
-            return Err(SnapshotError(format!(
-                "port stride mismatch: compiled {}, snapshot {stride}",
-                self.stride
-            )));
-        }
+        let stride = d.count_of("columns of a port", self.stride)?;
         // Decode and validate into locals: a refused snapshot leaves the port
         // exactly as it was.
         let base = d.usize()?;

@@ -248,6 +248,8 @@ mod tests {
                 exec.push_checkpointed(e, &mut store, &mut cursor).unwrap();
                 peak_mirror = peak_mirror.max(exec.engine().mirror_live());
             }
+            // §5.1 punctuation purging probes partner mirrors: both are held.
+            assert!(peak_mirror > 0, "{n_items} items: the mirrors are held");
             let resident: usize = [ITEM, BID]
                 .iter()
                 .map(|&s| exec.engine().mirror_state(s).resident_slots())

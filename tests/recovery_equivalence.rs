@@ -154,7 +154,9 @@ fn auction_crash_point_sweep_is_byte_identical() {
     // commit only if this feed is long enough to reclaim at all.
     let mut probe = Executor::compile(&query, &schemes, &plan, cfg).expect("compile probe");
     feed.elements().iter().for_each(|e| probe.push(e));
-    let bids = probe.engine().mirror_state(auction::BID);
+    // (The bid *port*: no recipe of a binary join reads a mirror, so none is held.)
+    let op = &probe.operators()[0];
+    let bids = op.port_state(op.port_of(auction::BID).expect("bid is joined"));
     assert!(
         bids.resident_slots() < bids.slots(),
         "feed too short to exercise prefix reclaim"

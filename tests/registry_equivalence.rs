@@ -444,9 +444,180 @@ fn malformed_elements_are_admitted_identically_under_every_policy() {
             "{admission:?}: the clean rows still join"
         );
         assert_eq!(m.purged, s.purged, "{admission:?}");
-        assert_eq!(m.mirror_purged, s.mirror_purged, "{admission:?}");
+        // The registry's recipe set stays open, so it mirrors (and purges)
+        // both streams; the executor's is closed and a binary join's recipes
+        // read neither.
+        assert!(m.mirror_purged >= s.mirror_purged, "{admission:?}");
         assert_eq!(shared.queries[0].stats.purged, s.purged, "{admission:?}");
     }
+}
+
+/// A one-tenant registry keeps its recipe set open and so mirrors every
+/// stream: it is the un-narrowed reference for a dedicated executor, whose
+/// closed recipe set mirrors only the streams some recipe reads. Narrowing
+/// must change nothing but the rows held — same output sequence, same purge
+/// totals and cycle count, and on every held stream the same live mirror
+/// rows, element by element. (The registry offers no per-stream view of its
+/// mirror; an executor widened back to every stream by a group-by stage
+/// stands in for it there, tied to the registry by the sampled totals.)
+#[test]
+fn closed_recipe_set_matches_the_open_one_tenant_registry() {
+    use punctuated_cjq::stream::groupby::Aggregate;
+    use punctuated_cjq::workload::auction::{self, AuctionConfig};
+    use punctuated_cjq::workload::graph::{self, GraphConfig};
+    use punctuated_cjq::workload::keyed::{self, KeyedConfig};
+    use punctuated_cjq::workload::random_query::{self, RandomQueryConfig, Topology};
+    use punctuated_cjq::workload::sensor::{self, SensorConfig};
+    use punctuated_cjq::workload::trades::{self, TradesConfig};
+
+    let keyed_feed = |q: &Cjq, r: &SchemeSet| {
+        let rounds = KeyedConfig {
+            rounds: 10,
+            ..KeyedConfig::default()
+        };
+        keyed::generate(q, r, &rounds)
+    };
+    // (name, query, schemes, feed, the streams an executor must hold if known)
+    type Case = (String, Cjq, SchemeSet, Feed, Option<Vec<bool>>);
+    let named = |name: &str, (q, r): (Cjq, SchemeSet), feed: Feed, held: &[bool]| -> Case {
+        (name.into(), q, r, feed, Some(held.to_vec()))
+    };
+    let mut cases = vec![
+        // Binary joins: one-step recipes, nothing is read.
+        named(
+            "auction",
+            auction::auction_query(),
+            auction::generate(&AuctionConfig::default()),
+            &[false, false],
+        ),
+        named(
+            "trades",
+            trades::trades_query(),
+            trades::generate(&TradesConfig::default()).0,
+            &[false, false],
+        ),
+        // reading - calib - alert: both ends chain through calib.
+        named(
+            "sensor",
+            sensor::sensor_query(),
+            sensor::generate(&SensorConfig::default()).0,
+            &[false, true, false],
+        ),
+    ];
+    // Cycles: every stream guards one partner by the rows of the other.
+    let fig5 = punctuated_cjq::core::fixtures::fig5();
+    let feed = keyed_feed(&fig5.0, &fig5.1);
+    cases.push(named("fig5", fig5, feed, &[true; 3]));
+    let triangle = graph::triangle_query();
+    let edges = GraphConfig {
+        edges: 400,
+        vertices: 60,
+        punct_lag: 40,
+        ..GraphConfig::default()
+    };
+    let feed = graph::generate(&triangle.0, &triangle.1, &edges);
+    cases.push(named("triangle", triangle, feed, &[true; 3]));
+    let topologies = [
+        Topology::Path,
+        Topology::Star,
+        Topology::Cycle,
+        Topology::Random { extra_edges: 2 },
+    ];
+    for (i, topology) in topologies.into_iter().cycle().take(24).enumerate() {
+        let shape = RandomQueryConfig {
+            n_streams: 3 + i % 3,
+            topology,
+            seed: i as u64,
+            ..RandomQueryConfig::default()
+        };
+        let (q, r) = random_query::generate_safe(&shape);
+        let feed = keyed_feed(&q, &r);
+        cases.push((format!("random {i} {topology:?}"), q, r, feed, None));
+    }
+
+    let mut narrowed = 0;
+    for (name, query, schemes, feed, expect_held) in &cases {
+        let plan = Plan::mjoin_all(query);
+        let feed = chaos_feed(feed);
+        for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }] {
+            for purge_strategy in [PurgeStrategy::Indexed, PurgeStrategy::FullScan] {
+                let at = format!("{name}, {cadence:?}, {purge_strategy:?}");
+                let cfg = ExecConfig {
+                    purge_strategy,
+                    sample_every: 1,
+                    ..base_cfg(cadence)
+                };
+                let compile = || Executor::compile(query, schemes, &plan, cfg).expect("safe");
+                let mut exec = compile();
+                let any = AttrRef {
+                    stream: StreamId(0),
+                    attr: AttrId(0),
+                };
+                let mut wide = compile().with_groupby(&[any], Aggregate::Count);
+                let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+                reg.admit(query, &plan);
+                for (i, e) in feed.elements().iter().enumerate() {
+                    exec.push(e);
+                    wide.push(e);
+                    reg.push(e);
+                    for s in query.stream_ids() {
+                        let closed = exec.engine().mirror_state(s);
+                        let open = wide.engine().mirror_state(s);
+                        // Never inserted into: the stream is not held.
+                        if closed.slots() > 0 {
+                            let (closed, open) = (closed.live_slots(), open.live_slots());
+                            assert_eq!(closed, open, "{at}: mirror of {s:?} after element {i}");
+                        }
+                    }
+                }
+                let fed = |s: StreamId| wide.engine().mirror_state(s).slots() > 0;
+                let held: Vec<bool> = query
+                    .stream_ids()
+                    .map(|s| exec.engine().mirror_state(s).slots() > 0)
+                    .collect();
+                if let Some(expected) = expect_held {
+                    assert!(query.stream_ids().all(fed), "{at}: every stream is fed");
+                    assert_eq!(&held, expected, "{at}: held streams");
+                }
+                narrowed += held.iter().filter(|h| !**h).count();
+
+                let (solo, widened, shared) = (exec.finish(), wide.finish(), reg.finish());
+                assert_eq!(solo.outputs, shared.queries[0].outputs, "{at}: outputs");
+                assert_eq!(widened.outputs, solo.outputs, "{at}: widened outputs");
+                let (m, w, s) = (&shared.metrics, &widened.metrics, &solo.metrics);
+                assert_eq!(
+                    (s.purged, s.purge_cycles),
+                    (m.purged, m.purge_cycles),
+                    "{at}"
+                );
+                assert_eq!(
+                    (w.purged, w.purge_cycles),
+                    (m.purged, m.purge_cycles),
+                    "{at}"
+                );
+                assert!(s.mirror_purged <= m.mirror_purged, "{at}: mirror purges");
+                assert_eq!(
+                    w.mirror_purged, m.mirror_purged,
+                    "{at}: widened mirror purges"
+                );
+                // The widened executor's mirror is the registry's, sample by
+                // sample; the narrowed one holds a part of it.
+                let mirror = |m: &punctuated_cjq::stream::metrics::Metrics| {
+                    m.series
+                        .iter()
+                        .map(|p| (p.at, p.mirror))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(mirror(w), mirror(m), "{at}: sampled mirror totals");
+                let pairs = mirror(s).into_iter().zip(mirror(m));
+                assert!(pairs.clone().all(|(s, m)| s.0 == m.0 && s.1 <= m.1), "{at}");
+                if held.iter().all(|h| *h) {
+                    assert!(pairs.clone().all(|(s, m)| s == m), "{at}: all held");
+                }
+            }
+        }
+    }
+    assert!(narrowed > 0, "some generated shape leaves a stream unread");
 }
 
 /// The planner's static sub-plan fingerprints must predict the registry's
