@@ -100,7 +100,7 @@ fn seq_recovery_is_byte_identical_untiered() {
 
 #[test]
 fn seq_recovery_is_byte_identical_tiered() {
-    // Tiering rejects wcoj/window/lifespan configs, none of which the
+    // Tiering rejects window/lifespan configs, none of which the
     // bundled workloads use; the tiny budget forces real demotion traffic
     // through the checkpointed cold tier.
     seq_matrix(&bundled_workloads(), true);
@@ -267,7 +267,7 @@ fn earlier_format_versions_are_refused_not_misdecoded() {
     }
     let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
     let earlier = 1..cjq_stream::checkpoint::VERSION;
-    assert!(earlier.contains(&4), "version 4 frames are earlier frames");
+    assert!(earlier.contains(&5), "version 5 frames are earlier frames");
     for previous in earlier {
         for (_, path) in list_snapshots(&dir) {
             let mut frame = std::fs::read(&path).expect("snapshot exists");

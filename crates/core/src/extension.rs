@@ -1,22 +1,13 @@
-//! Prefix-extension attribute orders for worst-case-optimal execution.
+//! Join-attribute equivalence classes of a query.
 //!
-//! A GenericJoin-style operator does not probe streams pairwise; it binds the
-//! query's *join-attribute equivalence classes* one at a time, intersecting
-//! the candidate extensions proposed by every stream that covers the class.
-//! This module derives those classes and a deterministic extension order
-//! from a [`Cjq`] alone, so the planner (which costs the order) and the
-//! runtime (which executes it) agree on one canonical definition.
-//!
-//! The first class in the order doubles as the sharded executor's routing
-//! key: it is chosen by the same rule as `Partitioning::for_query` in the
-//! stream crate (most covered streams, then smallest member), so hash
-//! routing on the first extension attribute is exactly the routing the
-//! sharded MJoin already performs.
+//! Two attribute occurrences belong to one class iff the equi-join
+//! predicates transitively equate them. The bound certifier in the stream
+//! crate reads the classes to tell which attributes of a port are forced
+//! equal by the join.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::join_graph::JoinGraph;
+use crate::fxhash::FxHashMap;
 use crate::query::Cjq;
-use crate::schema::{AttrRef, StreamId};
+use crate::schema::AttrRef;
 
 /// The join-attribute equivalence classes of a query: two attribute
 /// occurrences are in one class iff they are transitively equated by the
@@ -63,100 +54,11 @@ pub fn attr_classes(query: &Cjq) -> Vec<Vec<AttrRef>> {
     classes
 }
 
-/// A prefix-extension order over the join-attribute classes of a cyclic
-/// query: the variable order a worst-case-optimal operator binds, one class
-/// per level.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtensionOrder {
-    /// The classes in extension order; each class is sorted.
-    pub classes: Vec<Vec<AttrRef>>,
-}
-
-impl ExtensionOrder {
-    /// Derives the canonical extension order for `query`, or `None` when the
-    /// join graph is acyclic — tree-shaped queries gain nothing from prefix
-    /// extension, so the binary/MJoin path keeps them.
-    ///
-    /// The order is deterministic: the first class is the one covering the
-    /// most streams (ties broken by smallest member — the
-    /// `Partitioning::for_query` rule, so sharded routing is unchanged);
-    /// each later class must share a stream with the prefix (connectivity
-    /// keeps every intersection anchored) and is picked by the same rule.
-    #[must_use]
-    pub fn derive(query: &Cjq) -> Option<ExtensionOrder> {
-        let graph = JoinGraph::of_query(query);
-        graph.cycle_witness()?;
-        let mut pool = attr_classes(query);
-        let mut classes = Vec::with_capacity(pool.len());
-        let mut covered: FxHashSet<StreamId> = FxHashSet::default();
-        while !pool.is_empty() {
-            let eligible = |c: &Vec<AttrRef>| {
-                covered.is_empty() || c.iter().any(|r| covered.contains(&r.stream))
-            };
-            let pick = pool
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| eligible(c))
-                .max_by(|(_, a), (_, b)| {
-                    let sa = a.iter().map(|r| r.stream).collect::<FxHashSet<_>>().len();
-                    let sb = b.iter().map(|r| r.stream).collect::<FxHashSet<_>>().len();
-                    // max_by keeps the *last* max; invert the tiebreak so the
-                    // smallest member wins.
-                    sa.cmp(&sb).then_with(|| b[0].cmp(&a[0]))
-                })
-                .map(|(i, _)| i)
-                // The join graph is connected, so some remaining class always
-                // touches the prefix.
-                .expect("non-empty pool has an eligible class");
-            let class = pool.swap_remove(pick);
-            covered.extend(class.iter().map(|r| r.stream));
-            classes.push(class);
-        }
-        Some(ExtensionOrder { classes })
-    }
-
-    /// Number of extension levels (= number of join-attribute classes).
-    #[must_use]
-    pub fn levels(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// The streams covering extension level `level` (sorted, deduped).
-    #[must_use]
-    pub fn covering_streams(&self, level: usize) -> Vec<StreamId> {
-        let mut s: Vec<StreamId> = self.classes[level].iter().map(|r| r.stream).collect();
-        s.sort_unstable();
-        s.dedup();
-        s
-    }
-
-    /// Renders the order with resolved names, e.g.
-    /// `{S1.B = S2.B} -> {S2.C = S3.C} -> {S1.A = S3.A}`.
-    #[must_use]
-    pub fn describe(&self, query: &Cjq) -> String {
-        let cat = query.catalog();
-        let name = |r: &AttrRef| {
-            cat.schema(r.stream).map_or_else(
-                || format!("{}#{}", r.stream, r.attr.0),
-                |sc| format!("{}.{}", sc.name(), sc.attr_name(r.attr).unwrap_or("?")),
-            )
-        };
-        self.classes
-            .iter()
-            .map(|c| {
-                let members: Vec<String> = c.iter().map(name).collect();
-                format!("{{{}}}", members.join(" = "))
-            })
-            .collect::<Vec<_>>()
-            .join(" -> ")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures;
-    use crate::schema::AttrId;
+    use crate::schema::{AttrId, StreamId};
 
     fn aref(s: usize, a: usize) -> AttrRef {
         AttrRef {
@@ -178,39 +80,5 @@ mod tests {
                 vec![aref(1, 1), aref(2, 1)], // C
             ]
         );
-    }
-
-    #[test]
-    fn acyclic_queries_have_no_extension_order() {
-        let (q, _) = fixtures::fig3();
-        assert!(ExtensionOrder::derive(&q).is_none());
-        let (q, _) = fixtures::auction();
-        assert!(ExtensionOrder::derive(&q).is_none());
-    }
-
-    #[test]
-    fn triangle_order_is_deterministic_and_connected() {
-        let (q, _) = fixtures::fig5();
-        let order = ExtensionOrder::derive(&q).expect("fig5 is cyclic");
-        assert_eq!(order.levels(), 3);
-        // All classes cover 2 streams; the tiebreak picks the class with the
-        // smallest member first: A = {S1.A, S3.A}.
-        assert_eq!(order.classes[0][0], aref(0, 0));
-        // Each later class shares a stream with the prefix.
-        let mut covered: Vec<StreamId> = order.covering_streams(0);
-        for level in 1..order.levels() {
-            let streams = order.covering_streams(level);
-            assert!(
-                streams.iter().any(|s| covered.contains(s)),
-                "level {level} disconnected from prefix"
-            );
-            covered.extend(streams);
-            covered.sort_unstable();
-            covered.dedup();
-        }
-        assert_eq!(ExtensionOrder::derive(&q).unwrap(), order);
-        let described = order.describe(&q);
-        assert!(described.contains(" -> "), "{described}");
-        assert!(described.contains('='), "{described}");
     }
 }

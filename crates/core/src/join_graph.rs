@@ -130,12 +130,11 @@ impl JoinGraph {
     /// DFS-discovery order, starting from the back-edge's ancestor endpoint.
     /// Returns `None` for trees (and for disconnected forests without cycles).
     ///
-    /// Cyclic join graphs are exactly where a worst-case-optimal (prefix-
-    /// extension) execution beats every binary join tree: a binary plan over
-    /// a cycle must materialize an intermediate unconstrained by the closing
-    /// edge. The witness is deterministic — DFS visits nodes in `nodes` order
-    /// and neighbors in sorted order — so diagnostics and tests can assert on
-    /// it.
+    /// Cyclic join graphs are exactly where a binary join tree must
+    /// materialize an intermediate unconstrained by the closing edge; the
+    /// flat MJoin stores none. The witness is deterministic — DFS visits
+    /// nodes in `nodes` order and neighbors in sorted order — so diagnostics
+    /// and tests can assert on it.
     #[must_use]
     pub fn cycle_witness(&self) -> Option<Vec<StreamId>> {
         // Iterative DFS with parent tracking over every component.
@@ -349,5 +348,95 @@ mod tests {
         let jg = JoinGraph::of_query(&q);
         assert_eq!(jg.edge_count(), 1);
         assert_eq!(jg.predicates_between(StreamId(0), StreamId(1)).len(), 2);
+    }
+
+    /// Brute-force undirected cycle oracle: DFS with parent-edge skipping
+    /// over the deduplicated stream-pair edge set.
+    fn has_cycle_oracle(n: usize, edges: &[(usize, usize)]) -> bool {
+        let mut adj = vec![Vec::new(); n];
+        for &(a, b) in edges {
+            adj[a].push(b);
+            adj[b].push(a);
+        }
+        let mut color = vec![0u8; n];
+        for root in 0..n {
+            if color[root] != 0 {
+                continue;
+            }
+            let mut stack = vec![(root, usize::MAX)];
+            while let Some((u, parent)) = stack.pop() {
+                if color[u] != 0 {
+                    // Reached along two different tree paths: a cycle.
+                    return true;
+                }
+                color[u] = 1;
+                for &v in &adj[u] {
+                    if v == parent {
+                        continue;
+                    }
+                    if color[v] != 0 {
+                        return true;
+                    }
+                    stack.push((v, u));
+                }
+            }
+        }
+        false
+    }
+
+    /// Random connected join graphs: a random spanning tree plus random extra
+    /// stream pairs. The detector must agree with the brute-force oracle, and
+    /// every witness it produces must be a genuine simple cycle.
+    #[test]
+    fn cycle_detection_agrees_with_the_dfs_oracle() {
+        use proptest::prelude::*;
+        proptest!(ProptestConfig::with_cases(64), |(
+            n in 3usize..8,
+            parents in proptest::collection::vec(0usize..7, 7),
+            extras in proptest::collection::vec((0usize..8, 0usize..8), 0..4),
+            attrs in proptest::collection::vec(0usize..3, 16),
+        )| {
+            let mut cat = Catalog::new();
+            for i in 0..n {
+                cat.add_stream(StreamSchema::new(format!("S{i}"), ["A", "B", "C"]).unwrap());
+            }
+            // Spanning tree: stream i > 0 attaches to a random earlier stream.
+            let mut pairs: Vec<(usize, usize)> = (1..n).map(|i| (parents[i - 1] % i, i)).collect();
+            for &(a, b) in &extras {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    pairs.push((a.min(b), a.max(b)));
+                }
+            }
+            pairs.sort_unstable();
+            pairs.dedup();
+            let preds: Vec<JoinPredicate> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| {
+                    JoinPredicate::between(a, attrs[i % attrs.len()], b, attrs[(i + 1) % attrs.len()])
+                        .unwrap()
+                })
+                .collect();
+            let query = Cjq::new(cat, preds).unwrap();
+            let graph = JoinGraph::of_query(&query);
+            let witness = graph.cycle_witness();
+            prop_assert_eq!(
+                witness.is_some(),
+                has_cycle_oracle(n, &pairs),
+                "detector and oracle disagree on {:?}",
+                pairs
+            );
+            if let Some(cycle) = witness {
+                prop_assert!(cycle.len() >= 3);
+                let mut distinct = cycle.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert_eq!(distinct.len(), cycle.len(), "witness must be simple");
+                for i in 0..cycle.len() {
+                    prop_assert!(graph.adjacent(cycle[i], cycle[(i + 1) % cycle.len()]));
+                }
+            }
+        });
     }
 }

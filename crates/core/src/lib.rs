@@ -69,7 +69,6 @@ pub mod value;
 pub mod prelude {
     pub use crate::bounds::{BoundExpr, BoundReport, Contracts, StateBound};
     pub use crate::error::{CoreError, CoreResult};
-    pub use crate::extension::ExtensionOrder;
     pub use crate::gpg::GeneralizedPunctuationGraph;
     pub use crate::join_graph::JoinGraph;
     pub use crate::pg::PunctuationGraph;

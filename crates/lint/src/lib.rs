@@ -17,7 +17,7 @@
 //! | `W103` | `dead-predicate` | warning | in an unsafe query: a join predicate with no punctuatable endpoint (or an isolated stream) explaining why purging fails |
 //! | `W104` | `bound-exceeds-budget` | warning | the summed symbolic state bound exceeds (or cannot be certified within) the given memory budget (bounds mode only) |
 //! | `S001` | `repair-suggestion` | suggestion | a minimal set of additional single-attribute schemes that makes the TPG strongly connected |
-//! | `I201` | `cyclic-join-graph` | info | the join graph contains a cycle (the detected cycle is the witness): the planner may choose the worst-case-optimal execution path |
+//! | `I201` | `cyclic-join-graph` | info | the join graph contains a cycle (the detected cycle is the witness): the query runs on the flat MJoin plan, which stores no intermediates |
 //! | `I202` | `state-bound` | info | the symbolic (and, under contracts, numeric) state bound of one port, mirror, or punctuation store (bounds mode only) |
 //!
 //! Diagnostics render both as human-readable text ([`LintReport::render_text`],

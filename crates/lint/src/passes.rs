@@ -336,8 +336,8 @@ fn dead_predicate_pass(query: &Cjq, schemes: &SchemeSet, diags: &mut Vec<Diagnos
 
 /// I201: informational notice that the join graph is cyclic, with the
 /// detected cycle as the witness. Cyclic queries are the ones where a tree
-/// plan materializes intermediates super-linearly and the planner may pick
-/// the worst-case-optimal (prefix-extension) execution path instead.
+/// plan materializes intermediates super-linearly; the flat MJoin stores
+/// none.
 fn cyclic_join_graph_pass(query: &Cjq, diags: &mut Vec<Diagnostic>) {
     let Some(cycle) = JoinGraph::of_query(query).cycle_witness() else {
         return;
@@ -346,16 +346,10 @@ fn cyclic_join_graph_pass(query: &Cjq, diags: &mut Vec<Diagnostic>) {
     walk.push(name(query, cycle[0]));
     diags.push(Diagnostic {
         code: Code::CyclicJoinGraph,
-        message: format!(
-            "the join graph is cyclic: {} streams close a cycle",
-            cycle.len(),
-        ),
-        notes: vec![
-            format!("witness cycle: {}", walk.join(" → ")),
-            "a worst-case-optimal execution path is available for this query; \
-             `cjq-check lint --plan` shows which physical plan the planner picks"
-                .to_owned(),
-        ],
+        message: "cyclic join graph: runs on the flat MJoin plan (a tree plan would store \
+                  2-paths that may never close)"
+            .to_owned(),
+        notes: vec![format!("witness cycle: {}", walk.join(" → "))],
         suggestion: None,
     });
 }

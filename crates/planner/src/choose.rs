@@ -3,8 +3,7 @@
 //! cost).
 
 use cjq_core::bounds::{analyze_plan, Contracts};
-use cjq_core::extension::ExtensionOrder;
-use cjq_core::plan::{check_plan, Plan};
+use cjq_core::plan::Plan;
 use cjq_core::query::Cjq;
 use cjq_core::scheme::SchemeSet;
 use cjq_lint::LintReport;
@@ -24,47 +23,14 @@ pub enum Objective {
     MaxThroughput,
 }
 
-/// The physical strategy the executor should use for the chosen plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PhysicalChoice {
-    /// Ordinary binary/MJoin expansion of the plan tree.
-    Binary,
-    /// GenericJoin-style worst-case-optimal prefix extension over the flat
-    /// MJoin's ports (the logical plan stays `Plan::mjoin_all`; the order
-    /// lists the join-attribute classes bound per level).
-    Wcoj {
-        /// The extension order the operator binds, level by level.
-        order: ExtensionOrder,
-    },
-}
-
-impl PhysicalChoice {
-    /// Whether this is the worst-case-optimal path.
-    #[must_use]
-    pub fn is_wcoj(&self) -> bool {
-        matches!(self, PhysicalChoice::Wcoj { .. })
-    }
-
-    /// Short human-readable name (`binary` / `wcoj`).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            PhysicalChoice::Binary => "binary",
-            PhysicalChoice::Wcoj { .. } => "wcoj",
-        }
-    }
-}
-
 /// A chosen plan with its estimated cost.
 #[derive(Debug, Clone)]
 pub struct ChosenPlan {
     /// The selected safe plan.
     pub plan: Plan,
-    /// How the executor should run it (binary expansion vs WCOJ).
-    pub physical: PhysicalChoice,
     /// Its estimated cost.
     pub cost: PlanCost,
-    /// Number of safe plans considered (the WCOJ candidate counts as one).
+    /// Number of safe plans considered.
     pub considered: usize,
 }
 
@@ -128,34 +94,8 @@ pub fn choose_plan_with_contracts(
         .into_iter()
         .filter(|(_, c)| key(c) == best_key)
         .min_by_key(|(p, _)| analyze_plan(query, schemes, p).rank(contracts))?;
-    // Cyclic join graph: the binary winner is challenged by the
-    // worst-case-optimal prefix-extension path over the flat MJoin. The
-    // candidate exists only when the flat MJoin is itself safe (WCOJ keeps
-    // exactly its ports and purge recipes). Ties go to WCOJ — at equal cost
-    // it materializes no intermediate spans.
-    if let Some(order) = ExtensionOrder::derive(query) {
-        let mjoin = Plan::mjoin_all(query);
-        if check_plan(query, schemes, &mjoin).is_ok_and(|s| s.safe) {
-            let wcoj_cost = model.estimate_wcoj(&order);
-            if key(&wcoj_cost) <= key(&cost) {
-                return Some(ChosenPlan {
-                    plan: mjoin,
-                    physical: PhysicalChoice::Wcoj { order },
-                    cost: wcoj_cost,
-                    considered: considered + 1,
-                });
-            }
-            return Some(ChosenPlan {
-                plan,
-                physical: PhysicalChoice::Binary,
-                cost,
-                considered: considered + 1,
-            });
-        }
-    }
     Some(ChosenPlan {
         plan,
-        physical: PhysicalChoice::Binary,
         cost,
         considered,
     })
@@ -205,42 +145,42 @@ mod tests {
     use cjq_core::fixtures;
     use cjq_core::plan::check_plan;
 
-    #[test]
-    fn fig5_chooses_the_only_safe_plan() {
-        let (q, r) = fixtures::fig5();
-        let chosen = choose_plan(
-            &q,
-            &r,
-            Stats::uniform(3, 1.0, 10.0, 0.1, 0.2),
-            Objective::MinDataMemory,
-            100,
+    /// `k` edge streams `(SRC, DST)` closed into a cycle, punctuated on
+    /// `DST` only (the shape of `cjq_workload`'s triangle and 4-cycle).
+    fn cycle(k: usize) -> (Cjq, SchemeSet) {
+        use cjq_core::query::JoinPredicate;
+        use cjq_core::schema::{Catalog, StreamSchema};
+        use cjq_core::scheme::PunctuationScheme;
+        let mut cat = Catalog::new();
+        for i in 0..k {
+            cat.add_stream(StreamSchema::new(format!("E{}", i + 1), ["SRC", "DST"]).unwrap());
+        }
+        let q = Cjq::new(
+            cat,
+            (0..k)
+                .map(|i| JoinPredicate::between(i, 1, (i + 1) % k, 0).unwrap())
+                .collect(),
         )
         .unwrap();
-        assert_eq!(chosen.plan, Plan::mjoin_all(&q));
-        // One safe binary plan, plus the WCOJ candidate (fig5 is a triangle).
-        assert_eq!(chosen.considered, 2);
-        assert!(chosen.cost.bounded());
-        // Same ports, same purge recipes, no intermediates: the cyclic query
-        // takes the worst-case-optimal path.
-        assert!(chosen.physical.is_wcoj());
-        let PhysicalChoice::Wcoj { order } = &chosen.physical else {
-            unreachable!()
-        };
-        assert_eq!(order.levels(), 3);
+        let r = SchemeSet::from_schemes((0..k).map(|i| PunctuationScheme::on(i, &[1]).unwrap()));
+        (q, r)
     }
 
     #[test]
-    fn acyclic_queries_stay_on_the_binary_path() {
-        let (q, r) = fixtures::auction();
-        let chosen = choose_plan(
-            &q,
-            &r,
-            Stats::uniform(2, 1.0, 10.0, 0.1, 0.2),
-            Objective::MinDataMemory,
-            100,
-        )
-        .unwrap();
-        assert_eq!(chosen.physical, PhysicalChoice::Binary);
+    fn cyclic_queries_choose_the_flat_mjoin_the_only_safe_plan() {
+        for (q, r) in [fixtures::fig5(), cycle(3), cycle(4)] {
+            for objective in [
+                Objective::MinDataMemory,
+                Objective::MinTotalMemory,
+                Objective::MaxThroughput,
+            ] {
+                let stats = Stats::uniform(q.n_streams(), 1.0, 10.0, 0.1, 0.2);
+                let chosen = choose_plan(&q, &r, stats, objective, 100).unwrap();
+                assert_eq!(chosen.plan, Plan::mjoin_all(&q));
+                assert_eq!(chosen.considered, 1);
+                assert!(chosen.cost.bounded());
+            }
+        }
     }
 
     #[test]
@@ -331,7 +271,7 @@ mod tests {
     fn cost_ties_break_toward_the_smaller_state_bound() {
         // Acyclic star with every scheme declared and perfectly uniform
         // stats: symmetric safe plans tie exactly on cost, so the bound
-        // rank decides (the binary path stays — no WCOJ challenge).
+        // rank decides.
         use cjq_core::query::JoinPredicate;
         use cjq_core::schema::{Catalog, StreamSchema};
         use cjq_core::scheme::PunctuationScheme;

@@ -26,7 +26,6 @@
 
 use std::collections::HashMap;
 
-use cjq_core::extension::ExtensionOrder;
 use cjq_core::plan::Plan;
 use cjq_core::purge_plan;
 use cjq_core::query::{Cjq, JoinPredicate};
@@ -188,40 +187,6 @@ impl<'q> CostModel<'q> {
             punct_memory,
             work,
         }
-    }
-
-    /// Estimates the worst-case-optimal (prefix-extension) execution of the
-    /// flat MJoin under `order`.
-    ///
-    /// Memory is identical to the flat MJoin estimate: the WCOJ path keeps
-    /// exactly the same per-stream ports under the same purge recipes, so
-    /// data/punctuation state is unchanged — the path never materializes an
-    /// intermediate span. Work is re-proxied per extension level: the
-    /// count-min rule probes only the covering stream with the fewest live
-    /// candidates (expected live state `r_S · L_S`, shrunk by the class's
-    /// intra-class selectivities as the remaining covers intersect), instead
-    /// of fanning out through intermediate results.
-    #[must_use]
-    pub fn estimate_wcoj(&self, order: &ExtensionOrder) -> PlanCost {
-        let flat = self.estimate(&Plan::mjoin_all(self.query));
-        let span: Vec<StreamId> = self.query.stream_ids().collect();
-        let mut work = 0.0f64;
-        for class in &order.classes {
-            let min_live = class
-                .iter()
-                .map(|r| self.stats.rate[r.stream.0] * self.stats.punct_lag[r.stream.0])
-                .fold(f64::INFINITY, f64::min);
-            let class_sel: f64 = self
-                .query
-                .predicates()
-                .iter()
-                .filter(|p| class.contains(&p.left) && class.contains(&p.right))
-                .map(|p| self.stats.sel(p))
-                .product();
-            work += min_live * class_sel;
-        }
-        work += self.span_rate(&span); // result construction
-        PlanCost { work, ..flat }
     }
 }
 

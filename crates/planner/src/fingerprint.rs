@@ -39,22 +39,6 @@ use cjq_core::schema::StreamId;
 /// (modulo the negligible 64-bit collision probability).
 pub type Fingerprint = u64;
 
-/// The physical shape of a plan's operators — part of the canonical key.
-///
-/// A worst-case-optimal node holds the same per-stream ports as the flat
-/// MJoin over the same span but probes them by prefix extension, so its
-/// in-flight iteration state and emission logic are incompatible with a
-/// binary node's: the registry must never intern one against the other just
-/// because their span sets coincide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PlanShape {
-    /// Ordinary binary/MJoin expansion.
-    #[default]
-    Binary,
-    /// GenericJoin-style worst-case-optimal prefix extension.
-    Wcoj,
-}
-
 fn hash_predicate(p: &JoinPredicate, h: &mut impl Hasher) {
     // JoinPredicate is construction-normalized (left.stream < right.stream),
     // so hashing the raw fields is orientation-independent.
@@ -69,7 +53,6 @@ fn hash_predicate(p: &JoinPredicate, h: &mut impl Hasher) {
 fn walk(
     query: &Cjq,
     plan: &Plan,
-    shape: PlanShape,
     full_preds: Option<&[JoinPredicate]>,
     out: &mut Vec<Fingerprint>,
 ) -> (Fingerprint, Vec<StreamId>) {
@@ -83,7 +66,7 @@ fn walk(
         Plan::Join(children) => {
             let mut kids: Vec<(Fingerprint, Vec<StreamId>)> = children
                 .iter()
-                .map(|c| walk(query, c, shape, full_preds, out))
+                .map(|c| walk(query, c, full_preds, out))
                 .collect();
             // Spans within one plan are disjoint; min stream totally orders
             // the children — the registry's canonical child order.
@@ -100,7 +83,6 @@ fn walk(
 
             let mut h = DefaultHasher::new();
             1u8.hash(&mut h); // tag: join
-            shape.hash(&mut h); // binary vs WCOJ is part of the key
             kids.len().hash(&mut h);
             for (fp, _) in &kids {
                 fp.hash(&mut h);
@@ -129,12 +111,11 @@ fn sorted_predicates(query: &Cjq) -> Vec<JoinPredicate> {
     all
 }
 
-/// The root fingerprint of `plan` under `query` (per-operator purge scope,
-/// binary shape). Shape-aware callers use [`subplan_fingerprints_shaped`].
+/// The root fingerprint of `plan` under `query` (per-operator purge scope).
 #[must_use]
 pub fn plan_fingerprint(query: &Cjq, plan: &Plan) -> Fingerprint {
     let mut out = Vec::new();
-    walk(query, plan, PlanShape::Binary, None, &mut out).0
+    walk(query, plan, None, &mut out).0
 }
 
 /// The root fingerprint under the *query-level* purge scope: additionally
@@ -145,24 +126,16 @@ pub fn plan_fingerprint(query: &Cjq, plan: &Plan) -> Fingerprint {
 pub fn scoped_fingerprint(query: &Cjq, plan: &Plan) -> Fingerprint {
     let mut out = Vec::new();
     let all = sorted_predicates(query);
-    walk(query, plan, PlanShape::Binary, Some(&all), &mut out).0
+    walk(query, plan, Some(&all), &mut out).0
 }
 
 /// One fingerprint per inner (join) node of `plan`, bottom-up — the
 /// operators the registry would build (or find already interned) when
-/// admitting `query` with this plan. Binary shape; see
-/// [`subplan_fingerprints_shaped`].
+/// admitting `query` with this plan.
 #[must_use]
 pub fn subplan_fingerprints(query: &Cjq, plan: &Plan) -> Vec<Fingerprint> {
-    subplan_fingerprints_shaped(query, plan, PlanShape::Binary)
-}
-
-/// Like [`subplan_fingerprints`], but keyed on the physical `shape`: a WCOJ
-/// node never collides with a binary node over the same span set.
-#[must_use]
-pub fn subplan_fingerprints_shaped(query: &Cjq, plan: &Plan, shape: PlanShape) -> Vec<Fingerprint> {
     let mut out = Vec::new();
-    walk(query, plan, shape, None, &mut out);
+    walk(query, plan, None, &mut out);
     out
 }
 
@@ -194,15 +167,13 @@ impl SharingReport {
 /// Predicts the registry's sharing for `specs` (per-operator purge scope):
 /// how many physical operator nodes serve how many per-query subscriptions.
 /// Matches the runtime's `live_nodes()` / `subscribed_nodes()` when the same
-/// specs are admitted against one catalog. Each spec carries its physical
-/// [`PlanShape`], which is part of the canonical key — a WCOJ sub-plan is
-/// never interned against a binary sub-plan with the same span set.
+/// specs are admitted against one catalog.
 #[must_use]
-pub fn sharing_report(specs: &[(&Cjq, &Plan, PlanShape)]) -> SharingReport {
+pub fn sharing_report(specs: &[(&Cjq, &Plan)]) -> SharingReport {
     let mut counts: HashMap<Fingerprint, usize> = HashMap::new();
     let mut subscriptions = 0;
-    for (query, plan, shape) in specs {
-        for fp in subplan_fingerprints_shaped(query, plan, *shape) {
+    for (query, plan) in specs {
+        for fp in subplan_fingerprints(query, plan) {
             subscriptions += 1;
             *counts.entry(fp).or_insert(0) += 1;
         }
@@ -308,37 +279,11 @@ mod tests {
         let mjoin = Plan::mjoin_all(&q);
         // Two identical deep plans plus the flat MJoin: the deep pair shares
         // both nodes; MJoin's single 3-ary node is its own operator.
-        let report = sharing_report(&[
-            (&q, &deep, PlanShape::Binary),
-            (&q, &deep, PlanShape::Binary),
-            (&q, &mjoin, PlanShape::Binary),
-        ]);
+        let report = sharing_report(&[(&q, &deep), (&q, &deep), (&q, &mjoin)]);
         assert_eq!(report.subscriptions, 5);
         assert_eq!(report.shared_nodes, 3);
         assert_eq!(report.fanout[0].1, 2, "densest node serves both deep plans");
         assert!((report.ratio() - 5.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn plan_shape_is_part_of_the_canonical_key() {
-        let q = chain(3);
-        let mjoin = Plan::mjoin_all(&q);
-        let binary = subplan_fingerprints_shaped(&q, &mjoin, PlanShape::Binary);
-        let wcoj = subplan_fingerprints_shaped(&q, &mjoin, PlanShape::Wcoj);
-        assert_eq!(binary.len(), 1);
-        assert_eq!(wcoj.len(), 1);
-        assert_ne!(
-            binary[0], wcoj[0],
-            "same span set, different physical shape: must not intern together"
-        );
-        // A mixed batch shares nothing across the shape boundary.
-        let report = sharing_report(&[
-            (&q, &mjoin, PlanShape::Binary),
-            (&q, &mjoin, PlanShape::Wcoj),
-        ]);
-        assert_eq!(report.subscriptions, 2);
-        assert_eq!(report.shared_nodes, 2);
-        assert!((report.ratio() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -24,12 +24,12 @@ pub mod scheme_select;
 
 /// Convenient re-exports of the most common items.
 pub mod prelude {
-    pub use crate::choose::{choose_plan, ChosenPlan, Objective, PhysicalChoice};
+    pub use crate::choose::{choose_plan, ChosenPlan, Objective};
     pub use crate::cost::{CostModel, PlanCost, Stats};
     pub use crate::enumerate::{mask_of, streams_of, PlanSpace};
     pub use crate::fingerprint::{
-        plan_fingerprint, scoped_fingerprint, sharing_report, subplan_fingerprints,
-        subplan_fingerprints_shaped, Fingerprint, PlanShape, SharingReport,
+        plan_fingerprint, scoped_fingerprint, sharing_report, subplan_fingerprints, Fingerprint,
+        SharingReport,
     };
     pub use crate::scheme_select::{greedy_minimal, minimal_safe_subsets, minimum_safe_subset};
 }

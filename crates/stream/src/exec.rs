@@ -157,14 +157,6 @@ pub struct ExecConfig {
     /// `purge_punctuations` (those evict or forget on wall-position grounds
     /// the cold tier does not track). `None` disables tiering.
     pub tiering: Option<TierConfig>,
-    /// Worst-case-optimal probing (see [`crate::wcoj`]): execute the join as
-    /// one flat operator whose probe path extends a prefix of join-attribute
-    /// classes (GenericJoin) instead of whole ports at a time. Requires the
-    /// flat MJoin plan and a cyclic join graph; outputs, purge totals, and
-    /// certificates are byte-identical to the binary path. Incompatible with
-    /// `tiering` (the fault-back sweep's superset argument does not cover
-    /// prefix-extension candidate enumeration).
-    pub wcoj: bool,
 }
 
 impl Default for ExecConfig {
@@ -184,7 +176,6 @@ impl Default for ExecConfig {
             state_budget: None,
             stall_budget: None,
             tiering: None,
-            wcoj: false,
         }
     }
 }
@@ -253,7 +244,6 @@ impl ExecConfig {
             }
             None => fp.word(u64::MAX),
         }
-        fp.word(u64::from(self.wcoj));
     }
 }
 
@@ -377,14 +367,6 @@ impl Executor {
                     .into(),
             ));
         }
-        if cfg.wcoj && cfg.tiering.is_some() {
-            return Err(CoreError::InvalidPlan(
-                "worst-case-optimal probing is incompatible with tiering: \
-                 cold rows could hide extension candidates from the \
-                 prefix-extension enumeration"
-                    .into(),
-            ));
-        }
         let mut engine = PurgeEngine::new_weighted(
             query,
             schemes,
@@ -416,16 +398,6 @@ impl Executor {
         // what they read (§5.1 punctuation purging reads every mirror).
         if !cfg.purge_punctuations {
             engine.close_recipe_set(ops.iter().flat_map(JoinOperator::port_recipes));
-        }
-        if cfg.wcoj {
-            if ops.len() != 1 {
-                return Err(CoreError::InvalidPlan(
-                    "worst-case-optimal probing requires the flat MJoin plan \
-                     (one operator joining every stream directly)"
-                        .into(),
-                ));
-            }
-            ops[0].enable_wcoj(query)?;
         }
         if cfg.tiering.is_some() {
             for op in &mut ops {

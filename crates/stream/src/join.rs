@@ -25,7 +25,6 @@ use crate::segment::StepSummary;
 use crate::sink::OutputBuffer;
 use crate::state::PortState;
 use crate::tier::{ColdTier, SpillStore, TierStats};
-use crate::wcoj::WcojPlan;
 
 /// A cross-port equi-join condition resolved to flat columns.
 #[derive(Debug, Clone, Copy)]
@@ -38,7 +37,7 @@ struct CrossPred {
 
 /// One probe step: the probed port plus the `(probed column, bound port,
 /// bound column)` predicate triples connecting it to the already-bound set.
-pub(crate) type ProbeStep = (usize, Vec<(usize, usize, usize)>);
+type ProbeStep = (usize, Vec<(usize, usize, usize)>);
 
 /// Counters of one operator's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,16 +61,12 @@ pub struct OperatorStats {
 #[derive(Debug)]
 pub struct JoinOperator {
     span: Vec<StreamId>,
-    pub(crate) out_layout: SpanLayout,
+    out_layout: SpanLayout,
     pub(crate) ports: Vec<PortState>,
-    pub(crate) port_spans: Vec<Vec<StreamId>>,
+    port_spans: Vec<Vec<StreamId>>,
     /// For each origin port, the probe steps in depth order. Precomputed so
     /// the per-tuple probe loop allocates nothing.
-    pub(crate) probe_plans: Vec<Vec<ProbeStep>>,
-    /// When set, probing runs the worst-case-optimal prefix-extension path
-    /// (see the `wcoj` module) instead of the port-by-port DFS. State,
-    /// recipes, and purging are identical either way.
-    pub(crate) wcoj: Option<WcojPlan>,
+    probe_plans: Vec<Vec<ProbeStep>>,
     /// Per port: compiled purge recipe, or `None` if the port's state is not
     /// purgeable under the configured scope.
     recipes: Vec<Option<CompiledRecipe>>,
@@ -257,7 +252,6 @@ impl JoinOperator {
             recipes,
             trackers,
             tiers: Vec::new(),
-            wcoj: None,
             scratch_keys: FxHashMap::default(),
             scratch_slots: Vec::new(),
             scratch_check: CheckScratch::default(),
@@ -373,11 +367,6 @@ impl JoinOperator {
     /// is fully root-resolvable get per-step certification specs so covering
     /// punctuations can drop their segments unread.
     pub(crate) fn enable_tiering(&mut self) {
-        assert!(
-            self.wcoj.is_none(),
-            "tiering and worst-case-optimal probing are mutually exclusive \
-             (the executor rejects the combination at compile time)"
-        );
         if !self.tiers.is_empty() {
             return;
         }
@@ -669,9 +658,6 @@ impl JoinOperator {
     where
         I: Iterator<Item = (&'a [Value], u64)> + Clone,
     {
-        if self.wcoj.is_some() {
-            return self.wcoj_process_batch(port, rows, out);
-        }
         assert_eq!(out.width(), self.out_layout.width(), "sink width mismatch");
         if self.has_cold() {
             if let Some((_, first_now)) = rows.clone().next() {
@@ -925,8 +911,8 @@ mod tests {
 
     impl JoinOperator {
         /// One tuple through [`JoinOperator::process_batch`] as a run of one,
-        /// returning the emitted rows owned — the unit tests' (here and in
-        /// `wcoj`) view of a single arrival.
+        /// returning the emitted rows owned — the unit tests' view of a
+        /// single arrival.
         pub(crate) fn process_one(
             &mut self,
             port: usize,

@@ -63,7 +63,6 @@ pub mod source;
 pub mod state;
 pub mod tier;
 pub mod tuple;
-pub mod wcoj;
 
 /// Convenient re-exports of the most common types.
 pub mod prelude {

@@ -89,9 +89,9 @@ pub struct Metrics {
     pub probe_keys_deduped: u64,
     /// Intermediate composite rows materialized between join operators: every
     /// row a non-root operator emits and forwards into its parent's port.
-    /// The flat paths (MJoin and worst-case-optimal probing) keep this at 0 —
-    /// on cyclic queries the gap between the two plans' counts is exactly the
-    /// work a binary tree wastes on partial combinations that never close.
+    /// The flat MJoin keeps this at 0 — on cyclic queries a tree plan's count
+    /// is exactly the work it wastes on partial combinations that never
+    /// close.
     pub intermediate_rows: u64,
     /// Rows re-checked by the runtime certificate verifier (fast purge check
     /// vs. explaining oracle; see `crate::certify`). Stays 0 unless

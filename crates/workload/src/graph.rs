@@ -1,12 +1,11 @@
-//! Graph-pattern workloads for the worst-case-optimal join experiments.
+//! Graph-pattern workloads: cyclic join queries over edge streams.
 //!
 //! Cyclic CJQs are where the binary/tree plans lose asymptotically: a
 //! triangle query executed as `(E1 ⋈ E2) ⋈ E3` materializes every 2-path as
 //! an intermediate composite row, and on skewed graphs (a few high-degree
-//! *hub* vertices) the 2-path count dwarfs the triangle count. The
-//! worst-case-optimal path binds one vertex class at a time and intersects
-//! before it ever materializes, so its work tracks the output. This module
-//! provides the matching workload:
+//! *hub* vertices) the 2-path count dwarfs the triangle count. The flat
+//! MJoin probes every stream from the arriving edge and stores no
+//! intermediate. This module provides the matching workload:
 //!
 //! * [`triangle_query`] / [`four_cycle_query`] — cyclic CJQs over directed
 //!   edge streams `Ei(SRC, DST)`, one stream per pattern edge, chained
@@ -24,7 +23,7 @@
 //!   ends with empty join state.
 //!
 //! `hubs = 0` (see [`GraphConfig::uniform`]) degrades the generator to a
-//! uniform random graph — the control workload where the two probe paths
+//! uniform random graph — the control workload where tree and flat plans
 //! are closest.
 
 use std::collections::VecDeque;

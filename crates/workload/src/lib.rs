@@ -16,8 +16,7 @@
 //! * [`skewed`] — hot-set/cold-tail feeds with long punctuation lag for the
 //!   two-tier (memory-budgeted) state experiments;
 //! * [`graph`] — directed edge streams with punctuated vertex retirement
-//!   driving cyclic (triangle/4-cycle) CJQs, skewed by hub vertices, for
-//!   the worst-case-optimal join experiments;
+//!   driving cyclic (triangle/4-cycle) CJQs, skewed by hub vertices;
 //! * [`multi`] — overlap-controlled multi-tenant query sets (a base chain
 //!   CJQ plus K derived queries sharing a configurable fraction of join
 //!   edges) for the shared-state registry bench and equivalence suite;

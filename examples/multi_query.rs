@@ -40,12 +40,7 @@ fn main() {
 
     // The planner predicts sharing statically from canonical sub-plan
     // fingerprints; the registry must agree once everything is admitted.
-    // The registry executes every tenant as a binary/MJoin expansion.
-    let specs: Vec<(&Cjq, &Plan, fingerprint::PlanShape)> = tenant
-        .queries
-        .iter()
-        .map(|(q, p)| (q, p, fingerprint::PlanShape::Binary))
-        .collect();
+    let specs: Vec<(&Cjq, &Plan)> = tenant.queries.iter().map(|(q, p)| (q, p)).collect();
     let predicted = fingerprint::sharing_report(&specs);
     println!(
         "{queries} tenants at overlap {overlap}: planner predicts {} shared operator node(s) \

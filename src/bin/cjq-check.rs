@@ -54,7 +54,6 @@ use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::core::{bounds, purge_plan, safety};
 use punctuated_cjq::lint::{self, json, BoundsConfig};
 use punctuated_cjq::parse::parse_spec_full;
-use punctuated_cjq::planner::choose::PhysicalChoice;
 use punctuated_cjq::planner::enumerate::PlanSpace;
 use punctuated_cjq::planner::scheme_select;
 
@@ -183,17 +182,20 @@ fn main() -> ExitCode {
         });
         let code = if lint_mode {
             if want_json {
-                let (plan, physical) = lint_plan_of(query, schemes, want_plan);
+                let plan = lint_plan_of(query, schemes, want_plan);
                 let report = match &bounds_cfg {
                     Some(cfg) => lint::lint_plan_with_bounds(query, schemes, &plan, cfg),
                     None => lint::lint_plan(query, schemes, &plan),
                 };
                 let mut rendered = report.render_json();
                 if want_plan {
-                    // Splice the chosen physical plan into the report object.
+                    // Splice the chosen plan into the report object.
                     rendered = rendered.replacen(
                         "{\n",
-                        &format!("{{\n  \"plan\": {},\n", plan_json(query, &plan, &physical)),
+                        &format!(
+                            "{{\n  \"plan\": {{\n    \"plan\": {}\n  }},\n",
+                            json::string(&plan.to_string())
+                        ),
                         1,
                     );
                 }
@@ -256,40 +258,16 @@ fn main() -> ExitCode {
     ExitCode::from(worst)
 }
 
-/// The plan `lint` analyzes: the register's choice under `--plan` (with its
-/// physical strategy), the binary MJoin baseline otherwise.
-fn lint_plan_of(query: &Cjq, schemes: &SchemeSet, want_plan: bool) -> (Plan, PhysicalChoice) {
+/// The plan `lint` analyzes: the register's choice under `--plan`, the
+/// MJoin baseline otherwise.
+fn lint_plan_of(query: &Cjq, schemes: &SchemeSet, want_plan: bool) -> Plan {
     if want_plan {
         punctuated_cjq::register::Register::new(schemes.clone())
             .register(query.clone())
-            .map(|r| (r.plan().clone(), r.physical().clone()))
-            .unwrap_or_else(|_| (Plan::mjoin_all(query), PhysicalChoice::Binary))
+            .map_or_else(|_| Plan::mjoin_all(query), |r| r.plan().clone())
     } else {
-        (Plan::mjoin_all(query), PhysicalChoice::Binary)
+        Plan::mjoin_all(query)
     }
-}
-
-/// Renders the chosen physical plan as a JSON object (spliced into the lint
-/// report under `--json`).
-fn plan_json(query: &Cjq, plan: &Plan, physical: &PhysicalChoice) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "    \"physical\": {},\n",
-        json::string(physical.name())
-    ));
-    out.push_str(&format!(
-        "    \"plan\": {},\n",
-        json::string(&plan.to_string())
-    ));
-    match physical {
-        PhysicalChoice::Wcoj { order } => out.push_str(&format!(
-            "    \"extension_order\": {}\n",
-            json::string(&order.describe(query))
-        )),
-        PhysicalChoice::Binary => out.push_str("    \"extension_order\": null\n"),
-    }
-    out.push_str("  }");
-    out
 }
 
 /// Exit code for a lint run: errors always fail; warnings fail too under
@@ -303,7 +281,7 @@ fn lint_exit(report: &lint::LintReport, deny_warnings: bool) -> ExitCode {
 }
 
 /// Runs the static analyzer: MJoin port lint by default, the register's
-/// chosen plan (printed with its physical strategy) under `--plan`; with
+/// chosen plan (printed after the report) under `--plan`; with
 /// `bounds_cfg` the state-bound pass (E003/W104/I202) runs too and the
 /// plan line carries the plan's total symbolic port bound.
 fn lint_report(
@@ -313,17 +291,14 @@ fn lint_report(
     bounds_cfg: Option<&BoundsConfig>,
     deny_warnings: bool,
 ) -> ExitCode {
-    let (plan, physical) = lint_plan_of(query, schemes, want_plan);
+    let plan = lint_plan_of(query, schemes, want_plan);
     let report = match bounds_cfg {
         Some(cfg) => lint::lint_plan_with_bounds(query, schemes, &plan, cfg),
         None => lint::lint_plan(query, schemes, &plan),
     };
     print!("{}", report.render_text());
     if want_plan {
-        println!("physical plan: {} — {}", physical.name(), plan);
-        if let PhysicalChoice::Wcoj { order } = &physical {
-            println!("  extension order: {}", order.describe(query));
-        }
+        println!("chosen plan: {plan}");
         if let Some(cfg) = bounds_cfg {
             let analysis = bounds::analyze_plan(query, schemes, &plan);
             match analysis.port_total() {
@@ -444,16 +419,7 @@ fn report(query: &Cjq, schemes: &SchemeSet, want_plan: bool) -> ExitCode {
     if want_plan && result.safe {
         let register = punctuated_cjq::register::Register::new(schemes.clone());
         match register.register(query.clone()) {
-            Ok(registered) => {
-                println!(
-                    "chosen plan: {} [{}]",
-                    registered.plan(),
-                    registered.physical().name()
-                );
-                if let PhysicalChoice::Wcoj { order } = registered.physical() {
-                    println!("  extension order: {}", order.describe(query));
-                }
-            }
+            Ok(registered) => println!("chosen plan: {}", registered.plan()),
             Err(e) => println!("plan selection failed: {}", e.reason),
         }
     }

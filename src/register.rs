@@ -16,7 +16,7 @@ use cjq_core::query::Cjq;
 use cjq_core::safety::{self, SafetyReport};
 use cjq_core::schema::StreamId;
 use cjq_core::scheme::SchemeSet;
-use cjq_planner::choose::{choose_plan, Objective, PhysicalChoice};
+use cjq_planner::choose::{choose_plan, Objective};
 use cjq_planner::cost::Stats;
 use cjq_stream::exec::{ExecConfig, Executor};
 
@@ -32,13 +32,26 @@ pub struct Rejection {
     pub reason: String,
 }
 
+/// Named by perfbench; goes with the benchmark issue that drops
+/// `wcoj.chosen`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct PhysicalChoice;
+
+impl PhysicalChoice {
+    /// Always `false`: every plan runs on the one join operator.
+    #[must_use]
+    pub fn is_wcoj(&self) -> bool {
+        false
+    }
+}
+
 /// A safely-registered continuous join query.
 #[derive(Debug)]
 pub struct RegisteredQuery {
     query: Cjq,
     schemes: SchemeSet,
     plan: Plan,
-    physical: PhysicalChoice,
     /// The safety report that admitted the query.
     pub report: SafetyReport,
 }
@@ -50,12 +63,12 @@ impl RegisteredQuery {
         &self.plan
     }
 
-    /// How the executor runs the chosen plan: binary/MJoin expansion, or —
-    /// for cyclic queries where the cost model favors it — worst-case-optimal
-    /// prefix extension over the flat MJoin's ports.
+    /// Named by perfbench; goes with the benchmark issue that drops
+    /// `wcoj.chosen`.
+    #[doc(hidden)]
     #[must_use]
-    pub fn physical(&self) -> &PhysicalChoice {
-        &self.physical
+    pub fn physical(&self) -> PhysicalChoice {
+        PhysicalChoice
     }
 
     /// The query.
@@ -64,14 +77,8 @@ impl RegisteredQuery {
         &self.query
     }
 
-    /// Spawns an executor for this query's chosen plan, honoring the
-    /// register's physical choice (the `wcoj` flag follows
-    /// [`RegisteredQuery::physical`]).
+    /// Spawns an executor for this query's chosen plan.
     pub fn executor(&self, cfg: ExecConfig) -> cjq_core::error::CoreResult<Executor> {
-        let cfg = ExecConfig {
-            wcoj: self.physical.is_wcoj(),
-            ..cfg
-        };
         Executor::compile(&self.query, &self.schemes, &self.plan, cfg)
     }
 }
@@ -146,7 +153,7 @@ impl Register {
                 reason,
             }));
         }
-        let (plan, physical) = if query.n_streams() <= cjq_planner::enumerate::MAX_STREAMS {
+        let plan = if query.n_streams() <= cjq_planner::enumerate::MAX_STREAMS {
             let mut stats = self.stats.clone();
             // Resize uniform stats to the query if the caller didn't.
             if stats.rate.len() != query.n_streams() {
@@ -160,18 +167,14 @@ impl Register {
                 self.objective,
                 self.plan_limit,
             )
-            .map_or_else(
-                || (Plan::mjoin_all(&query), PhysicalChoice::Binary),
-                |c| (c.plan, c.physical),
-            )
+            .map_or_else(|| Plan::mjoin_all(&query), |c| c.plan)
         } else {
-            (Plan::mjoin_all(&query), PhysicalChoice::Binary)
+            Plan::mjoin_all(&query)
         };
         Ok(RegisteredQuery {
             query,
             schemes: self.schemes.clone(),
             plan,
-            physical,
             report,
         })
     }
@@ -212,44 +215,32 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_queries_register_on_the_wcoj_path() {
-        // fig5 is the paper's triangle: the register picks the flat MJoin
-        // with worst-case-optimal probing, and the spawned executor honors
-        // the choice while producing the same outputs as binary probing.
-        let (query, schemes) = fixtures::fig5();
-        let registered = Register::new(schemes.clone())
-            .register(query)
-            .expect("safe");
-        assert!(registered.physical().is_wcoj());
-        assert_eq!(registered.plan(), &Plan::mjoin_all(registered.query()));
-        let feed = keyed::generate(
-            registered.query(),
-            &schemes,
-            &KeyedConfig {
-                rounds: 30,
-                lag: 2,
-                ..Default::default()
-            },
-        );
-        let wcoj = registered
-            .executor(ExecConfig::default())
-            .unwrap()
-            .run(&feed);
-        let binary = Executor::compile(
-            registered.query(),
-            &schemes,
-            registered.plan(),
-            ExecConfig::default(),
-        )
-        .unwrap()
-        .run(&feed);
-        assert_eq!(wcoj.outputs, binary.outputs);
-        assert_eq!(wcoj.metrics.purged, binary.metrics.purged);
-
-        // Acyclic queries stay binary.
-        let (aq, ar) = fixtures::auction();
-        let acyclic = Register::new(ar).register(aq).unwrap();
-        assert!(!acyclic.physical().is_wcoj());
+    fn cyclic_queries_register_on_the_flat_mjoin() {
+        use cjq_workload::graph::{four_cycle_query, triangle_query};
+        // On these cycles the flat MJoin is the only safe plan, whatever the
+        // objective, and the spawned executor is the one `compile` builds.
+        for (query, schemes) in [triangle_query(), four_cycle_query(), fixtures::fig5()] {
+            for objective in [
+                Objective::MinDataMemory,
+                Objective::MinTotalMemory,
+                Objective::MaxThroughput,
+            ] {
+                let register = Register::new(schemes.clone()).with_objective(objective);
+                let registered = register.register(query.clone()).expect("safe");
+                let mjoin = Plan::mjoin_all(&query);
+                assert_eq!(registered.plan(), &mjoin);
+                let stats = Stats::uniform(query.n_streams(), 1.0, 10.0, 0.1, 0.3);
+                let chosen = choose_plan(&query, &schemes, stats, objective, 200).unwrap();
+                assert_eq!(chosen.considered, 1);
+                let cfg = ExecConfig::default();
+                assert_eq!(
+                    registered.executor(cfg).unwrap().fingerprint(),
+                    Executor::compile(&query, &schemes, &mjoin, cfg)
+                        .unwrap()
+                        .fingerprint()
+                );
+            }
+        }
     }
 
     #[test]

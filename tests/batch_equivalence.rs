@@ -23,6 +23,7 @@ use punctuated_cjq::core::schema::AttrId;
 use punctuated_cjq::stream::certify;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
 use punctuated_cjq::stream::groupby::Aggregate;
+use punctuated_cjq::stream::metrics::Metrics;
 use punctuated_cjq::stream::parallel::ShardedExecutor;
 use punctuated_cjq::stream::purge::PurgeScope;
 use punctuated_cjq::stream::sink::{CallbackSink, CollectSink, CountSink};
@@ -491,12 +492,69 @@ fn small_graph() -> GraphConfig {
     }
 }
 
+/// Cyclic graph workloads, flat MJoin against a left-deep tree under
+/// query-level purging (plan-independent, so the tree's composite state is
+/// purgeable too), sequentially and on four shards: the same result multiset
+/// and the same purge totals — both plans purge every base row, the tree
+/// additionally every 2-path it stored and the flat plan never builds.
+#[test]
+fn flat_and_tree_plans_agree_on_cyclic_graph_workloads() {
+    for (query, schemes) in [graph::triangle_query(), graph::four_cycle_query()] {
+        let order: Vec<_> = query.stream_ids().collect();
+        let (flat_plan, tree_plan) = (Plan::mjoin_all(&query), Plan::left_deep(&order));
+        for graph_cfg in [small_graph(), small_graph().uniform()] {
+            let feed = chaos_feed(&graph::generate(&query, &schemes, &graph_cfg));
+            for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }] {
+                let cfg = ExecConfig {
+                    cadence,
+                    scope: PurgeScope::Query,
+                    verify_certificates: true,
+                    ..ExecConfig::default()
+                };
+                let run = |plan: &Plan| {
+                    Executor::compile(&query, &schemes, plan, cfg)
+                        .expect("compile")
+                        .run(&feed)
+                };
+                let (flat, tree) = (run(&flat_plan), run(&tree_plan));
+                assert!(flat.metrics.outputs > 0, "cycles must actually close");
+                let expected = sorted_outputs(&flat.outputs);
+                assert_eq!(sorted_outputs(&tree.outputs), expected, "result multiset");
+                assert_eq!(tree.metrics.mirror_purged, flat.metrics.mirror_purged);
+                assert_flat_and_tree_purge_totals(&flat.metrics, &tree.metrics);
+
+                let run_sharded = |plan: &Plan| {
+                    ShardedExecutor::compile(&query, &schemes, plan, cfg, 4)
+                        .expect("compile sharded")
+                        .run(&feed)
+                };
+                let (flat, tree) = (run_sharded(&flat_plan), run_sharded(&tree_plan));
+                assert_eq!(sorted_outputs(&flat.outputs), expected, "P=4 flat multiset");
+                assert_eq!(sorted_outputs(&tree.outputs), expected, "P=4 tree multiset");
+                assert_flat_and_tree_purge_totals(&flat.metrics, &tree.metrics);
+            }
+        }
+    }
+}
+
+fn assert_flat_and_tree_purge_totals(flat: &Metrics, tree: &Metrics) {
+    assert_eq!(
+        flat.intermediate_rows, 0,
+        "the flat plan stores no intermediates"
+    );
+    assert!(tree.intermediate_rows > 0, "the tree stores 2-paths");
+    assert_eq!(
+        tree.purged - tree.intermediate_rows,
+        flat.purged,
+        "base rows purged"
+    );
+}
+
 /// Every per-element monitor caps runs at one row, so tiering, load
 /// shedding and bound certificates see the same state at the same clock
-/// positions under every cut; worst-case-optimal probing is a probe-order
-/// change inside the one run path.
+/// positions under every cut.
 #[test]
-fn tiering_budgets_certificates_and_wcoj_equivalence() {
+fn tiering_budgets_and_certificates_equivalence() {
     let (query, schemes) = punctuated_cjq::core::fixtures::fig5();
     let plan = Plan::mjoin_all(&query);
     let feed = skewed::generate(
@@ -552,15 +610,6 @@ fn tiering_budgets_certificates_and_wcoj_equivalence() {
             exec
         });
     }
-
-    let (query, schemes) = graph::triangle_query();
-    let feed = graph::generate(&query, &schemes, &small_graph());
-    let wcoj = ExecConfig {
-        wcoj: true,
-        ..ExecConfig::default()
-    };
-    let res = assert_batched_equivalent(&query, &schemes, &Plan::mjoin_all(&query), wcoj, &feed);
-    assert!(res.metrics.outputs > 0, "triangles must actually close");
 }
 
 #[test]

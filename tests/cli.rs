@@ -136,39 +136,49 @@ punctuate e3(dst)
 
 #[test]
 fn lint_plan_flag_prints_the_physical_plan() {
-    // Cyclic spec: the register picks the worst-case-optimal path and
-    // `lint --plan` reports it with the extension order; the I201 notice
-    // carries the cycle witness but the lint still exits clean.
+    // Cyclic spec: the register picks the flat MJoin and `lint --plan`
+    // prints it; the I201 notice carries the cycle witness but the lint
+    // still exits clean.
     let (stdout, _, code) = run_cli_args(TRIANGLE_SPEC, &["lint", "--plan"]);
     assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("info[I201]"), "{stdout}");
+    assert!(
+        stdout.contains(
+            "info[I201]: cyclic join graph: runs on the flat MJoin plan \
+             (a tree plan would store 2-paths that may never close)"
+        ),
+        "{stdout}"
+    );
     assert!(
         stdout.contains("witness cycle: e1 → e3 → e2 → e1"),
         "{stdout}"
     );
-    assert!(stdout.contains("physical plan: wcoj"), "{stdout}");
-    assert!(stdout.contains("extension order: {"), "{stdout}");
+    assert!(stdout.contains("chosen plan: (S1 ⋈ S2 ⋈ S3)"), "{stdout}");
+    assert!(!stdout.contains("physical plan"), "{stdout}");
 
-    // Acyclic spec: binary, no extension order.
+    // Acyclic spec: same line, no I201.
     let (stdout, _, code) = run_cli_args(SAFE_SPEC, &["lint", "--plan"]);
     assert_eq!(code, Some(0));
-    assert!(stdout.contains("physical plan: binary"), "{stdout}");
-    assert!(!stdout.contains("extension order"), "{stdout}");
+    assert!(stdout.contains("chosen plan: (S1 ⋈ S2)"), "{stdout}");
+    assert!(!stdout.contains("I201"), "{stdout}");
 }
 
 #[test]
 fn lint_plan_json_embeds_the_physical_plan() {
     let (stdout, _, code) = run_cli_args(TRIANGLE_SPEC, &["lint", "--plan", "--json"]);
     assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("\"physical\": \"wcoj\""), "{stdout}");
-    assert!(stdout.contains("\"extension_order\": \"{"), "{stdout}");
+    assert!(
+        stdout.starts_with("{\n  \"plan\": {\n    \"plan\": \"(S1 ⋈ S2 ⋈ S3)\"\n  },\n"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("\"physical\""), "{stdout}");
+    assert!(!stdout.contains("\"extension_order\""), "{stdout}");
     assert!(stdout.contains("\"code\": \"I201\""), "{stdout}");
     assert_eq!(stdout.matches('{').count(), stdout.matches('}').count());
 
-    // Without --plan the JSON shape is unchanged.
+    // Without --plan the report carries no plan object.
     let (stdout, _, code) = run_cli_args(TRIANGLE_SPEC, &["lint", "--json"]);
     assert_eq!(code, Some(0));
-    assert!(!stdout.contains("\"physical\""), "{stdout}");
+    assert!(!stdout.contains("\"plan\""), "{stdout}");
 }
 
 #[test]

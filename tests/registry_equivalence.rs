@@ -632,12 +632,7 @@ fn fingerprints_predict_registry_sharing() {
             ..MultiConfig::default()
         };
         let tenant = multi::generate_queries(&mcfg);
-        // The registry interns binary-shaped nodes only.
-        let specs: Vec<(&Cjq, &Plan, fingerprint::PlanShape)> = tenant
-            .queries
-            .iter()
-            .map(|(q, p)| (q, p, fingerprint::PlanShape::Binary))
-            .collect();
+        let specs: Vec<(&Cjq, &Plan)> = tenant.queries.iter().map(|(q, p)| (q, p)).collect();
         let predicted = fingerprint::sharing_report(&specs);
 
         let mut reg = QueryRegistry::new(tenant.schemes.clone(), base_cfg(PurgeCadence::Eager));
