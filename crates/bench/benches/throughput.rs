@@ -96,7 +96,7 @@ fn run_workload(
             sharded.push((p, effective, eps));
             continue;
         }
-        let exec = ShardedExecutor::compile_auto(query, schemes, &plan, cfg, p).unwrap();
+        let exec = ShardedExecutor::compile(query, schemes, &plan, cfg, effective).unwrap();
         group.bench_function(format!("sharded_p{effective}"), |b| {
             b.iter(|| black_box(exec.run(feed).metrics.outputs));
         });

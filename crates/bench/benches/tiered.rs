@@ -1,21 +1,19 @@
 //! Two-tier state under a memory budget: throughput and recall.
 //!
 //! Runs the skewed long-state workload (hot set + cold tail, long
-//! punctuation lag — see [`cjq_workload::skewed`]) through three executor
+//! punctuation lag — see [`cjq_workload::skewed`]) through two executor
 //! configurations:
 //!
 //! * **uncapped** — no budget, no tiering: the baseline for output count
 //!   (recall denominator) and raw throughput;
-//! * **shed** — a fixed row cap with `BudgetPolicy::Shed` and no cold tier:
-//!   the lossy pre-tiering behaviour, which drops results;
-//! * **tiered** — the same cap with the cold tier enabled: overflow demotes
+//! * **tiered** — a fixed row cap with the cold tier enabled: overflow demotes
 //!   least-recently-probed rows to on-disk columnar segments and faults them
 //!   back on probe miss, so the run stays lossless.
 //!
 //! Records elements/second, recall vs. the uncapped run, and the tier
 //! counters into `BENCH_tiered.json` at the repository root, and asserts the
-//! tentpole acceptance criteria inline: tiered recall is exactly 100%, the
-//! hot tier never exceeds the budget, and no rows were shed.
+//! tentpole acceptance criteria inline: tiered recall is exactly 100% and the
+//! hot tier never exceeds the budget.
 //!
 //! `cargo bench --bench tiered -- --quick` (or `CJQ_TIERED_QUICK=1`) runs a
 //! scaled-down workload with the same assertions and skips the JSON write —
@@ -28,7 +26,7 @@ use std::hint::black_box;
 
 use cjq_core::fixtures;
 use cjq_core::plan::Plan;
-use cjq_stream::exec::{BudgetPolicy, ExecConfig, Executor, RunResult, StateBudget};
+use cjq_stream::exec::{ExecConfig, Executor, RunResult, StateBudget};
 use cjq_stream::tier::TierConfig;
 use cjq_workload::skewed::{self, SkewedConfig};
 
@@ -69,7 +67,7 @@ fn budget_rows(quick: bool) -> usize {
     }
 }
 
-/// All three configurations share everything except the budget ladder.
+/// Both configurations share everything except the budget ladder.
 /// `sample_every: 1` samples state after every element, so `peak_join_state`
 /// is the exact hot-tier peak rather than a subsample.
 fn base_cfg() -> ExecConfig {
@@ -80,13 +78,10 @@ fn base_cfg() -> ExecConfig {
     }
 }
 
-fn capped_cfg(budget: usize, tiered: bool) -> ExecConfig {
+fn tiered_cfg(budget: usize) -> ExecConfig {
     ExecConfig {
-        state_budget: Some(StateBudget {
-            max_rows: budget,
-            policy: BudgetPolicy::Shed,
-        }),
-        tiering: tiered.then(TierConfig::default),
+        state_budget: Some(StateBudget::hard(budget)),
+        tiering: Some(TierConfig::default()),
         ..base_cfg()
     }
 }
@@ -95,7 +90,6 @@ struct ConfigReport {
     name: &'static str,
     eps: f64,
     outputs: u64,
-    rows_shed: u64,
     rows_demoted: u64,
     rows_faulted: u64,
     segments_written: u64,
@@ -122,7 +116,6 @@ fn report(name: &'static str, eps: f64, res: &RunResult) -> ConfigReport {
         name,
         eps,
         outputs: m.outputs,
-        rows_shed: m.rows_shed,
         rows_demoted: m.rows_demoted,
         rows_faulted: m.rows_faulted,
         segments_written: m.segments_written,
@@ -144,15 +137,12 @@ fn bench_tiered(c: &mut Criterion) {
         Executor::compile(&query, &schemes, &plan, cfg)
             .expect("fixture compiles")
             .try_run(&feed)
-            .expect("shed policy never hard-errors")
+            .expect("tiering absorbs the overflow")
     };
 
     let mut group = c.benchmark_group("tiered");
-    let configs: [(&'static str, ExecConfig); 3] = [
-        ("uncapped", base_cfg()),
-        ("shed", capped_cfg(budget, false)),
-        ("tiered", capped_cfg(budget, true)),
-    ];
+    let configs: [(&'static str, ExecConfig); 2] =
+        [("uncapped", base_cfg()), ("tiered", tiered_cfg(budget))];
     let mut reports = Vec::new();
     for (name, cfg) in configs {
         group.bench_function(name, |b| {
@@ -166,18 +156,14 @@ fn bench_tiered(c: &mut Criterion) {
     group.finish();
 
     let uncapped = &reports[0];
-    let shed = &reports[1];
-    let tiered = &reports[2];
+    let tiered = &reports[1];
     assert_eq!(uncapped.outputs, skewed::expected_outputs(&wl));
-    // The cap bites: the lossy baseline actually drops results here, so the
-    // tiered run's 100% recall is a property of the tier, not of slack.
-    assert!(shed.rows_shed > 0, "budget never tripped — cap too loose");
-    // Tentpole acceptance: lossless, within budget, overflow went cold.
+    // Tentpole acceptance: lossless, within budget, overflow went cold (the
+    // demotions below show the cap bites: recall is the tier's, not slack's).
     assert_eq!(
         tiered.outputs, uncapped.outputs,
         "tiered recall must be 100%"
     );
-    assert_eq!(tiered.rows_shed, 0, "tiering must absorb all overflow");
     assert!(tiered.peak_hot <= budget, "hot tier exceeded the budget");
     assert!(tiered.rows_demoted > 0 && tiered.segments_written > 0);
     eprintln!(
@@ -211,9 +197,8 @@ fn write_report(wl: &SkewedConfig, budget: usize, elements: usize, reports: &[Co
     ));
     json.push_str(
         "  \"note\": \"skewed long-state workload (hot set + sliding cold tail, long \
-         punctuation lag) under a fixed row cap. shed = pre-tiering lossy baseline \
-         (BudgetPolicy::Shed, no cold tier): it drops results, recall < 1. tiered = same \
-         cap with the cold tier: least-recently-probed rows demote to on-disk columnar \
+         punctuation lag) under a fixed row cap. tiered = the cap with the cold \
+         tier: least-recently-probed rows demote to on-disk columnar \
          segments and fault back on probe miss, so recall stays 1.0 while the hot tier \
          never exceeds the budget (peak_hot is exact: sampled every element). \
          segments_retired counts segments dropped whole by punctuation coverage of their \
@@ -243,7 +228,6 @@ fn write_report(wl: &SkewedConfig, budget: usize, elements: usize, reports: &[Co
             "      \"recall\": {:.4},\n",
             r.outputs as f64 / uncapped_outputs as f64
         ));
-        json.push_str(&format!("      \"rows_shed\": {},\n", r.rows_shed));
         json.push_str(&format!("      \"rows_demoted\": {},\n", r.rows_demoted));
         json.push_str(&format!("      \"rows_faulted\": {},\n", r.rows_faulted));
         json.push_str(&format!(

@@ -154,10 +154,6 @@ pub fn purge_cadence(rounds: usize) -> Vec<CadenceRow> {
         (PurgeCadence::Eager, "eager".to_owned()),
         (PurgeCadence::Lazy { batch: 64 }, "lazy(64)".to_owned()),
         (PurgeCadence::Lazy { batch: 512 }, "lazy(512)".to_owned()),
-        (
-            PurgeCadence::Adaptive { initial: 256 },
-            "adaptive(256)".to_owned(),
-        ),
         (PurgeCadence::Never, "never".to_owned()),
     ] {
         let cfg = ExecConfig {
@@ -281,10 +277,7 @@ mod tests {
         let rows = purge_cadence(300);
         let eager = &rows[0];
         let lazy512 = &rows[2];
-        let adaptive = &rows[3];
-        let never = &rows[4];
-        assert!(adaptive.peak_state < never.peak_state);
-        assert!(adaptive.purge_cycles > 1);
+        let never = &rows[3];
         assert!(eager.peak_state < lazy512.peak_state);
         assert!(lazy512.peak_state < never.peak_state);
         assert!(eager.purge_cycles > lazy512.purge_cycles);

@@ -17,8 +17,9 @@
 //! * **Supervision** — an injected shard panic surfaces as a structured
 //!   [`cjq_stream::error::ExecError`], never a process abort, and the
 //!   surviving shards drain.
-//! * **Watchdog** — a state budget with load-shedding keeps the sampled
-//!   join-state peak at or under the budget.
+//! * **Watchdog** — a state budget with tiering keeps the sampled
+//!   join-state peak at or under the budget without losing a result; without
+//!   tiering it fails the run with a structured error.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -252,7 +252,9 @@ fn all_snapshots_corrupt_is_a_clean_error() {
 /// dead cells included; 2: a fingerprint that still hashed
 /// `ExecConfig::batch_size`; 3: one mirror tracker per stream, unpositioned;
 /// 4: mirror rows of every stream, also of those the executor no longer
-/// holds and would never purge) is intact by its own checksum — it must be
+/// holds and would never purge; 6: a pacing prefix with the adaptive batch,
+/// a budget-policy fingerprint word and three shed counters per `Metrics`
+/// frame) is intact by its own checksum — it must be
 /// refused by version (`C001`), never decoded under the current layout nor
 /// reported as a config mismatch (`C002`).
 #[test]
@@ -267,7 +269,7 @@ fn earlier_format_versions_are_refused_not_misdecoded() {
     }
     let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
     let earlier = 1..cjq_stream::checkpoint::VERSION;
-    assert!(earlier.contains(&5), "version 5 frames are earlier frames");
+    assert!(earlier.contains(&6), "version 6 frames are earlier frames");
     for previous in earlier {
         for (_, path) in list_snapshots(&dir) {
             let mut frame = std::fs::read(&path).expect("snapshot exists");

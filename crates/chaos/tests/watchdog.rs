@@ -1,14 +1,17 @@
 //! Bounded-state watchdog and stall detector under hostile feeds.
 
 use cjq_core::plan::Plan;
+use cjq_stream::error::ExecError;
 use cjq_stream::exec::{ExecConfig, Executor, StateBudget};
+use cjq_stream::tier::TierConfig;
 use cjq_workload::auction::{auction_query, generate, AuctionConfig};
 
-/// An unpunctuated feed against a shedding budget: the watchdog keeps the
-/// sampled join-state peak at or under the ceiling and accounts for every
-/// evicted row.
+/// An unpunctuated feed against a budget: without tiering the watchdog fails
+/// the run with a structured error at the first overrun; the same cap with
+/// tiering keeps the sampled join state at or under the ceiling while the
+/// feed runs and loses neither a result nor a stored row.
 #[test]
-fn shedding_budget_bounds_peak_join_state() {
+fn budget_fails_without_tiering_and_is_lossless_with_it() {
     let (q, r) = auction_query();
     let plan = Plan::mjoin_all(&q);
     let feed = generate(&AuctionConfig {
@@ -18,29 +21,55 @@ fn shedding_budget_bounds_peak_join_state() {
         ..Default::default()
     });
     const BUDGET: usize = 48;
-    let cfg = ExecConfig {
-        state_budget: Some(StateBudget::shedding(BUDGET)),
+    let unbudgeted = ExecConfig {
         sample_every: 1,
         ..ExecConfig::default()
     };
-    let result = Executor::compile(&q, &r, &plan, cfg)
-        .expect("compiles")
-        .try_run(&feed)
-        .expect("shedding never errors");
+    let run = |cfg| {
+        Executor::compile(&q, &r, &plan, cfg)
+            .expect("compiles")
+            .try_run(&feed)
+    };
+    let cfg = ExecConfig {
+        state_budget: Some(StateBudget::hard(BUDGET)),
+        ..unbudgeted
+    };
+    // Nothing is ever purgeable, so the first row over the cap is the
+    // (BUDGET + 1)-th element.
+    let err = run(cfg).expect_err("nothing is purgeable and nothing may be dropped");
     assert!(
-        result.metrics.peak_join_state <= BUDGET,
-        "peak {} exceeds budget {BUDGET}",
-        result.metrics.peak_join_state
+        matches!(
+            err,
+            ExecError::StateBudgetExceeded { live, budget: BUDGET, clock }
+                if live == BUDGET + 1 && clock == BUDGET as u64 + 1
+        ),
+        "expected the budget error at the first overrun, got: {err}"
     );
-    assert!(result.metrics.rows_shed > 0, "watchdog never fired");
-    assert!(result.metrics.shed_events > 0);
-    // Shedding is lossy by design (the baseline trade-off): results may be
-    // incomplete, but execution completes and stays bounded.
-    assert!(result.metrics.tuples_in > 0);
+
+    let tiered = run(ExecConfig {
+        tiering: Some(TierConfig::default()),
+        ..cfg
+    })
+    .expect("tiering absorbs the overflow");
+    let (at_finish, running) = tiered.metrics.series.split_last().expect("sampled");
+    let peak = running.iter().map(|p| p.join_state).max();
+    assert!(
+        peak <= Some(BUDGET),
+        "peak {peak:?} exceeds budget {BUDGET}"
+    );
+    assert!(tiered.metrics.rows_demoted > 0, "watchdog never fired");
+    let base = run(unbudgeted).expect("no budget, no error");
+    assert_eq!(tiered.outputs, base.outputs, "demotion loses no result");
+    assert!(!base.outputs.is_empty());
+    // Finish rehydrates the cold tier: every unpurgeable row is still held.
+    assert_eq!(
+        Some(at_finish.join_state),
+        base.metrics.last().map(|p| p.join_state)
+    );
 }
 
-/// The same feed under a comfortable budget sheds nothing and matches the
-/// unbudgeted run exactly.
+/// A punctuated feed under a comfortable budget never trips it and matches
+/// the unbudgeted run exactly.
 #[test]
 fn comfortable_budget_is_invisible() {
     let (q, r) = auction_query();
@@ -55,7 +84,7 @@ fn comfortable_budget_is_invisible() {
         .expect("compiles")
         .run(&feed);
     let budgeted_cfg = ExecConfig {
-        state_budget: Some(StateBudget::shedding(base.metrics.peak_join_state.max(1))),
+        state_budget: Some(StateBudget::hard(base.metrics.peak_join_state.max(1))),
         record_outputs: true,
         sample_every: 1,
         ..ExecConfig::default()
@@ -63,7 +92,6 @@ fn comfortable_budget_is_invisible() {
     let budgeted = Executor::compile(&q, &r, &plan, budgeted_cfg)
         .expect("compiles")
         .run(&feed);
-    assert_eq!(budgeted.metrics.rows_shed, 0, "nothing to shed");
     assert_eq!(budgeted.outputs, base.outputs, "outputs must be untouched");
 }
 

@@ -30,7 +30,7 @@
 //!
 //! [`analyze_plan`] walks a plan bottom-up in the executor's operator order
 //! (children before parents, left to right — the same flat-port order as
-//! runtime shed/peak accounting) and also reports mirror-state bounds per
+//! runtime peak accounting) and also reports mirror-state bounds per
 //! stream and punctuation-store bounds per scheme (products of domain
 //! parameters). The lint bridge surfaces the report as `E003`/`W104`/`I202`
 //! diagnostics, and `cjq_stream::certify` turns evaluated `Bounded` rows
@@ -347,7 +347,7 @@ pub enum BoundSubject {
     /// One input port of a join operator. `op` is the operator's index in
     /// executor order (bottom-up, children before parents, left to right)
     /// and `port` the child index — together they name the same flat port
-    /// as runtime shed/peak accounting.
+    /// as runtime peak accounting.
     Port {
         /// Operator index in executor (bottom-up) order.
         op: usize,

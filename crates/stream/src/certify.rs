@@ -268,8 +268,7 @@ pub fn infer_contracts(query: &Cjq, schemes: &SchemeSet, feed: &Feed) -> Contrac
 /// coverage when purging is deferred, so the certificate adds the purge
 /// cadence's worst-case deferral on top of the static figure:
 /// [`PurgeCadence::Eager`] adds nothing, [`PurgeCadence::Lazy`] up to one
-/// batch, and [`PurgeCadence::Adaptive`] the maximum adaptive batch (4096 —
-/// the executor's clamp ceiling).
+/// batch.
 #[must_use]
 pub fn port_bound_certificate(
     query: &Cjq,
@@ -288,7 +287,6 @@ pub fn port_bound_certificate(
     let slack = match cadence {
         PurgeCadence::Eager => 0u64,
         PurgeCadence::Lazy { batch } => batch as u64,
-        PurgeCadence::Adaptive { .. } => 4096,
         // Without purging no bound holds: certify nothing.
         PurgeCadence::Never => {
             return bounds.iter().flatten().map(|_| None).collect();

@@ -28,7 +28,7 @@ use crate::groupby::{Aggregate, GroupBy};
 use crate::guard::{AdmissionGuard, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
-use crate::pipeline::{cutoff_for, Core, Pipeline, Run};
+use crate::pipeline::{Core, Pipeline, Run};
 use crate::purge::{PurgeEngine, PurgeScope, PurgeStrategy};
 use crate::sink::{CollectSink, CountSink, OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
@@ -47,28 +47,17 @@ pub enum PurgeCadence {
         /// Elements between purge cycles.
         batch: usize,
     },
-    /// Self-tuning cadence (the §5.2 "adaptive query processing" direction):
-    /// starts at `initial` elements per cycle and adapts to the observed
-    /// purge yield — a cycle that purges most of the state means the engine
-    /// waited too long (halve the batch); a cycle that purges almost nothing
-    /// means cycles are wasted work (grow the batch). Clamped to [8, 4096].
-    Adaptive {
-        /// Initial elements between purge cycles.
-        initial: usize,
-    },
 }
 
 /// What the bounded-state watchdog does when live join state exceeds the
-/// budget (after trying a purge cycle first).
+/// budget (after a purge cycle and, when tiered, a demotion). One variant:
+/// the type and [`StateBudget::policy`] stay only because `perfbench` builds
+/// the literal; both go with the next `benchmark` issue (ROADMAP item 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BudgetPolicy {
     /// Fail the run with [`ExecError::StateBudgetExceeded`].
     #[default]
     HardError,
-    /// Load-shed the oldest stored rows until the state fits again. Shed
-    /// rows were *not* proven dead — results may be incomplete, which is the
-    /// degradation trade-off; shed counts surface in `Metrics::rows_shed`.
-    Shed,
 }
 
 /// A hard ceiling on live join-state rows, enforced after every element.
@@ -87,15 +76,6 @@ impl StateBudget {
         StateBudget {
             max_rows,
             policy: BudgetPolicy::HardError,
-        }
-    }
-
-    /// A load-shedding budget of `max_rows`.
-    #[must_use]
-    pub fn shedding(max_rows: usize) -> Self {
-        StateBudget {
-            max_rows,
-            policy: BudgetPolicy::Shed,
         }
     }
 }
@@ -151,8 +131,8 @@ pub struct ExecConfig {
     /// Cold-tier state spilling (see [`crate::tier`]): when the
     /// [`ExecConfig::state_budget`] trips and a purge cycle cannot shrink the
     /// hot state under the cap, least-recently-probed rows are demoted into
-    /// on-disk columnar segments *before* the budget policy runs — the
-    /// lossless step between purging and shedding. Requires a state budget
+    /// on-disk columnar segments *before* the budget error is raised — the
+    /// lossless step between purging and failing. Requires a state budget
     /// to ever demote; incompatible with `window`, `punct_lifespan`, and
     /// `purge_punctuations` (those evict or forget on wall-position grounds
     /// the cold tier does not track). `None` disables tiering.
@@ -204,10 +184,6 @@ impl ExecConfig {
                 fp.word(2);
                 fp.word(batch as u64);
             }
-            PurgeCadence::Adaptive { initial } => {
-                fp.word(3);
-                fp.word(initial as u64);
-            }
         }
         fp.word(match self.purge_strategy {
             PurgeStrategy::FullScan => 0,
@@ -226,13 +202,7 @@ impl ExecConfig {
             AdmissionPolicy::Repair => 2,
         });
         match self.state_budget {
-            Some(b) => {
-                fp.word(b.max_rows as u64);
-                fp.word(match b.policy {
-                    BudgetPolicy::HardError => 0,
-                    BudgetPolicy::Shed => 1,
-                });
-            }
+            Some(b) => fp.word(b.max_rows as u64),
             None => fp.word(u64::MAX),
         }
         fp.word(self.stall_budget.map_or(u64::MAX, |v| v));
@@ -800,8 +770,8 @@ impl Executor {
 
 /// What separates the executor from the shared pipeline: a tree cascade with
 /// one caller-supplied sink, one recipe set for the mirror, and the
-/// single-query monitors (window, port bounds, stall detector, shedding,
-/// group-by delivery).
+/// single-query monitors (window, port bounds, stall detector, group-by
+/// delivery).
 impl Pipeline for Executor {
     type Sink<'s> = dyn ResultSink + 's;
     const KIND: SnapshotKind = SnapshotKind::Exec;
@@ -1065,40 +1035,6 @@ impl Pipeline for Executor {
 
     fn per_element_monitors(&self) -> bool {
         self.port_bounds.is_some()
-    }
-
-    /// Sheds the oldest rows: the arrival-time cutoff whose eviction removes
-    /// at least the excess. Each shed row is attributed to its operator port
-    /// and routed to the dead-letter sink: shed rows were *not* proven dead,
-    /// so the potentially lost results stay auditable.
-    fn shed_oldest(&mut self, excess: usize) {
-        let core = &mut self.core;
-        let mut arrivals = std::mem::take(&mut core.stamp_scratch);
-        arrivals.clear();
-        for op in &self.ops {
-            op.live_arrivals(&mut arrivals);
-        }
-        let cutoff = cutoff_for(&mut arrivals, excess);
-        core.stamp_scratch = arrivals;
-        let mut shed = 0;
-        let mut flat_port = 0;
-        let clock = core.clock;
-        for op in &mut self.ops {
-            let port_streams: Vec<StreamId> = op.port_spans().iter().map(|span| span[0]).collect();
-            let dead_letter = &mut core.dead_letter;
-            let by_port = op.shed_older_than_with(cutoff, &mut |port, row| {
-                dead_letter.emit_shed(port_streams[port], row, clock);
-            });
-            for (port, &n) in by_port.iter().enumerate() {
-                shed += n;
-                if n > 0 {
-                    core.metrics.count_shed_rows(flat_port + port, n as u64);
-                }
-            }
-            flat_port += by_port.len();
-        }
-        core.metrics.rows_shed += shed as u64;
-        core.metrics.shed_events += 1;
     }
 
     /// Open groups, and per-port live-row peaks.
@@ -1558,54 +1494,6 @@ mod tests {
         }
         let sampled: Vec<u64> = exec.finish().metrics.series.iter().map(|p| p.at).collect();
         assert!(sampled.contains(&5) && sampled.contains(&8), "{sampled:?}");
-    }
-
-    #[test]
-    fn adaptive_cadence_lands_between_eager_and_never() {
-        let (q, r) = fixtures::fig5();
-        let kcfg = cjq_workload_free_keyed(&q, &r, 400, 4);
-        let run = |cadence: PurgeCadence| {
-            let cfg = ExecConfig {
-                cadence,
-                sample_every: 16,
-                record_outputs: false,
-                ..ExecConfig::default()
-            };
-            let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
-            exec.run(&kcfg).metrics
-        };
-        let eager = run(PurgeCadence::Eager);
-        let adaptive = run(PurgeCadence::Adaptive { initial: 256 });
-        let never = run(PurgeCadence::Never);
-        assert_eq!(adaptive.outputs, eager.outputs);
-        assert!(adaptive.peak_join_state >= eager.peak_join_state);
-        assert!(adaptive.peak_join_state < never.peak_join_state / 2);
-        assert!(adaptive.purge_cycles > 1);
-        assert!(adaptive.purge_cycles < eager.purge_cycles);
-    }
-
-    /// Inline round-keyed feed (the workload crate depends on this one).
-    fn cjq_workload_free_keyed(q: &Cjq, r: &SchemeSet, rounds: usize, lag: usize) -> Feed {
-        let mut feed = Feed::new();
-        for round in 0..rounds + lag {
-            if round < rounds {
-                for s in q.stream_ids() {
-                    let arity = q.catalog().schema(s).unwrap().arity();
-                    feed.push(Tuple::new(s, vec![ival(round as i64); arity]));
-                }
-            }
-            if round >= lag {
-                let key = (round - lag) as i64;
-                for scheme in r.schemes() {
-                    let arity = q.catalog().schema(scheme.stream).unwrap().arity();
-                    let values = vec![ival(key); scheme.arity()];
-                    feed.push(StreamElement::Punctuation(
-                        scheme.instantiate(arity, &values).unwrap(),
-                    ));
-                }
-            }
-        }
-        feed
     }
 
     #[test]

@@ -102,8 +102,7 @@ impl AdmissionFault {
         }
     }
 
-    /// Human-readable name of a reason code (including the watchdog's
-    /// [`SHED_REASON_CODE`], which is not an admission fault).
+    /// Human-readable name of a reason code.
     #[must_use]
     pub fn code_name(code: usize) -> &'static str {
         match code {
@@ -111,7 +110,6 @@ impl AdmissionFault {
             1 => "arity-mismatch",
             2 => "unknown-stream",
             3 => "regressive-bound",
-            SHED_REASON_CODE => "budget-shed",
             _ => "unknown",
         }
     }
@@ -127,13 +125,6 @@ impl AdmissionFault {
         }
     }
 }
-
-/// Dead-letter reason code for join-state rows evicted by the bounded-state
-/// watchdog under `BudgetPolicy::Shed`. Deliberately outside the
-/// [`AdmissionFault::code`] range — shed rows are not admission faults and do
-/// not enter the quarantine matrix (which stays [`AdmissionFault::REASONS`]
-/// columns wide); they share only the dead-letter row format.
-pub const SHED_REASON_CODE: usize = AdmissionFault::REASONS;
 
 impl fmt::Display for AdmissionFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -287,21 +278,6 @@ impl DeadLetter {
         sink.accept(&self.buf);
     }
 
-    /// Emits one watchdog-shed join-state row (reason [`SHED_REASON_CODE`]):
-    /// shed rows were *not* proven dead, so routing them through the
-    /// dead-letter sink makes the potentially lost results auditable instead
-    /// of silently vanishing. `stream` is the first stream of the owning
-    /// port's span (composite rows span several streams).
-    pub fn emit_shed(&mut self, stream: StreamId, row: &[Value], now: u64) {
-        let Some(sink) = &mut self.sink else { return };
-        self.buf.reset(2 + row.len());
-        let out = self.buf.alloc_row(now);
-        out[0] = Value::Int(SHED_REASON_CODE as i64);
-        out[1] = Value::Int(stream.0 as i64);
-        out[2..].copy_from_slice(row);
-        sink.accept(&self.buf);
-    }
-
     /// Emits one quarantined punctuation (patterns rendered positionally).
     pub fn emit_punct(&mut self, fault: &AdmissionFault, p: &Punctuation, now: u64) {
         let Some(sink) = &mut self.sink else { return };
@@ -382,8 +358,6 @@ mod tests {
             assert_eq!(f.stream(), StreamId(0));
         }
         assert!(AdmissionFault::REASONS >= faults.len());
-        assert_eq!(AdmissionFault::code_name(SHED_REASON_CODE), "budget-shed");
-        assert!(faults.iter().all(|f| f.code() != SHED_REASON_CODE));
     }
 
     #[test]

@@ -318,49 +318,13 @@ impl JoinOperator {
         self.ports.iter().map(PortState::live).sum()
     }
 
-    /// Appends the arrival times of every live stored tuple across all ports
-    /// to `out` (used by the bounded-state watchdog to pick a shed cutoff).
-    pub fn live_arrivals(&self, out: &mut Vec<u64>) {
-        for p in &self.ports {
-            p.live_arrivals(out);
-        }
-    }
-
     /// Appends the recency stamps (last-probed clock) of every live stored
     /// tuple across all ports to `out` — the cold-tier demotion cutoff is
-    /// chosen over these, mirroring how the shed cutoff is chosen over
-    /// arrival times.
+    /// chosen over these.
     pub(crate) fn live_touched(&self, out: &mut Vec<u64>) {
         for p in &self.ports {
             p.live_touched(out);
         }
-    }
-
-    /// Audited load shedding: like [`JoinOperator::evict_window`] but counted
-    /// separately by the caller (`Metrics::rows_shed`, not `purged` — shed
-    /// rows were *not* proven dead). Reports each shed row to
-    /// `on_shed(port, row)` *before* eviction and returns the per-port shed
-    /// counts, so lost results are attributable
-    /// (`Metrics::rows_shed_by_port`) and auditable via the dead-letter sink
-    /// instead of vanishing silently.
-    pub fn shed_older_than_with(
-        &mut self,
-        cutoff: u64,
-        on_shed: &mut dyn FnMut(usize, &[Value]),
-    ) -> Vec<usize> {
-        let mut by_port = Vec::with_capacity(self.ports.len());
-        for (port, state) in self.ports.iter_mut().enumerate() {
-            let slots = state.live_older_than(cutoff);
-            for &slot in &slots {
-                if let Some(row) = state.get(slot) {
-                    on_shed(port, row);
-                }
-            }
-            let shed = state.evict_older_than(cutoff);
-            debug_assert_eq!(shed, slots.len());
-            by_port.push(shed);
-        }
-        by_port
     }
 
     /// Attaches a cold tier to every port (idempotent). Ports whose recipe

@@ -40,8 +40,8 @@ pub struct Metrics {
     /// `max_shard ≤ logical peak ≤` summed [`Metrics::peak_join_state`].
     pub peak_join_state_max_shard: usize,
     /// Peak live rows per operator port, flattened op-major in bottom-up
-    /// operator order like [`Metrics::rows_shed_by_port`] (grown on demand;
-    /// updated on every sample and whenever bound certificates are checked).
+    /// operator order (grown on demand; updated on every sample and whenever
+    /// bound certificates are checked).
     /// Merged elementwise by **max** across shards: a shard's port holds a
     /// subset of the logical port state, so the merged value is a lower
     /// bound on the logical per-port peak and observed ≤ static-bound
@@ -122,17 +122,6 @@ pub struct Metrics {
     /// Elements repaired in place under `AdmissionPolicy::Repair` (clamped
     /// regressive bounds, deduplicated punctuations).
     pub repaired: u64,
-    /// Live join-state rows evicted by the bounded-state watchdog under
-    /// `BudgetPolicy::Shed` (not counted in `purged`, which tracks
-    /// punctuation/window-driven eviction).
-    pub rows_shed: u64,
-    /// Shed rows broken down by operator port, flattened op-major in
-    /// bottom-up operator order (grown on demand): the audit trail that says
-    /// *which* join state lost rows, paired with the dead-letter records the
-    /// executor emits per shed row.
-    pub rows_shed_by_port: Vec<u64>,
-    /// Number of load-shedding events the watchdog triggered.
-    pub shed_events: u64,
     /// Rows demoted from the hot arena into cold-tier segments.
     pub rows_demoted: u64,
     /// Cold rows faulted back into the hot arena (demand faults at probe
@@ -188,15 +177,6 @@ impl Metrics {
             self.peak_port_rows.resize(flat_port + 1, 0);
         }
         self.peak_port_rows[flat_port] = self.peak_port_rows[flat_port].max(live);
-    }
-
-    /// Counts `n` watchdog-shed rows on flattened operator port
-    /// `flat_port` (op-major, bottom-up operator order; grown on demand).
-    pub fn count_shed_rows(&mut self, flat_port: usize, n: u64) {
-        if self.rows_shed_by_port.len() <= flat_port {
-            self.rows_shed_by_port.resize(flat_port + 1, 0);
-        }
-        self.rows_shed_by_port[flat_port] += n;
     }
 
     /// Counts one punctuation-violating tuple on `stream`.
@@ -341,9 +321,6 @@ impl Metrics {
         );
         add_vec(&mut self.quarantined_rows, &other.quarantined_rows);
         self.repaired += other.repaired;
-        self.rows_shed += other.rows_shed;
-        add_vec(&mut self.rows_shed_by_port, &other.rows_shed_by_port);
-        self.shed_events += other.shed_events;
         self.rows_demoted += other.rows_demoted;
         self.rows_faulted += other.rows_faulted;
         self.segments_written += other.segments_written;
@@ -405,9 +382,6 @@ impl Metrics {
         e.u64s(&self.quarantined_by_stream);
         e.u64s(&self.quarantined_rows);
         e.u64(self.repaired);
-        e.u64(self.rows_shed);
-        e.u64s(&self.rows_shed_by_port);
-        e.u64(self.shed_events);
         e.u64(self.rows_demoted);
         e.u64(self.rows_faulted);
         e.u64(self.segments_written);
@@ -470,9 +444,6 @@ impl Metrics {
         m.quarantined_by_stream = d.u64s()?;
         m.quarantined_rows = d.u64s()?;
         m.repaired = d.u64()?;
-        m.rows_shed = d.u64()?;
-        m.rows_shed_by_port = d.u64s()?;
-        m.shed_events = d.u64()?;
         m.rows_demoted = d.u64()?;
         m.rows_faulted = d.u64()?;
         m.segments_written = d.u64()?;
@@ -554,7 +525,7 @@ mod tests {
     fn merge_is_commutative_and_associative() {
         // Two deliberately ragged metrics: different vector lengths, disjoint
         // quarantine reasons/streams, overlapping stall sets — every counter
-        // family added in the batched/guarded/shedding PRs is exercised.
+        // family added in the batched/guarded/tiering PRs is exercised.
         let mut a = Metrics {
             tuples_in: 10,
             puncts_in: 3,
@@ -573,9 +544,6 @@ mod tests {
             peak_mirror: 4,
             peak_punct_entries: 3,
             repaired: 1,
-            rows_shed: 8,
-            rows_shed_by_port: vec![5, 3],
-            shed_events: 1,
             rows_demoted: 12,
             rows_faulted: 9,
             segments_written: 3,
@@ -595,8 +563,6 @@ mod tests {
             purged: 3,
             batches_processed: 5,
             probe_keys_deduped: 2,
-            rows_shed: 4,
-            rows_shed_by_port: vec![0, 1, 3],
             peak_join_state_max_shard: 9,
             peak_port_rows: vec![1, 5, 2],
             rows_demoted: 2,
@@ -614,8 +580,6 @@ mod tests {
         b.count_quarantine_punct(0, 1);
         let mut c = Metrics::default();
         c.count_quarantine_row(2, 1);
-        c.rows_shed = 1;
-        c.count_shed_rows(1, 1);
 
         let merged = |x: &Metrics, y: &Metrics| {
             let mut m = x.clone();
@@ -636,7 +600,6 @@ mod tests {
         assert_eq!(ab.quarantined, 3);
         assert_eq!(ab.stalled_streams, vec![0, 1, 2]);
         assert_eq!(ab.shape_refused_rows(), 2);
-        assert_eq!(ab.rows_shed_by_port, vec![5, 4, 3]);
         assert_eq!(ab.rows_demoted, 14);
         assert_eq!(ab.cold_rows, 8);
         // Peaks: physical sum vs. max-shard vs. elementwise per-port max.

@@ -283,19 +283,6 @@ impl Partitioning {
         Partitioning { attr, shards }
     }
 
-    /// The degenerate partitioning that broadcasts every stream to every
-    /// shard. The registry's sharded front-end falls back to this when its
-    /// tenants' per-query partitionings disagree: each shard then replays
-    /// the whole feed and holds the full (replicated) state.
-    #[must_use]
-    pub fn broadcast(n_streams: usize, shards: usize) -> Partitioning {
-        assert!(shards >= 1, "need at least one shard");
-        Partitioning {
-            attr: vec![None; n_streams],
-            shards,
-        }
-    }
-
     /// Whether `stream` is hash-partitioned (as opposed to broadcast).
     #[inline]
     #[must_use]
@@ -436,19 +423,6 @@ impl ShardedExecutor {
         };
     }
 
-    /// Like [`ShardedExecutor::compile`], but first caps `shards` at the
-    /// host's available cores via [`auto_shards`] — the right default for
-    /// throughput-sensitive callers that would otherwise oversubscribe.
-    pub fn compile_auto(
-        query: &Cjq,
-        schemes: &SchemeSet,
-        plan: &Plan,
-        cfg: ExecConfig,
-        shards: usize,
-    ) -> CoreResult<Self> {
-        ShardedExecutor::compile(query, schemes, plan, cfg, auto_shards(shards))
-    }
-
     /// The stream-to-shard partitioning in effect.
     #[must_use]
     pub fn partitioning(&self) -> &Partitioning {
@@ -579,7 +553,7 @@ impl ShardedExecutor {
         let n_streams = self.query.n_streams();
         // Physical accumulation first: every counter straight-summed through
         // the associative [`Metrics::merge_from`] (outputs, purge work,
-        // batch/probe counters, peaks, repairs, shedding, stalls, ...).
+        // batch/probe counters, peaks, repairs, stalls, ...).
         // The *logical* fields — violations, the quarantine trio, and the
         // router-side element counts — are recomputed below from the
         // partitioning table and overwrite the physical sums.

@@ -30,7 +30,7 @@ use crate::checkpoint::{
 };
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
-use crate::exec::{BudgetPolicy, ExecConfig, PurgeCadence};
+use crate::exec::{ExecConfig, PurgeCadence};
 use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
@@ -56,17 +56,15 @@ pub(crate) struct Core {
     /// When the next state sample is due: the least multiple of
     /// `cfg.sample_every` above `clock`, kept so per-run steps never divide.
     next_sample: u64,
-    /// Current batch size under [`PurgeCadence::Adaptive`].
-    pub adaptive_batch: usize,
     pub metrics: Metrics,
     /// Reusable per-run scratch: indices of rows that survived the
     /// punctuation-violation check.
     pub scratch_survivors: Vec<u32>,
     /// Cold-tier spill directory owner, present iff `cfg.tiering` is set.
     pub spill: Option<SpillStore>,
-    /// Reusable budget-ladder scratch: live-row recency or arrival stamps.
+    /// Reusable budget-ladder scratch: live-row recency stamps.
     pub stamp_scratch: Vec<u64>,
-    /// Optional dead-letter routing for refused elements and shed rows.
+    /// Optional dead-letter routing for refused elements.
     pub dead_letter: DeadLetter,
 }
 
@@ -74,10 +72,6 @@ impl Core {
     pub(crate) fn new(cfg: ExecConfig) -> Core {
         Core {
             spill: cfg.tiering.map(|t| SpillStore::new(t.shard_tag)),
-            adaptive_batch: match cfg.cadence {
-                PurgeCadence::Adaptive { initial } => initial.clamp(8, 4096),
-                _ => 0,
-            },
             next_sample: next_sample_after(0, cfg.sample_every),
             cfg,
             clock: 0,
@@ -89,17 +83,15 @@ impl Core {
         }
     }
 
-    /// The three pacing words every snapshot body starts with.
+    /// The two pacing words every snapshot body starts with.
     pub(crate) fn write_pacing(&self, e: &mut Enc) {
         e.u64(self.clock);
         e.usize(self.since_purge);
-        e.usize(self.adaptive_batch);
     }
 
     pub(crate) fn read_pacing(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         self.clock = d.u64()?;
         self.since_purge = d.usize()?;
-        self.adaptive_batch = d.usize()?;
         self.next_sample = next_sample_after(self.clock, self.cfg.sample_every);
         Ok(())
     }
@@ -165,7 +157,7 @@ impl<'a> Run<'a> {
 
 /// The stamp below which at least `excess` of `stamps` fall (ties may take
 /// more — a budget is a ceiling, not a target).
-pub(crate) fn cutoff_for(stamps: &mut [u64], excess: usize) -> u64 {
+fn cutoff_for(stamps: &mut [u64], excess: usize) -> u64 {
     let k = excess.min(stamps.len()).saturating_sub(1);
     let (_, nth, _) = stamps.select_nth_unstable(k);
     *nth + 1
@@ -281,9 +273,6 @@ pub(crate) trait Pipeline: Sized {
     fn per_element_monitors(&self) -> bool {
         false
     }
-    /// The lossy last rung under [`BudgetPolicy::Shed`]: evict the oldest
-    /// rows until `excess` are gone. Engines that accept the policy override.
-    fn shed_oldest(&mut self, _excess: usize) {}
     /// Operator `op` purged `purged` rows this cycle.
     fn credit_purged(&mut self, _op: usize, _purged: u64) {}
     /// A state sample is about to be recorded.
@@ -392,7 +381,6 @@ pub(crate) trait Pipeline: Sized {
         }
         let to_purge = match cfg.cadence {
             PurgeCadence::Lazy { batch } => batch.saturating_sub(core.since_purge),
-            PurgeCadence::Adaptive { .. } => core.adaptive_batch.saturating_sub(core.since_purge),
             _ => usize::MAX,
         };
         let to_sample = core.next_sample.saturating_sub(core.clock);
@@ -526,7 +514,6 @@ pub(crate) trait Pipeline: Sized {
         let core = self.core();
         let due = match core.cfg.cadence {
             PurgeCadence::Lazy { batch } => core.since_purge >= batch,
-            PurgeCadence::Adaptive { .. } => core.since_purge >= core.adaptive_batch,
             _ => false,
         };
         if due {
@@ -548,8 +535,8 @@ pub(crate) trait Pipeline: Sized {
 
     /// Bounded-state watchdog ladder: when live join state exceeds the
     /// budget, try to purge (proving rows dead is always preferable), then —
-    /// with tiering enabled — demote cold rows to disk (lossless), and only
-    /// then apply the budget policy to whatever still doesn't fit.
+    /// with tiering enabled — demote cold rows to disk (lossless); whatever
+    /// still doesn't fit is [`ExecError::StateBudgetExceeded`].
     fn enforce_budget(&mut self) -> ExecResult<()> {
         let Some(budget) = self.core().cfg.state_budget else {
             return Ok(());
@@ -591,17 +578,11 @@ pub(crate) trait Pipeline: Sized {
                 return Ok(());
             }
         }
-        match budget.policy {
-            BudgetPolicy::HardError => Err(ExecError::StateBudgetExceeded {
-                live,
-                budget: budget.max_rows,
-                clock: self.core().clock,
-            }),
-            BudgetPolicy::Shed => {
-                self.shed_oldest(live - budget.max_rows);
-                Ok(())
-            }
-        }
+        Err(ExecError::StateBudgetExceeded {
+            live,
+            budget: budget.max_rows,
+            clock: self.core().clock,
+        })
     }
 
     /// One purge cycle: lifespan expiry, a purge pass per operator, the
@@ -620,7 +601,6 @@ pub(crate) trait Pipeline: Sized {
         // Retractions logged before this cycle are fully consumed by its end;
         // ones logged *during* it feed operator trackers only next cycle.
         let retire_marks = engine.retire_marks();
-        let live_before = self.join_state_live();
         let mut work = PurgeWork::default();
         for i in 0..self.op_slots() {
             let Some((op, engine, _)) = self.op_stage(i) else {
@@ -632,17 +612,7 @@ pub(crate) trait Pipeline: Sized {
             }
             work.add(w);
         }
-        let core = self.core_mut();
-        core.metrics.purged += work.purged;
-        let purged = work.purged as usize;
-        if matches!(core.cfg.cadence, PurgeCadence::Adaptive { .. }) && live_before > 0 {
-            // Yield-driven AIMD-style adjustment.
-            if purged * 2 >= live_before {
-                core.adaptive_batch = (core.adaptive_batch / 2).max(8);
-            } else if purged * 10 <= live_before {
-                core.adaptive_batch = (core.adaptive_batch * 2).min(4096);
-            }
-        }
+        self.core_mut().metrics.purged += work.purged;
         if let Some((core, engine, _)) = self.stage() {
             work.add(engine.purge_mirror_with(strategy));
             core.metrics.purge_candidates_examined += work.examined;

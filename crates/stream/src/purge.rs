@@ -907,7 +907,7 @@ impl PurgeEngine {
 
     /// Finds a live mirror row that every subscriber proves dead, if any —
     /// at a purge fixpoint (no punctuation or tuple arrivals since the last
-    /// [`PurgeEngine::purge_mirror`]) there must be none.
+    /// [`PurgeEngine::purge_mirror_with`]) there must be none.
     #[must_use]
     pub fn find_purgeable_mirror_row(&self) -> Option<(StreamId, usize)> {
         let mut scratch = CheckScratch::default();
@@ -1260,13 +1260,6 @@ impl PurgeEngine {
             chain.insert(step.target, rows);
         }
         CheckOutcome::Purgeable
-    }
-
-    /// One full-scan purge pass over the raw mirror: drops every raw tuple
-    /// the meet of the subscribed recipes proves dead. Returns the number
-    /// purged.
-    pub fn purge_mirror(&mut self) -> usize {
-        self.purge_mirror_with(PurgeStrategy::FullScan).purged as usize
     }
 
     /// One purge pass over the raw mirror under the given strategy: per
@@ -1670,13 +1663,13 @@ mod tests {
         e.observe_tuple(&Tuple::of(1, [Value::Int(3), Value::Int(1), Value::Int(5)]));
         e.observe_tuple(&Tuple::of(1, [Value::Int(4), Value::Int(2), Value::Int(9)]));
         assert_eq!(e.mirror_live(), 3);
-        assert_eq!(e.purge_mirror(), 0);
+        assert_eq!(e.purge_mirror_with(PurgeStrategy::FullScan).purged, 0);
 
         // Auction for item 1 closes: the item tuple and its bids die
         // (bids also need item.itemid=1 punctuation for uniqueness).
         e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0); // bid(*, 1, *)
         e.observe_punctuation(&punct(0, 4, &[(1, 1)]), 1); // item(*, 1, *, *)
-        let purged = e.purge_mirror();
+        let purged = e.purge_mirror_with(PurgeStrategy::FullScan).purged;
         assert_eq!(purged, 2, "item 1 and bid on item 1 die");
         assert_eq!(e.mirror_live(), 1); // bid on item 2 remains
         assert_eq!(e.mirror_purged, 2);

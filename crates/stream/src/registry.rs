@@ -61,7 +61,7 @@ use crate::checkpoint::{
 };
 use crate::element::StreamElement;
 use crate::error::ExecResult;
-use crate::exec::{fingerprint_query, fingerprint_schemes, BudgetPolicy, ExecConfig};
+use crate::exec::{fingerprint_query, fingerprint_schemes, ExecConfig};
 use crate::guard::AdmissionGuard;
 use crate::join::JoinOperator;
 use crate::metrics::Metrics;
@@ -211,10 +211,9 @@ impl QueryRegistry {
     /// # Panics
     /// Panics if `cfg` enables a single-query feature the shared engine
     /// cannot honor per-tenant: windows, stall budgets, punctuation purging,
-    /// or a state budget without tiering — the registry never load-sheds
-    /// (lossy eviction in a shared arena would silently lose co-tenant
-    /// results), so a budget is honored only via lossless cold-tier
-    /// demotion under [`crate::exec::BudgetPolicy::HardError`].
+    /// or a state budget without tiering — a budget over a shared arena is
+    /// honored via lossless cold-tier demotion, not by failing every tenant
+    /// at the first overrun.
     #[must_use]
     pub fn new(schemes: SchemeSet, cfg: ExecConfig) -> Self {
         assert!(
@@ -223,14 +222,8 @@ impl QueryRegistry {
              run those queries on a dedicated Executor"
         );
         assert!(
-            cfg.state_budget.is_none()
-                || (cfg.tiering.is_some()
-                    && cfg
-                        .state_budget
-                        .is_some_and(|b| b.policy == BudgetPolicy::HardError)),
-            "a registry state budget requires tiering (lossless demotion) \
-             under BudgetPolicy::HardError: load shedding in a shared arena \
-             would silently lose co-tenant results"
+            cfg.state_budget.is_none() || cfg.tiering.is_some(),
+            "a registry state budget requires tiering (lossless demotion)"
         );
         assert!(
             cfg.tiering.is_none() || cfg.punct_lifespan.is_none(),
@@ -443,12 +436,6 @@ impl QueryRegistry {
     #[must_use]
     pub fn join_state_live(&self) -> usize {
         Pipeline::join_state_live(self)
-    }
-
-    /// The registry element clock.
-    #[must_use]
-    pub fn clock(&self) -> u64 {
-        self.core.clock
     }
 
     /// Engine-wide metrics accumulated so far.
@@ -1005,12 +992,10 @@ pub struct ShardedRegistryResult {
     /// Per-query results, indexed by [`QueryId`] (admission order).
     pub queries: Vec<QueryRunResult>,
     /// Physically merged metrics across shards (see
-    /// [`Metrics::merge_from`]); under broadcast partitioning the element
-    /// counters are per-shard replays, not logical counts.
+    /// [`Metrics::merge_from`]).
     pub metrics: Metrics,
     /// Whether all queries agreed on one hash partitioning (outputs are
-    /// then shard-concatenated); `false` means every element was broadcast
-    /// and shard 0's outputs are the canonical copy.
+    /// then shard-concatenated); `false` means one shard ran the whole feed.
     pub consensus: bool,
 }
 
@@ -1020,11 +1005,10 @@ pub struct ShardedRegistryResult {
 /// Sharding composes with sharing only when every tenant's derived
 /// [`Partitioning::for_query`] agrees — each shard then owns a disjoint key
 /// range for every query and per-query outputs are exactly the union of the
-/// shards'. When tenants disagree (different equivalence classes), the
-/// registry falls back to broadcast: every shard sees the whole feed and
-/// produces the full result set (shard 0 is reported), which still
-/// exercises `P`-way redundancy but no speedup — callers wanting scale-out
-/// should group tenants by partitioning consensus.
+/// shards'. When tenants disagree (different equivalence classes) no split
+/// serves them all, and one shard runs the whole feed whatever `P` was
+/// requested — callers wanting scale-out should group tenants by
+/// partitioning consensus.
 pub struct ShardedRegistry {
     schemes: SchemeSet,
     cfg: ExecConfig,
@@ -1062,7 +1046,9 @@ impl ShardedRegistry {
         let partitioning = if consensus {
             first
         } else {
-            Partitioning::broadcast(specs[0].0.n_streams(), shards)
+            // No split serves every tenant: one shard takes the whole feed
+            // (`fan_out`'s inline path), not `shards` replays of it.
+            Partitioning { shards: 1, ..first }
         };
         Ok(ShardedRegistry {
             schemes: schemes.clone(),
@@ -1139,25 +1125,19 @@ impl ShardedRegistry {
             }
         }
         metrics.elapsed_ns = start.elapsed().as_nanos();
+        // Disjoint key ranges: per-query outputs are the union of the
+        // shards' (shard-major order; compare as multisets).
         let n_queries = self.specs.len();
         let mut queries: Vec<QueryRunResult> = Vec::with_capacity(n_queries);
-        if self.consensus {
-            // Disjoint key ranges: per-query outputs are the union of the
-            // shards' (shard-major order; compare as multisets).
-            for qi in 0..n_queries {
-                let mut out = QueryRunResult::default();
-                for s in &mut shards {
-                    let part = std::mem::take(&mut s.queries[qi]);
-                    out.stats.outputs += part.stats.outputs;
-                    out.stats.purged += part.stats.purged;
-                    out.outputs.extend(part.outputs);
-                }
-                queries.push(out);
+        for qi in 0..n_queries {
+            let mut out = QueryRunResult::default();
+            for s in &mut shards {
+                let part = std::mem::take(&mut s.queries[qi]);
+                out.stats.outputs += part.stats.outputs;
+                out.stats.purged += part.stats.purged;
+                out.outputs.extend(part.outputs);
             }
-        } else {
-            // Broadcast: every shard computed the full result; report
-            // shard 0's copy.
-            queries = std::mem::take(&mut shards[0].queries);
+            queries.push(out);
         }
         Ok(ShardedRegistryResult {
             queries,

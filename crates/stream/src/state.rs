@@ -564,7 +564,7 @@ impl PortState {
     }
 
     /// Appends the last-probed times of all live tuples to `out` (demotion's
-    /// cutoff-selection input, mirroring [`PortState::live_arrivals`]).
+    /// cutoff-selection input).
     pub(crate) fn live_touched(&self, out: &mut Vec<u64>) {
         out.extend(self.live_from(0).map(|s| self.touched_of(s)));
     }
@@ -586,23 +586,6 @@ impl PortState {
     #[must_use]
     pub fn live_slots(&self) -> Vec<usize> {
         self.live_from(0).collect()
-    }
-
-    /// Appends the arrival times of all live tuples to `out` (the
-    /// bounded-state watchdog's shed-cutoff selection input).
-    pub fn live_arrivals(&self, out: &mut Vec<u64>) {
-        out.extend(self.live_from(0).map(|s| self.arrivals[s - self.base]));
-    }
-
-    /// Live slots that arrived strictly before `cutoff` — what
-    /// [`PortState::evict_older_than`] would evict, without evicting. The
-    /// audited shedding path reads the rows for dead-letter records first.
-    #[must_use]
-    pub(crate) fn live_older_than(&self, cutoff: u64) -> Vec<usize> {
-        // Arrivals are monotone in slot order: stop at the first young row.
-        self.live_from(0)
-            .take_while(|&s| self.arrivals[s - self.base] < cutoff)
-            .collect()
     }
 
     /// Phase one of the two-phase "collect, then purge" pattern shared by
@@ -1040,19 +1023,10 @@ mod tests {
             let rows: Vec<(usize, &[Value])> = s.iter_live().collect();
             assert!(rows.iter().all(|&(i, r)| s.get(i) == Some(r)));
             assert_eq!(rows.len(), want.len());
-            let (mut arrivals, mut touched) = (Vec::new(), Vec::new());
-            s.live_arrivals(&mut arrivals);
+            let mut touched = Vec::new();
             s.live_touched(&mut touched);
             let stamps: Vec<u64> = model.iter().map(|&(_, at)| at).collect();
-            assert_eq!(arrivals, stamps);
             assert_eq!(touched, stamps, "never probed: touched == arrival");
-            let cutoff = now.saturating_sub(rnd(40) as u64);
-            let older: Vec<usize> = model
-                .iter()
-                .filter(|&&(_, at)| at < cutoff)
-                .map(|&(slot, _)| slot)
-                .collect();
-            assert_eq!(s.live_older_than(cutoff), older);
         }
         assert!(s.slots() > 4 * 64, "the walk crossed several bitmap words");
         assert!(s.resident_slots() < s.slots(), "and a prefix was reclaimed");

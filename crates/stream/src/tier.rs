@@ -1,11 +1,10 @@
 //! Tiered join state: the cold tier beneath [`crate::state::PortState`].
 //!
-//! The bounded-state watchdog (PR 5) could only *shed* rows once a
-//! [`crate::exec::StateBudget`] was exceeded — silently losing join results.
-//! This module adds the lossless alternative the paper's safety theory
-//! enables: rows that punctuations have **not yet** proven dead, but that the
-//! hot arena has no room for, are demoted into on-disk columnar
-//! `Segment`s. Probes consult segment summaries and fault
+//! Without it, a [`crate::exec::StateBudget`] that a purge cycle cannot
+//! serve fails the run. This module adds the lossless alternative the
+//! paper's safety theory enables: rows that punctuations have **not yet**
+//! proven dead, but that the hot arena has no room for, are demoted into
+//! on-disk columnar `Segment`s. Probes consult segment summaries and fault
 //! matching rows back; punctuation recipes that cover a whole segment's key
 //! summary drop it unread (the certified on-disk purge). The design follows
 //! the partially-stateful dataflow model (Noria's upquery/eviction split):

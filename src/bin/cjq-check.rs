@@ -22,13 +22,13 @@
 //! The `replay` subcommand executes a bundled workload (`auction`,
 //! `sensor`, `network`, `trades`) through the hardened runtime and reports
 //! the guard/quarantine statistics — admissions refused by reason and
-//! stream, repairs, load shedding, stalled streams. `--strict` /
+//! stream, repairs, stalled streams. `--strict` /
 //! `--permissive` / `--repair` pick the admission policy (default
 //! permissive = quarantine), `--faults` injects a seeded fault plan
 //! (truncated tuples + dropped punctuations) to exercise the guard,
 //! `--shards N` runs the hash-partitioned executor, `--memory-budget N`
-//! caps live join-state rows (overflow demotes cold rows to on-disk
-//! segments before any shedding), and `--json` renders the statistics
+//! caps live join-state rows (purge, then lossless demotion to on-disk
+//! segments, then a hard error), and `--json` renders the statistics
 //! machine-readably. `--checkpoint-dir D` writes punctuation-aligned
 //! snapshots every `--checkpoint-every N` elements (default 256) under
 //! `D/WORKLOAD`; the `resume` subcommand takes the same flags and restarts
@@ -475,9 +475,8 @@ mod replay {
         eprintln!("                        [--json] WORKLOAD...");
         eprintln!("       cjq-check resume --checkpoint-dir D [replay flags] WORKLOAD...");
         eprintln!("       WORKLOAD: auction | sensor | network | trades");
-        eprintln!("       --memory-budget caps live join-state rows: overflow demotes");
-        eprintln!("       cold rows to on-disk segments (lossless) and sheds only as a");
-        eprintln!("       last resort, with shed rows audited in the report");
+        eprintln!("       --memory-budget caps live join-state rows: purge, then lossless");
+        eprintln!("       demotion of cold rows to on-disk segments, then a hard error");
         eprintln!("       --checkpoint-dir writes punctuation-aligned snapshots every");
         eprintln!("       --checkpoint-every elements (default 256) under D/WORKLOAD;");
         eprintln!("       `resume` restarts from the newest valid snapshot there and");
@@ -618,8 +617,8 @@ mod replay {
             let cfg = ExecConfig {
                 admission: opts.policy,
                 // A memory budget turns on the two-tier ladder: purge, then
-                // lossless demotion to cold segments, then audited shedding.
-                state_budget: opts.memory_budget.map(StateBudget::shedding),
+                // lossless demotion to cold segments, then a hard error.
+                state_budget: opts.memory_budget.map(StateBudget::hard),
                 tiering: opts.memory_budget.map(|_| TierConfig::default()),
                 ..ExecConfig::default()
             };
@@ -714,12 +713,6 @@ mod replay {
             }
         }
         println!("  repaired:         {}", m.repaired);
-        println!(
-            "  rows shed:        {} ({} event{})",
-            m.rows_shed,
-            m.shed_events,
-            if m.shed_events == 1 { "" } else { "s" }
-        );
         println!("  stalled streams:  {:?}", m.stalled_streams);
         println!("  peak join state:  {}", m.peak_join_state);
         if let Some(budget) = opts.memory_budget {
@@ -731,8 +724,6 @@ mod replay {
                 m.segments_written, m.segments_retired
             );
             println!("  peak cold rows:   {}", m.cold_rows);
-            let shed: Vec<String> = m.rows_shed_by_port.iter().map(u64::to_string).collect();
-            println!("  shed by port:     [{}]", shed.join(", "));
         }
         if let Some(dir) = &opts.checkpoint_dir {
             println!(
@@ -787,8 +778,6 @@ mod replay {
             by_stream.join(", ")
         ));
         out.push_str(&format!("    \"repaired\": {},\n", m.repaired));
-        out.push_str(&format!("    \"rows_shed\": {},\n", m.rows_shed));
-        out.push_str(&format!("    \"shed_events\": {},\n", m.shed_events));
         out.push_str(&format!(
             "    \"stalled_streams\": [{}]\n",
             stalled.join(", ")
@@ -810,12 +799,7 @@ mod replay {
             "    \"segments_retired\": {},\n",
             m.segments_retired
         ));
-        out.push_str(&format!("    \"peak_cold_rows\": {},\n", m.cold_rows));
-        let shed: Vec<String> = m.rows_shed_by_port.iter().map(u64::to_string).collect();
-        out.push_str(&format!(
-            "    \"rows_shed_by_port\": [{}]\n",
-            shed.join(", ")
-        ));
+        out.push_str(&format!("    \"peak_cold_rows\": {}\n", m.cold_rows));
         out.push_str("  },\n");
         out.push_str("  \"checkpoint\": {\n");
         out.push_str(&format!(
@@ -888,8 +872,7 @@ mod serve {
         eprintln!("       feed: one tuple per stream per round, punctuations trailing by");
         eprintln!("       --lag rounds (default 2); --rounds controls feed length (default 64)");
         eprintln!("       --memory-budget caps the shared arena: overflow demotes cold rows");
-        eprintln!("       to on-disk segments; shedding never applies to shared state, so");
-        eprintln!("       an unservable budget fails the run instead of losing results");
+        eprintln!("       to on-disk segments; an unservable budget fails the run");
         ExitCode::from(EXIT_PARSE)
     }
 
@@ -1022,9 +1005,8 @@ mod serve {
         }
 
         // Admit each spec; unsafe ones are rejected with their witness but
-        // the session continues with whatever was admitted. Shared state is
-        // never shed (that would silently lose co-tenant results), so a
-        // budgeted registry pairs lossless tiering with a hard-error floor.
+        // the session continues with whatever was admitted. A budgeted
+        // registry pairs lossless tiering with a hard-error floor.
         let cfg = ExecConfig {
             state_budget: opts.memory_budget.map(StateBudget::hard),
             tiering: opts.memory_budget.map(|_| TierConfig::default()),

@@ -21,6 +21,7 @@ use punctuated_cjq::core::plan::Plan;
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::core::schema::AttrId;
 use punctuated_cjq::stream::certify;
+use punctuated_cjq::stream::error::ExecError;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
 use punctuated_cjq::stream::groupby::Aggregate;
 use punctuated_cjq::stream::metrics::Metrics;
@@ -141,7 +142,6 @@ fn assert_equivalent_armed(
         assert_eq!(b.purged, l.purged, "{tag}: purged");
         assert_eq!(b.mirror_purged, l.mirror_purged, "{tag}: mirror_purged");
         assert_eq!(b.purge_cycles, l.purge_cycles, "{tag}: purge_cycles");
-        assert_eq!(b.rows_shed, l.rows_shed, "{tag}: rows_shed");
         assert_eq!(b.rows_demoted, l.rows_demoted, "{tag}: rows_demoted");
         assert_eq!(b.rows_faulted, l.rows_faulted, "{tag}: rows_faulted");
         assert_eq!(b.series, l.series, "{tag}: state-size sample series");
@@ -178,7 +178,6 @@ fn auction_equivalence_across_cadences() {
     for cadence in [
         PurgeCadence::Eager,
         PurgeCadence::Lazy { batch: 16 },
-        PurgeCadence::Adaptive { initial: 64 },
         PurgeCadence::Never,
     ] {
         let cfg = ExecConfig {
@@ -550,8 +549,8 @@ fn assert_flat_and_tree_purge_totals(flat: &Metrics, tree: &Metrics) {
     );
 }
 
-/// Every per-element monitor caps runs at one row, so tiering, load
-/// shedding and bound certificates see the same state at the same clock
+/// Every per-element monitor caps runs at one row, so tiering, the budget
+/// error and bound certificates see the same state at the same clock
 /// positions under every cut.
 #[test]
 fn tiering_budgets_and_certificates_equivalence() {
@@ -572,18 +571,44 @@ fn tiering_budgets_and_certificates_equivalence() {
     for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 16 }] {
         let tiered = ExecConfig {
             cadence,
-            state_budget: Some(StateBudget::shedding(48)),
+            state_budget: Some(StateBudget::hard(48)),
             tiering: Some(TierConfig::default()),
             ..ExecConfig::default()
         };
         let res = assert_batched_equivalent(&query, &schemes, &plan, tiered, &feed);
         assert!(res.metrics.rows_demoted > 0, "the cap must actually demote");
-        let shedding = ExecConfig {
+        // Without the cold tier the same cap is a hard error, raised at the
+        // same clock with the same live count under every cut.
+        let hard = ExecConfig {
             tiering: None,
             ..tiered
         };
-        let res = assert_batched_equivalent(&query, &schemes, &plan, shedding, &feed);
-        assert!(res.metrics.rows_shed > 0, "the cap must actually shed");
+        let build = || Executor::compile(&query, &schemes, &plan, hard).expect("compile");
+        let overrun = |e: ExecError| match e {
+            ExecError::StateBudgetExceeded { live, clock, .. } => (live, clock),
+            other => panic!("expected the budget error, got: {other}"),
+        };
+        let mut exec = build();
+        let mut pushes = feed.elements().iter();
+        let reference = pushes
+            .find_map(|e| exec.try_push(e).err())
+            .map(overrun)
+            .expect("the cap must actually trip");
+        for chunk in [1usize, 7, 256] {
+            let mut exec = build();
+            let mut sink = CollectSink::new();
+            let mut batch = ElementBatch::new();
+            let mut chunks = feed.elements().chunks(chunk);
+            let tripped = chunks.find_map(|elements| {
+                batch.gather(elements);
+                exec.try_push_batch(&batch, &mut sink).err()
+            });
+            assert_eq!(
+                tripped.map(overrun),
+                Some(reference),
+                "push_batch, chunks of {chunk}: (live, clock) of the budget error"
+            );
+        }
     }
 
     // Bound certificates inferred from the feed itself, enforced per element

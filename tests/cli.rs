@@ -269,6 +269,21 @@ fn replay_without_faults_is_clean() {
     assert!(stdout.contains("\"violations\": 0,"), "{stdout}");
 }
 
+/// `--memory-budget` is purge → lossless demotion → hard error: a cap the
+/// cold tier can serve exits 0, and the report carries the tier counters and
+/// no load-shedding key.
+#[test]
+fn replay_memory_budget_is_lossless_or_an_error() {
+    let (stdout, stderr, code) = run_replay(&["--memory-budget", "64", "--json", "auction"]);
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("\"memory_budget\": 64"), "{stdout}");
+    assert!(stdout.contains("\"rows_demoted\""), "{stdout}");
+    assert!(!stdout.contains("shed"), "{stdout}");
+    let (stdout, _, code) = run_replay(&["--memory-budget", "64", "auction"]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(!stdout.contains("shed"), "{stdout}");
+}
+
 #[test]
 fn replay_strict_flag_fails_on_faulted_feeds() {
     // Permissive (the default and via the explicit flag) quarantines and

@@ -5,7 +5,7 @@
 //! far fewer candidate rows.
 //!
 //! Checked over random safe queries and every bundled workload, under
-//! Eager/Lazy/Adaptive cadences and P ∈ {1, 4} shards. The trades workload
+//! Eager/Lazy cadences and P ∈ {1, 4} shards. The trades workload
 //! uses ordered (heartbeat) schemes and so exercises the range-index path.
 
 use proptest::prelude::*;
@@ -147,16 +147,12 @@ fn random_safe_queries_purge_identically() {
         Topology::Cycle,
         Topology::Random { extra_edges: 2 },
     ];
-    let cadences = [
-        PurgeCadence::Eager,
-        PurgeCadence::Lazy { batch: 7 },
-        PurgeCadence::Adaptive { initial: 16 },
-    ];
+    let cadences = [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }];
     proptest!(ProptestConfig::with_cases(16), |(
         seed in 0u64..1000,
         n in 2usize..6,
         topo_ix in 0usize..4,
-        cadence_ix in 0usize..3,
+        cadence_ix in 0usize..2,
     )| {
         let qcfg = RandomQueryConfig {
             n_streams: n,
@@ -200,11 +196,7 @@ fn auction_workload_equivalent_and_examines_fewer_candidates() {
         concurrent: 8,
         ..AuctionConfig::default()
     });
-    for cadence in [
-        PurgeCadence::Eager,
-        PurgeCadence::Lazy { batch: 16 },
-        PurgeCadence::Adaptive { initial: 32 },
-    ] {
+    for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 16 }] {
         let cfg = ExecConfig {
             cadence,
             ..ExecConfig::default()

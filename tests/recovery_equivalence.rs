@@ -425,9 +425,8 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
     };
 
     // A fresh executor's body up to its recorded-output table: clock,
-    // since_purge, adaptive_batch, last_punct (2 streams), stall flags (2),
-    // no port bounds.
-    let exec_to_outputs = [words(&[0, 0, 0, 2, 0, 0, 2]), vec![0, 0, 0]].concat();
+    // since_purge, last_punct (2 streams), stall flags (2), no port bounds.
+    let exec_to_outputs = [words(&[0, 0, 2, 0, 0, 2]), vec![0, 0, 0]].concat();
     // The first mirror port of a fresh engine, after the engine's stream
     // count: item's stride 4, base 0, 0 resident rows.
     let first_port = words(&[2, 4, 0, 0]);

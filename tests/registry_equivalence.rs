@@ -209,6 +209,51 @@ fn sharded_registry_matches_standalones() {
     }
 }
 
+/// Tenants whose derived partitionings disagree: no split serves them all,
+/// so one shard runs the whole feed whatever `P` was requested — per-query
+/// outputs are the sequential registry's (order included) and the element
+/// counters are logical, not `P` replays of the feed.
+#[test]
+fn sharded_registry_without_consensus_matches_sequential() {
+    let mcfg = MultiConfig {
+        queries: 3,
+        overlap: 0.0,
+        rounds: 24,
+        ..MultiConfig::default()
+    };
+    let tenant = multi::generate_queries(&mcfg);
+    let feed = chaos_feed(&multi::generate_feed(&mcfg));
+    let cfg = base_cfg(PurgeCadence::Eager);
+
+    let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
+    for (q, p) in &tenant.queries {
+        reg.try_admit(q, p, None)
+            .expect("generated tenants are admissible");
+    }
+    let seq = reg.try_run(&feed).expect("clean feed");
+    if !chaos() {
+        let tuples = feed.elements().iter().filter(|e| !e.is_punctuation());
+        assert_eq!(seq.metrics.tuples_in, tuples.count() as u64);
+    }
+
+    for shards in [1, 4] {
+        let sharded = ShardedRegistry::compile(&tenant.queries, &tenant.schemes, cfg, shards)
+            .expect("admissible");
+        assert!(
+            !sharded.consensus(),
+            "variant edges change the partitioning"
+        );
+        let par = sharded.try_run(&feed).expect("clean feed");
+        assert!(!par.consensus);
+        for (par_q, seq_q) in par.queries.iter().zip(&seq.queries) {
+            assert_eq!(par_q.outputs, seq_q.outputs, "P={shards}");
+            assert_eq!(par_q.stats.purged, seq_q.stats.purged, "P={shards}");
+        }
+        assert_eq!(par.metrics.tuples_in, seq.metrics.tuples_in, "P={shards}");
+        assert_eq!(par.metrics.puncts_in, seq.metrics.puncts_in, "P={shards}");
+    }
+}
+
 /// Mid-stream admission and retirement, at full overlap (every tenant shares
 /// one node and one set of mirror recipes) and at half (the retiree is the
 /// only holder of its mirror recipes, so its retirement weakens the meet and

@@ -19,9 +19,7 @@ use proptest::prelude::*;
 
 use punctuated_cjq::core::plan::Plan;
 use punctuated_cjq::core::prelude::*;
-use punctuated_cjq::stream::exec::{
-    BudgetPolicy, ExecConfig, Executor, PurgeCadence, RunResult, StateBudget,
-};
+use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
 use punctuated_cjq::stream::parallel::ShardedExecutor;
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tier::TierConfig;
@@ -45,10 +43,7 @@ fn chaos_feed(feed: &Feed) -> Feed {
 
 fn tiered_cfg(base: ExecConfig, budget: usize, tier: TierConfig) -> ExecConfig {
     ExecConfig {
-        state_budget: Some(StateBudget {
-            max_rows: budget,
-            policy: BudgetPolicy::Shed,
-        }),
+        state_budget: Some(StateBudget::hard(budget)),
         tiering: Some(tier),
         ..base
     }
@@ -76,7 +71,7 @@ fn run_pair(
     let tiered = Executor::compile(query, schemes, plan, tiered_cfg(base, budget, tier))
         .expect("compile tiered")
         .try_run(feed)
-        .expect("shed policy never hard-errors");
+        .expect("tiering absorbs all overflow");
     assert_eq!(
         tiered.outputs, flat.outputs,
         "tiered outputs must be byte-identical to the flat run"
@@ -92,7 +87,6 @@ fn run_pair(
         flat.metrics.last().map(|p| p.join_state),
         "final live state must agree after rehydration"
     );
-    assert_eq!(tiered.metrics.rows_shed, 0, "tiering absorbs all overflow");
     (flat, tiered)
 }
 
@@ -123,7 +117,7 @@ fn run_sharded_pair(
         ShardedExecutor::compile(query, schemes, plan, tiered_cfg(base, budget, tier), shards)
             .expect("compile tiered sharded")
             .try_run(feed)
-            .expect("shed policy never hard-errors");
+            .expect("tiering absorbs all overflow");
     assert_eq!(
         sorted(&tiered.outputs),
         sorted(&flat.outputs),
@@ -134,7 +128,6 @@ fn run_sharded_pair(
         tiered.metrics.purged, flat.metrics.purged,
         "P={shards}: purge totals"
     );
-    assert_eq!(tiered.metrics.rows_shed, 0);
 }
 
 const CADENCES: [PurgeCadence; 2] = [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }];
