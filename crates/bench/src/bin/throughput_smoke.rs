@@ -4,7 +4,8 @@
 //! the sharded executor at P ∈ {1, 2}, prints elements/second for each, and
 //! exits nonzero if any path disagrees on the result count. `--quick` shrinks
 //! the workloads so the whole check stays well under a second — the CI mode;
-//! without it the full `BENCH_throughput.json` workload sizes are used.
+//! without it the 2.8k–4.8k-element sizes `BENCH_throughput.json` used before
+//! it moved to the perfbench feeds.
 
 use std::time::Instant;
 

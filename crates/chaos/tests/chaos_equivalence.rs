@@ -185,6 +185,78 @@ fn quarantine_never_loses_result_tuples() {
     }
 }
 
+/// The merged guard counts of a faulted four-shard run, pinned to the numbers
+/// the commit before the `Metrics` field table printed for the same seed
+/// (there `violations_by_stream`, `quarantined_by_reason` and
+/// `quarantined_by_stream` were stored vectors the merge re-derived; now they
+/// are read off the two quarantine matrices). The feed truncates tuples,
+/// delays punctuations, then replays 40 early tuples (violations) and 10
+/// early punctuations: on trades those are regressive heartbeats, broadcast
+/// and refused by each of the four shards (physical, 4 × 10); fig5-keyed and
+/// sensor cover a broadcast stream on the tuple side (logical, counted once).
+#[test]
+fn sharded_guard_counts_match_the_stored_vector_merge() {
+    use cjq_stream::source::Feed;
+    fn trimmed(v: &[u64]) -> &[u64] {
+        let len = v.iter().rposition(|&n| n != 0).map_or(0, |i| i + 1);
+        &v[..len]
+    }
+    // (workload, quarantined, violations by stream, by reason, by stream)
+    type Pinned = (
+        &'static str,
+        u64,
+        &'static [u64],
+        &'static [u64],
+        &'static [u64],
+    );
+    let pinned: [Pinned; 5] = [
+        ("auction", 101, &[8, 32], &[40, 61], &[17, 84]),
+        ("sensor", 117, &[27, 9, 4], &[40, 77], &[79, 22, 16]),
+        ("network", 115, &[23, 17], &[40, 75], &[68, 47]),
+        ("trades", 163, &[16, 24], &[40, 83, 0, 40], &[69, 94]),
+        ("fig5-keyed", 66, &[14, 13, 13], &[40, 26], &[20, 22, 24]),
+    ];
+    for (w, (name, quarantined, by_violation, by_reason, by_stream)) in
+        bundled_workloads().iter().zip(pinned)
+    {
+        assert_eq!(w.name, name);
+        let faulted = FaultPlan::new(SEED)
+            .with(Fault::TruncateTuples { prob: 0.15 })
+            .with(Fault::DelayPunctuations { prob: 0.5, by: 7 })
+            .apply(&w.feed);
+        let early = |puncts: bool, n: usize| {
+            let of_kind = w
+                .feed
+                .elements()
+                .iter()
+                .filter(move |e| e.is_punctuation() == puncts);
+            of_kind.take(n).cloned()
+        };
+        let mut elements = faulted.elements().to_vec();
+        elements.extend(early(false, 40));
+        elements.extend(early(true, 10));
+        let feed = Feed::from_elements(elements);
+        let m = run_sharded(w, &feed, cfg_with(PurgeCadence::Eager), SHARDS).metrics;
+        assert_eq!(m.quarantined, quarantined, "[{name}] quarantined");
+        assert_eq!(m.violations, 40, "[{name}] violations");
+        assert_eq!(
+            trimmed(&m.violations_by_stream()),
+            by_violation,
+            "[{name}] violations by stream"
+        );
+        assert_eq!(
+            trimmed(&m.quarantined_by_reason()),
+            by_reason,
+            "[{name}] quarantined by reason"
+        );
+        assert_eq!(
+            trimmed(&m.quarantined_by_stream()),
+            by_stream,
+            "[{name}] quarantined by stream"
+        );
+    }
+}
+
 /// Dead-letter capture: every quarantined element shows up in the attached
 /// dead-letter sink, rows tagged with the reason code and source stream.
 #[test]

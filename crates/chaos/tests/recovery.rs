@@ -269,7 +269,7 @@ fn earlier_format_versions_are_refused_not_misdecoded() {
     }
     let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
     let earlier = 1..cjq_stream::checkpoint::VERSION;
-    assert!(earlier.contains(&6), "version 6 frames are earlier frames");
+    assert!(earlier.contains(&7), "version 7 frames are earlier frames");
     for previous in earlier {
         for (_, path) in list_snapshots(&dir) {
             let mut frame = std::fs::read(&path).expect("snapshot exists");

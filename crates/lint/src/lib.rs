@@ -251,11 +251,17 @@ impl LintReport {
         render::text(self)
     }
 
-    /// Renders the report as a JSON document (what `cjq-check lint --json`
-    /// prints).
+    /// The report as a JSON value (`cjq-check lint --json` prints it, with
+    /// the chosen plan put in front under `--plan`).
+    #[must_use]
+    pub fn to_json(&self) -> json::Json {
+        render::json(self)
+    }
+
+    /// Renders the report as a JSON document.
     #[must_use]
     pub fn render_json(&self) -> String {
-        render::json(self)
+        self.to_json().render() + "\n"
     }
 }
 

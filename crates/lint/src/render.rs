@@ -2,11 +2,11 @@
 //!
 //! Text follows the familiar `severity[CODE]: message` compiler-diagnostic
 //! shape with indented `= `-prefixed detail lines; JSON is a small fixed
-//! schema written by hand (see [`crate::json`]).
+//! schema built as a [`Json`] value (see [`crate::json`]).
 
 use std::fmt::Write as _;
 
-use crate::json::{string, string_array};
+use crate::json::Json;
 use crate::{LintReport, Severity};
 
 pub(crate) fn text(report: &LintReport) -> String {
@@ -45,42 +45,30 @@ pub(crate) fn text(report: &LintReport) -> String {
     out
 }
 
-pub(crate) fn json(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"safe\": {},", report.safe);
-    let _ = writeln!(out, "  \"errors\": {},", report.error_count());
-    let _ = writeln!(out, "  \"warnings\": {},", report.warning_count());
-    let _ = writeln!(out, "  \"infos\": {},", report.info_count());
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"code\": {},", string(d.code.as_str()));
-        let _ = writeln!(out, "      \"name\": {},", string(d.code.name()));
-        let _ = writeln!(
-            out,
-            "      \"severity\": {},",
-            string(d.severity().as_str())
-        );
-        let _ = writeln!(out, "      \"message\": {},", string(&d.message));
-        let _ = write!(out, "      \"notes\": {}", string_array(&d.notes));
+pub(crate) fn json(report: &LintReport) -> Json {
+    let diagnostics = report.diagnostics.iter().map(|d| {
+        let mut fields = vec![
+            ("code", Json::from(d.code.as_str())),
+            ("name", Json::from(d.code.name())),
+            ("severity", Json::from(d.severity().as_str())),
+            ("message", Json::from(&d.message)),
+            ("notes", Json::array(&d.notes)),
+        ];
         if let Some(s) = &d.suggestion {
-            out.push_str(",\n      \"suggestion\": {\n");
-            let _ = writeln!(out, "        \"summary\": {},", string(&s.summary));
-            let _ = writeln!(out, "        \"add\": {},", string_array(&s.add));
-            let _ = writeln!(out, "        \"remove\": {}", string_array(&s.remove));
-            out.push_str("      }\n");
-        } else {
-            out.push('\n');
+            let suggestion = Json::object([
+                ("summary", Json::from(&s.summary)),
+                ("add", Json::array(&s.add)),
+                ("remove", Json::array(&s.remove)),
+            ]);
+            fields.push(("suggestion", suggestion));
         }
-        out.push_str("    }");
-    }
-    out.push_str(if report.diagnostics.is_empty() {
-        "]\n"
-    } else {
-        "\n  ]\n"
+        Json::object(fields)
     });
-    out.push_str("}\n");
-    out
+    Json::object([
+        ("safe", Json::from(report.safe)),
+        ("errors", Json::from(report.error_count())),
+        ("warnings", Json::from(report.warning_count())),
+        ("infos", Json::from(report.info_count())),
+        ("diagnostics", Json::Array(diagnostics.collect())),
+    ])
 }

@@ -46,7 +46,7 @@ use cjq_core::value::Value;
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"CJQS";
 /// Snapshot format version.
-pub const VERSION: u32 = 7;
+pub const VERSION: u32 = 8;
 /// File-frame header length: magic + version + payload len + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8;
 
@@ -181,34 +181,11 @@ impl Enc {
         }
     }
 
-    /// Appends an `Option<Value>`.
-    pub fn opt_value(&mut self, v: Option<&Value>) {
-        match v {
-            None => self.bool(false),
-            Some(v) => {
-                self.bool(true);
-                self.value(v);
-            }
-        }
-    }
-
     /// Appends a length-prefixed `u64` slice.
     pub fn u64s(&mut self, vs: &[u64]) {
         self.u64(vs.len() as u64);
         for &v in vs {
             self.u64(v);
-        }
-    }
-
-    /// Appends length-prefixed value rows (recorded outputs): the row count,
-    /// then each row as its width and its values.
-    pub(crate) fn rows(&mut self, rows: &[Vec<Value>]) {
-        self.usize(rows.len());
-        for row in rows {
-            self.usize(row.len());
-            for v in row {
-                self.value(v);
-            }
         }
     }
 
@@ -317,6 +294,12 @@ impl<'a> Dec<'a> {
         }
     }
 
+    /// Reads a list whose length the compile fixes (see [`Dec::count_of`]).
+    pub(crate) fn counted<T: Codec>(&mut self, what: &str, ours: usize) -> SnapshotResult<Vec<T>> {
+        let n = self.count_of(what, ours)?;
+        (0..n).map(|_| T::dec(self)).collect()
+    }
+
     /// Reads a length prefix and checks it with [`Dec::fits`].
     pub(crate) fn len_prefix(&mut self, min_bytes: usize) -> SnapshotResult<usize> {
         let n = self.usize()?;
@@ -350,34 +333,10 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// Reads an `Option<Value>`.
-    pub fn opt_value(&mut self) -> SnapshotResult<Option<Value>> {
-        if self.bool()? {
-            Ok(Some(self.value()?))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Reads a length-prefixed `u64` vector.
     pub fn u64s(&mut self) -> SnapshotResult<Vec<u64>> {
         let n = self.len_prefix(8)?;
         (0..n).map(|_| self.u64()).collect()
-    }
-
-    /// Reads rows written by [`Enc::rows`].
-    pub(crate) fn rows(&mut self) -> SnapshotResult<Vec<Vec<Value>>> {
-        let n = self.len_prefix(8)?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let w = self.len_prefix(1)?;
-            let mut row = Vec::with_capacity(w);
-            for _ in 0..w {
-                row.push(self.value()?);
-            }
-            rows.push(row);
-        }
-        Ok(rows)
     }
 
     /// Reads one [`Punctuation`].
@@ -405,6 +364,62 @@ impl<'a> Dec<'a> {
                 self.buf.len() - self.pos
             )))
         }
+    }
+}
+
+/// A type with one snapshot encoding, so that options, lists and lists of
+/// lists of it need none of their own.
+pub(crate) trait Codec: Sized {
+    fn enc(&self, e: &mut Enc);
+    fn dec(d: &mut Dec<'_>) -> SnapshotResult<Self>;
+}
+
+macro_rules! word_codecs {
+    ($($t:ident),+) => {$(
+        impl Codec for $t {
+            fn enc(&self, e: &mut Enc) {
+                e.$t(*self);
+            }
+            fn dec(d: &mut Dec<'_>) -> SnapshotResult<Self> {
+                d.$t()
+            }
+        }
+    )+};
+}
+word_codecs!(bool, u64, usize, u128);
+
+impl Codec for Value {
+    fn enc(&self, e: &mut Enc) {
+        e.value(self);
+    }
+    fn dec(d: &mut Dec<'_>) -> SnapshotResult<Self> {
+        d.value()
+    }
+}
+
+/// A presence byte, then the value.
+impl<T: Codec> Codec for Option<T> {
+    fn enc(&self, e: &mut Enc) {
+        e.bool(self.is_some());
+        if let Some(v) = self {
+            v.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec<'_>) -> SnapshotResult<Self> {
+        Ok(if d.bool()? { Some(T::dec(d)?) } else { None })
+    }
+}
+
+/// A length word, then the elements. The length is checked against the bytes
+/// left before anything is allocated for it.
+impl<T: Codec> Codec for Vec<T> {
+    fn enc(&self, e: &mut Enc) {
+        e.usize(self.len());
+        self.iter().for_each(|v| v.enc(e));
+    }
+    fn dec(d: &mut Dec<'_>) -> SnapshotResult<Self> {
+        let n = d.len_prefix(1)?;
+        (0..n).map(|_| T::dec(d)).collect()
     }
 }
 
@@ -727,9 +742,10 @@ mod tests {
         e.value(&Value::Bool(false));
         e.value(&Value::Int(-7));
         e.value(&Value::str("sym"));
-        e.opt_value(None);
-        e.opt_value(Some(&Value::Int(5)));
+        None::<Value>.enc(&mut e);
+        Some(Value::Int(5)).enc(&mut e);
         e.u64s(&[1, 2, 3]);
+        vec![vec![Value::Int(1)], vec![]].enc(&mut e);
         e.punct(&Punctuation {
             stream: StreamId(2),
             patterns: vec![
@@ -750,9 +766,11 @@ mod tests {
         assert_eq!(d.value().unwrap(), Value::Bool(false));
         assert_eq!(d.value().unwrap(), Value::Int(-7));
         assert_eq!(d.value().unwrap(), Value::str("sym"));
-        assert_eq!(d.opt_value().unwrap(), None);
-        assert_eq!(d.opt_value().unwrap(), Some(Value::Int(5)));
+        assert_eq!(Option::<Value>::dec(&mut d).unwrap(), None);
+        assert_eq!(Codec::dec(&mut d), Ok(Some(Value::Int(5))));
         assert_eq!(d.u64s().unwrap(), vec![1, 2, 3]);
+        let rows: Vec<Vec<Value>> = Codec::dec(&mut d).unwrap();
+        assert_eq!(rows, vec![vec![Value::Int(1)], vec![]]);
         let p = d.punct().unwrap();
         assert_eq!(p.stream, StreamId(2));
         assert_eq!(p.patterns.len(), 3);

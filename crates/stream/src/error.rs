@@ -21,9 +21,10 @@ pub type ExecResult<T> = Result<T, ExecError>;
 
 /// An execution failure with enough context to act on it.
 ///
-/// After a `try_*` call returns an error the executor is poisoned: the
-/// element that failed was only partially applied, so the instance must be
-/// discarded (exactly like the panicking paths, minus the unwinding).
+/// After a `try_*` push returns an error the engine is *failed*: the element
+/// that raised it was only partly applied, so every later push and checkpoint
+/// commit returns a clone of that first error (the `Failed` state of the
+/// shared pipeline; `finish` still reports what was counted).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// An element failed admission under [`crate::guard::AdmissionPolicy::Strict`].

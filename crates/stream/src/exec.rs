@@ -20,7 +20,7 @@ use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
 use crate::checkpoint::{
-    CheckpointStore, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
+    CheckpointStore, Codec, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
 };
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
@@ -28,7 +28,7 @@ use crate::groupby::{Aggregate, GroupBy};
 use crate::guard::{AdmissionGuard, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
-use crate::pipeline::{Core, Pipeline, Run};
+use crate::pipeline::{Checkpointed, Core, Pipeline, Run, Snapshot};
 use crate::purge::{PurgeEngine, PurgeScope, PurgeStrategy};
 use crate::sink::{CollectSink, CountSink, OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
@@ -489,8 +489,9 @@ impl Executor {
     /// Fallible [`Executor::push`]: admission refusals under
     /// [`AdmissionPolicy::Strict`], unroutable streams, and watchdog overruns
     /// under [`BudgetPolicy::HardError`] come back as [`ExecError`]s. After
-    /// an error the executor is poisoned (the element was partially applied)
-    /// and must be discarded. Root results go to the executor's own sink.
+    /// an error the executor is failed (the element was partially applied):
+    /// every later push and checkpoint commit returns that first error again.
+    /// Root results go to the executor's own sink.
     pub fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
         self.push_timed(element)
     }
@@ -768,13 +769,63 @@ impl Executor {
     }
 }
 
+impl Snapshot for Executor {
+    const KIND: SnapshotKind = SnapshotKind::Exec;
+
+    fn fingerprint(&self) -> u64 {
+        Executor::fingerprint(self)
+    }
+
+    /// Serializes every piece of state a push mutates — the snapshot a fresh
+    /// compile of the same inputs can overlay to resume byte-identically
+    /// (also each shard's sub-snapshot in a
+    /// [`ShardedExecutor`](crate::parallel::ShardedExecutor) frame).
+    fn write_snapshot(&self, e: &mut Enc) {
+        self.core.write_pacing(e);
+        self.last_punct.enc(e);
+        self.stall_flagged.enc(e);
+        self.port_bounds.enc(e);
+        self.outputs.enc(e);
+        self.core.metrics.write_state(e);
+        self.engine.write_state(e);
+        for op in &self.ops {
+            op.write_state(e);
+        }
+    }
+
+    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+        self.core.read_pacing(d)?;
+        self.last_punct = d.counted("streams", self.last_punct.len())?;
+        self.stall_flagged = d.counted("streams", self.stall_flagged.len())?;
+        let n_ports = self.ops.iter().map(|op| op.port_spans().len()).sum();
+        self.port_bounds = match d.bool()? {
+            true => Some(d.counted("bounded ports", n_ports)?),
+            false => None,
+        };
+        self.outputs = Codec::dec(d)?;
+        self.core.metrics = Metrics::read_state(d)?;
+        self.engine.read_state(d)?;
+        let spill = &mut self.core.spill;
+        for (i, op) in self.ops.iter_mut().enumerate() {
+            op.read_state(d, spill, i)?;
+        }
+        Ok(())
+    }
+
+    fn not_checkpointable(&self) -> Option<&'static str> {
+        self.groupby.as_ref().map(|_| {
+            "group-by stages are not checkpointable: open-group state is not \
+             serialized"
+        })
+    }
+}
+
 /// What separates the executor from the shared pipeline: a tree cascade with
 /// one caller-supplied sink, one recipe set for the mirror, and the
 /// single-query monitors (window, port bounds, stall detector, group-by
 /// delivery).
 impl Pipeline for Executor {
     type Sink<'s> = dyn ResultSink + 's;
-    const KIND: SnapshotKind = SnapshotKind::Exec;
 
     fn core(&self) -> &Core {
         &self.core
@@ -872,82 +923,6 @@ impl Pipeline for Executor {
         if self.core.cfg.purge_punctuations {
             self.engine.purge_punctuations(&self.query);
         }
-    }
-
-    fn fingerprint(&self) -> u64 {
-        Executor::fingerprint(self)
-    }
-
-    /// Serializes every piece of state a push mutates — the snapshot a fresh
-    /// compile of the same inputs can overlay to resume byte-identically
-    /// (also each shard's sub-snapshot in a
-    /// [`ShardedExecutor`](crate::parallel::ShardedExecutor) frame).
-    fn write_snapshot(&self, e: &mut Enc) {
-        self.core.write_pacing(e);
-        e.u64s(&self.last_punct);
-        e.usize(self.stall_flagged.len());
-        for &b in &self.stall_flagged {
-            e.bool(b);
-        }
-        match &self.port_bounds {
-            Some(bounds) => {
-                e.bool(true);
-                e.usize(bounds.len());
-                for b in bounds {
-                    match b {
-                        Some(v) => {
-                            e.bool(true);
-                            e.u64(*v);
-                        }
-                        None => e.bool(false),
-                    }
-                }
-            }
-            None => e.bool(false),
-        }
-        e.rows(&self.outputs);
-        self.core.metrics.write_state(e);
-        self.engine.write_state(e);
-        for op in &self.ops {
-            op.write_state(e);
-        }
-    }
-
-    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
-        self.core.read_pacing(d)?;
-        d.count_of("streams", self.last_punct.len())?;
-        for at in &mut self.last_punct {
-            *at = d.u64()?;
-        }
-        d.count_of("streams", self.stall_flagged.len())?;
-        for f in &mut self.stall_flagged {
-            *f = d.bool()?;
-        }
-        self.port_bounds = if d.bool()? {
-            let n = d.len_prefix(1)?;
-            let mut bounds = Vec::with_capacity(n);
-            for _ in 0..n {
-                bounds.push(if d.bool()? { Some(d.u64()?) } else { None });
-            }
-            Some(bounds)
-        } else {
-            None
-        };
-        self.outputs = d.rows()?;
-        self.core.metrics = Metrics::read_state(d)?;
-        self.engine.read_state(d)?;
-        let spill = &mut self.core.spill;
-        for (i, op) in self.ops.iter_mut().enumerate() {
-            op.read_state(d, spill, i)?;
-        }
-        Ok(())
-    }
-
-    fn not_checkpointable(&self) -> Option<&'static str> {
-        self.groupby.as_ref().map(|_| {
-            "group-by stages are not checkpointable: open-group state is not \
-             serialized"
-        })
     }
 
     /// Stall detector: a punctuation on `stream` clears its flag (so
@@ -1473,27 +1448,50 @@ mod tests {
         assert!(res.metrics.peak_join_state >= 20);
     }
 
-    /// An element refused exactly where a sample was due skips the sampling
-    /// step; the series must pick up again (and the run cap not underflow).
+    /// The `Failed` state: once a push returned an error the engine holds a
+    /// half-applied element, so an executor and a registry alike refuse every
+    /// later push — of a valid element too — and every commit with that first
+    /// error, and nothing reaches the checkpoint directory.
     #[test]
-    fn sampling_survives_an_error_at_a_sample_position() {
+    fn a_failed_engine_refuses_pushes_and_commits_with_the_first_error() {
+        use crate::checkpoint::{list_snapshots, CheckpointStore, InputCursor};
+        use crate::registry::QueryRegistry;
+
         let (q, r) = fixtures::auction();
+        let plan = Plan::mjoin_all(&q);
         let cfg = ExecConfig {
-            sample_every: 4,
             admission: AdmissionPolicy::Strict,
             ..ExecConfig::default()
         };
-        let mut exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
-        for e in [item(1), bid(1, 1), bid_close(1)] {
-            exec.try_push(&e).unwrap();
-        }
-        // The fourth element breaks bid's promise: refused at clock 4.
-        assert!(exec.try_push(&bid(1, 2)).is_err());
-        for i in 2..6 {
-            exec.try_push(&item(i)).unwrap();
-        }
-        let sampled: Vec<u64> = exec.finish().metrics.series.iter().map(|p| p.at).collect();
-        assert!(sampled.contains(&5) && sampled.contains(&8), "{sampled:?}");
+        let dir = std::env::temp_dir().join(format!("cjq-failed-state-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = CheckpointStore::open(&dir, 1).unwrap();
+        let mut cursor = InputCursor::zero(q.n_streams());
+        // The fourth element breaks bid's promise.
+        let prefix = [item(1), bid(1, 1), bid_close(1)];
+
+        let mut exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
+        prefix.iter().for_each(|e| exec.try_push(e).unwrap());
+        let first = exec.try_push(&bid(1, 2)).unwrap_err();
+        assert!(matches!(first, ExecError::Admission { clock: 4, .. }));
+        assert_eq!(exec.try_push(&item(2)), Err(first.clone()));
+        let pushed = exec.push_checkpointed(&item_unique(2), &mut store, &mut cursor);
+        assert_eq!(pushed, Err(first.clone()));
+        assert_eq!(exec.commit_checkpoint(&mut store, &cursor), Err(first));
+
+        let mut reg = QueryRegistry::new(r.clone(), cfg);
+        reg.admit(&q, &plan);
+        prefix.iter().for_each(|e| reg.try_push(e).unwrap());
+        let first = reg.try_push(&bid(1, 2)).unwrap_err();
+        assert!(matches!(first, ExecError::Admission { clock: 4, .. }));
+        assert_eq!(reg.try_push(&item(2)), Err(first.clone()));
+        let mut batch = ElementBatch::new();
+        batch.gather(&prefix);
+        assert_eq!(reg.try_push_batch(&batch), Err(first.clone()));
+        assert_eq!(reg.commit_checkpoint(&mut store, &cursor), Err(first));
+
+        assert!(list_snapshots(&dir).is_empty(), "nothing was committed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

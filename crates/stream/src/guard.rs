@@ -86,12 +86,12 @@ pub enum AdmissionFault {
 }
 
 impl AdmissionFault {
-    /// Number of distinct reason codes (the length of
-    /// `Metrics::quarantined_by_reason` once every reason occurred).
+    /// Number of distinct reason codes (the width of the `Metrics`
+    /// quarantine matrices and of `Metrics::quarantined_by_reason`).
     pub const REASONS: usize = 4;
 
-    /// Stable small-integer reason code (dead-letter rows lead with it;
-    /// `Metrics::quarantined_by_reason` is indexed by it).
+    /// Stable small-integer reason code (dead-letter rows lead with it; the
+    /// `Metrics` quarantine matrices' columns are indexed by it).
     #[must_use]
     pub fn code(&self) -> usize {
         match self {

@@ -39,22 +39,24 @@ struct CrossPred {
 /// bound column)` predicate triples connecting it to the already-bound set.
 type ProbeStep = (usize, Vec<(usize, usize, usize)>);
 
-/// Counters of one operator's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OperatorStats {
-    /// Tuples received across all ports.
-    pub tuples_in: u64,
-    /// Result tuples emitted.
-    pub outputs: u64,
-    /// Stored tuples purged.
-    pub purged: u64,
-    /// Candidates examined but kept by the *most recent* purge pass (a
-    /// snapshot, not a running sum: accumulating it across Eager passes
-    /// re-counts every surviving tuple per pass and means nothing).
-    pub kept: u64,
-    /// Cumulative purge-pass candidate checks across all passes. With
-    /// [`PurgeStrategy::Indexed`] this stays far below `passes × live`.
-    pub scan_candidates: u64,
+crate::metrics::facts! {
+    /// Counters of one operator's activity.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OperatorStats {
+        /// Tuples received across all ports.
+        pub tuples_in: u64,
+        /// Result tuples emitted.
+        pub outputs: u64,
+        /// Stored tuples purged.
+        pub purged: u64,
+        /// Candidates examined but kept by the *most recent* purge pass (a
+        /// snapshot, not a running sum: accumulating it across Eager passes
+        /// re-counts every surviving tuple per pass and means nothing).
+        pub kept: u64,
+        /// Cumulative purge-pass candidate checks across all passes. With
+        /// [`PurgeStrategy::Indexed`] this stays far below `passes × live`.
+        pub scan_candidates: u64,
+    }
 }
 
 /// An n-ary symmetric join operator.
@@ -362,7 +364,7 @@ impl JoinOperator {
     pub(crate) fn tier_stats(&self) -> TierStats {
         let mut t = TierStats::default();
         for tier in self.tiers.iter().flatten() {
-            t.add(&tier.stats);
+            t.merge_from(&tier.stats);
         }
         t
     }
@@ -539,11 +541,7 @@ impl JoinOperator {
                 None => e.bool(false),
             }
         }
-        e.u64(self.stats.tuples_in);
-        e.u64(self.stats.outputs);
-        e.u64(self.stats.purged);
-        e.u64(self.stats.kept);
-        e.u64(self.stats.scan_candidates);
+        self.stats.write_state(e);
         e.bool(self.tiering_enabled());
         for tier in self.tiers.iter().flatten() {
             tier.write_state(e);
@@ -575,13 +573,7 @@ impl JoinOperator {
                 }
             }
         }
-        self.stats = OperatorStats {
-            tuples_in: d.u64()?,
-            outputs: d.u64()?,
-            purged: d.u64()?,
-            kept: d.u64()?,
-            scan_candidates: d.u64()?,
-        };
+        self.stats = OperatorStats::read_state(d)?;
         let tiered = d.bool()?;
         if tiered != self.tiering_enabled() {
             return Err(SnapshotError(format!(

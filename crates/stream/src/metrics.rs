@@ -3,157 +3,363 @@
 //! The paper's safety notion is about *bounded join state*; the metrics make
 //! that observable: a safe execution shows a flat (sawtooth) join-state
 //! curve, an unsafe one grows linearly with the stream length.
+//!
+//! Every record here is declared **once**, as a `facts!` table: one row per
+//! field with its doc comment, name, type and — where shards fold — its merge
+//! rule. The struct, the snapshot codec (`write_state`/`read_state`, in table
+//! order), `merge_from` and the `fields()` visitor the CLI reports walk are
+//! generated from the table, so adding a counter is one row plus its
+//! increment site. The crate's other counter records (`QueryStats`,
+//! `OperatorStats`, `TierStats`) are declared the same way.
 
-/// One sample of the executor's state sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatePoint {
-    /// Sequence time (elements processed so far).
-    pub at: u64,
-    /// Total live tuples across all operator join states (the paper's `Υ`).
-    pub join_state: usize,
-    /// Live raw tuples the purge engine's mirror holds (0 where none is read).
-    pub mirror: usize,
-    /// Punctuation-store entries.
-    pub punct_entries: usize,
-    /// Open (blocked) groups in the aggregation stage, if any.
-    pub groups: usize,
-    /// Rows resident in the cold (spilled) tier, if tiering is enabled.
-    pub cold: usize,
+use crate::checkpoint::{Codec, Dec, Enc, SnapshotResult};
+use crate::guard::AdmissionFault;
+
+/// One field of a table-declared record, as its `fields()` visitor yields it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldValue<'a> {
+    /// A counter, peak or clock.
+    Int(u128),
+    /// A clock that may not have struck.
+    Opt(Option<u64>),
+    /// Per-stream, per-port or matrix cells.
+    List(Vec<u128>),
+    /// The sample series.
+    Series(&'a [StatePoint]),
 }
 
-/// Aggregated metrics of one execution.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    /// Periodic samples, in time order.
-    pub series: Vec<StatePoint>,
-    /// Peak total join-state size. In a sharded run the merge *sums* shard
-    /// peaks — shard states are concurrent, so this is the peak *physical*
-    /// footprint across the fleet, which can overstate the logical peak of
-    /// an equivalent sequential run (shards rarely peak at the same instant,
-    /// and broadcast state is replicated per shard). See
-    /// [`Metrics::peak_join_state_max_shard`] for the max-merged companion.
-    pub peak_join_state: usize,
-    /// Peak join-state size of the *largest single shard* (max-merged; in a
-    /// sequential run identical to [`Metrics::peak_join_state`]). This is
-    /// the right field to compare against per-shard capacity or a static
-    /// per-port bound: each shard holds a subset of the logical state, so
-    /// `max_shard ≤ logical peak ≤` summed [`Metrics::peak_join_state`].
-    pub peak_join_state_max_shard: usize,
-    /// Peak live rows per operator port, flattened op-major in bottom-up
-    /// operator order (grown on demand; updated on every sample and whenever
-    /// bound certificates are checked).
-    /// Merged elementwise by **max** across shards: a shard's port holds a
-    /// subset of the logical port state, so the merged value is a lower
-    /// bound on the logical per-port peak and observed ≤ static-bound
-    /// certificates remain sound after merging.
-    pub peak_port_rows: Vec<usize>,
-    /// Peak held-mirror size.
-    pub peak_mirror: usize,
-    /// Peak punctuation-store size.
-    pub peak_punct_entries: usize,
-    /// Data tuples consumed.
-    pub tuples_in: u64,
-    /// Punctuations consumed.
-    pub puncts_in: u64,
-    /// Feed tuples rejected for violating an earlier punctuation.
-    pub violations: u64,
-    /// Violations broken down by stream (indexed by `StreamId.0`; grown on
-    /// demand). The sharded executor needs the per-stream split: broadcast
-    /// streams see every violation in every shard, partitioned streams see
-    /// each violation exactly once.
-    pub violations_by_stream: Vec<u64>,
-    /// Final result tuples emitted by the root operator.
-    pub outputs: u64,
-    /// Aggregate rows emitted by the group-by stage.
-    pub aggregates_out: u64,
-    /// Join-state tuples purged across all operators.
-    pub purged: u64,
-    /// Held raw mirror tuples purged.
-    pub mirror_purged: u64,
-    /// Punctuation-store entries dropped (lifespans + §5.1 purging).
-    pub punct_dropped: u64,
-    /// Number of purge cycles run.
-    pub purge_cycles: u64,
-    /// Candidate rows examined by purge passes (operator ports + mirror).
-    /// Under `PurgeStrategy::FullScan` this is Σ live-state-per-cycle; under
-    /// `Indexed` it shrinks to the punctuation-delta-proportional candidate
-    /// count — the purge engine's asymptotic win, compared against `purged`.
-    pub purge_candidates_examined: u64,
-    /// Micro-batches pushed (one per `Executor::push_batch` call; one-element
-    /// `Executor::push` calls are not counted).
-    pub batches_processed: u64,
-    /// Join-index probe lookups saved by within-run probe-key deduplication:
-    /// for every run of consecutive same-port tuples, the probed index is hit
-    /// once per *distinct* depth-0 key instead of once per tuple. Compare
-    /// against `tuples_in` to see batching effectiveness.
-    pub probe_keys_deduped: u64,
-    /// Intermediate composite rows materialized between join operators: every
-    /// row a non-root operator emits and forwards into its parent's port.
-    /// The flat MJoin keeps this at 0 — on cyclic queries a tree plan's count
-    /// is exactly the work it wastes on partial combinations that never
-    /// close.
-    pub intermediate_rows: u64,
-    /// Rows re-checked by the runtime certificate verifier (fast purge check
-    /// vs. explaining oracle; see `crate::certify`). Stays 0 unless
-    /// `ExecConfig::verify_certificates` is on.
-    pub certificate_checks: u64,
-    /// Elements refused by the admission guard under
-    /// `AdmissionPolicy::Quarantine` (routed to the dead-letter sink when one
-    /// is attached). Violating tuples are counted here *and* in
-    /// `violations` — the latter is the legacy per-stream feed-consistency
-    /// counter, this is the guard's disposition counter.
-    pub quarantined: u64,
-    /// Quarantined elements broken down by `AdmissionFault::code()` (grown on
-    /// demand).
-    pub quarantined_by_reason: Vec<u64>,
-    /// Quarantined elements broken down by stream (indexed by `StreamId.0`;
-    /// grown on demand).
-    pub quarantined_by_stream: Vec<u64>,
-    /// Quarantined *tuples* as a stream-major matrix with
-    /// [`AdmissionFault::REASONS`](crate::guard::AdmissionFault::REASONS)
-    /// columns (grown on demand, whole rows at a time). The sharded merge
-    /// needs the tuple-side `(stream, reason)` split: tuple quarantines merge
-    /// logically like `violations_by_stream` (each tuple of a partitioned
-    /// stream is routed — and refused — exactly once; broadcast streams
-    /// replay identically in every shard), while punctuation-side
-    /// quarantines (`quarantined_by_*` minus these rows) stay physical
-    /// per-shard counts.
-    pub quarantined_rows: Vec<u64>,
-    /// Elements repaired in place under `AdmissionPolicy::Repair` (clamped
-    /// regressive bounds, deduplicated punctuations).
-    pub repaired: u64,
-    /// Rows demoted from the hot arena into cold-tier segments.
-    pub rows_demoted: u64,
-    /// Cold rows faulted back into the hot arena (demand faults at probe
-    /// time plus finish-time rehydration).
-    pub rows_faulted: u64,
-    /// Cold-tier segments written to disk.
-    pub segments_written: u64,
-    /// Cold-tier segments removed: certified-dropped by a covering
-    /// punctuation recipe, fully drained by fault-back, or rehydrated at
-    /// finish.
-    pub segments_retired: u64,
-    /// Peak cold-tier resident rows (tracked with the sample series, like
-    /// the hot-state peaks).
-    pub cold_rows: usize,
-    /// Streams currently flagged by the stall detector: punctuations stopped
-    /// arriving for longer than `ExecConfig::stall_budget` elements (sorted,
-    /// deduped; a stream is unflagged when a punctuation shows up again).
-    pub stalled_streams: Vec<usize>,
-    /// Checkpoint snapshots committed by this run (see `crate::checkpoint`).
-    pub checkpoints_written: u64,
-    /// Live state rows (hot + mirror + cold) serialized across all committed
-    /// checkpoints.
-    pub checkpoint_rows: u64,
-    /// Times this executor's state was rebuilt from a snapshot (0 on a
-    /// from-scratch run, 1 after a resume).
-    pub restores: u64,
-    /// Snapshots skipped during restore because their frame or checksum
-    /// failed validation — nonzero means the latest snapshot was torn or
-    /// corrupted and recovery fell back to an older cut.
-    pub snapshot_fallbacks: u64,
-    /// Wall-clock processing time in nanoseconds (push calls only).
-    pub elapsed_ns: u128,
+/// A field type the tables can hold: its codec and its reported value.
+pub(crate) trait Fact: Codec {
+    fn value(&self) -> FieldValue<'_>;
+}
+
+macro_rules! int_facts {
+    ($($t:ident),+) => {$(
+        impl Fact for $t {
+            fn value(&self) -> FieldValue<'_> {
+                FieldValue::Int(*self as u128)
+            }
+        }
+        impl Fact for Vec<$t> {
+            fn value(&self) -> FieldValue<'_> {
+                FieldValue::List(self.iter().map(|&v| v as u128).collect())
+            }
+        }
+    )+};
+}
+int_facts!(u64, usize, u128);
+
+impl Fact for Option<u64> {
+    fn value(&self) -> FieldValue<'_> {
+        FieldValue::Opt(*self)
+    }
+}
+
+impl Codec for StatePoint {
+    fn enc(&self, e: &mut Enc) {
+        self.write_state(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> SnapshotResult<Self> {
+        StatePoint::read_state(d)
+    }
+}
+
+impl Fact for Vec<StatePoint> {
+    fn value(&self) -> FieldValue<'_> {
+        FieldValue::Series(self)
+    }
+}
+
+/// How one field of two concurrent executions (shards) folds into one. Every
+/// rule is associative and commutative, which is what makes shard merge
+/// order irrelevant.
+pub(crate) mod rule {
+    use std::ops::AddAssign;
+
+    fn grow<T: Copy + Default>(into: &mut Vec<T>, len: usize) {
+        if into.len() < len {
+            into.resize(len, T::default());
+        }
+    }
+
+    /// Both happened: counters, and peaks of state the shards hold side by
+    /// side (the fleet's physical footprint).
+    pub fn sum<T: Copy + AddAssign>(into: &mut T, from: &T) {
+        *into += *from;
+    }
+
+    /// "How big did any one shard get".
+    pub fn max<T: Copy + Ord>(into: &mut T, from: &T) {
+        *into = (*into).max(*from);
+    }
+
+    /// [`sum`] cell by cell, after growing to the longer length (matrices
+    /// grow whole stream-major rows, so cells stay aligned).
+    pub fn sum_vec<T: Copy + Default + AddAssign>(into: &mut Vec<T>, from: &[T]) {
+        grow(into, from.len());
+        into.iter_mut().zip(from).for_each(|(a, b)| *a += *b);
+    }
+
+    /// [`max`] cell by cell, after growing to the longer length.
+    pub fn max_vec<T: Copy + Default + Ord>(into: &mut Vec<T>, from: &[T]) {
+        grow(into, from.len());
+        into.iter_mut()
+            .zip(from)
+            .for_each(|(a, b)| *a = (*a).max(*b));
+    }
+
+    /// The sorted union of two sorted sets.
+    pub fn union<T: Copy + Ord>(into: &mut Vec<T>, from: &[T]) {
+        into.extend_from_slice(from);
+        into.sort_unstable();
+        into.dedup();
+    }
+
+    /// Not comparable across executions: the merged record holds none.
+    pub fn drop<T: Default>(into: &mut T, _from: &T) {
+        *into = T::default();
+    }
+}
+
+/// Declares a record once. From the rows it generates the struct, its
+/// snapshot codec in row order, `FIELD_NAMES` and the `fields()` visitor;
+/// rows that end in `=> rule` (one of [`rule`]'s functions) also generate
+/// `merge_from`.
+macro_rules! facts {
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $($(#[$doc:meta])* pub $name:ident: $t:ty,)+
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $($(#[$doc])* pub $name: $t,)+
+        }
+
+        impl $ty {
+            /// The field names, in declaration order.
+            pub const FIELD_NAMES: &'static [&'static str] = &[$(stringify!($name)),+];
+
+            /// Every field as `(name, value)`, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, $crate::metrics::FieldValue<'_>)> {
+                [$((stringify!($name), $crate::metrics::Fact::value(&self.$name))),+].into_iter()
+            }
+
+            /// Serializes every field, in declaration order, into a
+            /// checkpoint payload.
+            pub(crate) fn write_state(&self, e: &mut $crate::checkpoint::Enc) {
+                $($crate::checkpoint::Codec::enc(&self.$name, e);)+
+            }
+
+            /// Reads back what `write_state` wrote.
+            pub(crate) fn read_state(
+                d: &mut $crate::checkpoint::Dec<'_>,
+            ) -> $crate::checkpoint::SnapshotResult<$ty> {
+                Ok($ty {
+                    $($name: $crate::checkpoint::Codec::dec(d)?,)+
+                })
+            }
+
+            /// A record whose every field holds a distinct non-default value.
+            #[cfg(test)]
+            pub(crate) fn filled(next: &mut u64) -> $ty {
+                $ty {
+                    $($name: $crate::metrics::tests::Sample::sample(next),)+
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $($(#[$doc:meta])* pub $name:ident: $t:ty => $rule:ident,)+
+        }
+    ) => {
+        $crate::metrics::facts! {
+            $(#[$meta])*
+            pub struct $ty {
+                $($(#[$doc])* pub $name: $t,)+
+            }
+        }
+
+        impl $ty {
+            /// Folds a concurrent execution's record into this one, each
+            /// field by the merge rule its declaration names.
+            pub fn merge_from(&mut self, other: &$ty) {
+                $($crate::metrics::rule::$rule(&mut self.$name, &other.$name);)+
+            }
+        }
+    };
+}
+pub(crate) use facts;
+
+facts! {
+    /// One sample of the executor's state sizes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct StatePoint {
+        /// Sequence time (elements processed so far).
+        pub at: u64,
+        /// Total live tuples across all operator join states (the paper's `Υ`).
+        pub join_state: usize,
+        /// Live raw tuples the purge engine's mirror holds (0 where none is read).
+        pub mirror: usize,
+        /// Punctuation-store entries.
+        pub punct_entries: usize,
+        /// Open (blocked) groups in the aggregation stage, if any.
+        pub groups: usize,
+        /// Rows resident in the cold (spilled) tier, if tiering is enabled.
+        pub cold: usize,
+    }
+}
+
+facts! {
+    /// Aggregated metrics of one execution.
+    ///
+    /// The merge rule after each field is how [`Metrics::merge_from`] — the
+    /// single *physical* merge behind the sharded executor and the sharded
+    /// registry — folds two shards' values. Callers that need *logical*
+    /// totals (a broadcast stream's refusals are seen by every shard)
+    /// overwrite the affected fields afterwards, as the sharded executor's
+    /// merge does for the tuple-side quarantine matrix.
+    #[derive(Debug, Clone, Default)]
+    pub struct Metrics {
+        /// Periodic samples, in time order. Per-shard series are not
+        /// comparable point for point, so a merge holds none.
+        pub series: Vec<StatePoint> => drop,
+        /// Peak total join-state size. In a sharded run the merge *sums* shard
+        /// peaks — shard states are concurrent, so this is the peak *physical*
+        /// footprint across the fleet, which can overstate the logical peak of
+        /// an equivalent sequential run (shards rarely peak at the same instant,
+        /// and broadcast state is replicated per shard). See
+        /// [`Metrics::peak_join_state_max_shard`] for the max-merged companion.
+        pub peak_join_state: usize => sum,
+        /// Peak join-state size of the *largest single shard* (max-merged; in a
+        /// sequential run identical to [`Metrics::peak_join_state`]). This is
+        /// the right field to compare against per-shard capacity or a static
+        /// per-port bound: each shard holds a subset of the logical state, so
+        /// `max_shard ≤ logical peak ≤` summed [`Metrics::peak_join_state`].
+        pub peak_join_state_max_shard: usize => max,
+        /// Peak live rows per operator port, flattened op-major in bottom-up
+        /// operator order (grown on demand; updated on every sample and whenever
+        /// bound certificates are checked).
+        /// Merged elementwise by **max** across shards: a shard's port holds a
+        /// subset of the logical port state, so the merged value is a lower
+        /// bound on the logical per-port peak and observed ≤ static-bound
+        /// certificates remain sound after merging.
+        pub peak_port_rows: Vec<usize> => max_vec,
+        /// Peak held-mirror size.
+        pub peak_mirror: usize => sum,
+        /// Peak punctuation-store size.
+        pub peak_punct_entries: usize => sum,
+        /// Data tuples consumed.
+        pub tuples_in: u64 => sum,
+        /// Punctuations consumed.
+        pub puncts_in: u64 => sum,
+        /// Feed tuples rejected for violating an earlier punctuation. Refused
+        /// tuples are in `quarantined_rows` (reason 0) as well; the one that
+        /// fails a run under `AdmissionPolicy::Strict` is counted here only.
+        pub violations: u64 => sum,
+        /// Final result tuples emitted by the root operator.
+        pub outputs: u64 => sum,
+        /// Aggregate rows emitted by the group-by stage.
+        pub aggregates_out: u64 => sum,
+        /// Join-state tuples purged across all operators.
+        pub purged: u64 => sum,
+        /// Held raw mirror tuples purged.
+        pub mirror_purged: u64 => sum,
+        /// Punctuation-store entries dropped (lifespans + §5.1 purging).
+        pub punct_dropped: u64 => sum,
+        /// Number of purge cycles run.
+        pub purge_cycles: u64 => sum,
+        /// Candidate rows examined by purge passes (operator ports + mirror).
+        /// Under `PurgeStrategy::FullScan` this is Σ live-state-per-cycle; under
+        /// `Indexed` it shrinks to the punctuation-delta-proportional candidate
+        /// count — the purge engine's asymptotic win, compared against `purged`.
+        pub purge_candidates_examined: u64 => sum,
+        /// Micro-batches pushed (one per `Executor::push_batch` call; one-element
+        /// `Executor::push` calls are not counted).
+        pub batches_processed: u64 => sum,
+        /// Join-index probe lookups saved by within-run probe-key deduplication:
+        /// for every run of consecutive same-port tuples, the probed index is hit
+        /// once per *distinct* depth-0 key instead of once per tuple. Compare
+        /// against `tuples_in` to see batching effectiveness.
+        pub probe_keys_deduped: u64 => sum,
+        /// Intermediate composite rows materialized between join operators: every
+        /// row a non-root operator emits and forwards into its parent's port.
+        /// The flat MJoin keeps this at 0 — on cyclic queries a tree plan's count
+        /// is exactly the work it wastes on partial combinations that never
+        /// close.
+        pub intermediate_rows: u64 => sum,
+        /// Rows re-checked by the runtime certificate verifier (fast purge check
+        /// vs. explaining oracle; see `crate::certify`). Stays 0 unless
+        /// `ExecConfig::verify_certificates` is on.
+        pub certificate_checks: u64 => sum,
+        /// Elements refused by the admission guard under
+        /// `AdmissionPolicy::Quarantine` (routed to the dead-letter sink when one
+        /// is attached): every cell of the two matrices below.
+        pub quarantined: u64 => sum,
+        /// Quarantined *tuples* as a stream-major `(stream, reason)` matrix with
+        /// [`AdmissionFault::REASONS`] columns, indexed by `StreamId.0` and
+        /// `AdmissionFault::code()` (grown on demand, whole rows at a time;
+        /// reason 0 is the punctuation violation). Tuple quarantines are
+        /// *logical* feed-level facts — each tuple of a partitioned stream is
+        /// routed, and refused, exactly once, and a broadcast stream replays
+        /// identically in every shard — so the sharded executor replaces the
+        /// physical sum with "sum the partitioned streams, shard 0 for broadcast
+        /// ones".
+        pub quarantined_rows: Vec<u64> => sum_vec,
+        /// Quarantined *punctuations*, the same matrix shape. These stay
+        /// physical per-shard sums: a broadcast punctuation is classified
+        /// against each shard's own punctuation store, so there is no shared
+        /// logical count to deduplicate to.
+        pub quarantined_puncts: Vec<u64> => sum_vec,
+        /// Elements repaired in place under `AdmissionPolicy::Repair` (clamped
+        /// regressive bounds, deduplicated punctuations).
+        pub repaired: u64 => sum,
+        /// Rows demoted from the hot arena into cold-tier segments.
+        pub rows_demoted: u64 => sum,
+        /// Cold rows faulted back into the hot arena (demand faults at probe
+        /// time plus finish-time rehydration).
+        pub rows_faulted: u64 => sum,
+        /// Cold-tier segments written to disk.
+        pub segments_written: u64 => sum,
+        /// Cold-tier segments removed: certified-dropped by a covering
+        /// punctuation recipe, fully drained by fault-back, or rehydrated at
+        /// finish.
+        pub segments_retired: u64 => sum,
+        /// Peak cold-tier resident rows (tracked with the sample series, like
+        /// the hot-state peaks; shard cold tiers are concurrent, so like them
+        /// the fleet's footprint is the sum).
+        pub cold_rows: usize => sum,
+        /// Streams currently flagged by the stall detector: punctuations stopped
+        /// arriving for longer than `ExecConfig::stall_budget` elements (sorted,
+        /// deduped; a stream is unflagged when a punctuation shows up again).
+        pub stalled_streams: Vec<usize> => union,
+        /// Checkpoint snapshots committed by this run (see `crate::checkpoint`).
+        pub checkpoints_written: u64 => sum,
+        /// Live state rows (hot + mirror + cold) serialized across all committed
+        /// checkpoints.
+        pub checkpoint_rows: u64 => sum,
+        /// Times this executor's state was rebuilt from a snapshot (0 on a
+        /// from-scratch run, 1 after a resume).
+        pub restores: u64 => sum,
+        /// Snapshots skipped during restore because their frame or checksum
+        /// failed validation — nonzero means the latest snapshot was torn or
+        /// corrupted and recovery fell back to an older cut.
+        pub snapshot_fallbacks: u64 => sum,
+        /// Wall-clock processing time in nanoseconds (push calls only).
+        pub elapsed_ns: u128 => sum,
+    }
+}
+
+/// Adds one to cell `(stream, code)` of a stream-major quarantine matrix.
+fn bump(matrix: &mut Vec<u64>, code: usize, stream: usize) {
+    let w = AdmissionFault::REASONS;
+    if matrix.len() <= stream * w + code {
+        matrix.resize((stream + 1) * w, 0);
+    }
+    matrix[stream * w + code] += 1;
 }
 
 impl Metrics {
@@ -179,42 +385,60 @@ impl Metrics {
         self.peak_port_rows[flat_port] = self.peak_port_rows[flat_port].max(live);
     }
 
-    /// Counts one punctuation-violating tuple on `stream`.
-    pub fn count_violation(&mut self, stream: usize) {
-        self.violations += 1;
-        if self.violations_by_stream.len() <= stream {
-            self.violations_by_stream.resize(stream + 1, 0);
-        }
-        self.violations_by_stream[stream] += 1;
-    }
-
     /// Counts one quarantined *tuple* with admission-fault reason `code` on
-    /// `stream` (also tracked in the mergeable `quarantined_rows` matrix).
+    /// `stream`.
     pub fn count_quarantine_row(&mut self, code: usize, stream: usize) {
-        self.count_quarantine(code, stream);
-        let w = crate::guard::AdmissionFault::REASONS;
-        if self.quarantined_rows.len() <= stream * w + code {
-            self.quarantined_rows.resize((stream + 1) * w, 0);
-        }
-        self.quarantined_rows[stream * w + code] += 1;
+        self.quarantined += 1;
+        bump(&mut self.quarantined_rows, code, stream);
     }
 
     /// Counts one quarantined *punctuation* with admission-fault reason
     /// `code` on `stream`.
     pub fn count_quarantine_punct(&mut self, code: usize, stream: usize) {
-        self.count_quarantine(code, stream);
+        self.quarantined += 1;
+        bump(&mut self.quarantined_puncts, code, stream);
     }
 
-    fn count_quarantine(&mut self, code: usize, stream: usize) {
-        self.quarantined += 1;
-        if self.quarantined_by_reason.len() <= code {
-            self.quarantined_by_reason.resize(code + 1, 0);
+    /// The quarantine matrices' cells as `(stream, reason, count)`.
+    fn quarantine_cells(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        let w = AdmissionFault::REASONS;
+        [&self.quarantined_rows, &self.quarantined_puncts]
+            .into_iter()
+            .flat_map(move |m| m.iter().enumerate().map(move |(i, &n)| (i / w, i % w, n)))
+    }
+
+    /// Violating tuples per stream (indexed by `StreamId.0`): the reason-0
+    /// column of the tuple-side matrix.
+    #[must_use]
+    pub fn violations_by_stream(&self) -> Vec<u64> {
+        let w = AdmissionFault::REASONS;
+        self.quarantined_rows.iter().step_by(w).copied().collect()
+    }
+
+    /// Quarantined elements per `AdmissionFault::code()`: the column sums of
+    /// both matrices.
+    #[must_use]
+    pub fn quarantined_by_reason(&self) -> [u64; AdmissionFault::REASONS] {
+        let mut by_reason = [0; AdmissionFault::REASONS];
+        for (_, code, n) in self.quarantine_cells() {
+            by_reason[code] += n;
         }
-        self.quarantined_by_reason[code] += 1;
-        if self.quarantined_by_stream.len() <= stream {
-            self.quarantined_by_stream.resize(stream + 1, 0);
+        by_reason
+    }
+
+    /// Quarantined elements per stream (indexed by `StreamId.0`): the row
+    /// sums of both matrices.
+    #[must_use]
+    pub fn quarantined_by_stream(&self) -> Vec<u64> {
+        let cells = self
+            .quarantined_rows
+            .len()
+            .max(self.quarantined_puncts.len());
+        let mut by_stream = vec![0; cells.div_ceil(AdmissionFault::REASONS)];
+        for (stream, _, n) in self.quarantine_cells() {
+            by_stream[stream] += n;
         }
-        self.quarantined_by_stream[stream] += 1;
+        by_stream
     }
 
     /// Feed tuples refused for a *shape* fault (quarantined rows excluding
@@ -223,13 +447,8 @@ impl Metrics {
     /// every tuple the feed offered.
     #[must_use]
     pub fn shape_refused_rows(&self) -> u64 {
-        let w = crate::guard::AdmissionFault::REASONS;
-        self.quarantined_rows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % w != 0)
-            .map(|(_, v)| *v)
-            .sum()
+        let refused: u64 = self.quarantined_rows.iter().sum();
+        refused - self.violations_by_stream().iter().sum::<u64>()
     }
 
     /// The final sample, if any.
@@ -238,227 +457,23 @@ impl Metrics {
         self.series.last()
     }
 
-    /// Renders the sample series as CSV
-    /// (`at,join_state,mirror,punct_entries,groups,cold`; `mirror` counts held
-    /// rows) for plotting state curves.
+    /// Renders the sample series as CSV, one column per [`StatePoint`] field
+    /// (`mirror` counts held rows), for plotting state curves.
     #[must_use]
     pub fn series_csv(&self) -> String {
-        let mut out = String::from("at,join_state,mirror,punct_entries,groups,cold\n");
+        let mut out = StatePoint::FIELD_NAMES.join(",") + "\n";
         for p in &self.series {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                p.at, p.join_state, p.mirror, p.punct_entries, p.groups, p.cold
-            ));
+            let row: Vec<String> = p
+                .fields()
+                .map(|(_, v)| match v {
+                    FieldValue::Int(n) => n.to_string(),
+                    other => unreachable!("sample fields are integers, not {other:?}"),
+                })
+                .collect();
+            out.push_str(&row.join(","));
+            out.push('\n');
         }
         out
-    }
-
-    /// Folds another execution's counters into this one. This is the single
-    /// *physical* merge used by both the sharded executor and the registry
-    /// fan-out: every counter is summed (peaks included — shard peaks are
-    /// concurrent, so the total footprint is their sum — except
-    /// `peak_join_state_max_shard` and `peak_port_rows`, which take the
-    /// elementwise **max**: they answer "how big did any one shard get", not
-    /// "how much memory did the fleet hold"), per-stream /
-    /// per-reason vectors are summed elementwise after growing to the longer
-    /// length (the quarantine matrix grows whole stream-major rows, so
-    /// elementwise addition keeps `(stream, reason)` cells aligned),
-    /// `stalled_streams` becomes the sorted union, and the sample series is
-    /// dropped (per-shard series are not comparable point-for-point).
-    ///
-    /// Associative and commutative by construction — see the unit test —
-    /// which is what makes shard merge order irrelevant. Callers that need
-    /// *logical* totals (e.g. deduplicating broadcast-stream violations)
-    /// overwrite the affected fields afterwards, as `parallel::merge` does.
-    pub fn merge_from(&mut self, other: &Metrics) {
-        fn add_vec(into: &mut Vec<u64>, from: &[u64]) {
-            if into.len() < from.len() {
-                into.resize(from.len(), 0);
-            }
-            for (a, b) in into.iter_mut().zip(from) {
-                *a += b;
-            }
-        }
-        fn max_vec(into: &mut Vec<usize>, from: &[usize]) {
-            if into.len() < from.len() {
-                into.resize(from.len(), 0);
-            }
-            for (a, b) in into.iter_mut().zip(from) {
-                *a = (*a).max(*b);
-            }
-        }
-        self.series.clear();
-        self.peak_join_state += other.peak_join_state;
-        self.peak_join_state_max_shard = self
-            .peak_join_state_max_shard
-            .max(other.peak_join_state_max_shard);
-        max_vec(&mut self.peak_port_rows, &other.peak_port_rows);
-        self.peak_mirror += other.peak_mirror;
-        self.peak_punct_entries += other.peak_punct_entries;
-        self.tuples_in += other.tuples_in;
-        self.puncts_in += other.puncts_in;
-        self.violations += other.violations;
-        add_vec(&mut self.violations_by_stream, &other.violations_by_stream);
-        self.outputs += other.outputs;
-        self.aggregates_out += other.aggregates_out;
-        self.purged += other.purged;
-        self.mirror_purged += other.mirror_purged;
-        self.punct_dropped += other.punct_dropped;
-        self.purge_cycles += other.purge_cycles;
-        self.purge_candidates_examined += other.purge_candidates_examined;
-        self.batches_processed += other.batches_processed;
-        self.probe_keys_deduped += other.probe_keys_deduped;
-        self.intermediate_rows += other.intermediate_rows;
-        self.certificate_checks += other.certificate_checks;
-        self.quarantined += other.quarantined;
-        add_vec(
-            &mut self.quarantined_by_reason,
-            &other.quarantined_by_reason,
-        );
-        add_vec(
-            &mut self.quarantined_by_stream,
-            &other.quarantined_by_stream,
-        );
-        add_vec(&mut self.quarantined_rows, &other.quarantined_rows);
-        self.repaired += other.repaired;
-        self.rows_demoted += other.rows_demoted;
-        self.rows_faulted += other.rows_faulted;
-        self.segments_written += other.segments_written;
-        self.segments_retired += other.segments_retired;
-        // Shard cold tiers are concurrent, so like the hot peaks the total
-        // cold footprint is their sum.
-        self.cold_rows += other.cold_rows;
-        for &s in &other.stalled_streams {
-            if !self.stalled_streams.contains(&s) {
-                self.stalled_streams.push(s);
-            }
-        }
-        self.stalled_streams.sort_unstable();
-        self.checkpoints_written += other.checkpoints_written;
-        self.checkpoint_rows += other.checkpoint_rows;
-        self.restores += other.restores;
-        self.snapshot_fallbacks += other.snapshot_fallbacks;
-        self.elapsed_ns += other.elapsed_ns;
-    }
-
-    /// Serializes every field into a checkpoint payload (the accumulated
-    /// counters are part of the resumable state: a resumed run's final
-    /// metrics must equal an uninterrupted run's).
-    pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
-        e.usize(self.series.len());
-        for p in &self.series {
-            e.u64(p.at);
-            e.usize(p.join_state);
-            e.usize(p.mirror);
-            e.usize(p.punct_entries);
-            e.usize(p.groups);
-            e.usize(p.cold);
-        }
-        e.usize(self.peak_join_state);
-        e.usize(self.peak_join_state_max_shard);
-        e.usize(self.peak_port_rows.len());
-        for &v in &self.peak_port_rows {
-            e.usize(v);
-        }
-        e.usize(self.peak_mirror);
-        e.usize(self.peak_punct_entries);
-        e.u64(self.tuples_in);
-        e.u64(self.puncts_in);
-        e.u64(self.violations);
-        e.u64s(&self.violations_by_stream);
-        e.u64(self.outputs);
-        e.u64(self.aggregates_out);
-        e.u64(self.purged);
-        e.u64(self.mirror_purged);
-        e.u64(self.punct_dropped);
-        e.u64(self.purge_cycles);
-        e.u64(self.purge_candidates_examined);
-        e.u64(self.batches_processed);
-        e.u64(self.probe_keys_deduped);
-        e.u64(self.intermediate_rows);
-        e.u64(self.certificate_checks);
-        e.u64(self.quarantined);
-        e.u64s(&self.quarantined_by_reason);
-        e.u64s(&self.quarantined_by_stream);
-        e.u64s(&self.quarantined_rows);
-        e.u64(self.repaired);
-        e.u64(self.rows_demoted);
-        e.u64(self.rows_faulted);
-        e.u64(self.segments_written);
-        e.u64(self.segments_retired);
-        e.usize(self.cold_rows);
-        e.usize(self.stalled_streams.len());
-        for &s in &self.stalled_streams {
-            e.usize(s);
-        }
-        e.u64(self.checkpoints_written);
-        e.u64(self.checkpoint_rows);
-        e.u64(self.restores);
-        e.u64(self.snapshot_fallbacks);
-        e.u128(self.elapsed_ns);
-    }
-
-    /// Deserializes a full [`Metrics`] from a checkpoint payload.
-    pub(crate) fn read_state(
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> crate::checkpoint::SnapshotResult<Metrics> {
-        let mut m = Metrics::default();
-        let n = d.usize()?;
-        m.series = (0..n)
-            .map(|_| {
-                Ok(StatePoint {
-                    at: d.u64()?,
-                    join_state: d.usize()?,
-                    mirror: d.usize()?,
-                    punct_entries: d.usize()?,
-                    groups: d.usize()?,
-                    cold: d.usize()?,
-                })
-            })
-            .collect::<crate::checkpoint::SnapshotResult<_>>()?;
-        m.peak_join_state = d.usize()?;
-        m.peak_join_state_max_shard = d.usize()?;
-        let n = d.usize()?;
-        m.peak_port_rows = (0..n)
-            .map(|_| d.usize())
-            .collect::<crate::checkpoint::SnapshotResult<_>>()?;
-        m.peak_mirror = d.usize()?;
-        m.peak_punct_entries = d.usize()?;
-        m.tuples_in = d.u64()?;
-        m.puncts_in = d.u64()?;
-        m.violations = d.u64()?;
-        m.violations_by_stream = d.u64s()?;
-        m.outputs = d.u64()?;
-        m.aggregates_out = d.u64()?;
-        m.purged = d.u64()?;
-        m.mirror_purged = d.u64()?;
-        m.punct_dropped = d.u64()?;
-        m.purge_cycles = d.u64()?;
-        m.purge_candidates_examined = d.u64()?;
-        m.batches_processed = d.u64()?;
-        m.probe_keys_deduped = d.u64()?;
-        m.intermediate_rows = d.u64()?;
-        m.certificate_checks = d.u64()?;
-        m.quarantined = d.u64()?;
-        m.quarantined_by_reason = d.u64s()?;
-        m.quarantined_by_stream = d.u64s()?;
-        m.quarantined_rows = d.u64s()?;
-        m.repaired = d.u64()?;
-        m.rows_demoted = d.u64()?;
-        m.rows_faulted = d.u64()?;
-        m.segments_written = d.u64()?;
-        m.segments_retired = d.u64()?;
-        m.cold_rows = d.usize()?;
-        let n = d.usize()?;
-        m.stalled_streams = (0..n)
-            .map(|_| d.usize())
-            .collect::<crate::checkpoint::SnapshotResult<_>>()?;
-        m.checkpoints_written = d.u64()?;
-        m.checkpoint_rows = d.u64()?;
-        m.restores = d.u64()?;
-        m.snapshot_fallbacks = d.u64()?;
-        m.elapsed_ns = d.u128()?;
-        Ok(m)
     }
 
     /// Throughput in elements per second (0 if nothing timed).
@@ -473,8 +488,114 @@ impl Metrics {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A distinct non-default value of a field type, for `filled`.
+    pub(crate) trait Sample {
+        fn sample(next: &mut u64) -> Self;
+    }
+
+    macro_rules! int_samples {
+        ($($t:ty),+) => {$(
+            impl Sample for $t {
+                fn sample(next: &mut u64) -> Self {
+                    *next += 1;
+                    *next as $t
+                }
+            }
+        )+};
+    }
+    int_samples!(u64, usize, u128);
+
+    impl Sample for Option<u64> {
+        fn sample(next: &mut u64) -> Self {
+            Some(u64::sample(next))
+        }
+    }
+
+    impl Sample for StatePoint {
+        fn sample(next: &mut u64) -> Self {
+            StatePoint::filled(next)
+        }
+    }
+
+    impl<T: Sample> Sample for Vec<T> {
+        fn sample(next: &mut u64) -> Self {
+            vec![T::sample(next), T::sample(next)]
+        }
+    }
+
+    /// The table is complete: a record with a distinct value in every row
+    /// survives the codec field for field, merges into an empty record
+    /// unchanged but for the dropped series, and names every row once. The
+    /// record is filled through the table, so a new row is covered as is.
+    #[test]
+    fn every_row_round_trips_merges_and_is_named() {
+        let m = Metrics::filled(&mut 0);
+        let distinct: std::collections::BTreeSet<String> =
+            m.fields().map(|(_, v)| format!("{v:?}")).collect();
+        assert_eq!(distinct.len(), Metrics::FIELD_NAMES.len());
+        assert!(!distinct.contains(&format!("{:?}", FieldValue::Int(0))));
+
+        let mut e = Enc::new();
+        m.write_state(&mut e);
+        let mut d = Dec::new(&e.buf);
+        let back = Metrics::read_state(&mut d).unwrap();
+        d.expect_end().unwrap();
+        assert!(m.fields().eq(back.fields()));
+        assert_eq!(format!("{m:?}"), format!("{back:?}"));
+
+        let mut merged = Metrics::default();
+        merged.merge_from(&m);
+        let expected = Metrics {
+            series: Vec::new(),
+            ..m.clone()
+        };
+        assert_eq!(format!("{merged:?}"), format!("{expected:?}"));
+
+        let names: std::collections::BTreeSet<&str> = m.fields().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), 35);
+        assert!(names.iter().copied().eq({
+            let mut sorted = Metrics::FIELD_NAMES.to_vec();
+            sorted.sort_unstable();
+            sorted
+        }));
+    }
+
+    /// The same macro serves every table-declared record of the crate.
+    #[test]
+    fn every_table_round_trips_and_folds_by_its_rules() {
+        use crate::join::OperatorStats;
+        use crate::registry::QueryStats;
+        use crate::tier::TierStats;
+        macro_rules! round_trips {
+            ($($ty:ident),+) => {$(
+                let filled = $ty::filled(&mut 0);
+                let mut e = Enc::new();
+                filled.write_state(&mut e);
+                let mut d = Dec::new(&e.buf);
+                assert_eq!($ty::read_state(&mut d).unwrap(), filled);
+                d.expect_end().unwrap();
+                assert_eq!(filled.fields().count(), $ty::FIELD_NAMES.len());
+            )+};
+        }
+        round_trips!(StatePoint, QueryStats, OperatorStats, TierStats);
+
+        // Counters add; a query's clocks are dropped.
+        let q = QueryStats::filled(&mut 0);
+        let mut merged = q;
+        merged.merge_from(&q);
+        let expected = QueryStats {
+            outputs: 2 * q.outputs,
+            purged: 2 * q.purged,
+            ..QueryStats::default()
+        };
+        assert_eq!(merged, expected);
+        let mut tier = TierStats::default();
+        tier.merge_from(&TierStats::filled(&mut 0));
+        assert_eq!(tier, TierStats::filled(&mut 0));
+    }
 
     #[test]
     fn peaks_track_samples() {
@@ -550,12 +671,13 @@ mod tests {
             segments_retired: 2,
             cold_rows: 6,
             violations: 2,
-            violations_by_stream: vec![2],
             stalled_streams: vec![0, 2],
             elapsed_ns: 1000,
             ..Metrics::default()
         };
         a.count_quarantine_row(1, 0);
+        a.count_quarantine_row(0, 0);
+        a.count_quarantine_row(0, 0);
         let mut b = Metrics {
             tuples_in: 20,
             puncts_in: 6,
@@ -571,13 +693,13 @@ mod tests {
             segments_retired: 1,
             cold_rows: 2,
             violations: 1,
-            violations_by_stream: vec![0, 0, 1],
             stalled_streams: vec![1, 2],
             elapsed_ns: 500,
             ..Metrics::default()
         };
         b.count_quarantine_row(3, 2);
-        b.count_quarantine_punct(0, 1);
+        b.count_quarantine_row(0, 2);
+        b.count_quarantine_punct(3, 1);
         let mut c = Metrics::default();
         c.count_quarantine_row(2, 1);
 
@@ -596,8 +718,10 @@ mod tests {
         eq(&merged(&merged(&a, &b), &c), &merged(&a, &merged(&b, &c)));
         let ab = merged(&a, &b);
         assert_eq!(ab.tuples_in, 30);
-        assert_eq!(ab.violations_by_stream, vec![2, 0, 1]);
-        assert_eq!(ab.quarantined, 3);
+        assert_eq!(ab.violations_by_stream(), vec![2, 0, 1]);
+        assert_eq!(ab.quarantined, 6);
+        assert_eq!(ab.quarantined_by_reason(), [3, 1, 0, 2]);
+        assert_eq!(ab.quarantined_by_stream(), vec![3, 1, 2]);
         assert_eq!(ab.stalled_streams, vec![0, 1, 2]);
         assert_eq!(ab.shape_refused_rows(), 2);
         assert_eq!(ab.rows_demoted, 14);

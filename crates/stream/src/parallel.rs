@@ -49,13 +49,13 @@ use cjq_core::schema::{AttrId, AttrRef, StreamId};
 use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
-use crate::checkpoint::{CheckpointStore, Enc, Fingerprint, InputCursor, Manifest, SnapshotKind};
+use crate::checkpoint::{Dec, Enc, Fingerprint, SnapshotKind, SnapshotResult};
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecConfig, Executor, LiveStateSnapshot, RunResult};
 use crate::guard::AdmissionFault;
 use crate::metrics::Metrics;
-use crate::pipeline::{corrupt_at, restore_with, Pipeline, FEED_CHUNK};
+use crate::pipeline::{Checkpointed, Snapshot, FEED_CHUNK};
 use crate::sink::{CollectSink, CountSink, ResultSink};
 use crate::source::{ElementBatch, Feed};
 
@@ -535,7 +535,8 @@ impl ShardedExecutor {
         let (shards_snaps, sinks) = finished.into_iter().unzip();
         let router_puncts = feed.punctuation_count() as u64;
         let router_tuples = feed.len() as u64 - router_puncts;
-        let merged = self.merge(shards_snaps, router_tuples, router_puncts, start);
+        let elapsed_ns = start.elapsed().as_nanos();
+        let merged = self.merge(shards_snaps, router_tuples, router_puncts, elapsed_ns);
         Ok((merged, sinks))
     }
 
@@ -546,124 +547,34 @@ impl ShardedExecutor {
         shards_snaps: Vec<(RunResult, LiveStateSnapshot)>,
         router_tuples: u64,
         router_puncts: u64,
-        start: Instant,
+        elapsed_ns: u128,
     ) -> ShardedRunResult {
         let (shards, snapshots): (Vec<RunResult>, Vec<LiveStateSnapshot>) =
             shards_snaps.into_iter().unzip();
         let n_streams = self.query.n_streams();
-        // Physical accumulation first: every counter straight-summed through
-        // the associative [`Metrics::merge_from`] (outputs, purge work,
-        // batch/probe counters, peaks, repairs, stalls, ...).
-        // The *logical* fields — violations, the quarantine trio, and the
-        // router-side element counts — are recomputed below from the
-        // partitioning table and overwrite the physical sums.
+        // Everything physical folds by its merge rule.
         let mut metrics = Metrics::default();
         for r in &shards {
             metrics.merge_from(&r.metrics);
         }
-        let mut violations_by_stream = vec![0u64; n_streams];
-        for (s, out) in violations_by_stream.iter_mut().enumerate() {
-            let per_shard =
-                |r: &RunResult| r.metrics.violations_by_stream.get(s).copied().unwrap_or(0);
-            *out = if self.partitioning.attr[s].is_some() {
-                // Each violating tuple is routed (and rejected) exactly once.
-                shards.iter().map(per_shard).sum()
-            } else {
-                // Broadcast streams replay identically in every shard.
-                per_shard(&shards[0])
-            };
+        // The tuple-side quarantine matrix is logical: each tuple of a
+        // partitioned stream is routed — and refused — exactly once (sum the
+        // shards), a broadcast stream's tuples replay identically in every
+        // shard (take shard 0). Rows for unknown streams land past the
+        // partitioning table and are broadcast.
+        let first = &shards[0].metrics.quarantined_rows;
+        for (i, cell) in metrics.quarantined_rows.iter_mut().enumerate() {
+            let stream = i / AdmissionFault::REASONS;
+            if !matches!(self.partitioning.attr.get(stream), Some(Some(_))) {
+                *cell = first.get(i).copied().unwrap_or(0);
+            }
         }
-        metrics.violations = violations_by_stream.iter().sum();
-        metrics.violations_by_stream = violations_by_stream;
-
-        // Quarantine merge. Tuple-side quarantines merge *logically* via the
-        // (stream, reason) matrix: each tuple of a partitioned stream is
-        // routed — and refused — exactly once (sum the shards), a broadcast
-        // stream's tuples replay identically in every shard (take shard 0).
-        // Rows for unknown streams land past the partitioning table and are
-        // broadcast. Punctuation-side quarantines and repairs stay
-        // *physical* per-shard sums: a broadcast punctuation is classified
-        // independently against each shard's local punctuation store, so
-        // there is no shared logical count to deduplicate to.
-        let w = AdmissionFault::REASONS;
-        let rows_len = shards
-            .iter()
-            .map(|r| r.metrics.quarantined_rows.len())
-            .max()
-            .unwrap_or(0);
-        let mut matrix = vec![0u64; rows_len];
-        for (i, out) in matrix.iter_mut().enumerate() {
-            let s = i / w;
-            let per = |r: &RunResult| r.metrics.quarantined_rows.get(i).copied().unwrap_or(0);
-            *out = if self.partitioning.attr.get(s).copied().flatten().is_some() {
-                shards.iter().map(per).sum()
-            } else {
-                per(&shards[0])
-            };
-        }
-        let shard_punct_side = |r: &RunResult, s: usize| -> u64 {
-            let total = r.metrics.quarantined_by_stream.get(s).copied().unwrap_or(0);
-            let rows: u64 = (0..w)
-                .map(|c| {
-                    r.metrics
-                        .quarantined_rows
-                        .get(s * w + c)
-                        .copied()
-                        .unwrap_or(0)
-                })
-                .sum();
-            total - rows
-        };
-        let q_streams = shards
-            .iter()
-            .map(|r| r.metrics.quarantined_by_stream.len())
-            .max()
-            .unwrap_or(0)
-            .max(rows_len / w);
-        let mut q_by_stream = vec![0u64; q_streams];
-        for (s, out) in q_by_stream.iter_mut().enumerate() {
-            let tuple_side: u64 = (0..w)
-                .map(|c| matrix.get(s * w + c).copied().unwrap_or(0))
-                .sum();
-            let punct_side: u64 = shards.iter().map(|r| shard_punct_side(r, s)).sum();
-            *out = tuple_side + punct_side;
-        }
-        let q_reasons = shards
-            .iter()
-            .map(|r| r.metrics.quarantined_by_reason.len())
-            .max()
-            .unwrap_or(0);
-        let mut q_by_reason = vec![0u64; q_reasons];
-        for (c, out) in q_by_reason.iter_mut().enumerate() {
-            let tuple_side: u64 = (0..rows_len / w)
-                .map(|s| matrix.get(s * w + c).copied().unwrap_or(0))
-                .sum();
-            let punct_side: u64 = shards
-                .iter()
-                .map(|r| {
-                    let total = r.metrics.quarantined_by_reason.get(c).copied().unwrap_or(0);
-                    let rows: u64 = (0..r.metrics.quarantined_rows.len() / w)
-                        .map(|s| r.metrics.quarantined_rows[s * w + c])
-                        .sum();
-                    total - rows
-                })
-                .sum();
-            *out = tuple_side + punct_side;
-        }
-        metrics.quarantined = q_by_stream.iter().sum();
-        let shape_refused: u64 = matrix
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % w != 0)
-            .map(|(_, v)| *v)
-            .sum();
-        metrics.quarantined_by_stream = q_by_stream;
-        metrics.quarantined_by_reason = q_by_reason;
-        metrics.quarantined_rows = matrix;
-
-        metrics.tuples_in = router_tuples - metrics.violations - shape_refused;
+        // The feed-level counts follow from it and from the router.
+        metrics.violations = metrics.violations_by_stream().iter().sum();
+        metrics.quarantined = metrics.quarantined_by_stream().iter().sum();
+        metrics.tuples_in = router_tuples - metrics.violations - metrics.shape_refused_rows();
         metrics.puncts_in = router_puncts;
-        metrics.elapsed_ns = start.elapsed().as_nanos();
+        metrics.elapsed_ns = elapsed_ns;
 
         let merge = |slot_lists: Vec<&Vec<usize>>, disjoint: bool| -> usize {
             if disjoint {
@@ -721,49 +632,34 @@ impl ShardedExecutor {
             .collect()
     }
 
-    /// Structural fingerprint of a whole shard fleet: shard count plus each
-    /// shard's [`Executor::fingerprint`] (which differ only in the spill
-    /// shard tag). A sharded snapshot only overlays onto a fleet compiled
-    /// from the same query, plan, schemes, config, and shard count.
-    fn combined_fingerprint(execs: &[Executor]) -> u64 {
-        let mut fp = Fingerprint::default();
-        fp.word(execs.len() as u64);
-        for e in execs {
-            fp.word(e.fingerprint());
+    /// A freshly compiled inline fleet, nothing routed yet.
+    fn fleet(&self) -> Fleet<'_> {
+        Fleet {
+            partitioning: &self.partitioning,
+            execs: self.compile_shards(),
+            router_tuples: 0,
+            router_puncts: 0,
+            driver: Metrics::default(),
+            failed: None,
         }
-        fp.finish()
     }
 
-    /// Builds the sharded checkpoint payload: manifest, router element
-    /// counters, then every shard's snapshot in shard order.
-    fn sharded_payload(
-        execs: &[Executor],
-        every: u64,
-        cursor: &InputCursor,
-        router_tuples: u64,
-        router_puncts: u64,
-    ) -> ExecResult<Vec<u8>> {
-        if let Some(why) = execs.iter().find_map(Executor::not_checkpointable) {
-            return Err(ExecError::CheckpointCorrupt {
-                path: "<config>".into(),
-                detail: why.into(),
-            });
+    /// Drains every shard of a checkpointed fleet and merges, with `outputs`
+    /// concatenated in shard order.
+    fn finish_fleet(&self, fleet: Fleet<'_>) -> ShardedRunResult {
+        let shards_snaps = fleet
+            .execs
+            .into_iter()
+            .map(Executor::finish_detailed)
+            .collect();
+        let mut merged = self.merge(shards_snaps, fleet.router_tuples, fleet.router_puncts, 0);
+        merged.metrics.merge_from(&fleet.driver);
+        if self.cfg.record_outputs {
+            for r in &mut merged.shards {
+                merged.outputs.append(&mut r.outputs);
+            }
         }
-        let mut e = Enc::new();
-        Manifest {
-            kind: SnapshotKind::Sharded,
-            fingerprint: Self::combined_fingerprint(execs),
-            every,
-            cursor: cursor.clone(),
-        }
-        .write(&mut e);
-        e.u64(router_tuples);
-        e.u64(router_puncts);
-        e.usize(execs.len());
-        for exec in execs {
-            exec.write_snapshot(&mut e);
-        }
-        Ok(e.buf)
+        merged
     }
 
     /// Runs the whole feed through `P` *synchronous* shard executors with
@@ -783,11 +679,9 @@ impl ShardedExecutor {
         dir: &Path,
         every: u64,
     ) -> ExecResult<ShardedRunResult> {
-        let store =
-            CheckpointStore::open(dir, every).map_err(|e| corrupt_at(dir, e.to_string()))?;
-        let cursor = InputCursor::zero(self.query.n_streams());
-        let execs = self.compile_shards();
-        self.run_checkpointed_inner(feed, store, cursor, execs, 0, 0, 0, 0)
+        let mut fleet = self.fleet();
+        fleet.run_checkpointed(feed, dir, every)?;
+        Ok(self.finish_fleet(fleet))
     }
 
     /// Restores a whole shard fleet from the newest valid snapshot in `dir`
@@ -802,111 +696,104 @@ impl ShardedExecutor {
     /// uninterrupted [`ShardedExecutor::try_run_checkpointed`] over the same
     /// feed (modulo wall time and the checkpoint counters themselves).
     pub fn try_resume(&self, feed: &Feed, dir: &Path, every: u64) -> ExecResult<ShardedRunResult> {
-        if crate::checkpoint::list_snapshots(dir).is_empty() {
-            return self.try_run_checkpointed(feed, dir, every);
+        let fleet = Fleet::resume_from(dir, |_| Ok(self.fleet()), feed, every)?;
+        Ok(self.finish_fleet(fleet))
+    }
+}
+
+/// The inline shard fleet behind checkpointed sharded runs: the shard
+/// executors, the router that feeds them one element at a time, and what the
+/// router itself counts. It runs under the shared checkpoint driver
+/// ([`Checkpointed`]); a cut between two elements is consistent across the
+/// whole fleet.
+struct Fleet<'a> {
+    partitioning: &'a Partitioning,
+    execs: Vec<Executor>,
+    /// Feed tuples and punctuations routed so far (a broadcast element counts
+    /// once), for the merged `tuples_in`/`puncts_in`.
+    router_tuples: u64,
+    router_puncts: u64,
+    /// Commits, restores and the driver's wall time (not part of a snapshot).
+    driver: Metrics,
+    failed: Option<ExecError>,
+}
+
+impl Snapshot for Fleet<'_> {
+    const KIND: SnapshotKind = SnapshotKind::Sharded;
+
+    /// Shard count plus each shard's [`Executor::fingerprint`] (which differ
+    /// only in the spill shard tag): a sharded snapshot only overlays onto a
+    /// fleet compiled from the same query, plan, schemes, config, and shard
+    /// count.
+    fn fingerprint(&self) -> u64 {
+        let mut fp = Fingerprint::default();
+        fp.word(self.execs.len() as u64);
+        for e in &self.execs {
+            fp.word(e.fingerprint());
         }
-        // A fleet frame: router element counters, then every shard's
-        // snapshot in shard order.
-        let ((execs, router_tuples, router_puncts), store, cursor, fallbacks) = restore_with(
-            dir,
-            SnapshotKind::Sharded,
-            |_| Ok((self.compile_shards(), 0u64, 0u64)),
-            |(execs, ..)| Self::combined_fingerprint(execs),
-            |(execs, router_tuples, router_puncts), d| {
-                *router_tuples = d.u64()?;
-                *router_puncts = d.u64()?;
-                d.count_of("shards", execs.len())?;
-                execs.iter_mut().try_for_each(|exec| exec.read_snapshot(d))
-            },
-        )?;
-        self.run_checkpointed_inner(
-            feed,
-            store,
-            cursor,
-            execs,
-            router_tuples,
-            router_puncts,
-            1,
-            fallbacks,
-        )
+        fp.finish()
     }
 
-    /// The shared synchronous loop behind
-    /// [`ShardedExecutor::try_run_checkpointed`] and
-    /// [`ShardedExecutor::try_resume`]: routes the feed from the cursor
-    /// position, checkpoints at due punctuations, drains every shard, and
-    /// merges.
-    #[allow(clippy::too_many_arguments)]
-    fn run_checkpointed_inner(
-        &self,
-        feed: &Feed,
-        mut store: CheckpointStore,
-        mut cursor: InputCursor,
-        mut execs: Vec<Executor>,
-        mut router_tuples: u64,
-        mut router_puncts: u64,
-        restores: u64,
-        fallbacks: u64,
-    ) -> ExecResult<ShardedRunResult> {
-        let start = Instant::now();
-        let skip = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
-        for e in feed.elements().iter().skip(skip) {
-            let (stream, is_punct) = match e {
-                StreamElement::Tuple(t) => (t.stream, false),
-                StreamElement::Punctuation(p) => (p.stream, true),
-            };
-            if is_punct {
-                router_puncts += 1;
-            } else {
-                router_tuples += 1;
-            }
-            match self.partitioning.route(e) {
-                Some(shard) => execs[shard].try_push(e).map_err(|err| ExecError::Shard {
+    /// Router element counters, then every shard's snapshot in shard order.
+    fn write_snapshot(&self, e: &mut Enc) {
+        e.u64(self.router_tuples);
+        e.u64(self.router_puncts);
+        e.usize(self.execs.len());
+        for exec in &self.execs {
+            exec.write_snapshot(e);
+        }
+    }
+
+    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+        self.router_tuples = d.u64()?;
+        self.router_puncts = d.u64()?;
+        d.count_of("shards", self.execs.len())?;
+        self.execs
+            .iter_mut()
+            .try_for_each(|exec| exec.read_snapshot(d))
+    }
+
+    fn not_checkpointable(&self) -> Option<&'static str> {
+        self.execs.iter().find_map(Executor::not_checkpointable)
+    }
+}
+
+impl Checkpointed for Fleet<'_> {
+    fn snapshot_rows(&self) -> u64 {
+        self.execs.iter().map(Executor::snapshot_rows).sum()
+    }
+
+    fn n_streams(&self) -> Option<usize> {
+        Some(self.partitioning.attr.len())
+    }
+
+    fn push_one(&mut self, element: &StreamElement) -> ExecResult<()> {
+        if element.is_punctuation() {
+            self.router_puncts += 1;
+        } else {
+            self.router_tuples += 1;
+        }
+        let targets = match self.partitioning.route(element) {
+            Some(shard) => shard..shard + 1,
+            None => 0..self.execs.len(),
+        };
+        for shard in targets {
+            self.execs[shard]
+                .push_one(element)
+                .map_err(|source| ExecError::Shard {
                     shard,
-                    source: Box::new(err),
-                })?,
-                None => {
-                    for (shard, exec) in execs.iter_mut().enumerate() {
-                        exec.try_push(e).map_err(|err| ExecError::Shard {
-                            shard,
-                            source: Box::new(err),
-                        })?;
-                    }
-                }
-            }
-            cursor.advance(stream);
-            store.note_element();
-            if store.due(is_punct) {
-                let payload = Self::sharded_payload(
-                    &execs,
-                    store.every(),
-                    &cursor,
-                    router_tuples,
-                    router_puncts,
-                )?;
-                let rows: u64 = execs.iter().map(Executor::checkpointable_rows).sum();
-                store
-                    .commit(&payload, rows)
-                    .map_err(|e| corrupt_at(store.dir(), e.to_string()))?;
-            }
+                    source: Box::new(source),
+                })?;
         }
-        let mut shards_snaps = Vec::with_capacity(execs.len());
-        for exec in execs {
-            shards_snaps.push(exec.finish_detailed());
-        }
-        let mut merged = self.merge(shards_snaps, router_tuples, router_puncts, start);
-        merged.metrics.checkpoints_written += store.checkpoints_written;
-        merged.metrics.checkpoint_rows += store.checkpoint_rows;
-        merged.metrics.restores += restores;
-        merged.metrics.snapshot_fallbacks += fallbacks;
-        if self.cfg.record_outputs {
-            let mut outputs = Vec::new();
-            for r in &mut merged.shards {
-                outputs.append(&mut r.outputs);
-            }
-            merged.outputs = outputs;
-        }
-        Ok(merged)
+        Ok(())
+    }
+
+    fn counters(&mut self) -> &mut Metrics {
+        &mut self.driver
+    }
+
+    fn failure(&mut self) -> &mut Option<ExecError> {
+        &mut self.failed
     }
 }
 

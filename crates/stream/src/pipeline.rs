@@ -8,14 +8,16 @@
 //! not that algorithm. So the algorithm lives here once, as the provided
 //! methods of [`Pipeline`] over the pacing state in [`Core`]: the element
 //! loop, run and punctuation admission, the per-element cadence step, the
-//! purge → demote rungs of the budget ladder, the purge-cycle and finish
-//! skeletons, and the checkpoint driver. An engine implements what really
-//! differs: routing survivors through its operators, reaching those
-//! operators, its snapshot body, and the single-query monitors as hooks whose
-//! default is a no-op (the mirror purge is not among them: the
-//! [`PurgeEngine`] purges by the meet of the recipe sets subscribed to it,
-//! one or many). Everything is statically dispatched; shared code never asks
-//! which engine it serves.
+//! purge → demote rungs of the budget ladder, and the purge-cycle and finish
+//! skeletons. An engine implements what really differs: routing survivors
+//! through its operators, reaching those operators, its snapshot body
+//! ([`Snapshot`]), and the single-query monitors as hooks whose default is a
+//! no-op (the mirror purge is not among them: the [`PurgeEngine`] purges by
+//! the meet of the recipe sets subscribed to it, one or many). The checkpoint
+//! driver is the provided methods of [`Checkpointed`], which asks less than a
+//! whole pipeline, so the sharded executor's inline shard fleet runs under it
+//! too. Everything is statically dispatched; shared code never asks which
+//! engine it serves.
 
 use std::path::Path;
 use std::time::Instant;
@@ -66,6 +68,10 @@ pub(crate) struct Core {
     pub stamp_scratch: Vec<u64>,
     /// Optional dead-letter routing for refused elements.
     pub dead_letter: DeadLetter,
+    /// The `Failed` state: the first error a push returned. The element that
+    /// raised it was only partly applied, so every later push and checkpoint
+    /// commit is refused with a clone of it (see [`attempt`]).
+    pub failed: Option<ExecError>,
 }
 
 impl Core {
@@ -80,6 +86,7 @@ impl Core {
             scratch_survivors: Vec::new(),
             stamp_scratch: Vec::new(),
             dead_letter: DeadLetter::none(),
+            failed: None,
         }
     }
 
@@ -163,59 +170,241 @@ fn cutoff_for(stamps: &mut [u64], excess: usize) -> u64 {
     *nth + 1
 }
 
-/// The restore prelude every snapshot kind shares: newest valid frame →
-/// manifest → kind → fingerprint of a freshly built target → overlay →
-/// nothing left over → reopened store. `build` is told which phase it serves
-/// for its error text. Returns the target, a store continuing the sequence at
-/// the recorded cadence, the input cursor, and the snapshots skipped.
-pub(crate) fn restore_with<T>(
-    dir: &Path,
-    kind: SnapshotKind,
-    build: impl FnOnce(&str) -> Result<T, String>,
-    fingerprint: impl FnOnce(&T) -> u64,
-    overlay: impl FnOnce(&mut T, &mut Dec<'_>) -> SnapshotResult<()>,
-) -> ExecResult<(T, CheckpointStore, InputCursor, u64)> {
-    let corrupt = |detail: String| corrupt_at(dir, detail);
-    let (payload, fallbacks, path) = CheckpointStore::load_latest(dir).map_err(corrupt)?;
-    let mut target = build("restore").map_err(corrupt)?;
-    let mut d = Dec::new(&payload);
-    let manifest = Manifest::read(&mut d).map_err(|e| corrupt(e.to_string()))?;
-    if manifest.kind != kind {
-        return Err(corrupt(format!(
-            "snapshot at {} holds {:?} state, not {kind:?}",
-            path.display(),
-            manifest.kind
-        )));
-    }
-    let expected = fingerprint(&target);
-    if manifest.fingerprint != expected {
-        return Err(ExecError::RestoreMismatch {
-            expected,
-            found: manifest.fingerprint,
-        });
-    }
-    overlay(&mut target, &mut d).map_err(|e| corrupt(e.to_string()))?;
-    d.expect_end().map_err(|e| corrupt(e.to_string()))?;
-    let store = CheckpointStore::open(dir, manifest.every).map_err(|e| corrupt(e.to_string()))?;
-    Ok((target, store, manifest.cursor, fallbacks))
-}
-
 /// [`ExecError::CheckpointCorrupt`] for the checkpoint directory `dir`.
-pub(crate) fn corrupt_at(dir: &Path, detail: String) -> ExecError {
+fn corrupt_at(dir: &Path, detail: String) -> ExecError {
     ExecError::CheckpointCorrupt {
         path: dir.display().to_string(),
         detail,
     }
 }
 
+/// Runs `f` on `engine` unless an earlier call already failed, and records
+/// the first error in the engine's `failed` slot: an error leaves the element
+/// that raised it half-applied, so nothing may be pushed or committed after.
+#[inline]
+fn attempt<E, T>(
+    engine: &mut E,
+    failed: impl Fn(&mut E) -> &mut Option<ExecError>,
+    f: impl FnOnce(&mut E) -> ExecResult<T>,
+) -> ExecResult<T> {
+    if let Some(first) = failed(engine) {
+        return Err(first.clone());
+    }
+    let res = f(engine);
+    if let Err(e) = &res {
+        *failed(engine) = Some(e.clone());
+    }
+    res
+}
+
+/// What an engine's snapshot is: its kind, what it overlays onto, its body.
+pub(crate) trait Snapshot: Sized {
+    /// The snapshot kind this engine writes and accepts.
+    const KIND: SnapshotKind;
+
+    fn fingerprint(&self) -> u64;
+    fn write_snapshot(&self, e: &mut Enc);
+    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()>;
+    /// Why this engine's state cannot be snapshotted, if it cannot: a silent
+    /// partial snapshot would be worse than an error.
+    fn not_checkpointable(&self) -> Option<&'static str>;
+}
+
+/// The one checkpoint driver: route, commit when due, restore, resume. Its
+/// provided methods need only what is required here, so they serve every
+/// [`Pipeline`] (the blanket impl below) and the sharded executor's inline
+/// shard fleet alike.
+pub(crate) trait Checkpointed: Snapshot {
+    /// Live rows a checkpoint covers (reported as `Metrics::checkpoint_rows`).
+    fn snapshot_rows(&self) -> u64;
+    /// How many streams the input cursor tracks; `None` before any query.
+    fn n_streams(&self) -> Option<usize>;
+    /// Pushes one element, untimed.
+    fn push_one(&mut self, element: &StreamElement) -> ExecResult<()>;
+    /// Where commits, restores and the driver's wall time are counted.
+    fn counters(&mut self) -> &mut Metrics;
+    /// The `Failed` slot (see [`attempt`]).
+    fn failure(&mut self) -> &mut Option<ExecError>;
+
+    /// The complete checkpoint payload: manifest (kind, fingerprint, cadence,
+    /// input cursor) followed by the engine's snapshot body.
+    fn snapshot_payload(&self, every: u64, cursor: &InputCursor) -> ExecResult<Vec<u8>> {
+        if let Some(why) = self.not_checkpointable() {
+            return Err(ExecError::CheckpointCorrupt {
+                path: "<config>".into(),
+                detail: why.into(),
+            });
+        }
+        let mut e = Enc::new();
+        Manifest {
+            kind: Self::KIND,
+            fingerprint: self.fingerprint(),
+            every,
+            cursor: cursor.clone(),
+        }
+        .write(&mut e);
+        self.write_snapshot(&mut e);
+        Ok(e.buf)
+    }
+
+    /// Commits one snapshot of the current state to `store` unconditionally —
+    /// unless a push failed: a half-applied element must not reach disk.
+    fn commit_snapshot(
+        &mut self,
+        store: &mut CheckpointStore,
+        cursor: &InputCursor,
+    ) -> ExecResult<()> {
+        if let Some(first) = self.failure() {
+            return Err(first.clone());
+        }
+        let payload = self.snapshot_payload(store.every(), cursor)?;
+        let rows = self.snapshot_rows();
+        store
+            .commit(&payload, rows)
+            .map_err(|e| corrupt_at(store.dir(), e.to_string()))?;
+        let metrics = self.counters();
+        metrics.checkpoints_written += 1;
+        metrics.checkpoint_rows += rows;
+        Ok(())
+    }
+
+    /// Pushes `elements` and checkpoints when due: every element advances
+    /// `cursor` and the store's element counter; once the store's cadence
+    /// has accumulated **and** the element is a punctuation (snapshots are
+    /// punctuation-aligned consistent cuts), the full state is committed.
+    /// The clock is read once per call and per commit: `Metrics::elapsed_ns`
+    /// is brought up to date before every snapshot (which serializes it) and
+    /// excludes the commits.
+    fn push_all_checkpointed(
+        &mut self,
+        elements: &[StreamElement],
+        store: &mut CheckpointStore,
+        cursor: &mut InputCursor,
+    ) -> ExecResult<()> {
+        attempt(self, Self::failure, |this| {
+            let mut start = Instant::now();
+            for e in elements {
+                this.push_one(e)?;
+                cursor.advance(e.stream());
+                store.note_element();
+                if store.due(e.is_punctuation()) {
+                    this.counters().elapsed_ns += start.elapsed().as_nanos();
+                    this.commit_snapshot(store, cursor)?;
+                    start = Instant::now();
+                }
+            }
+            this.counters().elapsed_ns += start.elapsed().as_nanos();
+            Ok(())
+        })
+    }
+
+    /// Pushes a whole feed with punctuation-aligned checkpointing every
+    /// `every` elements into `dir`, from a zero cursor.
+    fn run_checkpointed(&mut self, feed: &Feed, dir: &Path, every: u64) -> ExecResult<()> {
+        let n_streams = self
+            .n_streams()
+            .ok_or_else(|| corrupt_at(dir, "no queries admitted: nothing to checkpoint".into()))?;
+        let mut store =
+            CheckpointStore::open(dir, every).map_err(|e| corrupt_at(dir, e.to_string()))?;
+        let mut cursor = InputCursor::zero(n_streams);
+        self.push_all_checkpointed(feed.elements(), &mut store, &mut cursor)
+    }
+
+    /// Restores an engine from the newest valid snapshot in `dir` onto what
+    /// `build` compiles: newest valid frame → manifest → kind → fingerprint of
+    /// the freshly built engine → overlay → nothing left over → reopened
+    /// store. `build` is told which phase it serves for its error text.
+    /// Returns the engine, a store continuing the sequence at the recorded
+    /// cadence, and the input cursor.
+    fn restore_from(
+        dir: &Path,
+        build: impl FnOnce(&str) -> Result<Self, String>,
+    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
+        let corrupt = |detail: String| corrupt_at(dir, detail);
+        let (payload, fallbacks, path) = CheckpointStore::load_latest(dir).map_err(corrupt)?;
+        let mut this = build("restore").map_err(corrupt)?;
+        let mut d = Dec::new(&payload);
+        let manifest = Manifest::read(&mut d).map_err(|e| corrupt(e.to_string()))?;
+        if manifest.kind != Self::KIND {
+            return Err(corrupt(format!(
+                "snapshot at {} holds {:?} state, not {:?}",
+                path.display(),
+                manifest.kind,
+                Self::KIND
+            )));
+        }
+        let expected = this.fingerprint();
+        if manifest.fingerprint != expected {
+            return Err(ExecError::RestoreMismatch {
+                expected,
+                found: manifest.fingerprint,
+            });
+        }
+        this.read_snapshot(&mut d)
+            .and_then(|()| d.expect_end())
+            .map_err(|e| corrupt(e.to_string()))?;
+        let store =
+            CheckpointStore::open(dir, manifest.every).map_err(|e| corrupt(e.to_string()))?;
+        let metrics = this.counters();
+        metrics.restores += 1;
+        metrics.snapshot_fallbacks += fallbacks;
+        Ok((this, store, manifest.cursor))
+    }
+
+    /// Restores from `dir` and pushes the rest of `feed` from the recorded
+    /// cursor — skipping exactly the elements the snapshot already consumed —
+    /// checkpointing at the recorded cadence. A directory with no snapshot (a
+    /// crash before the first commit) cold-starts the whole feed at cadence
+    /// `every`. The caller finishes the returned engine.
+    fn resume_from(
+        dir: &Path,
+        build: impl Fn(&str) -> Result<Self, String>,
+        feed: &Feed,
+        every: u64,
+    ) -> ExecResult<Self> {
+        if list_snapshots(dir).is_empty() {
+            let mut this = build("cold start").map_err(|e| corrupt_at(dir, e))?;
+            this.run_checkpointed(feed, dir, every)?;
+            return Ok(this);
+        }
+        let (mut this, mut store, mut cursor) = Self::restore_from(dir, build)?;
+        let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
+        let rest = feed.elements().get(done..).unwrap_or(&[]);
+        this.push_all_checkpointed(rest, &mut store, &mut cursor)?;
+        Ok(this)
+    }
+}
+
+impl<P: Pipeline> Checkpointed for P {
+    /// Hot join state plus the raw mirror plus cold-tier rows.
+    fn snapshot_rows(&self) -> u64 {
+        let mirror = self.engine().map_or(0, PurgeEngine::mirror_live);
+        (self.join_state_live() + mirror + self.cold_rows()) as u64
+    }
+
+    fn n_streams(&self) -> Option<usize> {
+        self.engine().map(PurgeEngine::n_streams)
+    }
+
+    fn push_one(&mut self, element: &StreamElement) -> ExecResult<()> {
+        self.push_untimed(element)
+    }
+
+    fn counters(&mut self) -> &mut Metrics {
+        &mut self.core_mut().metrics
+    }
+
+    fn failure(&mut self) -> &mut Option<ExecError> {
+        &mut self.core_mut().failed
+    }
+}
+
 /// An engine over the shared pipeline. Required methods say where the parts
 /// are and what differs; provided methods are the algorithm.
-pub(crate) trait Pipeline: Sized {
+pub(crate) trait Pipeline: Snapshot {
     /// What the caller of a batch push hands over for root results: the
     /// executor takes the sink, the registry's queries own theirs.
     type Sink<'s>: ?Sized;
-    /// The snapshot kind this engine writes and accepts.
-    const KIND: SnapshotKind;
 
     fn core(&self) -> &Core;
     fn core_mut(&mut self) -> &mut Core;
@@ -244,13 +433,6 @@ pub(crate) trait Pipeline: Sized {
         survivors: &[u32],
         sink: &mut Self::Sink<'_>,
     ) -> ExecResult<()>;
-
-    fn fingerprint(&self) -> u64;
-    fn write_snapshot(&self, e: &mut Enc);
-    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()>;
-    /// Why this engine's state cannot be snapshotted, if it cannot: a silent
-    /// partial snapshot would be worse than an error.
-    fn not_checkpointable(&self) -> Option<&'static str>;
 
     // Single-query monitors and per-tenant bookkeeping: no-ops unless an
     // engine has them.
@@ -305,13 +487,15 @@ pub(crate) trait Pipeline: Sized {
     /// feed add their loop's time to `Metrics::elapsed_ns` once. A tuple is
     /// a run of one.
     fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
-        match element {
-            StreamElement::Tuple(t) => self.with_own_sink(|this, sink| {
-                this.push_run(t.stream, t.values.len(), &t.values, 1, sink)
-            })?,
-            StreamElement::Punctuation(p) => self.try_push_punctuation(p)?,
-        }
-        self.post_element()
+        attempt(self, Self::failure, |this| {
+            match element {
+                StreamElement::Tuple(t) => this.with_own_sink(|this, sink| {
+                    this.push_run(t.stream, t.values.len(), &t.values, 1, sink)
+                })?,
+                StreamElement::Punctuation(p) => this.try_push_punctuation(p)?,
+            }
+            this.post_element()
+        })
     }
 
     /// A gathered micro-batch, equivalent to pushing its elements one at a
@@ -322,34 +506,36 @@ pub(crate) trait Pipeline: Sized {
         batch: &ElementBatch<'_>,
         sink: &mut Self::Sink<'_>,
     ) -> ExecResult<()> {
-        let start = Instant::now();
-        for item in batch.items() {
-            match *item {
-                BatchItem::Punct(p) => {
-                    self.try_push_punctuation(p)?;
-                    self.post_element()?;
-                }
-                BatchItem::Run {
-                    stream,
-                    width,
-                    start: flat_start,
-                    rows,
-                } => {
-                    let mut off = 0;
-                    while off < rows {
-                        let take = (rows - off).min(self.run_cap());
-                        let arena = &batch.arena()[flat_start + off * width..];
-                        self.push_run(stream, width, arena, take, sink)?;
-                        self.post_element()?;
-                        off += take;
+        attempt(self, Self::failure, |this| {
+            let start = Instant::now();
+            for item in batch.items() {
+                match *item {
+                    BatchItem::Punct(p) => {
+                        this.try_push_punctuation(p)?;
+                        this.post_element()?;
+                    }
+                    BatchItem::Run {
+                        stream,
+                        width,
+                        start: flat_start,
+                        rows,
+                    } => {
+                        let mut off = 0;
+                        while off < rows {
+                            let take = (rows - off).min(this.run_cap());
+                            let arena = &batch.arena()[flat_start + off * width..];
+                            this.push_run(stream, width, arena, take, sink)?;
+                            this.post_element()?;
+                            off += take;
+                        }
                     }
                 }
             }
-        }
-        let metrics = &mut self.core_mut().metrics;
-        metrics.batches_processed += 1;
-        metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
+            let metrics = &mut this.core_mut().metrics;
+            metrics.batches_processed += 1;
+            metrics.elapsed_ns += start.elapsed().as_nanos();
+            Ok(())
+        })
     }
 
     /// The one feed driver: gathers [`FEED_CHUNK`]-element chunks into one
@@ -437,7 +623,7 @@ pub(crate) trait Pipeline: Sized {
                 survivors.push(i as u32);
                 continue;
             }
-            core.metrics.count_violation(stream.0);
+            core.metrics.violations += 1;
             let fault = AdmissionFault::PunctuationViolation { stream };
             if strict {
                 core.scratch_survivors = survivors;
@@ -524,8 +710,6 @@ pub(crate) trait Pipeline: Sized {
         self.enforce_budget()?;
         self.check_monitors()?;
         let core = self.core_mut();
-        // `>=`: an element refused with an error skips this step, and the
-        // position it would have sampled at must not stop the series.
         if core.clock >= core.next_sample {
             core.next_sample = next_sample_after(core.clock, core.cfg.sample_every);
             self.sample();
@@ -717,7 +901,7 @@ pub(crate) trait Pipeline: Sized {
         if tiered {
             let mut ts = TierStats::default();
             for op in self.ops() {
-                ts.add(&op.tier_stats());
+                ts.merge_from(&op.tier_stats());
             }
             let metrics = &mut self.core_mut().metrics;
             metrics.rows_demoted = ts.rows_demoted;
@@ -725,133 +909,5 @@ pub(crate) trait Pipeline: Sized {
             metrics.segments_written = ts.segments_written;
             metrics.segments_retired = ts.segments_retired;
         }
-    }
-
-    /// Live rows a checkpoint covers: hot join state plus the raw mirror plus
-    /// cold-tier rows (reported as `Metrics::checkpoint_rows`).
-    fn checkpointable_rows(&self) -> u64 {
-        let mirror = self.engine().map_or(0, PurgeEngine::mirror_live);
-        (self.join_state_live() + mirror + self.cold_rows()) as u64
-    }
-
-    /// The complete checkpoint payload: manifest (kind, fingerprint, cadence,
-    /// input cursor) followed by the engine's snapshot body.
-    fn snapshot_payload(&self, every: u64, cursor: &InputCursor) -> ExecResult<Vec<u8>> {
-        if let Some(why) = self.not_checkpointable() {
-            return Err(ExecError::CheckpointCorrupt {
-                path: "<config>".into(),
-                detail: why.into(),
-            });
-        }
-        let mut e = Enc::new();
-        Manifest {
-            kind: Self::KIND,
-            fingerprint: self.fingerprint(),
-            every,
-            cursor: cursor.clone(),
-        }
-        .write(&mut e);
-        self.write_snapshot(&mut e);
-        Ok(e.buf)
-    }
-
-    /// Commits one snapshot of the current state to `store` unconditionally.
-    fn commit_snapshot(
-        &mut self,
-        store: &mut CheckpointStore,
-        cursor: &InputCursor,
-    ) -> ExecResult<()> {
-        let payload = self.snapshot_payload(store.every(), cursor)?;
-        let rows = self.checkpointable_rows();
-        store
-            .commit(&payload, rows)
-            .map_err(|e| corrupt_at(store.dir(), e.to_string()))?;
-        let metrics = &mut self.core_mut().metrics;
-        metrics.checkpoints_written += 1;
-        metrics.checkpoint_rows += rows;
-        Ok(())
-    }
-
-    /// Pushes `elements` and checkpoints when due: every element advances
-    /// `cursor` and the store's element counter; once the store's cadence
-    /// has accumulated **and** the element is a punctuation (snapshots are
-    /// punctuation-aligned consistent cuts), the full state is committed.
-    /// The clock is read once per call and per commit: `Metrics::elapsed_ns`
-    /// is brought up to date before every snapshot (which serializes it) and
-    /// excludes the commits.
-    fn push_all_checkpointed(
-        &mut self,
-        elements: &[StreamElement],
-        store: &mut CheckpointStore,
-        cursor: &mut InputCursor,
-    ) -> ExecResult<()> {
-        let mut start = Instant::now();
-        for e in elements {
-            self.push_untimed(e)?;
-            cursor.advance(e.stream());
-            store.note_element();
-            if store.due(e.is_punctuation()) {
-                self.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
-                self.commit_snapshot(store, cursor)?;
-                start = Instant::now();
-            }
-        }
-        self.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
-    }
-
-    /// Pushes a whole feed with punctuation-aligned checkpointing every
-    /// `every` elements into `dir`, from a zero cursor.
-    fn run_checkpointed(&mut self, feed: &Feed, dir: &Path, every: u64) -> ExecResult<()> {
-        let n_streams = self
-            .engine()
-            .map(PurgeEngine::n_streams)
-            .ok_or_else(|| corrupt_at(dir, "no queries admitted: nothing to checkpoint".into()))?;
-        let mut store =
-            CheckpointStore::open(dir, every).map_err(|e| corrupt_at(dir, e.to_string()))?;
-        let mut cursor = InputCursor::zero(n_streams);
-        self.push_all_checkpointed(feed.elements(), &mut store, &mut cursor)
-    }
-
-    /// Restores an engine from the newest valid snapshot in `dir` onto what
-    /// `build` compiles (see [`restore_with`]).
-    fn restore_from(
-        dir: &Path,
-        build: impl FnOnce(&str) -> Result<Self, String>,
-    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
-        let (mut this, store, cursor, fallbacks) = restore_with(
-            dir,
-            Self::KIND,
-            build,
-            Self::fingerprint,
-            Self::read_snapshot,
-        )?;
-        let metrics = &mut this.core_mut().metrics;
-        metrics.restores += 1;
-        metrics.snapshot_fallbacks += fallbacks;
-        Ok((this, store, cursor))
-    }
-
-    /// Restores from `dir` and pushes the rest of `feed` from the recorded
-    /// cursor — skipping exactly the elements the snapshot already consumed —
-    /// checkpointing at the recorded cadence. A directory with no snapshot (a
-    /// crash before the first commit) cold-starts the whole feed at cadence
-    /// `every`. The caller finishes the returned engine.
-    fn resume_from(
-        dir: &Path,
-        build: impl Fn(&str) -> Result<Self, String>,
-        feed: &Feed,
-        every: u64,
-    ) -> ExecResult<Self> {
-        if list_snapshots(dir).is_empty() {
-            let mut this = build("cold start").map_err(|e| corrupt_at(dir, e))?;
-            this.run_checkpointed(feed, dir, every)?;
-            return Ok(this);
-        }
-        let (mut this, mut store, mut cursor) = Self::restore_from(dir, build)?;
-        let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
-        let rest = feed.elements().get(done..).unwrap_or(&[]);
-        this.push_all_checkpointed(rest, &mut store, &mut cursor)?;
-        Ok(this)
     }
 }

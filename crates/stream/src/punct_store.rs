@@ -344,6 +344,7 @@ impl PunctStore {
     /// and are not written; entries are emitted sorted by combination so the
     /// payload bytes are deterministic.
     pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
+        use crate::checkpoint::Codec;
         e.usize(self.schemes.len());
         for entries in &self.entries {
             let mut sorted: Vec<(&Vec<Value>, u64)> =
@@ -351,10 +352,7 @@ impl PunctStore {
             sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
             e.usize(sorted.len());
             for (combo, at) in sorted {
-                e.usize(combo.len());
-                for v in combo {
-                    e.value(v);
-                }
+                combo.enc(e);
                 e.u64(at);
             }
         }
@@ -378,10 +376,7 @@ impl PunctStore {
                 PunctDelta::Entry { scheme_idx, combo } => {
                     e.u8(0);
                     e.usize(*scheme_idx);
-                    e.usize(combo.len());
-                    for v in combo {
-                        e.value(v);
-                    }
+                    combo.enc(e);
                 }
                 PunctDelta::Advance {
                     scheme_idx,
@@ -390,7 +385,7 @@ impl PunctStore {
                 } => {
                     e.u8(1);
                     e.usize(*scheme_idx);
-                    e.opt_value(above.as_ref());
+                    above.enc(e);
                     e.value(upto);
                 }
             }
@@ -405,19 +400,13 @@ impl PunctStore {
         &mut self,
         d: &mut crate::checkpoint::Dec<'_>,
     ) -> crate::checkpoint::SnapshotResult<()> {
-        use crate::checkpoint::SnapshotError;
+        use crate::checkpoint::{Codec, SnapshotError};
         d.count_of("schemes of a punctuation store", self.schemes.len())?;
         for entries in &mut self.entries {
             entries.clear();
             let n = d.len_prefix(16)?;
             for _ in 0..n {
-                let arity = d.len_prefix(1)?;
-                let mut combo = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    combo.push(d.value()?);
-                }
-                let at = d.u64()?;
-                entries.insert(combo, at);
+                entries.insert(Codec::dec(d)?, d.u64()?);
             }
         }
         for t in &mut self.thresholds {
@@ -435,18 +424,13 @@ impl PunctStore {
         let mut log = Vec::with_capacity(n);
         for _ in 0..n {
             log.push(match d.u8()? {
-                0 => {
-                    let scheme_idx = d.usize()?;
-                    let arity = d.len_prefix(1)?;
-                    let mut combo = Vec::with_capacity(arity);
-                    for _ in 0..arity {
-                        combo.push(d.value()?);
-                    }
-                    PunctDelta::Entry { scheme_idx, combo }
-                }
+                0 => PunctDelta::Entry {
+                    scheme_idx: d.usize()?,
+                    combo: Codec::dec(d)?,
+                },
                 1 => PunctDelta::Advance {
                     scheme_idx: d.usize()?,
-                    above: d.opt_value()?,
+                    above: Codec::dec(d)?,
                     upto: d.value()?,
                 },
                 t => return Err(SnapshotError(format!("unknown punct delta tag {t}"))),

@@ -57,16 +57,16 @@ use cjq_core::value::Value;
 
 use crate::certify;
 use crate::checkpoint::{
-    CheckpointStore, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
+    CheckpointStore, Codec, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
 };
 use crate::element::StreamElement;
 use crate::error::ExecResult;
 use crate::exec::{fingerprint_query, fingerprint_schemes, ExecConfig};
 use crate::guard::AdmissionGuard;
 use crate::join::JoinOperator;
-use crate::metrics::Metrics;
+use crate::metrics::{facts, Metrics};
 use crate::parallel::{fan_out, Partitioning};
-use crate::pipeline::{Core, Pipeline, Run};
+use crate::pipeline::{Checkpointed, Core, Pipeline, Run, Snapshot};
 use crate::purge::{MirrorSubscription, PurgeEngine, PurgeScope};
 use crate::sink::{OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
@@ -94,18 +94,22 @@ impl std::fmt::Display for RegistryRejection {
 
 impl std::error::Error for RegistryRejection {}
 
-/// Per-query execution counters, maintained incrementally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Result rows delivered to this query.
-    pub outputs: u64,
-    /// Operator join-state rows purged on this query's behalf (rows leaving
-    /// a shared node count once per subscriber — the per-query view).
-    pub purged: u64,
-    /// Registry clock at admission.
-    pub admitted_at: u64,
-    /// Registry clock at retirement, `None` while live.
-    pub retired_at: Option<u64>,
+facts! {
+    /// Per-query execution counters, maintained incrementally. Shards own
+    /// disjoint key ranges, so their counters add; their clocks tick over
+    /// different subsequences, so a merged record holds none.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct QueryStats {
+        /// Result rows delivered to this query.
+        pub outputs: u64 => sum,
+        /// Operator join-state rows purged on this query's behalf (rows leaving
+        /// a shared node count once per subscriber — the per-query view).
+        pub purged: u64 => sum,
+        /// Registry clock at admission.
+        pub admitted_at: u64 => drop,
+        /// Registry clock at retirement, `None` while live.
+        pub retired_at: Option<u64> => drop,
+    }
 }
 
 /// One query's slice of a finished registry run.
@@ -470,7 +474,8 @@ impl QueryRegistry {
 
     /// Pushes one element through the shared pipeline (see
     /// [`crate::exec::Executor::try_push`] for the error contract; after an
-    /// error the registry is poisoned and must be discarded).
+    /// error the registry is failed and refuses every later push and commit
+    /// with it).
     ///
     /// # Errors
     /// Admission refusals under `AdmissionPolicy::Strict`;
@@ -677,7 +682,6 @@ impl QueryRegistry {
 /// refuses their knobs).
 impl Pipeline for QueryRegistry {
     type Sink<'s> = ();
-    const KIND: SnapshotKind = SnapshotKind::Registry;
 
     fn core(&self) -> &Core {
         &self.core
@@ -782,6 +786,10 @@ impl Pipeline for QueryRegistry {
             q.stats.purged += purged;
         }
     }
+}
+
+impl Snapshot for QueryRegistry {
+    const KIND: SnapshotKind = SnapshotKind::Registry;
 
     /// Structural fingerprint of the registry's membership: config knobs,
     /// every admitted query's predicates and arena subscription (node
@@ -817,17 +825,8 @@ impl Pipeline for QueryRegistry {
         e.usize(self.queries.len());
         for q in &self.queries {
             e.bool(q.live);
-            e.u64(q.stats.outputs);
-            e.u64(q.stats.purged);
-            e.u64(q.stats.admitted_at);
-            match q.stats.retired_at {
-                Some(v) => {
-                    e.bool(true);
-                    e.u64(v);
-                }
-                None => e.bool(false),
-            }
-            e.rows(&q.outputs);
+            q.stats.write_state(e);
+            q.outputs.enc(e);
         }
         match &self.engine {
             Some(engine) => {
@@ -860,15 +859,9 @@ impl Pipeline for QueryRegistry {
         let nq = d.count_of("re-admitted queries", self.queries.len())?;
         for qi in 0..nq {
             let live = d.bool()?;
-            let stats = QueryStats {
-                outputs: d.u64()?,
-                purged: d.u64()?,
-                admitted_at: d.u64()?,
-                retired_at: if d.bool()? { Some(d.u64()?) } else { None },
-            };
             let q = &mut self.queries[qi];
-            q.stats = stats;
-            q.outputs = d.rows()?;
+            q.stats = QueryStats::read_state(d)?;
+            q.outputs = Codec::dec(d)?;
             if !live && q.live {
                 q.live = false;
                 self.unsubscribe(qi).ok_or_else(|| {
@@ -1133,8 +1126,7 @@ impl ShardedRegistry {
             let mut out = QueryRunResult::default();
             for s in &mut shards {
                 let part = std::mem::take(&mut s.queries[qi]);
-                out.stats.outputs += part.stats.outputs;
-                out.stats.purged += part.stats.purged;
+                out.stats.merge_from(&part.stats);
                 out.outputs.extend(part.outputs);
             }
             queries.push(out);
@@ -1332,7 +1324,7 @@ mod tests {
                 } else {
                     res.expect("quarantine counts the tuple and carries on");
                     assert_eq!((m.quarantined, m.tuples_in), (1, 0));
-                    assert_eq!(m.quarantined_by_reason[fault.code()], 1);
+                    assert_eq!(m.quarantined_by_reason()[fault.code()], 1);
                 }
             }
         }

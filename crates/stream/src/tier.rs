@@ -53,28 +53,21 @@ impl Default for TierConfig {
     }
 }
 
-/// Cumulative tier counters, aggregated into [`crate::metrics::Metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierStats {
-    /// Rows demoted from the hot arena into segments.
-    pub rows_demoted: u64,
-    /// Rows faulted back into the hot arena (demand faults + finish-time
-    /// rehydration).
-    pub rows_faulted: u64,
-    /// Segments written to disk.
-    pub segments_written: u64,
-    /// Segments removed — certified-dropped by a covering recipe or fully
-    /// drained by fault-back.
-    pub segments_retired: u64,
-}
-
-impl TierStats {
-    /// Adds `other` into `self` (per-port → per-operator aggregation).
-    pub fn add(&mut self, other: &TierStats) {
-        self.rows_demoted += other.rows_demoted;
-        self.rows_faulted += other.rows_faulted;
-        self.segments_written += other.segments_written;
-        self.segments_retired += other.segments_retired;
+crate::metrics::facts! {
+    /// Cumulative tier counters, aggregated into [`crate::metrics::Metrics`]
+    /// (per port → per operator → per engine: counters add).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TierStats {
+        /// Rows demoted from the hot arena into segments.
+        pub rows_demoted: u64 => sum,
+        /// Rows faulted back into the hot arena (demand faults + finish-time
+        /// rehydration).
+        pub rows_faulted: u64 => sum,
+        /// Segments written to disk.
+        pub segments_written: u64 => sum,
+        /// Segments removed — certified-dropped by a covering recipe or fully
+        /// drained by fault-back.
+        pub segments_retired: u64 => sum,
     }
 }
 
@@ -297,10 +290,7 @@ impl ColdTier {
             e.u64s(seg.live_bits());
             e.usize(seg.live());
         }
-        e.u64(self.stats.rows_demoted);
-        e.u64(self.stats.rows_faulted);
-        e.u64(self.stats.segments_written);
-        e.u64(self.stats.segments_retired);
+        self.stats.write_state(e);
     }
 
     /// Rebuilds the tier from a snapshot: re-spills each serialized segment
@@ -344,12 +334,7 @@ impl ColdTier {
                 .expect("just spilled")
                 .restore_live_bits(bits, live);
         }
-        self.stats = TierStats {
-            rows_demoted: d.u64()?,
-            rows_faulted: d.u64()?,
-            segments_written: d.u64()?,
-            segments_retired: d.u64()?,
-        };
+        self.stats = TierStats::read_state(d)?;
         Ok(())
     }
 }

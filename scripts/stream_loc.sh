@@ -6,7 +6,7 @@
 # reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=12001
+CEILING=11903
 
 cd "$(dirname "$0")/.."
 total=0
@@ -36,6 +36,28 @@ for name in post_element enforce_budget run_cap try_push_punctuation refuse_punc
     done
     if [ "$(echo $owners | wc -w)" -gt 1 ]; then
         echo "fn $name is defined in more than one file:$owners" >&2
+        status=1
+    fi
+done
+
+# One table: every `Metrics`/`StatePoint` field is a row of a `facts!` table in
+# metrics.rs, and `merge_from`/`write_state`/`read_state` exist only as that
+# macro's output. A field name inside the macro definition, or one of those
+# functions written out beside it, is the hand-kept list growing back.
+metrics=crates/stream/src/metrics.rs
+nontest=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$metrics")
+macro=$(echo "$nontest" | awk '/^macro_rules! facts/{on=1} on{print} on&&/^}/{exit}')
+fields=$(echo "$nontest" | sed -n 's/^ *pub \([a-z_0-9]*\): .*/\1/p')
+[ -n "$macro" ] && [ -n "$fields" ] || { echo "no facts! table in $metrics" >&2; status=1; }
+for field in $fields; do
+    if echo "$macro" | grep -v '^ *//' | grep -qw "$field"; then
+        echo "field name $field appears inside macro_rules! facts" >&2
+        status=1
+    fi
+done
+for name in merge_from write_state read_state; do
+    if [ "$(echo "$nontest" | grep -c "fn $name(")" != "$(echo "$macro" | grep -c "fn $name(")" ]; then
+        echo "fn $name is written out in $metrics beside the facts! macro" >&2
         status=1
     fi
 done

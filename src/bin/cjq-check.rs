@@ -52,10 +52,13 @@ use std::process::ExitCode;
 
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::core::{bounds, purge_plan, safety};
-use punctuated_cjq::lint::{self, json, BoundsConfig};
+use punctuated_cjq::lint::json::Json;
+use punctuated_cjq::lint::{self, BoundsConfig};
 use punctuated_cjq::parse::parse_spec_full;
 use punctuated_cjq::planner::enumerate::PlanSpace;
 use punctuated_cjq::planner::scheme_select;
+use punctuated_cjq::stream::guard::AdmissionFault;
+use punctuated_cjq::stream::metrics::{FieldValue, Metrics};
 
 const EXIT_UNSAFE: u8 = 1;
 const EXIT_PARSE: u8 = 2;
@@ -174,7 +177,7 @@ fn main() -> ExitCode {
     };
     let many = specs.len() > 1;
     let mut worst = 0u8;
-    let mut json_reports: Vec<String> = Vec::new();
+    let mut json_reports: Vec<Json> = Vec::new();
     for (path, query, schemes, contracts) in &specs {
         let bounds_cfg = want_bounds.then(|| BoundsConfig {
             contracts: contracts.clone(),
@@ -187,17 +190,11 @@ fn main() -> ExitCode {
                     Some(cfg) => lint::lint_plan_with_bounds(query, schemes, &plan, cfg),
                     None => lint::lint_plan(query, schemes, &plan),
                 };
-                let mut rendered = report.render_json();
-                if want_plan {
-                    // Splice the chosen plan into the report object.
-                    rendered = rendered.replacen(
-                        "{\n",
-                        &format!(
-                            "{{\n  \"plan\": {{\n    \"plan\": {}\n  }},\n",
-                            json::string(&plan.to_string())
-                        ),
-                        1,
-                    );
+                let mut rendered = report.to_json();
+                if let (true, Json::Object(members)) = (want_plan, &mut rendered) {
+                    // The chosen plan leads the report object.
+                    let chosen = Json::object([("plan", Json::from(plan.to_string()))]);
+                    members.insert(0, ("plan".to_owned(), chosen));
                 }
                 json_reports.push(rendered);
                 lint_exit(&report, deny_warnings)
@@ -226,9 +223,9 @@ fn main() -> ExitCode {
                 ExitCode::from(EXIT_UNSAFE)
             }
         } else if want_json {
-            let rendered = json_report_string(query, schemes);
-            json_reports.push(rendered.0);
-            rendered.1
+            let (rendered, code) = json_report(query, schemes);
+            json_reports.push(rendered);
+            code
         } else {
             if many {
                 println!("== {path} ==");
@@ -244,18 +241,75 @@ fn main() -> ExitCode {
         worst = worst.max(severity);
     }
     if want_json && !dot {
-        if many {
-            println!("[");
-            for (i, r) in json_reports.iter().enumerate() {
-                let sep = if i + 1 < json_reports.len() { "," } else { "" };
-                println!("{r}{sep}");
-            }
-            println!("]");
-        } else if let Some(r) = json_reports.first() {
-            println!("{r}");
-        }
+        print_json(json_reports, many);
     }
     ExitCode::from(worst)
+}
+
+/// Prints the reports of a `--json` run: one document, or one array of them
+/// when several inputs were named.
+fn print_json(mut reports: Vec<Json>, many: bool) {
+    if many {
+        println!("{}", Json::Array(reports).render());
+    } else if let Some(only) = reports.pop() {
+        println!("{}", only.render());
+    }
+}
+
+/// A table-declared record as JSON object members: the one walk over
+/// `fields()` behind the text and the `--json` reports. The sample series is
+/// a curve, not a counter (`Metrics::series_csv` renders it) and is left out.
+fn members_of<'a>(
+    fields: impl Iterator<Item = (&'static str, FieldValue<'a>)>,
+) -> Vec<(&'static str, Json)> {
+    fields
+        .filter_map(|(name, value)| {
+            let value = match value {
+                FieldValue::Int(n) => Json::Int(n),
+                FieldValue::Opt(clock) => Json::from(clock),
+                FieldValue::List(cells) => Json::array(cells),
+                FieldValue::Series(_) => return None,
+            };
+            Some((name, value))
+        })
+        .collect()
+}
+
+/// The `"metrics"` object of a replay, resume or serve report: every
+/// [`Metrics`] field, then the projections of the quarantine matrices.
+fn metrics_json(m: &Metrics) -> Json {
+    let mut members = members_of(m.fields());
+    let by_reason = m.quarantined_by_reason();
+    let by_reason = by_reason
+        .iter()
+        .enumerate()
+        .map(|(code, &n)| (AdmissionFault::code_name(code), Json::from(n)));
+    members.push((
+        "violations_by_stream",
+        Json::array(m.violations_by_stream()),
+    ));
+    members.push(("quarantined_by_reason", Json::object(by_reason)));
+    members.push((
+        "quarantined_by_stream",
+        Json::array(m.quarantined_by_stream()),
+    ));
+    Json::object(members)
+}
+
+/// Prints an object's members as indented `name value` lines (the text form
+/// of what `--json` prints), nested objects one level deeper.
+fn print_members(object: &Json, indent: usize) {
+    let Json::Object(members) = object else {
+        return;
+    };
+    for (name, value) in members {
+        if let Json::Object(_) = value {
+            println!("{:indent$}{name}", "");
+            print_members(value, indent + 2);
+        } else {
+            println!("{:indent$}{name:<28} {}", "", value.render());
+        }
+    }
 }
 
 /// The plan `lint` analyzes: the register's choice under `--plan`, the
@@ -318,43 +372,36 @@ fn lint_report(
     lint_exit(&report, deny_warnings)
 }
 
-/// Machine-readable safety report for the plain check path, rendered to a
-/// string so multi-spec runs can join reports into one array.
-fn json_report_string(query: &Cjq, schemes: &SchemeSet) -> (String, ExitCode) {
+/// Machine-readable safety report for the plain check path.
+fn json_report(query: &Cjq, schemes: &SchemeSet) -> (Json, ExitCode) {
     let cat = query.catalog();
     let name = |s: StreamId| cat.schema(s).expect("validated").name().to_owned();
     let result = safety::check_query(query, schemes);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"safe\": {},\n", result.safe));
-    out.push_str(&format!(
-        "  \"method\": {},\n",
-        json::string(match result.method {
-            safety::CheckMethod::SimplePg => "simple-pg",
-            safety::CheckMethod::Generalized => "generalized",
-        })
-    ));
-    out.push_str("  \"streams\": [\n");
-    for (i, p) in result.per_stream.iter().enumerate() {
-        let unreachable: Vec<String> = p.unreachable.iter().map(|&t| name(t)).collect();
-        out.push_str(&format!(
-            "    {{\"stream\": {}, \"purgeable\": {}, \"unreachable\": {}}}{}\n",
-            json::string(&name(p.stream)),
-            p.purgeable,
-            json::string_array(&unreachable),
-            if i + 1 < result.per_stream.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]\n}");
+    let streams = result.per_stream.iter().map(|p| {
+        Json::object([
+            ("stream", Json::from(name(p.stream))),
+            ("purgeable", Json::from(p.purgeable)),
+            (
+                "unreachable",
+                Json::array(p.unreachable.iter().map(|&t| name(t))),
+            ),
+        ])
+    });
+    let method = match result.method {
+        safety::CheckMethod::SimplePg => "simple-pg",
+        safety::CheckMethod::Generalized => "generalized",
+    };
+    let doc = Json::object([
+        ("safe", Json::from(result.safe)),
+        ("method", Json::from(method)),
+        ("streams", Json::Array(streams.collect())),
+    ]);
     let code = if result.safe {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_UNSAFE)
     };
-    (out, code)
+    (doc, code)
 }
 
 fn report(query: &Cjq, schemes: &SchemeSet, want_plan: bool) -> ExitCode {
@@ -440,17 +487,17 @@ mod replay {
     use punctuated_cjq::core::plan::Plan;
     use punctuated_cjq::core::query::Cjq;
     use punctuated_cjq::core::scheme::SchemeSet;
-    use punctuated_cjq::lint::json;
+    use punctuated_cjq::lint::json::Json;
     use punctuated_cjq::stream::exec::{ExecConfig, Executor, StateBudget};
     use punctuated_cjq::stream::fault::{Fault, FaultPlan};
-    use punctuated_cjq::stream::guard::{AdmissionFault, AdmissionPolicy};
+    use punctuated_cjq::stream::guard::AdmissionPolicy;
     use punctuated_cjq::stream::metrics::Metrics;
     use punctuated_cjq::stream::parallel::ShardedExecutor;
     use punctuated_cjq::stream::source::Feed;
     use punctuated_cjq::stream::tier::TierConfig;
     use punctuated_cjq::workload::{auction, network, sensor, trades};
 
-    use super::{EXIT_PARSE, EXIT_UNSAFE};
+    use super::{metrics_json, print_json, print_members, EXIT_PARSE, EXIT_UNSAFE};
 
     /// Matches the chaos suite's seed so replayed faults line up with CI.
     const DEFAULT_SEED: u64 = 0xC4A0_5EED;
@@ -596,7 +643,7 @@ mod replay {
         };
         let many = opts.workloads.len() > 1;
         let mut worst = 0u8;
-        let mut json_reports: Vec<String> = Vec::new();
+        let mut json_reports: Vec<Json> = Vec::new();
         for name in &opts.workloads {
             let Some((query, schemes, feed)) = workload(name) else {
                 eprintln!(
@@ -673,24 +720,21 @@ mod replay {
                 }
             };
             if opts.json {
-                json_reports.push(render_json(&opts, name, &metrics));
+                json_reports.push(report(&opts, name, &metrics));
             } else {
                 print_text(&opts, name, &metrics);
             }
         }
         if opts.json {
-            if many {
-                println!("[");
-                for (i, r) in json_reports.iter().enumerate() {
-                    let sep = if i + 1 < json_reports.len() { "," } else { "" };
-                    println!("{r}{sep}");
-                }
-                println!("]");
-            } else if let Some(r) = json_reports.first() {
-                println!("{r}");
-            }
+            print_json(json_reports, many);
         }
         ExitCode::from(worst)
+    }
+
+    /// Where this workload's snapshots go, when checkpointing is on.
+    fn checkpoint_dir(opts: &Options, workload: &str) -> Option<String> {
+        let dir = opts.checkpoint_dir.as_ref()?;
+        Some(dir.join(workload).display().to_string())
     }
 
     fn print_text(opts: &Options, workload: &str, m: &Metrics) {
@@ -702,131 +746,35 @@ mod replay {
             if opts.shards == 1 { "" } else { "s" },
             if opts.faults { "on" } else { "off" },
         );
-        println!("  tuples in:        {}", m.tuples_in);
-        println!("  punctuations in:  {}", m.puncts_in);
-        println!("  outputs:          {}", m.outputs);
-        println!("  violations:       {}", m.violations);
-        println!("  quarantined:      {}", m.quarantined);
-        for (code, &n) in m.quarantined_by_reason.iter().enumerate() {
-            if n > 0 {
-                println!("    {:22} {n}", AdmissionFault::code_name(code));
-            }
-        }
-        println!("  repaired:         {}", m.repaired);
-        println!("  stalled streams:  {:?}", m.stalled_streams);
-        println!("  peak join state:  {}", m.peak_join_state);
         if let Some(budget) = opts.memory_budget {
-            println!("  memory budget:    {budget}");
-            println!("  rows demoted:     {}", m.rows_demoted);
-            println!("  rows faulted:     {}", m.rows_faulted);
-            println!(
-                "  segments:         {} written, {} retired",
-                m.segments_written, m.segments_retired
-            );
-            println!("  peak cold rows:   {}", m.cold_rows);
+            println!("  memory budget: {budget} rows");
         }
-        if let Some(dir) = &opts.checkpoint_dir {
+        if let Some(dir) = checkpoint_dir(opts, workload) {
             println!(
-                "  checkpoints:      {} written ({} rows) every {} elements under {}",
-                m.checkpoints_written,
-                m.checkpoint_rows,
-                opts.checkpoint_every,
-                dir.join(workload).display()
-            );
-            println!(
-                "  restores:         {} ({} snapshot fallback{})",
-                m.restores,
-                m.snapshot_fallbacks,
-                if m.snapshot_fallbacks == 1 { "" } else { "s" }
+                "  checkpoints: every {} elements under {dir}",
+                opts.checkpoint_every
             );
         }
+        print_members(&metrics_json(m), 2);
     }
 
-    fn render_json(opts: &Options, workload: &str, m: &Metrics) -> String {
-        let by_reason: Vec<String> = (0..AdmissionFault::REASONS)
-            .map(|code| {
-                format!(
-                    "{}: {}",
-                    json::string(AdmissionFault::code_name(code)),
-                    m.quarantined_by_reason.get(code).copied().unwrap_or(0)
-                )
-            })
-            .collect();
-        let by_stream: Vec<String> = m.quarantined_by_stream.iter().map(u64::to_string).collect();
-        let stalled: Vec<String> = m.stalled_streams.iter().map(usize::to_string).collect();
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"workload\": {},\n", json::string(workload)));
-        out.push_str(&format!(
-            "  \"policy\": {},\n",
-            json::string(policy_name(opts.policy))
-        ));
-        out.push_str(&format!("  \"shards\": {},\n", opts.shards));
-        out.push_str(&format!("  \"faults\": {},\n", opts.faults));
-        out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-        out.push_str(&format!("  \"tuples_in\": {},\n", m.tuples_in));
-        out.push_str(&format!("  \"puncts_in\": {},\n", m.puncts_in));
-        out.push_str(&format!("  \"outputs\": {},\n", m.outputs));
-        out.push_str(&format!("  \"violations\": {},\n", m.violations));
-        out.push_str("  \"guard\": {\n");
-        out.push_str(&format!("    \"quarantined\": {},\n", m.quarantined));
-        out.push_str(&format!(
-            "    \"quarantined_by_reason\": {{{}}},\n",
-            by_reason.join(", ")
-        ));
-        out.push_str(&format!(
-            "    \"quarantined_by_stream\": [{}],\n",
-            by_stream.join(", ")
-        ));
-        out.push_str(&format!("    \"repaired\": {},\n", m.repaired));
-        out.push_str(&format!(
-            "    \"stalled_streams\": [{}]\n",
-            stalled.join(", ")
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"tier\": {\n");
-        out.push_str(&format!(
-            "    \"memory_budget\": {},\n",
-            opts.memory_budget
-                .map_or_else(|| "null".to_owned(), |b| b.to_string())
-        ));
-        out.push_str(&format!("    \"rows_demoted\": {},\n", m.rows_demoted));
-        out.push_str(&format!("    \"rows_faulted\": {},\n", m.rows_faulted));
-        out.push_str(&format!(
-            "    \"segments_written\": {},\n",
-            m.segments_written
-        ));
-        out.push_str(&format!(
-            "    \"segments_retired\": {},\n",
-            m.segments_retired
-        ));
-        out.push_str(&format!("    \"peak_cold_rows\": {}\n", m.cold_rows));
-        out.push_str("  },\n");
-        out.push_str("  \"checkpoint\": {\n");
-        out.push_str(&format!(
-            "    \"dir\": {},\n",
-            opts.checkpoint_dir.as_ref().map_or_else(
-                || "null".to_owned(),
-                |d| json::string(&d.join(workload).display().to_string())
-            )
-        ));
-        out.push_str(&format!("    \"every\": {},\n", opts.checkpoint_every));
-        out.push_str(&format!(
-            "    \"checkpoints_written\": {},\n",
-            m.checkpoints_written
-        ));
-        out.push_str(&format!(
-            "    \"checkpoint_rows\": {},\n",
-            m.checkpoint_rows
-        ));
-        out.push_str(&format!("    \"restores\": {},\n", m.restores));
-        out.push_str(&format!(
-            "    \"snapshot_fallbacks\": {}\n",
-            m.snapshot_fallbacks
-        ));
-        out.push_str("  },\n");
-        out.push_str(&format!("  \"peak_join_state\": {}\n", m.peak_join_state));
-        out.push('}');
-        out
+    fn report(opts: &Options, workload: &str, m: &Metrics) -> Json {
+        Json::object([
+            ("workload", Json::from(workload)),
+            ("policy", Json::from(policy_name(opts.policy))),
+            ("shards", Json::from(opts.shards)),
+            ("faults", Json::from(opts.faults)),
+            ("seed", Json::from(opts.seed)),
+            ("memory_budget", Json::from(opts.memory_budget)),
+            (
+                "checkpoint",
+                Json::object([
+                    ("dir", Json::from(checkpoint_dir(opts, workload))),
+                    ("every", Json::from(opts.checkpoint_every)),
+                ]),
+            ),
+            ("metrics", metrics_json(m)),
+        ])
     }
 }
 
@@ -845,7 +793,7 @@ mod serve {
     use punctuated_cjq::core::query::Cjq;
     use punctuated_cjq::core::scheme::SchemeSet;
     use punctuated_cjq::core::value::Value;
-    use punctuated_cjq::lint::json;
+    use punctuated_cjq::lint::json::Json;
     use punctuated_cjq::parse::parse_spec;
     use punctuated_cjq::stream::exec::{ExecConfig, StateBudget};
     use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult, ShardedRegistry};
@@ -853,7 +801,7 @@ mod serve {
     use punctuated_cjq::stream::tier::TierConfig;
     use punctuated_cjq::stream::tuple::Tuple;
 
-    use super::{EXIT_IO, EXIT_PARSE, EXIT_UNSAFE};
+    use super::{members_of, metrics_json, print_members, EXIT_IO, EXIT_PARSE, EXIT_UNSAFE};
 
     struct Options {
         rounds: u64,
@@ -1118,29 +1066,19 @@ mod serve {
             if subscriptions == 1 { "" } else { "s" },
         );
         for (a, q) in admitted.iter().zip(&result.queries) {
-            println!(
-                "  {:24} outputs {:8} purged {:8}",
-                a.path, q.stats.outputs, q.stats.purged
-            );
+            let stats: Vec<String> = members_of(q.stats.fields())
+                .iter()
+                .map(|(name, value)| format!("{name} {:8}", value.render()))
+                .collect();
+            println!("  {:24} {}", a.path, stats.join(" "));
         }
         for (path, reason) in rejected {
             println!("  {path:24} REJECTED: {reason}");
         }
-        let m = &result.metrics;
-        println!("  tuples in:        {}", m.tuples_in);
-        println!("  punctuations in:  {}", m.puncts_in);
-        println!("  purged:           {}", m.purged);
-        println!("  peak join state:  {}", m.peak_join_state);
         if let Some(budget) = opts.memory_budget {
-            println!("  memory budget:    {budget}");
-            println!("  rows demoted:     {}", m.rows_demoted);
-            println!("  rows faulted:     {}", m.rows_faulted);
-            println!(
-                "  segments:         {} written, {} retired",
-                m.segments_written, m.segments_retired
-            );
-            println!("  peak cold rows:   {}", m.cold_rows);
+            println!("  memory budget: {budget} rows");
         }
+        print_members(&metrics_json(&result.metrics), 2);
     }
 
     fn print_json(
@@ -1151,58 +1089,25 @@ mod serve {
         subscriptions: usize,
         result: &RegistryResult,
     ) {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"rounds\": {},\n", opts.rounds));
-        out.push_str(&format!("  \"lag\": {},\n", opts.lag));
-        out.push_str(&format!("  \"shards\": {},\n", opts.shards));
-        out.push_str(&format!("  \"shared_nodes\": {shared_nodes},\n"));
-        out.push_str(&format!("  \"subscriptions\": {subscriptions},\n"));
-        out.push_str("  \"queries\": [\n");
-        for (i, (a, q)) in admitted.iter().zip(&result.queries).enumerate() {
-            out.push_str(&format!(
-                "    {{\"spec\": {}, \"outputs\": {}, \"purged\": {}}}{}\n",
-                json::string(&a.path),
-                q.stats.outputs,
-                q.stats.purged,
-                if i + 1 < admitted.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"rejected\": [\n");
-        for (i, (path, reason)) in rejected.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"spec\": {}, \"reason\": {}}}{}\n",
-                json::string(path),
-                json::string(reason),
-                if i + 1 < rejected.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        let m = &result.metrics;
-        out.push_str(&format!("  \"tuples_in\": {},\n", m.tuples_in));
-        out.push_str(&format!("  \"puncts_in\": {},\n", m.puncts_in));
-        out.push_str(&format!("  \"outputs\": {},\n", m.outputs));
-        out.push_str(&format!("  \"purged\": {},\n", m.purged));
-        out.push_str("  \"tier\": {\n");
-        out.push_str(&format!(
-            "    \"memory_budget\": {},\n",
-            opts.memory_budget
-                .map_or_else(|| "null".to_owned(), |b| b.to_string())
-        ));
-        out.push_str(&format!("    \"rows_demoted\": {},\n", m.rows_demoted));
-        out.push_str(&format!("    \"rows_faulted\": {},\n", m.rows_faulted));
-        out.push_str(&format!(
-            "    \"segments_written\": {},\n",
-            m.segments_written
-        ));
-        out.push_str(&format!(
-            "    \"segments_retired\": {},\n",
-            m.segments_retired
-        ));
-        out.push_str(&format!("    \"peak_cold_rows\": {}\n", m.cold_rows));
-        out.push_str("  },\n");
-        out.push_str(&format!("  \"peak_join_state\": {}\n", m.peak_join_state));
-        out.push('}');
-        println!("{out}");
+        let queries = admitted.iter().zip(&result.queries).map(|(a, q)| {
+            let mut members = vec![("spec", Json::from(&a.path))];
+            members.extend(members_of(q.stats.fields()));
+            Json::object(members)
+        });
+        let rejected = rejected.iter().map(|(path, reason)| {
+            Json::object([("spec", Json::from(path)), ("reason", Json::from(reason))])
+        });
+        let doc = Json::object([
+            ("rounds", Json::from(opts.rounds)),
+            ("lag", Json::from(opts.lag)),
+            ("shards", Json::from(opts.shards)),
+            ("memory_budget", Json::from(opts.memory_budget)),
+            ("shared_nodes", Json::from(shared_nodes)),
+            ("subscriptions", Json::from(subscriptions)),
+            ("queries", Json::Array(queries.collect())),
+            ("rejected", Json::Array(rejected.collect())),
+            ("metrics", metrics_json(&result.metrics)),
+        ]);
+        println!("{}", doc.render());
     }
 }

@@ -129,7 +129,8 @@ fn assert_equivalent_armed(
         assert_eq!(b.puncts_in, l.puncts_in, "{tag}: puncts_in");
         assert_eq!(b.violations, l.violations, "{tag}: violations");
         assert_eq!(
-            b.violations_by_stream, l.violations_by_stream,
+            b.violations_by_stream(),
+            l.violations_by_stream(),
             "{tag}: violations_by_stream"
         );
         assert_eq!(b.quarantined, l.quarantined, "{tag}: quarantined");

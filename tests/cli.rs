@@ -250,7 +250,7 @@ fn run_replay(args: &[&str]) -> (String, String, Option<i32>) {
 fn replay_reports_guard_statistics_in_json() {
     let (stdout, _, code) = run_replay(&["--faults", "--json", "auction"]);
     assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("\"guard\""), "{stdout}");
+    assert!(stdout.contains("\"metrics\""), "{stdout}");
     assert!(stdout.contains("\"quarantined\""), "{stdout}");
     assert!(stdout.contains("\"arity-mismatch\""), "{stdout}");
     assert!(stdout.contains("\"quarantined_by_stream\""), "{stdout}");
@@ -300,7 +300,7 @@ fn replay_sharded_matches_policy_flags() {
     let (stdout, _, code) = run_replay(&["--shards", "4", "--faults", "--json", "sensor"]);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("\"shards\": 4"), "{stdout}");
-    assert!(stdout.contains("\"guard\""), "{stdout}");
+    assert!(stdout.contains("\"metrics\""), "{stdout}");
 }
 
 #[test]

@@ -468,19 +468,23 @@ fn malformed_elements_are_admitted_identically_under_every_policy() {
         assert_eq!(m.tuples_in, s.tuples_in, "{admission:?}");
         assert_eq!(m.puncts_in, s.puncts_in, "{admission:?}");
         assert_eq!(
-            m.violations_by_stream, s.violations_by_stream,
+            m.violations_by_stream(),
+            s.violations_by_stream(),
             "{admission:?}"
         );
         assert_eq!(m.quarantined, s.quarantined, "{admission:?}");
         assert_eq!(
-            m.quarantined_by_reason, s.quarantined_by_reason,
+            m.quarantined_by_reason(),
+            s.quarantined_by_reason(),
             "{admission:?}"
         );
         assert_eq!(
-            m.quarantined_by_stream, s.quarantined_by_stream,
+            m.quarantined_by_stream(),
+            s.quarantined_by_stream(),
             "{admission:?}"
         );
         assert_eq!(m.quarantined_rows, s.quarantined_rows, "{admission:?}");
+        assert_eq!(m.quarantined_puncts, s.quarantined_puncts, "{admission:?}");
         assert_eq!(m.repaired, s.repaired, "{admission:?}");
         assert_eq!(shared.queries[0].outputs, solo.outputs, "{admission:?}");
         assert_eq!(
