@@ -1492,6 +1492,13 @@ mod tests {
 
         assert!(list_snapshots(&dir).is_empty(), "nothing was committed");
         let _ = std::fs::remove_dir_all(&dir);
+
+        // A commit the store cannot write fails that commit, not the engine:
+        // the element before it was applied whole.
+        let mut exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
+        let lost = exec.push_checkpointed(&bid_close(1), &mut store, &mut cursor);
+        assert!(matches!(lost, Err(ExecError::CheckpointCorrupt { .. })));
+        exec.try_push(&item(2)).unwrap();
     }
 
     #[test]

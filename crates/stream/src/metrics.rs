@@ -17,32 +17,31 @@ use crate::guard::AdmissionFault;
 
 /// One field of a table-declared record, as its `fields()` visitor yields it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldValue<'a> {
+pub enum FieldValue {
     /// A counter, peak or clock.
     Int(u128),
     /// A clock that may not have struck.
     Opt(Option<u64>),
     /// Per-stream, per-port or matrix cells.
     List(Vec<u128>),
-    /// The sample series.
-    Series(&'a [StatePoint]),
 }
 
-/// A field type the tables can hold: its codec and its reported value.
+/// A field type the tables can hold: its codec and its reported value
+/// (`None`: `fields()` leaves the field out).
 pub(crate) trait Fact: Codec {
-    fn value(&self) -> FieldValue<'_>;
+    fn value(&self) -> Option<FieldValue>;
 }
 
 macro_rules! int_facts {
     ($($t:ident),+) => {$(
         impl Fact for $t {
-            fn value(&self) -> FieldValue<'_> {
-                FieldValue::Int(*self as u128)
+            fn value(&self) -> Option<FieldValue> {
+                Some(FieldValue::Int(*self as u128))
             }
         }
         impl Fact for Vec<$t> {
-            fn value(&self) -> FieldValue<'_> {
-                FieldValue::List(self.iter().map(|&v| v as u128).collect())
+            fn value(&self) -> Option<FieldValue> {
+                Some(FieldValue::List(self.iter().map(|&v| v as u128).collect()))
             }
         }
     )+};
@@ -50,8 +49,8 @@ macro_rules! int_facts {
 int_facts!(u64, usize, u128);
 
 impl Fact for Option<u64> {
-    fn value(&self) -> FieldValue<'_> {
-        FieldValue::Opt(*self)
+    fn value(&self) -> Option<FieldValue> {
+        Some(FieldValue::Opt(*self))
     }
 }
 
@@ -64,9 +63,11 @@ impl Codec for StatePoint {
     }
 }
 
+/// The sample series is a curve, not a counter: [`Metrics::series_csv`]
+/// renders it.
 impl Fact for Vec<StatePoint> {
-    fn value(&self) -> FieldValue<'_> {
-        FieldValue::Series(self)
+    fn value(&self) -> Option<FieldValue> {
+        None
     }
 }
 
@@ -141,9 +142,11 @@ macro_rules! facts {
             /// The field names, in declaration order.
             pub const FIELD_NAMES: &'static [&'static str] = &[$(stringify!($name)),+];
 
-            /// Every field as `(name, value)`, in declaration order.
-            pub fn fields(&self) -> impl Iterator<Item = (&'static str, $crate::metrics::FieldValue<'_>)> {
-                [$((stringify!($name), $crate::metrics::Fact::value(&self.$name))),+].into_iter()
+            /// Every reported field as `(name, value)`, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, $crate::metrics::FieldValue)> {
+                [$((stringify!($name), $crate::metrics::Fact::value(&self.$name))),+]
+                    .into_iter()
+                    .filter_map(|(name, value)| Some((name, value?)))
             }
 
             /// Serializes every field, in declaration order, into a
@@ -535,7 +538,7 @@ pub(crate) mod tests {
         let m = Metrics::filled(&mut 0);
         let distinct: std::collections::BTreeSet<String> =
             m.fields().map(|(_, v)| format!("{v:?}")).collect();
-        assert_eq!(distinct.len(), Metrics::FIELD_NAMES.len());
+        assert_eq!(distinct.len(), m.fields().count());
         assert!(!distinct.contains(&format!("{:?}", FieldValue::Int(0))));
 
         let mut e = Enc::new();
@@ -554,13 +557,11 @@ pub(crate) mod tests {
         };
         assert_eq!(format!("{merged:?}"), format!("{expected:?}"));
 
-        let names: std::collections::BTreeSet<&str> = m.fields().map(|(n, _)| n).collect();
-        assert_eq!(names.len(), 35);
-        assert!(names.iter().copied().eq({
-            let mut sorted = Metrics::FIELD_NAMES.to_vec();
-            sorted.sort_unstable();
-            sorted
-        }));
+        // Every row but the series is reported, under its own name (the
+        // struct keeps those distinct).
+        assert_eq!(Metrics::FIELD_NAMES.len(), 35);
+        let reported = Metrics::FIELD_NAMES.iter().filter(|&&n| n != "series");
+        assert!(m.fields().map(|(n, _)| n).eq(reported.copied()));
     }
 
     /// The same macro serves every table-declared record of the crate.

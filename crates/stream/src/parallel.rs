@@ -640,7 +640,6 @@ impl ShardedExecutor {
             router_tuples: 0,
             router_puncts: 0,
             driver: Metrics::default(),
-            failed: None,
         }
     }
 
@@ -715,7 +714,6 @@ struct Fleet<'a> {
     router_puncts: u64,
     /// Commits, restores and the driver's wall time (not part of a snapshot).
     driver: Metrics,
-    failed: Option<ExecError>,
 }
 
 impl Snapshot for Fleet<'_> {
@@ -790,10 +788,6 @@ impl Checkpointed for Fleet<'_> {
 
     fn counters(&mut self) -> &mut Metrics {
         &mut self.driver
-    }
-
-    fn failure(&mut self) -> &mut Option<ExecError> {
-        &mut self.failed
     }
 }
 

@@ -70,7 +70,7 @@ pub(crate) struct Core {
     pub dead_letter: DeadLetter,
     /// The `Failed` state: the first error a push returned. The element that
     /// raised it was only partly applied, so every later push and checkpoint
-    /// commit is refused with a clone of it (see [`attempt`]).
+    /// commit is refused with a clone of it (see [`Pipeline::attempt`]).
     pub failed: Option<ExecError>,
 }
 
@@ -178,25 +178,6 @@ fn corrupt_at(dir: &Path, detail: String) -> ExecError {
     }
 }
 
-/// Runs `f` on `engine` unless an earlier call already failed, and records
-/// the first error in the engine's `failed` slot: an error leaves the element
-/// that raised it half-applied, so nothing may be pushed or committed after.
-#[inline]
-fn attempt<E, T>(
-    engine: &mut E,
-    failed: impl Fn(&mut E) -> &mut Option<ExecError>,
-    f: impl FnOnce(&mut E) -> ExecResult<T>,
-) -> ExecResult<T> {
-    if let Some(first) = failed(engine) {
-        return Err(first.clone());
-    }
-    let res = f(engine);
-    if let Err(e) = &res {
-        *failed(engine) = Some(e.clone());
-    }
-    res
-}
-
 /// What an engine's snapshot is: its kind, what it overlays onto, its body.
 pub(crate) trait Snapshot: Sized {
     /// The snapshot kind this engine writes and accepts.
@@ -219,12 +200,15 @@ pub(crate) trait Checkpointed: Snapshot {
     fn snapshot_rows(&self) -> u64;
     /// How many streams the input cursor tracks; `None` before any query.
     fn n_streams(&self) -> Option<usize>;
-    /// Pushes one element, untimed.
+    /// Pushes one element, untimed. An engine that outlives an error keeps
+    /// the first one and answers every later push with it.
     fn push_one(&mut self, element: &StreamElement) -> ExecResult<()>;
     /// Where commits, restores and the driver's wall time are counted.
     fn counters(&mut self) -> &mut Metrics;
-    /// The `Failed` slot (see [`attempt`]).
-    fn failure(&mut self) -> &mut Option<ExecError>;
+    /// The error an earlier push left this engine failed with, if any.
+    fn failed(&self) -> Option<&ExecError> {
+        None
+    }
 
     /// The complete checkpoint payload: manifest (kind, fingerprint, cadence,
     /// input cursor) followed by the engine's snapshot body.
@@ -254,7 +238,7 @@ pub(crate) trait Checkpointed: Snapshot {
         store: &mut CheckpointStore,
         cursor: &InputCursor,
     ) -> ExecResult<()> {
-        if let Some(first) = self.failure() {
+        if let Some(first) = self.failed() {
             return Err(first.clone());
         }
         let payload = self.snapshot_payload(store.every(), cursor)?;
@@ -281,21 +265,19 @@ pub(crate) trait Checkpointed: Snapshot {
         store: &mut CheckpointStore,
         cursor: &mut InputCursor,
     ) -> ExecResult<()> {
-        attempt(self, Self::failure, |this| {
-            let mut start = Instant::now();
-            for e in elements {
-                this.push_one(e)?;
-                cursor.advance(e.stream());
-                store.note_element();
-                if store.due(e.is_punctuation()) {
-                    this.counters().elapsed_ns += start.elapsed().as_nanos();
-                    this.commit_snapshot(store, cursor)?;
-                    start = Instant::now();
-                }
+        let mut start = Instant::now();
+        for e in elements {
+            self.push_one(e)?;
+            cursor.advance(e.stream());
+            store.note_element();
+            if store.due(e.is_punctuation()) {
+                self.counters().elapsed_ns += start.elapsed().as_nanos();
+                self.commit_snapshot(store, cursor)?;
+                start = Instant::now();
             }
-            this.counters().elapsed_ns += start.elapsed().as_nanos();
-            Ok(())
-        })
+        }
+        self.counters().elapsed_ns += start.elapsed().as_nanos();
+        Ok(())
     }
 
     /// Pushes a whole feed with punctuation-aligned checkpointing every
@@ -387,15 +369,15 @@ impl<P: Pipeline> Checkpointed for P {
     }
 
     fn push_one(&mut self, element: &StreamElement) -> ExecResult<()> {
-        self.push_untimed(element)
+        self.attempt(|this| this.push_untimed(element))
     }
 
     fn counters(&mut self) -> &mut Metrics {
         &mut self.core_mut().metrics
     }
 
-    fn failure(&mut self) -> &mut Option<ExecError> {
-        &mut self.core_mut().failed
+    fn failed(&self) -> Option<&ExecError> {
+        self.core().failed.as_ref()
     }
 }
 
@@ -475,27 +457,43 @@ pub(crate) trait Pipeline: Snapshot {
         self.ops().map(JoinOperator::cold_rows).sum()
     }
 
+    /// Runs the push `f` unless an earlier one failed, and keeps the first
+    /// error in [`Core::failed`]: an error leaves the element that raised it
+    /// half-applied, so nothing may be pushed or committed after. Wrapped
+    /// once around each push entry point, never per element inside one.
+    #[inline]
+    fn attempt<T>(&mut self, f: impl FnOnce(&mut Self) -> ExecResult<T>) -> ExecResult<T> {
+        if let Some(first) = &self.core().failed {
+            return Err(first.clone());
+        }
+        let res = f(self);
+        if let Err(e) = &res {
+            self.core_mut().failed = Some(e.clone());
+        }
+        res
+    }
+
     /// One element with the engine's own sink, timed: the public `try_push`.
     fn push_timed(&mut self, element: &StreamElement) -> ExecResult<()> {
-        let start = Instant::now();
-        self.push_untimed(element)?;
-        self.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
-        Ok(())
+        self.attempt(|this| {
+            let start = Instant::now();
+            this.push_untimed(element)?;
+            this.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
+            Ok(())
+        })
     }
 
     /// One element without the two clock reads: drivers that push a whole
     /// feed add their loop's time to `Metrics::elapsed_ns` once. A tuple is
     /// a run of one.
     fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
-        attempt(self, Self::failure, |this| {
-            match element {
-                StreamElement::Tuple(t) => this.with_own_sink(|this, sink| {
-                    this.push_run(t.stream, t.values.len(), &t.values, 1, sink)
-                })?,
-                StreamElement::Punctuation(p) => this.try_push_punctuation(p)?,
-            }
-            this.post_element()
-        })
+        match element {
+            StreamElement::Tuple(t) => self.with_own_sink(|this, sink| {
+                this.push_run(t.stream, t.values.len(), &t.values, 1, sink)
+            })?,
+            StreamElement::Punctuation(p) => self.try_push_punctuation(p)?,
+        }
+        self.post_element()
     }
 
     /// A gathered micro-batch, equivalent to pushing its elements one at a
@@ -506,7 +504,7 @@ pub(crate) trait Pipeline: Snapshot {
         batch: &ElementBatch<'_>,
         sink: &mut Self::Sink<'_>,
     ) -> ExecResult<()> {
-        attempt(self, Self::failure, |this| {
+        self.attempt(|this| {
             let start = Instant::now();
             for item in batch.items() {
                 match *item {

@@ -257,28 +257,41 @@ fn print_json(mut reports: Vec<Json>, many: bool) {
 }
 
 /// A table-declared record as JSON object members: the one walk over
-/// `fields()` behind the text and the `--json` reports. The sample series is
-/// a curve, not a counter (`Metrics::series_csv` renders it) and is left out.
-fn members_of<'a>(
-    fields: impl Iterator<Item = (&'static str, FieldValue<'a>)>,
+/// `fields()` behind the text and the `--json` reports.
+fn members_of(
+    fields: impl Iterator<Item = (&'static str, FieldValue)>,
 ) -> Vec<(&'static str, Json)> {
     fields
-        .filter_map(|(name, value)| {
+        .map(|(name, value)| {
             let value = match value {
                 FieldValue::Int(n) => Json::Int(n),
                 FieldValue::Opt(clock) => Json::from(clock),
                 FieldValue::List(cells) => Json::array(cells),
-                FieldValue::Series(_) => return None,
             };
-            Some((name, value))
+            (name, value)
         })
         .collect()
 }
 
-/// The `"metrics"` object of a replay, resume or serve report: every
-/// [`Metrics`] field, then the projections of the quarantine matrices.
-fn metrics_json(m: &Metrics) -> Json {
-    let mut members = members_of(m.fields());
+/// The checkpoint driver's own counters. An uninterrupted run and a resumed
+/// one differ in them by construction, so reports keep them in the
+/// `"checkpoint"` object, apart from the `"metrics"` a resume must reproduce.
+const CHECKPOINT_FACTS: [&str; 4] = [
+    "checkpoints_written",
+    "checkpoint_rows",
+    "restores",
+    "snapshot_fallbacks",
+];
+
+/// A run's [`Metrics`] as the two member lists of its report: the
+/// [`CHECKPOINT_FACTS`], and the `"metrics"` object's — every other field,
+/// then the projections of the quarantine matrices. Wall time is in neither:
+/// a report is a function of the feed and the flags, byte for byte.
+fn metrics_json(m: &Metrics) -> (Vec<(&'static str, Json)>, Json) {
+    let (checkpoint, mut members): (Vec<_>, Vec<_>) = members_of(m.fields())
+        .into_iter()
+        .filter(|(name, _)| *name != "elapsed_ns")
+        .partition(|(name, _)| CHECKPOINT_FACTS.contains(name));
     let by_reason = m.quarantined_by_reason();
     let by_reason = by_reason
         .iter()
@@ -293,7 +306,7 @@ fn metrics_json(m: &Metrics) -> Json {
         "quarantined_by_stream",
         Json::array(m.quarantined_by_stream()),
     ));
-    Json::object(members)
+    (checkpoint, Json::object(members))
 }
 
 /// Prints an object's members as indented `name value` lines (the text form
@@ -749,16 +762,24 @@ mod replay {
         if let Some(budget) = opts.memory_budget {
             println!("  memory budget: {budget} rows");
         }
+        let (counters, metrics) = metrics_json(m);
         if let Some(dir) = checkpoint_dir(opts, workload) {
             println!(
                 "  checkpoints: every {} elements under {dir}",
                 opts.checkpoint_every
             );
+            print_members(&Json::object(counters), 4);
         }
-        print_members(&metrics_json(m), 2);
+        print_members(&metrics, 2);
     }
 
     fn report(opts: &Options, workload: &str, m: &Metrics) -> Json {
+        let (counters, metrics) = metrics_json(m);
+        let mut checkpoint = vec![
+            ("dir", Json::from(checkpoint_dir(opts, workload))),
+            ("every", Json::from(opts.checkpoint_every)),
+        ];
+        checkpoint.extend(counters);
         Json::object([
             ("workload", Json::from(workload)),
             ("policy", Json::from(policy_name(opts.policy))),
@@ -766,14 +787,8 @@ mod replay {
             ("faults", Json::from(opts.faults)),
             ("seed", Json::from(opts.seed)),
             ("memory_budget", Json::from(opts.memory_budget)),
-            (
-                "checkpoint",
-                Json::object([
-                    ("dir", Json::from(checkpoint_dir(opts, workload))),
-                    ("every", Json::from(opts.checkpoint_every)),
-                ]),
-            ),
-            ("metrics", metrics_json(m)),
+            ("checkpoint", Json::object(checkpoint)),
+            ("metrics", metrics),
         ])
     }
 }
@@ -1078,7 +1093,8 @@ mod serve {
         if let Some(budget) = opts.memory_budget {
             println!("  memory budget: {budget} rows");
         }
-        print_members(&metrics_json(&result.metrics), 2);
+        // `serve` takes no checkpoints: its reports hold the metrics only.
+        print_members(&metrics_json(&result.metrics).1, 2);
     }
 
     fn print_json(
@@ -1106,7 +1122,7 @@ mod serve {
             ("subscriptions", Json::from(subscriptions)),
             ("queries", Json::Array(queries.collect())),
             ("rejected", Json::Array(rejected.collect())),
-            ("metrics", metrics_json(&result.metrics)),
+            ("metrics", metrics_json(&result.metrics).1),
         ]);
         println!("{}", doc.render());
     }

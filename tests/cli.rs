@@ -303,6 +303,56 @@ fn replay_sharded_matches_policy_flags() {
     assert!(stdout.contains("\"metrics\""), "{stdout}");
 }
 
+/// A `--json` report without its `"checkpoint"` object and the two batching
+/// counters: the part a checkpointed or resumed run shares with a plain one
+/// (the CI crash-recovery smoke makes the same cut with sed).
+fn comparable(report: &str) -> String {
+    let mut in_checkpoint = false;
+    let kept = report.lines().filter(|line| {
+        in_checkpoint |= line.contains("\"checkpoint\": {");
+        let skip = in_checkpoint
+            || line.contains("\"batches_processed\"")
+            || line.contains("\"probe_keys_deduped\"");
+        in_checkpoint &= !line.trim_start().starts_with('}');
+        !skip
+    });
+    kept.collect::<Vec<_>>().join("\n")
+}
+
+#[test]
+fn replay_json_is_reproducible_and_a_resume_reproduces_it() {
+    let (golden, _, code) = run_replay(&["--faults", "--json", "sensor"]);
+    assert_eq!(code, Some(0), "{golden}");
+    assert!(!golden.contains("elapsed_ns"), "{golden}");
+    assert!(golden.contains("\"restores\": 0"), "{golden}");
+    let (again, _, _) = run_replay(&["--faults", "--json", "sensor"]);
+    assert_eq!(again, golden, "two runs of one feed print one report");
+
+    // Checkpoint, lose the newest snapshot (the crash), resume.
+    let dir = std::env::temp_dir().join(format!("cjq_cli_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let at = dir.to_str().expect("utf-8 temp dir");
+    let flags = ["--faults", "--checkpoint-dir", at];
+    let (_, stderr, code) =
+        run_replay(&[&flags[..], &["--checkpoint-every", "200", "sensor"]].concat());
+    assert_eq!(code, Some(0), "{stderr}");
+    let mut snaps: Vec<_> = std::fs::read_dir(dir.join("sensor"))
+        .expect("snapshot directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "ckpt"))
+        .collect();
+    snaps.sort();
+    assert!(snaps.len() > 1, "{snaps:?}");
+    std::fs::remove_file(snaps.last().expect("a snapshot")).expect("drop newest snapshot");
+    let (resumed, stderr, code) =
+        run_args(&[&["resume"], &flags[..], &["--json", "sensor"]].concat());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(resumed.contains("\"restores\": 1"), "{resumed}");
+    assert_ne!(resumed, golden);
+    assert_eq!(comparable(&resumed), comparable(&golden));
+}
+
 #[test]
 fn replay_rejects_unknown_workloads_and_flags() {
     let (_, stderr, code) = run_replay(&["nosuch"]);
