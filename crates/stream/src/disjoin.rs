@@ -18,7 +18,7 @@ use cjq_core::value::Value;
 use crate::layout::SpanLayout;
 use crate::punct_store::PunctStore;
 use crate::sink::OutputBuffer;
-use crate::state::PortState;
+use crate::state::{PortState, Sweep};
 use crate::tuple::Tuple;
 
 /// One alternative resolved to attribute columns on both sides.
@@ -192,10 +192,11 @@ impl DisjunctiveJoin {
     /// number purged.
     pub fn purge_pass(&mut self) -> usize {
         let mut purged = 0;
+        let mut sweep = Sweep::default();
         for side in [0usize, 1] {
             let other = 1 - side;
             let (groups, puncts) = (&self.groups, &self.puncts[other]);
-            let sweep = self.states[side].collect_matching(None, |_, vals| {
+            let guarded = |_, vals: &[Value]| {
                 groups.iter().any(|g| {
                     g.iter().all(|a| {
                         let (my_attr, their_attr) = if side == 0 {
@@ -206,7 +207,8 @@ impl DisjunctiveJoin {
                         puncts.covers_single(their_attr, &vals[my_attr.0])
                     })
                 })
-            });
+            };
+            self.states[side].collect_matching(None, guarded, &mut sweep);
             purged += self.states[side].purge_slots(&sweep.slots);
         }
         self.stats.purged += purged as u64;

@@ -23,7 +23,7 @@ use crate::purge::{
 };
 use crate::segment::StepSummary;
 use crate::sink::OutputBuffer;
-use crate::state::PortState;
+use crate::state::{PortState, Sweep};
 use crate::tier::{ColdTier, SpillStore, TierStats};
 
 /// A cross-port equi-join condition resolved to flat columns.
@@ -89,6 +89,7 @@ pub struct JoinOperator {
     /// [`JoinOperator::purge_pass`].
     scratch_check: CheckScratch,
     scratch_candidates: Vec<usize>,
+    scratch_sweep: Sweep,
     /// Statistics.
     pub stats: OperatorStats,
 }
@@ -154,79 +155,48 @@ impl JoinOperator {
             });
         }
 
-        // Index every column used by a cross predicate.
-        let mut indexed: Vec<Vec<usize>> = vec![Vec::new(); port_spans.len()];
-        for cp in &preds {
-            indexed[cp.port_a].push(cp.col_a);
-            indexed[cp.port_b].push(cp.col_b);
-        }
-        let mut ports: Vec<PortState> = layouts
-            .iter()
-            .zip(&indexed)
-            .map(|(l, cols)| PortState::new(l.clone(), cols))
-            .collect();
-
-        // Probe orders: BFS over the port-connectivity graph from each port.
-        // Only needed to build the probe plans below; each plan entry carries
-        // its probed port.
+        // Probe plans: from each origin port, keep binding the first unbound
+        // port some predicate connects to the bound set; a step carries the
+        // port it probes and those predicates.
         let n = port_spans.len();
-        let probe_orders = (0..n)
-            .map(|start| {
-                let mut order = Vec::new();
-                let mut bound = vec![false; n];
-                bound[start] = true;
-                loop {
-                    let next = (0..n).find(|&j| {
-                        !bound[j]
-                            && preds.iter().any(|cp| {
-                                (cp.port_a == j && bound[cp.port_b])
-                                    || (cp.port_b == j && bound[cp.port_a])
-                            })
-                    });
-                    match next {
-                        Some(j) => {
-                            bound[j] = true;
-                            order.push(j);
-                        }
-                        None => break,
-                    }
+        let connecting = |j: usize, bound: &[bool]| -> Vec<(usize, usize, usize)> {
+            let towards = preds.iter().filter_map(|cp| {
+                if cp.port_a == j && bound[cp.port_b] {
+                    Some((cp.col_a, cp.port_b, cp.col_b))
+                } else if cp.port_b == j && bound[cp.port_a] {
+                    Some((cp.col_b, cp.port_a, cp.col_a))
+                } else {
+                    None
                 }
-                assert_eq!(
-                    order.len(),
-                    n - 1,
-                    "operator's port graph must be connected (no cross products)"
-                );
-                order
-            })
-            .collect::<Vec<Vec<usize>>>();
-
-        // Precompute, for every origin port and probe depth, which predicates
-        // connect the probed port to the set bound so far.
+            });
+            towards.collect()
+        };
         let probe_plans: Vec<Vec<ProbeStep>> = (0..n)
             .map(|start| {
                 let mut bound = vec![false; n];
                 bound[start] = true;
-                probe_orders[start]
-                    .iter()
-                    .map(|&j| {
-                        let relevant: Vec<(usize, usize, usize)> = preds
-                            .iter()
-                            .filter_map(|cp| {
-                                if cp.port_a == j && bound[cp.port_b] {
-                                    Some((cp.col_a, cp.port_b, cp.col_b))
-                                } else if cp.port_b == j && bound[cp.port_a] {
-                                    Some((cp.col_b, cp.port_a, cp.col_a))
-                                } else {
-                                    None
-                                }
-                            })
-                            .collect();
-                        debug_assert!(!relevant.is_empty(), "probe order keeps connectivity");
-                        bound[j] = true;
-                        (j, relevant)
-                    })
-                    .collect()
+                let mut plan: Vec<ProbeStep> = Vec::new();
+                while let Some(step) = (0..n)
+                    .filter(|&j| !bound[j])
+                    .map(|j| (j, connecting(j, &bound)))
+                    .find(|(_, relevant)| !relevant.is_empty())
+                {
+                    bound[step.0] = true;
+                    plan.push(step);
+                }
+                assert_eq!(
+                    plan.len(),
+                    n - 1,
+                    "operator's port graph must be connected (no cross products)"
+                );
+                plan
             })
+            .collect();
+
+        // Index what a probe step looks up — its first predicate's column;
+        // the remaining predicates filter the bucket.
+        let mut ports: Vec<PortState> = (0..n)
+            .map(|port| PortState::new(layouts[port].clone(), &probed_cols(&probe_plans, port)))
             .collect();
 
         // Purge recipes per port.
@@ -258,6 +228,7 @@ impl JoinOperator {
             scratch_slots: Vec::new(),
             scratch_check: CheckScratch::default(),
             scratch_candidates: Vec::new(),
+            scratch_sweep: Sweep::default(),
             stats: OperatorStats::default(),
         }
     }
@@ -342,7 +313,7 @@ impl JoinOperator {
                     .as_ref()
                     .zip(self.trackers[port].as_ref());
                 let specs = held.and_then(|(r, t)| t.root_step_specs(r, &self.ports[port]));
-                Some(ColdTier::new(specs, self.ports[port].indexed_cols()))
+                Some(ColdTier::new(specs, probed_cols(&self.probe_plans, port)))
             })
             .collect();
     }
@@ -633,7 +604,15 @@ impl JoinOperator {
         let mut n_rows = 0u64;
         let mut batch_now = 0u64;
         {
-            let mut assignment: Vec<Option<&[Value]>> = vec![None; self.ports.len()];
+            // One row per port, on the stack for any plan of ordinary width.
+            let (mut few, mut many) = ([None; 8], Vec::new());
+            let assignment: &mut [Option<&[Value]>] = match few.get_mut(..self.ports.len()) {
+                Some(few) => few,
+                None => {
+                    many.resize(self.ports.len(), None);
+                    &mut many
+                }
+            };
             for (row, now) in rows {
                 n_rows += 1;
                 batch_now = now;
@@ -661,7 +640,7 @@ impl JoinOperator {
                             &self.ports,
                             plan,
                             1,
-                            &mut assignment,
+                            assignment,
                             &self.out_layout,
                             &self.port_spans,
                             now,
@@ -736,10 +715,10 @@ impl JoinOperator {
             let candidates = localized.then_some(&candidates[..]);
             // Two-phase to satisfy the borrow checker without cloning every
             // candidate row: decide on borrowed slices, then purge by slot.
-            let state = &self.ports[port];
+            let (state, sweep) = (&self.ports[port], &mut self.scratch_sweep);
             let dead =
                 engine.all_prove_dead(state, std::iter::once(recipe), &mut self.scratch_check);
-            let sweep = state.collect_matching(candidates, dead);
+            state.collect_matching(candidates, dead, sweep);
             work.examined += sweep.examined as u64;
             pass_kept += (sweep.examined - sweep.slots.len()) as u64;
             work.purged += self.ports[port].purge_slots(&sweep.slots) as u64;
@@ -786,6 +765,15 @@ impl JoinOperator {
     }
 }
 
+/// The flat columns of `port` that some probe step looks rows up by, ascending.
+fn probed_cols(plans: &[Vec<ProbeStep>], port: usize) -> Vec<usize> {
+    let steps = plans.iter().flatten().filter(|(j, _)| *j == port);
+    let mut cols: Vec<usize> = steps.map(|(_, relevant)| relevant[0].0).collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
 /// Whether stored punctuations of `spec.target` cover one segment step
 /// summary — the per-step certification primitive (see
 /// `PurgeTracker::root_step_specs` for why covering every step's summary proves
@@ -809,7 +797,7 @@ fn extend_into<'s>(
     ports: &'s [PortState],
     plan: &[ProbeStep],
     depth: usize,
-    assignment: &mut Vec<Option<&'s [Value]>>,
+    assignment: &mut [Option<&'s [Value]>],
     out_layout: &SpanLayout,
     port_layout_spans: &[Vec<StreamId>],
     now: u64,

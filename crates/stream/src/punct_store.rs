@@ -423,18 +423,35 @@ impl PunctStore {
         let n = d.len_prefix(1)?;
         let mut log = Vec::with_capacity(n);
         for _ in 0..n {
-            log.push(match d.u8()? {
+            // The purge trackers replay these unchecked: a delta must name a
+            // scheme of this store and have the shape that scheme logs.
+            let (tag, scheme_idx) = (d.u8()?, d.usize()?);
+            let delta = match tag {
                 0 => PunctDelta::Entry {
-                    scheme_idx: d.usize()?,
+                    scheme_idx,
                     combo: Codec::dec(d)?,
                 },
                 1 => PunctDelta::Advance {
-                    scheme_idx: d.usize()?,
+                    scheme_idx,
                     above: Codec::dec(d)?,
                     upto: d.value()?,
                 },
                 t => return Err(SnapshotError(format!("unknown punct delta tag {t}"))),
-            });
+            };
+            let fits = |scheme: &PunctuationScheme| match &delta {
+                PunctDelta::Entry { combo, .. } => {
+                    !scheme.is_ordered() && combo.len() == scheme.arity()
+                }
+                PunctDelta::Advance { above, upto, .. } => {
+                    scheme.is_ordered() && above.as_ref().is_none_or(|a| a < upto)
+                }
+            };
+            if !self.schemes.get(scheme_idx).is_some_and(fits) {
+                return Err(SnapshotError(format!(
+                    "punct delta {delta:?} fits no scheme of the store"
+                )));
+            }
+            log.push(delta);
         }
         self.delta_log = log;
         self.delta_base = d.u64()?;

@@ -56,7 +56,7 @@ use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
 use crate::punct_store::{PunctDelta, PunctStore};
-use crate::state::PortState;
+use crate::state::{PortState, Sweep};
 use crate::tuple::Tuple;
 
 /// How purge cycles find candidate rows.
@@ -572,9 +572,11 @@ pub struct PurgeEngine {
     pub punct_dropped: u64,
     /// Raw tuples purged from the mirror.
     pub mirror_purged: u64,
-    /// Reused check and candidate-slot buffers for the mirror purge pass.
+    /// Reused check, candidate-slot and sweep buffers for the mirror purge
+    /// pass.
     check_scratch: CheckScratch,
     candidates: Vec<usize>,
+    sweep: Sweep,
 }
 
 /// One stream's subscribed mirror recipes, interned by structural equality.
@@ -679,6 +681,7 @@ impl PurgeEngine {
             mirror_purged: 0,
             check_scratch: CheckScratch::default(),
             candidates: Vec::new(),
+            sweep: Sweep::default(),
         }
     }
 
@@ -1283,6 +1286,7 @@ impl PurgeEngine {
         let mut meets = std::mem::take(&mut self.meets);
         let mut scratch = std::mem::take(&mut self.check_scratch);
         let mut candidates = std::mem::take(&mut self.candidates);
+        let mut sweep = std::mem::take(&mut self.sweep);
         for (s, meet) in meets.iter_mut().enumerate().filter(|(s, _)| self.held[*s]) {
             // Every tracker advances whether or not its answer is used, so a
             // pass that looks at everything leaves the next one no backlog.
@@ -1302,11 +1306,12 @@ impl PurgeEngine {
             let dead = self.all_prove_dead(state, recipes, &mut scratch);
             candidates.sort_unstable();
             candidates.dedup();
-            let sweep = state.collect_matching(localized.then_some(&candidates[..]), dead);
+            state.collect_matching(localized.then_some(&candidates[..]), dead, &mut sweep);
             work.examined += sweep.examined as u64;
             work.purged += self.states[s].purge_slots(&sweep.slots) as u64;
         }
-        (self.meets, self.check_scratch, self.candidates) = (meets, scratch, candidates);
+        (self.meets, self.check_scratch) = (meets, scratch);
+        (self.candidates, self.sweep) = (candidates, sweep);
         self.mirror_purged += work.purged;
         work
     }

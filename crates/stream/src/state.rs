@@ -3,13 +3,16 @@
 //! A symmetric (M)join must store every input until punctuations prove it
 //! dead. [`PortState`] keeps composite tuples in a **flat arena** — one
 //! `Vec<Value>` with a fixed stride per tuple plus a live-bitmap of
-//! tombstones — and maintains hash indexes on the flat columns used by the
-//! operator's join predicates, so probing is hash-based as in the symmetric
-//! hash join \[14\]. The arena layout makes probe lookups, purge scans, and
-//! window eviction cache-linear: a full-state scan walks one contiguous
-//! allocation instead of chasing a `Vec<Option<Vec<Value>>>` box per row.
+//! tombstones — and one hash index per distinct key that a join probe or a
+//! purge recipe looks rows up by: probing is hash-based as in the symmetric
+//! hash join \[14\], and a punctuation finds the rows it covers in the same
+//! buckets. The arena layout makes purge scans and window eviction
+//! cache-linear: a full-state scan walks one contiguous allocation instead of
+//! chasing a `Vec<Option<Vec<Value>>>` box per row.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
+use std::hash::Hash;
 use std::ops::Bound;
 
 use cjq_core::fxhash::FxHashMap;
@@ -17,55 +20,83 @@ use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
 
-/// Key storage of one purge index.
+/// Buckets of a [`KeyIndex`] by key width: a one-column key is the cell
+/// itself, only a wider one is a vector of cells.
 #[derive(Debug, Clone)]
-enum PurgeKeys {
-    /// Equality lookup on a (possibly multi-column) key.
-    Hash(FxHashMap<Vec<Value>, Vec<usize>>),
-    /// Range lookup on a single column (ordered/heartbeat schemes need
-    /// "all slots with value ≤ threshold").
-    Range(BTreeMap<Value, Vec<usize>>),
+enum Buckets {
+    One(FxHashMap<Value, Vec<usize>>),
+    Wide(FxHashMap<Vec<Value>, Vec<usize>>),
 }
 
-/// A secondary index over a purge recipe's key columns (live slots only,
-/// maintained on insert/purge like the probe indexes).
+/// The one index over a port's live rows: slots by the values of `cols`. A
+/// join probe and a purge lookup keyed on the same columns read the same
+/// index, so a row is linked once per distinct key some reader asks for.
+/// Every bucket is non-empty and sorted by insertion sequence.
 #[derive(Debug, Clone)]
-struct PurgeIndex {
+struct KeyIndex {
     cols: Vec<usize>,
-    keys: PurgeKeys,
+    buckets: Buckets,
+    /// The keys of the (non-empty) buckets in order, kept once an ordered
+    /// scheme asks for threshold ranges: touched when a bucket is born or
+    /// emptied, not per row.
+    distinct: Option<BTreeSet<Value>>,
+    /// Emptied buckets, reused by the next key born: a state that stays the
+    /// same size links and unlinks without allocating.
+    spare: Vec<Vec<usize>>,
 }
 
-impl PurgeIndex {
-    fn insert(&mut self, row: &[Value], slot: usize) {
-        match &mut self.keys {
-            PurgeKeys::Hash(m) => m
-                .entry(self.cols.iter().map(|&c| row[c]).collect())
-                .or_default()
-                .push(slot),
-            PurgeKeys::Range(m) => m.entry(row[self.cols[0]]).or_default().push(slot),
+impl KeyIndex {
+    /// Links `slot` (holding `row`) at its sequence position: `older(s)` says
+    /// whether slot `s` was inserted before it.
+    fn link(&mut self, row: &[Value], slot: usize, older: impl Fn(usize) -> bool) {
+        let spare = &mut self.spare;
+        let born = || spare.pop().unwrap_or_default();
+        let bucket = match &mut self.buckets {
+            Buckets::One(m) => m.entry(row[self.cols[0]]).or_insert_with(born),
+            Buckets::Wide(m) => {
+                let key = self.cols.iter().map(|&c| row[c]).collect();
+                m.entry(key).or_insert_with(born)
+            }
+        };
+        if bucket.last().is_none_or(|&last| older(last)) {
+            if let (true, Some(keys)) = (bucket.is_empty(), &mut self.distinct) {
+                keys.insert(row[self.cols[0]]);
+            }
+            bucket.push(slot);
+        } else {
+            // A row faulted back from the cold tier re-enters mid-bucket.
+            bucket.insert(bucket.partition_point(|&s| older(s)), slot);
         }
     }
 
-    fn remove(&mut self, row: &[Value], slot: usize) {
-        let unlink = |bucket: &mut Vec<usize>| {
-            if let Some(pos) = bucket.iter().position(|&i| i == slot) {
-                bucket.swap_remove(pos);
+    /// Unlinks `slot` (holding `row`), keeping the bucket's order: probe
+    /// enumeration, and with it result-tuple order, is independent of purge
+    /// timing. The chaos suite relies on this: punctuation drop, delay and
+    /// duplication must leave outputs byte-identical, not multiset-equal.
+    fn unlink(&mut self, row: &[Value], slot: usize) {
+        fn take<K: Hash + Eq>(
+            m: &mut FxHashMap<K, Vec<usize>>,
+            key: K,
+            slot: usize,
+        ) -> Option<Vec<usize>> {
+            let Entry::Occupied(mut bucket) = m.entry(key) else {
+                return None;
+            };
+            let slots = bucket.get_mut();
+            if let Some(pos) = slots.iter().position(|&s| s == slot) {
+                slots.remove(pos);
             }
-            bucket.is_empty()
+            slots.is_empty().then(|| bucket.remove())
+        }
+        let emptied = match &mut self.buckets {
+            Buckets::One(m) => take(m, row[self.cols[0]], slot),
+            Buckets::Wide(m) => take(m, self.cols.iter().map(|&c| row[c]).collect(), slot),
         };
-        match &mut self.keys {
-            PurgeKeys::Hash(m) => {
-                let key: Vec<Value> = self.cols.iter().map(|&c| row[c]).collect();
-                if m.get_mut(&key).is_some_and(unlink) {
-                    m.remove(&key);
-                }
+        if let Some(bucket) = emptied {
+            if let Some(keys) = &mut self.distinct {
+                keys.remove(&row[self.cols[0]]);
             }
-            PurgeKeys::Range(m) => {
-                let key = &row[self.cols[0]];
-                if m.get_mut(key).is_some_and(unlink) {
-                    m.remove(key);
-                }
-            }
+            self.spare.push(bucket);
         }
     }
 }
@@ -116,11 +147,10 @@ pub struct PortState {
     /// Rows moved to the cold tier (detached but not dead — they may fault
     /// back in under a fresh slot id with their original sequence).
     demoted: u64,
-    /// Flat column → value → slot indexes (live only; maintained on purge).
-    indexes: FxHashMap<usize, FxHashMap<Value, Vec<usize>>>,
-    /// Secondary indexes over purge-recipe key columns (see
-    /// [`PortState::add_purge_index`]).
-    purge_indexes: Vec<PurgeIndex>,
+    /// Every index over the live rows — the probe columns given to
+    /// [`PortState::new`], then what [`PortState::add_purge_index`] found
+    /// missing. An index id is a position here.
+    indexes: Vec<KeyIndex>,
     /// When enabled, slot ids of purged rows, oldest first — the retraction
     /// log purge trackers consume to find rows whose chained requirement
     /// sets shrank. Values stay readable via [`PortState::raw_row`] (a
@@ -138,12 +168,7 @@ impl PortState {
     pub fn new(layout: SpanLayout, indexed_cols: &[usize]) -> Self {
         let stride = layout.width();
         assert!(stride > 0, "port layout must have at least one column");
-        let mut indexes = FxHashMap::default();
-        for &c in indexed_cols {
-            assert!(c < stride, "indexed column out of range");
-            indexes.entry(c).or_insert_with(FxHashMap::default);
-        }
-        PortState {
+        let mut state = PortState {
             layout,
             stride,
             base: 0,
@@ -158,12 +183,15 @@ impl PortState {
             inserted: 0,
             purged: 0,
             demoted: 0,
-            indexes,
-            purge_indexes: Vec::new(),
+            indexes: Vec::new(),
             retired: Vec::new(),
             retired_base: 0,
             log_retired: false,
+        };
+        for &c in indexed_cols {
+            state.add_purge_index(&[c], false);
         }
+        state
     }
 
     /// Turns on the retraction log: from now on every purged slot id is
@@ -245,11 +273,11 @@ impl PortState {
         &self.arena[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// Registers a purge index over `cols` (flat positions), backfilling it
-    /// from current live state. `ordered` selects a range-capable B-tree
-    /// (single column only) instead of a hash map. Identical registrations
-    /// are deduplicated; returns the index id for
-    /// [`PortState::purge_index_eq`] / [`PortState::purge_index_range`].
+    /// The id of the index over `cols` (flat positions) for
+    /// [`PortState::purge_index_eq`] / [`PortState::purge_index_range`]: the
+    /// one already there — a probe index included — or a new one filled from
+    /// current live state. `ordered` (single column only) makes it answer
+    /// ranges as well.
     pub(crate) fn add_purge_index(&mut self, cols: &[usize], ordered: bool) -> usize {
         assert!(
             !ordered || cols.len() == 1,
@@ -257,55 +285,55 @@ impl PortState {
         );
         assert!(
             cols.iter().all(|&c| c < self.stride),
-            "purge-index column out of range"
+            "index column out of range"
         );
-        if let Some(i) = self
-            .purge_indexes
-            .iter()
-            .position(|ix| ix.cols == cols && matches!(ix.keys, PurgeKeys::Range(_)) == ordered)
-        {
-            return i;
+        let known = self.indexes.iter().position(|ix| ix.cols == cols);
+        let id = known.unwrap_or_else(|| {
+            let buckets = match cols.len() {
+                1 => Buckets::One(FxHashMap::default()),
+                _ => Buckets::Wide(FxHashMap::default()),
+            };
+            self.indexes.push(KeyIndex {
+                cols: cols.to_vec(),
+                buckets,
+                distinct: None,
+                spare: Vec::new(),
+            });
+            let id = self.indexes.len() - 1;
+            for slot in self.live_slots() {
+                self.link(slot, id);
+            }
+            id
+        });
+        let index = &mut self.indexes[id];
+        if let (true, None, Buckets::One(m)) = (ordered, &index.distinct, &index.buckets) {
+            index.distinct = Some(m.keys().copied().collect());
         }
-        let keys = if ordered {
-            PurgeKeys::Range(BTreeMap::new())
-        } else {
-            PurgeKeys::Hash(FxHashMap::default())
-        };
-        let mut index = PurgeIndex {
-            cols: cols.to_vec(),
-            keys,
-        };
-        for (slot, row) in self.iter_live() {
-            index.insert(row, slot);
-        }
-        self.purge_indexes.push(index);
-        self.purge_indexes.len() - 1
+        id
     }
 
-    /// The flat columns purge index `id` is keyed on.
+    /// The flat columns index `id` is keyed on.
     #[must_use]
     pub(crate) fn purge_index_cols(&self, id: usize) -> &[usize] {
-        &self.purge_indexes[id].cols
+        &self.indexes[id].cols
     }
 
-    /// Live slots whose purge-index key equals `key`.
+    /// Live slots whose key in index `id` equals `key`.
     #[must_use]
     pub(crate) fn purge_index_eq(&self, id: usize, key: &[Value]) -> &[usize] {
-        match &self.purge_indexes[id].keys {
-            PurgeKeys::Hash(m) => m.get(key).map_or(&[], Vec::as_slice),
-            PurgeKeys::Range(m) => {
-                debug_assert_eq!(key.len(), 1);
-                m.get(&key[0]).map_or(&[], Vec::as_slice)
-            }
+        match &self.indexes[id].buckets {
+            Buckets::One(m) => m.get(&key[0]),
+            Buckets::Wide(m) => m.get(key),
         }
+        .map_or(&[], Vec::as_slice)
     }
 
-    /// Appends to `out` the live slots whose (single) purge-index key falls
+    /// Appends to `out` the live slots whose (single) key in index `id` falls
     /// in `(above, upto]` — the slice of state a threshold advance newly
     /// covers.
     ///
     /// # Panics
-    /// Panics if the index is not range-capable.
+    /// Panics if the index was not registered as ordered.
     pub(crate) fn purge_index_range(
         &self,
         id: usize,
@@ -313,12 +341,23 @@ impl PortState {
         upto: &Value,
         out: &mut Vec<usize>,
     ) {
-        let PurgeKeys::Range(m) = &self.purge_indexes[id].keys else {
-            panic!("range probe on a hash purge index");
+        let index = &self.indexes[id];
+        let (Buckets::One(m), Some(keys)) = (&index.buckets, &index.distinct) else {
+            panic!("range probe on an unordered index");
         };
         let lower = above.map_or(Bound::Unbounded, Bound::Excluded);
-        for slots in m.range((lower, Bound::Included(upto))).map(|(_, s)| s) {
-            out.extend_from_slice(slots);
+        for key in keys.range((lower, Bound::Included(upto))) {
+            out.extend_from_slice(&m[key]);
+        }
+    }
+
+    /// Links resident `slot` into the indexes from id `first` on, each at the
+    /// slot's sequence position — the one way a row enters an index.
+    fn link(&mut self, slot: usize, first: usize) {
+        let (i, base, seqs) = (slot - self.base, self.base, &self.seqs);
+        let (row, seq) = (&self.arena[i * self.stride..(i + 1) * self.stride], seqs[i]);
+        for index in &mut self.indexes[first..] {
+            index.link(row, slot, |s| seqs[s - base] < seq);
         }
     }
 
@@ -366,53 +405,35 @@ impl PortState {
 
     /// Stores a composite tuple, returning its slot index.
     pub fn insert(&mut self, values: Vec<Value>) -> usize {
-        self.insert_at(values, 0)
+        self.insert_slice_at(&values, 0)
     }
 
     /// Stores a composite tuple with an arrival timestamp (must be
-    /// non-decreasing across calls for window eviction to be exact).
-    #[inline]
-    pub fn insert_at(&mut self, values: Vec<Value>, now: u64) -> usize {
-        self.insert_slice_at(&values, now)
-    }
-
-    /// Like [`PortState::insert_at`] from a borrowed row — the data plane's
-    /// entry point: rows live in a batch arena (`Value` is `Copy`),
-    /// so storing one is a flat copy with no per-row allocation.
+    /// non-decreasing across calls for window eviction to be exact) from a
+    /// borrowed row — the data plane's entry point: rows live in a batch
+    /// arena (`Value` is `Copy`), so storing one is a flat copy with no
+    /// per-row allocation.
     #[inline]
     pub fn insert_slice_at(&mut self, values: &[Value], now: u64) -> usize {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = self.push_slot(values, now, seq);
-        // Sequences are assigned monotonically here, so appending keeps every
-        // probe bucket sorted by sequence (the invariant fault-back relies on).
-        for (&col, index) in &mut self.indexes {
-            index.entry(values[col]).or_default().push(idx);
-        }
         self.inserted += 1;
-        idx
+        self.push_slot(values, now, seq)
     }
 
     /// Re-admits a row faulted back from the cold tier under its **original**
     /// insertion sequence `seq`. The row gets a fresh slot id (the arena is
     /// append-only) and the current arrival time `now` (keeping arrivals
-    /// monotone), but probe buckets place it by `seq`, restoring the exact
+    /// monotone), but index buckets place it by `seq`, restoring the exact
     /// enumeration position it held before demotion. Not counted in
     /// [`PortState::inserted`] — it is a re-admission, not a new tuple.
     pub(crate) fn insert_spilled_at(&mut self, values: &[Value], now: u64, seq: u64) -> usize {
         debug_assert!(seq < self.next_seq, "spilled row must predate the head");
-        let idx = self.push_slot(values, now, seq);
-        let (seqs, base) = (&self.seqs, self.base);
-        for (&col, index) in &mut self.indexes {
-            let bucket = index.entry(values[col]).or_default();
-            let pos = bucket.partition_point(|&s| seqs[s - base] < seq);
-            bucket.insert(pos, idx);
-        }
-        idx
+        self.push_slot(values, now, seq)
     }
 
-    /// Appends one live resident slot — cells, stamps, live bit and
-    /// purge-index entries; the caller places it in the probe buckets.
+    /// Appends one live resident slot — cells, stamps, live bit — and links
+    /// it into every index.
     fn push_slot(&mut self, values: &[Value], now: u64, seq: u64) -> usize {
         debug_assert_eq!(values.len(), self.stride);
         debug_assert!(
@@ -429,10 +450,8 @@ impl PortState {
         self.arena.extend_from_slice(values);
         // `base` is word-aligned, so the absolute id gives the bit position.
         *self.live_bits.last_mut().expect("word pushed above") |= 1 << (idx % 64);
-        for index in &mut self.purge_indexes {
-            index.insert(values, idx);
-        }
         self.live += 1;
+        self.link(idx, 0);
         idx
     }
 
@@ -443,19 +462,28 @@ impl PortState {
         self.is_live(slot).then(|| self.raw_row(slot))
     }
 
+    /// The buckets of the index keyed on flat column `col` alone, if any.
+    #[inline]
+    fn column_index(&self, col: usize) -> Option<&FxHashMap<Value, Vec<usize>>> {
+        self.indexes.iter().find_map(|ix| match &ix.buckets {
+            Buckets::One(m) if ix.cols[0] == col => Some(m),
+            _ => None,
+        })
+    }
+
     /// Whether the given flat column has a hash index.
     #[inline]
     #[must_use]
     pub fn has_index(&self, col: usize) -> bool {
-        self.indexes.contains_key(&col)
+        self.column_index(col).is_some()
     }
 
-    /// Live slots whose `col` equals `value` (requires an index on `col`).
+    /// Live slots whose `col` equals `value`, in insertion-sequence order
+    /// (requires an index on `col`).
     #[inline]
     #[must_use]
     pub fn probe(&self, col: usize, value: &Value) -> &[usize] {
-        self.indexes
-            .get(&col)
+        self.column_index(col)
             .unwrap_or_else(|| panic!("no index on column {col}"))
             .get(value)
             .map_or(&[], Vec::as_slice)
@@ -487,7 +515,7 @@ impl PortState {
     }
 
     /// Shared detachment path for purge and demote: clears the live bit and
-    /// removes the slot from every probe and purge index.
+    /// unlinks the slot from every index.
     fn detach(&mut self, slot: usize) -> bool {
         if !self.is_live(slot) {
             return false;
@@ -495,24 +523,8 @@ impl PortState {
         let i = slot - self.base;
         self.live_bits[i / 64] &= !(1 << (i % 64));
         let row = &self.arena[i * self.stride..(i + 1) * self.stride];
-        for (&col, index) in &mut self.indexes {
-            if let Some(bucket) = index.get_mut(&row[col]) {
-                if let Some(pos) = bucket.iter().position(|&i| i == slot) {
-                    // Order-preserving removal: probe buckets stay in
-                    // insertion order, so probe enumeration — and thus
-                    // result-tuple order — is independent of purge timing.
-                    // The chaos suite relies on this: punctuation
-                    // drop/delay/duplication must leave outputs
-                    // byte-identical, not just multiset-equal.
-                    bucket.remove(pos);
-                }
-                if bucket.is_empty() {
-                    index.remove(&row[col]);
-                }
-            }
-        }
-        for index in &mut self.purge_indexes {
-            index.remove(row, slot);
+        for index in &mut self.indexes {
+            index.unlink(row, slot);
         }
         self.live -= 1;
         true
@@ -569,14 +581,6 @@ impl PortState {
         out.extend(self.live_from(0).map(|s| self.touched_of(s)));
     }
 
-    /// The flat columns carrying a probe hash index, in ascending order.
-    #[must_use]
-    pub(crate) fn indexed_cols(&self) -> Vec<usize> {
-        let mut cols: Vec<usize> = self.indexes.keys().copied().collect();
-        cols.sort_unstable();
-        cols
-    }
-
     /// Iterates live tuples as `(slot, values)` in slot order.
     pub fn iter_live(&self) -> impl Iterator<Item = (usize, &[Value])> {
         self.live_from(0).map(|s| (s, self.raw_row(s)))
@@ -591,35 +595,33 @@ impl PortState {
     /// Phase one of the two-phase "collect, then purge" pattern shared by
     /// the join operators and the purge engine: evaluates `pred` over live
     /// candidate rows — all live rows when `candidates` is `None`, otherwise
-    /// only the given slots (dead ones are skipped) — and returns the
-    /// matching slots plus the examined count. Rows are borrowed straight
-    /// from the arena (no clones); pair with [`PortState::purge_slots`].
+    /// only the given slots (dead ones are skipped) — and leaves the matching
+    /// slots plus the examined count in the caller's `sweep` (overwritten, so
+    /// one `Sweep` serves every pass). Rows are borrowed straight from the
+    /// arena (no clones); pair with [`PortState::purge_slots`].
     pub fn collect_matching<'s>(
         &'s self,
         candidates: Option<&[usize]>,
         mut pred: impl FnMut(usize, &'s [Value]) -> bool,
-    ) -> Sweep {
-        let mut sweep = Sweep::default();
-        match candidates {
-            None => {
-                for (slot, row) in self.iter_live() {
-                    sweep.examined += 1;
-                    if pred(slot, row) {
-                        sweep.slots.push(slot);
-                    }
-                }
+        sweep: &mut Sweep,
+    ) {
+        sweep.slots.clear();
+        sweep.examined = 0;
+        let mut examine = |(slot, row)| {
+            sweep.examined += 1;
+            if pred(slot, row) {
+                sweep.slots.push(slot);
             }
+        };
+        match candidates {
+            None => self.iter_live().for_each(examine),
             Some(slots) => {
-                for &slot in slots {
-                    let Some(row) = self.get(slot) else { continue };
-                    sweep.examined += 1;
-                    if pred(slot, row) {
-                        sweep.slots.push(slot);
-                    }
-                }
+                let live = slots
+                    .iter()
+                    .filter_map(|&slot| Some((slot, self.get(slot)?)));
+                live.for_each(&mut examine);
             }
         }
-        sweep
     }
 
     /// Phase two: purges the given slots, returning how many were live.
@@ -646,11 +648,11 @@ impl PortState {
     }
 
     /// Serializes the port's raw state (`base` plus the resident range only)
-    /// into a checkpoint payload. The layout, probe-index registrations, and
-    /// purge-index definitions are *not* written — they are deterministic
-    /// compile-time artifacts that the restore path recreates by compiling
-    /// the plan again; [`PortState::read_state`] only overlays raw rows and
-    /// refills the registered buckets.
+    /// into a checkpoint payload. The layout and the index registrations are
+    /// *not* written — they are deterministic compile-time artifacts that the
+    /// restore path recreates by compiling the plan again;
+    /// [`PortState::read_state`] only overlays raw rows and refills the
+    /// registered buckets.
     pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
         e.usize(self.stride);
         e.usize(self.base);
@@ -677,11 +679,10 @@ impl PortState {
     }
 
     /// Overlays serialized raw state onto this freshly compiled (empty) port
-    /// and rebuilds every probe/purge index bucket by inserting live slots in
-    /// insertion-**sequence** order — which reproduces the live run's probe
-    /// buckets exactly: they are invariantly seq-sorted (appends are
-    /// seq-monotone and [`PortState::insert_spilled_at`] places by seq), and
-    /// probe-bucket order is what output order depends on.
+    /// and rebuilds every index bucket by linking the live slots, each at its
+    /// insertion-**sequence** position — which reproduces the live run's
+    /// buckets exactly: they are invariantly seq-sorted, and probe-bucket
+    /// order is what output order depends on.
     pub(crate) fn read_state(
         &mut self,
         d: &mut crate::checkpoint::Dec<'_>,
@@ -756,26 +757,8 @@ impl PortState {
         (self.next_seq, self.evict_front, self.live) = (next_seq, evict_front, live);
         (self.inserted, self.purged, self.demoted) = (inserted, purged, demoted);
         (self.retired, self.retired_base, self.log_retired) = (retired, retired_base, log_retired);
-        // Rebuild the registered index buckets from live rows, seq-ordered.
-        for index in self.indexes.values_mut() {
-            index.clear();
-        }
-        for ix in &mut self.purge_indexes {
-            match &mut ix.keys {
-                PurgeKeys::Hash(m) => m.clear(),
-                PurgeKeys::Range(m) => m.clear(),
-            }
-        }
-        let mut live_slots: Vec<usize> = self.live_from(0).collect();
-        live_slots.sort_unstable_by_key(|&s| self.seq_of(s));
-        for slot in live_slots {
-            let row: Vec<Value> = self.raw_row(slot).to_vec();
-            for (&col, index) in &mut self.indexes {
-                index.entry(row[col]).or_default().push(slot);
-            }
-            for index in &mut self.purge_indexes {
-                index.insert(&row, slot);
-            }
+        for index in std::mem::take(&mut self.indexes) {
+            self.add_purge_index(&index.cols, index.distinct.is_some());
         }
         Ok(())
     }
@@ -783,9 +766,9 @@ impl PortState {
 
 #[cfg(test)]
 impl PortState {
-    /// How many purge indexes are registered.
+    /// How many indexes are registered.
     pub(crate) fn purge_index_count(&self) -> usize {
-        self.purge_indexes.len()
+        self.indexes.len()
     }
 }
 
@@ -840,10 +823,10 @@ mod tests {
     #[test]
     fn window_eviction_advances_frontier() {
         let mut s = state();
-        s.insert_at(row(1, 10), 1);
-        s.insert_at(row(2, 20), 3);
-        let manually_purged = s.insert_at(row(3, 30), 5);
-        s.insert_at(row(4, 40), 7);
+        s.insert_slice_at(&row(1, 10), 1);
+        s.insert_slice_at(&row(2, 20), 3);
+        let manually_purged = s.insert_slice_at(&row(3, 30), 5);
+        s.insert_slice_at(&row(4, 40), 7);
         s.purge(manually_purged);
         // Evict everything older than t=6: slots at t=1,3 (t=5 already dead).
         assert_eq!(s.evict_older_than(6), 2);
@@ -914,6 +897,7 @@ mod tests {
         let mut s = state();
         let slots: Vec<usize> = (1..=5).map(|i| s.insert(row(i, 0))).collect();
         let id = s.add_purge_index(&[0], true);
+        assert_eq!((id, s.purge_index_count()), (0, 1), "the probe index");
         let mut out = Vec::new();
         // (-inf, 3]: first threshold appearance.
         s.purge_index_range(id, None, &Value::Int(3), &mut out);
@@ -955,9 +939,9 @@ mod tests {
     #[test]
     fn demote_and_spilled_reinsert_restore_probe_order() {
         let mut s = state();
-        let s0 = s.insert_at(row(1, 10), 1);
-        let s1 = s.insert_at(row(1, 11), 2);
-        let s2 = s.insert_at(row(1, 12), 3);
+        let s0 = s.insert_slice_at(&row(1, 10), 1);
+        let s1 = s.insert_slice_at(&row(1, 11), 2);
+        let s2 = s.insert_slice_at(&row(1, 12), 3);
         let seq1 = s.seq_of(s1);
         assert!(s.demote(s1));
         assert!(!s.demote(s1), "double demote is a no-op");
@@ -977,7 +961,6 @@ mod tests {
         let mut touched = Vec::new();
         s.live_touched(&mut touched);
         assert_eq!(touched, vec![42, 3, 9]);
-        assert_eq!(s.indexed_cols(), vec![0]);
     }
 
     /// Every live-row scan against a model of the live set, over random
@@ -997,7 +980,7 @@ mod tests {
         };
         for now in 0..1500u64 {
             match rnd(10) {
-                0..=3 => model.push((s.insert_at(row(rnd(7) as i64, now as i64), now), now)),
+                0..=3 => model.push((s.insert_slice_at(&row(rnd(7) as i64, now as i64), now), now)),
                 4..=6 if !model.is_empty() => {
                     // Mostly the oldest rows, so dead prefixes form.
                     let k = rnd(model.len().min(3));
@@ -1032,13 +1015,128 @@ mod tests {
         assert!(s.resident_slots() < s.slots(), "and a prefix was reclaimed");
     }
 
+    /// The one index type against a model — a scan of the live rows — over
+    /// random insert / purge / demote / fault-back / reclaim / log-trim /
+    /// snapshot-restore sequences: a probe answers the exact list in sequence
+    /// order, a purge lookup (on the probe's own index, on one of its own, on
+    /// a wide key, on an ordered one registered mid-run over live rows) the
+    /// same set, and an ordered index's key set is its non-empty buckets.
+    #[test]
+    fn every_index_answers_what_a_scan_of_the_live_rows_does() {
+        let fresh = |ordered: bool| {
+            let mut cat = Catalog::new();
+            cat.add_stream(StreamSchema::new("S", ["A", "B", "C"]).unwrap());
+            let mut s = PortState::new(SpanLayout::new(&cat, &[StreamId(0)]), &[0]);
+            s.enable_retirement_log();
+            let ids = [
+                s.add_purge_index(&[0], false),
+                s.add_purge_index(&[1], false),
+                s.add_purge_index(&[2], true),
+                s.add_purge_index(&[0, 1], false),
+            ];
+            assert_eq!((ids, s.purge_index_count()), ([0, 1, 2, 3], 4));
+            if ordered {
+                assert_eq!(s.add_purge_index(&[1], true), 1, "same columns, same index");
+            }
+            s
+        };
+        let mut s = fresh(false);
+        let mut live: Vec<(u64, usize, Vec<Value>)> = Vec::new(); // (seq, slot, row)
+        let mut cold: Vec<(u64, Vec<Value>)> = Vec::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rnd = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let mut b_is_ordered = false;
+        for now in 0..3000u64 {
+            match rnd(16) {
+                0..=5 => {
+                    let r = vec![rnd(5), rnd(4), rnd(9)].into_iter();
+                    let r: Vec<Value> = r.map(|v| Value::Int(v as i64)).collect();
+                    let slot = s.insert_slice_at(&r, now);
+                    live.push((s.seq_of(slot), slot, r));
+                }
+                6..=8 if !live.is_empty() => {
+                    assert!(s.purge(live.remove(rnd(live.len().min(4))).1));
+                }
+                9 if !live.is_empty() => {
+                    let (seq, slot, r) = live.remove(rnd(live.len()));
+                    assert!(s.demote(slot));
+                    cold.push((seq, r));
+                }
+                10 if !cold.is_empty() => {
+                    let (seq, r) = cold.swap_remove(rnd(cold.len()));
+                    live.push((seq, s.insert_spilled_at(&r, now, seq), r));
+                }
+                11 => s.reclaim(),
+                12 => s.trim_retired_to(s.retire_end() - rnd(3).min(s.retired.len()) as u64),
+                13 if !b_is_ordered && now > 1500 => {
+                    // An ordered scheme arrives on a column already indexed:
+                    // the key set is built from the buckets that are there.
+                    b_is_ordered = true;
+                    assert_eq!(s.add_purge_index(&[1], true), 1);
+                }
+                14 => {
+                    let mut e = crate::checkpoint::Enc::new();
+                    s.write_state(&mut e);
+                    s = fresh(b_is_ordered);
+                    s.read_state(&mut crate::checkpoint::Dec::new(&e.buf))
+                        .unwrap();
+                }
+                _ => {}
+            }
+            live.sort_unstable();
+            let scan = |keep: &dyn Fn(&[Value]) -> bool| -> Vec<usize> {
+                let kept = live.iter().filter(|(_, _, r)| keep(r));
+                kept.map(|&(_, slot, _)| slot).collect()
+            };
+            let sorted = |mut slots: Vec<usize>| {
+                slots.sort_unstable();
+                slots
+            };
+            let (a, b, c) = (Value::Int(rnd(5) as i64), Value::Int(rnd(4) as i64), rnd(9));
+            assert_eq!(s.probe(0, &a), scan(&|r| r[0] == a), "probe at {now}");
+            assert_eq!(s.purge_index_eq(0, &[a]), s.probe(0, &a));
+            let own = sorted(s.purge_index_eq(1, &[b]).to_vec());
+            assert_eq!(own, sorted(scan(&|r| r[1] == b)), "own index at {now}");
+            let wide = sorted(s.purge_index_eq(3, &[a, b]).to_vec());
+            assert_eq!(wide, sorted(scan(&|r| r[0] == a && r[1] == b)));
+            let above = [None, Some(Value::Int(c as i64 - 1 - rnd(3) as i64))][rnd(2)];
+            let upto = Value::Int(c as i64);
+            let in_range = |v: &Value| above.as_ref().is_none_or(|a| v > a) && *v <= upto;
+            for (id, col) in [(2, 2)].into_iter().chain(b_is_ordered.then_some((1, 1))) {
+                let mut got = Vec::new();
+                s.purge_index_range(id, above.as_ref(), &upto, &mut got);
+                assert_eq!(sorted(got), sorted(scan(&|r| in_range(&r[col]))));
+            }
+            for index in &s.indexes {
+                let keys: BTreeSet<Value> = match &index.buckets {
+                    Buckets::One(m) => {
+                        assert!(m.values().all(|bucket| !bucket.is_empty()));
+                        m.keys().copied().collect()
+                    }
+                    Buckets::Wide(m) => {
+                        assert!(m.values().all(|bucket| !bucket.is_empty()));
+                        continue;
+                    }
+                };
+                assert!(index.distinct.as_ref().is_none_or(|d| *d == keys));
+            }
+        }
+        assert!(b_is_ordered && s.resident_slots() < s.slots());
+        assert!(s.demoted() > 50 && s.purged() > 500);
+    }
+
     #[test]
     fn prefix_reclaim_keeps_every_slot_consumer_correct() {
         let mut s = state();
         s.enable_retirement_log();
         let id = s.add_purge_index(&[0], false);
         let slots: Vec<usize> = (0..400)
-            .map(|i| s.insert_at(row(i % 4, i), i as u64))
+            .map(|i| s.insert_slice_at(&row(i % 4, i), i as u64))
             .collect();
         // Rows 0..300 die; the last 20 retractions are still retained.
         for &slot in &slots[..300] {
@@ -1098,7 +1196,7 @@ mod tests {
         let mut good = state();
         good.enable_retirement_log();
         for i in 0..200 {
-            good.insert_at(row(i % 4, i), i as u64);
+            good.insert_slice_at(&row(i % 4, i), i as u64);
         }
         assert_eq!(good.evict_older_than(130), 130);
         good.trim_retired_to(128);
@@ -1158,10 +1256,12 @@ mod tests {
         let s2 = s.insert(row(3, 30));
         s.purge(s1);
         // Full scan: only live rows are examined.
-        let sweep = s.collect_matching(None, |_, r| r[0] >= Value::Int(3));
+        let mut sweep = Sweep::default();
+        s.collect_matching(None, |_, r| r[0] >= Value::Int(3), &mut sweep);
         assert_eq!((sweep.examined, &sweep.slots[..]), (2, &[s2][..]));
-        // Candidate-driven: dead candidates are skipped, not examined.
-        let sweep = s.collect_matching(Some(&[s0, s1, s2]), |_, _| true);
+        // Candidate-driven: dead candidates are skipped, not examined; the
+        // caller's sweep is overwritten, not appended to.
+        s.collect_matching(Some(&[s0, s1, s2]), |_, _| true, &mut sweep);
         assert_eq!(sweep.examined, 2);
         assert_eq!(s.purge_slots(&sweep.slots), 2);
         assert_eq!(s.purge_slots(&sweep.slots), 0, "already dead");

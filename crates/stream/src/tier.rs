@@ -136,7 +136,7 @@ pub(crate) struct ColdTier {
     /// absent or not fully root-resolvable — segments then only leave via
     /// fault-back or finish-time rehydration (still lossless, never dropped).
     specs: Option<Vec<StepSpec>>,
-    /// Flat columns carrying probe indexes (summarized per segment).
+    /// Flat columns a probe step looks this port up by (summarized per segment).
     probe_cols: Vec<usize>,
     segments: Vec<Segment>,
     pub(crate) stats: TierStats,

@@ -10,6 +10,12 @@
 //! tiering, so it carries cold segments: the `segment.rs` reader's restore
 //! path (rows rewritten to a segment file, liveness bitmap replayed) sees the
 //! hostile bytes too.
+//!
+//! A restore that succeeds is then *used*: the auctions open at the cut are
+//! closed and the engine finished, so purge cycles run on whatever the bytes
+//! restored to. The purge trackers replay the punctuation stores' delta logs
+//! unchecked, which is why a delta that does not fit its scheme is refused at
+//! decode (`forged_punct_deltas_are_refused`).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,14 +26,14 @@ use proptest::prelude::*;
 use cjq_core::fixtures;
 use cjq_core::plan::Plan;
 use cjq_core::punctuation::Punctuation;
-use cjq_core::query::Cjq;
-use cjq_core::schema::{AttrId, StreamId};
-use cjq_core::scheme::SchemeSet;
+use cjq_core::query::{Cjq, JoinPredicate};
+use cjq_core::schema::{AttrId, Catalog, StreamId, StreamSchema};
+use cjq_core::scheme::{PunctuationScheme, SchemeSet};
 use cjq_core::value::Value;
-use cjq_stream::checkpoint::{CheckpointStore, InputCursor};
+use cjq_stream::checkpoint::{CheckpointStore, Enc, InputCursor};
 use cjq_stream::element::StreamElement;
 use cjq_stream::error::ExecError;
-use cjq_stream::exec::{ExecConfig, Executor, StateBudget};
+use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence, StateBudget};
 use cjq_stream::parallel::ShardedExecutor;
 use cjq_stream::registry::QueryRegistry;
 use cjq_stream::source::Feed;
@@ -62,20 +68,23 @@ fn tiered() -> ExecConfig {
     }
 }
 
+/// Both streams' punctuations closing auctions `wave * width..(wave + 1) * width`.
+fn close(feed: &mut Feed, wave: i64, width: i64) {
+    for i in wave * width..(wave + 1) * width {
+        for (stream, arity) in [(0, 4), (1, 3)] {
+            let at = [(AttrId(1), Value::Int(i))];
+            let p = Punctuation::with_constants(StreamId(stream), arity, &at);
+            feed.push(StreamElement::Punctuation(p));
+        }
+    }
+}
+
 /// Waves of `width` open auctions: items and two bids each, closed by both
 /// streams' punctuations one wave later, so a cut always holds live state.
 fn auction_feed(waves: i64, width: i64) -> Feed {
     let ival = Value::Int;
     let mut feed = Feed::new();
-    let close = |feed: &mut Feed, wave: i64| {
-        for i in wave * width..(wave + 1) * width {
-            for (stream, arity) in [(0, 4), (1, 3)] {
-                let p =
-                    Punctuation::with_constants(StreamId(stream), arity, &[(AttrId(1), ival(i))]);
-                feed.push(StreamElement::Punctuation(p));
-            }
-        }
-    };
+    let close = |feed: &mut Feed, wave: i64| close(feed, wave, width);
     for wave in 0..waves {
         for i in wave * width..(wave + 1) * width {
             feed.push(Tuple::of(0, vec![ival(7), ival(i), "x".into(), ival(100)]));
@@ -90,21 +99,42 @@ fn auction_feed(waves: i64, width: i64) -> Feed {
     feed
 }
 
-/// Restores snapshot kind `kind` from `dir` by its public entry point.
+/// Restores snapshot kind `kind` from `dir` by its public entry point, then
+/// closes the auctions the genuine cut leaves open (waves 2 and 3 of
+/// `auction_feed(6, 12)`) and finishes: a restore is only clean if the purge
+/// cycles that follow it are. What those pushes answer is not the point (a
+/// mutated cut may well overrun the tiered budget); that they return is.
 fn restore(kind: usize, dir: &Path) -> Result<(), ExecError> {
     let (q, r, plan) = auction();
+    let mut closers = Feed::new();
+    close(&mut closers, 2, 12);
+    close(&mut closers, 3, 12);
     match kind {
-        0 => Executor::restore(dir, &q, &r, &plan, ExecConfig::default()).map(|_| ()),
-        1 => Executor::restore(dir, &q, &r, &plan, tiered()).map(|_| ()),
+        0 | 1 => {
+            let cfg = [ExecConfig::default(), tiered()][kind];
+            let (mut exec, ..) = Executor::restore(dir, &q, &r, &plan, cfg)?;
+            if closers.elements().iter().all(|e| exec.try_push(e).is_ok()) {
+                exec.finish();
+            }
+        }
         2 => {
             let specs = [(q.clone(), plan.clone()), (q.clone(), plan.clone())];
-            QueryRegistry::restore(dir, &r, ExecConfig::default(), &specs).map(|_| ())
+            let (mut reg, ..) = QueryRegistry::restore(dir, &r, ExecConfig::default(), &specs)?;
+            if closers.elements().iter().all(|e| reg.try_push(e).is_ok()) {
+                let _ = reg.finish();
+            }
         }
-        _ => ShardedExecutor::compile(&q, &r, &plan, ExecConfig::default(), 2)
-            .expect("compile")
-            .try_resume(&Feed::new(), dir, 1)
-            .map(|_| ()),
+        _ => {
+            // The fleet resumes a feed from the recorded cursor: what the
+            // genuine run was fed, then the closers.
+            let mut feed = auction_feed(6, 12).elements()[..180].to_vec();
+            feed.extend_from_slice(closers.elements());
+            ShardedExecutor::compile(&q, &r, &plan, ExecConfig::default(), 2)
+                .expect("compile")
+                .try_resume(&Feed::from_elements(feed), dir, 1 << 30)?;
+        }
     }
+    Ok(())
 }
 
 /// One genuine mid-feed snapshot payload per kind: a plain executor, a tiered
@@ -218,5 +248,139 @@ proptest! {
             payload.truncate(cut.1.index(payload.len()));
         }
         prop_assert!(refused_or_clean(restore_payload(kind, &payload)));
+    }
+}
+
+/// The payload of one snapshot of `exec`, taken now.
+fn snapshot_of(exec: &mut Executor, n_streams: usize) -> Vec<u8> {
+    let dir = fresh_dir("forge");
+    let mut store = CheckpointStore::open(&dir, 1).expect("open store");
+    exec.commit_checkpoint(&mut store, &InputCursor::zero(n_streams))
+        .expect("commit");
+    let (payload, _, _) = CheckpointStore::load_latest(&dir).expect("a snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+    payload
+}
+
+/// `payload` with its one occurrence of `genuine` replaced by `forged`.
+fn forge(payload: &[u8], genuine: &[u8], forged: &[u8]) -> Vec<u8> {
+    let hits: Vec<usize> = (0..payload.len())
+        .filter(|&at| payload[at..].starts_with(genuine))
+        .collect();
+    assert_eq!(hits.len(), 1, "the delta is in the snapshot once");
+    [
+        &payload[..hits[0]],
+        forged,
+        &payload[hits[0] + genuine.len()..],
+    ]
+    .concat()
+}
+
+/// A threshold advance as `PunctStore::write_state` encodes it.
+fn advance(scheme: usize, above: Option<i64>, upto: i64) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(1);
+    e.usize(scheme);
+    e.bool(above.is_some());
+    above.iter().for_each(|&a| e.value(&Value::Int(a)));
+    e.value(&Value::Int(upto));
+    e.buf
+}
+
+/// A new entry as `PunctStore::write_state` encodes it.
+fn entry(scheme: usize, combo: &[i64]) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(0);
+    e.usize(scheme);
+    e.usize(combo.len());
+    combo.iter().for_each(|&v| e.value(&Value::Int(v)));
+    e.buf
+}
+
+/// The purge trackers replay a store's retained coverage deltas on trust, so
+/// a checksummed snapshot whose delta does not fit its scheme must not
+/// restore: a threshold advance over an inverted range reaches
+/// `BTreeSet::range` ("range start is greater than range end"), an entry
+/// shorter than its scheme is indexed past its end where a chained step reads
+/// `combo[pos]`. Both restored cleanly and panicked in the next purge cycle;
+/// so that the cycle runs, the forged snapshots are restored and *finished*.
+#[test]
+fn forged_punct_deltas_are_refused() {
+    // Deltas stay in the log until a purge cycle trims them: never, here.
+    let cfg = ExecConfig {
+        cadence: PurgeCadence::Lazy { batch: 1 << 30 },
+        ..ExecConfig::default()
+    };
+    let refused = |q: &Cjq, r: &SchemeSet, payload: &[u8], what: &str| {
+        let dir = fresh_dir("forged");
+        let mut store = CheckpointStore::open(&dir, 1).expect("open store");
+        store.commit(payload, 0).expect("commit frame");
+        let res = Executor::restore(&dir, q, r, &Plan::mjoin_all(q), cfg).map(|(exec, ..)| {
+            exec.finish();
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        match res {
+            Err(ExecError::CheckpointCorrupt { detail, .. }) => {
+                assert!(detail.contains("punct delta"), "{what}: {detail}");
+            }
+            other => panic!("{what}: {other:?}"),
+        }
+    };
+
+    // Two heartbeat streams joined on their timestamps.
+    let mut catalog = Catalog::new();
+    catalog.add_stream(StreamSchema::new("a", ["ts", "v"]).unwrap());
+    catalog.add_stream(StreamSchema::new("b", ["ts", "w"]).unwrap());
+    let q = Cjq::new(catalog, vec![JoinPredicate::between(0, 0, 1, 0).unwrap()]).unwrap();
+    let r = SchemeSet::from_schemes([
+        PunctuationScheme::ordered_on(0, 0).unwrap(),
+        PunctuationScheme::ordered_on(1, 0).unwrap(),
+    ]);
+    let mut exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).expect("compile");
+    for ts in 1..=9 {
+        exec.push(&Tuple::of(0, vec![Value::Int(ts), Value::Int(0)]).into());
+        exec.push(&Tuple::of(1, vec![Value::Int(ts), Value::Int(0)]).into());
+    }
+    for bound in [5555, 7777] {
+        let beat = Punctuation::heartbeat(StreamId(1), 2, AttrId(0), Value::Int(bound));
+        exec.push(&StreamElement::Punctuation(beat));
+    }
+    let payload = snapshot_of(&mut exec, 2);
+    let genuine = advance(0, Some(5555), 7777);
+    for (forged, what) in [
+        (advance(0, Some(7777), 5555), "inverted range"),
+        (advance(0, Some(7777), 7777), "empty range"),
+        (advance(3, Some(5555), 7777), "no such scheme"),
+        (entry(0, &[7777]), "entry on an ordered scheme"),
+    ] {
+        refused(&q, &r, &forge(&payload, &genuine, &forged), what);
+    }
+
+    // A four-stream chain t0.k = t1.k = t2.k, t2.w = t3.k: t0's rows wait on
+    // t3's `k` punctuations through t2's rows — a chained step.
+    let mut catalog = Catalog::new();
+    let mut r = SchemeSet::new();
+    for s in 0..4 {
+        catalog.add_stream(StreamSchema::new(format!("t{s}"), ["k", "w"]).unwrap());
+        r.add(PunctuationScheme::on(s, &[0]).unwrap());
+        r.add(PunctuationScheme::on(s, &[1]).unwrap());
+    }
+    let preds = [(0, 0, 1, 0), (1, 0, 2, 0), (2, 1, 3, 0)]
+        .map(|(l, la, r, ra)| JoinPredicate::between(l, la, r, ra).unwrap());
+    let q = Cjq::new(catalog, preds.to_vec()).unwrap();
+    let mut exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).expect("compile");
+    for (stream, row) in [(0, [1, 0]), (1, [1, 0]), (2, [1, 7777])] {
+        exec.push(&Tuple::of(stream, row.map(Value::Int).to_vec()).into());
+    }
+    let closed = Punctuation::with_constants(StreamId(3), 2, &[(AttrId(0), Value::Int(7777))]);
+    exec.push(&StreamElement::Punctuation(closed));
+    let payload = snapshot_of(&mut exec, 4);
+    let genuine = entry(0, &[7777]);
+    for (forged, what) in [
+        (entry(0, &[]), "entry shorter than its scheme"),
+        (entry(0, &[7777, 7777]), "entry longer than its scheme"),
+        (advance(0, None, 7777), "advance on a hash scheme"),
+    ] {
+        refused(&q, &r, &forge(&payload, &genuine, &forged), what);
     }
 }

@@ -6,7 +6,7 @@
 # reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=11898
+CEILING=11893
 
 cd "$(dirname "$0")/.."
 total=0
@@ -39,6 +39,14 @@ for name in post_element enforce_budget run_cap try_push_punctuation refuse_punc
         status=1
     fi
 done
+
+# One index type: a port's probe and purge lookups share `KeyIndex`. Either of
+# these names in state.rs is the second index family growing back.
+if awk '/^#\[cfg\(test\)\]/{exit} {print}' crates/stream/src/state.rs |
+    grep -nE '(struct|enum|type) +(PurgeKeys|PurgeIndex)\b'; then
+    echo "crates/stream/src/state.rs defines a second index type" >&2
+    status=1
+fi
 
 # One table: every `Metrics`/`StatePoint` field is a row of a `facts!` table in
 # metrics.rs, and `merge_from`/`write_state`/`read_state` exist only as that

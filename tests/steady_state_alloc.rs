@@ -1,0 +1,111 @@
+//! Heap traffic of the data path once it is warm: the first half of a feed
+//! sizes every buffer, map and bucket; over the second half the engine should
+//! allocate a small fraction of a time per element, and the fraction is what
+//! this test pins. It counts `alloc` and `realloc` calls with a counting
+//! global allocator (this binary holds one test, so nothing runs beside it)
+//! and prints the figures, so a regression names its size.
+//!
+//! The feeds are perfbench's `trades_watermark` and `auction_punct` at a
+//! tenth of their length, pushed the way perfbench pushes them: 256-element
+//! batches through `Executor::try_push_batch` into a counting sink.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use punctuated_cjq::core::prelude::*;
+use punctuated_cjq::register::Register;
+use punctuated_cjq::stream::exec::ExecConfig;
+use punctuated_cjq::stream::sink::CountSink;
+use punctuated_cjq::stream::source::{ElementBatch, Feed};
+use punctuated_cjq::workload::auction::{self, AuctionConfig};
+use punctuated_cjq::workload::trades::{self, TradesConfig};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations per element over the second half of `feed`.
+fn steady_state(query: Cjq, schemes: SchemeSet, feed: &Feed) -> f64 {
+    // The certificate verifier re-checks rows with the allocating oracle;
+    // under `--features verify-certificates` it is on by default.
+    let cfg = ExecConfig {
+        record_outputs: false,
+        verify_certificates: false,
+        ..ExecConfig::default()
+    };
+    let registered = Register::new(schemes).register(query).expect("safe");
+    let mut exec = registered.executor(cfg).expect("compiles");
+    let mut sink = CountSink::new();
+    let mut batch = ElementBatch::new();
+    let (warmup, measured) = feed.elements().split_at(feed.len() / 2);
+    let mut allocated = [0, 0];
+    for (half, spent) in [warmup, measured].into_iter().zip(&mut allocated) {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for chunk in half.chunks(256) {
+            batch.gather(chunk);
+            exec.try_push_batch(&batch, &mut sink).expect("clean feed");
+        }
+        *spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    }
+    allocated[1] as f64 / measured.len() as f64
+}
+
+#[test]
+fn the_warm_data_path_allocates_a_fraction_of_a_time_per_element() {
+    let (query, schemes) = trades::trades_query();
+    let (feed, _) = trades::generate(&TradesConfig {
+        ticks: 4_000,
+        n_symbols: 8,
+        trade_prob: 0.6,
+        heartbeat_every: 5,
+        lateness: 20,
+        heartbeats: true,
+        seed: 7,
+    });
+    let trades = steady_state(query, schemes, &feed);
+    println!(
+        "trades: {trades:.3} allocations per element, second half of {}",
+        feed.len()
+    );
+
+    let (query, schemes) = auction::auction_query();
+    let feed = auction::generate(&AuctionConfig {
+        n_items: 2_000,
+        bids_per_item: 6,
+        concurrent: 64,
+        item_punctuations: true,
+        bid_punctuations: true,
+        seed: 7,
+    });
+    let auction = steady_state(query, schemes, &feed);
+    println!(
+        "auction: {auction:.3} allocations per element, second half of {}",
+        feed.len()
+    );
+
+    // 1.52 and 4.18 before stored rows were indexed once (issue 21). What is
+    // left on the auction is its punctuation store, which keeps one entry per
+    // closed item by design (ROADMAP item 3).
+    assert!(trades <= 0.3, "trades: {trades:.3} allocations per element");
+    assert!(
+        auction <= 1.5,
+        "auction: {auction:.3} allocations per element"
+    );
+}
