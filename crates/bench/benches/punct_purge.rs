@@ -18,19 +18,16 @@ fn bench_punct_purge(c: &mut Criterion) {
         bids_per_item: 4,
         ..AuctionConfig::default()
     });
-    for (label, purge) in [("auction_keep_forever", false), ("auction_section51", true)] {
-        let cfg = ExecConfig {
-            purge_punctuations: purge,
-            record_outputs: false,
-            ..ExecConfig::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let exec = Executor::compile(&aq, &ar, &Plan::mjoin_all(&aq), cfg).unwrap();
-                black_box(exec.run(&afeed).metrics.outputs)
-            });
+    let cfg = ExecConfig {
+        record_outputs: false,
+        ..ExecConfig::default()
+    };
+    group.bench_function("auction_section51", |b| {
+        b.iter(|| {
+            let exec = Executor::compile(&aq, &ar, &Plan::mjoin_all(&aq), cfg).unwrap();
+            black_box(exec.run(&afeed).metrics.outputs)
         });
-    }
+    });
 
     let (nq, nr) = network_pair();
     let nfeed = network::generate(&NetworkConfig {
@@ -41,7 +38,7 @@ fn bench_punct_purge(c: &mut Criterion) {
         ..NetworkConfig::default()
     });
     for (label, lifespan) in [
-        ("network_keep_forever", None),
+        ("network_no_lifespan", None),
         ("network_lifespan", Some(120)),
     ] {
         let cfg = ExecConfig {

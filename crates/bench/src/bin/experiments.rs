@@ -90,7 +90,7 @@ fn main() {
     }
     if want("e7") {
         println!("== E7: punctuation purgeability (§5.1) ==");
-        println!("expected shape: keep-forever grows (and breaks on value reuse); §5.1 purging / lifespans bound the store");
+        println!("expected shape: admitted entries grow with the feed (and break on value reuse); §5.1 purging / lifespans bound what is stored");
         let mut rows = punct::auction_rows(400);
         rows.extend(punct::network_rows(64));
         rows.extend(punct::trades_rows(200));

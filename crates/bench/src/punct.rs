@@ -4,8 +4,9 @@
 //! store itself can become the unbounded state. The paper offers two
 //! mitigations: punctuations purging punctuations (exact, needs reverse
 //! punctuations), and lifespans (practical, exploits value-space cycling).
-//! This experiment runs long feeds under keep-forever / §5.1-purging /
-//! lifespan configurations and reports punctuation-store growth.
+//! §5.1 purging is what the engine does; this experiment runs long feeds
+//! with and without lifespans and reports the punctuation store's size
+//! against the entries it admitted — what keeping them forever would hold.
 
 use cjq_core::plan::Plan;
 use cjq_stream::exec::{ExecConfig, Executor};
@@ -20,6 +21,9 @@ pub struct PunctRow {
     pub config: String,
     /// Feed length.
     pub elements: usize,
+    /// Distinct entries the store admitted (still stored + dropped): its
+    /// size had nothing ever been dropped.
+    pub admitted: u64,
     /// Peak punctuation-store entries.
     pub peak_punct: usize,
     /// Final punctuation-store entries.
@@ -28,6 +32,20 @@ pub struct PunctRow {
     pub dropped: u64,
     /// Feed tuples rejected by stale punctuations (lifespan-correctness).
     pub violations: u64,
+}
+
+/// One finished run as a row.
+fn row(config: &str, elements: usize, m: &cjq_stream::metrics::Metrics) -> PunctRow {
+    let final_punct = m.series.last().map_or(0, |p| p.punct_entries);
+    PunctRow {
+        config: config.into(),
+        elements,
+        admitted: final_punct as u64 + m.punct_dropped,
+        peak_punct: m.peak_punct_entries,
+        final_punct,
+        dropped: m.punct_dropped,
+        violations: m.violations,
+    }
 }
 
 /// Auction workload: §5.1 punctuation purging is possible because both
@@ -41,29 +59,16 @@ pub fn auction_rows(n_items: usize) -> Vec<PunctRow> {
         ..AuctionConfig::default()
     };
     let feed = auction::generate(&cfg);
-    let mut rows = Vec::new();
-    for (label, purge_punct) in [("keep forever", false), ("§5.1 punctuation purging", true)] {
-        let exec_cfg = ExecConfig {
-            purge_punctuations: purge_punct,
-            ..ExecConfig::default()
-        };
-        let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), exec_cfg).unwrap();
-        let m = exec.run(&feed).metrics;
-        rows.push(PunctRow {
-            config: format!("auction / {label}"),
-            elements: feed.len(),
-            peak_punct: m.peak_punct_entries,
-            final_punct: m.series.last().map_or(0, |p| p.punct_entries),
-            dropped: m.punct_dropped,
-            violations: m.violations,
-        });
-    }
-    rows
+    let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default()).unwrap();
+    let m = exec.run(&feed).metrics;
+    vec![row("auction / §5.1 punctuation purging", feed.len(), &m)]
 }
 
-/// Network workload: sequence numbers cycle, so keep-forever is *wrong*
-/// (stale punctuations reject valid reused seqnos) and only lifespans give
-/// both correctness and boundedness.
+/// Network workload: sequence numbers cycle, so an entry that outlives its
+/// flow is *wrong* (a stale punctuation rejects a valid reused seqno). §5.1
+/// purging forgets an entry only once both sides have certified and drained
+/// it — not every packet is acknowledged — so only lifespans give both
+/// correctness and boundedness.
 #[must_use]
 pub fn network_rows(n_flows: usize) -> Vec<PunctRow> {
     let (q, r) = network::network_query();
@@ -77,21 +82,14 @@ pub fn network_rows(n_flows: usize) -> Vec<PunctRow> {
     };
     let feed = network::generate(&cfg);
     let mut rows = Vec::new();
-    for (label, lifespan) in [("keep forever", None), ("lifespan 120", Some(120u64))] {
+    for (label, lifespan) in [("no lifespan", None), ("lifespan 120", Some(120u64))] {
         let exec_cfg = ExecConfig {
             punct_lifespan: lifespan,
             ..ExecConfig::default()
         };
         let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), exec_cfg).unwrap();
         let m = exec.run(&feed).metrics;
-        rows.push(PunctRow {
-            config: format!("network / {label}"),
-            elements: feed.len(),
-            peak_punct: m.peak_punct_entries,
-            final_punct: m.series.last().map_or(0, |p| p.punct_entries),
-            dropped: m.punct_dropped,
-            violations: m.violations,
-        });
+        rows.push(row(&format!("network / {label}"), feed.len(), &m));
     }
     rows
 }
@@ -100,6 +98,7 @@ fn table_data_render(rows: &[PunctRow]) -> (&'static [&'static str], Vec<Vec<Str
     let header: &'static [&'static str] = &[
         "configuration",
         "elements",
+        "admitted",
         "peak punct",
         "final punct",
         "dropped",
@@ -111,6 +110,7 @@ fn table_data_render(rows: &[PunctRow]) -> (&'static [&'static str], Vec<Vec<Str
             vec![
                 r.config.clone(),
                 r.elements.to_string(),
+                r.admitted.to_string(),
                 r.peak_punct.to_string(),
                 r.final_punct.to_string(),
                 r.dropped.to_string(),
@@ -144,14 +144,7 @@ pub fn trades_rows(ticks: usize) -> Vec<PunctRow> {
         let (feed, _) = trades::generate(&cfg);
         let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default()).unwrap();
         let m = exec.run(&feed).metrics;
-        rows.push(PunctRow {
-            config: "trades / heartbeats (ordered ts ≤ T)".into(),
-            elements: feed.len(),
-            peak_punct: m.peak_punct_entries,
-            final_punct: m.series.last().map_or(0, |p| p.punct_entries),
-            dropped: m.punct_dropped,
-            violations: m.violations,
-        });
+        rows.push(row("trades / heartbeats (ordered ts ≤ T)", feed.len(), &m));
     }
 
     // Equality configuration: same query, but ts is punctuated per value —
@@ -193,14 +186,11 @@ pub fn trades_rows(ticks: usize) -> Vec<PunctRow> {
         }
         let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default()).unwrap();
         let m = exec.run(&feed).metrics;
-        rows.push(PunctRow {
-            config: "trades / per-tick equality punctuations".into(),
-            elements: feed.len(),
-            peak_punct: m.peak_punct_entries,
-            final_punct: m.series.last().map_or(0, |p| p.punct_entries),
-            dropped: m.punct_dropped,
-            violations: m.violations,
-        });
+        rows.push(row(
+            "trades / per-tick equality punctuations",
+            feed.len(),
+            &m,
+        ));
     }
     rows
 }
@@ -226,30 +216,28 @@ mod tests {
     #[test]
     fn auction_punctuation_purging_bounds_the_store() {
         let rows = auction_rows(200);
-        let forever = &rows[0];
-        let purging = &rows[1];
-        // Keep-forever: one entry per punctuation, linear in the feed.
-        assert_eq!(forever.dropped, 0);
-        assert_eq!(forever.final_punct, 400);
-        // §5.1 purging drops closed auctions' punctuations.
-        assert!(purging.dropped > 0);
-        assert!(purging.final_punct < forever.final_punct / 4);
-        assert!(purging.peak_punct < forever.peak_punct);
+        let purging = &rows[0];
+        // One entry per punctuation was admitted, linear in the feed...
+        assert_eq!(purging.admitted, 400);
+        // ...and §5.1 purging dropped every closed auction's pair.
+        assert_eq!(purging.dropped, 400);
+        assert_eq!(purging.final_punct, 0);
+        assert!(purging.peak_punct <= 2 * AuctionConfig::default().concurrent);
         assert_eq!(purging.violations, 0);
     }
 
     #[test]
     fn network_lifespans_fix_correctness_and_memory() {
         let rows = network_rows(48);
-        let forever = &rows[0];
+        let unlimited = &rows[0];
         let lifespan = &rows[1];
         assert!(
-            forever.violations > 0,
-            "cycling seqnos break forever semantics"
+            unlimited.violations > 0,
+            "cycling seqnos break entries that outlive their flow"
         );
         assert_eq!(lifespan.violations, 0);
         assert!(lifespan.dropped > 0);
-        assert!(lifespan.peak_punct <= forever.peak_punct);
+        assert!(lifespan.peak_punct <= unlimited.peak_punct);
     }
 
     #[test]
@@ -269,11 +257,15 @@ mod tests {
             "one threshold per stream: {}",
             hb.peak_punct
         );
+        // One equality entry per closed tick per stream is admitted (and,
+        // both sides certifying each tick, dropped again); the watermark
+        // replaces them all by one threshold per stream.
         assert!(
-            eq.peak_punct > 10 * hb.peak_punct,
-            "equality punctuations accumulate: {} vs {}",
-            eq.peak_punct,
-            hb.peak_punct
+            eq.admitted > 10 * hb.admitted,
+            "equality punctuations are admitted per tick: {} vs {}",
+            eq.admitted,
+            hb.admitted
         );
+        assert_eq!(eq.dropped, eq.admitted - eq.final_punct as u64);
     }
 }

@@ -254,7 +254,9 @@ fn all_snapshots_corrupt_is_a_clean_error() {
 /// 4: mirror rows of every stream, also of those the executor no longer
 /// holds and would never purge; 6: a pacing prefix with the adaptive batch,
 /// a budget-policy fingerprint word and three shed counters per `Metrics`
-/// frame) is intact by its own checksum — it must be
+/// frame; 8: a fingerprint that still hashed `purge_punctuations`, and
+/// stores holding every punctuation ever fed) is intact by its own checksum
+/// — it must be
 /// refused by version (`C001`), never decoded under the current layout nor
 /// reported as a config mismatch (`C002`).
 #[test]
@@ -269,7 +271,7 @@ fn earlier_format_versions_are_refused_not_misdecoded() {
     }
     let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
     let earlier = 1..cjq_stream::checkpoint::VERSION;
-    assert!(earlier.contains(&7), "version 7 frames are earlier frames");
+    assert!(earlier.contains(&8), "version 8 frames are earlier frames");
     for previous in earlier {
         for (_, path) in list_snapshots(&dir) {
             let mut frame = std::fs::read(&path).expect("snapshot exists");

@@ -92,8 +92,6 @@ pub struct ExecConfig {
     pub purge_strategy: PurgeStrategy,
     /// §5.1 punctuation lifespan (sequence ticks), if any.
     pub punct_lifespan: Option<u64>,
-    /// §5.1 punctuation purging (punctuations purging punctuations).
-    pub purge_punctuations: bool,
     /// Sliding-window semantics: tuples older than this many elements are
     /// evicted regardless of punctuations (the window-join baseline of
     /// \[3, 7\]). `None` = pure punctuation semantics. Window eviction can
@@ -133,9 +131,9 @@ pub struct ExecConfig {
     /// hot state under the cap, least-recently-probed rows are demoted into
     /// on-disk columnar segments *before* the budget error is raised — the
     /// lossless step between purging and failing. Requires a state budget
-    /// to ever demote; incompatible with `window`, `punct_lifespan`, and
-    /// `purge_punctuations` (those evict or forget on wall-position grounds
-    /// the cold tier does not track). `None` disables tiering.
+    /// to ever demote; incompatible with `window` and `punct_lifespan`
+    /// (those evict or forget on wall-position grounds the cold tier does
+    /// not track). `None` disables tiering.
     pub tiering: Option<TierConfig>,
 }
 
@@ -146,7 +144,6 @@ impl Default for ExecConfig {
             cadence: PurgeCadence::Eager,
             purge_strategy: PurgeStrategy::default(),
             punct_lifespan: None,
-            purge_punctuations: false,
             window: None,
             sample_every: 64,
             coverage_limit: 100_000,
@@ -190,7 +187,6 @@ impl ExecConfig {
             PurgeStrategy::Indexed => 1,
         });
         fp.word(self.punct_lifespan.map_or(u64::MAX, |v| v));
-        fp.word(u64::from(self.purge_punctuations));
         fp.word(self.window.map_or(u64::MAX, |v| v));
         fp.word(self.sample_every as u64);
         fp.word(self.coverage_limit as u64);
@@ -327,23 +323,18 @@ impl Executor {
             ));
         }
         schemes.validate(query.catalog())?;
-        if cfg.tiering.is_some()
-            && (cfg.window.is_some() || cfg.punct_lifespan.is_some() || cfg.purge_punctuations)
-        {
+        if cfg.tiering.is_some() && (cfg.window.is_some() || cfg.punct_lifespan.is_some()) {
             return Err(CoreError::InvalidPlan(
-                "tiering is incompatible with window eviction, punctuation \
-                 lifespans, and punctuation purging: those discard state or \
-                 coverage on grounds the cold tier does not track"
+                "tiering is incompatible with window eviction and punctuation \
+                 lifespans: those discard state or coverage on grounds the \
+                 cold tier does not track"
                     .into(),
             ));
         }
-        let mut engine = PurgeEngine::new_weighted(
-            query,
-            schemes,
-            cfg.punct_lifespan,
-            cfg.coverage_limit,
-            weights.map(<[f64]>::to_vec),
-        );
+        let weights = weights.map(<[f64]>::to_vec);
+        let (lifespan, limit) = (cfg.punct_lifespan, cfg.coverage_limit);
+        let mut engine = PurgeEngine::shared(query, schemes, lifespan, limit, weights);
+        engine.subscribe(query, schemes);
         let mut ops = Vec::new();
         let mut parent = Vec::new();
         let mut leaf_route = FxHashMap::default();
@@ -365,10 +356,18 @@ impl Executor {
             }
         }
         // Every recipe this executor will ever check now exists: mirror only
-        // what they read (§5.1 punctuation purging reads every mirror).
-        if !cfg.purge_punctuations {
-            engine.close_recipe_set(ops.iter().flat_map(JoinOperator::port_recipes));
-        }
+        // what they and §5.1 read. One operator spanning the query stores
+        // each stream's rows under the recipe its mirror would purge by, so
+        // there §5.1 reads the port.
+        let ports: Vec<_> = ops
+            .iter()
+            .flat_map(JoinOperator::port_recipes)
+            .cloned()
+            .collect();
+        engine.close_recipe_set(ports.iter(), |u, col| match &ops[..] {
+            [alone] => alone.stand_in(u, col).is_some(),
+            _ => false,
+        });
         if cfg.tiering.is_some() {
             for op in &mut ops {
                 op.enable_tiering();
@@ -553,7 +552,7 @@ impl Executor {
     }
 
     /// Runs one purge cycle: lifespan expiry, operator purge passes, mirror
-    /// purge, and optional §5.1 punctuation purging.
+    /// purge, and §5.1 punctuation purging.
     pub fn purge_cycle(&mut self) {
         self.run_purge_cycle();
     }
@@ -920,8 +919,9 @@ impl Pipeline for Executor {
     }
 
     fn purge_punctuations(&mut self) {
-        if self.core.cfg.purge_punctuations {
-            self.engine.purge_punctuations(&self.query);
+        self.engine.purge_punctuations(self.ops.iter());
+        if self.engine.port_news() {
+            self.ops.iter_mut().for_each(JoinOperator::log_retired);
         }
     }
 
@@ -1167,42 +1167,41 @@ mod tests {
         assert_eq!(res.metrics.last().unwrap().groups, 0);
     }
 
-    /// Group-by's propagation test and §5.1 punctuation purging read mirrors
-    /// no recipe accounts for, so both hold every stream; the plain executor
-    /// over the same binary join holds none, and emits the same results.
+    /// Group-by's propagation test reads mirrors no recipe accounts for, so
+    /// it holds every stream; the plain executor over the same binary join
+    /// holds none — §5.1 reads its ports — and both emit the same results and
+    /// forget every punctuation of a closed auction.
     #[test]
-    fn groupby_and_punctuation_purging_hold_every_stream() {
+    fn groupby_holds_every_stream_and_ports_stand_in_for_unheld_mirrors() {
         let (q, r) = fixtures::auction();
-        let cfg = ExecConfig {
-            record_outputs: true,
-            ..ExecConfig::default()
-        };
-        let purging = ExecConfig {
-            purge_punctuations: true,
-            ..cfg
-        };
-        let compile = |cfg| Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
+        let compile =
+            || Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default()).unwrap();
         let by_item = AttrRef {
             stream: StreamId(1),
             attr: AttrId(1),
         };
         let engines = [
-            compile(cfg),
-            compile(cfg).with_groupby(&[by_item], Aggregate::Count),
-            compile(purging),
+            compile(),
+            compile().with_groupby(&[by_item], Aggregate::Count),
         ];
         let open = [item(1), bid(1, 5), item(2), bid(2, 9)];
-        let close = [item_unique(1), bid_close(1), item_unique(2), bid_close(2)];
+        let close = [item_unique(1), bid_close(1), item_unique(2)];
         let (mut mirrored, mut outputs) = (Vec::new(), Vec::new());
         for mut exec in engines {
             open.iter().for_each(|e| exec.push(e));
             mirrored.push(exec.engine.mirror_live());
             close.iter().for_each(|e| exec.push(e));
+            // Auction 1 is closed on both sides and drained; item 2's
+            // uniqueness still guards the live bid on it.
+            assert_eq!(exec.engine.punct_entries(), 1);
+            assert_eq!(exec.engine.punct_dropped, 2);
+            exec.push(&bid_close(2));
+            assert_eq!(exec.engine.punct_entries(), 0);
             outputs.push(exec.finish().outputs);
         }
-        assert_eq!(mirrored, [0, 4, 4]);
+        assert_eq!(mirrored, [0, 4]);
         assert_eq!(outputs[0].len(), 2);
-        assert!(outputs.iter().all(|o| *o == outputs[0]));
+        assert_eq!(outputs[0], outputs[1]);
     }
 
     /// Operator ports and held mirrors hold what is live (plus at most as

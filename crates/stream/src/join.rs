@@ -12,7 +12,7 @@
 
 use cjq_core::fxhash::{FxHashMap, FxHashSet};
 use cjq_core::query::Cjq;
-use cjq_core::schema::StreamId;
+use cjq_core::schema::{AttrId, StreamId};
 use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
@@ -75,6 +75,9 @@ pub struct JoinOperator {
     /// Per port: delta tracker driving [`PurgeStrategy::Indexed`] passes
     /// (present exactly where a recipe is).
     trackers: Vec<Option<PurgeTracker>>,
+    /// The ports whose recipe waits on more than one step (see
+    /// [`JoinOperator::waits_on`]).
+    waiting: Vec<usize>,
     /// Per port: the cold spill tier. Empty until
     /// [`JoinOperator::enable_tiering`]; every port gets one then (ports
     /// without a root-resolvable recipe still demote and fault back — their
@@ -215,10 +218,13 @@ impl JoinOperator {
             .map(|(recipe, state)| recipe.as_ref().map(|r| PurgeTracker::new(r, state)))
             .collect();
 
+        let waits = |r: &Option<CompiledRecipe>| r.as_ref().is_some_and(|r| r.n_steps() > 1);
+        let waiting = (0..n).filter(|&port| waits(&recipes[port])).collect();
         JoinOperator {
             span,
             out_layout,
             ports,
+            waiting,
             port_spans,
             probe_plans,
             recipes,
@@ -483,6 +489,53 @@ impl JoinOperator {
         n
     }
 
+    /// The port that can answer §5.1's "does a stored row of `stream` carry
+    /// this key" on `col` in place of the stream's mirror: the one storing
+    /// exactly its rows, if indexed there. The caller vouches that those rows
+    /// live as long as the mirror's would (this operator spans the query).
+    pub(crate) fn stand_in(&self, stream: StreamId, col: usize) -> Option<&PortState> {
+        let port = self.port_spans.iter().position(|ps| ps[..] == [stream])?;
+        Some(&self.ports[port]).filter(|state| state.has_index(col))
+    }
+
+    /// Whether a port whose row can outlive its stream's mirror row still
+    /// stores one carrying `stream.col = key`: a port whose recipe waits on
+    /// more than one step. (A one-step recipe purges a row in the cycle its
+    /// key's coverage arrives, before that cycle's mirror pass; a longer one
+    /// may wait on another step, or on a mirror purge, which the operator
+    /// pass sees a cycle late.)
+    pub(crate) fn waits_on(&self, stream: StreamId, col: usize, key: &Value) -> bool {
+        let mut waiting = self.waiting.iter().map(|&port| &self.ports[port]);
+        let at = |rows: &PortState| rows.layout().pos(stream, AttrId(col));
+        waiting.any(|rows| at(rows).is_some_and(|flat| rows.carries(flat, key)))
+    }
+
+    /// The rows the ports purged since [`JoinOperator::log_retired`] ran.
+    pub(crate) fn retired_rows(&self) -> impl Iterator<Item = (&SpanLayout, &[Value])> {
+        self.ports.iter().flat_map(|state| {
+            let left = state.retired_since(0).iter();
+            left.map(move |&slot| (state.layout(), state.raw_row(slot)))
+        })
+    }
+
+    /// Logs the ports' purges from now on — once a port row was the last
+    /// thing keeping a punctuation entry they are news to
+    /// [`PurgeEngine::purge_punctuations`] — and drops what it has read.
+    pub(crate) fn log_retired(&mut self) {
+        for state in &mut self.ports {
+            state.enable_retirement_log();
+            state.trim_retired_to(state.retire_end());
+        }
+    }
+
+    /// Whether a cold segment here has yet to certify against entry `key` of
+    /// `target`'s scheme `scheme_idx` (or cannot tell): forgetting the entry
+    /// would orphan it.
+    pub(crate) fn cold_needs(&self, target: StreamId, scheme_idx: usize, key: &Value) -> bool {
+        let mut tiers = self.tiers.iter().flatten();
+        tiers.any(|tier| tier.needs(target, scheme_idx, key))
+    }
+
     /// The compiled purge recipes of the ports that have one.
     pub(crate) fn port_recipes(&self) -> impl Iterator<Item = &CompiledRecipe> {
         self.recipes.iter().flatten()
@@ -555,11 +608,11 @@ impl JoinOperator {
             let store = spill.as_mut().ok_or_else(|| {
                 SnapshotError("tiered snapshot restored without a spill store".into())
             })?;
-            let strides: Vec<usize> = self.ports.iter().map(|p| p.layout().width()).collect();
-            for (port, tier) in self.tiers.iter_mut().enumerate() {
+            for (port, (tier, state)) in self.tiers.iter_mut().zip(&self.ports).enumerate() {
+                let shape = (state.layout().width(), state.next_seq());
                 tier.as_mut()
                     .expect("every port has a tier when tiering is enabled")
-                    .read_state(d, store, op_idx, port, strides[port])?;
+                    .read_state(d, store, (op_idx, port), shape)?;
             }
         }
         Ok(())

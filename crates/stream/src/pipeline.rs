@@ -401,6 +401,11 @@ pub(crate) trait Pipeline: Snapshot {
     fn op(&self, i: usize) -> Option<&JoinOperator>;
     /// Operator `i` beside the engine it purges against and the core.
     fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)>;
+    /// §5.1 punctuation purging over the engine's stores, which reads the
+    /// operators: [`PurgeEngine::purge_punctuations`], then — where
+    /// [`PurgeEngine::port_news`] — each operator's
+    /// [`JoinOperator::log_retired`].
+    fn purge_punctuations(&mut self);
 
     /// Runs `f` with the sink that stands in where the caller supplies none.
     fn with_own_sink<R>(
@@ -425,8 +430,6 @@ pub(crate) trait Pipeline: Snapshot {
     fn punct_observed(&mut self, _p: &Punctuation) {}
     /// Coverage or state changed: retry deliveries waiting on it.
     fn settle_pending(&mut self) {}
-    /// §5.1 punctuation purging, after the mirror purge of a cycle.
-    fn purge_punctuations(&mut self) {}
     /// Sliding-window eviction.
     fn evict_window(&mut self) {}
     /// Per-element checks after the budget ladder (port bounds, stalls).
@@ -768,8 +771,8 @@ pub(crate) trait Pipeline: Snapshot {
     }
 
     /// One purge cycle: lifespan expiry, a purge pass per operator, the
-    /// mirror purge, log trims, pending deliveries, and — under
-    /// `verify_certificates` — the runtime certificate checks.
+    /// mirror purge, the punctuation purge, log trims, pending deliveries,
+    /// and — under `verify_certificates` — the runtime certificate checks.
     fn run_purge_cycle(&mut self) {
         self.core_mut().since_purge = 0;
         let Some((core, engine, _)) = self.stage() else {
@@ -780,9 +783,7 @@ pub(crate) trait Pipeline: Snapshot {
             engine.expire_punctuations(core.clock);
         }
         let strategy = core.cfg.purge_strategy;
-        // Retractions logged before this cycle are fully consumed by its end;
-        // ones logged *during* it feed operator trackers only next cycle.
-        let retire_marks = engine.retire_marks();
+        engine.begin_cycle();
         let mut work = PurgeWork::default();
         for i in 0..self.op_slots() {
             let Some((op, engine, _)) = self.op_stage(i) else {
@@ -798,13 +799,13 @@ pub(crate) trait Pipeline: Snapshot {
         if let Some((core, engine, _)) = self.stage() {
             work.add(engine.purge_mirror_with(strategy));
             core.metrics.purge_candidates_examined += work.examined;
-            // All trackers (operator ports and mirrors) have consumed the
-            // cycle's punctuation deltas; drop them so the log stays
-            // delta-sized.
-            engine.trim_punct_deltas();
-            engine.trim_retired(&retire_marks);
         }
+        // Last reader of the cycle's coverage deltas and retractions: which
+        // keys to test is read off them, against rows as the purges left them.
         self.purge_punctuations();
+        if let Some((_, engine, _)) = self.stage() {
+            engine.end_cycle();
+        }
         self.settle_pending();
         let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) else {
             return;

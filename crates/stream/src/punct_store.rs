@@ -7,7 +7,7 @@
 //! practical mitigation mechanisms of §5.1 — *lifespans* (entries expire
 //! after a configurable age) and *punctuation purging* (entries dropped once
 //! punctuations from partner streams make them unnecessary; driven by the
-//! operator, which knows the join topology).
+//! purge engine, which knows the join topology).
 
 use cjq_core::fxhash::FxHashMap;
 
@@ -319,9 +319,18 @@ impl PunctStore {
         self.entries[scheme_idx].remove(combo).is_some()
     }
 
-    /// Iterates the stored combinations of scheme `scheme_idx`.
-    pub fn combos(&self, scheme_idx: usize) -> impl Iterator<Item = &Vec<Value>> {
-        self.entries[scheme_idx].keys()
+    /// The stored keys of one-attribute scheme `scheme_idx` in `(above,
+    /// upto]` — what a partner's threshold advance newly certifies against.
+    /// One pass over that scheme's entries, taken only where a hash scheme
+    /// faces an ordered partner (whose advances also keep it short).
+    pub(crate) fn keys_between<'s>(
+        &'s self,
+        scheme_idx: usize,
+        above: Option<&'s Value>,
+        upto: &'s Value,
+    ) -> impl Iterator<Item = Value> + 's {
+        let keys = self.entries[scheme_idx].keys().map(|combo| combo[0]);
+        keys.filter(move |k| above.is_none_or(|a| k > a) && k <= upto)
     }
 
     /// Total number of stored entries (scheme instantiations + heartbeat
@@ -456,6 +465,14 @@ impl PunctStore {
         self.delta_log = log;
         self.delta_base = d.u64()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl PunctStore {
+    /// Iterates the stored combinations of scheme `scheme_idx`.
+    pub(crate) fn combos(&self, scheme_idx: usize) -> impl Iterator<Item = &Vec<Value>> {
+        self.entries[scheme_idx].keys()
     }
 }
 

@@ -39,10 +39,14 @@
 //! binds or filters from a chain set that is not a root, and a stream no
 //! recipe reads needs no mirror (a binary join's one-step recipes read
 //! none). An `Executor` knows its whole recipe set once compiled and closes
-//! it (`PurgeEngine::close_recipe_set`): only read streams stay mirrored.
+//! it (`PurgeEngine::close_recipe_set`): only read streams are mirrored.
 //! A hand-built engine and the registry's shared one stay open and mirror
 //! everything — a recipe compiled or admitted later may chain through
 //! history that cannot be backfilled.
+//!
+//! The punctuation stores are purged too (§5.1,
+//! `PurgeEngine::purge_punctuations`): an entry goes once its partners'
+//! own punctuations and the absence of partner rows make it unaskable.
 
 use std::collections::HashMap;
 
@@ -50,10 +54,11 @@ use cjq_core::fxhash::{FxHashMap, FxHashSet};
 use cjq_core::punctuation::Punctuation;
 use cjq_core::purge_plan::{self, PurgeRecipe};
 use cjq_core::query::Cjq;
-use cjq_core::schema::StreamId;
-use cjq_core::scheme::SchemeSet;
+use cjq_core::schema::{AttrId, StreamId};
+use cjq_core::scheme::{PunctuationScheme, SchemeSet};
 use cjq_core::value::Value;
 
+use crate::join::JoinOperator;
 use crate::layout::SpanLayout;
 use crate::punct_store::{PunctDelta, PunctStore};
 use crate::state::{PortState, Sweep};
@@ -151,6 +156,13 @@ pub struct CompiledRecipe {
     /// Root streams (the candidate tuple's span), sorted.
     pub roots: Vec<StreamId>,
     steps: Vec<CompiledStep>,
+}
+
+impl CompiledRecipe {
+    /// How many punctuation sources a candidate waits on.
+    pub(crate) fn n_steps(&self) -> usize {
+        self.steps.len()
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -559,9 +571,14 @@ pub struct PurgeEngine {
     puncts: Vec<PunctStore>,
     /// Per stream: the subscribed query-scope recipes the mirror purges by.
     meets: Vec<StreamMeet>,
-    /// Per stream: whether arriving rows are mirrored — always, until
-    /// [`PurgeEngine::close_recipe_set`] keeps only what some recipe reads.
+    /// Per stream: whether arriving rows are mirrored — every stream of an
+    /// open engine, what [`PurgeEngine::close_recipe_set`] found read of a
+    /// closed one. Only a held stream has trackers and a retraction log.
     held: Vec<bool>,
+    /// Per stream: the predicates some subscriber holds on it — whose
+    /// punctuations and rows [`PurgeEngine::purge_punctuations`] reads for an
+    /// entry there.
+    readers: Vec<Vec<Edge>>,
     /// Upper bound on required-combination enumeration per step; checks whose
     /// requirement product exceeds it conservatively report "not purgeable".
     coverage_limit: usize,
@@ -572,11 +589,35 @@ pub struct PurgeEngine {
     pub punct_dropped: u64,
     /// Raw tuples purged from the mirror.
     pub mirror_purged: u64,
+    /// Per stream: the mirror's retraction-log position when the purge cycle
+    /// under way began.
+    cycle_marks: Vec<u64>,
+    /// Whether a port row (not a mirror row) was ever the last thing keeping
+    /// an entry: from then on the operators' purges are news to the
+    /// punctuation purge, and logged for it.
+    port_news: bool,
     /// Reused check, candidate-slot and sweep buffers for the mirror purge
-    /// pass.
+    /// pass, and the punctuation purge's drop and tested lists.
     check_scratch: CheckScratch,
     candidates: Vec<usize>,
     sweep: Sweep,
+    dead_entries: Vec<(usize, usize, Value)>,
+    tested_entries: Vec<(usize, usize, Value)>,
+}
+
+/// One end of a subscribed predicate, seen from the stream on it.
+#[derive(Debug, Clone)]
+struct Edge {
+    /// The stream's own column.
+    col: usize,
+    /// The other end.
+    partner: StreamId,
+    partner_col: usize,
+    /// The partner's schemes whose entries §5.1 can drop: hash schemes on
+    /// `partner_col` alone.
+    twins: Vec<usize>,
+    /// How many subscribers hold the predicate.
+    holders: usize,
 }
 
 /// One stream's subscribed mirror recipes, interned by structural equality.
@@ -598,7 +639,8 @@ struct StreamMeet {
 struct Interned {
     recipe: CompiledRecipe,
     subscribers: usize,
-    tracker: PurgeTracker,
+    /// Present exactly while the stream is held.
+    tracker: Option<PurgeTracker>,
 }
 
 impl StreamMeet {
@@ -612,9 +654,10 @@ impl StreamMeet {
 pub(crate) type MirrorSubscription = Vec<Option<CompiledRecipe>>;
 
 impl PurgeEngine {
-    /// Builds the engine for a query: mirror states with indexes on every
-    /// join attribute, punctuation stores from `ℜ`, and the query's mirror
-    /// recipes subscribed. `lifespan` enables §5.1 punctuation expiry.
+    /// Builds the open engine for a query: mirror states with indexes on
+    /// every join attribute, punctuation stores from `ℜ`, the query's mirror
+    /// recipes subscribed and every stream held. `lifespan` enables §5.1
+    /// punctuation expiry.
     #[must_use]
     pub fn new(
         query: &Cjq,
@@ -622,38 +665,29 @@ impl PurgeEngine {
         lifespan: Option<u64>,
         coverage_limit: usize,
     ) -> Self {
-        PurgeEngine::new_weighted(query, schemes, lifespan, coverage_limit, None)
+        let mut engine = PurgeEngine::shared(query, schemes, lifespan, coverage_limit, None);
+        engine.subscribe(query, schemes);
+        engine.hold_every_stream();
+        engine
     }
 
-    /// Like [`PurgeEngine::new`], with optional per-scheme punctuation-lag
-    /// weights (aligned with `schemes.schemes()`): recipes then prefer
-    /// low-lag schemes wherever alternatives exist.
-    #[must_use]
-    pub fn new_weighted(
+    /// The mirror and stores over `query`'s catalog with **no** subscriber
+    /// and no stream held: what an `Executor` subscribes to, compiles its
+    /// ports against and then closes, and the registry's engine once it holds
+    /// every stream, which every tenant (the first included) subscribes to
+    /// at admission. Mirror indexes follow `query`'s join attributes. With
+    /// per-scheme punctuation-lag `weights` (aligned with
+    /// `schemes.schemes()`) recipes prefer low-lag schemes wherever
+    /// alternatives exist.
+    pub(crate) fn shared(
         query: &Cjq,
         schemes: &SchemeSet,
         lifespan: Option<u64>,
         coverage_limit: usize,
         weights: Option<Vec<f64>>,
     ) -> Self {
-        let mut engine = PurgeEngine::shared(query, schemes, lifespan, coverage_limit);
-        engine.weights = weights;
-        engine.subscribe(query, schemes);
-        engine
-    }
-
-    /// The mirror and stores over `query`'s catalog with **no** subscriber:
-    /// the registry's engine, which every tenant (the first included)
-    /// subscribes to at admission. Mirror indexes follow `query`'s join
-    /// attributes.
-    pub(crate) fn shared(
-        query: &Cjq,
-        schemes: &SchemeSet,
-        lifespan: Option<u64>,
-        coverage_limit: usize,
-    ) -> Self {
         let all: Vec<StreamId> = query.stream_ids().collect();
-        let mut states: Vec<PortState> = all
+        let states: Vec<PortState> = all
             .iter()
             .map(|&s| {
                 let layout = SpanLayout::new(query.catalog(), &[s]);
@@ -665,32 +699,34 @@ impl PurgeEngine {
             .iter()
             .map(|&s| PunctStore::new(s, schemes, lifespan))
             .collect();
-        // Mirror states feed the purge trackers' shrinkage probes (theirs
-        // and the operator ports'), so every mirror purge must be logged.
-        for state in &mut states {
-            state.enable_retirement_log();
-        }
         PurgeEngine {
             meets: all.iter().map(|_| StreamMeet::default()).collect(),
-            held: vec![true; all.len()],
+            held: vec![false; all.len()],
+            readers: vec![Vec::new(); all.len()],
+            cycle_marks: vec![0; all.len()],
+            port_news: false,
             states,
             puncts,
             coverage_limit,
-            weights: None,
+            weights,
             punct_dropped: 0,
             mirror_purged: 0,
             check_scratch: CheckScratch::default(),
             candidates: Vec::new(),
             sweep: Sweep::default(),
+            dead_entries: Vec::new(),
+            tested_entries: Vec::new(),
         }
     }
 
-    /// Adds `query`'s per-stream query-scope recipes to the meet. A recipe
-    /// some subscriber already holds is shared — no new tracker, no new
-    /// purge index; a new one starts a tracker whose first collect offers
-    /// every live row. Subscribing only tightens the meet, so nothing needs
-    /// re-checking on its account.
+    /// Adds `query`'s per-stream query-scope recipes to the meet and its
+    /// predicates to what §5.1 reads. A recipe some subscriber already holds
+    /// is shared — no new tracker, no new purge index; a new one on a held
+    /// stream starts a tracker whose first collect offers every live row.
+    /// Subscribing only tightens the meet, so nothing needs re-checking on
+    /// its account.
     pub(crate) fn subscribe(&mut self, query: &Cjq, schemes: &SchemeSet) -> MirrorSubscription {
+        self.count_readers(query, true);
         let all: Vec<StreamId> = query.stream_ids().collect();
         all.iter()
             .map(|&s| {
@@ -703,7 +739,8 @@ impl PurgeEngine {
                 match meet.position(&recipe) {
                     Ok(pos) => meet.recipes[pos].subscribers += 1,
                     Err(pos) => {
-                        let tracker = PurgeTracker::new(&recipe, &mut self.states[s.0]);
+                        let state = &mut self.states[s.0];
+                        let tracker = self.held[s.0].then(|| PurgeTracker::new(&recipe, state));
                         let (recipe, subscribers) = (recipe.clone(), 1);
                         let held = Interned {
                             recipe,
@@ -718,11 +755,12 @@ impl PurgeEngine {
             .collect()
     }
 
-    /// Takes a subscription back out of the meet. Where that weakens it (a
-    /// recipe's last holder, or the last uncertified subscriber, left) the
-    /// stream's next purge pass re-checks every live row once. Panics if
-    /// `sub` is not a live subscription of this engine.
-    pub(crate) fn unsubscribe(&mut self, sub: &MirrorSubscription) {
+    /// Takes `query`'s subscription `sub` back out of the meet. Where that
+    /// weakens it (a recipe's last holder, or the last uncertified
+    /// subscriber, left) the stream's next purge pass re-checks every live
+    /// row once. Panics if `sub` is not a live subscription of this engine.
+    pub(crate) fn unsubscribe(&mut self, query: &Cjq, sub: &MirrorSubscription) {
+        self.count_readers(query, false);
         for (meet, recipe) in self.meets.iter_mut().zip(sub) {
             match recipe {
                 None => meet.uncertified -= 1,
@@ -739,28 +777,86 @@ impl PurgeEngine {
         }
     }
 
-    /// Closes the recipe set: the subscribed mirror recipes and `ports` —
-    /// every operator port recipe compiled against this engine — are all
-    /// that will ever be checked, so only the streams one of them reads (see
-    /// the module docs) stay held. The others get no mirror insert and no
-    /// purge pass from here on: their trackers, indexes and retirement logs
-    /// stay empty. Call before the first element.
-    pub(crate) fn close_recipe_set<'r>(&mut self, ports: impl Iterator<Item = &'r CompiledRecipe>) {
-        let held = &mut self.held;
-        held.fill(false);
-        let mut mark = |recipe: &CompiledRecipe| {
-            let feeding = recipe.steps.iter().filter(|step| step.feeds);
-            feeding.for_each(|step| held[step.target.0] = true);
-        };
-        let mirror = self.meets.iter().flat_map(|m| &m.recipes);
-        mirror.for_each(|e| mark(&e.recipe));
-        ports.for_each(mark);
+    /// Counts `query`'s predicates into (or out of) `readers`, both ways.
+    fn count_readers(&mut self, query: &Cjq, add: bool) {
+        for p in query.predicates() {
+            for (own, other) in [(p.left, p.right), (p.right, p.left)] {
+                let edges = &mut self.readers[own.stream.0];
+                let ends = (own.attr.0, other.stream, other.attr.0);
+                let same = |e: &Edge| (e.col, e.partner, e.partner_col) == ends;
+                match edges.iter().position(same) {
+                    Some(pos) if add => edges[pos].holders += 1,
+                    Some(pos) if edges[pos].holders > 1 => edges[pos].holders -= 1,
+                    Some(pos) => drop(edges.remove(pos)),
+                    None => {
+                        let schemes = self.puncts[other.stream.0].schemes().iter().enumerate();
+                        let hash_on = |s: &PunctuationScheme| {
+                            !s.is_ordered() && s.punctuatable() == [other.attr]
+                        };
+                        let twins = schemes.filter_map(|(i, s)| hash_on(s).then_some(i));
+                        edges.push(Edge {
+                            col: own.attr.0,
+                            partner: other.stream,
+                            partner_col: other.attr.0,
+                            twins: twins.collect(),
+                            holders: 1,
+                        });
+                    }
+                }
+            }
+        }
     }
 
-    /// Holds every stream again, for a reader no recipe accounts for (the
-    /// group-by's propagation test). Call before the first element.
+    /// Closes the recipe set of an engine that holds nothing yet: the
+    /// subscribed mirror recipes and `ports` — every operator port recipe
+    /// compiled against this engine — are all that will ever be checked, so
+    /// only what is read gets held. Read are the streams a port recipe
+    /// chains through, the partners §5.1 probes for rows unless a port
+    /// `stands_in` for that `(stream, column)`, and then what the mirror
+    /// recipes of the streams held so far chain through, to a fixpoint. The
+    /// others get no mirror insert, no tracker, no purge index and no
+    /// retraction log. Call before the first element.
+    pub(crate) fn close_recipe_set<'r>(
+        &mut self,
+        ports: impl Iterator<Item = &'r CompiledRecipe>,
+        mut stands_in: impl FnMut(StreamId, usize) -> bool,
+    ) {
+        let mut read = vec![false; self.held.len()];
+        let mark = |recipe: &CompiledRecipe, read: &mut [bool]| {
+            let feeding = recipe.steps.iter().filter(|step| step.feeds);
+            feeding.for_each(|step| read[step.target.0] = true);
+        };
+        ports.for_each(|recipe| mark(recipe, &mut read));
+        for (u, edges) in self.readers.iter().enumerate() {
+            let mut probed = edges.iter().filter(|e| !e.twins.is_empty());
+            read[u] |= probed.any(|e| !stands_in(StreamId(u), e.col));
+        }
+        while let Some(s) = (0..read.len()).find(|&s| read[s] && !self.held[s]) {
+            self.hold(s);
+            let mirror = self.meets[s].recipes.iter();
+            mirror.for_each(|e| mark(&e.recipe, &mut read));
+        }
+    }
+
+    /// Holds every stream: an open engine, or a closed one widened for a
+    /// reader no recipe accounts for (the group-by's propagation test). Call
+    /// before the first element.
     pub(crate) fn hold_every_stream(&mut self) {
-        self.held.fill(true);
+        (0..self.held.len()).for_each(|s| self.hold(s));
+    }
+
+    /// Starts mirroring stream `s`: its purges are logged (they feed the
+    /// trackers' shrinkage probes, its own and the operator ports') and its
+    /// recipes tracked.
+    fn hold(&mut self, s: usize) {
+        if std::mem::replace(&mut self.held[s], true) {
+            return;
+        }
+        let state = &mut self.states[s];
+        state.enable_retirement_log();
+        for e in &mut self.meets[s].recipes {
+            e.tracker = Some(PurgeTracker::new(&e.recipe, state));
+        }
     }
 
     /// Compiles a purge recipe for a port: roots are the port's span, and the
@@ -819,6 +915,12 @@ impl PurgeEngine {
     /// Records a punctuation at sequence time `now`.
     pub fn observe_punctuation(&mut self, p: &Punctuation, now: u64) {
         self.puncts[p.stream.0].insert(p, now);
+    }
+
+    /// Whether the operators' purges are news to
+    /// [`PurgeEngine::purge_punctuations`] (see [`JoinOperator::log_retired`]).
+    pub(crate) fn port_news(&self) -> bool {
+        self.port_news
     }
 
     /// The punctuation store of `stream`.
@@ -1295,7 +1397,8 @@ impl PurgeEngine {
             if localized {
                 let (state, out) = (&self.states[s], &mut candidates);
                 for e in &mut meet.recipes {
-                    localized &= e.tracker.collect(&e.recipe, state, self, &mut scratch, out);
+                    let tracker = e.tracker.as_mut().expect("held streams are tracked");
+                    localized &= tracker.collect(&e.recipe, state, self, &mut scratch, out);
                 }
             }
             if meet.uncertified > 0 {
@@ -1316,31 +1419,22 @@ impl PurgeEngine {
         work
     }
 
-    /// Drops every store's retained delta log. The executor calls this at
-    /// the end of a purge cycle, once all per-port and mirror trackers have
-    /// advanced their cursors past the retained deltas.
-    pub fn trim_punct_deltas(&mut self) {
-        for p in &mut self.puncts {
-            p.trim_deltas();
-        }
+    /// Starts a purge cycle: marks where each mirror's retraction log stands.
+    pub(crate) fn begin_cycle(&mut self) {
+        let marks = self.cycle_marks.iter_mut().zip(&self.states);
+        marks.for_each(|(mark, mirror)| *mark = mirror.retire_end());
     }
 
-    /// Per-stream retraction-log positions (for [`PurgeEngine::trim_retired`]).
-    ///
-    /// Taken at the *start* of a purge cycle, these are a safe trim floor at
-    /// its end: every tracker's retraction cursor has passed them by then,
-    /// while retractions logged *during* the cycle (consumed by operator
-    /// trackers only next cycle) stay retained.
-    #[must_use]
-    pub fn retire_marks(&self) -> Vec<u64> {
-        self.states.iter().map(PortState::retire_end).collect()
-    }
-
-    /// Drops mirror retractions below the given per-stream marks.
-    pub fn trim_retired(&mut self, marks: &[u64]) {
-        for (state, &mark) in self.states.iter_mut().zip(marks) {
-            state.trim_retired_to(mark);
-        }
+    /// Ends the cycle [`PurgeEngine::begin_cycle`] began, once every per-port
+    /// and mirror tracker has advanced past the retained logs: drops the
+    /// stores' coverage deltas, so that log stays delta-sized, and the held
+    /// mirrors' retractions from before the cycle. Ones logged *during* it
+    /// feed operator trackers only next cycle and stay.
+    pub(crate) fn end_cycle(&mut self) {
+        self.puncts.iter_mut().for_each(PunctStore::trim_deltas);
+        let mirrors = self.states.iter_mut().zip(&self.cycle_marks);
+        let held = mirrors.zip(&self.held).filter(|(_, held)| **held);
+        held.for_each(|((mirror, &mark), _)| mirror.trim_retired_to(mark));
     }
 
     /// §5.1 lifespan expiry across all stores at sequence time `now`.
@@ -1350,59 +1444,134 @@ impl PurgeEngine {
         dropped
     }
 
-    /// §5.1 punctuation purging: drops a single-attribute-scheme entry
-    /// `(attr = c)` on stream `v` once, for every partner `u` of `v.attr`,
-    /// (i) punctuations on `u`'s side certify no future `u` tuple carries `c`
-    /// and (ii) no live mirror tuple of `u` carries `c`. Such an entry can
-    /// never again satisfy a coverage query that matters. Multi-attribute
-    /// entries are left to lifespans. Returns entries dropped.
-    pub fn purge_punctuations(&mut self, query: &Cjq) -> usize {
-        let mut to_remove: Vec<(usize, usize, Vec<Value>)> = Vec::new();
-        for (si, store) in self.puncts.iter().enumerate() {
-            let v = StreamId(si);
-            for (scheme_idx, scheme) in store.schemes().iter().enumerate() {
-                if scheme.arity() != 1 {
+    /// §5.1 punctuation purging: drops an entry `(attr = c)` of a
+    /// one-attribute hash scheme of stream `v` once, for every partner `u.b`
+    /// of `v.attr` under a subscribed predicate, (i) punctuations on `u`'s
+    /// side certify no future `u` tuple carries `c` and (ii) no stored tuple
+    /// of `u` carries `c`: no coverage query that matters can ask for it
+    /// again. Both can only turn true in a cycle where the entry or a
+    /// partner's coverage of `c` arrived or a partner row carrying `c` left,
+    /// so only those keys are tested, off the delta logs and this cycle's
+    /// retractions (call before [`PurgeEngine::end_cycle`]). (ii) reads `u`'s
+    /// mirror where held, else the port of `ops` standing in for it, and
+    /// behind either the ports whose rows can outlive a mirror row; a cold
+    /// segment of `ops` yet to certify against the entry keeps it too.
+    /// Everything else is left to lifespans (DESIGN.md §7, "The reverse read
+    /// set"). Returns entries dropped.
+    pub(crate) fn purge_punctuations<'o>(
+        &mut self,
+        ops: impl Iterator<Item = &'o JoinOperator> + Clone,
+    ) -> usize {
+        if !self.readers.iter().flatten().any(|e| !e.twins.is_empty()) {
+            return 0; // nothing a pass could drop: no hash scheme is read
+        }
+        if self.readers.iter().flatten().all(|e| e.twins.is_empty()) {
+            return 0; // no read scheme has entries to drop: no pass
+        }
+        let mut dead = std::mem::take(&mut self.dead_entries);
+        let mut tested = std::mem::take(&mut self.tested_entries);
+        dead.clear();
+        tested.clear();
+        let this = &*self;
+        // (ii), first from the mirror or the port standing in for an unheld
+        // one; then, for an entry about to go, from the ports whose rows can
+        // outlive their mirror row. A port's "still here" is what makes the
+        // operators' purges news.
+        let port_news = std::cell::Cell::new(this.port_news);
+        let on_port = |found: bool| {
+            port_news.set(port_news.get() || found);
+            found
+        };
+        let read = |u: StreamId, b: usize, c: &Value| match this.held[u.0] {
+            true => this.states[u.0].carries(b, c),
+            false => match ops.clone().find_map(|op| op.stand_in(u, b)) {
+                Some(rows) => on_port(rows.carries(b, c)),
+                None => true,
+            },
+        };
+        let mut test = |v: StreamId, scheme_idx: usize, c: Value| {
+            // The stores and rows stand still for the pass, and what names a
+            // key names it in a row (a round's rows, an entry and its twins):
+            // a look at the last few tests spares most repeats.
+            let (store, entry) = (&this.puncts[v.0], (v.0, scheme_idx, c));
+            if tested.iter().rev().take(8).any(|t| *t == entry) {
+                return;
+            }
+            tested.push(entry);
+            if !store.covers(scheme_idx, &[c]) {
+                return;
+            }
+            let attr = store.schemes()[scheme_idx].punctuatable()[0].0;
+            let partners = || this.readers[v.0].iter().filter(|e| e.col == attr);
+            let certified = |e: &Edge| {
+                let covered = this.puncts[e.partner.0].covers_single(AttrId(e.partner_col), &c);
+                covered && !read(e.partner, e.partner_col, &c)
+            };
+            if partners().next().is_none() || !partners().all(certified) {
+                return;
+            }
+            let outlived = |e: &Edge| {
+                let mut ops = ops.clone();
+                on_port(ops.any(|op| op.waits_on(e.partner, e.partner_col, &c)))
+            };
+            if !partners().any(outlived) && !ops.clone().any(|op| op.cold_needs(v, scheme_idx, &c))
+            {
+                dead.push((v.0, scheme_idx, c));
+            }
+        };
+        for (s, store) in this.puncts.iter().enumerate() {
+            for delta in store.deltas_since(0) {
+                let [attr] = store.schemes()[delta.scheme_idx()].punctuatable() else {
                     continue;
-                }
-                let attr = scheme.punctuatable()[0];
-                let partners = query.partners_of(v, attr);
-                if partners.is_empty() {
-                    continue;
-                }
-                'combo: for combo in store.combos(scheme_idx) {
-                    let c = &combo[0];
-                    for p in query.predicates_on(v) {
-                        if p.endpoint_on(v).map(|r| r.attr) != Some(attr) {
-                            continue;
-                        }
-                        let other = p.endpoint_opposite(v).expect("touches v");
-                        // (i) no future partner tuples with value c.
-                        if !self.puncts[other.stream.0].covers_single(other.attr, c) {
-                            continue 'combo;
-                        }
-                        // (ii) no live partner tuples with value c. Join
-                        // attributes are indexed in the mirror, so this is a
-                        // hash probe, not an O(mirror) scan.
-                        let partner = &self.states[other.stream.0];
-                        let live_hit = if partner.has_index(other.attr.0) {
-                            !partner.probe(other.attr.0, c).is_empty()
-                        } else {
-                            partner.iter_live().any(|(_, row)| &row[other.attr.0] == c)
-                        };
-                        if live_hit {
-                            continue 'combo;
+                };
+                // News for the entry itself and for its twins across an edge.
+                for e in this.readers[s].iter().filter(|e| e.col == attr.0) {
+                    let twins = &this.puncts[e.partner.0];
+                    for &j in &e.twins {
+                        match delta {
+                            PunctDelta::Entry { combo, .. } => test(e.partner, j, combo[0]),
+                            PunctDelta::Advance { above, upto, .. } => {
+                                let passed = twins.keys_between(j, above.as_ref(), upto);
+                                passed.for_each(|c| test(e.partner, j, c));
+                            }
                         }
                     }
-                    to_remove.push((si, scheme_idx, combo.clone()));
+                }
+                if let PunctDelta::Entry { scheme_idx, combo } = delta {
+                    test(StreamId(s), *scheme_idx, combo[0]);
                 }
             }
         }
-        let n = to_remove.len();
-        for (si, scheme_idx, combo) in to_remove {
-            self.puncts[si].remove(scheme_idx, &combo);
+        // Rows that left this cycle name the partner entries keyed by their
+        // join columns: the held mirrors' rows, then the ports'.
+        let mut left = |u: StreamId, base: usize, row: &[Value]| {
+            for e in &this.readers[u.0] {
+                e.twins
+                    .iter()
+                    .for_each(|&i| test(e.partner, i, row[base + e.col]));
+            }
+        };
+        for (u, (rows, &mark)) in this.states.iter().zip(&this.cycle_marks).enumerate() {
+            for &slot in rows.retired_since(mark) {
+                left(StreamId(u), 0, rows.raw_row(slot));
+            }
         }
-        self.punct_dropped += n as u64;
-        n
+        for (layout, row) in ops
+            .clone()
+            .filter(|_| this.port_news)
+            .flat_map(JoinOperator::retired_rows)
+        {
+            for &u in layout.streams() {
+                left(u, layout.stream_range(u).expect("own stream").start, row);
+            }
+        }
+        self.port_news = port_news.get();
+        let stores = &mut self.puncts;
+        let dropped = dead.iter().filter(|&&(s, i, c)| stores[s].remove(i, &[c]));
+        let dropped = dropped.count();
+        (self.dead_entries, self.tested_entries) = (dead, tested);
+        self.punct_dropped += dropped as u64;
+        dropped
     }
 
     /// Serializes the engine's runtime state — mirror tuples, punctuation
@@ -1420,10 +1589,11 @@ impl PurgeEngine {
         for meet in &self.meets {
             e.bool(meet.reseed);
             e.usize(meet.recipes.len());
-            for interned in &meet.recipes {
-                interned.tracker.write_state(e);
+            for tracker in meet.recipes.iter().filter_map(|i| i.tracker.as_ref()) {
+                tracker.write_state(e);
             }
         }
+        e.bool(self.port_news);
         e.u64(self.punct_dropped);
         e.u64(self.mirror_purged);
     }
@@ -1446,10 +1616,11 @@ impl PurgeEngine {
         for meet in &mut self.meets {
             meet.reseed = d.bool()?;
             d.count_of("mirror recipes of a stream", meet.recipes.len())?;
-            for interned in &mut meet.recipes {
-                interned.tracker.read_state(d)?;
+            for tracker in meet.recipes.iter_mut().filter_map(|i| i.tracker.as_mut()) {
+                tracker.read_state(d)?;
             }
         }
+        self.port_news = d.bool()?;
         self.punct_dropped = d.u64()?;
         self.mirror_purged = d.u64()?;
         Ok(())
@@ -1515,6 +1686,62 @@ fn compile_recipe(
 
 #[cfg(test)]
 impl PurgeEngine {
+    /// The full-scan reference of [`PurgeEngine::purge_punctuations`], for
+    /// engines holding every mirror: drops a single-attribute-scheme entry
+    /// `(attr = c)` on stream `v` once, for every partner `u` of `v.attr`,
+    /// (i) punctuations on `u`'s side certify no future `u` tuple carries `c`
+    /// and (ii) no live mirror tuple of `u` carries `c`. Such an entry can
+    /// never again satisfy a coverage query that matters. Multi-attribute
+    /// entries are left to lifespans. Returns entries dropped.
+    pub(crate) fn purge_punctuations_reference(&mut self, query: &Cjq) -> usize {
+        let mut to_remove: Vec<(usize, usize, Vec<Value>)> = Vec::new();
+        for (si, store) in self.puncts.iter().enumerate() {
+            let v = StreamId(si);
+            for (scheme_idx, scheme) in store.schemes().iter().enumerate() {
+                if scheme.arity() != 1 {
+                    continue;
+                }
+                let attr = scheme.punctuatable()[0];
+                let partners = query.partners_of(v, attr);
+                if partners.is_empty() {
+                    continue;
+                }
+                'combo: for combo in store.combos(scheme_idx) {
+                    let c = &combo[0];
+                    for p in query.predicates_on(v) {
+                        if p.endpoint_on(v).map(|r| r.attr) != Some(attr) {
+                            continue;
+                        }
+                        let other = p.endpoint_opposite(v).expect("touches v");
+                        // (i) no future partner tuples with value c.
+                        if !self.puncts[other.stream.0].covers_single(other.attr, c) {
+                            continue 'combo;
+                        }
+                        // (ii) no live partner tuples with value c. Join
+                        // attributes are indexed in the mirror, so this is a
+                        // hash probe, not an O(mirror) scan.
+                        let partner = &self.states[other.stream.0];
+                        let live_hit = if partner.has_index(other.attr.0) {
+                            !partner.probe(other.attr.0, c).is_empty()
+                        } else {
+                            partner.iter_live().any(|(_, row)| &row[other.attr.0] == c)
+                        };
+                        if live_hit {
+                            continue 'combo;
+                        }
+                    }
+                    to_remove.push((si, scheme_idx, combo.clone()));
+                }
+            }
+        }
+        let n = to_remove.len();
+        for (si, scheme_idx, combo) in to_remove {
+            self.puncts[si].remove(scheme_idx, &combo);
+        }
+        self.punct_dropped += n as u64;
+        n
+    }
+
     /// How many distinct mirror recipes and purge indexes the meet holds
     /// across all streams.
     pub(crate) fn interned(&self) -> (usize, usize) {
@@ -1720,7 +1947,7 @@ mod tests {
         // immediately afterwards.
         assert_eq!(fw.examined, 40);
         assert!(iw.examined <= fw.examined);
-        indexed.trim_punct_deltas();
+        indexed.end_cycle();
         let idle = indexed.purge_mirror_with(PurgeStrategy::Indexed);
         assert_eq!((idle.examined, idle.purged), (0, 0));
         // A new closing punctuation drives candidates off the index: only
@@ -1767,17 +1994,16 @@ mod tests {
         }
         // Drain the fresh backlog: from here on only deltas make candidates.
         assert_eq!(e.purge_mirror_with(PurgeStrategy::Indexed).purged, 0);
-        e.trim_punct_deltas();
+        e.end_cycle();
         let collect = |e: &mut PurgeEngine, stream: usize| {
             let mut meets = std::mem::take(&mut e.meets);
             let interned = &mut meets[stream].recipes[0];
             let mut out = Vec::new();
             let (recipe, state) = (&interned.recipe, &e.states[stream]);
             let scratch = &mut CheckScratch::default();
-            let localized = interned
-                .tracker
-                .collect(recipe, state, e, scratch, &mut out);
-            let keys = interned.tracker.step_keys.clone();
+            let tracker = interned.tracker.as_mut().expect("held");
+            let localized = tracker.collect(recipe, state, e, scratch, &mut out);
+            let keys = tracker.step_keys.clone();
             e.meets = meets;
             out.sort_unstable();
             (localized, out, keys)
@@ -1796,7 +2022,7 @@ mod tests {
         // From t3's side t1 is reached through t2 alone: its probe has no
         // root column to match on, so a delta on t0 (bound to t1.k) is the
         // one case left that re-checks everything.
-        e.trim_punct_deltas();
+        e.end_cycle();
         e.observe_punctuation(&punct(0, 2, &[(0, 3)]), 1);
         let (localized, _, keys) = collect(&mut e, 3);
         let [StepKey::Rooted(_), StepKey::Chained { .. }, StepKey::Opaque] = keys[..] else {
@@ -1832,16 +2058,16 @@ mod tests {
             0,
             "t1 closed k = 1, but the other query joins on t0.w = 2"
         );
-        e.trim_punct_deltas();
-        e.unsubscribe(&sub);
+        e.end_cycle();
+        e.unsubscribe(&other, &sub);
         let work = e.purge_mirror_with(PurgeStrategy::Indexed);
         assert_eq!((work.examined, work.purged), (1, 1), "re-seeded once");
         assert_eq!(e.interned().0, before.0);
 
-        e.unsubscribe(&same);
+        e.unsubscribe(&q, &same);
         e.observe_tuple(&Tuple::of(2, [Value::Int(5), Value::Int(5)]));
         // `same` names the recipes the subscription `new` made holds.
-        e.unsubscribe(&same);
+        e.unsubscribe(&q, &same);
         assert_eq!(e.purge_mirror_with(PurgeStrategy::Indexed).purged, 1);
         assert_eq!(e.mirror_live(), 0, "the empty meet is vacuous");
     }
@@ -1851,9 +2077,12 @@ mod tests {
         // On an open engine and on a closed one, which holds neither stream
         // of a binary join: the violation test needs no mirror.
         for closed in [false, true] {
-            let (_, _, mut e) = engine(fixtures::auction);
-            if closed {
-                e.close_recipe_set(std::iter::empty());
+            let (q, r) = fixtures::auction();
+            let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
+            e.subscribe(&q, &r);
+            match closed {
+                true => e.close_recipe_set(std::iter::empty(), |_, _| true),
+                false => e.hold_every_stream(),
             }
             e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0);
             // A later bid for item 1 violates the punctuation.
@@ -1869,10 +2098,10 @@ mod tests {
     fn a_recipe_reads_its_non_root_binding_and_filter_sources() {
         // What an engine holding nothing but the recipe rooted at `root` holds.
         let reads = |(q, r): (Cjq, SchemeSet), root: usize| {
-            let mut e = PurgeEngine::shared(&q, &r, None, 10_000);
+            let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
             let all: Vec<StreamId> = q.stream_ids().collect();
             let recipe = e.compile_port_recipe(&q, &r, &all, &[StreamId(root)]);
-            e.close_recipe_set(recipe.iter());
+            e.close_recipe_set(recipe.iter(), |_, _| true);
             (0..all.len()).filter(|&s| e.held[s]).collect::<Vec<_>>()
         };
         // t0 - t1 - t2 - t3 from either end: the far end is only ever a
@@ -1902,18 +2131,47 @@ mod tests {
         assert_eq!(reads(fixtures::fig5(), 0), [2]);
     }
 
-    /// Closing keeps the streams some recipe reads — mirror recipes and the
-    /// port recipes handed in alike — and only those.
+    /// Closing holds what is read, to a fixpoint — the streams a port recipe
+    /// chains through, the partners §5.1 probes where no port stands in, and
+    /// what the mirror recipes of the streams held *so far* chain through —
+    /// and only a held stream gets trackers, purge indexes and a retraction
+    /// log.
     #[test]
     fn closing_holds_exactly_the_streams_some_recipe_reads() {
         let (q, r) = unpinned_chain();
-        let mut e = PurgeEngine::new(&q, &r, None, 10_000);
-        assert_eq!(e.held, [true; 4], "an open set may yet chain anywhere");
-        e.close_recipe_set(std::iter::empty());
-        assert_eq!(e.held, [false, true, true, false]);
+        let all: Vec<StreamId> = q.stream_ids().collect();
+        let closed = |ports: &[usize], stands_in: bool| {
+            let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
+            e.subscribe(&q, &r);
+            let root = |&s: &usize| e.compile_port_recipe(&q, &r, &all, &[StreamId(s)]);
+            let ports: Vec<CompiledRecipe> = ports.iter().filter_map(root).collect();
+            e.close_recipe_set(ports.iter(), |_, _| stands_in);
+            e
+        };
+        // No port checks anything and a port answers every §5.1 probe: the
+        // mirror recipes of t0 and t3 chain through t1 and t2, but nobody
+        // holds t0 or t3, so nobody evaluates them. (Counting every mirror
+        // recipe as a reader, as closing once did, held t1 and t2 here.)
+        assert_eq!(closed(&[], true).held, [false; 4]);
+        // t1's port reads t2; held, t2's own mirror recipe reads t1 in turn.
+        assert_eq!(closed(&[1], true).held, [false, true, true, false]);
+        assert_eq!(closed(&[0], true).held, [false, true, true, false]);
+        // Every attribute is punctuated by value: with no port standing in,
+        // §5.1 probes every stream for partner rows.
+        assert_eq!(closed(&[], false).held, [true; 4]);
+
+        let mut e = closed(&[0], true);
+        for (s, state) in e.states.iter().enumerate() {
+            let tracked = e.meets[s].recipes.iter().all(|i| i.tracker.is_some());
+            assert_eq!(tracked, e.held[s], "trackers of {s}");
+            let logging = format!("{state:?}").contains("log_retired: true");
+            assert_eq!(logging, e.held[s], "retraction log of {s}");
+            // The probe index on the join column, and nothing for a purge.
+            assert_eq!(state.purge_index_count() > 1, e.held[s] && s == 2);
+        }
         e.hold_every_stream();
-        assert_eq!(e.held, [true; 4]);
-        e.close_recipe_set(std::iter::empty());
+        assert_eq!(e.held, [true; 4], "widened for a reader outside the set");
+        let mut e = closed(&[0], true);
         for s in 0..4 {
             e.observe_tuple(&Tuple::of(s, [Value::Int(1), Value::Int(1)]));
         }
@@ -1930,12 +2188,12 @@ mod tests {
         // they alone decide.
         let (q, r) = fixtures::fig3();
         let all: Vec<StreamId> = q.stream_ids().collect();
-        let mut e = PurgeEngine::shared(&q, &r, None, 10_000);
+        let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
         let port = e.compile_port_recipe(&q, &r, &all, &[StreamId(0)]).unwrap();
-        let mut alone = PurgeEngine::shared(&q, &r, None, 10_000);
-        alone.close_recipe_set(std::iter::empty());
+        let mut alone = PurgeEngine::shared(&q, &r, None, 10_000, None);
+        alone.close_recipe_set(std::iter::empty(), |_, _| true);
         assert_eq!(alone.held, [false; 3]);
-        e.close_recipe_set(std::iter::once(&port));
+        e.close_recipe_set(std::iter::once(&port), |_, _| true);
         assert_eq!(e.held, [false, true, false]);
     }
 
@@ -2020,30 +2278,168 @@ mod tests {
         assert!(!e.check(&recipe, &roots));
     }
 
+    /// An engine that holds every mirror needs no operator to stand in.
+    fn no_ops() -> std::iter::Empty<&'static JoinOperator> {
+        std::iter::empty()
+    }
+
     #[test]
     fn punctuation_purging_section_5_1() {
-        let (q, r, mut e) = engine(fixtures::fig5);
-        // Punctuation (b1,*) on S2... in Fig. 5, S2's scheme is on C; use the
-        // pair S1.B (scheme) instead: punctuation on S1.B = 1.
+        let (_, _, mut e) = engine(fixtures::fig5);
+        // In Fig. 5 the partner of S1.B is S2 (S1.B = S2.B), and S2's schemes
+        // don't include B: a punctuation on S1.B = 1 can never be certified
+        // and stays.
         e.observe_punctuation(&punct(0, 2, &[(1, 1)]), 0); // S1(_,+): B = 1
         assert_eq!(e.punct_entries(), 1);
-        // Partner of S1.B is S2 (S1.B = S2.B). While S2 has no reverse
-        // punctuation on B... S2's schemes don't include B, so the entry can
-        // never be certified and stays.
-        assert_eq!(e.purge_punctuations(&q), 0);
+        assert_eq!(e.purge_punctuations(no_ops()), 0);
 
         // Fig. 8's scheme set has B punctuatable on both S1 and S2.
         let (q8, r8) = fixtures::fig8();
         let mut e8 = PurgeEngine::new(&q8, &r8, None, 10_000);
         e8.observe_punctuation(&punct(0, 2, &[(1, 1)]), 0); // S1.B = 1
-        assert_eq!(e8.purge_punctuations(&q8), 0, "no reverse certificate yet");
+        assert_eq!(
+            e8.purge_punctuations(no_ops()),
+            0,
+            "no reverse certificate yet"
+        );
+        e8.end_cycle();
         // A live S2 tuple with B=1 blocks purging even with the certificate.
         e8.observe_tuple(&Tuple::of(1, [Value::Int(1), Value::Int(9)]));
         e8.observe_punctuation(&punct(1, 2, &[(0, 1)]), 1); // S2(+,_): B = 1
-                                                            // S1.B entry: partner S2 has live tuple with B=1 -> keep. S2.B entry:
-                                                            // partner S1 has no live tuple and S1.B covers 1 -> droppable.
-        assert_eq!(e8.purge_punctuations(&q8), 1);
-        let _ = (q, r); // fig. 5 fixture only used for the negative case
+        let mut full = PurgeEngine::new(&q8, &r8, None, 10_000);
+        full.observe_punctuation(&punct(0, 2, &[(1, 1)]), 0);
+        full.observe_tuple(&Tuple::of(1, [Value::Int(1), Value::Int(9)]));
+        full.observe_punctuation(&punct(1, 2, &[(0, 1)]), 1);
+        // S1.B entry: partner S2 has live tuple with B=1 -> keep. S2.B entry:
+        // partner S1 has no live tuple and S1.B covers 1 -> droppable. The
+        // S2 punctuation's arrival is what makes both worth testing.
+        assert_eq!(e8.purge_punctuations(no_ops()), 1);
+        assert_eq!(full.purge_punctuations_reference(&q8), 1);
+        assert!(e8
+            .punct_store(StreamId(0))
+            .covers_single(AttrId(1), &Value::Int(1)));
+        assert!(!e8
+            .punct_store(StreamId(1))
+            .covers_single(AttrId(0), &Value::Int(1)));
+    }
+
+    /// A hash scheme facing an ordered partner: the partner's threshold
+    /// advance is what certifies the stored keys it passes.
+    #[test]
+    fn a_threshold_advance_frees_the_hash_entries_it_passes() {
+        use cjq_core::scheme::PunctuationScheme;
+        let (q, _) = fixtures::auction();
+        let r = SchemeSet::from_schemes([
+            PunctuationScheme::on(0, &[1]).unwrap(),
+            PunctuationScheme::ordered_on(1, 1).unwrap(),
+        ]);
+        let (mut e, mut full) = (
+            PurgeEngine::new(&q, &r, None, 10_000),
+            PurgeEngine::new(&q, &r, None, 10_000),
+        );
+        for itemid in [3, 5, 9] {
+            for e in [&mut e, &mut full] {
+                e.observe_punctuation(&punct(0, 4, &[(1, itemid)]), 0);
+            }
+        }
+        e.observe_tuple(&Tuple::of(1, [Value::Int(0), Value::Int(3), Value::Int(1)]));
+        full.observe_tuple(&Tuple::of(1, [Value::Int(0), Value::Int(3), Value::Int(1)]));
+        assert_eq!(e.purge_punctuations(no_ops()), 0);
+        e.end_cycle();
+        // bid.itemid <= 5: item 5's entry goes, item 3's waits for the live
+        // bid on it, item 9's for a later heartbeat.
+        let hb = Punctuation::heartbeat(StreamId(1), 3, AttrId(1), Value::Int(5));
+        e.observe_punctuation(&hb, 1);
+        full.observe_punctuation(&hb, 1);
+        assert_eq!(e.purge_punctuations(no_ops()), 1);
+        assert_eq!(full.purge_punctuations_reference(&q), 1);
+        let left = |e: &PurgeEngine| {
+            let mut keys: Vec<_> = e.punct_store(StreamId(0)).combos(0).cloned().collect();
+            keys.sort_unstable();
+            keys
+        };
+        assert_eq!(left(&e), [[Value::Int(3)], [Value::Int(9)]]);
+        assert_eq!(left(&e), left(&full));
+    }
+
+    /// Feeds both engines the same seeded elements (a third of them
+    /// punctuations over a small value domain, so keys close, drain and come
+    /// back), running a cycle where `due` says so: after each one the
+    /// delta-driven pass must have left exactly the entries the full-scan
+    /// reference left.
+    fn assert_delta_pass_leaves_what_the_reference_leaves(
+        (q, r): (Cjq, SchemeSet),
+        seeds: &[u64],
+        domain: u64,
+        due: impl Fn(usize, bool) -> bool,
+    ) {
+        let mut delta = PurgeEngine::new(&q, &r, None, 10_000);
+        let mut full = PurgeEngine::new(&q, &r, None, 10_000);
+        let stored = |e: &PurgeEngine| {
+            let schemes = |s| (0..e.punct_store(s).schemes().len()).map(move |i| (s, i));
+            let stored = q.stream_ids().flat_map(schemes).map(|(s, i)| {
+                let mut combos: Vec<_> = e.punct_store(s).combos(i).cloned().collect();
+                combos.sort_unstable();
+                combos
+            });
+            stored.collect::<Vec<_>>()
+        };
+        let schemes = r.schemes();
+        for (i, &seed) in seeds.iter().enumerate() {
+            let value = |k: usize| Value::Int(((seed >> (8 + 6 * k)) % domain) as i64);
+            let is_punct = seed % 3 == 0;
+            for e in [&mut delta, &mut full] {
+                if is_punct {
+                    let scheme = &schemes[(seed as usize / 3) % schemes.len()];
+                    let arity = q.catalog().schema(scheme.stream).unwrap().arity();
+                    let values: Vec<Value> = (0..scheme.arity()).map(value).collect();
+                    e.observe_punctuation(&scheme.instantiate(arity, &values).unwrap(), i as u64);
+                } else {
+                    let stream = StreamId(seed as usize % q.n_streams());
+                    let arity = q.catalog().schema(stream).unwrap().arity();
+                    let row: Vec<Value> = (0..arity).map(value).collect();
+                    e.observe_row_at(stream, &row, i as u64);
+                }
+            }
+            if !due(i, is_punct) {
+                continue;
+            }
+            for (e, by_delta) in [(&mut delta, true), (&mut full, false)] {
+                e.begin_cycle();
+                e.purge_mirror_with(PurgeStrategy::Indexed);
+                match by_delta {
+                    true => e.purge_punctuations(no_ops()),
+                    false => e.purge_punctuations_reference(&q),
+                };
+                e.end_cycle();
+            }
+            assert_eq!(stored(&delta), stored(&full), "after element {i}");
+            assert_eq!(delta.punct_dropped, full.punct_dropped, "after element {i}");
+            assert_eq!(delta.mirror_live(), full.mirror_live(), "after element {i}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn delta_driven_punctuation_purge_matches_the_full_scan(
+            fixture in 0usize..5,
+            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 40..400),
+            domain in 2u64..7,
+        ) {
+            let fixtures = [
+                fixtures::auction, fixtures::fig3, fixtures::fig5, fixtures::fig8, unpinned_chain,
+            ];
+            let per_punct = |_, is_punct| is_punct;
+            let per_64 = |i, _| i % 64 == 63;
+            assert_delta_pass_leaves_what_the_reference_leaves(
+                fixtures[fixture](), &seeds, domain, per_punct,
+            );
+            assert_delta_pass_leaves_what_the_reference_leaves(
+                fixtures[fixture](), &seeds, domain, per_64,
+            );
+        }
     }
 
     #[test]

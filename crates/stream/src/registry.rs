@@ -188,9 +188,9 @@ struct QuerySlot {
 ///
 /// All queries must share one stream [`cjq_core::schema::Catalog`] and the
 /// registry-wide [`SchemeSet`]; plans must be join plans (validated at
-/// admission). Windows, state budgets, stall budgets, and §5.1 punctuation
-/// purging are single-query features — [`QueryRegistry::new`] rejects
-/// configs that enable them.
+/// admission). Windows, state budgets without tiering and stall budgets are
+/// single-query features — [`QueryRegistry::new`] rejects configs that
+/// enable them.
 pub struct QueryRegistry {
     schemes: SchemeSet,
     /// Config, clocks, metrics and scratch shared with every engine over the
@@ -214,8 +214,8 @@ impl QueryRegistry {
     ///
     /// # Panics
     /// Panics if `cfg` enables a single-query feature the shared engine
-    /// cannot honor per-tenant: windows, stall budgets, punctuation purging,
-    /// or a state budget without tiering — a budget over a shared arena is
+    /// cannot honor per-tenant: windows, stall budgets, or a state budget
+    /// without tiering — a budget over a shared arena is
     /// honored via lossless cold-tier demotion, not by failing every tenant
     /// at the first overrun.
     #[must_use]
@@ -233,11 +233,6 @@ impl QueryRegistry {
             cfg.tiering.is_none() || cfg.punct_lifespan.is_none(),
             "tiering is incompatible with punctuation lifespans (coverage \
              the cold tier certified against may be forgotten)"
-        );
-        assert!(
-            !cfg.purge_punctuations,
-            "punctuation purging is derived from one query's recipes and \
-             would starve co-tenants; disable it for registry runs"
         );
         QueryRegistry {
             schemes,
@@ -322,12 +317,11 @@ impl QueryRegistry {
             });
         }
         if self.engine.is_none() {
-            self.engine = Some(PurgeEngine::shared(
-                query,
-                &self.schemes,
-                self.core.cfg.punct_lifespan,
-                self.core.cfg.coverage_limit,
-            ));
+            let (lifespan, limit) = (self.core.cfg.punct_lifespan, self.core.cfg.coverage_limit);
+            let mut engine = PurgeEngine::shared(query, &self.schemes, lifespan, limit, None);
+            // A recipe admitted later may chain through any stream's history.
+            engine.hold_every_stream();
+            self.engine = Some(engine);
             self.guard = Some(AdmissionGuard::new(query, self.core.cfg.admission));
         }
         let mut acc = Vec::new();
@@ -579,7 +573,7 @@ impl QueryRegistry {
                 self.node_index.remove(&node.key);
             }
         }
-        self.engine.as_mut()?.unsubscribe(&q.mirror);
+        self.engine.as_mut()?.unsubscribe(&q.query, &q.mirror);
         Some(())
     }
 
@@ -774,6 +768,19 @@ impl Pipeline for QueryRegistry {
             }
         }
         Ok(())
+    }
+
+    /// Over the union of the live tenants' predicates: an entry goes when
+    /// every tenant's §5.1 conditions hold — the rule rows obey.
+    fn purge_punctuations(&mut self) {
+        let Some(engine) = &mut self.engine else {
+            return;
+        };
+        engine.purge_punctuations(self.nodes.iter().flatten().map(|node| &node.op));
+        if engine.port_news() {
+            let nodes = self.nodes.iter_mut().flatten();
+            nodes.for_each(|node| node.op.log_retired());
+        }
     }
 
     /// Rows leaving a shared node count once per subscriber.
@@ -1477,6 +1484,59 @@ mod tests {
         let early_out = &done.queries[early.0].outputs;
         let late_out = &done.queries[late.0].outputs;
         assert_eq!(late_out.as_slice(), &early_out[before..]);
+    }
+
+    /// §5.1 purging under admission: an entry goes by the predicates of the
+    /// tenants live when something last made it worth testing. A tenant
+    /// admitted later reads coverage from its admission on, as it reads join
+    /// state from its admission on: entries dropped before it came are gone,
+    /// entries nobody read until it came stay (no news re-tests them), and its
+    /// own rows and the punctuations that cover them leave as anybody's do.
+    #[test]
+    fn late_admission_sees_coverage_from_its_admission_on() {
+        let (on_k, _, plan) = tiny();
+        // Every attribute punctuated; the late tenant joins on `v`.
+        let schemes = SchemeSet::from_schemes(
+            [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(s, a)| PunctuationScheme::on(s, &[a]).unwrap()),
+        );
+        let pred = JoinPredicate::new(AttrRef::new(0, 1), AttrRef::new(1, 1)).unwrap();
+        let on_v = Cjq::new(on_k.catalog().clone(), vec![pred]).unwrap();
+        let round = |r: i64| {
+            let row = [Value::Int(r), Value::Int(100 + r)];
+            let tuples = [0, 1].map(|s| StreamElement::from(Tuple::of(s, row)));
+            let closes = [(0, 0, r), (1, 0, r), (0, 1, 100 + r), (1, 1, 100 + r)]
+                .map(|(s, a, v)| StreamElement::Punctuation(punct(s, a, v)));
+            tuples.into_iter().chain(closes)
+        };
+        let mut reg = QueryRegistry::new(schemes, cfg());
+        let early = reg.admit(&on_k, &plan);
+        (0..6).flat_map(round).for_each(|e| reg.push(&e));
+        let entries = |reg: &QueryRegistry| reg.engine.as_ref().unwrap().punct_entries();
+        // `k` closed on both sides and drained: forgotten. Nobody reads `v`.
+        assert_eq!(entries(&reg), 12);
+        assert_eq!(reg.metrics().punct_dropped, 0, "counted at finish");
+
+        let late = reg.admit(&on_v, &plan);
+        (6..12).flat_map(round).for_each(|e| reg.push(&e));
+        // The late tenant's `v` entries go like the early one's `k` entries
+        // did; the twelve that predate it had no news and stay. Under the
+        // meet of two tenants a mirror row outlives one side's close, so
+        // `a.k = r` goes a cycle before `b.k = r` could — and takes `b`'s
+        // certificate with it: the rule strands one entry of such a pair.
+        assert_eq!(entries(&reg), 12 + 6);
+        assert_eq!(reg.join_state_live(), 0);
+        // They still cover: the store refuses what they forbid.
+        reg.push(&Tuple::of(0, [Value::Int(99), Value::Int(100)]).into());
+        assert_eq!(reg.metrics().violations, 1);
+        // A retirement is no news either: what only the retiree's conditions
+        // kept is not re-tested, and nothing breaks.
+        assert!(reg.retire(early));
+        round(12).for_each(|e| reg.push(&e));
+        let done = reg.finish();
+        assert_eq!(done.queries[early.0].outputs.len(), 12);
+        assert_eq!(done.queries[late.0].outputs.len(), 7);
+        assert_eq!(done.metrics.punct_dropped, 12 + (6 + 12) + 2);
+        assert_eq!(done.metrics.last().unwrap().join_state, 0);
     }
 
     #[test]

@@ -489,6 +489,16 @@ impl PortState {
             .map_or(&[], Vec::as_slice)
     }
 
+    /// Whether some live tuple has `value` in `col`: a probe where the
+    /// column is indexed, a scan where not.
+    #[must_use]
+    pub(crate) fn carries(&self, col: usize, value: &Value) -> bool {
+        match self.column_index(col) {
+            Some(index) => index.get(value).is_some_and(|slots| !slots.is_empty()),
+            None => self.iter_live().any(|(_, row)| row[col] == *value),
+        }
+    }
+
     /// Purges the tuple in `slot`. Returns whether it was live.
     pub fn purge(&mut self, slot: usize) -> bool {
         if !self.detach(slot) {
@@ -553,6 +563,13 @@ impl PortState {
     #[must_use]
     pub fn demoted(&self) -> u64 {
         self.demoted
+    }
+
+    /// The sequence the next inserted row gets: every stored or spilled row
+    /// of this port carries a smaller one.
+    #[must_use]
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// The global insertion sequence of resident `slot` (live or detached).

@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cjq_core::fxhash::FxHashSet;
+use cjq_core::schema::StreamId;
 use cjq_core::value::Value;
 
 use crate::purge::StepSpec;
@@ -230,6 +231,24 @@ impl ColdTier {
         dropped
     }
 
+    /// Whether a cold row may still need entry `key` of `target`'s scheme
+    /// `scheme_idx` to certify: a live segment summarizes it under a step on
+    /// that scheme — or the tier cannot tell (no specs, an open summary).
+    pub(crate) fn needs(&self, target: StreamId, scheme_idx: usize, key: &Value) -> bool {
+        let Some(specs) = &self.specs else {
+            return self.cold_rows() > 0;
+        };
+        let live = self.segments.iter().filter(|seg| seg.live() > 0);
+        let steps = live.flat_map(|seg| specs.iter().zip(seg.step_summaries()));
+        let mut on_scheme =
+            steps.filter(|(spec, _)| spec.target == target && spec.scheme_idx == scheme_idx);
+        on_scheme.any(|(_, summary)| match summary {
+            StepSummary::Combos(combos) => combos.iter().any(|combo| combo[..] == [*key]),
+            StepSummary::Open => true,
+            StepSummary::Max(_) => false,
+        })
+    }
+
     /// Whether any remaining segment is fully covered per `covers` — the
     /// certificate verifier asserts this is `false` after every purge cycle
     /// (a covered segment surviving a cycle would be a provably-dead row
@@ -296,13 +315,14 @@ impl ColdTier {
     /// Rebuilds the tier from a snapshot: re-spills each serialized segment
     /// into freshly allocated files of `store`, then replays its liveness
     /// bitmap. The counters are overwritten last (re-spilling bumps them).
+    /// `head` is the port's next insertion sequence: a cold row was inserted
+    /// before it.
     pub(crate) fn read_state(
         &mut self,
         d: &mut crate::checkpoint::Dec<'_>,
         store: &mut SpillStore,
-        op: usize,
-        port: usize,
-        stride: usize,
+        (op, port): (usize, usize),
+        (stride, head): (usize, u64),
     ) -> crate::checkpoint::SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
         let n = d.len_prefix(8)?;
@@ -315,6 +335,9 @@ impl ColdTier {
             let mut rows = Vec::with_capacity(n_rows);
             for _ in 0..n_rows {
                 let seq = d.u64()?;
+                if seq >= head {
+                    return Err(SnapshotError("cold row newer than its port's head".into()));
+                }
                 let mut row = Vec::with_capacity(stride);
                 for _ in 0..stride {
                     row.push(d.value()?);

@@ -280,6 +280,82 @@ mod tests {
         }
     }
 
+    /// The registry twin of the auction workload's boundedness test: sixteen
+    /// tenants over one catalog (perfbench's `multi_tenant16` set), three feed
+    /// lengths. What the punctuation stores hold and what a snapshot costs
+    /// must not follow the feed — but for the entries of the schemes no
+    /// tenant's predicate reads, which nothing can certify away, and the
+    /// sample series; both are taken out at their encoded sizes.
+    #[test]
+    fn registry_punctuation_store_and_snapshots_do_not_grow_with_the_feed() {
+        use cjq_stream::checkpoint::{list_snapshots, CheckpointStore, InputCursor};
+        use cjq_stream::registry::QueryRegistry;
+        let exec_cfg = ExecConfig {
+            record_outputs: false,
+            ..ExecConfig::default()
+        };
+        let (mut read_peaks, mut snapshot_bytes) = (Vec::new(), Vec::new());
+        for rounds in [500, 2_000, 8_000] {
+            let cfg = MultiConfig {
+                queries: 16,
+                rounds,
+                lag: 4,
+                tuples_per_round: 2,
+                ..MultiConfig::default()
+            };
+            let tenant = generate_queries(&cfg);
+            let feed = generate_feed(&cfg);
+            let read = |scheme: &PunctuationScheme| {
+                let end = (scheme.stream, scheme.punctuatable()[0]);
+                let preds = tenant.queries.iter().flat_map(|(q, _)| q.predicates());
+                preds
+                    .flat_map(|p| [p.left, p.right])
+                    .any(|r| (r.stream, r.attr) == end)
+            };
+            let unread = tenant.schemes.schemes().iter().filter(|s| !read(s)).count();
+            assert_eq!(unread, 2, "t0.w and t1.w sit inside the shared prefix");
+
+            let dir = std::env::temp_dir().join(format!(
+                "cjq-multi-resident-{}-{rounds}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            // Due once, at the feed's last element — a punctuation.
+            let mut store = CheckpointStore::open(&dir, feed.len() as u64).unwrap();
+            let mut cursor = InputCursor::zero(cfg.streams);
+            let mut reg = QueryRegistry::new(tenant.schemes.clone(), exec_cfg);
+            for (query, plan) in &tenant.queries {
+                reg.admit(query, plan);
+            }
+            for e in &feed {
+                reg.push_checkpointed(e, &mut store, &mut cursor).unwrap();
+            }
+            let metrics = reg.finish().metrics;
+            let kept = unread * rounds;
+            read_peaks.push(metrics.peak_punct_entries - kept);
+            assert_eq!(metrics.punct_dropped as usize, 8 * rounds - kept);
+            let snaps = list_snapshots(&dir);
+            assert_eq!(snaps.len(), 1);
+            let bytes = std::fs::metadata(&snaps[0].1).unwrap().len() as usize;
+            // A `StatePoint` is six 8-byte words, one every 64 elements; a
+            // stored entry its length word, a tagged integer and a stamp.
+            let series = 6 * 8 * (feed.len() / exec_cfg.sample_every);
+            snapshot_bytes.push(bytes - series - (8 + 9 + 8) * kept);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(
+            read_peaks.iter().all(|&p| p == read_peaks[0] && p <= 64),
+            "read punctuation entries follow the feed length: {read_peaks:?}"
+        );
+        // Which reclaim phase the last element lands in moves the count by
+        // the resident rows of a few arenas; a four times longer feed must
+        // not double it.
+        assert!(
+            snapshot_bytes.windows(2).all(|w| w[1] <= 2 * w[0]),
+            "snapshot bytes follow the feed length: {snapshot_bytes:?}"
+        );
+    }
+
     #[test]
     fn every_tenant_sees_expected_outputs_standalone() {
         let cfg = MultiConfig {
