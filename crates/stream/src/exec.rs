@@ -359,14 +359,10 @@ impl Executor {
         // what they and §5.1 read. One operator spanning the query stores
         // each stream's rows under the recipe its mirror would purge by, so
         // there §5.1 reads the port.
-        let ports: Vec<_> = ops
-            .iter()
-            .flat_map(JoinOperator::port_recipes)
-            .cloned()
-            .collect();
-        engine.close_recipe_set(ports.iter(), |u, col| match &ops[..] {
-            [alone] => alone.stand_in(u, col).is_some(),
-            _ => false,
+        let ports = ops.iter().flat_map(JoinOperator::port_recipes);
+        engine.close_recipe_set(ports, |u, col| match &ops[..] {
+            [alone] => alone.stand_in(u, col),
+            _ => None,
         });
         if cfg.tiering.is_some() {
             for op in &mut ops {
@@ -920,9 +916,6 @@ impl Pipeline for Executor {
 
     fn purge_punctuations(&mut self) {
         self.engine.purge_punctuations(self.ops.iter());
-        if self.engine.port_news() {
-            self.ops.iter_mut().for_each(JoinOperator::log_retired);
-        }
     }
 
     /// Stall detector: a punctuation on `stream` clears its flag (so

@@ -493,39 +493,42 @@ impl JoinOperator {
     /// this key" on `col` in place of the stream's mirror: the one storing
     /// exactly its rows, if indexed there. The caller vouches that those rows
     /// live as long as the mirror's would (this operator spans the query).
-    pub(crate) fn stand_in(&self, stream: StreamId, col: usize) -> Option<&PortState> {
+    pub(crate) fn stand_in(&self, stream: StreamId, col: usize) -> Option<usize> {
         let port = self.port_spans.iter().position(|ps| ps[..] == [stream])?;
-        Some(&self.ports[port]).filter(|state| state.has_index(col))
+        self.ports[port].has_index(col).then_some(port)
     }
 
-    /// Whether a port whose row can outlive its stream's mirror row still
-    /// stores one carrying `stream.col = key`: a port whose recipe waits on
-    /// more than one step. (A one-step recipe purges a row in the cycle its
-    /// key's coverage arrives, before that cycle's mirror pass; a longer one
-    /// may wait on another step, or on a mirror purge, which the operator
-    /// pass sees a cycle late.)
+    /// Whether `port` stores a row carrying `key` in flat column `col`, which
+    /// keeps a punctuation entry [`PurgeEngine::purge_punctuations`] is
+    /// testing. Such a row's leaving must be news to that pass, so the port
+    /// logs its purges from here on ([`JoinOperator::retired_rows`]).
+    pub(crate) fn keeps(&self, port: usize, col: usize, key: &Value) -> bool {
+        let found = self.ports[port].carries(col, key);
+        if found {
+            self.ports[port].enable_retirement_log();
+        }
+        found
+    }
+
+    /// Whether a port whose row can outlive its stream's mirror row
+    /// [`JoinOperator::keeps`] one carrying `stream.col = key`: a port whose
+    /// recipe waits on more than one step. (A one-step recipe purges a row in
+    /// the cycle its key's coverage arrives, before that cycle's mirror pass;
+    /// a longer one may wait on another step, or on a mirror purge, which the
+    /// operator pass sees a cycle late.)
     pub(crate) fn waits_on(&self, stream: StreamId, col: usize, key: &Value) -> bool {
-        let mut waiting = self.waiting.iter().map(|&port| &self.ports[port]);
-        let at = |rows: &PortState| rows.layout().pos(stream, AttrId(col));
-        waiting.any(|rows| at(rows).is_some_and(|flat| rows.carries(flat, key)))
+        let at = |port: usize| self.ports[port].layout().pos(stream, AttrId(col));
+        let mut waiting = self.waiting.iter();
+        waiting.any(|&port| at(port).is_some_and(|flat| self.keeps(port, flat, key)))
     }
 
-    /// The rows the ports purged since [`JoinOperator::log_retired`] ran.
+    /// The rows the logging ports purged in the last
+    /// [`JoinOperator::purge_pass`].
     pub(crate) fn retired_rows(&self) -> impl Iterator<Item = (&SpanLayout, &[Value])> {
         self.ports.iter().flat_map(|state| {
             let left = state.retired_since(0).iter();
             left.map(move |&slot| (state.layout(), state.raw_row(slot)))
         })
-    }
-
-    /// Logs the ports' purges from now on — once a port row was the last
-    /// thing keeping a punctuation entry they are news to
-    /// [`PurgeEngine::purge_punctuations`] — and drops what it has read.
-    pub(crate) fn log_retired(&mut self) {
-        for state in &mut self.ports {
-            state.enable_retirement_log();
-            state.trim_retired_to(state.retire_end());
-        }
     }
 
     /// Whether a cold segment here has yet to certify against entry `key` of
@@ -752,6 +755,11 @@ impl JoinOperator {
     pub fn purge_pass(&mut self, engine: &PurgeEngine, strategy: PurgeStrategy) -> PurgeWork {
         let mut work = PurgeWork::default();
         let mut pass_kept = 0u64;
+        for state in &mut self.ports {
+            if !state.retired_since(0).is_empty() {
+                state.trim_retired_to(state.retire_end()); // the last pass's news
+            }
+        }
         for port in 0..self.ports.len() {
             let Some(recipe) = &self.recipes[port] else {
                 continue;

@@ -402,9 +402,7 @@ pub(crate) trait Pipeline: Snapshot {
     /// Operator `i` beside the engine it purges against and the core.
     fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)>;
     /// §5.1 punctuation purging over the engine's stores, which reads the
-    /// operators: [`PurgeEngine::purge_punctuations`], then — where
-    /// [`PurgeEngine::port_news`] — each operator's
-    /// [`JoinOperator::log_retired`].
+    /// operators: [`PurgeEngine::purge_punctuations`].
     fn purge_punctuations(&mut self);
 
     /// Runs `f` with the sink that stands in where the caller supplies none.

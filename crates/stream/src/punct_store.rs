@@ -158,6 +158,14 @@ impl PunctStore {
                         _ => PunctClass::Fresh,
                     };
                 }
+                // One constant needs no `Vec` to be looked up.
+                if let [a] = scheme.punctuatable() {
+                    let key = p.patterns[a.0].constant().map(std::slice::from_ref);
+                    return match key.is_some_and(|key| self.entries[i].contains_key(key)) {
+                        true => PunctClass::Duplicate,
+                        false => PunctClass::Fresh,
+                    };
+                }
                 let combo: Vec<Value> = scheme
                     .punctuatable()
                     .iter()

@@ -575,10 +575,15 @@ pub struct PurgeEngine {
     /// open engine, what [`PurgeEngine::close_recipe_set`] found read of a
     /// closed one. Only a held stream has trackers and a retraction log.
     held: Vec<bool>,
+    /// Per stream left unheld: the port of the one operator that answers
+    /// §5.1's row probes in the mirror's place, if any.
+    stand_ins: Vec<Option<usize>>,
     /// Per stream: the predicates some subscriber holds on it — whose
     /// punctuations and rows [`PurgeEngine::purge_punctuations`] reads for an
-    /// entry there.
+    /// entry there — and how many of those edges face a scheme with entries
+    /// §5.1 can drop.
     readers: Vec<Vec<Edge>>,
+    droppable: usize,
     /// Upper bound on required-combination enumeration per step; checks whose
     /// requirement product exceeds it conservatively report "not purgeable".
     coverage_limit: usize,
@@ -592,10 +597,6 @@ pub struct PurgeEngine {
     /// Per stream: the mirror's retraction-log position when the purge cycle
     /// under way began.
     cycle_marks: Vec<u64>,
-    /// Whether a port row (not a mirror row) was ever the last thing keeping
-    /// an entry: from then on the operators' purges are news to the
-    /// punctuation purge, and logged for it.
-    port_news: bool,
     /// Reused check, candidate-slot and sweep buffers for the mirror purge
     /// pass, and the punctuation purge's drop and tested lists.
     check_scratch: CheckScratch,
@@ -702,9 +703,10 @@ impl PurgeEngine {
         PurgeEngine {
             meets: all.iter().map(|_| StreamMeet::default()).collect(),
             held: vec![false; all.len()],
+            stand_ins: vec![None; all.len()],
             readers: vec![Vec::new(); all.len()],
+            droppable: 0,
             cycle_marks: vec![0; all.len()],
-            port_news: false,
             states,
             puncts,
             coverage_limit,
@@ -805,21 +807,23 @@ impl PurgeEngine {
                 }
             }
         }
+        let droppable = |e: &&Edge| !e.twins.is_empty();
+        self.droppable = self.readers.iter().flatten().filter(droppable).count();
     }
 
     /// Closes the recipe set of an engine that holds nothing yet: the
     /// subscribed mirror recipes and `ports` — every operator port recipe
     /// compiled against this engine — are all that will ever be checked, so
     /// only what is read gets held. Read are the streams a port recipe
-    /// chains through, the partners §5.1 probes for rows unless a port
-    /// `stands_in` for that `(stream, column)`, and then what the mirror
-    /// recipes of the streams held so far chain through, to a fixpoint. The
-    /// others get no mirror insert, no tracker, no purge index and no
+    /// chains through, the partners §5.1 probes for rows unless a port of the
+    /// one operator `stands_in` for that `(stream, column)`, and then what the
+    /// mirror recipes of the streams held so far chain through, to a fixpoint.
+    /// The others get no mirror insert, no tracker, no purge index and no
     /// retraction log. Call before the first element.
     pub(crate) fn close_recipe_set<'r>(
         &mut self,
         ports: impl Iterator<Item = &'r CompiledRecipe>,
-        mut stands_in: impl FnMut(StreamId, usize) -> bool,
+        mut stands_in: impl FnMut(StreamId, usize) -> Option<usize>,
     ) {
         let mut read = vec![false; self.held.len()];
         let mark = |recipe: &CompiledRecipe, read: &mut [bool]| {
@@ -828,8 +832,10 @@ impl PurgeEngine {
         };
         ports.for_each(|recipe| mark(recipe, &mut read));
         for (u, edges) in self.readers.iter().enumerate() {
-            let mut probed = edges.iter().filter(|e| !e.twins.is_empty());
-            read[u] |= probed.any(|e| !stands_in(StreamId(u), e.col));
+            let probed = edges.iter().filter(|e| !e.twins.is_empty());
+            let ports: Vec<_> = probed.map(|e| stands_in(StreamId(u), e.col)).collect();
+            self.stand_ins[u] = ports.first().copied().flatten();
+            read[u] |= ports.contains(&None);
         }
         while let Some(s) = (0..read.len()).find(|&s| read[s] && !self.held[s]) {
             self.hold(s);
@@ -915,12 +921,6 @@ impl PurgeEngine {
     /// Records a punctuation at sequence time `now`.
     pub fn observe_punctuation(&mut self, p: &Punctuation, now: u64) {
         self.puncts[p.stream.0].insert(p, now);
-    }
-
-    /// Whether the operators' purges are news to
-    /// [`PurgeEngine::purge_punctuations`] (see [`JoinOperator::log_retired`]).
-    pub(crate) fn port_news(&self) -> bool {
-        self.port_news
     }
 
     /// The punctuation store of `stream`.
@@ -1454,18 +1454,17 @@ impl PurgeEngine {
     /// so only those keys are tested, off the delta logs and this cycle's
     /// retractions (call before [`PurgeEngine::end_cycle`]). (ii) reads `u`'s
     /// mirror where held, else the port of `ops` standing in for it, and
-    /// behind either the ports whose rows can outlive a mirror row; a cold
-    /// segment of `ops` yet to certify against the entry keeps it too.
+    /// behind either the ports whose rows can outlive a mirror row — a port
+    /// found keeping an entry logs its purges from then on, which makes that
+    /// row's leaving news; a cold segment of `ops` yet to certify against the
+    /// entry keeps it too.
     /// Everything else is left to lifespans (DESIGN.md §7, "The reverse read
     /// set"). Returns entries dropped.
     pub(crate) fn purge_punctuations<'o>(
         &mut self,
         ops: impl Iterator<Item = &'o JoinOperator> + Clone,
     ) -> usize {
-        if !self.readers.iter().flatten().any(|e| !e.twins.is_empty()) {
-            return 0; // nothing a pass could drop: no hash scheme is read
-        }
-        if self.readers.iter().flatten().all(|e| e.twins.is_empty()) {
+        if self.droppable == 0 {
             return 0; // no read scheme has entries to drop: no pass
         }
         let mut dead = std::mem::take(&mut self.dead_entries);
@@ -1475,21 +1474,16 @@ impl PurgeEngine {
         let this = &*self;
         // (ii), first from the mirror or the port standing in for an unheld
         // one; then, for an entry about to go, from the ports whose rows can
-        // outlive their mirror row. A port's "still here" is what makes the
-        // operators' purges news.
-        let port_news = std::cell::Cell::new(this.port_news);
-        let on_port = |found: bool| {
-            port_news.set(port_news.get() || found);
-            found
+        // outlive their mirror row.
+        let read = |e: &Edge, c: &Value| {
+            let (u, b) = (e.partner, e.partner_col);
+            match (this.held[u.0], this.stand_ins[u.0].zip(ops.clone().next())) {
+                (true, _) => this.states[u.0].carries(b, c),
+                (false, Some((port, op))) => op.keeps(port, b, c),
+                (false, None) => true,
+            }
         };
-        let read = |u: StreamId, b: usize, c: &Value| match this.held[u.0] {
-            true => this.states[u.0].carries(b, c),
-            false => match ops.clone().find_map(|op| op.stand_in(u, b)) {
-                Some(rows) => on_port(rows.carries(b, c)),
-                None => true,
-            },
-        };
-        let mut test = |v: StreamId, scheme_idx: usize, c: Value| {
+        let mut test = |v: StreamId, scheme_idx: usize, c: Value, stored: bool| {
             // The stores and rows stand still for the pass, and what names a
             // key names it in a row (a round's rows, an entry and its twins):
             // a look at the last few tests spares most repeats.
@@ -1498,25 +1492,23 @@ impl PurgeEngine {
                 return;
             }
             tested.push(entry);
-            if !store.covers(scheme_idx, &[c]) {
-                return;
-            }
             let attr = store.schemes()[scheme_idx].punctuatable()[0].0;
             let partners = || this.readers[v.0].iter().filter(|e| e.col == attr);
-            let certified = |e: &Edge| {
+            let unasked = |e: &Edge| {
                 let covered = this.puncts[e.partner.0].covers_single(AttrId(e.partner_col), &c);
-                covered && !read(e.partner, e.partner_col, &c)
+                covered && !read(e, &c)
             };
-            if partners().next().is_none() || !partners().all(certified) {
-                return;
-            }
             let outlived = |e: &Edge| {
                 let mut ops = ops.clone();
-                on_port(ops.any(|op| op.waits_on(e.partner, e.partner_col, &c)))
+                ops.any(|op| op.waits_on(e.partner, e.partner_col, &c))
             };
-            if !partners().any(outlived) && !ops.clone().any(|op| op.cold_needs(v, scheme_idx, &c))
+            if (stored || store.covers(scheme_idx, &[c]))
+                && partners().next().is_some()
+                && partners().all(unasked)
+                && !partners().any(outlived)
+                && !ops.clone().any(|op| op.cold_needs(v, scheme_idx, &c))
             {
-                dead.push((v.0, scheme_idx, c));
+                dead.push(entry);
             }
         };
         for (s, store) in this.puncts.iter().enumerate() {
@@ -1529,26 +1521,25 @@ impl PurgeEngine {
                     let twins = &this.puncts[e.partner.0];
                     for &j in &e.twins {
                         match delta {
-                            PunctDelta::Entry { combo, .. } => test(e.partner, j, combo[0]),
+                            PunctDelta::Entry { combo, .. } => test(e.partner, j, combo[0], false),
                             PunctDelta::Advance { above, upto, .. } => {
                                 let passed = twins.keys_between(j, above.as_ref(), upto);
-                                passed.for_each(|c| test(e.partner, j, c));
+                                passed.for_each(|c| test(e.partner, j, c, true));
                             }
                         }
                     }
                 }
                 if let PunctDelta::Entry { scheme_idx, combo } = delta {
-                    test(StreamId(s), *scheme_idx, combo[0]);
+                    test(StreamId(s), *scheme_idx, combo[0], true);
                 }
             }
         }
         // Rows that left this cycle name the partner entries keyed by their
-        // join columns: the held mirrors' rows, then the ports'.
+        // join columns: the held mirrors' rows, then the logging ports'.
         let mut left = |u: StreamId, base: usize, row: &[Value]| {
             for e in &this.readers[u.0] {
-                e.twins
-                    .iter()
-                    .for_each(|&i| test(e.partner, i, row[base + e.col]));
+                let key = row[base + e.col];
+                e.twins.iter().for_each(|&i| test(e.partner, i, key, false));
             }
         };
         for (u, (rows, &mark)) in this.states.iter().zip(&this.cycle_marks).enumerate() {
@@ -1556,16 +1547,11 @@ impl PurgeEngine {
                 left(StreamId(u), 0, rows.raw_row(slot));
             }
         }
-        for (layout, row) in ops
-            .clone()
-            .filter(|_| this.port_news)
-            .flat_map(JoinOperator::retired_rows)
-        {
+        for (layout, row) in ops.clone().flat_map(JoinOperator::retired_rows) {
             for &u in layout.streams() {
                 left(u, layout.stream_range(u).expect("own stream").start, row);
             }
         }
-        self.port_news = port_news.get();
         let stores = &mut self.puncts;
         let dropped = dead.iter().filter(|&&(s, i, c)| stores[s].remove(i, &[c]));
         let dropped = dropped.count();
@@ -1593,7 +1579,6 @@ impl PurgeEngine {
                 tracker.write_state(e);
             }
         }
-        e.bool(self.port_news);
         e.u64(self.punct_dropped);
         e.u64(self.mirror_purged);
     }
@@ -1620,7 +1605,6 @@ impl PurgeEngine {
                 tracker.read_state(d)?;
             }
         }
-        self.port_news = d.bool()?;
         self.punct_dropped = d.u64()?;
         self.mirror_purged = d.u64()?;
         Ok(())
@@ -2081,7 +2065,7 @@ mod tests {
             let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
             e.subscribe(&q, &r);
             match closed {
-                true => e.close_recipe_set(std::iter::empty(), |_, _| true),
+                true => e.close_recipe_set(std::iter::empty(), |_, _| Some(0)),
                 false => e.hold_every_stream(),
             }
             e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0);
@@ -2101,7 +2085,7 @@ mod tests {
             let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
             let all: Vec<StreamId> = q.stream_ids().collect();
             let recipe = e.compile_port_recipe(&q, &r, &all, &[StreamId(root)]);
-            e.close_recipe_set(recipe.iter(), |_, _| true);
+            e.close_recipe_set(recipe.iter(), |_, _| Some(0));
             (0..all.len()).filter(|&s| e.held[s]).collect::<Vec<_>>()
         };
         // t0 - t1 - t2 - t3 from either end: the far end is only ever a
@@ -2145,7 +2129,7 @@ mod tests {
             e.subscribe(&q, &r);
             let root = |&s: &usize| e.compile_port_recipe(&q, &r, &all, &[StreamId(s)]);
             let ports: Vec<CompiledRecipe> = ports.iter().filter_map(root).collect();
-            e.close_recipe_set(ports.iter(), |_, _| stands_in);
+            e.close_recipe_set(ports.iter(), |_, _| stands_in.then_some(0));
             e
         };
         // No port checks anything and a port answers every §5.1 probe: the
@@ -2164,7 +2148,7 @@ mod tests {
         for (s, state) in e.states.iter().enumerate() {
             let tracked = e.meets[s].recipes.iter().all(|i| i.tracker.is_some());
             assert_eq!(tracked, e.held[s], "trackers of {s}");
-            let logging = format!("{state:?}").contains("log_retired: true");
+            let logging = format!("{state:?}").contains("log_retired: Cell { value: true }");
             assert_eq!(logging, e.held[s], "retraction log of {s}");
             // The probe index on the join column, and nothing for a purge.
             assert_eq!(state.purge_index_count() > 1, e.held[s] && s == 2);
@@ -2191,9 +2175,9 @@ mod tests {
         let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
         let port = e.compile_port_recipe(&q, &r, &all, &[StreamId(0)]).unwrap();
         let mut alone = PurgeEngine::shared(&q, &r, None, 10_000, None);
-        alone.close_recipe_set(std::iter::empty(), |_, _| true);
+        alone.close_recipe_set(std::iter::empty(), |_, _| Some(0));
         assert_eq!(alone.held, [false; 3]);
-        e.close_recipe_set(std::iter::once(&port), |_, _| true);
+        e.close_recipe_set(std::iter::once(&port), |_, _| Some(0));
         assert_eq!(e.held, [false, true, false]);
     }
 

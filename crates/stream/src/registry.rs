@@ -773,13 +773,9 @@ impl Pipeline for QueryRegistry {
     /// Over the union of the live tenants' predicates: an entry goes when
     /// every tenant's §5.1 conditions hold — the rule rows obey.
     fn purge_punctuations(&mut self) {
-        let Some(engine) = &mut self.engine else {
-            return;
-        };
-        engine.purge_punctuations(self.nodes.iter().flatten().map(|node| &node.op));
-        if engine.port_news() {
-            let nodes = self.nodes.iter_mut().flatten();
-            nodes.for_each(|node| node.op.log_retired());
+        let ops = self.nodes.iter().flatten().map(|node| &node.op);
+        if let Some(engine) = &mut self.engine {
+            engine.purge_punctuations(ops);
         }
     }
 

@@ -159,7 +159,9 @@ pub struct PortState {
     /// Absolute sequence number of `retired[0]` (grows on trim so consumer
     /// cursors keep their meaning).
     retired_base: u64,
-    log_retired: bool,
+    /// Turned on through a shared reference: the pass that finds a reason to
+    /// log a port's purges only reads the operators.
+    log_retired: std::cell::Cell<bool>,
 }
 
 impl PortState {
@@ -186,7 +188,7 @@ impl PortState {
             indexes: Vec::new(),
             retired: Vec::new(),
             retired_base: 0,
-            log_retired: false,
+            log_retired: false.into(),
         };
         for &c in indexed_cols {
             state.add_purge_index(&[c], false);
@@ -196,8 +198,8 @@ impl PortState {
 
     /// Turns on the retraction log: from now on every purged slot id is
     /// recorded for [`PortState::retired_since`] consumers.
-    pub(crate) fn enable_retirement_log(&mut self) {
-        self.log_retired = true;
+    pub(crate) fn enable_retirement_log(&self) {
+        self.log_retired.set(true);
     }
 
     /// One past the absolute sequence number of the newest retraction.
@@ -505,7 +507,7 @@ impl PortState {
             return false;
         }
         self.purged += 1;
-        if self.log_retired {
+        if self.log_retired.get() {
             self.retired.push(slot);
         }
         true
@@ -692,7 +694,7 @@ impl PortState {
             e.usize(r);
         }
         e.u64(self.retired_base);
-        e.bool(self.log_retired);
+        e.bool(self.log_retired.get());
     }
 
     /// Overlays serialized raw state onto this freshly compiled (empty) port
@@ -768,7 +770,7 @@ impl PortState {
             )));
         }
         let retired_base = d.u64()?;
-        let log_retired = d.bool()?;
+        let log_retired = d.bool()?.into();
         (self.base, self.arena, self.live_bits) = (base, arena, live_bits);
         (self.arrivals, self.seqs, self.touched) = (arrivals, seqs, touched);
         (self.next_seq, self.evict_front, self.live) = (next_seq, evict_front, live);

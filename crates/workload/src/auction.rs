@@ -273,9 +273,10 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
         // Which reclaim phase the last element lands in moves the count by a
-        // few resident rows; a four times longer feed must not double it.
+        // few resident rows (4727, 1159, 1159 bytes here); beyond that slack a
+        // longer feed must not cost a byte more than a shorter one.
         assert!(
-            snapshot_bytes.windows(2).all(|w| w[1] <= 2 * w[0]),
+            snapshot_bytes.windows(2).all(|w| w[1] <= w[0] + 512),
             "snapshot bytes follow the feed length: {snapshot_bytes:?}"
         );
     }

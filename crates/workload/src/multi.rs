@@ -348,10 +348,11 @@ mod tests {
             "read punctuation entries follow the feed length: {read_peaks:?}"
         );
         // Which reclaim phase the last element lands in moves the count by
-        // the resident rows of a few arenas; a four times longer feed must
-        // not double it.
+        // the resident rows of a few arenas (33402, 19690, 12906 bytes here);
+        // beyond a few rows' slack a longer feed must not cost a byte more
+        // than a shorter one.
         assert!(
-            snapshot_bytes.windows(2).all(|w| w[1] <= 2 * w[0]),
+            snapshot_bytes.windows(2).all(|w| w[1] <= w[0] + 512),
             "snapshot bytes follow the feed length: {snapshot_bytes:?}"
         );
     }
