@@ -16,6 +16,7 @@ use cjq_core::plan::Plan;
 use cjq_core::schema::StreamId;
 use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence};
 use cjq_stream::purge::PurgeScope;
+use cjq_stream::Engine;
 use cjq_workload::keyed::{self, KeyedConfig};
 
 fn bench_purge_pass_cost(c: &mut Criterion) {
@@ -39,7 +40,7 @@ fn bench_purge_pass_cost(c: &mut Criterion) {
                 };
                 let mut exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
                 for e in &feed {
-                    exec.push(e);
+                    exec.try_push(e).unwrap();
                 }
                 exec.purge_cycle(); // the measured single pass over `rounds` state
                 black_box(exec.join_state_live())

@@ -13,6 +13,7 @@ use cjq_core::purge_plan;
 use cjq_core::schema::StreamId;
 use cjq_core::tpg;
 use cjq_stream::exec::{ExecConfig, Executor};
+use cjq_stream::Engine;
 use cjq_workload::auction::{self, AuctionConfig};
 
 fn bench_figures(c: &mut Criterion) {

@@ -21,6 +21,7 @@ use std::hint::black_box;
 use cjq_stream::exec::{ExecConfig, Executor};
 use cjq_stream::registry::QueryRegistry;
 use cjq_stream::source::Feed;
+use cjq_stream::Engine;
 use cjq_workload::multi::{self, MultiConfig, MultiTenant};
 
 const QUERY_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];

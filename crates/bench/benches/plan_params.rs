@@ -12,6 +12,7 @@ use std::hint::black_box;
 use cjq_bench::params;
 use cjq_core::plan::Plan;
 use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence};
+use cjq_stream::Engine;
 use cjq_workload::keyed::{self, KeyedConfig};
 
 fn bench_cadence(c: &mut Criterion) {

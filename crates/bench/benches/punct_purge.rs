@@ -6,6 +6,7 @@ use std::hint::black_box;
 
 use cjq_core::plan::Plan;
 use cjq_stream::exec::{ExecConfig, Executor};
+use cjq_stream::Engine;
 use cjq_workload::auction::{self, AuctionConfig};
 use cjq_workload::network::{self, NetworkConfig};
 

@@ -79,12 +79,12 @@ fn run_once(
 ) -> Measurement {
     let mut exec = Executor::compile(query, schemes, plan, bench_cfg(strategy)).expect("compile");
     for e in open.elements() {
-        exec.push(e);
+        exec.try_push(e).unwrap();
     }
     let live_before = exec.join_state_live();
     let start = Instant::now();
     for e in closes {
-        exec.push(e);
+        exec.try_push(e).unwrap();
     }
     let burst_secs = start.elapsed().as_secs_f64();
     let res = exec.finish();

@@ -11,6 +11,7 @@ use std::hint::black_box;
 use cjq_core::plan::Plan;
 use cjq_core::schema::StreamId;
 use cjq_stream::exec::{ExecConfig, Executor};
+use cjq_stream::Engine;
 use cjq_workload::keyed::{self, KeyedConfig};
 
 fn bench_growth(c: &mut Criterion) {

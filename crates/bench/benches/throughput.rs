@@ -29,6 +29,7 @@ use cjq_core::scheme::SchemeSet;
 use cjq_stream::exec::{ExecConfig, Executor};
 use cjq_stream::parallel::ShardedExecutor;
 use cjq_stream::source::Feed;
+use cjq_stream::Engine;
 use cjq_workload::auction::{self, AuctionConfig};
 use cjq_workload::trades::{self, TradesConfig};
 use punctuated_cjq::lint::json::Json;

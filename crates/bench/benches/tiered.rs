@@ -28,6 +28,7 @@ use cjq_core::fixtures;
 use cjq_core::plan::Plan;
 use cjq_stream::exec::{ExecConfig, Executor, RunResult, StateBudget};
 use cjq_stream::tier::TierConfig;
+use cjq_stream::Engine;
 use cjq_workload::skewed::{self, SkewedConfig};
 
 const SAMPLES: usize = 5;

@@ -15,6 +15,7 @@ use cjq_core::scheme::SchemeSet;
 use cjq_stream::exec::{ExecConfig, Executor};
 use cjq_stream::parallel::ShardedExecutor;
 use cjq_stream::source::Feed;
+use cjq_stream::Engine;
 use cjq_workload::auction::{self, AuctionConfig};
 use cjq_workload::sensor::{self, SensorConfig};
 

@@ -13,6 +13,7 @@ use cjq_core::schema::{AttrId, AttrRef, StreamId};
 use cjq_core::tpg;
 use cjq_stream::exec::{ExecConfig, Executor};
 use cjq_stream::groupby::Aggregate;
+use cjq_stream::Engine;
 use cjq_workload::auction::{self, AuctionConfig, BID};
 
 /// Figure 1 / Example 1: the auction join + group-by needs punctuations to

@@ -47,7 +47,7 @@ fn run_metrics(
     let mut exec = Executor::compile(query, schemes, plan, cfg).unwrap();
     // Track final-state-before-flush by pushing manually.
     for e in &feed {
-        exec.push(e);
+        exec.try_push(e).unwrap();
     }
     let final_state = exec.join_state_live();
     let mut metrics = exec.finish().metrics;

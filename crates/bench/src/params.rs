@@ -15,6 +15,7 @@ use cjq_core::schema::{Catalog, StreamSchema};
 use cjq_core::scheme::{PunctuationScheme, SchemeSet};
 use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence};
 use cjq_stream::source::Feed;
+use cjq_stream::Engine;
 use cjq_workload::keyed::{self, KeyedConfig};
 
 /// A 4-cycle query where every stream has schemes on both join attributes:

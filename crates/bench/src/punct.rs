@@ -10,6 +10,7 @@
 
 use cjq_core::plan::Plan;
 use cjq_stream::exec::{ExecConfig, Executor};
+use cjq_stream::Engine;
 
 use cjq_workload::auction::{self, AuctionConfig};
 use cjq_workload::network::{self, NetworkConfig};

@@ -31,10 +31,12 @@ use cjq_core::plan::Plan;
 use cjq_core::query::Cjq;
 use cjq_core::scheme::SchemeSet;
 use cjq_stream::checkpoint::{CheckpointStore, InputCursor};
+use cjq_stream::error::ExecResult;
 use cjq_stream::exec::{ExecConfig, Executor, RunResult};
 use cjq_stream::metrics::Metrics;
 use cjq_stream::parallel::{ShardedExecutor, ShardedRunResult};
 use cjq_stream::source::Feed;
+use cjq_stream::Engine;
 use cjq_workload::keyed::KeyedConfig;
 use cjq_workload::{auction, keyed, network, sensor, trades};
 
@@ -211,8 +213,25 @@ pub fn crash_and_recover_seq(
         }
         // Crash: executor, store, and cursor dropped without finishing.
     }
-    Executor::try_resume(dir, &w.query, &w.schemes, &plan, cfg, feed, every)
-        .expect("recovery succeeds")
+    try_resume_seq(w, feed, cfg, dir, every).expect("recovery succeeds")
+}
+
+/// Restores `w`'s executor under `cfg` from the newest valid snapshot in
+/// `dir` and resumes `feed` from the recorded cursor.
+///
+/// # Errors
+/// Whatever the restore or the resumed run refuses with.
+pub fn try_resume_seq(
+    w: &Workload,
+    feed: &Feed,
+    cfg: ExecConfig,
+    dir: &Path,
+    every: u64,
+) -> ExecResult<RunResult> {
+    let plan = Plan::mjoin_all(&w.query);
+    let compile =
+        |_: &str| Executor::compile(&w.query, &w.schemes, &plan, cfg).map_err(|e| e.to_string());
+    Executor::try_resume(dir, compile, feed, every)
 }
 
 /// Sharded analogue of [`run_checkpointed_seq`]: the synchronous `P`-shard

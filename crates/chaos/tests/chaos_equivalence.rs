@@ -299,7 +299,7 @@ fn dead_letter_sink_receives_every_quarantined_element() {
         .expect("auction compiles")
         .with_dead_letter(Box::new(SharedSink(Arc::clone(&captured))));
     let mut sink = CountSink::new();
-    let result = exec.run_with_sink(&truncated, &mut sink);
+    let result = exec.try_run_with_sink(&truncated, &mut sink).unwrap();
     assert!(result.metrics.quarantined > 0, "fault plan never fired");
 
     let rows = captured.lock().unwrap();

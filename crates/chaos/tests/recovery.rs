@@ -11,7 +11,7 @@
 use cjq_chaos::{
     assert_run_equiv, assert_sharded_equiv, bundled_workloads, crash_and_recover_seq,
     crash_and_recover_sharded, run_checkpointed_seq, run_checkpointed_sharded, temp_ckpt_dir,
-    Workload,
+    try_resume_seq, Workload,
 };
 use cjq_stream::checkpoint::list_snapshots;
 use cjq_stream::exec::{BudgetPolicy, ExecConfig, PurgeCadence, StateBudget};
@@ -182,11 +182,8 @@ fn corrupted_latest_snapshot_falls_back_to_previous() {
     }
     .apply(newest)
     .expect("corruption applies");
-    let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
-    let recovered = cjq_stream::exec::Executor::try_resume(
-        &dir, &w.query, &w.schemes, &plan, cfg, &w.feed, every,
-    )
-    .expect("fallback recovery succeeds");
+    let recovered =
+        try_resume_seq(w, &w.feed, cfg, &dir, every).expect("fallback recovery succeeds");
     assert!(
         recovered.metrics.snapshot_fallbacks >= 1,
         "corrupted newest snapshot must be counted as a fallback"
@@ -207,10 +204,8 @@ fn corrupted_latest_snapshot_falls_back_to_previous() {
     let newest = &snaps.last().expect("non-empty").1;
     let len = std::fs::metadata(newest).expect("snapshot exists").len() as usize;
     CorruptBytes::truncate(newest, len / 2).expect("truncation applies");
-    let recovered = cjq_stream::exec::Executor::try_resume(
-        &dir, &w.query, &w.schemes, &plan, cfg, &w.feed, every,
-    )
-    .expect("torn-snapshot recovery succeeds");
+    let recovered =
+        try_resume_seq(w, &w.feed, cfg, &dir, every).expect("torn-snapshot recovery succeeds");
     assert!(recovered.metrics.snapshot_fallbacks >= 1);
     assert_run_equiv("torn-write fallback", &golden, &recovered);
 
@@ -236,10 +231,8 @@ fn all_snapshots_corrupt_is_a_clean_error() {
         .apply(&path)
         .expect("corruption applies");
     }
-    let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
-    let err =
-        cjq_stream::exec::Executor::try_resume(&dir, &w.query, &w.schemes, &plan, cfg, &w.feed, 61)
-            .expect_err("every snapshot corrupt: restore must fail, not fabricate state");
+    let err = try_resume_seq(w, &w.feed, cfg, &dir, 61)
+        .expect_err("every snapshot corrupt: restore must fail, not fabricate state");
     let msg = err.to_string();
     assert!(
         msg.starts_with("C001"),
@@ -255,8 +248,9 @@ fn all_snapshots_corrupt_is_a_clean_error() {
 /// holds and would never purge; 6: a pacing prefix with the adaptive batch,
 /// a budget-policy fingerprint word and three shed counters per `Metrics`
 /// frame; 8: a fingerprint that still hashed `purge_punctuations`, and
-/// stores holding every punctuation ever fed) is intact by its own checksum
-/// — it must be
+/// stores holding every punctuation ever fed; 9: an executor body with stall
+/// flags and no arena presence flags, under a fingerprint blind to the
+/// compiled recipes) is intact by its own checksum — it must be
 /// refused by version (`C001`), never decoded under the current layout nor
 /// reported as a config mismatch (`C002`).
 #[test]
@@ -269,19 +263,16 @@ fn earlier_format_versions_are_refused_not_misdecoded() {
     {
         let _ = crash_and_recover_seq(w, &w.feed, cfg, &dir, 61, n / 2);
     }
-    let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
     let earlier = 1..cjq_stream::checkpoint::VERSION;
-    assert!(earlier.contains(&8), "version 8 frames are earlier frames");
+    assert!(earlier.contains(&9), "version 9 frames are earlier frames");
     for previous in earlier {
         for (_, path) in list_snapshots(&dir) {
             let mut frame = std::fs::read(&path).expect("snapshot exists");
             frame[4..8].copy_from_slice(&previous.to_le_bytes());
             std::fs::write(&path, frame).expect("rewrite applies");
         }
-        let err = cjq_stream::exec::Executor::try_resume(
-            &dir, &w.query, &w.schemes, &plan, cfg, &w.feed, 61,
-        )
-        .expect_err("an old-format snapshot must not restore");
+        let err = try_resume_seq(w, &w.feed, cfg, &dir, 61)
+            .expect_err("an old-format snapshot must not restore");
         let msg = err.to_string();
         assert!(
             msg.starts_with("C001") && msg.contains(&format!("unsupported version {previous}")),
@@ -304,11 +295,8 @@ fn restore_rejects_mismatched_config() {
     // Same query, different cadence: the structural fingerprint must refuse
     // the overlay with the C002 mismatch error.
     let other = cfg_with(PurgeCadence::Lazy { batch: 64 }, false);
-    let plan = cjq_core::plan::Plan::mjoin_all(&w.query);
-    let err = cjq_stream::exec::Executor::try_resume(
-        &dir, &w.query, &w.schemes, &plan, other, &w.feed, 61,
-    )
-    .expect_err("mismatched config must not overlay");
+    let err = try_resume_seq(w, &w.feed, other, &dir, 61)
+        .expect_err("mismatched config must not overlay");
     let msg = err.to_string();
     assert!(
         msg.starts_with("C002"),

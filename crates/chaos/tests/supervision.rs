@@ -15,6 +15,7 @@ use cjq_stream::parallel::ShardedExecutor;
 use cjq_stream::sink::CollectSink;
 use cjq_stream::source::Feed;
 use cjq_stream::tuple::Tuple;
+use cjq_stream::Engine;
 
 const SHARDS: usize = 4;
 
@@ -67,13 +68,15 @@ fn injected_shard_panic_is_reported_not_aborted() {
     // message rather than an abort; std::panic::catch_unwind proves the
     // process stays unwound-but-alive.
     let caught = std::panic::catch_unwind(|| {
-        compile_sharded(&w, ExecConfig::default()).run_with_sinks(&w.feed, |shard| {
-            if shard == victim {
-                PanicSink::armed()
-            } else {
-                PanicSink::default()
-            }
-        })
+        compile_sharded(&w, ExecConfig::default())
+            .try_run_with_sinks(&w.feed, |shard| {
+                if shard == victim {
+                    PanicSink::armed()
+                } else {
+                    PanicSink::default()
+                }
+            })
+            .unwrap()
     });
     assert!(caught.is_err(), "legacy entry point panics with the error");
 }

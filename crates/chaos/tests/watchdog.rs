@@ -1,9 +1,14 @@
 //! Bounded-state watchdog and stall detector under hostile feeds.
 
+use cjq_chaos::{
+    assert_run_equiv, bundled_workloads, crash_and_recover_seq, run_checkpointed_seq, temp_ckpt_dir,
+};
 use cjq_core::plan::Plan;
 use cjq_stream::error::ExecError;
 use cjq_stream::exec::{ExecConfig, Executor, StateBudget};
+use cjq_stream::source::Feed;
 use cjq_stream::tier::TierConfig;
+use cjq_stream::Engine;
 use cjq_workload::auction::{auction_query, generate, AuctionConfig};
 
 /// An unpunctuated feed against a budget: without tiering the watchdog fails
@@ -132,4 +137,34 @@ fn stall_detector_flags_and_recovers() {
         "punctuations keep flowing: {:?}",
         result.metrics.stalled_streams
     );
+}
+
+/// A crash while streams are stalled: the stall verdict is read off the
+/// restored punctuation clocks at finish, so the resumed run reports what the
+/// uninterrupted one does.
+#[test]
+fn stalled_streams_survive_a_crash() {
+    let workloads = bundled_workloads();
+    let w = &workloads[0];
+    // The auction feed with every punctuation of its second half dropped.
+    let n = w.feed.len();
+    let kept = w.feed.elements().iter().enumerate();
+    let kept = kept.filter(|(i, e)| *i < n / 2 || !e.is_punctuation());
+    let feed = Feed::from_elements(kept.map(|(_, e)| e.clone()).collect());
+    let cfg = ExecConfig {
+        stall_budget: Some(50),
+        ..ExecConfig::default()
+    };
+    let golden_dir = temp_ckpt_dir("stall-golden");
+    let golden = run_checkpointed_seq(w, &feed, cfg, &golden_dir, 31);
+    assert_eq!(golden.metrics.stalled_streams, vec![0, 1]);
+    assert!(golden.metrics.checkpoints_written > 0);
+    // Well past the last punctuation plus the budget: both are stalled.
+    let crash_after = feed.len() - 10;
+    let dir = temp_ckpt_dir("stall-crash");
+    let recovered = crash_and_recover_seq(w, &feed, cfg, &dir, 31, crash_after);
+    assert_eq!(recovered.metrics.restores, 1);
+    assert_run_equiv("stalled at the crash", &golden, &recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&golden_dir);
 }

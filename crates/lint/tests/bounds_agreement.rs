@@ -23,6 +23,7 @@ use cjq_lint::{lint_plan_with_bounds, BoundsConfig, Code};
 use cjq_stream::certify;
 use cjq_stream::error::ExecError;
 use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence};
+use cjq_stream::Engine;
 use cjq_workload::keyed::{self, KeyedConfig};
 use cjq_workload::random_query::{self, RandomQueryConfig, Topology};
 use cjq_workload::{auction, network, sensor, trades};

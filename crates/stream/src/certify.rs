@@ -37,7 +37,7 @@ use cjq_core::scheme::SchemeSet;
 use crate::element::StreamElement;
 use crate::exec::PurgeCadence;
 use crate::join::JoinOperator;
-use crate::purge::{PurgeEngine, PurgeScope};
+use crate::purge::PurgeScope;
 use crate::source::Feed;
 
 /// Rows per port on which each purge cycle re-checks the fast path against
@@ -47,27 +47,12 @@ pub const ORACLE_SAMPLE: usize = 8;
 /// Checks that compiled recipes agree with the static purgeability verdicts
 /// (Corollary 1 at port granularity, Theorems 1/3 for the mirror). Returns a
 /// description of the first mismatch, `None` when every certificate matches.
+/// One query's operators are some of an arena's nodes, and an engine's meet
+/// may hold other tenants' mirror recipes — so the operator set comes in as
+/// an iterator and the mirror side as a has-recipe predicate over the
+/// query's own subscription.
 #[must_use]
-pub fn static_certificates(
-    query: &Cjq,
-    schemes: &SchemeSet,
-    scope: PurgeScope,
-    ops: &[JoinOperator],
-    engine: &PurgeEngine,
-) -> Option<String> {
-    static_certificates_with(query, schemes, scope, ops.iter(), |s| {
-        engine.mirror_recipe(s).is_some()
-    })
-}
-
-/// [`static_certificates`] over an arbitrary operator set: the registry's
-/// per-admission form. A tenant's operators live scattered in the shared
-/// node arena (only some nodes belong to each query), and the engine's meet
-/// holds every tenant's mirror recipes — so the operator set comes in as an
-/// iterator and the mirror side as a has-recipe predicate over the
-/// admission's own subscription.
-#[must_use]
-pub fn static_certificates_with<'a>(
+pub fn static_certificates<'a>(
     query: &Cjq,
     schemes: &SchemeSet,
     scope: PurgeScope,

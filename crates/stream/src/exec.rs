@@ -7,10 +7,6 @@
 //! every punctuation), lazily (batched), or never, per [`PurgeCadence`] —
 //! the Plan-Parameter-II knob of §5.2.
 
-use std::path::Path;
-
-use cjq_core::fxhash::FxHashMap;
-
 use cjq_core::error::{CoreError, CoreResult};
 use cjq_core::plan::Plan;
 use cjq_core::punctuation::Punctuation;
@@ -19,6 +15,8 @@ use cjq_core::schema::{AttrRef, StreamId};
 use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
+use crate::arena::{Lowering, OpArena};
+use crate::certify::static_certificates;
 use crate::checkpoint::{
     CheckpointStore, Codec, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
 };
@@ -28,8 +26,8 @@ use crate::groupby::{Aggregate, GroupBy};
 use crate::guard::{AdmissionGuard, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
-use crate::pipeline::{Checkpointed, Core, Pipeline, Run, Snapshot};
-use crate::purge::{PurgeEngine, PurgeScope, PurgeStrategy};
+use crate::pipeline::{Core, Engine, Pipeline, Run, Snapshot, Stage};
+use crate::purge::{fingerprint_recipes, PurgeEngine, PurgeScope, PurgeStrategy};
 use crate::sink::{CollectSink, CountSink, OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
 use crate::tier::TierConfig;
@@ -122,9 +120,9 @@ pub struct ExecConfig {
     /// for [`BudgetPolicy::HardError`] to surface as an error instead of a
     /// panic). `None` disables the watchdog.
     pub state_budget: Option<StateBudget>,
-    /// Stall detector: flag a punctuated stream in
-    /// `Metrics::stalled_streams` once this many elements pass without any
-    /// admitted punctuation on it. `None` disables detection.
+    /// Stall detector: a finished run reports in `Metrics::stalled_streams`
+    /// every punctuated stream whose last admitted punctuation lies more
+    /// than this many elements back. `None` disables detection.
     pub stall_budget: Option<u64>,
     /// Cold-tier state spilling (see [`crate::tier`]): when the
     /// [`ExecConfig::state_budget`] trips and a purge cycle cannot shrink the
@@ -255,12 +253,8 @@ pub struct RunResult {
 pub struct Executor {
     query: Cjq,
     engine: PurgeEngine,
-    /// Operators in bottom-up order (children before parents; root last).
-    ops: Vec<JoinOperator>,
-    /// Parent link per operator: `(parent op index, parent port)`.
-    parent: Vec<Option<(usize, usize)>>,
-    /// Leaf routing: stream → (op index, port).
-    leaf_route: FxHashMap<StreamId, (usize, usize)>,
+    /// The plan's operators, bottom-up (children before parents; root last).
+    arena: OpArena,
     groupby: Option<GroupBy>,
     /// Punctuations awaiting delivery to the group-by stage: a punctuation
     /// may only close groups once no *stored* tuple of its stream can still
@@ -272,15 +266,10 @@ pub struct Executor {
     core: Core,
     outputs: Vec<Vec<Value>>,
     aggregates: Vec<Vec<Value>>,
-    /// Reusable columnar buffers ping-ponged through the operator cascade
-    /// (current level's output / next level's output).
-    batch_bufs: (OutputBuffer, OutputBuffer),
     /// Schema-shape admission validator (see [`crate::guard`]).
     guard: AdmissionGuard,
     /// Per stream: clock of the last admitted punctuation (stall detector).
     last_punct: Vec<u64>,
-    /// Per stream: whether the stall detector currently flags it.
-    stall_flagged: Vec<bool>,
     /// Per stream: whether any punctuation scheme is registered (streams
     /// without schemes are never expected to punctuate — not stall-checked).
     has_schemes: Vec<bool>,
@@ -335,22 +324,19 @@ impl Executor {
         let (lifespan, limit) = (cfg.punct_lifespan, cfg.coverage_limit);
         let mut engine = PurgeEngine::shared(query, schemes, lifespan, limit, weights);
         engine.subscribe(query, schemes);
-        let mut ops = Vec::new();
-        let mut parent = Vec::new();
-        let mut leaf_route = FxHashMap::default();
-        build(
+        let mut arena = OpArena::default();
+        let cx = Lowering {
             query,
             schemes,
-            plan,
-            cfg.scope,
-            &engine,
-            &mut ops,
-            &mut parent,
-            &mut leaf_route,
-        );
+            cfg: &cfg,
+            engine: &engine,
+        };
+        arena.intern_plan(&cx, plan, &mut Vec::new());
         if cfg.verify_certificates {
             if let Some(mismatch) =
-                crate::certify::static_certificates(query, schemes, cfg.scope, &ops, &engine)
+                static_certificates(query, schemes, cfg.scope, arena.ops(), |s| {
+                    engine.mirror_recipe(s).is_some()
+                })
             {
                 panic!("static certificate violation: {mismatch}");
             }
@@ -359,16 +345,9 @@ impl Executor {
         // what they and §5.1 read. One operator spanning the query stores
         // each stream's rows under the recipe its mirror would purge by, so
         // there §5.1 reads the port.
-        let ports = ops.iter().flat_map(JoinOperator::port_recipes);
-        engine.close_recipe_set(ports, |u, col| match &ops[..] {
-            [alone] => alone.stand_in(u, col),
-            _ => None,
-        });
-        if cfg.tiering.is_some() {
-            for op in &mut ops {
-                op.enable_tiering();
-            }
-        }
+        let ports = arena.ops().flat_map(JoinOperator::port_recipes).flatten();
+        let alone = arena.op(0).filter(|_| arena.slots() == 1);
+        engine.close_recipe_set(ports, |u, col| alone?.stand_in(u, col));
         let n_streams = query.n_streams();
         let has_schemes = query
             .stream_ids()
@@ -377,19 +356,15 @@ impl Executor {
         Ok(Executor {
             guard: AdmissionGuard::new(query, cfg.admission),
             last_punct: vec![0; n_streams],
-            stall_flagged: vec![false; n_streams],
             has_schemes,
             query: query.clone(),
             engine,
-            ops,
-            parent,
-            leaf_route,
+            arena,
             groupby: None,
             pending_group_puncts: Vec::new(),
             core: Core::new(cfg),
             outputs: Vec::new(),
             aggregates: Vec::new(),
-            batch_bufs: (OutputBuffer::default(), OutputBuffer::default()),
             port_bounds: None,
         })
     }
@@ -403,10 +378,9 @@ impl Executor {
     /// # Panics
     /// Panics if `bounds.len()` differs from the number of flat ports.
     pub fn set_port_bounds(&mut self, bounds: Vec<Option<u64>>) {
-        let n_ports: usize = self.ops.iter().map(|op| op.port_spans().len()).sum();
         assert_eq!(
             bounds.len(),
-            n_ports,
+            self.n_ports(),
             "one bound slot per flattened operator port"
         );
         self.port_bounds = if bounds.iter().all(Option::is_none) {
@@ -428,12 +402,8 @@ impl Executor {
     /// Panics if a grouping/aggregate attribute is not in the root layout.
     #[must_use]
     pub fn with_groupby(mut self, group_by: &[AttrRef], agg: Aggregate) -> Self {
-        let layout = self
-            .ops
-            .last()
-            .expect("at least one operator")
-            .out_layout()
-            .clone();
+        let root = self.arena.ops().last().expect("at least one operator");
+        let layout = root.out_layout().clone();
         self.groupby = Some(GroupBy::for_query(&self.query, layout, group_by, agg));
         // The propagation condition probes the punctuated stream's mirror.
         self.engine.hold_every_stream();
@@ -468,43 +438,28 @@ impl Executor {
     }
 
     /// The operators, bottom-up (root last).
-    #[must_use]
-    pub fn operators(&self) -> &[JoinOperator] {
-        &self.ops
+    pub fn operators(&self) -> impl Iterator<Item = &JoinOperator> {
+        self.arena.ops()
     }
 
-    /// Pushes one element through the pipeline.
-    ///
-    /// # Panics
-    /// Panics where [`Executor::try_push`] would return an error.
-    pub fn push(&mut self, element: &StreamElement) {
-        self.try_push(element).unwrap_or_else(|e| panic!("{e}"));
+    /// Operator ports, flattened op-major in bottom-up operator order.
+    fn n_ports(&self) -> usize {
+        self.arena.ops().map(|op| op.port_spans().len()).sum()
     }
 
-    /// Fallible [`Executor::push`]: admission refusals under
-    /// [`AdmissionPolicy::Strict`], unroutable streams, and watchdog overruns
-    /// under [`BudgetPolicy::HardError`] come back as [`ExecError`]s. After
-    /// an error the executor is failed (the element was partially applied):
-    /// every later push and checkpoint commit returns that first error again.
-    /// Root results go to the executor's own sink.
+    /// [`Engine::try_push`], callable without the trait in scope.
     pub fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
-        self.push_timed(element)
+        Engine::try_push(self, element)
     }
 
     /// Pushes a gathered micro-batch through the pipeline, draining root
-    /// results into `sink`.
+    /// results into `sink` (see [`Engine::try_push`] for the error
+    /// contract).
     ///
-    /// Equivalent to [`Executor::push`]-ing the batch's elements one at a
-    /// time: runs of consecutive same-stream tuples flow through the operator
-    /// cascade as columnar buffers (capped at purge/sample boundaries),
-    /// punctuations are processed individually in order.
-    pub fn push_batch(&mut self, batch: &ElementBatch<'_>, sink: &mut dyn ResultSink) {
-        self.try_push_batch(batch, sink)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`Executor::push_batch`] (see [`Executor::try_push`] for the
-    /// error contract).
+    /// Equivalent to pushing the batch's elements one at a time: runs of
+    /// consecutive same-stream tuples flow through the operator cascade as
+    /// columnar buffers (capped at purge/sample boundaries), punctuations
+    /// are processed individually in order.
     pub fn try_push_batch(
         &mut self,
         batch: &ElementBatch<'_>,
@@ -547,12 +502,6 @@ impl Executor {
         self.pending_group_puncts = still_pending;
     }
 
-    /// Runs one purge cycle: lifespan expiry, operator purge passes, mirror
-    /// purge, and §5.1 punctuation purging.
-    pub fn purge_cycle(&mut self) {
-        self.run_purge_cycle();
-    }
-
     /// Rows currently resident in the cold (spilled) tier across all
     /// operators (0 unless [`ExecConfig::tiering`] is set).
     #[must_use]
@@ -560,49 +509,20 @@ impl Executor {
         Pipeline::cold_rows(self)
     }
 
-    /// Runs a whole feed and finishes (final purge cycle + sample), with the
-    /// executor's own sink: results are collected into `RunResult::outputs`
-    /// when [`ExecConfig::record_outputs`] is set, and merely counted
-    /// otherwise.
-    ///
-    /// # Panics
-    /// Panics where [`Executor::try_run`] would return an error.
-    pub fn run(self, feed: &Feed) -> RunResult {
-        self.try_run(feed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Executor::run`] (see [`Executor::try_push`] for the error
-    /// contract).
-    pub fn try_run(mut self, feed: &Feed) -> ExecResult<RunResult> {
-        self.with_own_sink(|exec, sink| exec.try_feed(feed, sink))?;
-        Ok(self.finish())
-    }
-
     /// Runs a whole feed, streaming root results into `sink`
-    /// (`RunResult::outputs` stays empty — the sink owns the results).
-    pub fn run_with_sink(self, feed: &Feed, sink: &mut dyn ResultSink) -> RunResult {
-        self.try_run_with_sink(feed, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Executor::run_with_sink`].
+    /// (`RunResult::outputs` stays empty — the sink owns the results), and
+    /// finishes. [`Engine::try_run`] is this with the executor's own sink.
     pub fn try_run_with_sink(
         mut self,
         feed: &Feed,
         sink: &mut dyn ResultSink,
     ) -> ExecResult<RunResult> {
-        self.try_feed(feed, sink)?;
+        self.feed(feed, sink)?;
+        sink.finish();
         Ok(self.finish())
     }
 
-    /// The batched feed driver ([`Pipeline::feed`]), then the sink's flush.
-    fn try_feed(&mut self, feed: &Feed, sink: &mut dyn ResultSink) -> ExecResult<()> {
-        self.feed(feed, sink)?;
-        sink.finish();
-        Ok(())
-    }
-
-    /// Final purge cycle + sample, returning the accumulated results.
+    /// [`Engine::finish`], callable without the trait in scope.
     pub fn finish(self) -> RunResult {
         self.finish_detailed().0
     }
@@ -611,11 +531,20 @@ impl Executor {
     /// snapshot of every port and mirror. The sharded executor merges these
     /// per-shard snapshots into one logical state count: partitioned state is
     /// disjoint across shards (sum), broadcast state is replicated (union).
-    pub fn finish_detailed(mut self) -> (RunResult, LiveStateSnapshot) {
+    pub(crate) fn finish_detailed(mut self) -> (RunResult, LiveStateSnapshot) {
         self.finish_core();
+        if let Some(budget) = self.core.cfg.stall_budget {
+            // Evaluated where it is read: the clock only moves forward, so a
+            // stream is stalled now exactly if a per-element check would have
+            // flagged it and no punctuation cleared the flag since.
+            let since = |s: usize| self.core.clock.saturating_sub(self.last_punct[s]);
+            let stalled = |&s: &usize| self.has_schemes[s] && since(s) > budget;
+            self.core.metrics.stalled_streams =
+                (0..self.last_punct.len()).filter(stalled).collect();
+        }
         let operators = self
-            .ops
-            .iter()
+            .arena
+            .ops()
             .map(|op| OperatorSnapshot {
                 span: op.span().to_vec(),
                 port_live: op.port_live(),
@@ -623,7 +552,11 @@ impl Executor {
             })
             .collect();
         let snapshot = LiveStateSnapshot {
-            op_port_slots: self.ops.iter().map(JoinOperator::port_live_slots).collect(),
+            op_port_slots: self
+                .arena
+                .ops()
+                .map(JoinOperator::port_live_slots)
+                .collect(),
             mirror_slots: self
                 .query
                 .stream_ids()
@@ -639,9 +572,11 @@ impl Executor {
         (result, snapshot)
     }
 
-    /// Structural fingerprint of (query, plan shape, schemes, config): two
-    /// executors agree iff they were compiled from the same inputs, which is
-    /// the precondition for overlaying one's snapshot onto the other. Built
+    /// Structural fingerprint of (query, schemes, plan shape, compiled
+    /// recipes, config): two executors agree iff they compiled to the same
+    /// thing, which is the precondition for overlaying one's snapshot onto
+    /// the other. The recipes are in it because lag weights
+    /// ([`Executor::compile_weighted`]) change them and nothing else. Built
     /// from stable ids only (never interned symbols or `Debug` strings, which
     /// are process-local).
     #[must_use]
@@ -649,118 +584,41 @@ impl Executor {
         let mut fp = Fingerprint::default();
         fingerprint_query(&mut fp, &self.query);
         fingerprint_schemes(&mut fp, &self.query, &self.engine);
-        fp.word(self.ops.len() as u64);
-        for (op, parent) in self.ops.iter().zip(&self.parent) {
-            fp.word(op.port_spans().len() as u64);
-            for span in op.port_spans() {
-                fp.word(span.len() as u64);
-                for s in span {
-                    fp.word(s.0 as u64);
-                }
-            }
-            match parent {
-                Some((po, pp)) => {
-                    fp.word(*po as u64);
-                    fp.word(*pp as u64);
-                }
-                None => fp.word(u64::MAX),
-            }
-        }
+        self.arena.fingerprint_into(&mut fp);
+        let mirror = self
+            .query
+            .stream_ids()
+            .map(|s| self.engine.mirror_recipe(s));
+        fingerprint_recipes(&mut fp, mirror);
         self.core.cfg.fingerprint_into(&mut fp);
         fp.finish()
     }
 
-    /// Pushes one element and checkpoints when due: every element advances
-    /// `cursor` and the store's element counter; once at least the store's
-    /// cadence has accumulated **and** the element is a punctuation (snapshots
-    /// are punctuation-aligned consistent cuts), the full state is committed
-    /// atomically to the store's directory.
+    /// [`Engine::push_checkpointed`], callable without the trait in scope.
     pub fn push_checkpointed(
         &mut self,
         element: &StreamElement,
         store: &mut CheckpointStore,
         cursor: &mut InputCursor,
     ) -> ExecResult<()> {
-        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
+        Engine::push_checkpointed(self, element, store, cursor)
     }
 
-    /// Commits one snapshot of the current state to `store` unconditionally.
-    /// Refuses executors with a group-by stage — its open-group state is not
-    /// serialized.
+    /// [`Engine::commit_checkpoint`], callable without the trait in scope.
     pub fn commit_checkpoint(
         &mut self,
         store: &mut CheckpointStore,
         cursor: &InputCursor,
     ) -> ExecResult<()> {
-        self.commit_snapshot(store, cursor)
+        Engine::commit_checkpoint(self, store, cursor)
     }
+}
 
-    /// Runs a whole feed with punctuation-aligned checkpointing every
-    /// `every` elements into `dir`, then finishes (see [`Executor::try_run`]).
-    pub fn try_run_checkpointed(
-        mut self,
-        feed: &Feed,
-        dir: &Path,
-        every: u64,
-    ) -> ExecResult<RunResult> {
-        self.run_checkpointed(feed, dir, every)?;
-        Ok(self.finish())
-    }
+impl Engine for Executor {
+    type Output = RunResult;
 
-    /// How restore and resume compile their executor, with the error text of
-    /// the phase they are in.
-    fn compiler<'a>(
-        query: &'a Cjq,
-        schemes: &'a SchemeSet,
-        plan: &'a Plan,
-        cfg: ExecConfig,
-    ) -> impl Fn(&str) -> Result<Self, String> + 'a {
-        move |phase| {
-            Executor::compile(query, schemes, plan, cfg)
-                .map_err(|e| format!("cannot compile executor for {phase}: {e}"))
-        }
-    }
-
-    /// Restores an executor from the newest valid snapshot in `dir`: compiles
-    /// a fresh executor from the same inputs, verifies the snapshot's
-    /// structural fingerprint against it ([`ExecError::RestoreMismatch`]),
-    /// and overlays the serialized state. A corrupt newest snapshot falls
-    /// back to the previous retained one (counted in
-    /// `Metrics::snapshot_fallbacks`); only when no retained snapshot
-    /// validates does this fail with [`ExecError::CheckpointCorrupt`].
-    ///
-    /// Returns the executor, a store that continues the snapshot sequence at
-    /// the recorded cadence, and the input cursor to resume the feed from.
-    pub fn restore(
-        dir: &Path,
-        query: &Cjq,
-        schemes: &SchemeSet,
-        plan: &Plan,
-        cfg: ExecConfig,
-    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
-        Self::restore_from(dir, Self::compiler(query, schemes, plan, cfg))
-    }
-
-    /// Restores from `dir` (see [`Executor::restore`]) and resumes `feed`
-    /// from the recorded input cursor — skipping exactly the elements the
-    /// snapshot already consumed — with checkpointing continuing at the
-    /// recorded cadence. When `dir` holds no snapshot at all (a crash before
-    /// the first commit), this cold-starts: the whole feed replays under
-    /// checkpointing at cadence `every` (ignored otherwise — the manifest's
-    /// recorded cadence wins). Either way the result is byte-identical to an
-    /// uninterrupted [`Executor::try_run_checkpointed`] over the same feed
-    /// (modulo wall time and the checkpoint counters themselves).
-    pub fn try_resume(
-        dir: &Path,
-        query: &Cjq,
-        schemes: &SchemeSet,
-        plan: &Plan,
-        cfg: ExecConfig,
-        feed: &Feed,
-        every: u64,
-    ) -> ExecResult<RunResult> {
-        let compiler = Self::compiler(query, schemes, plan, cfg);
-        Ok(Self::resume_from(dir, compiler, feed, every)?.finish())
+    fn finish(self) -> RunResult {
+        Executor::finish(self)
     }
 }
 
@@ -778,33 +636,24 @@ impl Snapshot for Executor {
     fn write_snapshot(&self, e: &mut Enc) {
         self.core.write_pacing(e);
         self.last_punct.enc(e);
-        self.stall_flagged.enc(e);
         self.port_bounds.enc(e);
         self.outputs.enc(e);
         self.core.metrics.write_state(e);
         self.engine.write_state(e);
-        for op in &self.ops {
-            op.write_state(e);
-        }
+        self.arena.write_state(e);
     }
 
     fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         self.core.read_pacing(d)?;
         self.last_punct = d.counted("streams", self.last_punct.len())?;
-        self.stall_flagged = d.counted("streams", self.stall_flagged.len())?;
-        let n_ports = self.ops.iter().map(|op| op.port_spans().len()).sum();
         self.port_bounds = match d.bool()? {
-            true => Some(d.counted("bounded ports", n_ports)?),
+            true => Some(d.counted("bounded ports", self.n_ports())?),
             false => None,
         };
         self.outputs = Codec::dec(d)?;
         self.core.metrics = Metrics::read_state(d)?;
         self.engine.read_state(d)?;
-        let spill = &mut self.core.spill;
-        for (i, op) in self.ops.iter_mut().enumerate() {
-            op.read_state(d, spill, i)?;
-        }
-        Ok(())
+        self.arena.read_state(d, &mut self.core.spill)
     }
 
     fn not_checkpointable(&self) -> Option<&'static str> {
@@ -815,10 +664,10 @@ impl Snapshot for Executor {
     }
 }
 
-/// What separates the executor from the shared pipeline: a tree cascade with
-/// one caller-supplied sink, one recipe set for the mirror, and the
-/// single-query monitors (window, port bounds, stall detector, group-by
-/// delivery).
+/// What separates the executor from the shared pipeline: root results go to
+/// one caller-supplied sink and the group-by stage, the recipe set is closed,
+/// and the single-query monitors apply (window, port bounds, stall clock,
+/// group-by delivery).
 impl Pipeline for Executor {
     type Sink<'s> = dyn ResultSink + 's;
 
@@ -834,20 +683,17 @@ impl Pipeline for Executor {
         Some(&self.engine)
     }
 
-    fn stage(&mut self) -> Option<(&mut Core, &mut PurgeEngine, &AdmissionGuard)> {
-        Some((&mut self.core, &mut self.engine, &self.guard))
+    fn arena(&self) -> &OpArena {
+        &self.arena
     }
 
-    fn op_slots(&self) -> usize {
-        self.ops.len()
-    }
-
-    fn op(&self, i: usize) -> Option<&JoinOperator> {
-        self.ops.get(i)
-    }
-
-    fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)> {
-        Some((self.ops.get_mut(i)?, &self.engine, &mut self.core))
+    fn stage(&mut self) -> Option<Stage<'_>> {
+        Some(Stage {
+            core: &mut self.core,
+            engine: &mut self.engine,
+            guard: &self.guard,
+            arena: &mut self.arena,
+        })
     }
 
     /// The executor's own sink: root results are recorded into
@@ -871,62 +717,32 @@ impl Pipeline for Executor {
         res
     }
 
-    /// One batched cascade through the operator tree, then root delivery to
-    /// `sink` and the group-by stage.
+    /// The arena's cascade, then root delivery to `sink` and the group-by
+    /// stage. The root spans the query, so every run reaches it.
     fn route(
         &mut self,
         run: Run<'_>,
         survivors: &[u32],
         sink: &mut Self::Sink<'_>,
     ) -> ExecResult<()> {
-        let Some(&(op0, port0)) = self.leaf_route.get(&run.stream) else {
-            return Err(ExecError::UnroutableStream(run.stream));
-        };
-        let metrics = &mut self.core.metrics;
-        let (mut cur, mut nxt) = std::mem::take(&mut self.batch_bufs);
-        cur.reset(self.ops[op0].out_layout().width());
-        metrics.probe_keys_deduped +=
-            self.ops[op0].process_batch(port0, run.rows(survivors), &mut cur);
-        // Walk the cascade: every composite row a level emits enters the
-        // same parent port, so each level is itself one same-port run.
-        let mut cur_op = op0;
-        while let Some((pop, pport)) = self.parent[cur_op] {
-            if cur.is_empty() {
-                break;
-            }
-            nxt.reset(self.ops[pop].out_layout().width());
-            metrics.intermediate_rows += cur.len() as u64;
-            metrics.probe_keys_deduped +=
-                self.ops[pop].process_batch(pport, cur.iter_with_now(), &mut nxt);
-            std::mem::swap(&mut cur, &mut nxt);
-            cur_op = pop;
-        }
-        if !cur.is_empty() {
-            metrics.outputs += cur.len() as u64;
+        self.arena.cascade(run, survivors, &mut self.core.metrics);
+        let out = self.arena.out(self.arena.slots() - 1);
+        if !out.is_empty() {
+            self.core.metrics.outputs += out.len() as u64;
             if let Some(g) = &mut self.groupby {
-                for row in cur.rows() {
+                for row in out.rows() {
                     g.process_tuple(row);
                 }
             }
-            sink.accept(&cur);
+            sink.accept(out);
         }
-        self.batch_bufs = (cur, nxt);
         Ok(())
     }
 
-    fn purge_punctuations(&mut self) {
-        self.engine.purge_punctuations(self.ops.iter());
-    }
-
-    /// Stall detector: a punctuation on `stream` clears its flag (so
-    /// `Metrics::stalled_streams` reflects streams still stalled).
+    /// The stall detector's clock: when `stream` last punctuated.
     fn note_punct_progress(&mut self, stream: StreamId) {
         if let Some(at) = self.last_punct.get_mut(stream.0) {
             *at = self.core.clock;
-        }
-        if self.stall_flagged.get(stream.0) == Some(&true) {
-            self.stall_flagged[stream.0] = false;
-            self.core.metrics.stalled_streams.retain(|&s| s != stream.0);
         }
     }
 
@@ -947,55 +763,35 @@ impl Pipeline for Executor {
             return;
         };
         let cutoff = self.core.clock.saturating_sub(window);
-        let mut evicted = 0;
-        for op in &mut self.ops {
-            evicted += op.evict_window(cutoff);
-        }
+        let slots = 0..self.arena.slots();
+        let ops = slots.filter_map(|i| Some(self.arena.op_mut(i)?.evict_window(cutoff)));
+        let evicted: usize = ops.sum();
         self.engine.evict_window(cutoff);
         self.core.metrics.purged += evicted as u64;
     }
 
-    /// Bound certificates, then the stall detector. With
-    /// [`Executor::set_port_bounds`] armed, every operator port's live-row
-    /// peak is recorded and a certified port over its static bound fails
-    /// hard — after purge/budget enforcement, so eager purges get credit
-    /// before the comparison. The stall detector flags punctuated streams
-    /// whose punctuations stopped arriving for more than the configured
-    /// element budget.
+    /// Bound certificates: with [`Executor::set_port_bounds`] armed, every
+    /// operator port's live-row peak is recorded and a certified port over
+    /// its static bound fails hard — after purge/budget enforcement, so eager
+    /// purges get credit before the comparison.
     fn check_monitors(&mut self) -> ExecResult<()> {
-        let metrics = &mut self.core.metrics;
-        if let Some(bounds) = &self.port_bounds {
-            let mut flat = 0usize;
-            for (oi, op) in self.ops.iter().enumerate() {
-                for (pi, live) in op.port_live_iter().enumerate() {
-                    metrics.track_port_peak(flat, live);
-                    if let Some(bound) = bounds[flat] {
-                        if live as u64 > bound {
-                            return Err(ExecError::PortBoundExceeded {
-                                op: oi,
-                                port: pi,
-                                live,
-                                bound,
-                                clock: self.core.clock,
-                            });
-                        }
-                    }
-                    flat += 1;
-                }
-            }
-        }
-        let Some(budget) = self.core.cfg.stall_budget else {
+        let Some(bounds) = &self.port_bounds else {
             return Ok(());
         };
-        for s in 0..self.last_punct.len() {
-            if self.has_schemes[s]
-                && !self.stall_flagged[s]
-                && self.core.clock.saturating_sub(self.last_punct[s]) > budget
-            {
-                self.stall_flagged[s] = true;
-                if let Err(pos) = metrics.stalled_streams.binary_search(&s) {
-                    metrics.stalled_streams.insert(pos, s);
+        let mut flat = 0usize;
+        for (oi, op) in self.arena.ops().enumerate() {
+            for (pi, live) in op.port_live_iter().enumerate() {
+                self.core.metrics.track_port_peak(flat, live);
+                if let Some(bound) = bounds[flat].filter(|&bound| live as u64 > bound) {
+                    return Err(ExecError::PortBoundExceeded {
+                        op: oi,
+                        port: pi,
+                        live,
+                        bound,
+                        clock: self.core.clock,
+                    });
                 }
+                flat += 1;
             }
         }
         Ok(())
@@ -1009,7 +805,7 @@ impl Pipeline for Executor {
     fn on_sample(&mut self, point: &mut StatePoint) {
         point.groups = self.groupby.as_ref().map_or(0, GroupBy::open_groups);
         let mut flat = 0usize;
-        for op in &self.ops {
+        for op in self.arena.ops() {
             for live in op.port_live_iter() {
                 self.core.metrics.track_port_peak(flat, live);
                 flat += 1;
@@ -1040,53 +836,6 @@ pub(crate) fn fingerprint_schemes(fp: &mut Fingerprint, query: &Cjq, engine: &Pu
             for a in scheme.punctuatable() {
                 fp.word(a.0 as u64);
             }
-        }
-    }
-}
-
-/// Recursively builds operators bottom-up; returns each subtree's span.
-#[allow(clippy::too_many_arguments)]
-fn build(
-    query: &Cjq,
-    schemes: &SchemeSet,
-    plan: &Plan,
-    scope: PurgeScope,
-    engine: &PurgeEngine,
-    ops: &mut Vec<JoinOperator>,
-    parent: &mut Vec<Option<(usize, usize)>>,
-    leaf_route: &mut FxHashMap<StreamId, (usize, usize)>,
-) -> Vec<StreamId> {
-    match plan {
-        Plan::Leaf(s) => vec![*s],
-        Plan::Join(children) => {
-            // Compile children first, remembering which are leaves.
-            let child_info: Vec<(Option<usize>, Vec<StreamId>)> = children
-                .iter()
-                .map(|c| {
-                    let span = build(query, schemes, c, scope, engine, ops, parent, leaf_route);
-                    let op_idx = match c {
-                        Plan::Leaf(_) => None,
-                        Plan::Join(_) => Some(ops.len() - 1),
-                    };
-                    (op_idx, span)
-                })
-                .collect();
-            let port_spans: Vec<Vec<StreamId>> =
-                child_info.iter().map(|(_, s)| s.clone()).collect();
-            let op = JoinOperator::new(query, schemes, port_spans, scope, engine);
-            let span = op.span().to_vec();
-            let my_idx = ops.len();
-            ops.push(op);
-            parent.push(None);
-            for (port, (child_op, child_span)) in child_info.into_iter().enumerate() {
-                match child_op {
-                    Some(ci) => parent[ci] = Some((my_idx, port)),
-                    None => {
-                        leaf_route.insert(child_span[0], (my_idx, port));
-                    }
-                }
-            }
-            span
         }
     }
 }
@@ -1181,14 +930,14 @@ mod tests {
         let close = [item_unique(1), bid_close(1), item_unique(2)];
         let (mut mirrored, mut outputs) = (Vec::new(), Vec::new());
         for mut exec in engines {
-            open.iter().for_each(|e| exec.push(e));
+            open.iter().for_each(|e| exec.try_push(e).unwrap());
             mirrored.push(exec.engine.mirror_live());
-            close.iter().for_each(|e| exec.push(e));
+            close.iter().for_each(|e| exec.try_push(e).unwrap());
             // Auction 1 is closed on both sides and drained; item 2's
             // uniqueness still guards the live bid on it.
             assert_eq!(exec.engine.punct_entries(), 1);
             assert_eq!(exec.engine.punct_dropped, 2);
-            exec.push(&bid_close(2));
+            exec.try_push(&bid_close(2)).unwrap();
             assert_eq!(exec.engine.punct_entries(), 0);
             outputs.push(exec.finish().outputs);
         }
@@ -1222,14 +971,14 @@ mod tests {
                     })
                 });
                 for e in triples.chain(closing) {
-                    exec.push(&e);
+                    exec.try_push(&e).unwrap();
                     peak_join = peak_join.max(exec.join_state_live());
                     peak_mirror = peak_mirror.max(exec.engine.mirror_live());
                 }
             }
             assert!(peak_mirror >= 16, "the mirrors are held: {peak_mirror}");
             let states = || {
-                let ports = exec.ops.iter().flat_map(|op| &op.ports);
+                let ports = exec.operators().flat_map(|op| &op.ports);
                 ports.chain(q.stream_ids().map(|s| exec.engine.mirror_state(s)))
             };
             assert_eq!(
@@ -1281,7 +1030,6 @@ mod tests {
         let exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
         assert!(exec
             .operators()
-            .iter()
             .any(|op| { (0..op.port_spans().len()).any(|p| !op.port_purgeable(p)) }));
         exec.finish();
     }
@@ -1472,7 +1220,7 @@ mod tests {
         assert_eq!(exec.commit_checkpoint(&mut store, &cursor), Err(first));
 
         let mut reg = QueryRegistry::new(r.clone(), cfg);
-        reg.admit(&q, &plan);
+        reg.try_admit(&q, &plan, None).unwrap();
         prefix.iter().for_each(|e| reg.try_push(e).unwrap());
         let first = reg.try_push(&bid(1, 2)).unwrap_err();
         assert!(matches!(first, ExecError::Admission { clock: 4, .. }));
@@ -1510,7 +1258,7 @@ mod tests {
         }
         let mut exec = exec;
         for e in &feed {
-            exec.push(e);
+            exec.try_push(e).unwrap();
         }
         // Before finish(): nothing was purged along the way.
         assert_eq!(exec.join_state_live(), 40);

@@ -539,9 +539,9 @@ impl JoinOperator {
         tiers.any(|tier| tier.needs(target, scheme_idx, key))
     }
 
-    /// The compiled purge recipes of the ports that have one.
-    pub(crate) fn port_recipes(&self) -> impl Iterator<Item = &CompiledRecipe> {
-        self.recipes.iter().flatten()
+    /// Each port's compiled purge recipe, if it has one.
+    pub(crate) fn port_recipes(&self) -> impl Iterator<Item = Option<&CompiledRecipe>> {
+        self.recipes.iter().map(Option::as_ref)
     }
 
     /// Whether the port has a purge recipe under the configured scope.

@@ -15,8 +15,10 @@
 //!   operator tree and reports state-size time series ([`metrics`]) — the
 //!   observable form of the paper's bounded-state safety guarantee;
 //! * a shared-state multi-query [`registry::QueryRegistry`]; it and the
-//!   executor are two routers over one private `pipeline` module (element
-//!   loop, admission, purge cycle, budget ladder, finish, checkpoint driver);
+//!   executor hold one private operator arena (plan lowering, routing,
+//!   operator snapshots) under one private `pipeline` module (element loop,
+//!   admission, purge cycle, budget ladder, finish, checkpoint driver) and are
+//!   driven through one trait, [`Engine`];
 //! * a hardened runtime layer for hostile inputs: an admission [`guard`]
 //!   with strict/quarantine/repair policies, typed [`error::ExecError`]s on
 //!   the `try_*` execution paths, deterministic [`fault`] injection for
@@ -28,6 +30,7 @@
 //! use cjq_core::plan::Plan;
 //! use cjq_stream::exec::{ExecConfig, Executor};
 //! use cjq_stream::source::Feed;
+//! use cjq_stream::Engine;
 //!
 //! let (query, schemes) = fixtures::fig5();
 //! let plan = Plan::mjoin_all(&query);
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+mod arena;
 pub mod certify;
 pub mod checkpoint;
 pub mod disjoin;
@@ -64,6 +68,8 @@ pub mod state;
 pub mod tier;
 pub mod tuple;
 
+pub use pipeline::Engine;
+
 /// Convenient re-exports of the most common types.
 pub mod prelude {
     pub use crate::checkpoint::{CheckpointStore, InputCursor};
@@ -79,6 +85,7 @@ pub mod prelude {
     pub use crate::join::JoinOperator;
     pub use crate::metrics::{Metrics, StatePoint};
     pub use crate::parallel::{auto_shards, Partitioning, ShardedExecutor, ShardedRunResult};
+    pub use crate::pipeline::Engine;
     pub use crate::punct_store::PunctStore;
     pub use crate::purge::{CheckOutcome, PurgeEngine, PurgeScope};
     pub use crate::registry::{

@@ -337,7 +337,7 @@ pub struct ShardedRunResult {
     /// Merged result tuples, concatenated from the per-shard sinks by
     /// [`ShardedExecutor::run`] when [`ExecConfig::record_outputs`] is set
     /// (empty otherwise, and empty from
-    /// [`ShardedExecutor::run_with_sinks`] — there the caller owns the
+    /// [`ShardedExecutor::try_run_with_sinks`] — there the caller owns the
     /// sinks). Each result is produced by exactly one shard (the one its
     /// partition-class value hashes to), so this is the same multiset a
     /// sequential run emits, in per-shard order.
@@ -394,7 +394,6 @@ impl ShardedExecutor {
         let template = Executor::compile(query, schemes, plan, cfg)?;
         let port_spans = template
             .operators()
-            .iter()
             .map(|op| op.port_spans().to_vec())
             .collect();
         Ok(ShardedExecutor {
@@ -434,7 +433,7 @@ impl ShardedExecutor {
     /// Results are collected per shard into [`CollectSink`]s when
     /// [`ExecConfig::record_outputs`] is set (and concatenated into
     /// `ShardedRunResult::outputs`), or merely counted otherwise. See
-    /// [`ShardedExecutor::run_with_sinks`] for the routing details and for
+    /// [`ShardedExecutor::try_run_with_sinks`] for the routing details and for
     /// custom sinks.
     ///
     /// # Panics
@@ -464,28 +463,11 @@ impl ShardedExecutor {
     /// emitted by exactly one shard, so their union is the sequential result
     /// multiset.
     ///
-    /// # Panics
-    /// Panics if the feed exceeds `u32::MAX` elements or a shard fails
-    /// (rendering the shard's [`ExecError`]); use
-    /// [`ShardedExecutor::try_run_with_sinks`] to handle shard failures as
-    /// values.
-    pub fn run_with_sinks<S, F>(&self, feed: &Feed, make_sink: F) -> (ShardedRunResult, Vec<S>)
-    where
-        S: ResultSink + Send,
-        F: Fn(usize) -> S,
-    {
-        self.try_run_with_sinks(feed, make_sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`ShardedExecutor::run_with_sinks`], with shard
-    /// supervision.
-    ///
     /// With `P = 1` the router and channels are bypassed entirely: the one
     /// shard is a plain sequential [`Executor`] fed the whole feed by the same
     /// gather → `try_push_batch` → `finish_detailed` loop the `P >= 2` workers
     /// run, so single-shard runs cost the same as
-    /// [`Executor::run_with_sink`]. With `P >= 2` the router walks the feed
+    /// [`Executor::try_run_with_sink`]. With `P >= 2` the router walks the feed
     /// once, sending element *indices* in batches over bounded channels;
     /// workers borrow the feed directly and gather their routed subsequences
     /// into reusable [`ElementBatch`]es, so no element is copied on the way
@@ -794,6 +776,7 @@ impl Checkpointed for Fleet<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Engine;
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
     use cjq_core::punctuation::Punctuation;

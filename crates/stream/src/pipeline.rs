@@ -9,15 +9,17 @@
 //! methods of [`Pipeline`] over the pacing state in [`Core`]: the element
 //! loop, run and punctuation admission, the per-element cadence step, the
 //! purge → demote rungs of the budget ladder, and the purge-cycle and finish
-//! skeletons. An engine implements what really differs: routing survivors
-//! through its operators, reaching those operators, its snapshot body
-//! ([`Snapshot`]), and the single-query monitors as hooks whose default is a
-//! no-op (the mirror purge is not among them: the [`PurgeEngine`] purges by
-//! the meet of the recipe sets subscribed to it, one or many). The checkpoint
-//! driver is the provided methods of [`Checkpointed`], which asks less than a
-//! whole pipeline, so the sharded executor's inline shard fleet runs under it
-//! too. Everything is statically dispatched; shared code never asks which
-//! engine it serves.
+//! skeletons. An engine implements what really differs: where a root's
+//! results go once the one [`OpArena`] has routed a run, the header of its
+//! snapshot ([`Snapshot`]), and the single-query monitors as hooks whose
+//! default is a no-op (the mirror purge is not among them: the
+//! [`PurgeEngine`] purges by the meet of the recipe sets subscribed to it, one
+//! or many). The checkpoint driver is the provided methods of
+//! [`Checkpointed`], which asks less than a whole pipeline, so the sharded
+//! executor's inline shard fleet runs under it too; [`Engine`] is the public
+//! face of both — the one definition of run, checkpoint, restore and resume.
+//! Everything is statically dispatched; shared code never asks which engine
+//! it serves.
 
 use std::path::Path;
 use std::time::Instant;
@@ -26,6 +28,7 @@ use cjq_core::punctuation::Punctuation;
 use cjq_core::schema::StreamId;
 use cjq_core::value::Value;
 
+use crate::arena::OpArena;
 use crate::certify::ORACLE_SAMPLE;
 use crate::checkpoint::{
     list_snapshots, CheckpointStore, Dec, Enc, InputCursor, Manifest, SnapshotKind, SnapshotResult,
@@ -205,10 +208,6 @@ pub(crate) trait Checkpointed: Snapshot {
     fn push_one(&mut self, element: &StreamElement) -> ExecResult<()>;
     /// Where commits, restores and the driver's wall time are counted.
     fn counters(&mut self) -> &mut Metrics;
-    /// The error an earlier push left this engine failed with, if any.
-    fn failed(&self) -> Option<&ExecError> {
-        None
-    }
 
     /// The complete checkpoint payload: manifest (kind, fingerprint, cadence,
     /// input cursor) followed by the engine's snapshot body.
@@ -231,16 +230,12 @@ pub(crate) trait Checkpointed: Snapshot {
         Ok(e.buf)
     }
 
-    /// Commits one snapshot of the current state to `store` unconditionally —
-    /// unless a push failed: a half-applied element must not reach disk.
+    /// Commits one snapshot of the current state to `store` unconditionally.
     fn commit_snapshot(
         &mut self,
         store: &mut CheckpointStore,
         cursor: &InputCursor,
     ) -> ExecResult<()> {
-        if let Some(first) = self.failed() {
-            return Err(first.clone());
-        }
         let payload = self.snapshot_payload(store.every(), cursor)?;
         let rows = self.snapshot_rows();
         store
@@ -375,10 +370,15 @@ impl<P: Pipeline> Checkpointed for P {
     fn counters(&mut self) -> &mut Metrics {
         &mut self.core_mut().metrics
     }
+}
 
-    fn failed(&self) -> Option<&ExecError> {
-        self.core().failed.as_ref()
-    }
+/// Disjoint borrows of what element admission, routing and the purge cycle
+/// touch.
+pub(crate) struct Stage<'a> {
+    pub core: &'a mut Core,
+    pub engine: &'a mut PurgeEngine,
+    pub guard: &'a AdmissionGuard,
+    pub arena: &'a mut OpArena,
 }
 
 /// An engine over the shared pipeline. Required methods say where the parts
@@ -392,26 +392,18 @@ pub(crate) trait Pipeline: Snapshot {
     fn core_mut(&mut self) -> &mut Core;
     /// The mirror and punctuation stores, once a query was admitted.
     fn engine(&self) -> Option<&PurgeEngine>;
-    /// Disjoint borrows of what element admission and the purge cycle touch;
+    /// The operators, bottom-up.
+    fn arena(&self) -> &OpArena;
     /// `None` until a query was admitted.
-    fn stage(&mut self) -> Option<(&mut Core, &mut PurgeEngine, &AdmissionGuard)>;
-
-    /// Operator slots, bottom-up; a slot may be empty (a retired node).
-    fn op_slots(&self) -> usize;
-    fn op(&self, i: usize) -> Option<&JoinOperator>;
-    /// Operator `i` beside the engine it purges against and the core.
-    fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)>;
-    /// §5.1 punctuation purging over the engine's stores, which reads the
-    /// operators: [`PurgeEngine::purge_punctuations`].
-    fn purge_punctuations(&mut self);
+    fn stage(&mut self) -> Option<Stage<'_>>;
 
     /// Runs `f` with the sink that stands in where the caller supplies none.
     fn with_own_sink<R>(
         &mut self,
         f: impl for<'s> FnOnce(&mut Self, &mut Self::Sink<'s>) -> R,
     ) -> R;
-    /// Sends the run's surviving rows through the operators and delivers
-    /// root results.
+    /// Sends the run's surviving rows through the arena
+    /// ([`OpArena::cascade`]) and delivers root results.
     fn route(
         &mut self,
         run: Run<'_>,
@@ -422,7 +414,7 @@ pub(crate) trait Pipeline: Snapshot {
     // Single-query monitors and per-tenant bookkeeping: no-ops unless an
     // engine has them.
 
-    /// A punctuation on `stream` passed admission (stall detector).
+    /// A punctuation on `stream` passed admission (stall detector's clock).
     fn note_punct_progress(&mut self, _stream: StreamId) {}
     /// `p` entered the punctuation store (group-by delivery queue).
     fn punct_observed(&mut self, _p: &Punctuation) {}
@@ -430,7 +422,7 @@ pub(crate) trait Pipeline: Snapshot {
     fn settle_pending(&mut self) {}
     /// Sliding-window eviction.
     fn evict_window(&mut self) {}
-    /// Per-element checks after the budget ladder (port bounds, stalls).
+    /// Per-element checks after the budget ladder (port bounds).
     fn check_monitors(&mut self) -> ExecResult<()> {
         Ok(())
     }
@@ -443,9 +435,24 @@ pub(crate) trait Pipeline: Snapshot {
     /// A state sample is about to be recorded.
     fn on_sample(&mut self, _point: &mut StatePoint) {}
 
+    /// Operator slots, bottom-up; a slot may be empty (a retired node).
+    fn op_slots(&self) -> usize {
+        self.arena().slots()
+    }
+
+    fn op(&self, i: usize) -> Option<&JoinOperator> {
+        self.arena().op(i)
+    }
+
+    /// Operator `i` beside the engine it purges against and the core.
+    fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)> {
+        let stage = self.stage()?;
+        Some((stage.arena.op_mut(i)?, stage.engine, stage.core))
+    }
+
     /// The live operators, bottom-up.
     fn ops(&self) -> impl Iterator<Item = &JoinOperator> {
-        (0..self.op_slots()).filter_map(|i| self.op(i))
+        self.arena().ops()
     }
 
     /// Total live join-state rows across the operators.
@@ -458,30 +465,27 @@ pub(crate) trait Pipeline: Snapshot {
         self.ops().map(JoinOperator::cold_rows).sum()
     }
 
+    /// The error an earlier push left this engine failed with, if any: the
+    /// guard of every push and of a caller's commit.
+    fn refuse_if_failed(&self) -> ExecResult<()> {
+        match &self.core().failed {
+            Some(first) => Err(first.clone()),
+            None => Ok(()),
+        }
+    }
+
     /// Runs the push `f` unless an earlier one failed, and keeps the first
     /// error in [`Core::failed`]: an error leaves the element that raised it
     /// half-applied, so nothing may be pushed or committed after. Wrapped
     /// once around each push entry point, never per element inside one.
     #[inline]
     fn attempt<T>(&mut self, f: impl FnOnce(&mut Self) -> ExecResult<T>) -> ExecResult<T> {
-        if let Some(first) = &self.core().failed {
-            return Err(first.clone());
-        }
+        self.refuse_if_failed()?;
         let res = f(self);
         if let Err(e) = &res {
             self.core_mut().failed = Some(e.clone());
         }
         res
-    }
-
-    /// One element with the engine's own sink, timed: the public `try_push`.
-    fn push_timed(&mut self, element: &StreamElement) -> ExecResult<()> {
-        self.attempt(|this| {
-            let start = Instant::now();
-            this.push_untimed(element)?;
-            this.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
-            Ok(())
-        })
     }
 
     /// One element without the two clock reads: drivers that push a whole
@@ -550,17 +554,13 @@ pub(crate) trait Pipeline: Snapshot {
     }
 
     /// How many more tuples may flow as one uninterrupted run before some
-    /// per-element event (purge cycle, sample, window eviction, budget, stall
-    /// or bound check) is due. Always at least 1.
+    /// per-element event (purge cycle, sample, window eviction, budget or
+    /// bound check) is due. Always at least 1.
     fn run_cap(&self) -> usize {
         let core = self.core();
         let cfg = &core.cfg;
-        if cfg.window.is_some()
-            || cfg.state_budget.is_some()
-            || cfg.stall_budget.is_some()
-            || self.per_element_monitors()
-        {
-            // Window eviction, watchdogs and bound certificates are
+        if cfg.window.is_some() || cfg.state_budget.is_some() || self.per_element_monitors() {
+            // Window eviction, the budget and bound certificates are
             // per-element: batching must not let state coast past a check.
             return 1;
         }
@@ -585,7 +585,13 @@ pub(crate) trait Pipeline: Snapshot {
         take: usize,
         sink: &mut Self::Sink<'_>,
     ) -> ExecResult<()> {
-        let Some((core, engine, guard)) = self.stage() else {
+        let Some(Stage {
+            core,
+            engine,
+            guard,
+            ..
+        }) = self.stage()
+        else {
             return Err(ExecError::UnroutableStream(stream));
         };
         let run = Run {
@@ -648,7 +654,13 @@ pub(crate) trait Pipeline: Snapshot {
     /// store's current coverage, then the store — and under
     /// [`PurgeCadence::Eager`] the purge cycle it may enable.
     fn try_push_punctuation(&mut self, p: &Punctuation) -> ExecResult<()> {
-        let Some((core, engine, guard)) = self.stage() else {
+        let Some(Stage {
+            core,
+            engine,
+            guard,
+            ..
+        }) = self.stage()
+        else {
             return Err(ExecError::UnroutableStream(p.stream));
         };
         core.clock += 1;
@@ -773,7 +785,7 @@ pub(crate) trait Pipeline: Snapshot {
     /// and — under `verify_certificates` — the runtime certificate checks.
     fn run_purge_cycle(&mut self) {
         self.core_mut().since_purge = 0;
-        let Some((core, engine, _)) = self.stage() else {
+        let Some(Stage { core, engine, .. }) = self.stage() else {
             return;
         };
         core.metrics.purge_cycles += 1;
@@ -794,15 +806,15 @@ pub(crate) trait Pipeline: Snapshot {
             work.add(w);
         }
         self.core_mut().metrics.purged += work.purged;
-        if let Some((core, engine, _)) = self.stage() {
-            work.add(engine.purge_mirror_with(strategy));
-            core.metrics.purge_candidates_examined += work.examined;
-        }
-        // Last reader of the cycle's coverage deltas and retractions: which
-        // keys to test is read off them, against rows as the purges left them.
-        self.purge_punctuations();
-        if let Some((_, engine, _)) = self.stage() {
-            engine.end_cycle();
+        if let Some(stage) = self.stage() {
+            work.add(stage.engine.purge_mirror_with(strategy));
+            stage.core.metrics.purge_candidates_examined += work.examined;
+            // §5.1, over the union of the subscribers' predicates. Last
+            // reader of the cycle's coverage deltas and retractions: which
+            // keys to test is read off them, against rows as the purges left
+            // them.
+            stage.engine.purge_punctuations(stage.arena.ops());
+            stage.engine.end_cycle();
         }
         self.settle_pending();
         let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) else {
@@ -906,5 +918,134 @@ pub(crate) trait Pipeline: Snapshot {
             metrics.segments_written = ts.segments_written;
             metrics.segments_retired = ts.segments_retired;
         }
+    }
+}
+
+/// The driving surface of [`Executor`](crate::exec::Executor) and
+/// [`QueryRegistry`](crate::registry::QueryRegistry): push, purge,
+/// checkpoint, run to completion, restore and resume, each defined once for
+/// both. Sealed — the supertrait is crate-private on purpose.
+///
+/// After a push returns an error the engine is failed (the element was only
+/// partly applied): every later push and [`Engine::commit_checkpoint`]
+/// returns that first error again; [`Engine::finish`] still reports what was
+/// counted up to it.
+#[allow(private_bounds)]
+pub trait Engine: Pipeline {
+    /// What a finished run hands back.
+    type Output;
+
+    /// Final purge fixpoint, certificate check and sample, then the results.
+    fn finish(self) -> Self::Output;
+
+    /// Pushes one element; root results go to the engine's own sink
+    /// (recorded under [`ExecConfig::record_outputs`], counted otherwise).
+    ///
+    /// # Errors
+    /// Admission refusals under [`AdmissionPolicy::Strict`], watchdog and
+    /// bound overruns, and
+    /// [`UnroutableStream`](ExecError::UnroutableStream) while no query was
+    /// admitted.
+    fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
+        self.attempt(|this| {
+            let start = Instant::now();
+            this.push_untimed(element)?;
+            this.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
+            Ok(())
+        })
+    }
+
+    /// Runs one purge cycle now: lifespan expiry, a purge pass per operator,
+    /// the mirror's meet purge and §5.1 punctuation purging.
+    fn purge_cycle(&mut self) {
+        self.run_purge_cycle();
+    }
+
+    /// [`Engine::try_run`], panicking where it would return an error.
+    fn run(self, feed: &Feed) -> Self::Output {
+        self.try_run(feed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Pushes the whole feed through the batched path into the engine's own
+    /// sink, then finishes.
+    fn try_run(mut self, feed: &Feed) -> ExecResult<Self::Output> {
+        self.with_own_sink(|this, sink| this.feed(feed, sink))?;
+        Ok(self.finish())
+    }
+
+    /// Pushes one element and checkpoints when due: every element advances
+    /// `cursor` and the store's element counter; once the store's cadence has
+    /// accumulated **and** the element is a punctuation (snapshots are
+    /// punctuation-aligned consistent cuts), the full state is committed
+    /// atomically to the store's directory.
+    fn push_checkpointed(
+        &mut self,
+        element: &StreamElement,
+        store: &mut CheckpointStore,
+        cursor: &mut InputCursor,
+    ) -> ExecResult<()> {
+        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
+    }
+
+    /// Commits one snapshot of the current state to `store` unconditionally.
+    /// Refused by a failed engine (a half-applied element must not reach
+    /// disk) and by state that cannot be serialized: a group-by stage, a
+    /// query streaming to an attached sink. A commit the store could not
+    /// write is returned and not kept: the element before it was applied
+    /// whole.
+    fn commit_checkpoint(
+        &mut self,
+        store: &mut CheckpointStore,
+        cursor: &InputCursor,
+    ) -> ExecResult<()> {
+        self.refuse_if_failed()?;
+        self.commit_snapshot(store, cursor)
+    }
+
+    /// Pushes the whole feed with punctuation-aligned checkpointing every
+    /// `every` elements into `dir`, then finishes.
+    fn try_run_checkpointed(
+        mut self,
+        feed: &Feed,
+        dir: &Path,
+        every: u64,
+    ) -> ExecResult<Self::Output> {
+        self.run_checkpointed(feed, dir, every)?;
+        Ok(self.finish())
+    }
+
+    /// Restores an engine from the newest valid snapshot in `dir` onto what
+    /// `build` makes: an executor compiled, or a registry with **every** query
+    /// of the original run admitted in the original order (later-retired ones
+    /// included; retirement is re-applied from the snapshot), from the same
+    /// inputs. `build` is told the phase it serves for its error text. The
+    /// snapshot's structural fingerprint must match the built engine's
+    /// ([`ExecError::RestoreMismatch`]). A corrupt newest snapshot falls back
+    /// to the previous retained one (`Metrics::snapshot_fallbacks`); only when
+    /// none validates is it [`ExecError::CheckpointCorrupt`].
+    ///
+    /// Returns the engine, a store continuing the snapshot sequence at the
+    /// recorded cadence, and the input cursor to resume the feed from.
+    fn restore(
+        dir: &Path,
+        build: impl FnOnce(&str) -> Result<Self, String>,
+    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
+        Self::restore_from(dir, build)
+    }
+
+    /// [`Engine::restore`], then the rest of `feed` from the recorded cursor
+    /// — skipping exactly the elements the snapshot consumed — checkpointing
+    /// at the recorded cadence, then [`Engine::finish`]. A directory with no
+    /// snapshot (a crash before the first commit) cold-starts the whole feed
+    /// at cadence `every`, which is ignored otherwise. Either way the result
+    /// is byte-identical to an uninterrupted [`Engine::try_run_checkpointed`]
+    /// (modulo wall time and the checkpoint counters themselves).
+    fn try_resume(
+        dir: &Path,
+        build: impl Fn(&str) -> Result<Self, String>,
+        feed: &Feed,
+        every: u64,
+    ) -> ExecResult<Self::Output> {
+        Ok(Self::resume_from(dir, build, feed, every)?.finish())
     }
 }

@@ -58,6 +58,7 @@ use cjq_core::schema::{AttrId, StreamId};
 use cjq_core::scheme::{PunctuationScheme, SchemeSet};
 use cjq_core::value::Value;
 
+use crate::checkpoint::Fingerprint;
 use crate::join::JoinOperator;
 use crate::layout::SpanLayout;
 use crate::punct_store::{PunctDelta, PunctStore};
@@ -162,6 +163,23 @@ impl CompiledRecipe {
     /// How many punctuation sources a candidate waits on.
     pub(crate) fn n_steps(&self) -> usize {
         self.steps.len()
+    }
+}
+
+/// Folds where each step of each recipe looks for coverage (`None`: a port
+/// or mirror stream without one). Tracker cursors in a snapshot are positions
+/// in exactly those schemes' delta logs, and the steps are not a function of
+/// (query, schemes, plan) alone: lag weights choose between alternatives.
+pub(crate) fn fingerprint_recipes<'r>(
+    fp: &mut Fingerprint,
+    recipes: impl Iterator<Item = Option<&'r CompiledRecipe>>,
+) {
+    for recipe in recipes {
+        fp.word(recipe.map_or(u64::MAX, |r| r.steps.len() as u64));
+        for step in recipe.iter().flat_map(|r| &r.steps) {
+            fp.word(step.target.0 as u64);
+            fp.word(step.scheme_idx as u64);
+        }
     }
 }
 

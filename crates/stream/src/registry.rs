@@ -6,11 +6,10 @@
 //! candidate query is checked by Theorems 2/4 (`cjq_core::safety`), and an
 //! unsafe query is rejected with the same unsafety *witness pair* that
 //! `cjq-lint` reports — admission never destabilizes the queries already
-//! running. Safe queries have their plans canonicalized bottom-up into
-//! `NodeKey`s (child identity + the predicate set the node evaluates, plus
-//! the full query predicate set under [`PurgeScope::Query`], where recipes
-//! depend on it); sub-plans with equal keys share one [`JoinOperator`] node,
-//! so the PortState arenas, probe indexes, and purge-index/delta-log
+//! running. Safe queries have their plans canonicalized (children in order
+//! of their least stream) and interned bottom-up into the one operator arena
+//! (`arena.rs`); sub-plans with equal node keys share one `JoinOperator`
+//! node, so the PortState arenas, probe indexes, and purge-index/delta-log
 //! maintenance for an overlapping join sub-graph are paid **once** and
 //! fanned out to every subscribed query.
 //!
@@ -44,31 +43,26 @@
 //! `tests/registry_equivalence.rs` asserts across cadences and shard
 //! counts.
 
-use std::path::Path;
 use std::time::Instant;
 
-use cjq_core::fxhash::FxHashMap;
 use cjq_core::plan::Plan;
-use cjq_core::query::{Cjq, JoinPredicate};
+use cjq_core::query::Cjq;
 use cjq_core::safety;
 use cjq_core::schema::StreamId;
 use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
-use crate::certify;
-use crate::checkpoint::{
-    CheckpointStore, Codec, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
-};
-use crate::element::StreamElement;
+use crate::arena::{ChildKey, Lowering, OpArena};
+use crate::certify::static_certificates;
+use crate::checkpoint::{Codec, Dec, Enc, Fingerprint, SnapshotKind, SnapshotResult};
 use crate::error::ExecResult;
 use crate::exec::{fingerprint_query, fingerprint_schemes, ExecConfig};
 use crate::guard::AdmissionGuard;
-use crate::join::JoinOperator;
 use crate::metrics::{facts, Metrics};
 use crate::parallel::{fan_out, Partitioning};
-use crate::pipeline::{Checkpointed, Core, Pipeline, Run, Snapshot};
-use crate::purge::{MirrorSubscription, PurgeEngine, PurgeScope};
-use crate::sink::{OutputBuffer, ResultSink};
+use crate::pipeline::{Core, Engine, Pipeline, Run, Snapshot, Stage};
+use crate::purge::{fingerprint_recipes, MirrorSubscription, PurgeEngine};
+use crate::sink::ResultSink;
 use crate::source::{ElementBatch, Feed};
 
 /// Handle of an admitted query, stable for the registry's lifetime.
@@ -133,41 +127,6 @@ pub struct RegistryResult {
     pub metrics: Metrics,
 }
 
-/// Identity of a canonicalized sub-plan input: a raw stream or another
-/// interned node (children intern before parents, so the index is final).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ChildKey {
-    Leaf(StreamId),
-    Inner(usize),
-}
-
-/// Canonical identity of a join node: everything [`JoinOperator::new`] and
-/// recipe derivation read. Two sub-plans with equal keys behave identically
-/// for every subscriber, so they may share one node.
-///
-/// `span_preds` are the query predicates with both endpoints inside the
-/// node's span (sorted; [`JoinPredicate`] is structurally normalized) —
-/// they determine probing *and* the [`PurgeScope::Operator`] recipes.
-/// Under [`PurgeScope::Query`] recipes are derived over the *full* query,
-/// so the key additionally pins the whole predicate set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct NodeKey {
-    children: Vec<ChildKey>,
-    span_preds: Vec<JoinPredicate>,
-    query_preds: Option<Vec<JoinPredicate>>,
-}
-
-/// A shared operator node: the join operator plus its routing inputs, a
-/// reusable output buffer (valid for the current run only), and the live
-/// subscriber count that drives retirement tombstoning.
-struct Node {
-    key: NodeKey,
-    children: Vec<ChildKey>,
-    op: JoinOperator,
-    subscribers: usize,
-    out_buf: OutputBuffer,
-}
-
 /// One admitted query: its share of the node arena plus per-query state.
 struct QuerySlot {
     query: Cjq,
@@ -202,10 +161,8 @@ pub struct QueryRegistry {
     engine: Option<PurgeEngine>,
     /// Shape admission guard (catalog-wide, policy from the config).
     guard: Option<AdmissionGuard>,
-    /// Node arena, bottom-up (children at lower indices). Retired nodes are
-    /// tombstoned in place so indices stay stable.
-    nodes: Vec<Option<Node>>,
-    node_index: FxHashMap<NodeKey, usize>,
+    /// The shared operator nodes, bottom-up.
+    arena: OpArena,
     queries: Vec<QuerySlot>,
 }
 
@@ -239,16 +196,9 @@ impl QueryRegistry {
             core: Core::new(cfg),
             engine: None,
             guard: None,
-            nodes: Vec::new(),
-            node_index: FxHashMap::default(),
+            arena: OpArena::default(),
             queries: Vec::new(),
         }
-    }
-
-    /// Admits a query, panicking on rejection.
-    pub fn admit(&mut self, query: &Cjq, plan: &Plan) -> QueryId {
-        self.try_admit(query, plan, None)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Admits a query mid-stream: safety-checks it, interns its plan into
@@ -325,42 +275,24 @@ impl QueryRegistry {
             self.guard = Some(AdmissionGuard::new(query, self.core.cfg.admission));
         }
         let mut acc = Vec::new();
-        let root_key = intern_plan(
+        let cx = Lowering {
             query,
-            &self.schemes,
-            self.core.cfg.scope,
-            self.engine.as_ref().expect("bootstrapped above"),
-            &mut self.nodes,
-            &mut self.node_index,
-            plan,
-            &mut acc,
-        );
-        let ChildKey::Inner(root) = root_key else {
+            schemes: &self.schemes,
+            cfg: &self.core.cfg,
+            engine: self.engine.as_ref().expect("bootstrapped above"),
+        };
+        let ChildKey::Inner(root) = self.arena.intern_plan(&cx, &canonical(plan), &mut acc) else {
             unreachable!("leaf plans rejected above");
         };
-        for &n in &acc {
-            let node = self.nodes[n].as_mut().expect("freshly interned");
-            node.subscribers += 1;
-            if self.core.cfg.tiering.is_some() {
-                // Shared nodes demote under the budget ladder; the node's
-                // own recipes certify its segments (node identity pins the
-                // predicate set, so every subscriber shares them).
-                node.op.enable_tiering();
-            }
-        }
         let engine = self.engine.as_mut().expect("bootstrapped above");
         let mirror = engine.subscribe(query, &self.schemes);
         if self.core.cfg.verify_certificates {
-            let ops = acc
-                .iter()
-                .map(|&i| &self.nodes[i].as_ref().expect("interned").op);
-            if let Some(mismatch) = certify::static_certificates_with(
-                query,
-                &self.schemes,
-                self.core.cfg.scope,
-                ops,
-                |s| mirror[s.0].is_some(),
-            ) {
+            let ops = acc.iter().filter_map(|&i| self.arena.op(i));
+            let scope = self.core.cfg.scope;
+            let recipe_for = |s: StreamId| mirror[s.0].is_some();
+            if let Some(mismatch) =
+                static_certificates(query, &self.schemes, scope, ops, recipe_for)
+            {
                 panic!("static certificate violation at admission: {mismatch}");
             }
         }
@@ -402,7 +334,7 @@ impl QueryRegistry {
         }
         self.unsubscribe(id.0)
             .expect("a live query's nodes are present");
-        self.purge_cycle();
+        self.run_purge_cycle();
         true
     }
 
@@ -415,7 +347,7 @@ impl QueryRegistry {
     /// Number of live (non-tombstoned) shared operator nodes.
     #[must_use]
     pub fn live_nodes(&self) -> usize {
-        self.nodes.iter().flatten().count()
+        self.arena.ops().count()
     }
 
     /// Total operator subscriptions across live queries: what `N`
@@ -461,68 +393,27 @@ impl QueryRegistry {
         self.queries.get(id.0).is_some_and(|q| q.live)
     }
 
-    /// Pushes one element, panicking on error.
-    pub fn push(&mut self, element: &StreamElement) {
-        self.try_push(element).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Pushes one element through the shared pipeline (see
-    /// [`crate::exec::Executor::try_push`] for the error contract; after an
-    /// error the registry is failed and refuses every later push and commit
-    /// with it).
-    ///
-    /// # Errors
-    /// Admission refusals under `AdmissionPolicy::Strict`;
-    /// [`UnroutableStream`](crate::error::ExecError::UnroutableStream) while
-    /// no query was ever admitted.
-    pub fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
-        self.push_timed(element)
-    }
-
-    /// Pushes a gathered micro-batch, panicking on error.
-    pub fn push_batch(&mut self, batch: &ElementBatch<'_>) {
-        self.try_push_batch(batch).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// Pushes a gathered micro-batch through the single-pass batch plane:
     /// each same-stream run flows through the node arena once (capped at
     /// purge/sample boundaries exactly like the single-query executor) and
     /// every interested query reads its root's buffer.
     ///
     /// # Errors
-    /// See [`QueryRegistry::try_push`].
+    /// See [`Engine::try_push`].
     pub fn try_push_batch(&mut self, batch: &ElementBatch<'_>) -> ExecResult<()> {
         self.push_batch_timed(batch, &mut ())
-    }
-
-    /// Runs a whole feed through the batched path and finishes.
-    ///
-    /// # Panics
-    /// Panics where [`QueryRegistry::try_run`] would return an error.
-    #[must_use]
-    pub fn run(self, feed: &Feed) -> RegistryResult {
-        self.try_run(feed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`QueryRegistry::run`].
-    ///
-    /// # Errors
-    /// See [`QueryRegistry::try_push`].
-    pub fn try_run(mut self, feed: &Feed) -> ExecResult<RegistryResult> {
-        self.try_feed(feed)?;
-        Ok(self.finish())
     }
 
     /// Pushes a whole feed through the batched path without finishing (the
     /// registry stays open for further admissions and elements).
     ///
     /// # Errors
-    /// See [`QueryRegistry::try_push`].
+    /// See [`Engine::try_push`].
     pub fn try_feed(&mut self, feed: &Feed) -> ExecResult<()> {
         self.feed(feed, &mut ())
     }
 
-    /// Final purge fixpoint + certificate check + sample, returning every
+    /// [`Engine::finish`], callable without the trait in scope: every
     /// query's results (retired queries keep the results they had).
     ///
     /// # Panics
@@ -553,127 +444,41 @@ impl QueryRegistry {
         }
     }
 
-    /// One shared purge cycle: lifespan expiry, a purge pass per live node
-    /// (attributed to every subscriber), the **mirror meet purge**, and the
-    /// runtime certificate verification — per query.
-    pub fn purge_cycle(&mut self) {
-        self.run_purge_cycle();
-    }
-
-    /// Unsubscribes retiring query `qi` from its nodes (root last),
-    /// tombstoning nodes no subscriber is left on, and from the mirror meet.
-    /// `None` if a node is already gone.
+    /// Unsubscribes retiring query `qi` from its nodes and from the mirror
+    /// meet. `None` if a node is already gone.
     fn unsubscribe(&mut self, qi: usize) -> Option<()> {
         let q = &self.queries[qi];
-        for &n in q.nodes.iter().rev() {
-            let node = self.nodes[n].as_mut()?;
-            node.subscribers -= 1;
-            if node.subscribers == 0 {
-                let node = self.nodes[n].take()?;
-                self.node_index.remove(&node.key);
-            }
-        }
+        self.arena.release(&q.nodes)?;
         self.engine.as_mut()?.unsubscribe(&q.query, &q.mirror);
         Some(())
     }
+}
 
-    /// Pushes one element and checkpoints when due (the registry analogue of
-    /// [`crate::exec::Executor::push_checkpointed`]: snapshots are
-    /// punctuation-aligned consistent cuts of the whole shared arena).
-    pub fn push_checkpointed(
-        &mut self,
-        element: &StreamElement,
-        store: &mut CheckpointStore,
-        cursor: &mut InputCursor,
-    ) -> ExecResult<()> {
-        self.push_all_checkpointed(std::slice::from_ref(element), store, cursor)
-    }
-
-    /// Commits one snapshot of the whole registry to `store` unconditionally.
-    /// Queries streaming to an attached sink are not checkpointable.
-    pub fn commit_checkpoint(
-        &mut self,
-        store: &mut CheckpointStore,
-        cursor: &InputCursor,
-    ) -> ExecResult<()> {
-        self.commit_snapshot(store, cursor)
-    }
-
-    /// Runs a whole feed element-by-element with punctuation-aligned
-    /// checkpointing every `every` elements into `dir`, then finishes.
-    /// At least one query must have been admitted.
-    pub fn try_run_checkpointed(
-        mut self,
-        feed: &Feed,
-        dir: &Path,
-        every: u64,
-    ) -> ExecResult<RegistryResult> {
-        self.run_checkpointed(feed, dir, every)?;
-        Ok(self.finish())
-    }
-
-    /// How restore and resume re-admit `specs` into a fresh registry, with
-    /// the error text of the phase they are in.
-    fn readmitter<'a>(
-        schemes: &'a SchemeSet,
-        cfg: ExecConfig,
-        specs: &'a [(Cjq, Plan)],
-    ) -> impl Fn(&str) -> Result<Self, String> + 'a {
-        move |phase| {
-            let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-            for (q, p) in specs {
-                reg.try_admit(q, p, None)
-                    .map_err(|e| format!("cannot re-admit query for {phase}: {e}"))?;
-            }
-            Ok(reg)
+/// Commuted writings of one join share a node: children in order of their
+/// least stream, at every level.
+fn canonical(plan: &Plan) -> Plan {
+    match plan {
+        Plan::Leaf(_) => plan.clone(),
+        Plan::Join(children) => {
+            let mut kids: Vec<Plan> = children.iter().map(canonical).collect();
+            kids.sort_by_key(|kid| kid.span().first().copied());
+            Plan::Join(kids)
         }
-    }
-
-    /// Restores a registry from the newest valid snapshot in `dir`.
-    ///
-    /// `specs` must be **every** query admitted in the original run, in
-    /// admission order — including queries that were later retired (their
-    /// retired state is re-applied from the snapshot). Queries admitted
-    /// *after* the snapshot was taken are unknown to it and must be
-    /// re-admitted by the caller after this returns. Mismatched specs fail
-    /// with [`RestoreMismatch`](crate::error::ExecError::RestoreMismatch); a
-    /// corrupt newest snapshot falls back to the previous retained one.
-    ///
-    /// Returns the registry, a store continuing the snapshot sequence at the
-    /// recorded cadence, and the input cursor to resume the feed from.
-    pub fn restore(
-        dir: &Path,
-        schemes: &SchemeSet,
-        cfg: ExecConfig,
-        specs: &[(Cjq, Plan)],
-    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
-        Self::restore_from(dir, Self::readmitter(schemes, cfg, specs))
-    }
-
-    /// Restores from `dir` (see [`QueryRegistry::restore`]) and resumes the
-    /// feed from the recorded cursor, continuing to checkpoint at the
-    /// recorded cadence. An empty directory (crash before the first commit)
-    /// cold-starts the whole feed at cadence `every` (ignored otherwise —
-    /// the manifest's recorded cadence wins). Byte-identical to an
-    /// uninterrupted [`QueryRegistry::try_run_checkpointed`] over the same
-    /// feed (modulo wall time and the checkpoint counters themselves).
-    pub fn try_resume(
-        dir: &Path,
-        schemes: &SchemeSet,
-        cfg: ExecConfig,
-        specs: &[(Cjq, Plan)],
-        feed: &Feed,
-        every: u64,
-    ) -> ExecResult<RegistryResult> {
-        let readmitter = Self::readmitter(schemes, cfg, specs);
-        Ok(Self::resume_from(dir, readmitter, feed, every)?.finish())
     }
 }
 
-/// What separates the registry from the shared pipeline: single-pass routing
-/// over the node arena with per-query fan-out (no caller sink) and
-/// per-subscriber purge credit. No single-query monitor applies ([`QueryRegistry::new`]
-/// refuses their knobs).
+impl Engine for QueryRegistry {
+    type Output = RegistryResult;
+
+    fn finish(self) -> RegistryResult {
+        QueryRegistry::finish(self)
+    }
+}
+
+/// What separates the registry from the shared pipeline: root buffers fan
+/// out to the queries' own sinks (no caller sink), purges are credited per
+/// subscriber, and the recipe set stays open. No single-query monitor applies
+/// ([`QueryRegistry::new`] refuses their knobs).
 impl Pipeline for QueryRegistry {
     type Sink<'s> = ();
 
@@ -689,21 +494,17 @@ impl Pipeline for QueryRegistry {
         self.engine.as_ref()
     }
 
-    fn stage(&mut self) -> Option<(&mut Core, &mut PurgeEngine, &AdmissionGuard)> {
-        Some((&mut self.core, self.engine.as_mut()?, self.guard.as_ref()?))
+    fn arena(&self) -> &OpArena {
+        &self.arena
     }
 
-    fn op_slots(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn op(&self, i: usize) -> Option<&JoinOperator> {
-        Some(&self.nodes.get(i)?.as_ref()?.op)
-    }
-
-    fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)> {
-        let node = self.nodes.get_mut(i)?.as_mut()?;
-        Some((&mut node.op, self.engine.as_ref()?, &mut self.core))
+    fn stage(&mut self) -> Option<Stage<'_>> {
+        Some(Stage {
+            core: &mut self.core,
+            engine: self.engine.as_mut()?,
+            guard: self.guard.as_ref()?,
+            arena: &mut self.arena,
+        })
     }
 
     fn with_own_sink<R>(
@@ -713,70 +514,25 @@ impl Pipeline for QueryRegistry {
         f(self, &mut ())
     }
 
-    /// A **single pass** over the node arena bottom-up — every node whose
-    /// span contains the stream probes once, from the raw run (leaf port) or
-    /// from its child's buffer — then root buffers fan out to every live
-    /// query.
+    /// The arena's cascade, then each live query drains its root node's
+    /// buffer.
     fn route(&mut self, run: Run<'_>, survivors: &[u32], _sink: &mut ()) -> ExecResult<()> {
-        // Children sit at lower indices than their parents, so walking the
-        // arena in index order guarantees every inner input buffer is
-        // current before its parent reads it; a node whose span misses the
-        // stream is skipped, and no parent ever reads a skipped child's
-        // (stale) buffer because the parent routes through the port
-        // containing the stream.
-        for n in 0..self.nodes.len() {
-            let Some(port) = self.nodes[n]
-                .as_ref()
-                .and_then(|node| node.op.port_of(run.stream))
-            else {
-                continue;
-            };
-            let child = self.nodes[n].as_ref().expect("checked above").children[port];
-            let (left, right) = self.nodes.split_at_mut(n);
-            let node = right[0].as_mut().expect("checked above");
-            node.out_buf.reset(node.op.out_layout().width());
-            let saved = match child {
-                ChildKey::Leaf(_) => {
-                    node.op
-                        .process_batch(port, run.rows(survivors), &mut node.out_buf)
-                }
-                ChildKey::Inner(c) => {
-                    let cbuf = &left[c].as_ref().expect("children outlive parents").out_buf;
-                    if cbuf.is_empty() {
-                        0
-                    } else {
-                        node.op
-                            .process_batch(port, cbuf.iter_with_now(), &mut node.out_buf)
-                    }
-                }
-            };
-            self.core.metrics.probe_keys_deduped += saved;
-        }
-        // Fan-out: each live query drains its root node's buffer.
+        self.arena.cascade(run, survivors, &mut self.core.metrics);
         let record = self.core.cfg.record_outputs;
         for q in self.queries.iter_mut().filter(|q| q.live) {
-            let node = self.nodes[q.root].as_ref().expect("live query's root");
-            if node.out_buf.is_empty() {
+            let out = self.arena.out(q.root);
+            if out.is_empty() {
                 continue;
             }
-            q.stats.outputs += node.out_buf.len() as u64;
-            self.core.metrics.outputs += node.out_buf.len() as u64;
+            q.stats.outputs += out.len() as u64;
+            self.core.metrics.outputs += out.len() as u64;
             if let Some(sink) = q.sink.as_mut() {
-                sink.accept(&node.out_buf);
+                sink.accept(out);
             } else if record {
-                q.outputs.extend(node.out_buf.rows().map(<[Value]>::to_vec));
+                q.outputs.extend(out.rows().map(<[Value]>::to_vec));
             }
         }
         Ok(())
-    }
-
-    /// Over the union of the live tenants' predicates: an entry goes when
-    /// every tenant's §5.1 conditions hold — the rule rows obey.
-    fn purge_punctuations(&mut self) {
-        let ops = self.nodes.iter().flatten().map(|node| &node.op);
-        if let Some(engine) = &mut self.engine {
-            engine.purge_punctuations(ops);
-        }
     }
 
     /// Rows leaving a shared node count once per subscriber.
@@ -795,12 +551,12 @@ impl Snapshot for QueryRegistry {
     const KIND: SnapshotKind = SnapshotKind::Registry;
 
     /// Structural fingerprint of the registry's membership: config knobs,
-    /// every admitted query's predicates and arena subscription (node
-    /// indices pin the interning shape), and the punctuation schemes. A
-    /// registry snapshot only overlays onto a registry re-admitted from the
-    /// same `(query, plan)` sequence under the same config. Retirement does
-    /// not change the fingerprint — restore re-applies retired flags from
-    /// the snapshot.
+    /// every admitted query's predicates, mirror recipes and arena
+    /// subscription, what each arena node was compiled as, and the
+    /// punctuation schemes. A registry snapshot only overlays onto a registry
+    /// re-admitted from the same `(query, plan)` sequence under the same
+    /// config. Retirement does not change the fingerprint — restore
+    /// re-applies retired flags from the snapshot.
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::default();
         self.core.cfg.fingerprint_into(&mut fp);
@@ -812,7 +568,9 @@ impl Snapshot for QueryRegistry {
                 fp.word(n as u64);
             }
             fp.word(q.root as u64);
+            fingerprint_recipes(&mut fp, q.mirror.iter().map(Option::as_ref));
         }
+        self.arena.fingerprint_into(&mut fp);
         if let (Some(engine), Some(first)) = (&self.engine, self.queries.first()) {
             fingerprint_schemes(&mut fp, &first.query, engine);
         }
@@ -820,8 +578,7 @@ impl Snapshot for QueryRegistry {
     }
 
     /// Serializes everything element routing mutates: clocks, metrics,
-    /// per-query membership/stats/outputs, the shared engine, and every
-    /// live node's operator state.
+    /// per-query membership/stats/outputs, the shared engine, and the arena.
     fn write_snapshot(&self, e: &mut Enc) {
         self.core.write_pacing(e);
         self.core.metrics.write_state(e);
@@ -838,16 +595,7 @@ impl Snapshot for QueryRegistry {
             }
             None => e.bool(false),
         }
-        e.usize(self.nodes.len());
-        for node in &self.nodes {
-            match node {
-                Some(n) => {
-                    e.bool(true);
-                    n.op.write_state(e);
-                }
-                None => e.bool(false),
-            }
-        }
+        self.arena.write_state(e);
     }
 
     /// Overlays a serialized snapshot onto this freshly re-admitted
@@ -882,21 +630,7 @@ impl Snapshot for QueryRegistry {
                 "snapshot has no engine state but queries were re-admitted".into(),
             ));
         }
-        let nn = d.count_of("arena nodes after re-admission", self.nodes.len())?;
-        let spill = &mut self.core.spill;
-        for ni in 0..nn {
-            let present = d.bool()?;
-            match (present, self.nodes[ni].as_mut()) {
-                (true, Some(node)) => node.op.read_state(d, spill, ni)?,
-                (false, None) => {}
-                _ => {
-                    return Err(SnapshotError(
-                        "node arena tombstones disagree with snapshot".into(),
-                    ))
-                }
-            }
-        }
-        Ok(())
+        self.arena.read_state(d, &mut self.core.spill)
     }
 
     /// A sink cannot be serialized, and a resumed run would silently drop
@@ -909,76 +643,6 @@ impl Snapshot for QueryRegistry {
                 "queries with attached sinks are not checkpointable: a sink \
                  cannot be serialized",
             )
-    }
-}
-
-/// Interns `plan` into the node arena bottom-up, appending every node the
-/// plan touches (shared or new) to `acc` (root last). Children are
-/// canonicalized by minimum span stream so commuted writings of the same
-/// join share a node.
-#[allow(clippy::too_many_arguments)]
-fn intern_plan(
-    query: &Cjq,
-    schemes: &SchemeSet,
-    scope: PurgeScope,
-    engine: &PurgeEngine,
-    nodes: &mut Vec<Option<Node>>,
-    node_index: &mut FxHashMap<NodeKey, usize>,
-    plan: &Plan,
-    acc: &mut Vec<usize>,
-) -> ChildKey {
-    match plan {
-        Plan::Leaf(s) => ChildKey::Leaf(*s),
-        Plan::Join(children) => {
-            let mut kids: Vec<(Vec<StreamId>, ChildKey)> = children
-                .iter()
-                .map(|c| {
-                    let mut span = c.span();
-                    span.sort_unstable();
-                    let key = intern_plan(query, schemes, scope, engine, nodes, node_index, c, acc);
-                    (span, key)
-                })
-                .collect();
-            kids.sort_by(|a, b| a.0.first().cmp(&b.0.first()));
-            let child_keys: Vec<ChildKey> = kids.iter().map(|(_, k)| *k).collect();
-            let mut span: Vec<StreamId> =
-                kids.iter().flat_map(|(sp, _)| sp.iter().copied()).collect();
-            span.sort_unstable();
-            let in_span = |p: &JoinPredicate| {
-                span.binary_search(&p.left.stream).is_ok()
-                    && span.binary_search(&p.right.stream).is_ok()
-            };
-            let mut span_preds: Vec<JoinPredicate> =
-                query.predicates().iter().copied().filter(in_span).collect();
-            span_preds.sort_unstable();
-            let query_preds = (scope == PurgeScope::Query).then(|| {
-                let mut all: Vec<JoinPredicate> = query.predicates().to_vec();
-                all.sort_unstable();
-                all
-            });
-            let key = NodeKey {
-                children: child_keys.clone(),
-                span_preds,
-                query_preds,
-            };
-            if let Some(&idx) = node_index.get(&key) {
-                acc.push(idx);
-                return ChildKey::Inner(idx);
-            }
-            let port_spans: Vec<Vec<StreamId>> = kids.into_iter().map(|(sp, _)| sp).collect();
-            let op = JoinOperator::new(query, schemes, port_spans, scope, engine);
-            let idx = nodes.len();
-            nodes.push(Some(Node {
-                key: key.clone(),
-                children: child_keys,
-                op,
-                subscribers: 0,
-                out_buf: OutputBuffer::default(),
-            }));
-            node_index.insert(key, idx);
-            acc.push(idx);
-            ChildKey::Inner(idx)
-        }
     }
 }
 
@@ -1145,12 +809,15 @@ impl ShardedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{CheckpointStore, InputCursor};
+    use crate::element::StreamElement;
     use crate::error::ExecError;
     use crate::exec::Executor;
     use crate::guard::{AdmissionFault, AdmissionPolicy};
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
     use cjq_core::punctuation::Punctuation;
+    use cjq_core::query::JoinPredicate;
     use cjq_core::schema::{AttrId, AttrRef, Catalog, StreamSchema};
     use cjq_core::scheme::PunctuationScheme;
     use cjq_core::value::Value;
@@ -1199,8 +866,8 @@ mod tests {
     fn identical_queries_share_every_node() {
         let (query, schemes, plan) = tiny();
         let mut reg = QueryRegistry::new(schemes, cfg());
-        let a = reg.admit(&query, &plan);
-        let b = reg.admit(&query, &plan);
+        let a = reg.try_admit(&query, &plan, None).unwrap();
+        let b = reg.try_admit(&query, &plan, None).unwrap();
         assert_ne!(a, b);
         assert_eq!(reg.live_queries(), 2);
         assert_eq!(reg.live_nodes(), 1, "one shared node for both tenants");
@@ -1215,8 +882,8 @@ mod tests {
             .unwrap()
             .run(&feed);
         let mut reg = QueryRegistry::new(schemes, cfg());
-        let a = reg.admit(&query, &plan);
-        let b = reg.admit(&query, &plan);
+        let a = reg.try_admit(&query, &plan, None).unwrap();
+        let b = reg.try_admit(&query, &plan, None).unwrap();
         let done = reg.run(&feed);
         for id in [a, b] {
             assert_eq!(done.queries[id.0].outputs, solo.outputs);
@@ -1231,7 +898,7 @@ mod tests {
     /// `try_*` report errors as values: before the first admission there is
     /// no catalog to route against, which is `UnroutableStream` on every
     /// entry point (these used to panic inside `try_push*`); the panicking
-    /// wrappers render the same error.
+    /// `run` renders the same error.
     #[test]
     fn pushing_before_any_admission_is_an_error_not_a_panic() {
         let (_, schemes, _) = tiny();
@@ -1257,10 +924,11 @@ mod tests {
         let mut cursor = InputCursor::zero(2);
         unroutable(reg.push_checkpointed(&tuple, &mut store, &mut cursor), 0);
         let _ = std::fs::remove_dir_all(&dir);
+        let feed = Feed::from_elements(vec![tuple]);
         let panicked = std::panic::catch_unwind(|| {
-            QueryRegistry::new(schemes, cfg()).push(&tuple);
+            let _ = QueryRegistry::new(schemes, cfg()).run(&feed);
         })
-        .expect_err("push panics where try_push errs");
+        .expect_err("run panics where try_run errs");
         let message = panicked.downcast_ref::<String>().expect("formatted panic");
         assert_eq!(
             *message,
@@ -1300,7 +968,7 @@ mod tests {
             let cfg = ExecConfig { admission, ..cfg() };
             let registry = || {
                 let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-                reg.admit(&query, &plan);
+                reg.try_admit(&query, &plan, None).unwrap();
                 reg
             };
             let executor = || Executor::compile(&query, &schemes, &plan, cfg).unwrap();
@@ -1357,8 +1025,8 @@ mod tests {
     fn retirement_tombstones_unshared_nodes() {
         let (query, schemes, plan) = tiny();
         let mut reg = QueryRegistry::new(schemes, cfg());
-        let a = reg.admit(&query, &plan);
-        let b = reg.admit(&query, &plan);
+        let a = reg.try_admit(&query, &plan, None).unwrap();
+        let b = reg.try_admit(&query, &plan, None).unwrap();
         assert!(reg.retire(a));
         assert!(!reg.retire(a), "double retire is a no-op");
         assert_eq!(reg.live_queries(), 1);
@@ -1376,7 +1044,7 @@ mod tests {
     fn mirror_drains_when_the_last_tenant_retires() {
         let (query, schemes, plan) = tiny();
         let mut reg = QueryRegistry::new(schemes.clone(), cfg());
-        let first = reg.admit(&query, &plan);
+        let first = reg.try_admit(&query, &plan, None).unwrap();
         assert!(reg.retire(first));
         let round = |r: i64| -> [StreamElement; 4] {
             [
@@ -1388,16 +1056,16 @@ mod tests {
         };
         for r in 0..1_000 {
             for e in &round(r) {
-                reg.push(e);
+                reg.try_push(e).unwrap();
             }
             let mirror = reg.engine.as_ref().unwrap().mirror_live();
             assert_eq!(mirror, 0, "round {r}: nobody is left to keep a row");
         }
-        let late = reg.admit(&query, &plan);
+        let late = reg.try_admit(&query, &plan, None).unwrap();
         let mut suffix = Feed::new();
         for r in 1_000..1_006 {
             for e in round(r) {
-                reg.push(&e);
+                reg.try_push(&e).unwrap();
                 suffix.push(e);
             }
         }
@@ -1425,19 +1093,23 @@ mod tests {
         )
         .unwrap();
         let mut reg = QueryRegistry::new(schemes, cfg());
-        reg.admit(&query, &plan);
-        let lone = reg.admit(&other, &Plan::mjoin_all(&other));
+        reg.try_admit(&query, &plan, None).unwrap();
+        let lone = reg
+            .try_admit(&other, &Plan::mjoin_all(&other), None)
+            .unwrap();
         let interned = |reg: &QueryRegistry| reg.engine.as_ref().unwrap().interned();
         let before = interned(&reg);
         assert_eq!(before.0, 4, "two distinct recipes on each of two streams");
-        reg.admit(&query, &plan);
+        reg.try_admit(&query, &plan, None).unwrap();
         assert_eq!(interned(&reg), before, "no new tracker, no new purge index");
 
         // `b` closes k = 0..8, but never v: every `a` row is dead for the
         // k-joiners and alive for the lone v-joiner.
         for r in 0i64..8 {
-            reg.push(&Tuple::of(0, [Value::Int(r), Value::Int(100 + r)]).into());
-            reg.push(&StreamElement::Punctuation(punct(1, 0, r)));
+            reg.try_push(&Tuple::of(0, [Value::Int(r), Value::Int(100 + r)]).into())
+                .unwrap();
+            reg.try_push(&StreamElement::Punctuation(punct(1, 0, r)))
+                .unwrap();
         }
         let engine = |reg: &QueryRegistry| {
             let engine = reg.engine.as_ref().unwrap();
@@ -1450,7 +1122,8 @@ mod tests {
         assert_eq!(reg.metrics().purge_candidates_examined, examined + 8);
         assert_eq!(interned(&reg).0, 2);
         // Re-seeded once: an idle cycle over a live mirror examines nothing.
-        reg.push(&Tuple::of(0, [Value::Int(50), Value::Int(50)]).into());
+        reg.try_push(&Tuple::of(0, [Value::Int(50), Value::Int(50)]).into())
+            .unwrap();
         reg.purge_cycle();
         let examined = reg.metrics().purge_candidates_examined;
         reg.purge_cycle();
@@ -1465,16 +1138,16 @@ mod tests {
         let elements = feed.elements();
         let half = elements.len() / 2;
         let mut reg = QueryRegistry::new(schemes, cfg());
-        let early = reg.admit(&query, &plan);
+        let early = reg.try_admit(&query, &plan, None).unwrap();
         for e in &elements[..half] {
-            reg.push(e);
+            reg.try_push(e).unwrap();
         }
         let before = reg.stats(early).unwrap().outputs as usize;
         // Fully-overlapping late admission: shares the (stateful) node, so
         // its outputs are exactly the early query's post-admission suffix.
-        let late = reg.admit(&query, &plan);
+        let late = reg.try_admit(&query, &plan, None).unwrap();
         for e in &elements[half..] {
-            reg.push(e);
+            reg.try_push(e).unwrap();
         }
         let done = reg.finish();
         let early_out = &done.queries[early.0].outputs;
@@ -1505,15 +1178,19 @@ mod tests {
             tuples.into_iter().chain(closes)
         };
         let mut reg = QueryRegistry::new(schemes, cfg());
-        let early = reg.admit(&on_k, &plan);
-        (0..6).flat_map(round).for_each(|e| reg.push(&e));
+        let early = reg.try_admit(&on_k, &plan, None).unwrap();
+        (0..6)
+            .flat_map(round)
+            .for_each(|e| reg.try_push(&e).unwrap());
         let entries = |reg: &QueryRegistry| reg.engine.as_ref().unwrap().punct_entries();
         // `k` closed on both sides and drained: forgotten. Nobody reads `v`.
         assert_eq!(entries(&reg), 12);
         assert_eq!(reg.metrics().punct_dropped, 0, "counted at finish");
 
-        let late = reg.admit(&on_v, &plan);
-        (6..12).flat_map(round).for_each(|e| reg.push(&e));
+        let late = reg.try_admit(&on_v, &plan, None).unwrap();
+        (6..12)
+            .flat_map(round)
+            .for_each(|e| reg.try_push(&e).unwrap());
         // The late tenant's `v` entries go like the early one's `k` entries
         // did; the twelve that predate it had no news and stay. Under the
         // meet of two tenants a mirror row outlives one side's close, so
@@ -1522,12 +1199,13 @@ mod tests {
         assert_eq!(entries(&reg), 12 + 6);
         assert_eq!(reg.join_state_live(), 0);
         // They still cover: the store refuses what they forbid.
-        reg.push(&Tuple::of(0, [Value::Int(99), Value::Int(100)]).into());
+        reg.try_push(&Tuple::of(0, [Value::Int(99), Value::Int(100)]).into())
+            .unwrap();
         assert_eq!(reg.metrics().violations, 1);
         // A retirement is no news either: what only the retiree's conditions
         // kept is not re-tested, and nothing breaks.
         assert!(reg.retire(early));
-        round(12).for_each(|e| reg.push(&e));
+        round(12).for_each(|e| reg.try_push(&e).unwrap());
         let done = reg.finish();
         assert_eq!(done.queries[early.0].outputs.len(), 12);
         assert_eq!(done.queries[late.0].outputs.len(), 7);
@@ -1540,7 +1218,7 @@ mod tests {
         let (query, schemes, plan) = tiny();
         let feed = tiny_feed();
         let mut reg = QueryRegistry::new(schemes.clone(), cfg());
-        let a = reg.admit(&query, &plan);
+        let a = reg.try_admit(&query, &plan, None).unwrap();
         let seq = reg.run(&feed);
         let sharded = ShardedRegistry::compile(
             &[(query.clone(), plan.clone()), (query, plan)],
@@ -1581,7 +1259,7 @@ mod tests {
             .unwrap()
             .run(&feed);
         let mut reg = QueryRegistry::new(schemes, cfg());
-        let id = reg.admit(&query, &plan);
+        let id = reg.try_admit(&query, &plan, None).unwrap();
         let done = reg.run(&feed);
         assert_eq!(done.queries[id.0].outputs, solo.outputs);
         assert_eq!(done.queries[id.0].stats.purged, solo.metrics.purged);

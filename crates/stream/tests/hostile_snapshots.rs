@@ -39,6 +39,7 @@ use cjq_stream::registry::QueryRegistry;
 use cjq_stream::source::Feed;
 use cjq_stream::tier::TierConfig;
 use cjq_stream::tuple::Tuple;
+use cjq_stream::Engine;
 
 const KINDS: usize = 4;
 
@@ -112,14 +113,21 @@ fn restore(kind: usize, dir: &Path) -> Result<(), ExecError> {
     match kind {
         0 | 1 => {
             let cfg = [ExecConfig::default(), tiered()][kind];
-            let (mut exec, ..) = Executor::restore(dir, &q, &r, &plan, cfg)?;
+            let compile =
+                |_: &str| Executor::compile(&q, &r, &plan, cfg).map_err(|e| e.to_string());
+            let (mut exec, ..) = Executor::restore(dir, compile)?;
             if closers.elements().iter().all(|e| exec.try_push(e).is_ok()) {
                 exec.finish();
             }
         }
         2 => {
-            let specs = [(q.clone(), plan.clone()), (q.clone(), plan.clone())];
-            let (mut reg, ..) = QueryRegistry::restore(dir, &r, ExecConfig::default(), &specs)?;
+            let (mut reg, ..) = QueryRegistry::restore(dir, |_| {
+                let mut reg = QueryRegistry::new(r.clone(), ExecConfig::default());
+                for _ in 0..2 {
+                    reg.try_admit(&q, &plan, None).map_err(|e| e.to_string())?;
+                }
+                Ok(reg)
+            })?;
             if closers.elements().iter().all(|e| reg.try_push(e).is_ok()) {
                 let _ = reg.finish();
             }
@@ -161,8 +169,8 @@ fn genuine() -> &'static [Vec<u8>; KINDS] {
                 }
                 2 => {
                     let mut reg = QueryRegistry::new(r.clone(), ExecConfig::default());
-                    reg.admit(&q, &plan);
-                    reg.admit(&q, &plan);
+                    reg.try_admit(&q, &plan, None).unwrap();
+                    reg.try_admit(&q, &plan, None).unwrap();
                     for e in half {
                         reg.push_checkpointed(e, &mut store, &mut cursor)
                             .expect("clean feed");
@@ -315,7 +323,9 @@ fn forged_punct_deltas_are_refused() {
         let dir = fresh_dir("forged");
         let mut store = CheckpointStore::open(&dir, 1).expect("open store");
         store.commit(payload, 0).expect("commit frame");
-        let res = Executor::restore(&dir, q, r, &Plan::mjoin_all(q), cfg).map(|(exec, ..)| {
+        let compile =
+            |_: &str| Executor::compile(q, r, &Plan::mjoin_all(q), cfg).map_err(|e| e.to_string());
+        let res = Executor::restore(&dir, compile).map(|(exec, ..)| {
             exec.finish();
         });
         let _ = std::fs::remove_dir_all(&dir);
@@ -338,12 +348,14 @@ fn forged_punct_deltas_are_refused() {
     ]);
     let mut exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).expect("compile");
     for ts in 1..=9 {
-        exec.push(&Tuple::of(0, vec![Value::Int(ts), Value::Int(0)]).into());
-        exec.push(&Tuple::of(1, vec![Value::Int(ts), Value::Int(0)]).into());
+        exec.try_push(&Tuple::of(0, vec![Value::Int(ts), Value::Int(0)]).into())
+            .unwrap();
+        exec.try_push(&Tuple::of(1, vec![Value::Int(ts), Value::Int(0)]).into())
+            .unwrap();
     }
     for bound in [5555, 7777] {
         let beat = Punctuation::heartbeat(StreamId(1), 2, AttrId(0), Value::Int(bound));
-        exec.push(&StreamElement::Punctuation(beat));
+        exec.try_push(&StreamElement::Punctuation(beat)).unwrap();
     }
     let payload = snapshot_of(&mut exec, 2);
     let genuine = advance(0, Some(5555), 7777);
@@ -370,10 +382,11 @@ fn forged_punct_deltas_are_refused() {
     let q = Cjq::new(catalog, preds.to_vec()).unwrap();
     let mut exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).expect("compile");
     for (stream, row) in [(0, [1, 0]), (1, [1, 0]), (2, [1, 7777])] {
-        exec.push(&Tuple::of(stream, row.map(Value::Int).to_vec()).into());
+        exec.try_push(&Tuple::of(stream, row.map(Value::Int).to_vec()).into())
+            .unwrap();
     }
     let closed = Punctuation::with_constants(StreamId(3), 2, &[(AttrId(0), Value::Int(7777))]);
-    exec.push(&StreamElement::Punctuation(closed));
+    exec.try_push(&StreamElement::Punctuation(closed)).unwrap();
     let payload = snapshot_of(&mut exec, 4);
     let genuine = entry(0, &[7777]);
     for (forged, what) in [
@@ -382,5 +395,38 @@ fn forged_punct_deltas_are_refused() {
         (advance(0, None, 7777), "advance on a hash scheme"),
     ] {
         refused(&q, &r, &forge(&payload, &genuine, &forged), what);
+    }
+}
+
+/// An executor's arena has no tombstones — nothing retires from it — but its
+/// snapshot carries the arena's presence flags all the same: a frame claiming
+/// the one operator gone must be refused by the flag, not decoded with the
+/// operator's rows read as whatever follows.
+#[test]
+fn an_executor_snapshot_claiming_a_tombstone_is_refused() {
+    let (q, r, plan) = auction();
+    let compile = |_: &str| {
+        Executor::compile(&q, &r, &plan, ExecConfig::default()).map_err(|e| e.to_string())
+    };
+    let payload = snapshot_of(&mut compile("").expect("compile"), 2);
+    // The arena block of a one-operator plan: one slot, present, two ports.
+    let word = |w: u64| w.to_le_bytes().to_vec();
+    let present = [word(1), vec![1], word(2)].concat();
+    let tombstoned = [word(1), vec![0], word(2)].concat();
+    let dir = fresh_dir("tombstone");
+    let mut store = CheckpointStore::open(&dir, 1).expect("open store");
+    store
+        .commit(&forge(&payload, &present, &tombstoned), 0)
+        .expect("commit frame");
+    let res = Executor::restore(&dir, compile).map(|_| ());
+    let _ = std::fs::remove_dir_all(&dir);
+    match res {
+        Err(ExecError::CheckpointCorrupt { detail, .. }) => {
+            assert!(
+                detail.contains("arena tombstones disagree with snapshot"),
+                "{detail}"
+            );
+        }
+        other => panic!("{other:?}"),
     }
 }

@@ -22,6 +22,7 @@ use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence};
 use cjq_stream::purge::PurgeScope;
 use cjq_stream::source::Feed;
 use cjq_stream::tuple::Tuple;
+use cjq_stream::Engine;
 
 /// Deterministically expands raw action seeds into a punctuation-consistent
 /// feed: a tuple matching an earlier punctuation is re-rolled a few times and

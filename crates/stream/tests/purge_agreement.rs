@@ -221,13 +221,13 @@ proptest! {
                     .enumerate()
                     .map(|(k, _)| Value::Int(((seed >> (8 + 4 * k)) % domain) as i64))
                     .collect();
-                exec.push(&scheme.instantiate(arity, &values).unwrap().into());
+                exec.try_push(&scheme.instantiate(arity, &values).unwrap().into()).unwrap();
             } else {
                 let stream = (seed as usize) % n;
                 let values: Vec<Value> = (0..2)
                     .map(|k| Value::Int(((seed >> (16 + 8 * k)) % domain) as i64))
                     .collect();
-                exec.push(&Tuple::of(stream, values).into());
+                exec.try_push(&Tuple::of(stream, values).into()).unwrap();
             }
         }
         // Exhaustive agreement sweep over whatever state is live mid-run

@@ -144,6 +144,7 @@ mod tests {
     use super::*;
     use cjq_core::plan::Plan;
     use cjq_stream::exec::{ExecConfig, Executor};
+    use cjq_stream::Engine;
 
     #[test]
     fn feed_shape_matches_config() {
@@ -251,7 +252,8 @@ mod tests {
             }
             // A binary join mirrors nothing: §5.1 reads the ports.
             assert_eq!(exec.engine().mirror_live(), 0);
-            let ports = (0..2).map(|p| exec.operators()[0].port_state(p));
+            let join = exec.operators().next().expect("one operator");
+            let ports = (0..2).map(|p| join.port_state(p));
             let resident: usize = ports.map(|port| port.resident_slots()).sum();
             assert!(
                 resident <= 2 * peak_join + 2 * 64,

@@ -209,6 +209,7 @@ mod tests {
     use cjq_core::join_graph::JoinGraph;
     use cjq_core::plan::{check_plan, Plan};
     use cjq_stream::exec::{ExecConfig, Executor};
+    use cjq_stream::Engine;
 
     fn small() -> GraphConfig {
         GraphConfig {

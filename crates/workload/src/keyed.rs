@@ -120,6 +120,7 @@ mod tests {
     use cjq_core::fixtures;
     use cjq_core::plan::Plan;
     use cjq_stream::exec::{ExecConfig, Executor};
+    use cjq_stream::Engine;
 
     #[test]
     fn each_round_produces_one_result_and_purges() {

@@ -214,6 +214,7 @@ mod tests {
     use cjq_core::plan::check_plan;
     use cjq_core::safety;
     use cjq_stream::exec::{ExecConfig, Executor};
+    use cjq_stream::Engine;
 
     #[test]
     fn all_tenants_safe_with_safe_plans() {
@@ -325,7 +326,7 @@ mod tests {
             let mut cursor = InputCursor::zero(cfg.streams);
             let mut reg = QueryRegistry::new(tenant.schemes.clone(), exec_cfg);
             for (query, plan) in &tenant.queries {
-                reg.admit(query, plan);
+                reg.try_admit(query, plan, None).unwrap();
             }
             for e in &feed {
                 reg.push_checkpointed(e, &mut store, &mut cursor).unwrap();

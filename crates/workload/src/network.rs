@@ -151,6 +151,7 @@ mod tests {
     use cjq_core::plan::Plan;
     use cjq_core::safety;
     use cjq_stream::exec::{ExecConfig, Executor};
+    use cjq_stream::Engine;
 
     #[test]
     fn query_needs_multi_attribute_machinery_and_is_safe() {

@@ -146,6 +146,7 @@ mod tests {
     use cjq_core::plan::Plan;
     use cjq_core::safety;
     use cjq_stream::exec::{ExecConfig, Executor};
+    use cjq_stream::Engine;
 
     #[test]
     fn query_is_safe_only_through_the_generalized_machinery() {

@@ -164,6 +164,7 @@ mod tests {
     use cjq_core::plan::Plan;
     use cjq_stream::exec::{ExecConfig, Executor, StateBudget};
     use cjq_stream::tier::TierConfig;
+    use cjq_stream::Engine;
 
     fn small() -> SkewedConfig {
         SkewedConfig {

@@ -129,6 +129,7 @@ mod tests {
     use cjq_core::plan::Plan;
     use cjq_core::safety;
     use cjq_stream::exec::{ExecConfig, Executor};
+    use cjq_stream::Engine;
 
     #[test]
     fn ordered_schemes_make_the_query_safe() {

@@ -12,6 +12,7 @@
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor};
 use punctuated_cjq::stream::groupby::Aggregate;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction::{self, AuctionConfig, BID};
 
 fn run(cfg: &AuctionConfig, label: &str) {

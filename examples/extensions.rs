@@ -19,6 +19,7 @@ use punctuated_cjq::stream::distinct::Distinct;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence};
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tuple::Tuple;
+use punctuated_cjq::stream::Engine;
 
 fn ival(v: i64) -> Value {
     Value::Int(v)

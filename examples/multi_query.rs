@@ -17,6 +17,7 @@ use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::planner::fingerprint;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor};
 use punctuated_cjq::stream::registry::QueryRegistry;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::multi::{self, MultiConfig};
 
 fn main() {

@@ -15,6 +15,7 @@
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::core::safety;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor};
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::network::{self, NetworkConfig};
 
 fn run(lifespan: Option<u64>, label: &str) {

@@ -67,7 +67,7 @@ fn main() {
         ));
     }
     let mut sink = CallbackSink::new(|row: &[Value]| println!("  result: {row:?}"));
-    let result = exec.run_with_sink(&feed, &mut sink);
+    let result = exec.try_run_with_sink(&feed, &mut sink).unwrap();
     println!(
         "processed {} tuples + {} punctuations -> {} results",
         result.metrics.tuples_in, result.metrics.puncts_in, result.metrics.outputs

@@ -49,7 +49,8 @@ fn main() {
     let mut seq_sink = CollectSink::new();
     let seq = Executor::compile(&query, &schemes, &plan, cfg)
         .unwrap()
-        .run_with_sink(&feed, &mut seq_sink);
+        .try_run_with_sink(&feed, &mut seq_sink)
+        .unwrap();
     let seq_elapsed = t.elapsed();
 
     // Sharded: one sink per shard (each result row is produced by exactly
@@ -57,7 +58,8 @@ fn main() {
     let t = Instant::now();
     let (shd, shard_sinks) = ShardedExecutor::compile(&query, &schemes, &plan, cfg, shards)
         .unwrap()
-        .run_with_sinks(&feed, |_shard| CollectSink::new());
+        .try_run_with_sinks(&feed, |_shard| CollectSink::new())
+        .unwrap();
     let shd_elapsed = t.elapsed();
 
     println!(

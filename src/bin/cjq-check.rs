@@ -48,6 +48,7 @@
 //! line:column diagnostic) or bad usage, **3** I/O errors.
 
 use std::io::Read;
+use std::path::Path;
 use std::process::ExitCode;
 
 use punctuated_cjq::core::prelude::*;
@@ -59,6 +60,8 @@ use punctuated_cjq::planner::enumerate::PlanSpace;
 use punctuated_cjq::planner::scheme_select;
 use punctuated_cjq::stream::guard::AdmissionFault;
 use punctuated_cjq::stream::metrics::{FieldValue, Metrics};
+use punctuated_cjq::stream::source::Feed;
+use punctuated_cjq::stream::Engine;
 
 const EXIT_UNSAFE: u8 = 1;
 const EXIT_PARSE: u8 = 2;
@@ -491,6 +494,29 @@ fn report(query: &Cjq, schemes: &SchemeSet, want_plan: bool) -> ExitCode {
     }
 }
 
+/// Where and how often a run checkpoints, and whether it resumes what is
+/// there instead of starting over.
+struct Checkpointing<'a> {
+    dir: &'a Path,
+    every: u64,
+    resume: bool,
+}
+
+/// Drives what `build` makes — an executor for `replay`, a registry for
+/// `serve` — over the whole feed: plain, checkpointed, or resumed.
+fn drive<E: Engine>(
+    build: impl Fn(&str) -> Result<E, String>,
+    feed: &Feed,
+    checkpointing: Option<&Checkpointing<'_>>,
+) -> Result<E::Output, String> {
+    match checkpointing {
+        None => build("run")?.try_run(feed),
+        Some(c) if c.resume => E::try_resume(c.dir, build, feed, c.every),
+        Some(c) => build("run")?.try_run_checkpointed(feed, c.dir, c.every),
+    }
+    .map_err(|e| e.to_string())
+}
+
 /// The `replay` subcommand: execute a bundled workload through the hardened
 /// runtime and report the guard/quarantine statistics.
 mod replay {
@@ -510,7 +536,9 @@ mod replay {
     use punctuated_cjq::stream::tier::TierConfig;
     use punctuated_cjq::workload::{auction, network, sensor, trades};
 
-    use super::{metrics_json, print_json, print_members, EXIT_PARSE, EXIT_UNSAFE};
+    use super::{
+        drive, metrics_json, print_json, print_members, Checkpointing, EXIT_PARSE, EXIT_UNSAFE,
+    };
 
     /// Matches the chaos suite's seed so replayed faults line up with CI.
     const DEFAULT_SEED: u64 = 0xC4A0_5EED;
@@ -685,44 +713,31 @@ mod replay {
             let plan = Plan::mjoin_all(&query);
             // Each workload snapshots into its own subdirectory so a multi-
             // workload replay cannot mix fingerprints in one snapshot chain.
-            let ckpt = opts.checkpoint_dir.as_ref().map(|d| d.join(name));
-            let every = opts.checkpoint_every;
-            let run = match (&ckpt, opts.shards <= 1) {
-                (None, true) => Executor::compile(&query, &schemes, &plan, cfg)
-                    .map_err(|e| e.to_string())
-                    .and_then(|exec| exec.try_run(&feed).map_err(|e| e.to_string()))
-                    .map(|r| r.metrics),
-                (None, false) => {
-                    ShardedExecutor::compile(&query, &schemes, &plan, cfg, opts.shards)
-                        .map_err(|e| e.to_string())
-                        .and_then(|exec| exec.try_run(&feed).map_err(|e| e.to_string()))
-                        .map(|r| r.metrics)
-                }
-                (Some(dir), true) => if opts.resume {
-                    Executor::try_resume(dir, &query, &schemes, &plan, cfg, &feed, every)
-                        .map_err(|e| e.to_string())
-                } else {
+            let dir = opts.checkpoint_dir.as_ref().map(|d| d.join(name));
+            let checkpointing = dir.as_ref().map(|dir| Checkpointing {
+                dir,
+                every: opts.checkpoint_every,
+                resume: opts.resume,
+            });
+            let run = if opts.shards <= 1 {
+                let compile = |phase: &str| {
                     Executor::compile(&query, &schemes, &plan, cfg)
+                        .map_err(|e| format!("cannot compile executor for {phase}: {e}"))
+                };
+                drive(compile, &feed, checkpointing.as_ref()).map(|r| r.metrics)
+            } else {
+                // The sharded plane is not an `Engine` yet (ROADMAP item 7).
+                ShardedExecutor::compile(&query, &schemes, &plan, cfg, opts.shards)
+                    .map_err(|e| e.to_string())
+                    .and_then(|exec| {
+                        match &checkpointing {
+                            None => exec.try_run(&feed),
+                            Some(c) if c.resume => exec.try_resume(&feed, c.dir, c.every),
+                            Some(c) => exec.try_run_checkpointed(&feed, c.dir, c.every),
+                        }
                         .map_err(|e| e.to_string())
-                        .and_then(|exec| {
-                            exec.try_run_checkpointed(&feed, dir, every)
-                                .map_err(|e| e.to_string())
-                        })
-                }
-                .map(|r| r.metrics),
-                (Some(dir), false) => {
-                    ShardedExecutor::compile(&query, &schemes, &plan, cfg, opts.shards)
-                        .map_err(|e| e.to_string())
-                        .and_then(|exec| {
-                            if opts.resume {
-                                exec.try_resume(&feed, dir, every)
-                            } else {
-                                exec.try_run_checkpointed(&feed, dir, every)
-                            }
-                            .map_err(|e| e.to_string())
-                        })
-                        .map(|r| r.metrics)
-                }
+                    })
+                    .map(|r| r.metrics)
             };
             let metrics = match run {
                 Ok(m) => m,
@@ -816,7 +831,7 @@ mod serve {
     use punctuated_cjq::stream::tier::TierConfig;
     use punctuated_cjq::stream::tuple::Tuple;
 
-    use super::{members_of, metrics_json, print_members, EXIT_IO, EXIT_PARSE, EXIT_UNSAFE};
+    use super::{drive, members_of, metrics_json, print_members, EXIT_IO, EXIT_PARSE, EXIT_UNSAFE};
 
     struct Options {
         rounds: u64,
@@ -1000,12 +1015,15 @@ mod serve {
 
         let feed = round_keyed_feed(&admitted[0].query, &schemes, opts.rounds, opts.lag);
         let run = if opts.shards <= 1 {
-            let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-            for a in &admitted {
-                reg.try_admit(&a.query, &Plan::mjoin_all(&a.query), None)
-                    .expect("probe registry already admitted this query");
-            }
-            reg.try_run(&feed).map_err(|e| e.to_string())
+            let readmit = |_: &str| {
+                let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+                for a in &admitted {
+                    reg.try_admit(&a.query, &Plan::mjoin_all(&a.query), None)
+                        .map_err(|e| e.to_string())?;
+                }
+                Ok(reg)
+            };
+            drive(readmit, &feed, None)
         } else {
             let specs: Vec<(Cjq, Plan)> = admitted
                 .iter()

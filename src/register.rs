@@ -186,6 +186,7 @@ mod tests {
     use cjq_core::fixtures;
     use cjq_core::plan::check_plan;
     use cjq_stream::source::Feed;
+    use cjq_stream::Engine;
     use cjq_workload::keyed::{self, KeyedConfig};
 
     #[test]

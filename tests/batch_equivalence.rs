@@ -31,6 +31,7 @@ use punctuated_cjq::stream::sink::{CallbackSink, CollectSink, CountSink};
 use punctuated_cjq::stream::source::{ElementBatch, Feed};
 use punctuated_cjq::stream::tier::TierConfig;
 use punctuated_cjq::stream::tuple::Tuple;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction::{self, AuctionConfig};
 use punctuated_cjq::workload::graph::{self, GraphConfig};
 use punctuated_cjq::workload::keyed::{self, KeyedConfig};
@@ -96,7 +97,7 @@ fn assert_equivalent_armed(
     let build = || arm(Executor::compile(query, schemes, plan, cfg).expect("compile"));
     let mut exec = build();
     for e in feed {
-        exec.push(e);
+        exec.try_push(e).unwrap();
     }
     let reference = exec.finish();
     assert_eq!(reference.metrics.batches_processed, 0);
@@ -108,7 +109,7 @@ fn assert_equivalent_armed(
         let mut batch = ElementBatch::new();
         for elements in feed.elements().chunks(chunk) {
             batch.gather(elements);
-            exec.push_batch(&batch, &mut sink);
+            exec.try_push_batch(&batch, &mut sink).unwrap();
         }
         let mut batched = exec.finish();
         assert!(batched.outputs.is_empty(), "the sink owns the results");
@@ -313,14 +314,15 @@ fn sinks_see_exactly_the_result_rows() {
     let mut pushed =
         Executor::compile(&query, &schemes, &plan, ExecConfig::default()).expect("compile");
     for e in &feed {
-        pushed.push(e);
+        pushed.try_push(e).unwrap();
     }
     let expected = pushed.finish().outputs;
 
     let mut collect = CollectSink::new();
     let res = Executor::compile(&query, &schemes, &plan, ExecConfig::default())
         .expect("compile")
-        .run_with_sink(&feed, &mut collect);
+        .try_run_with_sink(&feed, &mut collect)
+        .unwrap();
     assert_eq!(collect.rows, expected);
     assert!(res.outputs.is_empty(), "the sink owns the results");
     assert_eq!(res.metrics.outputs as usize, collect.rows.len());
@@ -328,14 +330,16 @@ fn sinks_see_exactly_the_result_rows() {
     let mut count = CountSink::new();
     Executor::compile(&query, &schemes, &plan, ExecConfig::default())
         .expect("compile")
-        .run_with_sink(&feed, &mut count);
+        .try_run_with_sink(&feed, &mut count)
+        .unwrap();
     assert_eq!(count.count as usize, expected.len());
 
     let mut seen = Vec::new();
     let mut callback = CallbackSink::new(|row: &[Value]| seen.push(row.to_vec()));
     Executor::compile(&query, &schemes, &plan, ExecConfig::default())
         .expect("compile")
-        .run_with_sink(&feed, &mut callback);
+        .try_run_with_sink(&feed, &mut callback)
+        .unwrap();
     assert_eq!(seen, expected);
 }
 

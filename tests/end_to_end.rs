@@ -10,6 +10,7 @@ use punctuated_cjq::planner::enumerate::PlanSpace;
 use punctuated_cjq::planner::scheme_select;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor};
 use punctuated_cjq::stream::groupby::Aggregate;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction::{self, AuctionConfig, BID};
 use punctuated_cjq::workload::keyed::{self, KeyedConfig};
 use punctuated_cjq::workload::network::{self, NetworkConfig};

@@ -38,6 +38,7 @@ use punctuated_cjq::stream::purge::PurgeScope;
 use punctuated_cjq::stream::registry::QueryRegistry;
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tier::TierConfig;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction::{self, AuctionConfig};
 use punctuated_cjq::workload::keyed::{self, KeyedConfig};
 use punctuated_cjq::workload::network::{self, NetworkConfig};
@@ -182,9 +183,9 @@ fn every_plane_forgets_the_same_punctuations() {
                     let mut reg = QueryRegistry::new(schemes.clone(), cfg);
                     let shared = reg.try_admit(query, &plan, None).is_ok();
                     for e in &case.feed {
-                        exec.push(e);
+                        exec.try_push(e).unwrap();
                         if shared {
-                            reg.push(e);
+                            reg.try_push(e).unwrap();
                         }
                     }
                     let held = |s: StreamId| exec.engine().mirror_state(s).slots() > 0;
@@ -265,7 +266,7 @@ fn a_forgotten_punctuation_admits_and_a_remembered_one_refuses_on_every_plane() 
         };
         let solo = run(&feed);
         let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-        reg.admit(&query, &plan);
+        reg.try_admit(&query, &plan, None).unwrap();
         let shared = reg.run(&feed);
         let fleet = ShardedExecutor::compile(&query, &schemes, &plan, cfg, SHARDS);
         let sharded = fleet.expect("compile").run(&feed);

@@ -16,6 +16,7 @@ use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult
 use punctuated_cjq::stream::parallel::ShardedExecutor;
 use punctuated_cjq::stream::purge::PurgeStrategy;
 use punctuated_cjq::stream::source::Feed;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction::{self, AuctionConfig};
 use punctuated_cjq::workload::keyed::{self, KeyedConfig};
 use punctuated_cjq::workload::network::{self, NetworkConfig};

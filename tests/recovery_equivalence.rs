@@ -24,8 +24,10 @@ use punctuated_cjq::stream::exec::{
     BudgetPolicy, ExecConfig, Executor, PurgeCadence, RunResult, StateBudget,
 };
 use punctuated_cjq::stream::metrics::Metrics;
+use punctuated_cjq::stream::registry::QueryRegistry;
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tier::TierConfig;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction::{self, AuctionConfig};
 use punctuated_cjq::workload::skewed::{self, SkewedConfig};
 
@@ -125,10 +127,25 @@ fn crash_and_recover(
             .expect("prefix run");
         // The prefix result dies with the "process"; only `dir` survives.
     }
-    let r = Executor::try_resume(&dir, query, schemes, plan, cfg, feed, every)
-        .expect("resume from snapshot");
+    let compile = |_: &str| Executor::compile(query, schemes, plan, cfg).map_err(|e| e.to_string());
+    let r = Executor::try_resume(&dir, compile, feed, every).expect("resume from snapshot");
     let _ = std::fs::remove_dir_all(&dir);
     r
+}
+
+/// What a registry restore builds onto: every spec admitted afresh, in order.
+fn readmitting<'a>(
+    schemes: &'a SchemeSet,
+    cfg: ExecConfig,
+    specs: &'a [(Cjq, Plan)],
+) -> impl Fn(&str) -> Result<QueryRegistry, String> + 'a {
+    move |_| {
+        let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+        for (q, p) in specs {
+            reg.try_admit(q, p, None).map_err(|e| e.to_string())?;
+        }
+        Ok(reg)
+    }
 }
 
 fn record_outputs(cfg: ExecConfig) -> ExecConfig {
@@ -153,9 +170,11 @@ fn auction_crash_point_sweep_is_byte_identical() {
     // The sweep below crashes between a dead-prefix reclaim and the next
     // commit only if this feed is long enough to reclaim at all.
     let mut probe = Executor::compile(&query, &schemes, &plan, cfg).expect("compile probe");
-    feed.elements().iter().for_each(|e| probe.push(e));
+    feed.elements()
+        .iter()
+        .for_each(|e| probe.try_push(e).unwrap());
     // (The bid *port*: no recipe of a binary join reads a mirror, so none is held.)
-    let op = &probe.operators()[0];
+    let op = probe.operators().next().expect("one operator");
     let bids = op.port_state(op.port_of(auction::BID).expect("bid is joined"));
     assert!(
         bids.resident_slots() < bids.slots(),
@@ -290,7 +309,7 @@ fn registry_recovers(
     late: Option<(Cjq, Plan)>,
 ) {
     use punctuated_cjq::stream::checkpoint::{CheckpointStore, InputCursor};
-    use punctuated_cjq::stream::registry::{QueryId, QueryRegistry, RegistryResult};
+    use punctuated_cjq::stream::registry::{QueryId, RegistryResult};
 
     let cfg = record_outputs(ExecConfig::default());
     let (n, every) = (feed.elements().len(), 23u64);
@@ -354,7 +373,7 @@ fn registry_recovers(
         let (crashed, dir) = run_to(crash_after, &crash_after.to_string());
         drop(crashed);
         let (mut reg, mut store, mut cursor) =
-            QueryRegistry::restore(&dir, schemes, cfg, &specs).expect("restore");
+            QueryRegistry::restore(&dir, readmitting(schemes, cfg, &specs)).expect("restore");
         let from = cursor.elements as usize;
         assert!(
             (admit_at..=crash_after).contains(&from),
@@ -380,7 +399,6 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
     use punctuated_cjq::stream::checkpoint::{CheckpointStore, Dec, Enc, InputCursor, Manifest};
     use punctuated_cjq::stream::error::ExecError;
     use punctuated_cjq::stream::parallel::ShardedExecutor;
-    use punctuated_cjq::stream::registry::QueryRegistry;
 
     let (query, schemes) = auction::auction_query();
     let plan = Plan::mjoin_all(&query);
@@ -403,7 +421,7 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
                 .expect("commit"),
             "registry" => {
                 let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-                reg.admit(&query, &plan);
+                reg.try_admit(&query, &plan, None).unwrap();
                 reg.commit_checkpoint(&mut store, &cursor).expect("commit");
             }
             _ => {
@@ -425,8 +443,8 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
     };
 
     // A fresh executor's body up to its recorded-output table: clock,
-    // since_purge, last_punct (2 streams), stall flags (2), no port bounds.
-    let exec_to_outputs = [words(&[0, 0, 2, 0, 0, 2]), vec![0, 0, 0]].concat();
+    // since_purge, last_punct (2 streams), no port bounds.
+    let exec_to_outputs = [words(&[0, 0, 2, 0, 0]), vec![0]].concat();
     // The first mirror port of a fresh engine, after the engine's stream
     // count: item's stride 4, base 0, 0 resident rows.
     let first_port = words(&[2, 4, 0, 0]);
@@ -474,8 +492,13 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
             let mut store = CheckpointStore::open(&dir, 1).expect("open store");
             store.commit(&bytes, 0).expect("commit forged frame");
             let refused = match kind {
-                "exec" => Executor::restore(&dir, &query, &schemes, &plan, cfg).map(|_| ()),
-                "registry" => QueryRegistry::restore(&dir, &schemes, cfg, &specs).map(|_| ()),
+                "exec" => Executor::restore(&dir, |_| {
+                    Executor::compile(&query, &schemes, &plan, cfg).map_err(|e| e.to_string())
+                })
+                .map(|_| ()),
+                "registry" => {
+                    QueryRegistry::restore(&dir, readmitting(&schemes, cfg, &specs)).map(|_| ())
+                }
                 _ => sharded.try_resume(&Feed::new(), &dir, 1).map(|_| ()),
             };
             assert!(
@@ -486,4 +509,68 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// Lag weights change the compiled recipes and nothing else a snapshot's
+/// fingerprint used to cover: an unweighted executor restored over a weighted
+/// one's directory, overlaying tracker cursors onto recipes they were not
+/// taken under. The fingerprint now covers the recipes, so that is refused,
+/// and the closure-taking resume lets the weighted executor come back.
+#[test]
+fn weighted_recipes_are_part_of_the_fingerprint() {
+    use punctuated_cjq::workload::keyed::{self, KeyedConfig};
+
+    // A 4-cycle with a scheme on both join attributes of every stream:
+    // every step has an alternative for the weights to choose between.
+    let mut catalog = Catalog::new();
+    for name in ["S1", "S2", "S3", "S4"] {
+        catalog.add_stream(StreamSchema::new(name, ["X", "Y"]).unwrap());
+    }
+    let predicates = (0..4).map(|s| JoinPredicate::between(s, 1, (s + 1) % 4, 0).unwrap());
+    let query = Cjq::new(catalog, predicates.collect()).unwrap();
+    let both = |s| [0, 1].map(|a| PunctuationScheme::on(s, &[a]).unwrap());
+    let schemes = SchemeSet::from_schemes((0..4).flat_map(both));
+    let plan = Plan::mjoin_all(&query);
+    let cfg = record_outputs(ExecConfig::default());
+    let weights = [8.0, 1.0, 8.0, 1.0, 8.0, 1.0, 8.0, 1.0];
+    let weighted = |_: &str| {
+        Executor::compile_weighted(&query, &schemes, &plan, cfg, Some(&weights))
+            .map_err(|e| e.to_string())
+    };
+    let unweighted =
+        |_: &str| Executor::compile(&query, &schemes, &plan, cfg).map_err(|e| e.to_string());
+    assert_ne!(
+        weighted("").unwrap().fingerprint(),
+        unweighted("").unwrap().fingerprint()
+    );
+
+    let feed = keyed::generate(&query, &schemes, &KeyedConfig::default());
+    let every = 37;
+    let golden_dir = ckpt_dir("weighted-golden");
+    let golden = weighted("")
+        .unwrap()
+        .try_run_checkpointed(&feed, &golden_dir, every)
+        .expect("golden run");
+    assert!(golden.metrics.checkpoints_written > 1);
+    let _ = std::fs::remove_dir_all(&golden_dir);
+
+    let dir = ckpt_dir("weighted-crash");
+    let prefix = Feed::from_elements(feed.elements()[..feed.len() * 2 / 3].to_vec());
+    let _ = weighted("")
+        .unwrap()
+        .try_run_checkpointed(&prefix, &dir, every)
+        .expect("prefix run");
+    let refused = Executor::try_resume(&dir, unweighted, &feed, every);
+    assert!(
+        matches!(
+            refused,
+            Err(punctuated_cjq::stream::error::ExecError::RestoreMismatch { .. })
+        ),
+        "an unweighted executor must not overlay a weighted one's state: {:?}",
+        refused.map(|r| r.metrics.outputs)
+    );
+    let recovered = Executor::try_resume(&dir, weighted, &feed, every).expect("weighted resume");
+    assert_eq!(recovered.metrics.restores, 1);
+    assert_equiv("weighted", &golden, &recovered);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -25,6 +25,7 @@ use punctuated_cjq::stream::fault::{Fault, FaultPlan};
 use punctuated_cjq::stream::purge::PurgeStrategy;
 use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult, ShardedRegistry};
 use punctuated_cjq::stream::source::Feed;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::multi::{self, MultiConfig};
 
 fn base_cfg(cadence: PurgeCadence) -> ExecConfig {
@@ -436,7 +437,7 @@ fn malformed_elements_are_admitted_identically_under_every_policy() {
         let engines = || {
             let exec = Executor::compile(&query, &schemes, &plan, cfg).expect("safe query");
             let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-            reg.admit(&query, &plan);
+            reg.try_admit(&query, &plan, None).unwrap();
             (exec, reg)
         };
         if admission == AdmissionPolicy::Strict {
@@ -604,11 +605,11 @@ fn closed_recipe_set_matches_the_open_one_tenant_registry() {
                 };
                 let mut wide = compile().with_groupby(&[any], Aggregate::Count);
                 let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-                reg.admit(query, &plan);
+                reg.try_admit(query, &plan, None).unwrap();
                 for (i, e) in feed.elements().iter().enumerate() {
-                    exec.push(e);
-                    wide.push(e);
-                    reg.push(e);
+                    exec.try_push(e).unwrap();
+                    wide.try_push(e).unwrap();
+                    reg.try_push(e).unwrap();
                     for s in query.stream_ids() {
                         let closed = exec.engine().mirror_state(s);
                         let open = wide.engine().mirror_state(s);
@@ -695,4 +696,42 @@ fn fingerprints_predict_registry_sharing() {
         );
         assert_eq!(predicted.subscriptions, reg.subscribed_nodes());
     }
+}
+
+/// `Metrics::intermediate_rows` is physical work under sharing, like the
+/// probe counters: rows a node hands its parent count once per parent that
+/// reads them, however many tenants subscribe. (The registry's own cascade
+/// never counted them at all: a two-level plan read 0.)
+#[test]
+fn a_registry_counts_intermediate_rows_once_per_reading_node() {
+    use punctuated_cjq::workload::keyed::{self, KeyedConfig};
+
+    let (query, schemes) = punctuated_cjq::core::fixtures::fig5();
+    let streams: Vec<StreamId> = query.stream_ids().collect();
+    let feed = chaos_feed(&keyed::generate(&query, &schemes, &KeyedConfig::default()));
+    let cfg = base_cfg(PurgeCadence::Eager);
+    // (S1 ⋈ S2) ⋈ S3, and S1 ⋈ (S2 ⋈ S3) beside it: no node in common.
+    let left = Plan::left_deep(&streams);
+    let [s1, s2, s3] = [0, 1, 2].map(Plan::leaf);
+    let right = Plan::Join(vec![s1, Plan::Join(vec![s2, s3])]);
+    let solo_left = standalone(&query, &schemes, &left, cfg, &feed).metrics;
+    let solo_right = standalone(&query, &schemes, &right, cfg, &feed).metrics;
+    assert!(solo_left.intermediate_rows > 0 && solo_right.intermediate_rows > 0);
+    let registry = |plans: &[&Plan]| {
+        let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+        for plan in plans {
+            reg.try_admit(&query, plan, None).expect("safe");
+        }
+        reg.run(&feed).metrics
+    };
+    let one = registry(&[&left]);
+    assert_eq!(one.intermediate_rows, solo_left.intermediate_rows);
+    let shared = registry(&[&left, &left]);
+    assert_eq!(shared.outputs, 2 * solo_left.outputs, "fan-out is logical");
+    assert_eq!(shared.intermediate_rows, solo_left.intermediate_rows);
+    let disjoint = registry(&[&left, &right]);
+    assert_eq!(
+        disjoint.intermediate_rows,
+        solo_left.intermediate_rows + solo_right.intermediate_rows
+    );
 }

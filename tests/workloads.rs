@@ -4,6 +4,7 @@
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::register::Register;
 use punctuated_cjq::stream::exec::ExecConfig;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::sensor::{self, SensorConfig};
 use punctuated_cjq::workload::trades::{self, TradesConfig};
 
