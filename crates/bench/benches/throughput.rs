@@ -4,16 +4,17 @@
 //! Runs the two single-query feeds the gated benchmark times
 //! (`perfbench/README.md`: `trades_watermark`, 528k elements, and
 //! `auction_punct`, 180k elements, both at seed 7) through the sequential
-//! [`Executor`] and through [`ShardedExecutor`] at P ∈ {1, 2, 4} under the
+//! [`Executor`] and through [`Sharded<Executor>`](Sharded) at P ∈ {1, 2, 4} under the
 //! eager purge cadence, and records wall-clock elements/second into
 //! `BENCH_throughput.json` at the repository root. The feed configurations
 //! are copied from that README, not imported: `perfbench` is its own package.
 //!
 //! The variants alternate within each of the [`SAMPLES`] rounds, so drift of
 //! the shared box lands on all of them alike; the reported number is each
-//! variant's median. Shard counts are taken as requested, not clamped by
-//! `auto_shards`: the point is the curve, including P above the core count.
-//! Results are only counted (`record_outputs: false` → `CountSink`).
+//! variant's median. Shard counts are taken as requested, never clamped to
+//! the core count: the point is the curve, including P above it. Every
+//! variant compiles inside its timed region. Results are only counted
+//! (`record_outputs: false` → `CountSink`).
 //!
 //! Two effects add up in the sharded numbers: worker threads run
 //! concurrently on the cores the box has, and both workloads punctuate with
@@ -27,7 +28,7 @@ use cjq_core::plan::Plan;
 use cjq_core::query::Cjq;
 use cjq_core::scheme::SchemeSet;
 use cjq_stream::exec::{ExecConfig, Executor};
-use cjq_stream::parallel::ShardedExecutor;
+use cjq_stream::parallel::Sharded;
 use cjq_stream::source::Feed;
 use cjq_stream::Engine;
 use cjq_workload::auction::{self, AuctionConfig};
@@ -55,19 +56,16 @@ fn median(mut times: Vec<f64>) -> f64 {
 fn run_workload(name: &str, query: &Cjq, schemes: &SchemeSet, feed: &Feed) -> Json {
     let plan = Plan::mjoin_all(query);
     let cfg = bench_cfg();
-    let sharded: Vec<ShardedExecutor> = SHARD_COUNTS
-        .iter()
-        .map(|&p| ShardedExecutor::compile(query, schemes, &plan, cfg, p).unwrap())
-        .collect();
     // times[0] is the sequential executor, times[1 + i] is SHARD_COUNTS[i].
-    let mut times = vec![Vec::with_capacity(SAMPLES); 1 + sharded.len()];
+    let mut times = vec![Vec::with_capacity(SAMPLES); 1 + SHARD_COUNTS.len()];
     for _ in 0..SAMPLES {
         let start = Instant::now();
         let exec = Executor::compile(query, schemes, &plan, cfg).unwrap();
         black_box(exec.run(black_box(feed)).metrics.outputs);
         times[0].push(start.elapsed().as_secs_f64());
-        for (exec, times) in sharded.iter().zip(&mut times[1..]) {
+        for (&p, times) in SHARD_COUNTS.iter().zip(&mut times[1..]) {
             let start = Instant::now();
+            let exec = Sharded::<Executor>::compile(query, schemes, &plan, cfg, p).unwrap();
             black_box(exec.run(black_box(feed)).metrics.outputs);
             times.push(start.elapsed().as_secs_f64());
         }

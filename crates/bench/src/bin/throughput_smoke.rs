@@ -13,7 +13,7 @@ use cjq_core::plan::Plan;
 use cjq_core::query::Cjq;
 use cjq_core::scheme::SchemeSet;
 use cjq_stream::exec::{ExecConfig, Executor};
-use cjq_stream::parallel::ShardedExecutor;
+use cjq_stream::parallel::Sharded;
 use cjq_stream::source::Feed;
 use cjq_stream::Engine;
 use cjq_workload::auction::{self, AuctionConfig};
@@ -43,7 +43,7 @@ fn smoke(name: &str, query: &Cjq, schemes: &SchemeSet, feed: &Feed) -> bool {
 
     let mut ok = true;
     for p in [1usize, 2] {
-        let exec = ShardedExecutor::compile(query, schemes, &plan, cfg(), p).expect("compile");
+        let exec = Sharded::<Executor>::compile(query, schemes, &plan, cfg(), p).expect("compile");
         let (out, eps) = timed(feed.len(), || exec.run(feed).metrics.outputs);
         println!(
             "  sharded p={p} {eps:>12.0} eps  ({out} results, {:.2}x)",

@@ -34,7 +34,7 @@ use cjq_stream::checkpoint::{CheckpointStore, InputCursor};
 use cjq_stream::error::ExecResult;
 use cjq_stream::exec::{ExecConfig, Executor, RunResult};
 use cjq_stream::metrics::Metrics;
-use cjq_stream::parallel::{ShardedExecutor, ShardedRunResult};
+use cjq_stream::parallel::{Sharded, ShardedRunResult};
 use cjq_stream::source::Feed;
 use cjq_stream::Engine;
 use cjq_workload::keyed::KeyedConfig;
@@ -145,7 +145,7 @@ pub fn run_seq(w: &Workload, feed: &Feed, mut cfg: ExecConfig) -> RunResult {
 pub fn run_sharded(w: &Workload, feed: &Feed, mut cfg: ExecConfig, p: usize) -> ShardedRunResult {
     cfg.record_outputs = true;
     let plan = Plan::mjoin_all(&w.query);
-    ShardedExecutor::compile(&w.query, &w.schemes, &plan, cfg, p)
+    Sharded::<Executor>::compile(&w.query, &w.schemes, &plan, cfg, p)
         .expect("workload query compiles")
         .run(feed)
 }
@@ -250,7 +250,7 @@ pub fn run_checkpointed_sharded(
 ) -> ShardedRunResult {
     cfg.record_outputs = true;
     let plan = Plan::mjoin_all(&w.query);
-    ShardedExecutor::compile(&w.query, &w.schemes, &plan, cfg, p)
+    Sharded::<Executor>::compile(&w.query, &w.schemes, &plan, cfg, p)
         .expect("workload query compiles")
         .try_run_checkpointed(feed, dir, every)
         .expect("checkpointed run succeeds")
@@ -274,16 +274,16 @@ pub fn crash_and_recover_sharded(
 ) -> ShardedRunResult {
     cfg.record_outputs = true;
     let plan = Plan::mjoin_all(&w.query);
-    let sharded = ShardedExecutor::compile(&w.query, &w.schemes, &plan, cfg, p)
-        .expect("workload query compiles");
+    let compile = |_: &str| {
+        Sharded::<Executor>::compile(&w.query, &w.schemes, &plan, cfg, p).map_err(|e| e.to_string())
+    };
     let prefix = Feed::from_elements(feed.elements()[..crash_after].to_vec());
-    let _ = sharded
+    let _ = compile("")
+        .expect("workload query compiles")
         .try_run_checkpointed(&prefix, dir, every)
         .expect("pre-crash prefix succeeds");
     // Crash: the prefix result is discarded; only the snapshots survive.
-    sharded
-        .try_resume(feed, dir, every)
-        .expect("recovery succeeds")
+    Sharded::try_resume(dir, compile, feed, every).expect("recovery succeeds")
 }
 
 /// Debug rendering of `m` with the fields that legitimately differ between

@@ -250,7 +250,8 @@ fn all_snapshots_corrupt_is_a_clean_error() {
 /// frame; 8: a fingerprint that still hashed `purge_punctuations`, and
 /// stores holding every punctuation ever fed; 9: an executor body with stall
 /// flags and no arena presence flags, under a fingerprint blind to the
-/// compiled recipes) is intact by its own checksum — it must be
+/// compiled recipes; 10: a fleet fingerprint blind to the shard engine's
+/// kind) is intact by its own checksum — it must be
 /// refused by version (`C001`), never decoded under the current layout nor
 /// reported as a config mismatch (`C002`).
 #[test]
@@ -264,7 +265,10 @@ fn earlier_format_versions_are_refused_not_misdecoded() {
         let _ = crash_and_recover_seq(w, &w.feed, cfg, &dir, 61, n / 2);
     }
     let earlier = 1..cjq_stream::checkpoint::VERSION;
-    assert!(earlier.contains(&9), "version 9 frames are earlier frames");
+    assert!(
+        earlier.contains(&10),
+        "version 10 frames are earlier frames"
+    );
     for previous in earlier {
         for (_, path) in list_snapshots(&dir) {
             let mut frame = std::fs::read(&path).expect("snapshot exists");

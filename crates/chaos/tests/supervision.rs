@@ -11,7 +11,7 @@ use cjq_stream::error::ExecError;
 use cjq_stream::exec::{ExecConfig, Executor, StateBudget};
 use cjq_stream::fault::PanicSink;
 use cjq_stream::guard::AdmissionPolicy;
-use cjq_stream::parallel::ShardedExecutor;
+use cjq_stream::parallel::Sharded;
 use cjq_stream::sink::CollectSink;
 use cjq_stream::source::Feed;
 use cjq_stream::tuple::Tuple;
@@ -23,9 +23,9 @@ fn auction() -> Workload {
     bundled_workloads().remove(0)
 }
 
-fn compile_sharded(w: &Workload, cfg: ExecConfig) -> ShardedExecutor {
+fn compile_sharded(w: &Workload, cfg: ExecConfig) -> Sharded<Executor> {
     let plan = Plan::mjoin_all(&w.query);
-    ShardedExecutor::compile(&w.query, &w.schemes, &plan, cfg, SHARDS).expect("compiles")
+    Sharded::<Executor>::compile(&w.query, &w.schemes, &plan, cfg, SHARDS).expect("compiles")
 }
 
 /// A panic injected into one shard's sink comes back as
@@ -121,7 +121,7 @@ fn strict_admission_surfaces_as_typed_errors() {
         "expected Admission, got {err}"
     );
 
-    let err = ShardedExecutor::compile(&q, &r, &plan, cfg, SHARDS)
+    let err = Sharded::<Executor>::compile(&q, &r, &plan, cfg, SHARDS)
         .expect("compiles")
         .try_run(&feed)
         .expect_err("strict admission rejects the violation in a shard");

@@ -46,7 +46,7 @@ use cjq_core::value::Value;
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"CJQS";
 /// Snapshot format version.
-pub const VERSION: u32 = 10;
+pub const VERSION: u32 = 11;
 /// File-frame header length: magic + version + payload len + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8;
 
@@ -429,7 +429,8 @@ impl<T: Codec> Codec for Vec<T> {
 pub enum SnapshotKind {
     /// One sequential [`crate::exec::Executor`].
     Exec,
-    /// A [`crate::parallel::ShardedExecutor`] run (P shard sub-snapshots).
+    /// A [`crate::parallel::Sharded`] plane: the router's counts and `P` shard
+    /// sub-snapshots of one engine kind (which one is in the fingerprint).
     Sharded,
     /// A [`crate::registry::QueryRegistry`].
     Registry,

@@ -1,7 +1,7 @@
 //! Typed executor errors.
 //!
 //! The hardened execution paths (`Executor::try_push` and friends,
-//! `ShardedExecutor::try_run_with_sinks`) surface input faults and resource
+//! `Sharded::try_run_with_sinks`) surface input faults and resource
 //! overruns as values of [`ExecError`] instead of panicking. The legacy
 //! panicking entry points (`push`, `run`, ...) remain as thin wrappers, so
 //! existing callers are unaffected; code that must survive hostile feeds

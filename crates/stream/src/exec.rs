@@ -632,7 +632,7 @@ impl Snapshot for Executor {
     /// Serializes every piece of state a push mutates — the snapshot a fresh
     /// compile of the same inputs can overlay to resume byte-identically
     /// (also each shard's sub-snapshot in a
-    /// [`ShardedExecutor`](crate::parallel::ShardedExecutor) frame).
+    /// [`Sharded`](crate::parallel::Sharded) frame).
     fn write_snapshot(&self, e: &mut Enc) {
         self.core.write_pacing(e);
         self.last_punct.enc(e);

@@ -84,13 +84,12 @@ pub mod prelude {
     pub use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy};
     pub use crate::join::JoinOperator;
     pub use crate::metrics::{Metrics, StatePoint};
-    pub use crate::parallel::{auto_shards, Partitioning, ShardedExecutor, ShardedRunResult};
+    pub use crate::parallel::{Partitioning, Sharded, ShardedRunResult};
     pub use crate::pipeline::Engine;
     pub use crate::punct_store::PunctStore;
     pub use crate::purge::{CheckOutcome, PurgeEngine, PurgeScope};
     pub use crate::registry::{
-        QueryId, QueryRegistry, QueryRunResult, RegistryRejection, RegistryResult, ShardedRegistry,
-        ShardedRegistryResult,
+        QueryId, QueryRegistry, QueryRunResult, RegistryRejection, RegistryResult,
     };
     pub use crate::sink::{CallbackSink, CollectSink, CountSink, OutputBuffer, ResultSink};
     pub use crate::source::{ElementBatch, Feed};

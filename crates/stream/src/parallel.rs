@@ -1,8 +1,9 @@
-//! Hash-partitioned parallel execution of a compiled plan.
+//! Hash-partitioned parallel execution: one sharded plane over any engine.
 //!
-//! A [`ShardedExecutor`] runs `P` independent single-threaded [`Executor`]
-//! shards, each an unmodified sequential engine, and routes the feed across
-//! them:
+//! A [`Sharded<E>`] holds `P` independent single-threaded engines of one kind
+//! — each an unmodified [`Executor`] or
+//! [`QueryRegistry`](crate::registry::QueryRegistry) — and routes the feed
+//! across them:
 //!
 //! * **Tuples** of a *partitioned* stream go to the one shard selected by
 //!   hashing the stream's partition attribute; tuples of *broadcast* streams
@@ -18,7 +19,7 @@
 //! emitted by exactly one shard. Streams with no attribute in the chosen
 //! class fall back to broadcast.
 //!
-//! Per-shard purging stays safe: each shard is a sequential executor over a
+//! Per-shard purging stays safe: each shard is a sequential engine over a
 //! consistent subsequence of the feed, and its purge decisions only ever
 //! consume real punctuations — global promises about the stream — so a purge
 //! that is sound for the whole stream is a fortiori sound for the shard's
@@ -26,18 +27,16 @@
 //! shards *able* to purge: any chained-purge requirement a shard derives
 //! binds the partition attribute from shard-local rows, whose class values
 //! hash to that very shard — so the covering punctuation is routed there.
+//! Nothing in that argument asks which engine a shard is, so the wrapper does
+//! not either: it is an [`Engine`] over `E: Engine`, and an engine supplies
+//! only how shard `i` is built and how finished shards fold into one result.
 //!
 //! The payoff on purge-dominated workloads is that a targeted punctuation
 //! triggers a purge cycle in **one** shard scanning `~live/P` candidates
 //! instead of one cycle scanning all live state, cutting total purge work by
 //! roughly the shard count — independent of how many cores execute the
 //! shards.
-//!
-//! The sharded executor does not support a group-by stage (aggregation
-//! requires a global view of each group); use the sequential [`Executor`]
-//! for aggregating queries.
 
-use std::path::Path;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -55,26 +54,12 @@ use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecConfig, Executor, LiveStateSnapshot, RunResult};
 use crate::guard::AdmissionFault;
 use crate::metrics::Metrics;
-use crate::pipeline::{Checkpointed, Snapshot, FEED_CHUNK};
-use crate::sink::{CollectSink, CountSink, ResultSink};
+use crate::pipeline::{Checkpointed, Engine, Shard, Snapshot, FEED_CHUNK};
+use crate::sink::ResultSink;
 use crate::source::{ElementBatch, Feed};
 
 /// Elements per routed batch (amortizes channel synchronization).
 const ROUTE_BATCH: usize = 256;
-
-/// Caps a requested shard count at what the host can actually run
-/// concurrently. Shards are real threads: asking for more of them than the
-/// machine has cores buys no parallelism and still pays the routing,
-/// channel-synchronization, and replicated-broadcast-state costs — which is
-/// how `P = 4` ends up *slower* than `P = 2` on a two-core box. The floor of
-/// 2 keeps purge-locality wins available even on single-core hosts (a
-/// targeted punctuation still purges only one shard's slice). Never raises
-/// the request; always at least 1.
-#[must_use]
-pub fn auto_shards(requested: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    requested.clamp(1, cores.max(2))
-}
 
 /// Renders a caught panic payload for [`ExecError::ShardPanicked`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -87,44 +72,44 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The one worker fan-out behind every sharded run: routes `elements` across
-/// one `step`-driven worker per shard and returns what each worker's `done`
-/// produced, in shard order — or the first failing shard's error, after the
-/// survivors drained. Routing, the single-shard bypass and shard supervision
-/// are described on [`ShardedExecutor::try_run_with_sinks`].
+/// Wraps an error of shard `shard` as [`ExecError::Shard`].
+fn shard_failed(shard: usize) -> impl Fn(ExecError) -> ExecError {
+    move |e| ExecError::Shard {
+        shard,
+        source: Box::new(e),
+    }
+}
+
+/// The one worker fan-out behind every threaded sharded run: routes
+/// `elements` across one `step`-driven worker per shard and returns the
+/// workers, in shard order, once each has drained what was routed to it — or
+/// the first failing shard's error, after the survivors drained. Routing, the
+/// single-shard bypass and shard supervision are described on [`Sharded`].
 ///
 /// # Panics
 /// Panics if more than one shard is asked to route a feed longer than
 /// `u32::MAX` elements.
-pub(crate) fn fan_out<W: Send, R: Send>(
+fn fan_out<W: Send>(
     partitioning: &Partitioning,
     elements: &[StreamElement],
     mut workers: Vec<W>,
     step: impl Fn(&mut W, &ElementBatch<'_>) -> ExecResult<()> + Sync,
-    done: impl Fn(W) -> R + Sync,
-) -> ExecResult<Vec<R>> {
-    let failed = |shard: usize| {
-        move |e: ExecError| ExecError::Shard {
-            shard,
-            source: Box::new(e),
-        }
-    };
+) -> ExecResult<Vec<W>> {
     let p = workers.len();
     if p == 1 {
-        let mut worker = workers.pop().expect("one shard");
         let mut batch = ElementBatch::new();
         for chunk in elements.chunks(FEED_CHUNK) {
             batch.gather(chunk);
-            step(&mut worker, &batch).map_err(failed(0))?;
+            step(&mut workers[0], &batch).map_err(shard_failed(0))?;
         }
-        return Ok(vec![done(worker)]);
+        return Ok(workers);
     }
     assert!(
         u32::try_from(elements.len()).is_ok(),
         "feed too long to route"
     );
-    let (step, done) = (&step, &done);
-    let finished: Vec<ExecResult<R>> = std::thread::scope(|scope| {
+    let step = &step;
+    let finished: Vec<ExecResult<W>> = std::thread::scope(|scope| {
         let mut senders = Vec::with_capacity(p);
         let mut handles = Vec::with_capacity(p);
         for (shard, worker) in workers.into_iter().enumerate() {
@@ -141,10 +126,10 @@ pub(crate) fn fan_out<W: Send, R: Send>(
                         batch.gather_indexed(elements, &idxs);
                         step(&mut worker, &batch)?;
                     }
-                    Ok(done(worker))
+                    Ok(worker)
                 }));
                 match caught {
-                    Ok(res) => res.map_err(failed(shard)),
+                    Ok(res) => res.map_err(shard_failed(shard)),
                     Err(payload) => Err(ExecError::ShardPanicked {
                         shard,
                         message: panic_message(payload.as_ref()),
@@ -182,7 +167,7 @@ pub(crate) fn fan_out<W: Send, R: Send>(
                 let _ = senders[shard].send(buf);
             }
         }
-        drop(senders); // close channels: workers drain, purge, and report
+        drop(senders); // close channels: workers drain and hand themselves back
         handles
             .into_iter()
             .enumerate()
@@ -325,7 +310,7 @@ impl Partitioning {
     }
 }
 
-/// Result of a sharded run.
+/// Result of a sharded executor run.
 ///
 /// Physical counters (`metrics.purged`, peaks, `purge_cycles`...) are summed
 /// across shards — broadcast state is replicated, so they can exceed a
@@ -334,53 +319,144 @@ impl Partitioning {
 /// id; partitioned state is disjoint across shards and summed.
 #[derive(Debug)]
 pub struct ShardedRunResult {
-    /// Merged result tuples, concatenated from the per-shard sinks by
-    /// [`ShardedExecutor::run`] when [`ExecConfig::record_outputs`] is set
-    /// (empty otherwise, and empty from
-    /// [`ShardedExecutor::try_run_with_sinks`] — there the caller owns the
-    /// sinks). Each result is produced by exactly one shard (the one its
+    /// Merged result tuples, concatenated in shard order from what the
+    /// shards recorded under [`ExecConfig::record_outputs`] (empty otherwise,
+    /// and empty from [`Sharded::try_run_with_sinks`] — there the caller owns
+    /// the sinks). Each result is produced by exactly one shard (the one its
     /// partition-class value hashes to), so this is the same multiset a
     /// sequential run emits, in per-shard order.
     pub outputs: Vec<Vec<Value>>,
-    /// Merged metrics. `tuples_in`/`puncts_in`/`violations`/`outputs` and
-    /// the tuple-side quarantine counts are logical feed-level counts;
-    /// purge/peak counters and punctuation-side quarantine/repair counts are
-    /// physical sums (broadcast punctuations are classified per shard);
-    /// `stalled_streams` is the union across shards; `elapsed_ns` is the
-    /// wall-clock time of the whole sharded run; the sample series is left
-    /// empty (see the per-shard results).
+    /// Merged metrics; see [`Sharded`] for which counts are logical. The
+    /// sample series is left empty (see the per-shard results).
     pub metrics: Metrics,
     /// Logical live join-state tuples at end of run.
     pub logical_join_state: usize,
     /// Logical live mirror tuples at end of run.
     pub logical_mirror: usize,
-    /// Per-shard results (their `outputs` are empty — results flow to the
-    /// per-shard sinks; everything else, including the sample series, is
-    /// intact).
+    /// Per-shard results (their `outputs` moved into the merged `outputs`;
+    /// everything else, including the sample series, is intact).
     pub shards: Vec<RunResult>,
 }
 
-/// A compiled plan, runnable over `P` hash-partitioned shards.
+/// `P` engines of one kind — [`Executor`]s, or
+/// [`QueryRegistry`](crate::registry::QueryRegistry)s — behind one router,
+/// driven through the same [`Engine`] surface as the engine it wraps.
+///
+/// [`Engine::try_run`] is the threaded run: `P` shard workers over routed
+/// subsequences of the feed. With `P = 1` the router and channels are bypassed
+/// entirely and the one shard is fed the whole feed by the same gather → batch
+/// push loop the workers run, so a single-shard run costs what the plain
+/// engine's does. With `P >= 2` the router walks the feed once, sending
+/// element *indices* in batches over bounded channels; workers borrow the feed
+/// directly and gather their routed subsequences into reusable
+/// [`ElementBatch`]es, so no element is copied on the way in.
+///
+/// Every other entry point ([`Engine::try_push`], the checkpoint driver
+/// behind [`Engine::try_run_checkpointed`] / [`Engine::try_resume`]) routes
+/// inline, one element to its shard (or to all, when broadcast) with no
+/// worker threads: a checkpoint taken between two elements is a consistent
+/// cut across the whole plane — one snapshot holds the router's counts and
+/// every shard's state — and the shards see the same routed subsequences in
+/// the same order as under the threaded run, so both finish to the same
+/// result.
+///
+/// **Supervision.** Each worker runs inside `catch_unwind`: a panic in a
+/// shard (operator bug, poisoned sink, certificate-verifier trip) is caught
+/// and reported as [`ExecError::ShardPanicked`] with the shard index and panic
+/// message; a typed failure inside a shard (admission under `Strict`,
+/// state-budget breach) comes back as [`ExecError::Shard`] wrapping the source
+/// error. The process never aborts. When a shard dies mid-feed its channel
+/// disconnects; the router marks it dead and keeps feeding the survivors, so
+/// every surviving shard drains what was routed to it before the first
+/// failure, by shard index, is returned.
+///
+/// **Merged metrics.** [`Engine::finish`] folds the shards by the wrapped
+/// engine's rule and then applies the router's bookkeeping, once for every
+/// engine: `tuples_in`/`puncts_in`/`violations`/`quarantined` and the
+/// tuple-side quarantine matrix are logical feed-level counts (a broadcast
+/// element counts once); purge/peak counters and punctuation-side
+/// quarantine/repair counts are physical sums (broadcast punctuations are
+/// classified per shard); `stalled_streams` is the union across shards;
+/// `elapsed_ns` is the driver's wall-clock time.
+///
+/// A sharded executor does not support a group-by stage (aggregation needs a
+/// global view of each group).
 #[derive(Debug)]
-pub struct ShardedExecutor {
-    query: Cjq,
-    schemes: SchemeSet,
-    plan: Plan,
-    cfg: ExecConfig,
+#[allow(private_bounds)]
+pub struct Sharded<E: Shard> {
     partitioning: Partitioning,
-    /// Per operator (bottom-up), per port: the port's span. Used to classify
-    /// each port as disjoint (spans a partitioned stream) or replicated.
-    port_spans: Vec<Vec<Vec<StreamId>>>,
-    /// Static per-port bound certificates applied to every shard executor
-    /// (see [`Executor::set_port_bounds`]). A shard's port holds a subset of
-    /// the logical port state — for partitioned ports a hash slice, for
-    /// broadcast ports a replica — so checking each shard against the
-    /// *logical* bound is sound.
-    port_bounds: Option<Vec<Option<u64>>>,
+    shards: Vec<E>,
+    /// Feed tuples and punctuations routed so far (a broadcast element counts
+    /// once), for the merged `tuples_in`/`puncts_in`.
+    router_tuples: u64,
+    router_puncts: u64,
+    /// Commits, restores and the driver's wall time (not part of a snapshot).
+    driver: Metrics,
 }
 
-impl ShardedExecutor {
-    /// Compiles `plan` for sharded execution over `shards` shards.
+/// `cfg` as shard `shard` runs it: concurrent shards must never share spill
+/// segment files.
+pub(crate) fn shard_cfg(mut cfg: ExecConfig, shard: usize) -> ExecConfig {
+    if let Some(t) = cfg.tiering.as_mut() {
+        t.shard_tag = shard as u32;
+    }
+    cfg
+}
+
+#[allow(private_bounds)]
+impl<E: Shard> Sharded<E> {
+    /// `shards` behind a router over `partitioning`, nothing routed yet.
+    pub(crate) fn over(partitioning: Partitioning, shards: Vec<E>) -> Self {
+        assert_eq!(partitioning.shards, shards.len(), "one engine per shard");
+        Sharded {
+            partitioning,
+            shards,
+            router_tuples: 0,
+            router_puncts: 0,
+            driver: Metrics::default(),
+        }
+    }
+
+    /// The stream-to-shard partitioning in effect.
+    #[must_use]
+    pub fn partitioning(&self) -> &Partitioning {
+        &self.partitioning
+    }
+
+    /// The shard engines, in shard order.
+    pub(crate) fn shards(&self) -> &[E] {
+        &self.shards
+    }
+
+    /// The threaded run (see the type docs): the shards move into one worker
+    /// each beside `sinks[shard]` and come back once the feed is drained.
+    /// After an error the shards are gone with their workers.
+    fn fan<S: Send>(
+        &mut self,
+        feed: &Feed,
+        sinks: Vec<S>,
+        step: impl Fn(&mut E, &mut S, &ElementBatch<'_>) -> ExecResult<()> + Sync,
+    ) -> ExecResult<Vec<S>> {
+        let start = Instant::now();
+        let workers = std::mem::take(&mut self.shards).into_iter().zip(sinks);
+        let drained = fan_out(
+            &self.partitioning,
+            feed.elements(),
+            workers.collect(),
+            |(engine, sink), batch| step(engine, sink, batch),
+        )?;
+        let (shards, sinks) = drained.into_iter().unzip();
+        self.shards = shards;
+        let puncts = feed.punctuation_count() as u64;
+        self.router_puncts += puncts;
+        self.router_tuples += feed.len() as u64 - puncts;
+        self.driver.elapsed_ns += start.elapsed().as_nanos();
+        Ok(sinks)
+    }
+}
+
+impl Sharded<Executor> {
+    /// Compiles `plan` once per shard, for execution over `shards` shards.
     ///
     /// Validation matches [`Executor::compile`]; the partitioning is derived
     /// from the query alone (see [`Partitioning::for_query`]).
@@ -391,105 +467,40 @@ impl ShardedExecutor {
         cfg: ExecConfig,
         shards: usize,
     ) -> CoreResult<Self> {
-        let template = Executor::compile(query, schemes, plan, cfg)?;
-        let port_spans = template
-            .operators()
-            .map(|op| op.port_spans().to_vec())
-            .collect();
-        Ok(ShardedExecutor {
-            query: query.clone(),
-            schemes: schemes.clone(),
-            plan: plan.clone(),
-            cfg,
-            partitioning: Partitioning::for_query(query, shards),
-            port_spans,
-            port_bounds: None,
-        })
+        let partitioning = Partitioning::for_query(query, shards);
+        let compile = |shard| Executor::compile(query, schemes, plan, shard_cfg(cfg, shard));
+        let shards = (0..shards).map(compile).collect::<CoreResult<_>>()?;
+        Ok(Sharded::over(partitioning, shards))
     }
 
-    /// Arms per-port bound certificates on every shard executor
+    /// Arms per-port bound certificates on every shard
     /// ([`Executor::set_port_bounds`]); a violation in any shard surfaces as
-    /// [`ExecError::Shard`] wrapping [`ExecError::PortBoundExceeded`].
+    /// [`ExecError::Shard`] wrapping [`ExecError::PortBoundExceeded`]. A
+    /// shard's port holds a subset of the logical port state — for
+    /// partitioned ports a hash slice, for broadcast ports a replica — so
+    /// checking each shard against the *logical* bound is sound.
     ///
     /// # Panics
-    /// Panics (at run time, in each shard) if `bounds.len()` differs from
-    /// the number of flattened operator ports.
+    /// Panics if `bounds.len()` differs from the number of flattened operator
+    /// ports.
     pub fn set_port_bounds(&mut self, bounds: Vec<Option<u64>>) {
-        self.port_bounds = if bounds.iter().all(Option::is_none) {
-            None
-        } else {
-            Some(bounds)
-        };
-    }
-
-    /// The stream-to-shard partitioning in effect.
-    #[must_use]
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
-    }
-
-    /// Runs the whole feed through `P` shard workers and merges the results.
-    ///
-    /// Results are collected per shard into [`CollectSink`]s when
-    /// [`ExecConfig::record_outputs`] is set (and concatenated into
-    /// `ShardedRunResult::outputs`), or merely counted otherwise. See
-    /// [`ShardedExecutor::try_run_with_sinks`] for the routing details and for
-    /// custom sinks.
-    ///
-    /// # Panics
-    /// Panics if the feed exceeds `u32::MAX` elements or a shard fails
-    /// (rendering the shard's [`ExecError`]); use
-    /// [`ShardedExecutor::try_run`] to handle shard failures as values.
-    #[must_use]
-    pub fn run(&self, feed: &Feed) -> ShardedRunResult {
-        self.try_run(feed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`ShardedExecutor::run`]: shard panics and
-    /// per-shard execution errors surface as [`ExecError`]s.
-    pub fn try_run(&self, feed: &Feed) -> ExecResult<ShardedRunResult> {
-        if self.cfg.record_outputs {
-            let (mut result, sinks) = self.try_run_with_sinks(feed, |_| CollectSink::new())?;
-            result.outputs = sinks.into_iter().flat_map(|s| s.rows).collect();
-            Ok(result)
-        } else {
-            Ok(self.try_run_with_sinks(feed, |_| CountSink::new())?.0)
+        for shard in &mut self.shards {
+            shard.set_port_bounds(bounds.clone());
         }
     }
 
-    /// Runs the whole feed through `P` shard workers, streaming each shard's
-    /// results into its own sink (`make_sink(shard)`), and merges the
-    /// metrics. Returns the per-shard sinks alongside — every result row is
+    /// The threaded run of [`Engine::try_run`], streaming each shard's
+    /// results into its own sink (`make_sink(shard)`) instead of the shard's
+    /// record. Returns the per-shard sinks alongside — every result row is
     /// emitted by exactly one shard, so their union is the sequential result
-    /// multiset.
-    ///
-    /// With `P = 1` the router and channels are bypassed entirely: the one
-    /// shard is a plain sequential [`Executor`] fed the whole feed by the same
-    /// gather → `try_push_batch` → `finish_detailed` loop the `P >= 2` workers
-    /// run, so single-shard runs cost the same as
-    /// [`Executor::try_run_with_sink`]. With `P >= 2` the router walks the feed
-    /// once, sending element *indices* in batches over bounded channels;
-    /// workers borrow the feed directly and gather their routed subsequences
-    /// into reusable [`ElementBatch`]es, so no element is copied on the way
-    /// in.
-    ///
-    /// **Supervision.** Each worker runs inside `catch_unwind`: a panic in a
-    /// shard (operator bug, poisoned sink, certificate-verifier trip) is
-    /// caught and reported as [`ExecError::ShardPanicked`] with the shard
-    /// index and panic message; a typed failure inside a shard (admission
-    /// under `Strict`, state-budget breach) comes back as
-    /// [`ExecError::Shard`] wrapping the source error. The process never
-    /// aborts. When a shard dies mid-feed its channel disconnects; the
-    /// router marks it dead and keeps feeding the survivors, so every
-    /// surviving shard drains, purges, and reports before the first failure
-    /// is returned. On failure the per-shard sinks are dropped — results
-    /// already streamed to external sinks may be partial.
+    /// multiset. On failure the sinks are dropped — results already streamed
+    /// to external sinks may be partial.
     ///
     /// # Errors
     /// The first failing shard's error, by shard index; surviving shards are
     /// fully drained first.
     pub fn try_run_with_sinks<S, F>(
-        &self,
+        mut self,
         feed: &Feed,
         make_sink: F,
     ) -> ExecResult<(ShardedRunResult, Vec<S>)>
@@ -497,54 +508,84 @@ impl ShardedExecutor {
         S: ResultSink + Send,
         F: Fn(usize) -> S,
     {
-        let start = Instant::now();
-        let workers = self
-            .compile_shards()
-            .into_iter()
-            .enumerate()
-            .map(|(shard, exec)| (exec, make_sink(shard)))
+        let sinks = (0..self.shards.len()).map(make_sink).collect();
+        let mut sinks = self.fan(feed, sinks, |exec, sink, batch| {
+            exec.try_push_batch(batch, sink)
+        })?;
+        sinks.iter_mut().for_each(ResultSink::finish);
+        Ok((self.finish(), sinks))
+    }
+}
+
+/// Slot-union logical state: a port (or mirror) that holds a partitioned
+/// stream's rows is disjoint across shards and summed; one that holds only
+/// broadcast rows is replicated, and its live slots — assigned identically in
+/// every shard — are unioned.
+impl Shard for Executor {
+    type Folded = ShardedRunResult;
+
+    fn fold(shards: Vec<Executor>, partitioning: &Partitioning) -> ShardedRunResult {
+        let disjoint = |span: &[StreamId]| span.iter().any(|&s| partitioning.is_partitioned(s));
+        let ports: Vec<Vec<bool>> = shards[0]
+            .operators()
+            .map(|op| op.port_spans().iter().map(|span| disjoint(span)).collect())
             .collect();
-        let finished = fan_out(
-            &self.partitioning,
-            feed.elements(),
-            workers,
-            |(exec, sink): &mut (Executor, S), batch| exec.try_push_batch(batch, sink),
-            |(exec, mut sink)| {
-                sink.finish();
-                (exec.finish_detailed(), sink)
-            },
-        )?;
-        let (shards_snaps, sinks) = finished.into_iter().unzip();
-        let router_puncts = feed.punctuation_count() as u64;
-        let router_tuples = feed.len() as u64 - router_puncts;
-        let elapsed_ns = start.elapsed().as_nanos();
-        let merged = self.merge(shards_snaps, router_tuples, router_puncts, elapsed_ns);
-        Ok((merged, sinks))
+        let (results, live): (Vec<RunResult>, Vec<LiveStateSnapshot>) =
+            shards.into_iter().map(Executor::finish_detailed).unzip();
+        let logical = |slots: Vec<&Vec<usize>>, disjoint: bool| -> usize {
+            if disjoint {
+                slots.iter().map(|l| l.len()).sum()
+            } else {
+                let union: FxHashSet<usize> =
+                    slots.iter().flat_map(|l| l.iter().copied()).collect();
+                union.len()
+            }
+        };
+        let mut folded = ShardedRunResult {
+            outputs: Vec::new(),
+            metrics: Metrics::default(),
+            logical_join_state: 0,
+            logical_mirror: 0,
+            shards: results,
+        };
+        for (op, ports) in ports.iter().enumerate() {
+            for (port, &disjoint) in ports.iter().enumerate() {
+                let slots = live.iter().map(|s| &s.op_port_slots[op][port]).collect();
+                folded.logical_join_state += logical(slots, disjoint);
+            }
+        }
+        for (s, attr) in partitioning.attr.iter().enumerate() {
+            let slots = live.iter().map(|snap| &snap.mirror_slots[s]).collect();
+            folded.logical_mirror += logical(slots, attr.is_some());
+        }
+        for r in &mut folded.shards {
+            folded.metrics.merge_from(&r.metrics);
+            folded.outputs.append(&mut r.outputs);
+        }
+        folded
     }
 
-    /// Merges per-shard results into one [`ShardedRunResult`] (with empty
-    /// `outputs` — the caller owns the sinks).
-    fn merge(
-        &self,
-        shards_snaps: Vec<(RunResult, LiveStateSnapshot)>,
-        router_tuples: u64,
-        router_puncts: u64,
-        elapsed_ns: u128,
-    ) -> ShardedRunResult {
-        let (shards, snapshots): (Vec<RunResult>, Vec<LiveStateSnapshot>) =
-            shards_snaps.into_iter().unzip();
-        let n_streams = self.query.n_streams();
-        // Everything physical folds by its merge rule.
-        let mut metrics = Metrics::default();
-        for r in &shards {
-            metrics.merge_from(&r.metrics);
-        }
+    fn metrics_of(folded: &mut ShardedRunResult) -> &mut Metrics {
+        &mut folded.metrics
+    }
+}
+
+#[allow(private_bounds)]
+impl<E: Shard> Engine for Sharded<E> {
+    type Output = E::Folded;
+
+    /// Finishes every shard, folds them by the engine's rule and applies the
+    /// router's feed-level counts to the folded metrics.
+    fn finish(mut self) -> E::Folded {
+        // Quarantine counts only move on a push: shard 0's are final already.
+        let first = self.shards[0].counters().quarantined_rows.clone();
+        let mut folded = E::fold(self.shards, &self.partitioning);
+        let metrics = E::metrics_of(&mut folded);
         // The tuple-side quarantine matrix is logical: each tuple of a
-        // partitioned stream is routed — and refused — exactly once (sum the
-        // shards), a broadcast stream's tuples replay identically in every
-        // shard (take shard 0). Rows for unknown streams land past the
+        // partitioned stream is routed — and refused — exactly once (the
+        // shards' sum), a broadcast stream's tuples replay identically in
+        // every shard (take shard 0). Rows for unknown streams land past the
         // partitioning table and are broadcast.
-        let first = &shards[0].metrics.quarantined_rows;
         for (i, cell) in metrics.quarantined_rows.iter_mut().enumerate() {
             let stream = i / AdmissionFault::REASONS;
             if !matches!(self.partitioning.attr.get(stream), Some(Some(_))) {
@@ -554,162 +595,29 @@ impl ShardedExecutor {
         // The feed-level counts follow from it and from the router.
         metrics.violations = metrics.violations_by_stream().iter().sum();
         metrics.quarantined = metrics.quarantined_by_stream().iter().sum();
-        metrics.tuples_in = router_tuples - metrics.violations - metrics.shape_refused_rows();
-        metrics.puncts_in = router_puncts;
-        metrics.elapsed_ns = elapsed_ns;
-
-        let merge = |slot_lists: Vec<&Vec<usize>>, disjoint: bool| -> usize {
-            if disjoint {
-                slot_lists.iter().map(|l| l.len()).sum()
-            } else {
-                let union: FxHashSet<usize> =
-                    slot_lists.iter().flat_map(|l| l.iter().copied()).collect();
-                union.len()
-            }
-        };
-        let mut logical_join_state = 0usize;
-        for (op, ports) in self.port_spans.iter().enumerate() {
-            for (port, span) in ports.iter().enumerate() {
-                let disjoint = span.iter().any(|&s| self.partitioning.is_partitioned(s));
-                let lists = snapshots
-                    .iter()
-                    .map(|s| &s.op_port_slots[op][port])
-                    .collect();
-                logical_join_state += merge(lists, disjoint);
-            }
-        }
-        let mut logical_mirror = 0usize;
-        for s in 0..n_streams {
-            let disjoint = self.partitioning.attr[s].is_some();
-            let lists = snapshots.iter().map(|snap| &snap.mirror_slots[s]).collect();
-            logical_mirror += merge(lists, disjoint);
-        }
-
-        ShardedRunResult {
-            outputs: Vec::new(),
-            metrics,
-            logical_join_state,
-            logical_mirror,
-            shards,
-        }
-    }
-
-    /// Compiles the `P` per-shard executors: the shared config with each
-    /// shard's own spill tag (concurrent shards must never share segment
-    /// files), with the static port bounds armed when present.
-    fn compile_shards(&self) -> Vec<Executor> {
-        (0..self.partitioning.shards)
-            .map(|shard| {
-                let mut cfg = self.cfg;
-                if let Some(t) = cfg.tiering.as_mut() {
-                    t.shard_tag = shard as u32;
-                }
-                let mut exec = Executor::compile(&self.query, &self.schemes, &self.plan, cfg)
-                    .expect("validated in ShardedExecutor::compile");
-                if let Some(bounds) = &self.port_bounds {
-                    exec.set_port_bounds(bounds.clone());
-                }
-                exec
-            })
-            .collect()
-    }
-
-    /// A freshly compiled inline fleet, nothing routed yet.
-    fn fleet(&self) -> Fleet<'_> {
-        Fleet {
-            partitioning: &self.partitioning,
-            execs: self.compile_shards(),
-            router_tuples: 0,
-            router_puncts: 0,
-            driver: Metrics::default(),
-        }
-    }
-
-    /// Drains every shard of a checkpointed fleet and merges, with `outputs`
-    /// concatenated in shard order.
-    fn finish_fleet(&self, fleet: Fleet<'_>) -> ShardedRunResult {
-        let shards_snaps = fleet
-            .execs
-            .into_iter()
-            .map(Executor::finish_detailed)
-            .collect();
-        let mut merged = self.merge(shards_snaps, fleet.router_tuples, fleet.router_puncts, 0);
-        merged.metrics.merge_from(&fleet.driver);
-        if self.cfg.record_outputs {
-            for r in &mut merged.shards {
-                merged.outputs.append(&mut r.outputs);
-            }
-        }
-        merged
-    }
-
-    /// Runs the whole feed through `P` *synchronous* shard executors with
-    /// punctuation-aligned checkpointing every `every` elements into `dir`.
-    ///
-    /// Unlike [`ShardedExecutor::try_run`] this uses no worker threads: the
-    /// router feeds each element to its shard (or all shards, when
-    /// broadcast) inline, so a checkpoint taken between elements is a
-    /// consistent cut across the whole fleet — one snapshot file holds every
-    /// shard's state plus the global input cursor. The merged result is the
-    /// same logical result the threaded runner produces (same routed
-    /// subsequences in the same order), with `outputs` concatenated in shard
-    /// order.
-    pub fn try_run_checkpointed(
-        &self,
-        feed: &Feed,
-        dir: &Path,
-        every: u64,
-    ) -> ExecResult<ShardedRunResult> {
-        let mut fleet = self.fleet();
-        fleet.run_checkpointed(feed, dir, every)?;
-        Ok(self.finish_fleet(fleet))
-    }
-
-    /// Restores a whole shard fleet from the newest valid snapshot in `dir`
-    /// and resumes the feed from the recorded cursor, continuing to
-    /// checkpoint at the recorded cadence. `self` must be compiled from the
-    /// same query, plan, schemes, config, and shard count as the executor
-    /// that wrote the snapshots ([`ExecError::RestoreMismatch`] otherwise).
-    /// A corrupt newest snapshot falls back to the previous retained one;
-    /// an empty directory (crash before the first commit) cold-starts the
-    /// whole feed at cadence `every` (ignored otherwise — the manifest's
-    /// recorded cadence wins). The result is byte-identical to an
-    /// uninterrupted [`ShardedExecutor::try_run_checkpointed`] over the same
-    /// feed (modulo wall time and the checkpoint counters themselves).
-    pub fn try_resume(&self, feed: &Feed, dir: &Path, every: u64) -> ExecResult<ShardedRunResult> {
-        let fleet = Fleet::resume_from(dir, |_| Ok(self.fleet()), feed, every)?;
-        Ok(self.finish_fleet(fleet))
+        metrics.tuples_in = self.router_tuples - metrics.violations - metrics.shape_refused_rows();
+        metrics.puncts_in = self.router_puncts;
+        // The shards' clocks overlap; the driver's is the run's.
+        metrics.elapsed_ns = 0;
+        metrics.merge_from(&self.driver);
+        folded
     }
 }
 
-/// The inline shard fleet behind checkpointed sharded runs: the shard
-/// executors, the router that feeds them one element at a time, and what the
-/// router itself counts. It runs under the shared checkpoint driver
-/// ([`Checkpointed`]); a cut between two elements is consistent across the
-/// whole fleet.
-struct Fleet<'a> {
-    partitioning: &'a Partitioning,
-    execs: Vec<Executor>,
-    /// Feed tuples and punctuations routed so far (a broadcast element counts
-    /// once), for the merged `tuples_in`/`puncts_in`.
-    router_tuples: u64,
-    router_puncts: u64,
-    /// Commits, restores and the driver's wall time (not part of a snapshot).
-    driver: Metrics,
-}
-
-impl Snapshot for Fleet<'_> {
+#[allow(private_bounds)]
+impl<E: Shard> Snapshot for Sharded<E> {
     const KIND: SnapshotKind = SnapshotKind::Sharded;
 
-    /// Shard count plus each shard's [`Executor::fingerprint`] (which differ
-    /// only in the spill shard tag): a sharded snapshot only overlays onto a
-    /// fleet compiled from the same query, plan, schemes, config, and shard
-    /// count.
+    /// Shard count, the shard engine's kind, and each shard's own fingerprint
+    /// (which differ only in the spill shard tag): a sharded snapshot only
+    /// overlays onto a plane of the same engine built from the same inputs
+    /// over the same shard count.
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::default();
-        fp.word(self.execs.len() as u64);
-        for e in &self.execs {
-            fp.word(e.fingerprint());
+        fp.word(self.shards.len() as u64);
+        fp.word(u64::from(E::KIND.tag()));
+        for shard in &self.shards {
+            fp.word(shard.fingerprint());
         }
         fp.finish()
     }
@@ -718,36 +626,41 @@ impl Snapshot for Fleet<'_> {
     fn write_snapshot(&self, e: &mut Enc) {
         e.u64(self.router_tuples);
         e.u64(self.router_puncts);
-        e.usize(self.execs.len());
-        for exec in &self.execs {
-            exec.write_snapshot(e);
+        e.usize(self.shards.len());
+        for shard in &self.shards {
+            shard.write_snapshot(e);
         }
     }
 
     fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         self.router_tuples = d.u64()?;
         self.router_puncts = d.u64()?;
-        d.count_of("shards", self.execs.len())?;
-        self.execs
+        d.count_of("shards", self.shards.len())?;
+        self.shards
             .iter_mut()
-            .try_for_each(|exec| exec.read_snapshot(d))
+            .try_for_each(|shard| shard.read_snapshot(d))
     }
 
     fn not_checkpointable(&self) -> Option<&'static str> {
-        self.execs.iter().find_map(Executor::not_checkpointable)
+        self.shards.iter().find_map(E::not_checkpointable)
     }
 }
 
-impl Checkpointed for Fleet<'_> {
+#[allow(private_bounds)]
+impl<E: Shard> Checkpointed for Sharded<E> {
     fn snapshot_rows(&self) -> u64 {
-        self.execs.iter().map(Executor::snapshot_rows).sum()
+        self.shards.iter().map(E::snapshot_rows).sum()
     }
 
     fn n_streams(&self) -> Option<usize> {
         Some(self.partitioning.attr.len())
     }
 
+    /// Inline routing: the element goes to its shard, or to every shard.
     fn push_one(&mut self, element: &StreamElement) -> ExecResult<()> {
+        if let Some(first) = self.failure() {
+            return Err(first);
+        }
         if element.is_punctuation() {
             self.router_puncts += 1;
         } else {
@@ -755,15 +668,12 @@ impl Checkpointed for Fleet<'_> {
         }
         let targets = match self.partitioning.route(element) {
             Some(shard) => shard..shard + 1,
-            None => 0..self.execs.len(),
+            None => 0..self.shards.len(),
         };
         for shard in targets {
-            self.execs[shard]
+            self.shards[shard]
                 .push_one(element)
-                .map_err(|source| ExecError::Shard {
-                    shard,
-                    source: Box::new(source),
-                })?;
+                .map_err(shard_failed(shard))?;
         }
         Ok(())
     }
@@ -771,12 +681,30 @@ impl Checkpointed for Fleet<'_> {
     fn counters(&mut self) -> &mut Metrics {
         &mut self.driver
     }
+
+    /// The first failed shard's error, by shard index.
+    fn failure(&self) -> Option<ExecError> {
+        let failed = |(shard, e): (usize, &E)| Some(shard_failed(shard)(e.failure()?));
+        self.shards.iter().enumerate().find_map(failed)
+    }
+
+    /// The threaded run, each shard recording (or counting) its own results.
+    fn feed_all(&mut self, feed: &Feed) -> ExecResult<()> {
+        let own = vec![(); self.shards.len()];
+        self.fan(feed, own, |shard, (), batch| {
+            shard.with_own_sink(|shard, sink| shard.push_batch_timed(batch, sink))
+        })?;
+        Ok(())
+    }
+
+    fn purge_all(&mut self) {
+        self.shards.iter_mut().for_each(E::purge_all);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Engine;
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
     use cjq_core::punctuation::Punctuation;
@@ -854,7 +782,7 @@ mod tests {
             .unwrap()
             .run(&feed);
         for p in [1, 3] {
-            let sharded = ShardedExecutor::compile(&q, &r, &plan, ExecConfig::default(), p)
+            let sharded = Sharded::<Executor>::compile(&q, &r, &plan, ExecConfig::default(), p)
                 .unwrap()
                 .run(&feed);
             let mut a = seq.outputs.clone();
@@ -885,7 +813,7 @@ mod tests {
             Tuple::of(1, vec![ival(1), ival(5), ival(1)]).into(),
             Tuple::of(1, vec![ival(1), ival(6), ival(1)]).into(),
         ]);
-        let sharded = ShardedExecutor::compile(&q, &r, &plan, ExecConfig::default(), 4)
+        let sharded = Sharded::<Executor>::compile(&q, &r, &plan, ExecConfig::default(), 4)
             .unwrap()
             .run(&feed);
         assert_eq!(sharded.metrics.violations, 1);

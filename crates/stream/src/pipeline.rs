@@ -15,9 +15,12 @@
 //! default is a no-op (the mirror purge is not among them: the
 //! [`PurgeEngine`] purges by the meet of the recipe sets subscribed to it, one
 //! or many). The checkpoint driver is the provided methods of
-//! [`Checkpointed`], which asks less than a whole pipeline, so the sharded
-//! executor's inline shard fleet runs under it too; [`Engine`] is the public
-//! face of both — the one definition of run, checkpoint, restore and resume.
+//! [`Checkpointed`], which asks less than a whole pipeline: a snapshot, a
+//! one-element push and three whole-engine hooks. A pipeline answers them by
+//! the blanket impl below; the sharded plane
+//! ([`Sharded`](crate::parallel::Sharded)) answers them by routing to its
+//! shards. [`Engine`] is the public face of all three — the one definition of
+//! run, checkpoint, restore and resume — and asks only for [`Checkpointed`].
 //! Everything is statically dispatched; shared code never asks which engine
 //! it serves.
 
@@ -39,6 +42,7 @@ use crate::exec::{ExecConfig, PurgeCadence};
 use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
+use crate::parallel::Partitioning;
 use crate::punct_store::PunctClass;
 use crate::purge::{PurgeEngine, PurgeWork};
 use crate::source::{BatchItem, ElementBatch, Feed};
@@ -195,9 +199,9 @@ pub(crate) trait Snapshot: Sized {
 }
 
 /// The one checkpoint driver: route, commit when due, restore, resume. Its
-/// provided methods need only what is required here, so they serve every
-/// [`Pipeline`] (the blanket impl below) and the sharded executor's inline
-/// shard fleet alike.
+/// provided methods — and [`Engine`]'s — need only what is required here, so
+/// they serve every [`Pipeline`] (the blanket impl below) and the sharded
+/// plane over either alike.
 pub(crate) trait Checkpointed: Snapshot {
     /// Live rows a checkpoint covers (reported as `Metrics::checkpoint_rows`).
     fn snapshot_rows(&self) -> u64;
@@ -208,6 +212,14 @@ pub(crate) trait Checkpointed: Snapshot {
     fn push_one(&mut self, element: &StreamElement) -> ExecResult<()>;
     /// Where commits, restores and the driver's wall time are counted.
     fn counters(&mut self) -> &mut Metrics;
+    /// The error an earlier push left this engine failed with, if any: the
+    /// guard of a caller's commit.
+    fn failure(&self) -> Option<ExecError>;
+    /// Pushes the whole feed through the batched path, root results going to
+    /// the engine's own sink.
+    fn feed_all(&mut self, feed: &Feed) -> ExecResult<()>;
+    /// Runs one purge cycle now.
+    fn purge_all(&mut self);
 
     /// The complete checkpoint payload: manifest (kind, fingerprint, cadence,
     /// input cursor) followed by the engine's snapshot body.
@@ -370,6 +382,18 @@ impl<P: Pipeline> Checkpointed for P {
     fn counters(&mut self) -> &mut Metrics {
         &mut self.core_mut().metrics
     }
+
+    fn failure(&self) -> Option<ExecError> {
+        self.core().failed.clone()
+    }
+
+    fn feed_all(&mut self, feed: &Feed) -> ExecResult<()> {
+        self.with_own_sink(|this, sink| this.feed(feed, sink))
+    }
+
+    fn purge_all(&mut self) {
+        self.run_purge_cycle();
+    }
 }
 
 /// Disjoint borrows of what element admission, routing and the purge cycle
@@ -465,22 +489,15 @@ pub(crate) trait Pipeline: Snapshot {
         self.ops().map(JoinOperator::cold_rows).sum()
     }
 
-    /// The error an earlier push left this engine failed with, if any: the
-    /// guard of every push and of a caller's commit.
-    fn refuse_if_failed(&self) -> ExecResult<()> {
-        match &self.core().failed {
-            Some(first) => Err(first.clone()),
-            None => Ok(()),
-        }
-    }
-
     /// Runs the push `f` unless an earlier one failed, and keeps the first
     /// error in [`Core::failed`]: an error leaves the element that raised it
     /// half-applied, so nothing may be pushed or committed after. Wrapped
     /// once around each push entry point, never per element inside one.
     #[inline]
     fn attempt<T>(&mut self, f: impl FnOnce(&mut Self) -> ExecResult<T>) -> ExecResult<T> {
-        self.refuse_if_failed()?;
+        if let Some(first) = &self.core().failed {
+            return Err(first.clone());
+        }
         let res = f(self);
         if let Err(e) = &res {
             self.core_mut().failed = Some(e.clone());
@@ -921,17 +938,18 @@ pub(crate) trait Pipeline: Snapshot {
     }
 }
 
-/// The driving surface of [`Executor`](crate::exec::Executor) and
-/// [`QueryRegistry`](crate::registry::QueryRegistry): push, purge,
+/// The driving surface of [`Executor`](crate::exec::Executor),
+/// [`QueryRegistry`](crate::registry::QueryRegistry) and the sharded plane
+/// over either ([`Sharded`](crate::parallel::Sharded)): push, purge,
 /// checkpoint, run to completion, restore and resume, each defined once for
-/// both. Sealed — the supertrait is crate-private on purpose.
+/// all of them. Sealed — the supertrait is crate-private on purpose.
 ///
 /// After a push returns an error the engine is failed (the element was only
 /// partly applied): every later push and [`Engine::commit_checkpoint`]
 /// returns that first error again; [`Engine::finish`] still reports what was
 /// counted up to it.
 #[allow(private_bounds)]
-pub trait Engine: Pipeline {
+pub trait Engine: Checkpointed {
     /// What a finished run hands back.
     type Output;
 
@@ -947,18 +965,16 @@ pub trait Engine: Pipeline {
     /// [`UnroutableStream`](ExecError::UnroutableStream) while no query was
     /// admitted.
     fn try_push(&mut self, element: &StreamElement) -> ExecResult<()> {
-        self.attempt(|this| {
-            let start = Instant::now();
-            this.push_untimed(element)?;
-            this.core_mut().metrics.elapsed_ns += start.elapsed().as_nanos();
-            Ok(())
-        })
+        let start = Instant::now();
+        self.push_one(element)?;
+        self.counters().elapsed_ns += start.elapsed().as_nanos();
+        Ok(())
     }
 
     /// Runs one purge cycle now: lifespan expiry, a purge pass per operator,
     /// the mirror's meet purge and §5.1 punctuation purging.
     fn purge_cycle(&mut self) {
-        self.run_purge_cycle();
+        self.purge_all();
     }
 
     /// [`Engine::try_run`], panicking where it would return an error.
@@ -967,9 +983,9 @@ pub trait Engine: Pipeline {
     }
 
     /// Pushes the whole feed through the batched path into the engine's own
-    /// sink, then finishes.
+    /// sink (a sharded plane: one worker thread per shard), then finishes.
     fn try_run(mut self, feed: &Feed) -> ExecResult<Self::Output> {
-        self.with_own_sink(|this, sink| this.feed(feed, sink))?;
+        self.feed_all(feed)?;
         Ok(self.finish())
     }
 
@@ -998,8 +1014,10 @@ pub trait Engine: Pipeline {
         store: &mut CheckpointStore,
         cursor: &InputCursor,
     ) -> ExecResult<()> {
-        self.refuse_if_failed()?;
-        self.commit_snapshot(store, cursor)
+        match self.failure() {
+            Some(first) => Err(first),
+            None => self.commit_snapshot(store, cursor),
+        }
     }
 
     /// Pushes the whole feed with punctuation-aligned checkpointing every
@@ -1048,4 +1066,24 @@ pub trait Engine: Pipeline {
     ) -> ExecResult<Self::Output> {
         Ok(Self::resume_from(dir, build, feed, every)?.finish())
     }
+}
+
+/// What the sharded plane asks of the engine it wraps, beyond driving it: how
+/// `P` finished shards fold into one result. (How shard `i` is built is the
+/// engine's own constructor: `Sharded::<Executor>::compile`,
+/// `Sharded::<QueryRegistry>::admit_all`.)
+///
+/// `pub` only so that [`Sharded`](crate::parallel::Sharded)'s `Engine::Output`
+/// may name `Folded`; this module is private and the trait is not re-exported.
+#[allow(private_bounds)]
+pub trait Shard: Engine + Pipeline + Send {
+    /// What `P` finished shards fold into.
+    type Folded;
+
+    /// Finishes every shard and folds the results; the folded metrics are the
+    /// shards' physical merge ([`Metrics::merge_from`]).
+    fn fold(shards: Vec<Self>, partitioning: &Partitioning) -> Self::Folded;
+
+    /// The folded metrics, for the router's feed-level counts.
+    fn metrics_of(folded: &mut Self::Folded) -> &mut Metrics;
 }

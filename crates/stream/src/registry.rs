@@ -43,8 +43,6 @@
 //! `tests/registry_equivalence.rs` asserts across cadences and shard
 //! counts.
 
-use std::time::Instant;
-
 use cjq_core::plan::Plan;
 use cjq_core::query::Cjq;
 use cjq_core::safety;
@@ -59,8 +57,8 @@ use crate::error::ExecResult;
 use crate::exec::{fingerprint_query, fingerprint_schemes, ExecConfig};
 use crate::guard::AdmissionGuard;
 use crate::metrics::{facts, Metrics};
-use crate::parallel::{fan_out, Partitioning};
-use crate::pipeline::{Core, Engine, Pipeline, Run, Snapshot, Stage};
+use crate::parallel::{shard_cfg, Partitioning, Sharded};
+use crate::pipeline::{Core, Engine, Pipeline, Run, Shard, Snapshot, Stage};
 use crate::purge::{fingerprint_recipes, MirrorSubscription, PurgeEngine};
 use crate::sink::ResultSink;
 use crate::source::{ElementBatch, Feed};
@@ -646,21 +644,8 @@ impl Snapshot for QueryRegistry {
     }
 }
 
-/// One query's slice of a finished sharded registry run.
-#[derive(Debug, Default)]
-pub struct ShardedRegistryResult {
-    /// Per-query results, indexed by [`QueryId`] (admission order).
-    pub queries: Vec<QueryRunResult>,
-    /// Physically merged metrics across shards (see
-    /// [`Metrics::merge_from`]).
-    pub metrics: Metrics,
-    /// Whether all queries agreed on one hash partitioning (outputs are
-    /// then shard-concatenated); `false` means one shard ran the whole feed.
-    pub consensus: bool,
-}
-
-/// Data-parallel [`QueryRegistry`]: `P` shard workers each run the full
-/// registry over a routed subsequence of the feed.
+/// The data-parallel registry: `P` shards each run the full registry over a
+/// routed subsequence of the feed.
 ///
 /// Sharding composes with sharing only when every tenant's derived
 /// [`Partitioning::for_query`] agrees — each shard then owns a disjoint key
@@ -669,140 +654,80 @@ pub struct ShardedRegistryResult {
 /// serves them all, and one shard runs the whole feed whatever `P` was
 /// requested — callers wanting scale-out should group tenants by
 /// partitioning consensus.
-pub struct ShardedRegistry {
-    schemes: SchemeSet,
-    cfg: ExecConfig,
-    specs: Vec<(Cjq, Plan)>,
-    partitioning: Partitioning,
-    consensus: bool,
-}
-
-impl ShardedRegistry {
-    /// Validates every spec (via a scratch registry admission, so the error
-    /// paths match [`QueryRegistry::try_admit`]) and derives the shared
-    /// partitioning.
+impl Sharded<QueryRegistry> {
+    /// Admits every spec, in order, into each of `shards` fresh registries
+    /// and derives the shared partitioning.
     ///
     /// # Errors
-    /// The first spec's [`RegistryRejection`], if any is inadmissible.
+    /// The first inadmissible spec's [`RegistryRejection`].
     ///
     /// # Panics
     /// Panics if `specs` is empty or `shards == 0`.
-    pub fn compile(
+    pub fn admit_all(
         specs: &[(Cjq, Plan)],
         schemes: &SchemeSet,
         cfg: ExecConfig,
         shards: usize,
     ) -> Result<Self, RegistryRejection> {
         assert!(!specs.is_empty(), "sharded registry needs >= 1 query");
-        assert!(shards >= 1, "sharded registry needs >= 1 shard");
-        let mut scratch = QueryRegistry::new(schemes.clone(), cfg);
-        for (q, p) in specs {
-            scratch.try_admit(q, p, None)?;
-        }
         let first = Partitioning::for_query(&specs[0].0, shards);
-        let consensus = specs
-            .iter()
-            .all(|(q, _)| Partitioning::for_query(q, shards) == first);
-        let partitioning = if consensus {
+        let agreed = |(q, _): &(Cjq, Plan)| Partitioning::for_query(q, shards) == first;
+        let partitioning = if specs.iter().all(agreed) {
             first
         } else {
             // No split serves every tenant: one shard takes the whole feed
-            // (`fan_out`'s inline path), not `shards` replays of it.
+            // (the router's inline path), not `shards` replays of it.
             Partitioning { shards: 1, ..first }
         };
-        Ok(ShardedRegistry {
-            schemes: schemes.clone(),
-            cfg,
-            specs: specs.to_vec(),
-            partitioning,
-            consensus,
-        })
+        let admit = |shard| {
+            let mut reg = QueryRegistry::new(schemes.clone(), shard_cfg(cfg, shard));
+            for (q, p) in specs {
+                reg.try_admit(q, p, None)?;
+            }
+            Ok(reg)
+        };
+        let shards = (0..partitioning.shards)
+            .map(admit)
+            .collect::<Result<_, _>>()?;
+        Ok(Sharded::over(partitioning, shards))
     }
 
-    /// The stream-to-shard partitioning in effect.
-    #[must_use]
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
-    }
-
-    /// Whether all tenants agreed on one partitioning (see the type docs).
+    /// Whether all tenants agreed on one hash partitioning (outputs are then
+    /// shard-concatenated); `false` means one shard runs the whole feed.
     #[must_use]
     pub fn consensus(&self) -> bool {
-        self.consensus
+        let split = &self.partitioning().attr;
+        let tenants = &self.shards()[0].queries;
+        tenants
+            .iter()
+            .all(|q| Partitioning::for_query(&q.query, 1).attr == *split)
     }
+}
 
-    fn build_registry(&self, shard: usize) -> QueryRegistry {
-        let mut cfg = self.cfg;
-        if let Some(t) = cfg.tiering.as_mut() {
-            // Concurrent shard registries must never share segment files.
-            t.shard_tag = shard as u32;
-        }
-        let mut reg = QueryRegistry::new(self.schemes.clone(), cfg);
-        for (q, p) in &self.specs {
-            reg.try_admit(q, p, None)
-                .expect("validated in ShardedRegistry::compile");
-        }
-        reg
-    }
+/// Per-query concatenation: shards own disjoint key ranges, so a query's
+/// outputs are the union of the shards' (shard-major order; compare as
+/// multisets) and its counters add.
+impl Shard for QueryRegistry {
+    type Folded = RegistryResult;
 
-    /// Runs the whole feed through `P` shard workers and merges per-query
-    /// results.
-    ///
-    /// # Panics
-    /// Panics if the feed exceeds `u32::MAX` elements or a shard fails; use
-    /// [`ShardedRegistry::try_run`] to handle failures as values.
-    #[must_use]
-    pub fn run(&self, feed: &Feed) -> ShardedRegistryResult {
-        self.try_run(feed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ShardedRegistry::run`]: shard panics and per-shard errors
-    /// surface as [`ExecError`](crate::error::ExecError)s, with the same
-    /// supervision the sharded executor gives (surviving shards drain before
-    /// the error returns).
-    ///
-    /// # Errors
-    /// The first failing shard's error, by shard index.
-    pub fn try_run(&self, feed: &Feed) -> ExecResult<ShardedRegistryResult> {
-        let start = Instant::now();
-        let registries = (0..self.partitioning.shards)
-            .map(|shard| self.build_registry(shard))
-            .collect();
-        let mut shards = fan_out(
-            &self.partitioning,
-            feed.elements(),
-            registries,
-            QueryRegistry::try_push_batch,
-            QueryRegistry::finish,
-        )?;
-        let mut metrics = Metrics::default();
-        if let [only] = shards.as_mut_slice() {
-            // One shard is a plain registry: its sample series stands.
-            metrics = std::mem::take(&mut only.metrics);
-        } else {
-            for s in &shards {
-                metrics.merge_from(&s.metrics);
+    fn fold(shards: Vec<QueryRegistry>, _: &Partitioning) -> RegistryResult {
+        let mut folded = RegistryResult::default();
+        for shard in shards {
+            let part = shard.finish();
+            folded.metrics.merge_from(&part.metrics);
+            folded
+                .queries
+                .resize_with(part.queries.len(), QueryRunResult::default);
+            for (query, part) in folded.queries.iter_mut().zip(part.queries) {
+                query.stats.merge_from(&part.stats);
+                query.outputs.extend(part.outputs);
             }
         }
-        metrics.elapsed_ns = start.elapsed().as_nanos();
-        // Disjoint key ranges: per-query outputs are the union of the
-        // shards' (shard-major order; compare as multisets).
-        let n_queries = self.specs.len();
-        let mut queries: Vec<QueryRunResult> = Vec::with_capacity(n_queries);
-        for qi in 0..n_queries {
-            let mut out = QueryRunResult::default();
-            for s in &mut shards {
-                let part = std::mem::take(&mut s.queries[qi]);
-                out.stats.merge_from(&part.stats);
-                out.outputs.extend(part.outputs);
-            }
-            queries.push(out);
-        }
-        Ok(ShardedRegistryResult {
-            queries,
-            metrics,
-            consensus: self.consensus,
-        })
+        folded
+    }
+
+    fn metrics_of(folded: &mut RegistryResult) -> &mut Metrics {
+        &mut folded.metrics
     }
 }
 
@@ -1220,14 +1145,10 @@ mod tests {
         let mut reg = QueryRegistry::new(schemes.clone(), cfg());
         let a = reg.try_admit(&query, &plan, None).unwrap();
         let seq = reg.run(&feed);
-        let sharded = ShardedRegistry::compile(
-            &[(query.clone(), plan.clone()), (query, plan)],
-            &schemes,
-            cfg(),
-            2,
-        )
-        .unwrap();
-        let par = sharded.run(&feed);
+        let specs = [(query.clone(), plan.clone()), (query, plan)];
+        let par = Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg(), 2)
+            .unwrap()
+            .run(&feed);
         let mut want = seq.queries[a.0].outputs.clone();
         want.sort_unstable();
         for q in &par.queries {

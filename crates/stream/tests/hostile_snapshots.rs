@@ -34,14 +34,14 @@ use cjq_stream::checkpoint::{CheckpointStore, Enc, InputCursor};
 use cjq_stream::element::StreamElement;
 use cjq_stream::error::ExecError;
 use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence, StateBudget};
-use cjq_stream::parallel::ShardedExecutor;
+use cjq_stream::parallel::Sharded;
 use cjq_stream::registry::QueryRegistry;
 use cjq_stream::source::Feed;
 use cjq_stream::tier::TierConfig;
 use cjq_stream::tuple::Tuple;
 use cjq_stream::Engine;
 
-const KINDS: usize = 4;
+const KINDS: usize = 5;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -100,6 +100,39 @@ fn auction_feed(waves: i64, width: i64) -> Feed {
     feed
 }
 
+/// Two tenants over the auction query, admitted afresh.
+fn two_tenants(q: &Cjq, r: &SchemeSet, plan: &Plan) -> Result<QueryRegistry, String> {
+    let mut reg = QueryRegistry::new(r.clone(), ExecConfig::default());
+    for _ in 0..2 {
+        reg.try_admit(q, plan, None).map_err(|e| e.to_string())?;
+    }
+    Ok(reg)
+}
+
+/// The two-shard executor fleet of kind 3.
+fn exec_fleet(q: &Cjq, r: &SchemeSet, plan: &Plan) -> Result<Sharded<Executor>, String> {
+    Sharded::<Executor>::compile(q, r, plan, ExecConfig::default(), 2).map_err(|e| e.to_string())
+}
+
+/// The two-shard, two-tenant registry fleet of kind 4.
+fn registry_fleet(q: &Cjq, r: &SchemeSet, plan: &Plan) -> Result<Sharded<QueryRegistry>, String> {
+    let specs = [(q.clone(), plan.clone()), (q.clone(), plan.clone())];
+    Sharded::<QueryRegistry>::admit_all(&specs, r, ExecConfig::default(), 2)
+        .map_err(|e| e.to_string())
+}
+
+/// Pushes `closers` into a restored engine and, if it took them all, finishes.
+fn close_and_finish<E: Engine>(restored: (E, CheckpointStore, InputCursor), closers: &Feed) {
+    let (mut engine, ..) = restored;
+    if closers
+        .elements()
+        .iter()
+        .all(|e| engine.try_push(e).is_ok())
+    {
+        let _ = engine.finish();
+    }
+}
+
 /// Restores snapshot kind `kind` from `dir` by its public entry point, then
 /// closes the auctions the genuine cut leaves open (waves 2 and 3 of
 /// `auction_feed(6, 12)`) and finishes: a restore is only clean if the purge
@@ -115,38 +148,42 @@ fn restore(kind: usize, dir: &Path) -> Result<(), ExecError> {
             let cfg = [ExecConfig::default(), tiered()][kind];
             let compile =
                 |_: &str| Executor::compile(&q, &r, &plan, cfg).map_err(|e| e.to_string());
-            let (mut exec, ..) = Executor::restore(dir, compile)?;
-            if closers.elements().iter().all(|e| exec.try_push(e).is_ok()) {
-                exec.finish();
-            }
+            close_and_finish(Executor::restore(dir, compile)?, &closers);
         }
-        2 => {
-            let (mut reg, ..) = QueryRegistry::restore(dir, |_| {
-                let mut reg = QueryRegistry::new(r.clone(), ExecConfig::default());
-                for _ in 0..2 {
-                    reg.try_admit(&q, &plan, None).map_err(|e| e.to_string())?;
-                }
-                Ok(reg)
-            })?;
-            if closers.elements().iter().all(|e| reg.try_push(e).is_ok()) {
-                let _ = reg.finish();
-            }
-        }
-        _ => {
-            // The fleet resumes a feed from the recorded cursor: what the
-            // genuine run was fed, then the closers.
-            let mut feed = auction_feed(6, 12).elements()[..180].to_vec();
-            feed.extend_from_slice(closers.elements());
-            ShardedExecutor::compile(&q, &r, &plan, ExecConfig::default(), 2)
-                .expect("compile")
-                .try_resume(&Feed::from_elements(feed), dir, 1 << 30)?;
-        }
+        2 => close_and_finish(
+            QueryRegistry::restore(dir, |_| two_tenants(&q, &r, &plan))?,
+            &closers,
+        ),
+        3 => close_and_finish(
+            Sharded::restore(dir, |_| exec_fleet(&q, &r, &plan))?,
+            &closers,
+        ),
+        _ => close_and_finish(
+            Sharded::restore(dir, |_| registry_fleet(&q, &r, &plan))?,
+            &closers,
+        ),
     }
     Ok(())
 }
 
+/// Pushes `half` under the checkpoint driver.
+fn push_half<E: Engine>(
+    mut engine: E,
+    half: &[StreamElement],
+    store: &mut CheckpointStore,
+    cursor: &mut InputCursor,
+) -> E {
+    for e in half {
+        engine
+            .push_checkpointed(e, store, cursor)
+            .expect("clean feed");
+    }
+    engine
+}
+
 /// One genuine mid-feed snapshot payload per kind: a plain executor, a tiered
-/// one holding cold segments, a two-tenant registry, a two-shard fleet.
+/// one holding cold segments, a two-tenant registry, a two-shard executor
+/// fleet, a two-shard fleet of that registry.
 fn genuine() -> &'static [Vec<u8>; KINDS] {
     static PAYLOADS: OnceLock<[Vec<u8>; KINDS]> = OnceLock::new();
     PAYLOADS.get_or_init(|| {
@@ -157,32 +194,32 @@ fn genuine() -> &'static [Vec<u8>; KINDS] {
             let dir = fresh_dir("genuine");
             let mut store = CheckpointStore::open(&dir, 16).expect("open store");
             let mut cursor = InputCursor::zero(q.n_streams());
+            let (store, cursor) = (&mut store, &mut cursor);
             match kind {
                 0 | 1 => {
                     let cfg = [ExecConfig::default(), tiered()][kind];
-                    let mut exec = Executor::compile(&q, &r, &plan, cfg).expect("compile");
-                    for e in half {
-                        exec.push_checkpointed(e, &mut store, &mut cursor)
-                            .expect("clean feed");
-                    }
+                    let exec = Executor::compile(&q, &r, &plan, cfg).expect("compile");
+                    let exec = push_half(exec, half, store, cursor);
                     assert_eq!(exec.cold_rows() > 0, kind == 1, "cold rows at the cut");
                 }
-                2 => {
-                    let mut reg = QueryRegistry::new(r.clone(), ExecConfig::default());
-                    reg.try_admit(&q, &plan, None).unwrap();
-                    reg.try_admit(&q, &plan, None).unwrap();
-                    for e in half {
-                        reg.push_checkpointed(e, &mut store, &mut cursor)
-                            .expect("clean feed");
-                    }
-                }
-                _ => {
-                    let fleet = ShardedExecutor::compile(&q, &r, &plan, ExecConfig::default(), 2);
-                    fleet
-                        .expect("compile")
-                        .try_run_checkpointed(&Feed::from_elements(half.to_vec()), &dir, 16)
-                        .expect("clean feed");
-                }
+                2 => drop(push_half(
+                    two_tenants(&q, &r, &plan).unwrap(),
+                    half,
+                    store,
+                    cursor,
+                )),
+                3 => drop(push_half(
+                    exec_fleet(&q, &r, &plan).unwrap(),
+                    half,
+                    store,
+                    cursor,
+                )),
+                _ => drop(push_half(
+                    registry_fleet(&q, &r, &plan).unwrap(),
+                    half,
+                    store,
+                    cursor,
+                )),
             }
             let (payload, _, _) = CheckpointStore::load_latest(&dir).expect("a snapshot");
             let _ = std::fs::remove_dir_all(&dir);
@@ -428,5 +465,24 @@ fn an_executor_snapshot_claiming_a_tombstone_is_refused() {
             );
         }
         other => panic!("{other:?}"),
+    }
+}
+
+/// Both fleets write `SnapshotKind::Sharded` frames, so the manifest's kind
+/// cannot tell them apart; the fleet fingerprint folds the shard engine's
+/// kind, so an executor fleet's snapshot offered to a registry fleet (and the
+/// other way round) is refused before a byte of its body is decoded as the
+/// wrong engine's.
+#[test]
+fn a_fleet_snapshot_is_refused_by_a_fleet_of_the_other_engine() {
+    for (taken_by, offered_to) in [(3, 4), (4, 3)] {
+        let res = restore_payload(offered_to, &genuine()[taken_by]);
+        assert!(
+            matches!(
+                res,
+                Err(ExecError::RestoreMismatch { .. } | ExecError::CheckpointCorrupt { .. })
+            ),
+            "kind {taken_by} offered to kind {offered_to}: {res:?}"
+        );
     }
 }

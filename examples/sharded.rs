@@ -1,9 +1,15 @@
 //! Hash-partitioned parallel execution of the auction query.
 //!
 //! Runs the same punctuated auction feed through the sequential [`Executor`]
-//! and through the [`ShardedExecutor`] at a chosen shard count, then prints
-//! both result sets side by side: the output multisets must match, and the
-//! closed feed must leave zero live state in both engines.
+//! and through a [`Sharded`] plane of executors at a chosen shard count, then
+//! prints both result sets side by side: the output multisets must match, and
+//! the closed feed must leave zero live state in both engines.
+//!
+//! `Sharded<E>` is an [`Engine`] like the engine it wraps: `run`, `try_push`,
+//! `try_run_checkpointed` and `Sharded::try_resume(dir, build, feed, every)`
+//! are the trait's, and `Sharded::<QueryRegistry>::admit_all` shards a
+//! multi-query registry the same way. `try_run_with_sinks`, used here, is the
+//! one extra of the executor plane: a caller-owned sink per shard.
 //!
 //! ```sh
 //! cargo run --release --example sharded        # default: 4 shards
@@ -14,8 +20,9 @@ use std::time::Instant;
 
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor};
-use punctuated_cjq::stream::parallel::{Partitioning, ShardedExecutor};
+use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::sink::CollectSink;
+use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction::{self, AuctionConfig};
 
 fn main() {
@@ -34,10 +41,10 @@ fn main() {
         ..AuctionConfig::default()
     });
 
-    let part = Partitioning::for_query(&query, shards);
+    let sharded = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, shards).unwrap();
     println!("partitioning over {shards} shards:");
     for s in query.stream_ids() {
-        match part.attr[s.0] {
+        match sharded.partitioning().attr[s.0] {
             Some(a) => println!("  {}: hash-partitioned on attribute {}", s.0, a.0),
             None => println!("  {}: broadcast to every shard", s.0),
         }
@@ -56,11 +63,16 @@ fn main() {
     // Sharded: one sink per shard (each result row is produced by exactly
     // one shard, so concatenating the sinks yields the full result set).
     let t = Instant::now();
-    let (shd, shard_sinks) = ShardedExecutor::compile(&query, &schemes, &plan, cfg, shards)
-        .unwrap()
+    let (shd, shard_sinks) = sharded
         .try_run_with_sinks(&feed, |_shard| CollectSink::new())
         .unwrap();
     let shd_elapsed = t.elapsed();
+
+    // The same plane through the `Engine` surface, recording its own outputs.
+    let own = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, shards)
+        .unwrap()
+        .run(&feed);
+    assert_eq!(own.outputs.len() as u64, shd.metrics.outputs);
 
     println!(
         "\nfeed: {} elements ({} punctuations)",

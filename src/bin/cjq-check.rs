@@ -503,7 +503,8 @@ struct Checkpointing<'a> {
 }
 
 /// Drives what `build` makes — an executor for `replay`, a registry for
-/// `serve` — over the whole feed: plain, checkpointed, or resumed.
+/// `serve`, a sharded plane over either under `--shards` — over the whole
+/// feed: plain, checkpointed, or resumed.
 fn drive<E: Engine>(
     build: impl Fn(&str) -> Result<E, String>,
     feed: &Feed,
@@ -531,7 +532,7 @@ mod replay {
     use punctuated_cjq::stream::fault::{Fault, FaultPlan};
     use punctuated_cjq::stream::guard::AdmissionPolicy;
     use punctuated_cjq::stream::metrics::Metrics;
-    use punctuated_cjq::stream::parallel::ShardedExecutor;
+    use punctuated_cjq::stream::parallel::Sharded;
     use punctuated_cjq::stream::source::Feed;
     use punctuated_cjq::stream::tier::TierConfig;
     use punctuated_cjq::workload::{auction, network, sensor, trades};
@@ -719,25 +720,18 @@ mod replay {
                 every: opts.checkpoint_every,
                 resume: opts.resume,
             });
+            let refused = |phase: &str, e| format!("cannot compile executor for {phase}: {e}");
             let run = if opts.shards <= 1 {
                 let compile = |phase: &str| {
-                    Executor::compile(&query, &schemes, &plan, cfg)
-                        .map_err(|e| format!("cannot compile executor for {phase}: {e}"))
+                    Executor::compile(&query, &schemes, &plan, cfg).map_err(|e| refused(phase, e))
                 };
                 drive(compile, &feed, checkpointing.as_ref()).map(|r| r.metrics)
             } else {
-                // The sharded plane is not an `Engine` yet (ROADMAP item 7).
-                ShardedExecutor::compile(&query, &schemes, &plan, cfg, opts.shards)
-                    .map_err(|e| e.to_string())
-                    .and_then(|exec| {
-                        match &checkpointing {
-                            None => exec.try_run(&feed),
-                            Some(c) if c.resume => exec.try_resume(&feed, c.dir, c.every),
-                            Some(c) => exec.try_run_checkpointed(&feed, c.dir, c.every),
-                        }
-                        .map_err(|e| e.to_string())
-                    })
-                    .map(|r| r.metrics)
+                let compile = |phase: &str| {
+                    Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, opts.shards)
+                        .map_err(|e| refused(phase, e))
+                };
+                drive(compile, &feed, checkpointing.as_ref()).map(|r| r.metrics)
             };
             let metrics = match run {
                 Ok(m) => m,
@@ -826,7 +820,8 @@ mod serve {
     use punctuated_cjq::lint::json::Json;
     use punctuated_cjq::parse::parse_spec;
     use punctuated_cjq::stream::exec::{ExecConfig, StateBudget};
-    use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult, ShardedRegistry};
+    use punctuated_cjq::stream::parallel::Sharded;
+    use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult};
     use punctuated_cjq::stream::source::Feed;
     use punctuated_cjq::stream::tier::TierConfig;
     use punctuated_cjq::stream::tuple::Tuple;
@@ -1029,16 +1024,11 @@ mod serve {
                 .iter()
                 .map(|a| (a.query.clone(), Plan::mjoin_all(&a.query)))
                 .collect();
-            ShardedRegistry::compile(&specs, &schemes, cfg, opts.shards)
-                .map_err(|e| e.to_string())
-                .and_then(|reg| {
-                    reg.try_run(&feed)
-                        .map(|r| RegistryResult {
-                            queries: r.queries,
-                            metrics: r.metrics,
-                        })
-                        .map_err(|e| e.to_string())
-                })
+            let readmit = |_: &str| {
+                Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg, opts.shards)
+                    .map_err(|e| e.to_string())
+            };
+            drive(readmit, &feed, None)
         };
         let result = match run {
             Ok(r) => r,

@@ -25,7 +25,7 @@ use punctuated_cjq::stream::error::ExecError;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
 use punctuated_cjq::stream::groupby::Aggregate;
 use punctuated_cjq::stream::metrics::Metrics;
-use punctuated_cjq::stream::parallel::ShardedExecutor;
+use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::purge::PurgeScope;
 use punctuated_cjq::stream::sink::{CallbackSink, CollectSink, CountSink};
 use punctuated_cjq::stream::source::{ElementBatch, Feed};
@@ -363,7 +363,7 @@ fn sharded_batched_workers_match_sequential() {
             .run(&feed);
         let expected = sorted_outputs(&seq.outputs);
         for p in [1usize, 4] {
-            let sharded = ShardedExecutor::compile(&query, &schemes, &plan, cfg, p)
+            let sharded = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, p)
                 .expect("compile sharded")
                 .run(&feed);
             assert_eq!(
@@ -383,7 +383,7 @@ fn sharded_batched_workers_match_sequential() {
             ..cfg
         };
         for p in [1usize, 4] {
-            let sharded = ShardedExecutor::compile(&query, &schemes, &plan, quiet, p)
+            let sharded = Sharded::<Executor>::compile(&query, &schemes, &plan, quiet, p)
                 .expect("compile sharded")
                 .run(&feed);
             assert!(sharded.outputs.is_empty());
@@ -528,7 +528,7 @@ fn flat_and_tree_plans_agree_on_cyclic_graph_workloads() {
                 assert_flat_and_tree_purge_totals(&flat.metrics, &tree.metrics);
 
                 let run_sharded = |plan: &Plan| {
-                    ShardedExecutor::compile(&query, &schemes, plan, cfg, 4)
+                    Sharded::<Executor>::compile(&query, &schemes, plan, cfg, 4)
                         .expect("compile sharded")
                         .run(&feed)
                 };

@@ -5,7 +5,7 @@
 //! different planes: a closed [`Executor`] over one operator asks the
 //! operator's own ports, an executor over a bushy plan and the open
 //! [`QueryRegistry`] ask held mirrors, and every shard of a
-//! [`ShardedExecutor`] asks its slice of either. Which entries are ever
+//! [`Sharded`] executor asks its slice of either. Which entries are ever
 //! forgotten — and so which tuples a store still refuses — must not depend
 //! on who answered.
 //!
@@ -33,7 +33,7 @@ use punctuated_cjq::core::plan::{check_plan, Plan};
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, StateBudget};
 use punctuated_cjq::stream::metrics::{Metrics, StatePoint};
-use punctuated_cjq::stream::parallel::ShardedExecutor;
+use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::purge::PurgeScope;
 use punctuated_cjq::stream::registry::QueryRegistry;
 use punctuated_cjq::stream::source::Feed;
@@ -208,7 +208,7 @@ fn every_plane_forgets_the_same_punctuations() {
                         assert_eq!(samples(e), samples(r), "{at}: sizes, element by element");
                     }
 
-                    let fleet = ShardedExecutor::compile(query, schemes, &plan, cfg, SHARDS);
+                    let fleet = Sharded::<Executor>::compile(query, schemes, &plan, cfg, SHARDS);
                     let fleet = fleet.expect("compile");
                     // Whether every element goes to one shard only.
                     let routed = |e| fleet.partitioning().route(e).is_some();
@@ -268,7 +268,7 @@ fn a_forgotten_punctuation_admits_and_a_remembered_one_refuses_on_every_plane() 
         let mut reg = QueryRegistry::new(schemes.clone(), cfg);
         reg.try_admit(&query, &plan, None).unwrap();
         let shared = reg.run(&feed);
-        let fleet = ShardedExecutor::compile(&query, &schemes, &plan, cfg, SHARDS);
+        let fleet = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, SHARDS);
         let sharded = fleet.expect("compile").run(&feed);
         // The parent commit, which kept every entry, refused all 31.
         assert_eq!(solo.metrics.violations, 1, "{cadence:?}");
@@ -326,7 +326,7 @@ fn a_port_row_that_outlives_its_mirror_row_keeps_the_entries_it_asks_for() {
     // are never looked at again).
     assert_eq!(solo.metrics.punct_dropped, 191);
     for shards in [2, SHARDS] {
-        let fleet = ShardedExecutor::compile(&query, &schemes, &plan, cfg, shards);
+        let fleet = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, shards);
         let sharded = fleet.expect("compile").run(&feed);
         assert_eq!(sharded.logical_join_state, 0, "P={shards}");
         assert_eq!(

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use punctuated_cjq::core::plan::Plan;
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult};
-use punctuated_cjq::stream::parallel::ShardedExecutor;
+use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::purge::PurgeStrategy;
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::Engine;
@@ -123,7 +123,7 @@ fn assert_equivalent(
                 verify_certificates: true,
                 ..cfg
             };
-            let res = ShardedExecutor::compile(query, schemes, plan, cfg, 4)
+            let res = Sharded::<Executor>::compile(query, schemes, plan, cfg, 4)
                 .expect("compile sharded")
                 .run(feed);
             assert_eq!(

@@ -390,6 +390,72 @@ fn registry_recovers(
     }
 }
 
+/// A sharded registry is checkpointed by the same fleet code as a sharded
+/// executor and is held to the same byte-identity: killed after any prefix
+/// and resumed from the newest snapshot, it reproduces the uninterrupted
+/// checkpointed run — per-query output sequences (shard-major), per-query
+/// counters and every merged metric but wall time and the checkpoint
+/// counters. Two tenants over Fig. 5, so one stream is broadcast and the
+/// router's own counts ride in the snapshot.
+#[test]
+fn sharded_registry_resumes_byte_identically() {
+    use punctuated_cjq::stream::parallel::Sharded;
+    use punctuated_cjq::workload::keyed::{self, KeyedConfig};
+
+    let (query, schemes) = punctuated_cjq::core::fixtures::fig5();
+    let plan = Plan::mjoin_all(&query);
+    let specs = [(query.clone(), plan.clone()), (query.clone(), plan)];
+    let rounds = KeyedConfig {
+        rounds: 40,
+        ..KeyedConfig::default()
+    };
+    let feed = chaos_feed(&keyed::generate(&query, &schemes, &rounds));
+    let cfg = record_outputs(ExecConfig::default());
+    let every = 29u64;
+    let fleet = |_: &str| {
+        Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg, 2).map_err(|e| e.to_string())
+    };
+    assert!(fleet("").unwrap().consensus(), "two shards, not one");
+
+    let golden_dir = ckpt_dir("shreg-golden");
+    let golden = fleet("")
+        .unwrap()
+        .try_run_checkpointed(&feed, &golden_dir, every)
+        .expect("golden run");
+    let _ = std::fs::remove_dir_all(&golden_dir);
+    assert!(golden.metrics.checkpoints_written > 1);
+    assert!(golden.queries.iter().all(|q| q.stats.outputs > 0));
+    // The inline router feeds the shards what the worker threads would.
+    let threaded = fleet("").unwrap().try_run(&feed).expect("threaded run");
+    for (t, g) in threaded.queries.iter().zip(&golden.queries) {
+        assert_eq!(t.outputs, g.outputs, "threaded vs inline");
+    }
+
+    let n = feed.len();
+    for crash_after in [every as usize + 1, n / 3, n / 2, n - 1] {
+        let dir = ckpt_dir(&format!("shreg-{crash_after}"));
+        let prefix = Feed::from_elements(feed.elements()[..crash_after].to_vec());
+        let _ = fleet("")
+            .unwrap()
+            .try_run_checkpointed(&prefix, &dir, every)
+            .expect("prefix run");
+        let recovered = Sharded::try_resume(&dir, fleet, &feed, every).expect("resume");
+        let _ = std::fs::remove_dir_all(&dir);
+        let label = format!("crash@{crash_after}");
+        assert_eq!(recovered.metrics.restores, 1, "{label}");
+        assert_eq!(recovered.queries.len(), golden.queries.len(), "{label}");
+        for (r, g) in recovered.queries.iter().zip(&golden.queries) {
+            assert_eq!(r.outputs, g.outputs, "{label}");
+            assert_eq!(r.stats, g.stats, "{label}");
+        }
+        assert_eq!(
+            digest(&recovered.metrics),
+            digest(&golden.metrics),
+            "{label}"
+        );
+    }
+}
+
 /// A frame can carry a valid checksum, the right kind and the right
 /// fingerprint and still lie about its lengths. Every restore entry point
 /// must refuse such a frame with `CheckpointCorrupt` — never panic on an
@@ -398,13 +464,15 @@ fn registry_recovers(
 fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
     use punctuated_cjq::stream::checkpoint::{CheckpointStore, Dec, Enc, InputCursor, Manifest};
     use punctuated_cjq::stream::error::ExecError;
-    use punctuated_cjq::stream::parallel::ShardedExecutor;
+    use punctuated_cjq::stream::parallel::Sharded;
 
     let (query, schemes) = auction::auction_query();
     let plan = Plan::mjoin_all(&query);
     let cfg = record_outputs(ExecConfig::default());
     let specs = [(query.clone(), plan.clone())];
-    let sharded = ShardedExecutor::compile(&query, &schemes, &plan, cfg, 2).expect("compile");
+    let fleet = |_: &str| {
+        Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, 2).map_err(|e| e.to_string())
+    };
     let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
 
     // One genuine snapshot per kind. Its manifest carries the kind and the
@@ -424,18 +492,10 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
                 reg.try_admit(&query, &plan, None).unwrap();
                 reg.commit_checkpoint(&mut store, &cursor).expect("commit");
             }
-            _ => {
-                // The fleet only commits from a run: one punctuation is due.
-                let punct = auction::generate(&AuctionConfig::default())
-                    .elements()
-                    .iter()
-                    .find(|e| e.is_punctuation())
-                    .expect("auction feeds punctuate")
-                    .clone();
-                sharded
-                    .try_run_checkpointed(&Feed::from_elements(vec![punct]), &dir, 1)
-                    .expect("checkpointed fleet run");
-            }
+            _ => fleet("")
+                .expect("compile")
+                .commit_checkpoint(&mut store, &cursor)
+                .expect("commit"),
         }
         let (payload, _, _) = CheckpointStore::load_latest(&dir).expect("genuine frame");
         let _ = std::fs::remove_dir_all(&dir);
@@ -499,7 +559,7 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
                 "registry" => {
                     QueryRegistry::restore(&dir, readmitting(&schemes, cfg, &specs)).map(|_| ())
                 }
-                _ => sharded.try_resume(&Feed::new(), &dir, 1).map(|_| ()),
+                _ => Sharded::restore(&dir, fleet).map(|_| ()),
             };
             assert!(
                 matches!(&refused, Err(ExecError::CheckpointCorrupt { detail, .. })

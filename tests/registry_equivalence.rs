@@ -22,8 +22,9 @@ use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::planner::fingerprint;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult};
 use punctuated_cjq::stream::fault::{Fault, FaultPlan};
+use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::purge::PurgeStrategy;
-use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult, ShardedRegistry};
+use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult};
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::multi::{self, MultiConfig};
@@ -195,7 +196,7 @@ fn sharded_registry_matches_standalones() {
         let feed = chaos_feed(&multi::generate_feed(&mcfg));
         let cfg = base_cfg(PurgeCadence::Eager);
 
-        let sharded = ShardedRegistry::compile(&tenant.queries, &tenant.schemes, cfg, 4)
+        let sharded = Sharded::<QueryRegistry>::admit_all(&tenant.queries, &tenant.schemes, cfg, 4)
             .expect("admissible")
             .try_run(&feed)
             .expect("clean feed");
@@ -238,20 +239,81 @@ fn sharded_registry_without_consensus_matches_sequential() {
     }
 
     for shards in [1, 4] {
-        let sharded = ShardedRegistry::compile(&tenant.queries, &tenant.schemes, cfg, shards)
-            .expect("admissible");
+        let sharded =
+            Sharded::<QueryRegistry>::admit_all(&tenant.queries, &tenant.schemes, cfg, shards)
+                .expect("admissible");
         assert!(
             !sharded.consensus(),
             "variant edges change the partitioning"
         );
+        assert_eq!(sharded.partitioning().shards, 1, "one shard takes the feed");
         let par = sharded.try_run(&feed).expect("clean feed");
-        assert!(!par.consensus);
         for (par_q, seq_q) in par.queries.iter().zip(&seq.queries) {
             assert_eq!(par_q.outputs, seq_q.outputs, "P={shards}");
             assert_eq!(par_q.stats.purged, seq_q.stats.purged, "P={shards}");
         }
         assert_eq!(par.metrics.tuples_in, seq.metrics.tuples_in, "P={shards}");
         assert_eq!(par.metrics.puncts_in, seq.metrics.puncts_in, "P={shards}");
+    }
+}
+
+/// The router's feed-level counts are the one-shard run's at every `P`: an
+/// element broadcast to every shard is one element of the feed. Two tenants
+/// over Fig. 5 (`S2` has no attribute in the partitioning class, so its
+/// tuples and most punctuations broadcast), on the clean keyed feed and on a
+/// seeded faulted one (truncated tuples are quarantined once, whichever
+/// shards refused them). Summing the shards' counts instead reads `P` times
+/// every broadcast element.
+#[test]
+fn sharded_registry_reports_feed_level_counts_at_every_shard_count() {
+    use punctuated_cjq::workload::keyed::{self, KeyedConfig};
+
+    let (query, schemes) = punctuated_cjq::core::fixtures::fig5();
+    let plan = Plan::mjoin_all(&query);
+    let specs = [(query.clone(), plan.clone()), (query.clone(), plan)];
+    let rounds = KeyedConfig {
+        rounds: 32,
+        ..KeyedConfig::default()
+    };
+    let clean = chaos_feed(&keyed::generate(&query, &schemes, &rounds));
+    let faulted = FaultPlan::new(0xC4A0_5EED)
+        .with(Fault::TruncateTuples { prob: 0.15 })
+        .with(Fault::DropPunctuations { prob: 0.1 })
+        .apply(&clean);
+    let cfg = base_cfg(PurgeCadence::Eager);
+    let counts = |r: &RegistryResult| {
+        let m = &r.metrics;
+        (m.tuples_in, m.puncts_in, m.violations, m.quarantined)
+    };
+    for (feed, what) in [(&clean, "clean"), (&faulted, "faulted")] {
+        let mut reg = QueryRegistry::new(schemes.clone(), cfg);
+        for (q, p) in &specs {
+            reg.try_admit(q, p, None).expect("Fig. 5 is safe");
+        }
+        let seq = reg.try_run(feed).expect("quarantine admits the rest");
+        assert_eq!(
+            seq.metrics.puncts_in,
+            feed.punctuation_count() as u64,
+            "{what}"
+        );
+        if what == "faulted" {
+            assert!(
+                seq.metrics.quarantined > 0,
+                "the fault plan truncates tuples"
+            );
+        }
+        for shards in [1, 2, 4] {
+            let sharded = Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg, shards)
+                .expect("admissible");
+            assert!(sharded.consensus(), "identical tenants agree on a split");
+            let broadcast = |e| sharded.partitioning().route(e).is_none();
+            assert!(feed.elements().iter().any(broadcast), "S2 broadcasts");
+            let par = sharded.try_run(feed).expect("quarantine admits the rest");
+            assert_eq!(counts(&par), counts(&seq), "{what}, P={shards}");
+            for (par_q, seq_q) in par.queries.iter().zip(&seq.queries) {
+                assert_eq!(sorted(&par_q.outputs), sorted(&seq_q.outputs), "{what}");
+            }
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Shard/sequential equivalence: the hash-partitioned [`ShardedExecutor`]
+//! Shard/sequential equivalence: the hash-partitioned [`Sharded`] executor
 //! must produce the same result multiset as the sequential [`Executor`], and
 //! its merged *logical* live state must agree with the sequential run's.
 //!
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use punctuated_cjq::core::plan::Plan;
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult};
-use punctuated_cjq::stream::parallel::{ShardedExecutor, ShardedRunResult};
+use punctuated_cjq::stream::parallel::{Sharded, ShardedRunResult};
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction::{self, AuctionConfig};
@@ -85,8 +85,8 @@ fn run_both(
     let sharded: Vec<ShardedRunResult> = shard_counts
         .iter()
         .map(|&p| {
-            let mut sharded_exec =
-                ShardedExecutor::compile(query, schemes, plan, cfg, p).expect("compile sharded");
+            let mut sharded_exec = Sharded::<Executor>::compile(query, schemes, plan, cfg, p)
+                .expect("compile sharded");
             sharded_exec.set_port_bounds(port_bounds.clone());
             let res = sharded_exec.run(feed);
             assert_eq!(
@@ -285,7 +285,7 @@ fn sharded_state_stays_flat_under_both_cadences() {
             record_outputs: false,
             ..ExecConfig::default()
         };
-        let res = ShardedExecutor::compile(&query, &schemes, &plan, cfg, 4)
+        let res = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, 4)
             .unwrap()
             .run(&feed);
         res.shards

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use punctuated_cjq::core::plan::Plan;
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
-use punctuated_cjq::stream::parallel::ShardedExecutor;
+use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tier::TierConfig;
 use punctuated_cjq::stream::Engine;
@@ -111,11 +111,11 @@ fn run_sharded_pair(
     shards: usize,
 ) {
     let feed = &chaos_feed(feed);
-    let flat = ShardedExecutor::compile(query, schemes, plan, base, shards)
+    let flat = Sharded::<Executor>::compile(query, schemes, plan, base, shards)
         .expect("compile flat sharded")
         .run(feed);
     let tiered =
-        ShardedExecutor::compile(query, schemes, plan, tiered_cfg(base, budget, tier), shards)
+        Sharded::<Executor>::compile(query, schemes, plan, tiered_cfg(base, budget, tier), shards)
             .expect("compile tiered sharded")
             .try_run(feed)
             .expect("tiering absorbs all overflow");
