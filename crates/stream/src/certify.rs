@@ -13,8 +13,8 @@
 //!    checker proves the port purgeable over the configured purge scope —
 //!    a recipe without a certificate (or a certificate without a recipe)
 //!    means recipe derivation and graph reachability have drifted apart.
-//! 2. **Every purge cycle**: the allocation-free purge checker
-//!    (`PurgeEngine::check_roots_with`) is re-run against the allocating
+//! 2. **Every purge cycle**: the chain walk (`PurgeEngine::check_roots_with`)
+//!    and the row's own-cells verdict are re-run against the allocating
 //!    explaining oracle (`PurgeEngine::explain`) on a sample of live rows;
 //!    any disagreement panics.
 //! 3. **Punctuation-quiescent points** (`Executor::finish`): purge cycles

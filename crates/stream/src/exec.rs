@@ -98,7 +98,7 @@ pub struct ExecConfig {
     pub window: Option<u64>,
     /// Sample state sizes every this many elements.
     pub sample_every: usize,
-    /// Conservative bound on required-combination enumeration per purge step.
+    /// Conservative bound on required-combination enumeration per step (≥ 1).
     pub coverage_limit: usize,
     /// Keep result tuples in memory (disable for large benches).
     pub record_outputs: bool,
@@ -318,6 +318,11 @@ impl Executor {
                  lifespans: those discard state or coverage on grounds the \
                  cold tier does not track"
                     .into(),
+            ));
+        }
+        if cfg.coverage_limit == 0 {
+            return Err(CoreError::InvalidPlan(
+                "a coverage limit of 0 keeps rows a tiered run purges: use ≥ 1".into(),
             ));
         }
         let weights = weights.map(<[f64]>::to_vec);
@@ -1347,5 +1352,29 @@ mod tests {
     fn compile_rejects_leaf_plans() {
         let (q, r) = fixtures::auction();
         assert!(Executor::compile(&q, &r, &Plan::leaf(0), ExecConfig::default()).is_err());
+    }
+
+    /// Under a coverage limit of 0 an untiered run kept every row while a
+    /// tiered one still certified cold segments dead (auction, 400 items,
+    /// a 64-row budget: 0 rows purged against 2,350). Neither compiles now,
+    /// and a registry over one panics.
+    #[test]
+    fn compile_rejects_a_zero_coverage_limit() {
+        let (q, r) = fixtures::auction();
+        for tiering in [None, Some(crate::tier::TierConfig::default())] {
+            let cfg = ExecConfig {
+                coverage_limit: 0,
+                tiering,
+                ..ExecConfig::default()
+            };
+            let err = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap_err();
+            assert!(err.to_string().contains("coverage limit of 0"), "{err}");
+        }
+        let cfg = ExecConfig {
+            coverage_limit: 0,
+            ..ExecConfig::default()
+        };
+        let registry = std::panic::catch_unwind(|| crate::registry::QueryRegistry::new(r, cfg));
+        assert!(registry.is_err(), "a registry refuses it too");
     }
 }

@@ -69,12 +69,10 @@ pub struct JoinOperator {
     /// For each origin port, the probe steps in depth order. Precomputed so
     /// the per-tuple probe loop allocates nothing.
     probe_plans: Vec<Vec<ProbeStep>>,
-    /// Per port: compiled purge recipe, or `None` if the port's state is not
-    /// purgeable under the configured scope.
-    recipes: Vec<Option<CompiledRecipe>>,
-    /// Per port: delta tracker driving [`PurgeStrategy::Indexed`] passes
-    /// (present exactly where a recipe is).
-    trackers: Vec<Option<PurgeTracker>>,
+    /// Per port: compiled purge recipe with the delta tracker driving
+    /// [`PurgeStrategy::Indexed`] passes and holding its key plan, or `None`
+    /// if the port's state is not purgeable under the configured scope.
+    recipes: Vec<Option<(CompiledRecipe, PurgeTracker)>>,
     /// The ports whose recipe waits on more than one step (see
     /// [`JoinOperator::waits_on`]).
     waiting: Vec<usize>,
@@ -208,18 +206,17 @@ impl JoinOperator {
             PurgeScope::Operator => &span,
             PurgeScope::Query => &all_streams,
         };
-        let recipes: Vec<Option<CompiledRecipe>> = port_spans
-            .iter()
-            .map(|roots| engine.compile_port_recipe(query, schemes, scope_span, roots))
-            .collect();
-        let trackers = recipes
-            .iter()
-            .zip(&mut ports)
-            .map(|(recipe, state)| recipe.as_ref().map(|r| PurgeTracker::new(r, state)))
-            .collect();
+        let compile = |(roots, state): (&Vec<StreamId>, &mut PortState)| {
+            let recipe = engine.compile_port_recipe(query, schemes, scope_span, roots)?;
+            let tracker = PurgeTracker::new(&recipe, state);
+            Some((recipe, tracker))
+        };
+        let recipes: Vec<_> = port_spans.iter().zip(&mut ports).map(compile).collect();
 
-        let waits = |r: &Option<CompiledRecipe>| r.as_ref().is_some_and(|r| r.n_steps() > 1);
-        let waiting = (0..n).filter(|&port| waits(&recipes[port])).collect();
+        let waits = |(r, _): &(CompiledRecipe, PurgeTracker)| r.n_steps() > 1;
+        let waiting = (0..n)
+            .filter(|&p| recipes[p].as_ref().is_some_and(waits))
+            .collect();
         JoinOperator {
             span,
             out_layout,
@@ -228,7 +225,6 @@ impl JoinOperator {
             port_spans,
             probe_plans,
             recipes,
-            trackers,
             tiers: Vec::new(),
             scratch_keys: FxHashMap::default(),
             scratch_slots: Vec::new(),
@@ -315,10 +311,7 @@ impl JoinOperator {
         }
         self.tiers = (0..self.ports.len())
             .map(|port| {
-                let held = self.recipes[port]
-                    .as_ref()
-                    .zip(self.trackers[port].as_ref());
-                let specs = held.and_then(|(r, t)| t.root_step_specs(r, &self.ports[port]));
+                let specs = self.held(port).and_then(|(_, t)| t.root_step_specs());
                 Some(ColdTier::new(specs, probed_cols(&self.probe_plans, port)))
             })
             .collect();
@@ -541,13 +534,18 @@ impl JoinOperator {
 
     /// Each port's compiled purge recipe, if it has one.
     pub(crate) fn port_recipes(&self) -> impl Iterator<Item = Option<&CompiledRecipe>> {
-        self.recipes.iter().map(Option::as_ref)
+        (0..self.ports.len()).map(|port| Some(self.held(port)?.0))
     }
 
     /// Whether the port has a purge recipe under the configured scope.
     #[must_use]
     pub fn port_purgeable(&self, port: usize) -> bool {
         self.recipes[port].is_some()
+    }
+
+    /// The port's recipe and its tracker, if it has a recipe.
+    fn held(&self, port: usize) -> Option<(&CompiledRecipe, &PurgeTracker)> {
+        self.recipes[port].as_ref().map(|(r, t)| (r, t))
     }
 
     /// Serializes the operator's runtime state: every port's rows, tracker
@@ -559,14 +557,9 @@ impl JoinOperator {
         for p in &self.ports {
             p.write_state(e);
         }
-        for t in &self.trackers {
-            match t {
-                Some(t) => {
-                    e.bool(true);
-                    t.write_state(e);
-                }
-                None => e.bool(false),
-            }
+        for held in &self.recipes {
+            e.bool(held.is_some());
+            held.iter().for_each(|(_, t)| t.write_state(e));
         }
         self.stats.write_state(e);
         e.bool(self.tiering_enabled());
@@ -589,9 +582,9 @@ impl JoinOperator {
         for p in &mut self.ports {
             p.read_state(d)?;
         }
-        for t in &mut self.trackers {
-            match (d.bool()?, t.as_mut()) {
-                (true, Some(t)) => t.read_state(d)?,
+        for held in &mut self.recipes {
+            match (d.bool()?, held.as_mut()) {
+                (true, Some((_, t))) => t.read_state(d)?,
                 (false, None) => {}
                 _ => {
                     return Err(SnapshotError(format!(
@@ -761,13 +754,12 @@ impl JoinOperator {
             }
         }
         for port in 0..self.ports.len() {
-            let Some(recipe) = &self.recipes[port] else {
+            let Some((recipe, tracker)) = &mut self.recipes[port] else {
                 continue;
             };
             let candidates = &mut self.scratch_candidates;
             candidates.clear();
             let localized = strategy == PurgeStrategy::Indexed && {
-                let tracker = self.trackers[port].as_mut().expect("tracker per recipe");
                 let scratch = &mut self.scratch_check;
                 tracker.collect(recipe, &self.ports[port], engine, scratch, candidates)
             };
@@ -777,8 +769,8 @@ impl JoinOperator {
             // Two-phase to satisfy the borrow checker without cloning every
             // candidate row: decide on borrowed slices, then purge by slot.
             let (state, sweep) = (&self.ports[port], &mut self.scratch_sweep);
-            let dead =
-                engine.all_prove_dead(state, std::iter::once(recipe), &mut self.scratch_check);
+            let held = std::iter::once((&*recipe, &*tracker));
+            let dead = engine.all_prove_dead(state, held, &mut self.scratch_check);
             state.collect_matching(candidates, dead, sweep);
             work.examined += sweep.examined as u64;
             pass_kept += (sweep.examined - sweep.slots.len()) as u64;
@@ -798,17 +790,16 @@ impl JoinOperator {
         work
     }
 
-    /// Re-checks up to `sample` live rows per purgeable port with both the
-    /// allocation-free fast path and the allocating explaining oracle.
-    /// Returns the number of rows checked.
+    /// Re-checks up to `sample` live rows per purgeable port with the
+    /// allocation-free fast path, the row's own cells and the allocating
+    /// explaining oracle. Returns the number of rows checked.
     ///
     /// # Panics
-    /// Panics if the two paths disagree on any verdict (see
+    /// Panics if the paths disagree on any verdict (see
     /// [`PurgeEngine::check_roots_with`]).
     pub fn verify_against_oracle(&self, engine: &PurgeEngine, sample: usize) -> u64 {
-        let held = self.ports.iter().zip(&self.recipes);
-        held.filter_map(|(state, recipe)| Some((state, recipe.as_ref()?)))
-            .map(|(state, recipe)| engine.verify_state(recipe, state, sample))
+        let held = (0..self.ports.len()).filter_map(|port| Some((port, self.held(port)?)));
+        held.map(|(port, held)| engine.verify_state(held, &self.ports[port], sample))
             .sum()
     }
 
@@ -818,8 +809,8 @@ impl JoinOperator {
     pub fn find_purgeable_live_row(&self, engine: &PurgeEngine) -> Option<(usize, usize)> {
         let mut scratch = CheckScratch::default();
         self.ports.iter().enumerate().find_map(|(port, state)| {
-            let recipe = self.recipes[port].as_ref()?;
-            let mut dead = engine.all_prove_dead(state, std::iter::once(recipe), &mut scratch);
+            let held = std::iter::once(self.held(port)?);
+            let mut dead = engine.all_prove_dead(state, held, &mut scratch);
             let (slot, _) = state.iter_live().find(|&(slot, row)| dead(slot, row))?;
             Some((port, slot))
         })
@@ -840,7 +831,8 @@ fn probed_cols(plans: &[Vec<ProbeStep>], port: usize) -> Vec<usize> {
 /// `PurgeTracker::root_step_specs` for why covering every step's summary proves
 /// every summarized row dead). Ordered thresholds are downward-closed, so
 /// covering the summary's max covers the whole segment; hash coverage needs
-/// every distinct key combination present.
+/// every distinct key combination present. A row's requirement per step is
+/// one combination at most, which every legal coverage limit (≥ 1) admits.
 fn step_covered(engine: &PurgeEngine, spec: &StepSpec, summary: &StepSummary) -> bool {
     let store = engine.punct_store(spec.target);
     match summary {

@@ -202,7 +202,8 @@ struct CompiledStep {
     feeds: bool,
 }
 
-/// Root-resolved key columns of one recipe step — the cold tier's
+/// Root-resolved key columns of one recipe step — what a row's own cells say
+/// about it ([`PurgeEngine::own_verdict`]) and the cold tier's
 /// segment-certification unit (see [`crate::tier`]).
 #[derive(Debug, Clone)]
 pub(crate) struct StepSpec {
@@ -214,6 +215,9 @@ pub(crate) struct StepSpec {
     pub ordered: bool,
     /// Flat columns of the port layout carrying the step's required values.
     pub cols: Vec<usize>,
+    /// Every binding reads a root: the requirement is exactly the row's key,
+    /// never vacuous (a binding through a chain set is, where that is empty).
+    pub direct: bool,
 }
 
 /// Incremental purge bookkeeping for one (state, recipe) pair.
@@ -250,6 +254,8 @@ pub(crate) struct StepSpec {
 pub(crate) struct PurgeTracker {
     /// Per step: how a coverage delta on it maps to tracked rows.
     step_keys: Vec<StepKey>,
+    /// Per step: its key plan where it is root-resolved.
+    own: Vec<Option<StepSpec>>,
     /// Per step: delta-log cursor into the target's punctuation store.
     cursors: Vec<u64>,
     /// One probe per step whose chain set a later step draws on: shrinkage
@@ -341,6 +347,7 @@ impl PurgeTracker {
             }
         }
         let mut step_keys = Vec::with_capacity(recipe.steps.len());
+        let mut own = Vec::with_capacity(recipe.steps.len());
         let mut probes: Vec<ShrinkProbe> = Vec::new();
         // Chain stream → the probe of the latest step that reached it (whose
         // chain set later steps read).
@@ -351,6 +358,18 @@ impl PurgeTracker {
                 .iter()
                 .map(|b| resolved.get(b).copied())
                 .collect();
+            let direct = step
+                .bindings
+                .iter()
+                .all(|(src, _)| recipe.roots.contains(src));
+            let (target, scheme_idx, ordered) = (step.target, step.scheme_idx, step.ordered);
+            own.push(cols.clone().map(|cols| StepSpec {
+                target,
+                scheme_idx,
+                ordered,
+                cols,
+                direct,
+            }));
             let chained = |(pos, &(src, col)): (usize, &(StreamId, usize))| {
                 let via = *reached.get(&src)?;
                 probes[via].index?;
@@ -392,13 +411,14 @@ impl PurgeTracker {
         }
         PurgeTracker {
             step_keys,
+            own,
             cursors: vec![0; recipe.steps.len()],
             probes,
             fresh_from: 0,
         }
     }
 
-    /// Every step of `recipe` as key columns of the tracked `state`, or
+    /// Every step of the recipe as key columns of the tracked state, or
     /// `None` unless all of them are root-resolved.
     ///
     /// When they are, a row's entire purgeability check is determined by its
@@ -407,23 +427,11 @@ impl PurgeTracker {
     /// which weakens the requirement to vacuous). Punctuation coverage of
     /// every row's key at every step therefore implies
     /// [`PurgeEngine::check_roots_with`] would declare every row purgeable —
-    /// the property that lets a recipe certify a whole cold segment dead from
-    /// its per-step key summaries alone, without rehydrating a single row.
-    pub(crate) fn root_step_specs(
-        &self,
-        recipe: &CompiledRecipe,
-        state: &PortState,
-    ) -> Option<Vec<StepSpec>> {
-        let spec = |(step, key): (&CompiledStep, &StepKey)| match *key {
-            StepKey::Rooted(index) => Some(StepSpec {
-                target: step.target,
-                scheme_idx: step.scheme_idx,
-                ordered: step.ordered,
-                cols: state.purge_index_cols(index).to_vec(),
-            }),
-            _ => None,
-        };
-        recipe.steps.iter().zip(&self.step_keys).map(spec).collect()
+    /// the "dead" half of [`PurgeEngine::own_verdict`], and the property that
+    /// lets a recipe certify a whole cold segment dead from its per-step key
+    /// summaries alone, without rehydrating a single row.
+    pub(crate) fn root_step_specs(&self) -> Option<Vec<StepSpec>> {
+        self.own.iter().cloned().collect()
     }
 
     /// Appends to `out` the slots of `state` that can have flipped to
@@ -666,6 +674,13 @@ impl StreamMeet {
     fn position(&self, recipe: &CompiledRecipe) -> Result<usize, usize> {
         self.recipes.binary_search_by(|e| e.recipe.cmp(recipe))
     }
+
+    /// The distinct recipes with their trackers: a held stream's meet.
+    fn tracked(&self) -> impl Iterator<Item = (&CompiledRecipe, &PurgeTracker)> + Clone {
+        self.recipes
+            .iter()
+            .map(|e| (&e.recipe, e.tracker.as_ref().expect("tracked while held")))
+    }
 }
 
 /// One query's place in the engine's meet: per stream, the recipe it holds
@@ -697,7 +712,7 @@ impl PurgeEngine {
     /// at admission. Mirror indexes follow `query`'s join attributes. With
     /// per-scheme punctuation-lag `weights` (aligned with
     /// `schemes.schemes()`) recipes prefer low-lag schemes wherever
-    /// alternatives exist.
+    /// alternatives exist. Panics on a `coverage_limit` of 0.
     pub(crate) fn shared(
         query: &Cjq,
         schemes: &SchemeSet,
@@ -705,6 +720,7 @@ impl PurgeEngine {
         coverage_limit: usize,
         weights: Option<Vec<f64>>,
     ) -> Self {
+        assert!(coverage_limit > 0, "the coverage limit must be at least 1");
         let all: Vec<StreamId> = query.stream_ids().collect();
         let states: Vec<PortState> = all
             .iter()
@@ -965,36 +981,75 @@ impl PurgeEngine {
     }
 
     /// The row test of a purge pass over `state` — an operator port or a
-    /// mirror stream alike: whether every one of `recipes`, each rooted at
-    /// the state's whole span, proves the row dead.
+    /// mirror stream alike: whether every one of `recipes` (each rooted at the
+    /// state's span, with its tracker) proves the row dead. Own cells first;
+    /// chains are walked only where none said "keep" and some left it open.
     pub(crate) fn all_prove_dead<'s>(
         &'s self,
         state: &'s PortState,
-        recipes: impl Iterator<Item = &'s CompiledRecipe> + Clone + 's,
+        recipes: impl Iterator<Item = (&'s CompiledRecipe, &'s PurgeTracker)> + Clone + 's,
         scratch: &'s mut CheckScratch,
     ) -> impl FnMut(usize, &'s [Value]) -> bool + 's {
         let layout = state.layout();
         let mut roots = Vec::new();
         move |_, row| {
+            let mut open = false;
+            for (_, tracker) in recipes.clone() {
+                match self.own_verdict(tracker, row) {
+                    Some(false) => return false,
+                    verdict => open |= verdict.is_none(),
+                }
+            }
+            if !open {
+                return true;
+            }
             roots.clear();
             let own = layout.streams().iter();
             roots.extend(own.map(|&s| (s, layout.slice(row, s).expect("own stream"))));
             let mut recipes = recipes.clone();
-            recipes.all(|recipe| self.check_roots_with(recipe, &roots, scratch))
+            recipes.all(|(recipe, tracker)| {
+                self.own_verdict(tracker, row).is_some()
+                    || self.check_roots_with(recipe, &roots, scratch)
+            })
         }
     }
 
-    /// Re-checks up to `sample` live rows of `state` under `recipe` with both
-    /// the allocation-free fast path ([`PurgeEngine::check_roots_with`]) and
-    /// the allocating explaining oracle ([`PurgeEngine::explain`]). Returns
-    /// the number of rows checked.
+    /// What `row`'s own cells say about a recipe, by its tracker's key plan:
+    /// "keep" where a direct step's key is uncovered, "dead" where every step
+    /// is root-resolved and its key covered, `None` where only the chain walk
+    /// can tell — exactly as that walk would (DESIGN.md §7, "Own-key verdicts").
+    fn own_verdict(&self, tracker: &PurgeTracker, row: &[Value]) -> Option<bool> {
+        let (mut open, mut key) = (false, [Value::Null; 8]);
+        for spec in &tracker.own {
+            let Some(spec) = spec.as_ref().filter(|s| s.cols.len() <= key.len()) else {
+                open = true;
+                continue;
+            };
+            let key = &mut key[..spec.cols.len()];
+            key.iter_mut()
+                .zip(&spec.cols)
+                .for_each(|(k, &c)| *k = row[c]);
+            if !self.puncts[spec.target.0].covers(spec.scheme_idx, key) {
+                if spec.direct {
+                    return Some(false);
+                }
+                open = true;
+            }
+        }
+        (!open).then_some(true)
+    }
+
+    /// Re-checks up to `sample` live rows of `state` under a held recipe with
+    /// the fast path ([`PurgeEngine::check_roots_with`]), the row's own cells
+    /// and the explaining oracle ([`PurgeEngine::explain`]). Returns the
+    /// number of rows checked.
     ///
     /// # Panics
-    /// Panics if the two paths disagree on any verdict — they are documented
-    /// to be decision-equivalent.
+    /// Panics if the paths disagree on any verdict — they are documented to
+    /// be decision-equivalent.
     pub(crate) fn verify_state(
         &self,
-        recipe: &CompiledRecipe,
+        (recipe, tracker): (&CompiledRecipe, &PurgeTracker),
         state: &PortState,
         sample: usize,
     ) -> u64 {
@@ -1006,11 +1061,12 @@ impl PurgeEngine {
                 .map(|&s| (s, layout.slice(row, s).expect("own stream")))
                 .collect();
             let fast = self.check_roots_with(recipe, &roots, &mut scratch);
+            let own = self.own_verdict(tracker, row);
             let oracle = self.check_impl(recipe, &roots, true).is_purgeable();
             assert!(
-                fast == oracle,
-                "certificate violation: fast purge check says {fast} but the oracle \
-                 says {oracle} for slot {slot} of the state over {:?}",
+                fast == oracle && own.is_none_or(|own| own == oracle),
+                "certificate violation: fast path {fast}, own cells {own:?}, oracle \
+                 {oracle} for slot {slot} of the state over {:?}",
                 layout.streams()
             );
             checked += 1;
@@ -1018,13 +1074,14 @@ impl PurgeEngine {
         checked
     }
 
-    /// Re-checks up to `sample` live mirror rows per stream and distinct
-    /// recipe, fast path against oracle (panicking on a disagreement).
+    /// Re-checks up to `sample` live mirror rows per held stream and
+    /// distinct recipe, fast path and own cells against the oracle
+    /// (panicking on a disagreement).
     pub fn verify_mirror_against_oracle(&self, sample: usize) -> u64 {
-        let per_stream = self.states.iter().zip(&self.meets);
-        per_stream
-            .flat_map(|(state, meet)| meet.recipes.iter().map(move |e| (state, &e.recipe)))
-            .map(|(state, recipe)| self.verify_state(recipe, state, sample))
+        let held = (0..self.states.len()).filter(|&s| self.held[s]);
+        let per_recipe = held.flat_map(|s| self.meets[s].tracked().map(move |e| (s, e)));
+        per_recipe
+            .map(|(s, held)| self.verify_state(held, &self.states[s], sample))
             .sum()
     }
 
@@ -1036,9 +1093,8 @@ impl PurgeEngine {
         let mut scratch = CheckScratch::default();
         (0..self.states.len()).find_map(|s| {
             let (state, meet) = (&self.states[s], &self.meets[s]);
-            let recipes = meet.recipes.iter().map(|e| &e.recipe);
-            let mut dead = self.all_prove_dead(state, recipes, &mut scratch);
-            (meet.uncertified == 0).then_some(())?;
+            (self.held[s] && meet.uncertified == 0).then_some(())?;
+            let mut dead = self.all_prove_dead(state, meet.tracked(), &mut scratch);
             let (slot, _) = state.iter_live().find(|&(slot, row)| dead(slot, row))?;
             Some((StreamId(s), slot))
         })
@@ -1071,18 +1127,10 @@ impl PurgeEngine {
         self.check_impl(recipe, &roots, false).is_purgeable()
     }
 
-    /// Like [`PurgeEngine::check`] with borrowed root rows — the purge-pass
-    /// hot path (no per-candidate map or row clones).
-    #[inline]
-    #[must_use]
-    pub fn check_roots(&self, recipe: &CompiledRecipe, roots: &[(StreamId, &[Value])]) -> bool {
-        self.check_impl(recipe, roots, false).is_purgeable()
-    }
-
-    /// Like [`PurgeEngine::check_roots`] with caller-provided scratch
-    /// buffers: the chain walk allocates nothing once the scratch has warmed
-    /// up, which is what purge passes (one recipe, many candidate rows) want.
-    /// Decision-equivalent to [`PurgeEngine::check_roots`].
+    /// Like [`PurgeEngine::check`] with borrowed root rows and caller-provided
+    /// scratch buffers: the chain walk allocates nothing once the scratch has
+    /// warmed up, which is what purge passes (one recipe, many candidate
+    /// rows) want. Decision-equivalent to [`PurgeEngine::check`].
     ///
     /// A recipe step drawing values from a stream the walk has not reached is
     /// a malformed recipe; debug builds assert, release builds conservatively
@@ -1423,8 +1471,8 @@ impl PurgeEngine {
                 continue;
             }
             localized &= !std::mem::take(&mut meet.reseed) && !meet.recipes.is_empty();
-            let (state, recipes) = (&self.states[s], meet.recipes.iter().map(|e| &e.recipe));
-            let dead = self.all_prove_dead(state, recipes, &mut scratch);
+            let state = &self.states[s];
+            let dead = self.all_prove_dead(state, meet.tracked(), &mut scratch);
             candidates.sort_unstable();
             candidates.dedup();
             state.collect_matching(localized.then_some(&candidates[..]), dead, &mut sweep);
@@ -2031,6 +2079,56 @@ mod tests {
             panic!("t3's steps: {keys:?}");
         };
         assert!(!localized, "nothing maps a t1 row back to t3");
+    }
+
+    /// A row's own cells settle a recipe where they can, and the chain walk
+    /// runs only where they cannot: an uncovered direct step is "keep", a
+    /// recipe whose steps are all root-resolved and covered is "dead", and an
+    /// uncovered step reached through a chain set stays open — the set may
+    /// be empty, making it vacuous, which only the walk can see.
+    #[test]
+    fn own_cells_settle_root_resolved_recipes_and_leave_chains_to_the_walk() {
+        // What all_prove_dead answers for `row` of `s`, what its own cells
+        // answered, and whether it walked a chain (the walk sizes `chain`).
+        let decide = |e: &PurgeEngine, s: usize, row: &[Value]| {
+            let mut scratch = CheckScratch::default();
+            let held = e.meets[s].tracked().next().expect("one recipe");
+            let dead = e.all_prove_dead(&e.states[s], std::iter::once(held), &mut scratch)(0, row);
+            (dead, e.own_verdict(held.1, row), !scratch.chain.is_empty())
+        };
+        // Auction: an item waits on one direct step, its bid-side close.
+        let (_, _, mut e) = engine(fixtures::auction);
+        let item = [
+            Value::Int(7),
+            Value::Int(1),
+            Value::from("tv"),
+            Value::Int(9),
+        ];
+        assert_eq!(decide(&e, 0, &item), (false, Some(false), false));
+        e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0);
+        assert_eq!(decide(&e, 0, &item), (true, Some(true), false));
+
+        // t0.k = t1.k = t2.k, t2.w = t3.k from t0: a direct step on t1, one
+        // on t2 bound through t1's chain set (pinned to t0.k, so
+        // root-resolved but not direct), and one on t3 bound to t2.w.
+        let (q, r) = unpinned_chain();
+        let (mut e, mut joined) = (
+            PurgeEngine::new(&q, &r, None, 10_000),
+            PurgeEngine::new(&q, &r, None, 10_000),
+        );
+        let plan = &e.meets[0].tracked().next().unwrap().1.own;
+        let direct: Vec<_> = plan.iter().map(|o| o.as_ref().map(|o| o.direct)).collect();
+        assert_eq!(direct, [Some(true), Some(false), None]);
+        let t0 = [Value::Int(1), Value::Int(0)];
+        assert_eq!(decide(&e, 0, &t0), (false, Some(false), false));
+        // t1 closes k = 1 and holds no such row: t2's and t3's steps are
+        // vacuous, which t0's cells cannot tell from "t2 never closed 1".
+        e.observe_punctuation(&punct(1, 2, &[(0, 1)]), 0);
+        assert_eq!(decide(&e, 0, &t0), (true, None, true));
+        // Where t1 does hold one, t2's step requires k = 1 after all.
+        joined.observe_tuple(&Tuple::of(1, [Value::Int(1), Value::Int(5)]));
+        joined.observe_punctuation(&punct(1, 2, &[(0, 1)]), 0);
+        assert_eq!(decide(&joined, 0, &t0), (false, None, true));
     }
 
     /// Equal recipes are one recipe: a second subscriber adds no tracker and

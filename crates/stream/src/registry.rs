@@ -172,7 +172,7 @@ impl QueryRegistry {
     /// cannot honor per-tenant: windows, stall budgets, or a state budget
     /// without tiering — a budget over a shared arena is
     /// honored via lossless cold-tier demotion, not by failing every tenant
-    /// at the first overrun.
+    /// at the first overrun. Panics on a coverage limit of 0 too.
     #[must_use]
     pub fn new(schemes: SchemeSet, cfg: ExecConfig) -> Self {
         assert!(
@@ -180,6 +180,7 @@ impl QueryRegistry {
             "windows and stall budgets are per-query features; \
              run those queries on a dedicated Executor"
         );
+        assert!(cfg.coverage_limit > 0, "coverage_limit must be at least 1");
         assert!(
             cfg.state_budget.is_none() || cfg.tiering.is_some(),
             "a registry state budget requires tiering (lossless demotion)"

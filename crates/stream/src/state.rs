@@ -314,12 +314,6 @@ impl PortState {
         id
     }
 
-    /// The flat columns index `id` is keyed on.
-    #[must_use]
-    pub(crate) fn purge_index_cols(&self, id: usize) -> &[usize] {
-        &self.indexes[id].cols
-    }
-
     /// Live slots whose key in index `id` equals `key`.
     #[must_use]
     pub(crate) fn purge_index_eq(&self, id: usize, key: &[Value]) -> &[usize] {

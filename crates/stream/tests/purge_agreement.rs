@@ -1,9 +1,14 @@
 //! Fast-path / oracle agreement: [`PurgeEngine::check_roots_with`] (the
-//! allocation-free purge-pass hot path), [`PurgeEngine::check_roots`] (the
-//! allocating twin), and [`PurgeEngine::explain`] (the explaining oracle)
-//! must never disagree on a purge verdict — over random queries, random
-//! scheme subsets, random feeds, and adversarially small coverage limits
-//! (where every path must fall back to "not purgeable" identically).
+//! allocation-free chain walk), a row's own cells (the verdict a purge pass
+//! reads first, wherever they settle it) and [`PurgeEngine::explain`] (the
+//! explaining oracle) must never disagree on a purge verdict — over random
+//! queries, random scheme subsets, random feeds, and adversarially small
+//! coverage limits (where every path must fall back to "not purgeable"
+//! identically). The own-cells verdict is compared on every live mirror and
+//! operator-port row by the certificate verifier's
+//! [`PurgeEngine::verify_mirror_against_oracle`] and
+//! [`cjq_stream::join::JoinOperator::verify_against_oracle`], run here over
+//! every row.
 //!
 //! Queries are generated inline: the workload crate's generators cannot be
 //! used here (`cjq-workload` depends on this crate).
@@ -136,14 +141,9 @@ fn assert_paths_agree(engine: &PurgeEngine, query: &Cjq) -> usize {
         let state = engine.mirror_state(s);
         for (slot, row) in state.iter_live() {
             let fast = engine.check_roots_with(&recipe, &[(s, row)], &mut scratch);
-            let plain = engine.check_roots(&recipe, &[(s, row)]);
             let mut roots = HashMap::new();
             roots.insert(s, row.to_vec());
             let oracle = engine.explain(&recipe, &roots).is_purgeable();
-            assert_eq!(
-                fast, plain,
-                "scratch vs plain path, stream {s:?} slot {slot}"
-            );
             assert_eq!(
                 fast, oracle,
                 "fast path vs explain oracle, stream {s:?} slot {slot}"
@@ -151,6 +151,12 @@ fn assert_paths_agree(engine: &PurgeEngine, query: &Cjq) -> usize {
             checked += 1;
         }
     }
+    // The same rows again, with their own-cells verdicts (panics on a
+    // disagreement).
+    assert_eq!(
+        engine.verify_mirror_against_oracle(usize::MAX),
+        checked as u64
+    );
     checked
 }
 
@@ -188,8 +194,8 @@ proptest! {
 
     /// Operator-port verdicts agree too: the executor's per-port recipes
     /// checked via [`cjq_stream::join::JoinOperator::verify_against_oracle`]
-    /// over full random runs (this is the certificate verifier's per-cycle
-    /// check, driven exhaustively).
+    /// over full random runs, at the same coverage limits (this is the
+    /// certificate verifier's per-cycle check, driven exhaustively).
     #[test]
     fn operator_ports_agree_with_oracle(
         n in 2usize..4,
@@ -198,6 +204,7 @@ proptest! {
         query_bits in any::<u64>(),
         seeds in prop::collection::vec(any::<u64>(), 10..80),
         domain in 2u64..5,
+        limit_ix in 0usize..4,
     ) {
         use cjq_core::plan::Plan;
         let query = random_query(n, topology, query_bits);
@@ -205,6 +212,7 @@ proptest! {
         let cfg = ExecConfig {
             cadence: PurgeCadence::Lazy { batch: 16 },
             verify_certificates: true,
+            coverage_limit: [1usize, 2, 8, 100_000][limit_ix],
             ..ExecConfig::default()
         };
         let mut exec = Executor::compile(&query, &schemes, &Plan::mjoin_all(&query), cfg)
