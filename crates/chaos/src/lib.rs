@@ -1,54 +1,49 @@
-//! # cjq-chaos — chaos-testing harness for the punctuated-stream runtime
+//! # cjq-chaos — the differential and fault-injection harness
 //!
-//! Shared fixtures for the fault-injection suites under `tests/`: the
-//! bundled workloads (auction, sensor, network, trades, and a keyed Fig. 5
-//! feed with a broadcast stream), plus sequential/sharded run helpers that
-//! record outputs.
+//! [`differential`] runs one case — a query, a plan, a legal config, a
+//! (faulted) feed, shard counts and crash points — on every plane of the
+//! punctuated-stream runtime and judges it against the reference engine
+//! `cjq-oracle`. The equivalence suites of the workspace are seeds and named
+//! cases of it. This crate's own suites under `tests/` pin what a reference
+//! engine cannot speak to:
 //!
-//! The suites assert the robustness contract of the hardened runtime:
-//!
-//! * **Equivalence** — punctuation drop/duplication/delay and safe adjacent
-//!   reorders leave join outputs unchanged (punctuations only ever *remove*
-//!   future work), sequentially and across shards, under eager and lazy
-//!   purge cadences.
-//! * **Quarantine** — corrupted tuples are refused without losing any
-//!   result tuple: a feed with truncated tuples produces exactly the
-//!   outputs of the feed with those tuples dropped.
+//! * **Faults** — punctuation drop/duplication/delay leaves outputs
+//!   byte-identical, a corrupted tuple costs exactly that tuple, and the
+//!   sharded guard counts merge as the stored vectors did.
+//! * **Recovery** — a corrupt or torn newest snapshot falls back to the
+//!   previous one; old formats and mismatched configs are refused.
 //! * **Supervision** — an injected shard panic surfaces as a structured
-//!   [`cjq_stream::error::ExecError`], never a process abort, and the
-//!   surviving shards drain.
-//! * **Watchdog** — a state budget with tiering keeps the sampled
-//!   join-state peak at or under the budget without losing a result; without
-//!   tiering it fails the run with a structured error.
+//!   [`cjq_stream::error::ExecError`], never a process abort.
+//! * **Watchdog** — a state budget fails the run without tiering and is
+//!   lossless with it; stalled streams are flagged and survive a crash.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::path::{Path, PathBuf};
+pub mod differential;
+
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cjq_core::plan::Plan;
 use cjq_core::query::Cjq;
 use cjq_core::scheme::SchemeSet;
-use cjq_stream::checkpoint::{CheckpointStore, InputCursor};
-use cjq_stream::error::ExecResult;
-use cjq_stream::exec::{ExecConfig, Executor, RunResult};
+use cjq_stream::fault::{Fault, FaultPlan};
 use cjq_stream::metrics::Metrics;
-use cjq_stream::parallel::{Sharded, ShardedRunResult};
 use cjq_stream::source::Feed;
-use cjq_stream::Engine;
+use cjq_workload::auction::AuctionConfig;
 use cjq_workload::keyed::KeyedConfig;
-use cjq_workload::{auction, keyed, network, sensor, trades};
+use cjq_workload::multi::{MultiConfig, MultiTenant};
+use cjq_workload::random_query::{self, RandomQueryConfig, Topology};
+use cjq_workload::skewed::SkewedConfig;
+use cjq_workload::{auction, keyed, multi, network, sensor, skewed, trades};
 
 /// One bundled workload: a query, its punctuation schemes, and a
 /// deterministic violation-free feed.
 pub struct Workload {
     /// Short name for assertion messages.
     pub name: &'static str,
-    /// The continuous join query.
-    pub query: Cjq,
-    /// Its punctuation schemes.
-    pub schemes: SchemeSet,
+    /// The continuous join query and its punctuation schemes.
+    pub spec: (Cjq, SchemeSet),
     /// The generated feed.
     pub feed: Feed,
 }
@@ -56,98 +51,105 @@ pub struct Workload {
 /// Every bundled workload family, at chaos-suite sizes.
 #[must_use]
 pub fn bundled_workloads() -> Vec<Workload> {
-    let (aq, ar) = auction::auction_query();
-    let a_feed = auction::generate(&auction::AuctionConfig {
-        n_items: 60,
-        ..Default::default()
-    });
-    let (sq, sr) = sensor::sensor_query();
-    let (s_feed, _) = sensor::generate(&sensor::SensorConfig::default());
-    let (nq, nr) = network::network_query();
+    let auction_feed = auction_feed(60, 5, 4);
     // Sequence space wider than any source's packet count: seqnos never
     // cycle, so the feed is violation-free without punctuation lifespans —
     // a precondition for fault-neutrality (with lifespans, punctuation
     // *timing* changes coverage windows and the equivalence breaks by
     // design).
-    let n_feed = network::generate(&network::NetworkConfig {
+    let network_feed = network::generate(&network::NetworkConfig {
         n_flows: 40,
         pkts_per_flow: 6,
         n_sources: 3,
         seq_space: 512,
         ..Default::default()
     });
-    let (tq, tr) = trades::trades_query();
-    let (t_feed, _) = trades::generate(&trades::TradesConfig::default());
     // Fig. 5 keyed: under sharding its middle stream broadcasts, covering
     // the replicated-stream side of the quarantine merge.
-    let (fq, fr) = cjq_core::fixtures::fig5();
-    let f_feed = keyed::generate(
-        &fq,
-        &fr,
-        &KeyedConfig {
-            rounds: 60,
-            ..Default::default()
-        },
-    );
+    let fig5 = cjq_core::fixtures::fig5();
+    let fig5_feed = keyed_feed(&fig5, 60, 2);
+    let workload = |name, spec, feed| Workload { name, spec, feed };
+    let sensor_feed = sensor::generate(&Default::default()).0;
+    let trades_feed = trades::generate(&Default::default()).0;
     vec![
-        Workload {
-            name: "auction",
-            query: aq,
-            schemes: ar,
-            feed: a_feed,
-        },
-        Workload {
-            name: "sensor",
-            query: sq,
-            schemes: sr,
-            feed: s_feed,
-        },
-        Workload {
-            name: "network",
-            query: nq,
-            schemes: nr,
-            feed: n_feed,
-        },
-        Workload {
-            name: "trades",
-            query: tq,
-            schemes: tr,
-            feed: t_feed,
-        },
-        Workload {
-            name: "fig5-keyed",
-            query: fq,
-            schemes: fr,
-            feed: f_feed,
-        },
+        workload("auction", auction::auction_query(), auction_feed),
+        workload("sensor", sensor::sensor_query(), sensor_feed),
+        workload("network", network::network_query(), network_feed),
+        workload("trades", trades::trades_query(), trades_feed),
+        workload("fig5-keyed", fig5, fig5_feed),
     ]
 }
 
-/// Runs `feed` sequentially with outputs recorded.
-///
-/// # Panics
-/// Panics if the query fails to compile or execution fails.
+/// The four join-graph shapes the suites draw random queries from.
+pub const TOPOLOGIES: [Topology; 4] = [
+    Topology::Path,
+    Topology::Star,
+    Topology::Cycle,
+    Topology::Random { extra_edges: 2 },
+];
+
+/// The safe random query of `n_streams` streams in shape `topology` that
+/// `seed` draws.
 #[must_use]
-pub fn run_seq(w: &Workload, feed: &Feed, mut cfg: ExecConfig) -> RunResult {
-    cfg.record_outputs = true;
-    let plan = Plan::mjoin_all(&w.query);
-    Executor::compile(&w.query, &w.schemes, &plan, cfg)
-        .expect("workload query compiles")
-        .run(feed)
+pub fn random_spec(n_streams: usize, topology: Topology, seed: u64) -> (Cjq, SchemeSet) {
+    let mut shape = RandomQueryConfig::default();
+    (shape.n_streams, shape.topology, shape.seed) = (n_streams, topology, seed);
+    random_query::generate_safe(&shape)
 }
 
-/// Runs `feed` through `p` shards with outputs recorded (concatenated in
-/// shard order).
-///
-/// # Panics
-/// Panics if the query fails to compile or a shard fails.
+/// The keyed feed over `spec`: `rounds` join keys, each punctuated `lag`
+/// rounds after its tuples.
 #[must_use]
-pub fn run_sharded(w: &Workload, feed: &Feed, mut cfg: ExecConfig, p: usize) -> ShardedRunResult {
-    cfg.record_outputs = true;
-    let plan = Plan::mjoin_all(&w.query);
-    Sharded::<Executor>::compile(&w.query, &w.schemes, &plan, cfg, p)
-        .expect("workload query compiles")
-        .run(feed)
+pub fn keyed_feed((query, schemes): &(Cjq, SchemeSet), rounds: usize, lag: usize) -> Feed {
+    let mut shape = KeyedConfig::default();
+    (shape.rounds, shape.lag) = (rounds, lag);
+    keyed::generate(query, schemes, &shape)
+}
+
+/// The auction feed of `n_items` items, `bids` bids each, `concurrent` open
+/// at a time.
+#[must_use]
+pub fn auction_feed(n_items: usize, bids: usize, concurrent: usize) -> Feed {
+    let mut shape = AuctionConfig::default();
+    (shape.n_items, shape.bids_per_item, shape.concurrent) = (n_items, bids, concurrent);
+    auction::generate(&shape)
+}
+
+/// The skewed feed over `spec`: `events` events over `hot` hot and `cold`
+/// cold keys, a cold key live for `window` events, punctuations `lag` behind.
+#[must_use]
+pub fn skewed_feed(spec: &(Cjq, SchemeSet), [events, hot, cold, window, lag]: [usize; 5]) -> Feed {
+    let mut shape = SkewedConfig::default();
+    (shape.events, shape.hot_keys, shape.cold_keys) = (events, hot, cold);
+    (shape.cold_window, shape.punct_lag) = (window, lag);
+    skewed::generate(&spec.0, &spec.1, &shape)
+}
+
+/// `queries` tenants sharing a share `overlap` of their chain edges, and
+/// their feed of `rounds` rounds.
+#[must_use]
+pub fn tenants(queries: usize, overlap: f64, rounds: usize) -> (MultiTenant, Feed) {
+    let mut shape = MultiConfig::default();
+    (shape.queries, shape.overlap, shape.rounds) = (queries, overlap, rounds);
+    let specs = multi::generate_queries(&shape);
+    (specs, multi::generate_feed(&shape))
+}
+
+/// `feed` under the suite-wide fault plan when `CJQ_CHAOS=<seed>` is set —
+/// duplicated and delayed punctuations plus truncated tuples, admitted under
+/// the default `Quarantine` policy — and `feed` itself otherwise. Every side
+/// of a comparison sees the same faulted feed; CI runs the suites under two
+/// seeds.
+#[must_use]
+pub fn chaos_feed(feed: &Feed) -> Feed {
+    match std::env::var("CJQ_CHAOS") {
+        Ok(seed) => FaultPlan::new(seed.parse().unwrap_or(0xC4A0_5EED))
+            .with(Fault::DuplicatePunctuations { prob: 0.15 })
+            .with(Fault::DelayPunctuations { prob: 0.25, by: 3 })
+            .with(Fault::TruncateTuples { prob: 0.05 })
+            .apply(feed),
+        Err(_) => feed.clone(),
+    }
 }
 
 /// A unique empty checkpoint directory under the OS temp dir. Tests own the
@@ -163,129 +165,6 @@ pub fn temp_ckpt_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `feed` sequentially with punctuation-aligned checkpointing into
-/// `dir` — the *uninterrupted golden* run recovery is compared against.
-///
-/// # Panics
-/// Panics if the query fails to compile or execution fails.
-#[must_use]
-pub fn run_checkpointed_seq(
-    w: &Workload,
-    feed: &Feed,
-    mut cfg: ExecConfig,
-    dir: &Path,
-    every: u64,
-) -> RunResult {
-    cfg.record_outputs = true;
-    let plan = Plan::mjoin_all(&w.query);
-    Executor::compile(&w.query, &w.schemes, &plan, cfg)
-        .expect("workload query compiles")
-        .try_run_checkpointed(feed, dir, every)
-        .expect("checkpointed run succeeds")
-}
-
-/// Simulates a crash after exactly `crash_after` elements: consumes that
-/// prefix under checkpointing, then *drops* the executor mid-run (no finish,
-/// no final purge — the in-memory state simply vanishes, as in `kill -9`),
-/// then restores from `dir` and resumes the full feed.
-///
-/// # Panics
-/// Panics if compile, the pre-crash prefix, or recovery fails.
-#[must_use]
-pub fn crash_and_recover_seq(
-    w: &Workload,
-    feed: &Feed,
-    mut cfg: ExecConfig,
-    dir: &Path,
-    every: u64,
-    crash_after: usize,
-) -> RunResult {
-    cfg.record_outputs = true;
-    let plan = Plan::mjoin_all(&w.query);
-    {
-        let mut exec =
-            Executor::compile(&w.query, &w.schemes, &plan, cfg).expect("workload query compiles");
-        let mut store = CheckpointStore::open(dir, every).expect("checkpoint dir opens");
-        let mut cursor = InputCursor::zero(w.query.n_streams());
-        for e in feed.elements().iter().take(crash_after) {
-            exec.push_checkpointed(e, &mut store, &mut cursor)
-                .expect("pre-crash prefix succeeds");
-        }
-        // Crash: executor, store, and cursor dropped without finishing.
-    }
-    try_resume_seq(w, feed, cfg, dir, every).expect("recovery succeeds")
-}
-
-/// Restores `w`'s executor under `cfg` from the newest valid snapshot in
-/// `dir` and resumes `feed` from the recorded cursor.
-///
-/// # Errors
-/// Whatever the restore or the resumed run refuses with.
-pub fn try_resume_seq(
-    w: &Workload,
-    feed: &Feed,
-    cfg: ExecConfig,
-    dir: &Path,
-    every: u64,
-) -> ExecResult<RunResult> {
-    let plan = Plan::mjoin_all(&w.query);
-    let compile =
-        |_: &str| Executor::compile(&w.query, &w.schemes, &plan, cfg).map_err(|e| e.to_string());
-    Executor::try_resume(dir, compile, feed, every)
-}
-
-/// Sharded analogue of [`run_checkpointed_seq`]: the synchronous `P`-shard
-/// checkpointed runner over the whole feed.
-///
-/// # Panics
-/// Panics if the query fails to compile or execution fails.
-#[must_use]
-pub fn run_checkpointed_sharded(
-    w: &Workload,
-    feed: &Feed,
-    mut cfg: ExecConfig,
-    dir: &Path,
-    every: u64,
-    p: usize,
-) -> ShardedRunResult {
-    cfg.record_outputs = true;
-    let plan = Plan::mjoin_all(&w.query);
-    Sharded::<Executor>::compile(&w.query, &w.schemes, &plan, cfg, p)
-        .expect("workload query compiles")
-        .try_run_checkpointed(feed, dir, every)
-        .expect("checkpointed run succeeds")
-}
-
-/// Sharded analogue of [`crash_and_recover_seq`]: runs the crash-prefix
-/// through the checkpointed runner (its merged result is discarded — the
-/// crash), then resumes the full feed from `dir`.
-///
-/// # Panics
-/// Panics if compile, the pre-crash prefix, or recovery fails.
-#[must_use]
-pub fn crash_and_recover_sharded(
-    w: &Workload,
-    feed: &Feed,
-    mut cfg: ExecConfig,
-    dir: &Path,
-    every: u64,
-    p: usize,
-    crash_after: usize,
-) -> ShardedRunResult {
-    cfg.record_outputs = true;
-    let plan = Plan::mjoin_all(&w.query);
-    let compile = |_: &str| {
-        Sharded::<Executor>::compile(&w.query, &w.schemes, &plan, cfg, p).map_err(|e| e.to_string())
-    };
-    let prefix = Feed::from_elements(feed.elements()[..crash_after].to_vec());
-    let _ = compile("")
-        .expect("workload query compiles")
-        .try_run_checkpointed(&prefix, dir, every)
-        .expect("pre-crash prefix succeeds");
-    // Crash: the prefix result is discarded; only the snapshots survive.
-    Sharded::try_resume(dir, compile, feed, every).expect("recovery succeeds")
-}
-
 /// Debug rendering of `m` with the fields that legitimately differ between
 /// a golden run and a crash-recovered run zeroed out: wall time and the
 /// checkpoint bookkeeping counters (`checkpoints_written`/`checkpoint_rows`
@@ -295,70 +174,7 @@ pub fn crash_and_recover_sharded(
 #[must_use]
 pub fn metrics_digest(m: &Metrics) -> String {
     let mut m = m.clone();
-    m.elapsed_ns = 0;
-    m.checkpoints_written = 0;
-    m.checkpoint_rows = 0;
-    m.restores = 0;
-    m.snapshot_fallbacks = 0;
+    (m.elapsed_ns, m.checkpoints_written, m.checkpoint_rows) = (0, 0, 0);
+    (m.restores, m.snapshot_fallbacks) = (0, 0);
     format!("{m:?}")
-}
-
-/// Asserts a recovered sequential run is byte-identical to the golden run:
-/// outputs, aggregates, per-operator final snapshots, and every metric
-/// except wall time and the checkpoint counters.
-///
-/// # Panics
-/// Panics with `label` on the first divergence.
-pub fn assert_run_equiv(label: &str, golden: &RunResult, recovered: &RunResult) {
-    assert_eq!(
-        golden.outputs, recovered.outputs,
-        "{label}: outputs diverge"
-    );
-    assert_eq!(
-        format!("{:?}", golden.aggregates),
-        format!("{:?}", recovered.aggregates),
-        "{label}: aggregates diverge"
-    );
-    assert_eq!(
-        golden.operators, recovered.operators,
-        "{label}: operator snapshots diverge"
-    );
-    assert_eq!(
-        metrics_digest(&golden.metrics),
-        metrics_digest(&recovered.metrics),
-        "{label}: metrics diverge"
-    );
-}
-
-/// Asserts a recovered sharded run is byte-identical to the golden sharded
-/// run, shard by shard.
-///
-/// # Panics
-/// Panics with `label` on the first divergence.
-pub fn assert_sharded_equiv(label: &str, golden: &ShardedRunResult, recovered: &ShardedRunResult) {
-    assert_eq!(
-        golden.outputs, recovered.outputs,
-        "{label}: merged outputs diverge"
-    );
-    assert_eq!(
-        golden.logical_join_state, recovered.logical_join_state,
-        "{label}: logical join state diverges"
-    );
-    assert_eq!(
-        golden.logical_mirror, recovered.logical_mirror,
-        "{label}: logical mirror diverges"
-    );
-    assert_eq!(
-        metrics_digest(&golden.metrics),
-        metrics_digest(&recovered.metrics),
-        "{label}: merged metrics diverge"
-    );
-    assert_eq!(
-        golden.shards.len(),
-        recovered.shards.len(),
-        "{label}: shard count diverges"
-    );
-    for (i, (g, r)) in golden.shards.iter().zip(&recovered.shards).enumerate() {
-        assert_run_equiv(&format!("{label} shard {i}"), g, r);
-    }
 }

@@ -27,7 +27,7 @@ use crate::guard::{AdmissionGuard, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
 use crate::pipeline::{Core, Engine, Pipeline, Run, Snapshot, Stage};
-use crate::purge::{fingerprint_recipes, PurgeEngine, PurgeScope, PurgeStrategy};
+use crate::purge::{fingerprint_recipes, PurgeEngine, PurgeScope};
 use crate::sink::{CollectSink, CountSink, OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
 use crate::tier::TierConfig;
@@ -85,9 +85,6 @@ pub struct ExecConfig {
     pub scope: PurgeScope,
     /// Purge cadence.
     pub cadence: PurgeCadence,
-    /// How purge passes find purgeable tuples: full state scans (the
-    /// correctness oracle) or delta-driven index probes.
-    pub purge_strategy: PurgeStrategy,
     /// §5.1 punctuation lifespan (sequence ticks), if any.
     pub punct_lifespan: Option<u64>,
     /// Sliding-window semantics: tuples older than this many elements are
@@ -140,7 +137,6 @@ impl Default for ExecConfig {
         ExecConfig {
             scope: PurgeScope::Operator,
             cadence: PurgeCadence::Eager,
-            purge_strategy: PurgeStrategy::default(),
             punct_lifespan: None,
             window: None,
             sample_every: 64,
@@ -180,10 +176,6 @@ impl ExecConfig {
                 fp.word(batch as u64);
             }
         }
-        fp.word(match self.purge_strategy {
-            PurgeStrategy::FullScan => 0,
-            PurgeStrategy::Indexed => 1,
-        });
         fp.word(self.punct_lifespan.map_or(u64::MAX, |v| v));
         fp.word(self.window.map_or(u64::MAX, |v| v));
         fp.word(self.sample_every as u64);

@@ -18,8 +18,7 @@ use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
 use crate::purge::{
-    CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeStrategy, PurgeTracker, PurgeWork,
-    StepSpec,
+    CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeTracker, PurgeWork, StepSpec,
 };
 use crate::segment::StepSummary;
 use crate::sink::OutputBuffer;
@@ -53,8 +52,8 @@ crate::metrics::facts! {
         /// snapshot, not a running sum: accumulating it across Eager passes
         /// re-counts every surviving tuple per pass and means nothing).
         pub kept: u64,
-        /// Cumulative purge-pass candidate checks across all passes. With
-        /// [`PurgeStrategy::Indexed`] this stays far below `passes × live`.
+        /// Cumulative purge-pass candidate checks across all passes: the
+        /// delta-driven passes keep this far below `passes × live`.
         pub scan_candidates: u64,
     }
 }
@@ -69,8 +68,8 @@ pub struct JoinOperator {
     /// For each origin port, the probe steps in depth order. Precomputed so
     /// the per-tuple probe loop allocates nothing.
     probe_plans: Vec<Vec<ProbeStep>>,
-    /// Per port: compiled purge recipe with the delta tracker driving
-    /// [`PurgeStrategy::Indexed`] passes and holding its key plan, or `None`
+    /// Per port: compiled purge recipe with the delta tracker driving its
+    /// purge passes and holding its key plan, or `None`
     /// if the port's state is not purgeable under the configured scope.
     recipes: Vec<Option<(CompiledRecipe, PurgeTracker)>>,
     /// The ports whose recipe waits on more than one step (see
@@ -740,12 +739,12 @@ impl JoinOperator {
     /// One purge pass: evaluates candidate tuples of every purgeable port
     /// against its recipe using the engine's mirror and punctuation stores.
     ///
-    /// Under [`PurgeStrategy::FullScan`] every live tuple is a candidate;
-    /// under [`PurgeStrategy::Indexed`] the port's `PurgeTracker` narrows
-    /// candidates to rows touched by punctuation deltas or mirror shrinkage
-    /// since the last pass (falling back to a full scan when one cannot be
-    /// mapped to rows). Both strategies purge the exact same rows.
-    pub fn purge_pass(&mut self, engine: &PurgeEngine, strategy: PurgeStrategy) -> PurgeWork {
+    /// The port's `PurgeTracker` narrows candidates to rows touched by
+    /// punctuation deltas or mirror shrinkage since the last pass, falling
+    /// back to a full scan when one cannot be mapped to rows. A full scan of
+    /// every row purges the same rows: `cjq-oracle` is that scan, and
+    /// `tests/differential.rs` holds the engine to it.
+    pub fn purge_pass(&mut self, engine: &PurgeEngine) -> PurgeWork {
         let mut work = PurgeWork::default();
         let mut pass_kept = 0u64;
         for state in &mut self.ports {
@@ -759,10 +758,8 @@ impl JoinOperator {
             };
             let candidates = &mut self.scratch_candidates;
             candidates.clear();
-            let localized = strategy == PurgeStrategy::Indexed && {
-                let scratch = &mut self.scratch_check;
-                tracker.collect(recipe, &self.ports[port], engine, scratch, candidates)
-            };
+            let scratch = &mut self.scratch_check;
+            let localized = tracker.collect(recipe, &self.ports[port], engine, scratch, candidates);
             candidates.sort_unstable();
             candidates.dedup();
             let candidates = localized.then_some(&candidates[..]);
@@ -957,32 +954,30 @@ mod tests {
 
     #[test]
     fn purge_pass_uses_engine_punctuations() {
-        for strategy in [PurgeStrategy::FullScan, PurgeStrategy::Indexed] {
-            let (_, _, mut engine, mut op) = setup_auction();
-            let item1 = Tuple::of(0, vec![ival(7), ival(1), "tv".into(), ival(100)]);
-            let bid1 = Tuple::of(1, vec![ival(3), ival(1), ival(5)]);
-            engine.observe_tuple(&item1);
-            engine.observe_tuple(&bid1);
-            op.process_one(0, &item1.values, 0);
-            op.process_one(1, &bid1.values, 0);
-            assert_eq!(op.purge_pass(&engine, strategy).purged, 0);
-            assert_eq!(op.stats.kept, 2, "both tuples survive the first pass");
+        let (_, _, mut engine, mut op) = setup_auction();
+        let item1 = Tuple::of(0, vec![ival(7), ival(1), "tv".into(), ival(100)]);
+        let bid1 = Tuple::of(1, vec![ival(3), ival(1), ival(5)]);
+        engine.observe_tuple(&item1);
+        engine.observe_tuple(&bid1);
+        op.process_one(0, &item1.values, 0);
+        op.process_one(1, &bid1.values, 0);
+        assert_eq!(op.purge_pass(&engine).purged, 0);
+        assert_eq!(op.stats.kept, 2, "both tuples survive the first pass");
 
-            // Close auction 1 on both sides.
-            engine.observe_punctuation(
-                &Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(1))]),
-                0,
-            );
-            engine.observe_punctuation(
-                &Punctuation::with_constants(StreamId(0), 4, &[(AttrId(1), ival(1))]),
-                1,
-            );
-            assert_eq!(op.purge_pass(&engine, strategy).purged, 2);
-            assert_eq!(op.live(), 0);
-            assert_eq!(op.stats.purged, 2);
-            assert_eq!(op.stats.kept, 0, "kept is a per-pass snapshot");
-            assert_eq!(op.stats.scan_candidates, 4, "{strategy:?}");
-        }
+        // Close auction 1 on both sides.
+        engine.observe_punctuation(
+            &Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(1))]),
+            0,
+        );
+        engine.observe_punctuation(
+            &Punctuation::with_constants(StreamId(0), 4, &[(AttrId(1), ival(1))]),
+            1,
+        );
+        assert_eq!(op.purge_pass(&engine).purged, 2);
+        assert_eq!(op.live(), 0);
+        assert_eq!(op.stats.purged, 2);
+        assert_eq!(op.stats.kept, 0, "kept is a per-pass snapshot");
+        assert_eq!(op.stats.scan_candidates, 4);
     }
 
     #[test]

@@ -275,10 +275,10 @@ facts! {
         pub punct_dropped: u64 => sum,
         /// Number of purge cycles run.
         pub purge_cycles: u64 => sum,
-        /// Candidate rows examined by purge passes (operator ports + mirror).
-        /// Under `PurgeStrategy::FullScan` this is Σ live-state-per-cycle; under
-        /// `Indexed` it shrinks to the punctuation-delta-proportional candidate
-        /// count — the purge engine's asymptotic win, compared against `purged`.
+        /// Candidate rows examined by purge passes (operator ports + mirror):
+        /// the punctuation-delta-proportional candidate count, where a full
+        /// scan would examine Σ live-state-per-cycle — compare it against
+        /// `purged`.
         pub purge_candidates_examined: u64 => sum,
         /// Micro-batches pushed (one per `Executor::push_batch` call; one-element
         /// `Executor::push` calls are not counted).

@@ -809,14 +809,13 @@ pub(crate) trait Pipeline: Snapshot {
         if core.cfg.punct_lifespan.is_some() {
             engine.expire_punctuations(core.clock);
         }
-        let strategy = core.cfg.purge_strategy;
         engine.begin_cycle();
         let mut work = PurgeWork::default();
         for i in 0..self.op_slots() {
             let Some((op, engine, _)) = self.op_stage(i) else {
                 continue;
             };
-            let w = op.purge_pass(engine, strategy);
+            let w = op.purge_pass(engine);
             if w.purged > 0 {
                 self.credit_purged(i, w.purged);
             }
@@ -824,7 +823,7 @@ pub(crate) trait Pipeline: Snapshot {
         }
         self.core_mut().metrics.purged += work.purged;
         if let Some(stage) = self.stage() {
-            work.add(stage.engine.purge_mirror_with(strategy));
+            work.add(stage.engine.purge_mirror());
             stage.core.metrics.purge_candidates_examined += work.examined;
             // §5.1, over the union of the subscribers' predicates. Last
             // reader of the cycle's coverage deltas and retractions: which

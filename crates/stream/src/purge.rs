@@ -65,22 +65,6 @@ use crate::punct_store::{PunctDelta, PunctStore};
 use crate::state::{PortState, Sweep};
 use crate::tuple::Tuple;
 
-/// How purge cycles find candidate rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PurgeStrategy {
-    /// Re-evaluate every live row against its recipe each cycle — the
-    /// original O(live-state) path, kept as the correctness oracle.
-    FullScan,
-    /// Delta-driven: each cycle visits only *candidate* rows — rows whose
-    /// indexed recipe-root values match a punctuation entry (or fall under a
-    /// threshold range) newly recorded since the last cycle, plus rows
-    /// inserted since then. Falls back to a full scan of a state only when a
-    /// delta cannot be mapped to rows: a retraction or a coverage delta
-    /// passes through a chain step none of whose filters reaches a root.
-    #[default]
-    Indexed,
-}
-
 /// Work accounting of one purge pass (operator ports or mirror).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PurgeWork {
@@ -167,9 +151,10 @@ impl CompiledRecipe {
 }
 
 /// Folds where each step of each recipe looks for coverage (`None`: a port
-/// or mirror stream without one). Tracker cursors in a snapshot are positions
-/// in exactly those schemes' delta logs, and the steps are not a function of
-/// (query, schemes, plan) alone: lag weights choose between alternatives.
+/// or mirror stream without one) and where it draws its values from. Tracker
+/// cursors in a snapshot are positions in exactly those schemes' delta logs,
+/// mapped back to rows through those sources, and the steps are not a
+/// function of (query, schemes, plan) alone: lag weights choose among them.
 pub(crate) fn fingerprint_recipes<'r>(
     fp: &mut Fingerprint,
     recipes: impl Iterator<Item = Option<&'r CompiledRecipe>>,
@@ -179,6 +164,8 @@ pub(crate) fn fingerprint_recipes<'r>(
         for step in recipe.iter().flat_map(|r| &r.steps) {
             fp.word(step.target.0 as u64);
             fp.word(step.scheme_idx as u64);
+            let source = |&(s, col): &(StreamId, usize)| ((s.0 as u64) << 32) | col as u64;
+            step.bindings.iter().for_each(|b| fp.word(source(b)));
         }
     }
 }
@@ -1087,7 +1074,7 @@ impl PurgeEngine {
 
     /// Finds a live mirror row that every subscriber proves dead, if any —
     /// at a purge fixpoint (no punctuation or tuple arrivals since the last
-    /// [`PurgeEngine::purge_mirror_with`]) there must be none.
+    /// [`PurgeEngine::purge_mirror`]) there must be none.
     #[must_use]
     pub fn find_purgeable_mirror_row(&self) -> Option<(StreamId, usize)> {
         let mut scratch = CheckScratch::default();
@@ -1433,21 +1420,21 @@ impl PurgeEngine {
         CheckOutcome::Purgeable
     }
 
-    /// One purge pass over the raw mirror under the given strategy: per
-    /// stream, the candidate rows are checked against every distinct
-    /// subscribed recipe and go when all agree. Under
-    /// [`PurgeStrategy::Indexed`] the candidates are the union of the
-    /// recipes' trackers' flip candidates — a row can only become dead for
-    /// everybody when it becomes dead for somebody. With no subscriber at
-    /// all the meet is vacuous and every row goes: nobody is left to join
-    /// it, and a later subscriber starts on fresh join state.
+    /// One purge pass over the raw mirror: per stream, the candidate rows
+    /// are checked against every distinct subscribed recipe and go when all
+    /// agree. The candidates are the union of the recipes' trackers' flip
+    /// candidates — a row can only become dead for everybody when it becomes
+    /// dead for somebody — or every row, when a delta cannot be mapped back
+    /// to rows. With no subscriber at all the meet is vacuous and every row
+    /// goes: nobody is left to join it, and a later subscriber starts on
+    /// fresh join state.
     ///
     /// Streams are processed in id order with earlier purges visible to
-    /// later checks under both strategies: the indexed path re-reads each
-    /// stream's chain-source retraction logs at collect time, so a stream
-    /// purged earlier in the same pass hands its dependents exactly the rows
-    /// the full scan would see relaxed.
-    pub fn purge_mirror_with(&mut self, strategy: PurgeStrategy) -> PurgeWork {
+    /// later checks: the trackers re-read each stream's chain-source
+    /// retraction logs at collect time, so a stream purged earlier in the
+    /// same pass hands its dependents exactly the rows a full scan would see
+    /// relaxed (`cjq-oracle` is that scan).
+    pub fn purge_mirror(&mut self) -> PurgeWork {
         let mut work = PurgeWork::default();
         // The pass reads the engine while the trackers and buffers move:
         // take them out for its duration.
@@ -1459,13 +1446,11 @@ impl PurgeEngine {
             // Every tracker advances whether or not its answer is used, so a
             // pass that looks at everything leaves the next one no backlog.
             candidates.clear();
-            let mut localized = strategy == PurgeStrategy::Indexed;
-            if localized {
-                let (state, out) = (&self.states[s], &mut candidates);
-                for e in &mut meet.recipes {
-                    let tracker = e.tracker.as_mut().expect("held streams are tracked");
-                    localized &= tracker.collect(&e.recipe, state, self, &mut scratch, out);
-                }
+            let mut localized = true;
+            let (state, out) = (&self.states[s], &mut candidates);
+            for e in &mut meet.recipes {
+                let tracker = e.tracker.as_mut().expect("held streams are tracked");
+                localized &= tracker.collect(&e.recipe, state, self, &mut scratch, out);
             }
             if meet.uncertified > 0 {
                 continue;
@@ -1736,62 +1721,6 @@ fn compile_recipe(
 
 #[cfg(test)]
 impl PurgeEngine {
-    /// The full-scan reference of [`PurgeEngine::purge_punctuations`], for
-    /// engines holding every mirror: drops a single-attribute-scheme entry
-    /// `(attr = c)` on stream `v` once, for every partner `u` of `v.attr`,
-    /// (i) punctuations on `u`'s side certify no future `u` tuple carries `c`
-    /// and (ii) no live mirror tuple of `u` carries `c`. Such an entry can
-    /// never again satisfy a coverage query that matters. Multi-attribute
-    /// entries are left to lifespans. Returns entries dropped.
-    pub(crate) fn purge_punctuations_reference(&mut self, query: &Cjq) -> usize {
-        let mut to_remove: Vec<(usize, usize, Vec<Value>)> = Vec::new();
-        for (si, store) in self.puncts.iter().enumerate() {
-            let v = StreamId(si);
-            for (scheme_idx, scheme) in store.schemes().iter().enumerate() {
-                if scheme.arity() != 1 {
-                    continue;
-                }
-                let attr = scheme.punctuatable()[0];
-                let partners = query.partners_of(v, attr);
-                if partners.is_empty() {
-                    continue;
-                }
-                'combo: for combo in store.combos(scheme_idx) {
-                    let c = &combo[0];
-                    for p in query.predicates_on(v) {
-                        if p.endpoint_on(v).map(|r| r.attr) != Some(attr) {
-                            continue;
-                        }
-                        let other = p.endpoint_opposite(v).expect("touches v");
-                        // (i) no future partner tuples with value c.
-                        if !self.puncts[other.stream.0].covers_single(other.attr, c) {
-                            continue 'combo;
-                        }
-                        // (ii) no live partner tuples with value c. Join
-                        // attributes are indexed in the mirror, so this is a
-                        // hash probe, not an O(mirror) scan.
-                        let partner = &self.states[other.stream.0];
-                        let live_hit = if partner.has_index(other.attr.0) {
-                            !partner.probe(other.attr.0, c).is_empty()
-                        } else {
-                            partner.iter_live().any(|(_, row)| &row[other.attr.0] == c)
-                        };
-                        if live_hit {
-                            continue 'combo;
-                        }
-                    }
-                    to_remove.push((si, scheme_idx, combo.clone()));
-                }
-            }
-        }
-        let n = to_remove.len();
-        for (si, scheme_idx, combo) in to_remove {
-            self.puncts[si].remove(scheme_idx, &combo);
-        }
-        self.punct_dropped += n as u64;
-        n
-    }
-
     /// How many distinct mirror recipes and purge indexes the meet holds
     /// across all streams.
     pub(crate) fn interned(&self) -> (usize, usize) {
@@ -1945,66 +1874,51 @@ mod tests {
         e.observe_tuple(&Tuple::of(1, [Value::Int(3), Value::Int(1), Value::Int(5)]));
         e.observe_tuple(&Tuple::of(1, [Value::Int(4), Value::Int(2), Value::Int(9)]));
         assert_eq!(e.mirror_live(), 3);
-        assert_eq!(e.purge_mirror_with(PurgeStrategy::FullScan).purged, 0);
+        assert_eq!(e.purge_mirror().purged, 0);
 
         // Auction for item 1 closes: the item tuple and its bids die
         // (bids also need item.itemid=1 punctuation for uniqueness).
         e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0); // bid(*, 1, *)
         e.observe_punctuation(&punct(0, 4, &[(1, 1)]), 1); // item(*, 1, *, *)
-        let purged = e.purge_mirror_with(PurgeStrategy::FullScan).purged;
+        let purged = e.purge_mirror().purged;
         assert_eq!(purged, 2, "item 1 and bid on item 1 die");
         assert_eq!(e.mirror_live(), 1); // bid on item 2 remains
         assert_eq!(e.mirror_purged, 2);
     }
 
     #[test]
-    fn indexed_mirror_purge_matches_full_scan_and_examines_less() {
-        let feed_engine = |e: &mut PurgeEngine| {
-            for item in 0..20i64 {
-                e.observe_tuple(&Tuple::of(
-                    0,
-                    [
-                        Value::Int(7),
-                        Value::Int(item),
-                        Value::from("x"),
-                        Value::Int(100),
-                    ],
-                ));
-                e.observe_tuple(&Tuple::of(
-                    1,
-                    [Value::Int(3), Value::Int(item), Value::Int(5)],
-                ));
-            }
-        };
+    fn mirror_purge_examines_only_delta_candidates() {
         let (q, r) = fixtures::auction();
-        let mut full = PurgeEngine::new(&q, &r, None, 10_000);
-        let mut indexed = PurgeEngine::new(&q, &r, None, 10_000);
-        feed_engine(&mut full);
-        feed_engine(&mut indexed);
-        // Close item 3 on both sides; purge under each strategy.
-        for e in [&mut full, &mut indexed] {
-            e.observe_punctuation(&punct(1, 3, &[(1, 3)]), 0);
-            e.observe_punctuation(&punct(0, 4, &[(1, 3)]), 1);
+        let mut e = PurgeEngine::new(&q, &r, None, 10_000);
+        for item in 0..20i64 {
+            let row = [
+                Value::Int(7),
+                Value::Int(item),
+                Value::from("x"),
+                Value::Int(100),
+            ];
+            e.observe_tuple(&Tuple::of(0, row));
+            e.observe_tuple(&Tuple::of(
+                1,
+                [Value::Int(3), Value::Int(item), Value::Int(5)],
+            ));
         }
-        let fw = full.purge_mirror_with(PurgeStrategy::FullScan);
-        let iw = indexed.purge_mirror_with(PurgeStrategy::Indexed);
-        assert_eq!(fw.purged, 2, "item 3 and its bid die");
-        assert_eq!(iw.purged, fw.purged);
-        assert_eq!(full.mirror_live(), indexed.mirror_live());
-        // The full scan examines all 40 live rows; the indexed first pass is
-        // bounded by the fresh backlog. Shrinkage from its own purges is
-        // localized by the retraction probes, so the tracker is quiescent
-        // immediately afterwards.
-        assert_eq!(fw.examined, 40);
-        assert!(iw.examined <= fw.examined);
-        indexed.end_cycle();
-        let idle = indexed.purge_mirror_with(PurgeStrategy::Indexed);
+        e.observe_punctuation(&punct(1, 3, &[(1, 3)]), 0);
+        e.observe_punctuation(&punct(0, 4, &[(1, 3)]), 1);
+        // The first pass is bounded by the fresh backlog of 40 rows.
+        // Shrinkage from its own purges is localized by the retraction
+        // probes, so the tracker is quiescent immediately afterwards.
+        let first = e.purge_mirror();
+        assert_eq!(first.purged, 2, "item 3 and its bid die");
+        assert!(first.examined <= 40);
+        e.end_cycle();
+        let idle = e.purge_mirror();
         assert_eq!((idle.examined, idle.purged), (0, 0));
         // A new closing punctuation drives candidates off the index: only
         // item 7's two rows are examined, not the 38 still live.
-        indexed.observe_punctuation(&punct(1, 3, &[(1, 7)]), 2);
-        indexed.observe_punctuation(&punct(0, 4, &[(1, 7)]), 3);
-        let delta = indexed.purge_mirror_with(PurgeStrategy::Indexed);
+        e.observe_punctuation(&punct(1, 3, &[(1, 7)]), 2);
+        e.observe_punctuation(&punct(0, 4, &[(1, 7)]), 3);
+        let delta = e.purge_mirror();
         assert_eq!(delta.purged, 2);
         assert_eq!(delta.examined, 2, "only item 7's rows are candidates");
     }
@@ -2043,7 +1957,7 @@ mod tests {
             e.observe_tuple(&Tuple::of(3, [Value::Int(key * 10), Value::Int(0)]));
         }
         // Drain the fresh backlog: from here on only deltas make candidates.
-        assert_eq!(e.purge_mirror_with(PurgeStrategy::Indexed).purged, 0);
+        assert_eq!(e.purge_mirror().purged, 0);
         e.end_cycle();
         let collect = |e: &mut PurgeEngine, stream: usize| {
             let mut meets = std::mem::take(&mut e.meets);
@@ -2154,13 +2068,13 @@ mod tests {
         e.observe_tuple(&Tuple::of(0, [Value::Int(1), Value::Int(2)]));
         e.observe_punctuation(&punct(1, 2, &[(0, 1)]), 0);
         assert_eq!(
-            e.purge_mirror_with(PurgeStrategy::Indexed).purged,
+            e.purge_mirror().purged,
             0,
             "t1 closed k = 1, but the other query joins on t0.w = 2"
         );
         e.end_cycle();
         e.unsubscribe(&other, &sub);
-        let work = e.purge_mirror_with(PurgeStrategy::Indexed);
+        let work = e.purge_mirror();
         assert_eq!((work.examined, work.purged), (1, 1), "re-seeded once");
         assert_eq!(e.interned().0, before.0);
 
@@ -2168,7 +2082,7 @@ mod tests {
         e.observe_tuple(&Tuple::of(2, [Value::Int(5), Value::Int(5)]));
         // `same` names the recipes the subscription `new` made holds.
         e.unsubscribe(&q, &same);
-        assert_eq!(e.purge_mirror_with(PurgeStrategy::Indexed).purged, 1);
+        assert_eq!(e.purge_mirror().purged, 1);
         assert_eq!(e.mirror_live(), 0, "the empty meet is vacuous");
     }
 
@@ -2282,7 +2196,7 @@ mod tests {
             e.observe_punctuation(&punct(s, 2, &[(0, 1)]), 0);
             e.observe_punctuation(&punct(s, 2, &[(1, 1)]), 0);
         }
-        assert_eq!(e.purge_mirror_with(PurgeStrategy::Indexed).purged, 2);
+        assert_eq!(e.purge_mirror().purged, 2);
 
         // Port recipes count like mirror recipes: with nobody subscribed,
         // they alone decide.
@@ -2406,15 +2320,11 @@ mod tests {
         // A live S2 tuple with B=1 blocks purging even with the certificate.
         e8.observe_tuple(&Tuple::of(1, [Value::Int(1), Value::Int(9)]));
         e8.observe_punctuation(&punct(1, 2, &[(0, 1)]), 1); // S2(+,_): B = 1
-        let mut full = PurgeEngine::new(&q8, &r8, None, 10_000);
-        full.observe_punctuation(&punct(0, 2, &[(1, 1)]), 0);
-        full.observe_tuple(&Tuple::of(1, [Value::Int(1), Value::Int(9)]));
-        full.observe_punctuation(&punct(1, 2, &[(0, 1)]), 1);
+
         // S1.B entry: partner S2 has live tuple with B=1 -> keep. S2.B entry:
         // partner S1 has no live tuple and S1.B covers 1 -> droppable. The
         // S2 punctuation's arrival is what makes both worth testing.
         assert_eq!(e8.purge_punctuations(no_ops()), 1);
-        assert_eq!(full.purge_punctuations_reference(&q8), 1);
         assert!(e8
             .punct_store(StreamId(0))
             .covers_single(AttrId(1), &Value::Int(1)));
@@ -2433,113 +2343,21 @@ mod tests {
             PunctuationScheme::on(0, &[1]).unwrap(),
             PunctuationScheme::ordered_on(1, 1).unwrap(),
         ]);
-        let (mut e, mut full) = (
-            PurgeEngine::new(&q, &r, None, 10_000),
-            PurgeEngine::new(&q, &r, None, 10_000),
-        );
+        let mut e = PurgeEngine::new(&q, &r, None, 10_000);
         for itemid in [3, 5, 9] {
-            for e in [&mut e, &mut full] {
-                e.observe_punctuation(&punct(0, 4, &[(1, itemid)]), 0);
-            }
+            e.observe_punctuation(&punct(0, 4, &[(1, itemid)]), 0);
         }
         e.observe_tuple(&Tuple::of(1, [Value::Int(0), Value::Int(3), Value::Int(1)]));
-        full.observe_tuple(&Tuple::of(1, [Value::Int(0), Value::Int(3), Value::Int(1)]));
         assert_eq!(e.purge_punctuations(no_ops()), 0);
         e.end_cycle();
         // bid.itemid <= 5: item 5's entry goes, item 3's waits for the live
         // bid on it, item 9's for a later heartbeat.
         let hb = Punctuation::heartbeat(StreamId(1), 3, AttrId(1), Value::Int(5));
         e.observe_punctuation(&hb, 1);
-        full.observe_punctuation(&hb, 1);
         assert_eq!(e.purge_punctuations(no_ops()), 1);
-        assert_eq!(full.purge_punctuations_reference(&q), 1);
-        let left = |e: &PurgeEngine| {
-            let mut keys: Vec<_> = e.punct_store(StreamId(0)).combos(0).cloned().collect();
-            keys.sort_unstable();
-            keys
-        };
-        assert_eq!(left(&e), [[Value::Int(3)], [Value::Int(9)]]);
-        assert_eq!(left(&e), left(&full));
-    }
-
-    /// Feeds both engines the same seeded elements (a third of them
-    /// punctuations over a small value domain, so keys close, drain and come
-    /// back), running a cycle where `due` says so: after each one the
-    /// delta-driven pass must have left exactly the entries the full-scan
-    /// reference left.
-    fn assert_delta_pass_leaves_what_the_reference_leaves(
-        (q, r): (Cjq, SchemeSet),
-        seeds: &[u64],
-        domain: u64,
-        due: impl Fn(usize, bool) -> bool,
-    ) {
-        let mut delta = PurgeEngine::new(&q, &r, None, 10_000);
-        let mut full = PurgeEngine::new(&q, &r, None, 10_000);
-        let stored = |e: &PurgeEngine| {
-            let schemes = |s| (0..e.punct_store(s).schemes().len()).map(move |i| (s, i));
-            let stored = q.stream_ids().flat_map(schemes).map(|(s, i)| {
-                let mut combos: Vec<_> = e.punct_store(s).combos(i).cloned().collect();
-                combos.sort_unstable();
-                combos
-            });
-            stored.collect::<Vec<_>>()
-        };
-        let schemes = r.schemes();
-        for (i, &seed) in seeds.iter().enumerate() {
-            let value = |k: usize| Value::Int(((seed >> (8 + 6 * k)) % domain) as i64);
-            let is_punct = seed % 3 == 0;
-            for e in [&mut delta, &mut full] {
-                if is_punct {
-                    let scheme = &schemes[(seed as usize / 3) % schemes.len()];
-                    let arity = q.catalog().schema(scheme.stream).unwrap().arity();
-                    let values: Vec<Value> = (0..scheme.arity()).map(value).collect();
-                    e.observe_punctuation(&scheme.instantiate(arity, &values).unwrap(), i as u64);
-                } else {
-                    let stream = StreamId(seed as usize % q.n_streams());
-                    let arity = q.catalog().schema(stream).unwrap().arity();
-                    let row: Vec<Value> = (0..arity).map(value).collect();
-                    e.observe_row_at(stream, &row, i as u64);
-                }
-            }
-            if !due(i, is_punct) {
-                continue;
-            }
-            for (e, by_delta) in [(&mut delta, true), (&mut full, false)] {
-                e.begin_cycle();
-                e.purge_mirror_with(PurgeStrategy::Indexed);
-                match by_delta {
-                    true => e.purge_punctuations(no_ops()),
-                    false => e.purge_punctuations_reference(&q),
-                };
-                e.end_cycle();
-            }
-            assert_eq!(stored(&delta), stored(&full), "after element {i}");
-            assert_eq!(delta.punct_dropped, full.punct_dropped, "after element {i}");
-            assert_eq!(delta.mirror_live(), full.mirror_live(), "after element {i}");
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn delta_driven_punctuation_purge_matches_the_full_scan(
-            fixture in 0usize..5,
-            seeds in proptest::collection::vec(proptest::prelude::any::<u64>(), 40..400),
-            domain in 2u64..7,
-        ) {
-            let fixtures = [
-                fixtures::auction, fixtures::fig3, fixtures::fig5, fixtures::fig8, unpinned_chain,
-            ];
-            let per_punct = |_, is_punct| is_punct;
-            let per_64 = |i, _| i % 64 == 63;
-            assert_delta_pass_leaves_what_the_reference_leaves(
-                fixtures[fixture](), &seeds, domain, per_punct,
-            );
-            assert_delta_pass_leaves_what_the_reference_leaves(
-                fixtures[fixture](), &seeds, domain, per_64,
-            );
-        }
+        let mut left: Vec<_> = e.punct_store(StreamId(0)).combos(0).cloned().collect();
+        left.sort_unstable();
+        assert_eq!(left, [[Value::Int(3)], [Value::Int(9)]]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use cjq_core::schema::{Catalog, StreamId, StreamSchema};
 use cjq_core::scheme::{PunctuationScheme, SchemeSet};
 use cjq_core::value::Value;
 use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence};
-use cjq_stream::purge::{CheckScratch, PurgeEngine, PurgeStrategy};
+use cjq_stream::purge::{CheckScratch, PurgeEngine};
 use cjq_stream::tuple::Tuple;
 
 /// Builds a random 2-attribute-per-stream query: path, star, or cycle
@@ -185,7 +185,7 @@ proptest! {
         assert_paths_agree(&engine, &query);
         // Purge, feed more, and re-check: verdict agreement must also hold
         // on post-purge states (shrunken chains, trimmed stores).
-        engine.purge_mirror_with(PurgeStrategy::FullScan);
+        engine.purge_mirror();
         feed_engine(
             &mut engine, &query, &schemes, &seeds[..seeds.len() / 2], domain, seeds.len() as u64,
         );

@@ -1,182 +1,100 @@
-//! Registry/standalone equivalence: the shared-state [`QueryRegistry`] must
-//! be *observationally invisible* — every admitted query's outputs must be
-//! byte-identical to what a dedicated [`Executor`] produces for that query
-//! alone, across overlap levels, purge cadences, and shard counts, with
-//! runtime certificate verification on throughout.
-//!
-//! Purge accounting is also checked: on punctuation-closed feeds the
-//! registry's per-query purge totals must equal each standalone run's
-//! (sharing changes *when* a row can go — the meet keeps a row until every
-//! subscriber's recipe proves it dead — but on a closed feed everything
-//! provably dead is gone by `finish`, so the totals meet), and the final
-//! live state must be zero on both sides.
-//!
-//! `CJQ_CHAOS=<seed>` re-runs the suite on fault-injected feeds like the
-//! other equivalence suites; output equivalence must survive unchanged.
-//! Purge-total and drained-state assertions are skipped under chaos (a
-//! faulted feed need not be punctuation-closed). A dedicated seeded fault
-//! test runs unconditionally.
+//! Registry/standalone equivalence. [`Case::check`] (the differential
+//! harness, `cjq_chaos::differential`) already holds a one-tenant registry
+//! to the dedicated executor byte for byte and a registry of several plans
+//! of one query to the reference oracle. Here the registry serves
+//! *different* queries at once: every tenant's outputs must be
+//! byte-identical to what a dedicated [`Executor`] produces for it alone
+//! (itself judged by the oracle), and the shared mirror's meet must purge
+//! what the oracle's full scan under the meet of the tenants' recipes does,
+//! across overlap levels, purge cadences, shard counts, churn and faults,
+//! with runtime certificate verification on throughout.
 
+use punctuated_cjq::core::fixtures;
 use punctuated_cjq::core::plan::Plan;
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::planner::fingerprint;
+use punctuated_cjq::stream::element::StreamElement;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult};
 use punctuated_cjq::stream::fault::{Fault, FaultPlan};
+use punctuated_cjq::stream::groupby::Aggregate;
+use punctuated_cjq::stream::guard::AdmissionPolicy;
+use punctuated_cjq::stream::metrics::Metrics;
 use punctuated_cjq::stream::parallel::Sharded;
-use punctuated_cjq::stream::purge::PurgeStrategy;
-use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult};
+use punctuated_cjq::stream::registry::{QueryRegistry, QueryRunResult, RegistryResult};
 use punctuated_cjq::stream::source::Feed;
+use punctuated_cjq::stream::tuple::Tuple;
 use punctuated_cjq::stream::Engine;
-use punctuated_cjq::workload::multi::{self, MultiConfig};
+use punctuated_cjq::workload::trades::{self, QUOTE, TRADE};
+use punctuated_cjq::workload::{auction, graph, sensor};
+
+use cjq_chaos::differential::{assert_meets, oracle, sorted, Case};
+use cjq_chaos::{chaos_feed, keyed_feed, random_spec, tenants, TOPOLOGIES};
+
+const EAGER: PurgeCadence = PurgeCadence::Eager;
+const LAZY: PurgeCadence = PurgeCadence::Lazy { batch: 7 };
 
 fn base_cfg(cadence: PurgeCadence) -> ExecConfig {
-    ExecConfig {
-        cadence,
-        record_outputs: true,
-        verify_certificates: true,
-        ..ExecConfig::default()
+    let mut cfg = ExecConfig::default();
+    (cfg.cadence, cfg.verify_certificates) = (cadence, true);
+    cfg
+}
+
+/// Every tenant's dedicated run, each first judged by the harness.
+fn standalones(specs: &[(Cjq, Plan)], r: &SchemeSet, cfg: ExecConfig, f: &Feed) -> Vec<RunResult> {
+    let judged = |(q, p): &(Cjq, Plan)| {
+        let case = Case::new("tenant", (q.clone(), r.clone()), f.clone());
+        let case = case.with(|c| (c.plan, c.cfg, c.shards) = (p.clone(), cfg, Vec::new()));
+        case.check().solo.expect("admitted")
+    };
+    specs.iter().map(judged).collect()
+}
+
+fn registry(specs: &[(Cjq, Plan)], r: &SchemeSet, cfg: ExecConfig, f: &Feed) -> RegistryResult {
+    let mut reg = QueryRegistry::new(r.clone(), cfg);
+    for (q, p) in specs {
+        reg.try_admit(q, p, None).expect("admissible");
     }
-}
-
-fn chaos() -> bool {
-    std::env::var("CJQ_CHAOS").is_ok()
-}
-
-/// Applies the suite-wide chaos plan when `CJQ_CHAOS` is set (same faults
-/// as the shard-equivalence suite, so CI seeds exercise both).
-fn chaos_feed(feed: &Feed) -> Feed {
-    match std::env::var("CJQ_CHAOS") {
-        Ok(seed) => FaultPlan::new(seed.parse().unwrap_or(0xC4A0_5EED))
-            .with(Fault::DuplicatePunctuations { prob: 0.15 })
-            .with(Fault::DelayPunctuations { prob: 0.25, by: 3 })
-            .with(Fault::TruncateTuples { prob: 0.05 })
-            .apply(feed),
-        Err(_) => feed.clone(),
-    }
-}
-
-fn standalone(
-    query: &Cjq,
-    schemes: &SchemeSet,
-    plan: &Plan,
-    cfg: ExecConfig,
-    feed: &Feed,
-) -> RunResult {
-    Executor::compile(query, schemes, plan, cfg)
-        .expect("tenant queries are safe")
-        .run(feed)
-}
-
-fn sorted(outputs: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut s = outputs.to_vec();
-    s.sort_unstable();
-    s
+    reg.try_run(f).expect("quarantine admits the rest")
 }
 
 /// The core matrix: overlap × cadence, sequential registry vs N dedicated
 /// executors, byte-identical outputs (ordering included) per query.
 #[test]
 fn registry_matches_standalones_across_overlap_and_cadence() {
-    for overlap in [0.0, 0.5, 1.0] {
-        for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }] {
-            let mcfg = MultiConfig {
-                queries: 4,
-                overlap,
-                rounds: 30,
-                ..MultiConfig::default()
-            };
-            let tenant = multi::generate_queries(&mcfg);
-            let feed = chaos_feed(&multi::generate_feed(&mcfg));
-            let cfg = base_cfg(cadence);
-
-            let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
-            for (q, p) in &tenant.queries {
-                reg.try_admit(q, p, None)
-                    .expect("generated tenants are admissible");
-            }
-            reg.try_feed(&feed).expect("clean feed");
-            let result = reg.finish();
-
-            for ((q, p), reg_q) in tenant.queries.iter().zip(&result.queries) {
-                let solo = standalone(q, &tenant.schemes, p, cfg, &feed);
-                assert_eq!(
-                    reg_q.outputs, solo.outputs,
-                    "outputs must be byte-identical (overlap {overlap}, {cadence:?})"
-                );
-                assert_eq!(reg_q.stats.outputs, solo.metrics.outputs);
-                if !chaos() {
-                    assert_eq!(
-                        reg_q.stats.purged, solo.metrics.purged,
-                        "closed feeds drain both sides (overlap {overlap}, {cadence:?})"
-                    );
-                    assert_eq!(solo.metrics.last().unwrap().join_state, 0);
-                }
-            }
-            if !chaos() {
-                assert_eq!(
-                    result.metrics.last().unwrap().join_state,
-                    0,
-                    "registry must end drained on closed feeds"
-                );
-            }
+    for (overlap, cadence) in [(0.0, EAGER), (0.5, LAZY), (1.0, EAGER)] {
+        let (tenant, feed) = tenants(4, overlap, 30);
+        let (feed, cfg) = (chaos_feed(&feed), base_cfg(cadence));
+        let shared = registry(&tenant.queries, &tenant.schemes, cfg, &feed);
+        let solos = standalones(&tenant.queries, &tenant.schemes, cfg, &feed);
+        for (solo, reg_q) in solos.iter().zip(&shared.queries) {
+            let at = format!("overlap {overlap}, {cadence:?}");
+            assert_eq!(reg_q.outputs, solo.outputs, "{at}");
+            assert_eq!(reg_q.stats.outputs, solo.metrics.outputs);
         }
+        let drained = shared.metrics.last().unwrap().join_state == 0;
+        let chaos = std::env::var("CJQ_CHAOS").is_ok();
+        assert!(chaos || drained, "a closed feed drains");
     }
 }
 
-/// The delta-tracked meet against the full-scan meet: the trackers only
-/// choose *which* mirror rows a cycle re-checks, so every purge — and with it
-/// every output, counter and sampled state size — must be the same, from
-/// fewer rows examined.
+/// The tracked meet against the full scan: the trackers only choose *which*
+/// mirror rows a cycle re-checks, so the registry serving four different
+/// tenants at once must purge — per tenant, and from the shared mirror,
+/// sample by sample — exactly what the oracle's full scan of every row under
+/// the meet of their recipes purges, with the same results.
 #[test]
 fn tracked_meet_purges_exactly_what_the_full_scan_meet_does() {
     for overlap in [0.0, 0.5, 1.0] {
-        for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }] {
-            let mcfg = MultiConfig {
-                queries: 4,
-                overlap,
-                rounds: 30,
-                ..MultiConfig::default()
-            };
-            let tenant = multi::generate_queries(&mcfg);
-            let feed = chaos_feed(&multi::generate_feed(&mcfg));
-            let run = |purge_strategy: PurgeStrategy| -> RegistryResult {
-                let cfg = ExecConfig {
-                    purge_strategy,
-                    sample_every: 8,
-                    ..base_cfg(cadence)
-                };
-                let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
-                for (q, p) in &tenant.queries {
-                    reg.try_admit(q, p, None).expect("admissible");
-                }
-                reg.try_feed(&feed).expect("clean feed");
-                reg.finish()
-            };
-            let (tracked, full) = (run(PurgeStrategy::Indexed), run(PurgeStrategy::FullScan));
+        for cadence in [EAGER, LAZY] {
+            let (tenant, feed) = tenants(4, overlap, 30);
+            let (feed, mut cfg) = (chaos_feed(&feed), base_cfg(cadence));
+            cfg.sample_every = 8;
+            let shared = registry(&tenant.queries, &tenant.schemes, cfg, &feed);
+            let specs: Vec<(&Cjq, &Plan)> = tenant.queries.iter().map(|(q, p)| (q, p)).collect();
+            let expect = oracle(&specs, &tenant.schemes, &cfg, None, &feed);
             let at = format!("overlap {overlap}, {cadence:?}");
-            for (t, f) in tracked.queries.iter().zip(&full.queries) {
-                assert_eq!(t.outputs, f.outputs, "{at}");
-                assert_eq!(t.stats.purged, f.stats.purged, "{at}");
-            }
-            let (t, f) = (&tracked.metrics, &full.metrics);
-            assert_eq!(t.purged, f.purged, "{at}");
-            assert_eq!(t.mirror_purged, f.mirror_purged, "{at}");
-            assert_eq!(t.purge_cycles, f.purge_cycles, "{at}");
-            let sizes = |m: &punctuated_cjq::stream::metrics::Metrics| -> Vec<(u64, usize, usize)> {
-                let point = |p: &punctuated_cjq::stream::metrics::StatePoint| {
-                    (p.at, p.join_state, p.mirror)
-                };
-                m.series.iter().map(point).collect()
-            };
-            assert_eq!(sizes(t), sizes(f), "{at}");
-            if overlap == 0.5 {
-                assert!(
-                    t.purge_candidates_examined < f.purge_candidates_examined,
-                    "{at}: tracked {} vs full scan {}",
-                    t.purge_candidates_examined,
-                    f.purge_candidates_examined
-                );
-            }
+            assert_meets(&at, &shared, &expect, false);
+            assert!(shared.metrics.mirror_purged > 0, "{at}: the meet purges");
         }
     }
 }
@@ -186,27 +104,14 @@ fn tracked_meet_purges_exactly_what_the_full_scan_meet_does() {
 #[test]
 fn sharded_registry_matches_standalones() {
     for overlap in [0.0, 1.0] {
-        let mcfg = MultiConfig {
-            queries: 3,
-            overlap,
-            rounds: 24,
-            ..MultiConfig::default()
-        };
-        let tenant = multi::generate_queries(&mcfg);
-        let feed = chaos_feed(&multi::generate_feed(&mcfg));
-        let cfg = base_cfg(PurgeCadence::Eager);
-
-        let sharded = Sharded::<QueryRegistry>::admit_all(&tenant.queries, &tenant.schemes, cfg, 4)
-            .expect("admissible")
-            .try_run(&feed)
-            .expect("clean feed");
-        for ((q, p), reg_q) in tenant.queries.iter().zip(&sharded.queries) {
-            let solo = standalone(q, &tenant.schemes, p, cfg, &feed);
-            assert_eq!(
-                sorted(&reg_q.outputs),
-                sorted(&solo.outputs),
-                "sharded output multiset (overlap {overlap})"
-            );
+        let (tenant, feed) = tenants(3, overlap, 24);
+        let (feed, cfg) = (chaos_feed(&feed), base_cfg(EAGER));
+        let fleet = Sharded::<QueryRegistry>::admit_all(&tenant.queries, &tenant.schemes, cfg, 4);
+        let sharded = fleet.expect("admissible").try_run(&feed).unwrap();
+        let solos = standalones(&tenant.queries, &tenant.schemes, cfg, &feed);
+        for (solo, reg_q) in solos.iter().zip(&sharded.queries) {
+            let (got, expect) = (sorted(&reg_q.outputs), sorted(&solo.outputs));
+            assert_eq!(got, expect, "overlap {overlap}");
         }
     }
 }
@@ -217,43 +122,21 @@ fn sharded_registry_matches_standalones() {
 /// counters are logical, not `P` replays of the feed.
 #[test]
 fn sharded_registry_without_consensus_matches_sequential() {
-    let mcfg = MultiConfig {
-        queries: 3,
-        overlap: 0.0,
-        rounds: 24,
-        ..MultiConfig::default()
-    };
-    let tenant = multi::generate_queries(&mcfg);
-    let feed = chaos_feed(&multi::generate_feed(&mcfg));
-    let cfg = base_cfg(PurgeCadence::Eager);
-
-    let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
-    for (q, p) in &tenant.queries {
-        reg.try_admit(q, p, None)
-            .expect("generated tenants are admissible");
-    }
-    let seq = reg.try_run(&feed).expect("clean feed");
-    if !chaos() {
-        let tuples = feed.elements().iter().filter(|e| !e.is_punctuation());
-        assert_eq!(seq.metrics.tuples_in, tuples.count() as u64);
-    }
-
+    let (tenant, feed) = tenants(3, 0.0, 24);
+    let (feed, cfg) = (chaos_feed(&feed), base_cfg(EAGER));
+    let seq = registry(&tenant.queries, &tenant.schemes, cfg, &feed);
     for shards in [1, 4] {
-        let sharded =
-            Sharded::<QueryRegistry>::admit_all(&tenant.queries, &tenant.schemes, cfg, shards)
-                .expect("admissible");
-        assert!(
-            !sharded.consensus(),
-            "variant edges change the partitioning"
-        );
-        assert_eq!(sharded.partitioning().shards, 1, "one shard takes the feed");
-        let par = sharded.try_run(&feed).expect("clean feed");
+        let (specs, r) = (&tenant.queries, &tenant.schemes);
+        let fleet = Sharded::<QueryRegistry>::admit_all(specs, r, cfg, shards).unwrap();
+        assert!(!fleet.consensus(), "variant edges change the partitioning");
+        assert_eq!(fleet.partitioning().shards, 1, "one shard takes the feed");
+        let par = fleet.try_run(&feed).expect("quarantine admits the rest");
         for (par_q, seq_q) in par.queries.iter().zip(&seq.queries) {
-            assert_eq!(par_q.outputs, seq_q.outputs, "P={shards}");
-            assert_eq!(par_q.stats.purged, seq_q.stats.purged, "P={shards}");
+            let run = |q: &QueryRunResult| (q.outputs.clone(), q.stats.purged);
+            assert_eq!(run(par_q), run(seq_q));
         }
-        assert_eq!(par.metrics.tuples_in, seq.metrics.tuples_in, "P={shards}");
-        assert_eq!(par.metrics.puncts_in, seq.metrics.puncts_in, "P={shards}");
+        let counts = |m: &Metrics| (m.tuples_in, m.puncts_in);
+        assert_eq!(counts(&par.metrics), counts(&seq.metrics), "P={shards}");
     }
 }
 
@@ -266,50 +149,28 @@ fn sharded_registry_without_consensus_matches_sequential() {
 /// every broadcast element.
 #[test]
 fn sharded_registry_reports_feed_level_counts_at_every_shard_count() {
-    use punctuated_cjq::workload::keyed::{self, KeyedConfig};
-
-    let (query, schemes) = punctuated_cjq::core::fixtures::fig5();
-    let plan = Plan::mjoin_all(&query);
-    let specs = [(query.clone(), plan.clone()), (query.clone(), plan)];
-    let rounds = KeyedConfig {
-        rounds: 32,
-        ..KeyedConfig::default()
-    };
-    let clean = chaos_feed(&keyed::generate(&query, &schemes, &rounds));
-    let faulted = FaultPlan::new(0xC4A0_5EED)
-        .with(Fault::TruncateTuples { prob: 0.15 })
-        .with(Fault::DropPunctuations { prob: 0.1 })
-        .apply(&clean);
-    let cfg = base_cfg(PurgeCadence::Eager);
-    let counts = |r: &RegistryResult| {
-        let m = &r.metrics;
-        (m.tuples_in, m.puncts_in, m.violations, m.quarantined)
-    };
+    let (query, schemes) = fixtures::fig5();
+    let specs = [0, 1].map(|_| (query.clone(), Plan::mjoin_all(&query)));
+    let clean = chaos_feed(&keyed_feed(&(query.clone(), schemes.clone()), 32, 2));
+    let faults = FaultPlan::new(0xC4A0_5EED).with(Fault::TruncateTuples { prob: 0.15 });
+    let faults = faults.with(Fault::DropPunctuations { prob: 0.1 });
+    let faulted = faults.apply(&clean);
+    let cfg = base_cfg(EAGER);
+    let counts = |m: &Metrics| (m.tuples_in, m.puncts_in, m.violations, m.quarantined);
     for (feed, what) in [(&clean, "clean"), (&faulted, "faulted")] {
-        let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-        for (q, p) in &specs {
-            reg.try_admit(q, p, None).expect("Fig. 5 is safe");
-        }
-        let seq = reg.try_run(feed).expect("quarantine admits the rest");
-        assert_eq!(
-            seq.metrics.puncts_in,
-            feed.punctuation_count() as u64,
-            "{what}"
-        );
-        if what == "faulted" {
-            assert!(
-                seq.metrics.quarantined > 0,
-                "the fault plan truncates tuples"
-            );
-        }
+        let seq = registry(&specs, &schemes, cfg, feed);
+        let puncts = feed.punctuation_count() as u64;
+        assert_eq!(seq.metrics.puncts_in, puncts, "{what}");
+        let truncated = seq.metrics.quarantined > 0;
+        assert!(what == "clean" || truncated, "the plan truncates");
         for shards in [1, 2, 4] {
-            let sharded = Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg, shards)
-                .expect("admissible");
-            assert!(sharded.consensus(), "identical tenants agree on a split");
-            let broadcast = |e| sharded.partitioning().route(e).is_none();
+            let fleet = Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg, shards).unwrap();
+            assert!(fleet.consensus(), "identical tenants agree on a split");
+            let broadcast = |e| fleet.partitioning().route(e).is_none();
             assert!(feed.elements().iter().any(broadcast), "S2 broadcasts");
-            let par = sharded.try_run(feed).expect("quarantine admits the rest");
-            assert_eq!(counts(&par), counts(&seq), "{what}, P={shards}");
+            let par = fleet.try_run(feed).expect("quarantine admits the rest");
+            let at = format!("{what}, P={shards}");
+            assert_eq!(counts(&par.metrics), counts(&seq.metrics), "{at}");
             for (par_q, seq_q) in par.queries.iter().zip(&seq.queries) {
                 assert_eq!(sorted(&par_q.outputs), sorted(&seq_q.outputs), "{what}");
             }
@@ -331,46 +192,33 @@ fn sharded_registry_reports_feed_level_counts_at_every_shard_count() {
 #[test]
 fn mid_stream_admission_and_retirement() {
     for overlap in [1.0, 0.5] {
-        let mcfg = MultiConfig {
-            queries: 2,
-            overlap,
-            rounds: 30,
-            ..MultiConfig::default()
+        let (tenant, feed) = tenants(2, overlap, 30);
+        let cfg = base_cfg(EAGER);
+        let (head, tail) = feed.elements().split_at(feed.elements().len() / 2);
+        let prefix = Feed::from_elements(head.to_vec());
+        let [(q0, p0), (q1, p1)] = &tenant.queries[..] else {
+            unreachable!()
         };
-        let tenant = multi::generate_queries(&mcfg);
-        let feed = multi::generate_feed(&mcfg);
-        let cfg = base_cfg(PurgeCadence::Eager);
-        let split = feed.elements().len() / 2;
-
-        let (q0, p0) = &tenant.queries[0];
-        let (q1, p1) = &tenant.queries[1];
         let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
         let id0 = reg.try_admit(q0, p0, None).unwrap();
         let id1 = reg.try_admit(q1, p1, None).unwrap();
-        for e in &feed.elements()[..split] {
-            reg.try_push(e).expect("clean feed");
-        }
+        head.iter().for_each(|e| reg.try_push(e).unwrap());
         let late_id = reg.try_admit(q0, p0, None).expect("re-admission is fine");
         assert!(reg.retire(id1), "retiring a live query succeeds");
         assert!(!reg.is_live(id1));
         let prefix_outputs_q1 = reg.outputs(id1).unwrap().to_vec();
-        for e in &feed.elements()[split..] {
-            reg.try_push(e).expect("clean feed");
-        }
+        tail.iter().for_each(|e| reg.try_push(e).unwrap());
         let result = reg.finish();
 
         // Full-feed tenant: unchanged by its neighbors' churn.
-        let solo_full = standalone(q0, &tenant.schemes, p0, cfg, &feed);
+        let solo_full = &standalones(&tenant.queries[..1], &tenant.schemes, cfg, &feed)[0];
         assert_eq!(result.queries[id0.0].outputs, solo_full.outputs);
         assert_eq!(result.queries[id0.0].stats.purged, solo_full.metrics.purged);
         assert_eq!(result.metrics.last().unwrap().mirror, 0, "closed feed");
 
         // Retired tenant == standalone over the prefix it processed.
-        let mut prefix_feed = Feed::new();
-        for e in &feed.elements()[..split] {
-            prefix_feed.push(e.clone());
-        }
-        let solo_prefix = standalone(q1, &tenant.schemes, p1, cfg, &prefix_feed);
+        let solo_prefix = Executor::compile(q1, &tenant.schemes, p1, cfg).unwrap();
+        let solo_prefix = solo_prefix.run(&prefix);
         assert_eq!(prefix_outputs_q1, solo_prefix.outputs);
         assert_eq!(result.queries[id1.0].outputs, solo_prefix.outputs);
 
@@ -389,344 +237,155 @@ fn mid_stream_admission_and_retirement() {
 /// unclosed.
 #[test]
 fn seeded_fault_run_matches_standalones() {
-    let mcfg = MultiConfig {
-        queries: 3,
-        overlap: 1.0,
-        rounds: 40,
-        ..MultiConfig::default()
-    };
-    let tenant = multi::generate_queries(&mcfg);
-    let feed = FaultPlan::new(0xC4A0_5EED)
-        .with(Fault::TruncateTuples { prob: 0.15 })
-        .with(Fault::DropPunctuations { prob: 0.1 })
-        .apply(&multi::generate_feed(&mcfg));
-    let cfg = base_cfg(PurgeCadence::Eager);
-
-    let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
-    for (q, p) in &tenant.queries {
-        reg.try_admit(q, p, None).unwrap();
-    }
-    reg.try_feed(&feed).expect("quarantine admits the rest");
-    let result = reg.finish();
-
-    for ((q, p), reg_q) in tenant.queries.iter().zip(&result.queries) {
-        let solo = standalone(q, &tenant.schemes, p, cfg, &feed);
+    let (tenant, feed) = tenants(3, 1.0, 40);
+    let faults = FaultPlan::new(0xC4A0_5EED).with(Fault::TruncateTuples { prob: 0.15 });
+    let faults = faults.with(Fault::DropPunctuations { prob: 0.1 });
+    let (feed, cfg) = (faults.apply(&feed), base_cfg(EAGER));
+    let shared = registry(&tenant.queries, &tenant.schemes, cfg, &feed);
+    let solos = standalones(&tenant.queries, &tenant.schemes, cfg, &feed);
+    for (solo, reg_q) in solos.iter().zip(&shared.queries) {
         assert_eq!(reg_q.outputs, solo.outputs);
         assert_eq!(reg_q.stats.purged, solo.metrics.purged);
-        assert_eq!(result.metrics.quarantined, solo.metrics.quarantined);
+        assert_eq!(shared.metrics.quarantined, solo.metrics.quarantined);
     }
 }
 
 /// Admission is one shared step: a one-tenant registry and a dedicated
 /// executor fed the same malformed elements must refuse, repair and count
 /// them identically under every [`AdmissionPolicy`] — and under `Strict`
-/// fail with the identical error at the identical element.
+/// fail at the identical element. The harness compares the two (and both
+/// with the oracle) by reason and by stream.
 #[test]
 fn malformed_elements_are_admitted_identically_under_every_policy() {
-    use punctuated_cjq::core::punctuation::Punctuation;
-    use punctuated_cjq::stream::element::StreamElement;
-    use punctuated_cjq::stream::error::ExecError;
-    use punctuated_cjq::stream::guard::AdmissionPolicy;
-    use punctuated_cjq::stream::tuple::Tuple;
-    use punctuated_cjq::workload::trades::{self, QUOTE, TRADE};
-
-    let (query, schemes) = trades::trades_query();
-    let plan = Plan::mjoin_all(&query);
-    let row = |stream, ts: i64| -> StreamElement {
-        Tuple::new(stream, vec![Value::Int(ts), Value::Int(0), Value::Int(100)]).into()
+    let values = |ts| vec![Value::Int(ts), Value::Int(0), Value::Int(100)];
+    let row = |s, ts: i64| StreamElement::from(Tuple::new(s, values(ts)));
+    let hb = trades::heartbeat;
+    let clean = [row(QUOTE, 0), row(TRADE, 0), hb(TRADE, 0), row(QUOTE, 1)];
+    let clean = [&clean[..], &[row(TRADE, 1), hb(TRADE, 5)]].concat();
+    // (the element, whether `Strict` refuses it — an exact duplicate is only
+    // ever deduplicated, by `Repair`): an arity mismatch, a violation, a
+    // regressive heartbeat, a duplicate, a punctuation of the wrong arity.
+    let wrong_arity = Punctuation::heartbeat(TRADE, 2, AttrId(0), Value::Int(9));
+    let malformed: [(StreamElement, bool); 5] = [
+        (Tuple::new(TRADE, vec![Value::Int(7)]).into(), true),
+        (row(TRADE, 3), true),
+        (hb(TRADE, 2), true),
+        (hb(TRADE, 5), false),
+        (wrong_arity.into(), true),
+    ];
+    let closing = [row(QUOTE, 8), row(TRADE, 8), hb(QUOTE, 9), hb(TRADE, 9)];
+    let case = |admission, elements: Vec<StreamElement>| {
+        let feed = Feed::from_elements(elements);
+        let case = Case::new("malformed", trades::trades_query(), feed);
+        case.with(|c| c.cfg.admission = admission).check()
     };
-    let clean = [
-        row(QUOTE, 0),
-        row(TRADE, 0),
-        trades::heartbeat(TRADE, 0),
-        row(QUOTE, 1),
-        row(TRADE, 1),
-        trades::heartbeat(TRADE, 5),
+    // Strict fails at the first fault: one run per fault.
+    for (bad, refused) in &malformed {
+        let feed = [&clean[..], std::slice::from_ref(bad)].concat();
+        let checked = case(AdmissionPolicy::Strict, feed);
+        assert_eq!(checked.solo.is_none(), *refused, "{bad:?} under Strict");
+    }
+    let bad = malformed.iter().map(|(e, _)| e.clone());
+    let feed: Vec<StreamElement> = clean.iter().cloned().chain(bad).chain(closing).collect();
+    let policies = [
+        (AdmissionPolicy::Quarantine, (4, 0)),
+        (AdmissionPolicy::Repair, (3, 2)),
     ];
-    // (what, the element, whether `Strict` refuses it — an exact duplicate
-    // is only ever deduplicated, by `Repair`).
-    let malformed: [(&str, StreamElement, bool); 5] = [
-        (
-            "arity-mismatch tuple",
-            Tuple::new(TRADE, vec![Value::Int(7)]).into(),
-            true,
-        ),
-        ("punctuation-violating tuple", row(TRADE, 3), true),
-        ("regressive punctuation", trades::heartbeat(TRADE, 2), true),
-        (
-            "exact-duplicate punctuation",
-            trades::heartbeat(TRADE, 5),
-            false,
-        ),
-        (
-            "wrong-arity punctuation",
-            Punctuation::heartbeat(TRADE, 2, AttrId(0), Value::Int(9)).into(),
-            true,
-        ),
-    ];
-    let closing = [
-        row(QUOTE, 8),
-        row(TRADE, 8),
-        trades::heartbeat(QUOTE, 9),
-        trades::heartbeat(TRADE, 9),
-    ];
-
-    // Pushes `elements` into both engines one by one; every element must
-    // come back the same on both sides. Returns the last element's result.
-    let push_both = |exec: &mut Executor, reg: &mut QueryRegistry, elements: &[StreamElement]| {
-        let mut last = Ok(());
-        for (i, e) in elements.iter().enumerate() {
-            last = exec.try_push(e);
-            let shared = reg.try_push(e);
-            assert_eq!(
-                format!("{last:?}"),
-                format!("{shared:?}"),
-                "element {i} must be admitted identically"
-            );
-        }
-        last
-    };
-
-    for admission in [
-        AdmissionPolicy::Strict,
-        AdmissionPolicy::Quarantine,
-        AdmissionPolicy::Repair,
-    ] {
-        let cfg = ExecConfig {
-            admission,
-            ..base_cfg(PurgeCadence::Eager)
-        };
-        let engines = || {
-            let exec = Executor::compile(&query, &schemes, &plan, cfg).expect("safe query");
-            let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-            reg.try_admit(&query, &plan, None).unwrap();
-            (exec, reg)
-        };
-        if admission == AdmissionPolicy::Strict {
-            // Strict poisons at the first fault: one run per fault.
-            for (label, bad, refused) in &malformed {
-                let (mut exec, mut reg) = engines();
-                let feed = [clean.as_slice(), std::slice::from_ref(bad)].concat();
-                let last = push_both(&mut exec, &mut reg, &feed);
-                assert_eq!(
-                    matches!(last, Err(ExecError::Admission { clock: 7, .. })),
-                    *refused,
-                    "{label} under Strict: {last:?}"
-                );
-            }
-            continue;
-        }
-        let (mut exec, mut reg) = engines();
-        let bad: Vec<StreamElement> = malformed.iter().map(|(_, e, _)| e.clone()).collect();
-        let feed = [clean.as_slice(), bad.as_slice(), closing.as_slice()].concat();
-        push_both(&mut exec, &mut reg, &feed).expect("nothing is fatal below Strict");
-        let solo = exec.finish();
-        let shared = reg.finish();
-        let (m, s) = (&shared.metrics, &solo.metrics);
-        let seen = match admission {
-            AdmissionPolicy::Repair => (3, 2), // the regressive bound and the duplicate
-            _ => (4, 0),
-        };
-        assert_eq!((s.quarantined, s.repaired), seen, "{admission:?}");
-        assert_eq!(m.tuples_in, s.tuples_in, "{admission:?}");
-        assert_eq!(m.puncts_in, s.puncts_in, "{admission:?}");
-        assert_eq!(
-            m.violations_by_stream(),
-            s.violations_by_stream(),
-            "{admission:?}"
-        );
-        assert_eq!(m.quarantined, s.quarantined, "{admission:?}");
-        assert_eq!(
-            m.quarantined_by_reason(),
-            s.quarantined_by_reason(),
-            "{admission:?}"
-        );
-        assert_eq!(
-            m.quarantined_by_stream(),
-            s.quarantined_by_stream(),
-            "{admission:?}"
-        );
-        assert_eq!(m.quarantined_rows, s.quarantined_rows, "{admission:?}");
-        assert_eq!(m.quarantined_puncts, s.quarantined_puncts, "{admission:?}");
-        assert_eq!(m.repaired, s.repaired, "{admission:?}");
-        assert_eq!(shared.queries[0].outputs, solo.outputs, "{admission:?}");
-        assert_eq!(
-            solo.outputs.len(),
-            3,
-            "{admission:?}: the clean rows still join"
-        );
-        assert_eq!(m.purged, s.purged, "{admission:?}");
-        // The registry's recipe set stays open, so it mirrors (and purges)
-        // both streams; the executor's is closed and a binary join's recipes
-        // read neither.
-        assert!(m.mirror_purged >= s.mirror_purged, "{admission:?}");
-        assert_eq!(shared.queries[0].stats.purged, s.purged, "{admission:?}");
+    for (admission, seen) in policies {
+        let m = case(admission, feed.clone()).solo.unwrap().metrics;
+        assert_eq!((m.quarantined, m.repaired), seen, "{admission:?}");
+        assert_eq!(m.outputs, 3, "{admission:?}: the clean rows still join");
     }
 }
 
 /// A one-tenant registry keeps its recipe set open and so mirrors every
-/// stream: it is the un-narrowed reference for a dedicated executor, whose
-/// closed recipe set mirrors only the streams some recipe reads. Narrowing
-/// must change nothing but the rows held — same output sequence, same purge
-/// totals and cycle count, and on every held stream the same live mirror
-/// rows, element by element. (The registry offers no per-stream view of its
-/// mirror; an executor widened back to every stream by a group-by stage
-/// stands in for it there, tied to the registry by the sampled totals.)
+/// stream; a dedicated executor's closed set mirrors only the streams some
+/// recipe reads. The harness holds the registry's mirror to the oracle's `Υ`
+/// sample by sample, and the executor to the registry. Narrowing must change
+/// nothing but the rows held: an executor widened back to every stream by a
+/// group-by stage emits the same results and purges, and mirrors exactly
+/// what the registry does — rows at every sample and mirror purges — while on
+/// every held stream the narrowed executor's live mirror rows equal the
+/// widened one's element by element; and which streams are held is what the
+/// recipes say.
 #[test]
 fn closed_recipe_set_matches_the_open_one_tenant_registry() {
-    use punctuated_cjq::stream::groupby::Aggregate;
-    use punctuated_cjq::workload::auction::{self, AuctionConfig};
-    use punctuated_cjq::workload::graph::{self, GraphConfig};
-    use punctuated_cjq::workload::keyed::{self, KeyedConfig};
-    use punctuated_cjq::workload::random_query::{self, RandomQueryConfig, Topology};
-    use punctuated_cjq::workload::sensor::{self, SensorConfig};
-    use punctuated_cjq::workload::trades::{self, TradesConfig};
-
-    let keyed_feed = |q: &Cjq, r: &SchemeSet| {
-        let rounds = KeyedConfig {
-            rounds: 10,
-            ..KeyedConfig::default()
-        };
-        keyed::generate(q, r, &rounds)
-    };
-    // (name, query, schemes, feed, the streams an executor must hold if known)
-    type Case = (String, Cjq, SchemeSet, Feed, Option<Vec<bool>>);
-    let named = |name: &str, (q, r): (Cjq, SchemeSet), feed: Feed, held: &[bool]| -> Case {
-        (name.into(), q, r, feed, Some(held.to_vec()))
-    };
+    let (fig5, triangle) = (fixtures::fig5(), graph::triangle_query());
+    let mut edges = graph::GraphConfig::default();
+    (edges.edges, edges.vertices, edges.punct_lag) = (400, 60, 40);
+    let triangle_feed = graph::generate(&triangle.0, &triangle.1, &edges);
+    let auction = auction::generate(&Default::default());
+    let trades = trades::generate(&Default::default()).0;
+    let sensor = sensor::generate(&Default::default()).0;
+    let fig5_feed = keyed_feed(&fig5, 10, 2);
+    let calib_only = vec![false, true, false];
+    // (the case, the streams an executor must hold if known)
+    let known = |name, spec, feed, held| (Case::new(name, spec, feed), Some(held));
     let mut cases = vec![
         // Binary joins: one-step recipes, nothing is read.
-        named(
-            "auction",
-            auction::auction_query(),
-            auction::generate(&AuctionConfig::default()),
-            &[false, false],
-        ),
-        named(
-            "trades",
-            trades::trades_query(),
-            trades::generate(&TradesConfig::default()).0,
-            &[false, false],
-        ),
+        known("auction", auction::auction_query(), auction, vec![false; 2]),
+        known("trades", trades::trades_query(), trades, vec![false; 2]),
         // reading - calib - alert: both ends chain through calib.
-        named(
-            "sensor",
-            sensor::sensor_query(),
-            sensor::generate(&SensorConfig::default()).0,
-            &[false, true, false],
-        ),
+        known("sensor", sensor::sensor_query(), sensor, calib_only),
+        // Cycles: every stream guards one partner by the rows of the other.
+        known("fig5", fig5, fig5_feed, vec![true; 3]),
+        known("triangle", triangle, triangle_feed, vec![true; 3]),
     ];
-    // Cycles: every stream guards one partner by the rows of the other.
-    let fig5 = punctuated_cjq::core::fixtures::fig5();
-    let feed = keyed_feed(&fig5.0, &fig5.1);
-    cases.push(named("fig5", fig5, feed, &[true; 3]));
-    let triangle = graph::triangle_query();
-    let edges = GraphConfig {
-        edges: 400,
-        vertices: 60,
-        punct_lag: 40,
-        ..GraphConfig::default()
-    };
-    let feed = graph::generate(&triangle.0, &triangle.1, &edges);
-    cases.push(named("triangle", triangle, feed, &[true; 3]));
-    let topologies = [
-        Topology::Path,
-        Topology::Star,
-        Topology::Cycle,
-        Topology::Random { extra_edges: 2 },
-    ];
-    for (i, topology) in topologies.into_iter().cycle().take(24).enumerate() {
-        let shape = RandomQueryConfig {
-            n_streams: 3 + i % 3,
-            topology,
-            seed: i as u64,
-            ..RandomQueryConfig::default()
-        };
-        let (q, r) = random_query::generate_safe(&shape);
-        let feed = keyed_feed(&q, &r);
-        cases.push((format!("random {i} {topology:?}"), q, r, feed, None));
+    for (i, topology) in TOPOLOGIES.into_iter().cycle().take(24).enumerate() {
+        let spec = random_spec(3 + i % 3, topology, i as u64);
+        let feed = keyed_feed(&spec, 10, 2);
+        let case = Case::new(&format!("random {i} {topology:?}"), spec, feed);
+        cases.push((case, None));
     }
-
     let mut narrowed = 0;
-    for (name, query, schemes, feed, expect_held) in &cases {
-        let plan = Plan::mjoin_all(query);
-        let feed = chaos_feed(feed);
-        for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }] {
-            for purge_strategy in [PurgeStrategy::Indexed, PurgeStrategy::FullScan] {
-                let at = format!("{name}, {cadence:?}, {purge_strategy:?}");
-                let cfg = ExecConfig {
-                    purge_strategy,
-                    sample_every: 1,
-                    ..base_cfg(cadence)
-                };
-                let compile = || Executor::compile(query, schemes, &plan, cfg).expect("safe");
-                let mut exec = compile();
-                let any = AttrRef {
-                    stream: StreamId(0),
-                    attr: AttrId(0),
-                };
-                let mut wide = compile().with_groupby(&[any], Aggregate::Count);
-                let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-                reg.try_admit(query, &plan, None).unwrap();
-                for (i, e) in feed.elements().iter().enumerate() {
-                    exec.try_push(e).unwrap();
-                    wide.try_push(e).unwrap();
-                    reg.try_push(e).unwrap();
-                    for s in query.stream_ids() {
-                        let closed = exec.engine().mirror_state(s);
-                        let open = wide.engine().mirror_state(s);
-                        // Never inserted into: the stream is not held.
-                        if closed.slots() > 0 {
-                            let (closed, open) = (closed.live_slots(), open.live_slots());
-                            assert_eq!(closed, open, "{at}: mirror of {s:?} after element {i}");
-                        }
-                    }
-                }
-                let fed = |s: StreamId| wide.engine().mirror_state(s).slots() > 0;
-                let held: Vec<bool> = query
-                    .stream_ids()
-                    .map(|s| exec.engine().mirror_state(s).slots() > 0)
-                    .collect();
-                if let Some(expected) = expect_held {
-                    assert!(query.stream_ids().all(fed), "{at}: every stream is fed");
-                    assert_eq!(&held, expected, "{at}: held streams");
-                }
-                narrowed += held.iter().filter(|h| !**h).count();
-
-                let (solo, widened, shared) = (exec.finish(), wide.finish(), reg.finish());
-                assert_eq!(solo.outputs, shared.queries[0].outputs, "{at}: outputs");
-                assert_eq!(widened.outputs, solo.outputs, "{at}: widened outputs");
-                let (m, w, s) = (&shared.metrics, &widened.metrics, &solo.metrics);
-                assert_eq!(
-                    (s.purged, s.purge_cycles),
-                    (m.purged, m.purge_cycles),
-                    "{at}"
-                );
-                assert_eq!(
-                    (w.purged, w.purge_cycles),
-                    (m.purged, m.purge_cycles),
-                    "{at}"
-                );
-                assert!(s.mirror_purged <= m.mirror_purged, "{at}: mirror purges");
-                assert_eq!(
-                    w.mirror_purged, m.mirror_purged,
-                    "{at}: widened mirror purges"
-                );
-                // The widened executor's mirror is the registry's, sample by
-                // sample; the narrowed one holds a part of it.
-                let mirror = |m: &punctuated_cjq::stream::metrics::Metrics| {
-                    m.series
-                        .iter()
-                        .map(|p| (p.at, p.mirror))
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(mirror(w), mirror(m), "{at}: sampled mirror totals");
-                let pairs = mirror(s).into_iter().zip(mirror(m));
-                assert!(pairs.clone().all(|(s, m)| s.0 == m.0 && s.1 <= m.1), "{at}");
-                if held.iter().all(|h| *h) {
-                    assert!(pairs.clone().all(|(s, m)| s == m), "{at}: all held");
+    for (case, expect_held) in cases {
+        for cadence in [EAGER, LAZY] {
+            let name = format!("{}, {cadence:?}", case.name);
+            let feed = chaos_feed(&case.feed);
+            let case = case.clone().with(|c| {
+                (c.cfg.cadence, c.shards, c.feed) = (cadence, Vec::new(), feed);
+            });
+            let solo = case.check().solo.expect("admitted");
+            let (q, r, plan, cfg) = (&case.query, &case.schemes, &case.plan, case.cfg);
+            let mut exec = Executor::compile(q, r, plan, cfg).expect("safe");
+            let wide = Executor::compile(q, r, plan, cfg).expect("safe");
+            let mut wide = wide.with_groupby(&[AttrRef::new(0, 0)], Aggregate::Count);
+            for (i, e) in case.feed.elements().iter().enumerate() {
+                exec.try_push(e).unwrap();
+                wide.try_push(e).unwrap();
+                for s in q.stream_ids() {
+                    let (closed, open) =
+                        (exec.engine().mirror_state(s), wide.engine().mirror_state(s));
+                    // Never inserted into: the stream is not held.
+                    let same = closed.slots() == 0 || closed.live_slots() == open.live_slots();
+                    assert!(same, "{name}: mirror of {s:?} after element {i}");
                 }
             }
+            let holds = |e: &Executor, s| e.engine().mirror_state(s).slots() > 0;
+            let held: Vec<bool> = q.stream_ids().map(|s| holds(&exec, s)).collect();
+            if let Some(expected) = &expect_held {
+                let fed = q.stream_ids().all(|s| holds(&wide, s));
+                assert!(fed, "{name}: every stream is fed");
+                assert_eq!(&held, expected, "{name}: held streams");
+            }
+            narrowed += held.iter().filter(|h| !**h).count();
+            let mut reg = QueryRegistry::new(r.clone(), cfg);
+            reg.try_admit(q, plan, None).expect("safe");
+            let (widened, shared) = (wide.finish(), reg.try_run(&case.feed).unwrap());
+            assert_eq!(widened.outputs, solo.outputs, "{name}: widened outputs");
+            // The widened executor's mirror is the registry's, sample by
+            // sample; the narrowed one holds a part of it.
+            let (w, m, s) = (&widened.metrics, &shared.metrics, &solo.metrics);
+            let totals = |m: &Metrics| (m.purged, m.purge_cycles, m.mirror_purged);
+            assert_eq!(totals(w), totals(m), "{name}: widened totals");
+            assert!(s.mirror_purged <= m.mirror_purged, "{name}: mirror purges");
+            let mirror = |m: &Metrics| m.series.iter().map(|p| (p.at, p.mirror)).collect();
+            let (narrow, open): (Vec<_>, Vec<_>) = (mirror(s), mirror(m));
+            assert_eq!(mirror(w), open, "{name}: sampled mirror totals");
+            let mut pairs = narrow.iter().zip(&open);
+            assert!(pairs.all(|(s, m)| s.0 == m.0 && s.1 <= m.1), "{name}");
+            let all_held = held.iter().all(|h| *h);
+            assert!(!all_held || narrow == open, "{name}: all held");
         }
     }
     assert!(narrowed > 0, "some generated shape leaves a stream unread");
@@ -738,24 +397,15 @@ fn closed_recipe_set_matches_the_open_one_tenant_registry() {
 #[test]
 fn fingerprints_predict_registry_sharing() {
     for overlap in [0.0, 0.5, 1.0] {
-        let mcfg = MultiConfig {
-            queries: 5,
-            overlap,
-            ..MultiConfig::default()
-        };
-        let tenant = multi::generate_queries(&mcfg);
+        let (tenant, _) = tenants(5, overlap, 50);
         let specs: Vec<(&Cjq, &Plan)> = tenant.queries.iter().map(|(q, p)| (q, p)).collect();
         let predicted = fingerprint::sharing_report(&specs);
-
-        let mut reg = QueryRegistry::new(tenant.schemes.clone(), base_cfg(PurgeCadence::Eager));
+        let mut reg = QueryRegistry::new(tenant.schemes.clone(), base_cfg(EAGER));
         for (q, p) in &tenant.queries {
             reg.try_admit(q, p, None).unwrap();
         }
-        assert_eq!(
-            predicted.shared_nodes,
-            reg.live_nodes(),
-            "overlap {overlap}: fingerprint interning must match the registry"
-        );
+        let nodes = reg.live_nodes();
+        assert_eq!(predicted.shared_nodes, nodes, "overlap {overlap}");
         assert_eq!(predicted.subscriptions, reg.subscribed_nodes());
     }
 }
@@ -766,34 +416,31 @@ fn fingerprints_predict_registry_sharing() {
 /// never counted them at all: a two-level plan read 0.)
 #[test]
 fn a_registry_counts_intermediate_rows_once_per_reading_node() {
-    use punctuated_cjq::workload::keyed::{self, KeyedConfig};
-
-    let (query, schemes) = punctuated_cjq::core::fixtures::fig5();
+    let (query, schemes) = fixtures::fig5();
     let streams: Vec<StreamId> = query.stream_ids().collect();
-    let feed = chaos_feed(&keyed::generate(&query, &schemes, &KeyedConfig::default()));
-    let cfg = base_cfg(PurgeCadence::Eager);
+    let feed = chaos_feed(&keyed_feed(&(query.clone(), schemes.clone()), 100, 2));
+    let cfg = base_cfg(EAGER);
     // (S1 ⋈ S2) ⋈ S3, and S1 ⋈ (S2 ⋈ S3) beside it: no node in common.
     let left = Plan::left_deep(&streams);
     let [s1, s2, s3] = [0, 1, 2].map(Plan::leaf);
     let right = Plan::Join(vec![s1, Plan::Join(vec![s2, s3])]);
-    let solo_left = standalone(&query, &schemes, &left, cfg, &feed).metrics;
-    let solo_right = standalone(&query, &schemes, &right, cfg, &feed).metrics;
-    assert!(solo_left.intermediate_rows > 0 && solo_right.intermediate_rows > 0);
-    let registry = |plans: &[&Plan]| {
-        let mut reg = QueryRegistry::new(schemes.clone(), cfg);
-        for plan in plans {
-            reg.try_admit(&query, plan, None).expect("safe");
-        }
-        reg.run(&feed).metrics
+    let solo = |plan| {
+        let exec = Executor::compile(&query, &schemes, plan, cfg).unwrap();
+        exec.run(&feed).metrics
     };
-    let one = registry(&[&left]);
-    assert_eq!(one.intermediate_rows, solo_left.intermediate_rows);
-    let shared = registry(&[&left, &left]);
-    assert_eq!(shared.outputs, 2 * solo_left.outputs, "fan-out is logical");
-    assert_eq!(shared.intermediate_rows, solo_left.intermediate_rows);
-    let disjoint = registry(&[&left, &right]);
-    assert_eq!(
-        disjoint.intermediate_rows,
-        solo_left.intermediate_rows + solo_right.intermediate_rows
-    );
+    let (solo_left, solo_right) = (solo(&left), solo(&right));
+    assert!(solo_left.intermediate_rows > 0 && solo_right.intermediate_rows > 0);
+    let shared = |plans: &[&Plan]| {
+        let spec = |p: &&Plan| (query.clone(), (*p).clone());
+        let specs: Vec<(Cjq, Plan)> = plans.iter().map(spec).collect();
+        registry(&specs, &schemes, cfg, &feed).metrics
+    };
+    let once = shared(&[&left]).intermediate_rows;
+    assert_eq!(once, solo_left.intermediate_rows);
+    let twice = shared(&[&left, &left]);
+    assert_eq!(twice.outputs, 2 * solo_left.outputs, "fan-out is logical");
+    assert_eq!(twice.intermediate_rows, solo_left.intermediate_rows);
+    let disjoint = shared(&[&left, &right]).intermediate_rows;
+    let apart = solo_left.intermediate_rows + solo_right.intermediate_rows;
+    assert_eq!(disjoint, apart);
 }
