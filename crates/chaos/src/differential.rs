@@ -9,8 +9,9 @@
 //!   its own order) — the result multiset, purge totals, admission counts,
 //!   and, untiered, the `(clock, join rows, punctuation entries)` sample
 //!   series point for point, the stored entries as sets at every sample and
-//!   every port's peak; a registry's mirror — its rows at every sample and
-//!   its purges — is the oracle's `Υ`, also when tenants meet on it;
+//!   every port's peak; an open registry's mirror — its rows at every sample
+//!   and its purges — is the oracle's `Υ`, also when tenants meet on it (a
+//!   sealed one's tenants are held to the oracle's);
 //! * **within a plane kind** (byte-identical sequences) — the executor's
 //!   push loop against `try_push_batch` at chunk sizes 1 and 7 and `run`
 //!   (chunks of 256), a one-tenant registry against the executor, a tenant
@@ -392,14 +393,16 @@ impl Case {
         self.cfg.state_budget.is_none() || self.cfg.tiering.is_some()
     }
 
-    /// A registry with `plans` of the query admitted, if it admits them.
-    fn registry(&self, plans: &[Plan]) -> Option<QueryRegistry> {
+    /// A registry with `plans` of the query admitted, if it admits them,
+    /// and then `sealed` or left open.
+    fn registry(&self, plans: &[Plan], sealed: bool) -> Option<QueryRegistry> {
         if !self.shares() {
             return None;
         }
         let mut reg = QueryRegistry::new(self.schemes.clone(), self.cfg);
         let admit = |p| reg.try_admit(&self.query, p, None).is_ok();
-        plans.iter().all(admit).then_some(reg)
+        let admitted = plans.iter().all(admit);
+        (admitted && (!sealed || reg.seal().is_ok())).then_some(reg)
     }
 
     /// One tenant against the executor, sequence for sequence; then this
@@ -413,7 +416,7 @@ impl Case {
             None => oracle.clone(),
             Some(_) => oracle.as_ref().map(|_| self.oracle(plan, None)),
         };
-        let Some(reg) = self.registry(std::slice::from_ref(&self.plan)) else {
+        let Some(reg) = self.registry(std::slice::from_ref(&self.plan), false) else {
             return; // an unsafe query: executor and shards only
         };
         let plane = format!("{}: registry N=1", self.name);
@@ -449,18 +452,23 @@ impl Case {
         let other = plans(&self.query).into_iter().find(|p| *p != self.plan);
         let specs = [Some(self.plan.clone()), other, Some(self.plan.clone())];
         let specs: Vec<Plan> = specs.into_iter().flatten().collect();
-        let Some(reg) = self.registry(&specs) else {
-            return;
-        };
-        let plane = format!("{}: registry N={}", self.name, specs.len());
-        let many = reg.try_run(&self.feed).expect(&plane);
         let expect = oracle.as_ref().map(|_| self.oracle(&specs, None));
-        if let Some(expect) = &expect {
-            assert_meets(&plane, &many, expect, self.cfg.tiering.is_some());
-        }
-        if self.weights.is_none() {
-            let twin = &many.queries.last().expect("admitted").outputs;
-            assert_eq!(twin, &solo.outputs, "{plane}: the shared tenant's sequence");
+        // Open and sealed: a sealed registry mirrors only what the recipes
+        // read, so its tenants alone are held to the oracle.
+        for sealed in [false, true] {
+            let Some(reg) = self.registry(&specs, sealed) else {
+                return;
+            };
+            let kind = ["registry", "sealed registry"][usize::from(sealed)];
+            let plane = format!("{}: {kind} N={}", self.name, specs.len());
+            let many = reg.try_run(&self.feed).expect(&plane);
+            if let Some(expect) = &expect {
+                assert_meets(&plane, &many, expect, self.cfg.tiering.is_some() || sealed);
+            }
+            if self.weights.is_none() {
+                let twin = &many.queries.last().expect("admitted").outputs;
+                assert_eq!(twin, &solo.outputs, "{plane}: the shared tenant's sequence");
+            }
         }
     }
 
@@ -589,18 +597,19 @@ pub fn oracle(
 }
 
 /// Asserts a registry's tenants meet where the oracle's do: per tenant the
-/// result multiset and purge total; untiered, the shared mirror's rows at
-/// every sample and its purges, and the punctuation entries.
+/// result multiset and purge total; unless `tenants_only` (a tiered run, or
+/// a sealed registry's narrowed mirror), the shared mirror's rows at every
+/// sample and its purges, and the punctuation entries.
 ///
 /// # Panics
 /// Panics on the first disagreement.
-pub fn assert_meets(plane: &str, got: &RegistryResult, expect: &Outcome, tiered: bool) {
+pub fn assert_meets(plane: &str, got: &RegistryResult, expect: &Outcome, tenants_only: bool) {
     for (i, q) in got.queries.iter().enumerate() {
         let want = (&expect.outputs[i], expect.purged[i]);
         let got = (&sorted(&q.outputs), q.stats.purged);
         assert_eq!(got, want, "{plane}: tenant {i}");
     }
-    if !tiered {
+    if !tenants_only {
         let shared = |(at, _, entries, mirror)| (at, entries, mirror);
         let got_series = series(&got.metrics, true).into_iter().map(shared);
         let want_series = expected(expect, true).into_iter().map(shared);

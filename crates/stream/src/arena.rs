@@ -186,13 +186,25 @@ impl OpArena {
         Some(&self.nodes.get(i)?.as_ref()?.op)
     }
 
-    pub(crate) fn op_mut(&mut self, i: usize) -> Option<&mut JoinOperator> {
-        Some(&mut self.nodes.get_mut(i)?.as_mut()?.op)
+    /// The live operators with their slots, bottom-up.
+    pub(crate) fn ops_mut(&mut self) -> impl Iterator<Item = (usize, &mut JoinOperator)> {
+        let nodes = self.nodes.iter_mut().enumerate();
+        nodes.filter_map(|(i, node)| Some((i, &mut node.as_mut()?.op)))
     }
 
     /// The live operators, bottom-up.
     pub(crate) fn ops(&self) -> impl Iterator<Item = &JoinOperator> + Clone {
         self.nodes.iter().flatten().map(|node| &node.op)
+    }
+
+    /// Every port of the live operators as `(operator, port, live rows)`,
+    /// op-major in bottom-up order: the flat port numbering of bound
+    /// certificates and per-port peaks.
+    pub(crate) fn port_live(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        self.ops().enumerate().flat_map(|(op, node)| {
+            let live = node.port_live_iter().enumerate();
+            live.map(move |(port, live)| (op, port, live))
+        })
     }
 
     /// What live node `i` emitted for the run routed last.
@@ -325,9 +337,9 @@ mod tests {
             let exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
             let mut reg = QueryRegistry::new(r, cfg);
             reg.try_admit(&q, &plan, None).unwrap();
-            let lowered = layout(exec.arena());
+            let lowered = layout(&exec.reg().arena);
             assert_eq!(lowered.len(), plan.operator_count(), "{plan}");
-            assert_eq!(lowered, layout(reg.arena()), "{plan}");
+            assert_eq!(lowered, layout(&reg.arena), "{plan}");
             // Children sit below their parents; the root spans the query.
             for (slot, (children, ..)) in lowered.iter().enumerate() {
                 let below = |c: &ChildKey| matches!(*c, ChildKey::Inner(i) if i >= slot);

@@ -46,7 +46,7 @@ use cjq_core::value::Value;
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"CJQS";
 /// Snapshot format version.
-pub const VERSION: u32 = 11;
+pub const VERSION: u32 = 12;
 /// File-frame header length: magic + version + payload len + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8;
 
@@ -427,21 +427,19 @@ impl<T: Codec> Codec for Vec<T> {
 /// snapshot of the wrong kind instead of misinterpreting the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
-    /// One sequential [`crate::exec::Executor`].
-    Exec,
     /// A [`crate::parallel::Sharded`] plane: the router's counts and `P` shard
-    /// sub-snapshots of one engine kind (which one is in the fingerprint).
+    /// sub-snapshots.
     Sharded,
-    /// A [`crate::registry::QueryRegistry`].
+    /// A [`crate::registry::QueryRegistry`], or the sealed one-tenant registry
+    /// a [`crate::exec::Executor`] runs.
     Registry,
 }
 
 impl SnapshotKind {
-    /// Stable wire tag.
+    /// Stable wire tag (0 was the executor's own kind, before version 12).
     #[must_use]
     pub fn tag(self) -> u8 {
         match self {
-            SnapshotKind::Exec => 0,
             SnapshotKind::Sharded => 1,
             SnapshotKind::Registry => 2,
         }
@@ -450,7 +448,6 @@ impl SnapshotKind {
     /// Parses a wire tag.
     pub fn from_tag(t: u8) -> SnapshotResult<SnapshotKind> {
         match t {
-            0 => Ok(SnapshotKind::Exec),
             1 => Ok(SnapshotKind::Sharded),
             2 => Ok(SnapshotKind::Registry),
             t => Err(SnapshotError(format!("bad snapshot kind tag {t}"))),

@@ -1,11 +1,13 @@
 //! Executor: compiles an execution plan into an operator tree and drives it
 //! over a punctuated feed.
 //!
-//! The executor owns the [`PurgeEngine`] (raw mirror + punctuation stores),
-//! the [`JoinOperator`] tree, and an optional [`GroupBy`] stage over the root
-//! output (the paper's Figure 1 pipeline). Purge cycles run eagerly (after
-//! every punctuation), lazily (batched), or never, per [`PurgeCadence`] —
-//! the Plan-Parameter-II knob of §5.2.
+//! An executor is a [`QueryRegistry`] sealed with its query as the one
+//! tenant — the engine, its monitors and its snapshot are the registry's —
+//! plus its own delivery: root results go to a caller's sink (or the
+//! executor's record) and an optional [`GroupBy`] stage over the root output
+//! (the paper's Figure 1 pipeline). Purge cycles run eagerly (after every
+//! punctuation), lazily (batched), or never, per [`PurgeCadence`] — the
+//! Plan-Parameter-II knob of §5.2.
 
 use cjq_core::error::{CoreError, CoreResult};
 use cjq_core::plan::Plan;
@@ -15,20 +17,17 @@ use cjq_core::schema::{AttrRef, StreamId};
 use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
-use crate::arena::{Lowering, OpArena};
-use crate::certify::static_certificates;
-use crate::checkpoint::{
-    CheckpointStore, Codec, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
-};
+use crate::checkpoint::{CheckpointStore, Fingerprint, InputCursor};
 use crate::element::StreamElement;
-use crate::error::{ExecError, ExecResult};
+use crate::error::ExecResult;
 use crate::groupby::{Aggregate, GroupBy};
-use crate::guard::{AdmissionGuard, AdmissionPolicy, DeadLetter};
+use crate::guard::{AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
-use crate::metrics::{Metrics, StatePoint};
-use crate::pipeline::{Core, Engine, Pipeline, Run, Snapshot, Stage};
-use crate::purge::{fingerprint_recipes, PurgeEngine, PurgeScope};
-use crate::sink::{CollectSink, CountSink, OutputBuffer, ResultSink};
+use crate::metrics::Metrics;
+use crate::pipeline::{Engine, Pipeline};
+use crate::purge::{PurgeEngine, PurgeScope};
+use crate::registry::{QueryId, QueryRegistry, RegistryResult};
+use crate::sink::{OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
 use crate::tier::TierConfig;
 
@@ -50,7 +49,7 @@ pub enum PurgeCadence {
 /// What the bounded-state watchdog does when live join state exceeds the
 /// budget (after a purge cycle and, when tiered, a demotion). One variant:
 /// the type and [`StateBudget::policy`] stay only because `perfbench` builds
-/// the literal; both go with the next `benchmark` issue (ROADMAP item 4).
+/// the literal; both go with the next `benchmark` issue (ROADMAP item 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BudgetPolicy {
     /// Fail the run with [`ExecError::StateBudgetExceeded`].
@@ -152,46 +151,59 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
+    /// Refuses an illegal combination of knobs, the first broken rule first:
+    /// those no engine runs, and with `tenants` the single-query features a
+    /// shared engine cannot honor per tenant (a budget over a shared arena is
+    /// honored by lossless demotion, not by failing every tenant).
+    /// [`Executor::compile`] returns the error, [`QueryRegistry::new`] panics
+    /// with its text.
+    pub(crate) fn validate(&self, tenants: bool) -> CoreResult<()> {
+        let tiered = self.tiering.is_some();
+        let why = if self.coverage_limit == 0 {
+            "a coverage limit of 0 keeps rows a tiered run purges: use ≥ 1"
+        } else if tiered && (self.window.is_some() || self.punct_lifespan.is_some()) {
+            "tiering is incompatible with window eviction and punctuation lifespans: \
+             those discard state or coverage on grounds the cold tier does not track"
+        } else if tenants && self.window.is_some() {
+            "windows are a per-query feature: run the query on a dedicated Executor"
+        } else if tenants && self.stall_budget.is_some() {
+            "stall budgets are a per-query feature: run the query on a dedicated Executor"
+        } else if tenants && self.state_budget.is_some() && !tiered {
+            "a registry state budget requires tiering (lossless demotion)"
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::InvalidPlan(why.into()))
+    }
+
     /// Feeds every execution knob into a structural fingerprint (see
-    /// [`Executor::fingerprint`]): a snapshot only overlays onto an executor
+    /// [`Executor::fingerprint`]): a snapshot only overlays onto an engine
     /// whose config matches knob for knob, since the knobs steer purge
     /// cadence, sampling, and budget decisions that the serialized state
     /// already reflects.
     pub(crate) fn fingerprint_into(&self, fp: &mut Fingerprint) {
-        fp.word(match self.scope {
-            PurgeScope::Operator => 0,
-            PurgeScope::Query => 1,
-        });
-        match self.cadence {
-            PurgeCadence::Never => {
-                fp.word(0);
-                fp.word(0);
-            }
-            PurgeCadence::Eager => {
-                fp.word(1);
-                fp.word(0);
-            }
-            PurgeCadence::Lazy { batch } => {
-                fp.word(2);
-                fp.word(batch as u64);
-            }
-        }
-        fp.word(self.punct_lifespan.map_or(u64::MAX, |v| v));
-        fp.word(self.window.map_or(u64::MAX, |v| v));
-        fp.word(self.sample_every as u64);
-        fp.word(self.coverage_limit as u64);
-        fp.word(u64::from(self.record_outputs));
-        fp.word(u64::from(self.verify_certificates));
-        fp.word(match self.admission {
-            AdmissionPolicy::Strict => 0,
-            AdmissionPolicy::Quarantine => 1,
-            AdmissionPolicy::Repair => 2,
-        });
-        match self.state_budget {
-            Some(b) => fp.word(b.max_rows as u64),
-            None => fp.word(u64::MAX),
-        }
-        fp.word(self.stall_budget.map_or(u64::MAX, |v| v));
+        let (cadence, batch) = match self.cadence {
+            PurgeCadence::Never => (0, 0),
+            PurgeCadence::Eager => (1, 0),
+            PurgeCadence::Lazy { batch } => (2, batch as u64),
+        };
+        let or_max = |v: Option<u64>| v.unwrap_or(u64::MAX);
+        let budget = self.state_budget.map(|b| b.max_rows as u64);
+        let words = [
+            self.scope as u64,
+            cadence,
+            batch,
+            or_max(self.punct_lifespan),
+            or_max(self.window),
+            self.sample_every as u64,
+            self.coverage_limit as u64,
+            u64::from(self.record_outputs),
+            u64::from(self.verify_certificates),
+            self.admission as u64,
+            or_max(budget),
+            or_max(self.stall_budget),
+        ];
+        words.into_iter().for_each(|w| fp.word(w));
         match self.tiering {
             Some(t) => {
                 fp.word(t.segment_rows as u64);
@@ -214,19 +226,6 @@ pub struct OperatorSnapshot {
     pub stats: crate::join::OperatorStats,
 }
 
-/// End-of-run live-slot ids for every operator port and every mirror stream.
-///
-/// Slot ids are per-shard-deterministic: two executors fed the same element
-/// subsequence assign identical slot ids, which is what lets the sharded
-/// merge union replicated (broadcast) state by slot id.
-#[derive(Debug, Clone, Default)]
-pub struct LiveStateSnapshot {
-    /// Per operator (bottom-up, root last), per port: live slot ids.
-    pub op_port_slots: Vec<Vec<Vec<usize>>>,
-    /// Per stream (indexed by `StreamId.0`): live mirror slot ids.
-    pub mirror_slots: Vec<Vec<usize>>,
-}
-
 /// Result of running a feed to completion.
 #[derive(Debug, Clone, Default)]
 pub struct RunResult {
@@ -243,34 +242,15 @@ pub struct RunResult {
 /// A compiled, runnable execution plan.
 #[derive(Debug)]
 pub struct Executor {
-    query: Cjq,
-    engine: PurgeEngine,
-    /// The plan's operators, bottom-up (children before parents; root last).
-    arena: OpArena,
+    /// The engine: a registry sealed with the query as its one tenant.
+    reg: QueryRegistry,
     groupby: Option<GroupBy>,
     /// Punctuations awaiting delivery to the group-by stage: a punctuation
     /// may only close groups once no *stored* tuple of its stream can still
     /// produce matching outputs (the punctuation-propagation condition of
     /// [12]/[6]); until then it is pending.
     pending_group_puncts: Vec<Punctuation>,
-    /// Config, clocks, metrics and scratch shared with every engine over the
-    /// one pipeline (see [`crate::pipeline`]).
-    core: Core,
-    outputs: Vec<Vec<Value>>,
     aggregates: Vec<Vec<Value>>,
-    /// Schema-shape admission validator (see [`crate::guard`]).
-    guard: AdmissionGuard,
-    /// Per stream: clock of the last admitted punctuation (stall detector).
-    last_punct: Vec<u64>,
-    /// Per stream: whether any punctuation scheme is registered (streams
-    /// without schemes are never expected to punctuate — not stall-checked).
-    has_schemes: Vec<bool>,
-    /// Static per-port bound certificates, flattened op-major in bottom-up
-    /// operator order (`None` = port unchecked). When set, every element
-    /// checks live rows per port against the certificate and a violation is
-    /// a hard [`ExecError::PortBoundExceeded`]. Lives outside `ExecConfig`
-    /// (which stays `Copy`).
-    port_bounds: Option<Vec<Option<u64>>>,
 }
 
 impl Executor {
@@ -289,7 +269,8 @@ impl Executor {
 
     /// Like [`Executor::compile`], with optional per-scheme punctuation-lag
     /// weights (aligned with `schemes.schemes()`): purge recipes then prefer
-    /// low-lag schemes (§5.2 Plan Parameter I).
+    /// low-lag schemes (§5.2 Plan Parameter I). The registry's compile step,
+    /// then [`QueryRegistry::seal`]: the plan need not be safe.
     pub fn compile_weighted(
         query: &Cjq,
         schemes: &SchemeSet,
@@ -297,72 +278,15 @@ impl Executor {
         cfg: ExecConfig,
         weights: Option<&[f64]>,
     ) -> CoreResult<Self> {
-        plan.validate(query)?;
-        if matches!(plan, Plan::Leaf(_)) {
-            return Err(CoreError::InvalidPlan(
-                "single-stream plans have no join to execute".into(),
-            ));
-        }
-        schemes.validate(query.catalog())?;
-        if cfg.tiering.is_some() && (cfg.window.is_some() || cfg.punct_lifespan.is_some()) {
-            return Err(CoreError::InvalidPlan(
-                "tiering is incompatible with window eviction and punctuation \
-                 lifespans: those discard state or coverage on grounds the \
-                 cold tier does not track"
-                    .into(),
-            ));
-        }
-        if cfg.coverage_limit == 0 {
-            return Err(CoreError::InvalidPlan(
-                "a coverage limit of 0 keeps rows a tiered run purges: use ≥ 1".into(),
-            ));
-        }
-        let weights = weights.map(<[f64]>::to_vec);
-        let (lifespan, limit) = (cfg.punct_lifespan, cfg.coverage_limit);
-        let mut engine = PurgeEngine::shared(query, schemes, lifespan, limit, weights);
-        engine.subscribe(query, schemes);
-        let mut arena = OpArena::default();
-        let cx = Lowering {
-            query,
-            schemes,
-            cfg: &cfg,
-            engine: &engine,
-        };
-        arena.intern_plan(&cx, plan, &mut Vec::new());
-        if cfg.verify_certificates {
-            if let Some(mismatch) =
-                static_certificates(query, schemes, cfg.scope, arena.ops(), |s| {
-                    engine.mirror_recipe(s).is_some()
-                })
-            {
-                panic!("static certificate violation: {mismatch}");
-            }
-        }
-        // Every recipe this executor will ever check now exists: mirror only
-        // what they and §5.1 read. One operator spanning the query stores
-        // each stream's rows under the recipe its mirror would purge by, so
-        // there §5.1 reads the port.
-        let ports = arena.ops().flat_map(JoinOperator::port_recipes).flatten();
-        let alone = arena.op(0).filter(|_| arena.slots() == 1);
-        engine.close_recipe_set(ports, |u, col| alone?.stand_in(u, col));
-        let n_streams = query.n_streams();
-        let has_schemes = query
-            .stream_ids()
-            .map(|s| !engine.punct_store(s).schemes().is_empty())
-            .collect();
+        let mut reg = QueryRegistry::checked(schemes.clone(), cfg, false)?;
+        reg.validate(query, plan)?;
+        reg.lower(query, plan, weights, None);
+        reg.seal().expect("nothing has run yet");
         Ok(Executor {
-            guard: AdmissionGuard::new(query, cfg.admission),
-            last_punct: vec![0; n_streams],
-            has_schemes,
-            query: query.clone(),
-            engine,
-            arena,
+            reg,
             groupby: None,
             pending_group_puncts: Vec::new(),
-            core: Core::new(cfg),
-            outputs: Vec::new(),
             aggregates: Vec::new(),
-            port_bounds: None,
         })
     }
 
@@ -377,14 +301,11 @@ impl Executor {
     pub fn set_port_bounds(&mut self, bounds: Vec<Option<u64>>) {
         assert_eq!(
             bounds.len(),
-            self.n_ports(),
+            self.reg.arena.port_live().count(),
             "one bound slot per flattened operator port"
         );
-        self.port_bounds = if bounds.iter().all(Option::is_none) {
-            None
-        } else {
-            Some(bounds)
-        };
+        let armed = bounds.iter().any(Option::is_some);
+        self.reg.core.port_bounds = armed.then_some(bounds);
     }
 
     /// Attaches a group-by/aggregation stage over the root operator's output.
@@ -399,11 +320,12 @@ impl Executor {
     /// Panics if a grouping/aggregate attribute is not in the root layout.
     #[must_use]
     pub fn with_groupby(mut self, group_by: &[AttrRef], agg: Aggregate) -> Self {
-        let root = self.arena.ops().last().expect("at least one operator");
+        let root = self.operators().last().expect("at least one operator");
         let layout = root.out_layout().clone();
-        self.groupby = Some(GroupBy::for_query(&self.query, layout, group_by, agg));
+        self.groupby = Some(GroupBy::for_query(self.query(), layout, group_by, agg));
         // The propagation condition probes the punctuated stream's mirror.
-        self.engine.hold_every_stream();
+        let engine = self.reg.engine.as_mut().expect("compiled");
+        engine.hold_every_stream();
         self
     }
 
@@ -412,14 +334,14 @@ impl Executor {
     /// dead-letter sink quarantined elements are only counted.
     #[must_use]
     pub fn with_dead_letter(mut self, sink: Box<dyn ResultSink + Send>) -> Self {
-        self.core.dead_letter = DeadLetter::to(sink);
+        self.reg.core.dead_letter = DeadLetter::to(sink);
         self
     }
 
     /// The query this executor runs.
     #[must_use]
     pub fn query(&self) -> &Cjq {
-        &self.query
+        self.reg.query(QueryId(0)).expect("the one tenant")
     }
 
     /// Total live join-state tuples across all operators.
@@ -431,17 +353,12 @@ impl Executor {
     /// The purge engine (mirror + punctuation stores).
     #[must_use]
     pub fn engine(&self) -> &PurgeEngine {
-        &self.engine
+        self.reg.engine().expect("compiled")
     }
 
     /// The operators, bottom-up (root last).
     pub fn operators(&self) -> impl Iterator<Item = &JoinOperator> {
-        self.arena.ops()
-    }
-
-    /// Operator ports, flattened op-major in bottom-up operator order.
-    fn n_ports(&self) -> usize {
-        self.arena.ops().map(|op| op.port_spans().len()).sum()
+        self.ops()
     }
 
     /// [`Engine::try_push`], callable without the trait in scope.
@@ -462,41 +379,7 @@ impl Executor {
         batch: &ElementBatch<'_>,
         sink: &mut dyn ResultSink,
     ) -> ExecResult<()> {
-        self.push_batch_timed(batch, sink)
-    }
-
-    /// Delivers pending punctuations to the group-by stage once safe: a
-    /// punctuation on stream `S` closes groups only when no live stored `S`
-    /// tuple matches it — otherwise that tuple could still join future data
-    /// and add members to an already-emitted group.
-    fn deliver_group_punctuations(&mut self) {
-        let Some(g) = &mut self.groupby else { return };
-        let engine = &self.engine;
-        let mut still_pending = Vec::new();
-        let mut buf = OutputBuffer::new(g.out_width());
-        for p in self.pending_group_puncts.drain(..) {
-            let state = engine.mirror_state(p.stream);
-            // Probe a mirror hash index when the punctuation pins a constant
-            // on an indexed column — O(matching) instead of O(live).
-            let indexed_probe = p.constant_attrs().find(|(attr, _)| state.has_index(attr.0));
-            let blocked = match indexed_probe {
-                Some((attr, value)) => state
-                    .probe(attr.0, value)
-                    .iter()
-                    .filter_map(|&slot| state.get(slot))
-                    .any(|row| p.matches(row)),
-                None => state.iter_live().any(|(_, row)| p.matches(row)),
-            };
-            if blocked {
-                still_pending.push(p);
-            } else {
-                buf.clear();
-                let closed = g.process_punctuation_into(&p, &mut buf);
-                self.core.metrics.aggregates_out += closed as u64;
-                self.aggregates.extend(buf.rows().map(<[Value]>::to_vec));
-            }
-        }
-        self.pending_group_puncts = still_pending;
+        self.push_batch_timed(batch, &mut Some(sink))
     }
 
     /// Rows currently resident in the cold (spilled) tier across all
@@ -514,81 +397,44 @@ impl Executor {
         feed: &Feed,
         sink: &mut dyn ResultSink,
     ) -> ExecResult<RunResult> {
-        self.feed(feed, sink)?;
+        self.feed(feed, &mut Some(&mut *sink))?;
         sink.finish();
         Ok(self.finish())
     }
 
     /// [`Engine::finish`], callable without the trait in scope.
-    pub fn finish(self) -> RunResult {
-        self.finish_detailed().0
+    pub fn finish(mut self) -> RunResult {
+        self.finish_core();
+        self.into_result()
     }
 
-    /// Like [`Executor::finish`], additionally returning the live-slot
-    /// snapshot of every port and mirror. The sharded executor merges these
-    /// per-shard snapshots into one logical state count: partitioned state is
-    /// disjoint across shards (sum), broadcast state is replicated (union).
-    pub(crate) fn finish_detailed(mut self) -> (RunResult, LiveStateSnapshot) {
-        self.finish_core();
-        if let Some(budget) = self.core.cfg.stall_budget {
-            // Evaluated where it is read: the clock only moves forward, so a
-            // stream is stalled now exactly if a per-element check would have
-            // flagged it and no punctuation cleared the flag since.
-            let since = |s: usize| self.core.clock.saturating_sub(self.last_punct[s]);
-            let stalled = |&s: &usize| self.has_schemes[s] && since(s) > budget;
-            self.core.metrics.stalled_streams =
-                (0..self.last_punct.len()).filter(stalled).collect();
-        }
-        let operators = self
-            .arena
-            .ops()
-            .map(|op| OperatorSnapshot {
-                span: op.span().to_vec(),
-                port_live: op.port_live(),
-                stats: op.stats,
-            })
-            .collect();
-        let snapshot = LiveStateSnapshot {
-            op_port_slots: self
-                .arena
-                .ops()
-                .map(JoinOperator::port_live_slots)
-                .collect(),
-            mirror_slots: self
-                .query
-                .stream_ids()
-                .map(|s| self.engine.mirror_state(s).live_slots())
-                .collect(),
-        };
-        let result = RunResult {
-            outputs: self.outputs,
+    /// The results, once the pipeline finished.
+    pub(crate) fn into_result(self) -> RunResult {
+        let operators = self.ops().map(|op| OperatorSnapshot {
+            span: op.span().to_vec(),
+            port_live: op.port_live(),
+            stats: op.stats,
+        });
+        let operators = operators.collect();
+        let RegistryResult {
+            mut queries,
+            metrics,
+        } = self.reg.into_result();
+        RunResult {
+            outputs: queries.swap_remove(0).outputs,
             aggregates: self.aggregates,
-            metrics: self.core.metrics,
+            metrics,
             operators,
-        };
-        (result, snapshot)
+        }
     }
 
     /// Structural fingerprint of (query, schemes, plan shape, compiled
-    /// recipes, config): two executors agree iff they compiled to the same
-    /// thing, which is the precondition for overlaying one's snapshot onto
-    /// the other. The recipes are in it because lag weights
-    /// ([`Executor::compile_weighted`]) change them and nothing else. Built
-    /// from stable ids only (never interned symbols or `Debug` strings, which
-    /// are process-local).
+    /// recipes, config) — the registry's: two executors agree iff they
+    /// compiled to the same thing, which is the precondition for overlaying
+    /// one's snapshot onto the other.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::default();
-        fingerprint_query(&mut fp, &self.query);
-        fingerprint_schemes(&mut fp, &self.query, &self.engine);
-        self.arena.fingerprint_into(&mut fp);
-        let mirror = self
-            .query
-            .stream_ids()
-            .map(|s| self.engine.mirror_recipe(s));
-        fingerprint_recipes(&mut fp, mirror);
-        self.core.cfg.fingerprint_into(&mut fp);
-        fp.finish()
+        self.reg.state_fingerprint()
     }
 
     /// [`Engine::push_checkpointed`], callable without the trait in scope.
@@ -619,127 +465,24 @@ impl Engine for Executor {
     }
 }
 
-impl Snapshot for Executor {
-    const KIND: SnapshotKind = SnapshotKind::Exec;
-
-    fn fingerprint(&self) -> u64 {
-        Executor::fingerprint(self)
-    }
-
-    /// Serializes every piece of state a push mutates — the snapshot a fresh
-    /// compile of the same inputs can overlay to resume byte-identically
-    /// (also each shard's sub-snapshot in a
-    /// [`Sharded`](crate::parallel::Sharded) frame).
-    fn write_snapshot(&self, e: &mut Enc) {
-        self.core.write_pacing(e);
-        self.last_punct.enc(e);
-        self.port_bounds.enc(e);
-        self.outputs.enc(e);
-        self.core.metrics.write_state(e);
-        self.engine.write_state(e);
-        self.arena.write_state(e);
-    }
-
-    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
-        self.core.read_pacing(d)?;
-        self.last_punct = d.counted("streams", self.last_punct.len())?;
-        self.port_bounds = match d.bool()? {
-            true => Some(d.counted("bounded ports", self.n_ports())?),
-            false => None,
-        };
-        self.outputs = Codec::dec(d)?;
-        self.core.metrics = Metrics::read_state(d)?;
-        self.engine.read_state(d)?;
-        self.arena.read_state(d, &mut self.core.spill)
-    }
-
-    fn not_checkpointable(&self) -> Option<&'static str> {
-        self.groupby.as_ref().map(|_| {
-            "group-by stages are not checkpointable: open-group state is not \
-             serialized"
-        })
-    }
-}
-
-/// What separates the executor from the shared pipeline: root results go to
-/// one caller-supplied sink and the group-by stage, the recipe set is closed,
-/// and the single-query monitors apply (window, port bounds, stall clock,
-/// group-by delivery).
+/// The executor's delivery: root results go to the group-by stage and to a
+/// caller-supplied sink, or without one to the registry's own: recorded into
+/// `RunResult::outputs` under [`ExecConfig::record_outputs`], counted
+/// (`Metrics::outputs`) otherwise.
 impl Pipeline for Executor {
-    type Sink<'s> = dyn ResultSink + 's;
-
-    fn core(&self) -> &Core {
-        &self.core
+    fn reg(&self) -> &QueryRegistry {
+        &self.reg
     }
 
-    fn core_mut(&mut self) -> &mut Core {
-        &mut self.core
+    fn reg_mut(&mut self) -> &mut QueryRegistry {
+        &mut self.reg
     }
 
-    fn engine(&self) -> Option<&PurgeEngine> {
-        Some(&self.engine)
-    }
-
-    fn arena(&self) -> &OpArena {
-        &self.arena
-    }
-
-    fn stage(&mut self) -> Option<Stage<'_>> {
-        Some(Stage {
-            core: &mut self.core,
-            engine: &mut self.engine,
-            guard: &self.guard,
-            arena: &mut self.arena,
-        })
-    }
-
-    /// The executor's own sink: root results are recorded into
-    /// `RunResult::outputs` under [`ExecConfig::record_outputs`] and merely
-    /// counted (`Metrics::outputs`) otherwise.
-    fn with_own_sink<R>(
-        &mut self,
-        f: impl for<'s> FnOnce(&mut Self, &mut Self::Sink<'s>) -> R,
-    ) -> R {
-        let mut record = CollectSink {
-            rows: std::mem::take(&mut self.outputs),
-        };
-        let mut count = CountSink::new();
-        let sink: &mut dyn ResultSink = if self.core.cfg.record_outputs {
-            &mut record
-        } else {
-            &mut count
-        };
-        let res = f(self, sink);
-        self.outputs = record.rows;
-        res
-    }
-
-    /// The arena's cascade, then root delivery to `sink` and the group-by
-    /// stage. The root spans the query, so every run reaches it.
-    fn route(
-        &mut self,
-        run: Run<'_>,
-        survivors: &[u32],
-        sink: &mut Self::Sink<'_>,
-    ) -> ExecResult<()> {
-        self.arena.cascade(run, survivors, &mut self.core.metrics);
-        let out = self.arena.out(self.arena.slots() - 1);
-        if !out.is_empty() {
-            self.core.metrics.outputs += out.len() as u64;
-            if let Some(g) = &mut self.groupby {
-                for row in out.rows() {
-                    g.process_tuple(row);
-                }
-            }
-            sink.accept(out);
-        }
-        Ok(())
-    }
-
-    /// The stall detector's clock: when `stream` last punctuated.
-    fn note_punct_progress(&mut self, stream: StreamId) {
-        if let Some(at) = self.last_punct.get_mut(stream.0) {
-            *at = self.core.clock;
+    /// The group-by stage reads the root's rows.
+    fn roots_routed(&mut self) {
+        if let Some(g) = &mut self.groupby {
+            let root = self.reg.arena.out(self.reg.arena.slots() - 1);
+            root.rows().for_each(|row| g.process_tuple(row));
         }
     }
 
@@ -751,95 +494,55 @@ impl Pipeline for Executor {
         }
     }
 
+    /// Delivers pending punctuations to the group-by stage once safe: a
+    /// punctuation on stream `S` closes groups only when no live stored `S`
+    /// tuple matches it — otherwise that tuple could still join future data
+    /// and add members to an already-emitted group.
     fn settle_pending(&mut self) {
-        self.deliver_group_punctuations();
-    }
-
-    fn evict_window(&mut self) {
-        let Some(window) = self.core.cfg.window else {
-            return;
-        };
-        let cutoff = self.core.clock.saturating_sub(window);
-        let slots = 0..self.arena.slots();
-        let ops = slots.filter_map(|i| Some(self.arena.op_mut(i)?.evict_window(cutoff)));
-        let evicted: usize = ops.sum();
-        self.engine.evict_window(cutoff);
-        self.core.metrics.purged += evicted as u64;
-    }
-
-    /// Bound certificates: with [`Executor::set_port_bounds`] armed, every
-    /// operator port's live-row peak is recorded and a certified port over
-    /// its static bound fails hard — after purge/budget enforcement, so eager
-    /// purges get credit before the comparison.
-    fn check_monitors(&mut self) -> ExecResult<()> {
-        let Some(bounds) = &self.port_bounds else {
-            return Ok(());
-        };
-        let mut flat = 0usize;
-        for (oi, op) in self.arena.ops().enumerate() {
-            for (pi, live) in op.port_live_iter().enumerate() {
-                self.core.metrics.track_port_peak(flat, live);
-                if let Some(bound) = bounds[flat].filter(|&bound| live as u64 > bound) {
-                    return Err(ExecError::PortBoundExceeded {
-                        op: oi,
-                        port: pi,
-                        live,
-                        bound,
-                        clock: self.core.clock,
-                    });
-                }
-                flat += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn per_element_monitors(&self) -> bool {
-        self.port_bounds.is_some()
-    }
-
-    /// Open groups, and per-port live-row peaks.
-    fn on_sample(&mut self, point: &mut StatePoint) {
-        point.groups = self.groupby.as_ref().map_or(0, GroupBy::open_groups);
-        let mut flat = 0usize;
-        for op in self.arena.ops() {
-            for live in op.port_live_iter() {
-                self.core.metrics.track_port_peak(flat, live);
-                flat += 1;
+        let Some(g) = &mut self.groupby else { return };
+        let engine = self.reg.engine.as_ref().expect("compiled");
+        let mut buf = OutputBuffer::new(g.out_width());
+        let pending = std::mem::take(&mut self.pending_group_puncts);
+        for p in pending {
+            let state = engine.mirror_state(p.stream);
+            // Probe a mirror hash index when the punctuation pins a constant
+            // on an indexed column — O(matching) instead of O(live).
+            let indexed_probe = p.constant_attrs().find(|(attr, _)| state.has_index(attr.0));
+            let blocked = match indexed_probe {
+                Some((attr, value)) => state
+                    .probe(attr.0, value)
+                    .iter()
+                    .filter_map(|&slot| state.get(slot))
+                    .any(|row| p.matches(row)),
+                None => state.iter_live().any(|(_, row)| p.matches(row)),
+            };
+            if blocked {
+                self.pending_group_puncts.push(p);
+            } else {
+                buf.clear();
+                let closed = g.process_punctuation_into(&p, &mut buf);
+                self.reg.core.metrics.aggregates_out += closed as u64;
+                self.aggregates.extend(buf.rows().map(<[Value]>::to_vec));
             }
         }
     }
-}
 
-/// Folds a query's shape (stream count, equi-join predicates) into `fp`.
-pub(crate) fn fingerprint_query(fp: &mut Fingerprint, query: &Cjq) {
-    fp.word(query.n_streams() as u64);
-    for p in query.predicates() {
-        fp.word(p.left.stream.0 as u64);
-        fp.word(p.left.attr.0 as u64);
-        fp.word(p.right.stream.0 as u64);
-        fp.word(p.right.attr.0 as u64);
+    fn open_groups(&self) -> usize {
+        self.groupby.as_ref().map_or(0, GroupBy::open_groups)
     }
-}
 
-/// Folds the punctuation schemes registered per stream of `query` into `fp`.
-pub(crate) fn fingerprint_schemes(fp: &mut Fingerprint, query: &Cjq, engine: &PurgeEngine) {
-    for s in query.stream_ids() {
-        let store = engine.punct_store(s);
-        fp.word(store.schemes().len() as u64);
-        for scheme in store.schemes() {
-            fp.word(u64::from(scheme.is_ordered()));
-            fp.word(scheme.punctuatable().len() as u64);
-            for a in scheme.punctuatable() {
-                fp.word(a.0 as u64);
-            }
-        }
+    fn unserializable(&self) -> Option<&'static str> {
+        self.groupby.as_ref().map(|_| {
+            "group-by stages are not checkpointable: open-group state is not \
+             serialized"
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ExecError;
     use crate::state::PortState;
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
@@ -928,14 +631,14 @@ mod tests {
         let (mut mirrored, mut outputs) = (Vec::new(), Vec::new());
         for mut exec in engines {
             open.iter().for_each(|e| exec.try_push(e).unwrap());
-            mirrored.push(exec.engine.mirror_live());
+            mirrored.push(exec.engine().mirror_live());
             close.iter().for_each(|e| exec.try_push(e).unwrap());
             // Auction 1 is closed on both sides and drained; item 2's
             // uniqueness still guards the live bid on it.
-            assert_eq!(exec.engine.punct_entries(), 1);
-            assert_eq!(exec.engine.punct_dropped, 2);
+            assert_eq!(exec.engine().punct_entries(), 1);
+            assert_eq!(exec.engine().punct_dropped, 2);
             exec.try_push(&bid_close(2)).unwrap();
-            assert_eq!(exec.engine.punct_entries(), 0);
+            assert_eq!(exec.engine().punct_entries(), 0);
             outputs.push(exec.finish().outputs);
         }
         assert_eq!(mirrored, [0, 4]);
@@ -970,13 +673,13 @@ mod tests {
                 for e in triples.chain(closing) {
                     exec.try_push(&e).unwrap();
                     peak_join = peak_join.max(exec.join_state_live());
-                    peak_mirror = peak_mirror.max(exec.engine.mirror_live());
+                    peak_mirror = peak_mirror.max(exec.engine().mirror_live());
                 }
             }
             assert!(peak_mirror >= 16, "the mirrors are held: {peak_mirror}");
             let states = || {
                 let ports = exec.operators().flat_map(|op| &op.ports);
-                ports.chain(q.stream_ids().map(|s| exec.engine.mirror_state(s)))
+                ports.chain(q.stream_ids().map(|s| exec.engine().mirror_state(s)))
             };
             assert_eq!(
                 states().map(PortState::slots).sum::<usize>() as i64,
@@ -1346,27 +1049,39 @@ mod tests {
         assert!(Executor::compile(&q, &r, &Plan::leaf(0), ExecConfig::default()).is_err());
     }
 
-    /// Under a coverage limit of 0 an untiered run kept every row while a
-    /// tiered one still certified cold segments dead (auction, 400 items,
-    /// a 64-row budget: 0 rows purged against 2,350). Neither compiles now,
-    /// and a registry over one panics.
+    /// One rule set: every illegal combination is refused with the same
+    /// text by `compile` (as an error, where the rule binds one query) and
+    /// by `QueryRegistry::new` (as a panic). Under a coverage limit of 0 an
+    /// untiered run kept every row while a tiered one still certified cold
+    /// segments dead (auction, 400 items, a 64-row budget: 0 rows purged
+    /// against 2,350).
     #[test]
-    fn compile_rejects_a_zero_coverage_limit() {
+    fn every_illegal_config_is_refused_alike_by_both_entry_points() {
         let (q, r) = fixtures::auction();
-        for tiering in [None, Some(crate::tier::TierConfig::default())] {
-            let cfg = ExecConfig {
-                coverage_limit: 0,
-                tiering,
-                ..ExecConfig::default()
-            };
-            let err = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap_err();
-            assert!(err.to_string().contains("coverage limit of 0"), "{err}");
-        }
-        let cfg = ExecConfig {
-            coverage_limit: 0,
-            ..ExecConfig::default()
+        let with = |edit: fn(&mut ExecConfig)| {
+            let mut cfg = ExecConfig::default();
+            edit(&mut cfg);
+            cfg
         };
-        let registry = std::panic::catch_unwind(|| crate::registry::QueryRegistry::new(r, cfg));
-        assert!(registry.is_err(), "a registry refuses it too");
+        let illegal = [
+            with(|c| c.coverage_limit = 0),
+            with(|c| (c.coverage_limit, c.tiering) = (0, Some(TierConfig::default()))),
+            with(|c| (c.window, c.tiering) = (Some(8), Some(TierConfig::default()))),
+            with(|c| (c.punct_lifespan, c.tiering) = (Some(8), Some(TierConfig::default()))),
+            with(|c| c.window = Some(8)),
+            with(|c| c.stall_budget = Some(8)),
+            with(|c| c.state_budget = Some(StateBudget::hard(8))),
+        ];
+        for (i, cfg) in illegal.into_iter().enumerate() {
+            let registry = std::panic::catch_unwind(|| QueryRegistry::new(r.clone(), cfg));
+            let panicked = registry.expect_err("a registry refuses every rule");
+            let text = panicked.downcast_ref::<String>().expect("a message");
+            let compiled = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg);
+            match compiled.map_err(|e| e.to_string()) {
+                Ok(_) => assert!(i >= 4, "case {i}: a rule for one query too"),
+                Err(e) => assert_eq!((i < 4, &e), (true, text), "case {i}"),
+            }
+            assert_eq!(i < 2, text.contains("coverage limit of 0"), "case {i}");
+        }
     }
 }

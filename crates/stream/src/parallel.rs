@@ -2,8 +2,8 @@
 //!
 //! A [`Sharded<E>`] holds `P` independent single-threaded engines of one kind
 //! — each an unmodified [`Executor`] or
-//! [`QueryRegistry`](crate::registry::QueryRegistry) — and routes the feed
-//! across them:
+//! [`QueryRegistry`](crate::registry::QueryRegistry), one engine under two
+//! deliveries — and routes the feed across them:
 //!
 //! * **Tuples** of a *partitioned* stream go to the one shard selected by
 //!   hashing the stream's partition attribute; tuples of *broadcast* streams
@@ -51,10 +51,11 @@ use cjq_core::value::Value;
 use crate::checkpoint::{Dec, Enc, Fingerprint, SnapshotKind, SnapshotResult};
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
-use crate::exec::{ExecConfig, Executor, LiveStateSnapshot, RunResult};
+use crate::exec::{ExecConfig, Executor, RunResult};
 use crate::guard::AdmissionFault;
+use crate::join::JoinOperator;
 use crate::metrics::Metrics;
-use crate::pipeline::{Checkpointed, Engine, Shard, Snapshot, FEED_CHUNK};
+use crate::pipeline::{Checkpointed, Engine, Pipeline, Shard, FEED_CHUNK};
 use crate::sink::ResultSink;
 use crate::source::{ElementBatch, Feed};
 
@@ -520,7 +521,7 @@ impl Sharded<Executor> {
 /// Slot-union logical state: a port (or mirror) that holds a partitioned
 /// stream's rows is disjoint across shards and summed; one that holds only
 /// broadcast rows is replicated, and its live slots — assigned identically in
-/// every shard — are unioned.
+/// every shard fed the same element subsequence — are unioned.
 impl Shard for Executor {
     type Folded = ShardedRunResult;
 
@@ -530,8 +531,16 @@ impl Shard for Executor {
             .operators()
             .map(|op| op.port_spans().iter().map(|span| disjoint(span)).collect())
             .collect();
-        let (results, live): (Vec<RunResult>, Vec<LiveStateSnapshot>) =
-            shards.into_iter().map(Executor::finish_detailed).unzip();
+        // Per shard after its final purge: live slots per port and mirror.
+        let mut live: Vec<(Vec<_>, Vec<_>)> = Vec::new();
+        let finish = |mut shard: Executor| {
+            shard.finish_core();
+            let ports = shard.ops().map(JoinOperator::port_live_slots).collect();
+            let mirror = |s| shard.engine().mirror_state(s).live_slots();
+            live.push((ports, shard.query().stream_ids().map(mirror).collect()));
+            shard.into_result()
+        };
+        let results: Vec<RunResult> = shards.into_iter().map(finish).collect();
         let logical = |slots: Vec<&Vec<usize>>, disjoint: bool| -> usize {
             if disjoint {
                 slots.iter().map(|l| l.len()).sum()
@@ -550,12 +559,12 @@ impl Shard for Executor {
         };
         for (op, ports) in ports.iter().enumerate() {
             for (port, &disjoint) in ports.iter().enumerate() {
-                let slots = live.iter().map(|s| &s.op_port_slots[op][port]).collect();
+                let slots = live.iter().map(|(ports, _)| &ports[op][port]).collect();
                 folded.logical_join_state += logical(slots, disjoint);
             }
         }
         for (s, attr) in partitioning.attr.iter().enumerate() {
-            let slots = live.iter().map(|snap| &snap.mirror_slots[s]).collect();
+            let slots = live.iter().map(|(_, mirrors)| &mirrors[s]).collect();
             folded.logical_mirror += logical(slots, attr.is_some());
         }
         for r in &mut folded.shards {
@@ -605,17 +614,15 @@ impl<E: Shard> Engine for Sharded<E> {
 }
 
 #[allow(private_bounds)]
-impl<E: Shard> Snapshot for Sharded<E> {
+impl<E: Shard> Checkpointed for Sharded<E> {
     const KIND: SnapshotKind = SnapshotKind::Sharded;
 
-    /// Shard count, the shard engine's kind, and each shard's own fingerprint
-    /// (which differ only in the spill shard tag): a sharded snapshot only
-    /// overlays onto a plane of the same engine built from the same inputs
-    /// over the same shard count.
+    /// Shard count and each shard's own fingerprint (which differ only in the
+    /// spill shard tag): a sharded snapshot only overlays onto a plane of
+    /// registries admitted from the same inputs over the same shard count.
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::default();
         fp.word(self.shards.len() as u64);
-        fp.word(u64::from(E::KIND.tag()));
         for shard in &self.shards {
             fp.word(shard.fingerprint());
         }
@@ -644,10 +651,7 @@ impl<E: Shard> Snapshot for Sharded<E> {
     fn not_checkpointable(&self) -> Option<&'static str> {
         self.shards.iter().find_map(E::not_checkpointable)
     }
-}
 
-#[allow(private_bounds)]
-impl<E: Shard> Checkpointed for Sharded<E> {
     fn snapshot_rows(&self) -> u64 {
         self.shards.iter().map(E::snapshot_rows).sum()
     }
@@ -692,7 +696,7 @@ impl<E: Shard> Checkpointed for Sharded<E> {
     fn feed_all(&mut self, feed: &Feed) -> ExecResult<()> {
         let own = vec![(); self.shards.len()];
         self.fan(feed, own, |shard, (), batch| {
-            shard.with_own_sink(|shard, sink| shard.push_batch_timed(batch, sink))
+            shard.push_batch_timed(batch, &mut None)
         })?;
         Ok(())
     }

@@ -5,16 +5,17 @@
 //! punctuation stores, probe/insert, and on a purge cycle run the chained
 //! purge recipe over every port. Sharing join state between queries changes
 //! *which operators a run is routed through and whose recipes must agree* —
-//! not that algorithm. So the algorithm lives here once, as the provided
-//! methods of [`Pipeline`] over the pacing state in [`Core`]: the element
-//! loop, run and punctuation admission, the per-element cadence step, the
-//! purge → demote rungs of the budget ladder, and the purge-cycle and finish
-//! skeletons. An engine implements what really differs: where a root's
-//! results go once the one [`OpArena`] has routed a run, the header of its
-//! snapshot ([`Snapshot`]), and the single-query monitors as hooks whose
-//! default is a no-op (the mirror purge is not among them: the
-//! [`PurgeEngine`] purges by the meet of the recipe sets subscribed to it, one
-//! or many). The checkpoint driver is the provided methods of
+//! not that algorithm. So there is one engine, a [`QueryRegistry`] (an
+//! executor is one sealed with its query as the one tenant), and the
+//! algorithm lives here once, as the provided methods of [`Pipeline`] over
+//! it: the element loop, run and punctuation admission, the per-element
+//! cadence step with its monitors (window eviction, port bounds, the stall
+//! clock, all state of [`Core`]), the purge → demote rungs of the budget
+//! ladder, and the purge-cycle and finish skeletons. A pipeline implements
+//! what really differs, its delivery: where the roots' results go once the
+//! one operator arena has routed a run — to each tenant, or to a caller's sink
+//! and a group-by stage, whose punctuation hooks default to no-ops. The
+//! checkpoint driver is the provided methods of
 //! [`Checkpointed`], which asks less than a whole pipeline: a snapshot, a
 //! one-element push and three whole-engine hooks. A pipeline answers them by
 //! the blanket impl below; the sharded plane
@@ -31,20 +32,22 @@ use cjq_core::punctuation::Punctuation;
 use cjq_core::schema::StreamId;
 use cjq_core::value::Value;
 
-use crate::arena::OpArena;
 use crate::certify::ORACLE_SAMPLE;
 use crate::checkpoint::{
-    list_snapshots, CheckpointStore, Dec, Enc, InputCursor, Manifest, SnapshotKind, SnapshotResult,
+    list_snapshots, CheckpointStore, Codec, Dec, Enc, InputCursor, Manifest, SnapshotKind,
+    SnapshotResult,
 };
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
 use crate::exec::{ExecConfig, PurgeCadence};
-use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy, DeadLetter};
+use crate::guard::{AdmissionFault, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
 use crate::parallel::Partitioning;
 use crate::punct_store::PunctClass;
-use crate::purge::{PurgeEngine, PurgeWork};
+use crate::purge::PurgeEngine;
+use crate::registry::QueryRegistry;
+use crate::sink::ResultSink;
 use crate::source::{BatchItem, ElementBatch, Feed};
 use crate::tier::{SpillStore, TierStats};
 
@@ -79,6 +82,13 @@ pub(crate) struct Core {
     /// raised it was only partly applied, so every later push and checkpoint
     /// commit is refused with a clone of it (see [`Pipeline::attempt`]).
     pub failed: Option<ExecError>,
+    /// Per stream: the clock of its last admitted punctuation (the stall
+    /// detector's, read at finish against [`ExecConfig::stall_budget`]).
+    pub last_punct: Vec<u64>,
+    /// Static per-port row bounds, flattened op-major in bottom-up operator
+    /// order (`None` = port unchecked), checked on every element (see
+    /// [`Pipeline::check_port_bounds`]). Outside `ExecConfig`, which is `Copy`.
+    pub port_bounds: Option<Vec<Option<u64>>>,
 }
 
 impl Core {
@@ -94,19 +104,33 @@ impl Core {
             stamp_scratch: Vec::new(),
             dead_letter: DeadLetter::none(),
             failed: None,
+            last_punct: Vec::new(),
+            port_bounds: None,
         }
     }
 
-    /// The two pacing words every snapshot body starts with.
-    pub(crate) fn write_pacing(&self, e: &mut Enc) {
+    /// What a snapshot body starts with: pacing, the monitors' state and the
+    /// metrics.
+    pub(crate) fn write_state(&self, e: &mut Enc) {
         e.u64(self.clock);
         e.usize(self.since_purge);
+        self.last_punct.enc(e);
+        self.port_bounds.enc(e);
+        self.metrics.write_state(e);
     }
 
-    pub(crate) fn read_pacing(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+    /// Overlays [`Core::write_state`]'s words onto a core whose engine has
+    /// `n_ports` operator ports.
+    pub(crate) fn read_state(&mut self, d: &mut Dec<'_>, n_ports: usize) -> SnapshotResult<()> {
         self.clock = d.u64()?;
         self.since_purge = d.usize()?;
         self.next_sample = next_sample_after(self.clock, self.cfg.sample_every);
+        self.last_punct = d.counted("streams", self.last_punct.len())?;
+        self.port_bounds = match d.bool()? {
+            true => Some(d.counted("bounded ports", n_ports)?),
+            false => None,
+        };
+        self.metrics = Metrics::read_state(d)?;
         Ok(())
     }
 
@@ -185,24 +209,20 @@ fn corrupt_at(dir: &Path, detail: String) -> ExecError {
     }
 }
 
-/// What an engine's snapshot is: its kind, what it overlays onto, its body.
-pub(crate) trait Snapshot: Sized {
+/// The one checkpoint driver: route, commit when due, restore, resume. Its
+/// provided methods — and [`Engine`]'s — need only what is required here, so
+/// they serve every [`Pipeline`] (the blanket impl below) and the sharded
+/// plane over either alike.
+pub(crate) trait Checkpointed: Sized {
     /// The snapshot kind this engine writes and accepts.
     const KIND: SnapshotKind;
-
+    /// What a snapshot overlays onto: equal for engines built alike.
     fn fingerprint(&self) -> u64;
     fn write_snapshot(&self, e: &mut Enc);
     fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()>;
     /// Why this engine's state cannot be snapshotted, if it cannot: a silent
     /// partial snapshot would be worse than an error.
     fn not_checkpointable(&self) -> Option<&'static str>;
-}
-
-/// The one checkpoint driver: route, commit when due, restore, resume. Its
-/// provided methods — and [`Engine`]'s — need only what is required here, so
-/// they serve every [`Pipeline`] (the blanket impl below) and the sharded
-/// plane over either alike.
-pub(crate) trait Checkpointed: Snapshot {
     /// Live rows a checkpoint covers (reported as `Metrics::checkpoint_rows`).
     fn snapshot_rows(&self) -> u64;
     /// How many streams the input cursor tracks; `None` before any query.
@@ -298,73 +318,29 @@ pub(crate) trait Checkpointed: Snapshot {
         let mut cursor = InputCursor::zero(n_streams);
         self.push_all_checkpointed(feed.elements(), &mut store, &mut cursor)
     }
-
-    /// Restores an engine from the newest valid snapshot in `dir` onto what
-    /// `build` compiles: newest valid frame → manifest → kind → fingerprint of
-    /// the freshly built engine → overlay → nothing left over → reopened
-    /// store. `build` is told which phase it serves for its error text.
-    /// Returns the engine, a store continuing the sequence at the recorded
-    /// cadence, and the input cursor.
-    fn restore_from(
-        dir: &Path,
-        build: impl FnOnce(&str) -> Result<Self, String>,
-    ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
-        let corrupt = |detail: String| corrupt_at(dir, detail);
-        let (payload, fallbacks, path) = CheckpointStore::load_latest(dir).map_err(corrupt)?;
-        let mut this = build("restore").map_err(corrupt)?;
-        let mut d = Dec::new(&payload);
-        let manifest = Manifest::read(&mut d).map_err(|e| corrupt(e.to_string()))?;
-        if manifest.kind != Self::KIND {
-            return Err(corrupt(format!(
-                "snapshot at {} holds {:?} state, not {:?}",
-                path.display(),
-                manifest.kind,
-                Self::KIND
-            )));
-        }
-        let expected = this.fingerprint();
-        if manifest.fingerprint != expected {
-            return Err(ExecError::RestoreMismatch {
-                expected,
-                found: manifest.fingerprint,
-            });
-        }
-        this.read_snapshot(&mut d)
-            .and_then(|()| d.expect_end())
-            .map_err(|e| corrupt(e.to_string()))?;
-        let store =
-            CheckpointStore::open(dir, manifest.every).map_err(|e| corrupt(e.to_string()))?;
-        let metrics = this.counters();
-        metrics.restores += 1;
-        metrics.snapshot_fallbacks += fallbacks;
-        Ok((this, store, manifest.cursor))
-    }
-
-    /// Restores from `dir` and pushes the rest of `feed` from the recorded
-    /// cursor — skipping exactly the elements the snapshot already consumed —
-    /// checkpointing at the recorded cadence. A directory with no snapshot (a
-    /// crash before the first commit) cold-starts the whole feed at cadence
-    /// `every`. The caller finishes the returned engine.
-    fn resume_from(
-        dir: &Path,
-        build: impl Fn(&str) -> Result<Self, String>,
-        feed: &Feed,
-        every: u64,
-    ) -> ExecResult<Self> {
-        if list_snapshots(dir).is_empty() {
-            let mut this = build("cold start").map_err(|e| corrupt_at(dir, e))?;
-            this.run_checkpointed(feed, dir, every)?;
-            return Ok(this);
-        }
-        let (mut this, mut store, mut cursor) = Self::restore_from(dir, build)?;
-        let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
-        let rest = feed.elements().get(done..).unwrap_or(&[]);
-        this.push_all_checkpointed(rest, &mut store, &mut cursor)?;
-        Ok(this)
-    }
 }
 
+/// A pipeline's snapshot is its registry's, under [`SnapshotKind::Registry`]:
+/// an executor's recorded results are its one tenant's.
 impl<P: Pipeline> Checkpointed for P {
+    const KIND: SnapshotKind = SnapshotKind::Registry;
+
+    fn fingerprint(&self) -> u64 {
+        self.reg().state_fingerprint()
+    }
+
+    fn write_snapshot(&self, e: &mut Enc) {
+        self.reg().write_state(e);
+    }
+
+    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+        self.reg_mut().read_state(d)
+    }
+
+    fn not_checkpointable(&self) -> Option<&'static str> {
+        self.unserializable()
+    }
+
     /// Hot join state plus the raw mirror plus cold-tier rows.
     fn snapshot_rows(&self) -> u64 {
         let mirror = self.engine().map_or(0, PurgeEngine::mirror_live);
@@ -388,7 +364,7 @@ impl<P: Pipeline> Checkpointed for P {
     }
 
     fn feed_all(&mut self, feed: &Feed) -> ExecResult<()> {
-        self.with_own_sink(|this, sink| this.feed(feed, sink))
+        self.feed(feed, &mut None)
     }
 
     fn purge_all(&mut self) {
@@ -396,87 +372,50 @@ impl<P: Pipeline> Checkpointed for P {
     }
 }
 
-/// Disjoint borrows of what element admission, routing and the purge cycle
-/// touch.
-pub(crate) struct Stage<'a> {
-    pub core: &'a mut Core,
-    pub engine: &'a mut PurgeEngine,
-    pub guard: &'a AdmissionGuard,
-    pub arena: &'a mut OpArena,
-}
+/// Who takes root results in place of each query's own sink or record: the
+/// sink an executor's caller passes.
+pub(crate) type Taker<'s> = Option<&'s mut dyn ResultSink>;
 
-/// An engine over the shared pipeline. Required methods say where the parts
-/// are and what differs; provided methods are the algorithm.
-pub(crate) trait Pipeline: Snapshot {
-    /// What the caller of a batch push hands over for root results: the
-    /// executor takes the sink, the registry's queries own theirs.
-    type Sink<'s>: ?Sized;
+/// An engine over the shared pipeline: the one registry underneath and what
+/// its delivery does. Provided methods are the algorithm.
+pub(crate) trait Pipeline {
+    /// The engine underneath.
+    fn reg(&self) -> &QueryRegistry;
+    fn reg_mut(&mut self) -> &mut QueryRegistry;
 
-    fn core(&self) -> &Core;
-    fn core_mut(&mut self) -> &mut Core;
-    /// The mirror and punctuation stores, once a query was admitted.
-    fn engine(&self) -> Option<&PurgeEngine>;
-    /// The operators, bottom-up.
-    fn arena(&self) -> &OpArena;
-    /// `None` until a query was admitted.
-    fn stage(&mut self) -> Option<Stage<'_>>;
+    /// Why the delivery's state cannot be snapshotted, if it cannot: a silent
+    /// partial snapshot would be worse than an error.
+    fn unserializable(&self) -> Option<&'static str>;
 
-    /// Runs `f` with the sink that stands in where the caller supplies none.
-    fn with_own_sink<R>(
-        &mut self,
-        f: impl for<'s> FnOnce(&mut Self, &mut Self::Sink<'s>) -> R,
-    ) -> R;
-    /// Sends the run's surviving rows through the arena
-    /// ([`OpArena::cascade`]) and delivers root results.
-    fn route(
-        &mut self,
-        run: Run<'_>,
-        survivors: &[u32],
-        sink: &mut Self::Sink<'_>,
-    ) -> ExecResult<()>;
+    // The group-by stage's hooks: no-ops unless a delivery has one.
 
-    // Single-query monitors and per-tenant bookkeeping: no-ops unless an
-    // engine has them.
-
-    /// A punctuation on `stream` passed admission (stall detector's clock).
-    fn note_punct_progress(&mut self, _stream: StreamId) {}
+    /// The run just routed left its results in the roots' buffers.
+    fn roots_routed(&mut self) {}
     /// `p` entered the punctuation store (group-by delivery queue).
     fn punct_observed(&mut self, _p: &Punctuation) {}
     /// Coverage or state changed: retry deliveries waiting on it.
     fn settle_pending(&mut self) {}
-    /// Sliding-window eviction.
-    fn evict_window(&mut self) {}
-    /// Per-element checks after the budget ladder (port bounds).
-    fn check_monitors(&mut self) -> ExecResult<()> {
-        Ok(())
-    }
-    /// Whether a monitor outside `ExecConfig` caps runs at one row.
-    fn per_element_monitors(&self) -> bool {
-        false
-    }
-    /// Operator `op` purged `purged` rows this cycle.
-    fn credit_purged(&mut self, _op: usize, _purged: u64) {}
-    /// A state sample is about to be recorded.
-    fn on_sample(&mut self, _point: &mut StatePoint) {}
-
-    /// Operator slots, bottom-up; a slot may be empty (a retired node).
-    fn op_slots(&self) -> usize {
-        self.arena().slots()
+    /// Groups open now, for a state sample.
+    fn open_groups(&self) -> usize {
+        0
     }
 
-    fn op(&self, i: usize) -> Option<&JoinOperator> {
-        self.arena().op(i)
+    fn core(&self) -> &Core {
+        &self.reg().core
     }
 
-    /// Operator `i` beside the engine it purges against and the core.
-    fn op_stage(&mut self, i: usize) -> Option<(&mut JoinOperator, &PurgeEngine, &mut Core)> {
-        let stage = self.stage()?;
-        Some((stage.arena.op_mut(i)?, stage.engine, stage.core))
+    fn core_mut(&mut self) -> &mut Core {
+        &mut self.reg_mut().core
+    }
+
+    /// The mirror and punctuation stores, once a query was admitted.
+    fn engine(&self) -> Option<&PurgeEngine> {
+        self.reg().engine.as_ref()
     }
 
     /// The live operators, bottom-up.
     fn ops(&self) -> impl Iterator<Item = &JoinOperator> {
-        self.arena().ops()
+        self.reg().arena.ops()
     }
 
     /// Total live join-state rows across the operators.
@@ -510,9 +449,9 @@ pub(crate) trait Pipeline: Snapshot {
     /// a run of one.
     fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
         match element {
-            StreamElement::Tuple(t) => self.with_own_sink(|this, sink| {
-                this.push_run(t.stream, t.values.len(), &t.values, 1, sink)
-            })?,
+            StreamElement::Tuple(t) => {
+                self.push_run(t.stream, t.values.len(), &t.values, 1, &mut None)?;
+            }
             StreamElement::Punctuation(p) => self.try_push_punctuation(p)?,
         }
         self.post_element()
@@ -524,7 +463,7 @@ pub(crate) trait Pipeline: Snapshot {
     fn push_batch_timed(
         &mut self,
         batch: &ElementBatch<'_>,
-        sink: &mut Self::Sink<'_>,
+        taker: &mut Taker<'_>,
     ) -> ExecResult<()> {
         self.attempt(|this| {
             let start = Instant::now();
@@ -544,7 +483,7 @@ pub(crate) trait Pipeline: Snapshot {
                         while off < rows {
                             let take = (rows - off).min(this.run_cap());
                             let arena = &batch.arena()[flat_start + off * width..];
-                            this.push_run(stream, width, arena, take, sink)?;
+                            this.push_run(stream, width, arena, take, taker)?;
                             this.post_element()?;
                             off += take;
                         }
@@ -561,11 +500,11 @@ pub(crate) trait Pipeline: Snapshot {
     /// The one feed driver: gathers [`FEED_CHUNK`]-element chunks into one
     /// reused [`ElementBatch`] (the steady state allocates nothing per
     /// element) and pushes each as a batch.
-    fn feed(&mut self, feed: &Feed, sink: &mut Self::Sink<'_>) -> ExecResult<()> {
+    fn feed(&mut self, feed: &Feed, taker: &mut Taker<'_>) -> ExecResult<()> {
         let mut batch = ElementBatch::new();
         for chunk in feed.elements().chunks(FEED_CHUNK) {
             batch.gather(chunk);
-            self.push_batch_timed(&batch, sink)?;
+            self.push_batch_timed(&batch, taker)?;
         }
         Ok(())
     }
@@ -576,7 +515,7 @@ pub(crate) trait Pipeline: Snapshot {
     fn run_cap(&self) -> usize {
         let core = self.core();
         let cfg = &core.cfg;
-        if cfg.window.is_some() || cfg.state_budget.is_some() || self.per_element_monitors() {
+        if cfg.window.is_some() || cfg.state_budget.is_some() || core.port_bounds.is_some() {
             // Window eviction, the budget and bound certificates are
             // per-element: batching must not let state coast past a check.
             return 1;
@@ -593,22 +532,17 @@ pub(crate) trait Pipeline: Snapshot {
     /// Admits `take` same-stream rows as one uninterrupted run — one shape
     /// check (the batch gatherer only coalesces width-homogeneous tuples),
     /// then per row the punctuation-violation check and mirror insert — and
-    /// routes the survivors.
+    /// routes the survivors through the arena's cascade to the
+    /// roots' readers: `taker` where given, else each query's own.
     fn push_run(
         &mut self,
         stream: StreamId,
         width: usize,
         arena: &[Value],
         take: usize,
-        sink: &mut Self::Sink<'_>,
+        taker: &mut Taker<'_>,
     ) -> ExecResult<()> {
-        let Some(Stage {
-            core,
-            engine,
-            guard,
-            ..
-        }) = self.stage()
-        else {
+        let Some((core, engine, guard)) = self.reg_mut().stage() else {
             return Err(ExecError::UnroutableStream(stream));
         };
         let run = Run {
@@ -658,26 +592,21 @@ pub(crate) trait Pipeline: Snapshot {
             core.dead_letter
                 .emit_tuple(&fault, stream, run.row(i), run.now(i));
         }
-        let routed = if survivors.is_empty() {
-            Ok(())
-        } else {
-            self.route(run, &survivors, sink)
-        };
+        if !survivors.is_empty() {
+            let reg = self.reg_mut();
+            reg.arena.cascade(run, &survivors, &mut reg.core.metrics);
+            self.roots_routed();
+            self.reg_mut().drain_roots(taker);
+        }
         self.core_mut().scratch_survivors = survivors;
-        routed
+        Ok(())
     }
 
     /// Admits one punctuation: shape, then the scheme invariants against the
     /// store's current coverage, then the store — and under
     /// [`PurgeCadence::Eager`] the purge cycle it may enable.
     fn try_push_punctuation(&mut self, p: &Punctuation) -> ExecResult<()> {
-        let Some(Stage {
-            core,
-            engine,
-            guard,
-            ..
-        }) = self.stage()
-        else {
+        let Some((core, engine, guard)) = self.reg_mut().stage() else {
             return Err(ExecError::UnroutableStream(p.stream));
         };
         core.clock += 1;
@@ -703,13 +632,13 @@ pub(crate) trait Pipeline: Snapshot {
                 // coverage; it only skips a lifespan refresh, which can delay
                 // purges but never cause a wrong one.
                 core.metrics.repaired += 1;
-                self.note_punct_progress(p.stream);
+                core.last_punct[p.stream.0] = core.clock;
                 return Ok(());
             }
             _ => {}
         }
         engine.observe_punctuation(p, core.clock);
-        self.note_punct_progress(p.stream);
+        core.last_punct[p.stream.0] = core.clock;
         self.punct_observed(p);
         if self.core().cfg.cadence == PurgeCadence::Eager {
             self.run_purge_cycle(); // settles pending deliveries at its end
@@ -736,11 +665,54 @@ pub(crate) trait Pipeline: Snapshot {
         self.evict_window();
         // Budget before sampling, so sampled peaks respect the ceiling.
         self.enforce_budget()?;
-        self.check_monitors()?;
+        self.check_port_bounds()?;
         let core = self.core_mut();
         if core.clock >= core.next_sample {
             core.next_sample = next_sample_after(core.clock, core.cfg.sample_every);
             self.sample();
+        }
+        Ok(())
+    }
+
+    /// Sliding-window eviction: rows older than [`ExecConfig::window`]
+    /// elements leave every port and the mirror.
+    fn evict_window(&mut self) {
+        let Some(window) = self.core().cfg.window else {
+            return;
+        };
+        let reg = self.reg_mut();
+        let cutoff = reg.core.clock.saturating_sub(window);
+        let evicted: usize = reg
+            .arena
+            .ops_mut()
+            .map(|(_, op)| op.evict_window(cutoff))
+            .sum();
+        reg.core.metrics.purged += evicted as u64;
+        if let Some(engine) = &mut reg.engine {
+            engine.evict_window(cutoff);
+        }
+    }
+
+    /// Bound certificates: with [`Core::port_bounds`] armed, every operator
+    /// port's live-row peak is recorded and a certified port over its static
+    /// bound fails hard — after purge/budget enforcement, so eager purges get
+    /// credit before the comparison.
+    fn check_port_bounds(&mut self) -> ExecResult<()> {
+        let QueryRegistry { core, arena, .. } = self.reg_mut();
+        let Some(bounds) = &core.port_bounds else {
+            return Ok(());
+        };
+        for (flat, (op, port, live)) in arena.port_live().enumerate() {
+            core.metrics.track_port_peak(flat, live);
+            if let Some(bound) = bounds[flat].filter(|&bound| live as u64 > bound) {
+                return Err(ExecError::PortBoundExceeded {
+                    op,
+                    port,
+                    live,
+                    bound,
+                    clock: core.clock,
+                });
+            }
         }
         Ok(())
     }
@@ -774,15 +746,12 @@ pub(crate) trait Pipeline: Snapshot {
                     op.live_touched(&mut touched);
                 }
                 let cutoff = cutoff_for(&mut touched, excess);
-                self.core_mut().stamp_scratch = touched;
-                for i in 0..self.op_slots() {
-                    if let Some((op, _, core)) = self.op_stage(i) {
-                        let spill = core
-                            .spill
-                            .as_mut()
-                            .expect("spill store exists iff tiering is configured");
-                        op.demote_colder_than(cutoff, spill, i, tier_cfg.segment_rows);
-                    }
+                let reg = self.reg_mut();
+                reg.core.stamp_scratch = touched;
+                let spill = reg.core.spill.as_mut();
+                let spill = spill.expect("spill store exists iff tiering is configured");
+                for (i, op) in reg.arena.ops_mut() {
+                    op.demote_colder_than(cutoff, spill, i, tier_cfg.segment_rows);
                 }
             }
             live = self.join_state_live();
@@ -802,7 +771,12 @@ pub(crate) trait Pipeline: Snapshot {
     /// and — under `verify_certificates` — the runtime certificate checks.
     fn run_purge_cycle(&mut self) {
         self.core_mut().since_purge = 0;
-        let Some(Stage { core, engine, .. }) = self.stage() else {
+        let QueryRegistry {
+            core,
+            engine: Some(engine),
+            ..
+        } = self.reg_mut()
+        else {
             return;
         };
         core.metrics.purge_cycles += 1;
@@ -810,27 +784,18 @@ pub(crate) trait Pipeline: Snapshot {
             engine.expire_punctuations(core.clock);
         }
         engine.begin_cycle();
-        let mut work = PurgeWork::default();
-        for i in 0..self.op_slots() {
-            let Some((op, engine, _)) = self.op_stage(i) else {
-                continue;
-            };
-            let w = op.purge_pass(engine);
-            if w.purged > 0 {
-                self.credit_purged(i, w.purged);
-            }
-            work.add(w);
-        }
+        let mut work = self.reg_mut().purge_ops();
         self.core_mut().metrics.purged += work.purged;
-        if let Some(stage) = self.stage() {
-            work.add(stage.engine.purge_mirror());
-            stage.core.metrics.purge_candidates_examined += work.examined;
+        let reg = self.reg_mut();
+        if let Some(engine) = &mut reg.engine {
+            work.add(engine.purge_mirror());
+            reg.core.metrics.purge_candidates_examined += work.examined;
             // §5.1, over the union of the subscribers' predicates. Last
             // reader of the cycle's coverage deltas and retractions: which
             // keys to test is read off them, against rows as the purges left
             // them.
-            stage.engine.purge_punctuations(stage.arena.ops());
-            stage.engine.end_cycle();
+            engine.purge_punctuations(reg.arena.ops());
+            engine.end_cycle();
         }
         self.settle_pending();
         let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) else {
@@ -860,22 +825,25 @@ pub(crate) trait Pipeline: Snapshot {
     /// Records one state sample.
     fn sample(&mut self) {
         let engine = self.engine();
-        let mut point = StatePoint {
+        let point = StatePoint {
             at: self.core().clock,
             join_state: self.join_state_live(),
             mirror: engine.map_or(0, PurgeEngine::mirror_live),
             punct_entries: engine.map_or(0, PurgeEngine::punct_entries),
-            groups: 0,
+            groups: self.open_groups(),
             cold: self.cold_rows(),
         };
-        self.on_sample(&mut point);
-        self.core_mut().metrics.sample(point);
+        let reg = self.reg_mut();
+        for (flat, (.., live)) in reg.arena.port_live().enumerate() {
+            reg.core.metrics.track_port_peak(flat, live);
+        }
+        reg.core.metrics.sample(point);
     }
 
     /// Everything `finish` does before an engine assembles its result:
     /// rehydrate the cold tier, purge to a fixpoint (asserting completeness
     /// under `verify_certificates`), the final sample, the engine and tier
-    /// counters.
+    /// counters, the stalled streams.
     fn finish_core(&mut self) {
         self.core_mut().dead_letter.finish();
         let tiered = self.core().cfg.tiering.is_some();
@@ -883,10 +851,9 @@ pub(crate) trait Pipeline: Snapshot {
             // Rehydrate every cold row before the final purge cycle: the
             // quiescent-point purge totals and the live snapshot then match
             // a never-tiered run exactly (the tier-equivalence guarantee).
-            for i in 0..self.op_slots() {
-                if let Some((op, _, core)) = self.op_stage(i) {
-                    op.rehydrate_all(core.clock);
-                }
+            let reg = self.reg_mut();
+            for (_, op) in reg.arena.ops_mut() {
+                op.rehydrate_all(reg.core.clock);
             }
         }
         self.run_purge_cycle();
@@ -899,8 +866,9 @@ pub(crate) trait Pipeline: Snapshot {
             // requirements that operator purge passes only consume in cycle
             // k+1 — so run further cycles while they still purge; a cycle
             // that purges nothing yet leaves a dead row behind is genuine.
-            let dead_op = (0..self.op_slots()).find_map(|i| {
-                let (port, slot) = self.op(i)?.find_purgeable_live_row(engine)?;
+            let arena = &self.reg().arena;
+            let dead_op = (0..arena.slots()).find_map(|i| {
+                let (port, slot) = arena.op(i)?.find_purgeable_live_row(engine)?;
                 Some((i, port, slot))
             });
             let dead_mirror = engine.find_purgeable_mirror_row();
@@ -933,6 +901,17 @@ pub(crate) trait Pipeline: Snapshot {
             metrics.rows_faulted = ts.rows_faulted;
             metrics.segments_written = ts.segments_written;
             metrics.segments_retired = ts.segments_retired;
+        }
+        if let (Some(budget), Some(engine)) = (self.core().cfg.stall_budget, self.engine()) {
+            // Evaluated where it is read: the clock only moves forward, so a
+            // stream is stalled now exactly if a per-element check would have
+            // flagged it and no punctuation cleared the flag since. A stream
+            // without schemes is never expected to punctuate.
+            let core = self.core();
+            let schemed = |s: usize| !engine.punct_store(StreamId(s)).schemes().is_empty();
+            let since = |s: usize| core.clock.saturating_sub(core.last_punct[s]);
+            let stalled = (0..core.last_punct.len()).filter(|&s| schemed(s) && since(s) > budget);
+            self.core_mut().metrics.stalled_streams = stalled.collect();
         }
     }
 }
@@ -1047,7 +1026,35 @@ pub trait Engine: Checkpointed {
         dir: &Path,
         build: impl FnOnce(&str) -> Result<Self, String>,
     ) -> ExecResult<(Self, CheckpointStore, InputCursor)> {
-        Self::restore_from(dir, build)
+        let corrupt = |detail: String| corrupt_at(dir, detail);
+        let (payload, fallbacks, path) = CheckpointStore::load_latest(dir).map_err(corrupt)?;
+        let mut this = build("restore").map_err(corrupt)?;
+        let mut d = Dec::new(&payload);
+        let manifest = Manifest::read(&mut d).map_err(|e| corrupt(e.to_string()))?;
+        if manifest.kind != Self::KIND {
+            return Err(corrupt(format!(
+                "snapshot at {} holds {:?} state, not {:?}",
+                path.display(),
+                manifest.kind,
+                Self::KIND
+            )));
+        }
+        let expected = this.fingerprint();
+        if manifest.fingerprint != expected {
+            return Err(ExecError::RestoreMismatch {
+                expected,
+                found: manifest.fingerprint,
+            });
+        }
+        this.read_snapshot(&mut d)
+            .and_then(|()| d.expect_end())
+            .map_err(|e| corrupt(e.to_string()))?;
+        let store =
+            CheckpointStore::open(dir, manifest.every).map_err(|e| corrupt(e.to_string()))?;
+        let metrics = this.counters();
+        metrics.restores += 1;
+        metrics.snapshot_fallbacks += fallbacks;
+        Ok((this, store, manifest.cursor))
     }
 
     /// [`Engine::restore`], then the rest of `feed` from the recorded cursor
@@ -1063,7 +1070,16 @@ pub trait Engine: Checkpointed {
         feed: &Feed,
         every: u64,
     ) -> ExecResult<Self::Output> {
-        Ok(Self::resume_from(dir, build, feed, every)?.finish())
+        if list_snapshots(dir).is_empty() {
+            let mut this = build("cold start").map_err(|e| corrupt_at(dir, e))?;
+            this.run_checkpointed(feed, dir, every)?;
+            return Ok(this.finish());
+        }
+        let (mut this, mut store, mut cursor) = Self::restore(dir, build)?;
+        let done = usize::try_from(cursor.elements).unwrap_or(usize::MAX);
+        let rest = feed.elements().get(done..).unwrap_or(&[]);
+        this.push_all_checkpointed(rest, &mut store, &mut cursor)?;
+        Ok(this.finish())
     }
 }
 

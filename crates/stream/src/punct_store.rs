@@ -235,10 +235,11 @@ impl PunctStore {
     /// Coverage deltas with sequence numbers `>= cursor`, oldest first. A
     /// cursor older than the trimmed prefix is clamped to the log base: the
     /// consumer then sees every retained delta (a safe over-approximation).
+    /// So is one past the end, which only a corrupt snapshot holds.
     #[must_use]
     pub fn deltas_since(&self, cursor: u64) -> &[PunctDelta] {
         let skip = cursor.saturating_sub(self.delta_base) as usize;
-        &self.delta_log[skip.min(self.delta_log.len())..]
+        self.delta_log.get(skip..).unwrap_or(&self.delta_log)
     }
 
     /// Drops the retained delta log (advancing the base so cursors keep
@@ -637,6 +638,12 @@ mod tests {
         store.insert(&punct(&[(1, 8)]), 4);
         assert_eq!(store.deltas_since(2).len(), 1);
         assert_eq!(store.deltas_since(0).len(), 1, "clamped to the log base");
+        assert_eq!(store.deltas_since(3).len(), 0);
+        assert_eq!(
+            store.deltas_since(1 << 40).len(),
+            1,
+            "past the end: so is this"
+        );
     }
 
     #[test]

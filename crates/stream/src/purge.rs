@@ -38,9 +38,9 @@
 //! A recipe therefore *reads* the mirror of a stream exactly where a step
 //! binds or filters from a chain set that is not a root, and a stream no
 //! recipe reads needs no mirror (a binary join's one-step recipes read
-//! none). An `Executor` knows its whole recipe set once compiled and closes
-//! it (`PurgeEngine::close_recipe_set`): only read streams are mirrored.
-//! A hand-built engine and the registry's shared one stay open and mirror
+//! none). A sealed registry (an `Executor` is one) knows its whole recipe
+//! set and closes it (`PurgeEngine::close_recipe_set`): only read streams
+//! are mirrored. A hand-built engine and an open registry's mirror
 //! everything — a recipe compiled or admitted later may chain through
 //! history that cannot be backfilled.
 //!
@@ -491,8 +491,9 @@ impl PurgeTracker {
                 }
             }
         }
-        let fresh_from = std::mem::replace(&mut self.fresh_from, state.slots());
-        out.extend(state.live_from(fresh_from));
+        // A watermark past the slots (a corrupt snapshot's) offers every row.
+        let fresh = std::mem::replace(&mut self.fresh_from, state.slots());
+        out.extend(state.live_from(if fresh > state.slots() { 0 } else { fresh }));
         localized
     }
 
@@ -693,10 +694,10 @@ impl PurgeEngine {
     }
 
     /// The mirror and stores over `query`'s catalog with **no** subscriber
-    /// and no stream held: what an `Executor` subscribes to, compiles its
-    /// ports against and then closes, and the registry's engine once it holds
-    /// every stream, which every tenant (the first included) subscribes to
-    /// at admission. Mirror indexes follow `query`'s join attributes. With
+    /// and no stream held: a registry's engine, which every tenant subscribes
+    /// to and compiles its ports against, and which is then closed (sealed)
+    /// or holds every stream (open). Mirror indexes follow `query`'s join
+    /// attributes. With
     /// per-scheme punctuation-lag `weights` (aligned with
     /// `schemes.schemes()`) recipes prefer low-lag schemes wherever
     /// alternatives exist. Panics on a `coverage_limit` of 0.
@@ -784,6 +785,11 @@ impl PurgeEngine {
     /// row once. Panics if `sub` is not a live subscription of this engine.
     pub(crate) fn unsubscribe(&mut self, query: &Cjq, sub: &MirrorSubscription) {
         self.count_readers(query, false);
+        if self.readers.iter().all(Vec::is_empty) {
+            // The last subscriber left, and with it the operator whose ports
+            // stood in for unheld mirrors.
+            self.stand_ins.fill(None);
+        }
         for (meet, recipe) in self.meets.iter_mut().zip(sub) {
             match recipe {
                 None => meet.uncertified -= 1,
@@ -863,6 +869,11 @@ impl PurgeEngine {
             let mirror = self.meets[s].recipes.iter();
             mirror.for_each(|e| mark(&e.recipe, &mut read));
         }
+    }
+
+    /// Per stream, whether arriving rows are mirrored.
+    pub(crate) fn held(&self) -> &[bool] {
+        &self.held
     }
 
     /// Holds every stream: an open engine, or a closed one widened for a
@@ -1727,6 +1738,11 @@ impl PurgeEngine {
         let recipes = self.meets.iter().map(|m| m.recipes.len()).sum();
         let indexes = self.states.iter().map(PortState::purge_index_count).sum();
         (recipes, indexes)
+    }
+
+    /// Per stream, the port standing in for its unheld mirror.
+    pub(crate) fn stand_ins(&self) -> &[Option<usize>] {
+        &self.stand_ins
     }
 }
 

@@ -1,6 +1,8 @@
 //! Shared-state multi-query engine: a [`QueryRegistry`] that admits and
 //! retires continuous join queries at runtime — without restarting the
-//! pipeline — and executes all of them over one shared operator arena.
+//! pipeline — and executes all of them over one shared operator arena. It is
+//! the one engine: an [`Executor`](crate::exec::Executor) is a registry
+//! sealed with its query as the one tenant.
 //!
 //! **Admission** runs the paper's safety machinery incrementally: each
 //! candidate query is checked by Theorems 2/4 (`cjq_core::safety`), and an
@@ -12,6 +14,12 @@
 //! node, so the PortState arenas, probe indexes, and purge-index/delta-log
 //! maintenance for an overlapping join sub-graph are paid **once** and
 //! fanned out to every subscribed query.
+//!
+//! **Sealing** ([`QueryRegistry::seal`]) ends admission. Sealed before the
+//! first element, a registry knows every recipe it will ever check and
+//! mirrors only the streams they and §5.1 read; an open one holds every
+//! stream from its first element on, since a query admitted later may chain
+//! through any stream's history.
 //!
 //! **Single-pass batch routing**: one admitted [`ElementBatch`] flows
 //! through the node arena bottom-up once per same-stream run. A node whose
@@ -33,7 +41,7 @@
 //! With [`ExecConfig::verify_certificates`] the static certificates are
 //! checked per admission (per query — sharing must not leak one tenant's
 //! purgeability onto another) and the runtime verifier cross-checks every
-//! cycle, exactly as in the single-query [`Executor`](crate::exec::Executor).
+//! cycle.
 //!
 //! The per-query retention schedule under a meet can only be *more
 //! conservative* than a standalone executor's (a row another tenant still
@@ -43,6 +51,7 @@
 //! `tests/registry_equivalence.rs` asserts across cadences and shard
 //! counts.
 
+use cjq_core::error::{CoreError, CoreResult};
 use cjq_core::plan::Plan;
 use cjq_core::query::Cjq;
 use cjq_core::safety;
@@ -52,30 +61,40 @@ use cjq_core::value::Value;
 
 use crate::arena::{ChildKey, Lowering, OpArena};
 use crate::certify::static_certificates;
-use crate::checkpoint::{Codec, Dec, Enc, Fingerprint, SnapshotKind, SnapshotResult};
+use crate::checkpoint::{Codec, Dec, Enc, Fingerprint, SnapshotResult};
 use crate::error::ExecResult;
-use crate::exec::{fingerprint_query, fingerprint_schemes, ExecConfig};
+use crate::exec::ExecConfig;
 use crate::guard::AdmissionGuard;
+use crate::join::JoinOperator;
 use crate::metrics::{facts, Metrics};
 use crate::parallel::{shard_cfg, Partitioning, Sharded};
-use crate::pipeline::{Core, Engine, Pipeline, Run, Shard, Snapshot, Stage};
-use crate::purge::{fingerprint_recipes, MirrorSubscription, PurgeEngine};
+use crate::pipeline::{Core, Engine, Pipeline, Shard, Taker};
+use crate::purge::{fingerprint_recipes, MirrorSubscription, PurgeEngine, PurgeWork};
 use crate::sink::ResultSink;
-use crate::source::{ElementBatch, Feed};
+use crate::source::ElementBatch;
 
 /// Handle of an admitted query, stable for the registry's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub usize);
 
-/// Why an admission was refused. Carries the `cjq-lint` unsafety witness
-/// when the safety check failed (the pair `(from, to)`: `from`'s join state
-/// can never be fully purged against future `to` data).
+/// Why an admission or a seal was refused. Carries the `cjq-lint` unsafety
+/// witness when the safety check failed (the pair `(from, to)`: `from`'s
+/// join state can never be fully purged against future `to` data).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistryRejection {
     /// The unsafety witness, when the rejection is Theorem 2/4 unsafety.
     pub witness: Option<(StreamId, StreamId)>,
     /// Human-readable reason (same wording as `cjq-lint` for witnesses).
     pub reason: String,
+}
+
+impl RegistryRejection {
+    fn because(reason: impl Into<String>) -> Self {
+        RegistryRejection {
+            witness: None,
+            reason: reason.into(),
+        }
+    }
 }
 
 impl std::fmt::Display for RegistryRejection {
@@ -141,6 +160,17 @@ struct QuerySlot {
     live: bool,
 }
 
+/// Where admission stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Before the engine first ran: queries may come, no stream is held.
+    Admitting,
+    /// Running with admission open: every stream is held.
+    Open,
+    /// [`QueryRegistry::seal`] ended admission and closed the recipe set.
+    Sealed,
+}
+
 /// The shared-state multi-query engine. See the module docs.
 ///
 /// All queries must share one stream [`cjq_core::schema::Catalog`] and the
@@ -150,54 +180,52 @@ struct QuerySlot {
 /// enable them.
 pub struct QueryRegistry {
     schemes: SchemeSet,
-    /// Config, clocks, metrics and scratch shared with every engine over the
-    /// one pipeline (see [`crate::pipeline`]).
-    core: Core,
+    /// Config, clocks, monitors, metrics and scratch (see
+    /// [`crate::pipeline`]).
+    pub(crate) core: Core,
     /// Shared raw-input mirror + punctuation stores, bootstrapped by the
     /// first admission (mirror indexes follow the first query's join
     /// attributes; later queries fall back to scan probes where unindexed).
-    engine: Option<PurgeEngine>,
+    pub(crate) engine: Option<PurgeEngine>,
     /// Shape admission guard (catalog-wide, policy from the config).
     guard: Option<AdmissionGuard>,
     /// The shared operator nodes, bottom-up.
-    arena: OpArena,
+    pub(crate) arena: OpArena,
     queries: Vec<QuerySlot>,
+    phase: Phase,
+}
+
+impl std::fmt::Debug for QueryRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryRegistry").finish_non_exhaustive()
+    }
 }
 
 impl QueryRegistry {
     /// An empty registry over `schemes`.
     ///
     /// # Panics
-    /// Panics if `cfg` enables a single-query feature the shared engine
-    /// cannot honor per-tenant: windows, stall budgets, or a state budget
-    /// without tiering — a budget over a shared arena is
-    /// honored via lossless cold-tier demotion, not by failing every tenant
-    /// at the first overrun. Panics on a coverage limit of 0 too.
+    /// Panics on an illegal config — among them the single-query features a
+    /// shared engine cannot honor per tenant: windows, stall budgets, a state
+    /// budget without tiering — with the text `Executor::compile` returns.
     #[must_use]
     pub fn new(schemes: SchemeSet, cfg: ExecConfig) -> Self {
-        assert!(
-            cfg.window.is_none() && cfg.stall_budget.is_none(),
-            "windows and stall budgets are per-query features; \
-             run those queries on a dedicated Executor"
-        );
-        assert!(cfg.coverage_limit > 0, "coverage_limit must be at least 1");
-        assert!(
-            cfg.state_budget.is_none() || cfg.tiering.is_some(),
-            "a registry state budget requires tiering (lossless demotion)"
-        );
-        assert!(
-            cfg.tiering.is_none() || cfg.punct_lifespan.is_none(),
-            "tiering is incompatible with punctuation lifespans (coverage \
-             the cold tier certified against may be forgotten)"
-        );
-        QueryRegistry {
+        QueryRegistry::checked(schemes, cfg, true).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// An empty registry over `schemes`, refusing what
+    /// [`ExecConfig::validate`] refuses (for `tenants` or for one query).
+    pub(crate) fn checked(schemes: SchemeSet, cfg: ExecConfig, tenants: bool) -> CoreResult<Self> {
+        cfg.validate(tenants)?;
+        Ok(QueryRegistry {
             schemes,
             core: Core::new(cfg),
             engine: None,
             guard: None,
             arena: OpArena::default(),
             queries: Vec::new(),
-        }
+            phase: Phase::Admitting,
+        })
     }
 
     /// Admits a query mid-stream: safety-checks it, interns its plan into
@@ -210,8 +238,8 @@ impl QueryRegistry {
     /// [`ExecConfig::record_outputs`] is set.
     ///
     /// # Errors
-    /// [`RegistryRejection`] on catalog mismatch, invalid plan, scheme/
-    /// catalog mismatch, or Theorem 2/4 unsafety (with the `cjq-lint`
+    /// [`RegistryRejection`] once sealed, on catalog mismatch, invalid plan,
+    /// scheme/catalog mismatch, or Theorem 2/4 unsafety (with the `cjq-lint`
     /// witness pair).
     ///
     /// # Panics
@@ -223,28 +251,13 @@ impl QueryRegistry {
         plan: &Plan,
         sink: Option<Box<dyn ResultSink + Send>>,
     ) -> Result<QueryId, RegistryRejection> {
-        let reject = |reason: String| RegistryRejection {
-            witness: None,
-            reason,
-        };
-        if let Some(first) = self.queries.first() {
-            if first.query.catalog() != query.catalog() {
-                return Err(reject(
-                    "catalog mismatch: all registered queries must share one \
-                     stream catalog"
-                        .into(),
-                ));
-            }
+        if self.phase == Phase::Sealed {
+            return Err(RegistryRejection::because(
+                "the registry is sealed: it admits no more queries",
+            ));
         }
-        if let Err(e) = plan.validate(query) {
-            return Err(reject(format!("invalid plan: {e}")));
-        }
-        if matches!(plan, Plan::Leaf(_)) {
-            return Err(reject("single-stream plans have no join to execute".into()));
-        }
-        if let Err(e) = self.schemes.validate(query.catalog()) {
-            return Err(reject(format!("scheme/catalog mismatch: {e}")));
-        }
+        let invalid = |e: CoreError| RegistryRejection::because(e.to_string());
+        self.validate(query, plan).map_err(invalid)?;
         // Incremental safety admission: the same witness path as cjq-lint.
         let report = safety::check_query(query, &self.schemes);
         if !report.safe {
@@ -265,40 +278,78 @@ impl QueryRegistry {
                 ),
             });
         }
-        if self.engine.is_none() {
-            let (lifespan, limit) = (self.core.cfg.punct_lifespan, self.core.cfg.coverage_limit);
-            let mut engine = PurgeEngine::shared(query, &self.schemes, lifespan, limit, None);
-            // A recipe admitted later may chain through any stream's history.
-            engine.hold_every_stream();
-            self.engine = Some(engine);
-            self.guard = Some(AdmissionGuard::new(query, self.core.cfg.admission));
+        Ok(self.lower(query, &canonical(plan), None, sink))
+    }
+
+    /// Whether `plan` over `query` can be lowered here: the registry's
+    /// catalog, a valid join plan, schemes over that catalog.
+    pub(crate) fn validate(&self, query: &Cjq, plan: &Plan) -> CoreResult<()> {
+        if self
+            .queries
+            .first()
+            .is_some_and(|q| q.query.catalog() != query.catalog())
+        {
+            let why = "catalog mismatch: all registered queries must share one stream catalog";
+            return Err(CoreError::InvalidQuery(why.into()));
         }
-        let mut acc = Vec::new();
+        plan.validate(query)?;
+        if matches!(plan, Plan::Leaf(_)) {
+            let why = "single-stream plans have no join to execute";
+            return Err(CoreError::InvalidPlan(why.into()));
+        }
+        self.schemes.validate(query.catalog())
+    }
+
+    /// Lowers a [validated](QueryRegistry::validate) `plan` as written (ports
+    /// are numbered by its child order) and subscribes `query` to the nodes
+    /// and the mirror meet: admission minus its tenant policy, the safety
+    /// refusal and the canonical child order. The first lowering bootstraps
+    /// the engine, with per-scheme lag `weights` for its recipes.
+    ///
+    /// # Panics
+    /// Panics when [`ExecConfig::verify_certificates`] is set and the
+    /// compiled recipes disagree with the static certificates.
+    pub(crate) fn lower(
+        &mut self,
+        query: &Cjq,
+        plan: &Plan,
+        weights: Option<&[f64]>,
+        sink: Option<Box<dyn ResultSink + Send>>,
+    ) -> QueryId {
+        let cfg = &self.core.cfg;
+        if self.engine.is_none() {
+            let (lifespan, limit) = (cfg.punct_lifespan, cfg.coverage_limit);
+            let weights = weights.map(<[f64]>::to_vec);
+            let engine = PurgeEngine::shared(query, &self.schemes, lifespan, limit, weights);
+            self.engine = Some(engine);
+            self.guard = Some(AdmissionGuard::new(query, cfg.admission));
+            self.core.last_punct = vec![0; query.n_streams()];
+        }
+        let cfg = &self.core.cfg;
+        let engine = self.engine.as_mut().expect("bootstrapped above");
+        let mut nodes = Vec::new();
         let cx = Lowering {
             query,
             schemes: &self.schemes,
-            cfg: &self.core.cfg,
-            engine: self.engine.as_ref().expect("bootstrapped above"),
+            cfg,
+            engine,
         };
-        let ChildKey::Inner(root) = self.arena.intern_plan(&cx, &canonical(plan), &mut acc) else {
-            unreachable!("leaf plans rejected above");
+        let ChildKey::Inner(root) = self.arena.intern_plan(&cx, plan, &mut nodes) else {
+            unreachable!("leaf plans do not validate");
         };
-        let engine = self.engine.as_mut().expect("bootstrapped above");
         let mirror = engine.subscribe(query, &self.schemes);
-        if self.core.cfg.verify_certificates {
-            let ops = acc.iter().filter_map(|&i| self.arena.op(i));
-            let scope = self.core.cfg.scope;
+        if cfg.verify_certificates {
+            let ops = nodes.iter().filter_map(|&i| self.arena.op(i));
             let recipe_for = |s: StreamId| mirror[s.0].is_some();
             if let Some(mismatch) =
-                static_certificates(query, &self.schemes, scope, ops, recipe_for)
+                static_certificates(query, &self.schemes, cfg.scope, ops, recipe_for)
             {
-                panic!("static certificate violation at admission: {mismatch}");
+                panic!("static certificate violation: {mismatch}");
             }
         }
-        let id = QueryId(self.queries.len());
         self.queries.push(QuerySlot {
             query: query.clone(),
-            nodes: acc,
+            nodes,
             root,
             mirror,
             sink,
@@ -309,7 +360,35 @@ impl QueryRegistry {
             outputs: Vec::new(),
             live: true,
         });
-        Ok(id)
+        QueryId(self.queries.len() - 1)
+    }
+
+    /// Ends admission: every later [`QueryRegistry::try_admit`] is refused,
+    /// and the recipe set is closed — only the streams the admitted recipes
+    /// and §5.1 read are mirrored, and where the arena is one operator its
+    /// ports stand in for the mirrors §5.1 would probe. Sealing twice is
+    /// sealing once.
+    ///
+    /// # Errors
+    /// Once an element reached it or a snapshot was restored onto it: rows
+    /// of the streams it would not have held cannot be backfilled.
+    pub fn seal(&mut self) -> Result<(), RegistryRejection> {
+        let ran = "a registry that has run holds every stream: seal it before the first element";
+        match self.phase {
+            Phase::Sealed => return Ok(()),
+            Phase::Open => return Err(RegistryRejection::because(ran)),
+            Phase::Admitting => self.phase = Phase::Sealed,
+        }
+        if let Some(engine) = &mut self.engine {
+            let ports = self
+                .arena
+                .ops()
+                .flat_map(JoinOperator::port_recipes)
+                .flatten();
+            let alone = self.arena.op(0).filter(|_| self.arena.slots() == 1);
+            engine.close_recipe_set(ports, |u, col| alone?.stand_in(u, col));
+        }
+        Ok(())
     }
 
     /// Retires a query: unsubscribes it from its nodes (tombstoning nodes
@@ -373,6 +452,17 @@ impl QueryRegistry {
         &self.core.metrics
     }
 
+    /// The shared mirror and punctuation stores, once a query was admitted.
+    #[must_use]
+    pub fn engine(&self) -> Option<&PurgeEngine> {
+        self.engine.as_ref()
+    }
+
+    /// A query, if the id is known.
+    pub(crate) fn query(&self, id: QueryId) -> Option<&Cjq> {
+        self.queries.get(id.0).map(|q| &q.query)
+    }
+
     /// A query's counters, if the id is known.
     #[must_use]
     pub fn stats(&self, id: QueryId) -> Option<QueryStats> {
@@ -394,22 +484,13 @@ impl QueryRegistry {
 
     /// Pushes a gathered micro-batch through the single-pass batch plane:
     /// each same-stream run flows through the node arena once (capped at
-    /// purge/sample boundaries exactly like the single-query executor) and
-    /// every interested query reads its root's buffer.
+    /// purge/sample boundaries) and every interested query reads its root's
+    /// buffer.
     ///
     /// # Errors
     /// See [`Engine::try_push`].
     pub fn try_push_batch(&mut self, batch: &ElementBatch<'_>) -> ExecResult<()> {
-        self.push_batch_timed(batch, &mut ())
-    }
-
-    /// Pushes a whole feed through the batched path without finishing (the
-    /// registry stays open for further admissions and elements).
-    ///
-    /// # Errors
-    /// See [`Engine::try_push`].
-    pub fn try_feed(&mut self, feed: &Feed) -> ExecResult<()> {
-        self.feed(feed, &mut ())
+        self.push_batch_timed(batch, &mut None)
     }
 
     /// [`Engine::finish`], callable without the trait in scope: every
@@ -422,24 +503,75 @@ impl QueryRegistry {
     #[must_use]
     pub fn finish(mut self) -> RegistryResult {
         self.finish_core();
-        let queries = self
-            .queries
-            .into_iter()
-            .map(|mut q| {
-                if q.live {
-                    if let Some(sink) = q.sink.as_mut() {
-                        sink.finish();
-                    }
-                }
-                QueryRunResult {
-                    stats: q.stats,
-                    outputs: q.outputs,
-                }
-            })
-            .collect();
+        self.into_result()
+    }
+
+    /// The results, once the pipeline finished: live sinks are finished.
+    pub(crate) fn into_result(self) -> RegistryResult {
+        let result = |mut q: QuerySlot| {
+            q.sink
+                .iter_mut()
+                .filter(|_| q.live)
+                .for_each(|s| s.finish());
+            let (stats, outputs) = (q.stats, q.outputs);
+            QueryRunResult { stats, outputs }
+        };
+        let queries = self.queries.into_iter().map(result).collect();
         RegistryResult {
             queries,
             metrics: self.core.metrics,
+        }
+    }
+
+    /// What admitting an element touches: the core, the engine and the
+    /// guard, once a query was admitted. From the first call on an unsealed
+    /// registry holds every stream.
+    pub(crate) fn stage(&mut self) -> Option<(&mut Core, &mut PurgeEngine, &AdmissionGuard)> {
+        let engine = self.engine.as_mut()?;
+        if self.phase == Phase::Admitting {
+            // A recipe admitted later may chain through any stream's history.
+            engine.hold_every_stream();
+            self.phase = Phase::Open;
+        }
+        Some((&mut self.core, engine, self.guard.as_ref()?))
+    }
+
+    /// A purge pass over every operator. Rows leaving a shared node count
+    /// once per subscriber.
+    pub(crate) fn purge_ops(&mut self) -> PurgeWork {
+        let mut work = PurgeWork::default();
+        let Some(engine) = &self.engine else {
+            return work;
+        };
+        for (i, op) in self.arena.ops_mut() {
+            let w = op.purge_pass(engine);
+            let queries = self.queries.iter_mut().filter(|q| q.live && w.purged > 0);
+            for q in queries.filter(|q| q.nodes.contains(&i)) {
+                q.stats.purged += w.purged;
+            }
+            work.add(w);
+        }
+        work
+    }
+
+    /// Each live query drains its root node's buffer for the run just
+    /// routed: into `taker` when one is given (a one-tenant registry whose
+    /// caller takes the rows), else into its own sink or record.
+    pub(crate) fn drain_roots(&mut self, taker: &mut Taker<'_>) {
+        let record = self.core.cfg.record_outputs;
+        for q in self.queries.iter_mut().filter(|q| q.live) {
+            let out = self.arena.out(q.root);
+            if out.is_empty() {
+                continue;
+            }
+            q.stats.outputs += out.len() as u64;
+            self.core.metrics.outputs += out.len() as u64;
+            let own = q.sink.as_deref_mut().map(|s| s as &mut dyn ResultSink);
+            if let Some(sink) = taker.as_deref_mut().or(own) {
+                sink.accept(out);
+            } else if record {
+                q.outputs.extend(out.rows().map(<[Value]>::to_vec));
+            }
         }
     }
 
@@ -474,89 +606,41 @@ impl Engine for QueryRegistry {
     }
 }
 
-/// What separates the registry from the shared pipeline: root buffers fan
-/// out to the queries' own sinks (no caller sink), purges are credited per
-/// subscriber, and the recipe set stays open. No single-query monitor applies
-/// ([`QueryRegistry::new`] refuses their knobs).
+/// The registry's delivery: root buffers fan out to the queries' own sinks
+/// or records; there is no caller sink.
 impl Pipeline for QueryRegistry {
-    type Sink<'s> = ();
-
-    fn core(&self) -> &Core {
-        &self.core
+    fn reg(&self) -> &QueryRegistry {
+        self
     }
 
-    fn core_mut(&mut self) -> &mut Core {
-        &mut self.core
+    fn reg_mut(&mut self) -> &mut QueryRegistry {
+        self
     }
 
-    fn engine(&self) -> Option<&PurgeEngine> {
-        self.engine.as_ref()
-    }
-
-    fn arena(&self) -> &OpArena {
-        &self.arena
-    }
-
-    fn stage(&mut self) -> Option<Stage<'_>> {
-        Some(Stage {
-            core: &mut self.core,
-            engine: self.engine.as_mut()?,
-            guard: self.guard.as_ref()?,
-            arena: &mut self.arena,
-        })
-    }
-
-    fn with_own_sink<R>(
-        &mut self,
-        f: impl for<'s> FnOnce(&mut Self, &mut Self::Sink<'s>) -> R,
-    ) -> R {
-        f(self, &mut ())
-    }
-
-    /// The arena's cascade, then each live query drains its root node's
-    /// buffer.
-    fn route(&mut self, run: Run<'_>, survivors: &[u32], _sink: &mut ()) -> ExecResult<()> {
-        self.arena.cascade(run, survivors, &mut self.core.metrics);
-        let record = self.core.cfg.record_outputs;
-        for q in self.queries.iter_mut().filter(|q| q.live) {
-            let out = self.arena.out(q.root);
-            if out.is_empty() {
-                continue;
-            }
-            q.stats.outputs += out.len() as u64;
-            self.core.metrics.outputs += out.len() as u64;
-            if let Some(sink) = q.sink.as_mut() {
-                sink.accept(out);
-            } else if record {
-                q.outputs.extend(out.rows().map(<[Value]>::to_vec));
-            }
-        }
-        Ok(())
-    }
-
-    /// Rows leaving a shared node count once per subscriber.
-    fn credit_purged(&mut self, op: usize, purged: u64) {
-        for q in self
-            .queries
-            .iter_mut()
-            .filter(|q| q.live && q.nodes.contains(&op))
-        {
-            q.stats.purged += purged;
-        }
+    /// A sink cannot be serialized, and a resumed run would silently drop
+    /// its rows.
+    fn unserializable(&self) -> Option<&'static str> {
+        self.queries
+            .iter()
+            .any(|q| q.live && q.sink.is_some())
+            .then_some(
+                "queries with attached sinks are not checkpointable: a sink \
+                 cannot be serialized",
+            )
     }
 }
 
-impl Snapshot for QueryRegistry {
-    const KIND: SnapshotKind = SnapshotKind::Registry;
-
+/// The one snapshot body: every pipeline's, the executor's included.
+impl QueryRegistry {
     /// Structural fingerprint of the registry's membership: config knobs,
-    /// every admitted query's predicates, mirror recipes and arena
-    /// subscription, what each arena node was compiled as, and the
-    /// punctuation schemes. A registry snapshot only overlays onto a registry
-    /// re-admitted from the same `(query, plan)` sequence under the same
-    /// config. Retirement does not change the fingerprint — restore
-    /// re-applies retired flags from the snapshot.
-    fn fingerprint(&self) -> u64 {
+    /// every admitted query's predicates, mirror recipes (lag weights change
+    /// nothing else) and arena subscription, what each arena node was
+    /// compiled as, the punctuation schemes, and — sealed — which streams
+    /// are held. A snapshot only overlays onto a registry re-admitted from
+    /// the same `(query, plan)` sequence under the same config, sealed alike;
+    /// restore re-applies retirements from the snapshot. Built from stable
+    /// ids only (never interned symbols or `Debug` strings).
+    pub(crate) fn state_fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::default();
         self.core.cfg.fingerprint_into(&mut fp);
         fp.word(self.queries.len() as u64);
@@ -572,15 +656,19 @@ impl Snapshot for QueryRegistry {
         self.arena.fingerprint_into(&mut fp);
         if let (Some(engine), Some(first)) = (&self.engine, self.queries.first()) {
             fingerprint_schemes(&mut fp, &first.query, engine);
+            match self.phase {
+                Phase::Sealed => engine.held().iter().for_each(|&held| fp.word(held.into())),
+                _ => fp.word(u64::MAX),
+            }
         }
         fp.finish()
     }
 
-    /// Serializes everything element routing mutates: clocks, metrics,
-    /// per-query membership/stats/outputs, the shared engine, and the arena.
-    fn write_snapshot(&self, e: &mut Enc) {
-        self.core.write_pacing(e);
-        self.core.metrics.write_state(e);
+    /// Serializes everything element routing mutates: clocks, monitors,
+    /// metrics, per-query membership/stats/outputs, the shared engine, and
+    /// the arena.
+    pub(crate) fn write_state(&self, e: &mut Enc) {
+        self.core.write_state(e);
         e.usize(self.queries.len());
         for q in &self.queries {
             e.bool(q.live);
@@ -602,10 +690,9 @@ impl Snapshot for QueryRegistry {
     /// exactly as [`QueryRegistry::retire`] did in the original run) before
     /// node state is read, so the arena tombstone pattern matches the
     /// snapshot's.
-    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+    pub(crate) fn read_state(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
-        self.core.read_pacing(d)?;
-        self.core.metrics = Metrics::read_state(d)?;
+        self.core.read_state(d, self.arena.port_live().count())?;
         let nq = d.count_of("re-admitted queries", self.queries.len())?;
         for qi in 0..nq {
             let live = d.bool()?;
@@ -620,7 +707,9 @@ impl Snapshot for QueryRegistry {
             }
         }
         if d.bool()? {
-            let engine = self.engine.as_mut().ok_or_else(|| {
+            // The snapshot was taken running: an unsealed registry holds
+            // every stream by now.
+            let (_, engine, _) = self.stage().ok_or_else(|| {
                 SnapshotError("snapshot has engine state but none was bootstrapped".into())
             })?;
             engine.read_state(d)?;
@@ -631,17 +720,31 @@ impl Snapshot for QueryRegistry {
         }
         self.arena.read_state(d, &mut self.core.spill)
     }
+}
 
-    /// A sink cannot be serialized, and a resumed run would silently drop
-    /// its rows.
-    fn not_checkpointable(&self) -> Option<&'static str> {
-        self.queries
-            .iter()
-            .any(|q| q.live && q.sink.is_some())
-            .then_some(
-                "queries with attached sinks are not checkpointable: a sink \
-                 cannot be serialized",
-            )
+/// Folds a query's shape (stream count, equi-join predicates) into `fp`.
+fn fingerprint_query(fp: &mut Fingerprint, query: &Cjq) {
+    fp.word(query.n_streams() as u64);
+    for p in query.predicates() {
+        fp.word(p.left.stream.0 as u64);
+        fp.word(p.left.attr.0 as u64);
+        fp.word(p.right.stream.0 as u64);
+        fp.word(p.right.attr.0 as u64);
+    }
+}
+
+/// Folds the punctuation schemes registered per stream of `query` into `fp`.
+fn fingerprint_schemes(fp: &mut Fingerprint, query: &Cjq, engine: &PurgeEngine) {
+    for s in query.stream_ids() {
+        let store = engine.punct_store(s);
+        fp.word(store.schemes().len() as u64);
+        for scheme in store.schemes() {
+            fp.word(u64::from(scheme.is_ordered()));
+            fp.word(scheme.punctuatable().len() as u64);
+            for a in scheme.punctuatable() {
+                fp.word(a.0 as u64);
+            }
+        }
     }
 }
 
@@ -656,8 +759,9 @@ impl Snapshot for QueryRegistry {
 /// requested — callers wanting scale-out should group tenants by
 /// partitioning consensus.
 impl Sharded<QueryRegistry> {
-    /// Admits every spec, in order, into each of `shards` fresh registries
-    /// and derives the shared partitioning.
+    /// Admits every spec, in order, into each of `shards` fresh registries,
+    /// seals them (nothing is admitted later, so each mirrors only what its
+    /// tenants' recipes read) and derives the shared partitioning.
     ///
     /// # Errors
     /// The first inadmissible spec's [`RegistryRejection`].
@@ -685,6 +789,7 @@ impl Sharded<QueryRegistry> {
             for (q, p) in specs {
                 reg.try_admit(q, p, None)?;
             }
+            reg.seal()?;
             Ok(reg)
         };
         let shards = (0..partitioning.shards)
@@ -740,6 +845,7 @@ mod tests {
     use crate::error::ExecError;
     use crate::exec::Executor;
     use crate::guard::{AdmissionFault, AdmissionPolicy};
+    use crate::source::Feed;
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
     use cjq_core::punctuation::Punctuation;
@@ -1186,5 +1292,98 @@ mod tests {
         assert_eq!(done.queries[id.0].outputs, solo.outputs);
         assert_eq!(done.queries[id.0].stats.purged, solo.metrics.purged);
         assert_eq!(done.metrics.mirror_purged, solo.metrics.mirror_purged);
+    }
+
+    /// `seal()` ends admission: a later admission is refused and leaves no
+    /// node behind, and sealing twice is sealing once. A registry that has
+    /// seen an element holds every stream and is refused a seal — rows of
+    /// the streams it would not have held cannot be backfilled — but still
+    /// admits.
+    #[test]
+    fn sealing_ends_admission_before_the_first_element() {
+        let (query, mut schemes, plan) = tiny();
+        schemes.add(PunctuationScheme::on(1, &[1]).unwrap());
+        let pred = JoinPredicate::new(AttrRef::new(0, 0), AttrRef::new(1, 1)).unwrap();
+        let other = Cjq::new(query.catalog().clone(), vec![pred]).unwrap();
+        let mut reg = QueryRegistry::new(schemes.clone(), cfg());
+        reg.try_admit(&query, &plan, None).unwrap();
+        reg.seal().unwrap();
+        let refused = reg.try_admit(&other, &plan, None).unwrap_err();
+        assert!(refused.witness.is_none() && refused.reason.contains("sealed"));
+        assert_eq!((reg.live_queries(), reg.live_nodes()), (1, 1));
+        reg.seal().expect("sealing twice is sealing once");
+
+        let mut open = QueryRegistry::new(schemes, cfg());
+        open.try_admit(&query, &plan, None).unwrap();
+        open.try_push(&tiny_feed().elements()[0]).unwrap();
+        let refused = open.seal().unwrap_err();
+        assert!(
+            refused.reason.contains("before the first element"),
+            "{refused}"
+        );
+        open.try_admit(&other, &plan, None)
+            .expect("still admitting");
+    }
+
+    /// Auction's one node stands in for both mirrors of a sealed registry.
+    /// Retiring every tenant tombstones it and takes the stand-ins with it;
+    /// later elements neither panic nor leave a row anywhere.
+    #[test]
+    fn retiring_every_sealed_tenant_drops_the_stand_ins() {
+        let (q, r) = fixtures::auction();
+        let plan = Plan::mjoin_all(&q);
+        let mut reg = QueryRegistry::new(r, cfg());
+        let ids = [0, 1].map(|_| reg.try_admit(&q, &plan, None).unwrap());
+        reg.seal().unwrap();
+        let stand_ins = |reg: &QueryRegistry| reg.engine.as_ref().unwrap().stand_ins().to_vec();
+        assert_eq!(
+            stand_ins(&reg),
+            [Some(0), Some(1)],
+            "item's port, bid's port"
+        );
+        ids.into_iter().for_each(|id| assert!(reg.retire(id)));
+        assert_eq!((reg.live_nodes(), stand_ins(&reg)), (0, vec![None, None]));
+        for i in 0..4 {
+            let item = Tuple::of(0, [7, i, 0, 100].map(Value::Int));
+            let bid = Tuple::of(1, [3, i, 1].map(Value::Int));
+            let closes = [(0, 4), (1, 3)].map(|(s, arity)| {
+                Punctuation::with_constants(StreamId(s), arity, &[(AttrId(1), Value::Int(i))])
+            });
+            let elements = [item.into(), bid.into()].into_iter();
+            for e in elements.chain(closes.map(StreamElement::Punctuation)) {
+                reg.try_push(&e).unwrap();
+                let mirrored = reg.engine.as_ref().unwrap().mirror_live();
+                assert_eq!((reg.join_state_live(), mirrored), (0, 0));
+            }
+        }
+        let done = reg.finish();
+        assert!(done.queries.iter().all(|q| q.outputs.is_empty()));
+    }
+
+    /// Which streams a sealed registry holds is in what its snapshot
+    /// overlays onto: an open registry admitted from the same specs refuses
+    /// the snapshot, a sealed one takes it.
+    #[test]
+    fn a_sealed_registrys_snapshot_is_refused_by_an_open_one() {
+        let (query, schemes, plan) = tiny();
+        let build = |sealed: bool| {
+            let mut reg = QueryRegistry::new(schemes.clone(), cfg());
+            reg.try_admit(&query, &plan, None).unwrap();
+            if sealed {
+                reg.seal().unwrap();
+            }
+            Ok::<_, String>(reg)
+        };
+        let dir = std::env::temp_dir().join(format!("cjq-reg-sealed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ran = build(true)
+            .unwrap()
+            .try_run_checkpointed(&tiny_feed(), &dir, 4);
+        assert!(ran.unwrap().metrics.checkpoints_written > 0);
+        let open = QueryRegistry::restore(&dir, |_| build(false));
+        assert!(matches!(open, Err(ExecError::RestoreMismatch { .. })));
+        let (sealed, ..) = QueryRegistry::restore(&dir, |_| build(true)).expect("sealed alike");
+        assert_eq!(sealed.finish().metrics.restores, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -209,11 +209,12 @@ impl PortState {
     }
 
     /// Slot ids retired at sequence numbers `>= cursor`, oldest first. A
-    /// cursor older than the trimmed prefix is clamped to the log base.
+    /// cursor older than the trimmed prefix is clamped to the log base, and
+    /// so is one past the end, which only a corrupt snapshot holds.
     #[must_use]
     pub(crate) fn retired_since(&self, cursor: u64) -> &[usize] {
         let skip = cursor.saturating_sub(self.retired_base) as usize;
-        &self.retired[skip.min(self.retired.len())..]
+        self.retired.get(skip..).unwrap_or(&self.retired)
     }
 
     /// Drops retractions below absolute sequence number `upto` (call once
@@ -947,6 +948,12 @@ mod tests {
         s.trim_retired_to(1);
         assert_eq!(s.retired_since(0), &[s2], "stale cursor clamps to base");
         assert_eq!(s.retire_end(), 2);
+        assert!(s.retired_since(2).is_empty());
+        assert_eq!(
+            s.retired_since(1 << 40),
+            &[s2],
+            "and so does one past the end"
+        );
     }
 
     #[test]

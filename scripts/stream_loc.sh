@@ -6,7 +6,7 @@
 # reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=11871
+CEILING=11720
 
 cd "$(dirname "$0")/.."
 total=0
@@ -57,6 +57,28 @@ for call in 'JoinOperator::new(' '.process_batch('; do
     fi
 done
 
+# One engine: an executor is a sealed one-tenant registry, so the registry's
+# compile step is the only place outside each defining file that bootstraps a
+# purge engine, lowers a plan, checks static certificates or closes a recipe
+# set. A second non-test call site is the executor's own compile growing back.
+for pair in 'purge.rs:PurgeEngine::shared(' 'arena.rs:.intern_plan(' \
+    'certify.rs:static_certificates(' 'purge.rs:close_recipe_set('; do
+    home=${pair%%:*} call=${pair#*:}
+    sites=$(for f in crates/stream/src/*.rs; do
+        [ "$f" = "crates/stream/src/$home" ] && continue
+        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -v '^ *//' | grep -F "$call" || true
+    done | wc -l)
+    if [ "$sites" -ne 1 ]; then
+        echo "$call has $sites non-test call sites outside $home, not one" >&2
+        status=1
+    fi
+done
+if awk '/^pub enum SnapshotKind/{on=1} on{print} on&&/^}/{exit}' crates/stream/src/checkpoint.rs |
+    grep -qE '^ +Exec\b'; then
+    echo "SnapshotKind has an Exec variant again: an executor's snapshot is its registry's" >&2
+    status=1
+fi
+
 # One sharded plane: `parallel::Sharded<E>` wraps any engine, and its threaded
 # run is the one call of `fan_out`. A second call site, or one of the three
 # wrappers it replaced, is a per-engine sharded copy growing back.
@@ -74,8 +96,8 @@ fi
 
 # One driving surface: the public push/run/checkpoint/restore methods of the
 # engine types plus what `trait Engine` declares. 39 before the trait, 26 with
-# three sharded wrappers beside it; a count above 20 is the per-engine method
-# matrix growing back.
+# three sharded wrappers beside it, 20 until `QueryRegistry::try_feed` went; a
+# count above 19 is the per-engine method matrix growing back.
 driving='^    pub fn (push|try_push|push_batch|try_push_batch|run|try_run|run_with_sink|try_run_with_sink|run_with_sinks|try_run_with_sinks|try_feed|finish|finish_detailed|push_checkpointed|commit_checkpoint|try_run_checkpointed|restore|try_resume|purge_cycle|admit)[(<]'
 inherent=0
 for f in exec registry parallel pipeline; do
@@ -84,10 +106,10 @@ for f in exec registry parallel pipeline; do
 done
 declared=$(awk '/^pub trait Engine/{on=1} on&&/^    fn /{c++} on&&/^}/{exit} END{print c+0}' \
     crates/stream/src/pipeline.rs)
-printf '%6d  driving methods (%d inherent + %d declared by trait Engine; at most 20)\n' \
+printf '%6d  driving methods (%d inherent + %d declared by trait Engine; at most 19)\n' \
     "$((inherent + declared))" "$inherent" "$declared"
-if [ "$declared" -eq 0 ] || [ "$((inherent + declared))" -gt 20 ]; then
-    echo "the driving surface grew past 20 methods (or trait Engine is gone)" >&2
+if [ "$declared" -eq 0 ] || [ "$((inherent + declared))" -gt 19 ]; then
+    echo "the driving surface grew past 19 methods (or trait Engine is gone)" >&2
     status=1
 fi
 

@@ -1010,12 +1010,15 @@ mod serve {
 
         let feed = round_keyed_feed(&admitted[0].query, &schemes, opts.rounds, opts.lag);
         let run = if opts.shards <= 1 {
+            // Every tenant is admitted before the first element: sealed, the
+            // registry mirrors only what their recipes read.
             let readmit = |_: &str| {
                 let mut reg = QueryRegistry::new(schemes.clone(), cfg);
                 for a in &admitted {
                     reg.try_admit(&a.query, &Plan::mjoin_all(&a.query), None)
                         .map_err(|e| e.to_string())?;
                 }
+                reg.seal().map_err(|e| e.to_string())?;
                 Ok(reg)
             };
             drive(readmit, &feed, None)

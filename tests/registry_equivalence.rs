@@ -299,9 +299,10 @@ fn malformed_elements_are_admitted_identically_under_every_policy() {
 }
 
 /// A one-tenant registry keeps its recipe set open and so mirrors every
-/// stream; a dedicated executor's closed set mirrors only the streams some
-/// recipe reads. The harness holds the registry's mirror to the oracle's `Υ`
-/// sample by sample, and the executor to the registry. Narrowing must change
+/// stream; a dedicated executor's closed set — and a sealed registry's, sample
+/// for sample the executor's — mirrors only the streams some recipe reads.
+/// The harness holds the registry's mirror to the oracle's `Υ` sample by
+/// sample, and the executor to the registry. Narrowing must change
 /// nothing but the rows held: an executor widened back to every stream by a
 /// group-by stage emits the same results and purges, and mirrors exactly
 /// what the registry does — rows at every sample and mirror purges — while on
@@ -369,6 +370,24 @@ fn closed_recipe_set_matches_the_open_one_tenant_registry() {
                 assert_eq!(&held, expected, "{name}: held streams");
             }
             narrowed += held.iter().filter(|h| !**h).count();
+            // Sealed, a registry closes its recipe set as the executor does:
+            // the same streams held, the same states sampled.
+            let mut sealed = QueryRegistry::new(r.clone(), cfg);
+            sealed.try_admit(q, plan, None).expect("safe");
+            sealed.seal().expect("nothing has run");
+            for e in case.feed.elements() {
+                sealed.try_push(e).unwrap();
+            }
+            let holds = |s| sealed.engine().unwrap().mirror_state(s).slots() > 0;
+            let sealed_held: Vec<bool> = q.stream_ids().map(holds).collect();
+            let sealed = sealed.finish();
+            let got = (
+                &sealed_held,
+                &sealed.queries[0].outputs,
+                &sealed.metrics.series,
+            );
+            let want = (&held, &solo.outputs, &solo.metrics.series);
+            assert_eq!(got, want, "{name}: a sealed registry");
             let mut reg = QueryRegistry::new(r.clone(), cfg);
             reg.try_admit(q, plan, None).expect("safe");
             let (widened, shared) = (wide.finish(), reg.try_run(&case.feed).unwrap());
