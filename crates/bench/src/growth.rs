@@ -12,6 +12,7 @@ use cjq_core::scheme::SchemeSet;
 use cjq_stream::exec::{ExecConfig, Executor};
 use cjq_stream::metrics::Metrics;
 use cjq_stream::purge::PurgeScope;
+use cjq_stream::Engine;
 use cjq_workload::keyed::{self, KeyedConfig};
 
 /// One measurement row.
@@ -45,10 +46,12 @@ fn run_metrics(
     };
     let feed = keyed::generate(query, schemes, &kcfg);
     let mut exec = Executor::compile(query, schemes, plan, cfg).unwrap();
-    // Track final-state-before-flush by pushing manually.
+    // Track final-state-before-flush by pushing manually, then paying the
+    // cycle the trailing punctuations owe.
     for e in &feed {
         exec.try_push(e).unwrap();
     }
+    exec.purge_cycle();
     let final_state = exec.join_state_live();
     let mut metrics = exec.finish().metrics;
     // Overwrite the last sample's view with the pre-flush value for honesty:

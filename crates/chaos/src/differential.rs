@@ -374,11 +374,9 @@ impl Case {
     }
 
     /// Whether a run's purge total does not depend on when its cycles run:
-    /// no tier, no lifespan, and a final fixpoint (a chained purge may wait
-    /// a cycle on a mirror purge).
+    /// no tier and no lifespan.
     fn settles(&self) -> bool {
-        let cfg = &self.cfg;
-        cfg.tiering.is_none() && cfg.punct_lifespan.is_none() && cfg.verify_certificates
+        self.cfg.tiering.is_none() && self.cfg.punct_lifespan.is_none()
     }
 
     /// Where a strict run fails: at the oracle's first refusal.
@@ -476,8 +474,10 @@ impl Case {
     /// port holds part of the logical one) and over registries at every
     /// shard count: the executor's multiset and feed-level counts. Where
     /// every element routes to one shard and the case [`Case::settles`], an
-    /// executor fleet also purges what the executor does, and under `Eager`
-    /// forgets what it does.
+    /// executor fleet also purges what the executor does. (It need not forget
+    /// what it does: a shard's punctuation run can join two runs that another
+    /// shard's tuples split, and one cycle drops both entries of a twin pair
+    /// where two drop one.)
     fn check_shards(&self, solo: &RunResult, bounds: Option<Vec<Bound>>, checked: &mut Checked) {
         if self.late {
             return;
@@ -487,8 +487,7 @@ impl Case {
         let expect = (sorted(&solo.outputs), counts(&solo.metrics));
         let (q, r) = (&self.query, &self.schemes);
         let specs = [(self.query.clone(), self.plan.clone())];
-        let totals = |m: &Metrics| (m.purged, m.punct_dropped);
-        let (purged, dropped) = totals(&solo.metrics);
+        let purged = solo.metrics.purged;
         for &p in &self.shards {
             let plane = format!("{}: Sharded<Executor> P={p}", self.name);
             let mut fleet =
@@ -501,12 +500,8 @@ impl Case {
             let run = fleet.try_run(&self.feed).expect(&plane);
             let got = (sorted(&run.outputs), counts(&run.metrics));
             assert_eq!(got, expect, "{plane}: multiset, feed-level counts");
-            // Forgetting a re-fed entry again counts again: lazy cycles meet
-            // such duplicates at shard-local times.
-            let eager = self.cfg.cadence == PurgeCadence::Eager;
-            let (p_purged, p_dropped) = totals(&run.metrics);
-            let agree = p_purged == purged && (p_dropped == dropped || !eager);
-            assert!(agree || !whole, "{plane}: routed whole: purged, forgotten");
+            let agree = run.metrics.purged == purged;
+            assert!(agree || !whole, "{plane}: routed whole: purged");
             checked.routed_whole += usize::from(whole);
             let fleet = self
                 .shares()
@@ -591,7 +586,6 @@ pub fn oracle(
         lifespan: cfg.punct_lifespan,
         repair: cfg.admission == AdmissionPolicy::Repair,
         weights,
-        fixpoint: cfg.verify_certificates,
     };
     cjq_oracle::run(tenants, r, &oracle_cfg, &elements(feed))
 }

@@ -2,14 +2,15 @@
 //!
 //! A naive executor of plans (tenants) over a punctuated feed, written from the
 //! paper and `cjq-core` alone. Operators keep a `Vec` of rows per port and join
-//! by nested loops. Every purge cycle re-checks *every* row against its port's
-//! chained recipe (§3.2, §4.2: `derive_port_recipe{,_weighted}`), drawing
-//! joinable sets from the raw per-stream state `Υ_S`, which tenants share: a
-//! row of `Υ_S` goes once every tenant's query-wide recipe rooted at `S` proves
-//! it dead (the meet). §5.1: an entry `(a = c)` of a one-attribute hash scheme
-//! of `v` is forgotten once every partner `u.b` of `v.a` has punctuated `b = c`
-//! and no row of `Υ_u`, nor of a port whose recipe waits on more than one step,
-//! carries `c`. No indexes, batches, tiers, mirrors or trackers.
+//! by nested loops. Every purge cycle re-checks *every* row, until none goes,
+//! against its port's chained recipe (§3.2, §4.2:
+//! `derive_port_recipe{,_weighted}`), drawing joinable sets from the raw
+//! per-stream state `Υ_S`, which tenants share: a row of `Υ_S` goes once every
+//! tenant's query-wide recipe rooted at `S` proves it dead (the meet). §5.1: an
+//! entry `(a = c)` of a one-attribute hash scheme of `v` is forgotten once
+//! every partner `u.b` of `v.a` has punctuated `b = c` and no row of `Υ_u`, nor
+//! of a port whose recipe waits on more than one step, carries `c`. No indexes,
+//! batches, tiers, mirrors or trackers.
 
 #![warn(missing_docs)]
 
@@ -39,7 +40,8 @@ pub enum Element {
 pub struct Config {
     /// Derive port recipes over the whole query instead of the operator.
     pub query_scope: bool,
-    /// Run a purge cycle after every admitted punctuation.
+    /// An admitted punctuation makes a purge cycle due, paid before the next
+    /// tuple, at a sample, at the end, and at once under a lifespan.
     pub eager: bool,
     /// Run a purge cycle every this many elements.
     pub lazy: Option<u64>,
@@ -53,8 +55,6 @@ pub struct Config {
     pub repair: bool,
     /// Per-scheme lag weights for recipe derivation.
     pub weights: Option<Vec<f64>>,
-    /// At the end, repeat purge cycles while any stored row is dead.
-    pub fixpoint: bool,
 }
 
 /// What a run produced.
@@ -117,6 +117,9 @@ struct Port {
 pub fn run(tenants: &[(&Cjq, &Plan)], r: &SchemeSet, cfg: &Config, feed: &[Element]) -> Outcome {
     let mut o = Oracle::new(tenants, r, cfg);
     for element in feed {
+        if o.due && matches!(element, Element::Tuple(..)) {
+            o.cycle();
+        }
         o.clock += 1;
         let admitted = o.push(element);
         if let Err(violation) = admitted {
@@ -124,13 +127,15 @@ pub fn run(tenants: &[(&Cjq, &Plan)], r: &SchemeSet, cfg: &Config, feed: &[Eleme
             o.out.quarantined += 1;
             o.out.violations += u64::from(violation);
         }
+        o.due |= admitted == Ok(true) && cfg.eager;
+        let sample = o.clock.is_multiple_of(cfg.sample_every);
         let lazy = cfg.lazy.is_some_and(|b| o.clock.is_multiple_of(b));
-        if admitted == Ok(true) && cfg.eager || lazy {
+        if lazy || o.due && (sample || cfg.lifespan.is_some()) {
             o.cycle();
         }
-        o.observe(o.clock.is_multiple_of(cfg.sample_every));
+        o.observe(sample);
     }
-    while o.cycle() && cfg.fixpoint {}
+    o.cycle();
     o.observe(true);
     o.out.outputs.iter_mut().for_each(|t| t.sort_unstable());
     o.out
@@ -148,6 +153,8 @@ struct Oracle<'q> {
     stores: Vec<(PunctuationScheme, BTreeMap<Vec<Value>, u64>)>,
     unmatched: Vec<Punctuation>,
     clock: u64,
+    /// A punctuation was acted on since the last cycle.
+    due: bool,
     out: Outcome,
 }
 
@@ -192,6 +199,7 @@ impl<'q> Oracle<'q> {
             ports,
             n_op,
             clock: 0,
+            due: false,
             out,
         }
     }
@@ -312,28 +320,31 @@ impl<'q> Oracle<'q> {
         true
     }
 
-    /// One purge cycle: lifespans, every operator port, `Υ` stream by stream (a
-    /// port's rows out for its sweep: no recipe walks through its own root),
-    /// then §5.1 over what the purges left. Returns whether any row went.
-    fn cycle(&mut self) -> bool {
-        let (mut any, now, span) = (false, self.clock, self.cfg.lifespan.unwrap_or(u64::MAX));
+    /// One purge cycle: lifespans, then every operator port and `Υ` stream by
+    /// stream (a port's rows out for its sweep: no recipe walks through its own
+    /// root) until no row goes, then §5.1 once over what the purges left.
+    fn cycle(&mut self) {
+        let (mut any, now, span) = (true, self.clock, self.cfg.lifespan.unwrap_or(u64::MAX));
+        self.due = false;
         for (_, entries) in &mut self.stores {
             entries.retain(|_, at| now - *at <= span);
         }
-        for p in 0..self.ports.len() {
-            let mut rows = std::mem::take(&mut self.ports[p].rows);
-            let (before, recipes) = (rows.len(), &self.ports[p].recipes);
-            let dead = |row: &Row, (t, r): &(usize, Option<PurgeRecipe>)| {
-                r.as_ref().is_some_and(|r| self.dead(*t, r, row))
-            };
-            rows.retain(|row| !recipes.iter().all(|r| dead(row, r)));
-            let (gone, t) = ((before - rows.len()) as u64, recipes[0].0);
-            match p < self.n_op {
-                true => self.out.purged[t] += gone,
-                false => self.out.mirror_purged += gone,
+        while std::mem::take(&mut any) {
+            for p in 0..self.ports.len() {
+                let mut rows = std::mem::take(&mut self.ports[p].rows);
+                let (before, recipes) = (rows.len(), &self.ports[p].recipes);
+                let dead = |row: &Row, (t, r): &(usize, Option<PurgeRecipe>)| {
+                    r.as_ref().is_some_and(|r| self.dead(*t, r, row))
+                };
+                rows.retain(|row| !recipes.iter().all(|r| dead(row, r)));
+                let (gone, t) = ((before - rows.len()) as u64, recipes[0].0);
+                match p < self.n_op {
+                    true => self.out.purged[t] += gone,
+                    false => self.out.mirror_purged += gone,
+                }
+                any |= gone > 0;
+                self.ports[p].rows = rows;
             }
-            any |= gone > 0;
-            self.ports[p].rows = rows;
         }
         let mut forget = Vec::new();
         for (i, (scheme, entries)) in self.stores.iter().enumerate() {
@@ -357,7 +368,6 @@ impl<'q> Oracle<'q> {
         for (i, c) in forget {
             self.stores[i].1.remove(&c);
         }
-        any
     }
 
     /// Whether a row of `Υ_u`, or of a port whose recipe waits on more than one

@@ -17,11 +17,11 @@
 //!    and the row's own-cells verdict are re-run against the allocating
 //!    explaining oracle (`PurgeEngine::explain`) on a sample of live rows;
 //!    any disagreement panics.
-//! 3. **Punctuation-quiescent points** (`Executor::finish`): purge cycles
-//!    are driven to a fixpoint and the executor asserts that *no live row
-//!    is provably dead* — for a certified-safe query this is exactly the
-//!    bounded-state guarantee: every tuple whose chained requirements are
-//!    covered by punctuations has left the state.
+//! 3. **After every purge cycle**, which purges rows to their fixpoint, the
+//!    engine asserts that *no live row is provably dead* — for a
+//!    certified-safe query this is exactly the bounded-state guarantee:
+//!    every tuple whose chained requirements are covered by punctuations has
+//!    left the state.
 //!
 //! All checks panic on violation; they are assertions, not recoverable
 //! errors — a failure means the engine no longer implements the theorems.

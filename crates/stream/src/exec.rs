@@ -5,8 +5,8 @@
 //! tenant — the engine, its monitors and its snapshot are the registry's —
 //! plus its own delivery: root results go to a caller's sink (or the
 //! executor's record) and an optional [`GroupBy`] stage over the root output
-//! (the paper's Figure 1 pipeline). Purge cycles run eagerly (after every
-//! punctuation), lazily (batched), or never, per [`PurgeCadence`] — the
+//! (the paper's Figure 1 pipeline). Purge cycles run eagerly (once per
+//! punctuation run), lazily (batched), or never, per [`PurgeCadence`] — the
 //! Plan-Parameter-II knob of §5.2.
 
 use cjq_core::error::{CoreError, CoreResult};
@@ -31,12 +31,17 @@ use crate::sink::{OutputBuffer, ResultSink};
 use crate::source::{ElementBatch, Feed};
 use crate::tier::TierConfig;
 
-/// When purge cycles run (Plan Parameter II of §5.2, after \[6\]).
+/// When purge cycles run (Plan Parameter II of §5.2, after \[6\]). A cycle
+/// purges rows to their fixpoint, then forgets punctuations (§5.1) once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PurgeCadence {
     /// Never purge (the no-punctuation baseline: state grows unboundedly).
     Never,
-    /// Purge after every punctuation arrival (minimal memory, more work).
+    /// Minimal memory: a punctuation makes a cycle *owed*, paid before the
+    /// next tuple, a sample, an admission or a retirement, at
+    /// [`Engine::purge_cycle`] and finish, and at once under a lifespan. A
+    /// punctuation run pays one; a push call or a commit pays none (the
+    /// snapshot carries it): the element sequence alone fixes the schedule.
     #[default]
     Eager,
     /// Purge every `batch` elements (better throughput, more memory).
@@ -101,10 +106,9 @@ pub struct ExecConfig {
     /// Runtime certificate verification (see [`crate::certify`]): assert at
     /// compile time that compiled purge recipes match the static
     /// purgeability certificates, re-check a sample of purge verdicts
-    /// against the explaining oracle every cycle, and assert at finish
-    /// (a punctuation-quiescent point, after driving purge cycles to a
-    /// fixpoint) that no provably-dead tuple is still live. Defaults to the
-    /// `verify-certificates` cargo feature.
+    /// against the explaining oracle every cycle, and assert after every
+    /// cycle (rows being at their fixpoint) that no provably-dead tuple is
+    /// still live. Defaults to the `verify-certificates` cargo feature.
     pub verify_certificates: bool,
     /// Admission-guard policy for malformed or invariant-breaking elements
     /// (see [`crate::guard`]). The default, [`AdmissionPolicy::Quarantine`],
@@ -344,7 +348,8 @@ impl Executor {
         self.reg.query(QueryId(0)).expect("the one tenant")
     }
 
-    /// Total live join-state tuples across all operators.
+    /// Total live join-state tuples across all operators, as of the last
+    /// purge cycle (see [`PurgeCadence::Eager`]).
     #[must_use]
     pub fn join_state_live(&self) -> usize {
         Pipeline::join_state_live(self)
@@ -633,11 +638,14 @@ mod tests {
             open.iter().for_each(|e| exec.try_push(e).unwrap());
             mirrored.push(exec.engine().mirror_live());
             close.iter().for_each(|e| exec.try_push(e).unwrap());
-            // Auction 1 is closed on both sides and drained; item 2's
-            // uniqueness still guards the live bid on it.
+            // Auction 1 is closed on both sides and drained, once the cycle
+            // the punctuations owe is paid; item 2's uniqueness still guards
+            // the live bid on it.
+            exec.purge_cycle();
             assert_eq!(exec.engine().punct_entries(), 1);
             assert_eq!(exec.engine().punct_dropped, 2);
             exec.try_push(&bid_close(2)).unwrap();
+            exec.purge_cycle();
             assert_eq!(exec.engine().punct_entries(), 0);
             outputs.push(exec.finish().outputs);
         }

@@ -48,9 +48,9 @@ crate::metrics::facts! {
         pub outputs: u64,
         /// Stored tuples purged.
         pub purged: u64,
-        /// Candidates examined but kept by the *most recent* purge pass (a
-        /// snapshot, not a running sum: accumulating it across Eager passes
-        /// re-counts every surviving tuple per pass and means nothing).
+        /// Candidates examined but kept by the *most recent* purge cycle (a
+        /// snapshot, not a running sum: accumulating it across cycles
+        /// re-counts every surviving tuple per cycle and means nothing).
         pub kept: u64,
         /// Cumulative purge-pass candidate checks across all passes: the
         /// delta-driven passes keep this far below `passes × live`.
@@ -505,9 +505,8 @@ impl JoinOperator {
     /// Whether a port whose row can outlive its stream's mirror row
     /// [`JoinOperator::keeps`] one carrying `stream.col = key`: a port whose
     /// recipe waits on more than one step. (A one-step recipe purges a row in
-    /// the cycle its key's coverage arrives, before that cycle's mirror pass;
-    /// a longer one may wait on another step, or on a mirror purge, which the
-    /// operator pass sees a cycle late.)
+    /// the cycle its key's coverage arrives; a longer one may wait on another
+    /// step after the mirror row left.)
     pub(crate) fn waits_on(&self, stream: StreamId, col: usize, key: &Value) -> bool {
         let at = |port: usize| self.ports[port].layout().pos(stream, AttrId(col));
         let mut waiting = self.waiting.iter();
@@ -737,25 +736,31 @@ impl JoinOperator {
     }
 
     /// One purge pass: evaluates candidate tuples of every purgeable port
-    /// against its recipe using the engine's mirror and punctuation stores.
+    /// against its recipe using the engine's mirror and punctuation stores
+    /// (the `first` pass of a cycle drops the last cycle's retractions).
     ///
     /// The port's `PurgeTracker` narrows candidates to rows touched by
-    /// punctuation deltas or mirror shrinkage since the last pass, falling
-    /// back to a full scan when one cannot be mapped to rows. A full scan of
-    /// every row purges the same rows: `cjq-oracle` is that scan, and
-    /// `tests/differential.rs` holds the engine to it.
-    pub fn purge_pass(&mut self, engine: &PurgeEngine) -> PurgeWork {
+    /// punctuation deltas or mirror shrinkage since the last pass (none
+    /// without news), falling back to a full scan when one cannot be mapped
+    /// to rows. A full scan of every row purges the same rows: `cjq-oracle`
+    /// is that scan, and `tests/differential.rs` holds the engine to it.
+    pub fn purge_pass(&mut self, engine: &PurgeEngine, first: bool) -> PurgeWork {
         let mut work = PurgeWork::default();
-        let mut pass_kept = 0u64;
-        for state in &mut self.ports {
-            if !state.retired_since(0).is_empty() {
-                state.trim_retired_to(state.retire_end()); // the last pass's news
+        if first {
+            self.stats.kept = 0;
+            for state in &mut self.ports {
+                if !state.retired_since(0).is_empty() {
+                    state.trim_retired_to(state.retire_end()); // the last cycle's news
+                }
             }
         }
         for port in 0..self.ports.len() {
             let Some((recipe, tracker)) = &mut self.recipes[port] else {
                 continue;
             };
+            if !tracker.has_news(recipe, &self.ports[port], engine) {
+                continue;
+            }
             let candidates = &mut self.scratch_candidates;
             candidates.clear();
             let scratch = &mut self.scratch_check;
@@ -770,7 +775,7 @@ impl JoinOperator {
             let dead = engine.all_prove_dead(state, held, &mut self.scratch_check);
             state.collect_matching(candidates, dead, sweep);
             work.examined += sweep.examined as u64;
-            pass_kept += (sweep.examined - sweep.slots.len()) as u64;
+            self.stats.kept += (sweep.examined - sweep.slots.len()) as u64;
             work.purged += self.ports[port].purge_slots(&sweep.slots) as u64;
         }
         // The pass is over and no slot id outlives it except through the
@@ -783,7 +788,6 @@ impl JoinOperator {
         work.purged += self.drop_covered_segments(engine);
         self.stats.purged += work.purged;
         self.stats.scan_candidates += work.examined;
-        self.stats.kept = pass_kept;
         work
     }
 
@@ -801,7 +805,7 @@ impl JoinOperator {
     }
 
     /// Finds a live stored row that the purge checker proves dead, if any —
-    /// at a purge fixpoint there must be none.
+    /// after a purge cycle there must be none.
     #[must_use]
     pub fn find_purgeable_live_row(&self, engine: &PurgeEngine) -> Option<(usize, usize)> {
         let mut scratch = CheckScratch::default();
@@ -961,7 +965,7 @@ mod tests {
         engine.observe_tuple(&bid1);
         op.process_one(0, &item1.values, 0);
         op.process_one(1, &bid1.values, 0);
-        assert_eq!(op.purge_pass(&engine).purged, 0);
+        assert_eq!(op.purge_pass(&engine, true).purged, 0);
         assert_eq!(op.stats.kept, 2, "both tuples survive the first pass");
 
         // Close auction 1 on both sides.
@@ -973,10 +977,10 @@ mod tests {
             &Punctuation::with_constants(StreamId(0), 4, &[(AttrId(1), ival(1))]),
             1,
         );
-        assert_eq!(op.purge_pass(&engine).purged, 2);
+        assert_eq!(op.purge_pass(&engine, true).purged, 2);
         assert_eq!(op.live(), 0);
         assert_eq!(op.stats.purged, 2);
-        assert_eq!(op.stats.kept, 0, "kept is a per-pass snapshot");
+        assert_eq!(op.stats.kept, 0, "kept is a per-cycle snapshot");
         assert_eq!(op.stats.scan_candidates, 4);
     }
 

@@ -65,6 +65,9 @@ pub(crate) struct Core {
     pub clock: u64,
     /// Elements since the last purge cycle.
     pub since_purge: usize,
+    /// Under [`PurgeCadence::Eager`], a punctuation came since the last purge
+    /// cycle: one is owed ([`Pipeline::pay_owed_cycle`]).
+    pub owed: bool,
     /// When the next state sample is due: the least multiple of
     /// `cfg.sample_every` above `clock`, kept so per-run steps never divide.
     next_sample: u64,
@@ -99,6 +102,7 @@ impl Core {
             cfg,
             clock: 0,
             since_purge: 0,
+            owed: false,
             metrics: Metrics::default(),
             scratch_survivors: Vec::new(),
             stamp_scratch: Vec::new(),
@@ -109,11 +113,12 @@ impl Core {
         }
     }
 
-    /// What a snapshot body starts with: pacing, the monitors' state and the
-    /// metrics.
+    /// What a snapshot body starts with: pacing (an owed cycle included), the
+    /// monitors' state and the metrics.
     pub(crate) fn write_state(&self, e: &mut Enc) {
         e.u64(self.clock);
         e.usize(self.since_purge);
+        e.bool(self.owed);
         self.last_punct.enc(e);
         self.port_bounds.enc(e);
         self.metrics.write_state(e);
@@ -124,6 +129,7 @@ impl Core {
     pub(crate) fn read_state(&mut self, d: &mut Dec<'_>, n_ports: usize) -> SnapshotResult<()> {
         self.clock = d.u64()?;
         self.since_purge = d.usize()?;
+        self.owed = d.bool()?;
         self.next_sample = next_sample_after(self.clock, self.cfg.sample_every);
         self.last_punct = d.counted("streams", self.last_punct.len())?;
         self.port_bounds = match d.bool()? {
@@ -542,6 +548,8 @@ pub(crate) trait Pipeline {
         take: usize,
         taker: &mut Taker<'_>,
     ) -> ExecResult<()> {
+        // The violation check reads the stores §5.1 trims.
+        self.pay_owed_cycle();
         let Some((core, engine, guard)) = self.reg_mut().stage() else {
             return Err(ExecError::UnroutableStream(stream));
         };
@@ -604,7 +612,7 @@ pub(crate) trait Pipeline {
 
     /// Admits one punctuation: shape, then the scheme invariants against the
     /// store's current coverage, then the store — and under
-    /// [`PurgeCadence::Eager`] the purge cycle it may enable.
+    /// [`PurgeCadence::Eager`] marks the purge cycle it may enable owed.
     fn try_push_punctuation(&mut self, p: &Punctuation) -> ExecResult<()> {
         let Some((core, engine, guard)) = self.reg_mut().stage() else {
             return Err(ExecError::UnroutableStream(p.stream));
@@ -640,12 +648,20 @@ pub(crate) trait Pipeline {
         engine.observe_punctuation(p, core.clock);
         core.last_punct[p.stream.0] = core.clock;
         self.punct_observed(p);
-        if self.core().cfg.cadence == PurgeCadence::Eager {
-            self.run_purge_cycle(); // settles pending deliveries at its end
-        } else {
-            self.settle_pending();
+        match self.core().cfg.cadence {
+            // The cycle settles pending deliveries at its end.
+            PurgeCadence::Eager => self.core_mut().owed = true,
+            _ => self.settle_pending(),
         }
         Ok(())
+    }
+
+    /// Runs the purge cycle a punctuation run owes, if one is owed (see
+    /// [`PurgeCadence::Eager`] for where).
+    fn pay_owed_cycle(&mut self) {
+        if self.core().owed {
+            self.run_purge_cycle();
+        }
     }
 
     /// Per-element bookkeeping: cadence-driven purge cycles, window eviction,
@@ -655,9 +671,12 @@ pub(crate) trait Pipeline {
     /// `n` and `n` runs of one are indistinguishable.
     fn post_element(&mut self) -> ExecResult<()> {
         let core = self.core();
+        let sample = core.clock >= core.next_sample;
         let due = match core.cfg.cadence {
             PurgeCadence::Lazy { batch } => core.since_purge >= batch,
-            _ => false,
+            // Owed: paid before a sample, and at once under a lifespan (a
+            // cycle's expiry depends on its clock).
+            _ => core.owed && (sample || core.cfg.punct_lifespan.is_some()),
         };
         if due {
             self.run_purge_cycle();
@@ -666,8 +685,8 @@ pub(crate) trait Pipeline {
         // Budget before sampling, so sampled peaks respect the ceiling.
         self.enforce_budget()?;
         self.check_port_bounds()?;
-        let core = self.core_mut();
-        if core.clock >= core.next_sample {
+        if sample {
+            let core = self.core_mut();
             core.next_sample = next_sample_after(core.clock, core.cfg.sample_every);
             self.sample();
         }
@@ -766,11 +785,10 @@ pub(crate) trait Pipeline {
         })
     }
 
-    /// One purge cycle: lifespan expiry, a purge pass per operator, the
-    /// mirror purge, the punctuation purge, log trims, pending deliveries,
-    /// and — under `verify_certificates` — the runtime certificate checks.
+    /// One purge cycle: lifespan expiry, rows purged to their fixpoint, the
+    /// punctuation purge once, log trims, pending deliveries, and — under
+    /// `verify_certificates` — the runtime certificate checks.
     fn run_purge_cycle(&mut self) {
-        self.core_mut().since_purge = 0;
         let QueryRegistry {
             core,
             engine: Some(engine),
@@ -779,23 +797,32 @@ pub(crate) trait Pipeline {
         else {
             return;
         };
+        (core.since_purge, core.owed) = (0, false);
         core.metrics.purge_cycles += 1;
         if core.cfg.punct_lifespan.is_some() {
             engine.expire_punctuations(core.clock);
         }
         engine.begin_cycle();
-        let mut work = self.reg_mut().purge_ops();
-        self.core_mut().metrics.purged += work.purged;
-        let reg = self.reg_mut();
-        if let Some(engine) = &mut reg.engine {
-            work.add(engine.purge_mirror());
-            reg.core.metrics.purge_candidates_examined += work.examined;
-            // §5.1, over the union of the subscribers' predicates. Last
-            // reader of the cycle's coverage deltas and retractions: which
-            // keys to test is read off them, against rows as the purges left
-            // them.
-            engine.purge_punctuations(reg.arena.ops());
-            engine.end_cycle();
+        // Rows to their fixpoint: only a mirror purge can make another row
+        // dead, so the operator and mirror passes repeat while the mirror
+        // pass purges (a pass skips every tracker without news).
+        let mut first = true;
+        loop {
+            let reg = self.reg_mut();
+            let ops = reg.purge_ops(std::mem::take(&mut first));
+            let engine = reg.engine.as_mut().expect("checked above");
+            let mirror = engine.purge_mirror();
+            reg.core.metrics.purged += ops.purged;
+            reg.core.metrics.purge_candidates_examined += ops.examined + mirror.examined;
+            if mirror.purged == 0 {
+                // §5.1, over the union of the subscribers' predicates. Last
+                // reader of the cycle's coverage deltas and retractions:
+                // which keys to test is read off them, against rows as the
+                // purges left them.
+                engine.purge_punctuations(reg.arena.ops());
+                engine.end_cycle();
+                break;
+            }
         }
         self.settle_pending();
         let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) else {
@@ -803,9 +830,16 @@ pub(crate) trait Pipeline {
         };
         // Per-cycle certificate check: the fast allocation-free verdict must
         // agree with the explaining oracle on a sample of the rows that
-        // survived this cycle. (Completeness — "nothing provably dead is
-        // still live" — is only asserted at finish: a mirror purge within
-        // this cycle feeds operator trackers next cycle.)
+        // survived this cycle, and — rows being at their fixpoint — no live
+        // row may be provably dead.
+        let dead = |(i, op): (usize, &JoinOperator)| Some((i, op.find_purgeable_live_row(engine)?));
+        let dead_op = self.ops().enumerate().find_map(dead);
+        let dead_mirror = engine.find_purgeable_mirror_row();
+        assert!(
+            dead_op.is_none() && dead_mirror.is_none(),
+            "certificate violation: provably-dead rows are still live after a \
+             purge cycle (operator {dead_op:?}, mirror {dead_mirror:?})"
+        );
         let mut checked = engine.verify_mirror_against_oracle(ORACLE_SAMPLE);
         for op in self.ops() {
             checked += op.verify_against_oracle(engine, ORACLE_SAMPLE);
@@ -841,7 +875,7 @@ pub(crate) trait Pipeline {
     }
 
     /// Everything `finish` does before an engine assembles its result:
-    /// rehydrate the cold tier, purge to a fixpoint (asserting completeness
+    /// rehydrate the cold tier, the final purge cycle (asserting completeness
     /// under `verify_certificates`), the final sample, the engine and tier
     /// counters, the stalled streams.
     fn finish_core(&mut self) {
@@ -857,33 +891,6 @@ pub(crate) trait Pipeline {
             }
         }
         self.run_purge_cycle();
-        let purged =
-            |this: &Self| this.core().metrics.purged + this.engine().map_or(0, |e| e.mirror_purged);
-        while let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) {
-            // Completeness at the quiescent point: no live row may be
-            // provably dead. A dead row right after one cycle is not yet a
-            // violation — a mirror purge in cycle k shrinks chained
-            // requirements that operator purge passes only consume in cycle
-            // k+1 — so run further cycles while they still purge; a cycle
-            // that purges nothing yet leaves a dead row behind is genuine.
-            let arena = &self.reg().arena;
-            let dead_op = (0..arena.slots()).find_map(|i| {
-                let (port, slot) = arena.op(i)?.find_purgeable_live_row(engine)?;
-                Some((i, port, slot))
-            });
-            let dead_mirror = engine.find_purgeable_mirror_row();
-            if dead_op.is_none() && dead_mirror.is_none() {
-                break;
-            }
-            let before = purged(self);
-            self.run_purge_cycle();
-            assert!(
-                purged(self) != before,
-                "certificate violation at finish: provably-dead rows are still \
-                 live after a purge fixpoint (operator {dead_op:?}, mirror \
-                 {dead_mirror:?})"
-            );
-        }
         self.sample();
         if let Some(engine) = self.engine() {
             let (mirror_purged, punct_dropped) = (engine.mirror_purged, engine.punct_dropped);
@@ -931,7 +938,8 @@ pub trait Engine: Checkpointed {
     /// What a finished run hands back.
     type Output;
 
-    /// Final purge fixpoint, certificate check and sample, then the results.
+    /// The final purge cycle (with its certificate checks) and sample, then
+    /// the results.
     fn finish(self) -> Self::Output;
 
     /// Pushes one element; root results go to the engine's own sink
@@ -949,8 +957,9 @@ pub trait Engine: Checkpointed {
         Ok(())
     }
 
-    /// Runs one purge cycle now: lifespan expiry, a purge pass per operator,
-    /// the mirror's meet purge and §5.1 punctuation purging.
+    /// Runs one purge cycle now (paying an owed one): lifespan expiry,
+    /// operator and mirror passes to their fixpoint, then §5.1 punctuation
+    /// purging.
     fn purge_cycle(&mut self) {
         self.purge_all();
     }

@@ -441,8 +441,8 @@ impl PunctStore {
         let n = d.len_prefix(1)?;
         let mut log = Vec::with_capacity(n);
         for _ in 0..n {
-            // The purge trackers replay these unchecked: a delta must name a
-            // scheme of this store and have the shape that scheme logs.
+            // Trackers replay these unchecked: a delta must fit a scheme of the
+            // store and be covered (only cycles take coverage; commits fall between).
             let (tag, scheme_idx) = (d.u8()?, d.usize()?);
             let delta = match tag {
                 0 => PunctDelta::Entry {
@@ -456,17 +456,19 @@ impl PunctStore {
                 },
                 t => return Err(SnapshotError(format!("unknown punct delta tag {t}"))),
             };
+            let covered = |key: &[Value]| self.covers(scheme_idx, key);
             let fits = |scheme: &PunctuationScheme| match &delta {
                 PunctDelta::Entry { combo, .. } => {
-                    !scheme.is_ordered() && combo.len() == scheme.arity()
+                    !scheme.is_ordered() && combo.len() == scheme.arity() && covered(combo)
                 }
                 PunctDelta::Advance { above, upto, .. } => {
-                    scheme.is_ordered() && above.as_ref().is_none_or(|a| a < upto)
+                    let rising = above.as_ref().is_none_or(|a| a < upto);
+                    scheme.is_ordered() && rising && covered(std::slice::from_ref(upto))
                 }
             };
             if !self.schemes.get(scheme_idx).is_some_and(fits) {
                 return Err(SnapshotError(format!(
-                    "punct delta {delta:?} fits no scheme of the store"
+                    "punct delta {delta:?} fits no scheme of the store, or it is not covered"
                 )));
             }
             log.push(delta);

@@ -497,6 +497,20 @@ impl PurgeTracker {
         localized
     }
 
+    /// Whether [`PurgeTracker::collect`] could offer a row: a slot inserted
+    /// since it last ran, a retraction behind a shrink probe, or a coverage
+    /// delta on a step's scheme. A tracker without news is neither collected
+    /// nor swept.
+    pub(crate) fn has_news(&self, r: &CompiledRecipe, state: &PortState, e: &PurgeEngine) -> bool {
+        let retired = |p: &ShrinkProbe| !e.states[p.stream.0].retired_since(p.cursor).is_empty();
+        let delta = |(step, &at): (&CompiledStep, &u64)| {
+            let mut deltas = e.puncts[step.target.0].deltas_since(at).iter();
+            deltas.any(|d| d.scheme_idx() == step.scheme_idx)
+        };
+        let fresh = self.fresh_from != state.slots();
+        fresh || self.probes.iter().any(retired) || r.steps.iter().zip(&self.cursors).any(delta)
+    }
+
     /// Serializes the tracker's cursor positions. Index registrations and
     /// shrink-probe wiring are compile-time artifacts recreated by
     /// [`PurgeTracker::new`]; only the moving parts are written.
@@ -1084,8 +1098,8 @@ impl PurgeEngine {
     }
 
     /// Finds a live mirror row that every subscriber proves dead, if any —
-    /// at a purge fixpoint (no punctuation or tuple arrivals since the last
-    /// [`PurgeEngine::purge_mirror`]) there must be none.
+    /// after a purge cycle, which runs rows to their fixpoint, there must be
+    /// none.
     #[must_use]
     pub fn find_purgeable_mirror_row(&self) -> Option<(StreamId, usize)> {
         let mut scratch = CheckScratch::default();
@@ -1454,16 +1468,19 @@ impl PurgeEngine {
         let mut candidates = std::mem::take(&mut self.candidates);
         let mut sweep = std::mem::take(&mut self.sweep);
         for (s, meet) in meets.iter_mut().enumerate().filter(|(s, _)| self.held[*s]) {
-            // Every tracker advances whether or not its answer is used, so a
-            // pass that looks at everything leaves the next one no backlog.
+            // Trackers with news advance whether or not their answer is used;
+            // with no news, nor a weakened or vacuous meet, no row here died.
             candidates.clear();
-            let mut localized = true;
+            let (mut localized, mut news) = (true, meet.reseed || meet.recipes.is_empty());
             let (state, out) = (&self.states[s], &mut candidates);
             for e in &mut meet.recipes {
                 let tracker = e.tracker.as_mut().expect("held streams are tracked");
-                localized &= tracker.collect(&e.recipe, state, self, &mut scratch, out);
+                if tracker.has_news(&e.recipe, state, self) {
+                    news = true;
+                    localized &= tracker.collect(&e.recipe, state, self, &mut scratch, out);
+                }
             }
-            if meet.uncertified > 0 {
+            if meet.uncertified > 0 || !news {
                 continue;
             }
             localized &= !std::mem::take(&mut meet.reseed) && !meet.recipes.is_empty();
@@ -1491,7 +1508,7 @@ impl PurgeEngine {
     /// and mirror tracker has advanced past the retained logs: drops the
     /// stores' coverage deltas, so that log stays delta-sized, and the held
     /// mirrors' retractions from before the cycle. Ones logged *during* it
-    /// feed operator trackers only next cycle and stay.
+    /// stay one more cycle.
     pub(crate) fn end_cycle(&mut self) {
         self.puncts.iter_mut().for_each(PunctStore::trim_deltas);
         let mirrors = self.states.iter_mut().zip(&self.cycle_marks);

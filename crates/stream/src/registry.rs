@@ -278,6 +278,7 @@ impl QueryRegistry {
                 ),
             });
         }
+        self.pay_owed_cycle();
         Ok(self.lower(query, &canonical(plan), None, sink))
     }
 
@@ -391,20 +392,19 @@ impl QueryRegistry {
         Ok(())
     }
 
-    /// Retires a query: unsubscribes it from its nodes (tombstoning nodes
-    /// with no subscribers left, dropping their join state) and from the
-    /// mirror meet, finishes its sink, and runs a **re-tightening purge
-    /// pass** — the meet over the remaining tenants is weaker, so rows only
-    /// the retiree kept alive leave now (all of them, if no tenant is left).
+    /// Retires a query: pays an owed purge cycle, unsubscribes it from its
+    /// nodes (tombstoning nodes with no subscribers left, dropping their join
+    /// state) and from the mirror meet, finishes its sink, and runs a
+    /// **re-tightening purge cycle**: the weaker meet lets rows only the
+    /// retiree kept alive leave now (all of them, if no tenant is left).
     ///
     /// Returns `false` if the id is unknown or already retired.
     pub fn retire(&mut self, id: QueryId) -> bool {
-        let Some(q) = self.queries.get_mut(id.0) else {
-            return false;
-        };
-        if !q.live {
+        if !self.is_live(id) {
             return false;
         }
+        self.pay_owed_cycle();
+        let q = &mut self.queries[id.0];
         q.live = false;
         q.stats.retired_at = Some(self.core.clock);
         if let Some(sink) = q.sink.as_mut() {
@@ -440,7 +440,8 @@ impl QueryRegistry {
             .sum()
     }
 
-    /// Total live join-state rows across the shared arena.
+    /// Total live join-state rows across the shared arena, as of the last
+    /// purge cycle (see [`Eager`](crate::exec::PurgeCadence::Eager)).
     #[must_use]
     pub fn join_state_live(&self) -> usize {
         Pipeline::join_state_live(self)
@@ -498,7 +499,7 @@ impl QueryRegistry {
     ///
     /// # Panics
     /// Panics if [`ExecConfig::verify_certificates`] is set and a
-    /// provably-dead row survives the purge fixpoint — the bounded-state
+    /// provably-dead row survives the final purge cycle — the bounded-state
     /// certificate must hold for every tenant even under sharing.
     #[must_use]
     pub fn finish(mut self) -> RegistryResult {
@@ -536,15 +537,15 @@ impl QueryRegistry {
         Some((&mut self.core, engine, self.guard.as_ref()?))
     }
 
-    /// A purge pass over every operator. Rows leaving a shared node count
-    /// once per subscriber.
-    pub(crate) fn purge_ops(&mut self) -> PurgeWork {
+    /// A purge pass over every operator, the `first` of its cycle or not.
+    /// Rows leaving a shared node count once per subscriber.
+    pub(crate) fn purge_ops(&mut self, first: bool) -> PurgeWork {
         let mut work = PurgeWork::default();
         let Some(engine) = &self.engine else {
             return work;
         };
         for (i, op) in self.arena.ops_mut() {
-            let w = op.purge_pass(engine);
+            let w = op.purge_pass(engine, first);
             let queries = self.queries.iter_mut().filter(|q| q.live && w.purged > 0);
             for q in queries.filter(|q| q.nodes.contains(&i)) {
                 q.stats.purged += w.purged;
@@ -1090,6 +1091,7 @@ mod tests {
             for e in &round(r) {
                 reg.try_push(e).unwrap();
             }
+            reg.purge_cycle(); // the cycle the round's punctuations owe
             let mirror = reg.engine.as_ref().unwrap().mirror_live();
             assert_eq!(mirror, 0, "round {r}: nobody is left to keep a row");
         }
@@ -1143,6 +1145,7 @@ mod tests {
             reg.try_push(&StreamElement::Punctuation(punct(1, 0, r)))
                 .unwrap();
         }
+        reg.purge_cycle(); // the cycle the last punctuation owes
         let engine = |reg: &QueryRegistry| {
             let engine = reg.engine.as_ref().unwrap();
             (engine.mirror_live(), engine.find_purgeable_mirror_row())
@@ -1214,6 +1217,7 @@ mod tests {
         (0..6)
             .flat_map(round)
             .for_each(|e| reg.try_push(&e).unwrap());
+        reg.purge_cycle(); // the cycle the last round's punctuations owe
         let entries = |reg: &QueryRegistry| reg.engine.as_ref().unwrap().punct_entries();
         // `k` closed on both sides and drained: forgotten. Nobody reads `v`.
         assert_eq!(entries(&reg), 12);
@@ -1223,12 +1227,14 @@ mod tests {
         (6..12)
             .flat_map(round)
             .for_each(|e| reg.try_push(&e).unwrap());
+        reg.purge_cycle();
         // The late tenant's `v` entries go like the early one's `k` entries
         // did; the twelve that predate it had no news and stay. Under the
-        // meet of two tenants a mirror row outlives one side's close, so
-        // `a.k = r` goes a cycle before `b.k = r` could — and takes `b`'s
-        // certificate with it: the rule strands one entry of such a pair.
-        assert_eq!(entries(&reg), 12 + 6);
+        // meet of two tenants a mirror row outlives one side's close, but a
+        // round's closes arrive as one run and one cycle pays for them, rows
+        // to their fixpoint first: both entries of a twin pair go together
+        // (a cycle per punctuation dropped one first and stranded the other).
+        assert_eq!(entries(&reg), 12);
         assert_eq!(reg.join_state_live(), 0);
         // They still cover: the store refuses what they forbid.
         reg.try_push(&Tuple::of(0, [Value::Int(99), Value::Int(100)]).into())
@@ -1241,7 +1247,7 @@ mod tests {
         let done = reg.finish();
         assert_eq!(done.queries[early.0].outputs.len(), 12);
         assert_eq!(done.queries[late.0].outputs.len(), 7);
-        assert_eq!(done.metrics.punct_dropped, 12 + (6 + 12) + 2);
+        assert_eq!(done.metrics.punct_dropped, 12 + (12 + 12) + 2);
         assert_eq!(done.metrics.last().unwrap().join_state, 0);
     }
 

@@ -6,7 +6,7 @@
 # reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=11720
+CEILING=11758
 
 cd "$(dirname "$0")/.."
 total=0
@@ -39,6 +39,15 @@ for name in post_element enforce_budget run_cap try_push_punctuation refuse_punc
         status=1
     fi
 done
+
+# One cycle per punctuation run: under Eager an admitted punctuation marks a
+# purge cycle owed (Core::owed), paid where its absence could be seen. A cycle
+# run from try_push_punctuation is the cycle-per-punctuation schedule back.
+if awk '/fn try_push_punctuation[(<]/{on=1; next} on&&/^    fn /{exit} on' \
+    crates/stream/src/pipeline.rs | grep -v '^ *//' | grep -qF 'run_purge_cycle('; then
+    echo "try_push_punctuation runs a purge cycle: a punctuation owes one instead" >&2
+    status=1
+fi
 
 # One arena: operators are built and stepped by arena.rs alone. Either call in
 # a second file (join.rs, which defines them, and test code aside) is an

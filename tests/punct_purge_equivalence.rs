@@ -180,11 +180,11 @@ fn a_forgotten_punctuation_admits_and_a_remembered_one_refuses_on_every_plane() 
     }
 }
 
-/// A port whose recipe chains through a mirror sees that mirror's purges a
-/// cycle late, so its row can outlive the stream's own mirror row. An entry
-/// dropped on the mirror's word alone would strand it (this shape did, on
-/// one of two shards, under delayed and duplicated punctuations). The
-/// oracle keeps an entry while such a row carries its key.
+/// A port whose recipe waits on more than one step can hold a row after the
+/// stream's own mirror row left. An entry dropped on the mirror's word alone
+/// would strand it (this shape did, on one of two shards, under delayed and
+/// duplicated punctuations). The oracle keeps an entry while such a row
+/// carries its key.
 #[test]
 fn a_port_row_that_outlives_its_mirror_row_keeps_the_entries_it_asks_for() {
     let spec = random_spec(5, Topology::Random { extra_edges: 2 }, 299);
@@ -201,6 +201,36 @@ fn a_port_row_that_outlives_its_mirror_row_keeps_the_entries_it_asks_for() {
     // are never looked at again).
     assert_eq!(solo.metrics.punct_dropped, 191);
     assert!(checked.sharded.iter().all(|r| r.logical_join_state == 0));
+}
+
+/// A twin pair `(v.a = c)` / `(u.b = c)` on the triangle: a cycle per
+/// punctuation drops one entry while a row of the other side still carries
+/// `c` — the row waits on a close later in the run — and strands the other
+/// entry for good. The round's six closes are one run, and the cycle it owes
+/// purges rows to their fixpoint before §5.1 forgets both. Sampling every
+/// element pays a cycle per punctuation, and strands one; both are the
+/// oracle's stores, entry for entry, at every sample.
+#[test]
+fn a_punctuation_run_forgets_both_entries_of_a_twin_pair() {
+    let stream = |s| format!("stream {s}(k, v, w)\n");
+    let joins = "join a.k = b.k\njoin b.v = c.v\njoin a.w = c.k\n";
+    let closes = "punctuate a(k)\npunctuate a(w)\npunctuate b(k)\npunctuate b(v)\n";
+    let spec = ["a", "b", "c"].map(stream).concat() + joins + closes;
+    let spec =
+        punctuated_cjq::parse::parse_spec(&(spec + "punctuate c(k)\npunctuate c(v)")).unwrap();
+    // One tuple per stream, then the six closes of their one key.
+    let feed = keyed_feed(&spec, 1, 1);
+    for (every, dropped, kept) in [(1, 5, 1), (feed.len(), 6, 0)] {
+        let case = Case::new("triangle twins", spec.clone(), feed.clone());
+        let solo = case.with(|c| c.cfg.sample_every = every).check().solo;
+        let m = solo.expect("admitted").metrics;
+        let last = m.last().expect("sampled").punct_entries;
+        assert_eq!(
+            (m.punct_dropped, last),
+            (dropped, kept),
+            "sampled every {every}"
+        );
+    }
 }
 
 /// The punctuation purge runs under tiering too, and asks the cold segments:

@@ -72,6 +72,27 @@ fn auction_crash_point_sweep_is_byte_identical() {
     assert!(reclaimed, "feed too short to exercise prefix reclaim");
 }
 
+/// A commit inside a punctuation run does not pay the cycle the run owes:
+/// the snapshot carries it, so the resumed run pays it where the
+/// uninterrupted one does. Committing after every punctuation and sampling
+/// every 16 elements, each crash point lands just after a commit that owes
+/// one; outputs, every metric (`purge_cycles` included) and the sampled
+/// series must match byte for byte.
+#[test]
+fn a_commit_inside_a_punctuation_run_carries_the_owed_cycle() {
+    let spec = punctuated_cjq::core::fixtures::fig5();
+    let feed = keyed_feed(&spec, 30, 2);
+    let elements = feed.elements();
+    let punct = |i: usize| elements[i].is_punctuation();
+    let inside = (1..elements.len()).filter(|&i| punct(i - 1) && punct(i) && i % 16 != 0);
+    let crashes: Vec<usize> = inside.step_by(7).collect();
+    assert!(crashes.len() > 3, "the feed has punctuation runs");
+    let case = Case::new("commit inside a punctuation run", spec, feed);
+    let edit = |c: &mut Case| (c.crashes, c.every, c.cfg.sample_every) = (crashes, 1, 16);
+    let checked = case.with(edit).check();
+    assert!(checked.checkpoints > 0);
+}
+
 /// (interval × crash offset × memory budget) together decide which snapshot
 /// a crash lands on and how much demoted cold state it carries; no sampled
 /// combination may change a byte of the recovered run.
@@ -257,8 +278,8 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
         payload
     };
     // A fresh executor's body up to its recorded-output table: clock,
-    // since_purge, last_punct (2 streams), no port bounds.
-    let exec_to_outputs = [words(&[0, 0, 2, 0, 0]), vec![0]].concat();
+    // since_purge, no owed cycle, last_punct (2 streams), no port bounds.
+    let exec_to_outputs = [words(&[0, 0]), vec![0], words(&[2, 0, 0]), vec![0]].concat();
     // The first mirror port of a fresh engine, after the engine's stream
     // count: item's stride 4, base 0, 0 resident rows.
     let first_port = words(&[2, 4, 0, 0]);

@@ -188,13 +188,19 @@ fn sharded_registry_reports_feed_level_counts_at_every_shard_count() {
 ///   base's nodes and interned recipes — has exactly the base query's outputs
 ///   over the suffix (shared history included: its probe index predates it);
 /// * the survivors are unchanged by the churn, and `finish` (certificates
-///   on) finds no provably dead row left behind.
+///   on) finds no provably dead row left behind;
+/// * the churn falls inside a punctuation run: the retirement pays the cycle
+///   the run owes under the old tenant set, then its own, and the admission
+///   after it finds nothing owed.
 #[test]
 fn mid_stream_admission_and_retirement() {
     for overlap in [1.0, 0.5] {
         let (tenant, feed) = tenants(2, overlap, 30);
         let cfg = base_cfg(EAGER);
-        let (head, tail) = feed.elements().split_at(feed.elements().len() / 2);
+        let elements = feed.elements();
+        let punct = |i: usize| elements[i].is_punctuation();
+        let half = (elements.len() / 2..).find(|&i| punct(i - 1) && punct(i));
+        let (head, tail) = elements.split_at(half.expect("a punctuation run"));
         let prefix = Feed::from_elements(head.to_vec());
         let [(q0, p0), (q1, p1)] = &tenant.queries[..] else {
             unreachable!()
@@ -203,9 +209,15 @@ fn mid_stream_admission_and_retirement() {
         let id0 = reg.try_admit(q0, p0, None).unwrap();
         let id1 = reg.try_admit(q1, p1, None).unwrap();
         head.iter().for_each(|e| reg.try_push(e).unwrap());
-        let late_id = reg.try_admit(q0, p0, None).expect("re-admission is fine");
+        let cycles = reg.metrics().purge_cycles;
         assert!(reg.retire(id1), "retiring a live query succeeds");
         assert!(!reg.is_live(id1));
+        let late_id = reg.try_admit(q0, p0, None).expect("re-admission is fine");
+        assert_eq!(
+            reg.metrics().purge_cycles,
+            cycles + 2,
+            "owed, then re-tightening"
+        );
         let prefix_outputs_q1 = reg.outputs(id1).unwrap().to_vec();
         tail.iter().for_each(|e| reg.try_push(e).unwrap());
         let result = reg.finish();
@@ -221,6 +233,9 @@ fn mid_stream_admission_and_retirement() {
         let solo_prefix = solo_prefix.run(&prefix);
         assert_eq!(prefix_outputs_q1, solo_prefix.outputs);
         assert_eq!(result.queries[id1.0].outputs, solo_prefix.outputs);
+        // The owed cycle purged on its behalf, as the standalone's last did.
+        let purged = result.queries[id1.0].stats.purged;
+        assert_eq!(purged, solo_prefix.metrics.purged, "overlap {overlap}");
 
         // Late tenant == the base tenant's post-admission suffix.
         let late = &result.queries[late_id.0].outputs;
