@@ -34,8 +34,8 @@ use cjq_core::bounds::plan_operator_ports;
 use cjq_core::plan::{check_plan, Plan};
 use cjq_core::purge_plan::{derive_port_recipe, derive_port_recipe_weighted, PurgeRecipe};
 use cjq_core::query::Cjq;
-use cjq_core::schema::StreamId;
-use cjq_core::scheme::SchemeSet;
+use cjq_core::schema::{AttrId, StreamId};
+use cjq_core::scheme::{PunctuationScheme, SchemeSet};
 use cjq_core::value::Value;
 use cjq_oracle::{Element, Outcome, Sample};
 use cjq_stream::certify;
@@ -139,8 +139,9 @@ impl Case {
     }
 
     /// The case seed `seed` draws: a safe random query (path, star, cycle or
-    /// random shape), one of [`plans`], a legal config, a round-based feed
-    /// under a random fault plan, and a crash point.
+    /// random shape), now and then with one more scheme that no predicate
+    /// reads, one of [`plans`], a legal config, a round-based feed under a
+    /// random fault plan, and a crash point.
     #[must_use]
     pub fn generated(seed: u64) -> Case {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -151,7 +152,7 @@ impl Case {
             seed: rng.random_range(0..1000),
             ..RandomQueryConfig::default()
         };
-        let (query, schemes) = random_query::generate_safe(&shape);
+        let (query, mut schemes) = random_query::generate_safe(&shape);
         let mut plans = plans(&query);
         let plan = plans.swap_remove(rng.random_range(0..plans.len()));
         let mut cfg = ExecConfig {
@@ -189,10 +190,29 @@ impl Case {
                 ..TierConfig::default()
             });
         }
-        let weights = rng.random_bool(0.25).then(|| {
+        let mut weights = rng.random_bool(0.25).then(|| {
             let pick = |_| [1.0, 2.0, 8.0][rng.random_range(0..3usize)];
-            (0..schemes.len()).map(pick).collect()
+            (0..schemes.len()).map(pick).collect::<Vec<_>>()
         });
+        // Now and then a hash scheme on an attribute no predicate reads,
+        // which stores nothing: a `late` tuple violating it is admitted. Drawn
+        // from a second generator, so every draw of the first keeps its value.
+        let mut second = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let catalog = query.catalog();
+        let unread = query.stream_ids().flat_map(|s| {
+            let joined = query.join_attrs(s);
+            let arity = catalog.schema(s).expect("the query's own").arity();
+            (0..arity)
+                .filter(move |a| !joined.contains(&AttrId(*a)))
+                .map(move |a| (s, a))
+        });
+        let unread: Vec<(StreamId, usize)> = unread.collect();
+        if !unread.is_empty() && second.random_bool(0.4) {
+            let (s, a) = unread[second.random_range(0..unread.len())];
+            if schemes.add(PunctuationScheme::on(s.0, &[a]).expect("one attribute")) {
+                weights.iter_mut().for_each(|w| w.push(1.0));
+            }
+        }
         let late = cfg.tiering.is_none() && rng.random_bool(0.3);
         let rounds = rng.random_range(8..30);
         let p_late = if late { 0.1 } else { 0.0 };

@@ -528,8 +528,8 @@ pub fn plan_port_bounds(
 /// order), mirror bounds per stream (a mirror row is retired by the purge
 /// recipe rooted at its own stream over the whole query), and
 /// punctuation-store bounds per scheme (equality stores hold at most the
-/// product of the punctuatable attributes' domains; an ordered store keeps
-/// a single frontier entry).
+/// product of the punctuatable attributes' domains, and nothing for a scheme
+/// the query does not read; an ordered store keeps a single frontier entry).
 #[must_use]
 pub fn analyze_plan(query: &Cjq, schemes: &SchemeSet, plan: &Plan) -> BoundReport {
     let mut rows = Vec::new();
@@ -558,6 +558,8 @@ pub fn analyze_plan(query: &Cjq, schemes: &SchemeSet, plan: &Plan) -> BoundRepor
     for scheme in schemes.schemes() {
         let bound = if scheme.is_ordered() {
             StateBound::Bounded(BoundExpr::constant(1))
+        } else if !query.reads_scheme(scheme) {
+            StateBound::Bounded(BoundExpr::zero())
         } else {
             let params: Vec<Param> = scheme
                 .punctuatable()
@@ -725,5 +727,23 @@ mod tests {
             assert_eq!(row.bound.eval_rows(&contracts), Some(100));
         }
         let _ = query;
+    }
+
+    #[test]
+    fn an_unread_hash_scheme_stores_nothing() {
+        let (query, mut schemes) = fixtures::auction();
+        // bid(bidderid, itemid, increase): bidderid and increase join nothing.
+        schemes.add(PunctuationScheme::on(1, &[0]).unwrap());
+        schemes.add(PunctuationScheme::on(1, &[0, 1]).unwrap());
+        schemes.add(PunctuationScheme::ordered_on(1, 2).unwrap());
+        let report = analyze_plan(&query, &schemes, &Plan::mjoin_all(&query));
+        let bounds: Vec<&StateBound> = report.punct_rows().map(|r| &r.bound).collect();
+        let (zero, frontier) = (BoundExpr::zero(), BoundExpr::constant(1));
+        assert!(bounds[..2]
+            .iter()
+            .all(|b| **b != StateBound::Bounded(zero.clone())));
+        assert_eq!(bounds[2..4], [&StateBound::Bounded(zero.clone()); 2]);
+        // An ordered scheme keeps its frontier, read or not.
+        assert_eq!(bounds[4], &StateBound::Bounded(frontier));
     }
 }

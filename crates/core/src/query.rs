@@ -9,6 +9,7 @@ use std::fmt;
 
 use crate::error::{CoreError, CoreResult};
 use crate::schema::{AttrId, AttrRef, Catalog, StreamId};
+use crate::scheme::PunctuationScheme;
 
 /// One equi-join predicate `S_i.A_x = S_j.A_y` between two distinct streams.
 ///
@@ -175,6 +176,16 @@ impl Cjq {
         attrs.sort_unstable();
         attrs.dedup();
         attrs
+    }
+
+    /// Whether a predicate of this query joins on every punctuatable
+    /// attribute of `scheme`: only such a scheme can license a punctuation
+    /// graph edge (Defs. 7–10), so only its punctuations can ever help purge
+    /// (lint `W102` flags the others).
+    #[must_use]
+    pub fn reads_scheme(&self, scheme: &PunctuationScheme) -> bool {
+        let join_attrs = self.join_attrs(scheme.stream);
+        scheme.punctuatable().iter().all(|a| join_attrs.contains(a))
     }
 
     /// Streams joined to `stream.attr`: the partner streams of every predicate

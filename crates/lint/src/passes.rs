@@ -189,20 +189,12 @@ fn unpurgeable_port_pass(
     }
 }
 
-/// Indices of schemes with a punctuatable attribute that is not a join
-/// attribute — such a scheme can never license a PG/GPG edge.
+/// Per scheme, whether the query does not read it ([`Cjq::reads_scheme`]):
+/// it has a punctuatable attribute that is not a join attribute, and can
+/// never license a PG/GPG edge.
 fn unused_scheme_indices(query: &Cjq, schemes: &SchemeSet) -> Vec<bool> {
-    schemes
-        .schemes()
-        .iter()
-        .map(|scheme| {
-            let join_attrs = query.join_attrs(scheme.stream);
-            scheme
-                .punctuatable()
-                .iter()
-                .any(|a| !join_attrs.contains(a))
-        })
-        .collect()
+    let unread = |scheme| !query.reads_scheme(scheme);
+    schemes.schemes().iter().map(unread).collect()
 }
 
 /// W101: schemes individually removable without losing safety (skipping ones
@@ -268,6 +260,10 @@ fn unused_scheme_pass(
             notes: vec![
                 "the punctuation graph only gains edges from schemes whose every \
                  punctuatable attribute is a join attribute (Defs. 7–10)"
+                    .to_owned(),
+                "while no query running reads it, the engine stores none of its \
+                 punctuations (an ordered scheme keeps its one threshold), and a \
+                 tuple that violates one is admitted"
                     .to_owned(),
             ],
             suggestion: Some(Suggestion {

@@ -9,8 +9,10 @@
 //! tenant's query-wide recipe rooted at `S` proves it dead (the meet). §5.1: an
 //! entry `(a = c)` of a one-attribute hash scheme of `v` is forgotten once
 //! every partner `u.b` of `v.a` has punctuated `b = c` and no row of `Υ_u`, nor
-//! of a port whose recipe waits on more than one step, carries `c`. No indexes,
-//! batches, tiers, mirrors or trackers.
+//! of a port whose recipe waits on more than one step, carries `c`. A hash
+//! scheme no tenant reads (`Cjq::reads_scheme`) stores nothing, so a tuple
+//! that violates one of its punctuations is admitted. No indexes, batches,
+//! tiers, mirrors or trackers.
 
 #![warn(missing_docs)]
 
@@ -149,7 +151,8 @@ struct Oracle<'q> {
     ports: Vec<Port>,
     /// How many of `ports` belong to operators.
     n_op: usize,
-    /// Per scheme: its entries (a heartbeat's one: its threshold) and clocks.
+    /// Per scheme: its entries (a heartbeat's one: its threshold) and clocks;
+    /// none for a hash scheme no tenant reads.
     stores: Vec<(PunctuationScheme, BTreeMap<Vec<Value>, u64>)>,
     unmatched: Vec<Punctuation>,
     clock: u64,
@@ -247,6 +250,9 @@ impl<'q> Oracle<'q> {
             return Ok(true);
         };
         let (scheme, entries) = &mut self.stores[i];
+        if !scheme.is_ordered() && !self.queries.iter().any(|q| q.reads_scheme(scheme)) {
+            return Ok(true);
+        }
         let pattern = |a: &AttrId| &p.patterns[a.0];
         let value = |a: &AttrId| pattern(a).constant().or(pattern(a).bound()).copied();
         let value = |a| value(a).expect("a scheme instance fixes it");

@@ -318,7 +318,9 @@ impl Executor {
     /// punctuation on any attribute join-equivalent to a grouping attribute
     /// can close groups. Delivery is gated on the propagation condition (no
     /// live stored tuple of the punctuated stream still matches), so closed
-    /// groups are guaranteed complete.
+    /// groups are guaranteed complete. Every scheme that can close groups is
+    /// stored, whether or not the query joins on it: a tuple that breaks
+    /// such a punctuation is quarantined, never added to an emitted group.
     ///
     /// # Panics
     /// Panics if a grouping/aggregate attribute is not in the root layout.
@@ -326,10 +328,13 @@ impl Executor {
     pub fn with_groupby(mut self, group_by: &[AttrRef], agg: Aggregate) -> Self {
         let root = self.operators().last().expect("at least one operator");
         let layout = root.out_layout().clone();
-        self.groupby = Some(GroupBy::for_query(self.query(), layout, group_by, agg));
-        // The propagation condition probes the punctuated stream's mirror.
+        let g = GroupBy::for_query(self.query(), layout, group_by, agg);
+        // The propagation condition probes the punctuated stream's mirror,
+        // and a punctuation that closed groups must go on refusing tuples.
         let engine = self.reg.engine.as_mut().expect("compiled");
         engine.hold_every_stream();
+        engine.read_schemes(|s| g.reads_scheme(s), true);
+        self.groupby = Some(g);
         self
     }
 
@@ -552,6 +557,7 @@ mod tests {
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
     use cjq_core::schema::AttrId;
+    use cjq_core::scheme::PunctuationScheme;
 
     fn ival(v: i64) -> Value {
         Value::Int(v)
@@ -652,6 +658,30 @@ mod tests {
         assert_eq!(mirrored, [0, 4]);
         assert_eq!(outputs[0].len(), 2);
         assert_eq!(outputs[0], outputs[1]);
+    }
+
+    /// No predicate joins on `bid.bidderid`, but a group-by on it reads its
+    /// closes: they are stored, so a bid that breaks one is quarantined
+    /// instead of reopening a group already emitted.
+    #[test]
+    fn a_scheme_only_the_groupby_reads_is_stored() {
+        let (q, mut r) = fixtures::auction();
+        r.add(PunctuationScheme::on(1, &[0]).unwrap());
+        let by_bidder = AttrRef::new(1, 0);
+        let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default())
+            .unwrap()
+            .with_groupby(&[by_bidder], Aggregate::Count);
+        let bidder_close = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(0), ival(3))]);
+        let feed = [
+            item(1),
+            item_unique(1),
+            bid(1, 5),
+            bidder_close.into(),
+            bid(1, 7),
+        ];
+        let res = exec.run(&Feed::from_elements(feed.to_vec()));
+        assert_eq!(res.metrics.violations, 1);
+        assert_eq!(res.aggregates, [[ival(3), ival(1)]]);
     }
 
     /// Operator ports and held mirrors hold what is live (plus at most as

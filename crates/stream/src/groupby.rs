@@ -13,7 +13,8 @@ use std::collections::HashMap;
 
 use cjq_core::punctuation::Punctuation;
 use cjq_core::query::Cjq;
-use cjq_core::schema::AttrRef;
+use cjq_core::schema::{AttrId, AttrRef};
+use cjq_core::scheme::PunctuationScheme;
 use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
@@ -133,6 +134,15 @@ impl GroupBy {
             }
         }
         gb
+    }
+
+    /// Whether `scheme`'s punctuations can close groups: every punctuatable
+    /// attribute is (an alias of) a grouping attribute.
+    #[must_use]
+    pub fn reads_scheme(&self, scheme: &PunctuationScheme) -> bool {
+        let grouped = |a: &AttrId| AttrRef::new(scheme.stream.0, a.0);
+        let mut refs = scheme.punctuatable().iter().map(grouped);
+        refs.all(|r| self.group_refs.iter().any(|class| class.contains(&r)))
     }
 
     /// Number of open (unemitted) groups — the operator's blocking state.

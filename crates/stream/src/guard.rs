@@ -28,6 +28,10 @@
 //! forget coverage earlier — fewer purges, never a wrong one. Violating or
 //! malformed tuples have no sound repair and are always quarantined (or
 //! rejected under `Strict`).
+//!
+//! A violation matches a *stored* punctuation: one the store forgot (§5.1,
+//! lifespans) or never kept (no live query or group-by reads its hash scheme)
+//! is no purge's premise any more, and a tuple that breaks it is admitted.
 
 use std::fmt;
 
@@ -55,8 +59,8 @@ pub enum AdmissionPolicy {
 /// Why an element failed admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionFault {
-    /// A tuple matches a previously seen punctuation — the stream broke its
-    /// own promise. Unrepairable: the tuple is quarantined even under
+    /// A tuple matches a stored punctuation — the stream broke its own
+    /// promise. Unrepairable: the tuple is quarantined even under
     /// [`AdmissionPolicy::Repair`].
     PunctuationViolation {
         /// The offending tuple's stream.
@@ -130,7 +134,7 @@ impl fmt::Display for AdmissionFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AdmissionFault::PunctuationViolation { stream } => {
-                write!(f, "tuple on {stream} violates an earlier punctuation")
+                write!(f, "tuple on {stream} violates a stored punctuation")
             }
             AdmissionFault::ArityMismatch {
                 stream,

@@ -7,7 +7,8 @@
 //! practical mitigation mechanisms of §5.1 — *lifespans* (entries expire
 //! after a configurable age) and *punctuation purging* (entries dropped once
 //! punctuations from partner streams make them unnecessary; driven by the
-//! purge engine, which knows the join topology).
+//! purge engine, which knows the join topology). A hash scheme no query reads
+//! stores nothing at all (the engine counts its readers: `PunctStore::read`).
 
 use cjq_core::fxhash::FxHashMap;
 
@@ -77,6 +78,8 @@ pub enum InsertOutcome {
     /// The punctuation instantiates the scheme with this index; its constant
     /// combination was added (or refreshed) in the index.
     Matched(usize),
+    /// It instantiates a hash scheme nobody reads: it is forgotten.
+    Forgotten,
     /// No registered scheme matches; kept in the unmatched list (usable for
     /// tuple-consistency checks but not for purging).
     Unmatched,
@@ -94,6 +97,8 @@ pub struct PunctStore {
     /// only) and its arrival time. One threshold covers the whole prefix —
     /// O(1) store state per ordered scheme.
     thresholds: Vec<Option<(Value, u64)>>,
+    /// Per scheme: how many readers keep its punctuations.
+    readers: Vec<usize>,
     unmatched: Vec<Punctuation>,
     lifespan: Option<u64>,
     /// Coverage deltas since the log was last trimmed, in arrival order.
@@ -113,6 +118,7 @@ impl PunctStore {
         let thresholds = vec![None; schemes.len()];
         PunctStore {
             stream,
+            readers: vec![1; schemes.len()],
             schemes,
             entries,
             thresholds,
@@ -139,6 +145,23 @@ impl PunctStore {
     #[must_use]
     pub fn scheme_index(&self, scheme: &PunctuationScheme) -> Option<usize> {
         self.schemes.iter().position(|s| s == scheme)
+    }
+
+    /// Counts a reader of every scheme `reads` accepts in (`add`) or out. A
+    /// hash scheme with none forgets each punctuation as it comes (its
+    /// entries go at the next [`PunctStore::end_cycle`]).
+    pub(crate) fn read(&mut self, reads: impl Fn(&PunctuationScheme) -> bool, add: bool) {
+        let counts = self.schemes.iter().zip(&mut self.readers);
+        for (_, n) in counts.filter(|(s, _)| reads(s)) {
+            *n = if add { *n + 1 } else { *n - 1 };
+        }
+    }
+
+    /// Starts every scheme at no reader; a store on its own reads them all.
+    #[must_use]
+    pub(crate) fn unread(mut self) -> Self {
+        self.readers.fill(0);
+        self
     }
 
     /// Classifies `p` against the store's current coverage without changing
@@ -201,6 +224,8 @@ impl PunctStore {
                     } else if let Some((_, at)) = &mut self.thresholds[i] {
                         *at = now; // refresh the lifespan clock
                     }
+                } else if self.readers[i] == 0 {
+                    return InsertOutcome::Forgotten;
                 } else {
                     let combo: Vec<Value> = scheme
                         .punctuatable()
@@ -242,11 +267,15 @@ impl PunctStore {
         self.delta_log.get(skip..).unwrap_or(&self.delta_log)
     }
 
-    /// Drops the retained delta log (advancing the base so cursors keep
-    /// their meaning). Called once every consumer has caught up.
-    pub fn trim_deltas(&mut self) {
+    /// Ends a purge cycle once every consumer has caught up: drops the
+    /// retained delta log (advancing the base so cursors keep their meaning)
+    /// and the entries of the schemes nobody reads any more. Returns how many.
+    pub(crate) fn end_cycle(&mut self) -> usize {
         self.delta_base += self.delta_log.len() as u64;
         self.delta_log.clear();
+        let unread = self.entries.iter_mut().zip(&self.readers);
+        let unread = unread.filter(|(_, &n)| n == 0);
+        unread.map(|(m, _)| std::mem::take(m).len()).sum()
     }
 
     /// Whether the value combination `combo` (in scheme attribute order) has
@@ -634,7 +663,7 @@ mod tests {
         assert_eq!(store.deltas_since(1).len(), 1);
         assert_eq!(store.delta_end(), 2);
         // Trimming preserves cursor meaning; stale cursors are clamped.
-        store.trim_deltas();
+        store.end_cycle();
         assert_eq!(store.delta_end(), 2);
         assert!(store.deltas_since(0).is_empty());
         store.insert(&punct(&[(1, 8)]), 4);

@@ -46,7 +46,8 @@
 //!
 //! The punctuation stores are purged too (§5.1,
 //! `PurgeEngine::purge_punctuations`): an entry goes once its partners'
-//! own punctuations and the absence of partner rows make it unaskable.
+//! own punctuations and the absence of partner rows make it unaskable. A hash
+//! scheme no subscriber reads (`Cjq::reads_scheme`) stores nothing at all.
 
 use std::collections::HashMap;
 
@@ -61,7 +62,7 @@ use cjq_core::value::Value;
 use crate::checkpoint::Fingerprint;
 use crate::join::JoinOperator;
 use crate::layout::SpanLayout;
-use crate::punct_store::{PunctDelta, PunctStore};
+use crate::punct_store::{InsertOutcome::Forgotten, PunctDelta, PunctStore};
 use crate::state::{PortState, Sweep};
 use crate::tuple::Tuple;
 
@@ -734,7 +735,7 @@ impl PurgeEngine {
             .collect();
         let puncts: Vec<PunctStore> = all
             .iter()
-            .map(|&s| PunctStore::new(s, schemes, lifespan))
+            .map(|&s| PunctStore::new(s, schemes, lifespan).unread())
             .collect();
         PurgeEngine {
             meets: all.iter().map(|_| StreamMeet::default()).collect(),
@@ -820,8 +821,18 @@ impl PurgeEngine {
         }
     }
 
-    /// Counts `query`'s predicates into (or out of) `readers`, both ways.
+    /// Counts a reader of every scheme `reads` accepts into (or out of) its
+    /// store ([`PunctStore::read`]).
+    pub(crate) fn read_schemes(&mut self, reads: impl Fn(&PunctuationScheme) -> bool, add: bool) {
+        self.puncts
+            .iter_mut()
+            .for_each(|store| store.read(&reads, add));
+    }
+
+    /// Counts `query`'s predicates into (or out of) `readers`, both ways, and
+    /// it into the readers of the schemes it reads ([`Cjq::reads_scheme`]).
     fn count_readers(&mut self, query: &Cjq, add: bool) {
+        self.read_schemes(|s| query.reads_scheme(s), add);
         for p in query.predicates() {
             for (own, other) in [(p.left, p.right), (p.right, p.left)] {
                 let edges = &mut self.readers[own.stream.0];
@@ -964,9 +975,11 @@ impl PurgeEngine {
         evicted
     }
 
-    /// Records a punctuation at sequence time `now`.
+    /// Records a punctuation at sequence time `now`: one of a scheme nobody
+    /// reads is counted dropped at once.
     pub fn observe_punctuation(&mut self, p: &Punctuation, now: u64) {
-        self.puncts[p.stream.0].insert(p, now);
+        let forgotten = matches!(self.puncts[p.stream.0].insert(p, now), Forgotten);
+        self.punct_dropped += u64::from(forgotten);
     }
 
     /// The punctuation store of `stream`.
@@ -1506,11 +1519,13 @@ impl PurgeEngine {
 
     /// Ends the cycle [`PurgeEngine::begin_cycle`] began, once every per-port
     /// and mirror tracker has advanced past the retained logs: drops the
-    /// stores' coverage deltas, so that log stays delta-sized, and the held
-    /// mirrors' retractions from before the cycle. Ones logged *during* it
-    /// stay one more cycle.
+    /// stores' coverage deltas, so that log stays delta-sized, the entries of
+    /// schemes nobody reads any more (counted dropped), and the held mirrors'
+    /// retractions from before the cycle. Ones logged *during* it stay one
+    /// more cycle.
     pub(crate) fn end_cycle(&mut self) {
-        self.puncts.iter_mut().for_each(PunctStore::trim_deltas);
+        let forgotten: usize = self.puncts.iter_mut().map(PunctStore::end_cycle).sum();
+        self.punct_dropped += forgotten as u64;
         let mirrors = self.states.iter_mut().zip(&self.cycle_marks);
         let held = mirrors.zip(&self.held).filter(|(_, held)| **held);
         held.for_each(|((mirror, &mark), _)| mirror.trim_retired_to(mark));

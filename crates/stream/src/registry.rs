@@ -1194,7 +1194,7 @@ mod tests {
     /// tenants live when something last made it worth testing. A tenant
     /// admitted later reads coverage from its admission on, as it reads join
     /// state from its admission on: entries dropped before it came are gone,
-    /// entries nobody read until it came stay (no news re-tests them), and its
+    /// closes of a scheme nobody read until it came were never stored, and its
     /// own rows and the punctuations that cover them leave as anybody's do.
     #[test]
     fn late_admission_sees_coverage_from_its_admission_on() {
@@ -1218,9 +1218,13 @@ mod tests {
             .flat_map(round)
             .for_each(|e| reg.try_push(&e).unwrap());
         reg.purge_cycle(); // the cycle the last round's punctuations owe
-        let entries = |reg: &QueryRegistry| reg.engine.as_ref().unwrap().punct_entries();
-        // `k` closed on both sides and drained: forgotten. Nobody reads `v`.
-        assert_eq!(entries(&reg), 12);
+        let engine = |reg: &QueryRegistry| {
+            let engine = reg.engine.as_ref().unwrap();
+            (engine.punct_entries(), engine.punct_dropped)
+        };
+        // `k` closed on both sides and drained: forgotten. Nobody reads `v`:
+        // its closes were counted and forgotten as they came.
+        assert_eq!(engine(&reg), (0, 12 + 12));
         assert_eq!(reg.metrics().punct_dropped, 0, "counted at finish");
 
         let late = reg.try_admit(&on_v, &plan, None).unwrap();
@@ -1229,26 +1233,65 @@ mod tests {
             .for_each(|e| reg.try_push(&e).unwrap());
         reg.purge_cycle();
         // The late tenant's `v` entries go like the early one's `k` entries
-        // did; the twelve that predate it had no news and stay. Under the
-        // meet of two tenants a mirror row outlives one side's close, but a
-        // round's closes arrive as one run and one cycle pays for them, rows
-        // to their fixpoint first: both entries of a twin pair go together
-        // (a cycle per punctuation dropped one first and stranded the other).
-        assert_eq!(entries(&reg), 12);
+        // did. Under the meet of two tenants a mirror row outlives one side's
+        // close, but a round's closes arrive as one run and one cycle pays for
+        // them, rows to their fixpoint first: both entries of a twin pair go
+        // together (a cycle per punctuation dropped one first and stranded the
+        // other).
+        assert_eq!(engine(&reg), (0, 24 + (12 + 12)));
         assert_eq!(reg.join_state_live(), 0);
-        // They still cover: the store refuses what they forbid.
+        // What the closes before its admission forbade is admitted (§5.1's
+        // trade), and waits for a `b.v = 100` close that nobody kept.
         reg.try_push(&Tuple::of(0, [Value::Int(99), Value::Int(100)]).into())
             .unwrap();
-        assert_eq!(reg.metrics().violations, 1);
-        // A retirement is no news either: what only the retiree's conditions
-        // kept is not re-tested, and nothing breaks.
+        assert_eq!(reg.metrics().violations, 0);
+        // The retirement leaves `k` unread: round 12's closes of it are
+        // forgotten as they come, its `v` closes at the final cycle.
         assert!(reg.retire(early));
         round(12).for_each(|e| reg.try_push(&e).unwrap());
         let done = reg.finish();
         assert_eq!(done.queries[early.0].outputs.len(), 12);
         assert_eq!(done.queries[late.0].outputs.len(), 7);
-        assert_eq!(done.metrics.punct_dropped, 12 + (12 + 12) + 2);
-        assert_eq!(done.metrics.last().unwrap().join_state, 0);
+        assert_eq!(done.metrics.punct_dropped, 48 + 2 + 2);
+        assert_eq!(done.metrics.last().unwrap().join_state, 1, "a(99, 100)");
+    }
+
+    /// A scheme is stored only while a live tenant reads it: `a.v`'s closes
+    /// are forgotten as they come until a tenant joining on `v` is admitted,
+    /// kept while it runs, and cleared — counted dropped — once it retired.
+    /// Stored and dropped add up to what was admitted throughout.
+    #[test]
+    fn a_scheme_is_stored_only_while_a_live_tenant_reads_it() {
+        let (on_k, mut schemes, plan) = tiny();
+        schemes.add(PunctuationScheme::on(0, &[1]).unwrap());
+        schemes.add(PunctuationScheme::on(1, &[1]).unwrap());
+        let pred = JoinPredicate::new(AttrRef::new(0, 1), AttrRef::new(1, 1)).unwrap();
+        let on_v = Cjq::new(on_k.catalog().clone(), vec![pred]).unwrap();
+        let mut reg = QueryRegistry::new(schemes, cfg());
+        reg.try_admit(&on_k, &plan, None).unwrap();
+        let state = |reg: &QueryRegistry| {
+            let engine = reg.engine.as_ref().unwrap();
+            (engine.punct_entries(), engine.punct_dropped)
+        };
+        // No cycle is paid between a punctuation and the look at the stores.
+        let push = |reg: &mut QueryRegistry, e: StreamElement| {
+            reg.try_push(&e).unwrap();
+            state(reg)
+        };
+        let close = |v| StreamElement::Punctuation(punct(0, 1, v));
+        let late = || StreamElement::from(Tuple::of(0, [Value::Int(5), Value::Int(2)]));
+        assert_eq!(push(&mut reg, close(1)), (0, 1), "unread: forgotten");
+        let reader = reg.try_admit(&on_v, &plan, None).unwrap();
+        // No `b.v = 2` close certifies it away: it stays, and refuses.
+        assert_eq!(push(&mut reg, close(2)), (1, 1), "read: stored");
+        assert_eq!(push(&mut reg, late()), (1, 1));
+        assert_eq!(reg.metrics().violations, 1);
+        assert!(reg.retire(reader));
+        assert_eq!(state(&reg), (0, 2), "cleared by the retirement's cycle");
+        assert_eq!(push(&mut reg, close(3)), (0, 3), "unread again: forgotten");
+        assert_eq!(push(&mut reg, late()), (0, 3));
+        assert_eq!(reg.metrics().violations, 1, "admitted again");
+        assert_eq!(reg.metrics().puncts_in, 3);
     }
 
     #[test]

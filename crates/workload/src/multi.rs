@@ -284,9 +284,10 @@ mod tests {
     /// The registry twin of the auction workload's boundedness test: sixteen
     /// tenants over one catalog (perfbench's `multi_tenant16` set), three feed
     /// lengths. What the punctuation stores hold and what a snapshot costs
-    /// must not follow the feed — but for the entries of the schemes no
-    /// tenant's predicate reads, which nothing can certify away, and the
-    /// sample series; both are taken out at their encoded sizes.
+    /// must not follow the feed — but for the sample series, taken out at its
+    /// encoded size. The two schemes no tenant's predicate reads store
+    /// nothing: every punctuation is stored and then forgotten, or forgotten
+    /// as it comes.
     #[test]
     fn registry_punctuation_store_and_snapshots_do_not_grow_with_the_feed() {
         use cjq_stream::checkpoint::{list_snapshots, CheckpointStore, InputCursor};
@@ -295,7 +296,7 @@ mod tests {
             record_outputs: false,
             ..ExecConfig::default()
         };
-        let (mut read_peaks, mut snapshot_bytes) = (Vec::new(), Vec::new());
+        let (mut peaks, mut snapshot_bytes) = (Vec::new(), Vec::new());
         for rounds in [500, 2_000, 8_000] {
             let cfg = MultiConfig {
                 queries: 16,
@@ -306,13 +307,8 @@ mod tests {
             };
             let tenant = generate_queries(&cfg);
             let feed = generate_feed(&cfg);
-            let read = |scheme: &PunctuationScheme| {
-                let end = (scheme.stream, scheme.punctuatable()[0]);
-                let preds = tenant.queries.iter().flat_map(|(q, _)| q.predicates());
-                preds
-                    .flat_map(|p| [p.left, p.right])
-                    .any(|r| (r.stream, r.attr) == end)
-            };
+            let read =
+                |s: &PunctuationScheme| tenant.queries.iter().any(|(q, _)| q.reads_scheme(s));
             let unread = tenant.schemes.schemes().iter().filter(|s| !read(s)).count();
             assert_eq!(unread, 2, "t0.w and t1.w sit inside the shared prefix");
 
@@ -332,21 +328,19 @@ mod tests {
                 reg.push_checkpointed(e, &mut store, &mut cursor).unwrap();
             }
             let metrics = reg.finish().metrics;
-            let kept = unread * rounds;
-            read_peaks.push(metrics.peak_punct_entries - kept);
-            assert_eq!(metrics.punct_dropped as usize, 8 * rounds - kept);
+            peaks.push(metrics.peak_punct_entries);
+            assert_eq!(metrics.punct_dropped as usize, 8 * rounds);
             let snaps = list_snapshots(&dir);
             assert_eq!(snaps.len(), 1);
             let bytes = std::fs::metadata(&snaps[0].1).unwrap().len() as usize;
-            // A `StatePoint` is six 8-byte words, one every 64 elements; a
-            // stored entry its length word, a tagged integer and a stamp.
+            // A `StatePoint` is six 8-byte words, one every 64 elements.
             let series = 6 * 8 * (feed.len() / exec_cfg.sample_every);
-            snapshot_bytes.push(bytes - series - (8 + 9 + 8) * kept);
+            snapshot_bytes.push(bytes - series);
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert!(
-            read_peaks.iter().all(|&p| p == read_peaks[0] && p <= 64),
-            "read punctuation entries follow the feed length: {read_peaks:?}"
+            peaks.iter().all(|&p| p == peaks[0] && p <= 64),
+            "punctuation entries follow the feed length: {peaks:?}"
         );
         // Which reclaim phase the last element lands in moves the count by
         // the resident rows of a few arenas (33402, 19690, 12906 bytes here);

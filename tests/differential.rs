@@ -1,7 +1,8 @@
 //! The generated differential suite: cases drawn by `Case::generated` — a
-//! safe random query (path, star, cycle or random shape), a plan, a legal
-//! config, a faulted round-based feed and a crash point — each run on every
-//! plane and judged against the reference oracle (`cjq_chaos::differential`).
+//! safe random query (path, star, cycle or random shape), at times with a
+//! scheme no predicate reads, a plan, a legal config, a faulted round-based
+//! feed and a crash point — each run on every plane and judged against the
+//! reference oracle (`cjq_chaos::differential`).
 //!
 //! `CJQ_CHAOS=<seed>` moves the seed base (CI runs two bases) and
 //! `CJQ_CASES=<n>` the number of cases. The run prints the non-vacuity
@@ -27,14 +28,20 @@ fn env(name: &str, default: u64) -> u64 {
 #[test]
 fn generated_cases_agree_with_the_oracle() {
     let (base, n) = (env("CJQ_CHAOS", 0), env("CJQ_CASES", 64));
-    let case = |i| Case::generated(base.wrapping_add(i)).check().ratios;
-    let mut ratios: Vec<f64> = (0..n).flat_map(case).collect();
+    let mut unread = 0;
+    let mut case = |i| {
+        let case = Case::generated(base.wrapping_add(i));
+        let (q, r) = (&case.query, &case.schemes);
+        unread += usize::from(r.schemes().iter().any(|s| !q.reads_scheme(s)));
+        case.check().ratios
+    };
+    let mut ratios: Vec<f64> = (0..n).flat_map(&mut case).collect();
     ratios.sort_by(f64::total_cmp);
     let at = |q: f64| (ratios.len() as f64 - 1.0) * q;
     let quantile = |q| ratios.get(at(q).round() as usize).copied().unwrap_or(0.0);
     let [min, p25, median, p75, max] = [0.0, 0.25, 0.5, 0.75, 1.0].map(quantile);
     let ports = ratios.len();
-    eprintln!("peak ÷ bound over {ports} certified ports of {n} cases from seed {base}: min {min:.2}, p25 {p25:.2}, median {median:.2}, p75 {p75:.2}, max {max:.2}");
+    eprintln!("peak ÷ bound over {ports} certified ports of {n} cases from seed {base}: min {min:.2}, p25 {p25:.2}, median {median:.2}, p75 {p75:.2}, max {max:.2}; {unread} cases with an unread scheme");
 }
 
 /// Seed 408's lag weights change only where a step draws its value from

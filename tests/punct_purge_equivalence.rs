@@ -11,9 +11,12 @@
 //! random element sequences × plans × cadences × purge scopes, plus named
 //! regressions.
 
+use std::collections::BTreeSet;
+
 use punctuated_cjq::core::fixtures;
 use punctuated_cjq::core::plan::check_plan;
 use punctuated_cjq::core::prelude::*;
+use punctuated_cjq::stream::element::StreamElement;
 use punctuated_cjq::stream::exec::{Executor, PurgeCadence, StateBudget};
 use punctuated_cjq::stream::fault::{Fault, FaultPlan};
 use punctuated_cjq::stream::metrics::Metrics;
@@ -178,6 +181,45 @@ fn a_forgotten_punctuation_admits_and_a_remembered_one_refuses_on_every_plane() 
         let exec = Executor::compile(q, r, plan, case.cfg).unwrap();
         assert!(solo.outputs.len() > exec.run(&clean).outputs.len());
     }
+}
+
+/// A scheme no predicate reads stores nothing: `bid(bidderid)` closed for
+/// every bidder up front forbids every bid, and every bid is admitted on
+/// every plane, as by the oracle, whose stores the executor's equal at every
+/// sample. (Stored, each close refused a bid: none joined.)
+#[test]
+fn a_tuple_that_violates_an_unread_scheme_is_admitted_on_every_plane() {
+    let (query, mut schemes) = auction::auction_query();
+    schemes.add(PunctuationScheme::on(1, &[0]).unwrap());
+    let clean = auction::generate(&Default::default());
+    let bidder = |e: &StreamElement| match e {
+        StreamElement::Tuple(t) if t.stream == auction::BID => Some(t.values[0]),
+        _ => None,
+    };
+    let bidders: BTreeSet<Value> = clean.elements().iter().filter_map(bidder).collect();
+    let close = |b: &Value| schemes.schemes()[2].instantiate(3, &[*b]).unwrap().into();
+    let mut elements: Vec<StreamElement> = bidders.iter().map(close).collect();
+    elements.extend(clean.elements().iter().cloned());
+    let feed = Feed::from_elements(elements);
+    let spec = (query.clone(), schemes.clone());
+    let case = Case::new("closed bidders", spec, feed.clone()).with(|c| c.late = true);
+    let checked = case.check();
+    let solo = checked.solo.expect("admitted");
+    let expect = Executor::compile(&query, &schemes, &case.plan, case.cfg).unwrap();
+    let expect = expect.run(&clean);
+    let oracle = checked.oracle.expect("modelled");
+    assert_eq!((solo.metrics.violations, oracle.violations), (0, 0));
+    assert_eq!(solo.outputs, expect.outputs);
+    // Stored and dropped add up to what was admitted.
+    let m = &solo.metrics;
+    assert_eq!(
+        m.punct_dropped + m.last().unwrap().punct_entries as u64,
+        m.puncts_in
+    );
+    let fleet = Sharded::<Executor>::compile(&query, &schemes, &case.plan, case.cfg, 4);
+    let sharded = fleet.unwrap().run(&feed);
+    assert_eq!(sharded.metrics.violations, 0);
+    assert_eq!(sorted(&sharded.outputs), sorted(&expect.outputs));
 }
 
 /// A port whose recipe waits on more than one step can hold a row after the
