@@ -4,7 +4,7 @@
 //! Runs the two single-query feeds the gated benchmark times
 //! (`perfbench/README.md`: `trades_watermark`, 528k elements, and
 //! `auction_punct`, 180k elements, both at seed 7) through the sequential
-//! [`Executor`] and through [`Sharded<Executor>`](Sharded) at P ∈ {1, 2, 4} under the
+//! [`Executor`] and through [`Sharded`] at P ∈ {1, 2, 4} under the
 //! eager purge cadence, and records wall-clock elements/second into
 //! `BENCH_throughput.json` at the repository root. The feed configurations
 //! are copied from that README, not imported: `perfbench` is its own package.
@@ -65,7 +65,7 @@ fn run_workload(name: &str, query: &Cjq, schemes: &SchemeSet, feed: &Feed) -> Js
         times[0].push(start.elapsed().as_secs_f64());
         for (&p, times) in SHARD_COUNTS.iter().zip(&mut times[1..]) {
             let start = Instant::now();
-            let exec = Sharded::<Executor>::compile(query, schemes, &plan, cfg, p).unwrap();
+            let exec = Sharded::compile(query, schemes, &plan, cfg, p).unwrap();
             black_box(exec.run(black_box(feed)).metrics.outputs);
             times.push(start.elapsed().as_secs_f64());
         }

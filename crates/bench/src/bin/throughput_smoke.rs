@@ -43,7 +43,7 @@ fn smoke(name: &str, query: &Cjq, schemes: &SchemeSet, feed: &Feed) -> bool {
 
     let mut ok = true;
     for p in [1usize, 2] {
-        let exec = Sharded::<Executor>::compile(query, schemes, &plan, cfg(), p).expect("compile");
+        let exec = Sharded::compile(query, schemes, &plan, cfg(), p).expect("compile");
         let (out, eps) = timed(feed.len(), || exec.run(feed).metrics.outputs);
         println!(
             "  sharded p={p} {eps:>12.0} eps  ({out} results, {:.2}x)",

@@ -17,9 +17,10 @@
 //!   (chunks of 256), a one-tenant registry against the executor, a tenant
 //!   sharing a registry against both, and every resumed run against its
 //!   uninterrupted checkpointed run;
-//! * **across shards** (multisets and feed-level counts) — `Sharded<E>`
-//!   over executors and over registries; where every element routes to one
-//!   shard, the executor's purge and forgetting totals too.
+//! * **across shards** (multisets, feed-level counts and logical live state)
+//!   — `Sharded` sealed one-tenant as executors are and sealed by
+//!   `admit_all`; where every element routes to one shard, the executor's
+//!   purge and forgetting totals too.
 //!
 //! A feed that replays tuples of closed keys (`late`) is admitted by a
 //! plane according to what its §5.1 pass forgot, which differs between
@@ -46,7 +47,7 @@ use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudge
 use cjq_stream::fault::{Fault, FaultPlan};
 use cjq_stream::guard::AdmissionPolicy;
 use cjq_stream::metrics::{Metrics, StatePoint};
-use cjq_stream::parallel::{Sharded, ShardedRunResult};
+use cjq_stream::parallel::Sharded;
 use cjq_stream::purge::PurgeScope;
 use cjq_stream::registry::{QueryRegistry, RegistryResult};
 use cjq_stream::sink::CollectSink;
@@ -96,8 +97,11 @@ pub struct Checked {
     pub solo: Option<RunResult>,
     /// The oracle's run, where it models the config.
     pub oracle: Option<Outcome>,
-    /// The `Sharded<Executor>` runs, one per shard count.
-    pub sharded: Vec<ShardedRunResult>,
+    /// The `Sharded::compile` runs, one per shard count.
+    pub sharded: Vec<RegistryResult>,
+    /// The `Sharded::admit_all` runs, one per shard count where the
+    /// registry takes the config.
+    pub shared: Vec<RegistryResult>,
     /// How many of them ran a feed every element of which routes to one
     /// shard.
     pub routed_whole: usize,
@@ -490,9 +494,10 @@ impl Case {
         }
     }
 
-    /// `Sharded<E>` over executors (armed with the case's bounds: a shard's
-    /// port holds part of the logical one) and over registries at every
-    /// shard count: the executor's multiset and feed-level counts. Where
+    /// `Sharded::compile` (armed with the case's bounds: a shard's port holds
+    /// part of the logical one) and `Sharded::admit_all` at every shard
+    /// count: the executor's multiset and feed-level counts, and the two
+    /// fleets' logical live state alike. Where
     /// every element routes to one shard and the case [`Case::settles`], an
     /// executor fleet also purges what the executor does. (It need not forget
     /// what it does: a shard's punctuation run can join two runs that another
@@ -509,28 +514,30 @@ impl Case {
         let specs = [(self.query.clone(), self.plan.clone())];
         let purged = solo.metrics.purged;
         for &p in &self.shards {
-            let plane = format!("{}: Sharded<Executor> P={p}", self.name);
-            let mut fleet =
-                Sharded::<Executor>::compile(q, r, &self.plan, self.cfg, p).expect("compiles");
+            let plane = format!("{}: Sharded::compile P={p}", self.name);
+            let mut fleet = Sharded::compile(q, r, &self.plan, self.cfg, p).expect("compiles");
             if let Some(bounds) = &bounds {
                 fleet.set_port_bounds(bounds.clone());
             }
             let routed = |e| fleet.partitioning().route(e).is_some();
             let whole = self.feed.elements().iter().all(routed) && self.settles();
             let run = fleet.try_run(&self.feed).expect(&plane);
-            let got = (sorted(&run.outputs), counts(&run.metrics));
+            let got = (sorted(&run.queries[0].outputs), counts(&run.metrics));
             assert_eq!(got, expect, "{plane}: multiset, feed-level counts");
             let agree = run.metrics.purged == purged;
             assert!(agree || !whole, "{plane}: routed whole: purged");
             checked.routed_whole += usize::from(whole);
             let fleet = self
                 .shares()
-                .then(|| Sharded::<QueryRegistry>::admit_all(&specs, r, self.cfg, p));
+                .then(|| Sharded::admit_all(&specs, r, self.cfg, p));
             if let Some(Ok(fleet)) = fleet {
-                let plane = format!("{}: Sharded<QueryRegistry> P={p}", self.name);
+                let plane = format!("{}: Sharded::admit_all P={p}", self.name);
                 let shared = fleet.try_run(&self.feed).expect(&plane);
                 let got = (sorted(&shared.queries[0].outputs), counts(&shared.metrics));
                 assert_eq!(got, expect, "{plane}: multiset, feed-level counts");
+                let logical = |r: &RegistryResult| (r.logical_join_state, r.logical_mirror);
+                assert_eq!(logical(&shared), logical(&run), "{plane}: logical state");
+                checked.shared.push(shared);
             }
             checked.sharded.push(run);
         }
@@ -550,11 +557,8 @@ impl Case {
         assert_eq!(golden.outputs, solo.outputs, "{name}: checkpointed");
         let p = self.shards.first().copied().filter(|_| !self.late);
         let (q, r, plan, cfg) = (&self.query, &self.schemes, &self.plan, self.cfg);
-        let fleet = |p| {
-            move |_: &str| {
-                Sharded::<Executor>::compile(q, r, plan, cfg, p).map_err(|e| e.to_string())
-            }
-        };
+        let fleet =
+            |p| move |_: &str| Sharded::compile(q, r, plan, cfg, p).map_err(|e| e.to_string());
         let golden_fleet = p.map(|p| resume(0, every, feed, fleet(p), true));
         let run = |r: &RunResult| (r.outputs.clone(), r.operators.clone(), digest(&r.metrics));
         for &crash in &self.crashes {
@@ -575,7 +579,7 @@ impl Case {
             }
             if let (Some(p), Some(golden)) = (p, &golden_fleet) {
                 let resumed = resume(crash, every, feed, fleet(p), false);
-                let run = |r: &ShardedRunResult| (r.outputs.clone(), digest(&r.metrics));
+                let run = |r: &RegistryResult| (r.queries[0].outputs.clone(), digest(&r.metrics));
                 assert_eq!(run(&resumed), run(golden), "{plane}, P={p}");
             }
         }

@@ -14,7 +14,8 @@ use cjq_core::plan::Plan;
 use cjq_core::value::Value;
 use cjq_stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult};
 use cjq_stream::fault::{Fault, FaultPlan};
-use cjq_stream::parallel::{Sharded, ShardedRunResult};
+use cjq_stream::parallel::Sharded;
+use cjq_stream::registry::RegistryResult;
 use cjq_stream::source::Feed;
 use cjq_stream::Engine;
 
@@ -29,12 +30,12 @@ fn check(w: &Workload, feed: Feed, cadence: PurgeCadence) -> Checked {
 }
 
 /// The executor's and the four-shard fleet's plain runs of `feed`.
-fn runs(w: &Workload, feed: &Feed, cadence: PurgeCadence) -> (RunResult, ShardedRunResult) {
+fn runs(w: &Workload, feed: &Feed, cadence: PurgeCadence) -> (RunResult, RegistryResult) {
     let ((q, r), mut cfg) = (&w.spec, ExecConfig::default());
     cfg.cadence = cadence;
     let plan = Plan::mjoin_all(q);
     let seq = Executor::compile(q, r, &plan, cfg).unwrap().run(feed);
-    let sharded = Sharded::<Executor>::compile(q, r, &plan, cfg, SHARDS).unwrap();
+    let sharded = Sharded::compile(q, r, &plan, cfg, SHARDS).unwrap();
     (seq, sharded.run(feed))
 }
 
@@ -56,14 +57,18 @@ fn punctuation_faults_leave_outputs_byte_identical() {
     for w in &bundled_workloads() {
         for cadence in CADENCES {
             let (clean_seq, clean_sharded) = runs(w, &w.feed, cadence);
-            let (seq, sharded) = (sorted(&clean_seq.outputs), sorted(&clean_sharded.outputs));
+            let (seq, sharded) = (
+                sorted(&clean_seq.outputs),
+                sorted(&clean_sharded.queries[0].outputs),
+            );
             assert_eq!(seq, sharded, "[{}] {cadence:?}", w.name);
             for (fname, plan) in &plans {
                 let at = format!("[{}/{cadence:?}/{fname}]", w.name);
                 let faulted = plan.apply(&w.feed);
                 let (seq, sharded) = runs(w, &faulted, cadence);
                 assert_eq!(seq.outputs, clean_seq.outputs, "{at} sequential");
-                assert_eq!(sharded.outputs, clean_sharded.outputs, "{at} sharded");
+                let outputs = |r: &RegistryResult| r.queries[0].outputs.clone();
+                assert_eq!(outputs(&sharded), outputs(&clean_sharded), "{at} sharded");
                 assert_eq!(seq.metrics.violations, 0, "{at} fabricated a violation");
             }
             // The combined plan, judged on every plane.
@@ -103,7 +108,8 @@ fn quarantine_never_loses_result_tuples() {
         let (seq_d, sh_d) = runs(w, &dropped, PurgeCadence::Eager);
         let at = format!("[{}]", w.name);
         assert_eq!(seq_t.outputs, seq_d.outputs, "{at} lost a result");
-        assert_eq!(sorted(&sh_t.outputs), sorted(&sh_d.outputs), "{at} sharded");
+        let (got, want) = (&sh_t.queries[0].outputs, &sh_d.queries[0].outputs);
+        assert_eq!(sorted(got), sorted(want), "{at} sharded");
         for m in [&seq_t.metrics, &sh_t.metrics] {
             // Every corrupted tuple counted once.
             let want = (corrupted, seq_d.metrics.tuples_in);

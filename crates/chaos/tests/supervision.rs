@@ -23,9 +23,9 @@ fn auction() -> Workload {
     bundled_workloads().remove(0)
 }
 
-fn compile_sharded(w: &Workload, cfg: ExecConfig) -> Sharded<Executor> {
+fn compile_sharded(w: &Workload, cfg: ExecConfig) -> Sharded {
     let (q, r) = &w.spec;
-    Sharded::<Executor>::compile(q, r, &Plan::mjoin_all(q), cfg, SHARDS).expect("compiles")
+    Sharded::compile(q, r, &Plan::mjoin_all(q), cfg, SHARDS).expect("compiles")
 }
 
 /// A panic injected into one shard's sink comes back as
@@ -95,7 +95,7 @@ fn strict_admission_surfaces_as_typed_errors() {
     let exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
     let err = exec.try_run(&feed).unwrap_err();
     assert!(matches!(err, ExecError::Admission { .. }), "got {err}");
-    let fleet = Sharded::<Executor>::compile(&q, &r, &plan, cfg, SHARDS).unwrap();
+    let fleet = Sharded::compile(&q, &r, &plan, cfg, SHARDS).unwrap();
     match fleet.try_run(&feed).unwrap_err() {
         ExecError::Shard { shard, source } => {
             let admission = matches!(*source, ExecError::Admission { .. });

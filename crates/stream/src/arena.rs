@@ -270,8 +270,6 @@ fn shape_of(key: &NodeKey, op: &JoinOperator) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Executor;
-    use crate::pipeline::Pipeline;
     use crate::registry::QueryRegistry;
     use cjq_core::fixtures;
     use cjq_core::schema::{Catalog, StreamSchema};
@@ -334,10 +332,10 @@ mod tests {
         cases.push((cq, cr, bushy));
         for (q, r, plan) in cases {
             let cfg = ExecConfig::default();
-            let exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
+            let exec = QueryRegistry::sealed(&q, &r, &plan, cfg, None).unwrap();
             let mut reg = QueryRegistry::new(r, cfg);
             reg.try_admit(&q, &plan, None).unwrap();
-            let lowered = layout(&exec.reg().arena);
+            let lowered = layout(&exec.arena);
             assert_eq!(lowered.len(), plan.operator_count(), "{plan}");
             assert_eq!(lowered, layout(&reg.arena), "{plan}");
             // Children sit below their parents; the root spans the query.

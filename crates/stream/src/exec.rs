@@ -2,32 +2,33 @@
 //! over a punctuated feed.
 //!
 //! An executor is a [`QueryRegistry`] sealed with its query as the one
-//! tenant — the engine, its monitors and its snapshot are the registry's —
-//! plus its own delivery: root results go to a caller's sink (or the
-//! executor's record) and an optional [`GroupBy`] stage over the root output
-//! (the paper's Figure 1 pipeline). Purge cycles run eagerly (once per
-//! punctuation run), lazily (batched), or never, per [`PurgeCadence`] — the
-//! Plan-Parameter-II knob of §5.2.
+//! tenant — the engine, its monitors, its snapshot and its delivery are the
+//! registry's: root results go to a caller's sink (or the tenant's record)
+//! and an optional [`GroupBy`] stage, the tenant's group stage, over the
+//! root output (the paper's Figure 1 pipeline). Purge cycles run eagerly
+//! (once per punctuation run), lazily (batched), or never, per
+//! [`PurgeCadence`] — the Plan-Parameter-II knob of §5.2.
 
 use cjq_core::error::{CoreError, CoreResult};
 use cjq_core::plan::Plan;
-use cjq_core::punctuation::Punctuation;
 use cjq_core::query::Cjq;
 use cjq_core::schema::{AttrRef, StreamId};
 use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
-use crate::checkpoint::{CheckpointStore, Fingerprint, InputCursor};
+use crate::checkpoint::{
+    CheckpointStore, Dec, Enc, Fingerprint, InputCursor, SnapshotKind, SnapshotResult,
+};
 use crate::element::StreamElement;
-use crate::error::ExecResult;
+use crate::error::{ExecError, ExecResult};
 use crate::groupby::{Aggregate, GroupBy};
 use crate::guard::{AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::Metrics;
-use crate::pipeline::{Engine, Pipeline};
+use crate::pipeline::{Checkpointed, Engine};
 use crate::purge::{PurgeEngine, PurgeScope};
 use crate::registry::{QueryId, QueryRegistry, RegistryResult};
-use crate::sink::{OutputBuffer, ResultSink};
+use crate::sink::ResultSink;
 use crate::source::{ElementBatch, Feed};
 use crate::tier::TierConfig;
 
@@ -243,19 +244,12 @@ pub struct RunResult {
     pub operators: Vec<OperatorSnapshot>,
 }
 
-/// A compiled, runnable execution plan.
+/// A compiled, runnable execution plan: a [`QueryRegistry`] sealed with the
+/// query as its one tenant. A newtype that forwards to its registry — its
+/// result is the tenant's, as a [`RunResult`] — while callers name it
+/// (ROADMAP item 2).
 #[derive(Debug)]
-pub struct Executor {
-    /// The engine: a registry sealed with the query as its one tenant.
-    reg: QueryRegistry,
-    groupby: Option<GroupBy>,
-    /// Punctuations awaiting delivery to the group-by stage: a punctuation
-    /// may only close groups once no *stored* tuple of its stream can still
-    /// produce matching outputs (the punctuation-propagation condition of
-    /// [12]/[6]); until then it is pending.
-    pending_group_puncts: Vec<Punctuation>,
-    aggregates: Vec<Vec<Value>>,
-}
+pub struct Executor(QueryRegistry);
 
 impl Executor {
     /// Compiles `plan` (validated against `query`) into an operator tree.
@@ -273,8 +267,7 @@ impl Executor {
 
     /// Like [`Executor::compile`], with optional per-scheme punctuation-lag
     /// weights (aligned with `schemes.schemes()`): purge recipes then prefer
-    /// low-lag schemes (§5.2 Plan Parameter I). The registry's compile step,
-    /// then [`QueryRegistry::seal`]: the plan need not be safe.
+    /// low-lag schemes (§5.2 Plan Parameter I).
     pub fn compile_weighted(
         query: &Cjq,
         schemes: &SchemeSet,
@@ -282,16 +275,7 @@ impl Executor {
         cfg: ExecConfig,
         weights: Option<&[f64]>,
     ) -> CoreResult<Self> {
-        let mut reg = QueryRegistry::checked(schemes.clone(), cfg, false)?;
-        reg.validate(query, plan)?;
-        reg.lower(query, plan, weights, None);
-        reg.seal().expect("nothing has run yet");
-        Ok(Executor {
-            reg,
-            groupby: None,
-            pending_group_puncts: Vec::new(),
-            aggregates: Vec::new(),
-        })
+        QueryRegistry::sealed(query, schemes, plan, cfg, weights).map(Executor)
     }
 
     /// Arms per-port bound certificates: `bounds[flat_port]` (op-major,
@@ -303,13 +287,7 @@ impl Executor {
     /// # Panics
     /// Panics if `bounds.len()` differs from the number of flat ports.
     pub fn set_port_bounds(&mut self, bounds: Vec<Option<u64>>) {
-        assert_eq!(
-            bounds.len(),
-            self.reg.arena.port_live().count(),
-            "one bound slot per flattened operator port"
-        );
-        let armed = bounds.iter().any(Option::is_some);
-        self.reg.core.port_bounds = armed.then_some(bounds);
+        self.0.set_port_bounds(bounds);
     }
 
     /// Attaches a group-by/aggregation stage over the root operator's output.
@@ -328,13 +306,8 @@ impl Executor {
     pub fn with_groupby(mut self, group_by: &[AttrRef], agg: Aggregate) -> Self {
         let root = self.operators().last().expect("at least one operator");
         let layout = root.out_layout().clone();
-        let g = GroupBy::for_query(self.query(), layout, group_by, agg);
-        // The propagation condition probes the punctuated stream's mirror,
-        // and a punctuation that closed groups must go on refusing tuples.
-        let engine = self.reg.engine.as_mut().expect("compiled");
-        engine.hold_every_stream();
-        engine.read_schemes(|s| g.reads_scheme(s), true);
-        self.groupby = Some(g);
+        let by = GroupBy::for_query(self.query(), layout, group_by, agg);
+        self.0.attach_group(by);
         self
     }
 
@@ -343,32 +316,32 @@ impl Executor {
     /// dead-letter sink quarantined elements are only counted.
     #[must_use]
     pub fn with_dead_letter(mut self, sink: Box<dyn ResultSink + Send>) -> Self {
-        self.reg.core.dead_letter = DeadLetter::to(sink);
+        self.0.core.dead_letter = DeadLetter::to(sink);
         self
     }
 
     /// The query this executor runs.
     #[must_use]
     pub fn query(&self) -> &Cjq {
-        self.reg.query(QueryId(0)).expect("the one tenant")
+        self.0.query(QueryId(0)).expect("the one tenant")
     }
 
     /// Total live join-state tuples across all operators, as of the last
     /// purge cycle (see [`PurgeCadence::Eager`]).
     #[must_use]
     pub fn join_state_live(&self) -> usize {
-        Pipeline::join_state_live(self)
+        self.0.join_state_live()
     }
 
     /// The purge engine (mirror + punctuation stores).
     #[must_use]
     pub fn engine(&self) -> &PurgeEngine {
-        self.reg.engine().expect("compiled")
+        self.0.engine().expect("compiled")
     }
 
     /// The operators, bottom-up (root last).
     pub fn operators(&self) -> impl Iterator<Item = &JoinOperator> {
-        self.ops()
+        self.0.ops()
     }
 
     /// [`Engine::try_push`], callable without the trait in scope.
@@ -389,14 +362,14 @@ impl Executor {
         batch: &ElementBatch<'_>,
         sink: &mut dyn ResultSink,
     ) -> ExecResult<()> {
-        self.push_batch_timed(batch, &mut Some(sink))
+        self.0.push_batch_timed(batch, &mut Some(sink))
     }
 
     /// Rows currently resident in the cold (spilled) tier across all
     /// operators (0 unless [`ExecConfig::tiering`] is set).
     #[must_use]
     pub fn cold_rows(&self) -> usize {
-        Pipeline::cold_rows(self)
+        self.0.cold_rows()
     }
 
     /// Runs a whole feed, streaming root results into `sink`
@@ -407,20 +380,17 @@ impl Executor {
         feed: &Feed,
         sink: &mut dyn ResultSink,
     ) -> ExecResult<RunResult> {
-        self.feed(feed, &mut Some(&mut *sink))?;
+        self.0.feed(feed, &mut Some(&mut *sink))?;
         sink.finish();
         Ok(self.finish())
     }
 
-    /// [`Engine::finish`], callable without the trait in scope.
+    /// [`Engine::finish`], callable without the trait in scope: the
+    /// registry's finish, its one tenant's results and the operators' final
+    /// state.
     pub fn finish(mut self) -> RunResult {
-        self.finish_core();
-        self.into_result()
-    }
-
-    /// The results, once the pipeline finished.
-    pub(crate) fn into_result(self) -> RunResult {
-        let operators = self.ops().map(|op| OperatorSnapshot {
+        self.0.finish_core();
+        let operators = self.operators().map(|op| OperatorSnapshot {
             span: op.span().to_vec(),
             port_live: op.port_live(),
             stats: op.stats,
@@ -429,10 +399,12 @@ impl Executor {
         let RegistryResult {
             mut queries,
             metrics,
-        } = self.reg.into_result();
+            ..
+        } = self.0.into_result();
+        let tenant = queries.swap_remove(0);
         RunResult {
-            outputs: queries.swap_remove(0).outputs,
-            aggregates: self.aggregates,
+            outputs: tenant.outputs,
+            aggregates: tenant.aggregates,
             metrics,
             operators,
         }
@@ -444,7 +416,7 @@ impl Executor {
     /// one's snapshot onto the other.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        self.reg.state_fingerprint()
+        self.0.fingerprint()
     }
 
     /// [`Engine::push_checkpointed`], callable without the trait in scope.
@@ -475,87 +447,58 @@ impl Engine for Executor {
     }
 }
 
-/// The executor's delivery: root results go to the group-by stage and to a
-/// caller-supplied sink, or without one to the registry's own: recorded into
-/// `RunResult::outputs` under [`ExecConfig::record_outputs`], counted
-/// (`Metrics::outputs`) otherwise.
-impl Pipeline for Executor {
-    fn reg(&self) -> &QueryRegistry {
-        &self.reg
+/// Everything the driver asks is the registry's.
+impl Checkpointed for Executor {
+    const KIND: SnapshotKind = QueryRegistry::KIND;
+
+    fn fingerprint(&self) -> u64 {
+        self.0.fingerprint()
     }
 
-    fn reg_mut(&mut self) -> &mut QueryRegistry {
-        &mut self.reg
+    fn write_snapshot(&self, e: &mut Enc) -> Result<(), &'static str> {
+        self.0.write_snapshot(e)
     }
 
-    /// The group-by stage reads the root's rows.
-    fn roots_routed(&mut self) {
-        if let Some(g) = &mut self.groupby {
-            let root = self.reg.arena.out(self.reg.arena.slots() - 1);
-            root.rows().for_each(|row| g.process_tuple(row));
-        }
+    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+        self.0.read_snapshot(d)
     }
 
-    /// A punctuation may only close groups once no *stored* tuple of its
-    /// stream can still produce matching outputs; until then it is pending.
-    fn punct_observed(&mut self, p: &Punctuation) {
-        if self.groupby.is_some() {
-            self.pending_group_puncts.push(p.clone());
-        }
+    fn snapshot_rows(&self) -> u64 {
+        self.0.snapshot_rows()
     }
 
-    /// Delivers pending punctuations to the group-by stage once safe: a
-    /// punctuation on stream `S` closes groups only when no live stored `S`
-    /// tuple matches it — otherwise that tuple could still join future data
-    /// and add members to an already-emitted group.
-    fn settle_pending(&mut self) {
-        let Some(g) = &mut self.groupby else { return };
-        let engine = self.reg.engine.as_ref().expect("compiled");
-        let mut buf = OutputBuffer::new(g.out_width());
-        let pending = std::mem::take(&mut self.pending_group_puncts);
-        for p in pending {
-            let state = engine.mirror_state(p.stream);
-            // Probe a mirror hash index when the punctuation pins a constant
-            // on an indexed column — O(matching) instead of O(live).
-            let indexed_probe = p.constant_attrs().find(|(attr, _)| state.has_index(attr.0));
-            let blocked = match indexed_probe {
-                Some((attr, value)) => state
-                    .probe(attr.0, value)
-                    .iter()
-                    .filter_map(|&slot| state.get(slot))
-                    .any(|row| p.matches(row)),
-                None => state.iter_live().any(|(_, row)| p.matches(row)),
-            };
-            if blocked {
-                self.pending_group_puncts.push(p);
-            } else {
-                buf.clear();
-                let closed = g.process_punctuation_into(&p, &mut buf);
-                self.reg.core.metrics.aggregates_out += closed as u64;
-                self.aggregates.extend(buf.rows().map(<[Value]>::to_vec));
-            }
-        }
+    fn n_streams(&self) -> Option<usize> {
+        self.0.n_streams()
     }
 
-    fn open_groups(&self) -> usize {
-        self.groupby.as_ref().map_or(0, GroupBy::open_groups)
+    fn push_one(&mut self, element: &StreamElement) -> ExecResult<()> {
+        self.0.push_one(element)
     }
 
-    fn unserializable(&self) -> Option<&'static str> {
-        self.groupby.as_ref().map(|_| {
-            "group-by stages are not checkpointable: open-group state is not \
-             serialized"
-        })
+    fn counters(&mut self) -> &mut Metrics {
+        self.0.counters()
+    }
+
+    fn failure(&self) -> Option<ExecError> {
+        self.0.failure()
+    }
+
+    fn feed_all(&mut self, feed: &Feed) -> ExecResult<()> {
+        self.0.feed_all(feed)
+    }
+
+    fn purge_all(&mut self) {
+        self.0.purge_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ExecError;
     use crate::state::PortState;
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
+    use cjq_core::punctuation::Punctuation;
     use cjq_core::schema::AttrId;
     use cjq_core::scheme::PunctuationScheme;
 
@@ -977,6 +920,46 @@ mod tests {
         let lost = exec.push_checkpointed(&bid_close(1), &mut store, &mut cursor);
         assert!(matches!(lost, Err(ExecError::CheckpointCorrupt { .. })));
         exec.try_push(&item(2)).unwrap();
+    }
+
+    /// State that cannot be serialized refuses a commit, by name: an
+    /// executor's group stage, a live tenant's attached sink. Once that
+    /// tenant retires, the registry commits.
+    #[test]
+    fn commits_are_refused_for_a_group_stage_and_a_live_tenants_sink() {
+        use crate::checkpoint::{CheckpointStore, InputCursor};
+        use crate::sink::CountSink;
+
+        let (q, r) = fixtures::auction();
+        let (plan, cfg) = (Plan::mjoin_all(&q), ExecConfig::default());
+        let dir = std::env::temp_dir().join(format!("cjq-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = CheckpointStore::open(&dir, 1).unwrap();
+        let cursor = InputCursor::zero(q.n_streams());
+        let refused = |res: ExecResult<()>| match res {
+            Err(ExecError::CheckpointCorrupt { detail, .. }) => detail,
+            other => panic!("not refused: {other:?}"),
+        };
+
+        let exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
+        let mut grouped = exec.with_groupby(&[AttrRef::new(1, 1)], Aggregate::Count);
+        let why = refused(grouped.commit_checkpoint(&mut store, &cursor));
+        assert!(
+            why.starts_with("group-by stages are not checkpointable"),
+            "{why}"
+        );
+
+        let mut reg = QueryRegistry::new(r, cfg);
+        let id = reg.try_admit(&q, &plan, Some(Box::new(CountSink::new())));
+        let id = id.unwrap();
+        let why = refused(reg.commit_checkpoint(&mut store, &cursor));
+        assert!(
+            why.starts_with("queries with attached sinks are not"),
+            "{why}"
+        );
+        assert!(reg.retire(id));
+        reg.commit_checkpoint(&mut store, &cursor).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

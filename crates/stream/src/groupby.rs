@@ -18,6 +18,7 @@ use cjq_core::scheme::PunctuationScheme;
 use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
+use crate::purge::PurgeEngine;
 use crate::sink::OutputBuffer;
 
 /// The aggregate computed per group.
@@ -257,6 +258,55 @@ impl GroupBy {
     #[must_use]
     pub fn layout(&self) -> &SpanLayout {
         &self.layout
+    }
+}
+
+/// A tenant's group-by stage over its root output (the paper's Figure 1
+/// pipeline): the registry feeds it the root's rows after each cascade and
+/// queues every admitted punctuation, and settles it at the end of a purge
+/// cycle.
+#[derive(Debug)]
+pub(crate) struct GroupStage {
+    pub by: GroupBy,
+    /// Punctuations awaiting delivery: a punctuation may only close groups
+    /// once no *stored* tuple of its stream can still produce matching
+    /// outputs (the punctuation-propagation condition of \[12\]/\[6\]);
+    /// until then it is pending.
+    pub pending: Vec<Punctuation>,
+    /// The aggregate rows emitted so far.
+    pub aggregates: Vec<Vec<Value>>,
+}
+
+impl GroupStage {
+    /// Delivers pending punctuations once safe: a punctuation on stream `S`
+    /// closes groups only when no live stored `S` tuple matches it —
+    /// otherwise that tuple could still join future data and add members to
+    /// an already-emitted group. Returns the number of groups closed.
+    pub(crate) fn settle(&mut self, engine: &PurgeEngine) -> u64 {
+        let mut buf = OutputBuffer::new(self.by.out_width());
+        let mut closed = 0;
+        for p in std::mem::take(&mut self.pending) {
+            let state = engine.mirror_state(p.stream);
+            // Probe a mirror hash index when the punctuation pins a constant
+            // on an indexed column — O(matching) instead of O(live).
+            let indexed_probe = p.constant_attrs().find(|(attr, _)| state.has_index(attr.0));
+            let blocked = match indexed_probe {
+                Some((attr, value)) => state
+                    .probe(attr.0, value)
+                    .iter()
+                    .filter_map(|&slot| state.get(slot))
+                    .any(|row| p.matches(row)),
+                None => state.iter_live().any(|(_, row)| p.matches(row)),
+            };
+            if blocked {
+                self.pending.push(p);
+            } else {
+                buf.clear();
+                closed += self.by.process_punctuation_into(&p, &mut buf) as u64;
+                self.aggregates.extend(buf.rows().map(<[Value]>::to_vec));
+            }
+        }
+        closed
     }
 }
 

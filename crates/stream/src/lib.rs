@@ -14,11 +14,11 @@
 //! * an [`exec::Executor`] that compiles a [`cjq_core::plan::Plan`] into an
 //!   operator tree and reports state-size time series ([`metrics`]) — the
 //!   observable form of the paper's bounded-state safety guarantee;
-//! * a shared-state multi-query [`registry::QueryRegistry`]; it and the
-//!   executor hold one private operator arena (plan lowering, routing,
-//!   operator snapshots) under one private `pipeline` module (element loop,
-//!   admission, purge cycle, budget ladder, finish, checkpoint driver) and are
-//!   driven through one trait, [`Engine`];
+//! * a shared-state multi-query [`registry::QueryRegistry`], the one engine
+//!   type — the executor is one sealed with one tenant, [`parallel::Sharded`]
+//!   is `P` of them — over one private operator arena and one private
+//!   `pipeline` (element loop, admission, purge cycle, budget ladder, finish,
+//!   checkpoint driver), driven through one trait, [`Engine`];
 //! * a hardened runtime layer for hostile inputs: an admission [`guard`]
 //!   with strict/quarantine/repair policies, typed [`error::ExecError`]s on
 //!   the `try_*` execution paths, deterministic [`fault`] injection for
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::guard::{AdmissionFault, AdmissionGuard, AdmissionPolicy};
     pub use crate::join::JoinOperator;
     pub use crate::metrics::{Metrics, StatePoint};
-    pub use crate::parallel::{Partitioning, Sharded, ShardedRunResult};
+    pub use crate::parallel::{Partitioning, Sharded};
     pub use crate::pipeline::Engine;
     pub use crate::punct_store::PunctStore;
     pub use crate::purge::{CheckOutcome, PurgeEngine, PurgeScope};

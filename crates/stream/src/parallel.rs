@@ -1,9 +1,9 @@
-//! Hash-partitioned parallel execution: one sharded plane over any engine.
+//! Hash-partitioned parallel execution: one sharded plane of registries.
 //!
-//! A [`Sharded<E>`] holds `P` independent single-threaded engines of one kind
-//! — each an unmodified [`Executor`] or
-//! [`QueryRegistry`](crate::registry::QueryRegistry), one engine under two
-//! deliveries — and routes the feed across them:
+//! A [`Sharded`] holds `P` independent single-threaded [`QueryRegistry`]s —
+//! each sealed with one query as an [`Executor`](crate::exec::Executor) is
+//! ([`Sharded::compile`]), or with every tenant of a spec list
+//! ([`Sharded::admit_all`]) — and routes the feed across them:
 //!
 //! * **Tuples** of a *partitioned* stream go to the one shard selected by
 //!   hashing the stream's partition attribute; tuples of *broadcast* streams
@@ -27,9 +27,9 @@
 //! shards *able* to purge: any chained-purge requirement a shard derives
 //! binds the partition attribute from shard-local rows, whose class values
 //! hash to that very shard — so the covering punctuation is routed there.
-//! Nothing in that argument asks which engine a shard is, so the wrapper does
-//! not either: it is an [`Engine`] over `E: Engine`, and an engine supplies
-//! only how shard `i` is built and how finished shards fold into one result.
+//! Nothing in that argument asks which tenants a shard runs, so the plane
+//! does not either: it is an [`Engine`] over registries, with one fold of
+//! finished shards into one [`RegistryResult`].
 //!
 //! The payoff on purge-dominated workloads is that a targeted punctuation
 //! triggers a purge cycle in **one** shard scanning `~live/P` candidates
@@ -51,11 +51,12 @@ use cjq_core::value::Value;
 use crate::checkpoint::{Dec, Enc, Fingerprint, SnapshotKind, SnapshotResult};
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
-use crate::exec::{ExecConfig, Executor, RunResult};
+use crate::exec::ExecConfig;
 use crate::guard::AdmissionFault;
 use crate::join::JoinOperator;
 use crate::metrics::Metrics;
-use crate::pipeline::{Checkpointed, Engine, Pipeline, Shard, FEED_CHUNK};
+use crate::pipeline::{Checkpointed, Engine, FEED_CHUNK};
+use crate::registry::{QueryRegistry, QueryRunResult, RegistryResult};
 use crate::sink::ResultSink;
 use crate::source::{ElementBatch, Feed};
 
@@ -311,37 +312,8 @@ impl Partitioning {
     }
 }
 
-/// Result of a sharded executor run.
-///
-/// Physical counters (`metrics.purged`, peaks, `purge_cycles`...) are summed
-/// across shards — broadcast state is replicated, so they can exceed a
-/// sequential run's. The *logical* fields deduplicate: broadcast state,
-/// inserted identically in every shard, is unioned by (deterministic) slot
-/// id; partitioned state is disjoint across shards and summed.
-#[derive(Debug)]
-pub struct ShardedRunResult {
-    /// Merged result tuples, concatenated in shard order from what the
-    /// shards recorded under [`ExecConfig::record_outputs`] (empty otherwise,
-    /// and empty from [`Sharded::try_run_with_sinks`] — there the caller owns
-    /// the sinks). Each result is produced by exactly one shard (the one its
-    /// partition-class value hashes to), so this is the same multiset a
-    /// sequential run emits, in per-shard order.
-    pub outputs: Vec<Vec<Value>>,
-    /// Merged metrics; see [`Sharded`] for which counts are logical. The
-    /// sample series is left empty (see the per-shard results).
-    pub metrics: Metrics,
-    /// Logical live join-state tuples at end of run.
-    pub logical_join_state: usize,
-    /// Logical live mirror tuples at end of run.
-    pub logical_mirror: usize,
-    /// Per-shard results (their `outputs` moved into the merged `outputs`;
-    /// everything else, including the sample series, is intact).
-    pub shards: Vec<RunResult>,
-}
-
-/// `P` engines of one kind — [`Executor`]s, or
-/// [`QueryRegistry`](crate::registry::QueryRegistry)s — behind one router,
-/// driven through the same [`Engine`] surface as the engine it wraps.
+/// `P` registries behind one router, driven through the same [`Engine`]
+/// surface as one registry.
 ///
 /// [`Engine::try_run`] is the threaded run: `P` shard workers over routed
 /// subsequences of the feed. With `P = 1` the router and channels are bypassed
@@ -371,22 +343,26 @@ pub struct ShardedRunResult {
 /// every surviving shard drains what was routed to it before the first
 /// failure, by shard index, is returned.
 ///
-/// **Merged metrics.** [`Engine::finish`] folds the shards by the wrapped
-/// engine's rule and then applies the router's bookkeeping, once for every
-/// engine: `tuples_in`/`puncts_in`/`violations`/`quarantined` and the
+/// **Merged result.** [`Engine::finish`] folds the shards into one
+/// [`RegistryResult`]: each query's outputs and aggregates concatenated in
+/// shard order (each result is produced by exactly one shard, the one its
+/// partition-class value hashes to, so this is the multiset a sequential run
+/// emits) and its counters added; the logical live counts as slot unions;
+/// the per-shard metrics kept. The merged metrics are the shards' physical
+/// merge ([`Metrics::merge_from`]) with the router's bookkeeping applied:
+/// `tuples_in`/`puncts_in`/`violations`/`quarantined` and the
 /// tuple-side quarantine matrix are logical feed-level counts (a broadcast
 /// element counts once); purge/peak counters and punctuation-side
 /// quarantine/repair counts are physical sums (broadcast punctuations are
 /// classified per shard); `stalled_streams` is the union across shards;
 /// `elapsed_ns` is the driver's wall-clock time.
 ///
-/// A sharded executor does not support a group-by stage (aggregation needs a
-/// global view of each group).
+/// A sharded plane takes no group stage (aggregation needs a global view of
+/// each group).
 #[derive(Debug)]
-#[allow(private_bounds)]
-pub struct Sharded<E: Shard> {
+pub struct Sharded {
     partitioning: Partitioning,
-    shards: Vec<E>,
+    shards: Vec<QueryRegistry>,
     /// Feed tuples and punctuations routed so far (a broadcast element counts
     /// once), for the merged `tuples_in`/`puncts_in`.
     router_tuples: u64,
@@ -404,10 +380,9 @@ pub(crate) fn shard_cfg(mut cfg: ExecConfig, shard: usize) -> ExecConfig {
     cfg
 }
 
-#[allow(private_bounds)]
-impl<E: Shard> Sharded<E> {
+impl Sharded {
     /// `shards` behind a router over `partitioning`, nothing routed yet.
-    pub(crate) fn over(partitioning: Partitioning, shards: Vec<E>) -> Self {
+    pub(crate) fn over(partitioning: Partitioning, shards: Vec<QueryRegistry>) -> Self {
         assert_eq!(partitioning.shards, shards.len(), "one engine per shard");
         Sharded {
             partitioning,
@@ -424,8 +399,8 @@ impl<E: Shard> Sharded<E> {
         &self.partitioning
     }
 
-    /// The shard engines, in shard order.
-    pub(crate) fn shards(&self) -> &[E] {
+    /// The shard registries, in shard order.
+    pub(crate) fn shards(&self) -> &[QueryRegistry] {
         &self.shards
     }
 
@@ -436,7 +411,7 @@ impl<E: Shard> Sharded<E> {
         &mut self,
         feed: &Feed,
         sinks: Vec<S>,
-        step: impl Fn(&mut E, &mut S, &ElementBatch<'_>) -> ExecResult<()> + Sync,
+        step: impl Fn(&mut QueryRegistry, &mut S, &ElementBatch<'_>) -> ExecResult<()> + Sync,
     ) -> ExecResult<Vec<S>> {
         let start = Instant::now();
         let workers = std::mem::take(&mut self.shards).into_iter().zip(sinks);
@@ -454,13 +429,12 @@ impl<E: Shard> Sharded<E> {
         self.driver.elapsed_ns += start.elapsed().as_nanos();
         Ok(sinks)
     }
-}
 
-impl Sharded<Executor> {
-    /// Compiles `plan` once per shard, for execution over `shards` shards.
-    ///
-    /// Validation matches [`Executor::compile`]; the partitioning is derived
-    /// from the query alone (see [`Partitioning::for_query`]).
+    /// Compiles `plan` once per shard, for execution over `shards` shards:
+    /// each shard a registry sealed with `query` as its one tenant, as
+    /// [`Executor::compile`](crate::exec::Executor::compile) builds it (the
+    /// plan as written, validated for one query). The partitioning is
+    /// derived from the query alone (see [`Partitioning::for_query`]).
     pub fn compile(
         query: &Cjq,
         schemes: &SchemeSet,
@@ -469,13 +443,14 @@ impl Sharded<Executor> {
         shards: usize,
     ) -> CoreResult<Self> {
         let partitioning = Partitioning::for_query(query, shards);
-        let compile = |shard| Executor::compile(query, schemes, plan, shard_cfg(cfg, shard));
-        let shards = (0..shards).map(compile).collect::<CoreResult<_>>()?;
+        let seal = |shard| QueryRegistry::sealed(query, schemes, plan, shard_cfg(cfg, shard), None);
+        let shards = (0..shards).map(seal).collect::<CoreResult<_>>()?;
         Ok(Sharded::over(partitioning, shards))
     }
 
-    /// Arms per-port bound certificates on every shard
-    /// ([`Executor::set_port_bounds`]); a violation in any shard surfaces as
+    /// Arms per-port bound certificates on every shard (see
+    /// [`Executor::set_port_bounds`](crate::exec::Executor::set_port_bounds));
+    /// a violation in any shard surfaces as
     /// [`ExecError::Shard`] wrapping [`ExecError::PortBoundExceeded`]. A
     /// shard's port holds a subset of the logical port state — for
     /// partitioned ports a hash slice, for broadcast ports a replica — so
@@ -490,12 +465,12 @@ impl Sharded<Executor> {
         }
     }
 
-    /// The threaded run of [`Engine::try_run`], streaming each shard's
-    /// results into its own sink (`make_sink(shard)`) instead of the shard's
-    /// record. Returns the per-shard sinks alongside — every result row is
-    /// emitted by exactly one shard, so their union is the sequential result
-    /// multiset. On failure the sinks are dropped — results already streamed
-    /// to external sinks may be partial.
+    /// The threaded run of [`Engine::try_run`], streaming every tenant's
+    /// results in each shard into that shard's sink (`make_sink(shard)`)
+    /// instead of the tenants' records. Returns the per-shard sinks
+    /// alongside — every result row is emitted by exactly one shard, so their
+    /// union is the sequential result multiset. On failure the sinks are
+    /// dropped — results already streamed to external sinks may be partial.
     ///
     /// # Errors
     /// The first failing shard's error, by shard index; surviving shards are
@@ -504,92 +479,81 @@ impl Sharded<Executor> {
         mut self,
         feed: &Feed,
         make_sink: F,
-    ) -> ExecResult<(ShardedRunResult, Vec<S>)>
+    ) -> ExecResult<(RegistryResult, Vec<S>)>
     where
         S: ResultSink + Send,
         F: Fn(usize) -> S,
     {
         let sinks = (0..self.shards.len()).map(make_sink).collect();
-        let mut sinks = self.fan(feed, sinks, |exec, sink, batch| {
-            exec.try_push_batch(batch, sink)
+        let mut sinks = self.fan(feed, sinks, |reg, sink, batch| {
+            reg.push_batch_timed(batch, &mut Some(sink))
         })?;
         sinks.iter_mut().for_each(ResultSink::finish);
         Ok((self.finish(), sinks))
     }
 }
 
-/// Slot-union logical state: a port (or mirror) that holds a partitioned
-/// stream's rows is disjoint across shards and summed; one that holds only
-/// broadcast rows is replicated, and its live slots — assigned identically in
-/// every shard fed the same element subsequence — are unioned.
-impl Shard for Executor {
-    type Folded = ShardedRunResult;
-
-    fn fold(shards: Vec<Executor>, partitioning: &Partitioning) -> ShardedRunResult {
-        let disjoint = |span: &[StreamId]| span.iter().any(|&s| partitioning.is_partitioned(s));
-        let ports: Vec<Vec<bool>> = shards[0]
-            .operators()
-            .map(|op| op.port_spans().iter().map(|span| disjoint(span)).collect())
+/// Finishes every shard and folds them (see [`Sharded`]). Slot-union logical
+/// state: a port (or mirror) that holds a partitioned stream's rows is
+/// disjoint across shards and summed; one that holds only broadcast rows is
+/// replicated, and its live slots — assigned identically in every shard fed
+/// the same element subsequence — are unioned.
+fn fold(shards: Vec<QueryRegistry>, partitioning: &Partitioning) -> RegistryResult {
+    let disjoint = |span: &[StreamId]| span.iter().any(|&s| partitioning.is_partitioned(s));
+    let ports = shards[0]
+        .ops()
+        .flat_map(|op| op.port_spans().iter().map(|s| disjoint(s)));
+    let mirrors = partitioning.attr.iter().map(Option::is_some);
+    // Every port, then every stream's mirror: disjoint or replicated.
+    let split: Vec<bool> = ports.chain(mirrors).collect();
+    // Per shard, after its final purge: live slots in that order.
+    let mut live: Vec<Vec<Vec<usize>>> = Vec::new();
+    let mut folded = RegistryResult::default();
+    for mut shard in shards {
+        shard.finish_core();
+        let mut slots: Vec<_> = shard
+            .ops()
+            .flat_map(JoinOperator::port_live_slots)
             .collect();
-        // Per shard after its final purge: live slots per port and mirror.
-        let mut live: Vec<(Vec<_>, Vec<_>)> = Vec::new();
-        let finish = |mut shard: Executor| {
-            shard.finish_core();
-            let ports = shard.ops().map(JoinOperator::port_live_slots).collect();
-            let mirror = |s| shard.engine().mirror_state(s).live_slots();
-            live.push((ports, shard.query().stream_ids().map(mirror).collect()));
-            shard.into_result()
-        };
-        let results: Vec<RunResult> = shards.into_iter().map(finish).collect();
-        let logical = |slots: Vec<&Vec<usize>>, disjoint: bool| -> usize {
-            if disjoint {
-                slots.iter().map(|l| l.len()).sum()
-            } else {
-                let union: FxHashSet<usize> =
-                    slots.iter().flat_map(|l| l.iter().copied()).collect();
-                union.len()
-            }
-        };
-        let mut folded = ShardedRunResult {
-            outputs: Vec::new(),
-            metrics: Metrics::default(),
-            logical_join_state: 0,
-            logical_mirror: 0,
-            shards: results,
-        };
-        for (op, ports) in ports.iter().enumerate() {
-            for (port, &disjoint) in ports.iter().enumerate() {
-                let slots = live.iter().map(|(ports, _)| &ports[op][port]).collect();
-                folded.logical_join_state += logical(slots, disjoint);
-            }
+        let engine = shard.engine().expect("every shard lowered a query");
+        let mirror = |s| engine.mirror_state(StreamId(s)).live_slots();
+        slots.extend((0..partitioning.attr.len()).map(mirror));
+        live.push(slots);
+        let part = shard.into_result();
+        folded.metrics.merge_from(&part.metrics);
+        let n = part.queries.len();
+        folded.queries.resize_with(n, QueryRunResult::default);
+        for (query, part) in folded.queries.iter_mut().zip(part.queries) {
+            query.stats.merge_from(&part.stats);
+            query.outputs.extend(part.outputs);
+            query.aggregates.extend(part.aggregates);
         }
-        for (s, attr) in partitioning.attr.iter().enumerate() {
-            let slots = live.iter().map(|(_, mirrors)| &mirrors[s]).collect();
-            folded.logical_mirror += logical(slots, attr.is_some());
-        }
-        for r in &mut folded.shards {
-            folded.metrics.merge_from(&r.metrics);
-            folded.outputs.append(&mut r.outputs);
-        }
-        folded
+        folded.shards.push(part.metrics);
     }
-
-    fn metrics_of(folded: &mut ShardedRunResult) -> &mut Metrics {
-        &mut folded.metrics
-    }
+    let logical = |i: usize| -> usize {
+        let slots = live.iter().map(|shard| &shard[i]);
+        if split[i] {
+            slots.map(Vec::len).sum()
+        } else {
+            slots.flatten().collect::<FxHashSet<_>>().len()
+        }
+    };
+    let n_ports = split.len() - partitioning.attr.len();
+    folded.logical_join_state = (0..n_ports).map(logical).sum();
+    folded.logical_mirror = (n_ports..split.len()).map(logical).sum();
+    folded
 }
 
-#[allow(private_bounds)]
-impl<E: Shard> Engine for Sharded<E> {
-    type Output = E::Folded;
+impl Engine for Sharded {
+    type Output = RegistryResult;
 
-    /// Finishes every shard, folds them by the engine's rule and applies the
-    /// router's feed-level counts to the folded metrics.
-    fn finish(mut self) -> E::Folded {
+    /// Finishes every shard, folds them and applies the router's feed-level
+    /// counts to the folded metrics.
+    fn finish(self) -> RegistryResult {
         // Quarantine counts only move on a push: shard 0's are final already.
-        let first = self.shards[0].counters().quarantined_rows.clone();
-        let mut folded = E::fold(self.shards, &self.partitioning);
-        let metrics = E::metrics_of(&mut folded);
+        let first = self.shards[0].metrics().quarantined_rows.clone();
+        let mut folded = fold(self.shards, &self.partitioning);
+        let metrics = &mut folded.metrics;
         // The tuple-side quarantine matrix is logical: each tuple of a
         // partitioned stream is routed — and refused — exactly once (the
         // shards' sum), a broadcast stream's tuples replay identically in
@@ -613,8 +577,7 @@ impl<E: Shard> Engine for Sharded<E> {
     }
 }
 
-#[allow(private_bounds)]
-impl<E: Shard> Checkpointed for Sharded<E> {
+impl Checkpointed for Sharded {
     const KIND: SnapshotKind = SnapshotKind::Sharded;
 
     /// Shard count and each shard's own fingerprint (which differ only in the
@@ -630,13 +593,13 @@ impl<E: Shard> Checkpointed for Sharded<E> {
     }
 
     /// Router element counters, then every shard's snapshot in shard order.
-    fn write_snapshot(&self, e: &mut Enc) {
+    fn write_snapshot(&self, e: &mut Enc) -> Result<(), &'static str> {
         e.u64(self.router_tuples);
         e.u64(self.router_puncts);
         e.usize(self.shards.len());
-        for shard in &self.shards {
-            shard.write_snapshot(e);
-        }
+        self.shards
+            .iter()
+            .try_for_each(|shard| shard.write_snapshot(e))
     }
 
     fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
@@ -648,12 +611,8 @@ impl<E: Shard> Checkpointed for Sharded<E> {
             .try_for_each(|shard| shard.read_snapshot(d))
     }
 
-    fn not_checkpointable(&self) -> Option<&'static str> {
-        self.shards.iter().find_map(E::not_checkpointable)
-    }
-
     fn snapshot_rows(&self) -> u64 {
-        self.shards.iter().map(E::snapshot_rows).sum()
+        self.shards.iter().map(Checkpointed::snapshot_rows).sum()
     }
 
     fn n_streams(&self) -> Option<usize> {
@@ -688,7 +647,7 @@ impl<E: Shard> Checkpointed for Sharded<E> {
 
     /// The first failed shard's error, by shard index.
     fn failure(&self) -> Option<ExecError> {
-        let failed = |(shard, e): (usize, &E)| Some(shard_failed(shard)(e.failure()?));
+        let failed = |(shard, e): (usize, &QueryRegistry)| Some(shard_failed(shard)(e.failure()?));
         self.shards.iter().enumerate().find_map(failed)
     }
 
@@ -702,13 +661,14 @@ impl<E: Shard> Checkpointed for Sharded<E> {
     }
 
     fn purge_all(&mut self) {
-        self.shards.iter_mut().for_each(E::purge_all);
+        self.shards.iter_mut().for_each(Checkpointed::purge_all);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Executor;
     use crate::tuple::Tuple;
     use cjq_core::fixtures;
     use cjq_core::punctuation::Punctuation;
@@ -786,11 +746,11 @@ mod tests {
             .unwrap()
             .run(&feed);
         for p in [1, 3] {
-            let sharded = Sharded::<Executor>::compile(&q, &r, &plan, ExecConfig::default(), p)
+            let sharded = Sharded::compile(&q, &r, &plan, ExecConfig::default(), p)
                 .unwrap()
                 .run(&feed);
             let mut a = seq.outputs.clone();
-            let mut b = sharded.outputs.clone();
+            let mut b = sharded.queries[0].outputs.clone();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "P={p} output multiset differs");
@@ -817,7 +777,7 @@ mod tests {
             Tuple::of(1, vec![ival(1), ival(5), ival(1)]).into(),
             Tuple::of(1, vec![ival(1), ival(6), ival(1)]).into(),
         ]);
-        let sharded = Sharded::<Executor>::compile(&q, &r, &plan, ExecConfig::default(), 4)
+        let sharded = Sharded::compile(&q, &r, &plan, ExecConfig::default(), 4)
             .unwrap()
             .run(&feed);
         assert_eq!(sharded.metrics.violations, 1);

@@ -1,5 +1,6 @@
-//! The one pipeline under [`Executor`](crate::exec::Executor) and
-//! [`QueryRegistry`](crate::registry::QueryRegistry).
+//! The one pipeline: the algorithm of the one engine,
+//! [`QueryRegistry`](crate::registry::QueryRegistry), and the driver every
+//! engine shares.
 //!
 //! The paper's runtime is one algorithm: admit an element against the
 //! punctuation stores, probe/insert, and on a purge cycle run the chained
@@ -7,21 +8,19 @@
 //! *which operators a run is routed through and whose recipes must agree* —
 //! not that algorithm. So there is one engine, a [`QueryRegistry`] (an
 //! executor is one sealed with its query as the one tenant), and the
-//! algorithm lives here once, as the provided methods of [`Pipeline`] over
-//! it: the element loop, run and punctuation admission, the per-element
-//! cadence step with its monitors (window eviction, port bounds, the stall
-//! clock, all state of [`Core`]), the purge → demote rungs of the budget
-//! ladder, and the purge-cycle and finish skeletons. A pipeline implements
-//! what really differs, its delivery: where the roots' results go once the
-//! one operator arena has routed a run — to each tenant, or to a caller's sink
-//! and a group-by stage, whose punctuation hooks default to no-ops. The
-//! checkpoint driver is the provided methods of
-//! [`Checkpointed`], which asks less than a whole pipeline: a snapshot, a
-//! one-element push and three whole-engine hooks. A pipeline answers them by
-//! the blanket impl below; the sharded plane
-//! ([`Sharded`](crate::parallel::Sharded)) answers them by routing to its
-//! shards. [`Engine`] is the public face of all three — the one definition of
-//! run, checkpoint, restore and resume — and asks only for [`Checkpointed`].
+//! algorithm lives here once, as its methods: the element loop, run and
+//! punctuation admission, the per-element cadence step with its monitors
+//! (window eviction, port bounds, the stall clock, all state of [`Core`]),
+//! the purge → demote rungs of the budget ladder, and the purge-cycle and
+//! finish skeletons. Where a run's results go — each tenant's sink or
+//! record, a caller's sink, a tenant's group stage — is the registry's
+//! delivery (`registry.rs`). The checkpoint driver is the provided methods
+//! of [`Checkpointed`]: a snapshot, a one-element push and three
+//! whole-engine hooks, answered by the registry, by the executor through
+//! its registry, and by the sharded plane
+//! ([`Sharded`](crate::parallel::Sharded)) by routing to its shards.
+//! [`Engine`] is the public face of all three — the one definition of run,
+//! checkpoint, restore and resume — and asks only for [`Checkpointed`].
 //! Everything is statically dispatched; shared code never asks which engine
 //! it serves.
 
@@ -43,7 +42,6 @@ use crate::exec::{ExecConfig, PurgeCadence};
 use crate::guard::{AdmissionFault, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
-use crate::parallel::Partitioning;
 use crate::punct_store::PunctClass;
 use crate::purge::PurgeEngine;
 use crate::registry::QueryRegistry;
@@ -66,7 +64,7 @@ pub(crate) struct Core {
     /// Elements since the last purge cycle.
     pub since_purge: usize,
     /// Under [`PurgeCadence::Eager`], a punctuation came since the last purge
-    /// cycle: one is owed ([`Pipeline::pay_owed_cycle`]).
+    /// cycle: one is owed ([`QueryRegistry::pay_owed_cycle`]).
     pub owed: bool,
     /// When the next state sample is due: the least multiple of
     /// `cfg.sample_every` above `clock`, kept so per-run steps never divide.
@@ -83,14 +81,15 @@ pub(crate) struct Core {
     pub dead_letter: DeadLetter,
     /// The `Failed` state: the first error a push returned. The element that
     /// raised it was only partly applied, so every later push and checkpoint
-    /// commit is refused with a clone of it (see [`Pipeline::attempt`]).
+    /// commit is refused with a clone of it (see [`QueryRegistry::attempt`]).
     pub failed: Option<ExecError>,
     /// Per stream: the clock of its last admitted punctuation (the stall
     /// detector's, read at finish against [`ExecConfig::stall_budget`]).
     pub last_punct: Vec<u64>,
     /// Static per-port row bounds, flattened op-major in bottom-up operator
     /// order (`None` = port unchecked), checked on every element (see
-    /// [`Pipeline::check_port_bounds`]). Outside `ExecConfig`, which is `Copy`.
+    /// [`QueryRegistry::check_port_bounds`]). Outside `ExecConfig`, which is
+    /// `Copy`.
     pub port_bounds: Option<Vec<Option<u64>>>,
 }
 
@@ -217,18 +216,16 @@ fn corrupt_at(dir: &Path, detail: String) -> ExecError {
 
 /// The one checkpoint driver: route, commit when due, restore, resume. Its
 /// provided methods — and [`Engine`]'s — need only what is required here, so
-/// they serve every [`Pipeline`] (the blanket impl below) and the sharded
-/// plane over either alike.
+/// they serve the registry, the executor and the sharded plane alike.
 pub(crate) trait Checkpointed: Sized {
     /// The snapshot kind this engine writes and accepts.
     const KIND: SnapshotKind;
     /// What a snapshot overlays onto: equal for engines built alike.
     fn fingerprint(&self) -> u64;
-    fn write_snapshot(&self, e: &mut Enc);
+    /// Appends the snapshot body, or says why this engine's state cannot be
+    /// snapshotted: a silent partial snapshot would be worse than an error.
+    fn write_snapshot(&self, e: &mut Enc) -> Result<(), &'static str>;
     fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()>;
-    /// Why this engine's state cannot be snapshotted, if it cannot: a silent
-    /// partial snapshot would be worse than an error.
-    fn not_checkpointable(&self) -> Option<&'static str>;
     /// Live rows a checkpoint covers (reported as `Metrics::checkpoint_rows`).
     fn snapshot_rows(&self) -> u64;
     /// How many streams the input cursor tracks; `None` before any query.
@@ -250,12 +247,6 @@ pub(crate) trait Checkpointed: Sized {
     /// The complete checkpoint payload: manifest (kind, fingerprint, cadence,
     /// input cursor) followed by the engine's snapshot body.
     fn snapshot_payload(&self, every: u64, cursor: &InputCursor) -> ExecResult<Vec<u8>> {
-        if let Some(why) = self.not_checkpointable() {
-            return Err(ExecError::CheckpointCorrupt {
-                path: "<config>".into(),
-                detail: why.into(),
-            });
-        }
         let mut e = Enc::new();
         Manifest {
             kind: Self::KIND,
@@ -264,7 +255,11 @@ pub(crate) trait Checkpointed: Sized {
             cursor: cursor.clone(),
         }
         .write(&mut e);
-        self.write_snapshot(&mut e);
+        let refused = |why: &str| ExecError::CheckpointCorrupt {
+            path: "<config>".into(),
+            detail: why.into(),
+        };
+        self.write_snapshot(&mut e).map_err(refused)?;
         Ok(e.buf)
     }
 
@@ -326,111 +321,19 @@ pub(crate) trait Checkpointed: Sized {
     }
 }
 
-/// A pipeline's snapshot is its registry's, under [`SnapshotKind::Registry`]:
-/// an executor's recorded results are its one tenant's.
-impl<P: Pipeline> Checkpointed for P {
-    const KIND: SnapshotKind = SnapshotKind::Registry;
-
-    fn fingerprint(&self) -> u64 {
-        self.reg().state_fingerprint()
-    }
-
-    fn write_snapshot(&self, e: &mut Enc) {
-        self.reg().write_state(e);
-    }
-
-    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
-        self.reg_mut().read_state(d)
-    }
-
-    fn not_checkpointable(&self) -> Option<&'static str> {
-        self.unserializable()
-    }
-
-    /// Hot join state plus the raw mirror plus cold-tier rows.
-    fn snapshot_rows(&self) -> u64 {
-        let mirror = self.engine().map_or(0, PurgeEngine::mirror_live);
-        (self.join_state_live() + mirror + self.cold_rows()) as u64
-    }
-
-    fn n_streams(&self) -> Option<usize> {
-        self.engine().map(PurgeEngine::n_streams)
-    }
-
-    fn push_one(&mut self, element: &StreamElement) -> ExecResult<()> {
-        self.attempt(|this| this.push_untimed(element))
-    }
-
-    fn counters(&mut self) -> &mut Metrics {
-        &mut self.core_mut().metrics
-    }
-
-    fn failure(&self) -> Option<ExecError> {
-        self.core().failed.clone()
-    }
-
-    fn feed_all(&mut self, feed: &Feed) -> ExecResult<()> {
-        self.feed(feed, &mut None)
-    }
-
-    fn purge_all(&mut self) {
-        self.run_purge_cycle();
-    }
-}
-
 /// Who takes root results in place of each query's own sink or record: the
 /// sink an executor's caller passes.
 pub(crate) type Taker<'s> = Option<&'s mut dyn ResultSink>;
 
-/// An engine over the shared pipeline: the one registry underneath and what
-/// its delivery does. Provided methods are the algorithm.
-pub(crate) trait Pipeline {
-    /// The engine underneath.
-    fn reg(&self) -> &QueryRegistry;
-    fn reg_mut(&mut self) -> &mut QueryRegistry;
-
-    /// Why the delivery's state cannot be snapshotted, if it cannot: a silent
-    /// partial snapshot would be worse than an error.
-    fn unserializable(&self) -> Option<&'static str>;
-
-    // The group-by stage's hooks: no-ops unless a delivery has one.
-
-    /// The run just routed left its results in the roots' buffers.
-    fn roots_routed(&mut self) {}
-    /// `p` entered the punctuation store (group-by delivery queue).
-    fn punct_observed(&mut self, _p: &Punctuation) {}
-    /// Coverage or state changed: retry deliveries waiting on it.
-    fn settle_pending(&mut self) {}
-    /// Groups open now, for a state sample.
-    fn open_groups(&self) -> usize {
-        0
-    }
-
-    fn core(&self) -> &Core {
-        &self.reg().core
-    }
-
-    fn core_mut(&mut self) -> &mut Core {
-        &mut self.reg_mut().core
-    }
-
-    /// The mirror and punctuation stores, once a query was admitted.
-    fn engine(&self) -> Option<&PurgeEngine> {
-        self.reg().engine.as_ref()
-    }
-
+/// The algorithm, once, on the one engine.
+impl QueryRegistry {
     /// The live operators, bottom-up.
-    fn ops(&self) -> impl Iterator<Item = &JoinOperator> {
-        self.reg().arena.ops()
-    }
-
-    /// Total live join-state rows across the operators.
-    fn join_state_live(&self) -> usize {
-        self.ops().map(JoinOperator::live).sum()
+    pub(crate) fn ops(&self) -> impl Iterator<Item = &JoinOperator> {
+        self.arena.ops()
     }
 
     /// Rows resident in the cold tier across the operators.
-    fn cold_rows(&self) -> usize {
+    pub(crate) fn cold_rows(&self) -> usize {
         self.ops().map(JoinOperator::cold_rows).sum()
     }
 
@@ -439,13 +342,16 @@ pub(crate) trait Pipeline {
     /// half-applied, so nothing may be pushed or committed after. Wrapped
     /// once around each push entry point, never per element inside one.
     #[inline]
-    fn attempt<T>(&mut self, f: impl FnOnce(&mut Self) -> ExecResult<T>) -> ExecResult<T> {
-        if let Some(first) = &self.core().failed {
+    pub(crate) fn attempt<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> ExecResult<T>,
+    ) -> ExecResult<T> {
+        if let Some(first) = &self.core.failed {
             return Err(first.clone());
         }
         let res = f(self);
         if let Err(e) = &res {
-            self.core_mut().failed = Some(e.clone());
+            self.core.failed = Some(e.clone());
         }
         res
     }
@@ -453,7 +359,7 @@ pub(crate) trait Pipeline {
     /// One element without the two clock reads: drivers that push a whole
     /// feed add their loop's time to `Metrics::elapsed_ns` once. A tuple is
     /// a run of one.
-    fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
+    pub(crate) fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
         match element {
             StreamElement::Tuple(t) => {
                 self.push_run(t.stream, t.values.len(), &t.values, 1, &mut None)?;
@@ -465,8 +371,9 @@ pub(crate) trait Pipeline {
 
     /// A gathered micro-batch, equivalent to pushing its elements one at a
     /// time: runs of consecutive same-stream tuples flow as columnar buffers
-    /// (capped by [`Pipeline::run_cap`]), punctuations one by one in order.
-    fn push_batch_timed(
+    /// (capped by [`QueryRegistry::run_cap`]), punctuations one by one in
+    /// order.
+    pub(crate) fn push_batch_timed(
         &mut self,
         batch: &ElementBatch<'_>,
         taker: &mut Taker<'_>,
@@ -496,7 +403,7 @@ pub(crate) trait Pipeline {
                     }
                 }
             }
-            let metrics = &mut this.core_mut().metrics;
+            let metrics = &mut this.core.metrics;
             metrics.batches_processed += 1;
             metrics.elapsed_ns += start.elapsed().as_nanos();
             Ok(())
@@ -506,7 +413,7 @@ pub(crate) trait Pipeline {
     /// The one feed driver: gathers [`FEED_CHUNK`]-element chunks into one
     /// reused [`ElementBatch`] (the steady state allocates nothing per
     /// element) and pushes each as a batch.
-    fn feed(&mut self, feed: &Feed, taker: &mut Taker<'_>) -> ExecResult<()> {
+    pub(crate) fn feed(&mut self, feed: &Feed, taker: &mut Taker<'_>) -> ExecResult<()> {
         let mut batch = ElementBatch::new();
         for chunk in feed.elements().chunks(FEED_CHUNK) {
             batch.gather(chunk);
@@ -519,7 +426,7 @@ pub(crate) trait Pipeline {
     /// per-element event (purge cycle, sample, window eviction, budget or
     /// bound check) is due. Always at least 1.
     fn run_cap(&self) -> usize {
-        let core = self.core();
+        let core = &self.core;
         let cfg = &core.cfg;
         if cfg.window.is_some() || cfg.state_budget.is_some() || core.port_bounds.is_some() {
             // Window eviction, the budget and bound certificates are
@@ -550,7 +457,7 @@ pub(crate) trait Pipeline {
     ) -> ExecResult<()> {
         // The violation check reads the stores §5.1 trims.
         self.pay_owed_cycle();
-        let Some((core, engine, guard)) = self.reg_mut().stage() else {
+        let Some((core, engine, guard)) = self.stage() else {
             return Err(ExecError::UnroutableStream(stream));
         };
         let run = Run {
@@ -601,12 +508,10 @@ pub(crate) trait Pipeline {
                 .emit_tuple(&fault, stream, run.row(i), run.now(i));
         }
         if !survivors.is_empty() {
-            let reg = self.reg_mut();
-            reg.arena.cascade(run, &survivors, &mut reg.core.metrics);
-            self.roots_routed();
-            self.reg_mut().drain_roots(taker);
+            self.arena.cascade(run, &survivors, &mut self.core.metrics);
+            self.drain_roots(taker);
         }
-        self.core_mut().scratch_survivors = survivors;
+        self.core.scratch_survivors = survivors;
         Ok(())
     }
 
@@ -614,7 +519,7 @@ pub(crate) trait Pipeline {
     /// store's current coverage, then the store — and under
     /// [`PurgeCadence::Eager`] marks the purge cycle it may enable owed.
     fn try_push_punctuation(&mut self, p: &Punctuation) -> ExecResult<()> {
-        let Some((core, engine, guard)) = self.reg_mut().stage() else {
+        let Some((core, engine, guard)) = self.stage() else {
             return Err(ExecError::UnroutableStream(p.stream));
         };
         core.clock += 1;
@@ -647,30 +552,30 @@ pub(crate) trait Pipeline {
         }
         engine.observe_punctuation(p, core.clock);
         core.last_punct[p.stream.0] = core.clock;
-        self.punct_observed(p);
-        match self.core().cfg.cadence {
-            // The cycle settles pending deliveries at its end.
-            PurgeCadence::Eager => self.core_mut().owed = true,
-            _ => self.settle_pending(),
+        self.hold_group_punct(p);
+        match self.core.cfg.cadence {
+            // The cycle settles the group stages at its end.
+            PurgeCadence::Eager => self.core.owed = true,
+            _ => self.settle_groups(),
         }
         Ok(())
     }
 
     /// Runs the purge cycle a punctuation run owes, if one is owed (see
     /// [`PurgeCadence::Eager`] for where).
-    fn pay_owed_cycle(&mut self) {
-        if self.core().owed {
+    pub(crate) fn pay_owed_cycle(&mut self) {
+        if self.core.owed {
             self.run_purge_cycle();
         }
     }
 
     /// Per-element bookkeeping: cadence-driven purge cycles, window eviction,
     /// the budget ladder, monitors, state sampling. Called once per
-    /// punctuation and once per capped sub-run — [`Pipeline::run_cap`] ends a
-    /// run at every clock position where anything here fires, so a run of
-    /// `n` and `n` runs of one are indistinguishable.
+    /// punctuation and once per capped sub-run — [`QueryRegistry::run_cap`]
+    /// ends a run at every clock position where anything here fires, so a
+    /// run of `n` and `n` runs of one are indistinguishable.
     fn post_element(&mut self) -> ExecResult<()> {
-        let core = self.core();
+        let core = &self.core;
         let sample = core.clock >= core.next_sample;
         let due = match core.cfg.cadence {
             PurgeCadence::Lazy { batch } => core.since_purge >= batch,
@@ -686,7 +591,7 @@ pub(crate) trait Pipeline {
         self.enforce_budget()?;
         self.check_port_bounds()?;
         if sample {
-            let core = self.core_mut();
+            let core = &mut self.core;
             core.next_sample = next_sample_after(core.clock, core.cfg.sample_every);
             self.sample();
         }
@@ -696,18 +601,17 @@ pub(crate) trait Pipeline {
     /// Sliding-window eviction: rows older than [`ExecConfig::window`]
     /// elements leave every port and the mirror.
     fn evict_window(&mut self) {
-        let Some(window) = self.core().cfg.window else {
+        let Some(window) = self.core.cfg.window else {
             return;
         };
-        let reg = self.reg_mut();
-        let cutoff = reg.core.clock.saturating_sub(window);
-        let evicted: usize = reg
+        let cutoff = self.core.clock.saturating_sub(window);
+        let evicted: usize = self
             .arena
             .ops_mut()
             .map(|(_, op)| op.evict_window(cutoff))
             .sum();
-        reg.core.metrics.purged += evicted as u64;
-        if let Some(engine) = &mut reg.engine {
+        self.core.metrics.purged += evicted as u64;
+        if let Some(engine) = &mut self.engine {
             engine.evict_window(cutoff);
         }
     }
@@ -717,7 +621,7 @@ pub(crate) trait Pipeline {
     /// bound fails hard — after purge/budget enforcement, so eager purges get
     /// credit before the comparison.
     fn check_port_bounds(&mut self) -> ExecResult<()> {
-        let QueryRegistry { core, arena, .. } = self.reg_mut();
+        let QueryRegistry { core, arena, .. } = self;
         let Some(bounds) = &core.port_bounds else {
             return Ok(());
         };
@@ -741,7 +645,7 @@ pub(crate) trait Pipeline {
     /// with tiering enabled — demote cold rows to disk (lossless); whatever
     /// still doesn't fit is [`ExecError::StateBudgetExceeded`].
     fn enforce_budget(&mut self) -> ExecResult<()> {
-        let Some(budget) = self.core().cfg.state_budget else {
+        let Some(budget) = self.core.cfg.state_budget else {
             return Ok(());
         };
         if self.join_state_live() <= budget.max_rows {
@@ -752,24 +656,23 @@ pub(crate) trait Pipeline {
         if live <= budget.max_rows {
             return Ok(());
         }
-        if let Some(tier_cfg) = self.core().cfg.tiering {
+        if let Some(tier_cfg) = self.core.cfg.tiering {
             // Demote the least-recently-probed rows into cold segments, down
             // to the low watermark so steady-state inserts don't re-trip the
             // budget every element. Probes fault matches back on demand.
             let target = budget.max_rows * usize::from(tier_cfg.low_watermark_pct.min(100)) / 100;
             let excess = live.saturating_sub(target);
             if excess > 0 {
-                let mut touched = std::mem::take(&mut self.core_mut().stamp_scratch);
+                let mut touched = std::mem::take(&mut self.core.stamp_scratch);
                 touched.clear();
                 for op in self.ops() {
                     op.live_touched(&mut touched);
                 }
                 let cutoff = cutoff_for(&mut touched, excess);
-                let reg = self.reg_mut();
-                reg.core.stamp_scratch = touched;
-                let spill = reg.core.spill.as_mut();
+                self.core.stamp_scratch = touched;
+                let spill = self.core.spill.as_mut();
                 let spill = spill.expect("spill store exists iff tiering is configured");
-                for (i, op) in reg.arena.ops_mut() {
+                for (i, op) in self.arena.ops_mut() {
                     op.demote_colder_than(cutoff, spill, i, tier_cfg.segment_rows);
                 }
             }
@@ -781,19 +684,19 @@ pub(crate) trait Pipeline {
         Err(ExecError::StateBudgetExceeded {
             live,
             budget: budget.max_rows,
-            clock: self.core().clock,
+            clock: self.core.clock,
         })
     }
 
     /// One purge cycle: lifespan expiry, rows purged to their fixpoint, the
-    /// punctuation purge once, log trims, pending deliveries, and — under
+    /// punctuation purge once, log trims, the group stages, and — under
     /// `verify_certificates` — the runtime certificate checks.
-    fn run_purge_cycle(&mut self) {
+    pub(crate) fn run_purge_cycle(&mut self) {
         let QueryRegistry {
             core,
             engine: Some(engine),
             ..
-        } = self.reg_mut()
+        } = self
         else {
             return;
         };
@@ -808,24 +711,23 @@ pub(crate) trait Pipeline {
         // pass purges (a pass skips every tracker without news).
         let mut first = true;
         loop {
-            let reg = self.reg_mut();
-            let ops = reg.purge_ops(std::mem::take(&mut first));
-            let engine = reg.engine.as_mut().expect("checked above");
+            let ops = self.purge_ops(std::mem::take(&mut first));
+            let engine = self.engine.as_mut().expect("checked above");
             let mirror = engine.purge_mirror();
-            reg.core.metrics.purged += ops.purged;
-            reg.core.metrics.purge_candidates_examined += ops.examined + mirror.examined;
+            self.core.metrics.purged += ops.purged;
+            self.core.metrics.purge_candidates_examined += ops.examined + mirror.examined;
             if mirror.purged == 0 {
                 // §5.1, over the union of the subscribers' predicates. Last
                 // reader of the cycle's coverage deltas and retractions:
                 // which keys to test is read off them, against rows as the
                 // purges left them.
-                engine.purge_punctuations(reg.arena.ops());
+                engine.purge_punctuations(self.arena.ops());
                 engine.end_cycle();
                 break;
             }
         }
-        self.settle_pending();
-        let (true, Some(engine)) = (self.core().cfg.verify_certificates, self.engine()) else {
+        self.settle_groups();
+        let (true, Some(engine)) = (self.core.cfg.verify_certificates, self.engine()) else {
             return;
         };
         // Per-cycle certificate check: the fast allocation-free verdict must
@@ -853,79 +755,76 @@ pub(crate) trait Pipeline {
                  survived a purge cycle"
             );
         }
-        self.core_mut().metrics.certificate_checks += checked;
+        self.core.metrics.certificate_checks += checked;
     }
 
     /// Records one state sample.
     fn sample(&mut self) {
         let engine = self.engine();
         let point = StatePoint {
-            at: self.core().clock,
+            at: self.core.clock,
             join_state: self.join_state_live(),
             mirror: engine.map_or(0, PurgeEngine::mirror_live),
             punct_entries: engine.map_or(0, PurgeEngine::punct_entries),
             groups: self.open_groups(),
             cold: self.cold_rows(),
         };
-        let reg = self.reg_mut();
-        for (flat, (.., live)) in reg.arena.port_live().enumerate() {
-            reg.core.metrics.track_port_peak(flat, live);
+        for (flat, (.., live)) in self.arena.port_live().enumerate() {
+            self.core.metrics.track_port_peak(flat, live);
         }
-        reg.core.metrics.sample(point);
+        self.core.metrics.sample(point);
     }
 
-    /// Everything `finish` does before an engine assembles its result:
-    /// rehydrate the cold tier, the final purge cycle (asserting completeness
-    /// under `verify_certificates`), the final sample, the engine and tier
+    /// Everything `finish` does before the result is assembled: rehydrate
+    /// the cold tier, the final purge cycle (asserting completeness under
+    /// `verify_certificates`), the final sample, the engine and tier
     /// counters, the stalled streams.
-    fn finish_core(&mut self) {
-        self.core_mut().dead_letter.finish();
-        let tiered = self.core().cfg.tiering.is_some();
+    pub(crate) fn finish_core(&mut self) {
+        self.core.dead_letter.finish();
+        let tiered = self.core.cfg.tiering.is_some();
         if tiered {
             // Rehydrate every cold row before the final purge cycle: the
             // quiescent-point purge totals and the live snapshot then match
             // a never-tiered run exactly (the tier-equivalence guarantee).
-            let reg = self.reg_mut();
-            for (_, op) in reg.arena.ops_mut() {
-                op.rehydrate_all(reg.core.clock);
+            for (_, op) in self.arena.ops_mut() {
+                op.rehydrate_all(self.core.clock);
             }
         }
         self.run_purge_cycle();
         self.sample();
-        if let Some(engine) = self.engine() {
-            let (mirror_purged, punct_dropped) = (engine.mirror_purged, engine.punct_dropped);
-            let metrics = &mut self.core_mut().metrics;
-            metrics.mirror_purged = mirror_purged;
-            metrics.punct_dropped = punct_dropped;
+        if let Some(engine) = &self.engine {
+            let metrics = &mut self.core.metrics;
+            metrics.mirror_purged = engine.mirror_purged;
+            metrics.punct_dropped = engine.punct_dropped;
         }
         if tiered {
             let mut ts = TierStats::default();
             for op in self.ops() {
                 ts.merge_from(&op.tier_stats());
             }
-            let metrics = &mut self.core_mut().metrics;
+            let metrics = &mut self.core.metrics;
             metrics.rows_demoted = ts.rows_demoted;
             metrics.rows_faulted = ts.rows_faulted;
             metrics.segments_written = ts.segments_written;
             metrics.segments_retired = ts.segments_retired;
         }
-        if let (Some(budget), Some(engine)) = (self.core().cfg.stall_budget, self.engine()) {
+        if let (Some(budget), Some(engine)) = (self.core.cfg.stall_budget, &self.engine) {
             // Evaluated where it is read: the clock only moves forward, so a
             // stream is stalled now exactly if a per-element check would have
             // flagged it and no punctuation cleared the flag since. A stream
             // without schemes is never expected to punctuate.
-            let core = self.core();
+            let core = &self.core;
             let schemed = |s: usize| !engine.punct_store(StreamId(s)).schemes().is_empty();
             let since = |s: usize| core.clock.saturating_sub(core.last_punct[s]);
             let stalled = (0..core.last_punct.len()).filter(|&s| schemed(s) && since(s) > budget);
-            self.core_mut().metrics.stalled_streams = stalled.collect();
+            self.core.metrics.stalled_streams = stalled.collect();
         }
     }
 }
 
 /// The driving surface of [`Executor`](crate::exec::Executor),
 /// [`QueryRegistry`](crate::registry::QueryRegistry) and the sharded plane
-/// over either ([`Sharded`](crate::parallel::Sharded)): push, purge,
+/// of registries ([`Sharded`](crate::parallel::Sharded)): push, purge,
 /// checkpoint, run to completion, restore and resume, each defined once for
 /// all of them. Sealed — the supertrait is crate-private on purpose.
 ///
@@ -1090,24 +989,4 @@ pub trait Engine: Checkpointed {
         this.push_all_checkpointed(rest, &mut store, &mut cursor)?;
         Ok(this.finish())
     }
-}
-
-/// What the sharded plane asks of the engine it wraps, beyond driving it: how
-/// `P` finished shards fold into one result. (How shard `i` is built is the
-/// engine's own constructor: `Sharded::<Executor>::compile`,
-/// `Sharded::<QueryRegistry>::admit_all`.)
-///
-/// `pub` only so that [`Sharded`](crate::parallel::Sharded)'s `Engine::Output`
-/// may name `Folded`; this module is private and the trait is not re-exported.
-#[allow(private_bounds)]
-pub trait Shard: Engine + Pipeline + Send {
-    /// What `P` finished shards fold into.
-    type Folded;
-
-    /// Finishes every shard and folds the results; the folded metrics are the
-    /// shards' physical merge ([`Metrics::merge_from`]).
-    fn fold(shards: Vec<Self>, partitioning: &Partitioning) -> Self::Folded;
-
-    /// The folded metrics, for the router's feed-level counts.
-    fn metrics_of(folded: &mut Self::Folded) -> &mut Metrics;
 }

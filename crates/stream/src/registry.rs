@@ -2,7 +2,11 @@
 //! retires continuous join queries at runtime — without restarting the
 //! pipeline — and executes all of them over one shared operator arena. It is
 //! the one engine: an [`Executor`](crate::exec::Executor) is a registry
-//! sealed with its query as the one tenant.
+//! sealed with its query as the one tenant, and [`Sharded`] is `P`
+//! registries behind a router. A tenant may carry a group stage over its
+//! root output (an executor's, attached by `with_groupby`): it takes the
+//! root's rows after each cascade and closes groups once a purge cycle
+//! settles the punctuations it was handed.
 //!
 //! **Admission** runs the paper's safety machinery incrementally: each
 //! candidate query is checked by Theorems 2/4 (`cjq_core::safety`), and an
@@ -53,6 +57,7 @@
 
 use cjq_core::error::{CoreError, CoreResult};
 use cjq_core::plan::Plan;
+use cjq_core::punctuation::Punctuation;
 use cjq_core::query::Cjq;
 use cjq_core::safety;
 use cjq_core::schema::StreamId;
@@ -61,17 +66,19 @@ use cjq_core::value::Value;
 
 use crate::arena::{ChildKey, Lowering, OpArena};
 use crate::certify::static_certificates;
-use crate::checkpoint::{Codec, Dec, Enc, Fingerprint, SnapshotResult};
-use crate::error::ExecResult;
+use crate::checkpoint::{Codec, Dec, Enc, Fingerprint, SnapshotKind, SnapshotResult};
+use crate::element::StreamElement;
+use crate::error::{ExecError, ExecResult};
 use crate::exec::ExecConfig;
+use crate::groupby::{GroupBy, GroupStage};
 use crate::guard::AdmissionGuard;
 use crate::join::JoinOperator;
 use crate::metrics::{facts, Metrics};
 use crate::parallel::{shard_cfg, Partitioning, Sharded};
-use crate::pipeline::{Core, Engine, Pipeline, Shard, Taker};
+use crate::pipeline::{Checkpointed, Core, Engine, Taker};
 use crate::purge::{fingerprint_recipes, MirrorSubscription, PurgeEngine, PurgeWork};
 use crate::sink::ResultSink;
-use crate::source::ElementBatch;
+use crate::source::{ElementBatch, Feed};
 
 /// Handle of an admitted query, stable for the registry's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,6 +138,8 @@ pub struct QueryRunResult {
     /// Result rows (when [`ExecConfig::record_outputs`] and no sink was
     /// attached), in emission order.
     pub outputs: Vec<Vec<Value>>,
+    /// Aggregate rows the query's group stage emitted (punctuation-closed).
+    pub aggregates: Vec<Vec<Value>>,
 }
 
 /// Everything a finished registry run produced.
@@ -142,6 +151,13 @@ pub struct RegistryResult {
     /// count once per subscriber); the probe/purge counters count physical
     /// work (once per shared node).
     pub metrics: Metrics,
+    /// Live join-state rows at the end of the run; over shards, the logical
+    /// count of [`Sharded`]'s fold.
+    pub logical_join_state: usize,
+    /// Live mirror rows at the end of the run, merged alike.
+    pub logical_mirror: usize,
+    /// A sharded run's per-shard metrics; empty for one registry.
+    pub shards: Vec<Metrics>,
 }
 
 /// One admitted query: its share of the node arena plus per-query state.
@@ -155,6 +171,9 @@ struct QuerySlot {
     /// meet; handed back at retirement.
     mirror: MirrorSubscription,
     sink: Option<Box<dyn ResultSink + Send>>,
+    /// The group-by stage over the root output, if any (boxed: tenant walks
+    /// on the hot path read past it).
+    group: Option<Box<GroupStage>>,
     stats: QueryStats,
     outputs: Vec<Vec<Value>>,
     live: bool,
@@ -226,6 +245,24 @@ impl QueryRegistry {
             queries: Vec::new(),
             phase: Phase::Admitting,
         })
+    }
+
+    /// A registry sealed with `query` as its one tenant: `plan` lowered as
+    /// written (it need not be safe) under single-query validation, with
+    /// per-scheme lag `weights` for its recipes. What an executor and each
+    /// shard of [`Sharded::compile`] run.
+    pub(crate) fn sealed(
+        query: &Cjq,
+        schemes: &SchemeSet,
+        plan: &Plan,
+        cfg: ExecConfig,
+        weights: Option<&[f64]>,
+    ) -> CoreResult<Self> {
+        let mut reg = QueryRegistry::checked(schemes.clone(), cfg, false)?;
+        reg.validate(query, plan)?;
+        reg.lower(query, plan, weights, None);
+        reg.seal().expect("nothing has run yet");
+        Ok(reg)
     }
 
     /// Admits a query mid-stream: safety-checks it, interns its plan into
@@ -354,6 +391,7 @@ impl QueryRegistry {
             root,
             mirror,
             sink,
+            group: None,
             stats: QueryStats {
                 admitted_at: self.core.clock,
                 ..QueryStats::default()
@@ -443,8 +481,37 @@ impl QueryRegistry {
     /// Total live join-state rows across the shared arena, as of the last
     /// purge cycle (see [`Eager`](crate::exec::PurgeCadence::Eager)).
     #[must_use]
+    #[inline]
     pub fn join_state_live(&self) -> usize {
-        Pipeline::join_state_live(self)
+        self.ops().map(JoinOperator::live).sum()
+    }
+
+    /// Arms per-port bound certificates (see
+    /// [`Executor::set_port_bounds`](crate::exec::Executor::set_port_bounds)).
+    pub(crate) fn set_port_bounds(&mut self, bounds: Vec<Option<u64>>) {
+        assert_eq!(
+            bounds.len(),
+            self.arena.port_live().count(),
+            "one bound slot per flattened operator port"
+        );
+        let armed = bounds.iter().any(Option::is_some);
+        self.core.port_bounds = armed.then_some(bounds);
+    }
+
+    /// Attaches group stage `by` to the first tenant. Its propagation
+    /// condition probes the punctuated stream's mirror, so every stream is
+    /// held; and a punctuation that closed groups must go on refusing
+    /// tuples, so every scheme it reads is stored.
+    pub(crate) fn attach_group(&mut self, by: GroupBy) {
+        let engine = self.engine.as_mut().expect("a tenant was lowered");
+        engine.hold_every_stream();
+        engine.read_schemes(|s| by.reads_scheme(s), true);
+        let (pending, aggregates) = (Vec::new(), Vec::new());
+        self.queries[0].group = Some(Box::new(GroupStage {
+            by,
+            pending,
+            aggregates,
+        }));
     }
 
     /// Engine-wide metrics accumulated so far.
@@ -509,18 +576,25 @@ impl QueryRegistry {
 
     /// The results, once the pipeline finished: live sinks are finished.
     pub(crate) fn into_result(self) -> RegistryResult {
+        let logical_join_state = self.join_state_live();
+        let logical_mirror = self.engine.as_ref().map_or(0, PurgeEngine::mirror_live);
         let result = |mut q: QuerySlot| {
             q.sink
                 .iter_mut()
                 .filter(|_| q.live)
                 .for_each(|s| s.finish());
-            let (stats, outputs) = (q.stats, q.outputs);
-            QueryRunResult { stats, outputs }
+            QueryRunResult {
+                stats: q.stats,
+                outputs: q.outputs,
+                aggregates: q.group.map(|g| g.aggregates).unwrap_or_default(),
+            }
         };
-        let queries = self.queries.into_iter().map(result).collect();
         RegistryResult {
-            queries,
+            queries: self.queries.into_iter().map(result).collect(),
             metrics: self.core.metrics,
+            logical_join_state,
+            logical_mirror,
+            shards: Vec::new(),
         }
     }
 
@@ -556,14 +630,18 @@ impl QueryRegistry {
     }
 
     /// Each live query drains its root node's buffer for the run just
-    /// routed: into `taker` when one is given (a one-tenant registry whose
-    /// caller takes the rows), else into its own sink or record.
+    /// routed: into its group stage, if it has one, and into `taker` when one
+    /// is given (a caller that takes every tenant's rows), else into its own
+    /// sink or record.
     pub(crate) fn drain_roots(&mut self, taker: &mut Taker<'_>) {
         let record = self.core.cfg.record_outputs;
         for q in self.queries.iter_mut().filter(|q| q.live) {
             let out = self.arena.out(q.root);
             if out.is_empty() {
                 continue;
+            }
+            if let Some(group) = &mut q.group {
+                out.rows().for_each(|row| group.by.process_tuple(row));
             }
             q.stats.outputs += out.len() as u64;
             self.core.metrics.outputs += out.len() as u64;
@@ -574,6 +652,33 @@ impl QueryRegistry {
                 q.outputs.extend(out.rows().map(<[Value]>::to_vec));
             }
         }
+    }
+
+    // The three group calls are `#[inline]`: `pipeline.rs` makes them per
+    // punctuation, per purge cycle and per sample, in every registry.
+
+    /// Queues admitted punctuation `p` at every group stage.
+    #[inline]
+    pub(crate) fn hold_group_punct(&mut self, p: &Punctuation) {
+        for group in self.queries.iter_mut().filter_map(|q| q.group.as_mut()) {
+            group.pending.push(p.clone());
+        }
+    }
+
+    /// Delivers what every group stage may close now.
+    #[inline]
+    pub(crate) fn settle_groups(&mut self) {
+        let Some(engine) = &self.engine else { return };
+        for group in self.queries.iter_mut().filter_map(|q| q.group.as_mut()) {
+            self.core.metrics.aggregates_out += group.settle(engine);
+        }
+    }
+
+    /// Groups open across the group stages, for a state sample.
+    #[inline]
+    pub(crate) fn open_groups(&self) -> usize {
+        let groups = self.queries.iter().filter_map(|q| q.group.as_ref());
+        groups.map(|g| g.by.open_groups()).sum()
     }
 
     /// Unsubscribes retiring query `qi` from its nodes and from the mirror
@@ -607,32 +712,12 @@ impl Engine for QueryRegistry {
     }
 }
 
-/// The registry's delivery: root buffers fan out to the queries' own sinks
-/// or records; there is no caller sink.
-impl Pipeline for QueryRegistry {
-    fn reg(&self) -> &QueryRegistry {
-        self
-    }
+/// The one snapshot body, push and whole-engine hooks: every engine's, the
+/// executor's included — its snapshot is its registry's, under
+/// [`SnapshotKind::Registry`].
+impl Checkpointed for QueryRegistry {
+    const KIND: SnapshotKind = SnapshotKind::Registry;
 
-    fn reg_mut(&mut self) -> &mut QueryRegistry {
-        self
-    }
-
-    /// A sink cannot be serialized, and a resumed run would silently drop
-    /// its rows.
-    fn unserializable(&self) -> Option<&'static str> {
-        self.queries
-            .iter()
-            .any(|q| q.live && q.sink.is_some())
-            .then_some(
-                "queries with attached sinks are not checkpointable: a sink \
-                 cannot be serialized",
-            )
-    }
-}
-
-/// The one snapshot body: every pipeline's, the executor's included.
-impl QueryRegistry {
     /// Structural fingerprint of the registry's membership: config knobs,
     /// every admitted query's predicates, mirror recipes (lag weights change
     /// nothing else) and arena subscription, what each arena node was
@@ -641,7 +726,7 @@ impl QueryRegistry {
     /// the same `(query, plan)` sequence under the same config, sealed alike;
     /// restore re-applies retirements from the snapshot. Built from stable
     /// ids only (never interned symbols or `Debug` strings).
-    pub(crate) fn state_fingerprint(&self) -> u64 {
+    fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::default();
         self.core.cfg.fingerprint_into(&mut fp);
         fp.word(self.queries.len() as u64);
@@ -667,8 +752,20 @@ impl QueryRegistry {
 
     /// Serializes everything element routing mutates: clocks, monitors,
     /// metrics, per-query membership/stats/outputs, the shared engine, and
-    /// the arena.
-    pub(crate) fn write_state(&self, e: &mut Enc) {
+    /// the arena. A live tenant's open groups or sink cannot be serialized,
+    /// and a resumed run would silently drop their rows.
+    fn write_snapshot(&self, e: &mut Enc) -> Result<(), &'static str> {
+        let live = || self.queries.iter().filter(|q| q.live);
+        if live().any(|q| q.group.is_some()) {
+            return Err(
+                "group-by stages are not checkpointable: open-group state is not serialized",
+            );
+        }
+        if live().any(|q| q.sink.is_some()) {
+            return Err(
+                "queries with attached sinks are not checkpointable: a sink cannot be serialized",
+            );
+        }
         self.core.write_state(e);
         e.usize(self.queries.len());
         for q in &self.queries {
@@ -684,6 +781,7 @@ impl QueryRegistry {
             None => e.bool(false),
         }
         self.arena.write_state(e);
+        Ok(())
     }
 
     /// Overlays a serialized snapshot onto this freshly re-admitted
@@ -691,7 +789,7 @@ impl QueryRegistry {
     /// exactly as [`QueryRegistry::retire`] did in the original run) before
     /// node state is read, so the arena tombstone pattern matches the
     /// snapshot's.
-    pub(crate) fn read_state(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+    fn read_snapshot(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
         self.core.read_state(d, self.arena.port_live().count())?;
         let nq = d.count_of("re-admitted queries", self.queries.len())?;
@@ -720,6 +818,36 @@ impl QueryRegistry {
             ));
         }
         self.arena.read_state(d, &mut self.core.spill)
+    }
+
+    /// Hot join state plus the raw mirror plus cold-tier rows.
+    fn snapshot_rows(&self) -> u64 {
+        let mirror = self.engine.as_ref().map_or(0, PurgeEngine::mirror_live);
+        (self.join_state_live() + mirror + self.cold_rows()) as u64
+    }
+
+    fn n_streams(&self) -> Option<usize> {
+        self.engine.as_ref().map(PurgeEngine::n_streams)
+    }
+
+    fn push_one(&mut self, element: &StreamElement) -> ExecResult<()> {
+        self.attempt(|this| this.push_untimed(element))
+    }
+
+    fn counters(&mut self) -> &mut Metrics {
+        &mut self.core.metrics
+    }
+
+    fn failure(&self) -> Option<ExecError> {
+        self.core.failed.clone()
+    }
+
+    fn feed_all(&mut self, feed: &Feed) -> ExecResult<()> {
+        self.feed(feed, &mut None)
+    }
+
+    fn purge_all(&mut self) {
+        self.run_purge_cycle();
     }
 }
 
@@ -759,7 +887,7 @@ fn fingerprint_schemes(fp: &mut Fingerprint, query: &Cjq, engine: &PurgeEngine) 
 /// serves them all, and one shard runs the whole feed whatever `P` was
 /// requested — callers wanting scale-out should group tenants by
 /// partitioning consensus.
-impl Sharded<QueryRegistry> {
+impl Sharded {
     /// Admits every spec, in order, into each of `shards` fresh registries,
     /// seals them (nothing is admitted later, so each mirrors only what its
     /// tenants' recipes read) and derives the shared partitioning.
@@ -808,33 +936,6 @@ impl Sharded<QueryRegistry> {
         tenants
             .iter()
             .all(|q| Partitioning::for_query(&q.query, 1).attr == *split)
-    }
-}
-
-/// Per-query concatenation: shards own disjoint key ranges, so a query's
-/// outputs are the union of the shards' (shard-major order; compare as
-/// multisets) and its counters add.
-impl Shard for QueryRegistry {
-    type Folded = RegistryResult;
-
-    fn fold(shards: Vec<QueryRegistry>, _: &Partitioning) -> RegistryResult {
-        let mut folded = RegistryResult::default();
-        for shard in shards {
-            let part = shard.finish();
-            folded.metrics.merge_from(&part.metrics);
-            folded
-                .queries
-                .resize_with(part.queries.len(), QueryRunResult::default);
-            for (query, part) in folded.queries.iter_mut().zip(part.queries) {
-                query.stats.merge_from(&part.stats);
-                query.outputs.extend(part.outputs);
-            }
-        }
-        folded
-    }
-
-    fn metrics_of(folded: &mut RegistryResult) -> &mut Metrics {
-        &mut folded.metrics
     }
 }
 
@@ -1302,7 +1403,7 @@ mod tests {
         let a = reg.try_admit(&query, &plan, None).unwrap();
         let seq = reg.run(&feed);
         let specs = [(query.clone(), plan.clone()), (query, plan)];
-        let par = Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg(), 2)
+        let par = Sharded::admit_all(&specs, &schemes, cfg(), 2)
             .unwrap()
             .run(&feed);
         let mut want = seq.queries[a.0].outputs.clone();

@@ -110,15 +110,14 @@ fn two_tenants(q: &Cjq, r: &SchemeSet, plan: &Plan) -> Result<QueryRegistry, Str
 }
 
 /// The two-shard executor fleet of kind 3.
-fn exec_fleet(q: &Cjq, r: &SchemeSet, plan: &Plan) -> Result<Sharded<Executor>, String> {
-    Sharded::<Executor>::compile(q, r, plan, ExecConfig::default(), 2).map_err(|e| e.to_string())
+fn exec_fleet(q: &Cjq, r: &SchemeSet, plan: &Plan) -> Result<Sharded, String> {
+    Sharded::compile(q, r, plan, ExecConfig::default(), 2).map_err(|e| e.to_string())
 }
 
 /// The two-shard, two-tenant registry fleet of kind 4.
-fn registry_fleet(q: &Cjq, r: &SchemeSet, plan: &Plan) -> Result<Sharded<QueryRegistry>, String> {
+fn registry_fleet(q: &Cjq, r: &SchemeSet, plan: &Plan) -> Result<Sharded, String> {
     let specs = [(q.clone(), plan.clone()), (q.clone(), plan.clone())];
-    Sharded::<QueryRegistry>::admit_all(&specs, r, ExecConfig::default(), 2)
-        .map_err(|e| e.to_string())
+    Sharded::admit_all(&specs, r, ExecConfig::default(), 2).map_err(|e| e.to_string())
 }
 
 /// Pushes `closers` into a restored engine and, if it took them all, finishes.

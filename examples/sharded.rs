@@ -1,15 +1,16 @@
 //! Hash-partitioned parallel execution of the auction query.
 //!
 //! Runs the same punctuated auction feed through the sequential [`Executor`]
-//! and through a [`Sharded`] plane of executors at a chosen shard count, then
-//! prints both result sets side by side: the output multisets must match, and
-//! the closed feed must leave zero live state in both engines.
+//! and through a [`Sharded`] plane of one-tenant registries (each built as an
+//! executor is) at a chosen shard count, then prints both result sets side by
+//! side: the output multisets must match, and the closed feed must leave zero
+//! live state in both engines.
 //!
-//! `Sharded<E>` is an [`Engine`] like the engine it wraps: `run`, `try_push`,
+//! `Sharded` is an [`Engine`] like one registry: `run`, `try_push`,
 //! `try_run_checkpointed` and `Sharded::try_resume(dir, build, feed, every)`
-//! are the trait's, and `Sharded::<QueryRegistry>::admit_all` shards a
-//! multi-query registry the same way. `try_run_with_sinks`, used here, is the
-//! one extra of the executor plane: a caller-owned sink per shard.
+//! are the trait's, and `Sharded::admit_all` shards a multi-query registry
+//! the same way. `try_run_with_sinks`, used here, is the plane's one extra: a
+//! caller-owned sink per shard.
 //!
 //! ```sh
 //! cargo run --release --example sharded        # default: 4 shards
@@ -41,7 +42,7 @@ fn main() {
         ..AuctionConfig::default()
     });
 
-    let sharded = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, shards).unwrap();
+    let sharded = Sharded::compile(&query, &schemes, &plan, cfg, shards).unwrap();
     println!("partitioning over {shards} shards:");
     for s in query.stream_ids() {
         match sharded.partitioning().attr[s.0] {
@@ -69,10 +70,10 @@ fn main() {
     let shd_elapsed = t.elapsed();
 
     // The same plane through the `Engine` surface, recording its own outputs.
-    let own = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, shards)
+    let own = Sharded::compile(&query, &schemes, &plan, cfg, shards)
         .unwrap()
         .run(&feed);
-    assert_eq!(own.outputs.len() as u64, shd.metrics.outputs);
+    assert_eq!(own.queries[0].outputs.len() as u64, shd.metrics.outputs);
 
     println!(
         "\nfeed: {} elements ({} punctuations)",

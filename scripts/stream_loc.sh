@@ -6,7 +6,7 @@
 # reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=11821
+CEILING=11753
 
 cd "$(dirname "$0")/.."
 total=0
@@ -43,7 +43,7 @@ done
 # One cycle per punctuation run: under Eager an admitted punctuation marks a
 # purge cycle owed (Core::owed), paid where its absence could be seen. A cycle
 # run from try_push_punctuation is the cycle-per-punctuation schedule back.
-if awk '/fn try_push_punctuation[(<]/{on=1; next} on&&/^    fn /{exit} on' \
+if awk '/fn try_push_punctuation[(<]/{on=1; next} on&&/^    (pub\(crate\) )?fn /{exit} on' \
     crates/stream/src/pipeline.rs | grep -v '^ *//' | grep -qF 'run_purge_cycle('; then
     echo "try_push_punctuation runs a purge cycle: a punctuation owes one instead" >&2
     status=1
@@ -100,6 +100,17 @@ if [ "$calls" -ne 1 ]; then
 fi
 if grep -nE 'struct +(ShardedExecutor|ShardedRegistry|Fleet)\b' crates/stream/src/*.rs; then
     echo "a per-engine sharded wrapper is back beside parallel::Sharded" >&2
+    status=1
+fi
+
+# One engine type: the pipeline is `QueryRegistry`'s own methods, an executor
+# forwards to its registry, and the sharded plane is registries only, with one
+# fold. A pipeline or shard trait, the executor-only sharded result, or a type
+# parameter on `Sharded` is a second engine type growing back.
+if for f in crates/stream/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
+done | grep -nE 'trait +(Pipeline|Shard)\b|ShardedRunResult|struct +Sharded *<'; then
+    echo "a second engine type is back: trait Pipeline/Shard, ShardedRunResult or Sharded<E>" >&2
     status=1
 fi
 

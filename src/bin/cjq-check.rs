@@ -728,7 +728,7 @@ mod replay {
                 drive(compile, &feed, checkpointing.as_ref()).map(|r| r.metrics)
             } else {
                 let compile = |phase: &str| {
-                    Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, opts.shards)
+                    Sharded::compile(&query, &schemes, &plan, cfg, opts.shards)
                         .map_err(|e| refused(phase, e))
                 };
                 drive(compile, &feed, checkpointing.as_ref()).map(|r| r.metrics)
@@ -1028,8 +1028,7 @@ mod serve {
                 .map(|a| (a.query.clone(), Plan::mjoin_all(&a.query)))
                 .collect();
             let readmit = |_: &str| {
-                Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg, opts.shards)
-                    .map_err(|e| e.to_string())
+                Sharded::admit_all(&specs, &schemes, cfg, opts.shards).map_err(|e| e.to_string())
             };
             drive(readmit, &feed, None)
         };

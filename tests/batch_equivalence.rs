@@ -135,9 +135,9 @@ fn sharded_batched_workers_match_sequential() {
         let (q, r, mut quiet) = (&case.query, &case.schemes, case.cfg);
         quiet.record_outputs = false;
         for p in [1usize, 4] {
-            let fleet = Sharded::<Executor>::compile(q, r, &case.plan, quiet, p);
+            let fleet = Sharded::compile(q, r, &case.plan, quiet, p);
             let sharded = fleet.expect("compile sharded").run(&case.feed);
-            assert!(sharded.outputs.is_empty());
+            assert!(sharded.queries[0].outputs.is_empty());
             assert_eq!(sharded.metrics.outputs, seq.metrics.outputs, "P={p}: count");
         }
     }

@@ -68,7 +68,7 @@ fn a_zero_coverage_limit_is_refused_on_every_plane() {
         };
         let exec = Executor::compile(&query, &schemes, &plan, cfg);
         assert!(exec.is_err(), "executor, {tiering:?}");
-        let fleet = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, 2);
+        let fleet = Sharded::compile(&query, &schemes, &plan, cfg, 2);
         assert!(fleet.is_err(), "fleet");
         let registry = std::panic::catch_unwind(|| QueryRegistry::new(schemes.clone(), cfg));
         assert!(registry.is_err(), "a registry refuses it too");

@@ -172,10 +172,10 @@ fn a_forgotten_punctuation_admits_and_a_remembered_one_refuses_on_every_plane() 
         // The parent of §5.1 purging, which kept every entry, refused all 31.
         assert_eq!(solo.metrics.violations, 1, "{cadence:?}");
         let (q, r, plan) = (&case.query, &case.schemes, &case.plan);
-        let fleet = Sharded::<Executor>::compile(q, r, plan, case.cfg, 4).unwrap();
+        let fleet = Sharded::compile(q, r, plan, case.cfg, 4).unwrap();
         let sharded = fleet.run(&feed);
         assert_eq!(sharded.metrics.violations, 1, "{cadence:?}");
-        assert_eq!(sorted(&solo.outputs), sorted(&sharded.outputs));
+        assert_eq!(sorted(&solo.outputs), sorted(&sharded.queries[0].outputs));
         // Admitted means admitted: the drained side's old rows are gone, but
         // replayed items and replayed bids of one auction find each other.
         let exec = Executor::compile(q, r, plan, case.cfg).unwrap();
@@ -216,10 +216,10 @@ fn a_tuple_that_violates_an_unread_scheme_is_admitted_on_every_plane() {
         m.punct_dropped + m.last().unwrap().punct_entries as u64,
         m.puncts_in
     );
-    let fleet = Sharded::<Executor>::compile(&query, &schemes, &case.plan, case.cfg, 4);
+    let fleet = Sharded::compile(&query, &schemes, &case.plan, case.cfg, 4);
     let sharded = fleet.unwrap().run(&feed);
     assert_eq!(sharded.metrics.violations, 0);
-    assert_eq!(sorted(&sharded.outputs), sorted(&expect.outputs));
+    assert_eq!(sorted(&sharded.queries[0].outputs), sorted(&expect.outputs));
 }
 
 /// A port whose recipe waits on more than one step can hold a row after the

@@ -222,9 +222,7 @@ fn sharded_registry_resumes_byte_identically() {
     let specs = [0, 1].map(|_| (query.clone(), Plan::mjoin_all(&query)));
     let feed = chaos_feed(&keyed_feed(&(query.clone(), schemes.clone()), 40, 2));
     let (every, cfg) = (29u64, ExecConfig::default());
-    let fleet = |_: &str| {
-        Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg, 2).map_err(|e| e.to_string())
-    };
+    let fleet = |_: &str| Sharded::admit_all(&specs, &schemes, cfg, 2).map_err(|e| e.to_string());
     assert!(fleet("").unwrap().consensus(), "two shards, not one");
     let golden = resume(0, every, &feed, fleet, true);
     assert!(golden.metrics.checkpoints_written > 1);
@@ -253,9 +251,8 @@ fn forged_lengths_in_a_checksummed_frame_are_refused_by_every_restore() {
     let specs = [(query.clone(), plan.clone())];
     let compile =
         |_: &str| Executor::compile(&query, &schemes, &plan, cfg).map_err(|e| e.to_string());
-    let fleet = |_: &str| {
-        Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, 2).map_err(|e| e.to_string())
-    };
+    let fleet =
+        |_: &str| Sharded::compile(&query, &schemes, &plan, cfg, 2).map_err(|e| e.to_string());
     let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
 
     // One genuine snapshot per kind. Its manifest carries the kind and the

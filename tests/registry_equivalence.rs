@@ -106,7 +106,7 @@ fn sharded_registry_matches_standalones() {
     for overlap in [0.0, 1.0] {
         let (tenant, feed) = tenants(3, overlap, 24);
         let (feed, cfg) = (chaos_feed(&feed), base_cfg(EAGER));
-        let fleet = Sharded::<QueryRegistry>::admit_all(&tenant.queries, &tenant.schemes, cfg, 4);
+        let fleet = Sharded::admit_all(&tenant.queries, &tenant.schemes, cfg, 4);
         let sharded = fleet.expect("admissible").try_run(&feed).unwrap();
         let solos = standalones(&tenant.queries, &tenant.schemes, cfg, &feed);
         for (solo, reg_q) in solos.iter().zip(&sharded.queries) {
@@ -127,7 +127,7 @@ fn sharded_registry_without_consensus_matches_sequential() {
     let seq = registry(&tenant.queries, &tenant.schemes, cfg, &feed);
     for shards in [1, 4] {
         let (specs, r) = (&tenant.queries, &tenant.schemes);
-        let fleet = Sharded::<QueryRegistry>::admit_all(specs, r, cfg, shards).unwrap();
+        let fleet = Sharded::admit_all(specs, r, cfg, shards).unwrap();
         assert!(!fleet.consensus(), "variant edges change the partitioning");
         assert_eq!(fleet.partitioning().shards, 1, "one shard takes the feed");
         let par = fleet.try_run(&feed).expect("quarantine admits the rest");
@@ -164,7 +164,7 @@ fn sharded_registry_reports_feed_level_counts_at_every_shard_count() {
         let truncated = seq.metrics.quarantined > 0;
         assert!(what == "clean" || truncated, "the plan truncates");
         for shards in [1, 2, 4] {
-            let fleet = Sharded::<QueryRegistry>::admit_all(&specs, &schemes, cfg, shards).unwrap();
+            let fleet = Sharded::admit_all(&specs, &schemes, cfg, shards).unwrap();
             assert!(fleet.consensus(), "identical tenants agree on a split");
             let broadcast = |e| fleet.partitioning().route(e).is_none();
             assert!(feed.elements().iter().any(broadcast), "S2 broadcasts");

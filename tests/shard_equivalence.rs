@@ -1,19 +1,20 @@
 //! Shard/sequential equivalence, as named cases of the differential harness
-//! (`cjq_chaos::differential`): [`Case::check`] runs `Sharded<Executor>` and
-//! `Sharded<QueryRegistry>` at each of the case's shard counts and holds them
-//! to the executor's result multiset and feed-level counts, with the
-//! executor judged against the reference oracle and the bound certificate
-//! inferred from the feed armed on it (a peak over a static bound fails).
+//! (`cjq_chaos::differential`): [`Case::check`] runs `Sharded::compile` and
+//! `Sharded::admit_all` at each of the case's shard counts and holds them to
+//! the executor's result multiset and feed-level counts, with the executor
+//! judged against the reference oracle and the bound certificate inferred
+//! from the feed armed on it (a peak over a static bound fails).
 //!
-//! Checked here on top, per the two regimes the logical merge must get
-//! right: on punctuation-closed feeds every shard ends empty; on
-//! punctuation-free feeds nothing is purged anywhere, so the logical merge
+//! Checked here on top, for both fleets, per the two regimes the logical
+//! merge must get right: on punctuation-closed feeds every shard ends empty;
+//! on punctuation-free feeds nothing is purged anywhere, so the logical merge
 //! (partitioned state summed, broadcast state unioned by slot id) equals the
 //! sequential live count exactly — a double count or a drop shows here.
 
 use punctuated_cjq::core::plan::Plan;
-use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence};
+use punctuated_cjq::stream::exec::{ExecConfig, PurgeCadence};
 use punctuated_cjq::stream::parallel::Sharded;
+use punctuated_cjq::stream::registry::RegistryResult;
 use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::keyed::{self, KeyedConfig};
 use punctuated_cjq::workload::{auction, network, sensor, trades};
@@ -33,6 +34,11 @@ fn sharded(case: Case, shards: &[usize]) -> Checked {
     case.with(|c| c.shards = shards.to_vec()).check()
 }
 
+/// Both fleets' runs: `Sharded::compile`'s, then `Sharded::admit_all`'s.
+fn fleets(checked: &Checked) -> impl Iterator<Item = &RegistryResult> {
+    checked.sharded.iter().chain(&checked.shared)
+}
+
 #[test]
 fn random_safe_queries_match_sequential() {
     for seed in 0..16usize {
@@ -47,11 +53,11 @@ fn random_safe_queries_match_sequential() {
         // Closed feed: every key punctuated on every scheme, so all state dies.
         let closed = sharded(case(&format!("closed {seed}"), 25, true), &[1, 2, 4]);
         assert_eq!(last(&closed).0, 0, "seed {seed}: a closed feed drains");
-        let drained = closed.sharded.iter().all(|r| r.logical_join_state == 0);
+        let drained = fleets(&closed).all(|r| r.logical_join_state == 0);
         assert!(drained, "seed {seed}");
         // Punctuation-free feed: the logical merge is the sequential state.
         let open = sharded(case(&format!("open {seed}"), 12, false), &[2, 4]);
-        for run in &open.sharded {
+        for run in fleets(&open) {
             let merged = (run.logical_join_state, run.logical_mirror);
             assert_eq!(merged, last(&open), "seed {seed}");
         }
@@ -70,7 +76,7 @@ fn auction_workload_matches_sequential_and_purges() {
         let seq_peak = checked.solo.as_ref().unwrap().metrics.peak_join_state;
         for run in &checked.sharded {
             assert_eq!(run.logical_join_state, 0);
-            let peaks = run.shards.iter().map(|s| s.metrics.peak_join_state);
+            let peaks = run.shards.iter().map(|s| s.peak_join_state);
             assert!(peaks.max() <= Some(seq_peak));
         }
     }
@@ -107,9 +113,9 @@ fn sharded_state_stays_flat_under_both_cadences() {
     let peak_at = |n_items: usize, cadence: PurgeCadence| {
         let mut cfg = ExecConfig::default();
         (cfg.cadence, cfg.record_outputs) = (cadence, false);
-        let fleet = Sharded::<Executor>::compile(&query, &schemes, &plan, cfg, 4).unwrap();
+        let fleet = Sharded::compile(&query, &schemes, &plan, cfg, 4).unwrap();
         let shards = fleet.run(&auction_feed(n_items, 3, 6)).shards;
-        shards.iter().map(|s| s.metrics.peak_join_state).max()
+        shards.iter().map(|s| s.peak_join_state).max()
     };
     // The peak is bounded by the workload's concurrency (plus the lazy batch
     // slack), never by the feed length: an 8x longer feed stays under the
