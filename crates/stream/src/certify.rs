@@ -13,15 +13,15 @@
 //!    checker proves the port purgeable over the configured purge scope —
 //!    a recipe without a certificate (or a certificate without a recipe)
 //!    means recipe derivation and graph reachability have drifted apart.
-//! 2. **Every purge cycle**: the chain walk (`PurgeEngine::check_roots_with`)
-//!    and the row's own-cells verdict are re-run against the allocating
-//!    explaining oracle (`PurgeEngine::explain`) on a sample of live rows;
-//!    any disagreement panics.
-//! 3. **After every purge cycle**, which purges rows to their fixpoint, the
-//!    engine asserts that *no live row is provably dead* — for a
-//!    certified-safe query this is exactly the bounded-state guarantee:
-//!    every tuple whose chained requirements are covered by punctuations has
-//!    left the state.
+//! 2. **After every purge cycle**, which purges rows to their fixpoint, one
+//!    sweep walks every recipe on every live row (`audit`, over the mirror
+//!    by `PurgeEngine::audit_mirror`, over operator ports by
+//!    `JoinOperator::audit`). Wherever a row's own cells settle a recipe
+//!    (`PurgeEngine::own_verdict`, what a purge pass reads first) they must
+//!    say what the chain walk says, and *no live row may be provably dead* —
+//!    for a certified-safe query this is exactly the bounded-state
+//!    guarantee: every tuple whose chained requirements are covered by
+//!    punctuations has left the state.
 //!
 //! All checks panic on violation; they are assertions, not recoverable
 //! errors — a failure means the engine no longer implements the theorems.
@@ -37,12 +37,9 @@ use cjq_core::scheme::SchemeSet;
 use crate::element::StreamElement;
 use crate::exec::PurgeCadence;
 use crate::join::JoinOperator;
-use crate::purge::PurgeScope;
+use crate::purge::{CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeTracker};
 use crate::source::Feed;
-
-/// Rows per port on which each purge cycle re-checks the fast path against
-/// the explaining oracle.
-pub const ORACLE_SAMPLE: usize = 8;
+use crate::state::PortState;
 
 /// Checks that compiled recipes agree with the static purgeability verdicts
 /// (Corollary 1 at port granularity, Theorems 1/3 for the mirror). Returns a
@@ -87,6 +84,34 @@ pub fn static_certificates<'a>(
         }
     }
     None
+}
+
+/// The per-cycle sweep (item 2 above) over `state`, an operator port or a
+/// mirror stream of `engine`: walks each of `recipes` on every live row and
+/// asserts that the row's own cells, wherever they settle a recipe, say what
+/// the walk says — and, at a purge `fixpoint`, that not every recipe proves
+/// the row dead. Returns the rows compared.
+pub(crate) fn audit<'s>(
+    engine: &PurgeEngine,
+    state: &PortState,
+    recipes: impl Iterator<Item = (&'s CompiledRecipe, &'s PurgeTracker)> + Clone,
+    fixpoint: bool,
+) -> u64 {
+    let (layout, mut scratch, mut roots) = (state.layout(), CheckScratch::default(), Vec::new());
+    for (slot, row) in state.iter_live() {
+        roots.clear();
+        let own = layout.streams().iter();
+        roots.extend(own.map(|&s| (s, layout.slice(row, s).expect("own stream"))));
+        let (at, mut dead) = ((slot, layout.streams()), fixpoint);
+        for (recipe, tracker) in recipes.clone() {
+            let walk = engine.check_roots_with(recipe, &roots, &mut scratch);
+            let own = engine.own_verdict(tracker, row);
+            assert_eq!(own.unwrap_or(walk), walk, "own cells vs walk at {at:?}");
+            dead &= walk;
+        }
+        assert!(!dead, "provably dead after a purge cycle: {at:?}");
+    }
+    recipes.clone().next().map_or(0, |_| state.live() as u64)
 }
 
 /// Infers cadence/domain contracts that `feed` actually honors, for use as

@@ -106,10 +106,10 @@ pub struct ExecConfig {
     pub record_outputs: bool,
     /// Runtime certificate verification (see [`crate::certify`]): assert at
     /// compile time that compiled purge recipes match the static
-    /// purgeability certificates, re-check a sample of purge verdicts
-    /// against the explaining oracle every cycle, and assert after every
-    /// cycle (rows being at their fixpoint) that no provably-dead tuple is
-    /// still live. Defaults to the `verify-certificates` cargo feature.
+    /// purgeability certificates, and after every cycle (rows being at
+    /// their fixpoint) walk every recipe on every live row: its own-cells
+    /// verdict must agree with the chain walk, and no provably-dead tuple may
+    /// still be live. Defaults to the `verify-certificates` cargo feature.
     pub verify_certificates: bool,
     /// Admission-guard policy for malformed or invariant-breaking elements
     /// (see [`crate::guard`]). The default, [`AdmissionPolicy::Quarantine`],
@@ -185,7 +185,8 @@ impl ExecConfig {
     /// [`Executor::fingerprint`]): a snapshot only overlays onto an engine
     /// whose config matches knob for knob, since the knobs steer purge
     /// cadence, sampling, and budget decisions that the serialized state
-    /// already reflects.
+    /// already reflects. `verify_certificates` is left out: the verifier only
+    /// asserts, so a snapshot committed with it on resumes with it off.
     pub(crate) fn fingerprint_into(&self, fp: &mut Fingerprint) {
         let (cadence, batch) = match self.cadence {
             PurgeCadence::Never => (0, 0),
@@ -203,7 +204,6 @@ impl ExecConfig {
             self.sample_every as u64,
             self.coverage_limit as u64,
             u64::from(self.record_outputs),
-            u64::from(self.verify_certificates),
             self.admission as u64,
             or_max(budget),
             or_max(self.stall_budget),
@@ -692,7 +692,7 @@ mod tests {
         let res = exec.run(&feed);
         assert!(
             res.metrics.certificate_checks > 0,
-            "verifier must re-check rows against the oracle"
+            "the verifier must sweep the live rows"
         );
         assert_eq!(res.metrics.last().unwrap().join_state, 0);
     }

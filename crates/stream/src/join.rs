@@ -791,30 +791,14 @@ impl JoinOperator {
         work
     }
 
-    /// Re-checks up to `sample` live rows per purgeable port with the
-    /// allocation-free fast path, the row's own cells and the allocating
-    /// explaining oracle. Returns the number of rows checked.
-    ///
-    /// # Panics
-    /// Panics if the paths disagree on any verdict (see
-    /// [`PurgeEngine::check_roots_with`]).
-    pub fn verify_against_oracle(&self, engine: &PurgeEngine, sample: usize) -> u64 {
-        let held = (0..self.ports.len()).filter_map(|port| Some((port, self.held(port)?)));
-        held.map(|(port, held)| engine.verify_state(held, &self.ports[port], sample))
-            .sum()
-    }
-
-    /// Finds a live stored row that the purge checker proves dead, if any —
-    /// after a purge cycle there must be none.
-    #[must_use]
-    pub fn find_purgeable_live_row(&self, engine: &PurgeEngine) -> Option<(usize, usize)> {
-        let mut scratch = CheckScratch::default();
-        self.ports.iter().enumerate().find_map(|(port, state)| {
-            let held = std::iter::once(self.held(port)?);
-            let mut dead = engine.all_prove_dead(state, held, &mut scratch);
-            let (slot, _) = state.iter_live().find(|&(slot, row)| dead(slot, row))?;
-            Some((port, slot))
-        })
+    /// The certificate verifier's sweep over every purgeable port (see
+    /// `PurgeEngine::audit_mirror`): the rows compared. Panics on a violation.
+    pub fn audit(&self, engine: &PurgeEngine, fixpoint: bool) -> u64 {
+        let held =
+            (0..self.ports.len()).filter_map(|port| Some((&self.ports[port], self.held(port)?)));
+        let audit =
+            |(state, held)| crate::certify::audit(engine, state, std::iter::once(held), fixpoint);
+        held.map(audit).sum()
     }
 }
 

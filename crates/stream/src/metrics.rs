@@ -294,9 +294,9 @@ facts! {
         /// is exactly the work it wastes on partial combinations that never
         /// close.
         pub intermediate_rows: u64 => sum,
-        /// Rows re-checked by the runtime certificate verifier (fast purge check
-        /// vs. explaining oracle; see `crate::certify`). Stays 0 unless
-        /// `ExecConfig::verify_certificates` is on.
+        /// Live rows the runtime certificate verifier's per-cycle sweep compared
+        /// (own-cells verdicts against the chain walk; see `crate::certify`).
+        /// Stays 0 unless `ExecConfig::verify_certificates` is on.
         pub certificate_checks: u64 => sum,
         /// Elements refused by the admission guard under
         /// `AdmissionPolicy::Quarantine` (routed to the dead-letter sink when one

@@ -31,7 +31,6 @@ use cjq_core::punctuation::Punctuation;
 use cjq_core::schema::StreamId;
 use cjq_core::value::Value;
 
-use crate::certify::ORACLE_SAMPLE;
 use crate::checkpoint::{
     list_snapshots, CheckpointStore, Codec, Dec, Enc, InputCursor, Manifest, SnapshotKind,
     SnapshotResult,
@@ -730,21 +729,12 @@ impl QueryRegistry {
         let (true, Some(engine)) = (self.core.cfg.verify_certificates, self.engine()) else {
             return;
         };
-        // Per-cycle certificate check: the fast allocation-free verdict must
-        // agree with the explaining oracle on a sample of the rows that
-        // survived this cycle, and — rows being at their fixpoint — no live
-        // row may be provably dead.
-        let dead = |(i, op): (usize, &JoinOperator)| Some((i, op.find_purgeable_live_row(engine)?));
-        let dead_op = self.ops().enumerate().find_map(dead);
-        let dead_mirror = engine.find_purgeable_mirror_row();
-        assert!(
-            dead_op.is_none() && dead_mirror.is_none(),
-            "certificate violation: provably-dead rows are still live after a \
-             purge cycle (operator {dead_op:?}, mirror {dead_mirror:?})"
-        );
-        let mut checked = engine.verify_mirror_against_oracle(ORACLE_SAMPLE);
+        // Per-cycle certificate check over every live row: wherever a row's
+        // own cells settle a recipe they say what the chain walk says, and —
+        // rows being at their fixpoint — no row is provably dead.
+        let mut checked = engine.audit_mirror(true);
         for op in self.ops() {
-            checked += op.verify_against_oracle(engine, ORACLE_SAMPLE);
+            checked += op.audit(engine, true);
             // Cold-tier half of the invariant: a purge cycle must also have
             // dropped every segment whose summaries a stored recipe covers —
             // a covered segment surviving the cycle would be provably-dead

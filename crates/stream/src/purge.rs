@@ -580,6 +580,50 @@ impl CheckOutcome {
     }
 }
 
+/// What a chain walk reports besides its verdict: a purge pass records
+/// nothing (`()`), [`PurgeEngine::explain`] a [`CheckOutcome`].
+trait Witness {
+    /// Combination `values` of `step`, towards `target`, is not covered: the
+    /// row is kept. Returns whether to look for more of the step's misses.
+    fn uncovered(&mut self, _step: usize, _target: StreamId, _values: &[Value]) -> bool {
+        false
+    }
+
+    /// `step` requires `required` combinations, past the coverage limit.
+    fn too_many(&mut self, _step: usize, _target: StreamId, _required: usize) {}
+}
+
+impl Witness for () {}
+
+/// The blocking step, with up to three of its uncovered combinations.
+impl Witness for CheckOutcome {
+    fn uncovered(&mut self, step: usize, target: StreamId, values: &[Value]) -> bool {
+        match self {
+            CheckOutcome::MissingCoverage { missing, .. } => {
+                missing.push(values.to_vec());
+                missing.len() < 3
+            }
+            _ => {
+                let missing = vec![values.to_vec()];
+                *self = CheckOutcome::MissingCoverage {
+                    step,
+                    target,
+                    missing,
+                };
+                true
+            }
+        }
+    }
+
+    fn too_many(&mut self, step: usize, target: StreamId, required: usize) {
+        *self = CheckOutcome::TooManyCombinations {
+            step,
+            target,
+            required,
+        };
+    }
+}
+
 /// The raw mirror + punctuation stores + the subscribed mirror recipes.
 ///
 /// A mirror row of stream `s` is dropped when **every** subscribed query
@@ -1043,7 +1087,7 @@ impl PurgeEngine {
     /// "keep" where a direct step's key is uncovered, "dead" where every step
     /// is root-resolved and its key covered, `None` where only the chain walk
     /// can tell — exactly as that walk would (DESIGN.md §7, "Own-key verdicts").
-    fn own_verdict(&self, tracker: &PurgeTracker, row: &[Value]) -> Option<bool> {
+    pub(crate) fn own_verdict(&self, tracker: &PurgeTracker, row: &[Value]) -> Option<bool> {
         let (mut open, mut key) = (false, [Value::Null; 8]);
         for spec in &tracker.own {
             let Some(spec) = spec.as_ref().filter(|s| s.cols.len() <= key.len()) else {
@@ -1064,65 +1108,18 @@ impl PurgeEngine {
         (!open).then_some(true)
     }
 
-    /// Re-checks up to `sample` live rows of `state` under a held recipe with
-    /// the fast path ([`PurgeEngine::check_roots_with`]), the row's own cells
-    /// and the explaining oracle ([`PurgeEngine::explain`]). Returns the
-    /// number of rows checked.
-    ///
-    /// # Panics
-    /// Panics if the paths disagree on any verdict — they are documented to
-    /// be decision-equivalent.
-    pub(crate) fn verify_state(
-        &self,
-        (recipe, tracker): (&CompiledRecipe, &PurgeTracker),
-        state: &PortState,
-        sample: usize,
-    ) -> u64 {
-        let (layout, mut scratch) = (state.layout(), CheckScratch::default());
-        let mut checked = 0;
-        for (slot, row) in state.iter_live().take(sample) {
-            let own = layout.streams().iter();
-            let roots: Vec<(StreamId, &[Value])> = own
-                .map(|&s| (s, layout.slice(row, s).expect("own stream")))
-                .collect();
-            let fast = self.check_roots_with(recipe, &roots, &mut scratch);
-            let own = self.own_verdict(tracker, row);
-            let oracle = self.check_impl(recipe, &roots, true).is_purgeable();
-            assert!(
-                fast == oracle && own.is_none_or(|own| own == oracle),
-                "certificate violation: fast path {fast}, own cells {own:?}, oracle \
-                 {oracle} for slot {slot} of the state over {:?}",
-                layout.streams()
-            );
-            checked += 1;
-        }
-        checked
-    }
-
-    /// Re-checks up to `sample` live mirror rows per held stream and
-    /// distinct recipe, fast path and own cells against the oracle
-    /// (panicking on a disagreement).
-    pub fn verify_mirror_against_oracle(&self, sample: usize) -> u64 {
+    /// The certificate verifier's sweep over every held mirror stream and
+    /// its distinct recipes (`certify::audit`): the rows compared. Panics on
+    /// a violation — at a purge `fixpoint`, a row every subscriber proves dead
+    /// is one.
+    pub fn audit_mirror(&self, fixpoint: bool) -> u64 {
         let held = (0..self.states.len()).filter(|&s| self.held[s]);
-        let per_recipe = held.flat_map(|s| self.meets[s].tracked().map(move |e| (s, e)));
-        per_recipe
-            .map(|(s, held)| self.verify_state(held, &self.states[s], sample))
-            .sum()
-    }
-
-    /// Finds a live mirror row that every subscriber proves dead, if any —
-    /// after a purge cycle, which runs rows to their fixpoint, there must be
-    /// none.
-    #[must_use]
-    pub fn find_purgeable_mirror_row(&self) -> Option<(StreamId, usize)> {
-        let mut scratch = CheckScratch::default();
-        (0..self.states.len()).find_map(|s| {
-            let (state, meet) = (&self.states[s], &self.meets[s]);
-            (self.held[s] && meet.uncertified == 0).then_some(())?;
-            let mut dead = self.all_prove_dead(state, meet.tracked(), &mut scratch);
-            let (slot, _) = state.iter_live().find(|&(slot, row)| dead(slot, row))?;
-            Some((StreamId(s), slot))
-        })
+        let audit = |s: usize| {
+            let meet = &self.meets[s];
+            let fixpoint = fixpoint && meet.uncertified == 0;
+            crate::certify::audit(self, &self.states[s], meet.tracked(), fixpoint)
+        };
+        held.map(audit).sum()
     }
 
     /// How many streams the engine mirrors.
@@ -1143,23 +1140,9 @@ impl PurgeEngine {
     }
 
     /// Evaluates a compiled recipe for one candidate tuple, given the
-    /// candidate's per-root raw rows. Returns whether the tuple is provably
-    /// dead (purgeable now).
-    #[must_use]
-    pub fn check(&self, recipe: &CompiledRecipe, roots: &HashMap<StreamId, Vec<Value>>) -> bool {
-        let roots: Vec<(StreamId, &[Value])> =
-            roots.iter().map(|(&s, row)| (s, row.as_slice())).collect();
-        self.check_impl(recipe, &roots, false).is_purgeable()
-    }
-
-    /// Like [`PurgeEngine::check`] with borrowed root rows and caller-provided
-    /// scratch buffers: the chain walk allocates nothing once the scratch has
-    /// warmed up, which is what purge passes (one recipe, many candidate
-    /// rows) want. Decision-equivalent to [`PurgeEngine::check`].
-    ///
-    /// A recipe step drawing values from a stream the walk has not reached is
-    /// a malformed recipe; debug builds assert, release builds conservatively
-    /// keep the row (answer `false`) — keeping is always safe.
+    /// candidate's per-root raw rows: whether the tuple is provably dead
+    /// (purgeable now). The walk allocates nothing once `scratch` has warmed
+    /// up, which is what purge passes (one recipe, many candidate rows) want.
     #[must_use]
     pub fn check_roots_with(
         &self,
@@ -1167,13 +1150,42 @@ impl PurgeEngine {
         roots: &[(StreamId, &[Value])],
         scratch: &mut CheckScratch,
     ) -> bool {
+        self.walk(recipe, roots, scratch, &mut ())
+    }
+
+    /// The same walk as [`PurgeEngine::check_roots_with`], explaining a
+    /// negative verdict: which step blocked the purge and (a sample of) the
+    /// value combinations that still need punctuations.
+    #[must_use]
+    pub fn explain(
+        &self,
+        recipe: &CompiledRecipe,
+        roots: &HashMap<StreamId, Vec<Value>>,
+    ) -> CheckOutcome {
+        let roots: Vec<(StreamId, &[Value])> =
+            roots.iter().map(|(&s, row)| (s, row.as_slice())).collect();
+        let mut outcome = CheckOutcome::Purgeable;
+        let dead = self.walk(recipe, &roots, &mut CheckScratch::default(), &mut outcome);
+        debug_assert_eq!(dead, outcome.is_purgeable());
+        outcome
+    }
+
+    /// The chained purge walk (§3.2, Fig. 3), telling `witness` where it
+    /// keeps the row.
+    fn walk<W: Witness>(
+        &self,
+        recipe: &CompiledRecipe,
+        roots: &[(StreamId, &[Value])],
+        scratch: &mut CheckScratch,
+        witness: &mut W,
+    ) -> bool {
         scratch.chain.clear();
         scratch.chain.resize(self.states.len(), ChainSet::Unset);
         scratch.slots.clear();
         for (i, &(s, _)) in roots.iter().enumerate() {
             scratch.chain[s.0] = ChainSet::Root(i);
         }
-        for step in &recipe.steps {
+        for (si, step) in recipe.steps.iter().enumerate() {
             // Required combinations: cartesian product of the per-binding
             // distinct value sets drawn from the chain.
             if scratch.sets.len() < step.bindings.len() {
@@ -1207,7 +1219,8 @@ impl PurgeEngine {
                 total = total.saturating_mul(set.len());
             }
             if total > self.coverage_limit {
-                return false; // conservatively keep (TooManyCombinations)
+                witness.too_many(si, step.target, total);
+                return false; // conservatively keep
             }
             if total > 0 {
                 let store = &self.puncts[step.target.0];
@@ -1217,12 +1230,16 @@ impl PurgeEngine {
                 scratch.combo.resize(k, 0);
                 scratch.values.clear();
                 scratch.values.resize(k, Value::Null);
+                let mut missed = false;
                 'outer: loop {
                     for pos in 0..k {
                         scratch.values[pos] = scratch.sets[pos][scratch.combo[pos]];
                     }
                     if !store.covers(step.scheme_idx, &scratch.values) {
-                        return false; // missing coverage
+                        if !witness.uncovered(si, step.target, &scratch.values) {
+                            return false; // missing coverage
+                        }
+                        missed = true;
                     }
                     // Odometer increment.
                     for pos in (0..k).rev() {
@@ -1235,6 +1252,9 @@ impl PurgeEngine {
                             break 'outer;
                         }
                     }
+                }
+                if missed {
+                    return false;
                 }
             }
             // `T_t[Υ_target]` only forms later steps' requirement sets:
@@ -1272,8 +1292,8 @@ impl PurgeEngine {
             }
             let state = &self.states[step.target.0];
             // Prefer probing the target's hash index when the smallest filter
-            // set is much smaller than the live state (same policy as
-            // `check_impl`).
+            // set is much smaller than the live state: turns the O(live)
+            // scan into O(values x bucket).
             let probe_with = step
                 .filters
                 .iter()
@@ -1314,148 +1334,6 @@ impl PurgeEngine {
             };
         }
         true
-    }
-
-    /// Like [`PurgeEngine::check`], but explains a negative verdict: which
-    /// step blocked the purge and (a sample of) the value combinations that
-    /// still need punctuations.
-    #[must_use]
-    pub fn explain(
-        &self,
-        recipe: &CompiledRecipe,
-        roots: &HashMap<StreamId, Vec<Value>>,
-    ) -> CheckOutcome {
-        let roots: Vec<(StreamId, &[Value])> =
-            roots.iter().map(|(&s, row)| (s, row.as_slice())).collect();
-        self.check_impl(recipe, &roots, true)
-    }
-
-    fn check_impl<'a>(
-        &'a self,
-        recipe: &CompiledRecipe,
-        roots: &[(StreamId, &'a [Value])],
-        collect: bool,
-    ) -> CheckOutcome {
-        // chain: stream -> joinable raw rows (the paper's T_t[Υ_S]). Rows are
-        // borrowed from the caller (roots) or from the mirror states — the
-        // whole walk copies no tuple data.
-        let mut chain: FxHashMap<StreamId, Vec<&'a [Value]>> =
-            roots.iter().map(|&(s, row)| (s, vec![row])).collect();
-        for (step_idx, step) in recipe.steps.iter().enumerate() {
-            // Required combinations: cartesian product of the per-binding
-            // distinct value sets drawn from the chain.
-            let sets: Vec<Vec<Value>> = step
-                .bindings
-                .iter()
-                .map(|&(src, col)| {
-                    let mut seen = FxHashSet::default();
-                    chain[&src]
-                        .iter()
-                        .map(|row| row[col])
-                        .filter(|v| seen.insert(*v))
-                        .collect()
-                })
-                .collect();
-            let total: usize = sets.iter().map(Vec::len).product();
-            if total > self.coverage_limit {
-                // Conservatively give up on huge requirements.
-                return CheckOutcome::TooManyCombinations {
-                    step: step_idx,
-                    target: step.target,
-                    required: total,
-                };
-            }
-            if total > 0 {
-                let store = &self.puncts[step.target.0];
-                let mut combo = vec![0usize; sets.len()];
-                let mut values: Vec<Value> = vec![Value::Null; sets.len()];
-                let mut missing: Vec<Vec<Value>> = Vec::new();
-                'outer: loop {
-                    for (pos, &i) in combo.iter().enumerate() {
-                        values[pos] = sets[pos][i];
-                    }
-                    if !store.covers(step.scheme_idx, &values) {
-                        if !collect {
-                            return CheckOutcome::MissingCoverage {
-                                step: step_idx,
-                                target: step.target,
-                                missing: Vec::new(),
-                            };
-                        }
-                        missing.push(values.clone());
-                        if missing.len() >= 3 {
-                            break 'outer;
-                        }
-                    }
-                    // Odometer increment.
-                    for pos in (0..combo.len()).rev() {
-                        combo[pos] += 1;
-                        if combo[pos] < sets[pos].len() {
-                            continue 'outer;
-                        }
-                        combo[pos] = 0;
-                        if pos == 0 {
-                            break 'outer;
-                        }
-                    }
-                }
-                if !missing.is_empty() {
-                    return CheckOutcome::MissingCoverage {
-                        step: step_idx,
-                        target: step.target,
-                        missing,
-                    };
-                }
-            }
-            // No later requirement set draws on this chain set (kept in
-            // lockstep with `check_roots_with`).
-            if !step.feeds {
-                continue;
-            }
-            // Next chain set: mirror tuples of `target` that semi-join the
-            // chain on every in-span predicate towards reached streams.
-            let filter_sets: Vec<(usize, FxHashSet<Value>)> = step
-                .filters
-                .iter()
-                .map(|&(tcol, src, scol)| {
-                    let set: FxHashSet<Value> = chain[&src].iter().map(|row| row[scol]).collect();
-                    (tcol, set)
-                })
-                .collect();
-            let state = &self.states[step.target.0];
-            // Prefer probing the target's hash index when the smallest filter
-            // set is much smaller than the live state: turns the O(live)
-            // scan into O(values x bucket).
-            let probe_with = filter_sets
-                .iter()
-                .enumerate()
-                .filter(|(_, (tcol, set))| state.has_index(*tcol) && set.len() * 4 < state.live())
-                .min_by_key(|(_, (_, set))| set.len())
-                .map(|(i, _)| i);
-            let joins = |row: &&[Value]| {
-                let mut sets = filter_sets.iter();
-                sets.all(|(tcol, set)| set.contains(&row[*tcol]))
-            };
-            let rows: Vec<&'a [Value]> = if let Some(fi) = probe_with {
-                let (tcol, values) = &filter_sets[fi];
-                let mut slots: Vec<usize> = values
-                    .iter()
-                    .flat_map(|v| state.probe(*tcol, v).iter().copied())
-                    .collect();
-                slots.sort_unstable();
-                slots.dedup();
-                let live = slots.into_iter().filter_map(|slot| state.get(slot));
-                live.filter(joins).collect()
-            } else {
-                state
-                    .iter_live()
-                    .map(|(_, row)| row)
-                    .filter(joins)
-                    .collect()
-            };
-            chain.insert(step.target, rows);
-        }
-        CheckOutcome::Purgeable
     }
 
     /// One purge pass over the raw mirror: per stream, the candidate rows
@@ -1815,22 +1693,34 @@ mod tests {
         e.observe_tuple(&Tuple::of(1, [Value::Int(9), Value::Int(30)])); // not joinable
 
         let roots = HashMap::from([(StreamId(0), vec![Value::Int(1), Value::Int(1)])]);
-        assert!(!e.check(&recipe, &roots), "no punctuations yet");
+        assert!(
+            !e.explain(&recipe, &roots).is_purgeable(),
+            "no punctuations yet"
+        );
 
         // P_t[S2] = {(1, *)}.
         e.observe_punctuation(&punct(1, 2, &[(0, 1)]), 0);
-        assert!(!e.check(&recipe, &roots), "S3 side still unguarded");
+        assert!(
+            !e.explain(&recipe, &roots).is_purgeable(),
+            "S3 side still unguarded"
+        );
 
         // P_t[S3] = {(10, *), (20, *)}. (c=30 is NOT required: that S2 tuple
         // does not join t.)
         e.observe_punctuation(&punct(2, 2, &[(0, 10)]), 1);
-        assert!(!e.check(&recipe, &roots), "one joinable c still uncovered");
+        assert!(
+            !e.explain(&recipe, &roots).is_purgeable(),
+            "one joinable c still uncovered"
+        );
         e.observe_punctuation(&punct(2, 2, &[(0, 20)]), 2);
-        assert!(e.check(&recipe, &roots), "all chained requirements covered");
+        assert!(
+            e.explain(&recipe, &roots).is_purgeable(),
+            "all chained requirements covered"
+        );
 
         // Two steps (guard S2, then S3): the walk builds T_t[Υ_S2] — the two
         // joinable S2 tuples — to form step 2's requirement, and nothing
-        // after its last step. The explaining oracle agrees on the verdict.
+        // after its last step. `explain` walks it again to the same verdict.
         assert_eq!(recipe.steps.len(), 2);
         let mut scratch = CheckScratch::default();
         let t = [Value::Int(1), Value::Int(1)];
@@ -1880,9 +1770,9 @@ mod tests {
         let recipe = e.compile_port_recipe(&q, &r, &all, &[StreamId(0)]).unwrap();
         // t joins no S2 tuple; only the direct guard (b1,*) is needed.
         let roots = HashMap::from([(StreamId(0), vec![Value::Int(1), Value::Int(7)])]);
-        assert!(!e.check(&recipe, &roots));
+        assert!(!e.explain(&recipe, &roots).is_purgeable());
         e.observe_punctuation(&punct(1, 2, &[(0, 7)]), 0);
-        assert!(e.check(&recipe, &roots));
+        assert!(e.explain(&recipe, &roots).is_purgeable());
     }
 
     #[test]
@@ -1897,13 +1787,13 @@ mod tests {
         let roots = HashMap::from([(StreamId(0), vec![Value::Int(5), Value::Int(1)])]);
 
         e.observe_punctuation(&punct(1, 2, &[(0, 1)]), 0); // S2(+,_): b=1
-        assert!(!e.check(&recipe, &roots));
+        assert!(!e.explain(&recipe, &roots).is_purgeable());
         // Wrong pair (a=6, c=10) does not help.
         e.observe_punctuation(&punct(2, 2, &[(0, 6), (1, 10)]), 1);
-        assert!(!e.check(&recipe, &roots));
+        assert!(!e.explain(&recipe, &roots).is_purgeable());
         // Right pair (a=5, c=10) completes the guard.
         e.observe_punctuation(&punct(2, 2, &[(0, 5), (1, 10)]), 2);
-        assert!(e.check(&recipe, &roots));
+        assert!(e.explain(&recipe, &roots).is_purgeable());
     }
 
     #[test]
@@ -2297,7 +2187,7 @@ mod tests {
         // Guard S3: purgeable, and explain agrees with check.
         e.observe_punctuation(&punct(2, 2, &[(0, 10)]), 1);
         assert!(e.explain(&recipe, &roots).is_purgeable());
-        assert!(e.check(&recipe, &roots));
+        assert!(e.explain(&recipe, &roots).is_purgeable());
     }
 
     #[test]
@@ -2337,7 +2227,7 @@ mod tests {
         e.observe_punctuation(&punct(2, 2, &[(0, 20)]), 2);
         let roots = HashMap::from([(StreamId(0), vec![Value::Int(1), Value::Int(1)])]);
         // Two required c-values exceed the limit of 1: give up, keep tuple.
-        assert!(!e.check(&recipe, &roots));
+        assert!(!e.explain(&recipe, &roots).is_purgeable());
     }
 
     /// An engine that holds every mirror needs no operator to stand in.

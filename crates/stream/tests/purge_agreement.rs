@@ -1,14 +1,13 @@
-//! Fast-path / oracle agreement: [`PurgeEngine::check_roots_with`] (the
-//! allocation-free chain walk), a row's own cells (the verdict a purge pass
-//! reads first, wherever they settle it) and [`PurgeEngine::explain`] (the
-//! explaining oracle) must never disagree on a purge verdict — over random
-//! queries, random scheme subsets, random feeds, and adversarially small
-//! coverage limits (where every path must fall back to "not purgeable"
-//! identically). The own-cells verdict is compared on every live mirror and
-//! operator-port row by the certificate verifier's
-//! [`PurgeEngine::verify_mirror_against_oracle`] and
-//! [`cjq_stream::join::JoinOperator::verify_against_oracle`], run here over
-//! every row.
+//! Witness / verdict agreement: [`PurgeEngine::check_roots_with`] (the
+//! chain walk a purge pass runs, which stops at the first uncovered
+//! combination), [`PurgeEngine::explain`] (the same walk with a recorder that
+//! keeps collecting past it) and a row's own cells (the verdict a purge pass
+//! reads first, wherever they settle it) must never disagree on a purge
+//! verdict — over random queries, random scheme subsets, random feeds, and
+//! adversarially small coverage limits (where every path must fall back to
+//! "not purgeable" identically). The own-cells verdict is compared on every
+//! live mirror and operator-port row by the certificate verifier's sweep,
+//! [`PurgeEngine::audit_mirror`] and [`cjq_stream::join::JoinOperator::audit`].
 //!
 //! Queries are generated inline: the workload crate's generators cannot be
 //! used here (`cjq-workload` depends on this crate).
@@ -129,7 +128,8 @@ fn feed_engine(
     }
 }
 
-/// Asserts all three check paths agree on every live mirror row.
+/// Asserts the walk, the explaining walk and the own cells agree on every
+/// live mirror row.
 fn assert_paths_agree(engine: &PurgeEngine, query: &Cjq) -> usize {
     let mut scratch = CheckScratch::default();
     let mut checked = 0;
@@ -143,30 +143,27 @@ fn assert_paths_agree(engine: &PurgeEngine, query: &Cjq) -> usize {
             let fast = engine.check_roots_with(&recipe, &[(s, row)], &mut scratch);
             let mut roots = HashMap::new();
             roots.insert(s, row.to_vec());
-            let oracle = engine.explain(&recipe, &roots).is_purgeable();
+            let explained = engine.explain(&recipe, &roots).is_purgeable();
             assert_eq!(
-                fast, oracle,
-                "fast path vs explain oracle, stream {s:?} slot {slot}"
+                fast, explained,
+                "walk vs explaining walk, stream {s:?} slot {slot}"
             );
             checked += 1;
         }
     }
     // The same rows again, with their own-cells verdicts (panics on a
     // disagreement).
-    assert_eq!(
-        engine.verify_mirror_against_oracle(usize::MAX),
-        checked as u64
-    );
+    assert_eq!(engine.audit_mirror(false), checked as u64);
     checked
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The fast purge check and the explaining oracle agree on every live
-    /// mirror row of random queries — including under coverage limits so
-    /// small that chained requirement sets overflow (both paths must then
-    /// report "not purgeable").
+    /// The walk and the explaining walk agree on every live mirror row of
+    /// random queries — including under coverage limits so small that
+    /// chained requirement sets overflow (both must then report "not
+    /// purgeable").
     #[test]
     fn fast_path_and_oracle_never_disagree(
         n in 2usize..5,
@@ -193,9 +190,9 @@ proptest! {
     }
 
     /// Operator-port verdicts agree too: the executor's per-port recipes
-    /// checked via [`cjq_stream::join::JoinOperator::verify_against_oracle`]
-    /// over full random runs, at the same coverage limits (this is the
-    /// certificate verifier's per-cycle check, driven exhaustively).
+    /// swept by [`cjq_stream::join::JoinOperator::audit`] over full random
+    /// runs, at the same coverage limits (the certificate verifier's
+    /// per-cycle sweep, driven mid-run as well).
     #[test]
     fn operator_ports_agree_with_oracle(
         n in 2usize..4,
@@ -238,12 +235,13 @@ proptest! {
                 exec.try_push(&Tuple::of(stream, values).into()).unwrap();
             }
         }
-        // Exhaustive agreement sweep over whatever state is live mid-run
-        // (panics internally on any disagreement)...
+        // Own cells against the walk over whatever state is live mid-run
+        // (panics internally on any disagreement; rows a lazy cadence has
+        // not purged yet may be dead here)...
         for op in exec.operators() {
-            op.verify_against_oracle(exec.engine(), usize::MAX);
+            op.audit(exec.engine(), false);
         }
-        exec.engine().verify_mirror_against_oracle(usize::MAX);
+        exec.engine().audit_mirror(false);
         // ...and the finish path re-asserts completeness at the purge
         // fixpoint (verify_certificates is on).
         exec.finish();

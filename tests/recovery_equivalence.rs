@@ -237,6 +237,29 @@ fn sharded_registry_resumes_byte_identically() {
         assert_eq!(recovered.metrics.restores, 1, "crash@{crash_after}");
         assert_same(&format!("crash@{crash_after}"), &golden, &recovered);
     }
+    // Verification only asserts: a snapshot committed with the verifier on
+    // resumes with it off, and the other way round. `certificate_checks`
+    // counts the verifier's own work, the one figure allowed to differ.
+    let (specs, schemes) = (&specs, &schemes);
+    let verified = |on: bool| {
+        let cfg = ExecConfig {
+            verify_certificates: on,
+            ..cfg
+        };
+        move |_: &str| Sharded::admit_all(specs, schemes, cfg, 2).map_err(|e| e.to_string())
+    };
+    let unverified = |mut r: RegistryResult| {
+        r.metrics.certificate_checks = 0;
+        r
+    };
+    let golden = unverified(golden);
+    for on in [true, false] {
+        let dir = crashed(feed.len() / 2, every, &feed, verified(on));
+        let recovered = Sharded::try_resume(&dir, verified(!on), &feed, every);
+        let _ = std::fs::remove_dir_all(&dir);
+        let recovered = recovered.unwrap_or_else(|e| panic!("verify {on} -> {}: {e}", !on));
+        assert_same(&format!("verify {on}"), &golden, &unverified(recovered));
+    }
 }
 
 /// A frame can carry a valid checksum, the right kind and the right
