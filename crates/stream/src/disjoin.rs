@@ -196,7 +196,7 @@ impl DisjunctiveJoin {
         for side in [0usize, 1] {
             let other = 1 - side;
             let (groups, puncts) = (&self.groups, &self.puncts[other]);
-            let guarded = |_, vals: &[Value]| {
+            let mut guarded = |_, vals: &[Value]| {
                 groups.iter().any(|g| {
                     g.iter().all(|a| {
                         let (my_attr, their_attr) = if side == 0 {
@@ -208,7 +208,7 @@ impl DisjunctiveJoin {
                     })
                 })
             };
-            self.states[side].collect_matching(None, guarded, &mut sweep);
+            self.states[side].collect_matching(None, &mut guarded, &mut sweep);
             purged += self.states[side].purge_slots(&sweep.slots);
         }
         self.stats.purged += purged as u64;

@@ -18,7 +18,8 @@ use cjq_core::value::Value;
 
 use crate::layout::SpanLayout;
 use crate::purge::{
-    CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeTracker, PurgeWork, StepSpec,
+    Candidates, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeTracker, PurgeWork,
+    StepSpec,
 };
 use crate::segment::StepSummary;
 use crate::sink::OutputBuffer;
@@ -88,7 +89,7 @@ pub struct JoinOperator {
     /// Reused purge-check and candidate-slot buffers for
     /// [`JoinOperator::purge_pass`].
     scratch_check: CheckScratch,
-    scratch_candidates: Vec<usize>,
+    scratch_candidates: Candidates,
     scratch_sweep: Sweep,
     /// Statistics.
     pub stats: OperatorStats,
@@ -228,7 +229,7 @@ impl JoinOperator {
             scratch_keys: FxHashMap::default(),
             scratch_slots: Vec::new(),
             scratch_check: CheckScratch::default(),
-            scratch_candidates: Vec::new(),
+            scratch_candidates: Candidates::default(),
             scratch_sweep: Sweep::default(),
             stats: OperatorStats::default(),
         }
@@ -735,23 +736,23 @@ impl JoinOperator {
         evicted
     }
 
-    /// One purge pass: evaluates candidate tuples of every purgeable port
-    /// against its recipe using the engine's mirror and punctuation stores
-    /// (the `first` pass of a cycle drops the last cycle's retractions).
+    /// A purge cycle's one pass over the operator (it drops the last
+    /// cycle's retractions): evaluates candidate tuples of every purgeable
+    /// port against its recipe using the engine's mirror and punctuation
+    /// stores.
     ///
     /// The port's `PurgeTracker` narrows candidates to rows touched by
     /// punctuation deltas or mirror shrinkage since the last pass (none
     /// without news), falling back to a full scan when one cannot be mapped
-    /// to rows. A full scan of every row purges the same rows: `cjq-oracle`
-    /// is that scan, and `tests/differential.rs` holds the engine to it.
-    pub fn purge_pass(&mut self, engine: &PurgeEngine, first: bool) -> PurgeWork {
+    /// to rows; a key-uniform port decides the buckets such a delta names
+    /// whole. A full scan of every row purges the same rows: `cjq-oracle` is
+    /// that scan, and `tests/differential.rs` holds the engine to it.
+    pub fn purge_pass(&mut self, engine: &PurgeEngine) -> PurgeWork {
         let mut work = PurgeWork::default();
-        if first {
-            self.stats.kept = 0;
-            for state in &mut self.ports {
-                if !state.retired_since(0).is_empty() {
-                    state.trim_retired_to(state.retire_end()); // the last cycle's news
-                }
+        self.stats.kept = 0;
+        for state in &mut self.ports {
+            if !state.retired_since(0).is_empty() {
+                state.trim_retired_to(state.retire_end()); // the last cycle's news
             }
         }
         for port in 0..self.ports.len() {
@@ -761,22 +762,23 @@ impl JoinOperator {
             if !tracker.has_news(recipe, &self.ports[port], engine) {
                 continue;
             }
-            let candidates = &mut self.scratch_candidates;
+            let (candidates, uniform) = (&mut self.scratch_candidates, tracker.uniform);
             candidates.clear();
-            let scratch = &mut self.scratch_check;
-            let localized = tracker.collect(recipe, &self.ports[port], engine, scratch, candidates);
-            candidates.sort_unstable();
-            candidates.dedup();
-            let candidates = localized.then_some(&candidates[..]);
+            let (state, scratch) = (&self.ports[port], &mut self.scratch_check);
+            let localized = tracker.collect(recipe, state, engine, scratch, candidates, uniform);
             // Two-phase to satisfy the borrow checker without cloning every
-            // candidate row: decide on borrowed slices, then purge by slot.
-            let (state, sweep) = (&self.ports[port], &mut self.scratch_sweep);
-            let held = std::iter::once((&*recipe, &*tracker));
-            let dead = engine.all_prove_dead(state, held, &mut self.scratch_check);
-            state.collect_matching(candidates, dead, sweep);
+            // candidate row: decide on borrowed slices, then purge by slot
+            // and by key.
+            let (sweep, held) = (
+                &mut self.scratch_sweep,
+                std::iter::once((&*recipe, &*tracker)),
+            );
+            let candidates = localized.then_some(candidates);
+            engine.decide(state, held, uniform, candidates, scratch, sweep);
+            let purged = self.ports[port].purge_swept(sweep);
             work.examined += sweep.examined as u64;
-            self.stats.kept += (sweep.examined - sweep.slots.len()) as u64;
-            work.purged += self.ports[port].purge_slots(&sweep.slots) as u64;
+            work.purged += purged as u64;
+            self.stats.kept += sweep.examined.saturating_sub(purged) as u64;
         }
         // The pass is over and no slot id outlives it except through the
         // trackers' (clamped) fresh-slot watermarks: free the dead prefixes.
@@ -949,7 +951,7 @@ mod tests {
         engine.observe_tuple(&bid1);
         op.process_one(0, &item1.values, 0);
         op.process_one(1, &bid1.values, 0);
-        assert_eq!(op.purge_pass(&engine, true).purged, 0);
+        assert_eq!(op.purge_pass(&engine).purged, 0);
         assert_eq!(op.stats.kept, 2, "both tuples survive the first pass");
 
         // Close auction 1 on both sides.
@@ -961,7 +963,7 @@ mod tests {
             &Punctuation::with_constants(StreamId(0), 4, &[(AttrId(1), ival(1))]),
             1,
         );
-        assert_eq!(op.purge_pass(&engine, true).purged, 2);
+        assert_eq!(op.purge_pass(&engine).purged, 2);
         assert_eq!(op.live(), 0);
         assert_eq!(op.stats.purged, 2);
         assert_eq!(op.stats.kept, 0, "kept is a per-cycle snapshot");

@@ -706,25 +706,25 @@ impl QueryRegistry {
         }
         engine.begin_cycle();
         // Rows to their fixpoint: only a mirror purge can make another row
-        // dead, so the operator and mirror passes repeat while the mirror
-        // pass purges (a pass skips every tracker without news).
-        let mut first = true;
+        // dead, so the mirror pass repeats until it purges nothing, and then
+        // one pass decides every operator port against the settled mirror (a
+        // pass skips every tracker without news).
         loop {
-            let ops = self.purge_ops(std::mem::take(&mut first));
-            let engine = self.engine.as_mut().expect("checked above");
             let mirror = engine.purge_mirror();
-            self.core.metrics.purged += ops.purged;
-            self.core.metrics.purge_candidates_examined += ops.examined + mirror.examined;
+            core.metrics.purge_candidates_examined += mirror.examined;
             if mirror.purged == 0 {
-                // §5.1, over the union of the subscribers' predicates. Last
-                // reader of the cycle's coverage deltas and retractions:
-                // which keys to test is read off them, against rows as the
-                // purges left them.
-                engine.purge_punctuations(self.arena.ops());
-                engine.end_cycle();
                 break;
             }
         }
+        let ops = self.purge_ops();
+        self.core.metrics.purged += ops.purged;
+        self.core.metrics.purge_candidates_examined += ops.examined;
+        // §5.1, over the union of the subscribers' predicates. Last reader
+        // of the cycle's coverage deltas and retractions: which keys to test
+        // is read off them, against rows as the purges left them.
+        let engine = self.engine.as_mut().expect("checked above");
+        engine.purge_punctuations(self.arena.ops());
+        engine.end_cycle();
         self.settle_groups();
         let (true, Some(engine)) = (self.core.cfg.verify_certificates, self.engine()) else {
             return;

@@ -69,7 +69,7 @@ use crate::tuple::Tuple;
 /// Work accounting of one purge pass (operator ports or mirror).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PurgeWork {
-    /// Live candidate rows examined (recipe checks executed).
+    /// Live candidate rows decided (a bucket verdict decides all its rows).
     pub examined: u64,
     /// Rows purged.
     pub purged: u64,
@@ -251,6 +251,15 @@ pub(crate) struct PurgeTracker {
     probes: Vec<ShrinkProbe>,
     /// Slots at or past this watermark have never been checked.
     fresh_from: usize,
+    /// The flat columns of the tracked state the recipe's verdict reads,
+    /// ascending: the root-resolved key columns, the root columns steps
+    /// bind, and the root columns feeding steps' filters resolve to. Two rows
+    /// that agree on them get the same verdict.
+    reads: Vec<usize>,
+    /// A purge index of the tracker's whose columns cover `reads`, if any:
+    /// every row of one of its buckets gets the same verdict, so a pass
+    /// decides the bucket once (the tracker is *key-uniform* on it).
+    pub(crate) uniform: Option<usize>,
 }
 
 /// Where a step's required values come from, as far as localizing its
@@ -291,16 +300,18 @@ struct ShrinkProbe {
 }
 
 impl ShrinkProbe {
-    /// Appends to `out` the rows of `state` that chain through any of
-    /// `chain_rows` — resident slots, live or retired, of `mirror`; `false`
-    /// when there are some and this probe cannot say. `key` is scratch.
+    /// Offers `out` the rows of `state` that chain through any of
+    /// `chain_rows` — resident slots, live or retired, of `mirror` — by key
+    /// where the probe's index is the pass's `uniform` one; `false` when
+    /// there are some and this probe cannot say. `key` is scratch.
     fn map_back(
         &self,
         state: &PortState,
         mirror: &PortState,
         chain_rows: &[usize],
         key: &mut Vec<Value>,
-        out: &mut Vec<usize>,
+        out: &mut Candidates,
+        uniform: Option<usize>,
     ) -> bool {
         let Some(index) = self.index else {
             return chain_rows.is_empty();
@@ -309,9 +320,41 @@ impl ShrinkProbe {
             let row = mirror.raw_row(slot);
             key.clear();
             key.extend(self.tcols.iter().map(|&c| row[c]));
-            out.extend_from_slice(state.purge_index_eq(index, key));
+            out.offer(state, index, key, uniform);
         }
         true
+    }
+}
+
+/// What a purge pass decides: rows one at a time, and — where every recipe
+/// of the pass is key-uniform on one index — whole buckets of that index,
+/// one verdict per key.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Candidates {
+    /// Slots to decide row by row.
+    rows: Vec<usize>,
+    /// Keys of the uniform index's buckets, one cell per column each.
+    keys: Vec<Value>,
+    /// Slots from here on were offered as fresh rows: a bucket's rows there
+    /// are decided row by row, not again with their bucket.
+    fresh: Option<usize>,
+}
+
+impl Candidates {
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.keys.clear();
+        self.fresh = None;
+    }
+
+    /// Offers the bucket of `key` in index `id` of `state`: by key where
+    /// `id` is the pass's `uniform` index, else — and where the bucket holds
+    /// one row, which is then no cheaper to decide whole — row by row.
+    fn offer(&mut self, state: &PortState, id: usize, key: &[Value], uniform: Option<usize>) {
+        match state.purge_index_eq(id, key) {
+            [_, _, ..] if uniform == Some(id) => self.keys.extend_from_slice(key),
+            bucket => self.rows.extend_from_slice(bucket),
+        }
     }
 }
 
@@ -340,7 +383,11 @@ impl PurgeTracker {
         // Chain stream → the probe of the latest step that reached it (whose
         // chain set later steps read).
         let mut reached: FxHashMap<StreamId, usize> = FxHashMap::default();
+        // The flat columns the verdict reads: a chain set is a function of
+        // the root columns its step's filters resolve to.
+        let mut reads: Vec<usize> = Vec::new();
         for step in &recipe.steps {
+            reads.extend(step.bindings.iter().filter_map(|b| resolved.get(b)));
             let cols: Option<Vec<usize>> = step
                 .bindings
                 .iter()
@@ -379,6 +426,7 @@ impl PurgeTracker {
                     .iter()
                     .filter_map(|&(tcol, src, scol)| Some((tcol, *resolved.get(&(src, scol))?)))
                     .unzip();
+                reads.extend(&cols);
                 let stream = step.target;
                 // Unresolvable (or unconstrained: every row chains through):
                 // nothing maps back.
@@ -397,12 +445,22 @@ impl PurgeTracker {
                 }
             }
         }
+        let rooted = step_keys.iter().filter_map(|k| match k {
+            StepKey::Rooted(id) => Some(*id),
+            _ => None,
+        });
+        let mut ids = rooted.chain(probes.iter().filter_map(|p| p.index));
+        reads.sort_unstable();
+        reads.dedup();
+        let uniform = ids.find(|&id| reads.iter().all(|c| state.index_cols(id).contains(c)));
         PurgeTracker {
             step_keys,
             own,
             cursors: vec![0; recipe.steps.len()],
             probes,
             fresh_from: 0,
+            reads,
+            uniform,
         }
     }
 
@@ -422,20 +480,23 @@ impl PurgeTracker {
         self.own.iter().cloned().collect()
     }
 
-    /// Appends to `out` the slots of `state` that can have flipped to
-    /// purgeable since the last collect, advancing the delta cursors, shrink
-    /// counters, and fresh-slot watermark. Returns `false` when a delta could
-    /// not be localized and every live row must be re-checked this cycle
-    /// (`out` is then incomplete). Several trackers over one state may
-    /// collect into one `out`: their union is what a meet of their recipes
-    /// must re-check. `scratch` lends the chain-row and key buffers.
+    /// Offers `out` the slots of `state` that can have flipped to purgeable
+    /// since the last collect, advancing the delta cursors, shrink counters,
+    /// and fresh-slot watermark: the buckets of the pass's `uniform` index
+    /// (the one every recipe of the pass is key-uniform on, if any) by key,
+    /// and all else — fresh rows always — row by row. Returns `false` when a
+    /// delta could not be localized and every live row must be re-checked
+    /// this cycle (`out` is then incomplete). Several trackers over one state
+    /// may collect into one `out`: their union is what a meet of their
+    /// recipes must re-check. `scratch` lends the chain-row and key buffers.
     pub(crate) fn collect(
         &mut self,
         recipe: &CompiledRecipe,
         state: &PortState,
         engine: &PurgeEngine,
         scratch: &mut CheckScratch,
-        out: &mut Vec<usize>,
+        out: &mut Candidates,
+        uniform: Option<usize>,
     ) -> bool {
         let (puncts, mirrors) = (&engine.puncts, &engine.states);
         let (rows, key) = (&mut scratch.probe_tmp, &mut scratch.values);
@@ -444,7 +505,7 @@ impl PurgeTracker {
             let mirror = &mirrors[probe.stream.0];
             let retired = mirror.retired_since(probe.cursor);
             probe.cursor = mirror.retire_end();
-            localized &= probe.map_back(state, mirror, retired, key, out);
+            localized &= probe.map_back(state, mirror, retired, key, out, uniform);
         }
         for (i, step) in recipe.steps.iter().enumerate() {
             let store = &puncts[step.target.0];
@@ -458,10 +519,12 @@ impl PurgeTracker {
                     for d in deltas {
                         match d {
                             PunctDelta::Entry { combo, .. } => {
-                                out.extend_from_slice(state.purge_index_eq(idx, combo));
+                                out.offer(state, idx, combo, uniform)
                             }
                             PunctDelta::Advance { above, upto, .. } => {
-                                state.purge_index_range(idx, above.as_ref(), upto, out);
+                                for key in state.purge_index_keys(idx, above.as_ref(), upto) {
+                                    out.offer(state, idx, std::slice::from_ref(key), uniform);
+                                }
                             }
                         }
                     }
@@ -488,13 +551,15 @@ impl PurgeTracker {
                             }
                         }
                     }
-                    self.probes[via].map_back(state, mirror, rows, key, out);
+                    self.probes[via].map_back(state, mirror, rows, key, out, uniform);
                 }
             }
         }
         // A watermark past the slots (a corrupt snapshot's) offers every row.
         let fresh = std::mem::replace(&mut self.fresh_from, state.slots());
-        out.extend(state.live_from(if fresh > state.slots() { 0 } else { fresh }));
+        let fresh = if fresh > state.slots() { 0 } else { fresh };
+        out.fresh = Some(out.fresh.map_or(fresh, |f| f.min(fresh)));
+        out.rows.extend(state.live_from(fresh));
         localized
     }
 
@@ -673,7 +738,7 @@ pub struct PurgeEngine {
     /// Reused check, candidate-slot and sweep buffers for the mirror purge
     /// pass, and the punctuation purge's drop and tested lists.
     check_scratch: CheckScratch,
-    candidates: Vec<usize>,
+    candidates: Candidates,
     sweep: Sweep,
     dead_entries: Vec<(usize, usize, Value)>,
     tested_entries: Vec<(usize, usize, Value)>,
@@ -727,6 +792,14 @@ impl StreamMeet {
         self.recipes
             .iter()
             .map(|e| (&e.recipe, e.tracker.as_ref().expect("tracked while held")))
+    }
+
+    /// The index every recipe of a held stream's meet is key-uniform on, if
+    /// they agree on one.
+    fn uniform(&self) -> Option<usize> {
+        let mut ids = self.tracked().map(|(_, tracker)| tracker.uniform);
+        let first = ids.next()??;
+        ids.all(|id| id == Some(first)).then_some(first)
     }
 }
 
@@ -795,7 +868,7 @@ impl PurgeEngine {
             punct_dropped: 0,
             mirror_purged: 0,
             check_scratch: CheckScratch::default(),
-            candidates: Vec::new(),
+            candidates: Candidates::default(),
             sweep: Sweep::default(),
             dead_entries: Vec::new(),
             tested_entries: Vec::new(),
@@ -1049,10 +1122,43 @@ impl PurgeEngine {
         (meet.uncertified == 0).then_some(&first.recipe)
     }
 
-    /// The row test of a purge pass over `state` — an operator port or a
-    /// mirror stream alike: whether every one of `recipes` (each rooted at the
-    /// state's span, with its tracker) proves the row dead. Own cells first;
+    /// Phase one of a purge pass over `state` — an operator port or a mirror
+    /// stream alike: decides `candidates` (every live row where `None`)
+    /// against `recipes` (each rooted at the state's span, with its tracker)
+    /// and leaves the dead rows and buckets in `sweep`. `uniform` is the
+    /// index every recipe is key-uniform on, if any: its buckets are decided
+    /// by key.
+    pub(crate) fn decide<'s>(
+        &'s self,
+        state: &'s PortState,
+        recipes: impl Iterator<Item = (&'s CompiledRecipe, &'s PurgeTracker)> + Clone + 's,
+        uniform: Option<usize>,
+        candidates: Option<&mut Candidates>,
+        scratch: &'s mut CheckScratch,
+        sweep: &mut Sweep,
+    ) {
+        let mut dead = self.all_prove_dead(state, recipes, scratch);
+        let Some(Candidates { rows, keys, fresh }) = candidates else {
+            return state.collect_matching(None, &mut dead, sweep);
+        };
+        rows.sort_unstable();
+        rows.dedup();
+        state.collect_matching(Some(rows), &mut dead, sweep);
+        let Some(id) = uniform.filter(|_| !keys.is_empty()) else {
+            return;
+        };
+        if state.index_cols(id).len() == 1 {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        state.collect_buckets(id, keys, fresh.unwrap_or(usize::MAX), &mut dead, sweep);
+    }
+
+    /// The row test of a purge pass over `state`: whether every one of
+    /// `recipes` proves the row dead. Own cells first, each recipe's once;
     /// chains are walked only where none said "keep" and some left it open.
+    /// A row agreeing with the last row tested on every column the recipes
+    /// read gets that row's verdict: a run of equal keys is decided once.
     pub(crate) fn all_prove_dead<'s>(
         &'s self,
         state: &'s PortState,
@@ -1060,26 +1166,35 @@ impl PurgeEngine {
         scratch: &'s mut CheckScratch,
     ) -> impl FnMut(usize, &'s [Value]) -> bool + 's {
         let layout = state.layout();
-        let mut roots = Vec::new();
+        let (mut roots, mut open) = (Vec::new(), Vec::new());
+        let mut last: Option<(&[Value], bool)> = None;
         move |_, row| {
-            let mut open = false;
-            for (_, tracker) in recipes.clone() {
-                match self.own_verdict(tracker, row) {
-                    Some(false) => return false,
-                    verdict => open |= verdict.is_none(),
+            if let Some((prev, dead)) = last {
+                let read = |(_, t): (_, &PurgeTracker)| t.reads.iter().all(|&c| prev[c] == row[c]);
+                if recipes.clone().all(read) {
+                    return dead;
                 }
             }
-            if !open {
-                return true;
-            }
-            roots.clear();
-            let own = layout.streams().iter();
-            roots.extend(own.map(|&s| (s, layout.slice(row, s).expect("own stream"))));
-            let mut recipes = recipes.clone();
-            recipes.all(|(recipe, tracker)| {
-                self.own_verdict(tracker, row).is_some()
-                    || self.check_roots_with(recipe, &roots, scratch)
-            })
+            let dead = 'verdict: {
+                open.clear();
+                for (recipe, tracker) in recipes.clone() {
+                    match self.own_verdict(tracker, row) {
+                        Some(false) => break 'verdict false,
+                        Some(true) => {}
+                        None => open.push(recipe),
+                    }
+                }
+                if open.is_empty() {
+                    break 'verdict true;
+                }
+                roots.clear();
+                let own = layout.streams().iter();
+                roots.extend(own.map(|&s| (s, layout.slice(row, s).expect("own stream"))));
+                open.iter()
+                    .all(|recipe| self.check_roots_with(recipe, &roots, scratch))
+            };
+            last = Some((row, dead));
+            dead
         }
     }
 
@@ -1363,25 +1478,30 @@ impl PurgeEngine {
             // with no news, nor a weakened or vacuous meet, no row here died.
             candidates.clear();
             let (mut localized, mut news) = (true, meet.reseed || meet.recipes.is_empty());
-            let (state, out) = (&self.states[s], &mut candidates);
+            let (state, out, uniform) = (&self.states[s], &mut candidates, meet.uniform());
             for e in &mut meet.recipes {
                 let tracker = e.tracker.as_mut().expect("held streams are tracked");
                 if tracker.has_news(&e.recipe, state, self) {
                     news = true;
-                    localized &= tracker.collect(&e.recipe, state, self, &mut scratch, out);
+                    localized &=
+                        tracker.collect(&e.recipe, state, self, &mut scratch, out, uniform);
                 }
             }
             if meet.uncertified > 0 || !news {
                 continue;
             }
             localized &= !std::mem::take(&mut meet.reseed) && !meet.recipes.is_empty();
-            let state = &self.states[s];
-            let dead = self.all_prove_dead(state, meet.tracked(), &mut scratch);
-            candidates.sort_unstable();
-            candidates.dedup();
-            state.collect_matching(localized.then_some(&candidates[..]), dead, &mut sweep);
+            let candidates = localized.then_some(&mut candidates);
+            self.decide(
+                state,
+                meet.tracked(),
+                uniform,
+                candidates,
+                &mut scratch,
+                &mut sweep,
+            );
             work.examined += sweep.examined as u64;
-            work.purged += self.states[s].purge_slots(&sweep.slots) as u64;
+            work.purged += self.states[s].purge_swept(&sweep) as u64;
         }
         (self.meets, self.check_scratch) = (meets, scratch);
         (self.candidates, self.sweep) = (candidates, sweep);
@@ -1900,15 +2020,15 @@ mod tests {
         let collect = |e: &mut PurgeEngine, stream: usize| {
             let mut meets = std::mem::take(&mut e.meets);
             let interned = &mut meets[stream].recipes[0];
-            let mut out = Vec::new();
+            let mut out = Candidates::default();
             let (recipe, state) = (&interned.recipe, &e.states[stream]);
             let scratch = &mut CheckScratch::default();
             let tracker = interned.tracker.as_mut().expect("held");
-            let localized = tracker.collect(recipe, state, e, scratch, &mut out);
+            let localized = tracker.collect(recipe, state, e, scratch, &mut out, None);
             let keys = tracker.step_keys.clone();
             e.meets = meets;
-            out.sort_unstable();
-            (localized, out, keys)
+            out.rows.sort_unstable();
+            (localized, out.rows, keys)
         };
 
         // t3 closes k = 20: of t0's rows only the one chaining through
@@ -1931,6 +2051,70 @@ mod tests {
             panic!("t3's steps: {keys:?}");
         };
         assert!(!localized, "nothing maps a t1 row back to t3");
+    }
+
+    /// A tracker is key-uniform where one of its indexes covers every column
+    /// its verdict reads: both auction ports (each waits on its own item id),
+    /// and `t0` of the unpinned chain, whose steps all resolve or chain back
+    /// to `t0.k`. A recipe reading two root columns that no single index
+    /// covers decides row by row, and a row shares the verdict of the row
+    /// before it only where they agree on both.
+    #[test]
+    fn trackers_are_key_uniform_exactly_where_one_index_covers_their_reads() {
+        let (q, r) = fixtures::auction();
+        let e = PurgeEngine::new(&q, &r, None, 10_000);
+        let all: Vec<StreamId> = q.stream_ids().collect();
+        for (port, itemid) in [(0, 1), (1, 1)] {
+            let recipe = e
+                .compile_port_recipe(&q, &r, &all, &[StreamId(port)])
+                .unwrap();
+            let layout = SpanLayout::new(q.catalog(), &[StreamId(port)]);
+            let mut state = PortState::new(layout, &[itemid]);
+            let tracker = PurgeTracker::new(&recipe, &mut state);
+            assert_eq!(tracker.reads, [itemid], "port {port}");
+            let uniform = tracker.uniform.expect("the item id index");
+            assert_eq!(state.index_cols(uniform), [itemid]);
+        }
+
+        let (q, r) = unpinned_chain();
+        let e = PurgeEngine::new(&q, &r, None, 10_000);
+        let (_, t0) = e.meets[0].tracked().next().unwrap();
+        assert_eq!(
+            (&t0.reads[..], e.meets[0].uniform()),
+            (&[0][..], t0.uniform)
+        );
+        assert_eq!(e.states[0].index_cols(t0.uniform.unwrap()), [0]);
+
+        // s(a, b) joins t on a and u on b: s waits on both, one column each.
+        use cjq_core::query::JoinPredicate;
+        use cjq_core::schema::{Catalog, StreamSchema};
+        use cjq_core::scheme::PunctuationScheme;
+        let mut catalog = Catalog::new();
+        for (name, attrs) in [("s", &["a", "b"][..]), ("t", &["a"]), ("u", &["b"])] {
+            catalog.add_stream(StreamSchema::new(name, attrs.iter().copied()).unwrap());
+        }
+        let mut schemes = SchemeSet::new();
+        for stream in [1, 2] {
+            schemes.add(PunctuationScheme::on(stream, &[0]).unwrap());
+        }
+        let preds = [(0, 0, 1, 0), (0, 1, 2, 0)]
+            .map(|(l, la, r, ra)| JoinPredicate::between(l, la, r, ra).unwrap());
+        let q = Cjq::new(catalog, preds.to_vec()).unwrap();
+        let mut e = PurgeEngine::new(&q, &schemes, None, 10_000);
+        let (_, s) = e.meets[0].tracked().next().unwrap();
+        assert_eq!(
+            (&s.reads[..], s.uniform, e.meets[0].uniform()),
+            (&[0, 1][..], None, None)
+        );
+        // Two `s` rows agreeing on (a, b), then one agreeing on `a` only:
+        // exactly the covered pair goes.
+        for b in [5, 5, 6] {
+            e.observe_tuple(&Tuple::of(0, [Value::Int(1), Value::Int(b)]));
+        }
+        e.observe_punctuation(&punct(1, 1, &[(0, 1)]), 0);
+        e.observe_punctuation(&punct(2, 1, &[(0, 5)]), 1);
+        let work = e.purge_mirror();
+        assert_eq!((work.examined, work.purged), (3, 2));
     }
 
     /// A row's own cells settle a recipe where they can, and the chain walk

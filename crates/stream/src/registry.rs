@@ -611,15 +611,15 @@ impl QueryRegistry {
         Some((&mut self.core, engine, self.guard.as_ref()?))
     }
 
-    /// A purge pass over every operator, the `first` of its cycle or not.
-    /// Rows leaving a shared node count once per subscriber.
-    pub(crate) fn purge_ops(&mut self, first: bool) -> PurgeWork {
+    /// A purge cycle's one pass over every operator. Rows leaving a shared
+    /// node count once per subscriber.
+    pub(crate) fn purge_ops(&mut self) -> PurgeWork {
         let mut work = PurgeWork::default();
         let Some(engine) = &self.engine else {
             return work;
         };
         for (i, op) in self.arena.ops_mut() {
-            let w = op.purge_pass(engine, first);
+            let w = op.purge_pass(engine);
             let queries = self.queries.iter_mut().filter(|q| q.live && w.purged > 0);
             for q in queries.filter(|q| q.nodes.contains(&i)) {
                 q.stats.purged += w.purged;

@@ -99,16 +99,34 @@ impl KeyIndex {
             self.spare.push(bucket);
         }
     }
+
+    /// Removes the bucket of `key` whole, if there is one.
+    fn take(&mut self, key: &[Value]) -> Option<Vec<usize>> {
+        let bucket = match &mut self.buckets {
+            Buckets::One(m) => m.remove(&key[0]),
+            Buckets::Wide(m) => m.remove(key),
+        }?;
+        if let Some(keys) = &mut self.distinct {
+            keys.remove(&key[0]);
+        }
+        Some(bucket)
+    }
 }
 
-/// Outcome of [`PortState::collect_matching`]: the matched slots plus how
-/// many live candidate rows were examined to find them.
+/// Outcome of [`PortState::collect_matching`] and of the bucket pass after
+/// it: the matched slots and bucket keys plus how many live rows were
+/// decided to find them.
 #[derive(Debug, Clone, Default)]
 pub struct Sweep {
     /// Slots whose rows satisfied the predicate.
     pub slots: Vec<usize>,
     /// Live candidate rows examined.
     pub examined: usize,
+    /// The index whose buckets `keys` name.
+    index: usize,
+    /// Keys of the buckets whose rows satisfied the predicate, one cell per
+    /// column of `index` each.
+    keys: Vec<Value>,
 }
 
 /// Storage + hash indexes for one input port.
@@ -277,7 +295,7 @@ impl PortState {
     }
 
     /// The id of the index over `cols` (flat positions) for
-    /// [`PortState::purge_index_eq`] / [`PortState::purge_index_range`]: the
+    /// [`PortState::purge_index_eq`] / [`PortState::purge_index_keys`]: the
     /// one already there — a probe index included — or a new one filled from
     /// current live state. `ordered` (single column only) makes it answer
     /// ranges as well.
@@ -315,6 +333,12 @@ impl PortState {
         id
     }
 
+    /// The columns index `id` is keyed on.
+    #[must_use]
+    pub(crate) fn index_cols(&self, id: usize) -> &[usize] {
+        &self.indexes[id].cols
+    }
+
     /// Live slots whose key in index `id` equals `key`.
     #[must_use]
     pub(crate) fn purge_index_eq(&self, id: usize, key: &[Value]) -> &[usize] {
@@ -325,27 +349,24 @@ impl PortState {
         .map_or(&[], Vec::as_slice)
     }
 
-    /// Appends to `out` the live slots whose (single) key in index `id` falls
-    /// in `(above, upto]` — the slice of state a threshold advance newly
-    /// covers.
+    /// The keys of the (single-column) index `id` that fall in `(above,
+    /// upto]`, ascending: the buckets a threshold advance newly covers.
     ///
     /// # Panics
     /// Panics if the index was not registered as ordered.
-    pub(crate) fn purge_index_range(
-        &self,
+    pub(crate) fn purge_index_keys<'a>(
+        &'a self,
         id: usize,
-        above: Option<&Value>,
-        upto: &Value,
-        out: &mut Vec<usize>,
-    ) {
-        let index = &self.indexes[id];
-        let (Buckets::One(m), Some(keys)) = (&index.buckets, &index.distinct) else {
+        above: Option<&'a Value>,
+        upto: &'a Value,
+    ) -> impl Iterator<Item = &'a Value> + 'a {
+        let Some(keys) = &self.indexes[id].distinct else {
             panic!("range probe on an unordered index");
         };
-        let lower = above.map_or(Bound::Unbounded, Bound::Excluded);
-        for key in keys.range((lower, Bound::Included(upto))) {
-            out.extend_from_slice(&m[key]);
-        }
+        keys.range((
+            above.map_or(Bound::Unbounded, Bound::Excluded),
+            Bound::Included(upto),
+        ))
     }
 
     /// Links resident `slot` into the indexes from id `first` on, each at the
@@ -501,11 +522,34 @@ impl PortState {
         if !self.detach(slot) {
             return false;
         }
+        self.retire(slot);
+        true
+    }
+
+    /// Purges every row of the bucket of `key` in index `id` at once: the
+    /// bucket leaves that index whole, its rows are unlinked from the others
+    /// in bucket order and logged like [`PortState::purge`]'s. Returns how
+    /// many rows went.
+    pub(crate) fn purge_bucket(&mut self, id: usize, key: &[Value]) -> usize {
+        let Some(mut bucket) = self.indexes[id].take(key) else {
+            return 0;
+        };
+        for &slot in &bucket {
+            self.unlink(slot, id);
+            self.retire(slot);
+        }
+        let n = bucket.len();
+        bucket.clear();
+        self.indexes[id].spare.push(bucket);
+        n
+    }
+
+    /// Counts a detached `slot` purged, into the retraction log if on.
+    fn retire(&mut self, slot: usize) {
         self.purged += 1;
         if self.log_retired.get() {
             self.retired.push(slot);
         }
-        true
     }
 
     /// Demotes the tuple in `slot` to the cold tier: identical arena/index
@@ -527,14 +571,22 @@ impl PortState {
         if !self.is_live(slot) {
             return false;
         }
+        self.unlink(slot, usize::MAX);
+        true
+    }
+
+    /// Clears live `slot`'s bit and unlinks it from every index but
+    /// `except` (which no longer holds it).
+    fn unlink(&mut self, slot: usize, except: usize) {
         let i = slot - self.base;
         self.live_bits[i / 64] &= !(1 << (i % 64));
         let row = &self.arena[i * self.stride..(i + 1) * self.stride];
-        for index in &mut self.indexes {
-            index.unlink(row, slot);
+        for (id, index) in self.indexes.iter_mut().enumerate() {
+            if id != except {
+                index.unlink(row, slot);
+            }
         }
         self.live -= 1;
-        true
     }
 
     /// Number of live tuples.
@@ -616,10 +668,11 @@ impl PortState {
     pub fn collect_matching<'s>(
         &'s self,
         candidates: Option<&[usize]>,
-        mut pred: impl FnMut(usize, &'s [Value]) -> bool,
+        pred: &mut impl FnMut(usize, &'s [Value]) -> bool,
         sweep: &mut Sweep,
     ) {
         sweep.slots.clear();
+        sweep.keys.clear();
         sweep.examined = 0;
         let mut examine = |(slot, row)| {
             sweep.examined += 1;
@@ -638,9 +691,59 @@ impl PortState {
         }
     }
 
+    /// Phase one for whole buckets, after [`PortState::collect_matching`]:
+    /// for each bucket of index `id` that `keys` name (one cell per column
+    /// each), `pred` is asked about its oldest row and its answer stands for
+    /// every row there — for a predicate that reads only the index's columns.
+    /// A key equal to the one before it is not asked again, nor is a bucket
+    /// whose rows all sit at slot `fresh` or later (the caller decided those
+    /// row by row). Appends to `sweep`, counting the bucket's other rows
+    /// examined.
+    pub(crate) fn collect_buckets<'s>(
+        &'s self,
+        id: usize,
+        keys: &[Value],
+        fresh: usize,
+        pred: &mut impl FnMut(usize, &'s [Value]) -> bool,
+        sweep: &mut Sweep,
+    ) {
+        sweep.index = id;
+        let width = self.indexes[id].cols.len();
+        let mut last: Option<&[Value]> = None;
+        for key in keys.chunks_exact(width) {
+            if last.replace(key) == Some(key) {
+                continue;
+            }
+            let bucket = self.purge_index_eq(id, key);
+            let older = bucket.iter().filter(|&&slot| slot < fresh).count();
+            if older == 0 {
+                continue;
+            }
+            sweep.examined += older;
+            if pred(bucket[0], self.raw_row(bucket[0])) {
+                sweep.keys.extend_from_slice(key);
+            }
+        }
+    }
+
     /// Phase two: purges the given slots, returning how many were live.
     pub fn purge_slots(&mut self, slots: &[usize]) -> usize {
         slots.iter().filter(|&&slot| self.purge(slot)).count()
+    }
+
+    /// Phase two of a sweep: purges its slots, then its buckets whole.
+    /// Returns how many rows went.
+    pub(crate) fn purge_swept(&mut self, sweep: &Sweep) -> usize {
+        let rows = self.purge_slots(&sweep.slots);
+        if sweep.keys.is_empty() {
+            return rows;
+        }
+        let buckets = sweep
+            .keys
+            .chunks_exact(self.indexes[sweep.index].cols.len());
+        rows + buckets
+            .map(|key| self.purge_bucket(sweep.index, key))
+            .sum::<usize>()
     }
 
     /// Sliding-window eviction: purges every live tuple that arrived strictly
@@ -783,6 +886,20 @@ impl PortState {
     /// How many indexes are registered.
     pub(crate) fn purge_index_count(&self) -> usize {
         self.indexes.len()
+    }
+
+    /// Appends to `out` the live slots whose (single) key in index `id` falls
+    /// in `(above, upto]`.
+    pub(crate) fn purge_index_range(
+        &self,
+        id: usize,
+        above: Option<&Value>,
+        upto: &Value,
+        out: &mut Vec<usize>,
+    ) {
+        for key in self.purge_index_keys(id, above, upto) {
+            out.extend_from_slice(self.purge_index_eq(id, std::slice::from_ref(key)));
+        }
     }
 }
 
@@ -1099,6 +1216,15 @@ mod tests {
                     b_is_ordered = true;
                     assert_eq!(s.add_purge_index(&[1], true), 1);
                 }
+                15 => {
+                    // A bucket of B (ordered late on) or of (A, B) leaves whole.
+                    let (b, a) = (Value::Int(rnd(4) as i64), Value::Int(rnd(5) as i64));
+                    let (id, key) = [(1, vec![b]), (3, vec![a, b])][rnd(2)].clone();
+                    let cols = s.index_cols(id).to_vec();
+                    let before = live.len();
+                    live.retain(|(_, _, r)| cols.iter().zip(&key).any(|(&c, k)| r[c] != *k));
+                    assert_eq!(s.purge_bucket(id, &key), before - live.len());
+                }
                 14 => {
                     let mut e = crate::checkpoint::Enc::new();
                     s.write_state(&mut e);
@@ -1268,6 +1394,49 @@ mod tests {
         assert_eq!(s.insert(row(1, 1)), 1001);
     }
 
+    /// A bucket leaves whole: the other indexes keep their survivors in
+    /// insertion order, the retraction log lists every slot in bucket order,
+    /// and the emptied bucket serves the next key born.
+    #[test]
+    fn bucket_purge_drops_a_key_whole() {
+        let mut s = state();
+        let b = s.add_purge_index(&[1], false);
+        s.enable_retirement_log();
+        let rows = [(1, 10), (2, 10), (1, 20), (3, 10), (1, 10)];
+        let slots = rows.map(|(a, b)| s.insert(row(a, b)));
+        let one = [Value::Int(1)];
+        // Deciding: key 1 once (its repeat is skipped), 9 not at all; from
+        // slot 1 on, key 2's only row was decided on its own.
+        let mut asked = Vec::new();
+        let mut sweep = Sweep::default();
+        let keys = [one[0], one[0], Value::Int(2), Value::Int(9)];
+        let mut pred = |slot, _: &[Value]| {
+            asked.push(slot);
+            true
+        };
+        s.collect_buckets(0, &keys, slots[1], &mut pred, &mut sweep);
+        assert_eq!((asked, sweep.examined), (vec![slots[0]], 1));
+        assert_eq!(sweep.keys, one);
+
+        assert_eq!(s.purge_swept(&sweep), 3);
+        assert!(s.purge_index_eq(0, &one).is_empty());
+        assert_eq!(
+            s.purge_index_eq(b, &[Value::Int(10)]),
+            &[slots[1], slots[3]]
+        );
+        assert!(s.purge_index_eq(b, &[Value::Int(20)]).is_empty());
+        assert_eq!(s.retired_since(0), &[slots[0], slots[2], slots[4]]);
+        assert_eq!((s.live(), s.purged()), (2, 3));
+        assert_eq!(s.purge_bucket(0, &one), 0, "already gone");
+
+        // Both emptied buckets wait as spares and come back for new keys.
+        let spares = |s: &PortState| [0, b].map(|id| s.indexes[id].spare.len());
+        assert_eq!(spares(&s), [1, 1]);
+        let reborn = s.insert(row(7, 30));
+        assert_eq!(spares(&s), [0, 0]);
+        assert_eq!(s.purge_index_eq(0, &[Value::Int(7)]), &[reborn]);
+    }
+
     #[test]
     fn collect_matching_and_purge_slots() {
         let mut s = state();
@@ -1277,11 +1446,11 @@ mod tests {
         s.purge(s1);
         // Full scan: only live rows are examined.
         let mut sweep = Sweep::default();
-        s.collect_matching(None, |_, r| r[0] >= Value::Int(3), &mut sweep);
+        s.collect_matching(None, &mut |_, r| r[0] >= Value::Int(3), &mut sweep);
         assert_eq!((sweep.examined, &sweep.slots[..]), (2, &[s2][..]));
         // Candidate-driven: dead candidates are skipped, not examined; the
         // caller's sweep is overwritten, not appended to.
-        s.collect_matching(Some(&[s0, s1, s2]), |_, _| true, &mut sweep);
+        s.collect_matching(Some(&[s0, s1, s2]), &mut |_, _| true, &mut sweep);
         assert_eq!(sweep.examined, 2);
         assert_eq!(s.purge_slots(&sweep.slots), 2);
         assert_eq!(s.purge_slots(&sweep.slots), 0, "already dead");

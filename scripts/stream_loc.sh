@@ -6,7 +6,7 @@
 # reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=11630
+CEILING=11855
 
 cd "$(dirname "$0")/.."
 total=0
@@ -46,6 +46,19 @@ done
 if awk '/fn try_push_punctuation[(<]/{on=1; next} on&&/^    (pub\(crate\) )?fn /{exit} on' \
     crates/stream/src/pipeline.rs | grep -v '^ *//' | grep -qF 'run_purge_cycle('; then
     echo "try_push_punctuation runs a purge cycle: a punctuation owes one instead" >&2
+    status=1
+fi
+
+# One operator pass per cycle: only a mirror purge can make another row dead
+# (DESIGN.md §7), so run_purge_cycle repeats the mirror pass to its fixpoint and
+# then decides every operator port once. A purge_ops( call inside one of its
+# loops is the repeated operator pass back.
+if awk '/fn run_purge_cycle[(<]/{on=1; next} on&&/^    (pub\(crate\) )?fn /{exit}
+    on&&!depth&&/^ *(loop|while|for)( .*)? \{$/{match($0, /^ */); close_at=sprintf("%" RLENGTH "s}", ""); depth=1; next}
+    depth&&$0==close_at{depth=0; next}
+    depth&&/purge_ops\(/&&!/^ *\/\//{found=1}
+    END{exit !found}' crates/stream/src/pipeline.rs; then
+    echo "run_purge_cycle calls purge_ops( inside a loop: one operator pass per cycle" >&2
     status=1
 fi
 
