@@ -1,16 +1,17 @@
-//! Punctuation-aligned checkpointing: durable snapshots of live executor
-//! state with atomic commit and byte-identical resumption.
+//! Punctuation-aligned checkpointing: durable snapshots of an engine's
+//! logical state with atomic commit and byte-identical resumption.
 //!
 //! The paper's safety guarantee makes punctuation boundaries natural
 //! **consistent cuts**: once a punctuation has been fully applied, every
-//! in-flight obligation is materialized in the engine's stores (arenas,
-//! punctuation stores, delta/retraction logs, cold segments) — there is no
-//! hidden operator-local state to drain. A snapshot taken at such a cut,
-//! together with the input cursor (elements consumed so far), is exactly
-//! what a restarted executor needs to continue as if the crash never
-//! happened: resumed outputs, purge totals, and peak-state metrics are
-//! byte-identical to an uninterrupted run (proven by
-//! `tests/recovery_equivalence.rs` and the `crates/chaos` crash harness).
+//! in-flight obligation is materialized in the state the paper names — the
+//! stored tuples, the stored punctuations — plus the punctuation run admitted
+//! since the last purge cycle; there is no hidden operator-local state to
+//! drain. A snapshot of that state taken at such a cut, together with the
+//! input cursor (elements consumed so far), is exactly what a restarted
+//! executor needs to continue as if the crash never happened: resumed
+//! outputs, purge totals, and peak-state metrics are byte-identical to an
+//! uninterrupted run (proven by `tests/recovery_equivalence.rs` and the
+//! `crates/chaos` crash harness).
 //!
 //! On-disk format of one snapshot file (`snap-NNNNNN.ckpt`):
 //!
@@ -19,9 +20,9 @@
 //! [payload bytes ...]
 //! ```
 //!
-//! The payload is written by the module-local `write_state` methods
-//! (each stateful module serializes its own private fields through [`Enc`]
-//! and overlays them back through [`Dec`] after a fresh compile). Commit is
+//! The payload is written by the module-local `write_state` methods (each
+//! stateful module serializes its own logical state through [`Enc`] and
+//! re-inserts it through [`Dec`] after a fresh compile). Commit is
 //! crash-atomic: write to a temp file, `fsync` the file, `rename` onto the
 //! final name, `fsync` the directory. The store retains the two newest
 //! snapshots; loading tries newest-first and falls back (counting
@@ -29,11 +30,13 @@
 //! or corrupted latest snapshot therefore recovers from the previous cut.
 //!
 //! What is deliberately **not** serialized: compiled layouts, probe plans,
-//! purge recipes, and index *registrations* — all deterministic functions of
-//! (query, schemes, plan, config) that the restore path recreates by calling
-//! the normal compile path, then overlaying raw state. Index *buckets* are
-//! rebuilt from the arena in insertion-sequence order, which reproduces the
-//! live run's probe order exactly (probe buckets are invariantly seq-sorted).
+//! purge recipes, index registrations and buckets — deterministic functions
+//! of (query, schemes, plan, config) and the rows — and the engine's own
+//! bookkeeping: tracker cursors and fresh-row watermarks, delta and
+//! retraction logs, slot ids and the dead slots behind them. The restore path
+//! recreates them by calling the normal compile path and re-inserting rows,
+//! each linked at its insertion sequence, which reproduces the live run's
+//! probe order exactly (probe buckets are invariantly seq-sorted).
 
 use std::fs;
 use std::io::Write as _;
@@ -46,7 +49,7 @@ use cjq_core::value::Value;
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"CJQS";
 /// Snapshot format version.
-pub const VERSION: u32 = 13;
+pub const VERSION: u32 = 14;
 /// File-frame header length: magic + version + payload len + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8;
 
@@ -188,25 +191,6 @@ impl Enc {
             self.u64(v);
         }
     }
-
-    /// Appends one [`Punctuation`] (stream + tagged patterns).
-    pub fn punct(&mut self, p: &Punctuation) {
-        self.usize(p.stream.0);
-        self.u64(p.patterns.len() as u64);
-        for pat in &p.patterns {
-            match pat {
-                Pattern::Wildcard => self.u8(0),
-                Pattern::Constant(v) => {
-                    self.u8(1);
-                    self.value(v);
-                }
-                Pattern::UpTo(v) => {
-                    self.u8(2);
-                    self.value(v);
-                }
-            }
-        }
-    }
 }
 
 /// Little-endian binary decoder over a snapshot payload.
@@ -339,21 +323,6 @@ impl<'a> Dec<'a> {
         (0..n).map(|_| self.u64()).collect()
     }
 
-    /// Reads one [`Punctuation`].
-    pub fn punct(&mut self) -> SnapshotResult<Punctuation> {
-        let stream = StreamId(self.usize()?);
-        let n = self.len_prefix(1)?;
-        let patterns = (0..n)
-            .map(|_| match self.u8()? {
-                0 => Ok(Pattern::Wildcard),
-                1 => Ok(Pattern::Constant(self.value()?)),
-                2 => Ok(Pattern::UpTo(self.value()?)),
-                t => Err(SnapshotError(format!("bad pattern tag {t}"))),
-            })
-            .collect::<SnapshotResult<Vec<Pattern>>>()?;
-        Ok(Punctuation { stream, patterns })
-    }
-
     /// Asserts the whole payload was consumed.
     pub fn expect_end(&self) -> SnapshotResult<()> {
         if self.pos == self.buf.len() {
@@ -386,7 +355,7 @@ macro_rules! word_codecs {
         }
     )+};
 }
-word_codecs!(bool, u64, usize, u128);
+word_codecs!(bool, u64, i64, usize, u128);
 
 impl Codec for Value {
     fn enc(&self, e: &mut Enc) {
@@ -394,6 +363,40 @@ impl Codec for Value {
     }
     fn dec(d: &mut Dec<'_>) -> SnapshotResult<Self> {
         d.value()
+    }
+}
+
+/// The stream, then the tagged patterns.
+impl Codec for Punctuation {
+    fn enc(&self, e: &mut Enc) {
+        e.usize(self.stream.0);
+        e.u64(self.patterns.len() as u64);
+        for pat in &self.patterns {
+            match pat {
+                Pattern::Wildcard => e.u8(0),
+                Pattern::Constant(v) => {
+                    e.u8(1);
+                    e.value(v);
+                }
+                Pattern::UpTo(v) => {
+                    e.u8(2);
+                    e.value(v);
+                }
+            }
+        }
+    }
+    fn dec(d: &mut Dec<'_>) -> SnapshotResult<Self> {
+        let stream = StreamId(d.usize()?);
+        let n = d.len_prefix(1)?;
+        let patterns = (0..n)
+            .map(|_| match d.u8()? {
+                0 => Ok(Pattern::Wildcard),
+                1 => Ok(Pattern::Constant(d.value()?)),
+                2 => Ok(Pattern::UpTo(d.value()?)),
+                t => Err(SnapshotError(format!("bad pattern tag {t}"))),
+            })
+            .collect::<SnapshotResult<Vec<Pattern>>>()?;
+        Ok(Punctuation { stream, patterns })
     }
 }
 
@@ -744,14 +747,15 @@ mod tests {
         Some(Value::Int(5)).enc(&mut e);
         e.u64s(&[1, 2, 3]);
         vec![vec![Value::Int(1)], vec![]].enc(&mut e);
-        e.punct(&Punctuation {
+        Punctuation {
             stream: StreamId(2),
             patterns: vec![
                 Pattern::Wildcard,
                 Pattern::Constant(Value::Int(9)),
                 Pattern::UpTo(Value::str("z")),
             ],
-        });
+        }
+        .enc(&mut e);
         let mut d = Dec::new(&e.buf);
         assert_eq!(d.u8().unwrap(), 7);
         assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
@@ -769,7 +773,7 @@ mod tests {
         assert_eq!(d.u64s().unwrap(), vec![1, 2, 3]);
         let rows: Vec<Vec<Value>> = Codec::dec(&mut d).unwrap();
         assert_eq!(rows, vec![vec![Value::Int(1)], vec![]]);
-        let p = d.punct().unwrap();
+        let p = Punctuation::dec(&mut d).unwrap();
         assert_eq!(p.stream, StreamId(2));
         assert_eq!(p.patterns.len(), 3);
         d.expect_end().unwrap();

@@ -922,11 +922,11 @@ mod tests {
         exec.try_push(&item(2)).unwrap();
     }
 
-    /// State that cannot be serialized refuses a commit, by name: an
-    /// executor's group stage, a live tenant's attached sink. Once that
-    /// tenant retires, the registry commits.
+    /// State that cannot be serialized refuses a commit, by name: a live
+    /// tenant's attached sink. Once that tenant retires, the registry
+    /// commits.
     #[test]
-    fn commits_are_refused_for_a_group_stage_and_a_live_tenants_sink() {
+    fn commits_are_refused_for_a_live_tenants_sink() {
         use crate::checkpoint::{CheckpointStore, InputCursor};
         use crate::sink::CountSink;
 
@@ -940,14 +940,6 @@ mod tests {
             Err(ExecError::CheckpointCorrupt { detail, .. }) => detail,
             other => panic!("not refused: {other:?}"),
         };
-
-        let exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
-        let mut grouped = exec.with_groupby(&[AttrRef::new(1, 1)], Aggregate::Count);
-        let why = refused(grouped.commit_checkpoint(&mut store, &cursor));
-        assert!(
-            why.starts_with("group-by stages are not checkpointable"),
-            "{why}"
-        );
 
         let mut reg = QueryRegistry::new(r, cfg);
         let id = reg.try_admit(&q, &plan, Some(Box::new(CountSink::new())));

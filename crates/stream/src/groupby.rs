@@ -17,6 +17,7 @@ use cjq_core::schema::{AttrId, AttrRef};
 use cjq_core::scheme::PunctuationScheme;
 use cjq_core::value::Value;
 
+use crate::checkpoint::{Codec, Dec, Enc, Fingerprint, SnapshotError, SnapshotResult};
 use crate::layout::SpanLayout;
 use crate::purge::PurgeEngine;
 use crate::sink::OutputBuffer;
@@ -207,12 +208,15 @@ impl GroupBy {
         if required.is_empty() {
             return 0;
         }
-        let closing: Vec<Vec<Value>> = self
+        let mut closing: Vec<Vec<Value>> = self
             .groups
             .keys()
             .filter(|key| required.iter().all(|&(pos, v)| &key[pos] == v))
             .cloned()
             .collect();
+        // In key order, as `flush_into` emits: a restored map iterates in
+        // another order than the one it was written from.
+        closing.sort_unstable();
         let closed = closing.len();
         for key in closing {
             let g = self.groups.remove(&key).expect("listed key exists");
@@ -258,6 +262,14 @@ impl GroupBy {
     #[must_use]
     pub fn layout(&self) -> &SpanLayout {
         &self.layout
+    }
+
+    /// Folds the columns a snapshot of this group-by's state is only
+    /// meaningful under into `fp`: the grouping ones, then the aggregated one.
+    pub(crate) fn fingerprint_into(&self, fp: &mut Fingerprint) {
+        fp.word(self.group_cols.len() as u64);
+        let cols = self.group_cols.iter().chain(&self.agg_col);
+        cols.for_each(|&c| fp.word(c as u64));
     }
 }
 
@@ -307,6 +319,54 @@ impl GroupStage {
             }
         }
         closed
+    }
+
+    /// Serializes the stage's logical state: the open groups in key order,
+    /// the punctuations awaiting delivery, the aggregates emitted and the
+    /// counters.
+    pub(crate) fn write_state(&self, e: &mut Enc) {
+        let mut groups: Vec<_> = self.by.groups.iter().collect();
+        groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        e.usize(groups.len());
+        for (key, g) in groups {
+            key.enc(e);
+            e.i64(g.sum);
+            e.u64(g.count);
+            g.min.enc(e);
+            g.max.enc(e);
+        }
+        self.pending.enc(e);
+        self.aggregates.enc(e);
+        let stats = &self.by.stats;
+        let counters = [stats.tuples_in, stats.emitted, stats.closed_by_punctuation];
+        counters.into_iter().for_each(|w| e.u64(w));
+    }
+
+    /// Restores [`GroupStage::write_state`]'s words onto this fresh stage,
+    /// whose query has `n_streams` streams.
+    pub(crate) fn read_state(&mut self, d: &mut Dec<'_>, n_streams: usize) -> SnapshotResult<()> {
+        let width = self.by.group_cols.len();
+        for _ in 0..d.len_prefix(1)? {
+            let key: Vec<Value> = Codec::dec(d)?;
+            if key.len() != width {
+                return Err(SnapshotError(format!(
+                    "a group key of {} values",
+                    key.len()
+                )));
+            }
+            let g = self.by.groups.entry(key).or_default();
+            (g.sum, g.count) = (d.i64()?, d.u64()?);
+            (g.min, g.max) = (Codec::dec(d)?, Codec::dec(d)?);
+        }
+        self.pending = Codec::dec(d)?;
+        if self.pending.iter().any(|p| p.stream.0 >= n_streams) {
+            return Err(SnapshotError("a pending punctuation of no stream".into()));
+        }
+        self.aggregates = Codec::dec(d)?;
+        let stats = &mut self.by.stats;
+        [stats.tuples_in, stats.emitted, stats.closed_by_punctuation] =
+            [d.u64()?, d.u64()?, d.u64()?];
+        Ok(())
     }
 }
 

@@ -16,6 +16,7 @@ use cjq_core::schema::{AttrId, StreamId};
 use cjq_core::scheme::SchemeSet;
 use cjq_core::value::Value;
 
+use crate::checkpoint::{Dec, Enc, SnapshotError, SnapshotResult};
 use crate::layout::SpanLayout;
 use crate::purge::{
     Candidates, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeTracker, PurgeWork,
@@ -547,18 +548,17 @@ impl JoinOperator {
         self.recipes[port].as_ref().map(|(r, t)| (r, t))
     }
 
-    /// Serializes the operator's runtime state: every port's rows, tracker
-    /// cursors, activity counters, and (when tiering is on) each port's cold
-    /// segments. Probe plans, recipes, and layouts are compile-time
-    /// artifacts recreated by [`JoinOperator::new`].
-    pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
+    /// Serializes the operator's logical state: every port's live rows and
+    /// how many of them its recipe has judged, the activity counters, and
+    /// (when tiering is on) each port's cold segments. Probe plans, recipes,
+    /// trackers and layouts are compile-time artifacts recreated by
+    /// [`JoinOperator::new`].
+    pub(crate) fn write_state(&self, e: &mut Enc) {
         e.usize(self.ports.len());
-        for p in &self.ports {
-            p.write_state(e);
-        }
-        for held in &self.recipes {
-            e.bool(held.is_some());
-            held.iter().for_each(|(_, t)| t.write_state(e));
+        for (state, held) in self.ports.iter().zip(&self.recipes) {
+            state.write_state(e, &[]);
+            held.iter()
+                .for_each(|(_, tracker)| e.usize(tracker.judged(state)));
         }
         self.stats.write_state(e);
         e.bool(self.tiering_enabled());
@@ -567,29 +567,21 @@ impl JoinOperator {
         }
     }
 
-    /// Overlays serialized runtime state onto this freshly compiled
-    /// operator. Cold segments are re-spilled into `spill` (which must be
-    /// present exactly when the snapshot was taken with tiering enabled).
+    /// Restores [`JoinOperator::write_state`]'s words onto this freshly
+    /// compiled operator. Cold segments are re-spilled into `spill` (which
+    /// must be present exactly when the snapshot was taken with tiering
+    /// enabled).
     pub(crate) fn read_state(
         &mut self,
-        d: &mut crate::checkpoint::Dec<'_>,
+        d: &mut Dec<'_>,
         spill: &mut Option<SpillStore>,
         op_idx: usize,
-    ) -> crate::checkpoint::SnapshotResult<()> {
-        use crate::checkpoint::SnapshotError;
+    ) -> SnapshotResult<()> {
         d.count_of("ports of an operator", self.ports.len())?;
-        for p in &mut self.ports {
-            p.read_state(d)?;
-        }
-        for held in &mut self.recipes {
-            match (d.bool()?, held.as_mut()) {
-                (true, Some((_, t))) => t.read_state(d)?,
-                (false, None) => {}
-                _ => {
-                    return Err(SnapshotError(format!(
-                        "operator {op_idx} tracker presence disagrees with compiled plan"
-                    )))
-                }
+        for (state, held) in self.ports.iter_mut().zip(&mut self.recipes) {
+            state.read_state(d)?;
+            if let Some((_, tracker)) = held {
+                tracker.resume(state, d.usize()?);
             }
         }
         self.stats = OperatorStats::read_state(d)?;

@@ -881,10 +881,9 @@ pub trait Engine: Checkpointed {
 
     /// Commits one snapshot of the current state to `store` unconditionally.
     /// Refused by a failed engine (a half-applied element must not reach
-    /// disk) and by state that cannot be serialized: a group-by stage, a
-    /// query streaming to an attached sink. A commit the store could not
-    /// write is returned and not kept: the element before it was applied
-    /// whole.
+    /// disk) and by state that cannot be serialized: a query streaming to an
+    /// attached sink. A commit the store could not write is returned and not
+    /// kept: the element before it was applied whole.
     fn commit_checkpoint(
         &mut self,
         store: &mut CheckpointStore,

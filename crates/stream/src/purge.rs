@@ -59,7 +59,7 @@ use cjq_core::schema::{AttrId, StreamId};
 use cjq_core::scheme::{PunctuationScheme, SchemeSet};
 use cjq_core::value::Value;
 
-use crate::checkpoint::Fingerprint;
+use crate::checkpoint::{Dec, Enc, Fingerprint, SnapshotResult};
 use crate::join::JoinOperator;
 use crate::layout::SpanLayout;
 use crate::punct_store::{InsertOutcome::Forgotten, PunctDelta, PunctStore};
@@ -152,9 +152,9 @@ impl CompiledRecipe {
 }
 
 /// Folds where each step of each recipe looks for coverage (`None`: a port
-/// or mirror stream without one) and where it draws its values from. Tracker
-/// cursors in a snapshot are positions in exactly those schemes' delta logs,
-/// mapped back to rows through those sources, and the steps are not a
+/// or mirror stream without one) and where it draws its values from. They
+/// decide which rows each cycle offers and purges — a snapshot's judged-row
+/// counts are counts under exactly these recipes — and the steps are not a
 /// function of (query, schemes, plan) alone: lag weights choose among them.
 pub(crate) fn fingerprint_recipes<'r>(
     fp: &mut Fingerprint,
@@ -361,8 +361,8 @@ impl Candidates {
 impl PurgeTracker {
     /// Builds the tracker, registering purge indexes on `state` for every
     /// root-resolvable step. Cursors and shrink counters start at zero —
-    /// correct for freshly compiled engines, and safely over-approximate
-    /// (first collect degrades towards a full scan) otherwise.
+    /// correct for a freshly compiled engine and for a restored one, whose
+    /// logs hold only what the last cycle left unread.
     pub(crate) fn new(recipe: &CompiledRecipe, state: &mut PortState) -> Self {
         // Root resolution: (stream, raw attr) → flat column of the tracked
         // state. Seeded by the roots; extended through each step's equality
@@ -555,9 +555,7 @@ impl PurgeTracker {
                 }
             }
         }
-        // A watermark past the slots (a corrupt snapshot's) offers every row.
         let fresh = std::mem::replace(&mut self.fresh_from, state.slots());
-        let fresh = if fresh > state.slots() { 0 } else { fresh };
         out.fresh = Some(out.fresh.map_or(fresh, |f| f.min(fresh)));
         out.rows.extend(state.live_from(fresh));
         localized
@@ -577,35 +575,20 @@ impl PurgeTracker {
         fresh || self.probes.iter().any(retired) || r.steps.iter().zip(&self.cursors).any(delta)
     }
 
-    /// Serializes the tracker's cursor positions. Index registrations and
-    /// shrink-probe wiring are compile-time artifacts recreated by
-    /// [`PurgeTracker::new`]; only the moving parts are written.
-    pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
-        e.usize(self.fresh_from);
-        e.u64s(&self.cursors);
-        e.usize(self.probes.len());
-        for probe in &self.probes {
-            e.u64(probe.cursor);
-        }
+    /// How many of `state`'s live rows, in slot order, this tracker has
+    /// decided: the rows stored before the last purge cycle, none for a
+    /// tracker built since. What a snapshot records of it.
+    pub(crate) fn judged(&self, state: &PortState) -> usize {
+        state
+            .live_from(0)
+            .take_while(|&slot| slot < self.fresh_from)
+            .count()
     }
 
-    /// Overlays serialized cursor positions onto this freshly built tracker.
-    /// The step and shrink-probe counts must match the recipe the snapshot
-    /// was taken under.
-    pub(crate) fn read_state(
-        &mut self,
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> crate::checkpoint::SnapshotResult<()> {
-        self.fresh_from = d.usize()?;
-        d.count_of("steps of a purge tracker", self.cursors.len())?;
-        for cursor in &mut self.cursors {
-            *cursor = d.u64()?;
-        }
-        d.count_of("shrink probes of a purge tracker", self.probes.len())?;
-        for probe in &mut self.probes {
-            probe.cursor = d.u64()?;
-        }
-        Ok(())
+    /// Resumes this freshly built tracker over `state`'s restored rows, the
+    /// first `judged` of which it had decided.
+    pub(crate) fn resume(&mut self, state: &PortState, judged: usize) {
+        self.fresh_from = state.live_from(0).nth(judged).unwrap_or(state.slots());
     }
 }
 
@@ -733,7 +716,8 @@ pub struct PurgeEngine {
     /// Raw tuples purged from the mirror.
     pub mirror_purged: u64,
     /// Per stream: the mirror's retraction-log position when the purge cycle
-    /// under way began.
+    /// under way began — between cycles, when the last one ended: what was
+    /// retired since is news no tracker has read.
     cycle_marks: Vec<u64>,
     /// Reused check, candidate-slot and sweep buffers for the mirror purge
     /// pass, and the punctuation purge's drop and tested lists.
@@ -1524,9 +1508,11 @@ impl PurgeEngine {
     pub(crate) fn end_cycle(&mut self) {
         let forgotten: usize = self.puncts.iter_mut().map(PunctStore::end_cycle).sum();
         self.punct_dropped += forgotten as u64;
-        let mirrors = self.states.iter_mut().zip(&self.cycle_marks);
-        let held = mirrors.zip(&self.held).filter(|(_, held)| **held);
-        held.for_each(|((mirror, &mark), _)| mirror.trim_retired_to(mark));
+        let mirrors = self.states.iter_mut().zip(&mut self.cycle_marks);
+        for ((mirror, mark), _) in mirrors.zip(&self.held).filter(|(_, held)| **held) {
+            mirror.trim_retired_to(*mark);
+            *mark = mirror.retire_end();
+        }
     }
 
     /// §5.1 lifespan expiry across all stores at sequence time `now`.
@@ -1652,49 +1638,39 @@ impl PurgeEngine {
         dropped
     }
 
-    /// Serializes the engine's runtime state — mirror tuples, punctuation
-    /// coverage, each interned recipe's tracker cursors in recipe order, and
-    /// drop counters. Recipes, scheme registrations, and index wiring
-    /// are recreated by re-subscribing the queries live at the snapshot.
-    pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
+    /// Serializes the engine's logical state, stream by stream: the mirror's
+    /// rows, with those that left it since the last cycle (window evictions
+    /// no tracker has mapped back yet); the punctuation store; whether the
+    /// meet weakened since the last cycle, and how many rows each of its
+    /// recipes has judged. Then the drop counters. Recipes, trackers, indexes
+    /// and logs are rebuilt by re-subscribing the queries live at the
+    /// snapshot.
+    pub(crate) fn write_state(&self, e: &mut Enc) {
         e.usize(self.states.len());
-        for s in &self.states {
-            s.write_state(e);
-        }
-        for p in &self.puncts {
-            p.write_state(e);
-        }
-        for meet in &self.meets {
+        for (s, (state, meet)) in self.states.iter().zip(&self.meets).enumerate() {
+            state.write_state(e, state.retired_since(self.cycle_marks[s]));
+            self.puncts[s].write_state(e);
             e.bool(meet.reseed);
-            e.usize(meet.recipes.len());
-            for tracker in meet.recipes.iter().filter_map(|i| i.tracker.as_ref()) {
-                tracker.write_state(e);
+            for tracker in meet.recipes.iter().filter_map(|e| e.tracker.as_ref()) {
+                e.usize(tracker.judged(state));
             }
         }
         e.u64(self.punct_dropped);
         e.u64(self.mirror_purged);
     }
 
-    /// Overlays serialized runtime state onto this freshly built engine. The
-    /// stream count and the set of held recipes must match the subscriptions
-    /// live when the snapshot was taken; in what order they came and went
-    /// does not matter.
-    pub(crate) fn read_state(
-        &mut self,
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> crate::checkpoint::SnapshotResult<()> {
+    /// Restores [`PurgeEngine::write_state`]'s words onto this freshly built
+    /// engine, whose subscriptions must be the ones live at the snapshot; in
+    /// what order they came and went does not matter.
+    pub(crate) fn read_state(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         d.count_of("streams in the purge engine", self.states.len())?;
-        for s in &mut self.states {
-            s.read_state(d)?;
-        }
-        for p in &mut self.puncts {
-            p.read_state(d)?;
-        }
-        for meet in &mut self.meets {
+        let streams = self.states.iter_mut().zip(&mut self.puncts);
+        for ((state, store), meet) in streams.zip(&mut self.meets) {
+            state.read_state(d)?;
+            store.read_state(d)?;
             meet.reseed = d.bool()?;
-            d.count_of("mirror recipes of a stream", meet.recipes.len())?;
-            for tracker in meet.recipes.iter_mut().filter_map(|i| i.tracker.as_mut()) {
-                tracker.read_state(d)?;
+            for tracker in meet.recipes.iter_mut().filter_map(|e| e.tracker.as_mut()) {
+                tracker.resume(state, d.usize()?);
             }
         }
         self.punct_dropped = d.u64()?;

@@ -719,13 +719,13 @@ impl Checkpointed for QueryRegistry {
     const KIND: SnapshotKind = SnapshotKind::Registry;
 
     /// Structural fingerprint of the registry's membership: config knobs,
-    /// every admitted query's predicates, mirror recipes (lag weights change
-    /// nothing else) and arena subscription, what each arena node was
-    /// compiled as, the punctuation schemes, and — sealed — which streams
-    /// are held. A snapshot only overlays onto a registry re-admitted from
-    /// the same `(query, plan)` sequence under the same config, sealed alike;
-    /// restore re-applies retirements from the snapshot. Built from stable
-    /// ids only (never interned symbols or `Debug` strings).
+    /// every admitted query's predicates, group stage, mirror recipes (lag
+    /// weights change nothing else) and arena subscription, what each arena
+    /// node was compiled as, the punctuation schemes, and — sealed — which
+    /// streams are held. A snapshot only overlays onto a registry re-admitted
+    /// from the same `(query, plan)` sequence under the same config, sealed
+    /// alike; restore re-applies retirements from the snapshot. Built from
+    /// stable ids only (never interned symbols or `Debug` strings).
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::default();
         self.core.cfg.fingerprint_into(&mut fp);
@@ -737,6 +737,10 @@ impl Checkpointed for QueryRegistry {
                 fp.word(n as u64);
             }
             fp.word(q.root as u64);
+            match &q.group {
+                Some(group) => group.by.fingerprint_into(&mut fp),
+                None => fp.word(u64::MAX),
+            }
             fingerprint_recipes(&mut fp, q.mirror.iter().map(Option::as_ref));
         }
         self.arena.fingerprint_into(&mut fp);
@@ -751,17 +755,11 @@ impl Checkpointed for QueryRegistry {
     }
 
     /// Serializes everything element routing mutates: clocks, monitors,
-    /// metrics, per-query membership/stats/outputs, the shared engine, and
-    /// the arena. A live tenant's open groups or sink cannot be serialized,
-    /// and a resumed run would silently drop their rows.
+    /// metrics, per-query membership/stats/outputs and group stage, the
+    /// shared engine, and the arena. A live tenant's sink cannot be
+    /// serialized, and a resumed run would silently drop its rows.
     fn write_snapshot(&self, e: &mut Enc) -> Result<(), &'static str> {
-        let live = || self.queries.iter().filter(|q| q.live);
-        if live().any(|q| q.group.is_some()) {
-            return Err(
-                "group-by stages are not checkpointable: open-group state is not serialized",
-            );
-        }
-        if live().any(|q| q.sink.is_some()) {
+        if self.queries.iter().any(|q| q.live && q.sink.is_some()) {
             return Err(
                 "queries with attached sinks are not checkpointable: a sink cannot be serialized",
             );
@@ -772,6 +770,7 @@ impl Checkpointed for QueryRegistry {
             e.bool(q.live);
             q.stats.write_state(e);
             q.outputs.enc(e);
+            q.group.iter().for_each(|group| group.write_state(e));
         }
         match &self.engine {
             Some(engine) => {
@@ -798,6 +797,9 @@ impl Checkpointed for QueryRegistry {
             let q = &mut self.queries[qi];
             q.stats = QueryStats::read_state(d)?;
             q.outputs = Codec::dec(d)?;
+            if let Some(group) = &mut q.group {
+                group.read_state(d, q.query.n_streams())?;
+            }
             if !live && q.live {
                 q.live = false;
                 self.unsubscribe(qi).ok_or_else(|| {

@@ -18,6 +18,7 @@ use std::ops::Bound;
 use cjq_core::fxhash::FxHashMap;
 use cjq_core::value::Value;
 
+use crate::checkpoint::{Dec, Enc, SnapshotError, SnapshotResult};
 use crate::layout::SpanLayout;
 
 /// Buckets of a [`KeyIndex`] by key width: a one-column key is the cell
@@ -227,12 +228,11 @@ impl PortState {
     }
 
     /// Slot ids retired at sequence numbers `>= cursor`, oldest first. A
-    /// cursor older than the trimmed prefix is clamped to the log base, and
-    /// so is one past the end, which only a corrupt snapshot holds.
+    /// cursor older than the trimmed prefix is clamped to the log base.
     #[must_use]
     pub(crate) fn retired_since(&self, cursor: u64) -> &[usize] {
         let skip = cursor.saturating_sub(self.retired_base) as usize;
-        self.retired.get(skip..).unwrap_or(&self.retired)
+        &self.retired[skip..]
     }
 
     /// Drops retractions below absolute sequence number `upto` (call once
@@ -284,13 +284,19 @@ impl PortState {
         self.arrivals.len()
     }
 
+    /// Where resident `slot`'s stamps sit in the per-slot vectors.
+    #[inline]
+    fn resident(&self, slot: usize) -> usize {
+        slot - self.base
+    }
+
     /// The values stored in resident `slot` regardless of liveness — purged
     /// rows keep their arena cells until reclaimed, which is what lets the
     /// retraction log carry slot ids instead of cloned rows.
     #[inline]
     #[must_use]
     pub(crate) fn raw_row(&self, slot: usize) -> &[Value] {
-        let i = slot - self.base;
+        let i = self.resident(slot);
         &self.arena[i * self.stride..(i + 1) * self.stride]
     }
 
@@ -578,7 +584,7 @@ impl PortState {
     /// Clears live `slot`'s bit and unlinks it from every index but
     /// `except` (which no longer holds it).
     fn unlink(&mut self, slot: usize, except: usize) {
-        let i = slot - self.base;
+        let i = self.resident(slot);
         self.live_bits[i / 64] &= !(1 << (i % 64));
         let row = &self.arena[i * self.stride..(i + 1) * self.stride];
         for (id, index) in self.indexes.iter_mut().enumerate() {
@@ -625,20 +631,21 @@ impl PortState {
     #[inline]
     #[must_use]
     pub(crate) fn seq_of(&self, slot: usize) -> u64 {
-        self.seqs[slot - self.base]
+        self.seqs[self.resident(slot)]
     }
 
     /// Stamps `slot` as probed at `now` (cold-tier recency signal).
     #[inline]
     pub(crate) fn note_touched(&mut self, slot: usize, now: u64) {
-        self.touched[slot - self.base] = now;
+        let i = self.resident(slot);
+        self.touched[i] = now;
     }
 
     /// Last-probed time of `slot`.
     #[inline]
     #[must_use]
     pub(crate) fn touched_of(&self, slot: usize) -> u64 {
-        self.touched[slot - self.base]
+        self.touched[self.resident(slot)]
     }
 
     /// Appends the last-probed times of all live tuples to `out` (demotion's
@@ -764,119 +771,63 @@ impl PortState {
         evicted
     }
 
-    /// Serializes the port's raw state (`base` plus the resident range only)
-    /// into a checkpoint payload. The layout and the index registrations are
-    /// *not* written — they are deterministic compile-time artifacts that the
-    /// restore path recreates by compiling the plan again;
-    /// [`PortState::read_state`] only overlays raw rows and refills the
-    /// registered buckets.
-    pub(crate) fn write_state(&self, e: &mut crate::checkpoint::Enc) {
+    /// Serializes the port's logical state: the rows of `left` — retired
+    /// slots whose leaving is still news to a purge tracker — then the live
+    /// rows, each in slot order with its sequence, arrival and last probe,
+    /// then the counters and whether purges are logged. Slot ids, the dead
+    /// prefix, the eviction frontier, the retraction log and the index
+    /// buckets are not written: [`PortState::read_state`] re-inserts the rows
+    /// into the freshly compiled port.
+    pub(crate) fn write_state(&self, e: &mut Enc, left: &[usize]) {
         e.usize(self.stride);
-        e.usize(self.base);
-        e.usize(self.resident_slots());
-        for v in &self.arena {
-            e.value(v);
+        for slots in [left, &self.live_slots()] {
+            e.usize(slots.len());
+            for &slot in slots {
+                let i = self.resident(slot);
+                let words = [self.seqs[i], self.arrivals[i], self.touched[i]];
+                words.into_iter().for_each(|w| e.u64(w));
+                self.raw_row(slot).iter().for_each(|v| e.value(v));
+            }
         }
-        e.u64s(&self.live_bits);
-        e.u64s(&self.arrivals);
-        e.u64s(&self.seqs);
-        e.u64(self.next_seq);
-        e.u64s(&self.touched);
-        e.usize(self.evict_front);
-        e.usize(self.live);
-        e.u64(self.inserted);
-        e.u64(self.purged);
-        e.u64(self.demoted);
-        e.usize(self.retired.len());
-        for &r in &self.retired {
-            e.usize(r);
-        }
-        e.u64(self.retired_base);
+        let counters = [self.next_seq, self.inserted, self.purged, self.demoted];
+        counters.into_iter().for_each(|w| e.u64(w));
         e.bool(self.log_retired.get());
     }
 
-    /// Overlays serialized raw state onto this freshly compiled (empty) port
-    /// and rebuilds every index bucket by linking the live slots, each at its
-    /// insertion-**sequence** position — which reproduces the live run's
-    /// buckets exactly: they are invariantly seq-sorted, and probe-bucket
-    /// order is what output order depends on.
-    pub(crate) fn read_state(
-        &mut self,
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> crate::checkpoint::SnapshotResult<()> {
-        use crate::checkpoint::SnapshotError;
+    /// Re-inserts [`PortState::write_state`]'s rows into this freshly
+    /// compiled, empty port, numbering them from 0: the rows that left become
+    /// dead slots in the retraction log, the live ones are linked into every
+    /// index at their sequence position — the live run's bucket order, which
+    /// output order depends on.
+    pub(crate) fn read_state(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
         let stride = d.count_of("columns of a port", self.stride)?;
-        // Decode and validate into locals: a refused snapshot leaves the port
-        // exactly as it was.
-        let base = d.usize()?;
-        let rows = d.usize()?;
-        let Some(end) = base.checked_add(rows).filter(|_| base.is_multiple_of(64)) else {
-            return Err(SnapshotError("port base is not word-aligned".into()));
-        };
-        let cells = rows
-            .checked_mul(stride)
-            .ok_or_else(|| SnapshotError(format!("port of {rows} x {stride} cells overflows")))?;
-        let mut arena = Vec::with_capacity(d.fits(cells, 1)?);
-        for _ in 0..cells {
-            arena.push(d.value()?);
+        let mut row = Vec::with_capacity(stride);
+        for live in [false, true] {
+            let rows = d.usize()?;
+            let cells = rows.checked_mul(stride).ok_or_else(|| {
+                SnapshotError(format!("port of {rows} x {stride} cells overflows"))
+            })?;
+            d.fits(cells, 1)?;
+            for _ in 0..rows {
+                let (seq, arrival, touched) = (d.u64()?, d.u64()?, d.u64()?);
+                row.clear();
+                for _ in 0..stride {
+                    row.push(d.value()?);
+                }
+                if self.arrivals.last().is_some_and(|&t| t > arrival) {
+                    return Err(SnapshotError("port arrival stamps are not monotone".into()));
+                }
+                let slot = self.push_slot(&row, arrival, seq);
+                self.note_touched(slot, touched);
+                if !live {
+                    self.unlink(slot, usize::MAX);
+                    self.retired.push(slot);
+                }
+            }
         }
-        let live_bits = d.u64s()?;
-        let arrivals = d.u64s()?;
-        let seqs = d.u64s()?;
-        let next_seq = d.u64()?;
-        let touched = d.u64s()?;
-        if arrivals.len() != rows
-            || seqs.len() != rows
-            || touched.len() != rows
-            || live_bits.len() != rows.div_ceil(64)
-            || (rows % 64 != 0 && live_bits[rows / 64] >> (rows % 64) != 0)
-        {
-            return Err(SnapshotError(format!(
-                "port vector lengths disagree with {rows} slots"
-            )));
-        }
-        if !arrivals.is_sorted() {
-            return Err(SnapshotError("port arrival stamps are not monotone".into()));
-        }
-        let evict_front = d.usize()?;
-        let live = d.usize()?;
-        let counted: usize = live_bits.iter().map(|w| w.count_ones() as usize).sum();
-        if counted != live {
-            return Err(SnapshotError(format!(
-                "live bitmap says {counted} live rows, counter says {live}"
-            )));
-        }
-        // Everything below the window frontier is dead.
-        let first_live = live_bits.iter().position(|&w| w != 0).map_or(end, |i| {
-            base + i * 64 + live_bits[i].trailing_zeros() as usize
-        });
-        if evict_front > first_live {
-            return Err(SnapshotError(format!(
-                "eviction frontier {evict_front} is past live slot {first_live}"
-            )));
-        }
-        let inserted = d.u64()?;
-        let purged = d.u64()?;
-        let demoted = d.u64()?;
-        let n = d.len_prefix(8)?;
-        let retired = (0..n)
-            .map(|_| d.usize())
-            .collect::<crate::checkpoint::SnapshotResult<Vec<usize>>>()?;
-        if let Some(&r) = retired.iter().find(|&&r| !(base..end).contains(&r)) {
-            return Err(SnapshotError(format!(
-                "retraction log names slot {r}, outside the resident range"
-            )));
-        }
-        let retired_base = d.u64()?;
-        let log_retired = d.bool()?.into();
-        (self.base, self.arena, self.live_bits) = (base, arena, live_bits);
-        (self.arrivals, self.seqs, self.touched) = (arrivals, seqs, touched);
-        (self.next_seq, self.evict_front, self.live) = (next_seq, evict_front, live);
-        (self.inserted, self.purged, self.demoted) = (inserted, purged, demoted);
-        (self.retired, self.retired_base, self.log_retired) = (retired, retired_base, log_retired);
-        for index in std::mem::take(&mut self.indexes) {
-            self.add_purge_index(&index.cols, index.distinct.is_some());
-        }
+        [self.next_seq, self.inserted, self.purged, self.demoted] =
+            [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
+        self.log_retired.set(d.bool()?);
         Ok(())
     }
 }
@@ -1066,11 +1017,6 @@ mod tests {
         assert_eq!(s.retired_since(0), &[s2], "stale cursor clamps to base");
         assert_eq!(s.retire_end(), 2);
         assert!(s.retired_since(2).is_empty());
-        assert_eq!(
-            s.retired_since(1 << 40),
-            &[s2],
-            "and so does one past the end"
-        );
     }
 
     #[test]
@@ -1187,7 +1133,7 @@ mod tests {
             x ^= x << 17;
             (x % n as u64) as usize
         };
-        let mut b_is_ordered = false;
+        let (mut b_is_ordered, mut reclaimed) = (false, false);
         for now in 0..3000u64 {
             match rnd(16) {
                 0..=5 => {
@@ -1225,16 +1171,21 @@ mod tests {
                     live.retain(|(_, _, r)| cols.iter().zip(&key).any(|(&c, k)| r[c] != *k));
                     assert_eq!(s.purge_bucket(id, &key), before - live.len());
                 }
-                14 => {
-                    let mut e = crate::checkpoint::Enc::new();
-                    s.write_state(&mut e);
+                14 if rnd(4) == 0 => {
+                    // A snapshot renumbers the live rows from 0, in slot order
+                    // (now and then: it also undoes every reclaim).
+                    let (mut e, order) = (Enc::new(), s.live_slots());
+                    s.write_state(&mut e, &[]);
                     s = fresh(b_is_ordered);
-                    s.read_state(&mut crate::checkpoint::Dec::new(&e.buf))
-                        .unwrap();
+                    s.read_state(&mut Dec::new(&e.buf)).unwrap();
+                    for (_, slot, _) in &mut live {
+                        *slot = order.binary_search(slot).expect("a live slot");
+                    }
                 }
                 _ => {}
             }
             live.sort_unstable();
+            reclaimed |= s.resident_slots() < s.slots();
             let scan = |keep: &dyn Fn(&[Value]) -> bool| -> Vec<usize> {
                 let kept = live.iter().filter(|(_, _, r)| keep(r));
                 kept.map(|&(_, slot, _)| slot).collect()
@@ -1272,7 +1223,7 @@ mod tests {
                 assert!(index.distinct.as_ref().is_none_or(|d| *d == keys));
             }
         }
-        assert!(b_is_ordered && s.resident_slots() < s.slots());
+        assert!(b_is_ordered && reclaimed);
         assert!(s.demoted() > 50 && s.purged() > 500);
     }
 
@@ -1310,19 +1261,20 @@ mod tests {
         let mut want = bucket.clone();
         want[1] = back;
         assert_eq!(s.probe(0, &Value::Int(1)), &want[..]);
-        // The snapshot carries only the resident range and restores onto it.
-        let mut e = crate::checkpoint::Enc::new();
-        s.write_state(&mut e);
+        // A snapshot carries the live rows and restores them numbered from 0,
+        // in slot order, each bucket still in sequence order.
+        let (mut e, order) = (Enc::new(), s.live_slots());
+        s.write_state(&mut e, &[]);
         let mut fresh = state();
         fresh.add_purge_index(&[0], false);
-        fresh
-            .read_state(&mut crate::checkpoint::Dec::new(&e.buf))
-            .unwrap();
-        assert_eq!(fresh.slots(), s.slots());
-        assert_eq!(fresh.resident_slots(), s.resident_slots());
-        assert_eq!(fresh.live_slots(), s.live_slots());
-        assert_eq!(fresh.probe(0, &Value::Int(1)), &want[..]);
-        assert_eq!(fresh.raw_row(280), s.raw_row(280));
+        fresh.read_state(&mut Dec::new(&e.buf)).unwrap();
+        assert_eq!(fresh.live_slots(), (0..s.live()).collect::<Vec<_>>());
+        let renumbered: Vec<usize> = want
+            .iter()
+            .map(|s| order.binary_search(s).unwrap())
+            .collect();
+        assert_eq!(fresh.probe(0, &Value::Int(1)), &renumbered[..]);
+        assert_eq!(fresh.raw_row(renumbered[1]), &row(1, 305)[..]);
         // The window frontier (still 0) steps over the reclaimed prefix.
         assert_eq!(
             s.evict_older_than(310),
@@ -1337,8 +1289,12 @@ mod tests {
         assert_eq!((s.live(), s.resident_slots(), s.slots()), (0, 17, 401));
     }
 
+    /// A snapshot holds rows, not slot layout: the restored port numbers its
+    /// rows from 0 — the rows that left first, dead and in the retraction
+    /// log — and evicts by window exactly as the written one does. Only an
+    /// arrival order the feed cannot produce is refused.
     #[test]
-    fn refused_snapshot_leaves_the_port_untouched() {
+    fn a_snapshot_restores_rows_not_slot_layout() {
         let mut good = state();
         good.enable_retirement_log();
         for i in 0..200 {
@@ -1346,32 +1302,26 @@ mod tests {
         }
         assert_eq!(good.evict_older_than(130), 130);
         good.trim_retired_to(128);
-        assert_eq!((good.base, good.evict_front), (128, 130));
-        let tampered: [fn(&mut PortState); 5] = [
-            |s| s.base = 100,
-            |s| s.arrivals.swap(3, 40),
-            |s| s.evict_front = 131,
-            |s| s.retired.push(127),
-            |s| s.live += 1,
-        ];
-        for (case, tamper) in tampered.iter().enumerate() {
-            let mut bad = good.clone();
-            tamper(&mut bad);
-            let mut e = crate::checkpoint::Enc::new();
-            bad.write_state(&mut e);
-            let mut port = state();
-            port.insert(row(7, 7));
-            let err = port.read_state(&mut crate::checkpoint::Dec::new(&e.buf));
-            assert!(err.is_err(), "case {case} must be refused");
-            assert_eq!((port.slots(), port.live_slots()), (1, vec![0]));
-            assert_eq!(port.probe(0, &Value::Int(7)), &[0]);
-        }
-        let mut e = crate::checkpoint::Enc::new();
-        good.write_state(&mut e);
+        let left = good.retired_since(0).to_vec();
+        assert_eq!(left, [128, 129]);
+        let mut e = Enc::new();
+        good.write_state(&mut e, &left);
         let mut port = state();
-        port.read_state(&mut crate::checkpoint::Dec::new(&e.buf))
-            .unwrap();
-        assert_eq!(port.live_slots(), good.live_slots());
+        port.read_state(&mut Dec::new(&e.buf)).unwrap();
+        assert_eq!((port.slots(), port.resident_slots()), (72, 72));
+        assert_eq!(port.retired_since(0), [0, 1]);
+        assert_eq!(port.raw_row(1), good.raw_row(129));
+        assert_eq!(port.live_slots(), (2..72).collect::<Vec<_>>());
+        assert_eq!(
+            port.probe(0, &Value::Int(2)).len(),
+            good.probe(0, &Value::Int(2)).len()
+        );
+        assert_eq!(port.evict_older_than(140), good.evict_older_than(140));
+        assert_eq!(port.live(), good.live());
+        let mut e = Enc::new();
+        good.write_state(&mut e, &[199]);
+        let err = state().read_state(&mut Dec::new(&e.buf)).unwrap_err();
+        assert!(err.0.contains("not monotone"), "{err}");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! A restore that succeeds is then *used*: the auctions open at the cut are
 //! closed and the engine finished, so purge cycles run on whatever the bytes
 //! restored to. The purge trackers replay the punctuation stores' delta logs
-//! unchecked, which is why a delta that does not fit its scheme is refused at
-//! decode (`forged_punct_deltas_are_refused`).
+//! unchecked; a snapshot carries the pending punctuation run instead, which
+//! restore re-applies to the store, so only a punctuation that fits no scheme
+//! is left to refuse (`forged_pending_runs_restore_cleanly_or_are_refused`).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -320,18 +321,18 @@ fn forge(payload: &[u8], genuine: &[u8], forged: &[u8]) -> Vec<u8> {
     .concat()
 }
 
-/// A threshold advance as `PunctStore::write_state` encodes it.
-fn advance(scheme: usize, above: Option<i64>, upto: i64) -> Vec<u8> {
+/// A threshold advance of the pending run as `PunctStore::write_state`
+/// encodes it.
+fn advance(scheme: usize, upto: i64) -> Vec<u8> {
     let mut e = Enc::new();
     e.u8(1);
     e.usize(scheme);
-    e.bool(above.is_some());
-    above.iter().for_each(|&a| e.value(&Value::Int(a)));
     e.value(&Value::Int(upto));
     e.buf
 }
 
-/// A new entry as `PunctStore::write_state` encodes it.
+/// A new entry of the pending run as `PunctStore::write_state` encodes it,
+/// up to its clock.
 fn entry(scheme: usize, combo: &[i64]) -> Vec<u8> {
     let mut e = Enc::new();
     e.u8(0);
@@ -341,21 +342,23 @@ fn entry(scheme: usize, combo: &[i64]) -> Vec<u8> {
     e.buf
 }
 
-/// The purge trackers replay a store's retained coverage deltas on trust, so
-/// a checksummed snapshot whose delta does not fit its scheme must not
-/// restore: a threshold advance over an inverted range reaches
-/// `BTreeSet::range` ("range start is greater than range end"), an entry
-/// shorter than its scheme is indexed past its end where a chained step reads
-/// `combo[pos]`. Both restored cleanly and panicked in the next purge cycle;
-/// so that the cycle runs, the forged snapshots are restored and *finished*.
+/// A snapshot carries the punctuation run admitted since the last purge
+/// cycle, and restore re-applies it to the store as admission would: a
+/// bound that does not raise its threshold is no delta, and an entry is
+/// stored as it is logged. The forged deltas that once restored and then
+/// panicked a purge cycle (an inverted range reached `BTreeSet::range`)
+/// cannot be expressed: those frames restore and — so that purge cycles run
+/// on them — finish cleanly. A punctuation that fits no scheme of its store
+/// (no such scheme, the wrong kind, an entry of another arity, which a
+/// chained step would index past its end) is still refused.
 #[test]
-fn forged_punct_deltas_are_refused() {
-    // Deltas stay in the log until a purge cycle trims them: never, here.
+fn forged_pending_runs_restore_cleanly_or_are_refused() {
+    // The run stays pending until a purge cycle: never, here.
     let cfg = ExecConfig {
         cadence: PurgeCadence::Lazy { batch: 1 << 30 },
         ..ExecConfig::default()
     };
-    let refused = |q: &Cjq, r: &SchemeSet, payload: &[u8], what: &str| {
+    let restore = |q: &Cjq, r: &SchemeSet, payload: &[u8], what: &str, refused: bool| {
         let dir = fresh_dir("forged");
         let mut store = CheckpointStore::open(&dir, 1).expect("open store");
         store.commit(payload, 0).expect("commit frame");
@@ -366,8 +369,9 @@ fn forged_punct_deltas_are_refused() {
         });
         let _ = std::fs::remove_dir_all(&dir);
         match res {
-            Err(ExecError::CheckpointCorrupt { detail, .. }) => {
-                assert!(detail.contains("punct delta"), "{what}: {detail}");
+            Ok(()) => assert!(!refused, "{what}: restored"),
+            Err(ExecError::CheckpointCorrupt { detail, .. }) if refused => {
+                assert!(detail.contains("fits no scheme"), "{what}: {detail}");
             }
             other => panic!("{what}: {other:?}"),
         }
@@ -394,14 +398,15 @@ fn forged_punct_deltas_are_refused() {
         exec.try_push(&StreamElement::Punctuation(beat)).unwrap();
     }
     let payload = snapshot_of(&mut exec, 2);
-    let genuine = advance(0, Some(5555), 7777);
-    for (forged, what) in [
-        (advance(0, Some(7777), 5555), "inverted range"),
-        (advance(0, Some(7777), 7777), "empty range"),
-        (advance(3, Some(5555), 7777), "no such scheme"),
-        (entry(0, &[7777]), "entry on an ordered scheme"),
+    restore(&q, &r, &payload, "the genuine run", false);
+    let genuine = advance(0, 7777);
+    for (forged, what, refused) in [
+        (advance(0, 1111), "a bound below the last", false),
+        (advance(0, 5555), "the last bound again", false),
+        (advance(3, 7777), "a bound of no scheme", true),
+        (entry(0, &[7777]), "an entry on an ordered scheme", true),
     ] {
-        refused(&q, &r, &forge(&payload, &genuine, &forged), what);
+        restore(&q, &r, &forge(&payload, &genuine, &forged), what, refused);
     }
 
     // A four-stream chain t0.k = t1.k = t2.k, t2.w = t3.k: t0's rows wait on
@@ -424,13 +429,21 @@ fn forged_punct_deltas_are_refused() {
     let closed = Punctuation::with_constants(StreamId(3), 2, &[(AttrId(0), Value::Int(7777))]);
     exec.try_push(&StreamElement::Punctuation(closed)).unwrap();
     let payload = snapshot_of(&mut exec, 4);
+    restore(&q, &r, &payload, "the genuine run", false);
     let genuine = entry(0, &[7777]);
-    for (forged, what) in [
-        (entry(0, &[]), "entry shorter than its scheme"),
-        (entry(0, &[7777, 7777]), "entry longer than its scheme"),
-        (advance(0, None, 7777), "advance on a hash scheme"),
+    for (forged, what, refused) in [
+        (entry(0, &[1]), "an entry of another key", false),
+        (entry(1, &[7777]), "an entry of the other scheme", false),
+        (entry(7, &[7777]), "an entry of no scheme", true),
+        (entry(0, &[]), "an entry shorter than its scheme", true),
+        (
+            entry(0, &[7777, 7777]),
+            "an entry longer than its scheme",
+            true,
+        ),
+        (advance(0, 7777), "a bound on a hash scheme", true),
     ] {
-        refused(&q, &r, &forge(&payload, &genuine, &forged), what);
+        restore(&q, &r, &forge(&payload, &genuine, &forged), what, refused);
     }
 }
 

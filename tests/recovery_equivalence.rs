@@ -14,7 +14,8 @@ use punctuated_cjq::stream::checkpoint::{
     list_snapshots, CheckpointStore, Dec, Enc, InputCursor, Manifest,
 };
 use punctuated_cjq::stream::error::ExecError;
-use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, StateBudget};
+use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
+use punctuated_cjq::stream::groupby::Aggregate;
 use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::registry::{QueryId, QueryRegistry, RegistryResult};
 use punctuated_cjq::stream::source::Feed;
@@ -122,15 +123,73 @@ fn interval_offset_budget_interleavings_recover_exactly() {
     }
 }
 
+/// A group stage is logical state: its open groups, the punctuations it
+/// holds until no stored row can still join them, the aggregates it emitted
+/// and its counters are in the snapshot. An executor summing the auction's
+/// bids per item, killed at several points of the feed, resumes with the
+/// uninterrupted run's aggregate sequence, outputs and metrics.
+#[test]
+fn an_executor_with_a_group_by_resumes_byte_identically() {
+    let (query, schemes) = auction::auction_query();
+    let plan = Plan::mjoin_all(&query);
+    let feed = chaos_feed(&auction::generate(&Default::default()));
+    let bid = |attr| AttrRef::new(auction::BID.0, attr);
+    let build = |_: &str| {
+        let exec = Executor::compile(&query, &schemes, &plan, ExecConfig::default());
+        let exec = exec.map_err(|e| e.to_string())?;
+        Ok::<_, String>(exec.with_groupby(&[bid(1)], Aggregate::Sum(bid(2))))
+    };
+    let every = 41;
+    let golden = resume(0, every, &feed, build, true);
+    assert!(golden.aggregates.len() > 10 && golden.metrics.checkpoints_written > 3);
+    let run = |r: &RunResult| {
+        (
+            r.aggregates.clone(),
+            r.outputs.clone(),
+            metrics_digest(&r.metrics),
+        )
+    };
+    for crash in [feed.len() / 5, feed.len() / 2, feed.len() - 1] {
+        let resumed = resume(crash, every, &feed, build, false);
+        assert_eq!(resumed.metrics.restores, 1, "crash@{crash}");
+        assert_eq!(run(&resumed), run(&golden), "crash@{crash}");
+    }
+}
+
+/// Window eviction between purge cycles takes mirror rows whose leaving the
+/// next cycle's shrink probes map back to the rows chained through them: a
+/// snapshot carries those as rows that left, so a resumed run decides the
+/// candidates the uninterrupted one does. Fig. 5 holds its mirrors, rows
+/// wait eight rounds for their punctuations, and a lazy cadence leaves
+/// evictions pending at most commits; the run is killed after every element.
+/// (Written without those rows, the resume after 224 elements differs.)
+#[test]
+fn a_windowed_executor_resumes_byte_identically() {
+    let spec = punctuated_cjq::core::fixtures::fig5();
+    let feed = keyed_feed(&spec, 40, 8);
+    let n = feed.len();
+    let edit = |c: &mut Case| {
+        (c.cfg.window, c.cfg.cadence) = (Some(24), PurgeCadence::Lazy { batch: 9 });
+        (c.crashes, c.every, c.shards) = ((1..n).collect(), 5, Vec::new());
+    };
+    let checked = Case::new("fig5 windowed", spec, feed).with(edit).check();
+    assert!(checked.checkpoints > 3);
+}
+
 /// A registry whose tenants hold *different* mirror recipes (overlap 0.5),
-/// one of them retired before the crash and — in two of the three scenarios
-/// — another admitted after that: the snapshot carries each interned
-/// recipe's tracker cursors, and restoring re-admits every spec *before* it
-/// re-applies the retirement, so the recipes are interned in another order
-/// than the crashed run interned them. The resumed run must match the
-/// uninterrupted one down to `purge_candidates_examined` — a tracker
-/// restored onto the wrong recipe, or from zeroed cursors, would purge the
-/// same rows from more candidates.
+/// one of them retired before the crash and — in two of the four scenarios
+/// — another admitted after that: the snapshot carries how many rows each
+/// interned recipe's tracker has judged and whether the meet weakened since
+/// the last cycle, and restoring re-admits every spec *before* it re-applies
+/// the retirement, so the recipes are interned in another order than the
+/// crashed run interned them, and rebuilds the trackers. The resumed run
+/// must match the uninterrupted one down to `purge_candidates_examined` — a
+/// count restored onto the wrong recipe, or a tracker rebuilt as if it had
+/// judged nothing, would purge the same rows from more candidates. The
+/// fourth scenario commits at every punctuation under a lazy cadence, so
+/// the first commit after the retirement falls before any cadence cycle
+/// (the retirement's own re-tightening cycle has run: it is what consumes
+/// the meet's re-seed).
 #[test]
 fn registry_with_a_retired_tenant_resumes_byte_identically() {
     let (tenant, feed) = tenants(3, 0.5, 40);
@@ -141,18 +200,26 @@ fn registry_with_a_retired_tenant_resumes_byte_identically() {
     let streams: Vec<StreamId> = t0.0.stream_ids().collect();
     let replanned = (t0.0.clone(), Plan::left_deep(&streams));
     assert_ne!(replanned.1, t0.1, "a different plan: no node is shared");
-    let s = &tenant.schemes;
-    registry_recovers("none", s, &feed, &tenant.queries, 1, None);
+    let (s, eager) = (&tenant.schemes, (ExecConfig::default(), 23));
+    registry_recovers("none", s, &feed, &tenant.queries, 1, None, eager);
     // The retiree's recipes come back under another plan: the crashed run
     // interned them anew, a restore finds them still held.
     let initial = [t0.clone(), t1.clone()];
-    registry_recovers("same", s, &feed, &initial, 0, Some(replanned));
+    registry_recovers("same", s, &feed, &initial, 0, Some(replanned), eager);
     // A late tenant with recipes of its own.
-    registry_recovers("distinct", s, &feed, &initial, 0, Some(t2.clone()));
+    registry_recovers("distinct", s, &feed, &initial, 0, Some(t2.clone()), eager);
+    // A commit at the punctuation after the retirement, no cycle between.
+    let lazy = ExecConfig {
+        cadence: PurgeCadence::Lazy { batch: 1 << 20 },
+        ..ExecConfig::default()
+    };
+    registry_recovers("lazy", s, &feed, &tenant.queries, 1, None, (lazy, 1));
 }
 
 /// Admits `initial`, retires tenant `retiree` a third of the way into `feed`
-/// and admits `late` at half of it; crashes at several points after that and
+/// and admits `late` at half of it; under `cfg`, committing every `every`
+/// elements, crashes at several points after that — the first one just past
+/// the punctuation `3 * (every - 1)` elements after the last of the two — and
 /// compares every resumed run with the uninterrupted one.
 fn registry_recovers(
     tag: &str,
@@ -161,9 +228,9 @@ fn registry_recovers(
     initial: &[(Cjq, Plan)],
     retiree: usize,
     late: Option<(Cjq, Plan)>,
+    (cfg, every): (ExecConfig, u64),
 ) {
-    let cfg = ExecConfig::default();
-    let (n, every) = (feed.elements().len(), 23u64);
+    let n = feed.elements().len();
     let (retire_at, admit_at, retiree) = (n / 3, n / 2, QueryId(retiree));
     let specs: Vec<(Cjq, Plan)> = initial.iter().cloned().chain(late.clone()).collect();
     // Pushes `feed[from..upto]`, retiring and admitting on the way past.
@@ -195,13 +262,16 @@ fn registry_recovers(
     let _ = std::fs::remove_dir_all(&dir);
     assert!(golden.queries[retiree.0].stats.retired_at.is_some());
     assert!(late.is_none() || golden.queries.last().expect("admitted").stats.outputs > 0);
-    for crash_after in [admit_at + 3 * every as usize, (n * 4) / 5, n - 1] {
+    let churn = if late.is_some() { admit_at } else { retire_at };
+    let first = churn + 3 * (every as usize - 1);
+    let punct = (first..n).find(|&i| feed.elements()[i].is_punctuation());
+    for crash_after in [punct.expect("punctuated") + 1, (n * 4) / 5, n - 1] {
         let (crashed, dir) = run_to(crash_after);
         drop(crashed);
         let restored = QueryRegistry::restore(&dir, readmitting(schemes, cfg, &specs));
         let (mut reg, mut store, mut cursor) = restored.expect("restore");
         let from = cursor.elements as usize;
-        let postdates = (admit_at..=crash_after).contains(&from);
+        let postdates = (churn..=crash_after).contains(&from);
         assert!(postdates, "the snapshot postdates the churn");
         assert!(!reg.is_live(retiree), "retirement is re-applied");
         drive(&mut reg, &mut store, &mut cursor, from, n);
