@@ -40,6 +40,9 @@ struct CrossPred {
 /// bound column)` predicate triples connecting it to the already-bound set.
 type ProbeStep = (usize, Vec<(usize, usize, usize)>);
 
+/// One range of an emit plan: `len` cells of `port`'s row from `start`.
+type EmitRange = (usize, usize, usize);
+
 crate::metrics::facts! {
     /// Counters of one operator's activity.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,6 +73,9 @@ pub struct JoinOperator {
     /// For each origin port, the probe steps in depth order. Precomputed so
     /// the per-tuple probe loop allocates nothing.
     probe_plans: Vec<Vec<ProbeStep>>,
+    /// The emit plan: the ports' cell ranges in output-column order, so an
+    /// output row is those slices of the assignment's rows, appended in turn.
+    emit: Vec<EmitRange>,
     /// Per port: compiled purge recipe with the delta tracker driving its
     /// purge passes and holding its key plan, or `None`
     /// if the port's state is not purgeable under the configured scope.
@@ -82,11 +88,6 @@ pub struct JoinOperator {
     /// without a root-resolvable recipe still demote and fault back — their
     /// segments just never certify for a bulk drop).
     tiers: Vec<Option<ColdTier>>,
-    /// Batched-path probe cache: depth-0 key -> `(start, len)` range of
-    /// `scratch_slots`. Cleared per batch, kept to reuse the allocations.
-    scratch_keys: FxHashMap<Value, (usize, usize)>,
-    /// Slot arena backing `scratch_keys` ranges.
-    scratch_slots: Vec<usize>,
     /// Reused purge-check and candidate-slot buffers for
     /// [`JoinOperator::purge_pass`].
     scratch_check: CheckScratch,
@@ -214,6 +215,21 @@ impl JoinOperator {
         };
         let recipes: Vec<_> = port_spans.iter().zip(&mut ports).map(compile).collect();
 
+        // Emit plan: walk the output layout's streams, taking each from its
+        // port's row; a port's streams that sit side by side in both rows
+        // coalesce into one range.
+        let mut emit: Vec<EmitRange> = Vec::new();
+        for &s in out_layout.streams() {
+            let port = port_of_stream[&s];
+            let cells = layouts[port].stream_range(s).expect("in span");
+            match emit.last_mut() {
+                Some((p, start, len)) if *p == port && *start + *len == cells.start => {
+                    *len += cells.len();
+                }
+                _ => emit.push((port, cells.start, cells.len())),
+            }
+        }
+
         let waits = |(r, _): &(CompiledRecipe, PurgeTracker)| r.n_steps() > 1;
         let waiting = (0..n)
             .filter(|&p| recipes[p].as_ref().is_some_and(waits))
@@ -225,10 +241,9 @@ impl JoinOperator {
             waiting,
             port_spans,
             probe_plans,
+            emit,
             recipes,
             tiers: Vec::new(),
-            scratch_keys: FxHashMap::default(),
-            scratch_slots: Vec::new(),
             scratch_check: CheckScratch::default(),
             scratch_candidates: Candidates::default(),
             scratch_sweep: Sweep::default(),
@@ -613,11 +628,12 @@ impl JoinOperator {
     /// allocations.
     ///
     /// Within a run the probed ports' states are immutable — probes only hit
-    /// *other* ports, and same-port tuples never join each other — so the
-    /// depth-0 hash index is looked up once per *distinct* probe key instead
-    /// of once per tuple, and all inserts are deferred to the end of the run.
-    /// This is exactly equivalent to feeding the tuples one at a time.
-    /// Returns the number of index lookups saved by the deduplication.
+    /// *other* ports, and same-port tuples never join each other — so all
+    /// inserts are deferred to the end of the run, and a row whose depth-0
+    /// key equals the previous row's reads the bucket that row found instead
+    /// of probing again. This is exactly equivalent to feeding the tuples one
+    /// at a time. Returns the number of rows that reused the previous row's
+    /// bucket.
     ///
     /// # Panics
     /// Panics if `out`'s row width differs from the operator's output layout.
@@ -631,18 +647,12 @@ impl JoinOperator {
                 self.fault_sweep(port, rows.clone().map(|(r, _)| r), first_now);
             }
         }
-        let mut keymap = std::mem::take(&mut self.scratch_keys);
-        let mut slots = std::mem::take(&mut self.scratch_slots);
-        keymap.clear();
-        slots.clear();
-
         let inserts = rows.clone();
         let plan = &self.probe_plans[port];
         let (j0, rel0) = &plan[0];
-        let (jcol0, _, kcol0) = rel0[0];
+        let (j0, (jcol0, _, kcol0)) = (*j0, rel0[0]);
         let before = out.len();
-        let mut n_rows = 0u64;
-        let mut batch_now = 0u64;
+        let (mut n_rows, mut deduped, mut batch_now) = (0u64, 0u64, 0u64);
         {
             // One row per port, on the stack for any plan of ordinary width.
             let (mut few, mut many) = ([None; 8], Vec::new());
@@ -653,66 +663,60 @@ impl JoinOperator {
                     &mut many
                 }
             };
+            let probed = &self.ports[j0];
+            let mut memo: Option<(Value, &[usize])> = None;
             for (row, now) in rows {
                 n_rows += 1;
                 batch_now = now;
-                // Depth 0 by hand: resolve the probe through the per-batch
-                // key cache, filter with the remaining depth-0 predicates
-                // (all bound to the origin row), then recurse as usual.
+                // Depth 0 by hand: probe (or reuse the previous row's bucket),
+                // filter with the remaining depth-0 predicates (all bound to
+                // the origin row), then recurse as usual.
                 let key = row[kcol0];
-                let &mut (start, len) = keymap.entry(key).or_insert_with(|| {
-                    let s = slots.len();
-                    slots.extend_from_slice(self.ports[*j0].probe(jcol0, &key));
-                    (s, slots.len() - s)
-                });
-                if len == 0 {
+                let bucket = match memo {
+                    Some((prev, bucket)) if prev == key => {
+                        deduped += 1;
+                        bucket
+                    }
+                    _ => probed.probe(jcol0, &key),
+                };
+                memo = Some((key, bucket));
+                if bucket.is_empty() {
                     continue;
                 }
                 assignment[port] = Some(row);
-                for &slot in &slots[start..start + len] {
-                    let Some(cand) = self.ports[*j0].get(slot) else {
+                for &slot in bucket {
+                    let Some(cand) = probed.get(slot) else {
                         continue;
                     };
                     let ok = rel0[1..].iter().all(|&(jc, _, bc)| cand[jc] == row[bc]);
                     if ok {
-                        assignment[*j0] = Some(cand);
-                        extend_into(
-                            &self.ports,
-                            plan,
-                            1,
-                            assignment,
-                            &self.out_layout,
-                            &self.port_spans,
-                            now,
-                            out,
-                        );
-                        assignment[*j0] = None;
+                        assignment[j0] = Some(cand);
+                        extend_into(&self.ports, plan, 1, assignment, &self.emit, now, out);
+                        assignment[j0] = None;
                     }
                 }
                 assignment[port] = None;
             }
         }
-        // Recency stamps for the cold tier, at key-bucket granularity: every
-        // depth-0 slot the batch enumerated was just probed.
-        if self.tiering_enabled() {
-            for &(start, len) in keymap.values() {
-                for &slot in &slots[start..start + len] {
-                    self.ports[*j0].note_touched(slot, batch_now);
-                }
-            }
-        }
         // Deferred inserts: same-port tuples never probe their own port, so
         // storing them after the whole run emits is equivalent to interleaved
-        // insertion — and keeps the probed indexes frozen for the key cache.
+        // insertion — and keeps the probed buckets frozen while rows read
+        // them. With tiering on, every depth-0 row the run enumerated is
+        // stamped as probed at the run's last clock (the cold tier's recency
+        // signal), once per change of key.
+        let tiered = self.tiering_enabled();
+        let mut stamped = None;
         for (row, now) in inserts {
+            let key = row[kcol0];
+            if tiered && stamped != Some(key) {
+                self.ports[j0].note_probed(jcol0, &key, batch_now);
+                stamped = Some(key);
+            }
             self.ports[port].insert_slice_at(row, now);
         }
         self.stats.tuples_in += n_rows;
         self.stats.outputs += (out.len() - before) as u64;
-        let saved = n_rows.saturating_sub(keymap.len() as u64);
-        self.scratch_keys = keymap;
-        self.scratch_slots = slots;
-        saved
+        deduped
     }
 
     /// Sliding-window eviction across all ports: drops tuples that arrived
@@ -822,27 +826,23 @@ fn step_covered(engine: &PurgeEngine, spec: &StepSpec, summary: &StepSummary) ->
 }
 
 /// DFS over `plan[depth..]` emitting every completed assignment as one row of
-/// `out`. Candidates are iterated straight out of the hash index and rows are
-/// borrowed slices, so the probe loop allocates nothing.
-#[allow(clippy::too_many_arguments)]
+/// `out`, copied range by range through the `emit` plan. Candidates are
+/// iterated straight out of the hash index and rows are borrowed slices, so
+/// the probe loop allocates nothing.
 fn extend_into<'s>(
     ports: &'s [PortState],
     plan: &[ProbeStep],
     depth: usize,
     assignment: &mut [Option<&'s [Value]>],
-    out_layout: &SpanLayout,
-    port_layout_spans: &[Vec<StreamId>],
+    emit: &[EmitRange],
     now: u64,
     out: &mut OutputBuffer,
 ) {
     if depth == plan.len() {
-        let row = out.alloc_row(now);
-        for (pi, vals) in assignment.iter().enumerate() {
-            let vals = vals.expect("full assignment");
-            for &s in &port_layout_spans[pi] {
-                out_layout.copy_stream(row, s, ports[pi].layout(), vals);
-            }
-        }
+        let part = |&(port, start, len): &EmitRange| {
+            &assignment[port].expect("full assignment")[start..start + len]
+        };
+        out.push_row(now, emit.iter().map(part));
         return;
     }
     let (j, relevant) = &plan[depth];
@@ -858,16 +858,7 @@ fn extend_into<'s>(
             .all(|&(jc, bp, bc)| cand[jc] == assignment[bp].expect("bound")[bc]);
         if ok {
             assignment[j] = Some(cand);
-            extend_into(
-                ports,
-                plan,
-                depth + 1,
-                assignment,
-                out_layout,
-                port_layout_spans,
-                now,
-                out,
-            );
+            extend_into(ports, plan, depth + 1, assignment, emit, now, out);
             assignment[j] = None;
         }
     }
@@ -1041,6 +1032,77 @@ mod tests {
         assert_eq!(out[0].len(), 6);
         assert_eq!(out[0][3], ival(10)); // S2.C
         assert_eq!(out[0][4], ival(10)); // S3.C
+    }
+
+    #[test]
+    fn emit_plan_copies_interleaved_ports_cell_for_cell() {
+        // Ports [S1, S3] and [S2]: the output S1 S2 S3 takes the first port's
+        // row in two pieces around the second's.
+        let (q, r) = fixtures::fig3();
+        let engine = PurgeEngine::new(&q, &r, None, 10_000);
+        let spans = vec![vec![StreamId(0), StreamId(2)], vec![StreamId(1)]];
+        let mut op = JoinOperator::new(&q, &r, spans.clone(), PurgeScope::Operator, &engine);
+        assert_eq!(op.emit, [(0, 0, 2), (1, 0, 2), (0, 2, 2)]);
+        let outer = [ival(100), ival(1), ival(10), ival(200)]; // S1(A,B) S3(C,A)
+        let inner = [ival(1), ival(10)]; // S2(B,C)
+        assert!(op.process_one(0, &outer, 0).is_empty());
+        let out = op.process_one(1, &inner, 0);
+        // The reference reads every output column through `SpanLayout::pos`.
+        let rows = [&outer[..], &inner[..]];
+        let mut reference = vec![Value::Null; op.out_layout().width()];
+        for (port, span) in spans.iter().enumerate() {
+            let layout = op.port_state(port).layout();
+            for &s in span {
+                for a in 0..q.catalog().schema(s).unwrap().arity() {
+                    let at = |l: &SpanLayout| l.pos(s, AttrId(a)).expect("in span");
+                    reference[at(op.out_layout())] = rows[port][at(layout)];
+                }
+            }
+        }
+        assert_eq!(out, [reference]);
+    }
+
+    #[test]
+    fn adjacent_ranges_of_one_port_coalesce() {
+        let (q, r) = fixtures::fig3();
+        let engine = PurgeEngine::new(&q, &r, None, 10_000);
+        let spans = vec![vec![StreamId(0), StreamId(1)], vec![StreamId(2)]];
+        let op = JoinOperator::new(&q, &r, spans, PurgeScope::Operator, &engine);
+        assert_eq!(op.emit, [(0, 0, 4), (1, 0, 2)], "one range per port");
+    }
+
+    #[test]
+    fn a_tiered_run_stamps_the_rows_it_probed_at_its_last_clock() {
+        let (_, _, _, mut op) = setup_auction();
+        op.enable_tiering();
+        for (item, now) in [(1, 10), (2, 11), (3, 12)] {
+            op.process_one(0, &[ival(7), ival(item), "tv".into(), ival(100)], now);
+        }
+        // A run of three bids at clocks 20..22: two on item 1, one on item 2.
+        let bids = [
+            [ival(4), ival(1), ival(5)],
+            [ival(5), ival(1), ival(6)],
+            [ival(6), ival(2), ival(7)],
+        ];
+        let mut out = OutputBuffer::new(op.out_layout().width());
+        let run = bids.iter().zip(20..).map(|(bid, now)| (&bid[..], now));
+        assert_eq!(
+            op.process_batch(1, run, &mut out),
+            1,
+            "the second bid reuses the bucket"
+        );
+        assert_eq!(out.len(), 3);
+        let touched = |port: usize| {
+            let state = op.port_state(port);
+            let slots = state.live_slots().into_iter();
+            slots.map(|slot| state.touched_of(slot)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            touched(0),
+            [22, 22, 12],
+            "probed items: the run's last clock"
+        );
+        assert_eq!(touched(1), [20, 21, 22], "stored bids: their arrival");
     }
 
     #[test]

@@ -92,28 +92,6 @@ impl SpanLayout {
         debug_assert_eq!(values.len(), self.width, "composite width mismatch");
         Some(&values[self.offsets[i]..self.offsets[i] + self.arities[i]])
     }
-
-    /// Copies the `stream`-portion of a composite in `from`-layout into the
-    /// right position of a composite in `self`-layout.
-    ///
-    /// # Panics
-    /// Panics if `stream` is missing from either layout.
-    pub fn copy_stream(
-        &self,
-        out: &mut [Value],
-        stream: StreamId,
-        from: &SpanLayout,
-        src: &[Value],
-    ) {
-        let part = from
-            .slice(src, stream)
-            .unwrap_or_else(|| panic!("{stream} not in source layout"));
-        let i = self
-            .streams
-            .binary_search(&stream)
-            .unwrap_or_else(|_| panic!("{stream} not in target layout"));
-        out[self.offsets[i]..self.offsets[i] + self.arities[i]].clone_from_slice(part);
-    }
 }
 
 #[cfg(test)]
@@ -154,17 +132,6 @@ mod tests {
         assert_eq!(l.slice(&vals, StreamId(0)).unwrap(), &vals[0..2]);
         assert_eq!(l.slice(&vals, StreamId(1)).unwrap(), &vals[2..3]);
         assert!(l.slice(&vals, StreamId(2)).is_none());
-    }
-
-    #[test]
-    fn copy_between_layouts() {
-        let cat = catalog();
-        let child = SpanLayout::new(&cat, &[StreamId(1)]);
-        let parent = SpanLayout::new(&cat, &[StreamId(0), StreamId(1)]);
-        let mut out = vec![Value::Null; parent.width()];
-        parent.copy_stream(&mut out, StreamId(1), &child, &[Value::Int(9)]);
-        assert_eq!(out[2], Value::Int(9));
-        assert_eq!(out[0], Value::Null);
     }
 
     #[test]

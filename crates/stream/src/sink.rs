@@ -76,6 +76,21 @@ impl OutputBuffer {
         &mut self.values[start..]
     }
 
+    /// Appends one row stamped `now`: the concatenation of `parts`, copied
+    /// in without filling the row first.
+    ///
+    /// # Panics
+    /// Panics if the parts do not add up to the row width.
+    pub fn push_row<'a>(&mut self, now: u64, parts: impl Iterator<Item = &'a [Value]>) {
+        let start = self.values.len();
+        parts.for_each(|part| self.values.extend_from_slice(part));
+        assert!(
+            self.values.len() - start == self.width,
+            "row width mismatch"
+        );
+        self.nows.push(now);
+    }
+
     /// The `i`-th row.
     #[must_use]
     pub fn row(&self, i: usize) -> &[Value] {

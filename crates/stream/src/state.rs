@@ -641,6 +641,16 @@ impl PortState {
         self.touched[i] = now;
     }
 
+    /// Stamps every row [`PortState::probe`] finds for `value` on `col` as
+    /// probed at `now`.
+    pub(crate) fn note_probed(&mut self, col: usize, value: &Value, now: u64) {
+        let mut touched = std::mem::take(&mut self.touched);
+        for &slot in self.probe(col, value) {
+            touched[self.resident(slot)] = now;
+        }
+        self.touched = touched;
+    }
+
     /// Last-probed time of `slot`.
     #[inline]
     #[must_use]
