@@ -24,14 +24,27 @@
 //! argument never looks inside the edge, only at which stream can guard
 //! which. When every group is a singleton the graph coincides with
 //! Definition 7's (property-tested in `tests/`).
+//!
+//! ## Running one
+//!
+//! A CNF query is the union of its DNF [terms](DisjunctiveCjq::terms), each
+//! an ordinary conjunctive query. Admitted as tenants of one registry, the
+//! terms run on the one engine, and a result row of term `i` is kept only
+//! when [`DisjunctiveCjq::first_term`] names `i`, so a pair matching several
+//! terms is emitted once. Under single-attribute schemes the query is safe
+//! exactly when every term is (a cut no group guards is a term's cut;
+//! property-tested in `tests/`), so admission refuses an unsafe one. The
+//! price is state: a tuple is stored once per term that can still join it,
+//! at most `k×` for `k` terms.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::error::{CoreError, CoreResult};
 use crate::graph::DiGraph;
-use crate::query::JoinPredicate;
-use crate::schema::{Catalog, StreamId};
+use crate::query::{Cjq, JoinPredicate};
+use crate::schema::{AttrRef, Catalog, StreamId};
 use crate::scheme::SchemeSet;
+use crate::value::Value;
 
 /// One disjunctive group: `alt₁ ∨ alt₂ ∨ ...`, all between one stream pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,6 +143,48 @@ impl DisjunctiveCjq {
     /// All stream ids.
     pub fn stream_ids(&self) -> impl Iterator<Item = StreamId> {
         (0..self.catalog.len()).map(StreamId)
+    }
+
+    /// The DNF expansion: one conjunctive query per choice of one
+    /// alternative from every group, its predicates de-duplicated. Terms come
+    /// in lexicographic order of their sorted predicates, each once.
+    #[must_use]
+    pub fn terms(&self) -> Vec<Cjq> {
+        let term = |preds| Cjq::new(self.catalog.clone(), preds).expect("a term joins every pair");
+        self.term_predicates().into_iter().map(term).collect()
+    }
+
+    /// The index in [`DisjunctiveCjq::terms`] of the first term whose
+    /// predicates all hold on a row, `value` reading the row's attributes:
+    /// each predicate's sides are joinable and equal. `None` when none holds.
+    pub fn first_term(&self, value: impl Fn(AttrRef) -> Value) -> Option<usize> {
+        let holds = |p: &JoinPredicate| {
+            let left = value(p.left);
+            left.is_joinable() && left == value(p.right)
+        };
+        self.term_predicates()
+            .iter()
+            .position(|t| t.iter().all(holds))
+    }
+
+    fn term_predicates(&self) -> Vec<Vec<JoinPredicate>> {
+        let mut terms = vec![Vec::new()];
+        for g in &self.groups {
+            let pick = |t: &Vec<JoinPredicate>| {
+                g.alternatives()
+                    .iter()
+                    .map(|&p| [&t[..], &[p]].concat())
+                    .collect::<Vec<_>>()
+            };
+            terms = terms.iter().flat_map(pick).collect();
+        }
+        for t in &mut terms {
+            t.sort_unstable();
+            t.dedup();
+        }
+        terms.sort_unstable();
+        terms.dedup();
+        terms
     }
 
     fn is_connected(&self) -> bool {
@@ -330,6 +385,41 @@ mod tests {
             PunctuationScheme::on(0, &[2]).unwrap(), // a.z
         ]);
         assert!(is_query_safe(&q, &r));
+    }
+
+    #[test]
+    fn terms_share_alternatives_without_repeats() {
+        // (a.x = b.x ∨ a.y = b.y) ∧ (a.x = b.x ∨ a.z = b.z): choosing a.x = b.x
+        // twice is one predicate, and no two choices make the same term.
+        let mut cat = Catalog::new();
+        cat.add_stream(StreamSchema::new("a", ["x", "y", "z"]).unwrap());
+        cat.add_stream(StreamSchema::new("b", ["x", "y", "z"]).unwrap());
+        let [x, y, z] = [0, 1, 2].map(|c| JoinPredicate::between(0, c, 1, c).unwrap());
+        let groups = vec![
+            DisjunctiveGroup::new(vec![x, y]).unwrap(),
+            DisjunctiveGroup::new(vec![x, z]).unwrap(),
+        ];
+        let q = DisjunctiveCjq::new(cat, groups).unwrap();
+        let terms: Vec<Vec<JoinPredicate>> =
+            q.terms().iter().map(|t| t.predicates().to_vec()).collect();
+        assert_eq!(terms, vec![vec![x], vec![x, y], vec![x, z], vec![y, z]]);
+        // A row of a and b values, a's first: (x, y, z) against (x, y', z).
+        let row = [1, 2, 3, 1, 9, 3].map(Value::Int);
+        let at = |r: AttrRef| row[r.stream.0 * 3 + r.attr.0];
+        assert_eq!(q.first_term(at), Some(0));
+        let row = [1, 2, 3, 8, 2, 3].map(Value::Int);
+        let at = |r: AttrRef| row[r.stream.0 * 3 + r.attr.0];
+        assert_eq!(q.first_term(at), Some(3), "only y and z agree");
+        let row = [
+            Value::Null,
+            Value::Int(2),
+            Value::Int(3),
+            Value::Null,
+            Value::Int(2),
+            Value::Int(4),
+        ];
+        let at = |r: AttrRef| row[r.stream.0 * 3 + r.attr.0];
+        assert_eq!(q.first_term(at), None, "nulls never join");
     }
 
     #[test]

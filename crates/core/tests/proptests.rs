@@ -388,6 +388,53 @@ proptest! {
         }
     }
 
+    /// An OR-join runs as its DNF terms, each admitted as an ordinary
+    /// tenant, so it is refused exactly when the disjunctive check calls it
+    /// unsafe: the query is safe, and a stream purgeable, iff every term's is.
+    #[test]
+    fn disjunctive_safety_is_every_terms_safety(
+        arities in (1..=3usize, 1..=3usize),
+        groups in prop::collection::vec(
+            prop::collection::vec((any::<u64>(), any::<u64>()), 1..=3),
+            1..=3,
+        ),
+        punctuated in any::<u64>(),
+    ) {
+        use cjq_core::disjunctive::{self, DisjunctiveCjq, DisjunctiveGroup};
+        let mut cat = Catalog::new();
+        for (name, n) in [("a", arities.0), ("b", arities.1)] {
+            cat.add_stream(StreamSchema::new(name, (0..n).map(|c| format!("c{c}"))).unwrap());
+        }
+        let group = |alts: &Vec<(u64, u64)>| {
+            let alt = |&(x, y): &(u64, u64)| {
+                let (x, y) = (x as usize % arities.0, y as usize % arities.1);
+                JoinPredicate::between(0, x, 1, y).unwrap()
+            };
+            DisjunctiveGroup::new(alts.iter().map(alt).collect()).unwrap()
+        };
+        let dq = DisjunctiveCjq::new(cat, groups.iter().map(group).collect()).unwrap();
+        // Bit i of `punctuated`: a single-attribute scheme on the i-th attribute.
+        let attrs = (0..arities.0).map(|c| (0, c)).chain((0..arities.1).map(|c| (1, c)));
+        let schemes = SchemeSet::from_schemes(
+            attrs
+                .enumerate()
+                .filter(|(i, _)| (punctuated >> i) & 1 == 1)
+                .map(|(_, (s, c))| PunctuationScheme::on(s, &[c]).unwrap()),
+        );
+        let reports: Vec<_> = dq.terms().iter().map(|q| safety::check_query(q, &schemes)).collect();
+        let all_safe = reports.iter().all(|r| r.safe);
+        prop_assert_eq!(disjunctive::is_query_safe(&dq, &schemes), all_safe);
+        for s in dq.stream_ids() {
+            let purgeable = |r: &safety::SafetyReport| {
+                r.per_stream.iter().any(|p| p.stream == s && p.purgeable)
+            };
+            prop_assert_eq!(
+                disjunctive::stream_purgeable(&dq, &schemes, s),
+                reports.iter().all(purgeable)
+            );
+        }
+    }
+
     /// GPG reachability is monotone in the stream subset: restricting an
     /// operator to fewer streams can only remove reachable targets.
     #[test]

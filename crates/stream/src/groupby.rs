@@ -8,6 +8,13 @@
 //! Punctuations unblock it \[12\]: a punctuation whose constant attributes all
 //! map to grouping columns guarantees that the matching groups are complete,
 //! so they can be emitted and their state dropped.
+//!
+//! The same operator is punctuation-aware `DISTINCT` (the paper's §7, future
+//! work (iii)): [`GroupBy::process_tuple`] answers whether the tuple opened a
+//! group, which is a key's first occurrence. The open groups are the seen
+//! set, a group a punctuation closes is a retired key, and
+//! [`GroupBy::reads_scheme`] is the safety rule: the seen set is purgeable
+//! iff some scheme's punctuatable attributes are all grouping attributes.
 
 use std::collections::HashMap;
 
@@ -153,8 +160,9 @@ impl GroupBy {
         self.groups.len()
     }
 
-    /// Consumes one input tuple.
-    pub fn process_tuple(&mut self, values: &[Value]) {
+    /// Consumes one input tuple. Returns whether it opened a group: the
+    /// first occurrence of its key since the key's group last closed.
+    pub fn process_tuple(&mut self, values: &[Value]) -> bool {
         self.stats.tuples_in += 1;
         let key: Vec<Value> = self.group_cols.iter().map(|&c| values[c]).collect();
         let g = self.groups.entry(key).or_default();
@@ -166,6 +174,7 @@ impl GroupBy {
                 g.max = Some(g.max.map_or(*v, |m| m.max(*v)));
             }
         }
+        g.count == 1
     }
 
     /// Width of the emitted aggregate rows: grouping columns plus one
@@ -375,6 +384,7 @@ mod tests {
     use super::*;
     use cjq_core::fixtures;
     use cjq_core::schema::{AttrId, StreamId};
+    use cjq_core::scheme::PunctuationScheme;
 
     fn ival(v: i64) -> Value {
         Value::Int(v)
@@ -540,6 +550,102 @@ mod tests {
         g.process_tuple(&joined(1, 5));
         let p = Punctuation::with_constants(StreamId(1), 3, &[]);
         assert!(g.process_punctuation(&p).is_empty());
+    }
+
+    /// DISTINCT(bidderid, itemid) over bid(bidderid, itemid, increase): a
+    /// group-by on the key with no join around it.
+    fn distinct() -> GroupBy {
+        let (q, _) = fixtures::auction();
+        let layout = SpanLayout::new(q.catalog(), &[StreamId(1)]);
+        let key = [AttrRef::new(1, 0), AttrRef::new(1, 1)];
+        GroupBy::new(layout, &key, Aggregate::Count)
+    }
+
+    fn bid(bidder: i64, item: i64, increase: i64) -> [Value; 3] {
+        [ival(bidder), ival(item), ival(increase)]
+    }
+
+    /// Whether some scheme of `schemes` on bid can retire a DISTINCT key.
+    fn distinct_safe(g: &GroupBy, schemes: &[PunctuationScheme]) -> bool {
+        schemes.iter().any(|s| g.reads_scheme(s))
+    }
+
+    #[test]
+    fn distinct_suppresses_duplicates() {
+        let mut d = distinct();
+        assert!(d.process_tuple(&bid(3, 1, 5)));
+        assert!(!d.process_tuple(&bid(3, 1, 9)), "same key");
+        assert!(d.process_tuple(&bid(4, 1, 5)), "new bidder");
+        assert_eq!(d.open_groups(), 2);
+    }
+
+    #[test]
+    fn distinct_key_subset_schemes_retire_keys() {
+        // A scheme on itemid, a key attribute: closing item 1 retires every
+        // (bidder, 1) key.
+        let mut d = distinct();
+        assert!(distinct_safe(
+            &d,
+            &[PunctuationScheme::on(1, &[1]).unwrap()]
+        ));
+        d.process_tuple(&bid(3, 1, 5));
+        d.process_tuple(&bid(4, 1, 5));
+        d.process_tuple(&bid(3, 2, 5));
+        let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(1))]);
+        assert_eq!(d.process_punctuation(&p).len(), 2);
+        assert_eq!(d.open_groups(), 1);
+        assert_eq!(d.stats.closed_by_punctuation, 2);
+        assert!(!d.process_tuple(&bid(3, 2, 7)), "item 2 is still open");
+    }
+
+    #[test]
+    fn distinct_non_key_schemes_cannot_retire() {
+        // A scheme on increase, not a key attribute: a punctuation with a
+        // constant increase says nothing about future (bidder, item) pairs.
+        let mut d = distinct();
+        let schemes = [PunctuationScheme::on(1, &[2]).unwrap()];
+        assert!(!distinct_safe(&d, &schemes), "no scheme within the key");
+        d.process_tuple(&bid(3, 1, 5));
+        let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(2), ival(5))]);
+        assert!(d.process_punctuation(&p).is_empty());
+        assert_eq!(d.open_groups(), 1);
+    }
+
+    #[test]
+    fn distinct_multi_attribute_key_scheme() {
+        // A scheme on (bidderid, itemid): exactly the key.
+        let mut d = distinct();
+        assert!(distinct_safe(
+            &d,
+            &[PunctuationScheme::on(1, &[0, 1]).unwrap()]
+        ));
+        d.process_tuple(&bid(3, 1, 5));
+        d.process_tuple(&bid(4, 1, 5));
+        let consts = [(AttrId(0), ival(3)), (AttrId(1), ival(1))];
+        let p = Punctuation::with_constants(StreamId(1), 3, &consts);
+        assert_eq!(d.process_punctuation(&p).len(), 1);
+        assert_eq!(d.open_groups(), 1);
+    }
+
+    #[test]
+    fn distinct_is_bounded_under_a_punctuated_feed() {
+        let mut d = distinct();
+        let (mut peak, mut emitted, mut suppressed) = (0, 0, 0);
+        for item in 0..100i64 {
+            for bidder in 0..5i64 {
+                for increase in [1, 2] {
+                    let first = d.process_tuple(&bid(bidder, item, increase));
+                    (emitted, suppressed) =
+                        (emitted + u32::from(first), suppressed + u32::from(!first));
+                }
+            }
+            peak = peak.max(d.open_groups());
+            let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(item))]);
+            d.process_punctuation(&p);
+        }
+        assert_eq!(d.open_groups(), 0);
+        assert_eq!(peak, 5, "one open item at a time");
+        assert_eq!((emitted, suppressed), (500, 500));
     }
 
     #[test]

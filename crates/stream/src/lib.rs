@@ -10,7 +10,8 @@
 //!   by the [`purge::PurgeEngine`], under either the per-operator (plan-
 //!   dependent) or the query-level (plan-independent) model of §2.4;
 //! * punctuation-unblocked group-by ([`groupby`]) for the paper's Example 1,
-//!   and punctuation-aware duplicate elimination ([`distinct`]);
+//!   which is also punctuation-aware duplicate elimination: a tuple that
+//!   opens a group is a DISTINCT's first occurrence;
 //! * an [`exec::Executor`] that compiles a [`cjq_core::plan::Plan`] into an
 //!   operator tree and reports state-size time series ([`metrics`]) — the
 //!   observable form of the paper's bounded-state safety guarantee;
@@ -45,8 +46,6 @@
 mod arena;
 pub mod certify;
 pub mod checkpoint;
-pub mod disjoin;
-pub mod distinct;
 pub mod element;
 pub mod error;
 pub mod exec;
@@ -73,7 +72,6 @@ pub use pipeline::Engine;
 /// Convenient re-exports of the most common types.
 pub mod prelude {
     pub use crate::checkpoint::{CheckpointStore, InputCursor};
-    pub use crate::distinct::Distinct;
     pub use crate::element::StreamElement;
     pub use crate::error::{ExecError, ExecResult};
     pub use crate::exec::{

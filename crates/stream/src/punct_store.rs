@@ -111,16 +111,17 @@ pub struct PunctStore {
 
 impl PunctStore {
     /// Creates a store for `stream`, registering the schemes `ℜ` declares for
-    /// it. `lifespan` enables §5.1 expiry: entries older than this many
-    /// sequence ticks are dropped by [`PunctStore::expire`].
+    /// it, none of them read yet ([`PunctStore::read`]). `lifespan` enables
+    /// §5.1 expiry: entries older than this many sequence ticks are dropped
+    /// by [`PunctStore::expire`].
     #[must_use]
-    pub fn new(stream: StreamId, schemes: &SchemeSet, lifespan: Option<u64>) -> Self {
+    pub(crate) fn new(stream: StreamId, schemes: &SchemeSet, lifespan: Option<u64>) -> Self {
         let schemes: Vec<PunctuationScheme> = schemes.for_stream(stream).cloned().collect();
         let entries = vec![FxHashMap::default(); schemes.len()];
         let thresholds = vec![None; schemes.len()];
         PunctStore {
             stream,
-            readers: vec![1; schemes.len()],
+            readers: vec![0; schemes.len()],
             schemes,
             entries,
             thresholds,
@@ -157,13 +158,6 @@ impl PunctStore {
         for (_, n) in counts.filter(|(s, _)| reads(s)) {
             *n = if add { *n + 1 } else { *n - 1 };
         }
-    }
-
-    /// Starts every scheme at no reader; a store on its own reads them all.
-    #[must_use]
-    pub(crate) fn unread(mut self) -> Self {
-        self.readers.fill(0);
-        self
     }
 
     /// Classifies `p` against the store's current coverage without changing
@@ -530,7 +524,15 @@ mod tests {
             PunctuationScheme::on(1, &[1]).unwrap(),
             PunctuationScheme::on(1, &[0, 1]).unwrap(),
         ]);
-        PunctStore::new(StreamId(1), &schemes, lifespan)
+        reading(&schemes, lifespan)
+    }
+
+    /// A store on bid whose every scheme has a reader, as the engine's
+    /// stores have once a tenant reads them.
+    fn reading(schemes: &SchemeSet, lifespan: Option<u64>) -> PunctStore {
+        let mut store = PunctStore::new(StreamId(1), schemes, lifespan);
+        store.read(|_| true, true);
+        store
     }
 
     fn punct(consts: &[(usize, i64)]) -> Punctuation {
@@ -611,7 +613,7 @@ mod tests {
         let schemes = SchemeSet::from_schemes([
             PunctuationScheme::ordered_on(1, 1).unwrap(), // bid.itemid, ordered
         ]);
-        let mut store = PunctStore::new(StreamId(1), &schemes, None);
+        let mut store = reading(&schemes, None);
         for bound in [5i64, 3, 9] {
             // Out-of-order heartbeats: the threshold only advances.
             let hb = Punctuation::heartbeat(StreamId(1), 3, AttrId(1), Value::Int(bound));
@@ -631,7 +633,7 @@ mod tests {
     #[test]
     fn ordered_thresholds_expire_with_lifespans() {
         let schemes = SchemeSet::from_schemes([PunctuationScheme::ordered_on(1, 1).unwrap()]);
-        let mut store = PunctStore::new(StreamId(1), &schemes, Some(10));
+        let mut store = reading(&schemes, Some(10));
         store.insert(
             &Punctuation::heartbeat(StreamId(1), 3, AttrId(1), Value::Int(5)),
             0,
@@ -678,7 +680,7 @@ mod tests {
     #[test]
     fn delta_log_tracks_threshold_advances() {
         let schemes = SchemeSet::from_schemes([PunctuationScheme::ordered_on(1, 1).unwrap()]);
-        let mut store = PunctStore::new(StreamId(1), &schemes, None);
+        let mut store = reading(&schemes, None);
         for bound in [5i64, 3, 9] {
             let hb = Punctuation::heartbeat(StreamId(1), 3, AttrId(1), Value::Int(bound));
             store.insert(&hb, 0);
@@ -713,7 +715,7 @@ mod tests {
         assert_eq!(store.classify(&punct(&[(2, 5)])), PunctClass::Fresh);
 
         let schemes = SchemeSet::from_schemes([PunctuationScheme::ordered_on(1, 1).unwrap()]);
-        let mut ordered = PunctStore::new(StreamId(1), &schemes, None);
+        let mut ordered = reading(&schemes, None);
         let hb = |b: i64| Punctuation::heartbeat(StreamId(1), 3, AttrId(1), Value::Int(b));
         assert_eq!(ordered.classify(&hb(5)), PunctClass::Fresh);
         ordered.insert(&hb(5), 0);

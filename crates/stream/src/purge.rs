@@ -836,7 +836,7 @@ impl PurgeEngine {
             .collect();
         let puncts: Vec<PunctStore> = all
             .iter()
-            .map(|&s| PunctStore::new(s, schemes, lifespan).unread())
+            .map(|&s| PunctStore::new(s, schemes, lifespan))
             .collect();
         PurgeEngine {
             meets: all.iter().map(|_| StreamMeet::default()).collect(),

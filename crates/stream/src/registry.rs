@@ -641,7 +641,9 @@ impl QueryRegistry {
                 continue;
             }
             if let Some(group) = &mut q.group {
-                out.rows().for_each(|row| group.by.process_tuple(row));
+                out.rows().for_each(|row| {
+                    group.by.process_tuple(row);
+                });
             }
             q.stats.outputs += out.len() as u64;
             self.core.metrics.outputs += out.len() as u64;

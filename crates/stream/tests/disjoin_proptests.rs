@@ -1,58 +1,65 @@
-//! Property tests for the disjunctive join extension: semantics against a
-//! nested-loop reference and purge soundness against a purge-free run.
+//! Property tests for disjunctive joins, which run on the one engine as the
+//! union of their conjunctive terms: every term of
+//! [`DisjunctiveCjq::terms`] is a tenant of one registry, and a term's row is
+//! kept only when [`DisjunctiveCjq::first_term`] names that term. Checked
+//! against a nested-loop reference, and purging against a purge-free run.
 
 use proptest::prelude::*;
 
 use cjq_core::disjunctive::{DisjunctiveCjq, DisjunctiveGroup};
+use cjq_core::plan::Plan;
 use cjq_core::punctuation::Punctuation;
 use cjq_core::query::JoinPredicate;
-use cjq_core::schema::{AttrId, Catalog, StreamId, StreamSchema};
+use cjq_core::schema::{AttrId, AttrRef, Catalog, StreamId, StreamSchema};
 use cjq_core::scheme::{PunctuationScheme, SchemeSet};
 use cjq_core::value::Value;
-use cjq_stream::disjoin::DisjunctiveJoin;
+use cjq_stream::element::StreamElement;
+use cjq_stream::exec::ExecConfig;
+use cjq_stream::registry::{QueryId, QueryRegistry};
+use cjq_stream::source::Feed;
 use cjq_stream::tuple::Tuple;
+use cjq_stream::Engine;
 
-/// a(x, y) OR-joined with b(x, y), schemes on both attributes of both sides.
-fn or_query() -> (DisjunctiveCjq, SchemeSet) {
+/// Two streams of two attributes OR-joined on either attribute; `names`
+/// are the streams', then the attributes'.
+fn or_query(names: [&str; 4]) -> DisjunctiveCjq {
     let mut cat = Catalog::new();
-    cat.add_stream(StreamSchema::new("a", ["x", "y"]).unwrap());
-    cat.add_stream(StreamSchema::new("b", ["x", "y"]).unwrap());
+    cat.add_stream(StreamSchema::new(names[0], [names[2], names[3]]).unwrap());
+    cat.add_stream(StreamSchema::new(names[1], [names[2], names[3]]).unwrap());
     let group = DisjunctiveGroup::new(vec![
         JoinPredicate::between(0, 0, 1, 0).unwrap(),
         JoinPredicate::between(0, 1, 1, 1).unwrap(),
     ])
     .unwrap();
-    let q = DisjunctiveCjq::new(cat, vec![group]).unwrap();
-    let r = SchemeSet::from_schemes([
-        PunctuationScheme::on(0, &[0]).unwrap(),
-        PunctuationScheme::on(0, &[1]).unwrap(),
-        PunctuationScheme::on(1, &[0]).unwrap(),
-        PunctuationScheme::on(1, &[1]).unwrap(),
-    ]);
-    (q, r)
+    DisjunctiveCjq::new(cat, vec![group]).unwrap()
 }
 
-/// One feed action: tuple or punctuation, derived from raw seeds, kept
-/// punctuation-consistent (per-attribute dead-value sets).
-#[derive(Debug, Clone)]
-enum Action {
-    Tuple(Tuple),
-    Punct(Punctuation),
+/// Schemes on both attributes of both sides: every term is safe.
+fn every_attribute() -> SchemeSet {
+    let on = |s, a| PunctuationScheme::on(s, &[a]).unwrap();
+    SchemeSet::from_schemes([on(0, 0), on(0, 1), on(1, 0), on(1, 1)])
 }
 
-fn build_actions(seeds: &[(u8, u64)], domain: i64) -> Vec<Action> {
-    // dead[stream][attr] = punctuated values.
-    let mut dead = [
-        [
-            std::collections::HashSet::new(),
-            std::collections::HashSet::new(),
-        ],
-        [
-            std::collections::HashSet::new(),
-            std::collections::HashSet::new(),
-        ],
-    ];
-    let mut out = Vec::new();
+/// One registry with every term of `q` admitted, in order.
+fn admit_terms(q: &DisjunctiveCjq, schemes: &SchemeSet) -> QueryRegistry {
+    let mut reg = QueryRegistry::new(schemes.clone(), ExecConfig::default());
+    for term in q.terms() {
+        reg.try_admit(&term, &Plan::mjoin_all(&term), None).unwrap();
+    }
+    reg
+}
+
+/// Whether `row`, emitted by term `i` over two streams of one arity, is the
+/// OR-join's: `i` is the first term the row satisfies.
+fn kept(q: &DisjunctiveCjq, i: usize, row: &[Value]) -> bool {
+    q.first_term(|r: AttrRef| row[r.stream.0 * row.len() / 2 + r.attr.0]) == Some(i)
+}
+
+/// Builds a punctuation-consistent feed from raw seeds (per-attribute
+/// dead-value sets), with or without its punctuations.
+fn build_feed(seeds: &[(u8, u64)], domain: i64, with_punctuations: bool) -> Feed {
+    let mut dead = vec![vec![std::collections::HashSet::new(); 2]; 2];
+    let mut feed = Feed::new();
     let mut state = 0xA5A5_5A5A_1234_5678u64;
     let mut next = |seed: u64| {
         state = state
@@ -67,43 +74,35 @@ fn build_actions(seeds: &[(u8, u64)], domain: i64) -> Vec<Action> {
             let attr = (next(seed) % 2) as usize;
             let v = (next(seed) % domain as u64) as i64;
             dead[stream][attr].insert(v);
-            out.push(Action::Punct(Punctuation::with_constants(
-                StreamId(stream),
-                2,
-                &[(AttrId(attr), Value::Int(v))],
-            )));
-        } else {
-            'attempt: for _ in 0..8 {
-                let x = (next(seed) % domain as u64) as i64;
-                let y = (next(seed) % domain as u64) as i64;
-                if dead[stream][0].contains(&x) || dead[stream][1].contains(&y) {
-                    continue 'attempt;
-                }
-                out.push(Action::Tuple(Tuple::of(
-                    stream,
-                    [Value::Int(x), Value::Int(y)],
-                )));
+            if with_punctuations {
+                let consts = [(AttrId(attr), Value::Int(v))];
+                feed.push(Punctuation::with_constants(StreamId(stream), 2, &consts));
+            }
+            continue;
+        }
+        for _ in 0..8 {
+            let x = (next(seed) % domain as u64) as i64;
+            let y = (next(seed) % domain as u64) as i64;
+            if !dead[stream][0].contains(&x) && !dead[stream][1].contains(&y) {
+                feed.push(Tuple::of(stream, [Value::Int(x), Value::Int(y)]));
                 break;
             }
         }
     }
-    out
+    feed
 }
 
-fn run(actions: &[Action], with_punctuations: bool) -> Vec<Vec<Value>> {
-    let (q, r) = or_query();
-    let mut j = DisjunctiveJoin::new(&q, &r);
-    let mut outputs = Vec::new();
-    for (i, a) in actions.iter().enumerate() {
-        match a {
-            Action::Tuple(t) => outputs.extend(j.process_tuple(t)),
-            Action::Punct(p) => {
-                if with_punctuations {
-                    j.process_punctuation(p, i as u64);
-                }
-            }
-        }
-    }
+/// The OR-join's result multiset over `feed`, sorted.
+fn run(feed: &Feed) -> Vec<Vec<Value>> {
+    let q = &or_query(["a", "b", "x", "y"]);
+    let result = admit_terms(q, &every_attribute()).run(feed);
+    let mut outputs: Vec<Vec<Value>> = result
+        .queries
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| t.outputs.iter().filter(move |row| kept(q, i, row)))
+        .cloned()
+        .collect();
     outputs.sort();
     outputs
 }
@@ -117,40 +116,105 @@ proptest! {
         seeds in prop::collection::vec((any::<u8>(), any::<u64>()), 1..120),
         domain in 2i64..6,
     ) {
-        let actions = build_actions(&seeds, domain);
-        let purged = run(&actions, true);
-        let baseline = run(&actions, false);
+        let purged = run(&build_feed(&seeds, domain, true));
+        let baseline = run(&build_feed(&seeds, domain, false));
         prop_assert_eq!(purged, baseline);
     }
 
-    /// The streamed OR-join matches a naive nested-loop evaluation.
+    /// The OR-join of the terms matches a naive nested-loop evaluation.
     #[test]
     fn disjunctive_join_matches_reference(
         seeds in prop::collection::vec((any::<u8>(), any::<u64>()), 1..100),
         domain in 2i64..6,
     ) {
-        let actions = build_actions(&seeds, domain);
-        let streamed = run(&actions, false);
-
-        let lefts: Vec<&Tuple> = actions.iter().filter_map(|a| match a {
-            Action::Tuple(t) if t.stream == StreamId(0) => Some(t),
-            _ => None,
-        }).collect();
-        let rights: Vec<&Tuple> = actions.iter().filter_map(|a| match a {
-            Action::Tuple(t) if t.stream == StreamId(1) => Some(t),
-            _ => None,
-        }).collect();
+        let feed = build_feed(&seeds, domain, false);
+        let side = |s: usize| -> Vec<&Tuple> {
+            let tuples = feed.elements().iter().filter_map(StreamElement::as_tuple);
+            tuples.filter(|t| t.stream == StreamId(s)).collect()
+        };
         let mut reference = Vec::new();
-        for l in &lefts {
-            for r in &rights {
+        for l in side(0) {
+            for r in side(1) {
                 if l.values[0] == r.values[0] || l.values[1] == r.values[1] {
-                    let mut row = l.values.clone();
-                    row.extend_from_slice(&r.values);
-                    reference.push(row);
+                    reference.push([&l.values[..], &r.values[..]].concat());
                 }
             }
         }
         reference.sort();
-        prop_assert_eq!(streamed, reference);
+        prop_assert_eq!(run(&feed), reference);
     }
+}
+
+/// `examples/extensions.rs`'s claim: a login is stored once per term, and a
+/// punctuation closing one alternative purges it from that term only.
+#[test]
+fn a_row_leaves_each_term_when_that_terms_alternative_closes() {
+    let q = or_query(["login", "alert", "device", "session"]);
+    let mut reg = admit_terms(&q, &every_attribute());
+    let (device, session) = (QueryId(0), QueryId(1));
+    let ival = Value::Int;
+    let push = |reg: &mut QueryRegistry, e: StreamElement| {
+        reg.try_push(&e).unwrap();
+        reg.purge_cycle();
+    };
+    push(&mut reg, Tuple::of(0, [ival(7), ival(100)]).into());
+    push(&mut reg, Tuple::of(1, [ival(7), ival(999)]).into());
+    assert_eq!(reg.outputs(device).unwrap().len(), 1, "a match via device");
+    assert!(reg.outputs(session).unwrap().is_empty());
+    assert_eq!(reg.join_state_live(), 4, "each tuple in each term");
+    let close = |attr, v| Punctuation::with_constants(StreamId(1), 2, &[(AttrId(attr), ival(v))]);
+    let purged = |reg: &QueryRegistry| [device, session].map(|t| reg.stats(t).unwrap().purged);
+    let login_mirror = |reg: &QueryRegistry| {
+        let mirror = reg.engine().unwrap().mirror_state(StreamId(0));
+        mirror
+            .iter_live()
+            .map(|(_, row)| row.to_vec())
+            .collect::<Vec<_>>()
+    };
+
+    // No alert with device 7 is coming: the device term drops the login,
+    // the session term still waits for an alert with session 100.
+    push(&mut reg, close(0, 7).into());
+    assert_eq!(purged(&reg), [1, 0]);
+    assert_eq!(reg.join_state_live(), 3);
+    assert_eq!(login_mirror(&reg), [vec![ival(7), ival(100)]]);
+
+    // Nor one with session 100: the login is live in no term.
+    push(&mut reg, close(1, 100).into());
+    assert_eq!(purged(&reg), [1, 1]);
+    assert_eq!(reg.join_state_live(), 2, "the alert, once per term");
+    assert!(login_mirror(&reg).is_empty());
+}
+
+/// `(x = x ∨ y = y) ∧ z = z` runs as the terms `x ∧ z` and `y ∧ z`: a pair
+/// must agree on z, and a punctuation on z alone purges a row from both.
+#[test]
+fn cnf_groups_join_conjunctively() {
+    let mut cat = Catalog::new();
+    for name in ["a", "b"] {
+        cat.add_stream(StreamSchema::new(name, ["x", "y", "z"]).unwrap());
+    }
+    let [x, y, z] = [0, 1, 2].map(|c| JoinPredicate::between(0, c, 1, c).unwrap());
+    let groups = [vec![x, y], vec![z]].map(|alts| DisjunctiveGroup::new(alts).unwrap());
+    let q = DisjunctiveCjq::new(cat, groups.to_vec()).unwrap();
+    let on = |s| PunctuationScheme::on(s, &[2]).unwrap();
+    let mut reg = admit_terms(&q, &SchemeSet::from_schemes([on(0), on(1)]));
+    let tuple = |s, vals: [i64; 3]| Tuple::of(s, vals.map(Value::Int)).into();
+    // x agrees but z does not; then y and z agree.
+    for e in [
+        tuple(0, [1, 2, 5]),
+        tuple(1, [1, 9, 6]),
+        tuple(1, [8, 2, 5]),
+    ] {
+        reg.try_push(&e).unwrap();
+    }
+    let (xz, yz) = (QueryId(0), QueryId(1));
+    assert!(reg.outputs(xz).unwrap().is_empty());
+    let rows = reg.outputs(yz).unwrap();
+    assert_eq!(rows.len(), 1);
+    assert!(kept(&q, 1, &rows[0]));
+    let z5 = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(2), Value::Int(5))]);
+    reg.try_push(&z5.into()).unwrap();
+    reg.purge_cycle();
+    assert_eq!([xz, yz].map(|t| reg.stats(t).unwrap().purged), [1, 1]);
 }

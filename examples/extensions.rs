@@ -1,10 +1,11 @@
 //! Beyond the paper's core results: the §7 future-work directions this
-//! library implements.
+//! library implements, on the one engine.
 //!
-//! * **Disjunctive join predicates** (future work ii): safety checking and a
-//!   runtime join for `A.x = B.x ∨ A.y = B.y`-style predicates.
+//! * **Disjunctive join predicates** (future work ii): safety checking for
+//!   `A.x = B.x ∨ A.y = B.y`-style predicates, and a runtime that admits the
+//!   query's conjunctive terms into one `QueryRegistry`.
 //! * **Other stateful operators** (future work iii): punctuation-aware
-//!   duplicate elimination.
+//!   duplicate elimination, which is a `GroupBy` on the key.
 //! * **Window semantics** (related work [3, 7]): the baseline the paper
 //!   contrasts punctuations against, with the memory/completeness trade-off.
 //!
@@ -14,9 +15,11 @@
 
 use punctuated_cjq::core::disjunctive::{self, DisjunctiveCjq, DisjunctiveGroup};
 use punctuated_cjq::core::prelude::*;
-use punctuated_cjq::stream::disjoin::DisjunctiveJoin;
-use punctuated_cjq::stream::distinct::Distinct;
+use punctuated_cjq::stream::element::StreamElement;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence};
+use punctuated_cjq::stream::groupby::{Aggregate, GroupBy};
+use punctuated_cjq::stream::layout::SpanLayout;
+use punctuated_cjq::stream::registry::{QueryId, QueryRegistry};
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tuple::Tuple;
 use punctuated_cjq::stream::Engine;
@@ -59,46 +62,65 @@ fn disjunctive_demo() {
         disjunctive::is_query_safe(&query, &full)
     );
 
-    // Runtime: the OR-join purges a tuple once BOTH alternatives are closed.
-    let mut join = DisjunctiveJoin::new(&query, &full);
-    join.process_tuple(&Tuple::of(0, [ival(7), ival(100)]));
-    let out = join.process_tuple(&Tuple::of(1, [ival(7), ival(999)])); // via device
-    println!("match via device alternative: {} result(s)", out.len());
-    join.process_punctuation(
-        &Punctuation::with_constants(StreamId(1), 2, &[(AttrId(0), ival(7))]),
-        0,
-    );
+    // Runtime: each conjunctive term is a tenant of one registry, and a
+    // term's row counts only when it is the first term the row satisfies.
+    let mut reg = QueryRegistry::new(full, ExecConfig::default());
+    let terms = query.terms();
+    for term in &terms {
+        reg.try_admit(term, &Plan::mjoin_all(term), None).unwrap();
+    }
+    let push = |reg: &mut QueryRegistry, e: StreamElement| {
+        reg.try_push(&e).unwrap();
+        reg.purge_cycle();
+    };
+    push(&mut reg, Tuple::of(0, [ival(7), ival(100)]).into());
+    push(&mut reg, Tuple::of(1, [ival(7), ival(999)]).into()); // via device
+    let first =
+        |i: usize, row: &[Value]| query.first_term(|r| row[2 * r.stream.0 + r.attr.0]) == Some(i);
+    let rows = |i| reg.outputs(QueryId(i)).unwrap().iter();
+    let results: usize = (0..terms.len())
+        .map(|i| rows(i).filter(|row| first(i, row)).count())
+        .sum();
+    println!("match via device alternative: {results} result(s)");
+    let logins = |reg: &QueryRegistry| reg.engine().unwrap().mirror_state(StreamId(0)).live();
+    let close = |attr, v| Punctuation::with_constants(StreamId(1), 2, &[(AttrId(attr), ival(v))]);
+    push(&mut reg, close(0, 7).into());
     println!(
-        "after device=7 punctuation: live = {} (session alt still open)",
-        join.live()
+        "after device=7 punctuation: live logins = {} (the session term still holds it)",
+        logins(&reg)
     );
-    join.process_punctuation(
-        &Punctuation::with_constants(StreamId(1), 2, &[(AttrId(1), ival(100))]),
-        1,
-    );
+    push(&mut reg, close(1, 100).into());
     println!(
-        "after session=100 punctuation: live = {} (purged)",
-        join.live()
+        "after session=100 punctuation: live logins = {} (purged from every term)",
+        logins(&reg)
     );
     println!();
 }
 
 fn distinct_demo() {
     println!("--- punctuation-aware DISTINCT (future work iii) ---");
-    // Distinct bidders per item; itemid punctuations retire closed auctions.
-    let schemes = SchemeSet::from_schemes([PunctuationScheme::on(1, &[1]).unwrap()]);
-    let mut d = Distinct::new(StreamId(1), &[AttrId(0), AttrId(1)], &schemes);
+    // Distinct bidders per item: a group-by on (bidderid, itemid) whose
+    // opened groups are the first occurrences; itemid punctuations close
+    // (retire) the groups of finished auctions.
+    let (q, _) = punctuated_cjq::core::fixtures::auction();
+    let layout = SpanLayout::new(q.catalog(), &[StreamId(1)]);
+    let key = [AttrRef::new(1, 0), AttrRef::new(1, 1)];
+    let mut d = GroupBy::new(layout, &key, Aggregate::Count);
     println!(
         "DISTINCT(bidderid, itemid) safe under itemid punctuations: {}",
-        d.is_safe()
+        d.reads_scheme(&PunctuationScheme::on(1, &[1]).unwrap())
     );
-    let mut peak = 0;
+    let (mut peak, mut emitted, mut suppressed) = (0, 0, 0);
     for item in 0..1000i64 {
         for bidder in 0..3 {
-            d.process_tuple(&[ival(bidder), ival(item), ival(1)]);
-            d.process_tuple(&[ival(bidder), ival(item), ival(2)]); // duplicate key
+            for increase in [1, 2] {
+                // The second increase repeats the key.
+                let first = d.process_tuple(&[ival(bidder), ival(item), ival(increase)]);
+                (emitted, suppressed) =
+                    (emitted + u32::from(first), suppressed + u32::from(!first));
+            }
         }
-        peak = peak.max(d.state_size());
+        peak = peak.max(d.open_groups());
         d.process_punctuation(&Punctuation::with_constants(
             StreamId(1),
             3,
@@ -106,11 +128,8 @@ fn distinct_demo() {
         ));
     }
     println!(
-        "6000 tuples: {} emitted, {} suppressed, peak seen-set {} (bounded), final {}",
-        d.stats.emitted,
-        d.stats.suppressed,
-        peak,
-        d.state_size()
+        "6000 tuples: {emitted} emitted, {suppressed} suppressed, peak seen-set {peak} (bounded), final {}",
+        d.open_groups()
     );
     println!();
 }

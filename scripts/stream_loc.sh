@@ -6,7 +6,7 @@
 # reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=11835
+CEILING=11491
 
 cd "$(dirname "$0")/.."
 total=0
@@ -100,6 +100,21 @@ if awk '/^pub enum SnapshotKind/{on=1} on{print} on&&/^}/{exit}' crates/stream/s
     echo "SnapshotKind has an Exec variant again: an executor's snapshot is its registry's" >&2
     status=1
 fi
+
+# State has one owner: rows live in arena ports and the engine's mirrors,
+# punctuations in the engine's stores. A store built outside purge.rs, or a
+# port state outside join.rs and purge.rs, is an operator keeping rows or
+# punctuations beside the engine again (as distinct.rs and disjoin.rs did).
+for pair in 'purge.rs:PunctStore::new(' 'join.rs purge.rs:PortState::new('; do
+    homes=${pair%%:*} call=${pair#*:}
+    for f in crates/stream/src/*.rs; do
+        case " $homes " in *" ${f##*/} "*) continue ;; esac
+        if awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -v '^ *//' | grep -qF "$call"; then
+            echo "$call is called in $f: state has one owner ($homes)" >&2
+            status=1
+        fi
+    done
+done
 
 # One sharded plane: `parallel::Sharded<E>` wraps any engine, and its threaded
 # run is the one call of `fan_out`. A second call site, or one of the three

@@ -8,6 +8,7 @@
 //! forged frames and lag weights (a resume over the wrong recipes) are
 //! checked here.
 
+use punctuated_cjq::core::disjunctive::{DisjunctiveCjq, DisjunctiveGroup};
 use punctuated_cjq::core::plan::Plan;
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::checkpoint::{
@@ -329,6 +330,42 @@ fn sharded_registry_resumes_byte_identically() {
         let _ = std::fs::remove_dir_all(&dir);
         let recovered = recovered.unwrap_or_else(|e| panic!("verify {on} -> {}: {e}", !on));
         assert_same(&format!("verify {on}"), &golden, &unverified(recovered));
+    }
+}
+
+/// A disjunctive join runs as its conjunctive terms, each a tenant of one
+/// registry (`DisjunctiveCjq::terms`), so it checkpoints and resumes as any
+/// registry does.
+#[test]
+fn an_or_join_registry_of_terms_resumes_byte_identically() {
+    let mut cat = Catalog::new();
+    for name in ["login", "alert"] {
+        cat.add_stream(StreamSchema::new(name, ["device", "session"]).unwrap());
+    }
+    let alts = [0, 1].map(|a| JoinPredicate::between(0, a, 1, a).unwrap());
+    let group = DisjunctiveGroup::new(alts.to_vec()).unwrap();
+    let or_join = DisjunctiveCjq::new(cat, vec![group]).unwrap();
+    let on = |s, a| PunctuationScheme::on(s, &[a]).unwrap();
+    let schemes = SchemeSet::from_schemes([on(0, 0), on(0, 1), on(1, 0), on(1, 1)]);
+    let terms = or_join.terms().into_iter();
+    let specs: Vec<(Cjq, Plan)> = terms
+        .map(|t| (Plan::mjoin_all(&t), t))
+        .map(|(p, t)| (t, p))
+        .collect();
+    assert_eq!(specs.len(), 2);
+    let feed = chaos_feed(&keyed_feed(&(specs[0].0.clone(), schemes.clone()), 40, 2));
+    let (every, build) = (29, readmitting(&schemes, ExecConfig::default(), &specs));
+    let golden = resume(0, every, &feed, &build, true);
+    assert!(golden.metrics.checkpoints_written > 1);
+    assert!(golden
+        .queries
+        .iter()
+        .all(|q| q.stats.outputs > 0 && q.stats.purged > 0));
+    // Commits wait for a punctuation: the first lands past element 30.
+    for crash_after in [feed.len() / 3, feed.len() / 2, feed.len() - 1] {
+        let recovered = resume(crash_after, every, &feed, &build, false);
+        assert_eq!(recovered.metrics.restores, 1, "crash@{crash_after}");
+        assert_same(&format!("crash@{crash_after}"), &golden, &recovered);
     }
 }
 
