@@ -103,7 +103,7 @@ pub fn figure3() -> String {
     format!(
         "Figure 3 (chained purge): recipe for S1 = guard S2 via S2.B, then S3 via \
          S3.C from S2's joinable set; S2/S3 unpurgeable  [OK]\n{}",
-        recipe.explain(&q)
+        recipe.explain(&q, &r)
     )
 }
 

@@ -69,9 +69,12 @@ impl PurgeRecipe {
         out
     }
 
-    /// Human-readable rendering using catalog names (for reports/examples).
+    /// Human-readable rendering using catalog names (for reports/examples),
+    /// each step followed by how the engine pays for it ([`StepClass`], as
+    /// [`compile`] finds it): `own key`, `own key, pinned to S.a`, `via S.a`
+    /// or `full scan`.
     #[must_use]
-    pub fn explain(&self, query: &Cjq) -> String {
+    pub fn explain(&self, query: &Cjq, schemes: &SchemeSet) -> String {
         let cat = query.catalog();
         let name = |s: StreamId| {
             cat.schema(s)
@@ -82,9 +85,20 @@ impl PurgeRecipe {
                 .and_then(|sc| sc.attr_name(a))
                 .map_or_else(|| format!("#{}", a.0), str::to_owned)
         };
+        let col = |&(s, a): &(StreamId, usize)| format!("{}.{}", name(s), attr(s, AttrId(a)));
+        let class = |c: &StepClass| match c {
+            StepClass::Rooted { direct: true, .. } => "own key".to_owned(),
+            StepClass::Rooted { key, .. } => {
+                let key: Vec<String> = key.iter().map(col).collect();
+                format!("own key, pinned to {}", key.join(", "))
+            }
+            StepClass::Chained { src, col: c, .. } => format!("via {}", col(&(*src, *c))),
+            StepClass::Opaque => "full scan".to_owned(),
+        };
+        let compiled = compile(query, schemes, self);
         let roots: Vec<String> = self.roots.iter().map(|&s| name(s)).collect();
         let mut out = format!("purge recipe for tuples of {}:\n", roots.join("+"));
-        for (i, step) in self.steps.iter().enumerate() {
+        for ((i, step), compiled) in self.steps.iter().enumerate().zip(&compiled.classes) {
             let covers: Vec<String> = step
                 .bindings
                 .iter()
@@ -99,14 +113,186 @@ impl PurgeRecipe {
                 })
                 .collect();
             out.push_str(&format!(
-                "  step {}: punctuations from {} covering [{}]\n",
+                "  step {}: punctuations from {} covering [{}] ({})\n",
                 i + 1,
                 name(step.target),
-                covers.join(", ")
+                covers.join(", "),
+                class(compiled)
             ));
         }
         out
     }
+}
+
+/// A [`PurgeRecipe`] as the runtime executes it: scheme indexes resolved,
+/// each step's semi-join filters listed, and each step classified by how
+/// the engine pays for it. Equality and order are structural over roots and
+/// steps — everything after them is a function of those — so two queries
+/// whose derivations agree hold *the same* recipe, which is what lets an
+/// engine intern them.
+///
+/// The classes and probe keys sit beside `steps`, not in them: every purge
+/// cycle reads every tracked recipe's steps, and a step 64 bytes wider
+/// measurably slows a cycle-heavy workload (about 6 % on perfbench's
+/// `multi_tenant16`).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CompiledRecipe {
+    /// Root streams (the candidate tuple's span), sorted.
+    pub roots: Vec<StreamId>,
+    /// The steps, in dependency order.
+    pub steps: Vec<CompiledStep>,
+    /// Per step, how a coverage delta on it maps to candidates.
+    pub classes: Vec<StepClass>,
+    /// Per step, a feeding step's shrink-probe key: per filter whose chain
+    /// column resolves to a root column, `(target column, that root
+    /// column)`. The candidates whose chain set can hold a target row `r`
+    /// are those matching `r` on it (a subset of the filters selects a
+    /// superset). Empty where no filter resolves, or the step does not feed.
+    pub probes: Vec<Vec<(usize, (StreamId, usize))>>,
+    /// The root columns a verdict reads, sorted: the root columns steps
+    /// bind or are pinned to, and those feeding steps' filters resolve to.
+    /// Two candidates that agree on them get the same verdict.
+    pub reads: Vec<(StreamId, usize)>,
+}
+
+/// One compiled step. Columns are raw attribute positions of their stream.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CompiledStep {
+    /// The stream whose punctuations guard the step.
+    pub target: StreamId,
+    /// Index of the step's scheme within `schemes.for_stream(target)` (the
+    /// order of the target's punctuation store).
+    pub scheme_idx: usize,
+    /// Whether that scheme is ordered (heartbeat thresholds, not entries).
+    pub ordered: bool,
+    /// Per punctuatable attribute (in scheme order): where required values
+    /// come from — `(source stream, source column)`.
+    pub bindings: Vec<(StreamId, usize)>,
+    /// Semi-join filters for the next chain set: `(target column, chain
+    /// stream, chain column)` for every predicate between the target and a
+    /// stream reached before it.
+    pub filters: Vec<(usize, StreamId, usize)>,
+    /// Whether a later step binds or filters from this step's chain set: only
+    /// then is `T_t[Υ_target]` built — and the target's mirror read — at all.
+    pub feeds: bool,
+}
+
+/// How the engine pays for a step: what a newly covered value says about
+/// which candidates it can have freed (DESIGN.md §7).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum StepClass {
+    /// Every binding is root-resolved: a candidate's requirement is at most
+    /// the one key its own cells hold at `key` — per binding, the root column
+    /// it reads or an earlier step's equality filter pins it to. A delta is
+    /// one key lookup. `direct`: every binding reads a root, so the
+    /// requirement is exactly that key (one bound through a chain set is
+    /// vacuous where the set is empty).
+    Rooted {
+        /// Per binding, a root column `(stream, column)`.
+        key: Vec<(StreamId, usize)>,
+        /// Every binding's source is a root.
+        direct: bool,
+    },
+    /// The binding at `pos` reads column `col` of chain stream `src`, which
+    /// no filter pins to a root column: a covered value matters to the
+    /// candidates whose chain set holds a row of `src` carrying it, found by
+    /// the shrink probe of step `via` (the feeding step that reached `src`).
+    Chained {
+        /// The binding's position in the scheme.
+        pos: usize,
+        /// The chain stream it reads.
+        src: StreamId,
+        /// Its column there.
+        col: usize,
+        /// The step whose target is `src`.
+        via: usize,
+    },
+    /// Neither: a delta on this step forces a full scan.
+    Opaque,
+}
+
+/// Compiles `recipe` for the runtime, classifying every step once: the one
+/// place that decides whether a step is paid for by its own key, through a
+/// chain-bound probe, or by a full scan.
+///
+/// A root's columns resolve to themselves; a chain column resolves to the
+/// root column an earlier step's equality filter equates it with — every row
+/// of that step's chain set carries the root's value there, or the set is
+/// empty and later requirements are vacuous. A step's filters reach the
+/// streams reached before it, which lie in the span the recipe was derived
+/// over.
+///
+/// # Panics
+/// Panics if a step's scheme is not registered in `schemes`.
+#[must_use]
+pub fn compile(query: &Cjq, schemes: &SchemeSet, recipe: &PurgeRecipe) -> CompiledRecipe {
+    let roots = &recipe.roots;
+    let mut out = CompiledRecipe {
+        roots: roots.clone(),
+        steps: Vec::new(),
+        classes: Vec::new(),
+        probes: Vec::new(),
+        reads: Vec::new(),
+    };
+    // Chain columns pinned to a root column, the first pin of each winning.
+    let mut pinned: Vec<((StreamId, usize), (StreamId, usize))> = Vec::new();
+    for step in &recipe.steps {
+        let (target, steps) = (step.target, &out.steps);
+        let resolve = |c: (StreamId, usize)| match roots.contains(&c.0) {
+            true => Some(c),
+            false => pinned.iter().find(|(p, _)| *p == c).map(|&(_, root)| root),
+        };
+        let reached = |s: StreamId| roots.contains(&s) || steps.iter().any(|p| p.target == s);
+        let filters = query.predicates_on(target).filter_map(|p| {
+            let (own, other) = (p.endpoint_on(target)?, p.endpoint_opposite(target)?);
+            reached(other.stream).then_some((own.attr.0, other.stream, other.attr.0))
+        });
+        let filters: Vec<(usize, StreamId, usize)> = filters.collect();
+        let bindings = step.bindings.iter().map(|b| (b.source, b.source_attr.0));
+        let bindings: Vec<(StreamId, usize)> = bindings.collect();
+        out.reads
+            .extend(bindings.iter().filter_map(|&b| resolve(b)));
+        let chained = |(pos, &(src, col)): (usize, &(StreamId, usize))| {
+            let via = steps.iter().position(|p| p.target == src)?;
+            let unpinned = resolve((src, col)).is_none() && !out.probes[via].is_empty();
+            unpinned.then_some(StepClass::Chained { pos, src, col, via })
+        };
+        let class = match bindings.iter().map(|&b| resolve(b)).collect() {
+            Some(key) => {
+                let direct = bindings.iter().all(|(s, _)| roots.contains(s));
+                Some(StepClass::Rooted { key, direct })
+            }
+            None => bindings.iter().enumerate().find_map(chained),
+        };
+        let pin =
+            |&(tcol, src, scol): &(usize, StreamId, usize)| Some((tcol, resolve((src, scol))?));
+        let probe: Vec<(usize, (StreamId, usize))> = filters.iter().filter_map(pin).collect();
+        pinned.extend(probe.iter().map(|&(tcol, root)| ((target, tcol), root)));
+        // The steps this one draws a chain set from feed.
+        for p in &mut out.steps {
+            p.feeds |=
+                bindings.iter().any(|b| b.0 == p.target) || filters.iter().any(|f| f.1 == p.target);
+        }
+        let scheme_idx = schemes.for_stream(target).position(|s| *s == step.scheme);
+        out.steps.push(CompiledStep {
+            target,
+            scheme_idx: scheme_idx.expect("a recipe scheme is registered"),
+            ordered: step.scheme.is_ordered(),
+            bindings,
+            filters,
+            feeds: false,
+        });
+        out.classes.push(class.unwrap_or(StepClass::Opaque));
+        out.probes.push(probe);
+    }
+    // Only a feeding step's chain set is built, and only its shrinkage probed.
+    for (step, probe) in out.steps.iter().zip(&mut out.probes) {
+        probe.retain(|_| step.feeds);
+        out.reads.extend(probe.iter().map(|&(_, root)| root));
+    }
+    out.reads.sort_unstable();
+    out.reads.dedup();
+    out
 }
 
 /// Derives the purge recipe for `root` in the operator over `streams`, or
@@ -181,30 +367,10 @@ pub fn derive_port_recipe(
                 chosen,
             } => {
                 let hyper = &gpg.hyper_edges()[*edge];
-                let bindings = chosen
-                    .iter()
-                    .map(|&(target_attr, partner)| {
-                        let source_attr = query
-                            .predicates_on(*added)
-                            .find(|p| {
-                                p.endpoint_on(*added).map(|r| r.attr) == Some(target_attr)
-                                    && p.endpoint_opposite(*added).map(|r| r.stream)
-                                        == Some(partner)
-                            })
-                            .and_then(|p| p.endpoint_opposite(*added))
-                            .expect("hyper requirement implies such a predicate")
-                            .attr;
-                        ValueBinding {
-                            target_attr,
-                            source: partner,
-                            source_attr,
-                        }
-                    })
-                    .collect();
                 PurgeStep {
                     target: *added,
                     scheme: hyper.scheme.clone(),
-                    bindings,
+                    bindings: hyper_bindings(query, *added, chosen),
                 }
             }
         })
@@ -307,32 +473,12 @@ pub fn derive_port_recipe_weighted(
                 })
                 .collect();
             let Some(chosen) = chosen else { continue };
-            let bindings = chosen
-                .iter()
-                .map(|&(target_attr, partner)| {
-                    let source_attr = query
-                        .predicates_on(edge.target)
-                        .find(|p| {
-                            p.endpoint_on(edge.target).map(|r| r.attr) == Some(target_attr)
-                                && p.endpoint_opposite(edge.target).map(|r| r.stream)
-                                    == Some(partner)
-                        })
-                        .and_then(|p| p.endpoint_opposite(edge.target))
-                        .expect("requirement implies predicate")
-                        .attr;
-                    ValueBinding {
-                        target_attr,
-                        source: partner,
-                        source_attr,
-                    }
-                })
-                .collect();
             consider(
                 scheme_weight(&edge.scheme),
                 PurgeStep {
                     target: edge.target,
                     scheme: edge.scheme.clone(),
-                    bindings,
+                    bindings: hyper_bindings(query, edge.target, &chosen),
                 },
             );
         }
@@ -341,6 +487,32 @@ pub fn derive_port_recipe_weighted(
         steps.push(step);
     }
     Some(PurgeRecipe { roots, steps })
+}
+
+/// The bindings of a hyper-edge step on `target`: per chosen `(attribute,
+/// partner)`, the partner's side of the predicate joining them.
+fn hyper_bindings(
+    query: &Cjq,
+    target: StreamId,
+    chosen: &[(AttrId, StreamId)],
+) -> Vec<ValueBinding> {
+    let binding = |&(target_attr, source): &(AttrId, StreamId)| {
+        let joins = |p: &&crate::query::JoinPredicate| {
+            p.endpoint_on(target).map(|r| r.attr) == Some(target_attr)
+                && p.endpoint_opposite(target).map(|r| r.stream) == Some(source)
+        };
+        let predicate = query.predicates_on(target).find(joins);
+        let source_attr = predicate.and_then(|p| p.endpoint_opposite(target));
+        let source_attr = source_attr
+            .expect("hyper requirement implies such a predicate")
+            .attr;
+        ValueBinding {
+            target_attr,
+            source,
+            source_attr,
+        }
+    };
+    chosen.iter().map(binding).collect()
 }
 
 /// Derives recipes for every purgeable stream of the operator; streams whose
@@ -358,6 +530,7 @@ mod tests {
     use super::*;
     use crate::query::JoinPredicate;
     use crate::schema::{Catalog, StreamSchema};
+    use crate::scheme::PunctuationScheme;
 
     /// Figure 3: S1(A,B), S2(B,C), S3(C,A); S1.B=S2.B, S2.C=S3.C; schemes on
     /// S2.B and S3.C (what the §3.2 walkthrough needs to purge S1's state).
@@ -539,10 +712,112 @@ mod tests {
         let (q, r) = fig3();
         let streams: Vec<StreamId> = q.stream_ids().collect();
         let recipe = derive_recipe(&q, &r, &streams, StreamId(0)).unwrap();
-        let text = recipe.explain(&q);
+        let text = recipe.explain(&q, &r);
         assert!(text.contains("purge recipe for tuples of S1"));
-        assert!(text.contains("S2.B <- S1.B"));
-        assert!(text.contains("S3.C <- S2.C"));
+        assert!(text.contains("[S2.B <- S1.B] (own key)"), "{text}");
+        assert!(text.contains("[S3.C <- S2.C] (via S2.C)"), "{text}");
+        // t2's step from t0 is bound through t1's chain set, pinned to t0.k;
+        // from t3, t0's step reads t1.k, which nothing maps back.
+        let (q, r) = unpinned_chain();
+        let streams: Vec<StreamId> = q.stream_ids().collect();
+        let explain = |root| {
+            derive_recipe(&q, &r, &streams, StreamId(root))
+                .unwrap()
+                .explain(&q, &r)
+        };
+        assert!(explain(0).contains("[t2.k <- t1.k] (own key, pinned to t0.k)"));
+        assert!(explain(3).contains("[t0.k <- t1.k] (full scan)"));
+    }
+
+    /// `t0.k = t1.k = t2.k`, `t2.w = t3.k`: a four-stream chain whose last
+    /// edge leaves `t2.w` unpinned from `t0`'s side and `t1.k`, `t2.k`
+    /// unpinned from `t3`'s. Every attribute is punctuatable.
+    fn unpinned_chain() -> (Cjq, SchemeSet) {
+        let mut catalog = Catalog::new();
+        let mut schemes = SchemeSet::new();
+        for s in 0..4 {
+            catalog.add_stream(StreamSchema::new(format!("t{s}"), ["k", "w"]).unwrap());
+            schemes.add(PunctuationScheme::on(s, &[0]).unwrap());
+            schemes.add(PunctuationScheme::on(s, &[1]).unwrap());
+        }
+        let preds = [(0, 0, 1, 0), (1, 0, 2, 0), (2, 1, 3, 0)]
+            .map(|(l, la, r, ra)| JoinPredicate::between(l, la, r, ra).unwrap());
+        (Cjq::new(catalog, preds.to_vec()).unwrap(), schemes)
+    }
+
+    /// The classes of the recipe rooted at `root` over the whole query.
+    fn classes((q, r): (Cjq, SchemeSet), root: usize) -> Vec<StepClass> {
+        let streams: Vec<StreamId> = q.stream_ids().collect();
+        let recipe = derive_recipe(&q, &r, &streams, StreamId(root)).unwrap();
+        let compiled = compile(&q, &r, &recipe);
+        compiled.classes
+    }
+
+    #[test]
+    fn fig3_s1_reads_its_own_key_then_chains_through_s2() {
+        let (s1, s2) = (StreamId(0), StreamId(1));
+        let chained = StepClass::Chained {
+            pos: 0,
+            src: s2,
+            col: 1,
+            via: 0,
+        };
+        let key = vec![(s1, 1)];
+        let rooted = StepClass::Rooted { key, direct: true };
+        assert_eq!(classes(fig3(), 0), [rooted, chained]);
+    }
+
+    /// §4.2: the multi-attribute step on S3 binds `A` from the root and `C`
+    /// from S2's chain set, which no filter pins: the chain binding decides.
+    #[test]
+    fn fig8_multi_attribute_step_has_one_root_and_one_chain_binding() {
+        let (q, r) = crate::fixtures::fig8();
+        let streams: Vec<StreamId> = q.stream_ids().collect();
+        let recipe = derive_recipe(&q, &r, &streams, StreamId(0)).unwrap();
+        let compiled = compile(&q, &r, &recipe);
+        assert_eq!(
+            compiled.steps[1].bindings,
+            [(StreamId(0), 0), (StreamId(1), 1)]
+        );
+        let chained = StepClass::Chained {
+            pos: 1,
+            src: StreamId(1),
+            col: 1,
+            via: 0,
+        };
+        assert_eq!(compiled.classes[1], chained);
+    }
+
+    #[test]
+    fn unpinned_chain_classes_from_either_end() {
+        let (t0, t2) = (StreamId(0), StreamId(2));
+        let from_t0 = classes(unpinned_chain(), 0);
+        assert_eq!(
+            from_t0,
+            [
+                StepClass::Rooted {
+                    key: vec![(t0, 0)],
+                    direct: true
+                },
+                StepClass::Rooted {
+                    key: vec![(t0, 0)],
+                    direct: false
+                },
+                StepClass::Chained {
+                    pos: 0,
+                    src: t2,
+                    col: 1,
+                    via: 1
+                },
+            ]
+        );
+        let from_t3 = classes(unpinned_chain(), 3);
+        let [StepClass::Rooted { direct: true, .. }, StepClass::Chained { src, via: 0, .. }, StepClass::Opaque] =
+            &from_t3[..]
+        else {
+            panic!("t3's steps: {from_t3:?}");
+        };
+        assert_eq!(*src, t2);
     }
 
     #[test]

@@ -219,6 +219,50 @@ proptest! {
         prop_assert!(!before.safe || after.safe);
     }
 
+    /// Every compiled step is classified consistently with its recipe: a
+    /// chained step's `via` is an earlier feeding step whose target is the
+    /// binding's source; a rooted key names only root columns, each the
+    /// binding itself or one a filter of the source's step pins; `direct`
+    /// holds exactly when every binding reads a root, and such a step is
+    /// always rooted.
+    #[test]
+    fn compiled_step_classes_are_structurally_sound(inst in instance(6)) {
+        use purge_plan::StepClass;
+        let streams: Vec<StreamId> = inst.query.stream_ids().collect();
+        for &s in &streams {
+            let Some(recipe) = purge_plan::derive_recipe(&inst.query, &inst.schemes, &streams, s)
+            else {
+                continue;
+            };
+            let compiled = purge_plan::compile(&inst.query, &inst.schemes, &recipe);
+            let roots = &compiled.roots;
+            for (i, step) in compiled.steps.iter().enumerate() {
+                let all_roots = step.bindings.iter().all(|(src, _)| roots.contains(src));
+                match &compiled.classes[i] {
+                    StepClass::Chained { pos, src, col, via } => {
+                        prop_assert!(*via < i && !all_roots);
+                        let fed = &compiled.steps[*via];
+                        prop_assert!(fed.feeds && fed.target == *src);
+                        prop_assert!(!compiled.probes[*via].is_empty());
+                        prop_assert_eq!(step.bindings[*pos], (*src, *col));
+                    }
+                    StepClass::Rooted { key, direct } => {
+                        prop_assert_eq!(*direct, all_roots);
+                        prop_assert_eq!(key.len(), step.bindings.len());
+                        for (&(ks, _), &(src, col)) in key.iter().zip(&step.bindings) {
+                            prop_assert!(roots.contains(&ks));
+                            let pinned = compiled.steps[..i].iter().any(|p| {
+                                p.target == src && p.filters.iter().any(|f| f.0 == col)
+                            });
+                            prop_assert!(roots.contains(&src) || pinned);
+                        }
+                    }
+                    StepClass::Opaque => prop_assert!(!all_roots),
+                }
+            }
+        }
+    }
+
     /// A purge recipe exists exactly for purgeable streams, covers every other
     /// stream exactly once, and respects dependency order.
     #[test]

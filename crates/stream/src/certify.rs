@@ -29,6 +29,7 @@
 use cjq_core::bounds::Contracts;
 use cjq_core::fxhash::{FxHashMap, FxHashSet};
 use cjq_core::plan::Plan;
+use cjq_core::purge_plan::CompiledRecipe;
 use cjq_core::query::Cjq;
 use cjq_core::safety;
 use cjq_core::schema::StreamId;
@@ -37,7 +38,7 @@ use cjq_core::scheme::SchemeSet;
 use crate::element::StreamElement;
 use crate::exec::PurgeCadence;
 use crate::join::JoinOperator;
-use crate::purge::{CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeTracker};
+use crate::purge::{CheckScratch, PurgeEngine, PurgeScope, PurgeTracker};
 use crate::source::Feed;
 use crate::state::PortState;
 
@@ -105,7 +106,7 @@ pub(crate) fn audit<'s>(
         let (at, mut dead) = ((slot, layout.streams()), fixpoint);
         for (recipe, tracker) in recipes.clone() {
             let walk = engine.check_roots_with(recipe, &roots, &mut scratch);
-            let own = engine.own_verdict(tracker, row);
+            let own = engine.own_verdict(recipe, tracker, row);
             assert_eq!(own.unwrap_or(walk), walk, "own cells vs walk at {at:?}");
             dead &= walk;
         }

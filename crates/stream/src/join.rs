@@ -11,6 +11,7 @@
 //! the join states and the probe machinery.
 
 use cjq_core::fxhash::{FxHashMap, FxHashSet};
+use cjq_core::purge_plan::CompiledRecipe;
 use cjq_core::query::Cjq;
 use cjq_core::schema::{AttrId, StreamId};
 use cjq_core::scheme::SchemeSet;
@@ -18,14 +19,10 @@ use cjq_core::value::Value;
 
 use crate::checkpoint::{Dec, Enc, SnapshotError, SnapshotResult};
 use crate::layout::SpanLayout;
-use crate::purge::{
-    Candidates, CheckScratch, CompiledRecipe, PurgeEngine, PurgeScope, PurgeTracker, PurgeWork,
-    StepSpec,
-};
-use crate::segment::StepSummary;
+use crate::purge::{Candidates, CheckScratch, PurgeEngine, PurgeScope, PurgeTracker, PurgeWork};
 use crate::sink::OutputBuffer;
 use crate::state::{PortState, Sweep};
-use crate::tier::{ColdTier, SpillStore, TierStats};
+use crate::tier::{self, ColdTier, SpillStore, TierStats};
 
 /// A cross-port equi-join condition resolved to flat columns.
 #[derive(Debug, Clone, Copy)]
@@ -230,7 +227,7 @@ impl JoinOperator {
             }
         }
 
-        let waits = |(r, _): &(CompiledRecipe, PurgeTracker)| r.n_steps() > 1;
+        let waits = |(r, _): &(CompiledRecipe, PurgeTracker)| r.steps.len() > 1;
         let waiting = (0..n)
             .filter(|&p| recipes[p].as_ref().is_some_and(waits))
             .collect();
@@ -319,17 +316,14 @@ impl JoinOperator {
     }
 
     /// Attaches a cold tier to every port (idempotent). Ports whose recipe
-    /// is fully root-resolvable get per-step certification specs so covering
-    /// punctuations can drop their segments unread.
+    /// is rooted at every step summarize their segments by its keys, so
+    /// covering punctuations can drop them unread.
     pub(crate) fn enable_tiering(&mut self) {
         if !self.tiers.is_empty() {
             return;
         }
         self.tiers = (0..self.ports.len())
-            .map(|port| {
-                let specs = self.held(port).and_then(|(_, t)| t.root_step_specs());
-                Some(ColdTier::new(specs, probed_cols(&self.probe_plans, port)))
-            })
+            .map(|port| Some(ColdTier::new(probed_cols(&self.probe_plans, port))))
             .collect();
     }
 
@@ -426,7 +420,8 @@ impl JoinOperator {
                 continue;
             };
             let state = &mut self.ports[port];
-            let group_cols: Vec<usize> = tier.group_cols().to_vec();
+            let held = &self.recipes[port];
+            let group_cols = tier::group_cols(held);
             let mut victims: Vec<(Vec<Value>, u64, usize)> = state
                 .live_from(0)
                 .filter(|&s| state.touched_of(s) < cutoff)
@@ -445,7 +440,12 @@ impl JoinOperator {
                     .iter()
                     .map(|&(_, seq, slot)| (seq, state.get(slot).expect("live").to_vec()))
                     .collect();
-                tier.spill(store.alloc(op_idx, port), state.layout().width(), &rows);
+                tier.spill(
+                    store.alloc(op_idx, port),
+                    state.layout().width(),
+                    &rows,
+                    held,
+                );
                 for &(_, _, slot) in chunk {
                     state.demote(slot);
                 }
@@ -460,11 +460,10 @@ impl JoinOperator {
     /// proves every row in it dead without reading the file. Returns rows
     /// dropped (counted as purged).
     fn drop_covered_segments(&mut self, engine: &PurgeEngine) -> u64 {
-        let mut dropped = 0u64;
-        for tier in self.tiers.iter_mut().flatten() {
-            dropped += tier.drop_covered(|spec, summary| step_covered(engine, spec, summary));
-        }
-        dropped
+        let tiers = self.tiers.iter_mut().zip(&self.recipes);
+        tiers
+            .map(|(tier, held)| tier.as_mut().map_or(0, |t| t.drop_covered(held, engine)))
+            .sum()
     }
 
     /// Whether any remaining cold segment is fully covered by stored
@@ -473,10 +472,8 @@ impl JoinOperator {
     /// survives a cycle.
     #[must_use]
     pub(crate) fn any_certified_cold_segment(&self, engine: &PurgeEngine) -> bool {
-        self.tiers
-            .iter()
-            .flatten()
-            .any(|tier| tier.any_covered(|spec, summary| step_covered(engine, spec, summary)))
+        let mut tiers = self.tiers.iter().zip(&self.recipes);
+        tiers.any(|(tier, held)| tier.as_ref().is_some_and(|t| t.any_covered(held, engine)))
     }
 
     /// Faults every remaining cold row back into the hot arena (finish-time
@@ -543,8 +540,9 @@ impl JoinOperator {
     /// `target`'s scheme `scheme_idx` (or cannot tell): forgetting the entry
     /// would orphan it.
     pub(crate) fn cold_needs(&self, target: StreamId, scheme_idx: usize, key: &Value) -> bool {
-        let mut tiers = self.tiers.iter().flatten();
-        tiers.any(|tier| tier.needs(target, scheme_idx, key))
+        let mut tiers = self.tiers.iter().zip(&self.recipes);
+        let needs = |t: &ColdTier, held| t.needs(held, (target, scheme_idx), key);
+        tiers.any(|(tier, held)| tier.as_ref().is_some_and(|t| needs(t, held)))
     }
 
     /// Each port's compiled purge recipe, if it has one.
@@ -610,11 +608,12 @@ impl JoinOperator {
             let store = spill.as_mut().ok_or_else(|| {
                 SnapshotError("tiered snapshot restored without a spill store".into())
             })?;
-            for (port, (tier, state)) in self.tiers.iter_mut().zip(&self.ports).enumerate() {
+            let ports = self.ports.iter().zip(&self.recipes);
+            for (port, (tier, (state, held))) in self.tiers.iter_mut().zip(ports).enumerate() {
                 let shape = (state.layout().width(), state.next_seq());
                 tier.as_mut()
                     .expect("every port has a tier when tiering is enabled")
-                    .read_state(d, store, (op_idx, port), shape)?;
+                    .read_state(d, store, (op_idx, port), shape, held)?;
             }
         }
         Ok(())
@@ -807,22 +806,6 @@ fn probed_cols(plans: &[Vec<ProbeStep>], port: usize) -> Vec<usize> {
     cols.sort_unstable();
     cols.dedup();
     cols
-}
-
-/// Whether stored punctuations of `spec.target` cover one segment step
-/// summary — the per-step certification primitive (see
-/// `PurgeTracker::root_step_specs` for why covering every step's summary proves
-/// every summarized row dead). Ordered thresholds are downward-closed, so
-/// covering the summary's max covers the whole segment; hash coverage needs
-/// every distinct key combination present. A row's requirement per step is
-/// one combination at most, which every legal coverage limit (≥ 1) admits.
-fn step_covered(engine: &PurgeEngine, spec: &StepSpec, summary: &StepSummary) -> bool {
-    let store = engine.punct_store(spec.target);
-    match summary {
-        StepSummary::Max(v) => store.covers(spec.scheme_idx, std::slice::from_ref(v)),
-        StepSummary::Combos(combos) => combos.iter().all(|c| store.covers(spec.scheme_idx, c)),
-        StepSummary::Open => false,
-    }
 }
 
 /// DFS over `plan[depth..]` emitting every completed assignment as one row of

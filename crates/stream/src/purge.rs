@@ -21,13 +21,13 @@
 //!
 //! The engine keeps a *raw mirror*: per raw stream, the live tuple set `Υ_S`
 //! and the punctuation store. A candidate (possibly composite) tuple `T`
-//! rooted at streams `roots` is purgeable iff its [`PurgeRecipe`] evaluates:
+//! rooted at `roots` is purgeable iff its [`CompiledRecipe`] (built by
+//! [`purge_plan::compile`], which also classes what each step costs) holds:
 //! walking the steps in dependency order, each step's required value
 //! combinations (drawn from the chain's joinable sets, starting at `T`'s own
 //! values) must all be covered by stored punctuations of the step's scheme;
 //! a step whose joinable set `T_t[Υ_target]` a later step draws on then
-//! computes it by semi-joining the mirror state against the chain (paper
-//! §3.2.1, Step i) — the set exists only to form later requirements.
+//! computes it by semi-joining the mirror state (§3.2.1, Step i).
 //!
 //! The raw mirror is needed because an operator's stored *composites*
 //! under-approximate `Υ_S`: a raw tuple that has not joined anything yet is
@@ -51,9 +51,9 @@
 
 use std::collections::HashMap;
 
-use cjq_core::fxhash::{FxHashMap, FxHashSet};
+use cjq_core::fxhash::FxHashSet;
 use cjq_core::punctuation::Punctuation;
-use cjq_core::purge_plan::{self, PurgeRecipe};
+use cjq_core::purge_plan::{self, CompiledRecipe, CompiledStep, StepClass};
 use cjq_core::query::Cjq;
 use cjq_core::schema::{AttrId, StreamId};
 use cjq_core::scheme::{PunctuationScheme, SchemeSet};
@@ -134,23 +134,6 @@ pub enum PurgeScope {
     Query,
 }
 
-/// A compiled, runtime-executable purge recipe. Equality is structural: two
-/// queries whose derivations agree on every step hold *the same* recipe,
-/// which is what lets the engine intern them.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CompiledRecipe {
-    /// Root streams (the candidate tuple's span), sorted.
-    pub roots: Vec<StreamId>,
-    steps: Vec<CompiledStep>,
-}
-
-impl CompiledRecipe {
-    /// How many punctuation sources a candidate waits on.
-    pub(crate) fn n_steps(&self) -> usize {
-        self.steps.len()
-    }
-}
-
 /// Folds where each step of each recipe looks for coverage (`None`: a port
 /// or mirror stream without one) and where it draws its values from. They
 /// decide which rows each cycle offers and purges — a snapshot's judged-row
@@ -171,68 +154,21 @@ pub(crate) fn fingerprint_recipes<'r>(
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct CompiledStep {
-    target: StreamId,
-    /// Index of the recipe's scheme within the target's punctuation store.
-    scheme_idx: usize,
-    /// Whether that scheme is ordered (heartbeat thresholds, not entries).
-    ordered: bool,
-    /// Per punctuatable attribute (in scheme order): where required values
-    /// come from — `(source stream, column within the source's raw row)`.
-    bindings: Vec<(StreamId, usize)>,
-    /// Semi-join filters for the next chain set: `(target column, chain
-    /// stream, chain column)` for every predicate between the target and an
-    /// already-reached stream within the recipe's span.
-    filters: Vec<(usize, StreamId, usize)>,
-    /// Whether a later step binds or filters from this step's chain set: only
-    /// then is `T_t[Υ_target]` built — and the target's mirror read — at all.
-    feeds: bool,
-}
-
-/// Root-resolved key columns of one recipe step — what a row's own cells say
-/// about it ([`PurgeEngine::own_verdict`]) and the cold tier's
-/// segment-certification unit (see [`crate::tier`]).
-#[derive(Debug, Clone)]
-pub(crate) struct StepSpec {
-    /// The step's target stream (whose punctuation store is consulted).
-    pub target: StreamId,
-    /// Scheme index within the target's punctuation store.
-    pub scheme_idx: usize,
-    /// Ordered (threshold) vs. hash (entry) coverage.
-    pub ordered: bool,
-    /// Flat columns of the port layout carrying the step's required values.
-    pub cols: Vec<usize>,
-    /// Every binding reads a root: the requirement is exactly the row's key,
-    /// never vacuous (a binding through a chain set is, where that is empty).
-    pub direct: bool,
-}
-
-/// Incremental purge bookkeeping for one (state, recipe) pair.
-///
-/// The tracker registers a purge index on the tracked [`PortState`] for every
-/// recipe step whose required values are *root-resolvable* — drawn from the
-/// candidate row itself, either directly (the binding's source is a root) or
-/// transitively (the source is a chain stream whose bound column is pinned to
-/// a root column by the step's equality filters). For such steps, a step's
-/// requirement for a given row is the singleton key read from the row, so a
-/// new punctuation entry (or threshold advance) maps to exactly the rows the
-/// index returns for that key (or key range).
+/// Incremental purge bookkeeping for one (state, recipe) pair: the recipe's
+/// step classes ([`purge_plan::compile`]) laid onto the tracked
+/// [`PortState`].
 ///
 /// A live row's check outcome can flip from "keep" to "purgeable" only when
 /// (a) coverage grows on some step's `(target, scheme)` — replayed from the
 /// [`PunctStore`] delta log via per-step cursors — or (b) a *chain-source*
 /// mirror state shrinks, relaxing downstream requirement sets (including
-/// un-blocking `TooManyCombinations` verdicts). Shrinkage is replayed from
-/// the mirror states' retraction logs: a purged chain row `r` can only
-/// relax rows whose chain set contained `r`, i.e. rows matching `r` on the
-/// step's (root-resolved) filter columns — found by probing a second purge
-/// index over those columns. The same probes localize (a) for a step bound
-/// to a chain column that is *not* pinned to a root (a *chain-bound* step):
-/// a newly covered value can only matter to rows whose chain set holds a
-/// mirror row carrying it, so those mirror rows are looked up and mapped
-/// back like retracted ones. Only a delta through a chain step none of whose
-/// filters reaches a root column degrades that cycle to a full scan.
+/// un-blocking `TooManyCombinations` verdicts). (a) maps to rows through a
+/// purge index over a [`StepClass::Rooted`] step's key. (b) is replayed
+/// from the mirrors' retraction logs: a purged chain row `r` can only relax
+/// rows whose chain set contained `r`, found through a purge index over the
+/// feeding step's probe key; the same probe localizes (a) for a
+/// [`StepClass::Chained`] step. Only a delta on a [`StepClass::Opaque`] step
+/// degrades that cycle to a full scan.
 /// Rows inserted since the last collect have never been checked and are
 /// always candidates (`fresh_from` watermark). Coverage *loss* (lifespan
 /// expiry, §5.1 punctuation purging) and mirror *growth* only flip
@@ -240,21 +176,11 @@ pub(crate) struct StepSpec {
 /// re-checked against the live stores before purging.
 #[derive(Debug, Clone)]
 pub(crate) struct PurgeTracker {
-    /// Per step: how a coverage delta on it maps to tracked rows.
-    step_keys: Vec<StepKey>,
-    /// Per step: its key plan where it is root-resolved.
-    own: Vec<Option<StepSpec>>,
-    /// Per step: delta-log cursor into the target's punctuation store.
-    cursors: Vec<u64>,
-    /// One probe per step whose chain set a later step draws on: shrinkage
-    /// of its target's mirror can relax this recipe's requirements.
-    probes: Vec<ShrinkProbe>,
+    /// Per recipe step, what the tracked state holds for it.
+    steps: Vec<TrackedStep>,
     /// Slots at or past this watermark have never been checked.
     fresh_from: usize,
-    /// The flat columns of the tracked state the recipe's verdict reads,
-    /// ascending: the root-resolved key columns, the root columns steps
-    /// bind, and the root columns feeding steps' filters resolve to. Two rows
-    /// that agree on them get the same verdict.
+    /// The recipe's `reads` as flat columns of the tracked state, ascending.
     reads: Vec<usize>,
     /// A purge index of the tracker's whose columns cover `reads`, if any:
     /// every row of one of its buckets gets the same verdict, so a pass
@@ -262,36 +188,26 @@ pub(crate) struct PurgeTracker {
     pub(crate) uniform: Option<usize>,
 }
 
-/// Where a step's required values come from, as far as localizing its
-/// coverage deltas goes.
-#[derive(Debug, Clone, Copy)]
-enum StepKey {
-    /// Every binding is root-resolved: the purge-index id over those columns.
-    Rooted(usize),
-    /// The binding at `pos` reads column `col` of chain stream `src`, which
-    /// no filter pins to a root column. A value there matters to the tracked
-    /// rows whose chain set holds a live row of `src` carrying it: those rows
-    /// are looked up and mapped back by `probes[via]`, the probe of the step
-    /// that reached `src`.
-    Chained {
-        pos: usize,
-        src: StreamId,
-        col: usize,
-        via: usize,
-    },
-    /// Not localizable: a delta on this step forces a full scan.
-    Opaque,
+/// One recipe step on the tracked state.
+#[derive(Debug, Clone)]
+struct TrackedStep {
+    /// Delta-log cursor into the target's punctuation store.
+    cursor: u64,
+    /// A [`StepClass::Rooted`] step's key as flat columns, with the purge
+    /// index over them.
+    key: Option<(usize, Vec<usize>)>,
+    /// A feeding step's probe: shrinkage of its target's mirror can relax
+    /// this recipe's requirements.
+    probe: Option<ShrinkProbe>,
 }
 
 /// Localizes one chain step: the tracked rows that can hold a row `r` of the
-/// step's target `stream` in their chain set are those matching `r[tcols]`
-/// on the tracked state's `index`.
+/// step's target in their chain set are those matching `r[tcols]` on the
+/// tracked state's `index`.
 #[derive(Debug, Clone)]
 struct ShrinkProbe {
-    stream: StreamId,
-    /// Purge-index id over the root columns the step's filters resolve to
-    /// (any that do: matching a subset of the filters is a superset of the
-    /// rows), or `None` when none does (retraction → full scan).
+    /// Purge-index id over the step's probe key (its resolved filters'
+    /// root columns), or `None` when it is empty (retraction → full scan).
     index: Option<usize>,
     /// For each resolved filter, the chain row's column forming the key.
     tcols: Vec<usize>,
@@ -359,125 +275,57 @@ impl Candidates {
 }
 
 impl PurgeTracker {
-    /// Builds the tracker, registering purge indexes on `state` for every
-    /// root-resolvable step. Cursors and shrink counters start at zero —
-    /// correct for a freshly compiled engine and for a restored one, whose
-    /// logs hold only what the last cycle left unread.
+    /// Builds the tracker, registering purge indexes on `state` over every
+    /// rooted step's key and every feeding step's probe key. Cursors start at
+    /// zero — right for a freshly compiled engine and for a restored one,
+    /// whose logs hold only what the last cycle left unread.
     pub(crate) fn new(recipe: &CompiledRecipe, state: &mut PortState) -> Self {
-        // Root resolution: (stream, raw attr) → flat column of the tracked
-        // state. Seeded by the roots; extended through each step's equality
-        // filters — every chain row of the step's target has its filtered
-        // column equal to the resolved root column (or the chain is empty,
-        // making later requirements vacuous).
-        let mut resolved: FxHashMap<(StreamId, usize), usize> = FxHashMap::default();
-        for &root in &recipe.roots {
-            if let Some(range) = state.layout().stream_range(root) {
-                for (attr, flat) in range.enumerate() {
-                    resolved.insert((root, attr), flat);
-                }
-            }
-        }
-        let mut step_keys = Vec::with_capacity(recipe.steps.len());
-        let mut own = Vec::with_capacity(recipe.steps.len());
-        let mut probes: Vec<ShrinkProbe> = Vec::new();
-        // Chain stream → the probe of the latest step that reached it (whose
-        // chain set later steps read).
-        let mut reached: FxHashMap<StreamId, usize> = FxHashMap::default();
-        // The flat columns the verdict reads: a chain set is a function of
-        // the root columns its step's filters resolve to.
-        let mut reads: Vec<usize> = Vec::new();
-        for step in &recipe.steps {
-            reads.extend(step.bindings.iter().filter_map(|b| resolved.get(b)));
-            let cols: Option<Vec<usize>> = step
-                .bindings
-                .iter()
-                .map(|b| resolved.get(b).copied())
-                .collect();
-            let direct = step
-                .bindings
-                .iter()
-                .all(|(src, _)| recipe.roots.contains(src));
-            let (target, scheme_idx, ordered) = (step.target, step.scheme_idx, step.ordered);
-            own.push(cols.clone().map(|cols| StepSpec {
-                target,
-                scheme_idx,
-                ordered,
-                cols,
-                direct,
-            }));
-            let chained = |(pos, &(src, col)): (usize, &(StreamId, usize))| {
-                let via = *reached.get(&src)?;
-                probes[via].index?;
-                let unpinned = !resolved.contains_key(&(src, col));
-                unpinned.then_some(StepKey::Chained { pos, src, col, via })
+        let mut steps = Vec::with_capacity(recipe.steps.len());
+        let plans = recipe.steps.iter().zip(&recipe.classes).zip(&recipe.probes);
+        for ((step, class), probe) in plans {
+            let key = match class {
+                StepClass::Rooted { key, .. } => Some(flat(state, key)),
+                _ => None,
             };
-            step_keys.push(match cols {
-                Some(cols) => StepKey::Rooted(state.add_purge_index(&cols, step.ordered)),
-                None => {
-                    let mut bindings = step.bindings.iter().enumerate();
-                    bindings.find_map(chained).unwrap_or(StepKey::Opaque)
-                }
-            });
-            if step.feeds {
-                // Its target's mirror rows form a chain set a later step
-                // draws on, so that mirror's shrinkage can relax this recipe.
-                let (tcols, cols): (Vec<usize>, Vec<usize>) = step
-                    .filters
-                    .iter()
-                    .filter_map(|&(tcol, src, scol)| Some((tcol, *resolved.get(&(src, scol))?)))
-                    .unzip();
-                reads.extend(&cols);
-                let stream = step.target;
-                // Unresolvable (or unconstrained: every row chains through):
-                // nothing maps back.
-                let index = (!cols.is_empty()).then(|| state.add_purge_index(&cols, false));
-                reached.insert(stream, probes.len());
-                probes.push(ShrinkProbe {
-                    stream,
-                    index,
-                    tcols,
+            steps.push(TrackedStep {
+                cursor: 0,
+                key: key.map(|cols| (state.add_purge_index(&cols, step.ordered), cols)),
+                probe: step.feeds.then(|| ShrinkProbe {
+                    index: Some(flat(state, probe.iter().map(|(_, root)| root)))
+                        .filter(|cols| !cols.is_empty())
+                        .map(|cols| state.add_purge_index(&cols, false)),
+                    tcols: probe.iter().map(|&(tcol, _)| tcol).collect(),
                     cursor: 0,
-                });
-            }
-            for &(tcol, src, scol) in &step.filters {
-                if let Some(&flat) = resolved.get(&(src, scol)) {
-                    resolved.entry((step.target, tcol)).or_insert(flat);
-                }
-            }
+                }),
+            });
         }
-        let rooted = step_keys.iter().filter_map(|k| match k {
-            StepKey::Rooted(id) => Some(*id),
-            _ => None,
-        });
-        let mut ids = rooted.chain(probes.iter().filter_map(|p| p.index));
+        let mut reads = flat(state, &recipe.reads);
         reads.sort_unstable();
-        reads.dedup();
+        let keyed = steps.iter().filter_map(|t| Some(t.key.as_ref()?.0));
+        let mut ids = keyed.chain(steps.iter().filter_map(|t| t.probe.as_ref()?.index));
         let uniform = ids.find(|&id| reads.iter().all(|c| state.index_cols(id).contains(c)));
         PurgeTracker {
-            step_keys,
-            own,
-            cursors: vec![0; recipe.steps.len()],
-            probes,
+            steps,
             fresh_from: 0,
             reads,
             uniform,
         }
     }
 
-    /// Every step of the recipe as key columns of the tracked state, or
-    /// `None` unless all of them are root-resolved.
-    ///
-    /// When they are, a row's entire purgeability check is determined by its
-    /// own cells — each step's requirement set is at most the singleton key
-    /// read from the row (chain sets can only pin it to that key or be empty,
-    /// which weakens the requirement to vacuous). Punctuation coverage of
-    /// every row's key at every step therefore implies
-    /// [`PurgeEngine::check_roots_with`] would declare every row purgeable —
-    /// the "dead" half of [`PurgeEngine::own_verdict`], and the property that
-    /// lets a recipe certify a whole cold segment dead from its per-step key
-    /// summaries alone, without rehydrating a single row.
-    pub(crate) fn root_step_specs(&self) -> Option<Vec<StepSpec>> {
-        self.own.iter().cloned().collect()
+    /// Every step of `recipe` with its key's flat columns, or `None` unless
+    /// every step is rooted. Then a row's verdict is its own cells': each
+    /// step's requirement is at most the key read from the row (a chain set
+    /// can only pin it to that key or be empty), so covering every row's key
+    /// at every step proves every row dead — the "dead" half of
+    /// [`PurgeEngine::own_verdict`], and what certifies a whole cold segment
+    /// from its per-step key summaries without rehydrating a row.
+    pub(crate) fn keyed<'r>(
+        &'r self,
+        recipe: &'r CompiledRecipe,
+    ) -> Option<impl Iterator<Item = (&'r CompiledStep, &'r [usize])> + Clone> {
+        let keys = self.steps.iter().flat_map(|t| t.key.as_ref());
+        let rooted = self.steps.iter().all(|t| t.key.is_some());
+        rooted.then(|| recipe.steps.iter().zip(keys.map(|(_, cols)| &cols[..])))
     }
 
     /// Offers `out` the slots of `state` that can have flipped to purgeable
@@ -501,21 +349,23 @@ impl PurgeTracker {
         let (puncts, mirrors) = (&engine.puncts, &engine.states);
         let (rows, key) = (&mut scratch.probe_tmp, &mut scratch.values);
         let mut localized = true;
-        for probe in &mut self.probes {
-            let mirror = &mirrors[probe.stream.0];
+        for (step, tracked) in recipe.steps.iter().zip(&mut self.steps) {
+            let Some(probe) = &mut tracked.probe else {
+                continue;
+            };
+            let mirror = &mirrors[step.target.0];
             let retired = mirror.retired_since(probe.cursor);
             probe.cursor = mirror.retire_end();
             localized &= probe.map_back(state, mirror, retired, key, out, uniform);
         }
         for (i, step) in recipe.steps.iter().enumerate() {
             let store = &puncts[step.target.0];
-            let deltas = store.deltas_since(self.cursors[i]);
-            self.cursors[i] = store.delta_end();
+            let deltas = store.deltas_since(self.steps[i].cursor);
+            self.steps[i].cursor = store.delta_end();
             let mut deltas = deltas.iter().filter(|d| d.scheme_idx() == step.scheme_idx);
-            match self.step_keys[i] {
+            match (self.steps[i].key.as_ref(), &recipe.classes[i]) {
                 _ if !localized => {}
-                StepKey::Opaque => localized = deltas.next().is_none(),
-                StepKey::Rooted(idx) => {
+                (Some(&(idx, _)), _) => {
                     for d in deltas {
                         match d {
                             PunctDelta::Entry { combo, .. } => {
@@ -529,7 +379,7 @@ impl PurgeTracker {
                         }
                     }
                 }
-                StepKey::Chained { pos, src, col, via } => {
+                (None, &StepClass::Chained { pos, src, col, via }) => {
                     // Only chain sets holding a live row that carries a newly
                     // covered value changed their standing against this step.
                     let mirror = &mirrors[src.0];
@@ -551,8 +401,10 @@ impl PurgeTracker {
                             }
                         }
                     }
-                    self.probes[via].map_back(state, mirror, rows, key, out, uniform);
+                    let probe = self.steps[via].probe.as_ref().expect("via step feeds");
+                    probe.map_back(state, mirror, rows, key, out, uniform);
                 }
+                (None, _) => localized = deltas.next().is_none(),
             }
         }
         let fresh = std::mem::replace(&mut self.fresh_from, state.slots());
@@ -566,13 +418,14 @@ impl PurgeTracker {
     /// delta on a step's scheme. A tracker without news is neither collected
     /// nor swept.
     pub(crate) fn has_news(&self, r: &CompiledRecipe, state: &PortState, e: &PurgeEngine) -> bool {
-        let retired = |p: &ShrinkProbe| !e.states[p.stream.0].retired_since(p.cursor).is_empty();
-        let delta = |(step, &at): (&CompiledStep, &u64)| {
-            let mut deltas = e.puncts[step.target.0].deltas_since(at).iter();
-            deltas.any(|d| d.scheme_idx() == step.scheme_idx)
+        let news = |(step, t): (&CompiledStep, &TrackedStep)| {
+            let retired =
+                |p: &ShrinkProbe| !e.states[step.target.0].retired_since(p.cursor).is_empty();
+            let mut deltas = e.puncts[step.target.0].deltas_since(t.cursor).iter();
+            t.probe.as_ref().is_some_and(retired)
+                || deltas.any(|d| d.scheme_idx() == step.scheme_idx)
         };
-        let fresh = self.fresh_from != state.slots();
-        fresh || self.probes.iter().any(retired) || r.steps.iter().zip(&self.cursors).any(delta)
+        self.fresh_from != state.slots() || r.steps.iter().zip(&self.steps).any(news)
     }
 
     /// How many of `state`'s live rows, in slot order, this tracker has
@@ -1041,7 +894,7 @@ impl PurgeEngine {
             }
             None => purge_plan::derive_port_recipe(query, schemes, scope_span, roots)?,
         };
-        Some(compile_recipe(query, &recipe, scope_span, &self.puncts))
+        Some(purge_plan::compile(query, schemes, &recipe))
     }
 
     /// Records a raw tuple arrival in the mirror (where its stream is held).
@@ -1162,7 +1015,7 @@ impl PurgeEngine {
             let dead = 'verdict: {
                 open.clear();
                 for (recipe, tracker) in recipes.clone() {
-                    match self.own_verdict(tracker, row) {
+                    match self.own_verdict(recipe, tracker, row) {
                         Some(false) => break 'verdict false,
                         Some(true) => {}
                         None => open.push(recipe),
@@ -1186,19 +1039,24 @@ impl PurgeEngine {
     /// "keep" where a direct step's key is uncovered, "dead" where every step
     /// is root-resolved and its key covered, `None` where only the chain walk
     /// can tell — exactly as that walk would (DESIGN.md §7, "Own-key verdicts").
-    pub(crate) fn own_verdict(&self, tracker: &PurgeTracker, row: &[Value]) -> Option<bool> {
+    pub(crate) fn own_verdict(
+        &self,
+        recipe: &CompiledRecipe,
+        tracker: &PurgeTracker,
+        row: &[Value],
+    ) -> Option<bool> {
         let (mut open, mut key) = (false, [Value::Null; 8]);
-        for spec in &tracker.own {
-            let Some(spec) = spec.as_ref().filter(|s| s.cols.len() <= key.len()) else {
+        let steps = recipe.steps.iter().zip(&recipe.classes);
+        for ((step, class), tracked) in steps.zip(&tracker.steps) {
+            let fits = tracked.key.as_ref().filter(|k| k.1.len() <= key.len());
+            let (StepClass::Rooted { direct, .. }, Some((_, cols))) = (class, fits) else {
                 open = true;
                 continue;
             };
-            let key = &mut key[..spec.cols.len()];
-            key.iter_mut()
-                .zip(&spec.cols)
-                .for_each(|(k, &c)| *k = row[c]);
-            if !self.puncts[spec.target.0].covers(spec.scheme_idx, key) {
-                if spec.direct {
+            let key = &mut key[..cols.len()];
+            key.iter_mut().zip(cols).for_each(|(k, &c)| *k = row[c]);
+            if !self.puncts[step.target.0].covers(step.scheme_idx, key) {
+                if *direct {
                     return Some(false);
                 }
                 open = true;
@@ -1679,61 +1537,15 @@ impl PurgeEngine {
     }
 }
 
-/// Resolves a core [`PurgeRecipe`] into flat columns and scheme indexes.
-fn compile_recipe(
-    query: &Cjq,
-    recipe: &PurgeRecipe,
-    span: &[StreamId],
-    puncts: &[PunctStore],
-) -> CompiledRecipe {
-    let mut reached: Vec<StreamId> = recipe.roots.clone();
-    let in_span: FxHashSet<StreamId> = span.iter().copied().collect();
-    let mut steps: Vec<CompiledStep> = recipe
-        .steps
-        .iter()
-        .map(|step| {
-            let scheme_idx = puncts[step.target.0]
-                .scheme_index(&step.scheme)
-                .expect("recipe scheme is registered");
-            let ordered = step.scheme.is_ordered();
-            let bindings: Vec<(StreamId, usize)> = step
-                .bindings
-                .iter()
-                .map(|b| (b.source, b.source_attr.0))
-                .collect();
-            let filters: Vec<(usize, StreamId, usize)> = query
-                .predicates_on(step.target)
-                .filter_map(|p| {
-                    let other = p.endpoint_opposite(step.target)?;
-                    let own = p.endpoint_on(step.target)?;
-                    (in_span.contains(&other.stream) && reached.contains(&other.stream))
-                        .then_some((own.attr.0, other.stream, other.attr.0))
-                })
-                .collect();
-            reached.push(step.target);
-            CompiledStep {
-                target: step.target,
-                scheme_idx,
-                ordered,
-                bindings,
-                filters,
-                feeds: false,
-            }
-        })
-        .collect();
-    for i in 0..steps.len() {
-        let (step, later) = steps[i..].split_first_mut().expect("i is in range");
-        step.feeds = later.iter().any(|l| {
-            let sources = l.bindings.iter().map(|b| b.0);
-            sources
-                .chain(l.filters.iter().map(|f| f.1))
-                .any(|s| s == step.target)
-        });
-    }
-    CompiledRecipe {
-        roots: recipe.roots.clone(),
-        steps,
-    }
+/// Flat columns of `state`'s layout for root columns `(stream, column)`.
+fn flat<'c>(
+    state: &PortState,
+    cols: impl IntoIterator<Item = &'c (StreamId, usize)>,
+) -> Vec<usize> {
+    let at = |&(s, a): &(StreamId, usize)| state.layout().pos(s, AttrId(a));
+    cols.into_iter()
+        .map(|c| at(c).expect("a root column"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -2001,7 +1813,7 @@ mod tests {
             let scratch = &mut CheckScratch::default();
             let tracker = interned.tracker.as_mut().expect("held");
             let localized = tracker.collect(recipe, state, e, scratch, &mut out, None);
-            let keys = tracker.step_keys.clone();
+            let keys = recipe.classes.clone();
             e.meets = meets;
             out.rows.sort_unstable();
             (localized, out.rows, keys)
@@ -2011,7 +1823,9 @@ mod tests {
         // t2 (2, 20) can care.
         e.observe_punctuation(&punct(3, 2, &[(0, 20)]), 0);
         let (localized, slots, keys) = collect(&mut e, 0);
-        let [StepKey::Rooted(_), StepKey::Rooted(_), StepKey::Chained { .. }] = keys[..] else {
+        let [StepClass::Rooted { .. }, StepClass::Rooted { .. }, StepClass::Chained { .. }] =
+            keys[..]
+        else {
             panic!("t0's steps: {keys:?}");
         };
         assert!(localized, "a chain-bound delta is localized");
@@ -2023,7 +1837,8 @@ mod tests {
         e.end_cycle();
         e.observe_punctuation(&punct(0, 2, &[(0, 3)]), 1);
         let (localized, _, keys) = collect(&mut e, 3);
-        let [StepKey::Rooted(_), StepKey::Chained { .. }, StepKey::Opaque] = keys[..] else {
+        let [StepClass::Rooted { .. }, StepClass::Chained { .. }, StepClass::Opaque] = keys[..]
+        else {
             panic!("t3's steps: {keys:?}");
         };
         assert!(!localized, "nothing maps a t1 row back to t3");
@@ -2106,7 +1921,11 @@ mod tests {
             let mut scratch = CheckScratch::default();
             let held = e.meets[s].tracked().next().expect("one recipe");
             let dead = e.all_prove_dead(&e.states[s], std::iter::once(held), &mut scratch)(0, row);
-            (dead, e.own_verdict(held.1, row), !scratch.chain.is_empty())
+            (
+                dead,
+                e.own_verdict(held.0, held.1, row),
+                !scratch.chain.is_empty(),
+            )
         };
         // Auction: an item waits on one direct step, its bid-side close.
         let (_, _, mut e) = engine(fixtures::auction);
@@ -2128,8 +1947,14 @@ mod tests {
             PurgeEngine::new(&q, &r, None, 10_000),
             PurgeEngine::new(&q, &r, None, 10_000),
         );
-        let plan = &e.meets[0].tracked().next().unwrap().1.own;
-        let direct: Vec<_> = plan.iter().map(|o| o.as_ref().map(|o| o.direct)).collect();
+        let plan = &e.meets[0].tracked().next().unwrap().0.classes;
+        let direct: Vec<_> = plan
+            .iter()
+            .map(|class| match *class {
+                StepClass::Rooted { direct, .. } => Some(direct),
+                _ => None,
+            })
+            .collect();
         assert_eq!(direct, [Some(true), Some(false), None]);
         let t0 = [Value::Int(1), Value::Int(0)];
         assert_eq!(decide(&e, 0, &t0), (false, Some(false), false));

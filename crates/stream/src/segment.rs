@@ -111,16 +111,6 @@ impl ColSummary {
     }
 }
 
-/// Key columns of one purge-recipe step, as seen from this port's rows
-/// (root-resolved flat columns — see `PurgeTracker::root_step_specs`).
-#[derive(Debug, Clone)]
-pub(crate) struct StepKey {
-    /// Range-capable (ordered scheme, single column) vs. hash key.
-    pub ordered: bool,
-    /// Flat columns of the step's key within the port layout.
-    pub cols: Vec<usize>,
-}
-
 /// Certification summary of one purge-recipe step over a segment's rows.
 #[derive(Debug, Clone)]
 pub(crate) enum StepSummary {
@@ -150,13 +140,15 @@ pub(crate) struct Segment {
 
 impl Segment {
     /// Writes `rows` (original sequence + values) to `path` column-major and
-    /// returns the segment with summaries over `probe_cols` and `steps`.
-    pub(crate) fn write(
+    /// returns the segment with summaries over `probe_cols` and `steps` —
+    /// per purge-recipe step, whether its scheme is ordered and its key's
+    /// flat columns in the port layout (`PurgeTracker::keyed`).
+    pub(crate) fn write<'k>(
         path: PathBuf,
         stride: usize,
         rows: &[(u64, Vec<Value>)],
         probe_cols: &[usize],
-        steps: Option<&[StepKey]>,
+        steps: impl Iterator<Item = (bool, &'k [usize])>,
     ) -> Segment {
         assert!(!rows.is_empty(), "empty segment");
         let n = rows.len();
@@ -178,33 +170,30 @@ impl Segment {
                 (c, ColSummary::build(vals))
             })
             .collect();
-        let step_summaries = steps.map_or_else(Vec::new, |steps| {
-            steps
-                .iter()
-                .map(|step| {
-                    if step.ordered {
-                        let max = rows
-                            .iter()
-                            .map(|(_, r)| r[step.cols[0]])
-                            .max()
-                            .expect("non-empty segment");
-                        StepSummary::Max(max)
+        let step_summaries = steps
+            .map(|(ordered, cols)| {
+                if ordered {
+                    let max = rows
+                        .iter()
+                        .map(|(_, r)| r[cols[0]])
+                        .max()
+                        .expect("non-empty segment");
+                    StepSummary::Max(max)
+                } else {
+                    let mut combos: Vec<Vec<Value>> = rows
+                        .iter()
+                        .map(|(_, r)| cols.iter().map(|&c| r[c]).collect())
+                        .collect();
+                    combos.sort_unstable();
+                    combos.dedup();
+                    if combos.len() <= COMBO_CAP {
+                        StepSummary::Combos(combos)
                     } else {
-                        let mut combos: Vec<Vec<Value>> = rows
-                            .iter()
-                            .map(|(_, r)| step.cols.iter().map(|&c| r[c]).collect())
-                            .collect();
-                        combos.sort_unstable();
-                        combos.dedup();
-                        if combos.len() <= COMBO_CAP {
-                            StepSummary::Combos(combos)
-                        } else {
-                            StepSummary::Open
-                        }
+                        StepSummary::Open
                     }
-                })
-                .collect()
-        });
+                }
+            })
+            .collect();
 
         Segment {
             path,
@@ -371,7 +360,7 @@ mod tests {
                 Value::str("hello"),
             ],
         )];
-        let mut seg = Segment::write(tmp("kinds.seg"), 4, &rows, &[], None);
+        let mut seg = Segment::write(tmp("kinds.seg"), 4, &rows, &[], std::iter::empty());
         let back = seg.drain_live();
         assert_eq!(back, rows);
         assert_eq!(seg.live(), 0);
@@ -380,7 +369,7 @@ mod tests {
     #[test]
     fn fault_matching_filters_by_summary_and_marks_dead() {
         let rows: Vec<(u64, Vec<Value>)> = (0..10).map(|i| (i, row(i as i64 % 3, "x"))).collect();
-        let mut seg = Segment::write(tmp("fault.seg"), 2, &rows, &[0], None);
+        let mut seg = Segment::write(tmp("fault.seg"), 2, &rows, &[0], std::iter::empty());
         assert!(seg.may_contain(0, &Value::Int(1)));
         assert!(!seg.may_contain(0, &Value::Int(9)));
         let keys: FxHashSet<Value> = [Value::Int(1)].into_iter().collect();
@@ -396,17 +385,8 @@ mod tests {
     #[test]
     fn step_summaries_capture_max_and_combos() {
         let rows: Vec<(u64, Vec<Value>)> = (0..5).map(|i| (i, row(i as i64, "k"))).collect();
-        let steps = vec![
-            StepKey {
-                ordered: true,
-                cols: vec![0],
-            },
-            StepKey {
-                ordered: false,
-                cols: vec![1],
-            },
-        ];
-        let seg = Segment::write(tmp("steps.seg"), 2, &rows, &[0], Some(&steps));
+        let steps = [(true, &[0][..]), (false, &[1][..])];
+        let seg = Segment::write(tmp("steps.seg"), 2, &rows, &[0], steps.into_iter());
         match &seg.step_summaries()[0] {
             StepSummary::Max(v) => assert_eq!(*v, Value::Int(4)),
             other => panic!("expected Max, got {other:?}"),

@@ -26,8 +26,10 @@ use cjq_core::fxhash::FxHashSet;
 use cjq_core::schema::StreamId;
 use cjq_core::value::Value;
 
-use crate::purge::StepSpec;
-use crate::segment::{Segment, StepKey, StepSummary};
+use cjq_core::purge_plan::{CompiledRecipe, CompiledStep};
+
+use crate::purge::{PurgeEngine, PurgeTracker};
+use crate::segment::{Segment, StepSummary};
 
 /// Cold-tier knobs (carried by value inside `ExecConfig`, hence `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,15 +130,54 @@ impl Drop for SpillStore {
     }
 }
 
-/// The cold tier of one operator port: spilled segments plus the
-/// root-resolved purge-step specs that let a covering recipe certify whole
+/// A port's compiled recipe and tracker, if it has a recipe. One whose every
+/// step is rooted certifies whole segments by their per-step key summaries
+/// ([`PurgeTracker::keyed`]); any other port's segments only leave by
+/// fault-back or finish-time rehydration (still lossless, never dropped).
+pub(crate) type Held<'r> = &'r Option<(CompiledRecipe, PurgeTracker)>;
+
+/// The steps of `held`'s recipe with their key columns, where all are rooted.
+fn keyed(held: Held<'_>) -> Option<impl Iterator<Item = (&CompiledStep, &[usize])> + Clone> {
+    held.as_ref()
+        .and_then(|(recipe, tracker)| tracker.keyed(recipe))
+}
+
+/// The first purge step's key columns — demotion groups victims by these so
+/// segment summaries stay tight (empty when uncertifiable).
+pub(crate) fn group_cols(held: Held<'_>) -> &[usize] {
+    keyed(held)
+        .and_then(|mut steps| steps.next())
+        .map_or(&[], |(_, cols)| cols)
+}
+
+/// Whether `engine`'s stores cover every step summary of `seg`: the recipe
+/// proves every summarized row dead. Ordered thresholds are
+/// downward-closed, so covering a summary's max covers the whole segment;
+/// hash coverage needs every distinct key combination present. A row's
+/// requirement per step is one combination at most, which every legal
+/// coverage limit (≥ 1) admits.
+fn covered<'r>(
+    steps: impl Iterator<Item = (&'r CompiledStep, &'r [usize])> + Clone,
+    seg: &Segment,
+    engine: &PurgeEngine,
+) -> bool {
+    let summaries = seg.step_summaries();
+    let covers = |((step, _), summary): ((&CompiledStep, _), &StepSummary)| {
+        let store = engine.punct_store(step.target);
+        match summary {
+            StepSummary::Max(v) => store.covers(step.scheme_idx, std::slice::from_ref(v)),
+            StepSummary::Combos(combos) => combos.iter().all(|c| store.covers(step.scheme_idx, c)),
+            StepSummary::Open => false,
+        }
+    };
+    summaries.len() == steps.clone().count() && steps.zip(summaries).all(covers)
+}
+
+/// The cold tier of one operator port: spilled segments, summarized by the
+/// port recipe's rooted step keys so a covering recipe can certify whole
 /// segments dead.
 #[derive(Debug)]
 pub(crate) struct ColdTier {
-    /// Per-purge-step certification keys; `None` when the port's recipe is
-    /// absent or not fully root-resolvable — segments then only leave via
-    /// fault-back or finish-time rehydration (still lossless, never dropped).
-    specs: Option<Vec<StepSpec>>,
     /// Flat columns a probe step looks this port up by (summarized per segment).
     probe_cols: Vec<usize>,
     segments: Vec<Segment>,
@@ -144,9 +185,8 @@ pub(crate) struct ColdTier {
 }
 
 impl ColdTier {
-    pub(crate) fn new(specs: Option<Vec<StepSpec>>, probe_cols: Vec<usize>) -> ColdTier {
+    pub(crate) fn new(probe_cols: Vec<usize>) -> ColdTier {
         ColdTier {
-            specs,
             probe_cols,
             segments: Vec::new(),
             stats: TierStats::default(),
@@ -158,33 +198,18 @@ impl ColdTier {
         self.segments.iter().map(Segment::live).sum()
     }
 
-    /// The first purge step's root key columns — demotion groups victims by
-    /// these so segment summaries stay tight (empty when uncertifiable).
-    pub(crate) fn group_cols(&self) -> &[usize] {
-        self.specs
-            .as_ref()
-            .and_then(|s| s.first())
-            .map_or(&[], |s| s.cols.as_slice())
-    }
-
     /// Spills `rows` (original sequence + values) as one new segment.
-    pub(crate) fn spill(&mut self, path: PathBuf, stride: usize, rows: &[(u64, Vec<Value>)]) {
-        let step_keys: Option<Vec<StepKey>> = self.specs.as_ref().map(|specs| {
-            specs
-                .iter()
-                .map(|s| StepKey {
-                    ordered: s.ordered,
-                    cols: s.cols.clone(),
-                })
-                .collect()
-        });
-        self.segments.push(Segment::write(
-            path,
-            stride,
-            rows,
-            &self.probe_cols,
-            step_keys.as_deref(),
-        ));
+    pub(crate) fn spill(
+        &mut self,
+        path: PathBuf,
+        stride: usize,
+        rows: &[(u64, Vec<Value>)],
+        held: Held<'_>,
+    ) {
+        let steps = keyed(held).into_iter().flatten();
+        let steps = steps.map(|(step, cols)| (step.ordered, cols));
+        let segment = Segment::write(path, stride, rows, &self.probe_cols, steps);
+        self.segments.push(segment);
         self.stats.rows_demoted += rows.len() as u64;
         self.stats.segments_written += 1;
     }
@@ -204,23 +229,15 @@ impl ColdTier {
         out
     }
 
-    /// Drops every segment whose step summaries are all covered per
-    /// `covers`, i.e. the recipe proves every row in it dead — the certified
-    /// on-disk purge. Returns the number of rows dropped (they count as
-    /// purged, exactly as if each had been checked individually).
-    pub(crate) fn drop_covered(
-        &mut self,
-        mut covers: impl FnMut(&StepSpec, &StepSummary) -> bool,
-    ) -> u64 {
-        let Some(specs) = &self.specs else { return 0 };
+    /// Drops every segment whose step summaries `engine`'s stores cover —
+    /// the certified on-disk purge. Returns the number of rows dropped (they
+    /// count as purged, exactly as if each had been checked individually).
+    pub(crate) fn drop_covered(&mut self, held: Held<'_>, engine: &PurgeEngine) -> u64 {
+        let Some(steps) = keyed(held) else { return 0 };
         let mut dropped = 0u64;
         let mut retired = 0u64;
         self.segments.retain(|seg| {
-            let covered = seg.step_summaries().len() == specs.len()
-                && specs
-                    .iter()
-                    .zip(seg.step_summaries())
-                    .all(|(spec, summary)| covers(spec, summary));
+            let covered = covered(steps.clone(), seg, engine);
             if covered {
                 dropped += seg.live() as u64;
                 retired += 1;
@@ -233,15 +250,21 @@ impl ColdTier {
 
     /// Whether a cold row may still need entry `key` of `target`'s scheme
     /// `scheme_idx` to certify: a live segment summarizes it under a step on
-    /// that scheme — or the tier cannot tell (no specs, an open summary).
-    pub(crate) fn needs(&self, target: StreamId, scheme_idx: usize, key: &Value) -> bool {
-        let Some(specs) = &self.specs else {
+    /// that scheme — or the tier cannot tell (no rooted recipe, an open
+    /// summary).
+    pub(crate) fn needs(
+        &self,
+        held: Held<'_>,
+        (target, scheme_idx): (StreamId, usize),
+        key: &Value,
+    ) -> bool {
+        let Some(steps) = keyed(held) else {
             return self.cold_rows() > 0;
         };
         let live = self.segments.iter().filter(|seg| seg.live() > 0);
-        let steps = live.flat_map(|seg| specs.iter().zip(seg.step_summaries()));
+        let steps = live.flat_map(|seg| steps.clone().zip(seg.step_summaries()));
         let mut on_scheme =
-            steps.filter(|(spec, _)| spec.target == target && spec.scheme_idx == scheme_idx);
+            steps.filter(|((step, _), _)| step.target == target && step.scheme_idx == scheme_idx);
         on_scheme.any(|(_, summary)| match summary {
             StepSummary::Combos(combos) => combos.iter().any(|combo| combo[..] == [*key]),
             StepSummary::Open => true,
@@ -249,25 +272,16 @@ impl ColdTier {
         })
     }
 
-    /// Whether any remaining segment is fully covered per `covers` — the
+    /// Whether any live segment is fully covered by `engine`'s stores — the
     /// certificate verifier asserts this is `false` after every purge cycle
     /// (a covered segment surviving a cycle would be a provably-dead row
     /// outliving its certificate in the cold tier).
-    pub(crate) fn any_covered(
-        &self,
-        mut covers: impl FnMut(&StepSpec, &StepSummary) -> bool,
-    ) -> bool {
-        let Some(specs) = &self.specs else {
+    pub(crate) fn any_covered(&self, held: Held<'_>, engine: &PurgeEngine) -> bool {
+        let Some(steps) = keyed(held) else {
             return false;
         };
-        self.segments.iter().any(|seg| {
-            seg.live() > 0
-                && seg.step_summaries().len() == specs.len()
-                && specs
-                    .iter()
-                    .zip(seg.step_summaries())
-                    .all(|(spec, summary)| covers(spec, summary))
-        })
+        let mut live = self.segments.iter().filter(|seg| seg.live() > 0);
+        live.any(|seg| covered(steps.clone(), seg, engine))
     }
 
     /// Drains every remaining cold row (finish-time rehydration), retiring
@@ -323,6 +337,7 @@ impl ColdTier {
         store: &mut SpillStore,
         (op, port): (usize, usize),
         (stride, head): (usize, u64),
+        held: Held<'_>,
     ) -> crate::checkpoint::SnapshotResult<()> {
         use crate::checkpoint::SnapshotError;
         let n = d.len_prefix(8)?;
@@ -351,7 +366,7 @@ impl ColdTier {
                     "cold segment liveness bitmap malformed".into(),
                 ));
             }
-            self.spill(store.alloc(op, port), stride, &rows);
+            self.spill(store.alloc(op, port), stride, &rows, held);
             self.segments
                 .last_mut()
                 .expect("just spilled")
@@ -385,11 +400,11 @@ mod tests {
     #[test]
     fn fault_and_rehydrate_round_trip() {
         let mut store = SpillStore::new(0);
-        let mut tier = ColdTier::new(None, vec![0]);
+        let mut tier = ColdTier::new(vec![0]);
         let rows: Vec<(u64, Vec<Value>)> = (0..6)
             .map(|i| (i, vec![Value::Int(i as i64 % 2), Value::Int(i as i64)]))
             .collect();
-        tier.spill(store.alloc(0, 0), 2, &rows);
+        tier.spill(store.alloc(0, 0), 2, &rows, &None);
         assert_eq!(tier.cold_rows(), 6);
         let keys: FxHashSet<Value> = [Value::Int(0)].into_iter().collect();
         let faulted = tier.fault(0, &keys);

@@ -21,7 +21,7 @@ use punctuated_cjq::stream::tuple::Tuple;
 
 fn show(
     engine: &PurgeEngine,
-    recipe: &punctuated_cjq::stream::purge::CompiledRecipe,
+    recipe: &purge_plan::CompiledRecipe,
     roots: &HashMap<StreamId, Vec<Value>>,
     when: &str,
 ) {
@@ -67,7 +67,7 @@ fn main() {
     // The compile-time recipe (Theorem 1's constructive direction).
     let recipe = purge_plan::derive_recipe(&query, &schemes, &streams, StreamId(0))
         .expect("S1 is purgeable in Fig. 3");
-    print!("{}", recipe.explain(&query));
+    print!("{}", recipe.explain(&query, &schemes));
     println!();
 
     let mut engine = PurgeEngine::new(&query, &schemes, None, 100_000);

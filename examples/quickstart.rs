@@ -41,7 +41,7 @@ fn main() {
     // 5. How purging will actually work: the chained purge recipe.
     let all: Vec<StreamId> = query.stream_ids().collect();
     let recipe = purge_plan::derive_recipe(&query, &schemes, &all, StreamId(0)).unwrap();
-    print!("{}", recipe.explain(&query));
+    print!("{}", recipe.explain(&query, &schemes));
 
     // 6. Run a small punctuated feed end-to-end through the vectorized
     //    micro-batch path, streaming each result row into a sink as it is

@@ -452,7 +452,7 @@ fn report(query: &Cjq, schemes: &SchemeSet, want_plan: bool) -> ExitCode {
                 .expect("purgeable implies recipe");
             let name = cat.schema(p.stream).expect("validated").name();
             println!("  recipe for {name}:");
-            for line in recipe.explain(query).lines().skip(1) {
+            for line in recipe.explain(query, schemes).lines().skip(1) {
                 println!("  {line}");
             }
         }

@@ -14,13 +14,16 @@ use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::checkpoint::{
     list_snapshots, CheckpointStore, Dec, Enc, InputCursor, Manifest,
 };
+use punctuated_cjq::stream::element::StreamElement;
 use punctuated_cjq::stream::error::ExecError;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
 use punctuated_cjq::stream::groupby::Aggregate;
+use punctuated_cjq::stream::metrics::Metrics;
 use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::registry::{QueryId, QueryRegistry, RegistryResult};
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tier::TierConfig;
+use punctuated_cjq::stream::tuple::Tuple;
 use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::auction;
 
@@ -501,4 +504,106 @@ fn weighted_recipes_are_part_of_the_fingerprint() {
     assert!(!list_snapshots(&dir).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
     let _ = case.check();
+}
+
+/// Fig. 5 on the executor, fed 40 keyed rounds: one golden snapshot's run.
+fn fig5_run() -> (Feed, impl Fn(&str) -> Result<Executor, String>) {
+    let spec = punctuated_cjq::core::fixtures::fig5();
+    let feed = keyed_feed(&spec, 40, 8);
+    let (query, schemes) = spec;
+    let plan = Plan::mjoin_all(&query);
+    let cfg = ExecConfig::default();
+    let build = move |_: &str| Executor::compile(&query, &schemes, &plan, cfg);
+    (feed, move |phase: &str| {
+        build(phase).map_err(|e| e.to_string())
+    })
+}
+
+/// An open registry whose meet holds two distinct recipes on each stream:
+/// `a.k = b.k` twice and `a.k = b.v` once, as in the registry's interning
+/// test. `b` closes `k` and `a` closes `k` three rounds late and `b` closes
+/// `v` every other round, so both mirrors hold rows at the cut.
+fn meet_run() -> (Feed, impl Fn(&str) -> Result<QueryRegistry, String>) {
+    let mut catalog = Catalog::new();
+    for name in ["a", "b"] {
+        catalog.add_stream(StreamSchema::new(name, ["k", "v"]).unwrap());
+    }
+    let join = |b: usize| {
+        let on = JoinPredicate::between(0, 0, 1, b).unwrap();
+        let query = Cjq::new(catalog.clone(), vec![on]).unwrap();
+        let plan = Plan::mjoin_all(&query);
+        (query, plan)
+    };
+    let specs = [join(0), join(1), join(0)];
+    let on = |(s, a)| PunctuationScheme::on(s, &[a]).unwrap();
+    let schemes = SchemeSet::from_schemes([(0, 0), (1, 0), (1, 1)].map(on));
+    let close = |s: usize, a: usize, v: i64| {
+        let p = Punctuation::with_constants(StreamId(s), 2, &[(AttrId(a), Value::Int(v))]);
+        StreamElement::Punctuation(p)
+    };
+    let mut feed = Feed::new();
+    for r in 0i64..24 {
+        feed.push(Tuple::of(0, [Value::Int(r), Value::Int(100 + r)]));
+        feed.push(Tuple::of(1, [Value::Int(r), Value::Int(r + 1)]));
+        feed.push(close(1, 0, r - 3));
+        if r % 2 == 1 {
+            feed.push(close(1, 1, r + 1));
+        }
+        feed.push(close(0, 0, r - 3));
+    }
+    let cfg = ExecConfig::default();
+    (feed, move |phase: &str| {
+        readmitting(&schemes, cfg, &specs)(phase)
+    })
+}
+
+/// Restores the golden snapshot `name` into a temporary directory and
+/// resumes `feed` from it; returns the uninterrupted checkpointed run and
+/// the resumed one. A golden snapshot is the one snapshot `crashed` leaves
+/// after `3n/4` of an `n`-element feed at cadence `n/2`: a cut at the
+/// first punctuation past mid-feed.
+fn resume_golden<E: Engine>(
+    name: &str,
+    feed: &Feed,
+    build: impl Fn(&str) -> Result<E, String>,
+) -> [E::Output; 2] {
+    let every = (feed.len() / 2) as u64;
+    let dir = temp_ckpt_dir(name);
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    std::fs::copy(golden.join(name), dir.join("snap-000000.ckpt")).expect("golden snapshot");
+    let resumed = E::try_resume(&dir, &build, feed, every).expect("the golden snapshot restores");
+    let _ = std::fs::remove_dir_all(&dir);
+    [resume(0, every, feed, build, true), resumed]
+}
+
+/// Snapshots committed under `tests/golden` at snapshot `VERSION` 14 by an
+/// earlier build of the engine: restored on this tree, each resumes to the
+/// outputs and metrics of an uninterrupted run. That holds only while the
+/// fingerprint folds the same recipe words and restored trackers offer the
+/// same candidates. A change that bumps `checkpoint::VERSION` regenerates
+/// both: cut each run as [`resume_golden`] describes and commit the snapshot
+/// it leaves.
+#[test]
+fn golden_snapshots_resume_like_an_uninterrupted_run() {
+    // The goldens were cut without the certificate verifier, which a build
+    // with it counts from the restore on, not from the start.
+    let digest = |m: &Metrics| {
+        metrics_digest(&Metrics {
+            certificate_checks: 0,
+            ..m.clone()
+        })
+    };
+    let (feed, build) = fig5_run();
+    let [golden, resumed] = resume_golden("snapshot_fig5.ckpt", &feed, build);
+    assert!(golden.metrics.purged > 0 && !golden.outputs.is_empty());
+    assert_eq!(resumed.outputs, golden.outputs);
+    assert_eq!(digest(&resumed.metrics), digest(&golden.metrics));
+    let (feed, build) = meet_run();
+    let [golden, resumed] = resume_golden("snapshot_meet.ckpt", &feed, build);
+    assert!(golden.queries.iter().all(|q| q.stats.outputs > 0));
+    assert_eq!(resumed.queries.len(), golden.queries.len());
+    for (g, r) in golden.queries.iter().zip(&resumed.queries) {
+        assert_eq!((&r.outputs, &r.stats), (&g.outputs, &g.stats));
+    }
+    assert_eq!(digest(&resumed.metrics), digest(&golden.metrics));
 }
