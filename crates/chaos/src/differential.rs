@@ -300,9 +300,24 @@ impl Case {
         };
         let armed = || self.armed(bounds.clone());
         if let Some(clock) = checked.oracle.as_ref().and_then(|o| self.fails(o)) {
-            let runs = DRIVERS.map(|d| drive(name, armed(), &self.feed, d, None));
-            let refused = runs.iter().all(|r| refused_at(r, clock));
+            // `try_run` consumes the engine it fails; `try_push_batch` over
+            // chunks of 256 stands in for what it left.
+            let drivers = [Batches(256), Push, Batches(1), Batches(7), Run];
+            let runs = drivers.map(|d| (d, drive(name, armed(), &self.feed, d, None)));
+            let refused = runs.iter().all(|(_, (r, _))| refused_at(r, clock));
             assert!(refused, "{name}: executor: refused at {clock}");
+            // A refusal leaves what one-element pushes leave, however the
+            // feed was cut.
+            let left = runs
+                .iter()
+                .filter_map(|(d, (_, done))| Some((d, driven(done.as_ref()?))));
+            let left: Vec<_> = left.collect();
+            for (driver, done) in &left[1..] {
+                assert_eq!(
+                    done, &left[0].1,
+                    "{name}: {driver:?}: what a refusal leaves"
+                );
+            }
             self.check_registries(None, &checked.oracle);
             return checked;
         }
@@ -653,25 +668,25 @@ pub fn assert_drivers_agree(
     feed: &Feed,
     stored: Option<(&SchemeSet, &[Sample])>,
 ) -> RunResult {
-    let run =
-        |d| drive(name, build(), feed, d, stored).unwrap_or_else(|e| panic!("{name}: {d:?}: {e}"));
-    let [solo, rest @ ..] = DRIVERS.map(run);
-    // All but wall time and the two counters of how the feed was cut.
-    let driven = |r: &RunResult| {
-        let mut m = r.metrics.clone();
-        (m.elapsed_ns, m.batches_processed, m.probe_keys_deduped) = (0, 0, 0);
-        (
-            r.outputs.clone(),
-            sorted(&r.aggregates),
-            format!("{m:?}"),
-            r.operators.clone(),
-        )
+    let run = |d| match drive(name, build(), feed, d, stored) {
+        (Ok(()), Some(done)) => done,
+        (res, _) => panic!("{name}: {d:?}: {res:?}"),
     };
+    let [solo, rest @ ..] = DRIVERS.map(run);
     for (run, driver) in rest.iter().zip(&DRIVERS[1..]) {
         let at = "outputs, aggregates, metrics, operators";
         assert_eq!(driven(run), driven(&solo), "{name}: {driver:?}: {at}");
     }
     solo
+}
+
+/// What a run shows of how its feed was cut — outputs, aggregates, metrics
+/// and operator snapshots — less wall time and the two counters of the cut.
+fn driven(r: &RunResult) -> String {
+    let mut m = r.metrics.clone();
+    (m.elapsed_ns, m.batches_processed, m.probe_keys_deduped) = (0, 0, 0);
+    let aggregates = sorted(&r.aggregates);
+    format!("{:?}", (&r.outputs, aggregates, m, &r.operators))
 }
 
 /// (`try_run` gathers chunks of 256 and pushes them as batches.)
@@ -690,38 +705,45 @@ enum Driver {
     Run,
 }
 
+/// What `driver` makes of `feed` on `exec`: how the push ended, and the
+/// finished run — after the error that stopped it, if one did; `None` where
+/// `try_run` failed, which consumes the engine.
 fn drive(
     name: &str,
     mut exec: Executor,
     feed: &Feed,
     driver: Driver,
     stored: Option<(&SchemeSet, &[Sample])>,
-) -> ExecResult<RunResult> {
-    match driver {
-        Driver::Run => exec.try_run(feed),
+) -> (ExecResult<()>, Option<RunResult>) {
+    let (mut sink, mut batch) = (CollectSink::new(), ElementBatch::new());
+    let pushed = match driver {
+        Driver::Run => {
+            return exec
+                .try_run(feed)
+                .map_or_else(|e| (Err(e), None), |r| (Ok(()), Some(r)))
+        }
         Driver::Push => {
             let (r, mut samples) = stored.map_or((None, [].iter()), |(r, s)| (Some(r), s.iter()));
             let mut samples = samples.by_ref().peekable();
-            for (at, e) in (1..).zip(feed.elements()) {
+            (1..).zip(feed.elements()).try_for_each(|(at, e)| {
                 exec.try_push(e)?;
                 if let Some(sample) = samples.next_if(|s| s.at == at) {
                     let missing = stored_missing(&exec, r.expect("with samples"), sample);
                     assert!(missing.is_none(), "{name}: at {at}: {missing:?}");
                 }
-            }
-            Ok(exec.finish())
+                Ok(())
+            })
         }
-        Driver::Batches(n) => {
-            let (mut sink, mut batch) = (CollectSink::new(), ElementBatch::new());
-            for chunk in feed.elements().chunks(n) {
-                batch.gather(chunk);
-                exec.try_push_batch(&batch, &mut sink)?;
-            }
-            let mut done = exec.finish();
-            done.outputs = sink.rows;
-            Ok(done)
-        }
+        Driver::Batches(n) => feed.elements().chunks(n).try_for_each(|chunk| {
+            batch.gather(chunk);
+            exec.try_push_batch(&batch, &mut sink)
+        }),
+    };
+    let mut done = exec.finish();
+    if let Driver::Batches(_) = driver {
+        done.outputs = sink.rows;
     }
+    (pushed, Some(done))
 }
 
 /// An entry of `sample` that `exec`'s punctuation stores lack, with its

@@ -6,7 +6,7 @@
 //! that would compile to the same operator share a node (Dossinger & Michel's
 //! shared operator graph; one query is the degenerate case where nothing is
 //! shared). The arena owns what follows from that layout: the single routing
-//! pass through the nodes a run's stream reaches, retirement by tombstone,
+//! pass of a segment through the nodes, retirement by tombstone,
 //! the operators' snapshot body and the shape half of a fingerprint. What an
 //! engine does with a root's output buffer is its own business.
 
@@ -15,6 +15,7 @@ use cjq_core::plan::Plan;
 use cjq_core::query::{Cjq, JoinPredicate};
 use cjq_core::schema::StreamId;
 use cjq_core::scheme::SchemeSet;
+use cjq_core::value::Value;
 
 use crate::checkpoint::{Dec, Enc, Fingerprint, SnapshotError, SnapshotResult};
 use crate::exec::ExecConfig;
@@ -52,7 +53,7 @@ struct Node {
     op: JoinOperator,
     /// Plans interned onto this node and not released since.
     subscribers: usize,
-    /// The node's output for the run being routed; stale otherwise.
+    /// The node's output for the segment routed last, in stamp order.
     out_buf: OutputBuffer,
 }
 
@@ -145,35 +146,46 @@ impl OpArena {
         Some(())
     }
 
-    /// Routes one admitted run in a single pass over the arena: every live
-    /// node whose span holds the run's stream probes once, from the raw run
-    /// on a leaf port or from its child's buffer otherwise. Children sit
-    /// below their parents, so a child's buffer is current when its parent
-    /// reads it, and a parent never reads a skipped child's stale buffer
-    /// because it routes through the port holding the stream. Rows a node
-    /// hands a parent count as intermediate once per parent reading them —
-    /// physical work, like the probe counters.
-    pub(crate) fn cascade(&mut self, run: Run<'_>, survivors: &[u32], metrics: &mut Metrics) {
+    /// Routes one admitted segment in a single pass over the arena: every
+    /// live node takes the segment's runs of streams it spans, in stamp
+    /// order, each on the port holding its stream — a leaf port's run as its
+    /// rows in the batch, an inner port's as the rows its child's buffer
+    /// holds stamped within it. Children sit below their parents, so a
+    /// child's buffer holds the whole segment's rows when its parent reads
+    /// them: merged by stamp with the parent's own leaf runs, they reach it
+    /// in the order one-element pushes would. Rows a node hands a parent
+    /// count as intermediate once per parent reading them — physical work,
+    /// like the probe counters.
+    pub(crate) fn cascade(&mut self, arena: &[Value], runs: &[Run], metrics: &mut Metrics) {
         for n in 0..self.nodes.len() {
             let (below, rest) = self.nodes.split_at_mut(n);
-            let Some(node) = &mut rest[0] else { continue };
-            let Some(port) = node.op.port_of(run.stream) else {
+            let Some(Node {
+                key, op, out_buf, ..
+            }) = &mut rest[0]
+            else {
                 continue;
             };
-            let out = &mut node.out_buf;
-            out.reset(node.op.out_layout().width());
-            metrics.probe_keys_deduped += match node.key.children[port] {
-                ChildKey::Leaf(_) => node.op.process_batch(port, run.rows(survivors), out),
-                ChildKey::Inner(c) => {
-                    let child = below[c].as_ref().expect("children outlive parents");
-                    if child.out_buf.is_empty() {
-                        continue;
-                    }
-                    metrics.intermediate_rows += child.out_buf.len() as u64;
-                    let rows = child.out_buf.iter_with_now();
-                    node.op.process_batch(port, rows, out)
-                }
+            out_buf.reset(op.out_layout().width());
+            let below = &*below;
+            let child = |c: usize| below[c].as_ref().expect("children outlive parents");
+            let spans = |kid: &ChildKey, stream| match *kid {
+                ChildKey::Leaf(s) => s == stream,
+                ChildKey::Inner(c) => child(c).op.span().binary_search(&stream).is_ok(),
             };
+            let handed = &mut metrics.intermediate_rows;
+            let input = runs.iter().filter_map(|run| {
+                let port = key.children.iter().position(|kid| spans(kid, run.stream))?;
+                let ChildKey::Inner(c) = key.children[port] else {
+                    return Some((port, run.rows(arena)));
+                };
+                let rows = child(c).out_buf.stamped(run.base, run.end);
+                let (len @ 1.., _) = rows.size_hint() else {
+                    return None;
+                };
+                *handed += len as u64;
+                Some((port, rows))
+            });
+            metrics.probe_keys_deduped += op.process_segment(input, out_buf);
         }
     }
 
@@ -207,7 +219,7 @@ impl OpArena {
         })
     }
 
-    /// What live node `i` emitted for the run routed last.
+    /// What live node `i` emitted for the segment routed last.
     pub(crate) fn out(&self, i: usize) -> &OutputBuffer {
         &self.nodes[i].as_ref().expect("a live node").out_buf
     }

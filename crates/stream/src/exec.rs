@@ -353,10 +353,10 @@ impl Executor {
     /// results into `sink` (see [`Engine::try_push`] for the error
     /// contract).
     ///
-    /// Equivalent to pushing the batch's elements one at a time: runs of
-    /// consecutive same-stream tuples flow through the operator cascade as
-    /// columnar buffers (capped at purge/sample boundaries), punctuations
-    /// are processed individually in order.
+    /// Equivalent to pushing the batch's elements one at a time: the tuples
+    /// between two punctuations flow through the operator cascade as one
+    /// segment (capped at purge/sample boundaries), punctuations are
+    /// processed individually in order.
     pub fn try_push_batch(
         &mut self,
         batch: &ElementBatch<'_>,

@@ -20,7 +20,7 @@ use cjq_core::value::Value;
 use crate::checkpoint::{Dec, Enc, SnapshotError, SnapshotResult};
 use crate::layout::SpanLayout;
 use crate::purge::{Candidates, CheckScratch, PurgeEngine, PurgeScope, PurgeTracker, PurgeWork};
-use crate::sink::OutputBuffer;
+use crate::sink::{OutputBuffer, Stamped};
 use crate::state::{PortState, Sweep};
 use crate::tier::{self, ColdTier, SpillStore, TierStats};
 
@@ -266,15 +266,6 @@ impl JoinOperator {
         &self.port_spans
     }
 
-    /// The input port whose span contains `stream`, if any. Ports span
-    /// disjoint stream sets, so the answer is unique; the registry's batch
-    /// router uses it to find where a same-stream run (or a shared child's
-    /// output) enters this operator.
-    #[must_use]
-    pub fn port_of(&self, stream: StreamId) -> Option<usize> {
-        self.port_spans.iter().position(|ps| ps.contains(&stream))
-    }
-
     /// The stored state of `port`.
     #[must_use]
     pub fn port_state(&self, port: usize) -> &PortState {
@@ -362,10 +353,10 @@ impl JoinOperator {
     /// matched (probe key only, filters ignored — a superset of the rows the
     /// DFS will visit, so no cold row that could contribute to an output is
     /// ever missed). Hot rows matched along the way are recency-stamped.
-    fn fault_sweep<'a, I>(&mut self, port: usize, rows: I, now: u64)
-    where
-        I: Iterator<Item = &'a [Value]> + Clone,
-    {
+    fn fault_sweep(&mut self, port: usize, rows: Stamped<'_>) {
+        let Some((_, now)) = rows.clone().next() else {
+            return;
+        };
         let mut matched: Vec<Option<Vec<usize>>> = vec![None; self.ports.len()];
         let mut keys: FxHashSet<Value> = FxHashSet::default();
         for depth in 0..self.probe_plans[port].len() {
@@ -374,7 +365,7 @@ impl JoinOperator {
             let (jcol, bport, bcol) = relevant[0];
             keys.clear();
             if bport == port {
-                for row in rows.clone() {
+                for (row, _) in rows.clone() {
                     keys.insert(row[bcol]);
                 }
             } else {
@@ -619,99 +610,96 @@ impl JoinOperator {
         Ok(())
     }
 
-    /// The operator step — the only one: a run of same-port tuples (one or
-    /// many) arrives on `port`, probes the other ports' states for result
-    /// combinations, and is stored. Emitted result rows are appended to `out`
-    /// in input-row order, each row's combinations in DFS order over the
-    /// probe plan (probe buckets are insertion-ordered), without per-row
-    /// allocations.
+    /// The operator step — the only one: a segment's input, as same-port
+    /// runs in stamp order (one or many rows each). Each run probes the
+    /// other ports' states for result combinations and is stored before the
+    /// next run probes. Emitted result rows are appended to `out` in input-row
+    /// order, each row's combinations in DFS order over the probe plan (probe
+    /// buckets are insertion-ordered), without per-row allocations.
     ///
     /// Within a run the probed ports' states are immutable — probes only hit
-    /// *other* ports, and same-port tuples never join each other — so all
-    /// inserts are deferred to the end of the run, and a row whose depth-0
-    /// key equals the previous row's reads the bucket that row found instead
-    /// of probing again. This is exactly equivalent to feeding the tuples one
-    /// at a time. Returns the number of rows that reused the previous row's
+    /// *other* ports, and same-port tuples never join each other — so the
+    /// run's inserts are deferred to its end, and a row whose depth-0 key
+    /// equals the previous row's reads the bucket that row found instead of
+    /// probing again. This is exactly equivalent to feeding the tuples one at
+    /// a time. Returns the number of rows that reused the previous row's
     /// bucket.
     ///
     /// # Panics
     /// Panics if `out`'s row width differs from the operator's output layout.
-    pub fn process_batch<'a, I>(&mut self, port: usize, rows: I, out: &mut OutputBuffer) -> u64
-    where
-        I: Iterator<Item = (&'a [Value], u64)> + Clone,
-    {
+    pub(crate) fn process_segment<'a>(
+        &mut self,
+        runs: impl Iterator<Item = (usize, Stamped<'a>)>,
+        out: &mut OutputBuffer,
+    ) -> u64 {
         assert_eq!(out.width(), self.out_layout.width(), "sink width mismatch");
-        if self.has_cold() {
-            if let Some((_, first_now)) = rows.clone().next() {
-                self.fault_sweep(port, rows.clone().map(|(r, _)| r), first_now);
-            }
-        }
-        let inserts = rows.clone();
-        let plan = &self.probe_plans[port];
-        let (j0, rel0) = &plan[0];
-        let (j0, (jcol0, _, kcol0)) = (*j0, rel0[0]);
-        let before = out.len();
-        let (mut n_rows, mut deduped, mut batch_now) = (0u64, 0u64, 0u64);
-        {
-            // One row per port, on the stack for any plan of ordinary width.
-            let (mut few, mut many) = ([None; 8], Vec::new());
-            let assignment: &mut [Option<&[Value]>] = match few.get_mut(..self.ports.len()) {
-                Some(few) => few,
-                None => {
-                    many.resize(self.ports.len(), None);
-                    &mut many
-                }
-            };
-            let probed = &self.ports[j0];
-            let mut memo: Option<(Value, &[usize])> = None;
-            for (row, now) in rows {
-                n_rows += 1;
-                batch_now = now;
-                // Depth 0 by hand: probe (or reuse the previous row's bucket),
-                // filter with the remaining depth-0 predicates (all bound to
-                // the origin row), then recurse as usual.
-                let key = row[kcol0];
-                let bucket = match memo {
-                    Some((prev, bucket)) if prev == key => {
-                        deduped += 1;
-                        bucket
-                    }
-                    _ => probed.probe(jcol0, &key),
-                };
-                memo = Some((key, bucket));
-                if bucket.is_empty() {
-                    continue;
-                }
-                assignment[port] = Some(row);
-                for &slot in bucket {
-                    let Some(cand) = probed.get(slot) else {
-                        continue;
-                    };
-                    let ok = rel0[1..].iter().all(|&(jc, _, bc)| cand[jc] == row[bc]);
-                    if ok {
-                        assignment[j0] = Some(cand);
-                        extend_into(&self.ports, plan, 1, assignment, &self.emit, now, out);
-                        assignment[j0] = None;
-                    }
-                }
-                assignment[port] = None;
-            }
-        }
-        // Deferred inserts: same-port tuples never probe their own port, so
-        // storing them after the whole run emits is equivalent to interleaved
-        // insertion — and keeps the probed buckets frozen while rows read
-        // them. With tiering on, every depth-0 row the run enumerated is
-        // stamped as probed at the run's last clock (the cold tier's recency
-        // signal), once per change of key.
         let tiered = self.tiering_enabled();
-        let mut stamped = None;
-        for (row, now) in inserts {
-            let key = row[kcol0];
-            if tiered && stamped != Some(key) {
-                self.ports[j0].note_probed(jcol0, &key, batch_now);
-                stamped = Some(key);
+        let before = out.len();
+        let (mut n_rows, mut deduped) = (0u64, 0u64);
+        for (port, rows) in runs {
+            if tiered && self.has_cold() {
+                self.fault_sweep(port, rows.clone());
             }
-            self.ports[port].insert_slice_at(row, now);
+            let inserts = rows.clone();
+            let plan = &self.probe_plans[port];
+            let (j0, rel0) = &plan[0];
+            let (j0, (jcol0, _, kcol0)) = (*j0, rel0[0]);
+            {
+                // One row per port, on the stack for any plan of ordinary width.
+                let (mut few, mut many) = ([None; 8], Vec::new());
+                let assignment: &mut [Option<&[Value]>] = match few.get_mut(..self.ports.len()) {
+                    Some(few) => few,
+                    None => {
+                        many.resize(self.ports.len(), None);
+                        &mut many
+                    }
+                };
+                let probed = &self.ports[j0];
+                let mut memo: Option<(Value, &[usize])> = None;
+                for (row, now) in rows {
+                    n_rows += 1;
+                    // Depth 0 by hand: probe (or reuse the previous row's
+                    // bucket), filter with the remaining depth-0 predicates
+                    // (all bound to the origin row), then recurse as usual.
+                    let key = row[kcol0];
+                    let bucket = match memo {
+                        Some((prev, bucket)) if prev == key => {
+                            deduped += 1;
+                            bucket
+                        }
+                        _ => probed.probe(jcol0, &key),
+                    };
+                    memo = Some((key, bucket));
+                    if bucket.is_empty() {
+                        continue;
+                    }
+                    assignment[port] = Some(row);
+                    for &slot in bucket {
+                        let Some(cand) = probed.get(slot) else {
+                            continue;
+                        };
+                        let ok = rel0[1..].iter().all(|&(jc, _, bc)| cand[jc] == row[bc]);
+                        if ok {
+                            assignment[j0] = Some(cand);
+                            extend_into(&self.ports, plan, 1, assignment, &self.emit, now, out);
+                            assignment[j0] = None;
+                        }
+                    }
+                    assignment[port] = None;
+                }
+            }
+            // Deferred inserts: same-port tuples never probe their own port,
+            // so storing them after the whole run emits is equivalent to
+            // interleaved insertion — and keeps the probed buckets frozen
+            // while rows read them. With tiering on, every depth-0 row a row
+            // enumerated is stamped as probed at that row's clock (the cold
+            // tier's recency signal), as one-element pushes would stamp it.
+            for (row, now) in inserts {
+                if tiered {
+                    self.ports[j0].note_probed(jcol0, &row[kcol0], now);
+                }
+                self.ports[port].insert_slice_at(row, now);
+            }
         }
         self.stats.tuples_in += n_rows;
         self.stats.outputs += (out.len() - before) as u64;
@@ -860,9 +848,9 @@ mod tests {
     }
 
     impl JoinOperator {
-        /// One tuple through [`JoinOperator::process_batch`] as a run of one,
-        /// returning the emitted rows owned — the unit tests' view of a
-        /// single arrival.
+        /// One tuple through [`JoinOperator::process_segment`] as a segment
+        /// of one, returning the emitted rows owned — the unit tests' view of
+        /// a single arrival.
         pub(crate) fn process_one(
             &mut self,
             port: usize,
@@ -870,7 +858,10 @@ mod tests {
             now: u64,
         ) -> Vec<Vec<Value>> {
             let mut out = OutputBuffer::new(self.out_layout.width());
-            self.process_batch(port, std::iter::once((values, now)), &mut out);
+            let run = values
+                .chunks_exact(values.len())
+                .zip((now..now + 1).chain([].iter().copied()));
+            self.process_segment(std::iter::once((port, run)), &mut out);
             out.rows().map(<[Value]>::to_vec).collect()
         }
     }
@@ -1055,7 +1046,7 @@ mod tests {
     }
 
     #[test]
-    fn a_tiered_run_stamps_the_rows_it_probed_at_its_last_clock() {
+    fn a_tiered_run_stamps_the_rows_it_probed_at_each_rows_clock() {
         let (_, _, _, mut op) = setup_auction();
         op.enable_tiering();
         for (item, now) in [(1, 10), (2, 11), (3, 12)] {
@@ -1068,9 +1059,12 @@ mod tests {
             [ival(6), ival(2), ival(7)],
         ];
         let mut out = OutputBuffer::new(op.out_layout().width());
-        let run = bids.iter().zip(20..).map(|(bid, now)| (&bid[..], now));
+        let run = bids
+            .as_flattened()
+            .chunks_exact(3)
+            .zip((20..23).chain([].iter().copied()));
         assert_eq!(
-            op.process_batch(1, run, &mut out),
+            op.process_segment(std::iter::once((1, run)), &mut out),
             1,
             "the second bid reuses the bucket"
         );
@@ -1082,8 +1076,8 @@ mod tests {
         };
         assert_eq!(
             touched(0),
-            [22, 22, 12],
-            "probed items: the run's last clock"
+            [21, 22, 12],
+            "probed items: the clock of the last bid on each"
         );
         assert_eq!(touched(1), [20, 21, 22], "stored bids: their arrival");
     }

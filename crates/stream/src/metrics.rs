@@ -283,10 +283,11 @@ facts! {
         /// Micro-batches pushed (one per `Executor::push_batch` call; one-element
         /// `Executor::push` calls are not counted).
         pub batches_processed: u64 => sum,
-        /// Join-index probe lookups saved within runs: rows whose depth-0 key
-        /// equals the previous row's in the same run, which reuse that row's
-        /// bucket instead of probing. Always 0 for runs of one; compare against
-        /// `tuples_in` to see batching effectiveness.
+        /// Join-index probe lookups saved within a segment's same-port runs:
+        /// rows whose depth-0 key equals the previous row's in the same run,
+        /// which reuse that row's bucket instead of probing. Always 0 for
+        /// one-element pushes; compare against `tuples_in` to see batching
+        /// effectiveness.
         pub probe_keys_deduped: u64 => sum,
         /// Intermediate composite rows materialized between join operators: every
         /// row a non-root operator emits and forwards into its parent's port.

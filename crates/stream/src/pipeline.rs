@@ -44,7 +44,7 @@ use crate::metrics::{Metrics, StatePoint};
 use crate::punct_store::PunctClass;
 use crate::purge::PurgeEngine;
 use crate::registry::QueryRegistry;
-use crate::sink::ResultSink;
+use crate::sink::{ResultSink, Stamped};
 use crate::source::{BatchItem, ElementBatch, Feed};
 use crate::tier::{SpillStore, TierStats};
 
@@ -69,9 +69,8 @@ pub(crate) struct Core {
     /// `cfg.sample_every` above `clock`, kept so per-run steps never divide.
     next_sample: u64,
     pub metrics: Metrics,
-    /// Reusable per-run scratch: indices of rows that survived the
-    /// punctuation-violation check.
-    pub scratch_survivors: Vec<u32>,
+    /// Reusable per-segment scratch: the admitted stretches of its runs.
+    pub scratch_runs: Vec<Run>,
     /// Cold-tier spill directory owner, present iff `cfg.tiering` is set.
     pub spill: Option<SpillStore>,
     /// Reusable budget-ladder scratch: live-row recency stamps.
@@ -102,7 +101,7 @@ impl Core {
             since_purge: 0,
             owed: false,
             metrics: Metrics::default(),
-            scratch_survivors: Vec::new(),
+            scratch_runs: Vec::new(),
             stamp_scratch: Vec::new(),
             dead_letter: DeadLetter::none(),
             failed: None,
@@ -167,33 +166,25 @@ fn next_sample_after(clock: u64, every: usize) -> u64 {
     }
 }
 
-/// One admitted same-stream run: stride-packed rows at the front of `arena`,
-/// row `i` stamped `base + i + 1`.
-#[derive(Clone, Copy)]
-pub(crate) struct Run<'a> {
+/// One admitted stretch of a segment: consecutive tuples of `stream`, the
+/// rows stamped `base + 1..=end`, stride-packed from flat offset `start` of
+/// the segment's arena. A row the admission check refuses cuts a run into
+/// two stretches.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
     pub stream: StreamId,
-    pub width: usize,
-    pub arena: &'a [Value],
+    width: usize,
+    start: usize,
     pub base: u64,
+    pub end: u64,
 }
 
-impl<'a> Run<'a> {
-    fn row(&self, i: usize) -> &'a [Value] {
-        &self.arena[i * self.width..(i + 1) * self.width]
-    }
-
-    fn now(&self, i: usize) -> u64 {
-        self.base + i as u64 + 1
-    }
-
-    /// The surviving rows with their stamps, as `process_batch` takes them.
-    pub(crate) fn rows<'s>(
-        &'s self,
-        survivors: &'s [u32],
-    ) -> impl Iterator<Item = (&'a [Value], u64)> + Clone + 's {
-        survivors
-            .iter()
-            .map(|&i| (self.row(i as usize), self.now(i as usize)))
+impl Run {
+    /// The stretch's rows with their stamps, read from `arena`.
+    pub(crate) fn rows<'a>(&self, arena: &'a [Value]) -> Stamped<'a> {
+        let len = (self.end - self.base) as usize * self.width;
+        let rows = arena[self.start..self.start + len].chunks_exact(self.width.max(1));
+        rows.zip((self.base + 1..self.end + 1).chain([].iter().copied()))
     }
 }
 
@@ -357,11 +348,12 @@ impl QueryRegistry {
 
     /// One element without the two clock reads: drivers that push a whole
     /// feed add their loop's time to `Metrics::elapsed_ns` once. A tuple is
-    /// a run of one.
+    /// a segment of one.
     pub(crate) fn push_untimed(&mut self, element: &StreamElement) -> ExecResult<()> {
         match element {
             StreamElement::Tuple(t) => {
-                self.push_run(t.stream, t.values.len(), &t.values, 1, &mut None)?;
+                let run = (t.stream, t.values.len(), 0, 1);
+                self.push_segment(&t.values, std::iter::once(run), &mut None)?;
             }
             StreamElement::Punctuation(p) => self.try_push_punctuation(p)?,
         }
@@ -369,9 +361,8 @@ impl QueryRegistry {
     }
 
     /// A gathered micro-batch, equivalent to pushing its elements one at a
-    /// time: runs of consecutive same-stream tuples flow as columnar buffers
-    /// (capped by [`QueryRegistry::run_cap`]), punctuations one by one in
-    /// order.
+    /// time: punctuations one by one in order, and between two of them the
+    /// tuple runs as segments (capped by [`QueryRegistry::run_cap`]).
     pub(crate) fn push_batch_timed(
         &mut self,
         batch: &ElementBatch<'_>,
@@ -379,28 +370,37 @@ impl QueryRegistry {
     ) -> ExecResult<()> {
         self.attempt(|this| {
             let start = Instant::now();
-            for item in batch.items() {
-                match *item {
-                    BatchItem::Punct(p) => {
-                        this.try_push_punctuation(p)?;
-                        this.post_element()?;
-                    }
-                    BatchItem::Run {
+            let items = batch.items();
+            // Item `i` is next; `done` of its rows went in an earlier segment.
+            let (mut i, mut done) = (0, 0);
+            while let Some(item) = items.get(i) {
+                if let BatchItem::Punct(p) = *item {
+                    this.try_push_punctuation(p)?;
+                    this.post_element()?;
+                    i += 1;
+                    continue;
+                }
+                let mut cap = this.run_cap();
+                let segment = std::iter::from_fn(|| {
+                    let BatchItem::Run {
                         stream,
                         width,
-                        start: flat_start,
+                        start,
                         rows,
-                    } => {
-                        let mut off = 0;
-                        while off < rows {
-                            let take = (rows - off).min(this.run_cap());
-                            let arena = &batch.arena()[flat_start + off * width..];
-                            this.push_run(stream, width, arena, take, taker)?;
-                            this.post_element()?;
-                            off += take;
-                        }
+                    } = *items.get(i).filter(|_| cap > 0)?
+                    else {
+                        return None;
+                    };
+                    let take = (rows - done).min(cap);
+                    let run = (stream, width, start + done * width, take);
+                    (cap, done) = (cap - take, done + take);
+                    if done == rows {
+                        (i, done) = (i + 1, 0);
                     }
-                }
+                    Some(run)
+                });
+                this.push_segment(batch.arena(), segment, taker)?;
+                this.post_element()?;
             }
             let metrics = &mut this.core.metrics;
             metrics.batches_processed += 1;
@@ -421,9 +421,9 @@ impl QueryRegistry {
         Ok(())
     }
 
-    /// How many more tuples may flow as one uninterrupted run before some
-    /// per-element event (purge cycle, sample, window eviction, budget or
-    /// bound check) is due. Always at least 1.
+    /// How many more tuples may flow as one segment before some per-element
+    /// event (purge cycle, sample, window eviction, budget or bound check) is
+    /// due. Always at least 1.
     fn run_cap(&self) -> usize {
         let core = &self.core;
         let cfg = &core.cfg;
@@ -441,77 +441,76 @@ impl QueryRegistry {
         to_purge.min(to_sample).max(1)
     }
 
-    /// Admits `take` same-stream rows as one uninterrupted run — one shape
-    /// check (the batch gatherer only coalesces width-homogeneous tuples),
-    /// then per row the punctuation-violation check and mirror insert — and
-    /// routes the survivors through the arena's cascade to the
-    /// roots' readers: `taker` where given, else each query's own.
-    fn push_run(
+    /// The tuple step — the only one. Admits one segment, the `(stream,
+    /// width, flat start, rows)` runs of `arena` between two punctuations
+    /// and within [`QueryRegistry::run_cap`]: the owed cycle once, then per
+    /// row in order the shape and punctuation-violation checks and the mirror
+    /// insert. Then one cascade routes the admitted stretches through the
+    /// arena, and the roots' rows go to their readers once: `taker` where
+    /// given, else each query's own. The stores change only on punctuation
+    /// arrival, so checking a segment's rows against them up front is
+    /// checking each on arrival. A refusal under [`AdmissionPolicy::Strict`]
+    /// ends the segment on the refused row, and the rows before it are still
+    /// routed: what one-element pushes leave.
+    fn push_segment(
         &mut self,
-        stream: StreamId,
-        width: usize,
         arena: &[Value],
-        take: usize,
+        runs: impl Iterator<Item = (StreamId, usize, usize, usize)>,
         taker: &mut Taker<'_>,
     ) -> ExecResult<()> {
         // The violation check reads the stores §5.1 trims.
         self.pay_owed_cycle();
+        let mut runs = runs.peekable();
         let Some((core, engine, guard)) = self.stage() else {
+            let stream = runs.peek().map_or(StreamId(0), |run| run.0);
             return Err(ExecError::UnroutableStream(stream));
         };
-        let run = Run {
-            stream,
-            width,
-            arena,
-            base: core.clock,
-        };
-        core.clock += take as u64;
-        core.since_purge += take;
         let strict = guard.policy() == AdmissionPolicy::Strict;
-        if let Some(fault) = guard.check_tuple_shape(stream, width) {
-            if strict {
-                return Err(ExecError::Admission {
-                    clock: run.now(0),
-                    fault,
-                });
-            }
-            for i in 0..take {
+        let mut admitted = std::mem::take(&mut core.scratch_runs);
+        admitted.clear();
+        let mut refused = Ok(());
+        'rows: for (stream, width, start, rows) in runs {
+            let shape = guard.check_tuple_shape(stream, width);
+            for i in 0..rows {
+                (core.clock, core.since_purge) = (core.clock + 1, core.since_purge + 1);
+                let (now, row) = (core.clock, &arena[start + i * width..][..width]);
+                let fault = match &shape {
+                    Some(fault) => fault.clone(),
+                    None if engine.observe_row_at(stream, row, now) => {
+                        core.metrics.tuples_in += 1;
+                        match admitted.last_mut() {
+                            Some(run) if run.stream == stream && run.end + 1 == now => {
+                                run.end = now
+                            }
+                            _ => admitted.push(Run {
+                                stream,
+                                width,
+                                start: start + i * width,
+                                base: now - 1,
+                                end: now,
+                            }),
+                        }
+                        continue;
+                    }
+                    None => {
+                        core.metrics.violations += 1;
+                        AdmissionFault::PunctuationViolation { stream }
+                    }
+                };
+                if strict {
+                    refused = Err(ExecError::Admission { clock: now, fault });
+                    break 'rows;
+                }
                 core.metrics.count_quarantine_row(fault.code(), stream.0);
-                core.dead_letter
-                    .emit_tuple(&fault, stream, run.row(i), run.now(i));
+                core.dead_letter.emit_tuple(&fault, stream, row, now);
             }
-            return Ok(());
         }
-        // Punctuation stores only change on punctuation arrival — impossible
-        // mid-run — so per-row checks against the frozen stores are the same
-        // for one run of `take` and `take` runs of one.
-        let mut survivors = std::mem::take(&mut core.scratch_survivors);
-        survivors.clear();
-        for i in 0..take {
-            if engine.observe_row_at(stream, run.row(i), run.now(i)) {
-                core.metrics.tuples_in += 1;
-                survivors.push(i as u32);
-                continue;
-            }
-            core.metrics.violations += 1;
-            let fault = AdmissionFault::PunctuationViolation { stream };
-            if strict {
-                core.scratch_survivors = survivors;
-                return Err(ExecError::Admission {
-                    clock: run.now(i),
-                    fault,
-                });
-            }
-            core.metrics.count_quarantine_row(fault.code(), stream.0);
-            core.dead_letter
-                .emit_tuple(&fault, stream, run.row(i), run.now(i));
-        }
-        if !survivors.is_empty() {
-            self.arena.cascade(run, &survivors, &mut self.core.metrics);
+        if !admitted.is_empty() {
+            self.arena.cascade(arena, &admitted, &mut self.core.metrics);
             self.drain_roots(taker);
         }
-        self.core.scratch_survivors = survivors;
-        Ok(())
+        self.core.scratch_runs = admitted;
+        refused
     }
 
     /// Admits one punctuation: shape, then the scheme invariants against the
@@ -570,9 +569,9 @@ impl QueryRegistry {
 
     /// Per-element bookkeeping: cadence-driven purge cycles, window eviction,
     /// the budget ladder, monitors, state sampling. Called once per
-    /// punctuation and once per capped sub-run — [`QueryRegistry::run_cap`]
-    /// ends a run at every clock position where anything here fires, so a
-    /// run of `n` and `n` runs of one are indistinguishable.
+    /// punctuation and once per segment — [`QueryRegistry::run_cap`] ends a
+    /// segment at every clock position where anything here fires, so a
+    /// segment of `n` tuples and `n` tuples pushed alone are indistinguishable.
     fn post_element(&mut self) -> ExecResult<()> {
         let core = &self.core;
         let sample = core.clock >= core.next_sample;

@@ -1309,6 +1309,9 @@ impl PurgeEngine {
     /// relaxed (`cjq-oracle` is that scan).
     pub fn purge_mirror(&mut self) -> PurgeWork {
         let mut work = PurgeWork::default();
+        if !self.held.contains(&true) {
+            return work;
+        }
         // The pass reads the engine while the trackers and buffers move:
         // take them out for its duration.
         let mut meets = std::mem::take(&mut self.meets);
@@ -1499,18 +1502,20 @@ impl PurgeEngine {
     /// Serializes the engine's logical state, stream by stream: the mirror's
     /// rows, with those that left it since the last cycle (window evictions
     /// no tracker has mapped back yet); the punctuation store; whether the
-    /// meet weakened since the last cycle, and how many rows each of its
-    /// recipes has judged. Then the drop counters. Recipes, trackers, indexes
-    /// and logs are rebuilt by re-subscribing the queries live at the
-    /// snapshot.
+    /// meet weakened since the last cycle, and — where the stream is held —
+    /// how many rows every recipe of the meet has judged. Only that least
+    /// count matters: a pass decides the union of its trackers' candidates.
+    /// Then the drop counters. Recipes, trackers, indexes and logs are
+    /// rebuilt by re-subscribing the queries live at the snapshot.
     pub(crate) fn write_state(&self, e: &mut Enc) {
         e.usize(self.states.len());
         for (s, (state, meet)) in self.states.iter().zip(&self.meets).enumerate() {
             state.write_state(e, state.retired_since(self.cycle_marks[s]));
             self.puncts[s].write_state(e);
             e.bool(meet.reseed);
-            for tracker in meet.recipes.iter().filter_map(|e| e.tracker.as_ref()) {
-                e.usize(tracker.judged(state));
+            let trackers = meet.recipes.iter().filter_map(|e| e.tracker.as_ref());
+            if let Some(judged) = trackers.map(|t| t.judged(state)).min() {
+                e.usize(judged);
             }
         }
         e.u64(self.punct_dropped);
@@ -1527,8 +1532,10 @@ impl PurgeEngine {
             state.read_state(d)?;
             store.read_state(d)?;
             meet.reseed = d.bool()?;
-            for tracker in meet.recipes.iter_mut().filter_map(|e| e.tracker.as_mut()) {
-                tracker.resume(state, d.usize()?);
+            if meet.recipes.iter().any(|e| e.tracker.is_some()) {
+                let judged = d.usize()?;
+                let trackers = meet.recipes.iter_mut().filter_map(|e| e.tracker.as_mut());
+                trackers.for_each(|tracker| tracker.resume(state, judged));
             }
         }
         self.punct_dropped = d.u64()?;

@@ -26,12 +26,13 @@
 //! through any stream's history.
 //!
 //! **Single-pass batch routing**: one admitted [`ElementBatch`] flows
-//! through the node arena bottom-up once per same-stream run. A node whose
-//! span contains the run's stream processes it exactly once — from the raw
-//! run when the stream is a leaf port, from the child node's output buffer
-//! otherwise — and every live query reads its root node's buffer into its
-//! own [`ResultSink`]/output log. `N` fully-overlapping queries therefore
-//! cost one probe cascade plus `N` buffer fan-outs instead of `N` cascades.
+//! through the node arena bottom-up once per segment (its tuple runs
+//! between two punctuations). Every node processes the segment's runs it
+//! spans once, in stamp order — from the batch on a leaf port, from the
+//! child node's output buffer otherwise — and every live query reads its
+//! root node's buffer into its own [`ResultSink`]/output log. `N`
+//! fully-overlapping queries therefore cost one probe cascade plus `N`
+//! buffer fan-outs instead of `N` cascades.
 //!
 //! **Purging stays certificate-safe under sharing.** A shared node's purge
 //! recipe is identical for every subscriber by construction (the node key
@@ -551,7 +552,7 @@ impl QueryRegistry {
     }
 
     /// Pushes a gathered micro-batch through the single-pass batch plane:
-    /// each same-stream run flows through the node arena once (capped at
+    /// each segment flows through the node arena once (capped at
     /// purge/sample boundaries) and every interested query reads its root's
     /// buffer.
     ///
@@ -629,7 +630,7 @@ impl QueryRegistry {
         work
     }
 
-    /// Each live query drains its root node's buffer for the run just
+    /// Each live query drains its root node's buffer for the segment just
     /// routed: into its group stage, if it has one, and into `taker` when one
     /// is given (a caller that takes every tenant's rows), else into its own
     /// sink or record.

@@ -6,6 +6,10 @@
 //! a [`ResultSink`] chosen by the caller, so results never *have* to be
 //! materialized whole.
 
+use std::iter::{Chain, Copied, Zip};
+use std::ops::Range;
+use std::slice::{ChunksExact, Iter};
+
 use cjq_core::value::Value;
 
 /// A reusable, fixed-row-width columnar buffer of result rows.
@@ -108,11 +112,19 @@ impl OutputBuffer {
         self.values.chunks_exact(self.width.max(1))
     }
 
-    /// Iterates `(row, arrival stamp)` pairs in insertion order.
-    pub fn iter_with_now(&self) -> impl ExactSizeIterator<Item = (&[Value], u64)> + Clone {
-        self.rows().zip(self.nows.iter().copied())
+    /// The rows stamped in `(after, upto]`. An operator appends rows in
+    /// stamp order, so in its output buffer they are one contiguous range.
+    pub(crate) fn stamped(&self, after: u64, upto: u64) -> Stamped<'_> {
+        let [lo, hi] = [after, upto].map(|t| self.nows.partition_point(|&now| now <= t));
+        let rows = self.values[lo * self.width..hi * self.width].chunks_exact(self.width.max(1));
+        rows.zip((0..0).chain(self.nows[lo..hi].iter().copied()))
     }
 }
+
+/// Stride-packed rows with their arrival stamps: one same-port run of an
+/// operator's segment input, read from a gathered batch (a range of
+/// consecutive stamps) or from a child's [`OutputBuffer`] (a stamp per row).
+pub(crate) type Stamped<'a> = Zip<ChunksExact<'a, Value>, Chain<Range<u64>, Copied<Iter<'a, u64>>>>;
 
 /// A consumer of result batches.
 ///
@@ -212,8 +224,9 @@ mod tests {
         assert_eq!(buf.row(1), &[ival(3), ival(4)]);
         assert_eq!(buf.now(1), 7);
         let pairs: Vec<(Vec<Value>, u64)> =
-            buf.iter_with_now().map(|(r, n)| (r.to_vec(), n)).collect();
+            buf.stamped(0, 7).map(|(r, n)| (r.to_vec(), n)).collect();
         assert_eq!(pairs[0], (vec![ival(1), ival(2)], 5));
+        assert_eq!(buf.stamped(5, 6).count(), 0, "rows stamped in (5, 6]");
         // Reset switches widths and keeps working.
         buf.reset(1);
         assert!(buf.is_empty());

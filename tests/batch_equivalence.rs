@@ -1,12 +1,15 @@
-//! Run-length equivalence, as named cases of the differential harness
-//! (`cjq_chaos::differential`). There is one tuple data path — a run of
-//! same-stream rows through `process_batch` — and how a feed is cut into runs
-//! must be unobservable: [`Case::check`] holds a loop of one-element
-//! `try_push` calls, `try_push_batch` over chunks of 1 and 7 elements and
-//! `run` to the same output sequence, counters, purge totals, sample series
-//! and operator snapshots, and judges the push loop against the reference
-//! oracle. What the harness does not model — group-by, sinks, the hard
-//! budget error, window eviction against an oracle — is checked here.
+//! Segment equivalence, as named cases of the differential harness
+//! (`cjq_chaos::differential`). There is one tuple data path — a segment,
+//! the tuple runs between two punctuations, through `process_segment` — and
+//! how a feed is cut into segments must be unobservable: [`Case::check`]
+//! holds a loop of one-element `try_push` calls, `try_push_batch` over
+//! chunks of 1 and 7 elements and `run` to the same output sequence,
+//! counters, purge totals, sample series and operator snapshots (and, where
+//! `Strict` admission refuses an element, to the same refusal and what it
+//! leaves), and judges the push loop against the reference oracle. What the
+//! harness does not model — group-by, sinks, registries of different
+//! queries, the hard budget error, window eviction against an oracle — is
+//! checked here.
 
 use punctuated_cjq::core::fixtures;
 use punctuated_cjq::core::plan::Plan;
@@ -14,8 +17,11 @@ use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::stream::error::ExecError;
 use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
 use punctuated_cjq::stream::groupby::Aggregate;
+use punctuated_cjq::stream::guard::AdmissionPolicy;
+use punctuated_cjq::stream::metrics::Metrics;
 use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::purge::PurgeScope;
+use punctuated_cjq::stream::registry::{QueryRegistry, RegistryResult};
 use punctuated_cjq::stream::sink::{CallbackSink, CollectSink, CountSink};
 use punctuated_cjq::stream::source::{ElementBatch, Feed};
 use punctuated_cjq::stream::tier::TierConfig;
@@ -26,7 +32,9 @@ use punctuated_cjq::workload::random_query::Topology;
 use punctuated_cjq::workload::{auction, network, sensor, trades};
 
 use cjq_chaos::differential::{assert_drivers_agree, sorted, Case};
-use cjq_chaos::{auction_feed, chaos_feed, keyed_feed, random_spec, skewed_feed, TOPOLOGIES};
+use cjq_chaos::{
+    auction_feed, chaos_feed, keyed_feed, random_spec, skewed_feed, tenants, TOPOLOGIES,
+};
 
 const CADENCES: [PurgeCadence; 2] = [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 16 }];
 
@@ -121,6 +129,17 @@ fn sinks_see_exactly_the_result_rows() {
     let mut callback = CallbackSink::new(|row: &[Value]| seen.push(row.to_vec()));
     compile().try_run_with_sink(feed, &mut callback).unwrap();
     assert_eq!(seen, expected);
+    // One `accept` per segment: the rows a sink sees do not depend on where
+    // the batches were cut.
+    for chunk in [1usize, 7, 256] {
+        let (mut exec, mut seen, mut batch) = (compile(), Vec::new(), ElementBatch::new());
+        let mut callback = CallbackSink::new(|row: &[Value]| seen.push(row.to_vec()));
+        for elements in feed.elements().chunks(chunk) {
+            batch.gather(elements);
+            exec.try_push_batch(&batch, &mut callback).unwrap();
+        }
+        assert_eq!(seen, expected, "chunks of {chunk}");
+    }
 }
 
 #[test]
@@ -202,6 +221,140 @@ fn tree_plans_emit_one_sequence() {
     let feed = chaos_feed(&keyed_feed(&spec, 60, 3));
     let case = Case::new("bushy 6-cycle", spec, feed);
     assert!(solo(&case, |c| c.plan = plan).metrics.outputs > 0);
+}
+
+/// Fig. 5 rounds whose streams interleave inside each punctuation-free
+/// stretch: per key `k`, rows of S1, S3, S2, S3, S2, and after every second
+/// round each scheme closes the two keys two rounds back.
+fn interleaved_fig5(rounds: i64) -> Feed {
+    let (_, schemes) = fixtures::fig5();
+    let mut feed = Feed::new();
+    for k in 0..rounds + 2 {
+        if k < rounds {
+            for s in [0, 2, 1, 2, 1] {
+                feed.push(Tuple::of(s, vec![Value::Int(k); 2]));
+            }
+        }
+        for closed in (k - 3..k - 1).filter(|&c| k % 2 == 1 && c >= 0 && c < rounds) {
+            for scheme in schemes.schemes() {
+                feed.push(scheme.instantiate(2, &[Value::Int(closed)]).unwrap());
+            }
+        }
+    }
+    feed
+}
+
+/// A segment reaches a tree node as its leaf rows and its child's output,
+/// merged by stamp: on `((S1 ⋈ S2) ⋈ S3)` the S3 rows and the composite rows
+/// S2's arrivals make alternate inside one stretch (and on `((S1 ⋈ S3) ⋈
+/// S2)` the other way round). Sampled rarely, so segments span many runs.
+#[test]
+fn tree_nodes_merge_child_rows_with_leaf_rows_by_stamp() {
+    let case = Case::new(
+        "fig5 segments",
+        fixtures::fig5(),
+        chaos_feed(&interleaved_fig5(40)),
+    );
+    let [s1, s2, s3] = [0, 1, 2].map(Plan::leaf);
+    let plans = [
+        Plan::join(vec![Plan::join(vec![s1.clone(), s2.clone()]), s3.clone()]),
+        Plan::join(vec![Plan::join(vec![s1, s3]), s2]),
+    ];
+    for (plan, cadence) in plans.into_iter().zip(CADENCES) {
+        let edit = |c: &mut Case| {
+            query_scoped(plan, cadence)(c);
+            c.cfg.sample_every = 64;
+        };
+        let m = solo(&case, edit).metrics;
+        assert!(m.intermediate_rows > 0 && m.outputs > 0, "{cadence:?}");
+    }
+}
+
+/// A registry routes a segment through its shared nodes once: four tenants
+/// of `multi::generate_queries`, their shared prefix a child node, give each
+/// tenant the sequence, and the registry the counters and sample series, of
+/// one-element pushes under every cut.
+#[test]
+fn a_registry_routes_segments_through_shared_trees() {
+    let (tenant, feed) = tenants(4, 0.5, 12);
+    let feed = chaos_feed(&feed);
+    for cadence in CADENCES {
+        let cfg = ExecConfig {
+            cadence,
+            verify_certificates: true,
+            ..ExecConfig::default()
+        };
+        let build = || {
+            let mut reg = QueryRegistry::new(tenant.schemes.clone(), cfg);
+            for (q, p) in &tenant.queries {
+                reg.try_admit(q, p, None).unwrap();
+            }
+            reg
+        };
+        let seen = |r: RegistryResult| {
+            let m = Metrics {
+                elapsed_ns: 0,
+                batches_processed: 0,
+                probe_keys_deduped: 0,
+                ..r.metrics
+            };
+            let queries = r.queries.into_iter().map(|q| (q.outputs, q.stats));
+            (queries.collect::<Vec<_>>(), format!("{m:?}"))
+        };
+        let mut reg = build();
+        feed.elements()
+            .iter()
+            .for_each(|e| reg.try_push(e).unwrap());
+        let reference = seen(reg.finish());
+        assert!(reference.0.iter().all(|(_, stats)| stats.outputs > 0));
+        for chunk in [1usize, 7, 256] {
+            let (mut reg, mut batch) = (build(), ElementBatch::new());
+            for elements in feed.elements().chunks(chunk) {
+                batch.gather(elements);
+                reg.try_push_batch(&batch).unwrap();
+            }
+            assert_eq!(
+                seen(reg.finish()),
+                reference,
+                "{cadence:?}: chunks of {chunk}"
+            );
+        }
+        assert_eq!(seen(build().run(&feed)), reference, "{cadence:?}: run");
+    }
+}
+
+/// A `Strict` refusal in the middle of a mixed-stream stretch: the rows
+/// before it are routed, the ones after it never came, and the clock stands
+/// on it — the harness holds every cut of the feed to what one-element
+/// pushes leave.
+#[test]
+fn a_strict_refusal_mid_segment_leaves_what_one_element_pushes_leave() {
+    let int = Value::Int;
+    let item = |i: i64| Tuple::of(0, vec![int(7), int(i), Value::str("x"), int(100)]);
+    let bid = |i: i64| Tuple::of(1, vec![int(3), int(i), int(5)]);
+    let mut feed = Feed::new();
+    for i in 0..6 {
+        [item(i), bid(i), bid(i)]
+            .into_iter()
+            .for_each(|t| feed.push(t));
+    }
+    feed.push(Punctuation::with_constants(
+        StreamId(1),
+        3,
+        &[(AttrId(1), int(0))],
+    ));
+    // Bids on item 0 are closed: the third row of this stretch violates,
+    // in the middle of a run of bids.
+    for t in [item(6), bid(1), bid(0), bid(6), item(7), bid(7), bid(2)] {
+        feed.push(t);
+    }
+    let case = Case::new("strict mid-segment", fixtures::auction(), feed);
+    let strict =
+        |c: &mut Case| (c.cfg.admission, c.cfg.sample_every) = (AdmissionPolicy::Strict, 64);
+    assert!(
+        case.with(strict).check().solo.is_none(),
+        "the bid on item 0 is refused"
+    );
 }
 
 /// Cyclic graph workloads, flat MJoin against a left-deep tree under

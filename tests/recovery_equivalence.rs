@@ -72,7 +72,11 @@ fn auction_crash_point_sweep_is_byte_identical() {
         probe.try_push(e).unwrap();
     }
     let op = probe.operators().next().expect("one operator");
-    let bids = op.port_state(op.port_of(auction::BID).expect("bid is joined"));
+    let port = op
+        .port_spans()
+        .iter()
+        .position(|ps| ps[..] == [auction::BID]);
+    let bids = op.port_state(port.expect("bid is joined"));
     let reclaimed = bids.resident_slots() < bids.slots();
     assert!(reclaimed, "feed too short to exercise prefix reclaim");
 }
@@ -576,7 +580,7 @@ fn resume_golden<E: Engine>(
     [resume(0, every, feed, build, true), resumed]
 }
 
-/// Snapshots committed under `tests/golden` at snapshot `VERSION` 14 by an
+/// Snapshots committed under `tests/golden` at snapshot `VERSION` 15 by an
 /// earlier build of the engine: restored on this tree, each resumes to the
 /// outputs and metrics of an uninterrupted run. That holds only while the
 /// fingerprint folds the same recipe words and restored trackers offer the
