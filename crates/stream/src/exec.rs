@@ -603,6 +603,73 @@ mod tests {
         assert_eq!(outputs[0], outputs[1]);
     }
 
+    /// In a one-operator plan under `PurgeScope::Operator` a leaf port's
+    /// recipe and its stream's mirror recipe are derived over the same span,
+    /// so the port holds exactly the mirror's live rows after every element:
+    /// the premise `JoinOperator::stand_in` vouches for. Auction with a
+    /// group-by (which holds every stream) and Fig. 5's MJoin (whose recipes
+    /// chain through all three mirrors), under both cadences.
+    #[test]
+    fn leaf_ports_hold_the_live_slots_of_the_mirrors_they_stand_in_for() {
+        let auction = |cfg| {
+            let (q, r) = fixtures::auction();
+            let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
+            let mut feed = Vec::new();
+            for i in 0..40 {
+                feed.extend([item(i), bid(i, 1), bid(i - 1, 2)]);
+                feed.extend([item_unique(i - 2), bid_close(i - 3)]);
+            }
+            let by_item = [AttrRef::new(1, 1)];
+            (exec.with_groupby(&by_item, Aggregate::Count), feed)
+        };
+        let fig5 = |cfg| {
+            let (q, r) = fixtures::fig5();
+            let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
+            // S1(A,B), S2(B,C), S3(A,C); S1 closes B, S2 C and S3 A, each
+            // key some rounds after its last row.
+            let close = |s: usize, a: usize, v: i64| {
+                Punctuation::with_constants(StreamId(s), 2, &[(AttrId(a), ival(v))]).into()
+            };
+            let mut feed = Vec::new();
+            for i in 0..40 {
+                let row = |s: usize, a: i64, b: i64| Tuple::of(s, vec![ival(a), ival(b)]).into();
+                feed.extend([row(0, i, i), row(1, i, i), row(2, i, i), row(0, i, i + 1)]);
+                feed.extend([close(1, 1, i - 2), close(0, 1, i - 3), close(2, 0, i - 4)]);
+            }
+            (exec, feed)
+        };
+        for case in ["auction", "fig5"] {
+            for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }] {
+                let cfg = ExecConfig {
+                    cadence,
+                    ..ExecConfig::default()
+                };
+                let (mut exec, feed) = if case == "auction" {
+                    auction(cfg)
+                } else {
+                    fig5(cfg)
+                };
+                for (n, e) in feed.iter().enumerate() {
+                    exec.try_push(e).unwrap();
+                    let op = exec.operators().next().expect("one operator");
+                    for (port, span) in op.port_spans().iter().enumerate() {
+                        let mirror = exec.engine().mirror_state(span[0]);
+                        assert_eq!(
+                            op.port_state(port).live_slots(),
+                            mirror.live_slots(),
+                            "case {case}, {cadence:?}, port {port} after element {n}"
+                        );
+                    }
+                }
+                let engine = exec.engine();
+                assert!(
+                    engine.mirror_purged > 0 && engine.mirror_live() > 0,
+                    "case {case}"
+                );
+            }
+        }
+    }
+
     /// No predicate joins on `bid.bidderid`, but a group-by on it reads its
     /// closes: they are stored, so a bid that breaks one is quarantined
     /// instead of reopening a group already emitted.

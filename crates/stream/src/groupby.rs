@@ -55,7 +55,7 @@ struct GroupState {
 pub struct GroupByStats {
     /// Input tuples consumed.
     pub tuples_in: u64,
-    /// Groups emitted (closed by punctuations or flushed).
+    /// Groups emitted.
     pub emitted: u64,
     /// Groups closed specifically by punctuations.
     pub closed_by_punctuation: u64,
@@ -178,28 +178,20 @@ impl GroupBy {
     }
 
     /// Width of the emitted aggregate rows: grouping columns plus one
-    /// aggregate column. Size [`OutputBuffer`]s for the `_into` methods with
-    /// this.
+    /// aggregate column. Size [`OutputBuffer`]s for
+    /// [`GroupBy::process_punctuation_into`] with this.
     #[must_use]
     pub fn out_width(&self) -> usize {
         self.group_cols.len() + 1
     }
 
-    /// Applies a punctuation: closes and emits every group whose key is
-    /// guaranteed complete. Returns the emitted `key ++ [aggregate]` rows.
+    /// Applies a punctuation: closes every group whose key is guaranteed
+    /// complete, appending its `key ++ [aggregate]` row to `out`, in key
+    /// order. Returns the number of groups closed.
     ///
     /// A punctuation closes groups when **every** constant attribute maps to
     /// a grouping column (otherwise future inputs could still land in the
     /// group with different non-group values).
-    pub fn process_punctuation(&mut self, p: &Punctuation) -> Vec<Vec<Value>> {
-        let mut buf = OutputBuffer::new(self.out_width());
-        self.process_punctuation_into(p, &mut buf);
-        buf.rows().map(<[Value]>::to_vec).collect()
-    }
-
-    /// Like [`GroupBy::process_punctuation`], appending the emitted rows to a
-    /// columnar buffer instead of allocating per-row `Vec`s. Returns the
-    /// number of groups closed.
     pub fn process_punctuation_into(&mut self, p: &Punctuation, out: &mut OutputBuffer) -> usize {
         // Map each constant attr to a grouping column (directly or through a
         // join-equivalence alias); bail if one is not a group column.
@@ -223,8 +215,8 @@ impl GroupBy {
             .filter(|key| required.iter().all(|&(pos, v)| &key[pos] == v))
             .cloned()
             .collect();
-        // In key order, as `flush_into` emits: a restored map iterates in
-        // another order than the one it was written from.
+        // In key order: a restored map iterates in another order than the
+        // one it was written from.
         closing.sort_unstable();
         let closed = closing.len();
         for key in closing {
@@ -234,27 +226,6 @@ impl GroupBy {
         }
         self.stats.emitted += closed as u64;
         closed
-    }
-
-    /// Emits all still-open groups (end-of-stream flush for finite feeds).
-    pub fn flush(&mut self) -> Vec<Vec<Value>> {
-        let mut buf = OutputBuffer::new(self.out_width());
-        self.flush_into(&mut buf);
-        buf.rows().map(<[Value]>::to_vec).collect()
-    }
-
-    /// Like [`GroupBy::flush`], appending into a columnar buffer. Returns the
-    /// number of groups emitted.
-    pub fn flush_into(&mut self, out: &mut OutputBuffer) -> usize {
-        let mut keys: Vec<Vec<Value>> = self.groups.keys().cloned().collect();
-        keys.sort();
-        let flushed = keys.len();
-        for key in keys {
-            let g = self.groups.remove(&key).expect("listed key exists");
-            self.render_into(&key, &g, out.alloc_row(0));
-        }
-        self.stats.emitted += flushed as u64;
-        flushed
     }
 
     fn render_into(&self, key: &[Value], g: &GroupState, row: &mut [Value]) {
@@ -407,6 +378,14 @@ mod tests {
         )
     }
 
+    /// The rows `p` closes in `g`, through the group stage's own entry point.
+    fn closed(g: &mut GroupBy, p: &Punctuation) -> Vec<Vec<Value>> {
+        let mut out = OutputBuffer::new(g.out_width());
+        let n = g.process_punctuation_into(p, &mut out);
+        assert_eq!(n, out.len(), "one row per closed group");
+        out.rows().map(<[Value]>::to_vec).collect()
+    }
+
     fn joined(itemid: i64, increase: i64) -> Vec<Value> {
         // item(seller, itemid, name, price) ++ bid(bidder, itemid, incr)
         vec![
@@ -430,20 +409,14 @@ mod tests {
 
         // Irrelevant punctuation (bidderid) closes nothing.
         let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(0), ival(3))]);
-        assert!(g.process_punctuation(&p).is_empty());
+        assert!(closed(&mut g, &p).is_empty());
 
         // Auction for item 1 closes: emits sum 12.
         let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(1))]);
-        let out = g.process_punctuation(&p);
+        let out = closed(&mut g, &p);
         assert_eq!(out, vec![vec![ival(1), ival(12)]]);
         assert_eq!(g.open_groups(), 1);
         assert_eq!(g.stats.closed_by_punctuation, 1);
-
-        // Flush emits the rest.
-        let out = g.flush();
-        assert_eq!(out, vec![vec![ival(2), ival(9)]]);
-        assert_eq!(g.open_groups(), 0);
-        assert_eq!(g.stats.emitted, 2);
     }
 
     #[test]
@@ -470,7 +443,7 @@ mod tests {
         // Punctuation on ITEM.itemid (stream 0), not on the group column's
         // own stream: closes the group through the equivalence class.
         let p = Punctuation::with_constants(StreamId(0), 4, &[(AttrId(1), ival(1))]);
-        assert_eq!(g.process_punctuation(&p), vec![vec![ival(1), ival(5)]]);
+        assert_eq!(closed(&mut g, &p), vec![vec![ival(1), ival(5)]]);
         assert_eq!(g.open_groups(), 0);
         // Plain `new` (no equivalences) would NOT close it.
         let (q, _) = fixtures::auction();
@@ -485,7 +458,7 @@ mod tests {
         );
         plain.process_tuple(&joined(1, 5));
         let p = Punctuation::with_constants(StreamId(0), 4, &[(AttrId(1), ival(1))]);
-        assert!(plain.process_punctuation(&p).is_empty());
+        assert!(closed(&mut plain, &p).is_empty());
     }
 
     #[test]
@@ -503,7 +476,7 @@ mod tests {
         g.process_tuple(&joined(4, 1));
         g.process_tuple(&joined(4, 1));
         let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(4))]);
-        assert_eq!(g.process_punctuation(&p), vec![vec![ival(4), ival(2)]]);
+        assert_eq!(closed(&mut g, &p), vec![vec![ival(4), ival(2)]]);
     }
 
     #[test]
@@ -525,8 +498,8 @@ mod tests {
             mx.process_tuple(&joined(1, inc));
         }
         let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(1))]);
-        assert_eq!(mn.process_punctuation(&p), vec![vec![ival(1), ival(3)]]);
-        assert_eq!(mx.process_punctuation(&p), vec![vec![ival(1), ival(9)]]);
+        assert_eq!(closed(&mut mn, &p), vec![vec![ival(1), ival(3)]]);
+        assert_eq!(closed(&mut mx, &p), vec![vec![ival(1), ival(9)]]);
     }
 
     #[test]
@@ -540,7 +513,7 @@ mod tests {
             3,
             &[(AttrId(0), ival(3)), (AttrId(1), ival(1))],
         );
-        assert!(g.process_punctuation(&p).is_empty());
+        assert!(closed(&mut g, &p).is_empty());
         assert_eq!(g.open_groups(), 1);
     }
 
@@ -549,7 +522,7 @@ mod tests {
         let mut g = auction_groupby();
         g.process_tuple(&joined(1, 5));
         let p = Punctuation::with_constants(StreamId(1), 3, &[]);
-        assert!(g.process_punctuation(&p).is_empty());
+        assert!(closed(&mut g, &p).is_empty());
     }
 
     /// DISTINCT(bidderid, itemid) over bid(bidderid, itemid, increase): a
@@ -592,7 +565,7 @@ mod tests {
         d.process_tuple(&bid(4, 1, 5));
         d.process_tuple(&bid(3, 2, 5));
         let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(1))]);
-        assert_eq!(d.process_punctuation(&p).len(), 2);
+        assert_eq!(closed(&mut d, &p).len(), 2);
         assert_eq!(d.open_groups(), 1);
         assert_eq!(d.stats.closed_by_punctuation, 2);
         assert!(!d.process_tuple(&bid(3, 2, 7)), "item 2 is still open");
@@ -607,7 +580,7 @@ mod tests {
         assert!(!distinct_safe(&d, &schemes), "no scheme within the key");
         d.process_tuple(&bid(3, 1, 5));
         let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(2), ival(5))]);
-        assert!(d.process_punctuation(&p).is_empty());
+        assert!(closed(&mut d, &p).is_empty());
         assert_eq!(d.open_groups(), 1);
     }
 
@@ -623,7 +596,7 @@ mod tests {
         d.process_tuple(&bid(4, 1, 5));
         let consts = [(AttrId(0), ival(3)), (AttrId(1), ival(1))];
         let p = Punctuation::with_constants(StreamId(1), 3, &consts);
-        assert_eq!(d.process_punctuation(&p).len(), 1);
+        assert_eq!(closed(&mut d, &p).len(), 1);
         assert_eq!(d.open_groups(), 1);
     }
 
@@ -641,7 +614,7 @@ mod tests {
             }
             peak = peak.max(d.open_groups());
             let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(item))]);
-            d.process_punctuation(&p);
+            closed(&mut d, &p);
         }
         assert_eq!(d.open_groups(), 0);
         assert_eq!(peak, 5, "one open item at a time");
@@ -653,7 +626,7 @@ mod tests {
         let mut g = auction_groupby();
         g.process_tuple(&joined(1, 5));
         let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(99))]);
-        assert!(g.process_punctuation(&p).is_empty());
+        assert!(closed(&mut g, &p).is_empty());
         assert_eq!(g.open_groups(), 1);
     }
 }

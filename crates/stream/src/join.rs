@@ -7,8 +7,9 @@
 //! combination is emitted exactly once — when its last constituent arrives.
 //!
 //! Purging follows the chained purge strategy via compiled recipes evaluated
-//! by the [`PurgeEngine`]; the operator only owns
-//! the join states and the probe machinery.
+//! by the [`PurgeEngine`]: each port is purged by a meet of one recipe, with
+//! the pass the engine's mirror streams run. The operator owns the join
+//! states and the probe machinery.
 
 use cjq_core::fxhash::{FxHashMap, FxHashSet};
 use cjq_core::purge_plan::CompiledRecipe;
@@ -19,9 +20,9 @@ use cjq_core::value::Value;
 
 use crate::checkpoint::{Dec, Enc, SnapshotError, SnapshotResult};
 use crate::layout::SpanLayout;
-use crate::purge::{Candidates, CheckScratch, PurgeEngine, PurgeScope, PurgeTracker, PurgeWork};
+use crate::purge::{CheckScratch, Meet, PurgeEngine, PurgeScope, PurgeWork};
 use crate::sink::{OutputBuffer, Stamped};
-use crate::state::{PortState, Sweep};
+use crate::state::PortState;
 use crate::tier::{self, ColdTier, SpillStore, TierStats};
 
 /// A cross-port equi-join condition resolved to flat columns.
@@ -73,10 +74,10 @@ pub struct JoinOperator {
     /// The emit plan: the ports' cell ranges in output-column order, so an
     /// output row is those slices of the assignment's rows, appended in turn.
     emit: Vec<EmitRange>,
-    /// Per port: compiled purge recipe with the delta tracker driving its
-    /// purge passes and holding its key plan, or `None`
-    /// if the port's state is not purgeable under the configured scope.
-    recipes: Vec<Option<(CompiledRecipe, PurgeTracker)>>,
+    /// Per port: the meet of its compiled purge recipe and the delta tracker
+    /// driving its passes — or of no recipe, uncertified, if the port's
+    /// state is not purgeable under the configured scope.
+    meets: Vec<Meet>,
     /// The ports whose recipe waits on more than one step (see
     /// [`JoinOperator::waits_on`]).
     waiting: Vec<usize>,
@@ -85,11 +86,6 @@ pub struct JoinOperator {
     /// without a root-resolvable recipe still demote and fault back — their
     /// segments just never certify for a bulk drop).
     tiers: Vec<Option<ColdTier>>,
-    /// Reused purge-check and candidate-slot buffers for
-    /// [`JoinOperator::purge_pass`].
-    scratch_check: CheckScratch,
-    scratch_candidates: Candidates,
-    scratch_sweep: Sweep,
     /// Statistics.
     pub stats: OperatorStats,
 }
@@ -206,11 +202,12 @@ impl JoinOperator {
             PurgeScope::Query => &all_streams,
         };
         let compile = |(roots, state): (&Vec<StreamId>, &mut PortState)| {
-            let recipe = engine.compile_port_recipe(query, schemes, scope_span, roots)?;
-            let tracker = PurgeTracker::new(&recipe, state);
-            Some((recipe, tracker))
+            let mut meet = Meet::default();
+            let recipe = engine.compile_port_recipe(query, schemes, scope_span, roots);
+            meet.add(recipe.as_ref(), Some(state));
+            meet
         };
-        let recipes: Vec<_> = port_spans.iter().zip(&mut ports).map(compile).collect();
+        let meets: Vec<_> = port_spans.iter().zip(&mut ports).map(compile).collect();
 
         // Emit plan: walk the output layout's streams, taking each from its
         // port's row; a port's streams that sit side by side in both rows
@@ -227,9 +224,9 @@ impl JoinOperator {
             }
         }
 
-        let waits = |(r, _): &(CompiledRecipe, PurgeTracker)| r.steps.len() > 1;
+        let waits = |r: &CompiledRecipe| r.steps.len() > 1;
         let waiting = (0..n)
-            .filter(|&p| recipes[p].as_ref().is_some_and(waits))
+            .filter(|&p| meets[p].recipe().is_some_and(waits))
             .collect();
         JoinOperator {
             span,
@@ -239,11 +236,8 @@ impl JoinOperator {
             port_spans,
             probe_plans,
             emit,
-            recipes,
+            meets,
             tiers: Vec::new(),
-            scratch_check: CheckScratch::default(),
-            scratch_candidates: Candidates::default(),
-            scratch_sweep: Sweep::default(),
             stats: OperatorStats::default(),
         }
     }
@@ -411,7 +405,7 @@ impl JoinOperator {
                 continue;
             };
             let state = &mut self.ports[port];
-            let held = &self.recipes[port];
+            let held = &self.meets[port];
             let group_cols = tier::group_cols(held);
             let mut victims: Vec<(Vec<Value>, u64, usize)> = state
                 .live_from(0)
@@ -451,7 +445,7 @@ impl JoinOperator {
     /// proves every row in it dead without reading the file. Returns rows
     /// dropped (counted as purged).
     fn drop_covered_segments(&mut self, engine: &PurgeEngine) -> u64 {
-        let tiers = self.tiers.iter_mut().zip(&self.recipes);
+        let tiers = self.tiers.iter_mut().zip(&self.meets);
         tiers
             .map(|(tier, held)| tier.as_mut().map_or(0, |t| t.drop_covered(held, engine)))
             .sum()
@@ -463,7 +457,7 @@ impl JoinOperator {
     /// survives a cycle.
     #[must_use]
     pub(crate) fn any_certified_cold_segment(&self, engine: &PurgeEngine) -> bool {
-        let mut tiers = self.tiers.iter().zip(&self.recipes);
+        let mut tiers = self.tiers.iter().zip(&self.meets);
         tiers.any(|(tier, held)| tier.as_ref().is_some_and(|t| t.any_covered(held, engine)))
     }
 
@@ -495,27 +489,16 @@ impl JoinOperator {
         self.ports[port].has_index(col).then_some(port)
     }
 
-    /// Whether `port` stores a row carrying `key` in flat column `col`, which
-    /// keeps a punctuation entry [`PurgeEngine::purge_punctuations`] is
-    /// testing. Such a row's leaving must be news to that pass, so the port
-    /// logs its purges from here on ([`JoinOperator::retired_rows`]).
-    pub(crate) fn keeps(&self, port: usize, col: usize, key: &Value) -> bool {
-        let found = self.ports[port].carries(col, key);
-        if found {
-            self.ports[port].enable_retirement_log();
-        }
-        found
-    }
-
-    /// Whether a port whose row can outlive its stream's mirror row
-    /// [`JoinOperator::keeps`] one carrying `stream.col = key`: a port whose
+    /// The first port whose row can outlive its stream's mirror row that
+    /// stores one carrying `stream.col = key`, which keeps a punctuation
+    /// entry [`PurgeEngine::purge_punctuations`] is testing: a port whose
     /// recipe waits on more than one step. (A one-step recipe purges a row in
     /// the cycle its key's coverage arrives; a longer one may wait on another
     /// step after the mirror row left.)
-    pub(crate) fn waits_on(&self, stream: StreamId, col: usize, key: &Value) -> bool {
+    pub(crate) fn waits_on(&self, stream: StreamId, col: usize, key: &Value) -> Option<usize> {
         let at = |port: usize| self.ports[port].layout().pos(stream, AttrId(col));
-        let mut waiting = self.waiting.iter();
-        waiting.any(|&port| at(port).is_some_and(|flat| self.keeps(port, flat, key)))
+        let mut waiting = self.waiting.iter().copied();
+        waiting.find(|&port| at(port).is_some_and(|flat| self.ports[port].carries(flat, key)))
     }
 
     /// The rows the logging ports purged in the last
@@ -531,25 +514,20 @@ impl JoinOperator {
     /// `target`'s scheme `scheme_idx` (or cannot tell): forgetting the entry
     /// would orphan it.
     pub(crate) fn cold_needs(&self, target: StreamId, scheme_idx: usize, key: &Value) -> bool {
-        let mut tiers = self.tiers.iter().zip(&self.recipes);
+        let mut tiers = self.tiers.iter().zip(&self.meets);
         let needs = |t: &ColdTier, held| t.needs(held, (target, scheme_idx), key);
         tiers.any(|(tier, held)| tier.as_ref().is_some_and(|t| needs(t, held)))
     }
 
     /// Each port's compiled purge recipe, if it has one.
     pub(crate) fn port_recipes(&self) -> impl Iterator<Item = Option<&CompiledRecipe>> {
-        (0..self.ports.len()).map(|port| Some(self.held(port)?.0))
+        self.meets.iter().map(Meet::recipe)
     }
 
     /// Whether the port has a purge recipe under the configured scope.
     #[must_use]
     pub fn port_purgeable(&self, port: usize) -> bool {
-        self.recipes[port].is_some()
-    }
-
-    /// The port's recipe and its tracker, if it has a recipe.
-    fn held(&self, port: usize) -> Option<(&CompiledRecipe, &PurgeTracker)> {
-        self.recipes[port].as_ref().map(|(r, t)| (r, t))
+        self.meets[port].recipe().is_some()
     }
 
     /// Serializes the operator's logical state: every port's live rows and
@@ -559,10 +537,9 @@ impl JoinOperator {
     /// [`JoinOperator::new`].
     pub(crate) fn write_state(&self, e: &mut Enc) {
         e.usize(self.ports.len());
-        for (state, held) in self.ports.iter().zip(&self.recipes) {
+        for (state, meet) in self.ports.iter().zip(&self.meets) {
             state.write_state(e, &[]);
-            held.iter()
-                .for_each(|(_, tracker)| e.usize(tracker.judged(state)));
+            meet.write_judged(state, e);
         }
         self.stats.write_state(e);
         e.bool(self.tiering_enabled());
@@ -582,11 +559,9 @@ impl JoinOperator {
         op_idx: usize,
     ) -> SnapshotResult<()> {
         d.count_of("ports of an operator", self.ports.len())?;
-        for (state, held) in self.ports.iter_mut().zip(&mut self.recipes) {
+        for (state, meet) in self.ports.iter_mut().zip(&mut self.meets) {
             state.read_state(d)?;
-            if let Some((_, tracker)) = held {
-                tracker.resume(state, d.usize()?);
-            }
+            meet.read_judged(state, d)?;
         }
         self.stats = OperatorStats::read_state(d)?;
         let tiered = d.bool()?;
@@ -599,7 +574,7 @@ impl JoinOperator {
             let store = spill.as_mut().ok_or_else(|| {
                 SnapshotError("tiered snapshot restored without a spill store".into())
             })?;
-            let ports = self.ports.iter().zip(&self.recipes);
+            let ports = self.ports.iter().zip(&self.meets);
             for (port, (tier, (state, held))) in self.tiers.iter_mut().zip(ports).enumerate() {
                 let shape = (state.layout().width(), state.next_seq());
                 tier.as_mut()
@@ -720,9 +695,9 @@ impl JoinOperator {
     }
 
     /// A purge cycle's one pass over the operator (it drops the last
-    /// cycle's retractions): evaluates candidate tuples of every purgeable
-    /// port against its recipe using the engine's mirror and punctuation
-    /// stores.
+    /// cycle's retractions): every port's meet decides its candidate tuples
+    /// (`Meet::pass`, the pass the engine's mirror streams run) using the
+    /// engine's mirror and punctuation stores, and the dead ones go.
     ///
     /// The port's `PurgeTracker` narrows candidates to rows touched by
     /// punctuation deltas or mirror shrinkage since the last pass (none
@@ -730,7 +705,8 @@ impl JoinOperator {
     /// to rows; a key-uniform port decides the buckets such a delta names
     /// whole. A full scan of every row purges the same rows: `cjq-oracle` is
     /// that scan, and `tests/differential.rs` holds the engine to it.
-    pub fn purge_pass(&mut self, engine: &PurgeEngine) -> PurgeWork {
+    /// `scratch` lends the pass buffers.
+    pub fn purge_pass(&mut self, engine: &PurgeEngine, scratch: &mut CheckScratch) -> PurgeWork {
         let mut work = PurgeWork::default();
         self.stats.kept = 0;
         for state in &mut self.ports {
@@ -738,30 +714,14 @@ impl JoinOperator {
                 state.trim_retired_to(state.retire_end()); // the last cycle's news
             }
         }
-        for port in 0..self.ports.len() {
-            let Some((recipe, tracker)) = &mut self.recipes[port] else {
+        for (state, meet) in self.ports.iter_mut().zip(&mut self.meets) {
+            let Some(sweep) = meet.pass(state, engine, scratch, false) else {
                 continue;
             };
-            if !tracker.has_news(recipe, &self.ports[port], engine) {
-                continue;
-            }
-            let (candidates, uniform) = (&mut self.scratch_candidates, tracker.uniform);
-            candidates.clear();
-            let (state, scratch) = (&self.ports[port], &mut self.scratch_check);
-            let localized = tracker.collect(recipe, state, engine, scratch, candidates, uniform);
-            // Two-phase to satisfy the borrow checker without cloning every
-            // candidate row: decide on borrowed slices, then purge by slot
-            // and by key.
-            let (sweep, held) = (
-                &mut self.scratch_sweep,
-                std::iter::once((&*recipe, &*tracker)),
-            );
-            let candidates = localized.then_some(candidates);
-            engine.decide(state, held, uniform, candidates, scratch, sweep);
-            let purged = self.ports[port].purge_swept(sweep);
+            let purged = state.purge_swept(sweep) as u64;
             work.examined += sweep.examined as u64;
-            work.purged += purged as u64;
-            self.stats.kept += sweep.examined.saturating_sub(purged) as u64;
+            work.purged += purged;
+            self.stats.kept += (sweep.examined as u64).saturating_sub(purged);
         }
         // The pass is over and no slot id outlives it except through the
         // trackers' (clamped) fresh-slot watermarks: free the dead prefixes.
@@ -776,14 +736,11 @@ impl JoinOperator {
         work
     }
 
-    /// The certificate verifier's sweep over every purgeable port (see
+    /// The certificate verifier's sweep over every port's meet (see
     /// `PurgeEngine::audit_mirror`): the rows compared. Panics on a violation.
     pub fn audit(&self, engine: &PurgeEngine, fixpoint: bool) -> u64 {
-        let held =
-            (0..self.ports.len()).filter_map(|port| Some((&self.ports[port], self.held(port)?)));
-        let audit =
-            |(state, held)| crate::certify::audit(engine, state, std::iter::once(held), fixpoint);
-        held.map(audit).sum()
+        let audit = |(state, meet): (&PortState, &Meet)| meet.audit(state, engine, fixpoint);
+        self.ports.iter().zip(&self.meets).map(audit).sum()
     }
 }
 
@@ -908,7 +865,10 @@ mod tests {
         engine.observe_tuple(&bid1);
         op.process_one(0, &item1.values, 0);
         op.process_one(1, &bid1.values, 0);
-        assert_eq!(op.purge_pass(&engine).purged, 0);
+        assert_eq!(
+            op.purge_pass(&engine, &mut CheckScratch::default()).purged,
+            0
+        );
         assert_eq!(op.stats.kept, 2, "both tuples survive the first pass");
 
         // Close auction 1 on both sides.
@@ -920,7 +880,10 @@ mod tests {
             &Punctuation::with_constants(StreamId(0), 4, &[(AttrId(1), ival(1))]),
             1,
         );
-        assert_eq!(op.purge_pass(&engine).purged, 2);
+        assert_eq!(
+            op.purge_pass(&engine, &mut CheckScratch::default()).purged,
+            2
+        );
         assert_eq!(op.live(), 0);
         assert_eq!(op.stats.purged, 2);
         assert_eq!(op.stats.kept, 0, "kept is a per-cycle snapshot");

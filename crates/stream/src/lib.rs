@@ -69,6 +69,15 @@ pub mod tuple;
 
 pub use pipeline::Engine;
 
+// Ports, operators and the purge engine hold no interior mutability (a pass
+// that finds a port to change reports it): all three may cross threads.
+const _: () = {
+    const fn sync<T: Sync>() {}
+    sync::<state::PortState>();
+    sync::<join::JoinOperator>();
+    sync::<purge::PurgeEngine>();
+};
+
 /// Convenient re-exports of the most common types.
 pub mod prelude {
     pub use crate::checkpoint::{CheckpointStore, InputCursor};

@@ -42,7 +42,7 @@ use crate::guard::{AdmissionFault, AdmissionPolicy, DeadLetter};
 use crate::join::JoinOperator;
 use crate::metrics::{Metrics, StatePoint};
 use crate::punct_store::PunctClass;
-use crate::purge::PurgeEngine;
+use crate::purge::{CheckScratch, PurgeEngine};
 use crate::registry::QueryRegistry;
 use crate::sink::{ResultSink, Stamped};
 use crate::source::{BatchItem, ElementBatch, Feed};
@@ -71,6 +71,8 @@ pub(crate) struct Core {
     pub metrics: Metrics,
     /// Reusable per-segment scratch: the admitted stretches of its runs.
     pub scratch_runs: Vec<Run>,
+    /// Reusable purge-pass buffers, lent to every mirror and operator pass.
+    pub purge_scratch: CheckScratch,
     /// Cold-tier spill directory owner, present iff `cfg.tiering` is set.
     pub spill: Option<SpillStore>,
     /// Reusable budget-ladder scratch: live-row recency stamps.
@@ -102,6 +104,7 @@ impl Core {
             owed: false,
             metrics: Metrics::default(),
             scratch_runs: Vec::new(),
+            purge_scratch: CheckScratch::default(),
             stamp_scratch: Vec::new(),
             dead_letter: DeadLetter::none(),
             failed: None,
@@ -709,7 +712,7 @@ impl QueryRegistry {
         // one pass decides every operator port against the settled mirror (a
         // pass skips every tracker without news).
         loop {
-            let mirror = engine.purge_mirror();
+            let mirror = engine.purge_mirror(&mut core.purge_scratch);
             core.metrics.purge_candidates_examined += mirror.examined;
             if mirror.purged == 0 {
                 break;
@@ -723,6 +726,12 @@ impl QueryRegistry {
         // is read off them, against rows as the purges left them.
         let engine = self.engine.as_mut().expect("checked above");
         engine.purge_punctuations(self.arena.ops());
+        // A port found keeping an entry logs its purges from now on: its
+        // row's leaving is news to the next cycle's pass.
+        for &(op, port) in &engine.keepers {
+            let (_, op) = self.arena.ops_mut().nth(op).expect("a live operator");
+            op.ports[port].enable_retirement_log();
+        }
         engine.end_cycle();
         self.settle_groups();
         let (true, Some(engine)) = (self.core.cfg.verify_certificates, self.engine()) else {

@@ -620,7 +620,7 @@ impl QueryRegistry {
             return work;
         };
         for (i, op) in self.arena.ops_mut() {
-            let w = op.purge_pass(engine);
+            let w = op.purge_pass(engine, &mut self.core.purge_scratch);
             let queries = self.queries.iter_mut().filter(|q| q.live && w.purged > 0);
             for q in queries.filter(|q| q.nodes.contains(&i)) {
                 q.stats.purged += w.purged;

@@ -178,9 +178,8 @@ pub struct PortState {
     /// Absolute sequence number of `retired[0]` (grows on trim so consumer
     /// cursors keep their meaning).
     retired_base: u64,
-    /// Turned on through a shared reference: the pass that finds a reason to
-    /// log a port's purges only reads the operators.
-    log_retired: std::cell::Cell<bool>,
+    /// Whether purged slots go into `retired`.
+    pub(crate) log_retired: bool,
 }
 
 impl PortState {
@@ -207,7 +206,7 @@ impl PortState {
             indexes: Vec::new(),
             retired: Vec::new(),
             retired_base: 0,
-            log_retired: false.into(),
+            log_retired: false,
         };
         for &c in indexed_cols {
             state.add_purge_index(&[c], false);
@@ -217,8 +216,8 @@ impl PortState {
 
     /// Turns on the retraction log: from now on every purged slot id is
     /// recorded for [`PortState::retired_since`] consumers.
-    pub(crate) fn enable_retirement_log(&self) {
-        self.log_retired.set(true);
+    pub(crate) fn enable_retirement_log(&mut self) {
+        self.log_retired = true;
     }
 
     /// One past the absolute sequence number of the newest retraction.
@@ -553,7 +552,7 @@ impl PortState {
     /// Counts a detached `slot` purged, into the retraction log if on.
     fn retire(&mut self, slot: usize) {
         self.purged += 1;
-        if self.log_retired.get() {
+        if self.log_retired {
             self.retired.push(slot);
         }
     }
@@ -801,7 +800,7 @@ impl PortState {
         }
         let counters = [self.next_seq, self.inserted, self.purged, self.demoted];
         counters.into_iter().for_each(|w| e.u64(w));
-        e.bool(self.log_retired.get());
+        e.bool(self.log_retired);
     }
 
     /// Re-inserts [`PortState::write_state`]'s rows into this freshly
@@ -837,7 +836,7 @@ impl PortState {
         }
         [self.next_seq, self.inserted, self.purged, self.demoted] =
             [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
-        self.log_retired.set(d.bool()?);
+        self.log_retired = d.bool()?;
         Ok(())
     }
 }

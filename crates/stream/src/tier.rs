@@ -26,9 +26,9 @@ use cjq_core::fxhash::FxHashSet;
 use cjq_core::schema::StreamId;
 use cjq_core::value::Value;
 
-use cjq_core::purge_plan::{CompiledRecipe, CompiledStep};
+use cjq_core::purge_plan::CompiledStep;
 
-use crate::purge::{PurgeEngine, PurgeTracker};
+use crate::purge::{Meet, PurgeEngine};
 use crate::segment::{Segment, StepSummary};
 
 /// Cold-tier knobs (carried by value inside `ExecConfig`, hence `Copy`).
@@ -130,16 +130,16 @@ impl Drop for SpillStore {
     }
 }
 
-/// A port's compiled recipe and tracker, if it has a recipe. One whose every
-/// step is rooted certifies whole segments by their per-step key summaries
-/// ([`PurgeTracker::keyed`]); any other port's segments only leave by
-/// fault-back or finish-time rehydration (still lossless, never dropped).
-pub(crate) type Held<'r> = &'r Option<(CompiledRecipe, PurgeTracker)>;
+/// A port's meet: its compiled recipe and tracker, if it has a recipe. One
+/// whose every step is rooted certifies whole segments by their per-step key
+/// summaries ([`crate::purge::PurgeTracker::keyed`]); any other port's segments only leave
+/// by fault-back or finish-time rehydration (still lossless, never dropped).
+pub(crate) type Held<'r> = &'r Meet;
 
 /// The steps of `held`'s recipe with their key columns, where all are rooted.
 fn keyed(held: Held<'_>) -> Option<impl Iterator<Item = (&CompiledStep, &[usize])> + Clone> {
-    held.as_ref()
-        .and_then(|(recipe, tracker)| tracker.keyed(recipe))
+    let (recipe, tracker) = held.tracked().next()?;
+    tracker.keyed(recipe)
 }
 
 /// The first purge step's key columns — demotion groups victims by these so
@@ -404,7 +404,7 @@ mod tests {
         let rows: Vec<(u64, Vec<Value>)> = (0..6)
             .map(|i| (i, vec![Value::Int(i as i64 % 2), Value::Int(i as i64)]))
             .collect();
-        tier.spill(store.alloc(0, 0), 2, &rows, &None);
+        tier.spill(store.alloc(0, 0), 2, &rows, &Meet::default());
         assert_eq!(tier.cold_rows(), 6);
         let keys: FxHashSet<Value> = [Value::Int(0)].into_iter().collect();
         let faulted = tier.fault(0, &keys);

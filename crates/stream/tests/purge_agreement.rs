@@ -182,7 +182,7 @@ proptest! {
         assert_paths_agree(&engine, &query);
         // Purge, feed more, and re-check: verdict agreement must also hold
         // on post-purge states (shrunken chains, trimmed stores).
-        engine.purge_mirror();
+        engine.purge_mirror(&mut CheckScratch::default());
         feed_engine(
             &mut engine, &query, &schemes, &seeds[..seeds.len() / 2], domain, seeds.len() as u64,
         );

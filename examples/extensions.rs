@@ -20,6 +20,7 @@ use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence};
 use punctuated_cjq::stream::groupby::{Aggregate, GroupBy};
 use punctuated_cjq::stream::layout::SpanLayout;
 use punctuated_cjq::stream::registry::{QueryId, QueryRegistry};
+use punctuated_cjq::stream::sink::OutputBuffer;
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tuple::Tuple;
 use punctuated_cjq::stream::Engine;
@@ -121,11 +122,8 @@ fn distinct_demo() {
             }
         }
         peak = peak.max(d.open_groups());
-        d.process_punctuation(&Punctuation::with_constants(
-            StreamId(1),
-            3,
-            &[(AttrId(1), ival(item))],
-        ));
+        let p = Punctuation::with_constants(StreamId(1), 3, &[(AttrId(1), ival(item))]);
+        d.process_punctuation_into(&p, &mut OutputBuffer::new(d.out_width()));
     }
     println!(
         "6000 tuples: {emitted} emitted, {suppressed} suppressed, peak seen-set {peak} (bounded), final {}",

@@ -8,7 +8,7 @@
 # below it; raise it only with a reason in CHANGES.md.
 set -euo pipefail
 
-CEILING=11311
+CEILING=11301
 CORE_CEILING=4656
 
 cd "$(dirname "$0")/.."
@@ -236,6 +236,20 @@ done | grep -v '^ *//' |
     echo "a second chain walk or the in-engine oracle comparison is back" >&2
     status=1
 fi
+
+# One purge pass: an operator port is a meet of one recipe (`purge::Meet`), so
+# ports and mirror streams share one pass body (`Meet::pass`: news check,
+# tracker collect), one audit and one judged-row write/resume pair. A second
+# call site of any of these is a port's or a mirror's own pass growing back.
+for call in '\.has_news\(' '\.collect\(([^)]|$)' '\.judged\(' '\.resume\(' 'certify::audit\('; do
+    sites=$(for f in crates/stream/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
+    done | grep -v '^ *//' | grep -cE "$call" || true)
+    if [ "$sites" -ne 1 ]; then
+        echo "$call has $sites non-test call sites in crates/stream/src, not one" >&2
+        status=1
+    fi
+done
 
 # Logical snapshots: a snapshot holds rows, punctuations and the punctuation
 # run admitted since the last purge cycle, and restore rebuilds what the
