@@ -34,8 +34,8 @@
 //! terms is emitted once. Under single-attribute schemes the query is safe
 //! exactly when every term is (a cut no group guards is a term's cut;
 //! property-tested in `tests/`), so admission refuses an unsafe one. The
-//! price is state: a tuple is stored once per term that can still join it,
-//! at most `k×` for `k` terms.
+//! terms join the same inputs, so they share the registry's nodes: a tuple
+//! is stored once and leaves once no term can still join it.
 
 use std::collections::{HashMap, HashSet};
 

@@ -2,14 +2,18 @@
 //!
 //! A naive executor of plans (tenants) over a punctuated feed, written from the
 //! paper and `cjq-core` alone. Operators keep a `Vec` of rows per port and join
-//! by nested loops. Every purge cycle re-checks *every* row, until none goes,
-//! against its port's chained recipe (§3.2, §4.2:
-//! `derive_port_recipe{,_weighted}`), drawing joinable sets from the raw
-//! per-stream state `Υ_S`, which tenants share: a row of `Υ_S` goes once every
-//! tenant's query-wide recipe rooted at `S` proves it dead (the meet). §5.1: an
-//! entry `(a = c)` of a one-attribute hash scheme of `v` is forgotten once
-//! every partner `u.b` of `v.a` has punctuated `b = c` and no row of `Υ_u`, nor
-//! of a port whose recipe waits on more than one step, carries `c`. A hash
+//! by nested loops. Tenants whose operators join the same inputs share them:
+//! each row is stored once, and each tenant's predicate set over the operator
+//! joins it into that tenant's results. Every purge cycle re-checks *every*
+//! row, until none goes, against the chained recipes (§3.2, §4.2:
+//! `derive_port_recipe{,_weighted}`) of the tenants storing it, drawing
+//! joinable sets from the raw per-stream state `Υ_S`, which tenants share: a
+//! row of a port, as of `Υ_S` (with query-wide recipes rooted at `S`), goes
+//! once every tenant's recipe proves it dead (the meet), and each of those
+//! tenants counts it purged. §5.1: an entry `(a = c)` of a one-attribute hash
+//! scheme of `v` is forgotten once every partner `u.b` of `v.a` has punctuated
+//! `b = c` and no row of `Υ_u`, nor of a port whose recipes wait on more than
+//! one step, carries `c`. A hash
 //! scheme no tenant reads (`Cjq::reads_scheme`) stores nothing, so a tuple
 //! that violates one of its punctuations is admitted. No indexes, batches,
 //! tiers, mirrors or trackers.
@@ -19,7 +23,6 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
-use cjq_core::bounds::plan_operator_ports;
 use cjq_core::plan::Plan;
 use cjq_core::punctuation::Punctuation;
 use cjq_core::purge_plan::{derive_port_recipe, derive_port_recipe_weighted, PurgeRecipe};
@@ -64,7 +67,8 @@ pub struct Config {
 pub struct Outcome {
     /// Per tenant: its result tuples, sorted (a multiset).
     pub outputs: Vec<Vec<Vec<Value>>>,
-    /// Per tenant: its operator-port rows purged.
+    /// Per tenant: its operator-port rows purged (a shared port's rows count
+    /// for each tenant storing them).
     pub purged: Vec<u64>,
     /// Rows of `Υ` purged.
     pub mirror_purged: u64,
@@ -76,7 +80,8 @@ pub struct Outcome {
     pub quarantined: u64,
     /// The state every `sample_every` elements and at the end.
     pub series: Vec<Sample>,
-    /// Per port (tenant by tenant, `plan_operator_ports` order): its most rows.
+    /// Per port (tenant by tenant, `plan_operator_ports` order): its most rows
+    /// (a port two tenants share counts in both).
     pub peak_port_rows: Vec<usize>,
     /// The clock of the first refused element (where a strict run fails).
     pub first_refused: Option<u64>,
@@ -87,7 +92,7 @@ pub struct Outcome {
 pub struct Sample {
     /// The element's clock.
     pub at: u64,
-    /// Operator-port rows, every tenant's.
+    /// Operator-port rows, each shared port's once.
     pub rows: usize,
     /// Punctuation entries, and the punctuations no scheme describes.
     pub entries: usize,
@@ -102,14 +107,41 @@ type Row = Vec<Option<Vec<Value>>>;
 
 #[derive(Default)]
 struct Port {
-    /// `(tenant, recipe)`: an operator port's; per tenant for `Υ_S` (the meet).
+    /// `(tenant, recipe)` per tenant storing its rows (the meet).
     recipes: Vec<(usize, Option<PurgeRecipe>)>,
     rows: Vec<Row>,
-    /// The streams its rows span, and those its operator's results span (one
-    /// operator of a plan per span).
+    /// The streams its rows span, and its operator (none for `Υ_S`).
     roots: Vec<StreamId>,
-    span: Vec<StreamId>,
+    node: usize,
 }
+
+/// What an operator input reads: a stream, or a variant of an operator.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Child {
+    Leaf(StreamId),
+    Inner(usize, usize),
+}
+
+/// An operator: its inputs (sorted: its identity), its ports and its
+/// variants.
+struct Node {
+    children: Vec<Child>,
+    ports: Vec<usize>,
+    variants: Vec<Variant>,
+}
+
+/// A predicate set joining an operator's inputs: a tenant joining by it, and
+/// who reads its results — parent ports and tenants rooted there.
+#[derive(Clone)]
+struct Variant {
+    preds: Vec<JoinPredicate>,
+    tenant: usize,
+    parents: Vec<usize>,
+    roots: Vec<usize>,
+}
+
+/// A tenant's recipe derivation: over a scope, for a port's roots.
+type RecipeFor<'r> = &'r dyn Fn(&[StreamId], &[StreamId]) -> Option<PurgeRecipe>;
 
 /// Runs `feed` through each tenant's plan (queries of one catalog) under `r` and `cfg`.
 ///
@@ -147,10 +179,13 @@ struct Oracle<'q> {
     queries: Vec<&'q Cjq>,
     cfg: &'q Config,
     arity: Vec<usize>,
-    /// The tenants' operator ports (`plan_operator_ports` order), then `Υ_S` per `S`.
+    /// The operators' ports, then `Υ_S` per `S`.
     ports: Vec<Port>,
     /// How many of `ports` belong to operators.
     n_op: usize,
+    nodes: Vec<Node>,
+    /// Per tenant, its ports in `plan_operator_ports` order.
+    views: Vec<Vec<usize>>,
     /// Per scheme: its entries (a heartbeat's one: its threshold) and clocks;
     /// none for a hash scheme no tenant reads.
     stores: Vec<(PunctuationScheme, BTreeMap<Vec<Value>, u64>)>,
@@ -169,42 +204,128 @@ impl<'q> Oracle<'q> {
             Some(w) => derive_port_recipe_weighted(queries[t], schemes, scope, roots, w),
             None => derive_port_recipe(queries[t], schemes, scope, roots),
         };
-        let mut ports = Vec::new();
-        for (t, (_, plan)) in tenants.iter().enumerate() {
-            for (spans, span) in plan_operator_ports(plan) {
-                let scope = if cfg.query_scope { &all } else { &span };
-                for roots in spans {
-                    let mut port = Port::default();
-                    port.recipes.push((t, recipe(t, scope, &roots)));
-                    (port.roots, port.span) = (roots, span.clone());
-                    ports.push(port);
-                }
-            }
-        }
-        let n_op = ports.len();
-        for &s in &all {
-            let recipes = (0..tenants.len()).map(|t| (t, recipe(t, &all, &[s])));
-            ports.push(Port {
-                recipes: recipes.collect(),
-                ..Port::default()
-            });
-        }
         let arity = |s: &StreamId| queries[0].catalog().schema(*s).expect("its own").arity();
         let store = |s: &PunctuationScheme| (s.clone(), BTreeMap::new());
         let mut out = Outcome::default();
         (out.outputs, out.purged) = (vec![Vec::new(); tenants.len()], vec![0; tenants.len()]);
-        Oracle {
+        let mut o = Oracle {
             arity: all.iter().map(arity).collect(),
             stores: schemes.schemes().iter().map(store).collect(),
             unmatched: Vec::new(),
-            queries,
+            queries: queries.clone(),
             cfg,
-            ports,
-            n_op,
+            ports: Vec::new(),
+            n_op: 0,
+            nodes: Vec::new(),
+            views: Vec::new(),
             clock: 0,
             due: false,
             out,
+        };
+        for (t, (_, plan)) in tenants.iter().enumerate() {
+            let mut view = Vec::new();
+            let recipe = |scope: &[StreamId], roots: &[StreamId]| recipe(t, scope, roots);
+            let Child::Inner(root, v) = o.lower(t, plan, &recipe, &mut view) else {
+                panic!("a plan joins");
+            };
+            o.nodes[root].variants[v].roots.push(t);
+            o.views.push(view);
         }
+        o.n_op = o.ports.len();
+        for &s in &all {
+            let recipes = (0..tenants.len()).map(|t| (t, recipe(t, &all, &[s])));
+            o.ports.push(Port {
+                recipes: recipes.collect(),
+                rows: Vec::new(),
+                roots: vec![s],
+                node: usize::MAX,
+            });
+        }
+        o
+    }
+
+    /// Lowers tenant `t`'s `plan` bottom-up onto the operators — one per set
+    /// of inputs, shared — and its predicate set over each onto a variant,
+    /// adding the tenant's `recipe` (over a scope, for roots) to every port
+    /// and the ports to `view` in `plan_operator_ports` order.
+    fn lower(
+        &mut self,
+        t: usize,
+        plan: &Plan,
+        recipe: RecipeFor<'_>,
+        view: &mut Vec<usize>,
+    ) -> Child {
+        let kids = match plan {
+            Plan::Leaf(s) => return Child::Leaf(*s),
+            Plan::Join(kids) => kids,
+        };
+        let children: Vec<Child> = kids
+            .iter()
+            .map(|k| self.lower(t, k, recipe, view))
+            .collect();
+        let mut key = children.clone();
+        key.sort_unstable();
+        let n = self.nodes.iter().position(|n| n.children == key);
+        let n = n.unwrap_or_else(|| {
+            let first = self.ports.len();
+            for (kid, &child) in kids.iter().zip(&children) {
+                if let Child::Inner(c, v) = child {
+                    self.nodes[c].variants[v].parents.push(self.ports.len());
+                }
+                let node = self.nodes.len();
+                let roots = kid.span();
+                self.ports.push(Port {
+                    roots,
+                    node,
+                    ..Port::default()
+                });
+            }
+            let ports = (first..self.ports.len()).collect();
+            let variants = Vec::new();
+            self.nodes.push(Node {
+                children: key,
+                ports,
+                variants,
+            });
+            self.nodes.len() - 1
+        });
+        // A variant is keyed by the predicates inside the span, or by all of
+        // them where recipes are derived over the whole query.
+        let (span, whole) = (plan.span(), self.cfg.query_scope);
+        let inside =
+            |p: &&JoinPredicate| [p.left, p.right].iter().all(|e| span.contains(&e.stream));
+        let mut preds: Vec<JoinPredicate> = self.queries[t].predicates().to_vec();
+        preds.retain(|p| whole || inside(&p));
+        preds.sort_unstable();
+        let variants = &mut self.nodes[n].variants;
+        let v = variants.iter().position(|var| var.preds == preds);
+        let v = v.unwrap_or_else(|| {
+            let (tenant, parents, roots) = (t, Vec::new(), Vec::new());
+            variants.push(Variant {
+                preds,
+                tenant,
+                parents,
+                roots,
+            });
+            variants.len() - 1
+        });
+        let scope = if whole {
+            self.queries[t].stream_ids().collect()
+        } else {
+            span
+        };
+        for kid in kids {
+            let roots = kid.span();
+            let port = self.nodes[n]
+                .ports
+                .iter()
+                .copied()
+                .find(|&p| self.ports[p].roots == roots);
+            let port = port.expect("a port per child");
+            self.ports[port].recipes.push((t, recipe(&scope, &roots)));
+            view.push(port);
+        }
+        Child::Inner(n, v)
     }
 
     /// Whether `scheme`'s entries cover `combo`.
@@ -271,24 +392,30 @@ impl<'q> Oracle<'q> {
     }
 
     /// Joins `row` arriving at port `q` by nested loops over the other ports
-    /// of its operator, stores it, and hands the results upward: to the port
-    /// of its tenant whose rows span what the operator's results span.
+    /// of its operator, once per variant by a tenant's predicates, stores it,
+    /// and hands each variant's results to the ports and tenants reading it.
     fn arrive(&mut self, q: usize, row: Row) {
-        let (t, span) = (self.ports[q].recipes[0].0, self.ports[q].span.clone());
-        let mate = |p: &Port| p.recipes[0].0 == t && p.span == span;
-        let mut found = vec![row.clone()];
-        for other in (0..self.n_op).filter(|&o| o != q && mate(&self.ports[o])) {
-            let (query, rows) = (self.queries[t], &self.ports[other].rows);
-            let pairs = found.iter().flat_map(|a| rows.iter().map(move |b| (a, b)));
-            found = pairs.filter_map(|(a, b)| merge(query, a, b)).collect();
+        let node = &self.nodes[self.ports[q].node];
+        let mut results = Vec::new();
+        for (v, &Variant { tenant: t, .. }) in node.variants.iter().enumerate() {
+            let mut found = vec![row.clone()];
+            for &other in node.ports.iter().filter(|&&o| o != q) {
+                let (query, rows) = (self.queries[t], &self.ports[other].rows);
+                let pairs = found.iter().flat_map(|a| rows.iter().map(move |b| (a, b)));
+                found = pairs.filter_map(|(a, b)| merge(query, a, b)).collect();
+            }
+            results.push((v, found));
         }
         self.ports[q].rows.push(row);
-        let up = |p: &Port| p.recipes[0].0 == t && p.roots == span;
-        let parent = self.ports[..self.n_op].iter().position(up);
-        for result in found {
-            match parent {
-                Some(parent) => self.arrive(parent, result),
-                None => self.out.outputs[t].push(result.into_iter().flatten().flatten().collect()),
+        let n = self.ports[q].node;
+        for (v, found) in results {
+            let Variant { parents, roots, .. } = self.nodes[n].variants[v].clone();
+            for result in found {
+                parents.iter().for_each(|&p| self.arrive(p, result.clone()));
+                for &t in &roots {
+                    let flat = result.iter().flatten().flatten().copied();
+                    self.out.outputs[t].push(flat.collect());
+                }
             }
         }
     }
@@ -343,9 +470,11 @@ impl<'q> Oracle<'q> {
                     r.as_ref().is_some_and(|r| self.dead(*t, r, row))
                 };
                 rows.retain(|row| !recipes.iter().all(|r| dead(row, r)));
-                let (gone, t) = ((before - rows.len()) as u64, recipes[0].0);
+                let gone = (before - rows.len()) as u64;
                 match p < self.n_op {
-                    true => self.out.purged[t] += gone,
+                    true => recipes
+                        .iter()
+                        .for_each(|&(t, _)| self.out.purged[t] += gone),
                     false => self.out.mirror_purged += gone,
                 }
                 any |= gone > 0;
@@ -376,11 +505,21 @@ impl<'q> Oracle<'q> {
         }
     }
 
-    /// Whether a row of `Υ_u`, or of a port whose recipe waits on more than one
-    /// step (and so can outlive its `Υ_u` row), carries `u.attr = c`.
+    /// Whether a row of `Υ_u`, or of a port whose distinct recipes wait on
+    /// more than one step (and so can outlive its `Υ_u` row), carries
+    /// `u.attr = c`.
     fn carried(&self, u: AttrRef, c: Value) -> bool {
         let carries = |r: &Row| r[u.stream.0].as_ref().is_some_and(|t| t[u.attr.0] == c);
-        let waits = |p: &Port| p.recipes[0].1.as_ref().is_some_and(|r| r.steps.len() > 1);
+        let waits = |p: &Port| {
+            let mut distinct: Vec<&PurgeRecipe> = Vec::new();
+            for (_, r) in &p.recipes {
+                let Some(r) = r else { return false };
+                if !distinct.contains(&r) {
+                    distinct.push(r);
+                }
+            }
+            distinct.iter().map(|r| r.steps.len()).sum::<usize>() > 1
+        };
         let reads = |(i, p): &(usize, &Port)| *i >= self.n_op || waits(p);
         let ports = self.ports.iter().enumerate().filter(reads);
         ports.flat_map(|(_, p)| &p.rows).any(carries)
@@ -389,9 +528,10 @@ impl<'q> Oracle<'q> {
     /// Per-element bookkeeping: exact port peaks, and a sample when one is due.
     fn observe(&mut self, sample: bool) {
         let (ops, ys) = self.ports.split_at(self.n_op);
-        self.out.peak_port_rows.resize(self.n_op, 0);
-        for (peak, port) in self.out.peak_port_rows.iter_mut().zip(ops) {
-            *peak = (*peak).max(port.rows.len());
+        let views = self.views.iter().flatten();
+        self.out.peak_port_rows.resize(views.clone().count(), 0);
+        for (peak, &port) in self.out.peak_port_rows.iter_mut().zip(views) {
+            *peak = (*peak).max(ops[port].rows.len());
         }
         if sample {
             let rows = |ports: &[Port]| ports.iter().map(|p| p.rows.len()).sum();

@@ -1,25 +1,29 @@
 //! Canonical sub-plan fingerprinting for multi-query sharing.
 //!
 //! The shared-state registry (`cjq_stream::registry`) interns join operators
-//! by a canonical key: the sorted child keys plus the sorted in-span join
-//! predicates. Two sub-plans from *different* queries collapse onto one
-//! physical operator exactly when those keys match. This module computes the
-//! same canonicalization statically — as a stable 64-bit fingerprint — so
-//! the planner can *predict* sharing before anything is admitted:
+//! by a canonical key: the sorted child keys. Two sub-plans from *different*
+//! queries store their rows in one physical operator exactly when those keys
+//! match; the sorted in-span join predicates then pick the operator's
+//! *variant* (its probe plans, recipes and output), and a child key names a
+//! child's variant. This module computes the same canonicalization
+//! statically — as stable 64-bit fingerprints — so the planner can *predict*
+//! sharing before anything is admitted:
 //!
-//! * [`plan_fingerprint`] — the root fingerprint of a plan under a query;
-//! * [`subplan_fingerprints`] — one fingerprint per inner (join) node;
+//! * [`plan_fingerprint`] — the root variant's fingerprint of a plan under a
+//!   query;
+//! * [`subplan_fingerprints`] — one variant fingerprint per inner (join) node;
 //! * [`sharing_report`] — across a batch of `(query, plan)` specs, how many
-//!   distinct physical operators the registry would build vs. the total
-//!   per-query subscriptions (the sharing ratio the multi-query engine
-//!   reports at runtime).
+//!   distinct physical operators, variants and ports the registry would
+//!   build vs. the total per-query subscriptions (the sharing ratio the
+//!   multi-query engine reports at runtime).
 //!
-//! Canonicalization mirrors the registry's `NodeKey` for the per-operator
-//! purge scope: children are ordered by their span's minimum stream (spans
-//! in one plan are disjoint, so this is a total order), and a node's
-//! predicate set is every query predicate whose two endpoints both fall in
-//! the node's span. The query-level purge scope additionally keys nodes on
-//! the full predicate set, which [`scoped_fingerprint`] exposes.
+//! Canonicalization mirrors the registry's `NodeKey` and `VariantKey` for
+//! the per-operator purge scope: children are ordered by their span's
+//! minimum stream (spans in one plan are disjoint, so this is a total order),
+//! and a variant's predicate set is every query predicate whose two
+//! endpoints both fall in the node's span. The query-level purge scope
+//! additionally keys variants on the full predicate set, which
+//! [`scoped_fingerprint`] exposes.
 //!
 //! The hash is [`std::collections::hash_map::DefaultHasher`] seeded with
 //! fixed keys, so fingerprints are stable across runs and processes of the
@@ -48,13 +52,18 @@ fn hash_predicate(p: &JoinPredicate, h: &mut impl Hasher) {
     p.right.attr.0.hash(h);
 }
 
-/// Walks `plan` bottom-up, appending one fingerprint per `Plan::Join` node
-/// to `out` and returning the node's own fingerprint plus its sorted span.
+/// One `Plan::Join` node as [`walk`] sees it: the fingerprints of its
+/// operator (children only) and of its variant, and its port count.
+type Joined = (Fingerprint, Fingerprint, usize);
+
+/// Walks `plan` bottom-up, appending one [`Joined`] per `Plan::Join` node to
+/// `out` and returning the node's own variant fingerprint plus its sorted
+/// span.
 fn walk(
     query: &Cjq,
     plan: &Plan,
     full_preds: Option<&[JoinPredicate]>,
-    out: &mut Vec<Fingerprint>,
+    out: &mut Vec<Joined>,
 ) -> (Fingerprint, Vec<StreamId>) {
     match plan {
         Plan::Leaf(s) => {
@@ -87,6 +96,7 @@ fn walk(
             for (fp, _) in &kids {
                 fp.hash(&mut h);
             }
+            let node = h.finish();
             span_preds.len().hash(&mut h);
             for p in &span_preds {
                 hash_predicate(p, &mut h);
@@ -99,7 +109,7 @@ fn walk(
                 }
             }
             let fp = h.finish();
-            out.push(fp);
+            out.push((node, fp, kids.len()));
             (fp, span)
         }
     }
@@ -129,14 +139,14 @@ pub fn scoped_fingerprint(query: &Cjq, plan: &Plan) -> Fingerprint {
     walk(query, plan, Some(&all), &mut out).0
 }
 
-/// One fingerprint per inner (join) node of `plan`, bottom-up — the
-/// operators the registry would build (or find already interned) when
-/// admitting `query` with this plan.
+/// One variant fingerprint per inner (join) node of `plan`, bottom-up — the
+/// operator variants the registry would build (or find already interned)
+/// when admitting `query` with this plan.
 #[must_use]
 pub fn subplan_fingerprints(query: &Cjq, plan: &Plan) -> Vec<Fingerprint> {
     let mut out = Vec::new();
     walk(query, plan, None, &mut out);
-    out
+    out.into_iter().map(|(_, variant, _)| variant).collect()
 }
 
 /// Predicted sharing across a batch of query/plan specs.
@@ -145,9 +155,14 @@ pub struct SharingReport {
     /// Total inner-node subscriptions across all specs (what N independent
     /// executors would build).
     pub subscriptions: usize,
-    /// Distinct canonical operators (what the registry builds).
+    /// Distinct canonical operators (what the registry builds): one per set
+    /// of children.
     pub shared_nodes: usize,
-    /// How many specs subscribe to each fingerprint, densest first.
+    /// Distinct operator variants: one per (children, predicate set).
+    pub variants: usize,
+    /// Ports across the distinct operators: the join states stored.
+    pub shared_ports: usize,
+    /// How many specs subscribe to each variant fingerprint, densest first.
     pub fanout: Vec<(Fingerprint, usize)>,
 }
 
@@ -165,25 +180,33 @@ impl SharingReport {
 }
 
 /// Predicts the registry's sharing for `specs` (per-operator purge scope):
-/// how many physical operator nodes serve how many per-query subscriptions.
-/// Matches the runtime's `live_nodes()` / `subscribed_nodes()` when the same
+/// how many physical operator nodes, variants and ports serve how many
+/// per-query subscriptions. Matches the runtime's `live_nodes()`,
+/// `live_variants()`, `live_ports()` and `subscribed_nodes()` when the same
 /// specs are admitted against one catalog.
 #[must_use]
 pub fn sharing_report(specs: &[(&Cjq, &Plan)]) -> SharingReport {
     let mut counts: HashMap<Fingerprint, usize> = HashMap::new();
+    let mut nodes: HashMap<Fingerprint, usize> = HashMap::new();
     let mut subscriptions = 0;
     for (query, plan) in specs {
-        for fp in subplan_fingerprints(query, plan) {
+        let mut joined = Vec::new();
+        walk(query, plan, None, &mut joined);
+        for (node, variant, ports) in joined {
             subscriptions += 1;
-            *counts.entry(fp).or_insert(0) += 1;
+            *counts.entry(variant).or_insert(0) += 1;
+            nodes.insert(node, ports);
         }
     }
-    let shared_nodes = counts.len();
+    let (shared_nodes, variants) = (nodes.len(), counts.len());
+    let shared_ports = nodes.values().sum();
     let mut fanout: Vec<(Fingerprint, usize)> = counts.into_iter().collect();
     fanout.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     SharingReport {
         subscriptions,
         shared_nodes,
+        variants,
+        shared_ports,
         fanout,
     }
 }

@@ -5,9 +5,12 @@
 //! global allocator (this binary holds one test, so nothing runs beside it)
 //! and prints the figures, so a regression names its size.
 //!
-//! The feeds are perfbench's `trades_watermark` and `auction_punct` at a
-//! tenth of their length, pushed the way perfbench pushes them: 256-element
-//! batches through `Executor::try_push_batch` into a counting sink.
+//! The feeds are perfbench's `trades_watermark`, `auction_punct` and
+//! `multi_tenant16` at a tenth of their length, pushed the way perfbench
+//! pushes them: 256-element batches through `Executor::try_push_batch` (or
+//! `QueryRegistry::try_push_batch`, for the sixteen tenants whose four root
+//! variants share one node) into counting sinks. The `network` feed adds
+//! ports whose purge index is keyed on two columns, `(src, seqno)`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,9 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use punctuated_cjq::core::prelude::*;
 use punctuated_cjq::register::Register;
 use punctuated_cjq::stream::exec::ExecConfig;
+use punctuated_cjq::stream::registry::QueryRegistry;
 use punctuated_cjq::stream::sink::CountSink;
 use punctuated_cjq::stream::source::{ElementBatch, Feed};
 use punctuated_cjq::workload::auction::{self, AuctionConfig};
+use punctuated_cjq::workload::multi::{self, MultiConfig};
+use punctuated_cjq::workload::network::{self, NetworkConfig};
 use punctuated_cjq::workload::trades::{self, TradesConfig};
 
 struct Counting;
@@ -41,18 +47,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations per element over the second half of `feed`.
-fn steady_state(query: Cjq, schemes: SchemeSet, feed: &Feed) -> f64 {
-    // The certificate verifier re-checks rows with the allocating oracle;
-    // under `--features verify-certificates` it is on by default.
-    let cfg = ExecConfig {
+/// The config perfbench runs, with the certificate verifier off: it
+/// re-checks rows with the allocating oracle, and under `--features
+/// verify-certificates` it is on by default.
+fn cfg() -> ExecConfig {
+    ExecConfig {
         record_outputs: false,
         verify_certificates: false,
         ..ExecConfig::default()
-    };
-    let registered = Register::new(schemes).register(query).expect("safe");
-    let mut exec = registered.executor(cfg).expect("compiles");
-    let mut sink = CountSink::new();
+    }
+}
+
+/// Allocations per element over the second half of `feed`, each batch of
+/// 256 elements handed to `push`.
+fn measured(feed: &Feed, mut push: impl FnMut(&ElementBatch<'_>)) -> f64 {
     let mut batch = ElementBatch::new();
     let (warmup, measured) = feed.elements().split_at(feed.len() / 2);
     let mut allocated = [0, 0];
@@ -60,11 +68,22 @@ fn steady_state(query: Cjq, schemes: SchemeSet, feed: &Feed) -> f64 {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for chunk in half.chunks(256) {
             batch.gather(chunk);
-            exec.try_push_batch(&batch, &mut sink).expect("clean feed");
+            push(&batch);
         }
         *spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
     }
     allocated[1] as f64 / measured.len() as f64
+}
+
+/// Allocations per element over the second half of `feed` on the executor
+/// the register compiles for `query`.
+fn steady_state(query: Cjq, schemes: SchemeSet, feed: &Feed) -> f64 {
+    let registered = Register::new(schemes).register(query).expect("safe");
+    let mut exec = registered.executor(cfg()).expect("compiles");
+    let mut sink = CountSink::new();
+    measured(feed, |batch| {
+        exec.try_push_batch(batch, &mut sink).expect("clean feed");
+    })
 }
 
 #[test]
@@ -100,6 +119,44 @@ fn the_warm_data_path_allocates_a_fraction_of_a_time_per_element() {
         feed.len()
     );
 
+    // Sixteen tenants, each with its own sink, over one registry: the
+    // shared prefix node and one top node of four variants.
+    let shape = MultiConfig {
+        streams: 4,
+        queries: 16,
+        overlap: 0.5,
+        rounds: 400,
+        lag: 4,
+        tuples_per_round: 2,
+        seed: 7,
+    };
+    let tenants = multi::generate_queries(&shape);
+    let mut reg = QueryRegistry::new(tenants.schemes.clone(), cfg());
+    for (q, p) in &tenants.queries {
+        reg.try_admit(q, p, Some(Box::new(CountSink::new())))
+            .expect("safe");
+    }
+    assert_eq!((reg.live_nodes(), reg.live_variants()), (2, 5));
+    let feed = multi::generate_feed(&shape);
+    let tenants16 = measured(&feed, |batch| reg.try_push_batch(batch).expect("clean"));
+    println!(
+        "multi_tenant16: {tenants16:.3} allocations per element, second half of {}",
+        feed.len()
+    );
+
+    // Flows that never reuse a sequence number: violation-free.
+    let (query, schemes) = network::network_query();
+    let feed = network::generate(&NetworkConfig {
+        n_flows: 4_000,
+        seq_space: 1 << 16,
+        ..NetworkConfig::default()
+    });
+    let network = steady_state(query, schemes, &feed);
+    println!(
+        "network: {network:.3} allocations per element, second half of {}",
+        feed.len()
+    );
+
     // 1.52 and 4.18 before stored rows were indexed once (issue 21). What is
     // left on the auction is its punctuation store, which keeps one entry per
     // closed item by design (ROADMAP item 3).
@@ -107,5 +164,16 @@ fn the_warm_data_path_allocates_a_fraction_of_a_time_per_element() {
     assert!(
         auction <= 1.5,
         "auction: {auction:.3} allocations per element"
+    );
+    // 1.27 on the sixteen tenants. 2.53 on the network before a two-column
+    // index looked its buckets up by slice (2.05 after): what is left there
+    // is one stored entry per `(src, seqno)` punctuation.
+    assert!(
+        tenants16 <= 1.5,
+        "multi_tenant16: {tenants16:.3} allocations per element"
+    );
+    assert!(
+        network <= 2.25,
+        "network: {network:.3} allocations per element"
     );
 }
