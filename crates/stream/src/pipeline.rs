@@ -32,8 +32,8 @@ use cjq_core::schema::StreamId;
 use cjq_core::value::Value;
 
 use crate::checkpoint::{
-    list_snapshots, CheckpointStore, Codec, Dec, Enc, InputCursor, Manifest, SnapshotKind,
-    SnapshotResult,
+    list_snapshots, CheckpointStore, Codec, Dec, Enc, InputCursor, Manifest, SnapshotError,
+    SnapshotKind, SnapshotResult,
 };
 use crate::element::StreamElement;
 use crate::error::{ExecError, ExecResult};
@@ -128,6 +128,9 @@ impl Core {
     /// `n_ports` operator ports.
     pub(crate) fn read_state(&mut self, d: &mut Dec<'_>, n_ports: usize) -> SnapshotResult<()> {
         self.clock = d.u64()?;
+        if self.clock > u64::MAX >> 1 {
+            return Err(SnapshotError("element clock out of range".into()));
+        }
         self.since_purge = d.usize()?;
         self.owed = d.bool()?;
         self.next_sample = next_sample_after(self.clock, self.cfg.sample_every);
