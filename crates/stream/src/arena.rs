@@ -21,8 +21,7 @@ use cjq_core::value::Value;
 use crate::checkpoint::{Dec, Enc, Fingerprint, SnapshotError, SnapshotResult};
 use crate::exec::ExecConfig;
 use crate::join::JoinOperator;
-use crate::metrics::Metrics;
-use crate::pipeline::Run;
+use crate::pipeline::{Core, Run};
 use crate::purge::{fingerprint_recipes, PurgeEngine, PurgeScope};
 use crate::sink::OutputBuffer;
 use crate::tier::SpillStore;
@@ -163,8 +162,15 @@ impl OpArena {
     /// them: merged by stamp with the parent's own leaf runs, they reach it
     /// in the order one-element pushes would. Rows a node hands a parent
     /// count as intermediate once per parent reading them — physical work,
-    /// like the probe counters.
-    pub(crate) fn cascade(&mut self, arena: &[Value], runs: &[Run], metrics: &mut Metrics) {
+    /// like the probe counters. Rows a node finds dead on arrival count purged.
+    pub(crate) fn cascade(
+        &mut self,
+        arena: &[Value],
+        runs: &[Run],
+        engine: &PurgeEngine,
+        core: &mut Core,
+    ) {
+        let (metrics, scratch) = (&mut core.metrics, &mut core.purge_scratch);
         for n in 0..self.nodes.len() {
             let (below, rest) = self.nodes.split_at_mut(n);
             let Some(Node { key, op, outs, .. }) = &mut rest[0] else {
@@ -191,7 +197,9 @@ impl OpArena {
                 *handed += len as u64;
                 Some((port, rows))
             });
-            metrics.probe_keys_deduped += op.process_segment(input, outs);
+            metrics.probe_keys_deduped += op.process_segment(input, outs, engine, scratch);
+            metrics.purged += op.arrived;
+            metrics.purged_on_arrival += op.arrived;
         }
     }
 

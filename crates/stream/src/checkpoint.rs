@@ -32,8 +32,8 @@
 //! What is deliberately **not** serialized: compiled layouts, probe plans,
 //! purge recipes, index registrations and buckets — deterministic functions
 //! of (query, schemes, plan, config) and the rows — and the engine's own
-//! bookkeeping: tracker cursors and fresh-row watermarks, delta and
-//! retraction logs, slot ids and the dead slots behind them. The restore path
+//! bookkeeping: tracker cursors, delta and retraction logs, slot ids and
+//! the dead slots behind them. The restore path
 //! recreates them by calling the normal compile path and re-inserting rows,
 //! each linked at its insertion sequence, which reproduces the live run's
 //! probe order exactly (probe buckets are invariantly seq-sorted).
@@ -49,7 +49,7 @@ use cjq_core::value::Value;
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"CJQS";
 /// Snapshot format version.
-pub const VERSION: u32 = 16;
+pub const VERSION: u32 = 17;
 /// File-frame header length: magic + version + payload len + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8;
 

@@ -36,7 +36,8 @@ use crate::tier::TierConfig;
 /// purges rows to their fixpoint, then forgets punctuations (§5.1) once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PurgeCadence {
-    /// Never purge (the no-punctuation baseline: state grows unboundedly).
+    /// Never run a purge cycle (the no-punctuation baseline: state grows
+    /// unboundedly). A row dead as it arrives is still never stored.
     Never,
     /// Minimal memory: a punctuation makes a cycle *owed*, paid before the
     /// next tuple, a sample, an admission or a retirement, at
@@ -932,8 +933,10 @@ mod tests {
         // 120 elements / batch 50 => 2 in-run cycles + 1 final.
         assert_eq!(res.metrics.purge_cycles, 3);
         assert_eq!(res.metrics.last().unwrap().join_state, 0);
-        // Lazy mode holds more state between cycles than eager mode would.
-        assert!(res.metrics.peak_join_state >= 20);
+        // Lazy mode holds more state between cycles than eager mode would:
+        // the items of up to a batch (their bids are dead on arrival).
+        assert!(res.metrics.peak_join_state >= 10);
+        assert_eq!(res.metrics.purged_on_arrival, 30);
     }
 
     /// The `Failed` state: once a push returned an error the engine holds a
@@ -1040,11 +1043,16 @@ mod tests {
         for e in &feed {
             exec.try_push(e).unwrap();
         }
-        // Before finish(): nothing was purged along the way.
-        assert_eq!(exec.join_state_live(), 40);
+        // Before finish(): no cycle purged an item; each bid arrived after
+        // its item's uniqueness punctuation, dead, and was never stored.
+        assert_eq!(exec.join_state_live(), 20);
         let res = exec.finish();
         // finish() runs one last cycle, which purges everything.
         assert_eq!(res.metrics.last().unwrap().join_state, 0);
+        assert_eq!(
+            (res.metrics.purged, res.metrics.purged_on_arrival),
+            (40, 20)
+        );
     }
 
     #[test]

@@ -269,6 +269,9 @@ facts! {
         pub aggregates_out: u64 => sum,
         /// Join-state tuples purged across all operators.
         pub purged: u64 => sum,
+        /// Of `purged`, the rows proven dead as they entered a port — on
+        /// arrival, or on re-entry from the cold tier — and never stored.
+        pub purged_on_arrival: u64 => sum,
         /// Held raw mirror tuples purged.
         pub mirror_purged: u64 => sum,
         /// Punctuation-store entries dropped (lifespans + §5.1 purging).
@@ -560,7 +563,7 @@ pub(crate) mod tests {
 
         // Every row but the series is reported, under its own name (the
         // struct keeps those distinct).
-        assert_eq!(Metrics::FIELD_NAMES.len(), 35);
+        assert_eq!(Metrics::FIELD_NAMES.len(), 36);
         let reported = Metrics::FIELD_NAMES.iter().filter(|&&n| n != "series");
         assert!(m.fields().map(|(n, _)| n).eq(reported.copied()));
     }

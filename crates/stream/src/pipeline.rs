@@ -482,7 +482,7 @@ impl QueryRegistry {
                 let (now, row) = (core.clock, &arena[start + i * width..][..width]);
                 let fault = match &shape {
                     Some(fault) => fault.clone(),
-                    None if engine.observe_row_at(stream, row, now) => {
+                    None if engine.observe_row_at(stream, row, now, &mut core.purge_scratch) => {
                         core.metrics.tuples_in += 1;
                         match admitted.last_mut() {
                             Some(run) if run.stream == stream && run.end + 1 == now => {
@@ -512,7 +512,8 @@ impl QueryRegistry {
             }
         }
         if !admitted.is_empty() {
-            self.arena.cascade(arena, &admitted, &mut self.core.metrics);
+            let engine = self.engine.as_ref().expect("admitted by the engine");
+            self.arena.cascade(arena, &admitted, engine, &mut self.core);
             self.drain_roots(taker);
         }
         self.core.scratch_runs = admitted;

@@ -652,13 +652,16 @@ impl QueryRegistry {
         work
     }
 
-    /// Each live query drains its root node's buffer for the segment just
+    /// Each live query is credited with the rows its nodes found dead on
+    /// arrival, then drains its root node's buffer for the segment just
     /// routed: into its group stage, if it has one, and into `taker` when one
     /// is given (a caller that takes every tenant's rows), else into its own
     /// sink or record.
     pub(crate) fn drain_roots(&mut self, taker: &mut Taker<'_>) {
         let record = self.core.cfg.record_outputs;
+        let arrived = |&(n, _): &(usize, usize)| self.arena.op(n).map_or(0, |op| op.arrived);
         for q in self.queries.iter_mut().filter(|q| q.live) {
+            q.stats.purged += q.nodes.iter().map(arrived).sum::<u64>();
             let out = self.arena.out(*q.nodes.last().expect("a plan joins"));
             if out.is_empty() {
                 continue;

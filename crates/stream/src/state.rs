@@ -735,15 +735,12 @@ impl PortState {
     /// for each bucket of index `id` that `keys` name (one cell per column
     /// each), `pred` is asked about its oldest row and its answer stands for
     /// every row there — for a predicate that reads only the index's columns.
-    /// A key equal to the one before it is not asked again, nor is a bucket
-    /// whose rows all sit at slot `fresh` or later (the caller decided those
-    /// row by row). Appends to `sweep`, counting the bucket's other rows
-    /// examined.
+    /// A key equal to the one before it is not asked again, nor is an empty
+    /// bucket. Appends to `sweep`, counting the bucket's rows examined.
     pub(crate) fn collect_buckets<'s>(
         &'s self,
         id: usize,
         keys: &[Value],
-        fresh: usize,
         pred: &mut impl FnMut(usize, &'s [Value]) -> bool,
         sweep: &mut Sweep,
     ) {
@@ -755,11 +752,10 @@ impl PortState {
                 continue;
             }
             let bucket = self.purge_index_eq(id, key);
-            let older = bucket.iter().filter(|&&slot| slot < fresh).count();
-            if older == 0 {
+            if bucket.is_empty() {
                 continue;
             }
-            sweep.examined += older;
+            sweep.examined += bucket.len();
             if pred(bucket[0], self.raw_row(bucket[0])) {
                 sweep.keys.extend_from_slice(key);
             }
@@ -1388,17 +1384,17 @@ mod tests {
         let rows = [(1, 10), (2, 10), (1, 20), (3, 10), (1, 10)];
         let slots = rows.map(|(a, b)| s.insert(row(a, b)));
         let one = [Value::Int(1)];
-        // Deciding: key 1 once (its repeat is skipped), 9 not at all; from
-        // slot 1 on, key 2's only row was decided on its own.
+        // Deciding: key 1 once (its repeat is skipped), by its oldest row,
+        // then key 2 (kept), and 9 not at all.
         let mut asked = Vec::new();
         let mut sweep = Sweep::default();
         let keys = [one[0], one[0], Value::Int(2), Value::Int(9)];
-        let mut pred = |slot, _: &[Value]| {
+        let mut pred = |slot, row: &[Value]| {
             asked.push(slot);
-            true
+            row[0] == one[0]
         };
-        s.collect_buckets(0, &keys, slots[1], &mut pred, &mut sweep);
-        assert_eq!((asked, sweep.examined), (vec![slots[0]], 1));
+        s.collect_buckets(0, &keys, &mut pred, &mut sweep);
+        assert_eq!((asked, sweep.examined), (vec![slots[0], slots[1]], 4));
         assert_eq!(sweep.keys, one);
 
         assert_eq!(s.purge_swept(&sweep), 3);

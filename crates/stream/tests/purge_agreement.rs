@@ -106,6 +106,7 @@ fn feed_engine(
 ) {
     let n = query.n_streams();
     let scheme_list = schemes.schemes();
+    let mut scratch = CheckScratch::default();
     for (i, &seed) in seeds.iter().enumerate() {
         let now = t0 + i as u64;
         if seed % 3 == 0 && !scheme_list.is_empty() {
@@ -123,7 +124,7 @@ fn feed_engine(
             let values: Vec<Value> = (0..2)
                 .map(|k| Value::Int(((seed >> (16 + 8 * k)) % domain) as i64))
                 .collect();
-            engine.observe_row_at(stream, &values, now);
+            engine.observe_row_at(stream, &values, now, &mut scratch);
         }
     }
 }

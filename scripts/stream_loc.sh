@@ -238,15 +238,20 @@ done | grep -v '^ *//' |
 fi
 
 # One purge pass: an operator port is a meet of one recipe (`purge::Meet`), so
-# ports and mirror streams share one pass body (`Meet::pass`: news check,
-# tracker collect), one audit and one judged-row write/resume pair. A second
-# call site of any of these is a port's or a mirror's own pass growing back.
-for call in '\.has_news\(' '\.collect\(([^)]|$)' '\.judged\(' '\.resume\(' 'certify::audit\('; do
+# ports and mirror streams share one pass body (`Meet::pass`: tracker
+# collect) and one audit. One row test: a pass and an arrival verdict
+# (`Meet::judge`) both call `all_prove_dead`, and a row is judged where it
+# enters a tracked state — a port's deferred insert, a cold row's re-entry,
+# a held mirror stream's insert. Another call site of any of these is a
+# port's or a mirror's own pass or row test growing back.
+for pair in '\.collect\(([^)]|$):1' 'certify::audit\(:1' \
+    '\.all_prove_dead\(:2' '\.judge\(:3'; do
+    call=${pair%:*} want=${pair##*:}
     sites=$(for f in crates/stream/src/*.rs; do
         awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f"
     done | grep -v '^ *//' | grep -cE "$call" || true)
-    if [ "$sites" -ne 1 ]; then
-        echo "$call has $sites non-test call sites in crates/stream/src, not one" >&2
+    if [ "$sites" -ne "$want" ]; then
+        echo "$call has $sites non-test call sites in crates/stream/src, not $want" >&2
         status=1
     fi
 done

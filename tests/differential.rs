@@ -28,12 +28,15 @@ fn env(name: &str, default: u64) -> u64 {
 #[test]
 fn generated_cases_agree_with_the_oracle() {
     let (base, n) = (env("CJQ_CHAOS", 0), env("CJQ_CASES", 64));
-    let mut unread = 0;
+    let (mut unread, mut arrival) = (0, 0);
     let mut case = |i| {
         let case = Case::generated(base.wrapping_add(i));
         let (q, r) = (&case.query, &case.schemes);
         unread += usize::from(r.schemes().iter().any(|s| !q.reads_scheme(s)));
-        case.check().ratios
+        let checked = case.check();
+        let solo = checked.solo.as_ref().map(|solo| &solo.metrics);
+        arrival += usize::from(solo.is_some_and(|m| m.purged_on_arrival > 0));
+        checked.ratios
     };
     let mut ratios: Vec<f64> = (0..n).flat_map(&mut case).collect();
     ratios.sort_by(f64::total_cmp);
@@ -41,7 +44,7 @@ fn generated_cases_agree_with_the_oracle() {
     let quantile = |q| ratios.get(at(q).round() as usize).copied().unwrap_or(0.0);
     let [min, p25, median, p75, max] = [0.0, 0.25, 0.5, 0.75, 1.0].map(quantile);
     let ports = ratios.len();
-    eprintln!("peak ÷ bound over {ports} certified ports of {n} cases from seed {base}: min {min:.2}, p25 {p25:.2}, median {median:.2}, p75 {p75:.2}, max {max:.2}; {unread} cases with an unread scheme");
+    eprintln!("peak ÷ bound over {ports} certified ports of {n} cases from seed {base}: min {min:.2}, p25 {p25:.2}, median {median:.2}, p75 {p75:.2}, max {max:.2}; {unread} cases with an unread scheme, {arrival} purging a row on arrival");
 }
 
 /// Seed 408's lag weights change only where a step draws its value from

@@ -65,8 +65,9 @@ fn auction_crash_point_sweep_is_byte_identical() {
     let case = case.with(|c| (c.crashes, c.every, c.shards) = (crashes, every, vec![2]));
     let _ = case.check();
     // The sweep crashes between a dead-prefix reclaim and the next commit
-    // only if this feed is long enough to reclaim at all. (The bid *port*: no
-    // recipe of a binary join reads a mirror, so none is held.)
+    // only if this feed is long enough to reclaim at all. (The item *port*:
+    // no recipe of a binary join reads a mirror, so none is held, and every
+    // bid arrives dead, so the bid port stores none.)
     let mut probe = Executor::compile(&case.query, &case.schemes, &case.plan, case.cfg).unwrap();
     for e in case.feed.elements() {
         probe.try_push(e).unwrap();
@@ -75,9 +76,9 @@ fn auction_crash_point_sweep_is_byte_identical() {
     let port = op
         .port_spans()
         .iter()
-        .position(|ps| ps[..] == [auction::BID]);
-    let bids = op.port_state(port.expect("bid is joined"));
-    let reclaimed = bids.resident_slots() < bids.slots();
+        .position(|ps| ps[..] == [auction::ITEM]);
+    let items = op.port_state(port.expect("item is joined"));
+    let reclaimed = items.resident_slots() < items.slots();
     assert!(reclaimed, "feed too short to exercise prefix reclaim");
 }
 
@@ -186,14 +187,15 @@ fn a_windowed_executor_resumes_byte_identically() {
 
 /// A registry whose tenants hold *different* mirror recipes (overlap 0.5),
 /// one of them retired before the crash and — in two of the four scenarios
-/// — another admitted after that: the snapshot carries how many rows each
-/// interned recipe's tracker has judged and whether the meet weakened since
-/// the last cycle, and restoring re-admits every spec *before* it re-applies
-/// the retirement, so the recipes are interned in another order than the
-/// crashed run interned them, and rebuilds the trackers. The resumed run
-/// must match the uninterrupted one down to `purge_candidates_examined` — a
-/// count restored onto the wrong recipe, or a tracker rebuilt as if it had
-/// judged nothing, would purge the same rows from more candidates. The
+/// — another admitted after that: the snapshot carries whether each meet
+/// weakened since the last cycle (every stored row was judged as it
+/// arrived, so no tracker carries a row count), and restoring re-admits
+/// every spec *before* it re-applies the retirement, so the recipes are
+/// interned in another order than the crashed run interned them, and
+/// rebuilds the trackers. The resumed run must match the uninterrupted one
+/// down to `purge_candidates_examined` — a re-seed bit restored onto the
+/// wrong meet, or a tracker rebuilt past or short of the logs the last
+/// cycle left, would purge the same rows from other candidates. The
 /// fourth scenario commits at every punctuation under a lazy cadence, so
 /// the first commit after the retirement falls before any cadence cycle
 /// (the retirement's own re-tightening cycle has run: it is what consumes
@@ -580,7 +582,7 @@ fn resume_golden<E: Engine>(
     [resume(0, every, feed, build, true), resumed]
 }
 
-/// Snapshots committed under `tests/golden` at snapshot `VERSION` 16 by an
+/// Snapshots committed under `tests/golden` at snapshot `VERSION` 17 by an
 /// earlier build of the engine: restored on this tree, each resumes to the
 /// outputs and metrics of an uninterrupted run. That holds only while the
 /// fingerprint folds the same recipe words and restored trackers offer the
