@@ -38,7 +38,7 @@ use cjq_core::scheme::SchemeSet;
 use crate::element::StreamElement;
 use crate::exec::PurgeCadence;
 use crate::join::JoinOperator;
-use crate::purge::{CheckScratch, PurgeEngine, PurgeScope, PurgeTracker};
+use crate::purge::{PurgeScope, PurgeTracker, Upsilon, WalkScratch};
 use crate::source::Feed;
 use crate::state::PortState;
 
@@ -89,25 +89,25 @@ pub fn static_certificates<'a>(
 }
 
 /// The per-cycle sweep (item 2 above) over `state`, an operator port or a
-/// mirror stream of `engine`: walks each of `recipes` on every live row and
+/// mirror stream: walks each of `recipes` through `ys` on every live row and
 /// asserts that the row's own cells, wherever they settle a recipe, say what
 /// the walk says — and, at a purge `fixpoint`, that not every recipe proves
 /// the row dead. Returns the rows compared.
 pub(crate) fn audit<'s>(
-    engine: &PurgeEngine,
+    ys: Upsilon<'_>,
     state: &PortState,
     recipes: impl Iterator<Item = (&'s CompiledRecipe, &'s PurgeTracker)> + Clone,
     fixpoint: bool,
 ) -> u64 {
-    let (layout, mut scratch, mut roots) = (state.layout(), CheckScratch::default(), Vec::new());
+    let (layout, mut scratch, mut roots) = (state.layout(), WalkScratch::default(), Vec::new());
     for (slot, row) in state.iter_live() {
         roots.clear();
         let own = layout.streams().iter();
         roots.extend(own.map(|&s| (s, layout.slice(row, s).expect("own stream"))));
         let (at, mut dead) = ((slot, layout.streams()), fixpoint);
         for (recipe, tracker) in recipes.clone() {
-            let walk = engine.check_roots_with(recipe, &roots, &mut scratch);
-            let own = engine.own_verdict(recipe, tracker, row);
+            let walk = ys.walk(recipe, &roots, &mut scratch, &mut ());
+            let own = ys.engine.own_verdict(recipe, tracker, row);
             assert_eq!(own.unwrap_or(walk), walk, "own cells vs walk at {at:?}");
             dead &= walk;
         }

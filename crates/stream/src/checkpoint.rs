@@ -49,7 +49,7 @@ use cjq_core::value::Value;
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"CJQS";
 /// Snapshot format version.
-pub const VERSION: u32 = 17;
+pub const VERSION: u32 = 18;
 /// File-frame header length: magic + version + payload len + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8;
 

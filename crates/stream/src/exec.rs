@@ -564,12 +564,13 @@ mod tests {
         assert_eq!(res.metrics.last().unwrap().groups, 0);
     }
 
-    /// Group-by's propagation test reads mirrors no recipe accounts for, so
-    /// it holds every stream; the plain executor over the same binary join
-    /// holds none — §5.1 reads its ports — and both emit the same results and
-    /// forget every punctuation of a closed auction.
+    /// Group-by's propagation test reads `Υ` of the punctuated stream: the
+    /// leaf ports of a binary join stand in for it, so the grouped executor
+    /// holds no stream, as the plain one over the same join does — §5.1
+    /// reads its ports too — and both emit the same results and forget
+    /// every punctuation of a closed auction.
     #[test]
-    fn groupby_holds_every_stream_and_ports_stand_in_for_unheld_mirrors() {
+    fn groupby_and_plain_executors_read_the_ports_standing_in_for_every_stream() {
         let (q, r) = fixtures::auction();
         let compile =
             || Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default()).unwrap();
@@ -583,10 +584,11 @@ mod tests {
         ];
         let open = [item(1), bid(1, 5), item(2), bid(2, 9)];
         let close = [item_unique(1), bid_close(1), item_unique(2)];
-        let (mut mirrored, mut outputs) = (Vec::new(), Vec::new());
+        let (mut mirrored, mut results) = (Vec::new(), Vec::new());
         for mut exec in engines {
             open.iter().for_each(|e| exec.try_push(e).unwrap());
-            mirrored.push(exec.engine().mirror_live());
+            let engine = exec.engine();
+            mirrored.push((engine.held().to_vec(), engine.mirror_live()));
             close.iter().for_each(|e| exec.try_push(e).unwrap());
             // Auction 1 is closed on both sides and drained, once the cycle
             // the punctuations owe is paid; item 2's uniqueness still guards
@@ -597,21 +599,25 @@ mod tests {
             exec.try_push(&bid_close(2)).unwrap();
             exec.purge_cycle();
             assert_eq!(exec.engine().punct_entries(), 0);
-            outputs.push(exec.finish().outputs);
+            let res = exec.finish();
+            results.push((res.outputs, res.aggregates.len()));
         }
-        assert_eq!(mirrored, [0, 4]);
-        assert_eq!(outputs[0].len(), 2);
-        assert_eq!(outputs[0], outputs[1]);
+        assert_eq!(mirrored, [(vec![false; 2], 0), (vec![false; 2], 0)]);
+        assert_eq!(results[0].0.len(), 2);
+        assert_eq!(results[0].0, results[1].0);
+        assert_eq!((results[0].1, results[1].1), (0, 2), "both groups closed");
     }
 
-    /// In a one-operator plan under `PurgeScope::Operator` a leaf port's
-    /// recipe and its stream's mirror recipe are derived over the same span,
-    /// so the port holds exactly the mirror's live rows after every element:
-    /// the premise `JoinOperator::stand_in` vouches for. Auction with a
-    /// group-by (which holds every stream) and Fig. 5's MJoin (whose recipes
-    /// chain through all three mirrors), under both cadences.
+    /// In a one-operator plan a leaf port's recipe and its stream's mirror
+    /// recipe are derived over the same span, so the port holds exactly the
+    /// stream's `Υ` rows: the premise on which the ports stand in for the
+    /// mirror (`JoinOperator::leaf_ports`). Sealed, the executor holds no
+    /// stream, and after every element its port rows are the reference
+    /// engine's `Υ` rows, its outputs and purges the reference's. Auction with
+    /// a group-by and Fig. 5's MJoin (whose recipes chain through all three
+    /// streams), under both cadences.
     #[test]
-    fn leaf_ports_hold_the_live_slots_of_the_mirrors_they_stand_in_for() {
+    fn leaf_ports_hold_the_reference_upsilon_at_every_sample() {
         let auction = |cfg| {
             let (q, r) = fixtures::auction();
             let exec = Executor::compile(&q, &r, &Plan::mjoin_all(&q), cfg).unwrap();
@@ -621,7 +627,7 @@ mod tests {
                 feed.extend([item_unique(i - 2), bid_close(i - 3)]);
             }
             let by_item = [AttrRef::new(1, 1)];
-            (exec.with_groupby(&by_item, Aggregate::Count), feed)
+            ((q, r), exec.with_groupby(&by_item, Aggregate::Count), feed)
         };
         let fig5 = |cfg| {
             let (q, r) = fixtures::fig5();
@@ -637,36 +643,53 @@ mod tests {
                 feed.extend([row(0, i, i), row(1, i, i), row(2, i, i), row(0, i, i + 1)]);
                 feed.extend([close(1, 1, i - 2), close(0, 1, i - 3), close(2, 0, i - 4)]);
             }
-            (exec, feed)
+            ((q, r), exec, feed)
         };
         for case in ["auction", "fig5"] {
-            for cadence in [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }] {
+            for (eager, lazy) in [(true, None), (false, Some(7))] {
+                let cadence = lazy.map_or(PurgeCadence::Eager, |batch| PurgeCadence::Lazy {
+                    batch: batch as usize,
+                });
                 let cfg = ExecConfig {
                     cadence,
+                    sample_every: 1,
                     ..ExecConfig::default()
                 };
-                let (mut exec, feed) = if case == "auction" {
+                let ((q, r), exec, feed) = if case == "auction" {
                     auction(cfg)
                 } else {
                     fig5(cfg)
                 };
-                for (n, e) in feed.iter().enumerate() {
-                    exec.try_push(e).unwrap();
-                    let op = exec.operators().next().expect("one operator");
-                    for (port, span) in op.port_spans().iter().enumerate() {
-                        let mirror = exec.engine().mirror_state(span[0]);
-                        assert_eq!(
-                            op.port_state(port).live_slots(),
-                            mirror.live_slots(),
-                            "case {case}, {cadence:?}, port {port} after element {n}"
-                        );
-                    }
-                }
-                let engine = exec.engine();
-                assert!(
-                    engine.mirror_purged > 0 && engine.mirror_live() > 0,
-                    "case {case}"
+                assert!(exec.engine().held().iter().all(|h| !h), "{case}: none held");
+                let elements: Vec<cjq_oracle::Element> = (feed.iter())
+                    .map(|e: &StreamElement| match e {
+                        StreamElement::Tuple(t) => {
+                            cjq_oracle::Element::Tuple(t.stream, t.values.clone())
+                        }
+                        StreamElement::Punctuation(p) => cjq_oracle::Element::Punct(p.clone()),
+                    })
+                    .collect();
+                let oracle = cjq_oracle::Config {
+                    eager,
+                    lazy,
+                    sample_every: 1,
+                    coverage_limit: cfg.coverage_limit,
+                    ..cjq_oracle::Config::default()
+                };
+                let plan = Plan::mjoin_all(&q);
+                let want = cjq_oracle::run(&[(&q, &plan)], &r, &oracle, &elements);
+                let res = exec.run(&Feed::from_elements(feed));
+                let mut outputs = res.outputs.clone();
+                outputs.sort_unstable();
+                let m = &res.metrics;
+                assert_eq!(
+                    (outputs, m.purged),
+                    (want.outputs[0].clone(), want.purged[0])
                 );
+                let ports = m.series.iter().map(|p| (p.at, p.join_state, p.mirror));
+                let ys = want.series.iter().map(|s| (s.at, s.mirror, 0));
+                assert!(ports.eq(ys), "{case}, {cadence:?}: the port rows are Υ's");
+                assert!(m.purged > 0 && want.mirror_purged == m.purged, "{case}");
             }
         }
     }
@@ -697,16 +720,17 @@ mod tests {
 
     /// Operator ports and held mirrors hold what is live (plus at most as
     /// much again awaiting the next amortized reclaim), however long the feed
-    /// ran. Fig. 5: every recipe chains through a partner, so all three
-    /// mirrors are held (a binary join would hold none).
+    /// ran. Fig. 5 on an open registry: every recipe chains through a
+    /// partner, and open, it holds all three mirrors (sealed, its leaf ports
+    /// would stand in for them).
     #[test]
     fn resident_slots_follow_live_state_not_feed_length() {
         let (q, r) = fixtures::fig5();
         // S1(A,B), S2(B,C), S3(A,C) close key `i` on B, C and A.
         let closes = [(0, 1), (1, 1), (2, 0)];
         for n_keys in [1_000i64, 4_000, 16_000] {
-            let mut exec =
-                Executor::compile(&q, &r, &Plan::mjoin_all(&q), ExecConfig::default()).unwrap();
+            let mut reg = QueryRegistry::new(r.clone(), ExecConfig::default());
+            reg.try_admit(&q, &Plan::mjoin_all(&q), None).unwrap();
             let (mut peak_join, mut peak_mirror) = (0, 0);
             // Waves of 16 concurrent keys, one fully joining triple each.
             for wave in (0..n_keys).step_by(16) {
@@ -720,15 +744,16 @@ mod tests {
                     })
                 });
                 for e in triples.chain(closing) {
-                    exec.try_push(&e).unwrap();
-                    peak_join = peak_join.max(exec.join_state_live());
-                    peak_mirror = peak_mirror.max(exec.engine().mirror_live());
+                    reg.try_push(&e).unwrap();
+                    peak_join = peak_join.max(reg.join_state_live());
+                    peak_mirror = peak_mirror.max(reg.engine().unwrap().mirror_live());
                 }
             }
             assert!(peak_mirror >= 16, "the mirrors are held: {peak_mirror}");
+            let engine = reg.engine().unwrap();
             let states = || {
-                let ports = exec.operators().flat_map(|op| &op.ports);
-                ports.chain(q.stream_ids().map(|s| exec.engine().mirror_state(s)))
+                let ports = reg.ops().flat_map(|op| &op.ports);
+                ports.chain(q.stream_ids().map(|s| engine.mirror_state(s)))
             };
             assert_eq!(
                 states().map(PortState::slots).sum::<usize>() as i64,

@@ -26,7 +26,7 @@ use cjq_core::value::Value;
 
 use crate::checkpoint::{Codec, Dec, Enc, Fingerprint, SnapshotError, SnapshotResult};
 use crate::layout::SpanLayout;
-use crate::purge::PurgeEngine;
+use crate::purge::Upsilon;
 use crate::sink::OutputBuffer;
 
 /// The aggregate computed per group.
@@ -270,17 +270,17 @@ pub(crate) struct GroupStage {
 }
 
 impl GroupStage {
-    /// Delivers pending punctuations once safe: a punctuation on stream `S`
-    /// closes groups only when no live stored `S` tuple matches it —
-    /// otherwise that tuple could still join future data and add members to
-    /// an already-emitted group. Returns the number of groups closed.
-    pub(crate) fn settle(&mut self, engine: &PurgeEngine) -> u64 {
+    /// Delivers pending punctuations once safe: one on stream `S` closes
+    /// groups only when no row of `Υ_S` in `ys` matches it, as that row could
+    /// still join future data and add members to an already-emitted group.
+    /// Returns the number of groups closed.
+    pub(crate) fn settle(&mut self, ys: Upsilon<'_>) -> u64 {
         let mut buf = OutputBuffer::new(self.by.out_width());
         let mut closed = 0;
         for p in std::mem::take(&mut self.pending) {
-            let state = engine.mirror_state(p.stream);
-            // Probe a mirror hash index when the punctuation pins a constant
-            // on an indexed column — O(matching) instead of O(live).
+            let state = ys.of(p.stream);
+            // Probe a hash index when the punctuation pins a constant on an
+            // indexed column — O(matching) instead of O(live).
             let indexed_probe = p.constant_attrs().find(|(attr, _)| state.has_index(attr.0));
             let blocked = match indexed_probe {
                 Some((attr, value)) => state

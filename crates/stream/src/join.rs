@@ -83,6 +83,8 @@ pub struct JoinOperator {
     /// The ports whose meet waits on more than one step (see
     /// [`JoinOperator::waits_on`]).
     waiting: Vec<usize>,
+    /// Per port a recipe chains through: its indexed join columns.
+    mirror_cols: Vec<Vec<usize>>,
     /// Per port: the cold spill tier. Empty until
     /// [`JoinOperator::enable_tiering`]; every port gets one then (ports
     /// without a root-resolvable recipe still demote and fault back — their
@@ -121,11 +123,8 @@ impl JoinOperator {
             "port spans must be disjoint"
         );
         let out_layout = SpanLayout::new(query.catalog(), &span);
-        let layout = |ps: &Vec<StreamId>| SpanLayout::new(query.catalog(), ps);
-        let ports: Vec<PortState> = port_spans
-            .iter()
-            .map(|ps| PortState::new(layout(ps), &[]))
-            .collect();
+        let port = |ps: &Vec<StreamId>| PortState::new(SpanLayout::new(query.catalog(), ps), &[]);
+        let ports: Vec<PortState> = port_spans.iter().map(port).collect();
 
         // Emit plan: walk the output layout's streams, taking each from its
         // port's row; a port's streams that sit side by side in both rows
@@ -147,6 +146,7 @@ impl JoinOperator {
             out_layout,
             meets: ports.iter().map(|_| Meet::default()).collect(),
             waiting: Vec::new(),
+            mirror_cols: Vec::new(),
             ports,
             port_spans,
             variants: Vec::new(),
@@ -271,11 +271,13 @@ impl JoinOperator {
     }
 
     /// The flat columns of `port` that some live variant's probe step looks
-    /// rows up by, ascending.
+    /// rows up by — or, where the port stands in for a mirror, a chain step
+    /// may — ascending.
     fn probed_cols(&self, port: usize) -> Vec<usize> {
         let plans = self.variants.iter().flatten().flat_map(|v| &v.probe_plans);
         let steps = plans.flatten().filter(|(j, _)| *j == port);
         let mut cols: Vec<usize> = steps.map(|(_, relevant)| relevant[0].0).collect();
+        cols.extend(self.mirror_cols.get(port).into_iter().flatten());
         cols.sort_unstable();
         cols.dedup();
         cols
@@ -351,9 +353,8 @@ impl JoinOperator {
         if !self.tiers.is_empty() {
             return;
         }
-        self.tiers = (0..self.ports.len())
-            .map(|port| Some(ColdTier::new(self.probed_cols(port))))
-            .collect();
+        let tier = |port| Some(ColdTier::new(self.probed_cols(port)));
+        self.tiers = (0..self.ports.len()).map(tier).collect();
     }
 
     /// Whether tiering has been enabled on this operator.
@@ -427,7 +428,8 @@ impl JoinOperator {
             if let Some(tier) = &mut self.tiers[j] {
                 if tier.cold_rows() > 0 && !keys.is_empty() {
                     let back = tier.fault(jcol, &keys);
-                    let mut dead_on_arrival = self.meets[j].judge(engine, scratch);
+                    // A tiered port never stands in: `Υ` is the mirror.
+                    let mut dead_on_arrival = self.meets[j].judge(engine.upsilon(None), scratch);
                     for (seq, row) in &back {
                         match dead_on_arrival(self.ports[j].layout(), row) {
                             true => dead += 1,
@@ -542,29 +544,39 @@ impl JoinOperator {
         n
     }
 
-    /// The port that can answer §5.1's "does a stored row of `stream` carry
-    /// this key" on `col` in place of the stream's mirror: the one storing
-    /// exactly its rows, if indexed there. The caller vouches that those rows
-    /// live as long as the mirror's would (this operator spans the query).
-    pub(crate) fn stand_in(&self, stream: StreamId, col: usize) -> Option<usize> {
-        let port = self.port_spans.iter().position(|ps| ps[..] == [stream])?;
-        self.ports[port].has_index(col).then_some(port)
+    /// Per stream, the port storing exactly its rows where every stream has
+    /// one and none is tiered (a chain probe cannot see cold rows): what can
+    /// stand in for the mirror of the one operator, whose recipes it shares.
+    pub(crate) fn leaf_ports(&self) -> Option<Vec<usize>> {
+        let leaf = |&s: &StreamId| self.port_spans.iter().position(|ps| ps[..] == [s]);
+        let ports: Option<Vec<usize>> = self.span.iter().map(leaf).collect();
+        ports.filter(|_| !self.tiering_enabled())
+    }
+
+    /// Readies the leaf ports standing in ([`JoinOperator::leaf_ports`]) for
+    /// chain walks: indexed on `query`'s join columns as the mirror is
+    /// (through every refresh), logging their purges, news to each other.
+    pub(crate) fn chain_through_ports(&mut self, query: &Cjq) {
+        let cols = |span: &Vec<StreamId>| query.join_attrs(span[0]).iter().map(|a| a.0).collect();
+        self.mirror_cols = self.port_spans.iter().map(cols).collect();
+        self.ports
+            .iter_mut()
+            .for_each(PortState::enable_retirement_log);
+        self.refresh();
     }
 
     /// The first port whose row can outlive its stream's mirror row that
-    /// stores one carrying `stream.col = key`, which keeps a punctuation
-    /// entry [`PurgeEngine::purge_punctuations`] is testing: a port whose
-    /// recipe waits on more than one step. (A one-step recipe purges a row in
-    /// the cycle its key's coverage arrives; a longer one may wait on another
-    /// step after the mirror row left.)
+    /// stores one carrying `stream.col = key`, keeping a punctuation entry
+    /// [`PurgeEngine::purge_punctuations`] tests: one whose recipe waits on
+    /// more than one step (a one-step recipe purges a row in the cycle its
+    /// key's coverage arrives; a longer one may wait after the mirror row).
     pub(crate) fn waits_on(&self, stream: StreamId, col: usize, key: &Value) -> Option<usize> {
         let at = |port: usize| self.ports[port].layout().pos(stream, AttrId(col));
         let mut waiting = self.waiting.iter().copied();
         waiting.find(|&port| at(port).is_some_and(|flat| self.ports[port].carries(flat, key)))
     }
 
-    /// The rows the logging ports purged in the last
-    /// [`JoinOperator::purge_pass`].
+    /// The rows the logging ports retired since the last cycle ended.
     pub(crate) fn retired_rows(&self) -> impl Iterator<Item = (&SpanLayout, &[Value])> {
         self.ports.iter().flat_map(|state| {
             let left = state.retired_since(0).iter();
@@ -608,7 +620,7 @@ impl JoinOperator {
     pub(crate) fn write_state(&self, e: &mut Enc) {
         e.usize(self.ports.len());
         for (state, meet) in self.ports.iter().zip(&self.meets) {
-            state.write_state(e, &[]);
+            state.write_state(e);
             e.bool(meet.reseed);
         }
         self.stats.write_state(e);
@@ -749,7 +761,8 @@ impl JoinOperator {
             // while rows read them. With tiering on, every depth-0 row a row
             // enumerated is stamped as probed at that row's clock (the cold
             // tier's recency signal), as one-element pushes would stamp it.
-            let mut dead_on_arrival = self.meets[port].judge(engine, scratch);
+            // A row's verdict never reads its own port, so `Υ` may be these
+            // ports: it is resolved per row, before the row is stored.
             for (row, now) in rows {
                 n_rows += 1;
                 if tiered {
@@ -759,7 +772,9 @@ impl JoinOperator {
                         self.ports[*j0].note_probed(jcol0, &row[kcol0], now);
                     }
                 }
-                match dead_on_arrival(self.ports[port].layout(), row) {
+                let ys = engine.upsilon(Some(&self.ports));
+                let killed = self.meets[port].judge(ys, scratch)(self.ports[port].layout(), row);
+                match killed {
                     true => dead += 1,
                     false => _ = self.ports[port].insert_slice_at(row, now),
                 }
@@ -775,19 +790,16 @@ impl JoinOperator {
     /// before `cutoff` (the window-join baseline of [3, 7] — boundedness by
     /// time rather than by punctuations). Returns the number evicted.
     pub fn evict_window(&mut self, cutoff: u64) -> usize {
-        let evicted: usize = self
-            .ports
-            .iter_mut()
-            .map(|p| p.evict_older_than(cutoff))
-            .sum();
+        let ports = self.ports.iter_mut();
+        let evicted: usize = ports.map(|p| p.evict_older_than(cutoff)).sum();
         self.stats.purged += evicted as u64;
         evicted
     }
 
-    /// A purge cycle's one pass over the operator (it drops the last
-    /// cycle's retractions): every port's meet decides its candidate tuples
-    /// (`Meet::pass`, the pass the engine's mirror streams run) using the
-    /// engine's mirror and punctuation stores, and the dead ones go.
+    /// One purge pass over the operator: every port's meet decides its
+    /// candidate tuples (`Meet::pass`, as the mirror's streams do) against
+    /// `Υ` — the mirror, or these ports standing in, each port's purges then
+    /// news to the ports after it — and the dead ones go.
     ///
     /// The port's `PurgeTracker` narrows candidates to rows touched by
     /// punctuation deltas or mirror shrinkage since the last pass (none
@@ -799,16 +811,12 @@ impl JoinOperator {
     pub fn purge_pass(&mut self, engine: &PurgeEngine, scratch: &mut CheckScratch) -> PurgeWork {
         let mut work = PurgeWork::default();
         self.stats.kept = 0;
-        for state in &mut self.ports {
-            if !state.retired_since(0).is_empty() {
-                state.trim_retired_to(state.retire_end()); // the last cycle's news
-            }
-        }
-        for (state, meet) in self.ports.iter_mut().zip(&mut self.meets) {
-            let Some(sweep) = meet.pass(state, engine, scratch) else {
+        for (port, meet) in self.meets.iter_mut().enumerate() {
+            let ys = engine.upsilon(Some(&self.ports));
+            let Some(sweep) = meet.pass(&self.ports[port], ys, scratch) else {
                 continue;
             };
-            let purged = state.purge_swept(sweep) as u64;
+            let purged = self.ports[port].purge_swept(sweep) as u64;
             work.examined += sweep.examined as u64;
             work.purged += purged;
             self.stats.kept += (sweep.examined as u64).saturating_sub(purged);
@@ -829,7 +837,8 @@ impl JoinOperator {
     /// The certificate verifier's sweep over every port's meet (see
     /// `PurgeEngine::audit_mirror`): the rows compared. Panics on a violation.
     pub fn audit(&self, engine: &PurgeEngine, fixpoint: bool) -> u64 {
-        let audit = |(state, meet): (&PortState, &Meet)| meet.audit(state, engine, fixpoint);
+        let ys = engine.upsilon(Some(&self.ports));
+        let audit = |(state, meet): (&PortState, &Meet)| meet.audit(state, ys, fixpoint);
         self.ports.iter().zip(&self.meets).map(audit).sum()
     }
 }

@@ -5,10 +5,10 @@
 //! The paper's runtime is one algorithm: admit an element against the
 //! punctuation stores, probe/insert, and on a purge cycle run the chained
 //! purge recipe over every port. Sharing join state between queries changes
-//! *which operators a run is routed through and whose recipes must agree* —
-//! not that algorithm. So there is one engine, a [`QueryRegistry`] (an
-//! executor is one sealed with its query as the one tenant), and the
-//! algorithm lives here once, as its methods: the element loop, run and
+//! which operators a run goes through and whose recipes must agree, not the
+//! algorithm: there is one engine, a [`QueryRegistry`] (an executor is one
+//! sealed with its query as the one tenant), and the algorithm lives here
+//! once, as its methods: the element loop, run and
 //! punctuation admission, the per-element cadence step with its monitors
 //! (window eviction, port bounds, the stall clock, all state of [`Core`]),
 //! the purge → demote rungs of the budget ladder, and the purge-cycle and
@@ -645,10 +645,9 @@ impl QueryRegistry {
         Ok(())
     }
 
-    /// Bounded-state watchdog ladder: when live join state exceeds the
-    /// budget, try to purge (proving rows dead is always preferable), then —
-    /// with tiering enabled — demote cold rows to disk (lossless); whatever
-    /// still doesn't fit is [`ExecError::StateBudgetExceeded`].
+    /// Bounded-state watchdog ladder: over budget, purge first (proving rows
+    /// dead is always preferable), then, tiered, demote cold rows to disk;
+    /// whatever still doesn't fit is [`ExecError::StateBudgetExceeded`].
     fn enforce_budget(&mut self) -> ExecResult<()> {
         let Some(budget) = self.core.cfg.state_budget else {
             return Ok(());
@@ -710,11 +709,11 @@ impl QueryRegistry {
         if core.cfg.punct_lifespan.is_some() {
             engine.expire_punctuations(core.clock);
         }
-        engine.begin_cycle();
-        // Rows to their fixpoint: only a mirror purge can make another row
-        // dead, so the mirror pass repeats until it purges nothing, and then
-        // one pass decides every operator port against the settled mirror (a
-        // pass skips every tracker without news).
+        let chains = engine.port_chains;
+        // Rows to their fixpoint: only a purge from `Υ` can make another row
+        // dead. The mirror pass repeats until it purges nothing; one pass then
+        // decides every port against the settled `Υ` — repeated to its own
+        // fixpoint where the ports are `Υ` and a port recipe chains through.
         loop {
             let mirror = engine.purge_mirror(&mut core.purge_scratch);
             core.metrics.purge_candidates_examined += mirror.examined;
@@ -722,12 +721,16 @@ impl QueryRegistry {
                 break;
             }
         }
-        let ops = self.purge_ops();
-        self.core.metrics.purged += ops.purged;
-        self.core.metrics.purge_candidates_examined += ops.examined;
-        // §5.1, over the union of the subscribers' predicates. Last reader
-        // of the cycle's coverage deltas and retractions: which keys to test
-        // is read off them, against rows as the purges left them.
+        loop {
+            let ops = self.purge_ops();
+            self.core.metrics.purged += ops.purged;
+            self.core.metrics.purge_candidates_examined += ops.examined;
+            if ops.purged == 0 || !chains {
+                break;
+            }
+        }
+        // §5.1, over the union of the subscribers' predicates and last reader
+        // of the logs: the keys to test, against rows as the purges left them.
         let engine = self.engine.as_mut().expect("checked above");
         engine.purge_punctuations(self.arena.ops());
         // A port found keeping an entry logs its purges from now on: its
@@ -736,7 +739,7 @@ impl QueryRegistry {
             let (_, op) = self.arena.ops_mut().nth(op).expect("a live operator");
             op.ports[port].enable_retirement_log();
         }
-        engine.end_cycle();
+        engine.end_cycle(self.arena.ops_mut().flat_map(|(_, op)| &mut op.ports));
         self.settle_groups();
         let (true, Some(engine)) = (self.core.cfg.verify_certificates, self.engine()) else {
             return;
@@ -777,10 +780,9 @@ impl QueryRegistry {
         self.core.metrics.sample(point);
     }
 
-    /// Everything `finish` does before the result is assembled: rehydrate
-    /// the cold tier, the final purge cycle (asserting completeness under
-    /// `verify_certificates`), the final sample, the engine and tier
-    /// counters, the stalled streams.
+    /// Everything `finish` does before the result is assembled: rehydrate the
+    /// cold tier, the final purge cycle (checked under `verify_certificates`),
+    /// the final sample, the engine and tier counters, the stalled streams.
     pub(crate) fn finish_core(&mut self) {
         self.core.dead_letter.finish();
         let tiered = self.core.cfg.tiering.is_some();
@@ -826,14 +828,12 @@ impl QueryRegistry {
 
 /// The driving surface of [`Executor`](crate::exec::Executor),
 /// [`QueryRegistry`](crate::registry::QueryRegistry) and the sharded plane
-/// of registries ([`Sharded`](crate::parallel::Sharded)): push, purge,
-/// checkpoint, run to completion, restore and resume, each defined once for
-/// all of them. Sealed — the supertrait is crate-private on purpose.
-///
-/// After a push returns an error the engine is failed (the element was only
-/// partly applied): every later push and [`Engine::commit_checkpoint`]
-/// returns that first error again; [`Engine::finish`] still reports what was
-/// counted up to it.
+/// ([`Sharded`](crate::parallel::Sharded)): push, purge, checkpoint, run,
+/// restore and resume, each defined once. Sealed: the supertrait is
+/// crate-private. After a push returns an error the engine is failed (the
+/// element was only partly applied): every later push and
+/// [`Engine::commit_checkpoint`] returns that first error again;
+/// [`Engine::finish`] still reports what was counted up to it.
 #[allow(private_bounds)]
 pub trait Engine: Checkpointed {
     /// What a finished run hands back.

@@ -19,33 +19,31 @@
 //!
 //! ## Mechanism
 //!
-//! The engine keeps a *raw mirror*: per raw stream, the live tuple set `Υ_S`
-//! and the punctuation store. A candidate (possibly composite) tuple `T`
-//! rooted at `roots` is purgeable iff its [`CompiledRecipe`] (built by
+//! The engine keeps the punctuation stores and, per raw stream, the live
+//! tuple set `Υ_S`. A candidate (possibly composite) tuple `T` rooted at
+//! `roots` is purgeable iff its [`CompiledRecipe`] (built by
 //! [`purge_plan::compile`], which also classes what each step costs) holds:
 //! walking the steps in dependency order, each step's required value
 //! combinations (drawn from the chain's joinable sets, starting at `T`'s own
 //! values) must all be covered by stored punctuations of the step's scheme;
 //! a step whose joinable set `T_t[Υ_target]` a later step draws on then
-//! computes it by semi-joining the mirror state (§3.2.1, Step i).
+//! computes it by semi-joining `Υ_target` (§3.2.1, Step i).
 //!
-//! The raw mirror is needed because an operator's stored *composites*
-//! under-approximate `Υ_S`: a raw tuple that has not joined anything yet is
-//! invisible in composite state but can still join future data. Chain sets
-//! must be computed against the raw arrival history (minus query-level-dead
-//! tuples, which can never contribute again).
+//! `Υ_S` is the raw arrival history minus query-level-dead tuples: stored
+//! *composites* under-approximate it, as a raw tuple that has joined nothing
+//! yet is invisible there but can still join future data. A recipe *reads*
+//! `Υ_S` where a step binds or filters from a chain set that is not a root
+//! (a binary join's one-step recipes read none), through an `Upsilon`: a
+//! *mirror* stream the engine holds, or a leaf port storing exactly `S`'s
+//! rows as long as that mirror would. A sealed registry (an `Executor` is
+//! one) decides which at `seal` (`PurgeEngine::close_recipe_set`): an
+//! untiered one-operator arena's leaf ports stand in for every stream,
+//! otherwise only read streams are mirrored. A hand-built engine and an
+//! open registry mirror everything: a recipe compiled or admitted later may
+//! chain through history that cannot be backfilled.
 //!
-//! A recipe therefore *reads* the mirror of a stream exactly where a step
-//! binds or filters from a chain set that is not a root, and a stream no
-//! recipe reads needs no mirror (a binary join's one-step recipes read
-//! none). A sealed registry (an `Executor` is one) knows its whole recipe
-//! set and closes it (`PurgeEngine::close_recipe_set`): only read streams
-//! are mirrored. A hand-built engine and an open registry's mirror
-//! everything — a recipe compiled or admitted later may chain through
-//! history that cannot be backfilled.
-//!
-//! Both homes of purging run one pass, `Meet::pass`: a port is purged by a
-//! meet of its one recipe as a mirror stream is by its subscribers' meet.
+//! Both homes of purging run one pass, `Meet::pass`: a port is purged by the
+//! meet of its variants' recipes as a mirror stream by its subscribers'.
 //!
 //! The punctuation stores are purged too (§5.1,
 //! `PurgeEngine::purge_punctuations`): an entry goes once its partners'
@@ -90,10 +88,8 @@ impl PurgeWork {
 /// walk's ([`PurgeEngine::check_roots_with`]), the candidates the trackers
 /// offer and the sweep the pass decides into.
 ///
-/// A purge cycle evaluates the same recipes over many candidate rows of many
-/// states; one scratch lent to every pass amortizes every allocation (chain
-/// sets, distinct-value sets, the coverage odometer, candidate and dead-slot
-/// lists) to zero in steady state.
+/// One scratch lent to every pass of a cycle amortizes every allocation
+/// (chain sets, value sets, the coverage odometer, candidate lists) to zero.
 #[derive(Debug, Clone, Default)]
 pub struct CheckScratch {
     walk: WalkScratch,
@@ -103,10 +99,10 @@ pub struct CheckScratch {
 
 /// The chain walk's buffers inside a [`CheckScratch`].
 #[derive(Debug, Clone, Default)]
-struct WalkScratch {
+pub(crate) struct WalkScratch {
     /// Per stream id: the current chain set.
     chain: Vec<ChainSet>,
-    /// Slot pool backing [`ChainSet::Slots`] ranges (mirror-state slots).
+    /// Slot pool backing [`ChainSet::Slots`] ranges (slots of `Υ` states).
     slots: Vec<usize>,
     /// Distinct-value builder reused per binding.
     seen: FxHashSet<Value>,
@@ -123,7 +119,7 @@ struct WalkScratch {
 }
 
 /// One stream's chain set inside a [`CheckScratch`]: the candidate's own row
-/// (a root) or a range of mirror-state slots in the shared pool.
+/// (a root) or a range of the stream's [`Upsilon`] slots in the shared pool.
 #[derive(Debug, Clone, Copy, Default)]
 enum ChainSet {
     /// Stream not reached by the walk (yet).
@@ -131,7 +127,7 @@ enum ChainSet {
     Unset,
     /// Index into the caller's root rows.
     Root(usize),
-    /// `slots[start..start + len]` of the stream's mirror state.
+    /// `slots[start..start + len]` of the stream's `Υ` state.
     Slots { start: usize, len: usize },
 }
 
@@ -173,19 +169,17 @@ pub(crate) fn fingerprint_recipes<'r>(
 /// A live row's check outcome can flip from "keep" to "purgeable" only when
 /// (a) coverage grows on some step's `(target, scheme)` — replayed from the
 /// [`PunctStore`] delta log via per-step cursors — or (b) a *chain-source*
-/// mirror state shrinks, relaxing downstream requirement sets (including
+/// `Υ` state shrinks, relaxing downstream requirement sets (including
 /// un-blocking `TooManyCombinations` verdicts). (a) maps to rows through a
 /// purge index over a [`StepClass::Rooted`] step's key. (b) is replayed
-/// from the mirrors' retraction logs: a purged chain row `r` can only relax
+/// from those states' retraction logs: a purged chain row `r` can only relax
 /// rows whose chain set contained `r`, found through a purge index over the
 /// feeding step's probe key; the same probe localizes (a) for a
 /// [`StepClass::Chained`] step. Only a delta on a [`StepClass::Opaque`] step
-/// degrades that cycle to a full scan.
-/// A row is judged as it enters the state ([`Meet::judge`]), so a kept row
-/// can only flip through (a) or (b). Coverage *loss* (lifespan expiry, §5.1
-/// punctuation purging) and mirror *growth* only flip "purgeable" to
-/// "keep", which is safe because every candidate is
-/// re-checked against the live stores before purging.
+/// degrades that cycle to a full scan. A row is judged as it enters the
+/// state ([`Meet::judge`]), so a kept row can only flip through (a) or (b).
+/// Coverage *loss* (lifespan expiry, §5.1) and `Υ` *growth* only flip
+/// "purgeable" to "keep": safe, as every candidate is re-checked first.
 #[derive(Debug, Clone)]
 pub(crate) struct PurgeTracker {
     /// Per recipe step, what the tracked state holds for it.
@@ -206,7 +200,7 @@ struct TrackedStep {
     /// A [`StepClass::Rooted`] step's key as flat columns, with the purge
     /// index over them.
     key: Option<(usize, Vec<usize>)>,
-    /// A feeding step's probe: shrinkage of its target's mirror can relax
+    /// A feeding step's probe: shrinkage of its target's `Υ` state can relax
     /// this recipe's requirements.
     probe: Option<ShrinkProbe>,
 }
@@ -221,19 +215,19 @@ struct ShrinkProbe {
     index: Option<usize>,
     /// For each resolved filter, the chain row's column forming the key.
     tcols: Vec<usize>,
-    /// Retraction-log cursor into `stream`'s mirror.
+    /// Retraction-log cursor into the target's `Υ` state.
     cursor: u64,
 }
 
 impl ShrinkProbe {
     /// Offers `out` the rows of `state` that chain through any of
-    /// `chain_rows` — resident slots, live or retired, of `mirror` — by key
+    /// `chain_rows` — resident slots, live or retired, of `chain` — by key
     /// where the probe's index is the pass's `uniform` one; `false` when
     /// there are some and this probe cannot say. `key` is scratch.
     fn map_back(
         &self,
         state: &PortState,
-        mirror: &PortState,
+        chain: &PortState,
         chain_rows: &[usize],
         key: &mut Vec<Value>,
         out: &mut Candidates,
@@ -243,7 +237,7 @@ impl ShrinkProbe {
             return chain_rows.is_empty();
         };
         for &slot in chain_rows {
-            let row = mirror.raw_row(slot);
+            let row = chain.raw_row(slot);
             key.clear();
             key.extend(self.tcols.iter().map(|&c| row[c]));
             out.offer(state, index, key, uniform);
@@ -342,11 +336,10 @@ impl PurgeTracker {
         &mut self,
         recipe: &CompiledRecipe,
         state: &PortState,
-        engine: &PurgeEngine,
+        ys: Upsilon<'_>,
         scratch: &mut CheckScratch,
         uniform: Option<usize>,
     ) -> bool {
-        let (puncts, mirrors) = (&engine.puncts, &engine.states);
         let (walk, out) = (&mut scratch.walk, &mut scratch.candidates);
         let (rows, key) = (&mut walk.probe_tmp, &mut walk.values);
         let mut localized = true;
@@ -354,13 +347,13 @@ impl PurgeTracker {
             let Some(probe) = &mut tracked.probe else {
                 continue;
             };
-            let mirror = &mirrors[step.target.0];
-            let retired = mirror.retired_since(probe.cursor);
-            probe.cursor = mirror.retire_end();
-            localized &= probe.map_back(state, mirror, retired, key, out, uniform);
+            let chain = ys.of(step.target);
+            let retired = chain.retired_since(probe.cursor);
+            probe.cursor = chain.retire_end();
+            localized &= probe.map_back(state, chain, retired, key, out, uniform);
         }
         for (i, step) in recipe.steps.iter().enumerate() {
-            let store = &puncts[step.target.0];
+            let store = &ys.engine.puncts[step.target.0];
             let deltas = store.deltas_since(self.steps[i].cursor);
             self.steps[i].cursor = store.delta_end();
             let mut deltas = deltas.iter().filter(|d| d.scheme_idx() == step.scheme_idx);
@@ -383,7 +376,7 @@ impl PurgeTracker {
                 (None, &StepClass::Chained { pos, src, col, via }) => {
                     // Only chain sets holding a live row that carries a newly
                     // covered value changed their standing against this step.
-                    let mirror = &mirrors[src.0];
+                    let chain = ys.of(src);
                     rows.clear();
                     for d in deltas {
                         let newly = |v: &Value| match d {
@@ -393,17 +386,17 @@ impl PurgeTracker {
                             }
                         };
                         match d {
-                            PunctDelta::Entry { combo, .. } if mirror.has_index(col) => {
-                                rows.extend_from_slice(mirror.probe(col, &combo[pos]));
+                            PunctDelta::Entry { combo, .. } if chain.has_index(col) => {
+                                rows.extend_from_slice(chain.probe(col, &combo[pos]));
                             }
                             _ => {
-                                let live = mirror.iter_live().filter(|(_, row)| newly(&row[col]));
+                                let live = chain.iter_live().filter(|(_, row)| newly(&row[col]));
                                 rows.extend(live.map(|(slot, _)| slot));
                             }
                         }
                     }
                     let probe = self.steps[via].probe.as_ref().expect("via step feeds");
-                    probe.map_back(state, mirror, rows, key, out, uniform);
+                    probe.map_back(state, chain, rows, key, out, uniform);
                 }
                 (None, _) => localized = deltas.next().is_none(),
             }
@@ -450,7 +443,7 @@ impl CheckOutcome {
 
 /// What a chain walk reports besides its verdict: a purge pass records
 /// nothing (`()`), [`PurgeEngine::explain`] a [`CheckOutcome`].
-trait Witness {
+pub(crate) trait Witness {
     /// Combination `values` of `step`, towards `target`, is not covered: the
     /// row is kept. Returns whether to look for more of the step's misses.
     fn uncovered(&mut self, _step: usize, _target: StreamId, _values: &[Value]) -> bool {
@@ -497,28 +490,27 @@ impl Witness for CheckOutcome {
 /// A mirror row of stream `s` is dropped when **every** subscribed query
 /// certifies `s` mirror-purgeable (holds a query-scope recipe for it) **and**
 /// every such recipe proves the row dead — the *meet* of the subscribers'
-/// purge sets. It is the conservative intersection, so the retained mirror is
-/// a superset of what each query alone would retain and Theorem 3's
-/// soundness holds per query; one query is the meet of one. Subscribers
-/// whose derivations agree hold *one* interned recipe with one
-/// delta tracker, so a cycle costs per distinct recipe and per delta, not
-/// per subscriber and per live row.
+/// purge sets, a superset of what each query alone would retain, so Theorem
+/// 3's soundness holds per query. Subscribers whose derivations agree hold
+/// *one* interned recipe with one delta tracker: a cycle costs per distinct
+/// recipe and per delta, not per subscriber and per live row.
 #[derive(Debug)]
 pub struct PurgeEngine {
-    /// Per stream: live raw tuples (single-stream layout, indexed on join
-    /// attributes).
+    /// Per stream: the held mirror's live raw tuples, indexed on join columns.
     states: Vec<PortState>,
     /// Per stream: punctuation store.
     puncts: Vec<PunctStore>,
     /// Per stream: the subscribed query-scope recipes the mirror purges by.
     meets: Vec<Meet>,
-    /// Per stream: whether arriving rows are mirrored — every stream of an
-    /// open engine, what [`PurgeEngine::close_recipe_set`] found read of a
-    /// closed one. Only a held stream has trackers and a retraction log.
+    /// Per stream: whether arriving rows are mirrored (every stream of an
+    /// open engine). Only a held stream has trackers and a retraction log.
     held: Vec<bool>,
-    /// Per stream left unheld: the port of the one operator that answers
-    /// §5.1's row probes in the mirror's place, if any.
-    stand_ins: Vec<Option<usize>>,
+    /// Where a sealed engine's one operator's leaf ports are `Υ` (and no
+    /// stream is held): per stream, the port storing exactly its rows.
+    pub(crate) stand_ins: Option<Vec<usize>>,
+    /// A port recipe chains through the ports standing in: their purges are
+    /// news to each other.
+    pub(crate) port_chains: bool,
     /// Per stream: the predicates some subscriber holds on it — whose
     /// punctuations and rows [`PurgeEngine::purge_punctuations`] reads for an
     /// entry there — and how many of those edges face a scheme with entries
@@ -537,10 +529,6 @@ pub struct PurgeEngine {
     pub punct_dropped: u64,
     /// Raw tuples purged from the mirror.
     pub mirror_purged: u64,
-    /// Per stream: the mirror's retraction-log position when the purge cycle
-    /// under way began — between cycles, when the last one ended: what was
-    /// retired since is news no tracker has read.
-    cycle_marks: Vec<u64>,
     /// Reused drop and tested lists of the punctuation purge.
     dead_entries: Vec<(usize, usize, Value)>,
     tested_entries: Vec<(usize, usize, Value)>,
@@ -548,6 +536,17 @@ pub struct PurgeEngine {
     /// [`PurgeEngine::purge_punctuations`] found keeping an entry, each
     /// operator by its position in the `ops` it was given.
     pub(crate) keepers: Vec<(usize, usize)>,
+}
+
+/// `Υ`, every stream's live rows, as one pass reads them — chain steps,
+/// retraction news, §5.1's partner rows and a group stage's propagation
+/// test: the engine's mirror, or the leaf ports standing in for it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Upsilon<'a> {
+    pub(crate) engine: &'a PurgeEngine,
+    states: &'a [PortState],
+    /// Per stream, its state in `states` (`None`: the stream's id).
+    homes: Option<&'a [usize]>,
 }
 
 /// One end of a subscribed predicate, seen from the stream on it.
@@ -580,8 +579,8 @@ pub(crate) struct Meet {
     /// here is dead for everybody.
     uncertified: usize,
     /// The meet weakened (a recipe or an uncertified holder left) or took
-    /// rows back unjudged: the next pass re-checks every row once. All a
-    /// snapshot keeps of the meet: every other row was judged on entry.
+    /// rows back unjudged: the next pass re-checks every row once (all a
+    /// snapshot keeps of the meet, as every other row was judged on entry).
     pub(crate) reseed: bool,
 }
 
@@ -681,25 +680,25 @@ impl Meet {
         ids.all(|id| id == Some(first)).then_some(first)
     }
 
-    /// One purge pass over `state`, a port's or a mirror stream's: the
-    /// trackers offer candidates off their news; where every holder
-    /// certifies the state and a row can have died, the offered rows (all
-    /// where the meet re-seeds or an offer is incomplete) and uniform
-    /// buckets are decided into the returned sweep.
+    /// One purge pass over `state`, a port's or a mirror stream's, chaining
+    /// through `ys`: the trackers offer candidates off their news; where
+    /// every holder certifies the state and a row can have died, the offered
+    /// rows (all where the meet re-seeds or an offer is incomplete) and
+    /// uniform buckets are decided into the returned sweep.
     pub(crate) fn pass<'a>(
         &mut self,
         state: &PortState,
-        engine: &PurgeEngine,
+        ys: Upsilon<'_>,
         scratch: &'a mut CheckScratch,
     ) -> Option<&'a Sweep> {
         let Candidates { rows, keys } = &mut scratch.candidates;
         rows.clear();
         keys.clear();
-        let whole = std::mem::take(&mut self.reseed) || engine.expires;
+        let whole = std::mem::take(&mut self.reseed) || ys.engine.expires;
         let (mut localized, uniform) = (!whole, self.uniform());
         for e in &mut self.recipes {
             let tracker = e.tracker.as_mut().expect("a purged state is tracked");
-            localized &= tracker.collect(&e.recipe, state, engine, scratch, uniform);
+            localized &= tracker.collect(&e.recipe, state, ys, scratch, uniform);
         }
         // The trackers advanced whether or not their answer is used.
         let CheckScratch {
@@ -711,7 +710,7 @@ impl Meet {
         if self.uncertified > 0 || localized && rows.is_empty() && keys.is_empty() {
             return None;
         }
-        let (layout, mut all_dead) = (state.layout(), engine.all_prove_dead(self.tracked(), walk));
+        let (layout, mut all_dead) = (state.layout(), ys.all_prove_dead(self.tracked(), walk));
         let mut dead = |_, row| all_dead(layout, row);
         if !localized {
             state.collect_matching(None, &mut dead, sweep);
@@ -736,22 +735,22 @@ impl Meet {
     /// the row: none is found dead, and every pass re-checks every row.
     pub(crate) fn judge<'s, 'r: 's>(
         &'s self,
-        engine: &'s PurgeEngine,
+        ys: Upsilon<'s>,
         scratch: &'s mut CheckScratch,
     ) -> impl FnMut(&SpanLayout, &'r [Value]) -> bool + 's {
-        let mut dead = engine.all_prove_dead(self.tracked(), &mut scratch.walk);
-        move |layout, row| !engine.expires && self.uncertified == 0 && dead(layout, row)
+        let mut dead = ys.all_prove_dead(self.tracked(), &mut scratch.walk);
+        move |layout, row| !ys.engine.expires && self.uncertified == 0 && dead(layout, row)
     }
 
     /// The certificate verifier's sweep over `state` (`certify::audit`): the
     /// rows compared. Panics on a violation — at a purge `fixpoint`, a row
     /// every holder proves dead is one.
-    pub(crate) fn audit(&self, state: &PortState, engine: &PurgeEngine, fixpoint: bool) -> u64 {
+    pub(crate) fn audit(&self, state: &PortState, ys: Upsilon<'_>, fixpoint: bool) -> u64 {
         let fixpoint = fixpoint && self.uncertified == 0;
         if self.recipes.is_empty() && !fixpoint {
             return 0; // no recipe to walk and no row to refuse
         }
-        crate::certify::audit(engine, state, self.tracked(), fixpoint)
+        crate::certify::audit(ys, state, self.tracked(), fixpoint)
     }
 }
 
@@ -760,10 +759,9 @@ impl Meet {
 pub(crate) type MirrorSubscription = Vec<Option<CompiledRecipe>>;
 
 impl PurgeEngine {
-    /// Builds the open engine for a query: mirror states with indexes on
-    /// every join attribute, punctuation stores from `ℜ`, the query's mirror
-    /// recipes subscribed and every stream held. `lifespan` enables §5.1
-    /// punctuation expiry.
+    /// Builds the open engine for a query: mirror states indexed on every
+    /// join attribute, punctuation stores from `ℜ` (expiring after
+    /// `lifespan`), the query's mirror recipes subscribed, every stream held.
     #[must_use]
     pub fn new(
         query: &Cjq,
@@ -781,8 +779,7 @@ impl PurgeEngine {
     /// and no stream held: a registry's engine, which every tenant subscribes
     /// to and compiles its ports against, and which is then closed (sealed)
     /// or holds every stream (open). Mirror indexes follow `query`'s join
-    /// attributes. With
-    /// per-scheme punctuation-lag `weights` (aligned with
+    /// attributes. With per-scheme punctuation-lag `weights` (aligned with
     /// `schemes.schemes()`) recipes prefer low-lag schemes wherever
     /// alternatives exist. Panics on a `coverage_limit` of 0.
     pub(crate) fn shared(
@@ -794,27 +791,20 @@ impl PurgeEngine {
     ) -> Self {
         assert!(coverage_limit > 0, "the coverage limit must be at least 1");
         let all: Vec<StreamId> = query.stream_ids().collect();
-        let states: Vec<PortState> = all
-            .iter()
-            .map(|&s| {
-                let layout = SpanLayout::new(query.catalog(), &[s]);
-                let cols: Vec<usize> = query.join_attrs(s).into_iter().map(|a| a.0).collect();
-                PortState::new(layout, &cols)
-            })
-            .collect();
-        let puncts: Vec<PunctStore> = all
-            .iter()
-            .map(|&s| PunctStore::new(s, schemes, lifespan))
-            .collect();
+        let state = |&s: &StreamId| {
+            let cols: Vec<usize> = query.join_attrs(s).into_iter().map(|a| a.0).collect();
+            PortState::new(SpanLayout::new(query.catalog(), &[s]), &cols)
+        };
+        let puncts = all.iter().map(|&s| PunctStore::new(s, schemes, lifespan));
         PurgeEngine {
             meets: all.iter().map(|_| Meet::default()).collect(),
             held: vec![false; all.len()],
-            stand_ins: vec![None; all.len()],
+            stand_ins: None,
+            port_chains: false,
             readers: vec![Vec::new(); all.len()],
             droppable: 0,
-            cycle_marks: vec![0; all.len()],
-            states,
-            puncts,
+            states: all.iter().map(state).collect(),
+            puncts: puncts.collect(),
             coverage_limit,
             weights,
             expires: lifespan.is_some(),
@@ -830,8 +820,7 @@ impl PurgeEngine {
     /// predicates to what §5.1 reads. A recipe some subscriber already holds
     /// is shared — no new tracker, no new purge index; a new one on a held
     /// stream starts a tracker whose first collect offers every live row.
-    /// Subscribing only tightens the meet, so nothing needs re-checking on
-    /// its account.
+    /// Subscribing only tightens the meet: nothing needs re-checking.
     pub(crate) fn subscribe(&mut self, query: &Cjq, schemes: &SchemeSet) -> MirrorSubscription {
         self.count_readers(query, true);
         let all: Vec<StreamId> = query.stream_ids().collect();
@@ -853,8 +842,8 @@ impl PurgeEngine {
         self.count_readers(query, false);
         if self.readers.iter().all(Vec::is_empty) {
             // The last subscriber left, and with it the operator whose ports
-            // stood in for unheld mirrors.
-            self.stand_ins.fill(None);
+            // stood in for the mirror.
+            (self.stand_ins, self.port_chains) = (None, false);
         }
         for (meet, recipe) in self.meets.iter_mut().zip(sub) {
             meet.remove(recipe.as_ref());
@@ -864,9 +853,7 @@ impl PurgeEngine {
     /// Counts a reader of every scheme `reads` accepts into (or out of) its
     /// store ([`PunctStore::read`]).
     pub(crate) fn read_schemes(&mut self, reads: impl Fn(&PunctuationScheme) -> bool, add: bool) {
-        self.puncts
-            .iter_mut()
-            .for_each(|store| store.read(&reads, add));
+        self.puncts.iter_mut().for_each(|p| p.read(&reads, add));
     }
 
     /// Counts `query`'s predicates into (or out of) `readers`, both ways, and
@@ -903,36 +890,33 @@ impl PurgeEngine {
         self.droppable = self.readers.iter().flatten().filter(droppable).count();
     }
 
-    /// Closes the recipe set of an engine that holds nothing yet: the
-    /// subscribed mirror recipes and `ports` — every operator port recipe
-    /// compiled against this engine — are all that will ever be checked, so
-    /// only what is read gets held. Read are the streams a port recipe
-    /// chains through, the partners §5.1 probes for rows unless a port of the
-    /// one operator `stands_in` for that `(stream, column)`, and then what the
-    /// mirror recipes of the streams held so far chain through, to a fixpoint.
-    /// The others get no mirror insert, no tracker, no purge index and no
-    /// retraction log. Call before the first element.
+    /// Closes the recipe set of an engine that holds nothing yet to the
+    /// subscribed mirror recipes and `ports`, every port recipe compiled
+    /// against it. Where `stand_ins` names per stream the one operator's port
+    /// storing exactly its rows, as long as its mirror would, those ports are
+    /// `Υ` and nothing is held. Else what is read is held: what a port recipe
+    /// chains through, the partners §5.1 probes, and what the mirror recipes
+    /// of the streams held so far chain through, to a fixpoint. An unheld
+    /// stream gets no mirror insert, tracker, purge index, retraction log or
+    /// snapshot rows. Call before the first element.
     pub(crate) fn close_recipe_set<'r>(
         &mut self,
         ports: impl Iterator<Item = &'r CompiledRecipe>,
-        mut stands_in: impl FnMut(StreamId, usize) -> Option<usize>,
+        stand_ins: Option<Vec<usize>>,
     ) {
         let mut read = vec![false; self.held.len()];
-        let mark = |recipe: &CompiledRecipe, read: &mut [bool]| {
-            let feeding = recipe.steps.iter().filter(|step| step.feeds);
-            feeding.for_each(|step| read[step.target.0] = true);
-        };
-        ports.for_each(|recipe| mark(recipe, &mut read));
+        ports.for_each(|recipe| mark_reads(recipe, &mut read));
+        if stand_ins.is_some() {
+            (self.stand_ins, self.port_chains) = (stand_ins, read.contains(&true));
+            return;
+        }
         for (u, edges) in self.readers.iter().enumerate() {
-            let probed = edges.iter().filter(|e| !e.twins.is_empty());
-            let ports: Vec<_> = probed.map(|e| stands_in(StreamId(u), e.col)).collect();
-            self.stand_ins[u] = ports.first().copied().flatten();
-            read[u] |= ports.contains(&None);
+            read[u] |= edges.iter().any(|e| !e.twins.is_empty());
         }
         while let Some(s) = (0..read.len()).find(|&s| read[s] && !self.held[s]) {
             self.hold(s);
             let mirror = self.meets[s].recipes.iter();
-            mirror.for_each(|e| mark(&e.recipe, &mut read));
+            mirror.for_each(|e| mark_reads(&e.recipe, &mut read));
         }
     }
 
@@ -942,16 +926,27 @@ impl PurgeEngine {
         &self.held
     }
 
+    /// `Υ` as a pass over the operator owning `ports` reads it: those ports
+    /// where they stand in for the mirror, else the mirror (`ports: None`).
+    pub(crate) fn upsilon<'a>(&'a self, ports: Option<&'a [PortState]>) -> Upsilon<'a> {
+        let homes = self.stand_ins.as_deref().filter(|_| ports.is_some());
+        let states = ports.filter(|_| homes.is_some()).unwrap_or(&self.states);
+        Upsilon {
+            engine: self,
+            states,
+            homes,
+        }
+    }
+
     /// Holds every stream: an open engine, or a closed one widened for a
-    /// reader no recipe accounts for (the group-by's propagation test). Call
-    /// before the first element.
+    /// group stage's propagation test where no port stands in. Call before
+    /// the first element.
     pub(crate) fn hold_every_stream(&mut self) {
         (0..self.held.len()).for_each(|s| self.hold(s));
     }
 
-    /// Starts mirroring stream `s`: its purges are logged (they feed the
-    /// trackers' shrinkage probes, its own and the operator ports') and its
-    /// recipes tracked.
+    /// Starts mirroring stream `s`: its purges are logged (news to the
+    /// trackers' shrinkage probes) and its recipes tracked.
     fn hold(&mut self, s: usize) {
         if std::mem::replace(&mut self.held[s], true) {
             return;
@@ -991,10 +986,9 @@ impl PurgeEngine {
         self.observe_row_at(t.stream, &t.values, 0, &mut CheckScratch::default())
     }
 
-    /// Like [`PurgeEngine::observe_tuple`] from a borrowed row — the data
-    /// plane's entry point (no clone on the mirror insert) — stamping the
-    /// mirror entry with an arrival time (for sliding-window eviction). A
-    /// row dead on arrival ([`Meet::judge`]) counts purged, not stored.
+    /// Like [`PurgeEngine::observe_tuple`] from a borrowed row (the data
+    /// plane's entry point), stamping the mirror entry with an arrival time
+    /// for window eviction. A row dead on arrival counts purged, not stored.
     pub fn observe_row_at(
         &mut self,
         stream: StreamId,
@@ -1007,7 +1001,8 @@ impl PurgeEngine {
             return false;
         }
         if self.held[s] {
-            let dead = self.meets[s].judge(self, scratch)(self.states[s].layout(), row);
+            let dead =
+                self.meets[s].judge(self.upsilon(None), scratch)(self.states[s].layout(), row);
             self.mirror_purged += u64::from(dead);
             if !dead {
                 self.states[s].insert_slice_at(row, now);
@@ -1018,11 +1013,8 @@ impl PurgeEngine {
 
     /// Sliding-window eviction across the mirror.
     pub fn evict_window(&mut self, cutoff: u64) -> usize {
-        let evicted: usize = self
-            .states
-            .iter_mut()
-            .map(|p| p.evict_older_than(cutoff))
-            .sum();
+        let states = self.states.iter_mut();
+        let evicted: usize = states.map(|p| p.evict_older_than(cutoff)).sum();
         self.mirror_purged += evicted as u64;
         evicted
     }
@@ -1040,69 +1032,17 @@ impl PurgeEngine {
         &self.puncts[stream.0]
     }
 
-    /// The mirror state of `stream` (always empty where the stream is not
-    /// held).
+    /// The mirror state of `stream` (empty where the stream is not held).
     #[must_use]
     pub fn mirror_state(&self, stream: StreamId) -> &PortState {
         &self.states[stream.0]
     }
 
-    /// The first subscriber's compiled mirror purge recipe for `stream` (a
-    /// one-query engine's only one): `Some` exactly when recipe derivation
-    /// certified the stream purgeable over the whole query.
+    /// The first subscriber's compiled mirror purge recipe for `stream`:
+    /// `Some` exactly when it is certified purgeable over the whole query.
     #[must_use]
     pub fn mirror_recipe(&self, stream: StreamId) -> Option<&CompiledRecipe> {
         self.meets[stream.0].recipe()
-    }
-
-    /// The row test of a purge pass over `state`: whether every one of
-    /// `recipes` proves the row dead. Own cells first, each recipe's once;
-    /// chains are walked only where none said "keep" and some left it open.
-    /// A row agreeing with the last row tested on every column the recipes
-    /// read gets that row's verdict: a run of equal keys is decided once.
-    fn all_prove_dead<'s>(
-        &'s self,
-        recipes: impl Iterator<Item = (&'s CompiledRecipe, &'s PurgeTracker)> + Clone + 's,
-        scratch: &'s mut WalkScratch,
-    ) -> impl FnMut(&SpanLayout, &'s [Value]) -> bool + 's {
-        let mut last: Option<(&[Value], bool)> = None;
-        move |layout, row| {
-            if let Some((prev, dead)) = last {
-                let read = |(_, t): (_, &PurgeTracker)| t.reads.iter().all(|&c| prev[c] == row[c]);
-                if recipes.clone().all(read) {
-                    return dead;
-                }
-            }
-            let dead = 'verdict: {
-                // Bit i: recipe i is left open (from 63 on one bit: walks agree).
-                let mut open = 0u64;
-                for (i, (recipe, tracker)) in recipes.clone().enumerate() {
-                    match self.own_verdict(recipe, tracker, row) {
-                        Some(false) => break 'verdict false,
-                        Some(true) => {}
-                        None => open |= 1 << i.min(63),
-                    }
-                }
-                if open == 0 {
-                    break 'verdict true;
-                }
-                // The walk's roots, on the stack: a verdict closure lives per run.
-                let streams = layout.streams();
-                let (mut few, mut many) = ([(StreamId(0), &[][..]); 8], Vec::new());
-                let roots = few.get_mut(..streams.len()).unwrap_or_else(|| {
-                    many.resize(streams.len(), (StreamId(0), &[][..]));
-                    &mut many
-                });
-                for (root, &s) in roots.iter_mut().zip(streams) {
-                    *root = (s, layout.slice(row, s).expect("own stream"));
-                }
-                let closed = |i: usize| open & 1 << i.min(63) == 0;
-                let mut walk = |recipe| self.walk(recipe, roots, scratch, &mut ());
-                (recipes.clone().enumerate()).all(|(i, (recipe, _))| closed(i) || walk(recipe))
-            };
-            last = Some((row, dead));
-            dead
-        }
     }
 
     /// What `row`'s own cells say about a recipe, by its tracker's key plan:
@@ -1135,13 +1075,12 @@ impl PurgeEngine {
         (!open).then_some(true)
     }
 
-    /// The certificate verifier's sweep over every held mirror stream and
-    /// its distinct recipes (`Meet::audit`): the rows compared. Panics on
-    /// a violation — at a purge `fixpoint`, a row every subscriber proves dead
-    /// is one.
+    /// The certificate verifier's sweep over every held mirror stream
+    /// (`Meet::audit`): the rows compared. Panics on a violation — at a
+    /// purge `fixpoint`, a row every subscriber proves dead is one.
     pub fn audit_mirror(&self, fixpoint: bool) -> u64 {
         let held = (0..self.states.len()).filter(|&s| self.held[s]);
-        held.map(|s| self.meets[s].audit(&self.states[s], self, fixpoint))
+        held.map(|s| self.meets[s].audit(&self.states[s], self.upsilon(None), fixpoint))
             .sum()
     }
 
@@ -1164,8 +1103,8 @@ impl PurgeEngine {
 
     /// Evaluates a compiled recipe for one candidate tuple, given the
     /// candidate's per-root raw rows: whether the tuple is provably dead
-    /// (purgeable now). The walk allocates nothing once `scratch` has warmed
-    /// up, which is what purge passes (one recipe, many candidate rows) want.
+    /// (purgeable now) against the mirror. The walk allocates nothing once
+    /// `scratch` has warmed up, which is what purge passes want.
     #[must_use]
     pub fn check_roots_with(
         &self,
@@ -1173,12 +1112,12 @@ impl PurgeEngine {
         roots: &[(StreamId, &[Value])],
         scratch: &mut CheckScratch,
     ) -> bool {
-        self.walk(recipe, roots, &mut scratch.walk, &mut ())
+        self.upsilon(None)
+            .walk(recipe, roots, &mut scratch.walk, &mut ())
     }
 
-    /// The same walk as [`PurgeEngine::check_roots_with`], explaining a
-    /// negative verdict: which step blocked the purge and (a sample of) the
-    /// value combinations that still need punctuations.
+    /// The walk of [`PurgeEngine::check_roots_with`], explaining a negative
+    /// verdict: the blocking step and some combinations still uncovered.
     #[must_use]
     pub fn explain(
         &self,
@@ -1188,22 +1127,292 @@ impl PurgeEngine {
         let roots: Vec<(StreamId, &[Value])> =
             roots.iter().map(|(&s, row)| (s, row.as_slice())).collect();
         let mut outcome = CheckOutcome::Purgeable;
-        let dead = self.walk(recipe, &roots, &mut WalkScratch::default(), &mut outcome);
+        let scratch = &mut WalkScratch::default();
+        let dead = self
+            .upsilon(None)
+            .walk(recipe, &roots, scratch, &mut outcome);
         debug_assert_eq!(dead, outcome.is_purgeable());
         outcome
     }
 
+    /// One purge pass over the raw mirror: per stream, the candidate rows
+    /// are checked against every distinct subscribed recipe and go when all
+    /// agree. The candidates are the union of the recipes' trackers' flip
+    /// candidates — a row can only become dead for everybody when it becomes
+    /// dead for somebody — or every row, when a delta cannot be mapped back
+    /// to rows. With no subscriber at all the meet is vacuous and every row
+    /// goes: nobody is left to join it, and a later subscriber starts on
+    /// fresh join state. Streams are passed in id order, each seeing the
+    /// purges before it in its trackers' retraction news (`cjq-oracle` is the
+    /// full scan this equals). `scratch` lends the pass buffers.
+    pub fn purge_mirror(&mut self, scratch: &mut CheckScratch) -> PurgeWork {
+        let mut work = PurgeWork::default();
+        if !self.held.contains(&true) {
+            return work;
+        }
+        // The pass reads the engine while the trackers move: take the meets
+        // out for its duration.
+        let mut meets = std::mem::take(&mut self.meets);
+        for (s, meet) in meets.iter_mut().enumerate().filter(|(s, _)| self.held[*s]) {
+            let Some(sweep) = meet.pass(&self.states[s], self.upsilon(None), scratch) else {
+                continue;
+            };
+            work.examined += sweep.examined as u64;
+            work.purged += self.states[s].purge_swept(sweep) as u64;
+        }
+        self.meets = meets;
+        self.mirror_purged += work.purged;
+        work
+    }
+
+    /// Ends a purge cycle, once every tracker and §5.1 have read the logs:
+    /// drops the stores' coverage deltas, so that log stays delta-sized, the
+    /// entries of schemes nobody reads any more (counted dropped), and what
+    /// the mirrors and the operators' `ports` retired.
+    pub(crate) fn end_cycle<'p>(&'p mut self, ports: impl Iterator<Item = &'p mut PortState>) {
+        let forgotten: usize = self.puncts.iter_mut().map(PunctStore::end_cycle).sum();
+        self.punct_dropped += forgotten as u64;
+        for state in self.states.iter_mut().chain(ports) {
+            if !state.retired_since(0).is_empty() {
+                state.trim_retired_to(state.retire_end());
+            }
+        }
+    }
+
+    /// §5.1 lifespan expiry across all stores at sequence time `now`.
+    pub fn expire_punctuations(&mut self, now: u64) -> usize {
+        let dropped: usize = self.puncts.iter_mut().map(|p| p.expire(now)).sum();
+        self.punct_dropped += dropped as u64;
+        dropped
+    }
+
+    /// §5.1 punctuation purging: drops an entry `(attr = c)` of a
+    /// one-attribute hash scheme of stream `v` once, for every partner `u.b`
+    /// of `v.attr` under a subscribed predicate, (i) punctuations on `u`'s
+    /// side certify no future `u` tuple carries `c` and (ii) no stored tuple
+    /// of `u` carries `c`: no coverage query that matters can ask for it
+    /// again. Both can only turn true in a cycle where the entry or a
+    /// partner's coverage of `c` arrived or a partner row carrying `c` left,
+    /// so only those keys are tested, off the delta and retraction logs (call
+    /// before [`PurgeEngine::end_cycle`]). (ii) reads `Υ_u`, the first of
+    /// `ops`' ports where they stand in, and behind it the ports whose rows
+    /// can outlive a mirror row; a cold segment of `ops` yet to certify
+    /// against the entry keeps it too. A port found keeping an entry must log
+    /// its purges from then on, making that row's leaving news: the pass
+    /// lists it in `keepers` (its operator by position in `ops`) for the
+    /// caller to switch on, as a log switched on during the pass holds none.
+    /// Everything else is left to lifespans (DESIGN.md §7, "The reverse read
+    /// set"). Returns entries dropped.
+    pub(crate) fn purge_punctuations<'o>(
+        &mut self,
+        ops: impl Iterator<Item = &'o JoinOperator> + Clone,
+    ) -> usize {
+        self.keepers.clear();
+        if self.droppable == 0 {
+            return 0; // no read scheme has entries to drop: no pass
+        }
+        let mut dead = std::mem::take(&mut self.dead_entries);
+        let mut tested = std::mem::take(&mut self.tested_entries);
+        let mut keepers = std::mem::take(&mut self.keepers);
+        dead.clear();
+        tested.clear();
+        let (this, ops) = (&*self, ops.enumerate());
+        let ys = this.upsilon(ops.clone().next().map(|(_, op)| &op.ports[..]));
+        let mut test = |v: StreamId, scheme_idx: usize, c: Value, stored: bool| {
+            // The stores and rows stand still for the pass, and what names a
+            // key names it in a row (a round's rows, an entry and its twins):
+            // a look at the last few tests spares most repeats.
+            let (store, entry) = (&this.puncts[v.0], (v.0, scheme_idx, c));
+            if tested.iter().rev().take(8).any(|t| *t == entry) {
+                return;
+            }
+            tested.push(entry);
+            let attr = store.schemes()[scheme_idx].punctuatable()[0].0;
+            let partners = || this.readers[v.0].iter().filter(|e| e.col == attr);
+            if !(stored || store.covers(scheme_idx, &[c])) || partners().next().is_none() {
+                return;
+            }
+            // (i) for every partner, and (ii) first from `Υ_u`...
+            for e in partners() {
+                let (u, b) = (e.partner, e.partner_col);
+                if !this.puncts[u.0].covers_single(AttrId(b), &c) {
+                    return;
+                }
+                match ys.homes {
+                    None if !this.held[u.0] => return,
+                    _ if !ys.of(u).carries(b, &c) => {}
+                    Some(homes) => return keepers.push((0, homes[u.0])),
+                    None => return,
+                }
+            }
+            // ...then from the ports whose rows can outlive their mirror row.
+            let waits = |(i, op): (usize, &JoinOperator), e: &Edge| {
+                Some((i, op.waits_on(e.partner, e.partner_col, &c)?))
+            };
+            let found = partners().find_map(|e| ops.clone().find_map(|op| waits(op, e)));
+            if let Some(found) = found {
+                return keepers.push(found);
+            }
+            if !ops.clone().any(|(_, op)| op.cold_needs(v, scheme_idx, &c)) {
+                dead.push(entry);
+            }
+        };
+        for (s, store) in this.puncts.iter().enumerate() {
+            for delta in store.deltas_since(0) {
+                let [attr] = store.schemes()[delta.scheme_idx()].punctuatable() else {
+                    continue;
+                };
+                // News for the entry itself and for its twins across an edge.
+                for e in this.readers[s].iter().filter(|e| e.col == attr.0) {
+                    let twins = &this.puncts[e.partner.0];
+                    for &j in &e.twins {
+                        match delta {
+                            PunctDelta::Entry { combo, .. } => test(e.partner, j, combo[0], false),
+                            PunctDelta::Advance { above, upto, .. } => {
+                                let passed = twins.keys_between(j, above.as_ref(), upto);
+                                passed.for_each(|c| test(e.partner, j, c, true));
+                            }
+                        }
+                    }
+                }
+                if let PunctDelta::Entry { scheme_idx, combo } = delta {
+                    test(StreamId(s), *scheme_idx, combo[0], true);
+                }
+            }
+        }
+        // Rows that left name the partner entries keyed by their join
+        // columns: the held mirrors' rows, then the logging ports'.
+        let mut left = |u: StreamId, base: usize, row: &[Value]| {
+            for e in &this.readers[u.0] {
+                let key = row[base + e.col];
+                e.twins.iter().for_each(|&i| test(e.partner, i, key, false));
+            }
+        };
+        for (u, rows) in this.states.iter().enumerate() {
+            for &slot in rows.retired_since(0) {
+                left(StreamId(u), 0, rows.raw_row(slot));
+            }
+        }
+        for (layout, row) in ops.clone().flat_map(|(_, op)| op.retired_rows()) {
+            for &u in layout.streams() {
+                left(u, layout.stream_range(u).expect("own stream").start, row);
+            }
+        }
+        let stores = &mut self.puncts;
+        let dropped = dead.iter().filter(|&&(s, i, c)| stores[s].remove(i, &[c]));
+        let dropped = dropped.count();
+        (self.dead_entries, self.tested_entries, self.keepers) = (dead, tested, keepers);
+        self.punct_dropped += dropped as u64;
+        dropped
+    }
+
+    /// Serializes the engine's logical state, stream by stream: the mirror's
+    /// rows (none unheld), with those that left it since the last cycle
+    /// (window evictions no tracker has mapped back yet); the punctuation
+    /// store; whether the meet weakened since the last cycle. Then the drop
+    /// counters. Recipes, trackers, indexes and logs are rebuilt by
+    /// re-subscribing the queries live at the snapshot.
+    pub(crate) fn write_state(&self, e: &mut Enc) {
+        e.usize(self.states.len());
+        for (s, (state, meet)) in self.states.iter().zip(&self.meets).enumerate() {
+            state.write_state(e);
+            self.puncts[s].write_state(e);
+            e.bool(meet.reseed);
+        }
+        e.u64(self.punct_dropped);
+        e.u64(self.mirror_purged);
+    }
+
+    /// Restores [`PurgeEngine::write_state`]'s words onto this freshly built
+    /// engine, whose subscriptions must be the ones live at the snapshot; in
+    /// what order they came and went does not matter.
+    pub(crate) fn read_state(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
+        d.count_of("streams in the purge engine", self.states.len())?;
+        let streams = self.states.iter_mut().zip(&mut self.puncts);
+        for ((state, store), meet) in streams.zip(&mut self.meets) {
+            state.read_state(d)?;
+            store.read_state(d)?;
+            meet.reseed = d.bool()?;
+        }
+        self.punct_dropped = d.u64()?;
+        self.mirror_purged = d.u64()?;
+        Ok(())
+    }
+}
+
+impl<'a> Upsilon<'a> {
+    /// The state holding stream `s`'s live rows.
+    #[inline]
+    pub(crate) fn of(&self, s: StreamId) -> &'a PortState {
+        match self.homes {
+            Some(homes) => &self.states[homes[s.0]],
+            None => &self.states[s.0],
+        }
+    }
+
+    /// The row test of a purge pass over `state`: whether every one of
+    /// `recipes` proves the row dead. Own cells first, each recipe's once;
+    /// chains are walked only where none said "keep" and some left it open.
+    /// A row agreeing with the last row tested on every column the recipes
+    /// read gets that row's verdict: a run of equal keys is decided once.
+    fn all_prove_dead(
+        self,
+        recipes: impl Iterator<Item = (&'a CompiledRecipe, &'a PurgeTracker)> + Clone + 'a,
+        scratch: &'a mut WalkScratch,
+    ) -> impl FnMut(&SpanLayout, &'a [Value]) -> bool + 'a {
+        let mut last: Option<(&[Value], bool)> = None;
+        move |layout, row| {
+            if let Some((prev, dead)) = last {
+                let read = |(_, t): (_, &PurgeTracker)| t.reads.iter().all(|&c| prev[c] == row[c]);
+                if recipes.clone().all(read) {
+                    return dead;
+                }
+            }
+            let dead = 'verdict: {
+                // Bit i: recipe i is left open (from 63 on one bit: walks agree).
+                let mut open = 0u64;
+                for (i, (recipe, tracker)) in recipes.clone().enumerate() {
+                    match self.engine.own_verdict(recipe, tracker, row) {
+                        Some(false) => break 'verdict false,
+                        Some(true) => {}
+                        None => open |= 1 << i.min(63),
+                    }
+                }
+                if open == 0 {
+                    break 'verdict true;
+                }
+                // The walk's roots, on the stack: a verdict closure lives per run.
+                let streams = layout.streams();
+                let (mut few, mut many) = ([(StreamId(0), &[][..]); 8], Vec::new());
+                let roots = few.get_mut(..streams.len()).unwrap_or_else(|| {
+                    many.resize(streams.len(), (StreamId(0), &[][..]));
+                    &mut many
+                });
+                for (root, &s) in roots.iter_mut().zip(streams) {
+                    *root = (s, layout.slice(row, s).expect("own stream"));
+                }
+                let closed = |i: usize| open & 1 << i.min(63) == 0;
+                let mut walk = |recipe| self.walk(recipe, roots, scratch, &mut ());
+                (recipes.clone().enumerate()).all(|(i, (recipe, _))| closed(i) || walk(recipe))
+            };
+            last = Some((row, dead));
+            dead
+        }
+    }
+
     /// The chained purge walk (§3.2, Fig. 3), telling `witness` where it
-    /// keeps the row.
-    fn walk<W: Witness>(
-        &self,
+    /// keeps the row (`()`: nowhere, stopping at the first miss).
+    pub(crate) fn walk<W: Witness>(
+        self,
         recipe: &CompiledRecipe,
         roots: &[(StreamId, &[Value])],
         scratch: &mut WalkScratch,
         witness: &mut W,
     ) -> bool {
         scratch.chain.clear();
-        scratch.chain.resize(self.states.len(), ChainSet::Unset);
+        scratch
+            .chain
+            .resize(self.engine.states.len(), ChainSet::Unset);
         scratch.slots.clear();
         for (i, &(s, _)) in roots.iter().enumerate() {
             scratch.chain[s.0] = ChainSet::Root(i);
@@ -1222,7 +1431,7 @@ impl PurgeEngine {
                     ChainSet::Root(ri) => set.push(roots[ri].1[col]),
                     ChainSet::Slots { start, len } => {
                         scratch.seen.clear();
-                        let state = &self.states[src.0];
+                        let state = self.of(src);
                         for &slot in &scratch.slots[start..start + len] {
                             if let Some(row) = state.get(slot) {
                                 let v = row[col];
@@ -1241,12 +1450,12 @@ impl PurgeEngine {
                 }
                 total = total.saturating_mul(set.len());
             }
-            if total > self.coverage_limit {
+            if total > self.engine.coverage_limit {
                 witness.too_many(si, step.target, total);
                 return false; // conservatively keep
             }
             if total > 0 {
-                let store = &self.puncts[step.target.0];
+                let store = &self.engine.puncts[step.target.0];
                 let k = step.bindings.len();
                 debug_assert!(k > 0, "punctuation schemes have at least one attribute");
                 scratch.combo.clear();
@@ -1285,12 +1494,11 @@ impl PurgeEngine {
             if !step.feeds {
                 continue;
             }
-            // Next chain set: mirror tuples of `target` that semi-join the
-            // chain on every in-span predicate towards reached streams.
-            if scratch.filters.len() < step.filters.len() {
-                scratch
-                    .filters
-                    .resize_with(step.filters.len(), FxHashSet::default);
+            // Next chain set: `Υ` rows of `target` that semi-join the chain
+            // on every in-span predicate towards reached streams.
+            let n = step.filters.len();
+            if scratch.filters.len() < n {
+                scratch.filters.resize_with(n, FxHashSet::default);
             }
             for (fi, &(_, src, scol)) in step.filters.iter().enumerate() {
                 let set = &mut scratch.filters[fi];
@@ -1300,7 +1508,7 @@ impl PurgeEngine {
                         set.insert(roots[ri].1[scol]);
                     }
                     ChainSet::Slots { start, len } => {
-                        let state = &self.states[src.0];
+                        let state = self.of(src);
                         for &slot in &scratch.slots[start..start + len] {
                             if let Some(row) = state.get(slot) {
                                 set.insert(row[scol]);
@@ -1313,19 +1521,17 @@ impl PurgeEngine {
                     }
                 }
             }
-            let state = &self.states[step.target.0];
+            let state = self.of(step.target);
             // Prefer probing the target's hash index when the smallest filter
             // set is much smaller than the live state: turns the O(live)
             // scan into O(values x bucket).
-            let probe_with = step
-                .filters
-                .iter()
-                .enumerate()
-                .filter(|&(fi, &(tcol, _, _))| {
-                    state.has_index(tcol) && scratch.filters[fi].len() * 4 < state.live()
-                })
-                .min_by_key(|&(fi, _)| scratch.filters[fi].len())
-                .map(|(fi, _)| fi);
+            let sets = &scratch.filters;
+            let small = |&(fi, &(tcol, ..)): &(usize, &(usize, StreamId, usize))| {
+                state.has_index(tcol) && sets[fi].len() * 4 < state.live()
+            };
+            let probeable = step.filters.iter().enumerate().filter(small);
+            let smallest = probeable.min_by_key(|&(fi, _)| sets[fi].len());
+            let probe_with = smallest.map(|(fi, _)| fi);
             let start = scratch.slots.len();
             let (sets, slots, tmp) = (&scratch.filters, &mut scratch.slots, &mut scratch.probe_tmp);
             let joins = |row: &[Value]| {
@@ -1341,239 +1547,26 @@ impl PurgeEngine {
                     }
                     tmp.sort_unstable();
                     tmp.dedup();
-                    slots.extend(
-                        tmp.iter()
-                            .filter(|&&slot| state.get(slot).is_some_and(joins)),
-                    );
+                    let joined = |&&slot: &&usize| state.get(slot).is_some_and(joins);
+                    slots.extend(tmp.iter().filter(joined));
                 }
                 None => {
                     let live = state.iter_live().filter(|&(_, row)| joins(row));
                     slots.extend(live.map(|(slot, _)| slot));
                 }
             }
-            scratch.chain[step.target.0] = ChainSet::Slots {
-                start,
-                len: scratch.slots.len() - start,
-            };
+            let len = scratch.slots.len() - start;
+            scratch.chain[step.target.0] = ChainSet::Slots { start, len };
         }
         true
     }
+}
 
-    /// One purge pass over the raw mirror: per stream, the candidate rows
-    /// are checked against every distinct subscribed recipe and go when all
-    /// agree. The candidates are the union of the recipes' trackers' flip
-    /// candidates — a row can only become dead for everybody when it becomes
-    /// dead for somebody — or every row, when a delta cannot be mapped back
-    /// to rows. With no subscriber at all the meet is vacuous and every row
-    /// goes: nobody is left to join it, and a later subscriber starts on
-    /// fresh join state.
-    ///
-    /// Streams are processed in id order with earlier purges visible to
-    /// later checks: the trackers re-read each stream's chain-source
-    /// retraction logs at collect time, so a stream purged earlier in the
-    /// same pass hands its dependents exactly the rows a full scan would see
-    /// relaxed (`cjq-oracle` is that scan). `scratch` lends the pass buffers.
-    pub fn purge_mirror(&mut self, scratch: &mut CheckScratch) -> PurgeWork {
-        let mut work = PurgeWork::default();
-        if !self.held.contains(&true) {
-            return work;
-        }
-        // The pass reads the engine while the trackers move: take the meets
-        // out for its duration.
-        let mut meets = std::mem::take(&mut self.meets);
-        for (s, meet) in meets.iter_mut().enumerate().filter(|(s, _)| self.held[*s]) {
-            let Some(sweep) = meet.pass(&self.states[s], self, scratch) else {
-                continue;
-            };
-            work.examined += sweep.examined as u64;
-            work.purged += self.states[s].purge_swept(sweep) as u64;
-        }
-        self.meets = meets;
-        self.mirror_purged += work.purged;
-        work
-    }
-
-    /// Starts a purge cycle: marks where each mirror's retraction log stands.
-    pub(crate) fn begin_cycle(&mut self) {
-        let marks = self.cycle_marks.iter_mut().zip(&self.states);
-        marks.for_each(|(mark, mirror)| *mark = mirror.retire_end());
-    }
-
-    /// Ends the cycle [`PurgeEngine::begin_cycle`] began, once every per-port
-    /// and mirror tracker has advanced past the retained logs: drops the
-    /// stores' coverage deltas, so that log stays delta-sized, the entries of
-    /// schemes nobody reads any more (counted dropped), and the held mirrors'
-    /// retractions from before the cycle. Ones logged *during* it stay one
-    /// more cycle.
-    pub(crate) fn end_cycle(&mut self) {
-        let forgotten: usize = self.puncts.iter_mut().map(PunctStore::end_cycle).sum();
-        self.punct_dropped += forgotten as u64;
-        let mirrors = self.states.iter_mut().zip(&mut self.cycle_marks);
-        for ((mirror, mark), _) in mirrors.zip(&self.held).filter(|(_, held)| **held) {
-            mirror.trim_retired_to(*mark);
-            *mark = mirror.retire_end();
-        }
-    }
-
-    /// §5.1 lifespan expiry across all stores at sequence time `now`.
-    pub fn expire_punctuations(&mut self, now: u64) -> usize {
-        let dropped: usize = self.puncts.iter_mut().map(|p| p.expire(now)).sum();
-        self.punct_dropped += dropped as u64;
-        dropped
-    }
-
-    /// §5.1 punctuation purging: drops an entry `(attr = c)` of a
-    /// one-attribute hash scheme of stream `v` once, for every partner `u.b`
-    /// of `v.attr` under a subscribed predicate, (i) punctuations on `u`'s
-    /// side certify no future `u` tuple carries `c` and (ii) no stored tuple
-    /// of `u` carries `c`: no coverage query that matters can ask for it
-    /// again. Both can only turn true in a cycle where the entry or a
-    /// partner's coverage of `c` arrived or a partner row carrying `c` left,
-    /// so only those keys are tested, off the delta logs and this cycle's
-    /// retractions (call before [`PurgeEngine::end_cycle`]). (ii) reads `u`'s
-    /// mirror where held, else the port of `ops` standing in for it, and
-    /// behind either the ports whose rows can outlive a mirror row; a cold
-    /// segment of `ops` yet to certify against the entry keeps it too. A
-    /// port found keeping an entry must log its purges from then on, which
-    /// makes that row's leaving news: the pass lists it in `keepers`, by its
-    /// operator's position in `ops`, for the caller to switch on (the pass
-    /// purges no row, so a log switched on during it would hold nothing).
-    /// Everything else is left to lifespans (DESIGN.md §7, "The reverse read
-    /// set"). Returns entries dropped.
-    pub(crate) fn purge_punctuations<'o>(
-        &mut self,
-        ops: impl Iterator<Item = &'o JoinOperator> + Clone,
-    ) -> usize {
-        self.keepers.clear();
-        if self.droppable == 0 {
-            return 0; // no read scheme has entries to drop: no pass
-        }
-        let mut dead = std::mem::take(&mut self.dead_entries);
-        let mut tested = std::mem::take(&mut self.tested_entries);
-        let mut keepers = std::mem::take(&mut self.keepers);
-        dead.clear();
-        tested.clear();
-        let (this, ops) = (&*self, ops.enumerate());
-        let mut test = |v: StreamId, scheme_idx: usize, c: Value, stored: bool| {
-            // The stores and rows stand still for the pass, and what names a
-            // key names it in a row (a round's rows, an entry and its twins):
-            // a look at the last few tests spares most repeats.
-            let (store, entry) = (&this.puncts[v.0], (v.0, scheme_idx, c));
-            if tested.iter().rev().take(8).any(|t| *t == entry) {
-                return;
-            }
-            tested.push(entry);
-            let attr = store.schemes()[scheme_idx].punctuatable()[0].0;
-            let partners = || this.readers[v.0].iter().filter(|e| e.col == attr);
-            if !(stored || store.covers(scheme_idx, &[c])) || partners().next().is_none() {
-                return;
-            }
-            // (i) for every partner, and (ii) first from its mirror or the
-            // port standing in for an unheld one...
-            for e in partners() {
-                let (u, b) = (e.partner, e.partner_col);
-                if !this.puncts[u.0].covers_single(AttrId(b), &c) {
-                    return;
-                }
-                match (this.held[u.0], this.stand_ins[u.0].zip(ops.clone().next())) {
-                    (true, _) if !this.states[u.0].carries(b, &c) => {}
-                    (false, Some((port, (_, op)))) if !op.port_state(port).carries(b, &c) => {}
-                    (false, Some((port, (i, _)))) => return keepers.push((i, port)),
-                    _ => return,
-                }
-            }
-            // ...then from the ports whose rows can outlive their mirror row.
-            let waits = |(i, op): (usize, &JoinOperator), e: &Edge| {
-                Some((i, op.waits_on(e.partner, e.partner_col, &c)?))
-            };
-            let found = partners().find_map(|e| ops.clone().find_map(|op| waits(op, e)));
-            if let Some(found) = found {
-                return keepers.push(found);
-            }
-            if !ops.clone().any(|(_, op)| op.cold_needs(v, scheme_idx, &c)) {
-                dead.push(entry);
-            }
-        };
-        for (s, store) in this.puncts.iter().enumerate() {
-            for delta in store.deltas_since(0) {
-                let [attr] = store.schemes()[delta.scheme_idx()].punctuatable() else {
-                    continue;
-                };
-                // News for the entry itself and for its twins across an edge.
-                for e in this.readers[s].iter().filter(|e| e.col == attr.0) {
-                    let twins = &this.puncts[e.partner.0];
-                    for &j in &e.twins {
-                        match delta {
-                            PunctDelta::Entry { combo, .. } => test(e.partner, j, combo[0], false),
-                            PunctDelta::Advance { above, upto, .. } => {
-                                let passed = twins.keys_between(j, above.as_ref(), upto);
-                                passed.for_each(|c| test(e.partner, j, c, true));
-                            }
-                        }
-                    }
-                }
-                if let PunctDelta::Entry { scheme_idx, combo } = delta {
-                    test(StreamId(s), *scheme_idx, combo[0], true);
-                }
-            }
-        }
-        // Rows that left this cycle name the partner entries keyed by their
-        // join columns: the held mirrors' rows, then the logging ports'.
-        let mut left = |u: StreamId, base: usize, row: &[Value]| {
-            for e in &this.readers[u.0] {
-                let key = row[base + e.col];
-                e.twins.iter().for_each(|&i| test(e.partner, i, key, false));
-            }
-        };
-        for (u, (rows, &mark)) in this.states.iter().zip(&this.cycle_marks).enumerate() {
-            for &slot in rows.retired_since(mark) {
-                left(StreamId(u), 0, rows.raw_row(slot));
-            }
-        }
-        for (layout, row) in ops.clone().flat_map(|(_, op)| op.retired_rows()) {
-            for &u in layout.streams() {
-                left(u, layout.stream_range(u).expect("own stream").start, row);
-            }
-        }
-        let stores = &mut self.puncts;
-        let dropped = dead.iter().filter(|&&(s, i, c)| stores[s].remove(i, &[c]));
-        let dropped = dropped.count();
-        (self.dead_entries, self.tested_entries, self.keepers) = (dead, tested, keepers);
-        self.punct_dropped += dropped as u64;
-        dropped
-    }
-
-    /// Serializes the engine's logical state, stream by stream: the mirror's
-    /// rows, with those that left it since the last cycle (window evictions
-    /// no tracker has mapped back yet); the punctuation store; whether the
-    /// meet weakened since the last cycle. Then the drop counters. Recipes, trackers, indexes and logs are
-    /// rebuilt by re-subscribing the queries live at the snapshot.
-    pub(crate) fn write_state(&self, e: &mut Enc) {
-        e.usize(self.states.len());
-        for (s, (state, meet)) in self.states.iter().zip(&self.meets).enumerate() {
-            state.write_state(e, state.retired_since(self.cycle_marks[s]));
-            self.puncts[s].write_state(e);
-            e.bool(meet.reseed);
-        }
-        e.u64(self.punct_dropped);
-        e.u64(self.mirror_purged);
-    }
-
-    /// Restores [`PurgeEngine::write_state`]'s words onto this freshly built
-    /// engine, whose subscriptions must be the ones live at the snapshot; in
-    /// what order they came and went does not matter.
-    pub(crate) fn read_state(&mut self, d: &mut Dec<'_>) -> SnapshotResult<()> {
-        d.count_of("streams in the purge engine", self.states.len())?;
-        let streams = self.states.iter_mut().zip(&mut self.puncts);
-        for ((state, store), meet) in streams.zip(&mut self.meets) {
-            state.read_state(d)?;
-            store.read_state(d)?;
-            meet.reseed = d.bool()?;
-        }
-        self.punct_dropped = d.u64()?;
-        self.mirror_purged = d.u64()?;
-        Ok(())
-    }
+/// Marks in `read` the streams `recipe` reads `Υ` of: the targets of the
+/// steps a later step draws on.
+pub(crate) fn mark_reads(recipe: &CompiledRecipe, read: &mut [bool]) {
+    let feeding = recipe.steps.iter().filter(|step| step.feeds);
+    feeding.for_each(|step| read[step.target.0] = true);
 }
 
 /// Flat columns of `state`'s layout for root columns `(stream, column)`.
@@ -1595,11 +1588,6 @@ impl PurgeEngine {
         let recipes = self.meets.iter().map(|m| m.recipes.len()).sum();
         let indexes = self.states.iter().map(PortState::purge_index_count).sum();
         (recipes, indexes)
-    }
-
-    /// Per stream, the port standing in for its unheld mirror.
-    pub(crate) fn stand_ins(&self) -> &[Option<usize>] {
-        &self.stand_ins
     }
 }
 
@@ -1803,7 +1791,7 @@ mod tests {
         let first = e.purge_mirror(&mut CheckScratch::default());
         assert_eq!(first.purged, 2, "item 3 and its bid die");
         assert_eq!(first.examined, 2);
-        e.end_cycle();
+        e.end_cycle(std::iter::empty());
         let idle = e.purge_mirror(&mut CheckScratch::default());
         assert_eq!((idle.examined, idle.purged), (0, 0));
         // A new closing punctuation drives candidates off the index: only
@@ -1850,14 +1838,14 @@ mod tests {
         }
         // Every row was judged as it arrived: only deltas make candidates.
         assert_eq!(e.purge_mirror(&mut CheckScratch::default()).purged, 0);
-        e.end_cycle();
+        e.end_cycle(std::iter::empty());
         let collect = |e: &mut PurgeEngine, stream: usize| {
             let mut meets = std::mem::take(&mut e.meets);
             let interned = &mut meets[stream].recipes[0];
             let (recipe, state) = (&interned.recipe, &e.states[stream]);
             let mut scratch = CheckScratch::default();
             let tracker = interned.tracker.as_mut().expect("held");
-            let localized = tracker.collect(recipe, state, e, &mut scratch, None);
+            let localized = tracker.collect(recipe, state, e.upsilon(None), &mut scratch, None);
             let keys = recipe.classes.clone();
             e.meets = meets;
             let mut rows = scratch.candidates.rows;
@@ -1880,7 +1868,7 @@ mod tests {
         // From t3's side t1 is reached through t2 alone: its probe has no
         // root column to match on, so a delta on t0 (bound to t1.k) is the
         // one case left that re-checks everything.
-        e.end_cycle();
+        e.end_cycle(std::iter::empty());
         e.observe_punctuation(&punct(0, 2, &[(0, 3)]), 1);
         let (localized, _, keys) = collect(&mut e, 3);
         let [StepClass::Rooted { .. }, StepClass::Chained { .. }, StepClass::Opaque] = keys[..]
@@ -1966,8 +1954,11 @@ mod tests {
         let decide = |e: &PurgeEngine, s: usize, row: &[Value]| {
             let mut scratch = WalkScratch::default();
             let held = e.meets[s].tracked().next().expect("one recipe");
-            let dead =
-                e.all_prove_dead(std::iter::once(held), &mut scratch)(e.states[s].layout(), row);
+            let dead = e
+                .upsilon(None)
+                .all_prove_dead(std::iter::once(held), &mut scratch)(
+                e.states[s].layout(), row
+            );
             (
                 dead,
                 e.own_verdict(held.0, held.1, row),
@@ -2042,7 +2033,7 @@ mod tests {
             0,
             "t1 closed k = 1, but the other query joins on t0.w = 2"
         );
-        e.end_cycle();
+        e.end_cycle(std::iter::empty());
         e.unsubscribe(&other, &sub);
         let work = e.purge_mirror(&mut CheckScratch::default());
         assert_eq!((work.examined, work.purged), (1, 1), "re-seeded once");
@@ -2065,7 +2056,7 @@ mod tests {
             let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
             e.subscribe(&q, &r);
             match closed {
-                true => e.close_recipe_set(std::iter::empty(), |_, _| Some(0)),
+                true => e.close_recipe_set(std::iter::empty(), Some(vec![0, 1])),
                 false => e.hold_every_stream(),
             }
             e.observe_punctuation(&punct(1, 3, &[(1, 1)]), 0);
@@ -2080,13 +2071,16 @@ mod tests {
     /// and filter sources that are not its roots.
     #[test]
     fn a_recipe_reads_its_non_root_binding_and_filter_sources() {
-        // What an engine holding nothing but the recipe rooted at `root` holds.
+        // The streams the recipe rooted at `root` reads `Υ` of.
         let reads = |(q, r): (Cjq, SchemeSet), root: usize| {
-            let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
+            let e = PurgeEngine::shared(&q, &r, None, 10_000, None);
             let all: Vec<StreamId> = q.stream_ids().collect();
+            let mut read = vec![false; all.len()];
             let recipe = e.compile_port_recipe(&q, &r, &all, &[StreamId(root)]);
-            e.close_recipe_set(recipe.iter(), |_, _| Some(0));
-            (0..all.len()).filter(|&s| e.held[s]).collect::<Vec<_>>()
+            recipe
+                .iter()
+                .for_each(|recipe| mark_reads(recipe, &mut read));
+            (0..all.len()).filter(|&s| read[s]).collect::<Vec<_>>()
         };
         // t0 - t1 - t2 - t3 from either end: the far end is only ever a
         // step's target, the two in between feed the next step.
@@ -2116,35 +2110,46 @@ mod tests {
     }
 
     /// Closing holds what is read, to a fixpoint — the streams a port recipe
-    /// chains through, the partners §5.1 probes where no port stands in, and
-    /// what the mirror recipes of the streams held *so far* chain through —
-    /// and only a held stream gets trackers, purge indexes and a retraction
-    /// log.
+    /// chains through, the partners §5.1 probes, and what the mirror recipes
+    /// of the streams held *so far* chain through — and only a held stream
+    /// gets trackers, purge indexes and a retraction log. Where ports stand
+    /// in for every stream, nothing is held.
     #[test]
     fn closing_holds_exactly_the_streams_some_recipe_reads() {
-        let (q, r) = unpinned_chain();
+        // `unpinned_chain` punctuated by heartbeats: §5.1 drops no entry of an
+        // ordered scheme, so it probes no stream.
+        let (q, hashed) = unpinned_chain();
+        let r = SchemeSet::from_schemes(
+            (0..4).flat_map(|s| [0, 1].map(|a| PunctuationScheme::ordered_on(s, a).unwrap())),
+        );
         let all: Vec<StreamId> = q.stream_ids().collect();
-        let closed = |ports: &[usize], stands_in: bool| {
-            let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
-            e.subscribe(&q, &r);
-            let root = |&s: &usize| e.compile_port_recipe(&q, &r, &all, &[StreamId(s)]);
+        let closed = |r: &SchemeSet, ports: &[usize], stand_in: bool| {
+            let mut e = PurgeEngine::shared(&q, r, None, 10_000, None);
+            e.subscribe(&q, r);
+            let root = |&s: &usize| e.compile_port_recipe(&q, r, &all, &[StreamId(s)]);
             let ports: Vec<CompiledRecipe> = ports.iter().filter_map(root).collect();
-            e.close_recipe_set(ports.iter(), |_, _| stands_in.then_some(0));
+            let stand_ins = stand_in.then(|| (0..all.len()).collect());
+            e.close_recipe_set(ports.iter(), stand_ins);
             e
         };
-        // No port checks anything and a port answers every §5.1 probe: the
-        // mirror recipes of t0 and t3 chain through t1 and t2, but nobody
-        // holds t0 or t3, so nobody evaluates them. (Counting every mirror
-        // recipe as a reader, as closing once did, held t1 and t2 here.)
-        assert_eq!(closed(&[], true).held, [false; 4]);
+        // No port checks anything: the mirror recipes of t0 and t3 chain
+        // through t1 and t2, but nobody holds t0 or t3, so nobody evaluates
+        // them. (Counting every mirror recipe as a reader, as closing once
+        // did, held t1 and t2 here.)
+        assert_eq!(closed(&r, &[], false).held, [false; 4]);
         // t1's port reads t2; held, t2's own mirror recipe reads t1 in turn.
-        assert_eq!(closed(&[1], true).held, [false, true, true, false]);
-        assert_eq!(closed(&[0], true).held, [false, true, true, false]);
-        // Every attribute is punctuated by value: with no port standing in,
-        // §5.1 probes every stream for partner rows.
-        assert_eq!(closed(&[], false).held, [true; 4]);
+        assert_eq!(closed(&r, &[1], false).held, [false, true, true, false]);
+        assert_eq!(closed(&r, &[0], false).held, [false, true, true, false]);
+        // Punctuated by value, every stream is a partner §5.1 probes for rows.
+        assert_eq!(closed(&hashed, &[], false).held, [true; 4]);
+        // Ports standing in hold nothing; what chains through them is news.
+        for r in [&r, &hashed] {
+            let e = closed(r, &[0], true);
+            assert_eq!((e.held.as_slice(), e.port_chains), (&[false; 4][..], true));
+            assert!(!closed(r, &[], true).port_chains);
+        }
 
-        let mut e = closed(&[0], true);
+        let mut e = closed(&r, &[0], false);
         for (s, state) in e.states.iter().enumerate() {
             let tracked = e.meets[s].recipes.iter().all(|i| i.tracker.is_some());
             assert_eq!(tracked, e.held[s], "trackers of {s}");
@@ -2154,7 +2159,7 @@ mod tests {
         }
         e.hold_every_stream();
         assert_eq!(e.held, [true; 4], "widened for a reader outside the set");
-        let mut e = closed(&[0], true);
+        let mut e = closed(&r, &[0], false);
         for s in 0..4 {
             e.observe_tuple(&Tuple::of(s, [Value::Int(1), Value::Int(1)]));
         }
@@ -2162,8 +2167,10 @@ mod tests {
         // A pass over the held streams only: t1 and t2 go when their keys
         // close, whatever the unheld ends did not keep.
         for s in 0..4 {
-            e.observe_punctuation(&punct(s, 2, &[(0, 1)]), 0);
-            e.observe_punctuation(&punct(s, 2, &[(1, 1)]), 0);
+            for a in [0, 1] {
+                let hb = Punctuation::heartbeat(StreamId(s), 2, AttrId(a), Value::Int(1));
+                e.observe_punctuation(&hb, 0);
+            }
         }
         assert_eq!(e.purge_mirror(&mut CheckScratch::default()).purged, 2);
 
@@ -2174,10 +2181,16 @@ mod tests {
         let mut e = PurgeEngine::shared(&q, &r, None, 10_000, None);
         let port = e.compile_port_recipe(&q, &r, &all, &[StreamId(0)]).unwrap();
         let mut alone = PurgeEngine::shared(&q, &r, None, 10_000, None);
-        alone.close_recipe_set(std::iter::empty(), |_, _| Some(0));
-        assert_eq!(alone.held, [false; 3]);
-        e.close_recipe_set(std::iter::once(&port), |_, _| Some(0));
-        assert_eq!(e.held, [false, true, false]);
+        alone.close_recipe_set(std::iter::empty(), Some(vec![0, 1, 2]));
+        assert_eq!(
+            (&alone.held[..], alone.port_chains),
+            (&[false; 3][..], false)
+        );
+        e.close_recipe_set(std::iter::once(&port), Some(vec![0, 1, 2]));
+        assert_eq!((&e.held[..], e.port_chains), (&[false; 3][..], true));
+        let mut read = [false; 3];
+        mark_reads(&port, &mut read);
+        assert_eq!(read, [false, true, false], "S1's port recipe reads S2");
     }
 
     #[test]
@@ -2293,7 +2306,7 @@ mod tests {
         e8.observe_tuple(&Tuple::of(1, [Value::Int(1), Value::Int(9)]));
         e8.observe_punctuation(&punct(0, 2, &[(1, 1)]), 0); // S1.B = 1
         assert_eq!(e8.purge_punctuations(no_ops()), 0);
-        e8.end_cycle();
+        e8.end_cycle(std::iter::empty());
         e8.observe_punctuation(&punct(1, 2, &[(0, 1)]), 1); // S2(+,_): B = 1
 
         // S1.B entry: partner S2 has live tuple with B=1 -> keep. S2.B entry:
@@ -2325,7 +2338,7 @@ mod tests {
             e.observe_punctuation(&punct(0, 4, &[(1, itemid)]), 0);
         }
         assert_eq!(e.purge_punctuations(no_ops()), 0);
-        e.end_cycle();
+        e.end_cycle(std::iter::empty());
         // bid.itemid <= 5: item 5's entry goes, item 3's waits for the live
         // bid on it, item 9's for a later heartbeat.
         let hb = Punctuation::heartbeat(StreamId(1), 3, AttrId(1), Value::Int(5));

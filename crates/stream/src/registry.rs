@@ -20,10 +20,10 @@
 //! overlapping join sub-graph are paid **once** for every subscribed query.
 //!
 //! **Sealing** ([`QueryRegistry::seal`]) ends admission. Sealed before the
-//! first element, a registry knows every recipe it will ever check and
-//! mirrors only the streams they and §5.1 read; an open one holds every
-//! stream from its first element on, since a query admitted later may chain
-//! through any stream's history.
+//! first element, a registry knows every recipe it will ever check: an
+//! untiered one-operator arena's leaf ports stand in for every mirror, any
+//! other arena mirrors only what the recipes and §5.1 read. An open one holds
+//! every stream, since a later query may chain through any stream's history.
 //!
 //! **Single-pass batch routing**: one admitted [`ElementBatch`] flows
 //! through the node arena bottom-up once per segment (its tuple runs
@@ -40,20 +40,16 @@
 //! dropped only when *every* live holder proves it dead (a predicate set
 //! becomes a variant of a node only before the first element, while no
 //! node holds a row; a later one builds a node of its own). Admissions add
-//! recipes to the meets and retirements take them back;
-//! where that weakens a meet, the next purge pass re-checks that state once.
-//! With [`ExecConfig::verify_certificates`] the static certificates are
-//! checked per admission (per query — sharing must not leak one tenant's
-//! purgeability onto another) and the runtime verifier cross-checks every
-//! cycle.
+//! recipes to the meets and retirements take them back; where that weakens
+//! a meet, the next purge pass re-checks that state once. With
+//! [`ExecConfig::verify_certificates`] the static certificates are checked
+//! per admission (per query: sharing must not leak one tenant's
+//! purgeability onto another) and the runtime verifier checks every cycle.
 //!
-//! The per-query retention schedule under a meet can only be *more
-//! conservative* than a standalone executor's (a row another tenant still
-//! needs stays mirrored, which can keep chained requirements wider), and a
-//! sound purge never changes results — so per-query outputs are
-//! byte-identical to `N` independent executors, which
-//! `tests/registry_equivalence.rs` asserts across cadences and shard
-//! counts.
+//! Under a meet a query's rows can only be kept *longer* than by a
+//! standalone executor, and a sound purge never changes results — so
+//! per-query outputs are byte-identical to `N` independent executors, which
+//! `tests/registry_equivalence.rs` asserts across cadences and shard counts.
 
 use cjq_core::error::{CoreError, CoreResult};
 use cjq_core::plan::Plan;
@@ -416,10 +412,8 @@ impl QueryRegistry {
     }
 
     /// Ends admission: every later [`QueryRegistry::try_admit`] is refused,
-    /// and the recipe set is closed — only the streams the admitted recipes
-    /// and §5.1 read are mirrored, and where the arena is one operator its
-    /// ports stand in for the mirrors §5.1 would probe. Sealing twice is
-    /// sealing once.
+    /// and the recipe set is closed (`PurgeEngine::close_recipe_set`, which
+    /// see). Sealing twice is sealing once.
     ///
     /// # Errors
     /// Once an element reached it or a snapshot was restored onto it: rows
@@ -431,10 +425,14 @@ impl QueryRegistry {
             Phase::Open => return Err(RegistryRejection::because(ran)),
             Phase::Admitting => self.phase = Phase::Sealed,
         }
-        if let Some(engine) = &mut self.engine {
-            let ports = self.arena.ops().flat_map(JoinOperator::recipes);
-            let alone = self.arena.op(0).filter(|_| self.arena.slots() == 1);
-            engine.close_recipe_set(ports, |u, col| alone?.stand_in(u, col));
+        let Some(engine) = &mut self.engine else {
+            return Ok(());
+        };
+        let ports = self.arena.ops().flat_map(JoinOperator::recipes);
+        let alone = self.arena.op(0).filter(|_| self.arena.slots() == 1);
+        engine.close_recipe_set(ports, alone.and_then(JoinOperator::leaf_ports));
+        if let (true, Some((_, op))) = (engine.port_chains, self.arena.ops_mut().next()) {
+            op.chain_through_ports(&self.queries[0].query); // the engine's query
         }
         Ok(())
     }
@@ -521,13 +519,15 @@ impl QueryRegistry {
         self.core.port_bounds = armed.then_some(bounds);
     }
 
-    /// Attaches group stage `by` to the first tenant. Its propagation
-    /// condition probes the punctuated stream's mirror, so every stream is
-    /// held; and a punctuation that closed groups must go on refusing
+    /// Attaches group stage `by` to the first tenant. Its propagation test
+    /// reads the punctuated stream's `Υ`: every stream is held unless the
+    /// ports stand in. A punctuation that closed groups must go on refusing
     /// tuples, so every scheme it reads is stored.
     pub(crate) fn attach_group(&mut self, by: GroupBy) {
         let engine = self.engine.as_mut().expect("a tenant was lowered");
-        engine.hold_every_stream();
+        if engine.stand_ins.is_none() {
+            engine.hold_every_stream();
+        }
         engine.read_schemes(|s| by.reads_scheme(s), true);
         let (pending, aggregates) = (Vec::new(), Vec::new());
         self.queries[0].group = Some(Box::new(GroupStage {
@@ -697,8 +697,9 @@ impl QueryRegistry {
     #[inline]
     pub(crate) fn settle_groups(&mut self) {
         let Some(engine) = &self.engine else { return };
+        let ys = engine.upsilon(self.arena.op(0).map(|op| &op.ports[..]));
         for group in self.queries.iter_mut().filter_map(|q| q.group.as_mut()) {
-            self.core.metrics.aggregates_out += group.settle(engine);
+            self.core.metrics.aggregates_out += group.settle(ys);
         }
     }
 
@@ -916,15 +917,11 @@ fn fingerprint_schemes(fp: &mut Fingerprint, query: &Cjq, engine: &PurgeEngine) 
 ///
 /// Sharding composes with sharing only when every tenant's derived
 /// [`Partitioning::for_query`] agrees — each shard then owns a disjoint key
-/// range for every query and per-query outputs are exactly the union of the
-/// shards'. When tenants disagree (different equivalence classes) no split
-/// serves them all, and one shard runs the whole feed whatever `P` was
-/// requested — callers wanting scale-out should group tenants by
-/// partitioning consensus.
+/// range for every query. When tenants disagree no split serves them all,
+/// and one shard runs the whole feed whatever `P` was requested.
 impl Sharded {
     /// Admits every spec, in order, into each of `shards` fresh registries,
-    /// seals them (nothing is admitted later, so each mirrors only what its
-    /// tenants' recipes read) and derives the shared partitioning.
+    /// seals them (nothing is admitted later) and derives the partitioning.
     ///
     /// # Errors
     /// The first inadmissible spec's [`RegistryRejection`].
@@ -1586,7 +1583,10 @@ mod tests {
         let done = reg.run(&feed);
         assert_eq!(done.queries[id.0].outputs, solo.outputs);
         assert_eq!(done.queries[id.0].stats.purged, solo.metrics.purged);
-        assert_eq!(done.metrics.mirror_purged, solo.metrics.mirror_purged);
+        // The open registry's mirror purges what the executor's leaf ports,
+        // standing in for it, do.
+        let purged = (solo.metrics.mirror_purged, solo.metrics.purged);
+        assert_eq!(purged, (0, done.metrics.mirror_purged));
     }
 
     /// `seal()` ends admission: a later admission is refused and leaves no
@@ -1630,14 +1630,17 @@ mod tests {
         let mut reg = QueryRegistry::new(r, cfg());
         let ids = [0, 1].map(|_| reg.try_admit(&q, &plan, None).unwrap());
         reg.seal().unwrap();
-        let stand_ins = |reg: &QueryRegistry| reg.engine.as_ref().unwrap().stand_ins().to_vec();
-        assert_eq!(
-            stand_ins(&reg),
-            [Some(0), Some(1)],
-            "item's port, bid's port"
-        );
+        let engine = |reg: &QueryRegistry| {
+            let engine = reg.engine.as_ref().unwrap();
+            (engine.stand_ins.clone(), engine.held().to_vec())
+        };
+        let item_and_bid = (Some(vec![0, 1]), vec![false; 2]);
+        assert_eq!(engine(&reg), item_and_bid, "item's port, bid's port");
         ids.into_iter().for_each(|id| assert!(reg.retire(id)));
-        assert_eq!((reg.live_nodes(), stand_ins(&reg)), (0, vec![None, None]));
+        assert_eq!(
+            (reg.live_nodes(), engine(&reg)),
+            (0, (None, vec![false; 2]))
+        );
         for i in 0..4 {
             let item = Tuple::of(0, [7, i, 0, 100].map(Value::Int));
             let bid = Tuple::of(1, [3, i, 1].map(Value::Int));

@@ -800,16 +800,15 @@ impl PortState {
         evicted
     }
 
-    /// Serializes the port's logical state: the rows of `left` — retired
-    /// slots whose leaving is still news to a purge tracker — then the live
+    /// Serializes the port's logical state: the retired rows still logged
+    /// (between cycles, window evictions no tracker has read), then the live
     /// rows, each in slot order with its sequence, arrival and last probe,
     /// then the counters and whether purges are logged. Slot ids, the dead
-    /// prefix, the eviction frontier, the retraction log and the index
-    /// buckets are not written: [`PortState::read_state`] re-inserts the rows
-    /// into the freshly compiled port.
-    pub(crate) fn write_state(&self, e: &mut Enc, left: &[usize]) {
+    /// prefix, the eviction frontier, the log and the index buckets are not
+    /// written: [`PortState::read_state`] re-inserts the rows.
+    pub(crate) fn write_state(&self, e: &mut Enc) {
         e.usize(self.stride);
-        for slots in [left, &self.live_slots()] {
+        for slots in [self.retired_since(0), &self.live_slots()] {
             e.usize(slots.len());
             for &slot in slots {
                 let i = self.resident(slot);
@@ -1204,7 +1203,8 @@ mod tests {
                     // A snapshot renumbers the live rows from 0, in slot order
                     // (now and then: it also undoes every reclaim).
                     let (mut e, order) = (Enc::new(), s.live_slots());
-                    s.write_state(&mut e, &[]);
+                    s.trim_retired_to(s.retire_end()); // as a cycle leaves it
+                    s.write_state(&mut e);
                     s = fresh(b_is_ordered);
                     s.read_state(&mut Dec::new(&e.buf)).unwrap();
                     for (_, slot, _) in &mut live {
@@ -1292,8 +1292,9 @@ mod tests {
         assert_eq!(s.probe(0, &Value::Int(1)), &want[..]);
         // A snapshot carries the live rows and restores them numbered from 0,
         // in slot order, each bucket still in sequence order.
-        let (mut e, order) = (Enc::new(), s.live_slots());
-        s.write_state(&mut e, &[]);
+        let (mut e, order, mut ended) = (Enc::new(), s.live_slots(), s.clone());
+        ended.trim_retired_to(ended.retire_end()); // as a cycle leaves it
+        ended.write_state(&mut e);
         let mut fresh = state();
         fresh.add_purge_index(&[0], false);
         fresh.read_state(&mut Dec::new(&e.buf)).unwrap();
@@ -1334,7 +1335,7 @@ mod tests {
         let left = good.retired_since(0).to_vec();
         assert_eq!(left, [128, 129]);
         let mut e = Enc::new();
-        good.write_state(&mut e, &left);
+        good.write_state(&mut e);
         let mut port = state();
         port.read_state(&mut Dec::new(&e.buf)).unwrap();
         assert_eq!((port.slots(), port.resident_slots()), (72, 72));
@@ -1347,8 +1348,10 @@ mod tests {
         );
         assert_eq!(port.evict_older_than(140), good.evict_older_than(140));
         assert_eq!(port.live(), good.live());
+        // A later arrival among the rows that left.
         let mut e = Enc::new();
-        good.write_state(&mut e, &[199]);
+        assert!(good.purge(199));
+        good.write_state(&mut e);
         let err = state().read_state(&mut Dec::new(&e.buf)).unwrap_err();
         assert!(err.0.contains("not monotone"), "{err}");
     }

@@ -378,7 +378,8 @@ fn flat_and_tree_plans_agree_on_cyclic_graph_workloads() {
             assert_eq!(sorted(&tree.outputs), sorted(&flat.outputs));
             let (flat, tree) = (flat.metrics, tree.metrics);
             assert!(flat.outputs > 0, "cycles must actually close");
-            assert_eq!(tree.mirror_purged, flat.mirror_purged);
+            // The flat plan's leaf ports are its mirror.
+            assert_eq!((tree.mirror_purged, flat.mirror_purged), (flat.purged, 0));
             // The flat plan stores no intermediates, the tree its 2-paths.
             assert!(flat.intermediate_rows == 0 && tree.intermediate_rows > 0);
             let base_rows = tree.purged - tree.intermediate_rows;

@@ -582,7 +582,7 @@ fn resume_golden<E: Engine>(
     [resume(0, every, feed, build, true), resumed]
 }
 
-/// Snapshots committed under `tests/golden` at snapshot `VERSION` 17 by an
+/// Snapshots committed under `tests/golden` at snapshot `VERSION` 18 by an
 /// earlier build of the engine: restored on this tree, each resumes to the
 /// outputs and metrics of an uninterrupted run. That holds only while the
 /// fingerprint folds the same recipe words and restored trackers offer the

@@ -18,7 +18,7 @@ use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult
 use punctuated_cjq::stream::fault::{Fault, FaultPlan};
 use punctuated_cjq::stream::groupby::Aggregate;
 use punctuated_cjq::stream::guard::AdmissionPolicy;
-use punctuated_cjq::stream::metrics::Metrics;
+use punctuated_cjq::stream::metrics::{Metrics, StatePoint};
 use punctuated_cjq::stream::parallel::Sharded;
 use punctuated_cjq::stream::registry::{QueryRegistry, QueryRunResult, RegistryResult};
 use punctuated_cjq::stream::source::Feed;
@@ -27,7 +27,7 @@ use punctuated_cjq::stream::Engine;
 use punctuated_cjq::workload::trades::{self, QUOTE, TRADE};
 use punctuated_cjq::workload::{auction, graph, sensor};
 
-use cjq_chaos::differential::{assert_meets, oracle, sorted, Case};
+use cjq_chaos::differential::{assert_meets, oracle, plans, sorted, Case};
 use cjq_chaos::{chaos_feed, keyed_feed, random_spec, tenants, TOPOLOGIES};
 
 const EAGER: PurgeCadence = PurgeCadence::Eager;
@@ -349,15 +349,18 @@ fn malformed_elements_are_admitted_identically_under_every_policy() {
 
 /// A one-tenant registry keeps its recipe set open and so mirrors every
 /// stream; a dedicated executor's closed set — and a sealed registry's, sample
-/// for sample the executor's — mirrors only the streams some recipe reads.
-/// The harness holds the registry's mirror to the oracle's `Υ` sample by
-/// sample, and the executor to the registry. Narrowing must change
-/// nothing but the rows held: an executor widened back to every stream by a
-/// group-by stage emits the same results and purges, and mirrors exactly
-/// what the registry does — rows at every sample and mirror purges — while on
-/// every held stream the narrowed executor's live mirror rows equal the
-/// widened one's element by element; and which streams are held is what the
-/// recipes say.
+/// for sample the executor's — mirrors only the streams some recipe reads,
+/// and none where the plan is one operator: its leaf ports stand in for every
+/// stream. Each case runs on the flat MJoin and, from three streams on, on a
+/// left-deep tree, whose two operators keep a mirror. The harness holds the
+/// registry's mirror to the oracle's `Υ` sample by sample, and the executor
+/// to the registry. Narrowing must change nothing but the rows held: an
+/// executor with a group-by stage — widened back to every stream where no
+/// port stands in — emits the same results and purges, and its `Υ` is
+/// exactly the registry's mirror (rows at every sample and mirror purges), in
+/// its mirror or in the ports standing in for it, while on every held stream
+/// the narrowed executor's live mirror rows equal the grouped one's element
+/// by element; and which streams are held is what the recipes say.
 #[test]
 fn closed_recipe_set_matches_the_open_one_tenant_registry() {
     let (fig5, triangle) = (fixtures::fig5(), graph::triangle_query());
@@ -369,10 +372,10 @@ fn closed_recipe_set_matches_the_open_one_tenant_registry() {
     let sensor = sensor::generate(&Default::default()).0;
     let fig5_feed = keyed_feed(&fig5, 10, 2);
     let calib_only = vec![false, true, false];
-    // (the case, the streams an executor must hold if known)
+    // (the case, the streams its left-deep tree must hold if known)
     let known = |name, spec, feed, held| (Case::new(name, spec, feed), Some(held));
     let mut cases = vec![
-        // Binary joins: one-step recipes, nothing is read.
+        // Binary joins: one-step recipes, nothing is read (and no tree).
         known("auction", auction::auction_query(), auction, vec![false; 2]),
         known("trades", trades::trades_query(), trades, vec![false; 2]),
         // reading - calib - alert: both ends chain through calib.
@@ -388,12 +391,18 @@ fn closed_recipe_set_matches_the_open_one_tenant_registry() {
         cases.push((case, None));
     }
     let mut narrowed = 0;
-    for (case, expect_held) in cases {
-        for cadence in [EAGER, LAZY] {
-            let name = format!("{}, {cadence:?}", case.name);
+    for (case, tree_held) in cases {
+        let trees = plans(&case.query).into_iter().take(2);
+        for (plan, cadence) in trees.flat_map(|p| [(p.clone(), EAGER), (p, LAZY)]) {
+            let flat = plan == case.plan;
+            let name = format!(
+                "{}, {}, {cadence:?}",
+                case.name,
+                ["tree", "flat"][usize::from(flat)]
+            );
             let feed = chaos_feed(&case.feed);
             let case = case.clone().with(|c| {
-                (c.cfg.cadence, c.shards, c.feed) = (cadence, Vec::new(), feed);
+                (c.plan, c.cfg.cadence, c.shards, c.feed) = (plan, cadence, Vec::new(), feed);
             });
             let solo = case.check().solo.expect("admitted");
             let (q, r, plan, cfg) = (&case.query, &case.schemes, &case.plan, case.cfg);
@@ -414,10 +423,15 @@ fn closed_recipe_set_matches_the_open_one_tenant_registry() {
             // Held, not fed: a held stream whose rows all arrive dead stores none.
             let holds = |e: &Executor, s: StreamId| e.engine().held()[s.0];
             let held: Vec<bool> = q.stream_ids().map(|s| holds(&exec, s)).collect();
-            if let Some(expected) = &expect_held {
-                let fed = q.stream_ids().all(|s| holds(&wide, s));
-                assert!(fed, "{name}: every stream is held");
-                assert_eq!(&held, expected, "{name}: held streams");
+            let wide_held = q.stream_ids().all(|s| holds(&wide, s));
+            assert_eq!(
+                wide_held, !flat,
+                "{name}: every stream is held unless ported"
+            );
+            match (flat, &tree_held) {
+                (true, _) => assert!(held.iter().all(|h| !h), "{name}: the ports stand in"),
+                (false, Some(expected)) => assert_eq!(&held, expected, "{name}: held streams"),
+                (false, None) => {}
             }
             narrowed += held.iter().filter(|h| !**h).count();
             // Sealed, a registry closes its recipe set as the executor does:
@@ -442,15 +456,20 @@ fn closed_recipe_set_matches_the_open_one_tenant_registry() {
             reg.try_admit(q, plan, None).expect("safe");
             let (widened, shared) = (wide.finish(), reg.try_run(&case.feed).unwrap());
             assert_eq!(widened.outputs, solo.outputs, "{name}: widened outputs");
-            // The widened executor's mirror is the registry's, sample by
-            // sample; the narrowed one holds a part of it.
+            // The grouped executor's `Υ` is the registry's mirror, sample by
+            // sample — on one operator its ports' rows and purges; the
+            // narrowed one holds a part of it.
             let (w, m, s) = (&widened.metrics, &shared.metrics, &solo.metrics);
-            let totals = |m: &Metrics| (m.purged, m.purge_cycles, m.mirror_purged);
+            let ys = |p: &StatePoint| if flat { p.join_state } else { p.mirror };
+            let purged = |m: &Metrics| if flat { m.purged } else { m.mirror_purged };
+            let totals = |m: &Metrics| (m.purged, m.purge_cycles);
             assert_eq!(totals(w), totals(m), "{name}: widened totals");
+            assert_eq!(purged(w), m.mirror_purged, "{name}: widened mirror purges");
             assert!(s.mirror_purged <= m.mirror_purged, "{name}: mirror purges");
             let mirror = |m: &Metrics| m.series.iter().map(|p| (p.at, p.mirror)).collect();
             let (narrow, open): (Vec<_>, Vec<_>) = (mirror(s), mirror(m));
-            assert_eq!(mirror(w), open, "{name}: sampled mirror totals");
+            let ys: Vec<_> = w.series.iter().map(|p| (p.at, ys(p))).collect();
+            assert_eq!(ys, open, "{name}: sampled mirror totals");
             let mut pairs = narrow.iter().zip(&open);
             assert!(pairs.all(|(s, m)| s.0 == m.0 && s.1 <= m.1), "{name}");
             let all_held = held.iter().all(|h| *h);

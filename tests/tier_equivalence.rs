@@ -16,7 +16,9 @@ use proptest::prelude::*;
 
 use punctuated_cjq::core::fixtures;
 use punctuated_cjq::core::prelude::*;
-use punctuated_cjq::stream::exec::{Executor, PurgeCadence, RunResult, StateBudget};
+use punctuated_cjq::stream::exec::{ExecConfig, Executor, PurgeCadence, RunResult, StateBudget};
+use punctuated_cjq::stream::metrics::{Metrics, StatePoint};
+use punctuated_cjq::stream::registry::QueryRegistry;
 use punctuated_cjq::stream::source::Feed;
 use punctuated_cjq::stream::tier::TierConfig;
 use punctuated_cjq::stream::Engine;
@@ -25,7 +27,7 @@ use punctuated_cjq::workload::keyed::{self, KeyedConfig};
 use punctuated_cjq::workload::random_query::Topology;
 use punctuated_cjq::workload::skewed::{self, SkewedConfig};
 
-use cjq_chaos::differential::Case;
+use cjq_chaos::differential::{oracle, sorted, Case};
 use cjq_chaos::{auction_feed, chaos_feed, random_spec, skewed_feed};
 
 const CADENCES: [PurgeCadence; 2] = [PurgeCadence::Eager, PurgeCadence::Lazy { batch: 7 }];
@@ -58,6 +60,87 @@ fn skewed_workload_equivalent_across_cadences_and_shards() {
         let tiered = run_pair(spec.clone(), feed.clone(), cadence, 48, Default::default());
         assert!(tiered.metrics.rows_demoted > 0, "{cadence:?}: demotes");
     }
+}
+
+/// Fig. 5's MJoin on `skewed_durable`'s feed (20,000 events, seed 7, a
+/// sample every 50 elements). Sealed and untiered, an executor's leaf ports
+/// are `Υ`: it holds no stream and mirrors no row, while its outputs, purges
+/// and port rows at every sample are an open registry's, whose mirror holds
+/// every stream, and its ports' rows are that mirror's. The same shape at a
+/// quarter of the size is held to the oracle (the full one takes it a
+/// minute). Tiered under a budget, a port cannot stand in — a chain probe
+/// cannot see its cold rows — so that run still holds every stream.
+#[test]
+fn fig5_on_the_skewed_feed_holds_no_stream_unless_tiered() {
+    let (q, r) = fixtures::fig5();
+    let plan = Plan::mjoin_all(&q);
+    let cfg = ExecConfig {
+        sample_every: 50,
+        verify_certificates: false, // a sweep of every row per cycle
+        ..ExecConfig::default()
+    };
+    let feed = |shrink: usize| {
+        let mut shape = SkewedConfig::default();
+        (shape.events, shape.hot_keys, shape.cold_keys) = (20_000 / shrink, 32, 4000 / shrink);
+        (shape.cold_window, shape.punct_lag, shape.seed) = (512 / shrink, 2000 / shrink, 7);
+        skewed::generate(&q, &r, &shape)
+    };
+    let run = |feed: &Feed| {
+        let exec = Executor::compile(&q, &r, &plan, cfg).unwrap();
+        assert_eq!(exec.engine().held(), [false; 3]);
+        let run = exec.run(feed);
+        let m = &run.metrics;
+        assert!(m.series.iter().all(|p| p.mirror == 0) && m.mirror_purged == 0);
+        run
+    };
+    let (feed, small) = (feed(1), feed(4));
+    let (exec, mut open) = (run(&feed), QueryRegistry::new(r.clone(), cfg));
+    open.try_admit(&q, &plan, None).unwrap();
+    let open = open.try_run(&feed).unwrap();
+    let (m, o) = (&exec.metrics, &open.metrics);
+    assert_eq!(exec.outputs, open.queries[0].outputs);
+    assert_eq!(
+        (m.purged, o.purged, o.mirror_purged),
+        (24_888, 24_888, 24_888)
+    );
+    let ports = |m: &Metrics| {
+        m.series
+            .iter()
+            .map(|p| (p.at, p.join_state))
+            .collect::<Vec<_>>()
+    };
+    let mirror: Vec<_> = o.series.iter().map(|p| (p.at, p.mirror)).collect();
+    assert_eq!((ports(m), ports(o)), (mirror.clone(), mirror));
+    let peak = m.series.iter().map(|p| p.join_state).max();
+    let mean = m.series.iter().map(|p| p.join_state).sum::<usize>() / m.series.len();
+    assert_eq!((peak, mean), (Some(17_540), 10_438));
+    let (got, expect) = (run(&small), oracle(&[(&q, &plan)], &r, &cfg, None, &small));
+    assert_eq!(sorted(&got.outputs), expect.outputs[0]);
+    assert_eq!(got.metrics.purged, expect.purged[0]);
+    let ys = expect.series.iter().map(|s| (s.at, s.rows, s.mirror));
+    let mirrored = got
+        .metrics
+        .series
+        .iter()
+        .map(|p| (p.at, p.join_state, p.join_state));
+    assert!(mirrored.eq(ys), "the ports' rows at every sample, and Υ's");
+    let capped = ExecConfig {
+        state_budget: Some(StateBudget::hard(2048)),
+        tiering: Some(TierConfig::default()),
+        ..cfg
+    };
+    let tiered = Executor::compile(&q, &r, &plan, capped).unwrap();
+    assert_eq!(
+        tiered.engine().held(),
+        [true; 3],
+        "tiered ports do not stand in"
+    );
+    let m = tiered.run(&feed).metrics;
+    let peak = |f: fn(&StatePoint) -> usize| m.series.iter().map(f).max();
+    assert_eq!(
+        (peak(|p| p.join_state), peak(|p| p.mirror)),
+        (Some(2048), Some(17_540))
+    );
 }
 
 #[test]
